@@ -31,8 +31,6 @@ from .core import (
     ConfigurationError,
     InvalidRequestError,
     make_profile,
-    set_default_backend,
-    use_backend,
     Platform,
     PortLedger,
     ProblemInstance,
@@ -105,8 +103,6 @@ __all__ = [
     "make_profile",
     "make_scheduler",
     "minbw_slots",
-    "set_default_backend",
-    "use_backend",
     "minvol_slots",
     "paper_flexible_workload",
     "paper_rigid_workload",

@@ -36,7 +36,7 @@ _PROTECTED: dict[str, tuple[str, ...]] = {
     "cancelled_at": ("control/service.py", "gateway/gateway.py"),
     "aborted_at": ("control/service.py", "gateway/gateway.py"),
     "displaced_at": ("control/service.py", "gateway/gateway.py"),
-    # Capacity-kernel query caches (slots of the profile backends; the
+    # Capacity-kernel query caches (slots of the profile classes; the
     # array internals themselves are GL009's to guard).
     "_peak": ("core/capacity/",),
     "_suffix": ("core/capacity/",),

@@ -1,7 +1,7 @@
 """GL014 — broker-owned mutable state must not escape its shard.
 
 The ROADMAP's process-per-shard item only works if each shard broker is
-the *sole* writer of its ledger, hold table and headroom caches (the
+the *sole* writer of its ledger and hold table (the
 GL008 single-writer discipline, upgraded to aliasing).  A method that
 returns ``self._holds`` itself, stores it on another object, or passes
 it to an external callable hands out a mutable alias: a second shard —

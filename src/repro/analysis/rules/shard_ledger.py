@@ -6,7 +6,7 @@ its ledger slice (``_owned_ledger``) and its two-phase hold table
 (``_holds``); everyone else — the coordinator, the facade, benchmarks —
 goes through the broker's public surface (``book_pair`` / ``prepare`` /
 ``commit`` / ``abort_hold`` / ``release`` / ``degrade``), where ownership
-is asserted and the headroom cache invalidated.  An out-of-band write —
+is asserted.  An out-of-band write —
 ``broker._owned_ledger.allocate(...)`` from a scheduler, or replacing
 ``broker._holds`` wholesale — books capacity no admission check ever saw
 and desynchronises crash replay.

@@ -1,17 +1,17 @@
 """GL009 — capacity-profile internals stay inside the kernel package.
 
 The capacity kernel (:mod:`repro.core.capacity`) is the one place that
-stores per-port bandwidth profiles; both backends keep their state in
-``_breakpoints`` / ``_values`` pairs.  Everything above the kernel talks
-to the :class:`~repro.core.capacity.CapacityProfile` interface — range
-add, range max/min, integral, segment iteration.  Code that reaches into
-the arrays directly (``timeline._values[i] += bw``) silently bypasses
-coalescing and the peak/suffix caches, and breaks the moment the default
-backend flips from the breakpoint list to the vectorized one.  Likewise,
-constructing a concrete backend by name (``BreakpointProfile()``) pins a
-caller to one representation; profiles come from
-:func:`~repro.core.capacity.make_profile` (or ``CapacityProfile()``,
-which dispatches) so backend selection stays a configuration decision.
+stores per-port bandwidth profiles; the production class and the
+reference oracle both keep their state in ``_breakpoints`` / ``_values``
+pairs.  Everything above the kernel talks to the
+:class:`~repro.core.capacity.CapacityProfile` interface — range add,
+range max/min, integral, segment iteration.  Code that reaches into the
+arrays directly (``timeline._values[i] += bw``) silently bypasses
+coalescing and the cached peak.  Likewise, nothing outside the kernel
+names a concrete class: profiles come from
+:func:`~repro.core.capacity.make_profile`, which builds the one
+production class, and ``VectorProfile`` is the reference implementation
+the equivalence fuzz compares it against — ``src/`` never builds it.
 
 The same single-owner discipline covers the malleable-transfer kernel:
 :class:`~repro.core.profile.RateProfile` keeps its normalized segment
@@ -29,8 +29,7 @@ The rule flags, outside each attribute's owning package:
 
 Ownership is by path fragment, mirroring GL004/GL008, so fixture trees
 that mirror the layout exercise the rule too.  Tests and benchmarks are
-allowlisted: backend-equivalence suites construct both backends on
-purpose.
+allowlisted: the equivalence suites construct both classes on purpose.
 """
 
 from __future__ import annotations
@@ -53,10 +52,10 @@ _INTERNAL_ATTRS: dict[str, str] = {
     "_segments": "core/",
 }
 
-#: Concrete backend classes that must not be constructed directly.
+#: Concrete profile classes that must not be constructed directly.
 _BACKEND_CLASSES = ("BreakpointProfile", "VectorProfile")
 
-#: Path fragment owning the capacity backends (the kernel package itself).
+#: Path fragment owning the profile classes (the kernel package itself).
 _OWNER_FRAGMENT = "core/capacity/"
 
 
@@ -97,7 +96,7 @@ class TimelineInternalsRule(Rule):
                     yield self.finding(
                         module,
                         node,
-                        f"direct construction of {name} pins the caller to "
-                        "one backend; build profiles via make_profile() or "
-                        "CapacityProfile()",
+                        f"direct construction of {name} outside the capacity "
+                        "kernel; build profiles via make_profile() "
+                        "(VectorProfile is the tests' reference oracle)",
                     )

@@ -18,12 +18,7 @@ from .capacity import (
     CAPACITY_SLACK,
     BreakpointProfile,
     CapacityProfile,
-    VectorProfile,
-    available_backends,
-    get_default_backend,
     make_profile,
-    set_default_backend,
-    use_backend,
 )
 from .errors import (
     CapacityError,
@@ -58,7 +53,6 @@ __all__ = [
     "ConfigurationError",
     "Degradation",
     "FitProbe",
-    "VectorProfile",
     "InvalidRequestError",
     "Platform",
     "PortLedger",
@@ -71,16 +65,12 @@ __all__ = [
     "ScheduleResult",
     "ScheduleViolation",
     "accept_rate",
-    "available_backends",
     "book_earliest",
     "demanded_bandwidth",
     "earliest_fit",
     "earliest_fit_profile",
     "shape_profile",
-    "get_default_backend",
     "make_profile",
-    "set_default_backend",
-    "use_backend",
     "guaranteed_count",
     "guaranteed_rate",
     "resource_utilization",

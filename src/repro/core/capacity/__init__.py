@@ -1,11 +1,12 @@
-"""``repro.core.capacity`` — the pluggable capacity kernel.
+"""``repro.core.capacity`` — the capacity kernel.
 
 The one place in the library that stores and queries per-port bandwidth
 profiles (Eq. 1's range-max/range-add arithmetic).  Everything above —
 :class:`~repro.core.ledger.PortLedger`, the booking search, the gateway's
-shard brokers and headroom cache, the scheduler families, the metrics
-accounting — talks to the :class:`CapacityProfile` interface; gridlint
-rule GL009 keeps the breakpoint internals private to this package.
+shard brokers and headroom fast path, the scheduler families, the metrics
+accounting — talks to the :class:`CapacityProfile` interface and builds
+profiles with :func:`make_profile`; gridlint rule GL009 keeps the
+breakpoint internals and both concrete classes private to this package.
 
 Layering (modules above only ever call downward through the interface)::
 
@@ -15,40 +16,36 @@ Layering (modules above only ever call downward through the interface)::
                 core.booking (earliest_fit)
                     core.ledger (PortLedger, Degradation)
                         repro.core.capacity   ← the kernel
-                            BreakpointProfile | VectorProfile
+                            BreakpointProfile
 
-See ``docs/CAPACITY.md`` for the interface contract, backend selection
-and the complexity table.
+There is one production class, :class:`BreakpointProfile`.
+:class:`repro.core.capacity.vector.VectorProfile` is the independent
+reference implementation the equivalence fuzz compares it against;
+nothing under ``src/`` imports or constructs it.  See ``docs/CAPACITY.md`` for the
+interface contract, the complexity table and the measurements behind
+"one backend".
 """
 
 from __future__ import annotations
 
-from .backends import (
-    available_backends,
-    get_default_backend,
-    make_profile,
-    set_default_backend,
-    use_backend,
-)
 from .breakpoint import BreakpointProfile
 from .checks import CAPACITY_SLACK, UTILISATION_LIMIT, fits_under, slack_capacity
 from .interface import CapacityProfile
 from .stats import carried_volume, utilisation
-from .vector import VectorProfile
 
 __all__ = [
     "CAPACITY_SLACK",
     "UTILISATION_LIMIT",
     "BreakpointProfile",
     "CapacityProfile",
-    "VectorProfile",
-    "available_backends",
     "carried_volume",
     "fits_under",
-    "get_default_backend",
     "make_profile",
-    "set_default_backend",
     "slack_capacity",
-    "use_backend",
     "utilisation",
 ]
+
+
+def make_profile() -> CapacityProfile:
+    """A fresh identically-zero profile of the production class."""
+    return BreakpointProfile()

@@ -1,11 +1,15 @@
-"""The breakpoint-list backend: the library's original implementation.
+"""The production capacity profile: breakpoint lists on plain Python lists.
 
 Moved verbatim from the former ``repro.core.timeline.BandwidthTimeline``
 (only the internals were renamed to the kernel's canonical
 ``_breakpoints`` / ``_values``), so every decision made through it is
 bit-identical to the pre-kernel code.  O(log n + k) interval updates and
-queries (n breakpoints, k touched segments) on plain Python lists: the
-reference backend the vectorized one is fuzzed against.
+queries (n breakpoints, k touched segments), no cache to rebuild after a
+mutation except the all-time peak: on the traffic the service sees — a
+few hundred segments per port and a mutation every few dozen queries — it
+beats the cached numpy implementation on every ``benchmarks/stack``
+workload (``docs/CAPACITY.md``), so it is the only class
+:func:`~repro.core.capacity.make_profile` builds.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Iterator
-from typing import ClassVar
 
 import numpy as np
 
@@ -26,8 +29,6 @@ class BreakpointProfile(CapacityProfile):
     """Breakpoint-list :class:`~repro.core.capacity.interface.CapacityProfile`."""
 
     __slots__ = ("_breakpoints", "_values", "_peak")
-
-    backend_name: ClassVar[str] = "breakpoint"
 
     def __init__(self) -> None:
         # _values[k] applies on [_breakpoints[k], _breakpoints[k+1]); the

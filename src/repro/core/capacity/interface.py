@@ -13,26 +13,23 @@ piecewise-constant function ``usage(t)`` over the real line supporting
 - **segment iteration** (:meth:`~CapacityProfile.segments`),
 - **copy / snapshot** (:meth:`~CapacityProfile.copy`).
 
-Two interchangeable backends implement it: the breakpoint-list
-implementation (:class:`~repro.core.capacity.breakpoint.BreakpointProfile`)
-and the vectorized numpy one
-(:class:`~repro.core.capacity.vector.VectorProfile`).  Both must agree
-decision-for-decision — the backend-equivalence fuzz suite and the
-``bench_capacity`` gate hold them to it.
+One production class implements it, the breakpoint-list
+:class:`~repro.core.capacity.breakpoint.BreakpointProfile`; every profile
+the library builds comes from :func:`~repro.core.capacity.make_profile`
+and is one.  :class:`~repro.core.capacity.vector.VectorProfile` is an
+independent numpy implementation of the same contract, kept as the
+reference the equivalence fuzz (``tests/test_capacity_equivalence.py``)
+compares the production class against, bit for bit.
 
 No module outside ``repro.core.capacity`` may touch a profile's breakpoint
-internals (``_breakpoints`` / ``_values``) or construct a backend class
-directly — gridlint rule GL009 enforces the boundary.  Profiles are built
-via :func:`~repro.core.capacity.backends.make_profile` (or the
-backwards-compatible ``BandwidthTimeline`` alias, which dispatches to the
-configured default backend).
+internals (``_breakpoints`` / ``_values``) or construct either class
+directly — gridlint rule GL009 enforces the boundary.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from typing import ClassVar
 
 import numpy as np
 
@@ -53,23 +50,17 @@ class CapacityProfile:
     Adjacent segments with equal values are coalesced to keep the profile
     compact over long simulations.
 
-    Instantiating :class:`CapacityProfile` directly returns an instance of
-    the configured default backend (see
-    :func:`~repro.core.capacity.backends.set_default_backend`), so the
-    historical ``BandwidthTimeline()`` spelling keeps working.  Subclasses
-    are the backends; they must implement every method below.
+    This class is the abstract contract: it holds no state and is not
+    instantiable.  Subclasses must implement every method below.
     """
 
     __slots__ = ()
 
-    #: Short name of the backend implementing this profile.
-    backend_name: ClassVar[str] = "abstract"
-
     def __new__(cls) -> CapacityProfile:
         if cls is CapacityProfile:
-            from .backends import make_profile
-
-            return make_profile()
+            raise TypeError(
+                "CapacityProfile is the abstract interface; build profiles via make_profile()"
+            )
         return object.__new__(cls)
 
     # ------------------------------------------------------------------
@@ -87,7 +78,7 @@ class CapacityProfile:
         """Apply many ``(t0, t1, delta)`` range adds in one call.
 
         Semantically identical to calling :meth:`add` per interval, in
-        order; backends may batch the breakpoint insertion.  The default
+        order; subclasses may batch the breakpoint insertion.  The default
         implementation is the sequential loop.
         """
         for t0, t1, delta in intervals:
@@ -115,8 +106,8 @@ class CapacityProfile:
     def integral(self, t0: float, t1: float) -> float:
         """``∫ usage(t) dt`` over ``[t0, t1)`` (MB when usage is MB/s).
 
-        Summed segment-by-segment left to right so both backends produce
-        bit-identical totals.
+        Summed segment-by-segment left to right so the production class and
+        its oracle produce bit-identical totals.
         """
         if not (t1 > t0):
             raise ValueError(f"empty interval [{t0}, {t1})")
@@ -147,7 +138,7 @@ class CapacityProfile:
     def global_max(self) -> float:
         """Maximum usage over all time.
 
-        Both backends cache this — it is the all-time peak behind the
+        Subclasses cache this — it is the all-time peak behind the
         gateway's headroom fast path, probed once per admission — and
         invalidate the cache on every mutation.
         """
@@ -163,7 +154,7 @@ class CapacityProfile:
 
     # ------------------------------------------------------------------
     def copy(self) -> CapacityProfile:
-        """An independent copy of this profile (same backend)."""
+        """An independent copy of this profile (same class)."""
         raise NotImplementedError
 
     def __repr__(self) -> str:

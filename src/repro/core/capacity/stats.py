@@ -4,7 +4,8 @@ The carried-volume and per-port-utilisation sums behind
 :meth:`repro.core.ledger.PortLedger.carried_volume` and the metrics
 layer's Jain-index inputs, expressed once against the kernel interface so
 the accounting cannot drift between consumers.  Sums run left to right in
-iteration order — both backends then produce bit-identical totals.
+iteration order — the production class and its oracle then produce
+bit-identical totals.
 """
 
 from __future__ import annotations

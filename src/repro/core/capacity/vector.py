@@ -1,7 +1,10 @@
-"""The vectorized backend: numpy breakpoint arrays with cached range queries.
+"""The reference oracle: numpy breakpoint arrays with cached range queries.
 
-Same piecewise-constant semantics as the breakpoint-list backend, with the
-hot operations pushed into C:
+An independent implementation of the :class:`CapacityProfile` contract
+that ``tests/test_capacity_equivalence.py`` compares the production
+:class:`~repro.core.capacity.breakpoint.BreakpointProfile` against;
+nothing under ``src/`` imports or constructs it (GL009).  Same
+piecewise-constant semantics, with the hot operations pushed into C:
 
 - breakpoints and values live in parallel ``float64`` arrays; point and
   range lookups are ``np.searchsorted`` (identical to ``bisect_right``)
@@ -22,18 +25,18 @@ hot operations pushed into C:
   candidate start against an unchanged profile, so the O(n log n) build
   amortises across the sweep.
 
-Arithmetic is element-wise IEEE-identical to the breakpoint backend (same
+Arithmetic is element-wise IEEE-identical to the breakpoint class (same
 additions in the same per-element order, same exact-equality coalescing),
-so the two backends agree decision-for-decision, not merely within
-tolerance; ``benchmarks/bench_capacity.py`` gates both the agreement and
-the speedup.
+so the two classes agree decision-for-decision, not merely within
+tolerance.  The caches pay off only on long read-only sweeps: every
+mutation drops them, which is why this class lost to the breakpoint
+lists on every ``benchmarks/stack`` workload (``docs/CAPACITY.md``).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from typing import ClassVar
 
 import numpy as np
 
@@ -46,8 +49,6 @@ class VectorProfile(CapacityProfile):
     """Numpy-backed :class:`~repro.core.capacity.interface.CapacityProfile`."""
 
     __slots__ = ("_breakpoints", "_values", "_peak", "_suffix", "_rmq")
-
-    backend_name: ClassVar[str] = "vector"
 
     def __init__(self) -> None:
         # _values[k] applies on [_breakpoints[k], _breakpoints[k+1]); the

@@ -11,9 +11,9 @@ constant-rate allocation is simply the 1-segment special case.
 
 Segment hygiene lives in exactly one place, :meth:`RateProfile.normalize`:
 zero-length and zero-rate segments are dropped, touching equal-rate
-segments are coalesced, overlaps are rejected.  The capacity backends can
-therefore keep their strict ``t1 > t0`` contract — nothing un-normalized
-ever reaches them.
+segments are coalesced, overlaps are rejected.  The capacity kernel can
+therefore keep its strict ``t1 > t0`` contract — nothing un-normalized
+ever reaches it.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class RateProfile:
 
         Returns the normalized tuple; raises ``ValueError`` on malformed
         input.  Every ``RateProfile`` constructor path funnels through
-        here, so the capacity backends only ever see ``t1 > t0``.
+        here, so the capacity kernel only ever sees ``t1 > t0``.
         """
         cleaned: list[Segment] = []
         for raw in segments:

@@ -1,27 +1,18 @@
-"""Backwards-compatible alias of the capacity kernel's profile type.
+"""Backwards-compatible name of the capacity kernel's production class.
 
 ``BandwidthTimeline`` used to be the concrete breakpoint-list class that
 every layer poked at; the implementation now lives in
-:mod:`repro.core.capacity` behind the pluggable
-:class:`~repro.core.capacity.CapacityProfile` interface (breakpoint-list
-and vectorized numpy backends, selected via
-:func:`~repro.core.capacity.set_default_backend`).
-
-The historical spellings keep working:
-
-- ``BandwidthTimeline()`` constructs a profile on the configured default
-  backend (it *is* :class:`CapacityProfile`, whose constructor
-  dispatches);
-- ``isinstance(x, BandwidthTimeline)`` is true for every backend;
-- annotations written against ``BandwidthTimeline`` mean "any profile".
-
-New code should import from :mod:`repro.core.capacity` directly.
+:mod:`repro.core.capacity` as
+:class:`~repro.core.capacity.BreakpointProfile`, and this name is a plain
+alias of it.  New code annotates against
+:class:`~repro.core.capacity.CapacityProfile` and builds profiles with
+:func:`~repro.core.capacity.make_profile`.
 """
 
 from __future__ import annotations
 
-from .capacity import CapacityProfile
+from .capacity import BreakpointProfile
 
 __all__ = ["BandwidthTimeline"]
 
-BandwidthTimeline = CapacityProfile
+BandwidthTimeline = BreakpointProfile

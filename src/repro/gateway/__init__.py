@@ -12,8 +12,8 @@ that serving layer:
 - :class:`~repro.gateway.sharding.ShardMap` partitions access points
   across N **shard brokers**;
 - :class:`~repro.gateway.broker.ShardBroker` owns the ledger slices of
-  its ports (usage + degradation timelines, prepare-holds, a cached
-  per-port headroom index invalidated on every booking/release);
+  its ports (usage + degradation timelines, prepare-holds, the
+  per-port all-time peak behind the headroom fast path);
 - :class:`~repro.gateway.batch.Batcher` coalesces concurrently-arriving
   requests into admission batches ordered by a pluggable policy
   (FIFO / min-laxity / max-value);
@@ -36,7 +36,6 @@ from .batch import AdmissionOrdering, Batcher, PendingAdmission
 from .broker import BrokerUnavailable, Hold, ShardBroker, hold_expired
 from .edge import EdgeLimit, EdgeLimiter
 from .gateway import Gateway, GatewayStats, Ticket
-from .headroom import HeadroomIndex
 from .invariants import InvariantReport, check_gateway
 from .rpc import (
     Channel,
@@ -64,7 +63,6 @@ __all__ = [
     "EdgeLimiter",
     "Gateway",
     "GatewayStats",
-    "HeadroomIndex",
     "Hold",
     "InvariantReport",
     "PairLedgerView",

@@ -11,9 +11,6 @@ GL008 enforces the boundary.  All state a broker carries:
   volatile: a broker crash wipes them (the capacity returns), while
   committed bookings survive, mirroring a write-ahead-logged store that
   loses only its in-memory transaction table;
-- a cached per-port headroom index
-  (:class:`~repro.gateway.headroom.HeadroomIndex`), invalidated on every
-  mutation of a port's timeline;
 - a simulated-work counter (:attr:`work`) the gateway's cost model uses:
   brokers conceptually run in parallel, so a batch's critical path is the
   *maximum* work any one broker did for it, not the sum.
@@ -33,7 +30,6 @@ from ..core.capacity import CAPACITY_SLACK, CapacityProfile, fits_under
 from ..core.errors import ConfigurationError, ReproError
 from ..core.ledger import Degradation, PortLedger
 from ..units import seconds_eq
-from .headroom import HeadroomIndex
 from .sharding import ShardMap
 
 __all__ = ["BrokerUnavailable", "Hold", "ShardBroker", "hold_expired"]
@@ -108,7 +104,6 @@ class ShardBroker:
         self._booked: set[object] = set()
         self._resolution: dict[int, str] = {}
         self._degraded: set[tuple[str, int]] = set()
-        self.headroom = HeadroomIndex()
         self.crashed = False
         #: Simulated work units accrued (candidate scans, hold ops, sweeps).
         self.work = 0.0
@@ -186,8 +181,8 @@ class ShardBroker:
         return self._owned_ledger.max_overcommit()
 
     def cached_peak(self, side: str, port: int) -> float:
-        """The headroom index's peak usage for an owned port."""
-        return self.headroom.peak(side, port, self.timeline(side, port))
+        """All-time peak usage of an owned port (the kernel caches it)."""
+        return max(0.0, self.timeline(side, port).global_max())
 
     def fits_side(
         self,
@@ -252,7 +247,6 @@ class ShardBroker:
     def _timeline_add(self, side: str, port: int, t0: float, t1: float, delta: float) -> None:
         """The single point through which a slice's usage ever changes."""
         self.timeline(side, port).add(t0, t1, delta)
-        self.headroom.invalidate(side, port)
 
     def book_pair(
         self,
@@ -287,8 +281,6 @@ class ShardBroker:
             self._owned_ledger.allocate(ingress, egress, t0, t1, bw)
         if key is not None:
             self._booked.add(key)
-        self.headroom.invalidate("ingress", ingress)
-        self.headroom.invalidate("egress", egress)
         self.add_work(1.0)
 
     def release(
@@ -337,7 +329,6 @@ class ShardBroker:
         self._require_owned(degradation.side, degradation.port)
         self._owned_ledger.degrade(degradation)
         self._degraded.add((degradation.side, degradation.port))
-        self.headroom.invalidate(degradation.side, degradation.port)
         self.add_work(1.0)
 
     # ------------------------------------------------------------------

@@ -1352,7 +1352,6 @@ class Gateway:
             "per_broker": [broker.work for broker in self.brokers],
             "simulated_cost": self.simulated_cost,
             "batches": self.stats.batches,
-            "headroom": [broker.headroom.stats for broker in self.brokers],
         }
 
     # ------------------------------------------------------------------

@@ -86,7 +86,7 @@ class TwoPhaseOutcome:
     probe: FitProbe
     #: Both ports on one shard (booked atomically, no protocol run).
     local: bool = False
-    #: The cached headroom index answered without a full search.
+    #: The ports' cached all-time peaks answered without a full search.
     fastpath: bool = False
     #: Prepare/commit attempts burned on crashed brokers.
     retries: int = 0
@@ -240,7 +240,7 @@ class TwoPhaseCoordinator:
         egress_broker: ShardBroker,
         probe: FitProbe,
     ) -> Allocation | None:
-        """Answer from the cached headroom index when it is conclusive.
+        """Answer from the ports' cached all-time peaks when conclusive.
 
         A hit must be decision-identical to the full search: it only fires
         on degradation-free ports where the chosen rate fits under

@@ -1,105 +1,61 @@
-"""Tests for the capacity kernel: backends, selection, and regressions.
+"""Tests for the capacity kernel: the profile contract and regressions.
 
-Every behavioural test is parametrized over both backends — the kernel's
-contract is that they are interchangeable.  The regression tests at the
+Every kernel-contract test is parametrized over the production class
+(:class:`BreakpointProfile`) and the reference oracle
+(:class:`VectorProfile`) directly — the oracle is only worth comparing
+against while it honours the same contract.  The regression tests at the
 bottom (coalescing at tolerance boundaries, ``PortLedger.copy``
-independence) used to live against the concrete timeline class; they are
-kept here against the interface so a future backend inherits them.
+independence) used to live against the concrete timeline class.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from repro.core import Platform, PortLedger
-from repro.core.capacity import (
-    BreakpointProfile,
-    CapacityProfile,
-    VectorProfile,
-    available_backends,
-    backends,
-    get_default_backend,
-    make_profile,
-    set_default_backend,
-    use_backend,
-)
-from repro.core.errors import ConfigurationError
+from repro.core.capacity import BreakpointProfile, CapacityProfile, make_profile
 from repro.core.timeline import BandwidthTimeline
+from repro.gateway import ShardBroker, ShardMap
 
-BACKENDS = available_backends()
+from .conftest import KERNELS
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request):
+@pytest.fixture(params=KERNELS.values(), ids=KERNELS.keys())
+def kernel(request):
     return request.param
 
 
 @pytest.fixture
-def profile(backend):
-    return make_profile(backend)
+def profile(kernel):
+    return kernel()
 
 
 class TestBackendRegistry:
-    def test_both_backends_registered(self):
-        assert BACKENDS == ("breakpoint", "vector")
+    """There is no registry: one production class, nothing selects another."""
 
     def test_default_is_breakpoint(self):
-        assert get_default_backend() == "breakpoint"
-        assert isinstance(make_profile(), BreakpointProfile)
+        assert type(make_profile()) is BreakpointProfile
 
-    def test_make_profile_by_name(self):
-        assert isinstance(make_profile("breakpoint"), BreakpointProfile)
-        assert isinstance(make_profile("vector"), VectorProfile)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown capacity backend"):
-            make_profile("linkedlist")
-        with pytest.raises(ConfigurationError):
-            set_default_backend("linkedlist")
-
-    def test_set_default_backend(self):
-        set_default_backend("vector")
-        try:
-            assert get_default_backend() == "vector"
-            assert isinstance(make_profile(), VectorProfile)
-        finally:
-            set_default_backend("breakpoint")
-
-    def test_use_backend_scopes_and_restores(self):
-        assert get_default_backend() == "breakpoint"
-        with use_backend("vector"):
-            assert get_default_backend() == "vector"
-            assert isinstance(BandwidthTimeline(), VectorProfile)
-        assert get_default_backend() == "breakpoint"
-
-    def test_use_backend_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with use_backend("vector"):
-                raise RuntimeError("boom")
-        assert get_default_backend() == "breakpoint"
-
-    def test_environment_variable_sets_initial_default(self, monkeypatch):
-        monkeypatch.setattr(backends, "_default_backend", None)
-        monkeypatch.setenv(backends.ENV_VAR, "vector")
-        assert get_default_backend() == "vector"
-
-    def test_environment_typo_fails_fast(self, monkeypatch):
-        monkeypatch.setattr(backends, "_default_backend", None)
-        monkeypatch.setenv(backends.ENV_VAR, "vectorised")
-        with pytest.raises(ConfigurationError):
-            get_default_backend()
-        monkeypatch.setattr(backends, "_default_backend", "breakpoint")
-
-    def test_bandwidth_timeline_alias_dispatches(self):
-        tl = BandwidthTimeline()
-        assert isinstance(tl, CapacityProfile)
-        assert isinstance(tl, BandwidthTimeline)
-        assert tl.backend_name == get_default_backend()
+    def test_bandwidth_timeline_alias_is_the_production_class(self):
+        assert BandwidthTimeline is BreakpointProfile
 
     def test_isinstance_holds_for_every_backend(self):
-        for name in BACKENDS:
-            assert isinstance(make_profile(name), BandwidthTimeline)
+        for cls in KERNELS.values():
+            assert isinstance(cls(), CapacityProfile)
+
+    def test_dead_environment_switch_is_ignored(self, monkeypatch):
+        # At the parent commit this variable put every ledger on VectorProfile
+        # and CapacityProfile() dispatched to it.
+        monkeypatch.setenv("REPRO_CAPACITY_BACKEND", "vector")
+        platform = Platform.uniform(2, 2, 100.0)
+        broker = ShardBroker(0, ShardMap(platform, 1))
+        assert type(PortLedger(platform).ingress_timeline(0)) is BreakpointProfile
+        assert type(broker.timeline("ingress", 0)) is BreakpointProfile
+        assert type(broker.timeline("egress", 1)) is BreakpointProfile
+        with pytest.raises(TypeError):
+            CapacityProfile()
 
 
 class TestProfileContract:
@@ -158,8 +114,8 @@ class TestProfileContract:
         assert profile.global_max() == 0.0
 
     def test_open_ended_max_tracks_mutations(self, profile):
-        # Exercises the vector backend's suffix-max cache across
-        # invalidations; the breakpoint backend answers by scan.
+        # Exercises the oracle's suffix-max cache across invalidations;
+        # the production class answers by scan.
         profile.add(0.0, 10.0, 2.0)
         assert profile.max_usage(5.0, math.inf) == 2.0
         profile.add(20.0, 30.0, 9.0)
@@ -169,15 +125,15 @@ class TestProfileContract:
         profile.add(20.0, 30.0, -9.0)
         assert profile.max_usage(5.0, math.inf) == 2.0
 
-    def test_copy_is_independent_and_same_backend(self, profile, backend):
+    def test_copy_is_independent_and_same_backend(self, profile, kernel):
         profile.add(0.0, 10.0, 3.0)
         clone = profile.copy()
-        assert clone.backend_name == backend
+        assert type(clone) is kernel
         clone.add(0.0, 10.0, 4.0)
         assert profile.max_usage(0.0, 10.0) == 3.0
         assert clone.max_usage(0.0, 10.0) == 7.0
 
-    def test_add_batch_matches_sequential_adds(self, backend):
+    def test_add_batch_matches_sequential_adds(self, kernel):
         rng = np.random.default_rng(7)
         intervals = []
         for _ in range(200):
@@ -185,9 +141,9 @@ class TestProfileContract:
             t1 = t0 + float(rng.uniform(0.1, 200.0))
             intervals.append((t0, t1, float(rng.uniform(-5.0, 15.0))))
 
-        batched = make_profile(backend)
+        batched = kernel()
         batched.add_batch(intervals)
-        sequential = make_profile(backend)
+        sequential = kernel()
         for t0, t1, delta in intervals:
             sequential.add(t0, t1, delta)
 
@@ -203,7 +159,7 @@ class TestProfileContract:
         with pytest.raises(ValueError):
             profile.add_batch([(0.0, 1.0, 1.0), (5.0, 5.0, 1.0)])
 
-    def test_repr_mentions_backend_class(self, profile, backend):
+    def test_repr_mentions_backend_class(self, profile):
         profile.add(0.0, 1.0, 2.0)
         assert type(profile).__name__ in repr(profile)
 
@@ -247,65 +203,70 @@ class TestCoalescingRegression:
 
 
 class TestPortLedgerAcrossBackends:
+    """Ledger arithmetic on the production class and, swapped in from the
+    test's side, on the oracle — production never builds the latter."""
+
     @pytest.fixture
     def platform(self):
         return Platform.uniform(2, 2, 100.0)
 
-    def test_ledger_copy_independence(self, platform, backend):
-        with use_backend(backend):
-            ledger = PortLedger(platform)
-            ledger.allocate(0, 1, 0.0, 10.0, 40.0)
-            clone = ledger.copy()
-            clone.allocate(0, 1, 0.0, 10.0, 50.0)
+    @pytest.mark.parametrize("ledger_kernel", KERNELS, indirect=True)
+    def test_ledger_copy_independence(self, platform, ledger_kernel):
+        ledger = PortLedger(platform)
+        ledger.allocate(0, 1, 0.0, 10.0, 40.0)
+        clone = ledger.copy()
+        clone.allocate(0, 1, 0.0, 10.0, 50.0)
 
-            assert ledger.ingress_timeline(0).max_usage(0.0, 10.0) == 40.0
-            assert clone.ingress_timeline(0).max_usage(0.0, 10.0) == 90.0
-            # The original still fits another 60; the clone does not.
-            assert ledger.fits(0, 1, 0.0, 10.0, 60.0)
-            assert not clone.fits(0, 1, 0.0, 10.0, 60.0)
+        assert ledger.ingress_timeline(0).max_usage(0.0, 10.0) == 40.0
+        assert clone.ingress_timeline(0).max_usage(0.0, 10.0) == 90.0
+        # The original still fits another 60; the clone does not.
+        assert ledger.fits(0, 1, 0.0, 10.0, 60.0)
+        assert not clone.fits(0, 1, 0.0, 10.0, 60.0)
 
-    def test_ledger_timelines_use_selected_backend(self, platform, backend):
-        with use_backend(backend):
-            ledger = PortLedger(platform)
-        assert ledger.ingress_timeline(0).backend_name == backend
-        assert ledger.egress_timeline(1).backend_name == backend
+    @pytest.mark.parametrize("ledger_kernel", KERNELS, indirect=True)
+    def test_ledger_timelines_use_selected_backend(self, platform, ledger_kernel):
+        # Guards the fixture itself: were the ledger to stop building its
+        # profiles through make_profile, every [vector] ledger test would
+        # silently run on the production class.
+        ledger = PortLedger(platform)
+        assert type(ledger.ingress_timeline(0)) is ledger_kernel
+        assert type(ledger.egress_timeline(1)) is ledger_kernel
+        assert type(ledger.copy().ingress_timeline(0)) is ledger_kernel
 
-    def test_same_decisions_both_backends(self, platform):
+    def test_same_decisions_both_backends(self, platform, monkeypatch):
         decisions = {}
-        for name in BACKENDS:
-            with use_backend(name):
-                ledger = PortLedger(platform)
-                outcome = []
-                for k in range(40):
-                    t0 = float(k % 7)
-                    t1 = t0 + 3.0 + (k % 3)
-                    bw = 30.0 + 7.0 * (k % 5)
-                    if ledger.fits(k % 2, k % 2, t0, t1, bw):
-                        ledger.allocate(k % 2, k % 2, t0, t1, bw)
-                        outcome.append((k, True))
-                    else:
-                        outcome.append((k, False))
-                decisions[name] = outcome
+        for name, cls in KERNELS.items():
+            monkeypatch.setattr("repro.core.ledger.make_profile", cls)
+            ledger = PortLedger(platform)
+            outcome = []
+            for k in range(40):
+                t0 = float(k % 7)
+                t1 = t0 + 3.0 + (k % 3)
+                bw = 30.0 + 7.0 * (k % 5)
+                if ledger.fits(k % 2, k % 2, t0, t1, bw):
+                    ledger.allocate(k % 2, k % 2, t0, t1, bw)
+                    outcome.append((k, True))
+                else:
+                    outcome.append((k, False))
+            decisions[name] = outcome
         assert decisions["breakpoint"] == decisions["vector"]
 
-    def test_same_decisions_both_backends_multi_segment(self, platform):
+    def test_same_decisions_both_backends_multi_segment(self, platform, monkeypatch):
         """Stepwise (multi-segment) bookings decide identically too.
 
         Fuzzed ``fits_segments`` / ``allocate_segments`` /
         ``release_segments`` streams drawn from binary fractions, so
         float arithmetic is exact and the traces compare with ``==``.
         """
-        import random
-
         def quarter(rng, lo, hi):
             return round(rng.uniform(lo, hi) * 4.0) / 4.0
 
         for seed in (0, 1, 2, 3):
             decisions = {}
-            for name in BACKENDS:
+            for name, cls in KERNELS.items():
                 rng = random.Random(seed)
-                with use_backend(name):
-                    ledger = PortLedger(platform)
+                monkeypatch.setattr("repro.core.ledger.make_profile", cls)
+                ledger = PortLedger(platform)
                 live = []
                 outcome = []
                 for k in range(60):

@@ -1,17 +1,19 @@
-"""Backend-equivalence fuzz: both kernels agree on random op streams.
+"""Production-vs-oracle fuzz: both kernels agree on random op streams.
 
-One seeded stream drives a :class:`BreakpointProfile` and a
-:class:`VectorProfile` through the same interleaving of mutations
+One seeded stream drives the production :class:`BreakpointProfile` and
+the reference oracle :class:`VectorProfile` (an independent numpy
+implementation nothing in ``src/`` constructs) through the same
+interleaving of mutations
 (allocate-style adds, releases of previously-added intervals,
 degradation-style negative adds) and queries (``usage_at`` /
 ``max_usage`` / ``min_usage`` / ``integral`` / ``segments``), asserting
 agreement within :data:`repro.units.REL_TOL` at every step.  The
-deliberate tolerance is belt-and-braces: the backends are designed to be
+deliberate tolerance is belt-and-braces: the two classes are designed to be
 *bit*-identical (same insertion positions, same addition order), and the
 stricter exact check runs on the final segment lists.
 
 Error behaviour is part of the contract too: reversed and zero-length
-intervals must raise :class:`ValueError` on both backends.
+intervals must raise :class:`ValueError` on both classes.
 """
 
 import math
@@ -20,8 +22,11 @@ import pytest
 
 import numpy as np
 
-from repro.core.capacity import make_profile
+from repro.core.capacity import BreakpointProfile
+from repro.core.capacity.vector import VectorProfile
 from repro.units import close
+
+from .conftest import KERNELS
 
 SEEDS = [0, 1, 2, 7, 42, 1337]
 
@@ -33,7 +38,7 @@ def _random_interval(rng, horizon=1000.0):
 
 
 def _assert_profiles_agree(bp, vec, rng, horizon=1000.0):
-    """Spot-check the query surface of both backends at random points."""
+    """Spot-check the query surface of both classes at random points."""
     for _ in range(4):
         t = float(rng.uniform(-10.0, horizon + 10.0))
         assert close(bp.usage_at(t), vec.usage_at(t))
@@ -48,8 +53,8 @@ def _assert_profiles_agree(bp, vec, rng, horizon=1000.0):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_op_stream_agreement(seed):
     rng = np.random.default_rng(seed)
-    bp = make_profile("breakpoint")
-    vec = make_profile("vector")
+    bp = BreakpointProfile()
+    vec = VectorProfile()
     live = []  # (t0, t1, bw) previously added, candidates for release
 
     for step in range(300):
@@ -78,7 +83,7 @@ def test_random_op_stream_agreement(seed):
         if step % 10 == 0:
             _assert_profiles_agree(bp, vec, rng)
 
-    # The backends are designed bit-identical, not just tolerance-close:
+    # The classes are designed bit-identical, not just tolerance-close:
     # the final segment structures must match exactly.
     assert list(bp.segments()) == list(vec.segments())
     assert bp.num_segments == vec.num_segments
@@ -88,8 +93,8 @@ def test_random_op_stream_agreement(seed):
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_add_batch_stream_agreement(seed):
     rng = np.random.default_rng(seed)
-    bp = make_profile("breakpoint")
-    vec = make_profile("vector")
+    bp = BreakpointProfile()
+    vec = VectorProfile()
     for _ in range(20):
         batch = []
         for _ in range(int(rng.integers(1, 12))):
@@ -104,8 +109,8 @@ def test_add_batch_stream_agreement(seed):
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_copies_stay_equivalent(seed):
     rng = np.random.default_rng(seed)
-    bp = make_profile("breakpoint")
-    vec = make_profile("vector")
+    bp = BreakpointProfile()
+    vec = VectorProfile()
     for _ in range(50):
         t0, t1 = _random_interval(rng)
         bw = float(rng.uniform(0.5, 80.0))
@@ -120,20 +125,20 @@ def test_copies_stay_equivalent(seed):
     assert list(bp.segments()) == list(vec.segments())
 
 
-@pytest.mark.parametrize("backend", ["breakpoint", "vector"])
+@pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
 class TestErrorParity:
-    def test_zero_length_interval(self, backend):
-        profile = make_profile(backend)
+    def test_zero_length_interval(self, kernel):
+        profile = kernel()
         with pytest.raises(ValueError):
             profile.add(3.0, 3.0, 1.0)
 
-    def test_reversed_interval(self, backend):
-        profile = make_profile(backend)
+    def test_reversed_interval(self, kernel):
+        profile = kernel()
         with pytest.raises(ValueError):
             profile.add(7.0, 3.0, 1.0)
 
-    def test_reversed_queries(self, backend):
-        profile = make_profile(backend)
+    def test_reversed_queries(self, kernel):
+        profile = kernel()
         profile.add(0.0, 10.0, 1.0)
         for method in (profile.max_usage, profile.min_usage, profile.integral):
             with pytest.raises(ValueError):
@@ -141,8 +146,8 @@ class TestErrorParity:
             with pytest.raises(ValueError):
                 method(4.0, 4.0)
 
-    def test_mutation_failure_leaves_profile_usable(self, backend):
-        profile = make_profile(backend)
+    def test_mutation_failure_leaves_profile_usable(self, kernel):
+        profile = kernel()
         profile.add(0.0, 10.0, 2.0)
         with pytest.raises(ValueError):
             profile.add(5.0, 5.0, 1.0)

@@ -3,11 +3,12 @@
 Three of the malleable-transfer satellites live here:
 
 - segment hygiene has exactly one home (:meth:`RateProfile.normalize`),
-  with the ``t0 == t1`` and touching-segment regressions run against
-  **both** capacity backends;
+  with the ``t0 == t1`` and touching-segment regressions run on the
+  production ledger and on one with the reference oracle swapped in
+  underneath (``ledger_kernel``, ``tests/conftest.py``);
 - seeded property tests pin the 1-segment profile to the constant-rate
   path: same placements, same reject blame, over multiple seeds and both
-  backends (the refactor's "constant path is the 1-segment special
+  kernel classes (the refactor's "constant path is the 1-segment special
   case" claim, checked at the booking layer);
 - reserve→release of any fuzzed profile restores the ledger exactly.
 
@@ -26,13 +27,12 @@ from repro.core.booking import (
     earliest_fit_profile,
     shape_profile,
 )
-from repro.core.capacity import use_backend
 from repro.core.ledger import PortLedger
 from repro.core.platform import Platform
 from repro.core.profile import RateProfile
 from repro.core.request import Request
 
-BACKENDS = ("breakpoint", "vector")
+from .conftest import KERNELS
 
 
 # ----------------------------------------------------------------------
@@ -128,40 +128,37 @@ class TestShapeAndSurgery:
 
 
 # ----------------------------------------------------------------------
-# Segment hygiene against both capacity backends (satellite regression)
+# Segment hygiene against both kernel classes (satellite regression)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("ledger_kernel", KERNELS, indirect=True)
 class TestSegmentsOnBackends:
-    def test_zero_length_segments_never_reach_the_backend(self, backend):
+    def test_zero_length_segments_never_reach_the_backend(self, ledger_kernel):
         # A raw list with t0 == t1 slivers must book exactly like the
         # cleaned shape: normalize() drops the slivers before the backend
         # (whose contract is strict t1 > t0) ever sees them.
-        with use_backend(backend):
-            ledger = PortLedger(Platform.uniform(2, 2, 100.0))
-            profile = RateProfile([(0.0, 0.0, 50.0), (0.0, 10.0, 30.0), (10.0, 10.0, 5.0)])
-            ledger.allocate_segments(0, 0, profile.segments)
-            assert ledger.ingress_usage_at(0, 5.0) == 30.0
-            assert ledger.ingress_usage_at(0, 10.0) == 0.0
+        ledger = PortLedger(Platform.uniform(2, 2, 100.0))
+        profile = RateProfile([(0.0, 0.0, 50.0), (0.0, 10.0, 30.0), (10.0, 10.0, 5.0)])
+        ledger.allocate_segments(0, 0, profile.segments)
+        assert ledger.ingress_usage_at(0, 5.0) == 30.0
+        assert ledger.ingress_usage_at(0, 10.0) == 0.0
 
-    def test_touching_segments_coalesce_before_booking(self, backend):
-        with use_backend(backend):
-            ledger = PortLedger(Platform.uniform(2, 2, 100.0))
-            profile = RateProfile([(0.0, 5.0, 30.0), (5.0, 10.0, 30.0)])
-            assert profile.is_constant
-            ledger.allocate_segments(0, 0, profile.segments)
-            for t in (0.0, 2.5, 5.0, 7.5):
-                assert ledger.ingress_usage_at(0, t) == 30.0
-                assert ledger.egress_usage_at(0, t) == 30.0
+    def test_touching_segments_coalesce_before_booking(self, ledger_kernel):
+        ledger = PortLedger(Platform.uniform(2, 2, 100.0))
+        profile = RateProfile([(0.0, 5.0, 30.0), (5.0, 10.0, 30.0)])
+        assert profile.is_constant
+        ledger.allocate_segments(0, 0, profile.segments)
+        for t in (0.0, 2.5, 5.0, 7.5):
+            assert ledger.ingress_usage_at(0, t) == 30.0
+            assert ledger.egress_usage_at(0, t) == 30.0
 
-    def test_one_segment_fits_equals_constant_fits(self, backend):
-        with use_backend(backend):
-            ledger = PortLedger(Platform.uniform(2, 2, 100.0))
-            ledger.allocate(0, 0, 0.0, 50.0, 80.0)
-            for bw in (10.0, 20.0, 25.0, 60.0):
-                single = RateProfile.constant(10.0, 40.0, bw)
-                assert ledger.fits_segments(0, 0, single.segments) == ledger.fits(
-                    0, 0, 10.0, 40.0, bw
-                )
+    def test_one_segment_fits_equals_constant_fits(self, ledger_kernel):
+        ledger = PortLedger(Platform.uniform(2, 2, 100.0))
+        ledger.allocate(0, 0, 0.0, 50.0, 80.0)
+        for bw in (10.0, 20.0, 25.0, 60.0):
+            single = RateProfile.constant(10.0, 40.0, bw)
+            assert ledger.fits_segments(0, 0, single.segments) == ledger.fits(
+                0, 0, 10.0, 40.0, bw
+            )
 
 
 # ----------------------------------------------------------------------
@@ -184,10 +181,10 @@ def _fuzzed_ledger(rng, platform):
     return ledger
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("ledger_kernel", KERNELS, indirect=True)
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 class TestOneSegmentDecisionIdentity:
-    def test_matches_constant_earliest_fit(self, backend, seed):
+    def test_matches_constant_earliest_fit(self, ledger_kernel, seed):
         """Placing a fixed-rate block as a 1-segment profile decides
         identically to the constant-rate earliest-fit search: same
         accept/reject, same placement, same capacity blame.  The only
@@ -195,47 +192,46 @@ class TestOneSegmentDecisionIdentity:
         (``window-infeasible`` vs ``profile-infeasible``)."""
         rng = random.Random(seed)
         platform = Platform.uniform(3, 3, 100.0)
-        with use_backend(backend):
-            for _ in range(40):
-                ledger = _fuzzed_ledger(rng, platform)
-                t_start = _quarter(rng, 0.0, 200.0)
-                duration = _quarter(rng, 2.0, 80.0)
-                bw = _quarter(rng, 5.0, 90.0)
-                slack = _quarter(rng, 0.0, 100.0)
-                request = Request(
-                    rid=0,
-                    ingress=rng.randrange(3),
-                    egress=rng.randrange(3),
-                    volume=bw * duration,
-                    t_start=t_start,
-                    t_end=t_start + duration + slack,
-                    max_rate=bw,
+        for _ in range(40):
+            ledger = _fuzzed_ledger(rng, platform)
+            t_start = _quarter(rng, 0.0, 200.0)
+            duration = _quarter(rng, 2.0, 80.0)
+            bw = _quarter(rng, 5.0, 90.0)
+            slack = _quarter(rng, 0.0, 100.0)
+            request = Request(
+                rid=0,
+                ingress=rng.randrange(3),
+                egress=rng.randrange(3),
+                volume=bw * duration,
+                t_start=t_start,
+                t_end=t_start + duration + slack,
+                max_rate=bw,
+            )
+            const_probe, prof_probe = FitProbe(), FitProbe()
+            const = earliest_fit(
+                ledger, request, lambda sigma: bw, probe=const_probe
+            )
+            profile = RateProfile.constant(t_start, t_start + duration, bw)
+            shaped = earliest_fit_profile(
+                ledger, request, profile, probe=prof_probe
+            )
+            assert (const is None) == (shaped is None)
+            if const is not None:
+                assert shaped.profile is not None and shaped.profile.is_constant
+                assert shaped.profile.segments == ((const.sigma, const.tau, const.bw),)
+                assert (shaped.sigma, shaped.tau, shaped.bw) == (
+                    const.sigma,
+                    const.tau,
+                    const.bw,
                 )
-                const_probe, prof_probe = FitProbe(), FitProbe()
-                const = earliest_fit(
-                    ledger, request, lambda sigma: bw, probe=const_probe
-                )
-                profile = RateProfile.constant(t_start, t_start + duration, bw)
-                shaped = earliest_fit_profile(
-                    ledger, request, profile, probe=prof_probe
-                )
-                assert (const is None) == (shaped is None)
-                if const is not None:
-                    assert shaped.profile is not None and shaped.profile.is_constant
-                    assert shaped.profile.segments == ((const.sigma, const.tau, const.bw),)
-                    assert (shaped.sigma, shaped.tau, shaped.bw) == (
-                        const.sigma,
-                        const.tau,
-                        const.bw,
-                    )
-                elif const_probe.reason in (
-                    RejectReason.INGRESS_FULL,
-                    RejectReason.EGRESS_FULL,
-                ):
-                    assert prof_probe.reason == const_probe.reason
-                else:
-                    assert const_probe.reason == RejectReason.WINDOW_INFEASIBLE
-                    assert prof_probe.reason == RejectReason.PROFILE_INFEASIBLE
+            elif const_probe.reason in (
+                RejectReason.INGRESS_FULL,
+                RejectReason.EGRESS_FULL,
+            ):
+                assert prof_probe.reason == const_probe.reason
+            else:
+                assert const_probe.reason == RejectReason.WINDOW_INFEASIBLE
+                assert prof_probe.reason == RejectReason.PROFILE_INFEASIBLE
 
 
 # ----------------------------------------------------------------------
@@ -261,56 +257,53 @@ def _usage_samples(ledger, platform, instants):
     ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("ledger_kernel", KERNELS, indirect=True)
 @pytest.mark.parametrize("seed", [10, 11, 12, 13])
 class TestReserveReleaseRestores:
-    def test_roundtrip_is_exact(self, backend, seed):
+    def test_roundtrip_is_exact(self, ledger_kernel, seed):
         rng = random.Random(seed)
         platform = Platform.uniform(3, 3, 100.0)
         instants = [k * 0.25 for k in range(0, 1600, 7)]
-        with use_backend(backend):
-            for _ in range(25):
-                ledger = _fuzzed_ledger(rng, platform)
-                before = _usage_samples(ledger, platform, instants)
-                profile = _fuzzed_profile(rng)
-                i, e = rng.randrange(3), rng.randrange(3)
-                ledger.allocate_segments(i, e, profile.segments, check=False)
-                # the reservation is visible while held...
-                mid = profile.segments[0]
-                assert ledger.ingress_usage_at(i, mid[0]) >= mid[2]
-                ledger.release_segments(i, e, profile.segments)
-                # ...and release restores every port exactly.
-                assert _usage_samples(ledger, platform, instants) == before
+        for _ in range(25):
+            ledger = _fuzzed_ledger(rng, platform)
+            before = _usage_samples(ledger, platform, instants)
+            profile = _fuzzed_profile(rng)
+            i, e = rng.randrange(3), rng.randrange(3)
+            ledger.allocate_segments(i, e, profile.segments, check=False)
+            # the reservation is visible while held...
+            mid = profile.segments[0]
+            assert ledger.ingress_usage_at(i, mid[0]) >= mid[2]
+            ledger.release_segments(i, e, profile.segments)
+            # ...and release restores every port exactly.
+            assert _usage_samples(ledger, platform, instants) == before
 
 
 # ----------------------------------------------------------------------
 # Shaping sanity (the fallback half of malleable admission)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("ledger_kernel", KERNELS, indirect=True)
 class TestShapeProfile:
-    def test_shapes_into_a_valley(self, backend):
-        with use_backend(backend):
-            ledger = PortLedger(Platform.uniform(2, 2, 100.0))
-            # Hotspot: the pair is nearly full over [20, 60).
-            ledger.allocate(0, 0, 20.0, 60.0, 90.0)
-            request = Request(
-                rid=1, ingress=0, egress=0, volume=1200.0,
-                t_start=0.0, t_end=80.0, max_rate=40.0,
-            )
-            assert earliest_fit(ledger, request) is None
-            shaped = shape_profile(ledger, request)
-            assert shaped is not None and shaped.conserves(request.volume)
-            assert len(shaped) >= 2  # stepwise, not constant
-            assert ledger.fits_segments(0, 0, shaped.segments)
+    def test_shapes_into_a_valley(self, ledger_kernel):
+        ledger = PortLedger(Platform.uniform(2, 2, 100.0))
+        # Hotspot: the pair is nearly full over [20, 60).
+        ledger.allocate(0, 0, 20.0, 60.0, 90.0)
+        request = Request(
+            rid=1, ingress=0, egress=0, volume=1200.0,
+            t_start=0.0, t_end=80.0, max_rate=40.0,
+        )
+        assert earliest_fit(ledger, request) is None
+        shaped = shape_profile(ledger, request)
+        assert shaped is not None and shaped.conserves(request.volume)
+        assert len(shaped) >= 2  # stepwise, not constant
+        assert ledger.fits_segments(0, 0, shaped.segments)
 
-    def test_infeasible_window_is_profile_infeasible(self, backend):
-        with use_backend(backend):
-            ledger = PortLedger(Platform.uniform(2, 2, 100.0))
-            ledger.allocate(0, 0, 0.0, 100.0, 95.0)
-            request = Request(
-                rid=1, ingress=0, egress=0, volume=5000.0,
-                t_start=0.0, t_end=100.0, max_rate=80.0,
-            )
-            probe = FitProbe()
-            assert shape_profile(ledger, request, probe=probe) is None
-            assert probe.reason == RejectReason.PROFILE_INFEASIBLE
+    def test_infeasible_window_is_profile_infeasible(self, ledger_kernel):
+        ledger = PortLedger(Platform.uniform(2, 2, 100.0))
+        ledger.allocate(0, 0, 0.0, 100.0, 95.0)
+        request = Request(
+            rid=1, ingress=0, egress=0, volume=5000.0,
+            t_start=0.0, t_end=100.0, max_rate=80.0,
+        )
+        probe = FitProbe()
+        assert shape_profile(ledger, request, probe=probe) is None
+        assert probe.reason == RejectReason.PROFILE_INFEASIBLE
