@@ -2,11 +2,11 @@
 
 Every capacity decision must flow through :class:`repro.core.ledger.PortLedger`
 (allocate/release/degrade) and the booking helpers of
-:mod:`repro.core.booking`; reservation lifecycle stamps are the
-:class:`repro.control.service.ReservationService`'s to set.  An out-of-band
-write — ``ledger._ingress[i] = ...``, ``reservation.cancelled_at = t`` from
-a scheduler — bypasses the Eq. 1 capacity checks and desynchronises journal
-replay from reality.
+:mod:`repro.core.booking`; reservation lifecycle stamps are set only by
+:func:`repro.control.lifecycle.terminate`, which both admission planes
+call.  An out-of-band write — ``ledger._ingress[i] = ...``,
+``reservation.cancelled_at = t`` from a scheduler — bypasses the Eq. 1
+capacity checks and desynchronises journal replay from reality.
 
 The rule flags assignments (plain, augmented, or subscripted) to the known
 internal attributes outside their owning modules.  Ownership is by path
@@ -31,11 +31,11 @@ _PROTECTED: dict[str, tuple[str, ...]] = {
     "_egress": ("core/ledger.py", "core/booking.py"),
     "_ingress_red": ("core/ledger.py", "core/booking.py"),
     "_egress_red": ("core/ledger.py", "core/booking.py"),
-    # Reservation lifecycle stamps (owned by the admission front-ends:
-    # the monolithic service and the sharded gateway facade).
-    "cancelled_at": ("control/service.py", "gateway/gateway.py"),
-    "aborted_at": ("control/service.py", "gateway/gateway.py"),
-    "displaced_at": ("control/service.py", "gateway/gateway.py"),
+    # Reservation lifecycle stamps (owned by the lifecycle core both
+    # admission planes — the service and the gateway — call).
+    "cancelled_at": ("control/lifecycle.py",),
+    "aborted_at": ("control/lifecycle.py",),
+    "displaced_at": ("control/lifecycle.py",),
     # Capacity-kernel query caches (slots of the profile classes; the
     # array internals themselves are GL009's to guard).
     "_peak": ("core/capacity/",),

@@ -47,7 +47,7 @@ _ATTEMPT_BUILDERS = frozenset({"Request", "replace"})
 #: Functions that re-carve a live reservation in place (same identity,
 #: new shape) — their target Request deliberately keeps the rid and never
 #: crosses a keyed broker channel, so rid-reuse does not apply.
-_IN_PLACE_RESHAPERS = frozenset({"_reshape_tail"})
+_IN_PLACE_RESHAPERS = frozenset({"reshape_tail"})
 
 
 def _rid_attribute(expr: ast.expr) -> str | None:

@@ -369,7 +369,7 @@ def run_gateway_fault_drill(
     :mod:`repro.gateway.rpc`), and ``malleable`` turns on its
     stepwise-profile plane (shaped fallback admission, reshape before
     displacement on degrade).  ``restart_sweep`` schedules a periodic
-    janitor that restarts every crashed broker (journaled ``gw_restart``
+    janitor that restarts every crashed broker (journaled ``restart``
     ops) — the recovery half of the crash-mid-2PC scenario, where crashes
     are sampled *inside* the protocol by the chaos policy rather than
     planned as :class:`BrokerCrash` events.

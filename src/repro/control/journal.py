@@ -1,14 +1,16 @@
 """Append-only operation journal for crash recovery.
 
-A production reservation service must survive its own process crashes
+A production reservation plane must survive its own process crashes
 without losing the ledger.  The journal is a write-ahead log of every
-state-changing operation the service performs — ``submit``,
-``submit_striped``, ``cancel``, ``abort``, ``degrade`` — together with a
-header capturing the service configuration (platform capacities, policy,
-backlog limit).  Because the service is deterministic given its
-configuration and the operation sequence, replaying the journal through
-:meth:`~repro.control.service.ReservationService.replay` rebuilds a
-state-identical service (the tests assert snapshot equality).
+state-changing operation — ``submit``, ``submit_striped``, ``cancel``,
+``abort``, ``degrade``, ``reshape``, and on the gateway ``drain``,
+``crash``, ``restart`` — together with a header capturing the plane's
+configuration (platform capacities, policy, backlog limit; a gateway
+adds ``"kind": "gateway"`` and its shard/batch knobs).  Because a plane
+is deterministic given its configuration and the operation sequence,
+``ReservationService.replay`` / ``Gateway.replay`` — one dispatcher,
+:func:`repro.control.lifecycle.replay_ops` — rebuild a state-identical
+plane (the tests assert snapshot equality).
 
 Serialisation is JSON lines: the header object on the first line, one
 operation object per subsequent line (see ``docs/FAULTS.md`` for the
@@ -24,32 +26,17 @@ from collections.abc import Iterator, Mapping
 from typing import Any
 
 from ..core.errors import ConfigurationError
+from .lifecycle import JOURNAL_OPS
 
 __all__ = ["Journal", "JournalEntry", "JOURNAL_FORMAT"]
 
-#: Format tag written to (and required in) every journal header.
-JOURNAL_FORMAT: str = "repro-journal/1"
+#: Format tag written to (and required in) every journal header.  ``/2``
+#: gave both planes one op vocabulary; ``/1`` gateway journals spelled
+#: theirs with a prefix and cannot be replayed.
+JOURNAL_FORMAT: str = "repro-journal/2"
 
-#: Operations a journal may contain: the service's own, plus the
-#: gateway's ``gw_*`` family (see :meth:`repro.gateway.Gateway.replay`).
-_KNOWN_OPS = frozenset(
-    {
-        "submit",
-        "submit_striped",
-        "cancel",
-        "abort",
-        "degrade",
-        "reshape",
-        "gw_submit",
-        "gw_drain",
-        "gw_cancel",
-        "gw_abort",
-        "gw_degrade",
-        "gw_reshape",
-        "gw_crash",
-        "gw_restart",
-    }
-)
+#: Operations a journal may contain.
+_KNOWN_OPS = JOURNAL_OPS
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,7 +123,8 @@ class Journal:
         header = json.loads(lines[0])
         if header.get("format") != JOURNAL_FORMAT:
             raise ConfigurationError(
-                f"not a {JOURNAL_FORMAT} journal (header: {header.get('format')!r})"
+                f"not a {JOURNAL_FORMAT} journal (header format: {header.get('format')!r}); "
+                "journals of another format version cannot be replayed"
             )
         journal = cls(header=header)
         journal.entries = [JournalEntry.from_dict(json.loads(line)) for line in lines[1:]]

@@ -32,21 +32,18 @@ fault-tolerant control plane (see :mod:`repro.control.faults`):
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from functools import partial
+from typing import Any
 
 from ..core.allocation import Allocation, ScheduleResult
 from ..core.booking import (
     FitProbe,
     RejectReason,
-    deadline_tolerance,
     earliest_fit,
     earliest_fit_profile,
     shape_profile,
 )
-from ..core.errors import ConfigurationError, InternalInvariantError, InvalidRequestError
-from ..core.capacity import CAPACITY_SLACK
+from ..core.errors import ConfigurationError, InternalInvariantError
 from ..core.ledger import Degradation, PortLedger
 from ..core.platform import Platform
 from ..core.profile import RateProfile
@@ -55,96 +52,11 @@ from ..metrics.faults import FaultStats
 from ..obs.telemetry import Telemetry, get_telemetry
 from ..schedulers.policies import BandwidthPolicy, MinRatePolicy, policy_from_name
 from .journal import Journal
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
-    from .striped import StripedBooking
+from . import lifecycle
+from .lifecycle import Reservation, ReservationState
+from .striped import StripedBooking, plan_striped
 
 __all__ = ["ReservationService", "Reservation", "ReservationState", "RejectReason"]
-
-
-class ReservationState(enum.Enum):
-    """Lifecycle of a reservation."""
-
-    REJECTED = "rejected"
-    CONFIRMED = "confirmed"   # booked, transfer not yet started
-    ACTIVE = "active"         # transfer in progress
-    COMPLETED = "completed"   # transfer window fully elapsed
-    CANCELLED = "cancelled"
-    ABORTED = "aborted"       # transfer failed mid-flight
-    DISPLACED = "displaced"   # cancelled by a port outage/degradation
-
-
-@dataclass
-class Reservation:
-    """A client's handle on one submitted transfer."""
-
-    rid: int
-    request: Request
-    allocation: Allocation | None
-    cancelled_at: float | None = None
-    aborted_at: float | None = None
-    displaced_at: float | None = None
-    #: rid of the reservation this one re-admits or rebooks, if any.
-    origin: int | None = None
-    #: Why admission failed (``None`` on confirmed reservations).
-    reject_reason: RejectReason | None = None
-
-    @property
-    def confirmed(self) -> bool:
-        """Was the reservation admitted?"""
-        return self.allocation is not None
-
-    @property
-    def terminated_at(self) -> float | None:
-        """When the reservation ended early (cancel/abort/displacement)."""
-        for t in (self.cancelled_at, self.aborted_at, self.displaced_at):
-            if t is not None:
-                return t
-        return None
-
-    @property
-    def carried(self) -> float:
-        """MB actually delivered before the transfer ended."""
-        if self.allocation is None:
-            return 0.0
-        stop = self.terminated_at
-        end = self.allocation.tau if stop is None else min(stop, self.allocation.tau)
-        return self.allocation.carried_before(end)
-
-    @property
-    def residual(self) -> float:
-        """MB still undelivered when the reservation ended early."""
-        return max(0.0, self.request.volume - self.carried)
-
-    def state(self, now: float) -> ReservationState:
-        """Lifecycle state as of time ``now``."""
-        if self.allocation is None:
-            return ReservationState.REJECTED
-        if self.aborted_at is not None:
-            return ReservationState.ABORTED
-        if self.displaced_at is not None:
-            return ReservationState.DISPLACED
-        if self.cancelled_at is not None:
-            return ReservationState.CANCELLED
-        if now < self.allocation.sigma:
-            return ReservationState.CONFIRMED
-        if now < self.allocation.tau:
-            return ReservationState.ACTIVE
-        return ReservationState.COMPLETED
-
-
-def _live_allocation(reservation: Reservation) -> Allocation:
-    """The allocation of a reservation known to be confirmed.
-
-    Call sites have already established liveness via
-    :meth:`Reservation.state`; a missing allocation there means the
-    service's bookkeeping is corrupt, not that the caller erred.
-    """
-    if reservation.allocation is None:
-        raise InternalInvariantError(
-            f"reservation {reservation.rid} is live but carries no allocation"
-        )
-    return reservation.allocation
 
 
 class ReservationService:
@@ -191,7 +103,14 @@ class ReservationService:
         #: default — the constant-rate decision trace stays byte-identical.
         self.malleable = malleable
         self._telemetry = telemetry
-        self._ledger = PortLedger(platform)
+        self._ledger = ledger = PortLedger(platform)
+        #: How the shared lifecycle rules reach this plane's one ledger.
+        self._capacity = lifecycle.CapacityOps(
+            release=ledger.release_segments,
+            restore=partial(ledger.allocate_segments, check=False),
+            overcommit_on=ledger.overcommit_on,
+            view=lambda ingress, egress: ledger,
+        )
         self._clock = float("-inf")
         self._next_rid = 0
         self._reservations: dict[int, Reservation] = {}
@@ -271,29 +190,24 @@ class ReservationService:
         fits nowhere rejects with
         :attr:`~repro.core.booking.RejectReason.PROFILE_INFEASIBLE`.
         """
-        self._advance(now)
-        if max_rate is None:
-            max_rate = self.platform.bottleneck(ingress, egress)
-        if origin is not None and origin not in self._reservations:
-            raise KeyError(f"unknown origin reservation {origin}")
-        wanted = RateProfile.maybe_from(profile)
-        if wanted is not None and not wanted.conserves(volume):
-            raise InvalidRequestError(
-                f"profile delivers {wanted.volume} MB but the submission asks for {volume} MB"
-            )
-        rid = self._take_rid()
-        # Structural validation (positive volume, non-empty window, reachable
-        # deadline) happens in the Request constructor and propagates as
-        # InvalidRequestError — a malformed submission, not a rejection.
-        request = Request(
-            rid=rid,
+        # A malformed submission (InvalidRequestError, KeyError) is not a
+        # rejection: it raises here, before the clock moves or a rid is taken.
+        request, wanted, entry = lifecycle.new_request(
+            self.platform,
+            self._next_rid,
+            self.get,
             ingress=ingress,
             egress=egress,
             volume=volume,
-            t_start=now,
-            t_end=deadline,
+            deadline=deadline,
+            now=now,
             max_rate=max_rate,
+            origin=origin,
+            profile=profile,
         )
+        self._advance(now)
+        rid = self._take_rid()
+        self._record("submit", now, **entry)
         if wanted is not None:
             allocation, probe = self._book_profile(request, wanted)
         else:
@@ -308,17 +222,6 @@ class ReservationService:
             reject_reason=probe.reason,
         )
         self._reservations[rid] = reservation
-        args: dict[str, Any] = {
-            "ingress": ingress,
-            "egress": egress,
-            "volume": volume,
-            "deadline": deadline,
-            "max_rate": max_rate,
-            "origin": origin,
-        }
-        if wanted is not None:
-            args["profile"] = wanted.to_list()
-        self._record("submit", now, **args)
         self._observe_submit(reservation, probe, now)
         if origin is not None:
             parent = self._reservations[origin]
@@ -466,14 +369,9 @@ class ReservationService:
         whole through :meth:`cancel` — stripes model one logical dataset
         staging and are never cancelled individually.
         """
-        from .striped import book_striped
-
-        self._advance(now)
-        base = self._take_rid()
-        # Reserve one id per potential stripe so rids stay unique.
-        for _ in range(len(sources) - 1):
-            self._take_rid()
-        booking = book_striped(
+        # Planning only reads the ledger and raises on a malformed call,
+        # so it runs before the clock moves or a rid is taken.
+        booking = plan_striped(
             self._ledger,
             self.platform,
             sources=sources,
@@ -482,9 +380,9 @@ class ReservationService:
             t_start=now,
             t_end=deadline,
             max_stream_rate=max_stream_rate,
-            base_rid=base,
+            base_rid=self._next_rid,
         )
-        self._striped[base] = booking
+        self._advance(now)
         self._record(
             "submit_striped",
             now,
@@ -494,6 +392,15 @@ class ReservationService:
             deadline=deadline,
             max_stream_rate=max_stream_rate,
         )
+        # Reserve one id per potential stripe so rids stay unique.
+        base = self._next_rid
+        self._next_rid += len(sources)
+        if booking is not None:
+            for alloc in booking.allocations:
+                self._ledger.allocate(
+                    alloc.ingress, alloc.egress, alloc.sigma, alloc.tau, alloc.bw
+                )
+        self._striped[base] = booking
         tel = self.telemetry
         if tel.enabled:
             outcome = "accepted" if booking is not None else "rejected"
@@ -517,12 +424,16 @@ class ReservationService:
         reservation, or a live striped booking addressed by its base rid);
         False for rejected/completed/already-terminated ones.
         """
+        reservation = None if rid in self._striped else self.get(rid)
         self._advance(now)
-        if rid in self._striped:
+        self._record("cancel", now, rid=rid)
+        if reservation is None:
             released = self._cancel_striped(rid, now)
         else:
-            released = self._cancel_point(rid, now)
-        self._record("cancel", now, rid=rid)
+            freed = lifecycle.terminate(
+                reservation, now, ReservationState.CANCELLED, self._capacity.release
+            )
+            released = freed is not None
         tel = self.telemetry
         if tel.enabled:
             tel.metrics.counter("service_cancels_total", "Cancellations by effect.").inc(
@@ -533,17 +444,6 @@ class ReservationService:
             self._readmit(now)
         return released
 
-    def _cancel_point(self, rid: int, now: float) -> bool:
-        reservation = self._reservations.get(rid)
-        if reservation is None:
-            raise KeyError(f"unknown reservation {rid}")
-        if reservation.state(now) not in (ReservationState.CONFIRMED, ReservationState.ACTIVE):
-            return False
-        alloc = _live_allocation(reservation)
-        self._release_tail(alloc, now)
-        reservation.cancelled_at = now
-        return True
-
     def _cancel_striped(self, base: int, now: float) -> bool:
         booking = self._striped[base]
         if booking is None or base in self._striped_cancelled:
@@ -551,23 +451,9 @@ class ReservationService:
         if now >= booking.finish:
             return False  # already completed
         for alloc in booking.allocations:
-            self._release_tail(alloc, now)
+            lifecycle.release_tail(alloc, now, self._capacity.release)
         self._striped_cancelled[base] = now
         return True
-
-    def _release_tail(self, alloc: Allocation, now: float) -> float:
-        """Return the unconsumed part of an allocation; MB released."""
-        release_from = max(now, alloc.sigma)
-        if release_from >= alloc.tau:
-            return 0.0
-        if alloc.profile is None:
-            self._ledger.release(alloc.ingress, alloc.egress, release_from, alloc.tau, alloc.bw)
-            return alloc.bw * (alloc.tau - release_from)
-        tail = alloc.profile.tail_from(release_from)
-        if not tail:
-            return 0.0
-        self._ledger.release_segments(alloc.ingress, alloc.egress, tail.segments)
-        return tail.volume
 
     # ------------------------------------------------------------------
     # Fault handling
@@ -580,19 +466,17 @@ class ReservationService:
         backlog immediately competes for it.  Returns False when the
         reservation is not live (already completed/terminated/rejected).
         """
+        reservation = self.get(rid)
         self._advance(now)
-        reservation = self._reservations.get(rid)
-        if reservation is None:
-            raise KeyError(f"unknown reservation {rid}")
-        if reservation.state(now) not in (ReservationState.CONFIRMED, ReservationState.ACTIVE):
+        self._record("abort", now, rid=rid)
+        freed = lifecycle.terminate(
+            reservation, now, ReservationState.ABORTED, self._capacity.release
+        )
+        if freed is None:
             return False
-        alloc = _live_allocation(reservation)
-        freed = self._release_tail(alloc, now)
-        reservation.aborted_at = now
         self.stats.aborted += 1
         self.stats.wasted_volume += reservation.carried
         self.stats.freed_volume += freed
-        self._record("abort", now, rid=rid)
         tel = self.telemetry
         if tel.enabled:
             tel.metrics.counter("service_aborts_total", "Mid-flight transfer aborts.").inc()
@@ -611,26 +495,22 @@ class ReservationService:
 
         The tail ``[max(now, σ), τ)`` returns to the ledger and the still
         undelivered volume is re-carved as a stepwise profile into the
-        current residual capacity valleys of the same window
-        (:func:`~repro.core.booking.shape_profile`) — stretching into
-        quieter intervals or dropping to whatever bandwidth each interval
-        still has.  The consumed head is preserved exactly, so ``carried``
-        accounting is unchanged.  On failure the original tail is restored
-        and the ledger left exactly as found.
+        current residual capacity valleys of the same window — stretching
+        into quieter intervals or dropping to whatever bandwidth each
+        still has (:func:`~repro.control.lifecycle.reshape_tail`).  The
+        consumed head is preserved exactly; on failure the original tail
+        is restored and the ledger left exactly as found.
 
         Journaled as its own ``reshape`` op; :meth:`replay` re-applies it
         deterministically.  Returns True when the reservation was
         re-shaped.
         """
+        reservation = self.get(rid)
         self._advance(now)
-        reservation = self._reservations.get(rid)
-        if reservation is None:
-            raise KeyError(f"unknown reservation {rid}")
-        if reservation.state(now) in (ReservationState.CONFIRMED, ReservationState.ACTIVE):
-            ok = self._reshape_tail(reservation, now)
-        else:
-            ok = False
         self._record("reshape", now, rid=rid)
+        ok = lifecycle.reshape_tail(reservation, now, self._capacity)
+        if ok:
+            self.stats.reshaped += 1
         tel = self.telemetry
         if tel.enabled:
             tel.metrics.counter(
@@ -638,52 +518,6 @@ class ReservationService:
             ).inc(reshaped=str(ok).lower())
             tel.emit("service.reshape", now, rid=rid, reshaped=ok)
         return ok
-
-    def _reshape_tail(self, reservation: Reservation, now: float) -> bool:
-        """Release + re-carve one live tail; restores the ledger on failure."""
-        alloc = _live_allocation(reservation)
-        release_from = max(now, alloc.sigma)
-        if release_from >= alloc.tau:
-            return False
-        if alloc.profile is not None:
-            old_tail = alloc.profile.tail_from(release_from).segments
-        else:
-            old_tail = ((release_from, alloc.tau, alloc.bw),)
-        residual = max(0.0, reservation.request.volume - alloc.carried_before(release_from))
-        if residual <= 0.0 or not old_tail:
-            return False
-        try:
-            target = Request(
-                rid=reservation.rid,
-                ingress=alloc.ingress,
-                egress=alloc.egress,
-                volume=residual,
-                t_start=release_from,
-                t_end=reservation.request.t_end,
-                max_rate=reservation.request.max_rate,
-            )
-        except InvalidRequestError:
-            return False  # residual window no longer structurally valid
-        self._ledger.release_segments(alloc.ingress, alloc.egress, old_tail)
-        shaped = shape_profile(self._ledger, target, not_before=release_from)
-        if shaped is None:
-            # Put the tail back exactly; check=False because it may sit in
-            # an already-overcommitted (degraded) region — that was the
-            # pre-existing state, not ours to reject.
-            self._ledger.allocate_segments(alloc.ingress, alloc.egress, old_tail, check=False)
-            return False
-        if alloc.profile is not None:
-            head = alloc.profile.head_until(release_from)
-        elif release_from > alloc.sigma:
-            head = RateProfile.constant(alloc.sigma, release_from, alloc.bw)
-        else:
-            head = RateProfile(())
-        self._ledger.allocate_segments(
-            alloc.ingress, alloc.egress, shaped.segments, check=False
-        )
-        reservation.allocation = alloc.with_profile(head.concat(shaped))
-        self.stats.reshaped += 1
-        return True
 
     def degrade(
         self,
@@ -709,39 +543,28 @@ class ReservationService:
         Returns the displaced reservations (empty when everything still
         fits).
         """
+        degradation = lifecycle.new_degradation(
+            self.platform, side=side, port=port, amount=amount, start=start, end=end
+        )
         self._advance(now)
-        degradation = Degradation(side=side, port=port, t0=start, t1=end, amount=amount)
-        self._ledger.degrade(degradation)
-        self._degradations.append(degradation)
-        self.stats.degradations += 1
-        displaced: list[Reservation] = []
-        reshaped_rids: list[int] = []
-        cap = self.platform.bin(port) if side == "ingress" else self.platform.bout(port)
-        tol = CAPACITY_SLACK * max(1.0, cap)
-        while self._ledger.overcommit_on(side, port, start, end) > tol:
-            victim = self._displacement_victim(side, port, start, end, now)
-            if victim is None:
-                break  # remaining overcommit is not ours to resolve
-            if (
-                self.malleable
-                and victim.rid not in reshaped_rids
-                and self._reshape_tail(victim, now)
-            ):
-                # Malleable recovery: the victim's tail was re-carved around
-                # the degraded window — no displacement needed.  Each rid is
-                # tried once per degradation; a reshaped reservation that
-                # still blocks the port is displaced on the next pass.
-                reshaped_rids.append(victim.rid)
-                continue
-            alloc = _live_allocation(victim)
-            freed = self._release_tail(alloc, now)
-            victim.displaced_at = now
-            self.stats.displaced += 1
-            self.stats.freed_volume += freed
-            displaced.append(victim)
         self._record(
             "degrade", now, side=side, port=port, amount=amount, start=start, end=end
         )
+        self._ledger.degrade(degradation)
+        self._degradations.append(degradation)
+        self.stats.degradations += 1
+        displaced, freed, reshaped_rids = lifecycle.displace_overflow(
+            self._reservations.values(),
+            degradation,
+            now,
+            self.platform,
+            self._capacity,
+            malleable=self.malleable,
+        )
+        self.stats.displaced += len(displaced)
+        self.stats.reshaped += len(reshaped_rids)
+        for released in freed:
+            self.stats.freed_volume += released
         tel = self.telemetry
         if tel.enabled:
             tel.metrics.counter(
@@ -765,33 +588,6 @@ class ReservationService:
         self._readmit(now)
         return displaced
 
-    def _displacement_victim(
-        self, side: str, port: int, start: float, end: float, now: float
-    ) -> Reservation | None:
-        """Latest-starting live reservation using the port inside the window."""
-        best: Reservation | None = None
-        for reservation in self._reservations.values():
-            if reservation.state(now) not in (
-                ReservationState.CONFIRMED,
-                ReservationState.ACTIVE,
-            ):
-                continue
-            alloc = _live_allocation(reservation)
-            on_port = alloc.ingress == port if side == "ingress" else alloc.egress == port
-            if not on_port:
-                continue
-            # Only the not-yet-consumed part [max(now, σ), τ) still holds
-            # ledger capacity; it must overlap the degraded window.
-            live_from = max(now, alloc.sigma)
-            if live_from >= end or alloc.tau <= start:
-                continue
-            if best is None or (alloc.sigma, reservation.rid) > (
-                best.allocation.sigma,  # type: ignore[union-attr]
-                best.rid,
-            ):
-                best = reservation
-        return best
-
     def _readmit(self, now: float) -> list[Reservation]:
         """Offer freed capacity to the backlog of rejected requests (FIFO)."""
         admitted: list[Reservation] = []
@@ -799,22 +595,11 @@ class ReservationService:
             return admitted
         keep: list[int] = []
         for rid in self._backlog:
-            original = self._reservations[rid].request
-            tol = deadline_tolerance(original.t_end)
-            if now + original.min_duration > original.t_end + tol:
+            candidate = lifecycle.readmission_candidate(
+                self._reservations[rid].request, self._next_rid, now
+            )
+            if candidate is None:
                 continue  # deadline unreachable forever: prune
-            try:
-                candidate = Request(
-                    rid=self._next_rid,
-                    ingress=original.ingress,
-                    egress=original.egress,
-                    volume=original.volume,
-                    t_start=max(now, original.t_start),
-                    t_end=original.t_end,
-                    max_rate=original.max_rate,
-                )
-            except InvalidRequestError:
-                continue  # clipped window borderline-infeasible: prune
             allocation, _probe = self._book(candidate)
             if allocation is None and self.malleable:
                 allocation, _probe = self._book_shaped(candidate, _probe)
@@ -857,21 +642,6 @@ class ReservationService:
             ledger["ingress"].append(list(self._ledger.ingress_timeline(i).segments()))
         for e in range(self.platform.num_egress):
             ledger["egress"].append(list(self._ledger.egress_timeline(e).segments()))
-        reservations = []
-        for rid in sorted(self._reservations):
-            r = self._reservations[rid]
-            reservations.append(
-                {
-                    "rid": r.rid,
-                    "request": r.request.to_dict(),
-                    "allocation": r.allocation.to_dict() if r.allocation else None,
-                    "cancelled_at": r.cancelled_at,
-                    "aborted_at": r.aborted_at,
-                    "displaced_at": r.displaced_at,
-                    "origin": r.origin,
-                    "reject_reason": r.reject_reason.value if r.reject_reason else None,
-                }
-            )
         striped = {}
         for base in sorted(self._striped):
             booking = self._striped[base]
@@ -883,7 +653,7 @@ class ReservationService:
         return {
             "clock": self._clock,
             "next_rid": self._next_rid,
-            "reservations": reservations,
+            "reservations": lifecycle.reservation_rows(self.reservations()),
             "striped": striped,
             "backlog": list(self._backlog),
             "degradations": [d.to_dict() for d in self._degradations],
@@ -901,9 +671,7 @@ class ReservationService:
         deterministic, the result is state-identical to the service that
         wrote the journal (``snapshot()`` equality).
         """
-        header = journal.header
-        if not header:
-            raise ConfigurationError("journal has no header; cannot replay")
+        header = lifecycle.replay_header(journal, None)
         platform = Platform.from_dict(header["platform"])
         policy = policy_from_name(header.get("policy", "min-bw"))
         service = cls(
@@ -913,46 +681,7 @@ class ReservationService:
             malleable=bool(header.get("malleable", False)),
             journal=None,
         )
-        for entry in journal:
-            args = dict(entry.args)
-            if entry.op == "submit":
-                service.submit(
-                    ingress=int(args["ingress"]),
-                    egress=int(args["egress"]),
-                    volume=float(args["volume"]),
-                    deadline=float(args["deadline"]),
-                    now=entry.now,
-                    max_rate=args.get("max_rate"),
-                    origin=args.get("origin"),
-                    profile=args.get("profile"),
-                )
-            elif entry.op == "submit_striped":
-                max_stream = args.get("max_stream_rate")
-                service.submit_striped(
-                    sources=[int(s) for s in args["sources"]],
-                    egress=int(args["egress"]),
-                    volume=float(args["volume"]),
-                    deadline=float(args["deadline"]),
-                    now=entry.now,
-                    max_stream_rate=float(max_stream) if max_stream is not None else None,
-                )
-            elif entry.op == "cancel":
-                service.cancel(int(args["rid"]), now=entry.now)
-            elif entry.op == "abort":
-                service.abort(int(args["rid"]), now=entry.now)
-            elif entry.op == "reshape":
-                service.reshape(int(args["rid"]), now=entry.now)
-            elif entry.op == "degrade":
-                service.degrade(
-                    side=str(args["side"]),
-                    port=int(args["port"]),
-                    amount=float(args["amount"]),
-                    start=float(args["start"]),
-                    end=float(args["end"]),
-                    now=entry.now,
-                )
-            else:  # pragma: no cover - Journal validates ops on construction
-                raise ConfigurationError(f"unknown journal op {entry.op!r}")
+        lifecycle.replay_ops(service, journal)
         return service
 
     # ------------------------------------------------------------------

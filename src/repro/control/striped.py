@@ -95,6 +95,10 @@ def plan_striped(
         raise ConfigurationError("need at least one source")
     if len(set(sources)) != len(sources):
         raise ConfigurationError("duplicate sources")
+    if not (0 <= egress < platform.num_egress) or not all(
+        0 <= source < platform.num_ingress for source in sources
+    ):
+        raise ConfigurationError(f"unknown port among sources {sources} / egress {egress}")
     if not (t_end > t_start):
         raise ConfigurationError(f"empty window [{t_start}, {t_end}]")
 

@@ -1,8 +1,9 @@
 """The client-facing admission gateway: batched, sharded, journaled.
 
 :class:`Gateway` offers the :class:`~repro.control.service.ReservationService`
-surface — submit / cancel / abort / degrade, with journaling and crash
-:meth:`Gateway.replay` — but serves it through the sharded pipeline:
+surface — submit / cancel / abort / reshape / degrade, with journaling
+and crash :meth:`Gateway.replay` — but serves it through the sharded
+pipeline:
 
 1. the **edge** (optional per-client token bucket) refuses out-of-quota
    submissions before they cost any admission work;
@@ -16,9 +17,12 @@ surface — submit / cancel / abort / degrade, with journaling and crash
 Determinism: the gateway clock only moves forward; a pending batch is
 force-flushed *before* the clock advances (a batch never mixes
 instants), and every externally-triggered state change — submission,
-explicit drain, cancel, abort, degradation, broker crash/restart — is
-journaled, so :meth:`replay` rebuilds a state-identical gateway
-(``snapshot()`` equality, mirroring the service's recovery contract).
+explicit drain, cancel, abort, reshape, degradation, broker
+crash/restart — is journaled, so :meth:`replay` rebuilds a
+state-identical gateway (``snapshot()`` equality).  What happens to a
+reservation after admission, and the validate → settle → journal →
+apply protocol every verb here follows, is shared with the service:
+:mod:`repro.control.lifecycle`.
 
 With ``num_shards=1`` and ``batch_size=1`` every admission is a
 shard-local booking decided immediately in submission order against one
@@ -37,10 +41,11 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..control.journal import Journal
-from ..control.service import Reservation, ReservationState
-from ..core.booking import RejectReason, deadline_tolerance, shape_profile
-from ..core.errors import ConfigurationError, InternalInvariantError, InvalidRequestError
-from ..core.ledger import CAPACITY_SLACK, Degradation
+from ..control import lifecycle
+from ..control.lifecycle import Reservation, ReservationState
+from ..core.booking import RejectReason
+from ..core.errors import ConfigurationError
+from ..core.ledger import Degradation
 from ..core.platform import Platform
 from ..core.profile import RateProfile
 from ..core.request import Request
@@ -56,7 +61,6 @@ from .rpc import ChaosPolicy
 from .sharding import ShardMap
 from .broker import ShardBroker
 from .twophase import TwoPhaseCoordinator
-from .view import PairLedgerView
 
 __all__ = ["Gateway", "GatewayStats", "Ticket"]
 
@@ -339,6 +343,12 @@ class Gateway:
         if moved and self._backlog:
             self._readmit(now)
 
+    def _settle(self, now: float) -> None:
+        """Advance to ``now`` and decide the open batch (lifecycle verbs
+        act on decided reservations only)."""
+        self._advance(now)
+        self._flush(self._clock)
+
     def _take_rid(self) -> int:
         rid = self._next_rid
         self._next_rid += 1
@@ -347,6 +357,23 @@ class Gateway:
     def _record(self, op: str, now: float, **args: Any) -> None:
         if self.journal is not None:
             self.journal.append(op, now, **args)
+
+    def _require_known(self, rid: int) -> None:
+        """``KeyError`` unless ``rid`` is a reservation, decided or about to be.
+
+        Asked of the ticket map, before settling: the settle may flush the
+        very batch that decides ``rid``.  Edge-refused tickets never
+        become reservations; re-admissions have no ticket.
+        """
+        ticket = self._tickets.get(rid)
+        known = not ticket.edge_refused if ticket is not None else rid in self._reservations
+        if not known:
+            raise KeyError(f"unknown reservation {rid}")
+
+    def _capacity(self) -> lifecycle.CapacityOps:
+        """How the shared lifecycle rules reach the shards' capacity."""
+        c = self.coordinator
+        return lifecycle.CapacityOps(c.release_pair, c.restore_pair, c.overcommit_on, c.pair_view)
 
     # ------------------------------------------------------------------
     # Causal tracing (observability only: never touches decisions,
@@ -404,51 +431,34 @@ class Gateway:
         ``(t0, t1, rate)`` segments delivering exactly ``volume`` MB —
         placed as-given or slid later within the window.
         """
-        self._advance(now)
-        if max_rate is None:
-            max_rate = self.platform.bottleneck(ingress, egress)
-        if origin is not None and origin not in self._reservations:
-            raise KeyError(f"unknown origin reservation {origin}")
-        wanted = RateProfile.maybe_from(profile)
-        if wanted is not None and not wanted.conserves(volume):
-            raise InvalidRequestError(
-                f"profile delivers {wanted.volume} MB but the submission asks for {volume} MB"
-            )
-        # Structural validation happens in the Request constructor and
-        # propagates as InvalidRequestError (malformed, not rejected) —
-        # nothing is journaled for a submission that never existed, so the
-        # rid is only consumed after construction succeeds (a burned rid
-        # with no journal entry would diverge on replay).
-        rid = self._next_rid
-        request = Request(
-            rid=rid,
+        # A malformed submission (InvalidRequestError, KeyError) is not a
+        # rejection: it raises here, before the clock moves, the open batch
+        # flushes or a rid is taken — nothing is journaled for it.
+        request, wanted, entry = lifecycle.new_request(
+            self.platform,
+            self._next_rid,
+            self._require_known,
             ingress=ingress,
             egress=egress,
             volume=volume,
-            t_start=now,
-            t_end=deadline,
+            deadline=deadline,
+            now=now,
             max_rate=max_rate,
+            origin=origin,
+            profile=profile,
         )
-        self._next_rid += 1
+        self._advance(now)
+        if request.rid != self._next_rid:
+            # Settling re-admitted backlog entries, which took rids.
+            request = request.with_rid(self._next_rid)
+        rid = self._take_rid()
         seq = self._next_seq
         self._next_seq += 1
         ticket = Ticket(
             seq=seq, client=client, request=request, origin=origin, profile=wanted
         )
         self._tickets[rid] = ticket
-        args: dict[str, Any] = {
-            "rid": rid,
-            "client": client,
-            "ingress": ingress,
-            "egress": egress,
-            "volume": volume,
-            "deadline": deadline,
-            "max_rate": max_rate,
-            "origin": origin,
-        }
-        if wanted is not None:
-            args["profile"] = wanted.to_list()
-        self._record("gw_submit", now, **args)
+        self._record("submit", now, rid=rid, client=client, **entry)
         self.stats.submits += 1
         ctx: TraceContext | None = None
         if self._tracing():
@@ -529,7 +539,7 @@ class Gateway:
         """Force the open batch to decide now (journaled — order matters)."""
         at = self._clock if now is None else now
         self._advance(at)
-        self._record("gw_drain", at)
+        self._record("drain", at)
         self._flush(at)
 
     def _flush(self, now: float) -> None:
@@ -737,13 +747,14 @@ class Gateway:
     def _readmit(self, now: float) -> None:
         """Retry backlogged rejections whose shards answer again.
 
-        Mirrors the service backlog: each entry is retried as a fresh,
-        window-clipped request (new rid, ``origin`` = the rejected rid)
-        once a **read-only** serviceability probe says both owning shards
-        are up and unpartitioned; entries whose deadline can no longer be
-        met even at MaxRate are dropped.  Nothing here is journaled —
-        re-admission is a deterministic function of the op stream (and
-        the chaos seed), so :meth:`replay` reproduces it.
+        Each entry is retried as a fresh, window-clipped request
+        (:func:`~repro.control.lifecycle.readmission_candidate`: new rid,
+        ``origin`` = the rejected rid) once a **read-only** serviceability
+        probe says both owning shards are up and unpartitioned; entries
+        whose deadline can no longer be met even at MaxRate are dropped.
+        Nothing here is journaled — re-admission is a deterministic
+        function of the op stream (and the chaos seed), so :meth:`replay`
+        reproduces it.
         """
         keep: list[int] = []
         admitted: list[tuple[int, int]] = []
@@ -751,8 +762,8 @@ class Gateway:
         attempted = 0
         for rid in self._backlog:
             original = self._reservations[rid].request
-            tol = deadline_tolerance(original.t_end)
-            if now + original.volume / original.max_rate > original.t_end + tol:
+            candidate = lifecycle.readmission_candidate(original, self._next_rid, now)
+            if candidate is None:
                 continue  # deadline unreachable: give the request up
             in_ok = self.coordinator.channel_for("ingress", original.ingress)
             out_ok = self.coordinator.channel_for("egress", original.egress)
@@ -766,15 +777,7 @@ class Gateway:
             # a stale record (a compensated commit replays as "committed"
             # and books nothing).  Failed attempts therefore leave rid
             # gaps; replay burns them identically.
-            candidate = Request(
-                rid=self._take_rid(),
-                ingress=original.ingress,
-                egress=original.egress,
-                volume=original.volume,
-                t_start=max(now, original.t_start),
-                t_end=original.t_end,
-                max_rate=original.max_rate,
-            )
+            self._take_rid()
             attempted += 1
             ctx: TraceContext | None = None
             if self._tracing():
@@ -976,20 +979,22 @@ class Gateway:
         self._chaos_seen = totals
 
     # ------------------------------------------------------------------
-    # Lifecycle operations (mirroring the monolithic service)
+    # Lifecycle operations (the rules live in repro.control.lifecycle)
     # ------------------------------------------------------------------
     def cancel(self, rid: int, *, now: float) -> bool:
         """Cancel a reservation; the unconsumed tail returns to its shards."""
-        self._advance(now)
-        self._flush(self._clock)
-        reservation = self._require_reservation(rid)
-        self._record("gw_cancel", now, rid=rid)
-        released = False
-        if reservation.state(now) in (ReservationState.CONFIRMED, ReservationState.ACTIVE):
-            self._release_tail(reservation, now)
-            reservation.cancelled_at = now
+        self._require_known(rid)
+        self._settle(now)
+        self._record("cancel", now, rid=rid)
+        freed = lifecycle.terminate(
+            self._reservations[rid],
+            now,
+            ReservationState.CANCELLED,
+            self.coordinator.release_pair,
+        )
+        released = freed is not None
+        if released:
             self.stats.cancelled += 1
-            released = True
         self._trace_event(
             "gateway",
             now,
@@ -1008,17 +1013,15 @@ class Gateway:
 
     def abort(self, rid: int, *, now: float) -> bool:
         """A transfer died mid-flight; free its tail on both shards."""
-        self._advance(now)
-        self._flush(self._clock)
-        reservation = self._require_reservation(rid)
-        self._record("gw_abort", now, rid=rid)
-        if reservation.state(now) not in (
-            ReservationState.CONFIRMED,
-            ReservationState.ACTIVE,
-        ):
+        self._require_known(rid)
+        self._settle(now)
+        self._record("abort", now, rid=rid)
+        reservation = self._reservations[rid]
+        freed = lifecycle.terminate(
+            reservation, now, ReservationState.ABORTED, self.coordinator.release_pair
+        )
+        if freed is None:
             return False
-        self._release_tail(reservation, now)
-        reservation.aborted_at = now
         self.stats.aborted += 1
         self._trace_event(
             "gateway", now, "gateway.trace.abort", self._trace_roots.get(rid), rid=rid
@@ -1041,44 +1044,30 @@ class Gateway:
     ) -> list[Reservation]:
         """Apply a capacity reduction on the owning shard; displace overflow.
 
-        Victim selection mirrors the service: latest-starting live
-        reservations on the port yield first, until the shard's slice fits
-        under the remaining capacity again.
+        Latest-starting live reservations on the port yield first (their
+        tails re-shaped instead when ``malleable``), until the shard's
+        slice fits under the remaining capacity again.
         """
-        self._advance(now)
-        self._flush(self._clock)
-        degradation = Degradation(side=side, port=port, t0=start, t1=end, amount=amount)
-        broker = self.coordinator.broker_for(side, port)
-        broker.degrade(degradation)
+        degradation = lifecycle.new_degradation(
+            self.platform, side=side, port=port, amount=amount, start=start, end=end
+        )
+        self._settle(now)
+        self._record(
+            "degrade", now, side=side, port=port, amount=amount, start=start, end=end
+        )
+        self.coordinator.broker_for(side, port).degrade(degradation)
         self._degradations.append(degradation)
         self.stats.degradations += 1
-        self._record(
-            "gw_degrade", now, side=side, port=port, amount=amount, start=start, end=end
+        displaced, _freed, reshaped_rids = lifecycle.displace_overflow(
+            self._reservations.values(),
+            degradation,
+            now,
+            self.platform,
+            self._capacity(),
+            malleable=self.malleable,
         )
-        displaced: list[Reservation] = []
-        reshaped_rids: list[int] = []
-        cap = self.platform.bin(port) if side == "ingress" else self.platform.bout(port)
-        tol = CAPACITY_SLACK * max(1.0, cap)
-        while broker.overcommit_on(side, port, start, end) > tol:
-            victim = self._displacement_victim(side, port, start, end, now)
-            if victim is None:
-                break  # remaining overcommit is not ours to resolve
-            if (
-                self.malleable
-                and victim.rid not in reshaped_rids
-                and self._reshape_tail(victim, now)
-            ):
-                # Malleable recovery: the victim's tail was re-carved
-                # around the degraded window — no displacement needed.
-                # Each rid is tried once per degradation; a reshaped
-                # reservation that still blocks the port is displaced on
-                # the next pass.
-                reshaped_rids.append(victim.rid)
-                continue
-            self._release_tail(victim, now)
-            victim.displaced_at = now
-            self.stats.displaced += 1
-            displaced.append(victim)
+        self.stats.displaced += len(displaced)
+        self.stats.reshaped += len(reshaped_rids)
         flight_fields: dict[str, Any] = {
             "side": side,
             "port": port,
@@ -1114,20 +1103,18 @@ class Gateway:
     def reshape(self, rid: int, *, now: float) -> bool:
         """Re-shape a live reservation's unconsumed tail (malleable verb).
 
-        Mirrors :meth:`~repro.control.service.ReservationService.reshape`:
-        the tail ``[max(now, σ), τ)`` returns to its shards and the still
+        The tail ``[max(now, σ), τ)`` returns to its shards and the still
         undelivered volume is re-carved into the pair's residual capacity
-        valleys.  On failure the original tail is restored exactly.
-        Journaled as ``gw_reshape``; returns True when re-shaped.
+        valleys (:func:`~repro.control.lifecycle.reshape_tail`).  On
+        failure the original tail is restored exactly.  Journaled as
+        ``reshape``; returns True when re-shaped.
         """
-        self._advance(now)
-        self._flush(self._clock)
-        reservation = self._require_reservation(rid)
-        self._record("gw_reshape", now, rid=rid)
-        if reservation.state(now) in (ReservationState.CONFIRMED, ReservationState.ACTIVE):
-            ok = self._reshape_tail(reservation, now)
-        else:
-            ok = False
+        self._require_known(rid)
+        self._settle(now)
+        self._record("reshape", now, rid=rid)
+        ok = lifecycle.reshape_tail(self._reservations[rid], now, self._capacity())
+        if ok:
+            self.stats.reshaped += 1
         self._trace_event(
             "gateway",
             now,
@@ -1144,120 +1131,6 @@ class Gateway:
             tel.emit("gateway.reshape", now, rid=rid, reshaped=ok)
         return ok
 
-    def _reshape_tail(self, reservation: Reservation, now: float) -> bool:
-        """Release + re-carve one live tail; restores the shards on failure."""
-        alloc = reservation.allocation
-        if alloc is None:
-            raise InternalInvariantError(
-                f"reservation {reservation.rid} is live but carries no allocation"
-            )
-        release_from = max(now, alloc.sigma)
-        if release_from >= alloc.tau:
-            return False
-        if alloc.profile is not None:
-            old_tail = alloc.profile.tail_from(release_from).segments
-        else:
-            old_tail = ((release_from, alloc.tau, alloc.bw),)
-        residual = max(0.0, reservation.request.volume - alloc.carried_before(release_from))
-        if residual <= 0.0 or not old_tail:
-            return False
-        try:
-            target = Request(
-                rid=reservation.rid,
-                ingress=alloc.ingress,
-                egress=alloc.egress,
-                volume=residual,
-                t_start=release_from,
-                t_end=reservation.request.t_end,
-                max_rate=reservation.request.max_rate,
-            )
-        except InvalidRequestError:
-            return False  # residual window no longer structurally valid
-        self.coordinator.release_pair(
-            alloc.ingress, alloc.egress, release_from, alloc.tau, alloc.bw,
-            segments=old_tail,
-        )
-        view = PairLedgerView(
-            self.coordinator.broker_for("ingress", alloc.ingress),
-            self.coordinator.broker_for("egress", alloc.egress),
-            alloc.ingress,
-            alloc.egress,
-        )
-        shaped = shape_profile(view, target, not_before=release_from)
-        if shaped is None:
-            # Put the tail back exactly; unchecked because the region may
-            # sit in an already-overcommitted (degraded) state — that was
-            # the pre-existing condition, not ours to reject.
-            self.coordinator.restore_pair(alloc.ingress, alloc.egress, old_tail)
-            return False
-        if alloc.profile is not None:
-            head = alloc.profile.head_until(release_from)
-        elif release_from > alloc.sigma:
-            head = RateProfile.constant(alloc.sigma, release_from, alloc.bw)
-        else:
-            head = RateProfile(())
-        self.coordinator.restore_pair(alloc.ingress, alloc.egress, shaped.segments)
-        reservation.allocation = alloc.with_profile(head.concat(shaped))
-        self.stats.reshaped += 1
-        return True
-
-    def _displacement_victim(
-        self, side: str, port: int, start: float, end: float, now: float
-    ) -> Reservation | None:
-        """Latest-starting live reservation using the port inside the window."""
-        best: Reservation | None = None
-        for reservation in self._reservations.values():
-            if reservation.state(now) not in (
-                ReservationState.CONFIRMED,
-                ReservationState.ACTIVE,
-            ):
-                continue
-            alloc = reservation.allocation
-            if alloc is None:
-                continue
-            on_port = alloc.ingress == port if side == "ingress" else alloc.egress == port
-            if not on_port:
-                continue
-            live_from = max(now, alloc.sigma)
-            if live_from >= end or alloc.tau <= start:
-                continue
-            if best is None or best.allocation is None or (
-                alloc.sigma,
-                reservation.rid,
-            ) > (best.allocation.sigma, best.rid):
-                best = reservation
-        return best
-
-    def _release_tail(self, reservation: Reservation, now: float) -> float:
-        """Return the unconsumed part of a live allocation to its shards."""
-        alloc = reservation.allocation
-        if alloc is None:
-            raise InternalInvariantError(
-                f"reservation {reservation.rid} is live but carries no allocation"
-            )
-        release_from = max(now, alloc.sigma)
-        if release_from >= alloc.tau:
-            return 0.0
-        if alloc.profile is not None:
-            tail = alloc.profile.tail_from(release_from)
-            if not tail:
-                return 0.0
-            self.coordinator.release_pair(
-                alloc.ingress, alloc.egress, release_from, alloc.tau, alloc.bw,
-                segments=tail.segments,
-            )
-            return tail.volume
-        self.coordinator.release_pair(
-            alloc.ingress, alloc.egress, release_from, alloc.tau, alloc.bw
-        )
-        return alloc.bw * (alloc.tau - release_from)
-
-    def _require_reservation(self, rid: int) -> Reservation:
-        reservation = self._reservations.get(rid)
-        if reservation is None:
-            raise KeyError(f"unknown reservation {rid}")
-        return reservation
-
     # ------------------------------------------------------------------
     # Broker faults
     # ------------------------------------------------------------------
@@ -1269,11 +1142,11 @@ class Gateway:
         at the crash instant face the crashed broker when their batch
         decides — the mid-prepare abort path the drills exercise.
         """
-        self._advance(now)
         broker = self._broker(shard)
+        self._advance(now)
+        self._record("crash", now, shard=shard)
         wiped = broker.crash()
         self.stats.crashes += 1
-        self._record("gw_crash", now, shard=shard)
         self._flight(f"rpc.shard{shard}", now, "broker.crash", holds_wiped=wiped)
         tel = self.telemetry
         if tel.enabled:
@@ -1285,10 +1158,11 @@ class Gateway:
 
     def restart_broker(self, shard: int, *, now: float) -> None:
         """Bring a crashed broker back (committed slices intact, holds gone)."""
+        broker = self._broker(shard)
         self._advance(now)
-        self._broker(shard).restart()
+        self._record("restart", now, shard=shard)
+        broker.restart()
         self.stats.restarts += 1
-        self._record("gw_restart", now, shard=shard)
         self._flight(f"rpc.shard{shard}", now, "broker.restart")
         tel = self.telemetry
         if tel.enabled:
@@ -1363,26 +1237,11 @@ class Gateway:
         Two gateways are state-identical iff their snapshots compare
         equal; the replay tests rely on this.
         """
-        reservations = []
-        for rid in sorted(self._reservations):
-            r = self._reservations[rid]
-            reservations.append(
-                {
-                    "rid": r.rid,
-                    "request": r.request.to_dict(),
-                    "allocation": r.allocation.to_dict() if r.allocation else None,
-                    "cancelled_at": r.cancelled_at,
-                    "aborted_at": r.aborted_at,
-                    "displaced_at": r.displaced_at,
-                    "origin": r.origin,
-                    "reject_reason": r.reject_reason.value if r.reject_reason else None,
-                }
-            )
         return {
             "clock": self._clock,
             "next_rid": self._next_rid,
             "pending": [p.seq for p in self.batcher._pending],
-            "reservations": reservations,
+            "reservations": lifecycle.reservation_rows(self.reservations()),
             "edge_refused": sorted(
                 rid for rid, t in self._tickets.items() if t.edge_refused
             ),
@@ -1402,13 +1261,7 @@ class Gateway:
         stream), and explicit drains are journaled, so the rebuilt gateway
         is state-identical (``snapshot()`` equality).
         """
-        header = journal.header
-        if not header:
-            raise ConfigurationError("journal has no header; cannot replay")
-        if header.get("kind") != "gateway":
-            raise ConfigurationError(
-                f"not a gateway journal (kind: {header.get('kind')!r})"
-            )
+        header = lifecycle.replay_header(journal, "gateway")
         backoff_cfg = header.get("backoff") or {}
         edge_cfg = header.get("edge")
         chaos_cfg = header.get("chaos")
@@ -1433,43 +1286,7 @@ class Gateway:
             malleable=bool(header.get("malleable", False)),
             journal=None,
         )
-        for entry in journal:
-            args = dict(entry.args)
-            if entry.op == "gw_submit":
-                gateway.submit(
-                    ingress=int(args["ingress"]),
-                    egress=int(args["egress"]),
-                    volume=float(args["volume"]),
-                    deadline=float(args["deadline"]),
-                    now=entry.now,
-                    max_rate=args.get("max_rate"),
-                    client=str(args.get("client", "default")),
-                    origin=args.get("origin"),
-                    profile=args.get("profile"),
-                )
-            elif entry.op == "gw_drain":
-                gateway.drain(entry.now)
-            elif entry.op == "gw_cancel":
-                gateway.cancel(int(args["rid"]), now=entry.now)
-            elif entry.op == "gw_abort":
-                gateway.abort(int(args["rid"]), now=entry.now)
-            elif entry.op == "gw_degrade":
-                gateway.degrade(
-                    side=str(args["side"]),
-                    port=int(args["port"]),
-                    amount=float(args["amount"]),
-                    start=float(args["start"]),
-                    end=float(args["end"]),
-                    now=entry.now,
-                )
-            elif entry.op == "gw_reshape":
-                gateway.reshape(int(args["rid"]), now=entry.now)
-            elif entry.op == "gw_crash":
-                gateway.crash_broker(int(args["shard"]), now=entry.now)
-            elif entry.op == "gw_restart":
-                gateway.restart_broker(int(args["shard"]), now=entry.now)
-            else:  # pragma: no cover - Journal validates ops on construction
-                raise ConfigurationError(f"unknown gateway journal op {entry.op!r}")
+        lifecycle.replay_ops(gateway, journal)
         return gateway
 
     @classmethod

@@ -178,9 +178,7 @@ class TwoPhaseCoordinator:
         outcome.local = ingress_broker is egress_broker
 
         if profile is not None:
-            view = PairLedgerView(
-                ingress_broker, egress_broker, request.ingress, request.egress
-            )
+            view = self.pair_view(request.ingress, request.egress)
             allocation = earliest_fit_profile(
                 view, request, profile, not_before=request.t_start, probe=probe
             )
@@ -198,9 +196,7 @@ class TwoPhaseCoordinator:
                 if probe.reason is not None:
                     # The fast path already proved the window infeasible.
                     return outcome
-                view = PairLedgerView(
-                    ingress_broker, egress_broker, request.ingress, request.egress
-                )
+                view = self.pair_view(request.ingress, request.egress)
                 allocation = earliest_fit(view, request, rate_for, probe=probe)
                 ingress_broker.add_work(float(max(1, probe.candidates)))
                 egress_broker.add_work(float(max(1, probe.candidates)))
@@ -519,24 +515,19 @@ class TwoPhaseCoordinator:
         self,
         ingress: int,
         egress: int,
-        t0: float,
-        t1: float,
-        bw: float,
-        *,
-        segments: tuple[tuple[float, float, float], ...] | None = None,
+        segments: tuple[tuple[float, float, float], ...],
     ) -> None:
-        """Release a committed pair booking back to the owning brokers.
-
-        ``segments`` releases a stepwise profile instead of the constant
-        ``(t0, t1, bw)`` rectangle (the malleable tail-release path).
-        """
+        """Release committed ``(t0, t1, rate)`` segments of a pair booking
+        back to the owning brokers (one segment for a constant rate)."""
+        t0, t1 = segments[0][0], segments[-1][1]
         if t1 <= t0:
             raise InternalInvariantError(f"empty release window [{t0}, {t1})")
+        # A broker ignores the constant-rate argument when given segments.
         self.broker_for("ingress", ingress).release(
-            "ingress", ingress, t0, t1, bw, segments=segments
+            "ingress", ingress, t0, t1, 0.0, segments=segments
         )
         self.broker_for("egress", egress).release(
-            "egress", egress, t0, t1, bw, segments=segments
+            "egress", egress, t0, t1, 0.0, segments=segments
         )
 
     def restore_pair(
@@ -553,3 +544,16 @@ class TwoPhaseCoordinator:
         """
         self.broker_for("ingress", ingress).restore("ingress", ingress, segments)
         self.broker_for("egress", egress).restore("egress", egress, segments)
+
+    def overcommit_on(self, side: str, port: int, t0: float, t1: float) -> float:
+        """Worst ``usage − capacity`` on one port, asked of its owning broker."""
+        return self.broker_for(side, port).overcommit_on(side, port, t0, t1)
+
+    def pair_view(self, ingress: int, egress: int) -> PairLedgerView:
+        """A read view of one pair stitched from its owning brokers."""
+        return PairLedgerView(
+            self.broker_for("ingress", ingress),
+            self.broker_for("egress", egress),
+            ingress,
+            egress,
+        )

@@ -199,7 +199,7 @@ class ServeApp:
 
         The journal is write-ahead so nothing needs an explicit save; the
         explicit gateway drain makes the final batch flush visible in the
-        op stream (``gw_drain``), which is what makes the successor's
+        op stream (``drain``), which is what makes the successor's
         replay land on the *decided* state.
         """
         self.draining = True

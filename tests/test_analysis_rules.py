@@ -210,12 +210,13 @@ class TestGL004LedgerEncapsulation:
             filename="core/ledger.py",
         )
         assert _active(report, "GL004") == []
-        report = _scan(
-            tmp_path,
-            "def cancel(reservation, now):\n    reservation.cancelled_at = now\n",
-            filename="control/service.py",
-        )
+        stamp = "def terminate(reservation, now):\n    reservation.cancelled_at = now\n"
+        report = _scan(tmp_path, stamp, filename="control/lifecycle.py")
         assert _active(report, "GL004") == []
+        # The admission planes call the lifecycle core; neither stamps itself.
+        for k, former_owner in enumerate(("control/service.py", "gateway/gateway.py")):
+            report = _scan(tmp_path / str(k), stamp, filename=former_owner)
+            assert len(_active(report, "GL004")) == 1
 
     def test_fires_on_foreign_profile_segment_write(self, tmp_path):
         report = _scan(

@@ -220,14 +220,14 @@ class TestGL012TwoPhase:
         # The in-place reshape verb re-carves an existing reservation's
         # tail under the same rid on purpose (the rid never becomes a
         # broker idempotency key); the sanctioned exemption covers exactly
-        # the `_reshape_tail` method name.
+        # the `reshape_tail` function name.
         body = (
             "    release_from = max(now, reservation.allocation.sigma)\n"
             "    return Request(rid=reservation.rid, t0=release_from)\n"
         )
         report = _scan(
             tmp_path / "a",
-            f"def _reshape_tail(reservation, now):\n{body}",
+            f"def reshape_tail(reservation, now):\n{body}",
         )
         assert _active(report, "GL012") == []
         # Any other function reusing a rid still fires.

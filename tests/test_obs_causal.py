@@ -193,7 +193,7 @@ class TestExplainRequest:
         assert stories and all(s is not None for s in stories.values())
         for rid, story in stories.items():
             assert f"causal timeline for rid {rid}" in story
-            assert "gw_submit" in story
+            assert "journal    submit " in story
             assert "gateway.trace.decision" in story
         # Cross-shard admissions show both two-phase hops; local ones the
         # direct pair booking.  Every confirmed story has its protocol leg.

@@ -229,4 +229,40 @@ def test_journal_file_is_json_lines(tmp_path):
     lines = journal_path.read_text().strip().splitlines()
     assert len(lines) > 1
     ops = [json.loads(line) for line in lines]
-    assert any(op.get("op") == "gw_drain" for op in ops if isinstance(op, dict))
+    assert any(op.get("op") == "drain" for op in ops if isinstance(op, dict))
+
+
+def test_refused_delete_before_drain_moves_nothing(tmp_path):
+    """``DELETE`` of an unknown rid as the last request before the drain,
+    with the service clock ahead of the last journaled op: the 404 leaves
+    gateway state and journal untouched, and the successor resumes
+    snapshot-equal."""
+    journal_path = tmp_path / "refused.journal.jsonl"
+
+    async def run():
+        plan = SubmissionPlan(PLATFORM, 16, seed=5, mean_interarrival=0.5)
+        app = ServeApp(make_config(journal_path), clock=LogicalClock())
+        host, port = await app.start()
+        client = ServiceClient(host, port)
+        await client.connect()
+        resp = await client.request(
+            "POST",
+            "/v1/reservations/batch",
+            payload={"submissions": [plan.body(k) for k in range(16)]},
+        )
+        assert resp.status == 200
+        app.clock.advance(app.gateway.now + 30.0)
+        before, entries = app.gateway.snapshot(), len(app.journal)
+        resp = await client.request("DELETE", "/v1/reservations/999999")
+        assert resp.status == 404
+        assert app.gateway.snapshot() == before
+        assert len(app.journal) == entries
+        await client.close()
+        await app.drain()
+        return app
+
+    app = asyncio.run(run())
+    successor = ServeApp(make_config(journal_path), clock=LogicalClock())
+    assert successor.snapshot() == app.gateway.snapshot()
+    report = check_gateway(successor.gateway, journal=successor.journal, expect_quiesced=True)
+    assert report.ok, report.violations
