@@ -111,14 +111,13 @@ def plan_striped(
     # the interval shrinks), so the first horizon that works is optimal up
     # to that conservatism.
     candidates = {t_end}
-    points: list[float] = list(ledger.egress_timeline(egress).breakpoints())
-    points.extend(ledger.degradation_edges("egress", egress))
+    candidates.update(ledger.egress_timeline(egress).breakpoints_between(t_start, t_end))
     for s in sources:
-        points.extend(ledger.ingress_timeline(s).breakpoints())
-        points.extend(ledger.degradation_edges("ingress", s))
-    for t in points:
-        if t_start < t < t_end:
-            candidates.add(float(t))
+        candidates.update(ledger.ingress_timeline(s).breakpoints_between(t_start, t_end))
+    for side, port in (("egress", egress), *(("ingress", s) for s in sources)):
+        candidates.update(
+            float(t) for t in ledger.degradation_edges(side, port) if t_start < t < t_end
+        )
 
     def achievable_rate(horizon: float) -> float:
         free_egress = ledger.free_capacity("egress", egress, t_start, horizon)

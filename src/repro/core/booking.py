@@ -12,11 +12,17 @@ the pair's available capacity can change: usage breakpoints of both port
 timelines and, on degraded ledgers, the capacity-change instants.  Between
 two consecutive candidates the available capacity is constant, so checking
 only candidates is exhaustive.
+
+Every candidate is examined, but few are put to the ledger: a failed
+probe names the usage segment that blocked it, and later candidates that
+still overlap that segment at no lower a rate are failed from memory
+(:func:`_first_fit`; ``docs/CAPACITY.md``, "How the search skips").
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from collections.abc import Callable, Iterator
 from typing import Protocol, runtime_checkable
@@ -59,6 +65,10 @@ class LedgerView(Protocol):
     def free_capacity(self, side: str, port: int, t0: float, t1: float) -> float: ...
 
     def fits(self, ingress: int, egress: int, t0: float, t1: float, bw: float) -> bool: ...
+
+    def blocker(
+        self, ingress: int, egress: int, t0: float, t1: float, bw: float
+    ) -> tuple[float, float] | None: ...
 
 
 class RejectReason(enum.Enum):
@@ -141,6 +151,73 @@ def _min_rate_for(request: Request, sigma: float) -> float | None:
     return min(needed, request.max_rate)
 
 
+def _first_fit(
+    ledger: LedgerView,
+    request: Request,
+    rate_for: Callable[[float], float | None],
+    earliest: float,
+    limit: float,
+) -> tuple[Allocation | None, int, tuple[float, float] | None]:
+    """The one candidate walk behind every constant-rate book-ahead search.
+
+    Candidates are ``earliest`` plus every instant in ``(earliest,
+    t_end − vol/MaxRate]`` where the pair's free capacity can change, in
+    ascending order.  Each one gets ``rate_for(sigma)`` and its finish time
+    ``tau``; a candidate finishing after ``limit`` is skipped, the first
+    whose rate fits is returned.
+
+    What keeps a long walk cheap is the blocker memo: a failed probe
+    (:meth:`LedgerView.blocker`) names an interval ``[a, b)`` on which the
+    usage alone already rules out the tried rate, and a later candidate
+    with ``bw >= blocked rate``, ``sigma < b`` and ``tau > a`` is failed
+    without asking the ledger again.  The test is made per candidate on
+    that candidate's own rate and interval, so it is exact for *any*
+    ``rate_for`` — ``fits_under`` is monotone in usage and in rate — and
+    the result is the one the probe-every-candidate walk returns.  A
+    degraded ledger's empty blocker ``(t0, t0)`` never matches a later
+    start: there every candidate is probed.
+
+    ``limit`` is the caller's deadline bound, kept per caller on purpose:
+    :func:`earliest_fit` allows :func:`deadline_tolerance` (``1e-9``
+    relative with an absolute floor), the offline schedulers
+    ``t_end * (1 + 1e-12)``.  Under ``f × MaxRate`` a finish time can land
+    between the two, so one shared bound would flip decisions the golden
+    traces do not happen to cover.
+
+    Returns ``(allocation, examined, bounced)``: the uncommitted
+    allocation or ``None``; the number of candidates examined (0 only when
+    the start range is empty); and ``(sigma, tau)`` of the first candidate
+    that failed on capacity (``None`` when none got that far).
+    """
+    latest = request.t_end - request.min_duration
+    if latest < earliest:
+        return None, 0, None
+    ingress, egress, volume = request.ingress, request.egress, request.volume
+    starts = _pair_instants(ledger, request, earliest, latest)
+    starts.add(earliest)
+    examined = 0
+    bounced: tuple[float, float] | None = None
+    blocked_bw, blocked_from, blocked_until = math.inf, 0.0, 0.0
+    for sigma in sorted(starts):
+        examined += 1
+        bw = rate_for(sigma)
+        if bw is None or bw <= 0:
+            continue
+        tau = sigma + volume / bw
+        if tau > limit:
+            continue
+        if bw >= blocked_bw and sigma < blocked_until and tau > blocked_from:
+            continue
+        blocked = ledger.blocker(ingress, egress, sigma, tau, bw)
+        if blocked is None:
+            return Allocation.for_request(request, bw, sigma=sigma), examined, bounced
+        blocked_bw = bw
+        blocked_from, blocked_until = blocked
+        if bounced is None:
+            bounced = (sigma, tau)
+    return None, examined, bounced
+
+
 def earliest_fit(
     ledger: LedgerView,
     request: Request,
@@ -165,60 +242,36 @@ def earliest_fit(
     if rate_for is None:
         rate_for = lambda sigma: _min_rate_for(request, sigma)  # noqa: E731
     earliest = request.t_start if not_before is None else max(request.t_start, not_before)
-    latest = request.t_end - request.min_duration
-    if latest < earliest:
-        if probe is not None:
-            probe.reason = RejectReason.WINDOW_INFEASIBLE
-        _count_fit(request, candidates=0, accepted=False)
-        return None
-    starts = {earliest}
-    points: list[float] = list(ledger.ingress_timeline(request.ingress).breakpoints())
-    points.extend(ledger.egress_timeline(request.egress).breakpoints())
-    points.extend(ledger.degradation_edges("ingress", request.ingress))
-    points.extend(ledger.degradation_edges("egress", request.egress))
-    for t in points:
-        if earliest < t <= latest:
-            starts.add(float(t))
-    tol = deadline_tolerance(request.t_end)
-    examined = 0
-    saw_capacity_failure = False
-    first_headroom: tuple[float, float] | None = None
-    for sigma in sorted(starts):
-        examined += 1
-        bw = rate_for(sigma)
-        if bw is None or bw <= 0:
-            continue
-        tau = sigma + request.volume / bw
-        if tau > request.t_end + tol:
-            continue
-        if ledger.fits(request.ingress, request.egress, sigma, tau, bw):
-            if probe is not None:
-                probe.candidates = examined
-            _count_fit(request, candidates=examined, accepted=True)
-            return Allocation.for_request(request, bw, sigma=sigma)
-        saw_capacity_failure = True
-        if probe is not None and first_headroom is None:
-            first_headroom = (
-                ledger.free_capacity("ingress", request.ingress, sigma, tau),
-                ledger.free_capacity("egress", request.egress, sigma, tau),
-            )
+    allocation, examined, bounced = _first_fit(
+        ledger, request, rate_for, earliest, request.t_end + deadline_tolerance(request.t_end)
+    )
     if probe is not None:
         probe.candidates = examined
-        if first_headroom is not None:
-            probe.ingress_headroom, probe.egress_headroom = first_headroom
-        if saw_capacity_failure and first_headroom is not None:
-            ing_free, egr_free = first_headroom
-            probe.reason = (
-                RejectReason.INGRESS_FULL
-                if ing_free <= egr_free
-                else RejectReason.EGRESS_FULL
-            )
-        elif saw_capacity_failure:
-            probe.reason = RejectReason.INGRESS_FULL
-        else:
-            probe.reason = RejectReason.MINRATE_EXCEEDS_MAXRATE
-    _count_fit(request, candidates=examined, accepted=False)
-    return None
+        if allocation is None:
+            _blame(ledger, request, probe, bounced)
+    _count_fit(request, candidates=examined, accepted=allocation is not None)
+    return allocation
+
+
+def _blame(
+    ledger: LedgerView, request: Request, probe: FitProbe, bounced: tuple[float, float] | None
+) -> None:
+    """Fill ``probe`` for a failed constant-rate search (see :class:`RejectReason`).
+
+    ``bounced`` is the first capacity-failing ``(sigma, tau)``: the
+    headrooms there are recorded and the side that had less is blamed.
+    """
+    if probe.candidates == 0:
+        probe.reason = RejectReason.WINDOW_INFEASIBLE
+    elif bounced is None:
+        probe.reason = RejectReason.MINRATE_EXCEEDS_MAXRATE
+    else:
+        ing_free = ledger.free_capacity("ingress", request.ingress, *bounced)
+        egr_free = ledger.free_capacity("egress", request.egress, *bounced)
+        probe.ingress_headroom, probe.egress_headroom = ing_free, egr_free
+        probe.reason = (
+            RejectReason.INGRESS_FULL if ing_free <= egr_free else RejectReason.EGRESS_FULL
+        )
 
 
 def _count_fit(request: Request, *, candidates: int, accepted: bool) -> None:
@@ -237,16 +290,19 @@ def _count_fit(request: Request, *, candidates: int, accepted: bool) -> None:
     ).inc(float(candidates))
 
 
+def _pair_instants(ledger: LedgerView, request: Request, lo: float, hi: float) -> set[float]:
+    """Instants in ``(lo, hi]`` where the pair's free capacity can change."""
+    instants = set(ledger.ingress_timeline(request.ingress).breakpoints_between(lo, hi))
+    instants.update(ledger.egress_timeline(request.egress).breakpoints_between(lo, hi))
+    for side, port in (("ingress", request.ingress), ("egress", request.egress)):
+        instants.update(float(t) for t in ledger.degradation_edges(side, port) if lo < t <= hi)
+    return instants
+
+
 def _pair_edges(ledger: LedgerView, request: Request, lo: float, hi: float) -> list[float]:
     """Instants in ``(lo, hi)`` where the pair's residual capacity can change."""
-    edges: set[float] = set()
-    points: list[float] = list(ledger.ingress_timeline(request.ingress).breakpoints())
-    points.extend(ledger.egress_timeline(request.egress).breakpoints())
-    points.extend(ledger.degradation_edges("ingress", request.ingress))
-    points.extend(ledger.degradation_edges("egress", request.egress))
-    for t in points:
-        if lo < t < hi:
-            edges.add(float(t))
+    edges = _pair_instants(ledger, request, lo, hi)
+    edges.discard(hi)
     return sorted(edges)
 
 

@@ -20,6 +20,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from .checks import fits_under
 from .interface import CapacityProfile
 
 __all__ = ["BreakpointProfile"]
@@ -36,7 +37,8 @@ class BreakpointProfile(CapacityProfile):
         # indexing simple.
         self._breakpoints: list[float] = [-math.inf]
         self._values: list[float] = [0.0]
-        # Cached global_max; None after any mutation.
+        # Cached global_max; kept exact across positive adds, None after
+        # a release.
         self._peak: float | None = 0.0
 
     # ------------------------------------------------------------------
@@ -54,6 +56,16 @@ class BreakpointProfile(CapacityProfile):
         self._breakpoints.insert(idx + 1, t)
         self._values.insert(idx + 1, self._values[idx])
         return idx + 1
+
+    def _range_indices(self, t0: float, t1: float) -> tuple[int, int]:
+        """First and last index of the segments touching ``[t0, t1)``."""
+        if not (t1 > t0):
+            raise ValueError(f"empty interval [{t0}, {t1})")
+        i0 = self._segment_index(t0)
+        i1 = self._segment_index(t1)
+        if self._breakpoints[i1] == t1:  # gridlint: disable=GL003 -- breakpoint identity: half-open [t0, t1) excludes an exactly-aligned final segment
+            i1 -= 1
+        return i0, i1
 
     def _coalesce(self, lo: int, hi: int) -> None:
         """Merge equal-valued adjacent segments in index range [lo, hi]."""
@@ -75,10 +87,16 @@ class BreakpointProfile(CapacityProfile):
             return
         i0 = self._ensure_breakpoint(t0)
         i1 = self._ensure_breakpoint(t1)
+        values = self._values
         for k in range(i0, i1):
-            self._values[k] += delta
+            values[k] += delta
+        if delta > 0.0 and self._peak is not None:
+            # Every untouched value is still <= the old peak and every
+            # touched one only grew: the new peak is exact, not a bound.
+            self._peak = max(self._peak, max(values[i0:i1]))
+        else:
+            self._peak = None
         self._coalesce(i0 - 1, i1 + 1)
-        self._peak = None
 
     def clear(self) -> None:
         self._breakpoints = [-math.inf]
@@ -92,21 +110,11 @@ class BreakpointProfile(CapacityProfile):
         return self._values[self._segment_index(t)]
 
     def max_usage(self, t0: float, t1: float) -> float:
-        if not (t1 > t0):
-            raise ValueError(f"empty interval [{t0}, {t1})")
-        i0 = self._segment_index(t0)
-        i1 = self._segment_index(t1)
-        if self._breakpoints[i1] == t1:  # gridlint: disable=GL003 -- breakpoint identity: half-open [t0, t1) excludes an exactly-aligned final segment
-            i1 -= 1
+        i0, i1 = self._range_indices(t0, t1)
         return max(self._values[i0 : i1 + 1])
 
     def min_usage(self, t0: float, t1: float) -> float:
-        if not (t1 > t0):
-            raise ValueError(f"empty interval [{t0}, {t1})")
-        i0 = self._segment_index(t0)
-        i1 = self._segment_index(t1)
-        if self._breakpoints[i1] == t1:  # gridlint: disable=GL003 -- breakpoint identity: half-open [t0, t1) excludes an exactly-aligned final segment
-            i1 -= 1
+        i0, i1 = self._range_indices(t0, t1)
         return min(self._values[i0 : i1 + 1])
 
     def segments(
@@ -128,7 +136,25 @@ class BreakpointProfile(CapacityProfile):
             yield (seg_start, seg_end, self._values[k])
 
     def breakpoints(self) -> np.ndarray:
-        return np.array([t for t in self._breakpoints if math.isfinite(t)], dtype=np.float64)
+        return np.array(self._breakpoints[1:], dtype=np.float64)
+
+    def breakpoints_between(self, lo: float, hi: float) -> list[float]:
+        points = self._breakpoints
+        # bisect_right(points, lo) >= 1: the -inf sentinel is never returned.
+        return points[bisect_right(points, lo) : bisect_right(points, hi)]
+
+    def blocker(
+        self, t0: float, t1: float, bw: float, capacity: float
+    ) -> tuple[float, float] | None:
+        i0, i1 = self._range_indices(t0, t1)
+        points = self._breakpoints
+        values = self._values
+        if fits_under(max(values[i0 : i1 + 1]), bw, capacity):
+            return None
+        k = i1
+        while fits_under(values[k], bw, capacity):
+            k -= 1
+        return points[k], (points[k + 1] if k + 1 < len(points) else math.inf)
 
     @property
     def num_segments(self) -> int:

@@ -11,6 +11,8 @@ piecewise-constant function ``usage(t)`` over the real line supporting
 - **point query** (:meth:`~CapacityProfile.usage_at`),
 - **integral** (:meth:`~CapacityProfile.integral`),
 - **segment iteration** (:meth:`~CapacityProfile.segments`),
+- **the search's two reads** (:meth:`~CapacityProfile.breakpoints_between`,
+  :meth:`~CapacityProfile.blocker`),
 - **copy / snapshot** (:meth:`~CapacityProfile.copy`).
 
 One production class implements it, the breakpoint-list
@@ -130,6 +132,31 @@ class CapacityProfile:
         """The finite breakpoints as a numpy array."""
         raise NotImplementedError
 
+    def breakpoints_between(self, lo: float, hi: float) -> list[float]:
+        """The finite breakpoints ``t`` with ``lo < t <= hi``, ascending.
+
+        What a book-ahead search needs of a port's history: the instants
+        inside one request's start range, not the whole timeline.
+        """
+        return [float(t) for t in self.breakpoints() if lo < t <= hi]
+
+    def blocker(
+        self, t0: float, t1: float, bw: float, capacity: float
+    ) -> tuple[float, float] | None:
+        """Why ``bw`` does not fit under ``capacity`` over ``[t0, t1)``.
+
+        ``None`` when ``fits_under(max_usage(t0, t1), bw, capacity)``.
+        Otherwise the bounds ``(a, b)`` of the *last* stored segment
+        touching ``[t0, t1)`` whose usage alone already fails
+        :func:`~repro.core.capacity.checks.fits_under` — unclipped, so
+        ``a`` may lie before ``t0`` (or be ``-inf``) and ``b`` beyond
+        ``t1`` (or be ``+inf``).  Any rate ``>= bw`` over any interval
+        overlapping ``[a, b)`` fails the same test for as long as the
+        profile is not mutated; ``docs/CAPACITY.md`` ("How the search
+        skips") has the argument.
+        """
+        raise NotImplementedError
+
     @property
     def num_segments(self) -> int:
         """Current number of stored segments (profile compactness metric)."""
@@ -139,8 +166,10 @@ class CapacityProfile:
         """Maximum usage over all time.
 
         Subclasses cache this — it is the all-time peak behind the
-        gateway's headroom fast path, probed once per admission — and
-        invalidate the cache on every mutation.
+        gateway's headroom fast path, probed twice per admission.  The
+        production class keeps the cache exact across bookings (a
+        positive range add can only raise the peak to the new maximum of
+        the touched range) and drops it on releases.
         """
         raise NotImplementedError
 

@@ -40,6 +40,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
+from .checks import fits_under
 from .interface import CapacityProfile
 
 __all__ = ["VectorProfile"]
@@ -223,6 +224,18 @@ class VectorProfile(CapacityProfile):
     def breakpoints(self) -> np.ndarray:
         pts = self._breakpoints
         return pts[np.isfinite(pts)].copy()
+
+    def blocker(
+        self, t0: float, t1: float, bw: float, capacity: float
+    ) -> tuple[float, float] | None:
+        i0, i1 = self._range_indices(t0, t1)
+        # Element-wise over the window: same IEEE additions as the scalar form.
+        failing = np.flatnonzero(~fits_under(self._values[i0 : i1 + 1], bw, capacity))
+        if failing.size == 0:
+            return None
+        k = i0 + int(failing[-1])
+        end = float(self._breakpoints[k + 1]) if k + 1 < len(self._breakpoints) else math.inf
+        return float(self._breakpoints[k]), end
 
     @property
     def num_segments(self) -> int:

@@ -201,6 +201,27 @@ class PortLedger:
             return False
         return True
 
+    def blocker(
+        self, ingress: int, egress: int, t0: float, t1: float, bw: float
+    ) -> tuple[float, float] | None:
+        """``None`` when :meth:`fits`; else an interval that keeps failing.
+
+        On constant capacities the answer is the kernel's
+        (:meth:`~repro.core.capacity.CapacityProfile.blocker`): the
+        blocking segment ``[a, b)`` of the ingress port, or else of the
+        egress port — the order :meth:`fits` tests them in.  Until the
+        ledger is mutated, any rate ``>= bw`` over any interval
+        overlapping ``[a, b)`` fails :meth:`fits` too, which is what lets
+        :func:`~repro.core.booking.earliest_fit` fail later candidates
+        without asking again.  A degraded port answers with the empty
+        ``(t0, t0)``: nothing overlaps it, so nothing is learned and every
+        candidate is probed as before.
+        """
+        if self._ingress_red[ingress] is None and self._egress_red[egress] is None:
+            blocked = self._ingress[ingress].blocker(t0, t1, bw, self.platform.bin(ingress))
+            return blocked or self._egress[egress].blocker(t0, t1, bw, self.platform.bout(egress))
+        return None if self.fits(ingress, egress, t0, t1, bw) else (t0, t0)
+
     def headroom(self, ingress: int, egress: int, t0: float, t1: float) -> float:
         """Largest constant bandwidth allocatable on the pair over ``[t0, t1)``."""
         return min(

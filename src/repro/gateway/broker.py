@@ -241,6 +241,15 @@ class ShardBroker:
             return self._owned_ledger.fits_segments(ingress, egress, segments)
         return self._owned_ledger.fits(ingress, egress, t0, t1, bw)
 
+    def pair_blocker(
+        self, ingress: int, egress: int, t0: float, t1: float, bw: float
+    ) -> tuple[float, float] | None:
+        """:meth:`pair_fits` for the search: ``None`` when it fits, else
+        the interval :meth:`PortLedger.blocker` says keeps failing."""
+        self._require_owned("ingress", ingress)
+        self._require_owned("egress", egress)
+        return self._owned_ledger.blocker(ingress, egress, t0, t1, bw)
+
     # ------------------------------------------------------------------
     # Mutation surface (the GL008-guarded owner of the slices)
     # ------------------------------------------------------------------

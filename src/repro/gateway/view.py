@@ -76,13 +76,34 @@ class PairLedgerView:
         """Guaranteed free bandwidth on either port over ``[t0, t1)``."""
         return self._broker_for(side, port).free_capacity(side, port, t0, t1)
 
-    def fits(self, ingress: int, egress: int, t0: float, t1: float, bw: float) -> bool:
-        """Joint pair fit, local-delegated or stitched across shards."""
+    def _require_pair(self, ingress: int, egress: int) -> None:
         if ingress != self.ingress or egress != self.egress:
             raise ConfigurationError(
                 f"pair view for ({self.ingress}, {self.egress}) asked about "
                 f"({ingress}, {egress})"
             )
+
+    def blocker(
+        self, ingress: int, egress: int, t0: float, t1: float, bw: float
+    ) -> tuple[float, float] | None:
+        """:meth:`fits` for the search, answering as
+        :meth:`PortLedger.blocker <repro.core.ledger.PortLedger.blocker>`
+        does: ``None`` when the rate fits, else an interval that keeps
+        failing (the empty ``(t0, t0)`` when either port is degraded)."""
+        self._require_pair(ingress, egress)
+        if self._local:
+            return self.ingress_broker.pair_blocker(ingress, egress, t0, t1, bw)
+        in_degraded = self.ingress_broker.has_degradations("ingress", ingress)
+        out_degraded = self.egress_broker.has_degradations("egress", egress)
+        if in_degraded or out_degraded:
+            return None if self.fits(ingress, egress, t0, t1, bw) else (t0, t0)
+        platform = self.ingress_broker.platform
+        blocked = self.ingress_timeline(ingress).blocker(t0, t1, bw, platform.bin(ingress))
+        return blocked or self.egress_timeline(egress).blocker(t0, t1, bw, platform.bout(egress))
+
+    def fits(self, ingress: int, egress: int, t0: float, t1: float, bw: float) -> bool:
+        """Joint pair fit, local-delegated or stitched across shards."""
+        self._require_pair(ingress, egress)
         if self._local:
             return self.ingress_broker.pair_fits(ingress, egress, t0, t1, bw)
         platform = self.ingress_broker.platform

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.allocation import Allocation, ScheduleResult
-from ..core.booking import RejectReason, shape_profile
+from ..core.booking import RejectReason, _first_fit, shape_profile
 from ..core.ledger import PortLedger
 from ..core.problem import ProblemInstance
 from ..core.request import Request
@@ -27,7 +27,31 @@ from ..obs.telemetry import get_telemetry
 from .base import Scheduler
 from .policies import BandwidthPolicy, MinRatePolicy
 
-__all__ = ["EarliestStartFlexible", "GuaranteedProfile"]
+__all__ = ["EarliestStartFlexible", "GuaranteedProfile", "book_ahead"]
+
+
+def book_ahead(
+    ledger: PortLedger, request: Request, policy: BandwidthPolicy
+) -> tuple[Allocation | None, int]:
+    """Book ``request`` at its earliest feasible start, if it has one.
+
+    The candidate walk is :func:`repro.core.booking.earliest_fit`'s, under
+    the offline schedulers' own deadline bound ``t_end * (1 + 1e-12)``.
+    Returns the committed allocation (``None`` when no start fits) and the
+    number of candidate starts examined.
+    """
+    allocation, examined, _ = _first_fit(
+        ledger,
+        request,
+        lambda sigma: policy.assign(request, sigma),
+        request.t_start,
+        request.t_end * (1 + 1e-12),
+    )
+    if allocation is not None:
+        ledger.allocate(
+            allocation.ingress, allocation.egress, allocation.sigma, allocation.tau, allocation.bw
+        )
+    return allocation, examined
 
 
 @dataclass
@@ -50,20 +74,6 @@ class EarliestStartFlexible(Scheduler):
     def __post_init__(self) -> None:
         self.name = f"bookahead[{self.policy.name}]"
 
-    def _candidate_starts(self, ledger: PortLedger, request: Request) -> list[float]:
-        latest = request.t_end - request.min_duration
-        if latest < request.t_start:
-            return []
-        starts = {request.t_start}
-        for timeline in (
-            ledger.ingress_timeline(request.ingress),
-            ledger.egress_timeline(request.egress),
-        ):
-            for t in timeline.breakpoints():
-                if request.t_start < t <= latest:
-                    starts.add(float(t))
-        return sorted(starts)
-
     def _admit(
         self, ledger: PortLedger, request: Request
     ) -> tuple[Allocation | None, int, str]:
@@ -73,19 +83,8 @@ class EarliestStartFlexible(Scheduler):
         the allocation is ``None`` on rejection.  Subclasses override this
         to append fallback admission modes after the constant-rate search.
         """
-        examined = 0
-        for sigma in self._candidate_starts(ledger, request):
-            examined += 1
-            bw = self.policy.assign(request, sigma)
-            if bw is None:
-                continue
-            tau = sigma + request.volume / bw
-            if tau > request.t_end * (1 + 1e-12):
-                continue
-            if ledger.fits(request.ingress, request.egress, sigma, tau, bw):
-                ledger.allocate(request.ingress, request.egress, sigma, tau, bw)
-                return Allocation.for_request(request, bw, sigma=sigma), examined, ""
-        return None, examined, "capacity"
+        allocation, examined = book_ahead(ledger, request, self.policy)
+        return allocation, examined, "" if allocation is not None else "capacity"
 
     def schedule(self, problem: ProblemInstance) -> ScheduleResult:
         result = self._new_result(policy=self.policy.name)

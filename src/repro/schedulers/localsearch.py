@@ -26,6 +26,7 @@ from ..core.ledger import PortLedger
 from ..core.problem import ProblemInstance
 from ..core.request import Request
 from ..obs.telemetry import get_telemetry
+from .advance import book_ahead
 from .base import Scheduler
 from .policies import BandwidthPolicy, MinRatePolicy
 
@@ -51,29 +52,10 @@ def _decode_flexible(
     result = ScheduleResult(scheduler="localsearch-decode")
     ledger = PortLedger(problem.platform)
     for request in order:
-        booked = False
-        latest = request.t_end - request.min_duration
-        starts = {request.t_start}
-        for timeline in (
-            ledger.ingress_timeline(request.ingress),
-            ledger.egress_timeline(request.egress),
-        ):
-            for t in timeline.breakpoints():
-                if request.t_start < t <= latest:
-                    starts.add(float(t))
-        for sigma in sorted(starts):
-            bw = policy.assign(request, sigma)
-            if bw is None:
-                continue
-            tau = sigma + request.volume / bw
-            if tau > request.t_end * (1 + 1e-12):
-                continue
-            if ledger.fits(request.ingress, request.egress, sigma, tau, bw):
-                ledger.allocate(request.ingress, request.egress, sigma, tau, bw)
-                result.accept(Allocation.for_request(request, bw, sigma=sigma))
-                booked = True
-                break
-        if not booked:
+        allocation, _ = book_ahead(ledger, request, policy)
+        if allocation is not None:
+            result.accept(allocation)
+        else:
             result.reject(request.rid)
     return result
 

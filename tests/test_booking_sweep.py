@@ -1,0 +1,335 @@
+"""The book-ahead search against a naive oracle, and its work gate.
+
+:func:`repro.core.booking.earliest_fit` fails most candidate starts from a
+remembered blocker instead of probing the ledger (``docs/CAPACITY.md``,
+"How the search skips").  The oracle below is the walk it replaced,
+written out: candidates from each port's *whole* ``breakpoints()``, every
+candidate through ``ledger.fits``.  On seeded random ledgers — plain,
+one side degraded, both sides degraded; a ``PortLedger`` and the
+gateway's stitched ``PairLedgerView`` — and under every bandwidth policy
+plus a deliberately non-monotone ``rate_for``, both must return equal
+``Allocation``s and equal ``FitProbe``s (candidate count, reason, both
+headrooms).
+
+A degraded port answers a failed probe with the empty blocker
+``(t0, t0)``: nothing is skipped there, every candidate is probed as
+before.  ``test_degraded_pairs_probe_every_candidate`` pins that this is
+what happens, and the differential cases pin that it decides identically.
+
+The last test is the deterministic work gate: probe and candidate counts
+repeat exactly, so "how many questions does a hotspot search ask" is
+gated on counts, without a clock.
+"""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from repro.core import Degradation, Platform, PortLedger, Request
+from repro.core.booking import (
+    FitProbe,
+    RejectReason,
+    book_earliest,
+    deadline_tolerance,
+    earliest_fit,
+)
+from repro.core.allocation import Allocation
+from repro.gateway import ShardBroker, ShardMap
+from repro.gateway.view import PairLedgerView
+from repro.schedulers.policies import FractionOfMaxPolicy, FullRatePolicy, MinRatePolicy
+
+PORTS = 4
+CAPACITY = 100.0
+SEEDS = [0, 1, 2, 3, 5, 8]
+DEGRADED = {"plain": (), "ingress-degraded": ("ingress",), "both-degraded": ("ingress", "egress")}
+
+
+def naive_earliest_fit(ledger, request, rate_for, *, not_before=None):
+    """The probe-every-candidate walk; returns ``(allocation, probe)``."""
+    probe = FitProbe()
+    earliest = request.t_start if not_before is None else max(request.t_start, not_before)
+    latest = request.t_end - request.min_duration
+    if latest < earliest:
+        probe.reason = RejectReason.WINDOW_INFEASIBLE
+        return None, probe
+    starts = {earliest}
+    points = list(ledger.ingress_timeline(request.ingress).breakpoints())
+    points.extend(ledger.egress_timeline(request.egress).breakpoints())
+    points.extend(ledger.degradation_edges("ingress", request.ingress))
+    points.extend(ledger.degradation_edges("egress", request.egress))
+    for t in points:
+        if earliest < t <= latest:
+            starts.add(float(t))
+    tol = deadline_tolerance(request.t_end)
+    first_headroom = None
+    for sigma in sorted(starts):
+        probe.candidates += 1
+        bw = rate_for(sigma)
+        if bw is None or bw <= 0:
+            continue
+        tau = sigma + request.volume / bw
+        if tau > request.t_end + tol:
+            continue
+        if ledger.fits(request.ingress, request.egress, sigma, tau, bw):
+            return Allocation.for_request(request, bw, sigma=sigma), probe
+        if first_headroom is None:
+            first_headroom = (
+                ledger.free_capacity("ingress", request.ingress, sigma, tau),
+                ledger.free_capacity("egress", request.egress, sigma, tau),
+            )
+    if first_headroom is None:
+        probe.reason = RejectReason.MINRATE_EXCEEDS_MAXRATE
+    else:
+        probe.ingress_headroom, probe.egress_headroom = first_headroom
+        probe.reason = (
+            RejectReason.INGRESS_FULL
+            if first_headroom[0] <= first_headroom[1]
+            else RejectReason.EGRESS_FULL
+        )
+    return None, probe
+
+
+# ----------------------------------------------------------------------
+# Seeded worlds: one booking list, served by a PortLedger or by brokers
+# ----------------------------------------------------------------------
+def _world(seed, degraded_sides):
+    """Random admitted bookings and degradations on a small busy platform."""
+    rng = random.Random(seed)
+    platform = Platform.uniform(PORTS, PORTS, CAPACITY)
+    ledger = PortLedger(platform)
+    bookings = []
+    for _ in range(90):
+        i, e = rng.randrange(PORTS), rng.randrange(PORTS)
+        t0 = rng.uniform(0.0, 600.0)
+        t1 = t0 + rng.uniform(4.0, 90.0)
+        bw = rng.uniform(5.0, 55.0)
+        if ledger.fits(i, e, t0, t1, bw):
+            ledger.allocate(i, e, t0, t1, bw)
+            bookings.append((i, e, t0, t1, bw))
+    degradations = []
+    for side in degraded_sides:
+        for port in range(PORTS):
+            for _ in range(3):
+                t0 = rng.uniform(0.0, 600.0)
+                degradations.append(
+                    Degradation(side, port, t0, t0 + rng.uniform(5.0, 80.0), rng.uniform(10.0, 100.0))
+                )
+    for degradation in degradations:
+        ledger.degrade(degradation)
+    return rng, platform, ledger, bookings, degradations
+
+
+def _brokers(platform, bookings, degradations, num_shards=2):
+    """The same world on shard brokers (port ``p`` lives on shard ``p % 2``)."""
+    shard_map = ShardMap(platform, num_shards)
+    brokers = [ShardBroker(s, shard_map) for s in range(num_shards)]
+    for i, e, t0, t1, bw in bookings:
+        brokers[shard_map.shard_of("ingress", i)].restore("ingress", i, ((t0, t1, bw),))
+        brokers[shard_map.shard_of("egress", e)].restore("egress", e, ((t0, t1, bw),))
+    for degradation in degradations:
+        brokers[shard_map.shard_of(degradation.side, degradation.port)].degrade(degradation)
+    return shard_map, brokers
+
+
+def _requests(rng, n=40):
+    for rid in range(n):
+        t_start = rng.uniform(0.0, 450.0)
+        window = rng.uniform(20.0, 260.0)
+        yield Request(
+            rid=rid,
+            ingress=rng.randrange(PORTS),
+            egress=rng.randrange(PORTS),
+            volume=window * rng.uniform(3.0, 45.0),
+            t_start=t_start,
+            t_end=t_start + window,
+            max_rate=CAPACITY,
+        )
+
+
+def _zigzag(request):
+    """A ``rate_for`` no policy would write: not monotone in ``sigma``.
+
+    Bounces between the deadline floor and MaxRate with the phase of the
+    candidate start, and has no rate at all for some starts — the memo
+    must stay exact when a later candidate asks for *less* than the
+    blocked rate.
+    """
+
+    def rate_for(sigma):
+        floor = MinRatePolicy().assign(request, sigma)
+        phase = (math.sin(sigma * 12.9898) + 1.0) / 2.0
+        if floor is None or phase < 0.08:
+            return None
+        return floor + phase * (request.max_rate - floor)
+
+    return rate_for
+
+
+def _policy(policy):
+    return lambda request: lambda sigma: policy.assign(request, sigma)
+
+
+RATE_RULES = {
+    "min-bw": _policy(MinRatePolicy()),
+    "f=0.5": _policy(FractionOfMaxPolicy(0.5)),
+    "full-rate": _policy(FullRatePolicy()),
+    "zigzag": _zigzag,
+}
+
+
+def _assert_same_search(ledger, request, rate_for, not_before):
+    expected, expected_probe = naive_earliest_fit(
+        ledger, request, rate_for, not_before=not_before
+    )
+    probe = FitProbe()
+    allocation = earliest_fit(ledger, request, rate_for, not_before=not_before, probe=probe)
+    assert allocation == expected
+    assert probe == expected_probe
+    # Without a probe the search decides the same (it skips the headroom reads).
+    assert earliest_fit(ledger, request, rate_for, not_before=not_before) == expected
+    return allocation, probe
+
+
+@pytest.mark.parametrize("rule", RATE_RULES)
+@pytest.mark.parametrize("degraded", DEGRADED)
+def test_port_ledger_search_equals_naive_walk(degraded, rule):
+    late_accepts = capacity_rejects = deepest = 0
+    for seed in SEEDS:
+        rng, _, ledger, _, _ = _world(seed, DEGRADED[degraded])
+        for request in _requests(rng):
+            not_before = request.t_start + 7.5 if request.rid % 5 == 0 else None
+            allocation, probe = _assert_same_search(
+                ledger, request, RATE_RULES[rule](request), not_before
+            )
+            late_accepts += allocation is not None and probe.candidates > 1
+            capacity_rejects += probe.ingress_headroom is not None
+            deepest = max(deepest, probe.candidates)
+            if allocation is not None and request.rid % 2:
+                # Keep the ledger moving: later requests search a profile
+                # the earlier ones changed.
+                ledger.allocate(
+                    request.ingress, request.egress, allocation.sigma, allocation.tau, allocation.bw
+                )
+    # The streams must reach accepts past the first candidate, capacity
+    # rejects and deep scans, or the equalities above compare nothing.
+    assert late_accepts >= 10
+    assert capacity_rejects >= 10
+    assert deepest >= 20
+
+
+@pytest.mark.parametrize("rule", RATE_RULES)
+@pytest.mark.parametrize("degraded", DEGRADED)
+def test_pair_view_search_equals_naive_walk(degraded, rule):
+    cross_shard = 0
+    for seed in SEEDS[:3]:
+        rng, platform, ledger, bookings, degradations = _world(seed, DEGRADED[degraded])
+        shard_map, brokers = _brokers(platform, bookings, degradations)
+        for request in _requests(rng):
+            view = PairLedgerView(
+                brokers[shard_map.shard_of("ingress", request.ingress)],
+                brokers[shard_map.shard_of("egress", request.egress)],
+                request.ingress,
+                request.egress,
+            )
+            cross_shard += not view.is_local
+            rate_for = RATE_RULES[rule](request)
+            allocation, probe = _assert_same_search(view, request, rate_for, None)
+            # ... and the stitched view answers like the one ledger holding it all.
+            ledger_probe = FitProbe()
+            assert earliest_fit(ledger, request, rate_for, probe=ledger_probe) == allocation
+            assert ledger_probe == probe
+    assert cross_shard >= 30
+
+
+# ----------------------------------------------------------------------
+# What the memo does and does not skip
+# ----------------------------------------------------------------------
+@pytest.fixture
+def blocker_calls(monkeypatch):
+    """Counts ``PortLedger.blocker`` calls (the search's only capacity probe)."""
+    calls = []
+    original = PortLedger.blocker
+
+    def counting(self, ingress, egress, t0, t1, bw):
+        calls.append((t0, t1, bw))
+        return original(self, ingress, egress, t0, t1, bw)
+
+    monkeypatch.setattr(PortLedger, "blocker", counting)
+    return calls
+
+
+def test_one_hot_segment_costs_one_probe(blocker_calls):
+    ledger = PortLedger(Platform.uniform(1, 1, CAPACITY))
+    # Forty breakpoints of low usage, all under one long 90 MB/s booking.
+    ledger.allocate(0, 0, 0.0, 500.0, 90.0)
+    for k in range(20):
+        ledger.allocate(0, 0, 10.0 + 20.0 * k, 20.0 + 20.0 * k, 5.0)
+    request = Request(
+        rid=0, ingress=0, egress=0, volume=20000.0, t_start=0.0, t_end=700.0, max_rate=CAPACITY
+    )
+    probe = FitProbe()
+    allocation = earliest_fit(ledger, request, probe=probe)
+    # The first probe bounces off the last hot segment, [400, 500); every
+    # start before 500 is failed from memory; the probe at 500 fits.
+    assert allocation is not None and allocation.sigma == 500.0
+    assert probe.candidates == 42
+    assert len(blocker_calls) == 2
+
+
+def test_degraded_pairs_probe_every_candidate(blocker_calls):
+    platform = Platform.uniform(1, 1, CAPACITY)
+    ledger = PortLedger(platform)
+    ledger.allocate(0, 0, 0.0, 500.0, 90.0)
+    for k in range(20):
+        ledger.allocate(0, 0, 10.0 + 20.0 * k, 20.0 + 20.0 * k, 5.0)
+    ledger.degrade(Degradation("egress", 0, 800.0, 900.0, 10.0))
+    assert ledger.blocker(0, 0, 0.0, 100.0, 50.0) == (0.0, 0.0)
+    blocker_calls.clear()
+    request = Request(
+        rid=0, ingress=0, egress=0, volume=20000.0, t_start=0.0, t_end=700.0, max_rate=CAPACITY
+    )
+    probe = FitProbe()
+    allocation = earliest_fit(ledger, request, probe=probe)
+    assert allocation is not None and allocation.sigma == 500.0
+    assert probe.candidates == 42
+    assert len(blocker_calls) == 42
+
+
+# ----------------------------------------------------------------------
+# Deterministic work gate
+# ----------------------------------------------------------------------
+def _hotspot_stream(seed, n, ports=16, capacity=1000.0):
+    """The ``serve_hot`` traffic shape: long transfers into four hot ports."""
+    rng = np.random.default_rng([seed, 2])
+    at = np.cumsum(rng.exponential(1.0, n))
+    volume = np.exp(rng.uniform(np.log(1e3), np.log(2e5), n))
+    window = np.maximum(rng.uniform(600.0, 7200.0, n), volume / capacity) + 60.0
+    weights = np.where(np.arange(ports) < 4, 4.0, 1.0)
+    weights /= weights.sum()
+    ingress = rng.choice(ports, n, p=weights)
+    egress = rng.choice(ports, n, p=weights)
+    for rid in range(n):
+        yield Request(
+            rid=rid,
+            ingress=int(ingress[rid]),
+            egress=int(egress[rid]),
+            volume=float(volume[rid]),
+            t_start=float(at[rid]),
+            t_end=float(at[rid] + window[rid]),
+            max_rate=capacity,
+        )
+
+
+def test_hotspot_search_asks_few_questions(blocker_calls):
+    """4,016 hotspot requests: many candidates per search, few probes."""
+    ledger = PortLedger(Platform.uniform(16, 16, 1000.0))
+    searches = candidates = 0
+    for request in _hotspot_stream(1, 4016):
+        probe = FitProbe()
+        book_earliest(ledger, request, probe=probe)
+        searches += 1
+        candidates += probe.candidates
+    assert candidates / searches >= 50
+    assert len(blocker_calls) / searches <= 8

@@ -113,6 +113,54 @@ class TestProfileContract:
         profile.clear()
         assert profile.global_max() == 0.0
 
+    def test_global_max_equals_scan_after_random_adds_and_releases(self, profile):
+        # The production class keeps its peak cache warm across bookings
+        # (positive adds) and drops it on releases; either way the answer
+        # is the from-scratch maximum, bit for bit.
+        rng = random.Random(11)
+        live = []
+        for step in range(400):
+            if live and rng.random() < 0.4:
+                t0, t1, bw = live.pop(rng.randrange(len(live)))
+                profile.add(t0, t1, -bw)
+            else:
+                t0 = rng.uniform(0.0, 500.0)
+                booking = (t0, t0 + rng.uniform(0.1, 120.0), rng.uniform(0.5, 90.0))
+                profile.add(*booking)
+                live.append(booking)
+            if step % 3:
+                # Not every step: leaves runs of mutations between reads,
+                # warm cache and dropped cache alike.
+                assert profile.global_max() == max(
+                    [0.0, *(value for _, _, value in profile.segments())]
+                )
+
+    def test_breakpoints_between_is_half_open_on_the_left(self, profile):
+        profile.add(1.0, 2.0, 1.0)
+        profile.add(4.0, 8.0, 1.0)
+        assert profile.breakpoints_between(-math.inf, math.inf) == [1.0, 2.0, 4.0, 8.0]
+        assert profile.breakpoints_between(1.0, 4.0) == [2.0, 4.0]
+        assert profile.breakpoints_between(2.5, 3.5) == []
+        assert all(type(t) is float for t in profile.breakpoints_between(0.0, 9.0))
+
+    def test_blocker_names_the_last_failing_segment(self, profile):
+        profile.add(0.0, 10.0, 60.0)
+        profile.add(20.0, 30.0, 80.0)
+        profile.add(40.0, 50.0, 10.0)
+        assert profile.blocker(0.0, 60.0, 15.0, 100.0) is None
+        # 30 fits over [0, 10) (60 + 30) but not over [20, 30) (80 + 30).
+        assert profile.blocker(0.0, 60.0, 30.0, 100.0) == (20.0, 30.0)
+        assert profile.blocker(5.0, 25.0, 50.0, 100.0) == (20.0, 30.0)
+        assert profile.blocker(5.0, 15.0, 50.0, 100.0) == (0.0, 10.0)
+        assert profile.blocker(12.0, 15.0, 50.0, 100.0) is None
+        # Half-open: a window ending where the hot segment starts is clear of it.
+        assert profile.blocker(12.0, 20.0, 50.0, 100.0) is None
+        # A rate above the capacity is blocked by the empty tails themselves.
+        assert profile.blocker(55.0, 60.0, 101.0, 100.0) == (50.0, math.inf)
+        assert profile.blocker(-5.0, -1.0, 101.0, 100.0) == (-math.inf, 0.0)
+        with pytest.raises(ValueError):
+            profile.blocker(4.0, 4.0, 1.0, 100.0)
+
     def test_open_ended_max_tracks_mutations(self, profile):
         # Exercises the oracle's suffix-max cache across invalidations;
         # the production class answers by scan.

@@ -7,7 +7,10 @@ interleaving of mutations
 (allocate-style adds, releases of previously-added intervals,
 degradation-style negative adds) and queries (``usage_at`` /
 ``max_usage`` / ``min_usage`` / ``integral`` / ``segments``), asserting
-agreement within :data:`repro.units.REL_TOL` at every step.  The
+agreement within :data:`repro.units.REL_TOL` at every step.  The two
+reads the book-ahead search lives on (``breakpoints_between`` /
+``blocker``) are compared with ``==`` at every check: a search that
+skips candidates on their answers needs them exact, not close.  The
 deliberate tolerance is belt-and-braces: the two classes are designed to be
 *bit*-identical (same insertion positions, same addition order), and the
 stricter exact check runs on the final segment lists.
@@ -22,7 +25,7 @@ import pytest
 
 import numpy as np
 
-from repro.core.capacity import BreakpointProfile
+from repro.core.capacity import BreakpointProfile, fits_under
 from repro.core.capacity.vector import VectorProfile
 from repro.units import close
 
@@ -48,6 +51,16 @@ def _assert_profiles_agree(bp, vec, rng, horizon=1000.0):
     assert close(bp.integral(q0, q1), vec.integral(q0, q1))
     assert close(bp.global_max(), vec.global_max())
     assert close(bp.max_usage(q0, math.inf), vec.max_usage(q0, math.inf))
+    assert bp.breakpoints_between(q0, q1) == vec.breakpoints_between(q0, q1)
+    assert bp.breakpoints_between(-math.inf, q1) == vec.breakpoints_between(-math.inf, q1)
+    # Capacities around the usage actually present, so that "fits",
+    # "blocked by the last segment" and "blocked further back" all occur.
+    peak = max(bp.max_usage(q0, q1), 1.0)
+    for capacity in (0.5 * peak, peak, 1.5 * peak):
+        for bw in (0.0, 0.3 * peak, 0.6 * peak, 2.0 * peak):
+            blocked = bp.blocker(q0, q1, bw, capacity)
+            assert blocked == vec.blocker(q0, q1, bw, capacity)
+            assert (blocked is None) == fits_under(bp.max_usage(q0, q1), bw, capacity)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -145,6 +158,8 @@ class TestErrorParity:
                 method(8.0, 2.0)
             with pytest.raises(ValueError):
                 method(4.0, 4.0)
+        with pytest.raises(ValueError):
+            profile.blocker(8.0, 2.0, 1.0, 10.0)
 
     def test_mutation_failure_leaves_profile_usable(self, kernel):
         profile = kernel()
