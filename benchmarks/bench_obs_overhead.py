@@ -15,10 +15,18 @@ context) must make byte-identical admission decisions to the same run
 under :class:`~repro.obs.telemetry.NullTelemetry` and stay within 5% of
 its simulated-cost throughput — the same currency ``bench_chaos``
 gates the disabled chaos plane in.  Tracing observes, it never rides
-the simulated critical path.  Wall-clock times for both runs are
-recorded alongside (not gated: recording thousands of spans in pure
-Python costs real wall time by design; the artifact keeps the trend
-visible).
+the simulated critical path.
+
+That simulated gate is 0 by construction and cannot catch a wall-clock
+regression, so the same two runs are also gated in wall time: the
+min-of-repeats ``traced_over_null_wall`` ratio must stay under
+``MAX_TRACING_WALL = 1.5``.  The write path only stores (ring records,
+bound metric samples — docs/OBSERVABILITY.md, "Write path / read path");
+that took this ratio from 1.84 to about 1.40 on this workload.  ROADMAP's
+target for tracing that stays on in production is 1.10x: the result is
+still ~0.30 away, i.e. a traced decision still costs ~25 us more than an
+untraced ~65 us one (5.9 stored hops, 1.25 events, 5 metric samples and
+the trace contexts of one submission).
 
 Timing uses the injectable :class:`~repro.obs.perfclock.WallClock` — the
 only sanctioned wall-clock source — with a min-of-repeats protocol so a
@@ -47,8 +55,10 @@ from conftest import RESULTS_DIR
 MAX_NULL_OVERHEAD = 1.05
 #: Allowed simulated-cost overhead of the fully traced gateway.
 MAX_TRACING_OVERHEAD = 0.05
+#: Allowed traced/null wall-clock ratio of the same gateway run.
+MAX_TRACING_WALL = 1.5
 REPEATS = 15
-TRACING_REPEATS = 5
+TRACING_REPEATS = 15
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +217,7 @@ def _merge_results(section: str, payload: dict[str, object]) -> None:
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
-def test_traced_gateway_overhead_under_5_percent():
+def test_traced_gateway_overhead_simulated_and_wall():
     clock = WallClock()
     submissions = wave_workload()
 
@@ -236,9 +246,14 @@ def test_traced_gateway_overhead_under_5_percent():
     overhead = 1.0 - traced_gw.throughput() / null_gw.throughput()
 
     run_gateway(NullTelemetry())  # warm-up
-    null_time = _time_min(clock, lambda: run_gateway(NullTelemetry()), TRACING_REPEATS)
     run_gateway(Telemetry())  # warm-up
-    traced_time = _time_min(clock, lambda: run_gateway(Telemetry()), TRACING_REPEATS)
+    # Alternate the two sides so a slow phase of the host lands on both;
+    # the min of each filters what is left.
+    null_time = traced_time = float("inf")
+    for _ in range(TRACING_REPEATS):
+        null_time = min(null_time, _time_min(clock, lambda: run_gateway(NullTelemetry()), 1))
+        traced_time = min(traced_time, _time_min(clock, lambda: run_gateway(Telemetry()), 1))
+    wall_ratio = traced_time / null_time
 
     _merge_results(
         "tracing",
@@ -251,7 +266,8 @@ def test_traced_gateway_overhead_under_5_percent():
             "decisions_identical": True,
             "null_wall_seconds": null_time,
             "traced_wall_seconds": traced_time,
-            "traced_over_null_wall": traced_time / null_time,
+            "traced_over_null_wall": wall_ratio,
+            "max_tracing_wall": MAX_TRACING_WALL,
         },
     )
 
@@ -259,4 +275,8 @@ def test_traced_gateway_overhead_under_5_percent():
         f"traced gateway loses {overhead * 100:.2f}% simulated throughput "
         f"(gate: <= {MAX_TRACING_OVERHEAD * 100:.0f}%); tracing must stay off "
         f"the simulated critical path"
+    )
+    assert wall_ratio <= MAX_TRACING_WALL, (
+        f"traced gateway takes {wall_ratio:.2f}x the wall time of the untraced one "
+        f"(gate: <= {MAX_TRACING_WALL}x); null={null_time:.6f}s traced={traced_time:.6f}s"
     )

@@ -15,6 +15,13 @@ plane (the tests assert snapshot equality).
 Serialisation is JSON lines: the header object on the first line, one
 operation object per subsequent line (see ``docs/FAULTS.md`` for the
 format).  Appends are O(1); nothing is ever rewritten.
+
+Flush policy of a file-backed journal: one append handle, opened by the
+first append and kept until :meth:`Journal.close`; every entry is written
+and ``flush()``-ed to the operating system before ``append`` returns, so
+it is write-ahead against a crash of this process (``kill -9`` included)
+and a concurrent reader sees it at once.  There is no ``fsync``: an entry
+the OS had not yet written back is lost with the machine.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Iterator, Mapping
-from typing import Any
+from typing import IO, Any
 
 from ..core.errors import ConfigurationError
 from .lifecycle import JOURNAL_OPS
@@ -77,6 +84,9 @@ class Journal:
     header: dict[str, Any] = field(default_factory=dict)
     entries: list[JournalEntry] = field(default_factory=list)
     path: Path | None = None
+    #: The append handle on ``path``, open from the first append to
+    #: :meth:`close` (re-point ``path`` only on a closed journal).
+    _appender: IO[str] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.path is not None:
@@ -87,19 +97,31 @@ class Journal:
         """Record the service configuration; rewrites the file when backed."""
         self.header = {"format": JOURNAL_FORMAT, **dict(header)}
         if self.path is not None:
+            self.close()
             with self.path.open("w") as fh:
                 fh.write(json.dumps(self.header) + "\n")
                 for entry in self.entries:
                     fh.write(json.dumps(entry.to_dict()) + "\n")
 
     def append(self, op: str, now: float, **args: Any) -> JournalEntry:
-        """Append one operation; flushed to disk immediately when backed."""
+        """Append one operation; written and flushed before returning when
+        backed (see the module docstring for what that does and does not
+        survive)."""
         entry = JournalEntry(op=op, now=now, args=args)
         self.entries.append(entry)
         if self.path is not None:
-            with self.path.open("a") as fh:
-                fh.write(json.dumps(entry.to_dict()) + "\n")
+            appender = self._appender
+            if appender is None:
+                appender = self._appender = self.path.open("a")
+            appender.write(json.dumps(entry.to_dict()) + "\n")
+            appender.flush()
         return entry
+
+    def close(self) -> None:
+        """Release the append handle; a later :meth:`append` reopens it."""
+        if self._appender is not None:
+            self._appender.close()
+            self._appender = None
 
     def __len__(self) -> int:
         return len(self.entries)

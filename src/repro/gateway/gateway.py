@@ -50,6 +50,7 @@ from ..core.platform import Platform
 from ..core.profile import RateProfile
 from ..core.request import Request
 from ..obs.causal import CausalObserver, TraceContext
+from ..obs.metrics import BoundCounter
 from ..obs.recorder import FlightRecorder
 from ..obs.slo import SloWatchdog
 from ..obs.telemetry import Telemetry, get_telemetry
@@ -150,6 +151,57 @@ class Ticket:
         return self.request.rid
 
 
+class _Instruments:
+    """The metric samples every decision or flush fires, bound once per
+    telemetry handle (rarer verbs keep addressing the registry by name).
+
+    Binding registers nothing: a family enters the registry — and
+    ``/metrics``, and the artifact — with its first firing child.
+    """
+
+    __slots__ = (
+        "telemetry", "submits", "admissions", "fastpath", "latency",
+        "_rejects_by_reason", "batches", "occupancy",
+    )  # fmt: skip
+
+    def __init__(self, telemetry: Telemetry, ordering: str) -> None:
+        self.telemetry = telemetry
+        counter = telemetry.metrics.bind_counter
+        histogram = telemetry.metrics.bind_histogram
+        name, text = "gateway_submits_total", "Gateway admissions by outcome."
+        self.submits = {
+            outcome: counter(name, text, outcome=outcome) for outcome in ("accepted", "rejected")
+        }
+        name, text = "gateway_admissions_total", "Gateway admissions by placement path."
+        self.admissions = {
+            path: counter(name, text, path=path) for path in ("local", "cross-shard")
+        }
+        name, text = "gateway_fastpath_total", "Headroom-index fast-path answers."
+        #: Keyed by ``TwoPhaseOutcome.fastpath``.
+        self.fastpath = {
+            True: counter(name, text, outcome="hit"),
+            False: counter(name, text, outcome="miss"),
+        }
+        self.latency = histogram(
+            "gateway_admission_latency_seconds",
+            "Admission latency in simulated seconds (queueing + retries + chaos).",
+        )
+        self._rejects_by_reason: dict[str, BoundCounter] = {}
+        self.batches = counter(
+            "gateway_batches_total", "Admission batches flushed, by ordering.", ordering=ordering
+        )
+        self.occupancy = histogram("gateway_batch_occupancy", "Requests per flushed batch.")
+
+    def rejects(self, reason: str) -> BoundCounter:
+        """The ``gateway_rejects_total`` sample of one reject reason."""
+        child = self._rejects_by_reason.get(reason)
+        if child is None:
+            child = self._rejects_by_reason[reason] = self.telemetry.metrics.bind_counter(
+                "gateway_rejects_total", "Gateway rejections by reason.", reason=reason
+            )
+        return child
+
+
 class Gateway:
     """Sharded, batched admission gateway over one platform.
 
@@ -247,8 +299,11 @@ class Gateway:
         self.recorder = recorder
         self.slo = slo
         self._observer = CausalObserver(lambda: self.telemetry, recorder=recorder)
-        #: Root trace context per rid, for joining later lifecycle hops.
+        #: Trace context of the rids that joined another request's trace
+        #: (rebookings, re-admissions).  Every other rid's context is the
+        #: pure function ``TraceContext.root(rid)`` and is not stored.
         self._trace_roots: dict[int, TraceContext] = {}
+        self._bound: _Instruments | None = None
         # The coordinator gets its own copy of the broker list: the shard
         # set is fixed at construction, and a shared alias would let either
         # side mutate the other's view once brokers move out-of-process.
@@ -379,27 +434,46 @@ class Gateway:
     # Causal tracing (observability only: never touches decisions,
     # journal, snapshot or replay)
     # ------------------------------------------------------------------
-    def _tracing(self) -> bool:
-        """Should this gateway mint trace contexts at all?"""
-        return self.recorder is not None or self.telemetry.enabled
+    def _tracing(self, tel: Telemetry) -> bool:
+        """Would anything (``tel`` or a flight recorder) record a hop?"""
+        return tel.enabled or self.recorder is not None
+
+    def _ctx_of(self, rid: int) -> TraceContext:
+        """``rid``'s position in its causal tree (a root unless it joined
+        another request's trace)."""
+        return self._trace_roots.get(rid) or TraceContext.root(rid)
+
+    def _trace_ctx(self, rid: int, tel: Telemetry) -> TraceContext | None:
+        """:meth:`_ctx_of` when tracing, else ``None`` (no hop to mint)."""
+        return self._ctx_of(rid) if self._tracing(tel) else None
 
     def _trace_event(
         self,
-        component: str,
+        tel: Telemetry,
         now: float,
         kind: str,
         ctx: TraceContext | None,
-        **fields: Any,
+        fields: dict[str, Any],
     ) -> None:
-        """One gateway-side hop on a request's causal timeline."""
+        """One gateway-side hop on a request's causal timeline.
+
+        The tracer keeps ``(ctx, fields)`` as they are (``fields`` is the
+        caller's to give away); only the flight recorder (eager by
+        design: its rows are the post-mortem) pays for the merged dict.
+        """
         if ctx is None:
             return
-        merged = {**ctx.fields(), **fields}
-        tel = self.telemetry
         if tel.enabled:
-            tel.tracer.instant(kind, now, cat="causal", **merged)
+            tel.tracer.instant(kind, now, fields, cat="causal", ctx=ctx)
         if self.recorder is not None:
-            self.recorder.record(component, now, kind, **merged)
+            self.recorder.record("gateway", now, kind, **{**ctx.fields(), **fields})
+
+    def _instruments(self, tel: Telemetry) -> _Instruments:
+        """The hot metric samples, bound to ``tel`` (rebound if it changed)."""
+        bound = self._bound
+        if bound is None or bound.telemetry is not tel:
+            bound = self._bound = _Instruments(tel, self.batcher.ordering.value)
+        return bound
 
     def _flight(self, component: str, now: float, kind: str, **fields: Any) -> None:
         """A component-level (not request-level) flight-recorder row."""
@@ -460,36 +534,35 @@ class Gateway:
         self._tickets[rid] = ticket
         self._record("submit", now, rid=rid, client=client, **entry)
         self.stats.submits += 1
+        tel = self.telemetry
         ctx: TraceContext | None = None
-        if self._tracing():
-            # A rebooking joins the original request's trace so one
-            # `grid-obs explain` shows the whole lineage.
-            parent = self._trace_roots.get(origin) if origin is not None else None
-            ctx = (
-                parent.child(f"rebook:{rid}")
-                if parent is not None
-                else TraceContext.root(rid)
-            )
-            self._trace_roots[rid] = ctx
+        if self._tracing(tel):
+            if origin is None:
+                ctx = TraceContext.root(rid)
+            else:
+                # A rebooking joins the original request's trace so one
+                # `grid-obs explain` shows the whole lineage.
+                ctx = self._trace_roots[rid] = self._ctx_of(origin).child(f"rebook:{rid}")
             self._trace_event(
-                "gateway",
+                tel,
                 now,
                 "gateway.trace.submit",
                 ctx,
-                rid=rid,
-                client=client,
-                ingress=ingress,
-                egress=egress,
-                origin=origin,
+                {
+                    "rid": rid,
+                    "client": client,
+                    "ingress": ingress,
+                    "egress": egress,
+                    "origin": origin,
+                },
             )
         if self.edge is not None and not self.edge.admit(client, volume, now):
             ticket.edge_refused = True
             ticket.retry_after = self.edge.retry_after(client, volume, now)
             self.stats.edge_refused += 1
             self._trace_event(
-                "gateway", now, "gateway.trace.edge_refused", ctx, rid=rid, client=client
+                tel, now, "gateway.trace.edge_refused", ctx, {"rid": rid, "client": client}
             )
-            tel = self.telemetry
             if tel.enabled:
                 tel.metrics.counter(
                     "gateway_edge_refusals_total",
@@ -503,7 +576,7 @@ class Gateway:
             self._batch_opened = now
         self.batcher.enqueue(PendingAdmission(seq=seq, ticket=ticket))
         self._trace_event(
-            "gateway", now, "gateway.trace.enqueued", ctx, rid=rid, pending=len(self.batcher)
+            tel, now, "gateway.trace.enqueued", ctx, {"rid": rid, "pending": len(self.batcher)}
         )
         if self.batcher.full:
             self._flush(now)
@@ -548,26 +621,23 @@ class Gateway:
         if not batch:
             return
         work_before = [broker.work for broker in self.brokers]
+        tel = self.telemetry
         for pending in batch:
-            self._decide(pending.ticket, now)
+            self._decide(pending.ticket, now, tel)
         deltas = [b.work - w0 for b, w0 in zip(self.brokers, work_before)]
         self.simulated_cost += (
             FLUSH_OVERHEAD + PER_REQUEST_OVERHEAD * len(batch) + max(deltas)
         )
         self.stats.batches += 1
-        tel = self.telemetry
         health = (
             self._health_snapshot(now)
             if (tel.enabled or self.slo is not None)
             else None
         )
         if tel.enabled:
-            tel.metrics.counter(
-                "gateway_batches_total", "Admission batches flushed, by ordering."
-            ).inc(ordering=self.batcher.ordering.value)
-            tel.metrics.histogram(
-                "gateway_batch_occupancy", "Requests per flushed batch."
-            ).observe(float(len(batch)))
+            bound = self._instruments(tel)
+            bound.batches.inc()
+            bound.occupancy.observe(float(len(batch)))
             tel.tracer.complete(
                 "gateway.batch",
                 self._batch_opened,
@@ -590,10 +660,10 @@ class Gateway:
             self.slo.evaluate(now, telemetry=tel, recorder=self.recorder)
         self._publish_chaos()
 
-    def _decide(self, ticket: Ticket, now: float) -> None:
+    def _decide(self, ticket: Ticket, now: float, tel: Telemetry) -> None:
         """Run one admission through the coordinator; publish the outcome."""
         request = ticket.request
-        ctx = self._trace_roots.get(request.rid)
+        ctx = self._trace_ctx(request.rid, tel)
         outcome = self.coordinator.reserve(
             request,
             lambda sigma: self.policy.assign(request, sigma),
@@ -627,7 +697,7 @@ class Gateway:
             self.stats.twophase_aborts += 1
         if outcome.allocation is not None:
             self.stats.accepted += 1
-            if self.telemetry.enabled or self.slo is not None:
+            if tel.enabled or self.slo is not None:
                 self._note_port_peaks(request.ingress, request.egress)
         else:
             self.stats.rejected += 1
@@ -643,16 +713,19 @@ class Gateway:
         if self.slo is not None:
             self.slo.admission(now, accepted=accepted, latency=latency)
         self._trace_event(
-            "gateway",
+            tel,
             now,
             "gateway.trace.decision",
             ctx,
-            rid=request.rid,
-            outcome="accepted" if accepted else "rejected",
-            reason=None if accepted else reason,
-            latency=latency,
+            {
+                "rid": request.rid,
+                "outcome": "accepted" if accepted else "rejected",
+                "reason": None if accepted else reason,
+                "latency": latency,
+            },
         )
-        self._observe_decision(reservation, outcome, now, latency)
+        if tel.enabled:
+            self._observe_decision(tel, reservation, outcome, now, latency, ctx)
         if self.on_decision is not None:
             self.on_decision(reservation, now)
 
@@ -682,22 +755,21 @@ class Gateway:
             ).inc()
 
     def _observe_decision(
-        self, reservation: Reservation, outcome, now: float, latency: float
+        self,
+        tel: Telemetry,
+        reservation: Reservation,
+        outcome,
+        now: float,
+        latency: float,
+        ctx: TraceContext | None,
     ) -> None:
-        tel = self.telemetry
-        if not tel.enabled:
-            return
+        bound = self._instruments(tel)
         alloc = reservation.allocation
         decided = "accepted" if alloc is not None else "rejected"
-        tel.metrics.counter(
-            "gateway_submits_total", "Gateway admissions by outcome."
-        ).inc(outcome=decided)
-        tel.metrics.counter(
-            "gateway_admissions_total", "Gateway admissions by placement path."
-        ).inc(path="local" if outcome.local else "cross-shard")
-        tel.metrics.counter(
-            "gateway_fastpath_total", "Headroom-index fast-path answers."
-        ).inc(outcome="hit" if outcome.fastpath else "miss")
+        path = "local" if outcome.local else "cross-shard"
+        bound.submits[decided].inc()
+        bound.admissions[path].inc()
+        bound.fastpath[outcome.fastpath].inc()
         if outcome.retries:
             tel.metrics.counter(
                 "gateway_prepare_retries_total",
@@ -708,25 +780,22 @@ class Gateway:
                 "gateway_twophase_aborts_total",
                 "Two-phase transactions rolled back with holds released.",
             ).inc()
-        tel.metrics.histogram(
-            "gateway_admission_latency_seconds",
-            "Admission latency in simulated seconds (queueing + retries + chaos).",
-        ).observe(latency)
+        bound.latency.observe(latency)
+        request = reservation.request
         fields: dict[str, Any] = {
             "rid": reservation.rid,
-            "ingress": reservation.request.ingress,
-            "egress": reservation.request.egress,
-            "volume": reservation.request.volume,
-            "deadline": reservation.request.t_end,
+            "ingress": request.ingress,
+            "egress": request.egress,
+            "volume": request.volume,
+            "deadline": request.t_end,
             "outcome": decided,
-            "path": "local" if outcome.local else "cross-shard",
+            "path": path,
             "fastpath": outcome.fastpath,
             "candidates": outcome.probe.candidates,
             "latency": latency,
         }
-        trace_ctx = self._trace_roots.get(reservation.rid)
-        if trace_ctx is not None:
-            fields.update(trace_ctx.fields())
+        if ctx is not None:
+            fields.update(ctx.fields())
         if alloc is not None:
             fields.update(sigma=alloc.sigma, tau=alloc.tau, bw=alloc.bw)
         else:
@@ -736,10 +805,8 @@ class Gateway:
                 else "unspecified"
             )
             fields["reason"] = reason
-            tel.metrics.counter(
-                "gateway_rejects_total", "Gateway rejections by reason."
-            ).inc(reason=reason)
-        tel.emit("gateway.submit", now, **fields)
+            bound.rejects(reason).inc()
+        tel.emit("gateway.submit", now, fields)
 
     # ------------------------------------------------------------------
     # Degraded-mode re-admission (the backlog)
@@ -760,6 +827,7 @@ class Gateway:
         admitted: list[tuple[int, int]] = []
         work_before = [broker.work for broker in self.brokers]
         attempted = 0
+        tel = self.telemetry
         for rid in self._backlog:
             original = self._reservations[rid].request
             candidate = lifecycle.readmission_candidate(original, self._next_rid, now)
@@ -780,23 +848,18 @@ class Gateway:
             self._take_rid()
             attempted += 1
             ctx: TraceContext | None = None
-            if self._tracing():
+            if self._tracing(tel):
                 # Re-admissions stay on the original request's trace: the
                 # fresh rid is one more hop of the same causal story.
-                root = self._trace_roots.get(rid)
-                ctx = (
-                    root.child(f"readmit:{candidate.rid}")
-                    if root is not None
-                    else TraceContext.root(candidate.rid)
+                ctx = self._trace_roots[candidate.rid] = self._ctx_of(rid).child(
+                    f"readmit:{candidate.rid}"
                 )
-                self._trace_roots[candidate.rid] = ctx
                 self._trace_event(
-                    "gateway",
+                    tel,
                     now,
                     "gateway.trace.readmit_attempt",
                     ctx,
-                    rid=candidate.rid,
-                    origin=rid,
+                    {"rid": candidate.rid, "origin": rid},
                 )
             outcome = self.coordinator.reserve(
                 candidate,
@@ -815,13 +878,15 @@ class Gateway:
                     + outcome.chaos_wait,
                 )
             self._trace_event(
-                "gateway",
+                tel,
                 now,
                 "gateway.trace.readmit_decision",
                 ctx,
-                rid=candidate.rid,
-                origin=rid,
-                outcome="accepted" if accepted else "rejected",
+                {
+                    "rid": candidate.rid,
+                    "origin": rid,
+                    "outcome": "accepted" if accepted else "rejected",
+                },
             )
             if outcome.allocation is None:
                 keep.append(rid)
@@ -833,25 +898,26 @@ class Gateway:
                 origin=rid,
             )
             self.stats.readmitted += 1
-            if self.telemetry.enabled or self.slo is not None:
+            if tel.enabled or self.slo is not None:
                 self._note_port_peaks(candidate.ingress, candidate.egress)
             admitted.append((rid, candidate.rid))
         self._backlog = keep
         if attempted:
             deltas = [b.work - w0 for b, w0 in zip(self.brokers, work_before)]
             self.simulated_cost += PER_REQUEST_OVERHEAD * attempted + max(deltas)
-        tel = self.telemetry
         if tel.enabled and admitted:
             tel.metrics.counter(
                 "gateway_readmissions_total",
                 "Backlogged rejections successfully re-admitted.",
             ).inc(float(len(admitted)))
             for origin_rid, new_rid in admitted:
-                fields: dict[str, Any] = {"origin": origin_rid, "rid": new_rid}
-                new_ctx = self._trace_roots.get(new_rid)
-                if new_ctx is not None:
-                    fields.update(new_ctx.fields())
-                tel.emit("gateway.readmit", now, **fields)
+                tel.emit(
+                    "gateway.readmit",
+                    now,
+                    origin=origin_rid,
+                    rid=new_rid,
+                    **self._ctx_of(new_rid).fields(),
+                )
         self._publish_chaos()
 
     # ------------------------------------------------------------------
@@ -995,15 +1061,14 @@ class Gateway:
         released = freed is not None
         if released:
             self.stats.cancelled += 1
+        tel = self.telemetry
         self._trace_event(
-            "gateway",
+            tel,
             now,
             "gateway.trace.cancel",
-            self._trace_roots.get(rid),
-            rid=rid,
-            released=released,
+            self._trace_ctx(rid, tel),
+            {"rid": rid, "released": released},
         )
-        tel = self.telemetry
         if tel.enabled:
             tel.metrics.counter("gateway_cancels_total", "Cancellations by effect.").inc(
                 released=str(released).lower()
@@ -1023,10 +1088,10 @@ class Gateway:
         if freed is None:
             return False
         self.stats.aborted += 1
-        self._trace_event(
-            "gateway", now, "gateway.trace.abort", self._trace_roots.get(rid), rid=rid
-        )
         tel = self.telemetry
+        self._trace_event(
+            tel, now, "gateway.trace.abort", self._trace_ctx(rid, tel), {"rid": rid}
+        )
         if tel.enabled:
             tel.metrics.counter("gateway_aborts_total", "Mid-flight transfer aborts.").inc()
             tel.emit("gateway.abort", now, rid=rid, wasted=reservation.carried)
@@ -1115,15 +1180,14 @@ class Gateway:
         ok = lifecycle.reshape_tail(self._reservations[rid], now, self._capacity())
         if ok:
             self.stats.reshaped += 1
+        tel = self.telemetry
         self._trace_event(
-            "gateway",
+            tel,
             now,
             "gateway.trace.reshape",
-            self._trace_roots.get(rid),
-            rid=rid,
-            reshaped=ok,
+            self._trace_ctx(rid, tel),
+            {"rid": rid, "reshaped": ok},
         )
-        tel = self.telemetry
         if tel.enabled:
             tel.metrics.counter(
                 "gateway_reshapes_total", "Malleable tail re-shapes by effect."

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, fields
 from collections.abc import Callable
 from typing import TYPE_CHECKING, Any, TypeVar
@@ -349,17 +350,24 @@ class Channel:
     # Causal tracing: the channel is where faults become visible, so it
     # is the channel that annotates them onto the request's timeline.
     # ------------------------------------------------------------------
-    def _observe_delivery(
-        self, op: str, now: float, ctx: TraceContext | None, **detail: Any
+    def _observe(
+        self,
+        cat: str,
+        what: str,
+        now: float,
+        ctx: TraceContext | None,
+        detail: dict[str, Any] | None = None,
     ) -> None:
-        if self.observer is not None and ctx is not None:
-            self.observer.delivery(op, shard=self.shard_id, now=now, ctx=ctx, **detail)
-
-    def _observe_fault(
-        self, kind: str, op: str, now: float, ctx: TraceContext | None, **detail: Any
-    ) -> None:
-        if self.observer is not None and ctx is not None:
-            self.observer.fault(kind, op, shard=self.shard_id, now=now, ctx=ctx, **detail)
+        """Report a delivery (``rpc.<op>``) or a fault (``chaos.<kind>``,
+        whose ``detail`` leads with the ``op`` it struck) on ``ctx``; the
+        one place that asks whether the call is traced (``ctx`` is None:
+        it is not, and neither the name nor the record is built)."""
+        observer = self.observer
+        if observer is not None and ctx is not None:
+            shard = self.broker.shard_id
+            record = {"shard": shard, **detail} if detail else {"shard": shard}
+            # Interned: the span ring keeps up to its capacity of these.
+            observer.note(sys.intern(f"{cat}.{what}"), cat, shard, now, ctx, record)
 
     # ------------------------------------------------------------------
     @property
@@ -394,9 +402,7 @@ class Channel:
         landed = self.broker.resolution_of(hold_id) == "committed"
         if landed:
             self.stats.recovered += 1
-            self._observe_delivery(
-                "commit", now, ctx, outcome="recovered", hold_id=hold_id
-            )
+            self._observe("rpc", "commit", now, ctx, {"outcome": "recovered", "hold_id": hold_id})
         return landed
 
     def booking_landed(
@@ -407,7 +413,7 @@ class Channel:
         landed = self.broker.was_booked(rid)
         if landed:
             self.stats.recovered += 1
-            self._observe_delivery("book_pair", now, ctx, outcome="recovered", rid=rid)
+            self._observe("rpc", "book_pair", now, ctx, {"outcome": "recovered", "rid": rid})
         return landed
 
     # ------------------------------------------------------------------
@@ -433,7 +439,7 @@ class Channel:
         """
         if self.policy is None:
             result = invoke()
-            self._observe_delivery(op, now, ctx)
+            self._observe("rpc", op, now, ctx)
             return result
         self.stats.calls += 1
         edge = self._edge
@@ -443,8 +449,8 @@ class Channel:
         if not reliable:
             if self.partitioned(now):
                 self.stats.partitioned += 1
-                self._observe_fault(
-                    "partition", op, now, ctx, cost=self.policy.timeout_cost
+                self._observe(
+                    "chaos", "partition", now, ctx, {"op": op, "cost": self.policy.timeout_cost}
                 )
                 raise ChannelTimeout(
                     f"{op}: shard {self.shard_id} is partitioned",
@@ -453,13 +459,16 @@ class Channel:
             if edge.drop > 0.0 and rng.random() < edge.drop:
                 self.stats.drops += 1
                 reply_lost = rng.random() < 0.5
-                self._observe_fault(
+                self._observe(
+                    "chaos",
                     "drop",
-                    op,
                     now,
                     ctx,
-                    mode="reply-lost" if reply_lost else "request-lost",
-                    cost=self.policy.timeout_cost,
+                    {
+                        "op": op,
+                        "mode": "reply-lost" if reply_lost else "request-lost",
+                        "cost": self.policy.timeout_cost,
+                    },
                 )
                 if reply_lost:
                     # The request reached the broker; only the reply died.
@@ -474,16 +483,16 @@ class Channel:
         if edge.delay > 0.0 and rng.random() < edge.delay:
             self.stats.delays += 1
             self.stats.latency += edge.delay_cost
-            self._observe_fault("delay", op, now, ctx, cost=edge.delay_cost)
+            self._observe("chaos", "delay", now, ctx, {"op": op, "cost": edge.delay_cost})
         result = invoke()
         if not reliable and edge.duplicate > 0.0 and rng.random() < edge.duplicate:
             self.stats.duplicates += 1
-            self._observe_fault("duplicate", op, now, ctx)
+            self._observe("chaos", "duplicate", now, ctx, {"op": op})
             try:
                 invoke()  # at-least-once: the broker sees the replay too
             except ReproError:
                 pass
-        self._observe_delivery(op, now, ctx)
+        self._observe("rpc", op, now, ctx)
         return result
 
     def _maybe_crash(
@@ -500,7 +509,7 @@ class Channel:
             and self._rng.random() < probability
         ):
             self.stats.crashes += 1
-            self._observe_fault("crash", op, now, ctx)
+            self._observe("chaos", "crash", now, ctx, {"op": op})
             self.broker.crash()
 
     # ------------------------------------------------------------------
@@ -538,8 +547,8 @@ class Channel:
                 key=(rid, side),
                 segments=segments,
             )
-            self._observe_delivery(
-                "prepare", now, ctx, rid=rid, side=side, held=hold is not None
+            self._observe(
+                "rpc", "prepare", now, ctx, {"rid": rid, "side": side, "held": hold is not None}
             )
             return hold
         hold = self.deliver(
@@ -568,7 +577,7 @@ class Channel:
         """Phase two through the channel."""
         if self.policy is None:
             self.broker.commit(hold_id)
-            self._observe_delivery("commit", now, ctx, hold_id=hold_id)
+            self._observe("rpc", "commit", now, ctx, {"hold_id": hold_id})
             return
         self.deliver("commit", lambda: self.broker.commit(hold_id), now=now, ctx=ctx)
         self._maybe_crash(self._edge.crash_after_commit, "commit", now, ctx)
@@ -581,7 +590,7 @@ class Channel:
         abort), which is the failure mode the drills must exercise."""
         if self.policy is None:
             released = self.broker.abort_hold(hold_id)
-            self._observe_delivery("abort", now, ctx, hold_id=hold_id)
+            self._observe("rpc", "abort", now, ctx, {"hold_id": hold_id})
             return released
         return self.deliver(
             "abort", lambda: self.broker.abort_hold(hold_id), now=now, ctx=ctx
@@ -603,7 +612,7 @@ class Channel:
         """Shard-local atomic booking through the channel; ``rid`` keys it."""
         if self.policy is None:
             self.broker.book_pair(ingress, egress, t0, t1, bw, key=rid, segments=segments)
-            self._observe_delivery("book_pair", now, ctx, rid=rid)
+            self._observe("rpc", "book_pair", now, ctx, {"rid": rid})
             return
         self.deliver(
             "book_pair",
@@ -631,7 +640,7 @@ class Channel:
         partial commit can never itself be lost."""
         if self.policy is None:
             self.broker.release(side, port, t0, t1, bw, segments=segments)
-            self._observe_delivery("release", now, ctx, side=side)
+            self._observe("rpc", "release", now, ctx, {"side": side})
             return
         self.deliver(
             "release",

@@ -31,9 +31,8 @@ artifact (plus, optionally, the gateway journal) — the backend of
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Mapping
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from .artifact import RunTelemetry
@@ -43,9 +42,15 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 __all__ = ["CausalObserver", "TraceContext", "child_of", "explain_request"]
 
 
-@dataclass(frozen=True, slots=True)
-class TraceContext:
-    """One request's position in the causal tree (immutable, derived)."""
+#: What ``namedtuple.__new__`` itself calls, minus its keyword parsing.
+_new_context = tuple.__new__
+
+
+class TraceContext(NamedTuple):
+    """One request's position in the causal tree (immutable, derived).
+
+    A tuple, because one is minted per hop of every traced decision.
+    """
 
     trace_id: str
     span_id: str
@@ -55,15 +60,12 @@ class TraceContext:
     def root(cls, rid: int) -> TraceContext:
         """The root context of request ``rid`` — a pure function of the rid."""
         marker = f"req-{rid}"
-        return cls(trace_id=marker, span_id=marker)
+        return _new_context(cls, (marker, marker, None))
 
     def child(self, segment: str) -> TraceContext:
         """A child hop named by appending ``segment`` to the span path."""
-        return TraceContext(
-            trace_id=self.trace_id,
-            span_id=f"{self.span_id}/{segment}",
-            parent_id=self.span_id,
-        )
+        span_id = self[1]
+        return _new_context(TraceContext, (self[0], f"{span_id}/{segment}", span_id))
 
     def fields(self) -> dict[str, Any]:
         """The explicit-propagation form carried on events and spans."""
@@ -91,7 +93,8 @@ class CausalObserver:
 
     The telemetry handle is *provided*, not captured: the gateway may swap
     or scope its handle per run, so the observer re-reads it per record.
-    A call with ``ctx=None`` (tracing disabled) is a no-op.
+    Callers only report deliveries that carry a context (``ctx=None``
+    means tracing is off and there is nothing to annotate).
     """
 
     def __init__(
@@ -103,53 +106,26 @@ class CausalObserver:
         self._telemetry = telemetry
         self.recorder = recorder
 
-    def delivery(
-        self,
-        op: str,
-        *,
-        shard: int,
-        now: float,
-        ctx: TraceContext | None,
-        **detail: Any,
-    ) -> None:
-        """One protocol call reached the broker (possibly after faults)."""
-        if ctx is None:
-            return
-        self._note(f"rpc.{op}", "rpc", shard, now, ctx, detail)
-
-    def fault(
-        self,
-        kind: str,
-        op: str,
-        *,
-        shard: int,
-        now: float,
-        ctx: TraceContext | None,
-        **detail: Any,
-    ) -> None:
-        """A chaos fault struck the delivery (drop / duplicate / delay /
-        partition / crash) — annotated as a span event on the request's
-        timeline so the lost hop is visible."""
-        if ctx is None:
-            return
-        detail = {"op": op, **detail}
-        self._note(f"chaos.{kind}", "chaos", shard, now, ctx, detail)
-
-    def _note(
+    def note(
         self,
         name: str,
         cat: str,
         shard: int,
         now: float,
         ctx: TraceContext,
-        detail: Mapping[str, Any],
+        detail: dict[str, Any],
     ) -> None:
-        fields = {**ctx.fields(), "shard": shard, **detail}
+        """One record on ``ctx``'s timeline: a delivery that reached the
+        broker (``rpc.<op>``, ``cat="rpc"``) or a chaos fault that struck
+        one (``chaos.<kind>``: drop / duplicate / delay / partition /
+        crash — so the lost hop is visible).  ``detail`` leads with the
+        ``shard`` and is the caller's to give away: the tracer stores the
+        hop un-rendered; the flight recorder's row is built here."""
         tel = self._telemetry()
         if tel.enabled:
-            tel.tracer.instant(name, now, cat=cat, tid=shard, **fields)
+            tel.tracer.instant(name, now, detail, cat=cat, tid=shard, ctx=ctx)
         if self.recorder is not None:
-            self.recorder.record(f"rpc.shard{shard}", now, name, **fields)
+            self.recorder.record(f"rpc.shard{shard}", now, name, **{**ctx.fields(), **detail})
 
 
 # ----------------------------------------------------------------------

@@ -11,13 +11,22 @@ serialise byte-identically.
 Label values are stringified on entry; a label *set* is the sorted tuple
 of ``(key, value)`` pairs, so ``inc(port=3, side="ingress")`` and
 ``inc(side="ingress", port=3)`` address the same sample.
+
+A hot call site binds its sample once — ``counter.labels(outcome="accepted")``
+on a family it holds, ``registry.bind_counter(name, help, outcome="accepted")``
+ahead of use — and fires the child (``child.inc()``): no registry lookup,
+help string or label sort per call.  Binding writes nothing: a sample exists
+from its first ``inc`` / ``observe``, and a family bound through the registry
+is registered by its first firing child, exactly when addressing it by name
+on every call would have registered it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from bisect import bisect_left
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from typing import Any
 
 from ..core.errors import ConfigurationError
@@ -77,6 +86,10 @@ class Counter:
         key = _label_key(labels)
         self._samples[key] = self._samples.get(key, 0.0) + amount
 
+    def labels(self, **labels: Any) -> BoundCounter:
+        """The sample addressed by ``labels``, bound for repeated ``inc``."""
+        return BoundCounter(lambda: self, _label_key(labels))
+
     def value(self, **labels: Any) -> float:
         """Current value of one label set (0 when never incremented)."""
         return self._samples.get(_label_key(labels), 0.0)
@@ -111,6 +124,35 @@ class Counter:
         for key in sorted(self._samples):
             lines.append(f"{self.name}{_render_labels(key)} {_fmt(self._samples[key])}")
         return lines
+
+
+class BoundCounter:
+    """One label set of a counter or gauge, addressed once.
+
+    ``family`` is asked for at the first ``inc``: :meth:`Counter.labels`
+    answers with the family itself, :meth:`MetricsRegistry.bind_counter`
+    with the registry's get-or-create — so a child bound ahead of use
+    registers nothing until it fires.
+    """
+
+    __slots__ = ("_family", "_key", "_samples")
+
+    def __init__(self, family: Callable[[], Counter], key: LabelKey) -> None:
+        self._family = family
+        self._key = key
+        self._samples: dict[LabelKey, float] | None = None
+
+    def inc(self, amount: float = 1.0) -> None:
+        """Add ``amount`` (default 1) to the bound sample."""
+        samples = self._samples
+        if samples is None or amount < 0:
+            # The first firing, or a decrement: the family's own ``inc``
+            # knows whether it may go down.
+            family = self._family()
+            self._samples = family._samples
+            family.inc(amount, **dict(self._key))
+            return
+        samples[self._key] = samples.get(self._key, 0.0) + amount
 
 
 class Gauge(Counter):
@@ -158,16 +200,22 @@ class Histogram:
 
     def observe(self, value: float, **labels: Any) -> None:
         """Record one observation."""
-        key = _label_key(labels)
-        counts = self._counts.setdefault(key, [0] * (len(self.buckets) + 1))
-        idx = len(self.buckets)
-        for k, bound in enumerate(self.buckets):
-            if value <= bound:
-                idx = k
-                break
-        counts[idx] += 1
+        self._observe(_label_key(labels), value)
+
+    def _observe(self, key: LabelKey, value: float) -> None:
+        counts = self._counts.get(key)
+        if counts is None:
+            counts = self._counts[key] = [0] * (len(self.buckets) + 1)
+        # First bucket with ``value <= bound``; NaN compares false with
+        # every bound and lands in +inf.
+        buckets = self.buckets
+        counts[bisect_left(buckets, value) if value == value else len(buckets)] += 1
         self._sums[key] = self._sums.get(key, 0.0) + float(value)
         self._totals[key] = self._totals.get(key, 0) + 1
+
+    def labels(self, **labels: Any) -> BoundHistogram:
+        """The sample addressed by ``labels``, bound for repeated ``observe``."""
+        return BoundHistogram(lambda: self, _label_key(labels))
 
     def count(self, **labels: Any) -> int:
         """Number of observations for one label set."""
@@ -213,6 +261,25 @@ class Histogram:
             lines.append(f"{self.name}_sum{_render_labels(key)} {_fmt(self._sums[key])}")
             lines.append(f"{self.name}_count{_render_labels(key)} {self._totals[key]}")
         return lines
+
+
+class BoundHistogram:
+    """One label set of a :class:`Histogram`, addressed once (the family
+    is asked for at the first ``observe``, as in :class:`BoundCounter`)."""
+
+    __slots__ = ("_family", "_key", "_histogram")
+
+    def __init__(self, family: Callable[[], Histogram], key: LabelKey) -> None:
+        self._family = family
+        self._key = key
+        self._histogram: Histogram | None = None
+
+    def observe(self, value: float) -> None:
+        """Record one observation on the bound sample."""
+        histogram = self._histogram
+        if histogram is None:
+            histogram = self._histogram = self._family()
+        histogram._observe(self._key, value)
 
 
 Instrument = Counter | Gauge | Histogram
@@ -269,6 +336,25 @@ class MetricsRegistry:
     ) -> Histogram:
         """Get or create a histogram."""
         return self._register(name, Histogram, lambda: Histogram(name, help, buckets))
+
+    def bind_counter(self, name: str, help: str = "", /, **labels: Any) -> BoundCounter:
+        """One sample of counter ``name``, bound ahead of use: the family
+        is got or created by the child's first ``inc``, not here."""
+        return BoundCounter(lambda: self.counter(name, help), _label_key(labels))
+
+    def bind_histogram(
+        self,
+        name: str,
+        help: str = "",
+        buckets: Sequence[float] = DEFAULT_BUCKETS,
+        /,
+        **labels: Any,
+    ) -> BoundHistogram:
+        """One sample of histogram ``name``, bound ahead of use: the family
+        is got or created by the child's first ``observe``, not here."""
+        return BoundHistogram(
+            lambda: self.histogram(name, help, buckets), _label_key(labels)
+        )
 
     # ------------------------------------------------------------------
     def to_prometheus_text(self) -> str:

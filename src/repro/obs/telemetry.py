@@ -23,6 +23,7 @@ under test) accept an explicit handle instead.
 
 from __future__ import annotations
 
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from collections.abc import Iterator
@@ -88,28 +89,48 @@ class Telemetry:
             raise ConfigurationError(f"max_events must be positive, got {max_events}")
         self.metrics = MetricsRegistry()
         self.tracer = SpanTracer(capacity=max_spans)
-        self.events: list[TelemetryEvent] = []
-        self._max_events = max_events
-        self._events_dropped = 0
+        #: ``(time, name, fields)`` as emitted; :attr:`events` renders them.
+        self._events: deque[tuple[float, str, dict[str, Any]]] = deque(maxlen=max_events)
+        #: Events recorded through :meth:`emit`, retained or since evicted.
+        self.events_emitted = 0
 
-    def emit(self, name: str, t: float, **fields: Any) -> None:
-        """Record a structured event at simulated time ``t``."""
+    def emit(
+        self, name: str, t: float, fields: dict[str, Any] | None = None, /, **kwargs: Any
+    ) -> None:
+        """Record a structured event at simulated time ``t``.
+
+        The event's fields are the keywords or, for a caller that already
+        holds them as one dict, ``fields`` — one form or the other, and
+        the dict is kept, not copied: the caller gives it away (the same
+        contract as :meth:`SpanTracer.instant`).
+        """
         if not self.enabled:
             return
-        self.events.append(TelemetryEvent(time=t, name=name, fields=fields))
-        if self._max_events is not None and len(self.events) > self._max_events:
-            overflow = len(self.events) - self._max_events
-            del self.events[:overflow]
-            self._events_dropped += overflow
+        if fields is None:
+            fields = kwargs
+        elif kwargs:
+            raise TypeError(f"emit() got its fields as a dict and as keywords {list(kwargs)}")
+        self._events.append((t, name, fields))
+        self.events_emitted += 1
+
+    @property
+    def events(self) -> list[TelemetryEvent]:
+        """The retained events, oldest first.
+
+        A snapshot rendered on every read — O(retained), and later
+        ``emit`` calls do not show in a list already taken; for counts use
+        :attr:`events_emitted` and :attr:`events_dropped`.
+        """
+        return [TelemetryEvent(t, name, fields) for t, name, fields in self._events]
 
     @property
     def events_dropped(self) -> int:
-        """Events evicted by the ``max_events`` bound."""
-        return self._events_dropped
+        """Events evicted by the ``max_events`` bound (emitted − retained)."""
+        return self.events_emitted - len(self._events)
 
     def is_empty(self) -> bool:
         """True when nothing has been recorded through this handle."""
-        return not self.events and not len(self.tracer) and not len(self.metrics)
+        return not self._events and not len(self.tracer) and not len(self.metrics)
 
     def snapshot(self) -> dict[str, Any]:
         """Canonical JSON-able digest of everything captured so far."""
@@ -118,7 +139,7 @@ class Telemetry:
             "spans": self.tracer.to_dicts(),
             "events": [event.to_dict() for event in self.events],
             "dropped": {
-                "events": self._events_dropped,
+                "events": self.events_dropped,
                 "spans": self.tracer.dropped,
             },
         }
@@ -134,7 +155,9 @@ class NullTelemetry(Telemetry):
 
     enabled = False
 
-    def emit(self, name: str, t: float, **fields: Any) -> None:
+    def emit(
+        self, name: str, t: float, fields: dict[str, Any] | None = None, /, **kwargs: Any
+    ) -> None:
         """Discard the event."""
 
 

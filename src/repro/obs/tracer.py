@@ -16,16 +16,29 @@ Exports:
 
 Both directions round-trip: :meth:`SpanTracer.from_chrome_trace` and
 :meth:`SpanTracer.from_jsonl` rebuild an equivalent tracer.
+
+Write path / read path: recording only *stores*.  Spans live in a
+``deque`` ring (eviction is O(1) whatever the capacity), and a causal hop
+— :meth:`SpanTracer.instant` with a ``ctx`` — is kept as the caller's own
+``(name, t, cat, tid, ctx, fields)``; its :class:`Span`, with
+``args = {**ctx.fields(), **fields}``, is only built when something reads
+the tracer (iteration, :meth:`SpanTracer.spans`, any export).  A hot
+caller hands ``fields`` over as one dict, positionally: keyword arguments
+cost a parse and a repack per call, a dict literal does not.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from collections.abc import Iterator, Mapping
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..core.errors import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from .causal import TraceContext
 
 __all__ = ["Span", "SpanTracer", "SECONDS_TO_TRACE_US"]
 
@@ -83,6 +96,21 @@ class Span:
         )
 
 
+#: An un-rendered causal hop: ``(name, t, cat, tid, ctx, fields)``.
+_Hop = tuple[str, float, str, int, "TraceContext", dict[str, Any]]
+
+
+def _render(record: Span | _Hop) -> Span:
+    """The :class:`Span` of one ring record (the read path's only cost)."""
+    if isinstance(record, Span):
+        return record
+    name, t, cat, tid, ctx, fields = record
+    return Span(
+        name=name, start=t, end=t, cat=cat, tid=tid, args={**ctx.fields(), **fields},
+        kind="instant",
+    )  # fmt: skip
+
+
 class SpanTracer:
     """Append-only span collector with an optional FIFO capacity bound.
 
@@ -97,22 +125,18 @@ class SpanTracer:
     def __init__(self, capacity: int | None = None) -> None:
         if capacity is not None and capacity <= 0:
             raise ConfigurationError(f"capacity must be positive, got {capacity}")
-        self._spans: list[Span] = []
-        self._capacity = capacity
-        self._dropped = 0
+        self._ring: deque[Span | _Hop] = deque(maxlen=capacity)
+        self._pushed = 0
 
     # ------------------------------------------------------------------
     def _push(self, span: Span) -> Span:
-        self._spans.append(span)
-        if self._capacity is not None and len(self._spans) > self._capacity:
-            overflow = len(self._spans) - self._capacity
-            del self._spans[:overflow]
-            self._dropped += overflow
+        self._ring.append(span)
+        self._pushed += 1
         return span
 
     def begin(self, name: str, t: float, *, cat: str = "", tid: int = 0, **args: Any) -> Span:
         """Open a span at simulated time ``t``; close it with :meth:`finish`."""
-        return self._push(Span(name=name, start=t, cat=cat, tid=tid, args=dict(args)))
+        return self._push(Span(name=name, start=t, cat=cat, tid=tid, args=args))
 
     def finish(self, span: Span, t: float) -> Span:
         """Close an open span at simulated time ``t``."""
@@ -131,30 +155,59 @@ class SpanTracer:
         """Record a span whose bounds are both known."""
         if end < start:
             raise ConfigurationError(f"span {name!r} has end {end} before start {start}")
-        return self._push(Span(name=name, start=start, end=end, cat=cat, tid=tid, args=dict(args)))
+        return self._push(Span(name=name, start=start, end=end, cat=cat, tid=tid, args=args))
 
-    def instant(self, name: str, t: float, *, cat: str = "", tid: int = 0, **args: Any) -> Span:
-        """Record a zero-length marker at simulated time ``t``."""
+    def instant(
+        self,
+        name: str,
+        t: float,
+        fields: dict[str, Any] | None = None,
+        /,
+        *,
+        cat: str = "",
+        tid: int = 0,
+        ctx: TraceContext | None = None,
+        **args: Any,
+    ) -> Span | None:
+        """Record a zero-length marker at simulated time ``t``.
+
+        The marker's own arguments are the keywords or, for a caller that
+        already holds them as one dict, ``fields`` — one form or the
+        other, never both.  The dict is kept, not copied: the caller gives
+        it away and must not touch it afterwards (a later mutation would
+        show in every export).  With a ``ctx`` the marker is a causal
+        hop: it is stored as given and nothing is returned — the span,
+        whose ``args`` lead with the context's ``trace`` / ``span`` /
+        ``parent``, is rendered on read.
+        """
+        if fields is not None:
+            if args:
+                raise TypeError(f"instant() got its fields as a dict and as keywords {list(args)}")
+            args = fields
+        if ctx is not None:
+            self._ring.append((name, t, cat, tid, ctx, args))
+            self._pushed += 1
+            return None
         return self._push(
-            Span(name=name, start=t, end=t, cat=cat, tid=tid, args=dict(args), kind="instant")
+            Span(name=name, start=t, end=t, cat=cat, tid=tid, args=args, kind="instant")
         )
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._spans)
+        return len(self._ring)
 
     def __iter__(self) -> Iterator[Span]:
-        return iter(self._spans)
+        return map(_render, self._ring)
 
     @property
     def dropped(self) -> int:
-        """Spans evicted by the capacity bound."""
-        return self._dropped
+        """Spans evicted by the capacity bound (pushed − retained)."""
+        return self._pushed - len(self._ring)
 
     def spans(self, *, name: str | None = None, cat: str | None = None) -> list[Span]:
         """Recorded spans, optionally filtered by name and/or category."""
         out = []
-        for span in self._spans:
+        for span in self:
             if name is not None and span.name != name:
                 continue
             if cat is not None and span.cat != cat:
@@ -167,7 +220,7 @@ class SpanTracer:
     # ------------------------------------------------------------------
     def to_dicts(self) -> list[dict[str, Any]]:
         """Every span as its canonical dict, in record order."""
-        return [span.to_dict() for span in self._spans]
+        return [span.to_dict() for span in self]
 
     def to_chrome_trace(self, *, pid: int = 0) -> dict[str, Any]:
         """The Chrome trace-event document (``chrome://tracing`` / Perfetto).
@@ -178,7 +231,7 @@ class SpanTracer:
         begin events (``ph: "B"``) so viewers show them as unterminated.
         """
         events: list[dict[str, Any]] = []
-        for span in self._spans:
+        for span in self:
             base: dict[str, Any] = {
                 "name": span.name,
                 "cat": span.cat or "repro",
@@ -213,8 +266,9 @@ class SpanTracer:
             name = str(event.get("name", ""))
             args = dict(event.get("args", {}))
             if phase == "i":
-                span = tracer.instant(name, start, **common)
-                span.args.update(args)
+                tracer._push(
+                    Span(name=name, start=start, end=start, args=args, kind="instant", **common)
+                )
             elif phase == "B":
                 span = tracer.begin(name, start, **common)
                 span.args.update(args)
@@ -230,8 +284,8 @@ class SpanTracer:
         """One canonical JSON object per span, newline-separated."""
         return "\n".join(
             json.dumps(span.to_dict(), sort_keys=True, separators=(",", ":"))
-            for span in self._spans
-        ) + ("\n" if self._spans else "")
+            for span in self
+        ) + ("\n" if self._ring else "")
 
     @classmethod
     def from_jsonl(cls, text: str) -> SpanTracer:

@@ -33,6 +33,7 @@ from ..gateway import EdgeLimit, Gateway
 from ..gateway.gateway import Ticket
 from ..obs.causal import TraceContext, explain_request
 from ..obs.artifact import RunTelemetry
+from ..obs.metrics import BoundCounter, BoundHistogram
 from ..obs.slo import SloRule, SloWatchdog, default_slo_rules
 from ..obs.telemetry import Telemetry
 from .clock import ServiceClock, WallServiceClock
@@ -160,6 +161,19 @@ class ServeApp:
             max_delay_s=config.max_delay_s,
         )
         self.router = Router()
+        # Metric samples are bound once per label set: binding registers
+        # nothing, so a family shows on ``/metrics`` from its first firing.
+        self._decisions = {
+            outcome: self.telemetry.metrics.bind_counter(
+                "serve_decisions_total", "Admission decisions served, by outcome.", outcome=outcome
+            )
+            for outcome in ("accepted", "rejected", "edge-refused")
+        }
+        #: (endpoint, method, status) -> that request kind's two samples;
+        #: endpoints are route patterns, so the map stays small.
+        self._request_samples: dict[
+            tuple[str, str, int], tuple[BoundCounter, BoundHistogram]
+        ] = {}
         self.draining = False
         self._server: asyncio.base_events.Server | None = None
         self._connections = 0
@@ -197,14 +211,16 @@ class ServeApp:
     async def drain(self) -> None:
         """Graceful shutdown: refuse new work, decide in-flight, persist.
 
-        The journal is write-ahead so nothing needs an explicit save; the
-        explicit gateway drain makes the final batch flush visible in the
-        op stream (``drain``), which is what makes the successor's
-        replay land on the *decided* state.
+        The journal is write-ahead (every entry is flushed as it is
+        appended) so nothing needs an explicit save, only its append
+        handle closing; the explicit gateway drain makes the final batch
+        flush visible in the op stream (``drain``), which is what makes
+        the successor's replay land on the *decided* state.
         """
         self.draining = True
         await self.frontier.quiesce()
         self.gateway.drain(self.clock.now())
+        self.journal.close()
         await self.stop()
 
     async def _serve_connection(
@@ -271,14 +287,28 @@ class ServeApp:
         if not self.telemetry.enabled:
             return
         elapsed = max(0.0, self.clock.perf() - start)
-        self.telemetry.metrics.counter(
-            "serve_requests_total", "HTTP requests by endpoint and status."
-        ).inc(endpoint=endpoint, method=method, status=status)
-        self.telemetry.metrics.histogram(
-            "serve_request_seconds",
-            "Wall-clock request latency at the HTTP edge (seconds).",
-            buckets=REQUEST_LATENCY_BUCKETS,
-        ).observe(elapsed, endpoint=endpoint)
+        kind = (endpoint, method, status)
+        samples = self._request_samples.get(kind)
+        if samples is None:
+            metrics = self.telemetry.metrics
+            samples = self._request_samples[kind] = (
+                metrics.bind_counter(
+                    "serve_requests_total",
+                    "HTTP requests by endpoint and status.",
+                    endpoint=endpoint,
+                    method=method,
+                    status=status,
+                ),
+                metrics.bind_histogram(
+                    "serve_request_seconds",
+                    "Wall-clock request latency at the HTTP edge (seconds).",
+                    REQUEST_LATENCY_BUCKETS,
+                    endpoint=endpoint,
+                ),
+            )
+        requests, seconds = samples
+        requests.inc()
+        seconds.observe(elapsed)
 
     # ------------------------------------------------------------------
     # Decision-side accounting (submit endpoints)
@@ -290,9 +320,9 @@ class ServeApp:
         adds its own child span so ``grid-obs explain`` shows where the
         request *entered*, not just how it was decided.
         """
-        if not self.telemetry.enabled:
+        telemetry = self.telemetry
+        if not telemetry.enabled:
             return
-        ctx = TraceContext.root(ticket.rid).child("http")
         outcome = (
             "edge-refused"
             if ticket.edge_refused
@@ -302,17 +332,17 @@ class ServeApp:
                 else "rejected"
             )
         )
-        self.telemetry.emit(
+        telemetry.emit(
             "serve.decision",
             self.clock.now(),
-            rid=ticket.rid,
-            client=ticket.client,
-            outcome=outcome,
-            **ctx.fields(),
+            {
+                "rid": ticket.rid,
+                "client": ticket.client,
+                "outcome": outcome,
+                **TraceContext.root(ticket.rid).child("http").fields(),
+            },
         )
-        self.telemetry.metrics.counter(
-            "serve_decisions_total", "Admission decisions served, by outcome."
-        ).inc(outcome=outcome)
+        self._decisions[outcome].inc()
 
     # ------------------------------------------------------------------
     # Explain (the PR-8 causal plane over HTTP)

@@ -8,6 +8,7 @@ printing inside the hot loops.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from collections.abc import Iterator
 from typing import TYPE_CHECKING, Any
@@ -34,13 +35,14 @@ class EventTrace:
     ----------
     capacity:
         Optional bound; older records are dropped FIFO once exceeded (keeps
-        long simulations memory-bounded when only the tail matters).
+        long simulations memory-bounded when only the tail matters).  The
+        records sit in a ``deque`` ring, so an eviction is O(1) whatever
+        the capacity.
     """
 
     def __init__(self, capacity: int | None = None) -> None:
-        self._records: list[TraceRecord] = []
-        self._capacity = capacity
-        self._dropped = 0
+        self._records: deque[TraceRecord] = deque(maxlen=capacity)
+        self._recorded = 0
 
     def record(self, event: Event) -> None:
         """Record a dispatched :class:`~repro.sim.events.Event`."""
@@ -50,10 +52,7 @@ class EventTrace:
     def append(self, time: float, label: str, payload: Any = None) -> None:
         """Record an arbitrary row (schedulers log decisions through this)."""
         self._records.append(TraceRecord(time, label, payload))
-        if self._capacity is not None and len(self._records) > self._capacity:
-            overflow = len(self._records) - self._capacity
-            del self._records[:overflow]
-            self._dropped += overflow
+        self._recorded += 1
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -68,7 +67,7 @@ class EventTrace:
     @property
     def dropped(self) -> int:
         """Number of records evicted due to the capacity bound."""
-        return self._dropped
+        return self._recorded - len(self._records)
 
     def filter(self, label: str) -> list[TraceRecord]:
         """All records with the given label."""
@@ -102,8 +101,8 @@ class EventTrace:
                 readmissions += 1
         return {
             "retained": len(self._records),
-            "dropped": self._dropped,
-            "recorded": len(self._records) + self._dropped,
+            "dropped": self.dropped,
+            "recorded": self._recorded,
             "labels": dict(sorted(labels.items())),
             "reject_reasons": dict(sorted(reject_reasons.items())),
             "readmissions": readmissions,

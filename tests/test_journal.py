@@ -67,6 +67,68 @@ class TestSerialisation:
         assert [e.op for e in loaded] == ["submit", "cancel"]
         assert loaded.header == journal.header
 
+    def test_every_append_is_on_disk_when_it_returns(self, tmp_path):
+        """Write-ahead with one kept-open handle: a fresh reader (and the
+        file's size) sees entry N right after append N, before any close."""
+        path = tmp_path / "live.jsonl"
+        journal = Journal(path=path)
+        journal.set_header({"kind": "service"})
+        sizes = [path.stat().st_size]
+        for k in range(25):
+            journal.append("cancel", float(k), rid=k)
+            loaded = Journal.load(path)
+            assert [e.args["rid"] for e in loaded] == list(range(k + 1))
+            sizes.append(path.stat().st_size)
+        assert sizes == sorted(set(sizes))  # grew with every single append
+        assert path.read_text() == journal.to_jsonl()
+        journal.close()
+
+    def test_appends_share_one_open(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        opened = []
+        real_open = Path.open
+
+        def counting_open(self, mode="r", *args, **kwargs):
+            opened.append(mode)
+            return real_open(self, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        journal = Journal(path=tmp_path / "one.jsonl")
+        journal.set_header({"kind": "service"})
+        for k in range(50):
+            journal.append("cancel", float(k), rid=k)
+        assert opened == ["w", "a"]  # the header rewrite, then one append handle
+        journal.close()
+        journal.close()  # idempotent
+        journal.append("cancel", 50.0, rid=50)
+        assert opened == ["w", "a", "a"]  # append after close() reopens
+        journal.close()
+        assert len(Journal.load(journal.path)) == 51
+
+    def test_header_rewrite_and_load_keep_appending(self, tmp_path):
+        path = tmp_path / "rewrite.jsonl"
+        journal = Journal(path=path)
+        journal.set_header({"kind": "service"})
+        journal.append("cancel", 0.0, rid=0)
+        # A header set late rewrites the file under the open handle ...
+        journal.set_header({"kind": "service", "late": True})
+        journal.append("cancel", 1.0, rid=1)
+        assert path.read_text() == journal.to_jsonl()
+        journal.close()
+        # ... and a loaded journal goes on appending to the same file.
+        loaded = Journal.load(path)
+        loaded.append("cancel", 2.0, rid=2)
+        reread = Journal.load(path)
+        assert [e.args["rid"] for e in reread] == [0, 1, 2]
+        assert reread.header["late"] is True
+        # save() elsewhere leaves the live file and its handle alone.
+        loaded.save(tmp_path / "copy.jsonl")
+        loaded.append("cancel", 3.0, rid=3)
+        loaded.close()
+        assert len(Journal.load(path)) == 4
+        assert len(Journal.load(tmp_path / "copy.jsonl")) == 3
+
     def test_save_load_round_trip(self, platform, tmp_path):
         journal = Journal()
         service = ReservationService(platform, journal=journal)
