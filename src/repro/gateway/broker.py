@@ -46,6 +46,14 @@ def hold_expired(expires: float, now: float) -> bool:
     return expires <= now or seconds_eq(expires, now)
 
 
+Segments = tuple[tuple[float, float, float], ...]
+
+
+def _steps(t0: float, t1: float, bw: float, segments: Segments | None) -> Segments:
+    """The ``(t0, t1, rate)`` steps a booking covers (one when constant)."""
+    return segments if segments is not None else ((t0, t1, bw),)
+
+
 class BrokerUnavailable(ReproError):
     """The addressed shard broker is crashed and cannot serve the call."""
 
@@ -69,13 +77,11 @@ class Hold:
     #: ``None`` for the constant-rate case, where ``(t0, t1, bw)`` is the
     #: whole story.  When present, ``t0``/``t1``/``bw`` summarise the
     #: span and peak — idempotency keys and the wire shape are unchanged.
-    segments: tuple[tuple[float, float, float], ...] | None = None
+    segments: Segments | None = None
 
-    def steps(self) -> tuple[tuple[float, float, float], ...]:
+    def steps(self) -> Segments:
         """The rate steps this hold pins (1-segment for constant holds)."""
-        if self.segments is not None:
-            return self.segments
-        return ((self.t0, self.t1, self.bw),)
+        return _steps(self.t0, self.t1, self.bw, self.segments)
 
 
 class ShardBroker:
@@ -85,11 +91,13 @@ class ShardBroker:
         self.shard_id = shard_id
         self.platform = shard_map.platform
         owned_in, owned_out = shard_map.ports_of(shard_id)
-        self._owned_ports: dict[str, frozenset[int]] = {
-            "ingress": frozenset(owned_in),
-            "egress": frozenset(owned_out),
-        }
         self._owned_ledger = PortLedger(self.platform)
+        #: Every owned port's usage profile, resolved once: the ownership
+        #: check and the profile lookup of the read surface are one probe.
+        self._profiles: dict[tuple[str, int], CapacityProfile] = {
+            **{("ingress", p): self._owned_ledger.ingress_timeline(p) for p in owned_in},
+            **{("egress", p): self._owned_ledger.egress_timeline(p) for p in owned_out},
+        }
         self._holds: dict[int, Hold] = {}
         self._hold_ids = itertools.count()
         #: Idempotency tables for at-least-once delivery: a replayed
@@ -115,16 +123,17 @@ class ShardBroker:
     # ------------------------------------------------------------------
     def owns(self, side: str, port: int) -> bool:
         """Does this shard own ``port`` on ``side``?"""
-        owned = self._owned_ports.get(side)
-        if owned is None:
+        if side not in ("ingress", "egress"):
             raise ConfigurationError(f"side must be 'ingress' or 'egress', got {side!r}")
-        return port in owned
+        return (side, port) in self._profiles
+
+    def _not_owned(self, side: str, port: int) -> ConfigurationError:
+        self.owns(side, port)  # a side that is neither raises its own error
+        return ConfigurationError(f"shard {self.shard_id} does not own {side} port {port}")
 
     def _require_owned(self, side: str, port: int) -> None:
-        if not self.owns(side, port):
-            raise ConfigurationError(
-                f"shard {self.shard_id} does not own {side} port {port}"
-            )
+        if (side, port) not in self._profiles:
+            raise self._not_owned(side, port)
 
     def _require_up(self) -> None:
         if self.crashed:
@@ -139,10 +148,10 @@ class ShardBroker:
     # ------------------------------------------------------------------
     def timeline(self, side: str, port: int) -> CapacityProfile:
         """The usage profile of an owned port (treat as read-only)."""
-        self._require_owned(side, port)
-        if side == "ingress":
-            return self._owned_ledger.ingress_timeline(port)
-        return self._owned_ledger.egress_timeline(port)
+        try:
+            return self._profiles[side, port]
+        except KeyError:
+            raise self._not_owned(side, port) from None
 
     def free_capacity(self, side: str, port: int, t0: float, t1: float) -> float:
         """Guaranteed free bandwidth on an owned port over ``[t0, t1)``."""
@@ -192,7 +201,7 @@ class ShardBroker:
         t1: float,
         bw: float,
         *,
-        segments: tuple[tuple[float, float, float], ...] | None = None,
+        segments: Segments | None = None,
     ) -> bool:
         """Would ``bw`` (or each step of ``segments``) fit on this port?
 
@@ -201,22 +210,17 @@ class ShardBroker:
         constant-rate fit and the 1-segment case answers identically to
         the scalar form.
         """
-        self._require_owned(side, port)
-        if segments is not None:
-            return all(
-                self._fits_side_step(side, port, s0, s1, rate)
-                for s0, s1, rate in segments
-            )
-        return self._fits_side_step(side, port, t0, t1, bw)
-
-    def _fits_side_step(self, side: str, port: int, t0: float, t1: float, bw: float) -> bool:
-        cap = self._capacity(side, port)
-        if (side, port) not in self._degraded:
-            return fits_under(self.max_usage(side, port, t0, t1), bw, cap)
-        return self.free_capacity(side, port, t0, t1) + cap * CAPACITY_SLACK >= bw
-
-    def _capacity(self, side: str, port: int) -> float:
-        return self.platform.bin(port) if side == "ingress" else self.platform.bout(port)
+        profile = self.timeline(side, port)
+        cap = self.platform.bin(port) if side == "ingress" else self.platform.bout(port)
+        degraded = (side, port) in self._degraded
+        for s0, s1, rate in _steps(t0, t1, bw, segments):
+            if degraded:
+                free = self._owned_ledger.free_capacity(side, port, s0, s1)
+                if free + cap * CAPACITY_SLACK < rate:
+                    return False
+            elif not fits_under(profile.max_usage(s0, s1), rate, cap):
+                return False
+        return True
 
     def pair_fits(
         self,
@@ -226,7 +230,7 @@ class ShardBroker:
         t1: float,
         bw: float,
         *,
-        segments: tuple[tuple[float, float, float], ...] | None = None,
+        segments: Segments | None = None,
     ) -> bool:
         """Joint two-port fit when this shard owns *both* ports of a pair.
 
@@ -253,9 +257,13 @@ class ShardBroker:
     # ------------------------------------------------------------------
     # Mutation surface (the GL008-guarded owner of the slices)
     # ------------------------------------------------------------------
-    def _timeline_add(self, side: str, port: int, t0: float, t1: float, delta: float) -> None:
+    def _timeline_add(self, side: str, port: int, steps: Segments, sign: float = 1.0) -> None:
         """The single point through which a slice's usage ever changes."""
-        self.timeline(side, port).add(t0, t1, delta)
+        profile = self.timeline(side, port)
+        for t0, t1, rate in steps:
+            if rate < 0:
+                raise ConfigurationError(f"negative rate {rate} on {side} port {port}")
+            profile.add(t0, t1, sign * rate)
 
     def book_pair(
         self,
@@ -266,7 +274,7 @@ class ShardBroker:
         bw: float,
         *,
         key: object | None = None,
-        segments: tuple[tuple[float, float, float], ...] | None = None,
+        segments: Segments | None = None,
     ) -> None:
         """Atomically commit a shard-local pair booking (both ports owned).
 
@@ -292,6 +300,27 @@ class ShardBroker:
             self._booked.add(key)
         self.add_work(1.0)
 
+    def book_side(
+        self,
+        side: str,
+        port: int,
+        t0: float,
+        t1: float,
+        bw: float,
+        *,
+        segments: Segments | None = None,
+    ) -> bool:
+        """One half of a direct cross-shard booking: :meth:`prepare`'s
+        capacity check, then committed at once with no hold.  ``False``
+        (slice untouched) when the port cannot carry it."""
+        self._require_up()
+        self.work += 1.0
+        steps = _steps(t0, t1, bw, segments)
+        if not self.fits_side(side, port, t0, t1, bw, segments=steps):
+            return False
+        self._timeline_add(side, port, steps)
+        return True
+
     def release(
         self,
         side: str,
@@ -300,24 +329,13 @@ class ShardBroker:
         t1: float,
         bw: float,
         *,
-        segments: tuple[tuple[float, float, float], ...] | None = None,
+        segments: Segments | None = None,
     ) -> None:
         """Return committed bandwidth on one owned port (cancel/abort path)."""
-        if segments is not None:
-            for s0, s1, rate in segments:
-                if rate < 0:
-                    raise ConfigurationError(f"negative release {rate}")
-                self._timeline_add(side, port, s0, s1, -rate)
-            self.add_work(1.0)
-            return
-        if bw < 0:
-            raise ConfigurationError(f"negative release {bw}")
-        self._timeline_add(side, port, t0, t1, -bw)
+        self._timeline_add(side, port, _steps(t0, t1, bw, segments), -1.0)
         self.add_work(1.0)
 
-    def restore(
-        self, side: str, port: int, segments: tuple[tuple[float, float, float], ...]
-    ) -> None:
+    def restore(self, side: str, port: int, segments: Segments) -> None:
         """Re-add segments to one owned port without a capacity probe.
 
         The malleable reshape path uses this twice: to roll a released
@@ -326,11 +344,7 @@ class ShardBroker:
         state, not ours to reject), and to commit a shaped profile that
         fits by construction.
         """
-        self._require_owned(side, port)
-        for s0, s1, rate in segments:
-            if rate < 0:
-                raise ConfigurationError(f"negative restore {rate}")
-            self._timeline_add(side, port, s0, s1, rate)
+        self._timeline_add(side, port, segments)
         self.add_work(1.0)
 
     def degrade(self, degradation: Degradation) -> None:
@@ -354,7 +368,7 @@ class ShardBroker:
         rid: int,
         expires: float,
         key: object | None = None,
-        segments: tuple[tuple[float, float, float], ...] | None = None,
+        segments: Segments | None = None,
     ) -> Hold | None:
         """Phase one: pin ``bw`` on one owned port, or refuse.
 
@@ -396,8 +410,7 @@ class ShardBroker:
             expires=expires,
             segments=segments,
         )
-        for s0, s1, rate in hold.steps():
-            self._timeline_add(side, port, s0, s1, rate)
+        self._timeline_add(side, port, hold.steps())
         self._holds[hold.hold_id] = hold
         if key is not None:
             self._prepared[key] = hold
@@ -428,8 +441,7 @@ class ShardBroker:
         hold = self._holds.pop(hold_id, None)
         if hold is None:
             return False
-        for s0, s1, rate in hold.steps():
-            self._timeline_add(hold.side, hold.port, s0, s1, -rate)
+        self._timeline_add(hold.side, hold.port, hold.steps(), -1.0)
         self._resolution[hold_id] = resolution
         self.add_work(1.0)
         return True
@@ -451,9 +463,9 @@ class ShardBroker:
         whose deadline equals ``now`` — or sits within float noise of it —
         expires on this sweep, consistently with the coordinator's sweep.
         """
-        scanned = len(self._holds)
-        if scanned:
-            self.add_work(float(scanned))
+        if not self._holds:
+            return []
+        self.add_work(float(len(self._holds)))
         expired = [h for h in self._holds.values() if hold_expired(h.expires, now)]
         for hold in expired:
             self._drop_hold(hold.hold_id, "expired")
@@ -520,9 +532,8 @@ class ShardBroker:
     def snapshot(self) -> dict[str, object]:
         """Canonical JSON-able digest of the shard's authoritative state."""
         slices: dict[str, dict[str, list]] = {"ingress": {}, "egress": {}}
-        for side in ("ingress", "egress"):
-            for port in sorted(self._owned_ports[side]):
-                slices[side][str(port)] = list(self.timeline(side, port).segments())
+        for side, port in sorted(self._profiles):
+            slices[side][str(port)] = list(self._profiles[side, port].segments())
         return {
             "shard": self.shard_id,
             "crashed": self.crashed,

@@ -324,6 +324,15 @@ class Gateway:
         self._chaos_seen: dict[str, float] = {}
         self._edge_seen: dict[str, float] = {}
         self._overcommit_hwm = 0.0
+        #: ``(usage profile, capacity)`` per port, for :meth:`_note_port_peaks`.
+        self._peaks = {
+            (side, p): (self.coordinator.broker_for(side, p).timeline(side, p), capacity(p))
+            for side, count, capacity in (
+                ("ingress", platform.num_ingress, platform.bin),
+                ("egress", platform.num_egress, platform.bout),
+            )
+            for p in range(count)
+        }
         self.on_decision = on_decision
         self.journal = journal
         self._telemetry = telemetry
@@ -952,13 +961,9 @@ class Gateway:
         the live peaks; the mark deliberately keeps the worst proximity
         the run ever reached.
         """
-        for side, port in (("ingress", ingress), ("egress", egress)):
-            cap = self.platform.bin(port) if side == "ingress" else self.platform.bout(port)
-            if cap <= 0:
-                continue
-            peak = self.coordinator.broker_for(side, port).cached_peak(side, port)
-            if peak / cap > self._overcommit_hwm:
-                self._overcommit_hwm = peak / cap
+        for profile, cap in (self._peaks["ingress", ingress], self._peaks["egress", egress]):
+            if cap > 0 and profile.global_max() / cap > self._overcommit_hwm:
+                self._overcommit_hwm = profile.global_max() / cap
 
     # ------------------------------------------------------------------
     # Chaos accounting (channel counters → stats + telemetry deltas)
@@ -1283,14 +1288,6 @@ class Gateway:
         if self.simulated_cost <= 0:
             return 0.0
         return decided / self.simulated_cost
-
-    def work_report(self) -> dict[str, Any]:
-        """Cost-model digest: per-broker work and the critical-path total."""
-        return {
-            "per_broker": [broker.work for broker in self.brokers],
-            "simulated_cost": self.simulated_cost,
-            "batches": self.stats.batches,
-        }
 
     # ------------------------------------------------------------------
     # Crash recovery

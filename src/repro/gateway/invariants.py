@@ -27,6 +27,7 @@ into an :class:`InvariantReport` so a chaos-matrix cell can carry them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -77,46 +78,35 @@ def _all_ports(gateway: Gateway) -> list[tuple[str, int]]:
     ]
 
 
-def _expected_intervals(gateway: Gateway) -> dict[tuple[str, int], list[tuple[float, float, float]]]:
-    """Per-port ``(t0, t1, bw)`` intervals the reservation state explains.
+def _expected_edges(gateway: Gateway) -> dict[tuple[str, int], list[tuple[float, int, float]]]:
+    """Per-port ``(t, ±1, rate)`` edges the reservation state explains.
 
-    A live reservation occupies ``[σ, τ)``; one that ended early
-    (cancel / abort / displacement) kept only ``[σ, min(τ, max(end, σ)))``
-    — its tail was released back to the shards.  A stepwise (malleable)
-    reservation contributes its profile segments instead of one constant
-    rectangle, head-truncated the same way.  Live two-phase holds pin
-    their window too (prepare books capacity immediately).
+    A live reservation occupies its rate steps (one ``[σ, τ)`` rectangle
+    when constant); one that ended early (cancel / abort / displacement)
+    kept only the head before ``max(end, σ)`` — its tail was released
+    back to the shards.  Live two-phase holds pin their window too
+    (prepare books capacity immediately).
     """
-    expected: dict[tuple[str, int], list[tuple[float, float, float]]] = {}
+    edges: dict[tuple[str, int], list[tuple[float, int, float]]] = {}
+
+    def pin(side: str, port: int, t0: float, t1: float, rate: float) -> None:
+        edges.setdefault((side, port), []).extend(((t0, 1, rate), (t1, -1, rate)))
+
     for reservation in gateway.reservations():
         alloc = reservation.allocation
         if alloc is None:
             continue
         stop = reservation.terminated_at
-        if alloc.profile is not None:
-            kept = (
-                alloc.profile
-                if stop is None
-                else alloc.profile.head_until(max(stop, alloc.sigma))
-            )
-            for s0, s1, rate in kept.segments:
-                expected.setdefault(("ingress", alloc.ingress), []).append((s0, s1, rate))
-                expected.setdefault(("egress", alloc.egress), []).append((s0, s1, rate))
-            continue
-        end = alloc.tau if stop is None else min(alloc.tau, max(stop, alloc.sigma))
-        if end <= alloc.sigma:
-            continue
-        expected.setdefault(("ingress", alloc.ingress), []).append(
-            (alloc.sigma, end, alloc.bw)
-        )
-        expected.setdefault(("egress", alloc.egress), []).append(
-            (alloc.sigma, end, alloc.bw)
-        )
+        end = math.inf if stop is None else max(stop, alloc.sigma)
+        for s0, s1, rate in alloc.segments():
+            if s0 < end:
+                pin("ingress", alloc.ingress, s0, min(s1, end), rate)
+                pin("egress", alloc.egress, s0, min(s1, end), rate)
     for broker in gateway.brokers:
         for hold in broker.holds():
             for s0, s1, rate in hold.steps():
-                expected.setdefault((hold.side, hold.port), []).append((s0, s1, rate))
-    return expected
+                pin(hold.side, hold.port, s0, s1, rate)
+    return edges
 
 
 def check_gateway(
@@ -183,16 +173,27 @@ def check_gateway(
                 )
 
     # 3 — ledger reconciliation: timelines == reservations + live holds.
-    expected = _expected_intervals(gateway)
+    # One sweep over each port's sorted edges, sampling between every two
+    # distinct instants (and once past the last) against a running sum.
+    expected = _expected_edges(gateway)
     ports = _all_ports(gateway)
     for side, port in ports:
-        intervals = expected.get((side, port), [])
+        edges = sorted(expected.get((side, port), ()))
         broker = gateway.coordinator.broker_for(side, port)
-        edges = sorted({t for t0, t1, _ in intervals for t in (t0, t1)})
-        samples = [lo + (hi - lo) / 2.0 for lo, hi in zip(edges, edges[1:])]
-        samples.append((edges[-1] if edges else at) + 1.0)
-        for t in samples:
-            want = sum(bw for t0, t1, bw in intervals if t0 <= t < t1)
+        samples: list[tuple[float, float]] = []
+        want, live = 0.0, 0
+        for k, (t, sign, rate) in enumerate(edges):
+            live += sign
+            # An idle port carries exactly nothing: float drift of the
+            # running sum never outlives a busy period.
+            want = want + sign * rate if live else 0.0
+            if k + 1 == len(edges):
+                samples.append((t + 1.0, want))
+            elif edges[k + 1][0] > t:
+                # Instants one ulp apart have no float strictly between.
+                mid = t + (edges[k + 1][0] - t) / 2.0
+                samples.append((mid if mid < edges[k + 1][0] else t, want))
+        for t, want in samples or [(at + 1.0, 0.0)]:
             got = broker.usage_at(side, port, t)
             if not bandwidth_eq(want, got):
                 violations.append(

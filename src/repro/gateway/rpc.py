@@ -4,9 +4,9 @@ Every protocol call a :class:`~repro.gateway.twophase.TwoPhaseCoordinator`
 makes against a :class:`~repro.gateway.broker.ShardBroker` — ``prepare``,
 ``commit``, ``abort_hold``, ``book_pair`` and the compensation ``release``
 — travels through a :class:`Channel`.  With no :class:`ChaosPolicy`
-attached the channel is a pure pass-through (zero extra state, zero RNG
-draws), so a chaos-free gateway behaves — decision for decision, trace
-for trace — exactly as if the layer did not exist.
+attached a delivery is the broker call itself (zero RNG draws, no stats),
+and the coordinator only runs the protocol at all when a broker is down:
+a chaos-free admission with both brokers up is booked directly.
 
 With a policy attached, each delivery is subjected to the faults a real
 network boundary exhibits, all sampled from a per-edge ``random.Random``
@@ -326,10 +326,9 @@ class ChannelStats:
 class Channel:
     """One coordinator→broker edge; the only sanctioned protocol path.
 
-    ``policy=None`` (the default everywhere chaos is not explicitly
-    requested) short-circuits every wrapper straight into the broker
-    method — no RNG is created, no stats move, and behaviour is
-    bit-identical to calling the broker directly.
+    With ``policy=None`` :meth:`deliver` runs the broker call as-is — no
+    RNG draw, no stats — and behaviour is bit-identical to calling the
+    broker directly.
     """
 
     def __init__(
@@ -350,7 +349,7 @@ class Channel:
     # Causal tracing: the channel is where faults become visible, so it
     # is the channel that annotates them onto the request's timeline.
     # ------------------------------------------------------------------
-    def _observe(
+    def observe(
         self,
         cat: str,
         what: str,
@@ -402,7 +401,7 @@ class Channel:
         landed = self.broker.resolution_of(hold_id) == "committed"
         if landed:
             self.stats.recovered += 1
-            self._observe("rpc", "commit", now, ctx, {"outcome": "recovered", "hold_id": hold_id})
+            self.observe("rpc", "commit", now, ctx, {"outcome": "recovered", "hold_id": hold_id})
         return landed
 
     def booking_landed(
@@ -413,7 +412,7 @@ class Channel:
         landed = self.broker.was_booked(rid)
         if landed:
             self.stats.recovered += 1
-            self._observe("rpc", "book_pair", now, ctx, {"outcome": "recovered", "rid": rid})
+            self.observe("rpc", "book_pair", now, ctx, {"outcome": "recovered", "rid": rid})
         return landed
 
     # ------------------------------------------------------------------
@@ -425,6 +424,7 @@ class Channel:
         now: float,
         reliable: bool = False,
         ctx: TraceContext | None = None,
+        detail: Callable[[_T], dict[str, Any]] | None = None,
     ) -> _T:
         """Run one broker call through the configured chaos.
 
@@ -435,11 +435,12 @@ class Channel:
         ``reliable=True`` (compensation records) bypasses partition,
         drop and duplication: only latency applies.  ``ctx`` is the
         causal trace context of the transaction this delivery serves;
-        every fault that strikes is annotated onto its timeline.
+        every fault that strikes is annotated onto its timeline.  With no
+        policy the call runs as-is and its hop carries ``detail(result)``.
         """
         if self.policy is None:
             result = invoke()
-            self._observe("rpc", op, now, ctx)
+            self.observe("rpc", op, now, ctx, detail(result) if detail is not None else None)
             return result
         self.stats.calls += 1
         edge = self._edge
@@ -449,7 +450,7 @@ class Channel:
         if not reliable:
             if self.partitioned(now):
                 self.stats.partitioned += 1
-                self._observe(
+                self.observe(
                     "chaos", "partition", now, ctx, {"op": op, "cost": self.policy.timeout_cost}
                 )
                 raise ChannelTimeout(
@@ -459,7 +460,7 @@ class Channel:
             if edge.drop > 0.0 and rng.random() < edge.drop:
                 self.stats.drops += 1
                 reply_lost = rng.random() < 0.5
-                self._observe(
+                self.observe(
                     "chaos",
                     "drop",
                     now,
@@ -483,16 +484,16 @@ class Channel:
         if edge.delay > 0.0 and rng.random() < edge.delay:
             self.stats.delays += 1
             self.stats.latency += edge.delay_cost
-            self._observe("chaos", "delay", now, ctx, {"op": op, "cost": edge.delay_cost})
+            self.observe("chaos", "delay", now, ctx, {"op": op, "cost": edge.delay_cost})
         result = invoke()
         if not reliable and edge.duplicate > 0.0 and rng.random() < edge.duplicate:
             self.stats.duplicates += 1
-            self._observe("chaos", "duplicate", now, ctx, {"op": op})
+            self.observe("chaos", "duplicate", now, ctx, {"op": op})
             try:
                 invoke()  # at-least-once: the broker sees the replay too
             except ReproError:
                 pass
-        self._observe("rpc", op, now, ctx)
+        self.observe("rpc", op, now, ctx)
         return result
 
     def _maybe_crash(
@@ -509,7 +510,7 @@ class Channel:
             and self._rng.random() < probability
         ):
             self.stats.crashes += 1
-            self._observe("chaos", "crash", now, ctx, {"op": op})
+            self.observe("chaos", "crash", now, ctx, {"op": op})
             self.broker.crash()
 
     # ------------------------------------------------------------------
@@ -535,37 +536,14 @@ class Channel:
         holds; the idempotency key is unchanged, so duplicate deliveries
         of a profile prepare replay exactly like constant ones.
         """
-        if self.policy is None:
-            hold = self.broker.prepare(
-                side,
-                port,
-                t0,
-                t1,
-                bw,
-                rid=rid,
-                expires=expires,
-                key=(rid, side),
-                segments=segments,
-            )
-            self._observe(
-                "rpc", "prepare", now, ctx, {"rid": rid, "side": side, "held": hold is not None}
-            )
-            return hold
         hold = self.deliver(
             "prepare",
             lambda: self.broker.prepare(
-                side,
-                port,
-                t0,
-                t1,
-                bw,
-                rid=rid,
-                expires=expires,
-                key=(rid, side),
-                segments=segments,
+                side, port, t0, t1, bw, rid=rid, expires=expires, key=(rid, side), segments=segments
             ),
             now=now,
             ctx=ctx,
+            detail=lambda held: {"rid": rid, "side": side, "held": held is not None},
         )
         if hold is not None:
             self._maybe_crash(self._edge.crash_after_prepare, "prepare", now, ctx)
@@ -575,11 +553,13 @@ class Channel:
         self, hold_id: int, *, now: float, ctx: TraceContext | None = None
     ) -> None:
         """Phase two through the channel."""
-        if self.policy is None:
-            self.broker.commit(hold_id)
-            self._observe("rpc", "commit", now, ctx, {"hold_id": hold_id})
-            return
-        self.deliver("commit", lambda: self.broker.commit(hold_id), now=now, ctx=ctx)
+        self.deliver(
+            "commit",
+            lambda: self.broker.commit(hold_id),
+            now=now,
+            ctx=ctx,
+            detail=lambda _: {"hold_id": hold_id},
+        )
         self._maybe_crash(self._edge.crash_after_commit, "commit", now, ctx)
 
     def abort_hold(
@@ -588,12 +568,12 @@ class Channel:
         """Abort through the channel — deliberately *unreliable*: a lost
         abort strands the hold until the broker's TTL sweep (presumed
         abort), which is the failure mode the drills must exercise."""
-        if self.policy is None:
-            released = self.broker.abort_hold(hold_id)
-            self._observe("rpc", "abort", now, ctx, {"hold_id": hold_id})
-            return released
         return self.deliver(
-            "abort", lambda: self.broker.abort_hold(hold_id), now=now, ctx=ctx
+            "abort",
+            lambda: self.broker.abort_hold(hold_id),
+            now=now,
+            ctx=ctx,
+            detail=lambda _: {"hold_id": hold_id},
         )
 
     def book_pair(
@@ -610,17 +590,12 @@ class Channel:
         segments: tuple[tuple[float, float, float], ...] | None = None,
     ) -> None:
         """Shard-local atomic booking through the channel; ``rid`` keys it."""
-        if self.policy is None:
-            self.broker.book_pair(ingress, egress, t0, t1, bw, key=rid, segments=segments)
-            self._observe("rpc", "book_pair", now, ctx, {"rid": rid})
-            return
         self.deliver(
             "book_pair",
-            lambda: self.broker.book_pair(
-                ingress, egress, t0, t1, bw, key=rid, segments=segments
-            ),
+            lambda: self.broker.book_pair(ingress, egress, t0, t1, bw, key=rid, segments=segments),
             now=now,
             ctx=ctx,
+            detail=lambda _: {"rid": rid},
         )
 
     def release(
@@ -638,14 +613,11 @@ class Channel:
         """Compensation release — ``reliable``: modelled as a durable
         compensation record replayed until acknowledged, so undoing a
         partial commit can never itself be lost."""
-        if self.policy is None:
-            self.broker.release(side, port, t0, t1, bw, segments=segments)
-            self._observe("rpc", "release", now, ctx, {"side": side})
-            return
         self.deliver(
             "release",
             lambda: self.broker.release(side, port, t0, t1, bw, segments=segments),
             now=now,
             ctx=ctx,
             reliable=True,
+            detail=lambda _: {"side": side},
         )

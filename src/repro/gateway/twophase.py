@@ -25,10 +25,13 @@ Failure semantics (what the fault drills exercise):
 - a crashed **coordinator** is covered by the hold TTL: brokers
   timeout-abort uncommitted holds in their expiry sweep.
 
+The protocol exists for faults that land *between* its phases.  With no
+:class:`~repro.gateway.rpc.ChaosPolicy` and both owning brokers up nothing
+can, so the admission books each broker once with the same capacity
+checks (docs/GATEWAY.md, "Direct booking"); every other case runs it.
+
 Every protocol call travels through a :class:`~repro.gateway.rpc.Channel`
-(one per broker).  With no :class:`~repro.gateway.rpc.ChaosPolicy` the
-channels are pure pass-throughs and behaviour is identical to calling the
-brokers directly; with one, deliveries can be dropped, duplicated,
+(one per broker).  With a policy, deliveries can be dropped, duplicated,
 delayed or partitioned, and the coordinator additionally:
 
 - treats a :class:`~repro.gateway.rpc.ChannelTimeout` like an
@@ -46,7 +49,7 @@ delayed or partitioned, and the coordinator additionally:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, TypeVar
 
@@ -94,7 +97,6 @@ class TwoPhaseOutcome:
     retry_delay: float = 0.0
     #: A two-phase transaction was started and rolled back.
     aborted: bool = False
-    holds: list[Hold] = field(default_factory=list)
     #: Simulated seconds burned waiting on lost deliveries (chaos only).
     chaos_wait: float = 0.0
     #: Committed bookings undone because a peer commit failed (chaos only).
@@ -214,7 +216,9 @@ class TwoPhaseCoordinator:
             if allocation is None:
                 return outcome
 
-        if outcome.local:
+        if self.chaos is None and not (ingress_broker.crashed or egress_broker.crashed):
+            self._place_direct(ingress_broker, egress_broker, allocation, outcome, now, ctx)
+        elif outcome.local:
             self._place_local(
                 self.channel_for("ingress", request.ingress),
                 allocation,
@@ -274,6 +278,49 @@ class TwoPhaseCoordinator:
         return Allocation.for_request(request, bw, sigma=earliest)
 
     # ------------------------------------------------------------------
+    def _place_direct(
+        self,
+        ingress_broker: ShardBroker,
+        egress_broker: ShardBroker,
+        allocation: Allocation,
+        outcome: TwoPhaseOutcome,
+        now: float,
+        ctx: TraceContext | None = None,
+    ) -> None:
+        """Book with no protocol (nothing can land between the halves): one
+        ``book_pair`` for a shard-local pair, else one capacity-checked
+        ``book_side`` per owning broker, a refusal rejecting as a refused
+        prepare does."""
+        a = allocation
+        segments = a.segments() if a.profile is not None else None
+        if ingress_broker is egress_broker:
+            ingress_broker.book_pair(
+                a.ingress, a.egress, a.sigma, a.tau, a.bw, key=a.rid, segments=segments
+            )
+            if ctx is not None:
+                self.channels[ingress_broker.shard_id].observe(
+                    "rpc", "book_pair", now, ctx.child("book"), {"rid": a.rid}
+                )
+            outcome.allocation = a
+            return
+        booked: list[tuple[ShardBroker, str, int]] = []
+        for broker, side, port, full in (
+            (ingress_broker, "ingress", a.ingress, RejectReason.INGRESS_FULL),
+            (egress_broker, "egress", a.egress, RejectReason.EGRESS_FULL),
+        ):
+            if not broker.book_side(side, port, a.sigma, a.tau, a.bw, segments=segments):
+                for peer, peer_side, peer_port in booked:
+                    peer.release(peer_side, peer_port, a.sigma, a.tau, a.bw, segments=segments)
+                outcome.aborted = True
+                outcome.probe.reason = full
+                return
+            booked.append((broker, side, port))
+            if ctx is not None:
+                self.channels[broker.shard_id].observe(
+                    "rpc", "book", now, ctx.child(f"book:{side}"), {"rid": a.rid, "side": side}
+                )
+        outcome.allocation = a
+
     def _place_local(
         self,
         channel: Channel,
@@ -377,7 +424,6 @@ class TwoPhaseCoordinator:
                 probe.reason = full_reason
                 return
             placed.append((channel, hold))
-            outcome.holds.append(hold)
         committed: list[tuple[Channel, Hold]] = []
         for channel, hold in placed:
             commit_ctx = child_of(ctx, f"commit:{hold.side}")

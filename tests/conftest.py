@@ -20,3 +20,21 @@ def ledger_kernel(request, monkeypatch):
     """
     monkeypatch.setattr("repro.core.ledger.make_profile", KERNELS[request.param])
     return KERNELS[request.param]
+
+
+def without_protocol_records(snapshot):
+    """A gateway snapshot minus the brokers' two-phase records.
+
+    ``resolved`` / ``prepared`` exist only where the protocol ran: a
+    chaos-off gateway books directly and leaves them empty, a gateway
+    under a :class:`~repro.gateway.ChaosPolicy` (even an all-zero one)
+    fills them.  Everything else — reservations, slices, holds, crashed,
+    booked keys, stats — must be equal between the two.
+    """
+    return {
+        **snapshot,
+        "shards": [
+            {k: v for k, v in shard.items() if k not in ("resolved", "prepared")}
+            for shard in snapshot["shards"]
+        ],
+    }

@@ -8,6 +8,7 @@ must end invariant-clean and replay-convergent.
 
 import math
 import random
+import time
 
 import pytest
 
@@ -36,6 +37,8 @@ from repro.gateway import (
 )
 from repro.obs import Telemetry
 from repro.schedulers.retry import BackoffSchedule
+
+from .conftest import without_protocol_records
 
 
 def platform(n=4, cap=1000.0):
@@ -558,6 +561,52 @@ class TestInvariantChecker:
         report = check_gateway(gw, now=60.0)
         assert any("zombie hold" in v for v in report.violations)
 
+    def test_hand_corrupted_slices_are_still_caught(self):
+        def busy():
+            gw = Gateway(platform(), num_shards=2, batch_size=2)
+            for k in range(12):
+                gw.submit(ingress=k % 4, egress=(k + 1) % 4, volume=50.0 + k, deadline=80.0, now=float(k))
+            gw.drain(12.0)
+            assert check_gateway(gw).ok
+            return gw
+
+        # A booking a shade too fat, a phantom trailing the port's last
+        # booking, a missing booking.
+        allocations = [x.allocation for x in busy().reservations() if x.confirmed]
+        r = allocations[3]
+        last = max(a.tau for a in allocations if a.ingress == r.ingress)
+        for t0, t1, delta in ((r.sigma, r.tau, 0.25), (last, last + 5.0, 1.0), (r.sigma, r.tau, -r.bw)):
+            gw = busy()
+            broker = gw.coordinator.broker_for("ingress", r.ingress)
+            if delta > 0:
+                broker.restore("ingress", r.ingress, ((t0, t1, delta),))
+            else:
+                broker.release("ingress", r.ingress, t0, t1, -delta)
+            report = check_gateway(gw)
+            assert [v for v in report.violations if f"ingress port {r.ingress}" in v], (t0, t1)
+            assert len(report.violations) == 1  # one port, one report
+
+    def test_reconciliation_is_one_sweep_per_port(self):
+        gw = Gateway(Platform.uniform(16, 16, 1000.0), num_shards=4, batch_size=8)
+        rng = random.Random(2)
+        t = 0.0
+        for _ in range(20_000):
+            t += rng.expovariate(1.0)
+            gw.submit(
+                ingress=rng.randrange(16),
+                egress=rng.randrange(16),
+                volume=rng.uniform(50.0, 400.0),
+                deadline=t + rng.uniform(20.0, 60.0),
+                now=t,
+            )
+        gw.drain(t)
+        assert gw.stats.accepted > 19_000
+        started = time.perf_counter()
+        report = check_gateway(gw, expect_quiesced=True)
+        elapsed = time.perf_counter() - started
+        assert report.ok and report.checks["reservations"] == 20_000
+        assert elapsed < 1.0, f"auditing 20k reservations took {elapsed:.2f}s"
+
     def test_quiesced_gateway_must_hold_nothing(self):
         gw = Gateway(platform(), num_shards=2)
         gw.brokers[0].prepare("ingress", 0, 0.0, 10.0, 5.0, rid=99, expires=1e9, key=(99, "i"))
@@ -575,7 +624,10 @@ class TestInvariantChecker:
 
 
 class TestChaosOffEquivalence:
-    """The tentpole acceptance gate: chaos disabled == layer absent."""
+    """Chaos disabled books directly; a zero policy runs the protocol and
+    injects nothing.  Both must reach the same state — the brokers'
+    protocol records (``resolved`` / ``prepared``) exist only where the
+    protocol ran."""
 
     def drive(self, gw):
         workload = sorted(chaotic_workload(17, n=25, ports=4), key=lambda r: r.t_start)
@@ -599,15 +651,28 @@ class TestChaosOffEquivalence:
 
     @pytest.mark.parametrize("shards,batch", [(1, 1), (2, 2), (4, 3)])
     def test_none_and_zero_policy_are_identical(self, shards, batch):
-        gw_none = Gateway(platform(), num_shards=shards, batch_size=batch)
+        j_none, j_zero = Journal(), Journal()
+        gw_none = Gateway(platform(), num_shards=shards, batch_size=batch, journal=j_none)
         gw_zero = Gateway(
-            platform(), num_shards=shards, batch_size=batch, chaos=ChaosPolicy(seed=123)
+            platform(),
+            num_shards=shards,
+            batch_size=batch,
+            chaos=ChaosPolicy(seed=123),
+            journal=j_zero,
         )
         self.drive(gw_none)
         self.drive(gw_zero)
         assert self.decisions(gw_none) == self.decisions(gw_zero)
-        assert gw_none.snapshot() == gw_zero.snapshot()
         assert vars(gw_none.stats) == vars(gw_zero.stats)
+        snap_none, snap_zero = gw_none.snapshot(), gw_zero.snapshot()
+        assert without_protocol_records(snap_none) == without_protocol_records(snap_zero)
+        assert all(s["resolved"] == {} and s["prepared"] == {} for s in snap_none["shards"])
+        if shards > 1:
+            assert any(s["resolved"] and s["prepared"] for s in snap_zero["shards"])
+        # Same journal bytes below the header (which names the policy).
+        assert j_none.to_jsonl().split("\n", 1)[1] == j_zero.to_jsonl().split("\n", 1)[1]
+        assert j_none.header.pop("chaos") is None and j_zero.header.pop("chaos") is not None
+        assert j_none.header == j_zero.header
 
     def test_chaos_off_leaves_edge_channel_counters_untouched(self):
         telemetry = Telemetry()

@@ -108,9 +108,14 @@ class TestTraceContext:
         assert child_of(TraceContext.root(2), "x").span_id == "req-2/x"
 
 
+#: A policy that injects nothing: the gateway still runs the two-phase
+#: protocol (a chaos-off gateway with its brokers up books directly).
+ZERO_POLICY = ChaosPolicy(seed=0)
+
+
 class TestTracedPipeline:
     def test_two_phase_hops_carry_the_trace(self):
-        gw, artifact = traced_run()
+        gw, artifact = traced_run(chaos=ZERO_POLICY)
         capture = next(iter(artifact.captures()))
         spans = [s for s in capture["spans"] if s.get("cat") == "rpc"]
         assert spans, "no rpc hops traced"
@@ -122,6 +127,30 @@ class TestTracedPipeline:
             args = span["args"]
             assert args["trace"].startswith("req-")
             assert args["span"].startswith(args["trace"])
+
+    def test_direct_booking_is_one_hop_per_owning_broker(self):
+        gw, artifact = traced_run()
+        capture = next(iter(artifact.captures()))
+        hops: dict[int, list] = {}
+        for span in capture["spans"]:
+            if span.get("cat") == "rpc":
+                hops.setdefault(span["args"]["rid"], []).append(span)
+        confirmed = [r for r in gw.reservations() if r.confirmed]
+        assert {r.rid for r in confirmed} == set(hops)
+        assert {s["name"] for spans in hops.values() for s in spans} == {"rpc.book", "rpc.book_pair"}
+        for r in confirmed:
+            owners = {
+                side: gw.shard_map.shard_of(side, port)
+                for side, port in (("ingress", r.request.ingress), ("egress", r.request.egress))
+            }
+            got = [(s["name"], s["args"]["span"], s["args"]["shard"]) for s in hops[r.rid]]
+            if owners["ingress"] == owners["egress"]:
+                assert got == [("rpc.book_pair", f"req-{r.rid}/book", owners["ingress"])]
+            else:
+                assert got == [
+                    ("rpc.book", f"req-{r.rid}/book:{side}", owners[side])
+                    for side in ("ingress", "egress")
+                ]
 
     def test_every_decision_event_carries_its_trace(self):
         _, artifact = traced_run()
@@ -184,7 +213,7 @@ class TestTracedPipeline:
 class TestExplainRequest:
     def test_reconstructs_the_full_story(self):
         journal = Journal()
-        gw, artifact = traced_run(journal=journal)
+        gw, artifact = traced_run(chaos=ZERO_POLICY, journal=journal)
         stories = {
             r.rid: explain_request(artifact, r.rid, journal=journal)
             for r in gw.reservations()
@@ -202,6 +231,20 @@ class TestExplainRequest:
             ("rpc.prepare" in s and "rpc.commit" in s) or "rpc.book_pair" in s
             for s in stories.values()
         )
+
+    def test_reconstructs_a_direct_booking(self):
+        journal = Journal()
+        gw, artifact = traced_run(journal=journal)
+        stories = [
+            explain_request(artifact, r.rid, journal=journal)
+            for r in gw.reservations()
+            if r.confirmed
+        ]
+        assert stories and any(s.count("rpc.book ") == 2 for s in stories)
+        for story in stories:
+            assert "gateway.trace.decision" in story
+            assert "rpc.prepare" not in story and "rpc.commit" not in story
+            assert story.count("rpc.book ") == 2 or story.count("rpc.book_pair") == 1
 
     def test_includes_injected_faults(self):
         gw, artifact = traced_run(chaos=ChaosPolicy.lossy(seed=5), backlog_limit=4)
@@ -246,7 +289,7 @@ class TestExplainRequest:
 class TestExplainCli:
     def _write_run(self, tmp_path):
         journal = Journal()
-        gw, artifact = traced_run(journal=journal)
+        gw, artifact = traced_run(chaos=ZERO_POLICY, journal=journal)
         art_path = tmp_path / "run.json"
         jr_path = tmp_path / "run.journal.jsonl"
         artifact.save(art_path)
@@ -265,6 +308,19 @@ class TestExplainCli:
         assert code == 0
         assert f"causal timeline for rid {rid}" in out
         assert "journal" in out and "rpc.prepare" in out
+
+    def test_explain_prints_a_direct_booking(self, tmp_path, capsys):
+        gw, artifact = traced_run()
+        art = tmp_path / "run.json"
+        artifact.save(art)
+        rid = next(
+            r.rid
+            for r in gw.reservations()
+            if r.confirmed and "rpc.book " in explain_request(artifact, r.rid)
+        )
+        assert main(["explain", str(rid), str(art)]) == 0
+        out = capsys.readouterr().out
+        assert f"req-{rid}/book:ingress" in out and f"req-{rid}/book:egress" in out
 
     def test_unknown_rid_exits_one(self, tmp_path, capsys):
         art, _, _ = self._write_run(tmp_path)
