@@ -9,17 +9,12 @@ below so the baseline cannot silently drift), and asserts the overhead
 stays under 5%.
 
 A second gate covers the causal-tracing plane end to end: the full
-sharded gateway on ``bench_gateway``'s wave workload with tracing
+sharded gateway on ``bench_chaos``'s wave workload with tracing
 enabled (every RPC hop spans, every decision event carries its trace
 context) must make byte-identical admission decisions to the same run
-under :class:`~repro.obs.telemetry.NullTelemetry` and stay within 5% of
-its simulated-cost throughput — the same currency ``bench_chaos``
-gates the disabled chaos plane in.  Tracing observes, it never rides
-the simulated critical path.
-
-That simulated gate is 0 by construction and cannot catch a wall-clock
-regression, so the same two runs are also gated in wall time: the
-min-of-repeats ``traced_over_null_wall`` ratio must stay under
+under :class:`~repro.obs.telemetry.NullTelemetry` — tracing observes, it
+never steers — and is gated in wall time: the min-of-repeats
+``traced_over_null_wall`` ratio must stay under
 ``MAX_TRACING_WALL = 1.5``.  The write path only stores (ring records,
 bound metric samples — docs/OBSERVABILITY.md, "Write path / read path");
 that took this ratio from 1.84 to about 1.40 on this workload.  ROADMAP's
@@ -41,7 +36,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from bench_gateway import CAP, PORTS, wave_workload
+from bench_chaos import CAP, PORTS, wave_workload
 
 from repro.core import Platform, PortLedger, Request
 from repro.core.booking import deadline_tolerance, earliest_fit
@@ -53,8 +48,6 @@ from conftest import RESULTS_DIR
 
 #: Allowed instrumented/seed ratio for the null-telemetry path.
 MAX_NULL_OVERHEAD = 1.05
-#: Allowed simulated-cost overhead of the fully traced gateway.
-MAX_TRACING_OVERHEAD = 0.05
 #: Allowed traced/null wall-clock ratio of the same gateway run.
 MAX_TRACING_WALL = 1.5
 REPEATS = 15
@@ -217,7 +210,7 @@ def _merge_results(section: str, payload: dict[str, object]) -> None:
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
-def test_traced_gateway_overhead_simulated_and_wall():
+def test_traced_gateway_overhead_wall():
     clock = WallClock()
     submissions = wave_workload()
 
@@ -241,10 +234,6 @@ def test_traced_gateway_overhead_simulated_and_wall():
     spans = len(traced_gw.telemetry.tracer)
     assert spans > 0, "traced run recorded no spans — the gate measures nothing"
 
-    # The gate: tracing adds no simulated cost (same currency bench_chaos
-    # gates the chaos plane in — bench_gateway's throughput metric).
-    overhead = 1.0 - traced_gw.throughput() / null_gw.throughput()
-
     run_gateway(NullTelemetry())  # warm-up
     run_gateway(Telemetry())  # warm-up
     # Alternate the two sides so a slow phase of the host lands on both;
@@ -261,8 +250,6 @@ def test_traced_gateway_overhead_simulated_and_wall():
             "submissions": len(submissions),
             "repeats": TRACING_REPEATS,
             "spans_per_run": spans,
-            "simulated_overhead": overhead,
-            "max_tracing_overhead": MAX_TRACING_OVERHEAD,
             "decisions_identical": True,
             "null_wall_seconds": null_time,
             "traced_wall_seconds": traced_time,
@@ -271,11 +258,6 @@ def test_traced_gateway_overhead_simulated_and_wall():
         },
     )
 
-    assert abs(overhead) <= MAX_TRACING_OVERHEAD, (
-        f"traced gateway loses {overhead * 100:.2f}% simulated throughput "
-        f"(gate: <= {MAX_TRACING_OVERHEAD * 100:.0f}%); tracing must stay off "
-        f"the simulated critical path"
-    )
     assert wall_ratio <= MAX_TRACING_WALL, (
         f"traced gateway takes {wall_ratio:.2f}x the wall time of the untraced one "
         f"(gate: <= {MAX_TRACING_WALL}x); null={null_time:.6f}s traced={traced_time:.6f}s"

@@ -125,7 +125,6 @@ print(f"  accepted {s.accepted}, rejected {s.rejected} (of {s.submits} submitted
 print(f"  local {s.local} / cross-shard {s.cross_shard} / fast path {s.fastpath_hits}")
 print(f"  edge refusals: {s.edge_refused} (clients: {gateway.edge.clients()})")
 print(f"  prepare retries {s.prepare_retries}, two-phase aborts {s.twophase_aborts}")
-print(f"  throughput {gateway.throughput():.4f} decisions per simulated work unit")
 
 # --- a port fault: degrade and displace -------------------------------
 victim = max(

@@ -36,13 +36,10 @@ from functools import partial
 from typing import Any
 
 from ..core.allocation import Allocation, ScheduleResult
-from ..core.booking import (
-    FitProbe,
-    RejectReason,
-    earliest_fit,
-    earliest_fit_profile,
-    shape_profile,
-)
+from ..core.booking import FitProbe, RejectReason, admission_search
+# Unused: the frozen benchmarks/stack/tracer.py (CORE_TARGETS) resolves this
+# name on this module until ROADMAP 1(b) re-baselines.
+from ..core.booking import earliest_fit  # noqa: F401
 from ..core.errors import ConfigurationError, InternalInvariantError
 from ..core.ledger import Degradation, PortLedger
 from ..core.platform import Platform
@@ -208,12 +205,7 @@ class ReservationService:
         self._advance(now)
         rid = self._take_rid()
         self._record("submit", now, **entry)
-        if wanted is not None:
-            allocation, probe = self._book_profile(request, wanted)
-        else:
-            allocation, probe = self._book(request)
-            if allocation is None and self.malleable:
-                allocation, probe = self._book_shaped(request, probe)
+        allocation, probe = self._book(request, wanted)
         reservation = Reservation(
             rid=rid,
             request=request,
@@ -238,57 +230,29 @@ class ReservationService:
                 self._backlog.pop(0)
         return reservation
 
-    def _book(self, request: Request) -> tuple[Allocation | None, FitProbe]:
-        probe = FitProbe()
-        allocation = earliest_fit(
-            self._ledger, request, lambda sigma: self.policy.assign(request, sigma), probe=probe
-        )
-        if allocation is not None:
-            self._ledger.allocate(
-                allocation.ingress,
-                allocation.egress,
-                allocation.sigma,
-                allocation.tau,
-                allocation.bw,
-            )
-            self._note_port_peaks(allocation)
-        return allocation, probe
-
-    def _book_profile(
-        self, request: Request, profile: RateProfile
+    def _book(
+        self, request: Request, profile: RateProfile | None = None
     ) -> tuple[Allocation | None, FitProbe]:
-        """Place (possibly sliding) an explicitly requested stepwise profile."""
-        probe = FitProbe()
-        allocation = earliest_fit_profile(
-            self._ledger, request, profile, not_before=request.t_start, probe=probe
+        """Search (:func:`~repro.core.booking.admission_search`), then commit."""
+        allocation, probe = admission_search(
+            self._ledger,
+            request,
+            lambda sigma: self.policy.assign(request, sigma),
+            profile=profile,
+            malleable=self.malleable,
         )
-        if allocation is not None:
+        if allocation is None:
+            return None, probe
+        a = allocation
+        if a.profile is None:
+            self._ledger.allocate(a.ingress, a.egress, a.sigma, a.tau, a.bw)
+        else:
+            # A client's shape is probed again; a shaped one fits by construction.
             self._ledger.allocate_segments(
-                allocation.ingress, allocation.egress, allocation.segments()
+                a.ingress, a.egress, a.segments(), check=profile is not None
             )
-            self._note_port_peaks(allocation)
-        return allocation, probe
-
-    def _book_shaped(
-        self, request: Request, constant_probe: FitProbe
-    ) -> tuple[Allocation | None, FitProbe]:
-        """Malleable fallback: shape a profile into residual capacity valleys.
-
-        Tried only after the constant-rate search failed (and only with
-        ``malleable=True``); on shaping failure the constant search's
-        diagnostics are kept so reject reasons stay the more informative
-        of the two.
-        """
-        probe = FitProbe()
-        shaped = shape_profile(self._ledger, request, probe=probe)
-        if shaped is None:
-            return None, constant_probe
-        allocation = Allocation.for_profile(request, shaped)
-        self._ledger.allocate_segments(
-            allocation.ingress, allocation.egress, allocation.segments(), check=False
-        )
-        self._note_port_peaks(allocation)
-        return allocation, probe
+        self._note_port_peaks(a)
+        return a, probe
 
     def _note_port_peaks(self, alloc: Allocation) -> None:
         """Track peak committed utilisation of the two ports just booked on."""
@@ -601,8 +565,6 @@ class ReservationService:
             if candidate is None:
                 continue  # deadline unreachable forever: prune
             allocation, _probe = self._book(candidate)
-            if allocation is None and self.malleable:
-                allocation, _probe = self._book_shaped(candidate, _probe)
             if allocation is None:
                 keep.append(rid)
                 continue

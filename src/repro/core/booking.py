@@ -2,10 +2,11 @@
 
 Several layers run the same search: "find the earliest start within the
 request's window at which a rate assignment fits the ledger" — the
-:class:`~repro.control.service.ReservationService` on every submit, the
-offline salvage pass of :mod:`repro.grid.failures`, and the re-admission /
-rebooking paths of the fault-tolerant control plane.  This module is the
-single implementation they all delegate to.
+service and the gateway's coordinator on every admission (through the
+:func:`admission_search` cascade), the offline salvage pass of
+:mod:`repro.grid.failures`, and the re-admission / rebooking paths of the
+fault-tolerant control plane.  This module is the single implementation
+they all delegate to.
 
 Candidate starts are the request's window opening plus every instant where
 the pair's available capacity can change: usage breakpoints of both port
@@ -38,6 +39,7 @@ __all__ = [
     "FitProbe",
     "LedgerView",
     "RejectReason",
+    "admission_search",
     "earliest_fit",
     "earliest_fit_profile",
     "shape_profile",
@@ -448,6 +450,39 @@ def shape_profile(
     shaped = RateProfile(segments)
     _count_shape(request, accepted=True)
     return shaped
+
+
+def admission_search(
+    ledger: LedgerView,
+    request: Request,
+    rate_for: Callable[[float], float | None] | None,
+    *,
+    profile: RateProfile | None = None,
+    malleable: bool = False,
+) -> tuple[Allocation | None, FitProbe]:
+    """The admission cascade of every serving plane.
+
+    An explicit ``profile`` is placed as-given or slid later, never before
+    the window opens (:func:`earliest_fit_profile`).  Otherwise the
+    constant-rate :func:`earliest_fit` runs and, when it fails and
+    ``malleable`` is set, :func:`shape_profile` carves one out of the
+    pair's residual valleys.  Returns the uncommitted allocation and the
+    probe of the search that settled it: a failed shaping keeps the
+    constant search's, which names the fuller port and both headrooms.
+    """
+    probe = FitProbe()
+    if profile is not None:
+        allocation = earliest_fit_profile(
+            ledger, request, profile, not_before=request.t_start, probe=probe
+        )
+        return allocation, probe
+    allocation = earliest_fit(ledger, request, rate_for, probe=probe)
+    if allocation is None and malleable:
+        shaped_probe = FitProbe()
+        shaped = shape_profile(ledger, request, probe=shaped_probe)
+        if shaped is not None:
+            return Allocation.for_profile(request, shaped), shaped_probe
+    return allocation, probe
 
 
 def _count_shape(request: Request, *, accepted: bool) -> None:

@@ -32,7 +32,7 @@ workload (the property tests assert this); sharding and batching change
 *where* the work happens, never *what* is decided.
 """
 
-from .batch import AdmissionOrdering, Batcher, PendingAdmission
+from .batch import AdmissionOrdering, Batcher
 from .broker import BrokerUnavailable, Hold, ShardBroker, hold_expired
 from .edge import EdgeLimit, EdgeLimiter
 from .gateway import Gateway, GatewayStats, Ticket
@@ -67,7 +67,6 @@ __all__ = [
     "InvariantReport",
     "PairLedgerView",
     "Partition",
-    "PendingAdmission",
     "ShardBroker",
     "ShardMap",
     "ShardUnreachable",

@@ -1,10 +1,9 @@
 """The front-end batcher: coalesce concurrent arrivals, order the batch.
 
 Cohen et al.'s throughput-optimal online reservation results show batched
-admission need not sacrifice throughput — and batching is what exposes
-cross-shard parallelism: requests in one batch that touch disjoint
-brokers are admitted concurrently, so the batch's critical path is the
-busiest broker, not the sum of all work.
+admission need not sacrifice throughput; what a batch buys here is an
+admission *order* other than arrival order among requests that arrived
+together.
 
 The batcher collects submissions that arrive at the same simulated
 instant (the gateway force-flushes whenever its clock advances, so a
@@ -30,7 +29,7 @@ from ..core.errors import ConfigurationError
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
     from .gateway import Ticket
 
-__all__ = ["AdmissionOrdering", "Batcher", "PendingAdmission"]
+__all__ = ["AdmissionOrdering", "Batcher"]
 
 
 class AdmissionOrdering(enum.Enum):
@@ -54,21 +53,13 @@ class AdmissionOrdering(enum.Enum):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class PendingAdmission:
-    """One enqueued submission awaiting its batch's flush."""
-
-    seq: int
-    ticket: Ticket
-
-
 @dataclass
 class Batcher:
-    """Bounded accumulator of pending admissions with a flush order."""
+    """Bounded accumulator of undecided tickets with a flush order."""
 
     batch_size: int
     ordering: AdmissionOrdering = AdmissionOrdering.FIFO
-    _pending: list[PendingAdmission] = field(default_factory=list)
+    _pending: list[Ticket] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -82,25 +73,22 @@ class Batcher:
         """Has the batch reached ``batch_size``?"""
         return len(self._pending) >= self.batch_size
 
-    def enqueue(self, pending: PendingAdmission) -> None:
+    def enqueue(self, ticket: Ticket) -> None:
         """Add one submission to the open batch."""
-        self._pending.append(pending)
+        self._pending.append(ticket)
 
-    def drain(self, now: float) -> list[PendingAdmission]:
+    def drain(self, now: float) -> list[Ticket]:
         """Close the batch: empty the buffer, return it in admission order."""
         batch, self._pending = self._pending, []
         return self.order(batch, now)
 
-    def order(self, batch: list[PendingAdmission], now: float) -> list[PendingAdmission]:
+    def order(self, batch: list[Ticket], now: float) -> list[Ticket]:
         """Sort one batch by the configured policy (stable, seq tiebreak)."""
         if self.ordering is AdmissionOrdering.FIFO:
-            return sorted(batch, key=lambda p: p.seq)
+            return sorted(batch, key=lambda t: t.seq)
         if self.ordering is AdmissionOrdering.MIN_LAXITY:
             return sorted(
                 batch,
-                key=lambda p: (
-                    (p.ticket.request.t_end - now) - p.ticket.request.min_duration,
-                    p.seq,
-                ),
+                key=lambda t: ((t.request.t_end - now) - t.request.min_duration, t.seq),
             )
-        return sorted(batch, key=lambda p: (-p.ticket.request.volume, p.seq))
+        return sorted(batch, key=lambda t: (-t.request.volume, t.seq))

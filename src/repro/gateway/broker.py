@@ -10,10 +10,7 @@ GL008 enforces the boundary.  All state a broker carries:
   pinned on one side while the coordinator secures the other.  Holds are
   volatile: a broker crash wipes them (the capacity returns), while
   committed bookings survive, mirroring a write-ahead-logged store that
-  loses only its in-memory transaction table;
-- a simulated-work counter (:attr:`work`) the gateway's cost model uses:
-  brokers conceptually run in parallel, so a batch's critical path is the
-  *maximum* work any one broker did for it, not the sum.
+  loses only its in-memory transaction table.
 
 The broker reuses :class:`~repro.core.ledger.PortLedger` for its slices —
 non-owned ports simply stay empty — so every capacity query (degradation
@@ -113,8 +110,6 @@ class ShardBroker:
         self._resolution: dict[int, str] = {}
         self._degraded: set[tuple[str, int]] = set()
         self.crashed = False
-        #: Simulated work units accrued (candidate scans, hold ops, sweeps).
-        self.work = 0.0
         self.holds_expired = 0
         self.holds_wiped = 0
 
@@ -138,10 +133,6 @@ class ShardBroker:
     def _require_up(self) -> None:
         if self.crashed:
             raise BrokerUnavailable(f"shard broker {self.shard_id} is down")
-
-    def add_work(self, units: float) -> None:
-        """Account ``units`` of simulated work to this broker."""
-        self.work += units
 
     # ------------------------------------------------------------------
     # Read surface (safe from any module; GL008 only guards mutation)
@@ -290,7 +281,6 @@ class ShardBroker:
         self._require_owned("ingress", ingress)
         self._require_owned("egress", egress)
         if key is not None and key in self._booked:
-            self.add_work(1.0)
             return
         if segments is not None:
             self._owned_ledger.allocate_segments(ingress, egress, segments)
@@ -298,7 +288,6 @@ class ShardBroker:
             self._owned_ledger.allocate(ingress, egress, t0, t1, bw)
         if key is not None:
             self._booked.add(key)
-        self.add_work(1.0)
 
     def book_side(
         self,
@@ -314,7 +303,6 @@ class ShardBroker:
         capacity check, then committed at once with no hold.  ``False``
         (slice untouched) when the port cannot carry it."""
         self._require_up()
-        self.work += 1.0
         steps = _steps(t0, t1, bw, segments)
         if not self.fits_side(side, port, t0, t1, bw, segments=steps):
             return False
@@ -333,7 +321,6 @@ class ShardBroker:
     ) -> None:
         """Return committed bandwidth on one owned port (cancel/abort path)."""
         self._timeline_add(side, port, _steps(t0, t1, bw, segments), -1.0)
-        self.add_work(1.0)
 
     def restore(self, side: str, port: int, segments: Segments) -> None:
         """Re-add segments to one owned port without a capacity probe.
@@ -345,14 +332,12 @@ class ShardBroker:
         fits by construction.
         """
         self._timeline_add(side, port, segments)
-        self.add_work(1.0)
 
     def degrade(self, degradation: Degradation) -> None:
         """Register a capacity reduction on an owned port."""
         self._require_owned(degradation.side, degradation.port)
         self._owned_ledger.degrade(degradation)
         self._degraded.add((degradation.side, degradation.port))
-        self.add_work(1.0)
 
     # ------------------------------------------------------------------
     # Two-phase protocol: prepare / commit / abort / expire
@@ -385,7 +370,6 @@ class ShardBroker:
         instead of pinning the capacity twice.
         """
         self._require_up()
-        self.add_work(1.0)
         if key is not None and key in self._prepared:
             prior = self._prepared[key]
             if prior is None:
@@ -428,13 +412,11 @@ class ShardBroker:
         hold = self._holds.pop(hold_id, None)
         if hold is None:
             if self._resolution.get(hold_id) == "committed":
-                self.add_work(1.0)
                 return
             raise ConfigurationError(f"no hold {hold_id} on shard {self.shard_id}")
         # The capacity is already in the timeline; dropping the hold record
         # is what makes it permanent (crash no longer releases it).
         self._resolution[hold_id] = "committed"
-        self.add_work(1.0)
 
     def _drop_hold(self, hold_id: int, resolution: str) -> bool:
         """Release one live hold and record why it ended."""
@@ -443,7 +425,6 @@ class ShardBroker:
             return False
         self._timeline_add(hold.side, hold.port, hold.steps(), -1.0)
         self._resolution[hold_id] = resolution
-        self.add_work(1.0)
         return True
 
     def abort_hold(self, hold_id: int) -> bool:
@@ -465,7 +446,6 @@ class ShardBroker:
         """
         if not self._holds:
             return []
-        self.add_work(float(len(self._holds)))
         expired = [h for h in self._holds.values() if hold_expired(h.expires, now)]
         for hold in expired:
             self._drop_hold(hold.hold_id, "expired")

@@ -28,11 +28,6 @@ With ``num_shards=1`` and ``batch_size=1`` every admission is a
 shard-local booking decided immediately in submission order against one
 authoritative ledger: decision-for-decision the monolithic service (the
 equivalence property tests hold the gateway to this).
-
-The gateway also maintains a **simulated cost model** for the benchmark:
-brokers conceptually run in parallel, so each flush contributes its
-coordinator overhead plus the *maximum* work any broker did for the
-batch; :attr:`Gateway.simulated_cost` is the accumulated critical path.
 """
 
 from __future__ import annotations
@@ -56,7 +51,7 @@ from ..obs.slo import SloWatchdog
 from ..obs.telemetry import Telemetry, get_telemetry
 from ..schedulers.policies import BandwidthPolicy, MinRatePolicy, policy_from_name
 from ..schedulers.retry import BackoffSchedule
-from .batch import AdmissionOrdering, Batcher, PendingAdmission
+from .batch import AdmissionOrdering, Batcher
 from .edge import EdgeLimit, EdgeLimiter
 from .rpc import ChaosPolicy
 from .sharding import ShardMap
@@ -64,11 +59,6 @@ from .broker import ShardBroker
 from .twophase import TwoPhaseCoordinator
 
 __all__ = ["Gateway", "GatewayStats", "Ticket"]
-
-#: Simulated coordinator cost per flush and per batched request — the
-#: serial fraction of the pipeline in the cost model.
-FLUSH_OVERHEAD = 1.0
-PER_REQUEST_OVERHEAD = 0.25
 
 
 @dataclass
@@ -343,8 +333,6 @@ class Gateway:
         self._reservations: dict[int, Reservation] = {}
         self._tickets: dict[int, Ticket] = {}
         self._degradations: list[Degradation] = []
-        #: Accumulated simulated critical-path cost (see module docstring).
-        self.simulated_cost = 0.0
         if journal is not None:
             header: dict[str, Any] = {
                 "kind": "gateway",
@@ -427,11 +415,10 @@ class Gateway:
 
         Asked of the ticket map, before settling: the settle may flush the
         very batch that decides ``rid``.  Edge-refused tickets never
-        become reservations; re-admissions have no ticket.
+        become reservations.
         """
         ticket = self._tickets.get(rid)
-        known = not ticket.edge_refused if ticket is not None else rid in self._reservations
-        if not known:
+        if ticket is None or ticket.edge_refused:
             raise KeyError(f"unknown reservation {rid}")
 
     def _capacity(self) -> lifecycle.CapacityOps:
@@ -583,7 +570,7 @@ class Gateway:
             return ticket
         if not len(self.batcher):
             self._batch_opened = now
-        self.batcher.enqueue(PendingAdmission(seq=seq, ticket=ticket))
+        self.batcher.enqueue(ticket)
         self._trace_event(
             tel, now, "gateway.trace.enqueued", ctx, {"rid": rid, "pending": len(self.batcher)}
         )
@@ -600,13 +587,11 @@ class Gateway:
     ) -> list[Ticket]:
         """Admit a whole wave of submissions at one instant, then decide.
 
-        This is the service plane's hot path: the asyncio frontier
-        coalesces concurrent in-flight HTTP submits into one wave so the
-        admission pipeline sees full batches (the batcher still splits the
-        wave at ``batch_size``) instead of degenerate singletons.  Each
-        entry is a keyword dict for :meth:`submit` minus ``now``; with
-        ``drain=True`` (default) the trailing partial batch is flushed so
-        every returned ticket is decided.
+        The batcher splits the wave at ``batch_size``.  Each entry is a
+        keyword dict for :meth:`submit` minus ``now``; with ``drain=True``
+        (default) the trailing partial batch is flushed so every returned
+        ticket is decided.  (The service plane's frontier loops
+        :meth:`submit` itself, to fail a malformed entry alone.)
 
         Runs synchronously on the caller's thread — safe to call from a
         single-threaded event loop between ``await`` points, because
@@ -629,14 +614,9 @@ class Gateway:
         batch = self.batcher.drain(now)
         if not batch:
             return
-        work_before = [broker.work for broker in self.brokers]
         tel = self.telemetry
-        for pending in batch:
-            self._decide(pending.ticket, now, tel)
-        deltas = [b.work - w0 for b, w0 in zip(self.brokers, work_before)]
-        self.simulated_cost += (
-            FLUSH_OVERHEAD + PER_REQUEST_OVERHEAD * len(batch) + max(deltas)
-        )
+        for ticket in batch:
+            self._decide(ticket, now, tel)
         self.stats.batches += 1
         health = (
             self._health_snapshot(now)
@@ -660,7 +640,6 @@ class Gateway:
                 now,
                 size=len(batch),
                 ordering=self.batcher.ordering.value,
-                critical_path=max(deltas),
                 **(health or {}),
             )
         if self.slo is not None and health is not None:
@@ -834,8 +813,6 @@ class Gateway:
         """
         keep: list[int] = []
         admitted: list[tuple[int, int]] = []
-        work_before = [broker.work for broker in self.brokers]
-        attempted = 0
         tel = self.telemetry
         for rid in self._backlog:
             original = self._reservations[rid].request
@@ -855,7 +832,6 @@ class Gateway:
             # and books nothing).  Failed attempts therefore leave rid
             # gaps; replay burns them identically.
             self._take_rid()
-            attempted += 1
             ctx: TraceContext | None = None
             if self._tracing(tel):
                 # Re-admissions stay on the original request's trace: the
@@ -900,20 +876,22 @@ class Gateway:
             if outcome.allocation is None:
                 keep.append(rid)
                 continue
-            self._reservations[candidate.rid] = Reservation(
+            reservation = self._reservations[candidate.rid] = Reservation(
                 rid=candidate.rid,
                 request=candidate,
                 allocation=outcome.allocation,
                 origin=rid,
+            )
+            # Readable (``get``) wherever it is cancellable.
+            parked = self._tickets[rid]
+            self._tickets[candidate.rid] = Ticket(
+                parked.seq, parked.client, candidate, reservation=reservation, origin=rid
             )
             self.stats.readmitted += 1
             if tel.enabled or self.slo is not None:
                 self._note_port_peaks(candidate.ingress, candidate.egress)
             admitted.append((rid, candidate.rid))
         self._backlog = keep
-        if attempted:
-            deltas = [b.work - w0 for b, w0 in zip(self.brokers, work_before)]
-            self.simulated_cost += PER_REQUEST_OVERHEAD * attempted + max(deltas)
         if tel.enabled and admitted:
             tel.metrics.counter(
                 "gateway_readmissions_total",
@@ -1282,13 +1260,6 @@ class Gateway:
         ]
         return ins, outs
 
-    def throughput(self) -> float:
-        """Decided admissions per simulated cost unit (the bench metric)."""
-        decided = self.stats.accepted + self.stats.rejected
-        if self.simulated_cost <= 0:
-            return 0.0
-        return decided / self.simulated_cost
-
     # ------------------------------------------------------------------
     # Crash recovery
     # ------------------------------------------------------------------
@@ -1301,7 +1272,7 @@ class Gateway:
         return {
             "clock": self._clock,
             "next_rid": self._next_rid,
-            "pending": [p.seq for p in self.batcher._pending],
+            "pending": [t.seq for t in self.batcher._pending],
             "reservations": lifecycle.reservation_rows(self.reservations()),
             "edge_refused": sorted(
                 rid for rid, t in self._tickets.items() if t.edge_refused

@@ -54,14 +54,10 @@ from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, TypeVar
 
 from ..core.allocation import Allocation
-from ..core.booking import (
-    FitProbe,
-    RejectReason,
-    deadline_tolerance,
-    earliest_fit,
-    earliest_fit_profile,
-    shape_profile,
-)
+from ..core.booking import FitProbe, RejectReason, admission_search, deadline_tolerance
+# Unused: the frozen benchmarks/stack/tracer.py (CORE_TARGETS) resolves this
+# name on this module until ROADMAP 1(b) re-baselines.
+from ..core.booking import earliest_fit  # noqa: F401
 from ..core.errors import ConfigurationError, InternalInvariantError
 from ..core.capacity import fits_under
 from ..core.profile import RateProfile
@@ -166,69 +162,37 @@ class TwoPhaseCoordinator:
         protocol phase runs under a derived child context so faults land
         on the right hop of the timeline.
 
-        ``profile`` places an explicitly requested stepwise shape
-        (:func:`~repro.core.booking.earliest_fit_profile`) instead of the
-        constant-rate search.  ``malleable`` enables the shaped fallback:
-        when the constant search rejects for capacity, a profile is
-        shaped into the pair's residual valleys before giving up — the
-        constant path itself stays decision-identical.
+        ``profile`` and ``malleable`` select the search as on the service
+        (:func:`~repro.core.booking.admission_search`).
         """
         ingress_broker = self.broker_for("ingress", request.ingress)
         egress_broker = self.broker_for("egress", request.egress)
-        probe = FitProbe()
-        outcome = TwoPhaseOutcome(allocation=None, probe=probe)
-        outcome.local = ingress_broker is egress_broker
-
-        if profile is not None:
-            view = self.pair_view(request.ingress, request.egress)
-            allocation = earliest_fit_profile(
-                view, request, profile, not_before=request.t_start, probe=probe
-            )
-            ingress_broker.add_work(float(max(1, probe.candidates)))
-            egress_broker.add_work(float(max(1, probe.candidates)))
-            if allocation is None:
-                return outcome
-        else:
-            allocation = self._fastpath(
-                request, rate_for, ingress_broker, egress_broker, probe
-            )
-            if allocation is not None:
-                outcome.fastpath = True
-            else:
-                if probe.reason is not None:
-                    # The fast path already proved the window infeasible.
-                    return outcome
-                view = self.pair_view(request.ingress, request.egress)
-                allocation = earliest_fit(view, request, rate_for, probe=probe)
-                ingress_broker.add_work(float(max(1, probe.candidates)))
-                egress_broker.add_work(float(max(1, probe.candidates)))
-                if allocation is None and malleable:
-                    shaped_probe = FitProbe()
-                    shaped = shape_profile(view, request, probe=shaped_probe)
-                    ingress_broker.add_work(float(max(1, shaped_probe.candidates)))
-                    egress_broker.add_work(float(max(1, shaped_probe.candidates)))
-                    if shaped is not None:
-                        allocation = Allocation.for_profile(request, shaped)
-                        probe = shaped_probe
-                        outcome.probe = shaped_probe
-                    # On shaping failure the constant search's diagnostics
-                    # are kept — they name the fuller port.
-            if allocation is None:
-                return outcome
-
+        hit = None
+        if profile is None:
+            hit = self._fastpath(request, rate_for, ingress_broker, egress_broker)
+        allocation, probe = hit if hit is not None else admission_search(
+            self.pair_view(request.ingress, request.egress),
+            request,
+            rate_for,
+            profile=profile,
+            malleable=malleable,
+        )
+        outcome = TwoPhaseOutcome(
+            allocation=None,
+            probe=probe,
+            local=ingress_broker is egress_broker,
+            fastpath=hit is not None and allocation is not None,
+        )
+        if allocation is None:
+            return outcome
         if self.chaos is None and not (ingress_broker.crashed or egress_broker.crashed):
             self._place_direct(ingress_broker, egress_broker, allocation, outcome, now, ctx)
         elif outcome.local:
             self._place_local(
-                self.channel_for("ingress", request.ingress),
-                allocation,
-                outcome,
-                probe,
-                now,
-                ctx,
+                self.channel_for("ingress", request.ingress), allocation, outcome, now, ctx
             )
         else:
-            self._place_two_phase(allocation, now, outcome, probe, ctx)
+            self._place_two_phase(allocation, now, outcome, ctx)
         return outcome
 
     # ------------------------------------------------------------------
@@ -238,9 +202,9 @@ class TwoPhaseCoordinator:
         rate_for: Callable[[float], float | None],
         ingress_broker: ShardBroker,
         egress_broker: ShardBroker,
-        probe: FitProbe,
-    ) -> Allocation | None:
-        """Answer from the ports' cached all-time peaks when conclusive.
+    ) -> tuple[Allocation | None, FitProbe] | None:
+        """Answer from the ports' cached all-time peaks when conclusive
+        (``None`` when only the full search can tell).
 
         A hit must be decision-identical to the full search: it only fires
         on degradation-free ports where the chosen rate fits under
@@ -251,8 +215,7 @@ class TwoPhaseCoordinator:
         earliest = request.t_start
         latest = request.t_end - request.min_duration
         if latest < earliest:
-            probe.reason = RejectReason.WINDOW_INFEASIBLE
-            return None
+            return None, FitProbe(reason=RejectReason.WINDOW_INFEASIBLE)
         if ingress_broker.has_degradations(
             "ingress", request.ingress
         ) or egress_broker.has_degradations("egress", request.egress):
@@ -272,10 +235,7 @@ class TwoPhaseCoordinator:
             return None
         if not fits_under(out_peak, bw, cap_out):
             return None
-        probe.candidates = 1
-        ingress_broker.add_work(1.0)
-        egress_broker.add_work(1.0)
-        return Allocation.for_request(request, bw, sigma=earliest)
+        return Allocation.for_request(request, bw, sigma=earliest), FitProbe(candidates=1)
 
     # ------------------------------------------------------------------
     def _place_direct(
@@ -326,7 +286,6 @@ class TwoPhaseCoordinator:
         channel: Channel,
         allocation: Allocation,
         outcome: TwoPhaseOutcome,
-        probe: FitProbe,
         now: float,
         ctx: TraceContext | None = None,
     ) -> None:
@@ -349,7 +308,7 @@ class TwoPhaseCoordinator:
                 outcome,
             )
         except BrokerUnavailable:
-            probe.reason = RejectReason.BROKER_UNAVAILABLE
+            outcome.probe.reason = RejectReason.BROKER_UNAVAILABLE
             return
         except ShardUnreachable:
             if channel.booking_landed(allocation.rid, now=now, ctx=book_ctx):
@@ -360,7 +319,7 @@ class TwoPhaseCoordinator:
                 outcome.recovered += 1
                 outcome.allocation = allocation
                 return
-            probe.reason = RejectReason.SHARD_UNREACHABLE
+            outcome.probe.reason = RejectReason.SHARD_UNREACHABLE
             return
         outcome.allocation = allocation
 
@@ -369,7 +328,6 @@ class TwoPhaseCoordinator:
         allocation: Allocation,
         now: float,
         outcome: TwoPhaseOutcome,
-        probe: FitProbe,
         ctx: TraceContext | None = None,
     ) -> None:
         """Cross-shard placement: prepare both holds, then commit both."""
@@ -410,18 +368,18 @@ class TwoPhaseCoordinator:
                 )
             except BrokerUnavailable:
                 self._abort(placed, outcome, now, ctx)
-                probe.reason = RejectReason.BROKER_UNAVAILABLE
+                outcome.probe.reason = RejectReason.BROKER_UNAVAILABLE
                 return
             except ShardUnreachable:
                 self._abort(placed, outcome, now, ctx)
-                probe.reason = RejectReason.SHARD_UNREACHABLE
+                outcome.probe.reason = RejectReason.SHARD_UNREACHABLE
                 return
             if hold is None:
                 # The search said it fits; a refusal here means the slice
                 # moved between search and prepare (never within one batch,
                 # but the protocol does not assume that).
                 self._abort(placed, outcome, now, ctx)
-                probe.reason = full_reason
+                outcome.probe.reason = full_reason
                 return
             placed.append((channel, hold))
         committed: list[tuple[Channel, Hold]] = []
@@ -451,7 +409,7 @@ class TwoPhaseCoordinator:
                 # then abort whatever is still held.
                 self._compensate(committed, outcome, now, ctx)
                 self._abort(placed[len(committed):], outcome, now, ctx)
-                probe.reason = (
+                outcome.probe.reason = (
                     RejectReason.SHARD_UNREACHABLE
                     if isinstance(exc, ShardUnreachable)
                     else RejectReason.BROKER_UNAVAILABLE

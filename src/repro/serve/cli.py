@@ -42,7 +42,7 @@ def _parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the paper's 10x10 heterogeneous platform instead of --ports/--capacity",
     )
-    parser.add_argument("--shards", type=int, default=4)
+    parser.add_argument("--shards", type=int, default=1)
     parser.add_argument("--batch-size", type=int, default=8)
     parser.add_argument("--ordering", default="fifo", choices=["fifo", "min-laxity", "max-value"])
     parser.add_argument("--backlog-limit", type=int, default=0)

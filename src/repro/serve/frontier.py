@@ -37,7 +37,7 @@ __all__ = ["AdmissionFrontier"]
 
 
 class AdmissionFrontier:
-    """Coalesces concurrent submits into :meth:`Gateway.submit_many` waves."""
+    """Coalesces concurrent submits into same-instant :meth:`Gateway.submit` waves."""
 
     def __init__(
         self,

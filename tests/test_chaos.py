@@ -435,6 +435,16 @@ class TestDegradedModeAdmission:
         assert gw.stats.readmitted == 1
         report = check_gateway(gw, now=gw.now)
         assert report.ok, report.violations
+        # The re-admission has a decided ticket of its own: ``get`` reads
+        # every rid ``cancel`` accepts (it raised ``KeyError`` for this one).
+        readmitted = gw.get(ticket.rid + 1)
+        assert readmitted.decided and readmitted.reservation.confirmed
+        assert (readmitted.origin, readmitted.client) == (ticket.rid, ticket.client)
+        assert gw.get(ticket.rid) is ticket and not ticket.reservation.confirmed
+        assert gw.snapshot()["pending"] == []  # it takes no place in line
+        assert gw.cancel(readmitted.rid, now=11.0) is True
+        with pytest.raises(KeyError):
+            gw.get(readmitted.rid + 1)
 
     def test_lossy_mesh_still_admits_with_retries(self):
         gw = Gateway(

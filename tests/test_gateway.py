@@ -14,7 +14,6 @@ from repro.gateway import (
     BrokerUnavailable,
     EdgeLimit,
     Gateway,
-    PendingAdmission,
     ShardBroker,
     ShardMap,
 )
@@ -165,7 +164,7 @@ class TestBatcher:
         )
         from repro.gateway.gateway import Ticket
 
-        return PendingAdmission(seq=seq, ticket=Ticket(seq=seq, client="c", request=req))
+        return Ticket(seq=seq, client="c", request=req)
 
     def test_fifo_preserves_submission_order(self):
         b = Batcher(3, AdmissionOrdering.FIFO)

@@ -11,12 +11,17 @@ Two guarantees the gateway design leans on:
 2. **No overcommit under sharding** — for 2/4/8 shards, under port
    faults, broker crashes, and random mid-flight aborts, no port's
    committed usage ever exceeds its capacity (Eq. 1 per shard slice).
+
+And one the shard / batch knobs lean on: under FIFO they change *where* an
+admission is decided, never *what* — every decision and every journal
+byte below the header is the unsharded, unbatched run's.
 """
 
 import numpy as np
 import pytest
 
 from repro.control import BrokerCrash, PortFault, run_gateway_fault_drill
+from repro.control.journal import Journal
 from repro.control.service import ReservationService
 from repro.core.ledger import CAPACITY_SLACK
 from repro.core.platform import Platform
@@ -163,6 +168,54 @@ class TestSingleShardEquivalence:
             if kind == "submit":
                 gw.submit(**args)
         assert gw.stats.fastpath_hits > 0
+
+
+def wave_workload():
+    """Eight concurrent arrivals per instant, an instant every 30 s, 16 ports
+    (the stream ``benchmarks/bench_chaos.py`` drives: 256 of 320 accepted)."""
+    rng = np.random.default_rng(0)
+    submissions = []
+    for wave in range(40):
+        for _ in range(8):
+            window = float(rng.uniform(200.0, 900.0))
+            submissions.append(
+                {
+                    "ingress": int(rng.integers(16)),
+                    "egress": int(rng.integers(16)),
+                    "volume": min(float(rng.uniform(10_000.0, 120_000.0)), 0.8 * CAP * window),
+                    "deadline": wave * 30.0 + window,
+                    "now": wave * 30.0,
+                }
+            )
+    return submissions
+
+
+def run_waves(shards, batch):
+    """``(decisions, journal below its header, stats)`` of one configuration."""
+    gateway = Gateway(
+        Platform.uniform(16, 16, CAP), num_shards=shards, batch_size=batch, journal=Journal()
+    )
+    for fields in wave_workload():
+        gateway.submit(**fields)
+    gateway.drain(gateway.now)
+    assert gateway.pending() == 0
+    decisions = [
+        (r.rid, r.confirmed, r.allocation and r.allocation.to_dict(), r.reject_reason)
+        for r in gateway.reservations()
+    ]
+    return decisions, gateway.journal.to_jsonl().split("\n", 1)[1], gateway.stats
+
+
+def test_shard_and_batch_sweep_never_changes_a_decision_or_a_journal_byte():
+    decisions, journal, stats = run_waves(1, 1)
+    assert len(decisions) == 320
+    assert 0 < stats.accepted < 320 and stats.fastpath_hits > 0  # not vacuous
+    for shards in (1, 2, 4, 8):
+        for batch in (1, 4, 8):
+            swept, swept_journal, swept_stats = run_waves(shards, batch)
+            assert swept == decisions, (shards, batch)
+            assert swept_journal == journal, (shards, batch)
+            assert (swept_stats.cross_shard > 0) == (shards > 1)
 
 
 class TestShardedNoOvercommit:

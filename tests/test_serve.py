@@ -271,6 +271,34 @@ class TestEndpoints:
 
         run(main())
 
+    def test_readmitted_reservation_has_a_status_page(self):
+        """``GET`` answers for every rid ``DELETE`` accepts — a backlog
+        re-admission included (it was 404 / 200)."""
+
+        async def main():
+            app = make_app(platform=Platform.uniform(4, 4, 1000.0), backlog_limit=4)
+            client = await serving(app)
+            try:
+                app.gateway.crash_broker(1, now=0.0)
+                resp = await client.request(
+                    "POST", "/v1/reservations", payload=body(volume=1000.0, deadline=100.0, at=1.0)
+                )
+                assert resp.json()["reason"] == "broker-unavailable"
+                app.gateway.restart_broker(1, now=app.clock.now())
+                readmitted = app.gateway.reservations()[-1]
+                assert readmitted.origin == resp.json()["rid"] and readmitted.confirmed
+
+                status = await client.request("GET", f"/v1/reservations/{readmitted.rid}")
+                assert status.status == 200 and status.json()["outcome"] == "accepted"
+                assert status.json()["client"] == "anonymous"
+                cancel = await client.request("DELETE", f"/v1/reservations/{readmitted.rid}")
+                assert cancel.status == 200 and cancel.json()["released"]
+            finally:
+                await client.close()
+                await app.drain()
+
+        run(main())
+
     def test_batch_submit_decides_every_entry_in_order(self):
         async def main():
             app = make_app()
@@ -563,3 +591,5 @@ class TestServeConfigValidation:
 
         app = build_app(_parser().parse_args(["--keys", str(keys)]))
         assert app.keyring.client_for("k1") == "alice"
+        # One shard unless asked, like ``Gateway`` and ``ServeConfig`` (was 4).
+        assert app.gateway.num_shards == 1 == ServeConfig(app.config.platform).num_shards

@@ -127,8 +127,10 @@ def test_drain_restart_is_snapshot_equal_and_decision_equivalent(seed, tmp_path)
             f" in-process {expected}"
         )
 
-    # A successor built over the same journal replays to the same state.
-    successor = ServeApp(make_config(journal_path), clock=LogicalClock())
+    # A successor built over the same journal replays to the same state;
+    # the journal's header, not the new config, decides the shard count.
+    successor = ServeApp(make_config(journal_path, num_shards=1), clock=LogicalClock())
+    assert successor.gateway.num_shards == 2
     assert successor.snapshot() == drained_snapshot
     report = check_gateway(
         successor.gateway, journal=successor.journal, expect_quiesced=True
