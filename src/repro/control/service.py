@@ -237,7 +237,7 @@ class ReservationService:
         allocation, probe = admission_search(
             self._ledger,
             request,
-            lambda sigma: self.policy.assign(request, sigma),
+            self.policy.bind(request),
             profile=profile,
             malleable=self.malleable,
         )

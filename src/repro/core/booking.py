@@ -14,16 +14,18 @@ timelines and, on degraded ledgers, the capacity-change instants.  Between
 two consecutive candidates the available capacity is constant, so checking
 only candidates is exhaustive.
 
-Every candidate is examined, but few are put to the ledger: a failed
-probe names the usage segment that blocked it, and later candidates that
-still overlap that segment at no lower a rate are failed from memory
-(:func:`_first_fit`; ``docs/CAPACITY.md``, "How the search skips").
+Few candidates are put to the ledger: a failed probe names the usage
+segment that blocked it, and later candidates that still overlap that
+segment at no lower a rate are failed from memory — all at once, without
+being visited, when the rate rule is ``monotone`` (:func:`_first_fit`;
+``docs/CAPACITY.md``, "How the search skips").
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from collections.abc import Callable, Iterator
 from typing import Protocol, runtime_checkable
@@ -36,8 +38,10 @@ from .profile import RateProfile
 from .request import Request
 
 __all__ = [
+    "BoundRule",
     "FitProbe",
     "LedgerView",
+    "RateRule",
     "RejectReason",
     "admission_search",
     "earliest_fit",
@@ -119,8 +123,9 @@ class FitProbe:
     Attributes
     ----------
     candidates:
-        Candidate start times actually examined (including a successful
-        one); "how hard did the search work".
+        Candidate start times in the start range up to and including the
+        chosen one (all of them on failure): "how far did the search have
+        to look".  A ``monotone`` rule passes over most of them unvisited.
     reason:
         Why the request could not be booked (``None`` on success).
     ingress_headroom / egress_headroom:
@@ -145,12 +150,37 @@ def deadline_tolerance(t_end: float) -> float:
     return 1e-9 * max(1.0, abs(t_end))
 
 
-def _min_rate_for(request: Request, sigma: float) -> float | None:
-    """Default rate rule: the deadline-implied minimum, capped at MaxRate."""
-    needed = request.rate_for_deadline(sigma)
-    if needed > request.max_rate * (1 + 1e-9):
-        return None
-    return min(needed, request.max_rate)
+class RateRule(Protocol):
+    """A bandwidth rule bound to one request: the rate to try from start
+    ``sigma``, ``None`` when no admissible rate exists from there.
+
+    ``monotone`` is the promise spelled out on
+    :class:`repro.schedulers.policies.BandwidthPolicy`: for ``s <= s'`` the
+    rate never decreases (``None`` stays ``None``) and the finish
+    ``s + vol / rate`` never decreases by more than
+    :func:`deadline_tolerance`.  A plain callable has no such attribute and
+    is searched as ``monotone = False``, which is always exact.
+    """
+
+    monotone: bool
+
+    def __call__(self, sigma: float) -> float | None: ...
+
+
+class BoundRule:
+    """``assign(request, ·)`` as a :class:`RateRule` (``policy.bind(request)``)."""
+
+    __slots__ = ("assign", "request", "monotone")
+
+    def __init__(
+        self, assign: Callable[[Request, float], float | None], request: Request, monotone: bool
+    ) -> None:
+        self.assign = assign
+        self.request = request
+        self.monotone = monotone
+
+    def __call__(self, sigma: float) -> float | None:
+        return self.assign(self.request, sigma)
 
 
 def _first_fit(
@@ -175,9 +205,19 @@ def _first_fit(
     without asking the ledger again.  The test is made per candidate on
     that candidate's own rate and interval, so it is exact for *any*
     ``rate_for`` — ``fits_under`` is monotone in usage and in rate — and
-    the result is the one the probe-every-candidate walk returns.  A
-    degraded ledger's empty blocker ``(t0, t0)`` never matches a later
-    start: there every candidate is probed.
+    the result is the one the probe-every-candidate walk returns.
+
+    Under a ``monotone`` rule (:class:`RateRule`) the candidates before
+    ``b`` need not even be visited: each has ``bw' >= bw`` and ``sigma' <
+    b`` and, finishing no earlier than the probe did, ``tau' > a`` — it
+    fails that very test, or has no rate or misses ``limit``, which is as
+    inert — so the walk jumps to the first start ``>= b``.  Finish times
+    are monotone only to within a few ulps, hence the jump is taken only
+    when the blocker starts :func:`deadline_tolerance` or more before the
+    probe's ``tau``; closer than that, the candidates under this blocker
+    are tested one by one as for any other rule.  A degraded ledger's
+    empty blocker ``(t0, t0)`` matches no later start and skips nothing:
+    there every candidate is visited and probed.
 
     ``limit`` is the caller's deadline bound, kept per caller on purpose:
     :func:`earliest_fit` allows :func:`deadline_tolerance` (``1e-9``
@@ -186,22 +226,30 @@ def _first_fit(
     between the two, so one shared bound would flip decisions the golden
     traces do not happen to cover.
 
-    Returns ``(allocation, examined, bounced)``: the uncommitted
-    allocation or ``None``; the number of candidates examined (0 only when
-    the start range is empty); and ``(sigma, tau)`` of the first candidate
-    that failed on capacity (``None`` when none got that far).
+    Returns ``(allocation, candidates, bounced)``: the uncommitted
+    allocation or ``None``; the number of candidates up to and including
+    the chosen one, all of them on failure (0 only when the start range is
+    empty); and ``(sigma, tau)`` of the first candidate that failed on
+    capacity (``None`` when none got that far).
     """
     latest = request.t_end - request.min_duration
     if latest < earliest:
         return None, 0, None
     ingress, egress, volume = request.ingress, request.egress, request.volume
-    starts = _pair_instants(ledger, request, earliest, latest)
-    starts.add(earliest)
-    examined = 0
+    # sorted(set(...)), cheaper: the points are two ascending runs (one merge
+    # for the sort) and the dedupe keeps their order.
+    starts = [earliest, *_pair_points(ledger, request, earliest, latest)]
+    starts.sort()
+    starts = list(dict.fromkeys(starts))
+    # A plain callable promises nothing: every candidate is visited.
+    monotone = getattr(rate_for, "monotone", False)
+    tolerance = deadline_tolerance(request.t_end)
     bounced: tuple[float, float] | None = None
     blocked_bw, blocked_from, blocked_until = math.inf, 0.0, 0.0
-    for sigma in sorted(starts):
-        examined += 1
+    i = 0
+    while i < len(starts):
+        sigma = starts[i]
+        i += 1
         bw = rate_for(sigma)
         if bw is None or bw <= 0:
             continue
@@ -212,12 +260,14 @@ def _first_fit(
             continue
         blocked = ledger.blocker(ingress, egress, sigma, tau, bw)
         if blocked is None:
-            return Allocation.for_request(request, bw, sigma=sigma), examined, bounced
+            return Allocation.for_request(request, bw, sigma=sigma), i, bounced
         blocked_bw = bw
         blocked_from, blocked_until = blocked
         if bounced is None:
             bounced = (sigma, tau)
-    return None, examined, bounced
+        if monotone and blocked_from + tolerance <= tau:
+            i = bisect_left(starts, blocked_until, i)
+    return None, len(starts), bounced
 
 
 def earliest_fit(
@@ -230,19 +280,20 @@ def earliest_fit(
 ) -> Allocation | None:
     """Earliest feasible allocation for ``request`` against ``ledger``.
 
-    ``rate_for(sigma)`` maps a candidate start to the rate to try there (a
-    bandwidth policy bound to the request), returning ``None`` when no
-    admissible rate exists from that start.  The default grants the
-    deadline-implied minimum rate.  ``not_before`` further constrains the
-    search (e.g. "no earlier than the service clock").  The ledger is not
-    modified; use :func:`book_earliest` to also commit the result.
+    ``rate_for(sigma)`` maps a candidate start to the rate to try there
+    (``policy.bind(request)``, a :class:`RateRule`; any callable will do),
+    returning ``None`` when no admissible rate exists from that start.  The
+    default is the MinRate rule, :meth:`Request.deadline_rate`.
+    ``not_before`` further constrains the search (e.g. "no earlier than the
+    service clock").  The ledger is not modified; use :func:`book_earliest`
+    to also commit the result.
 
     When a :class:`FitProbe` is supplied the search fills it with decision
     diagnostics: candidate count, a :class:`RejectReason` on failure, and
     the per-side headroom the request bounced off.
     """
     if rate_for is None:
-        rate_for = lambda sigma: _min_rate_for(request, sigma)  # noqa: E731
+        rate_for = BoundRule(Request.deadline_rate, request, monotone=True)
     earliest = request.t_start if not_before is None else max(request.t_start, not_before)
     allocation, examined, bounced = _first_fit(
         ledger, request, rate_for, earliest, request.t_end + deadline_tolerance(request.t_end)
@@ -292,18 +343,22 @@ def _count_fit(request: Request, *, candidates: int, accepted: bool) -> None:
     ).inc(float(candidates))
 
 
-def _pair_instants(ledger: LedgerView, request: Request, lo: float, hi: float) -> set[float]:
-    """Instants in ``(lo, hi]`` where the pair's free capacity can change."""
-    instants = set(ledger.ingress_timeline(request.ingress).breakpoints_between(lo, hi))
-    instants.update(ledger.egress_timeline(request.egress).breakpoints_between(lo, hi))
+def _pair_points(ledger: LedgerView, request: Request, lo: float, hi: float) -> list[float]:
+    """Instants in ``(lo, hi]`` where the pair's free capacity can change:
+    each port's breakpoints, ascending, then the degradation edges; an
+    instant both ports share is listed twice."""
+    points = [
+        *ledger.ingress_timeline(request.ingress).breakpoints_between(lo, hi),
+        *ledger.egress_timeline(request.egress).breakpoints_between(lo, hi),
+    ]
     for side, port in (("ingress", request.ingress), ("egress", request.egress)):
-        instants.update(float(t) for t in ledger.degradation_edges(side, port) if lo < t <= hi)
-    return instants
+        points.extend(float(t) for t in ledger.degradation_edges(side, port) if lo < t <= hi)
+    return points
 
 
 def _pair_edges(ledger: LedgerView, request: Request, lo: float, hi: float) -> list[float]:
     """Instants in ``(lo, hi)`` where the pair's residual capacity can change."""
-    edges = _pair_instants(ledger, request, lo, hi)
+    edges = set(_pair_points(ledger, request, lo, hi))
     edges.discard(hi)
     return sorted(edges)
 

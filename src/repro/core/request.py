@@ -126,6 +126,23 @@ class Request:
             return float("inf")
         return self.volume / remaining
 
+    def deadline_rate(self, start: float | None = None) -> float | None:
+        """The MinRate rule: the rate that just meets the deadline from
+        ``start`` (default ``t_s``), capped at ``MaxRate``; ``None`` when the
+        deadline is out of reach even at ``MaxRate``.
+
+        Non-decreasing in ``start`` bit for bit — IEEE ``−``, ``÷`` and
+        ``min`` round monotonically — and ``None`` from the first start that
+        has no rate on: what a ``monotone`` bandwidth policy builds on
+        (:class:`repro.schedulers.policies.BandwidthPolicy`).
+        """
+        needed = self.min_rate if start is None else self.rate_for_deadline(start)
+        # RATE_TOLERANCE-scale slack: a request started exactly on time must
+        # remain admissible despite float rounding in rate_for_deadline.
+        if needed > self.max_rate * (1 + RATE_TOLERANCE):
+            return None
+        return min(needed, self.max_rate)
+
     def feasible_rate_interval(self, start: float | None = None) -> tuple[float, float]:
         """Admissible ``bw`` interval ``[MinRate, MaxRate]`` for a given start.
 

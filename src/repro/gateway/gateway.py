@@ -654,7 +654,7 @@ class Gateway:
         ctx = self._trace_ctx(request.rid, tel)
         outcome = self.coordinator.reserve(
             request,
-            lambda sigma: self.policy.assign(request, sigma),
+            self.policy.bind(request),
             now,
             ctx=ctx,
             profile=ticket.profile,
@@ -848,7 +848,7 @@ class Gateway:
                 )
             outcome = self.coordinator.reserve(
                 candidate,
-                lambda sigma, r=candidate: self.policy.assign(r, sigma),
+                self.policy.bind(candidate),
                 now,
                 ctx=ctx,
                 malleable=self.malleable,

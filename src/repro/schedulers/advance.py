@@ -43,7 +43,7 @@ def book_ahead(
     allocation, examined, _ = _first_fit(
         ledger,
         request,
-        lambda sigma: policy.assign(request, sigma),
+        policy.bind(request),
         request.t_start,
         request.t_end * (1 + 1e-12),
     )

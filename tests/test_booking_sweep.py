@@ -9,23 +9,29 @@ one side degraded, both sides degraded; a ``PortLedger`` and the
 gateway's stitched ``PairLedgerView`` — and under every bandwidth policy
 plus a deliberately non-monotone ``rate_for``, both must return equal
 ``Allocation``s and equal ``FitProbe``s (candidate count, reason, both
-headrooms).
+headrooms).  The policies are handed over as ``policy.bind(request)``, so
+they take the monotone jump (starts under a blocker are not even visited);
+the non-monotone closure declares nothing and is the per-candidate control.
 
 A degraded port answers a failed probe with the empty blocker
-``(t0, t0)``: nothing is skipped there, every candidate is probed as
-before.  ``test_degraded_pairs_probe_every_candidate`` pins that this is
-what happens, and the differential cases pin that it decides identically.
+``(t0, t0)``: nothing is skipped there, every candidate is visited and
+probed as before.  ``test_degraded_pairs_probe_every_candidate`` pins that
+this is what happens, and the differential cases pin that it decides
+identically.  The finish-edge tests build the ledgers on which the jump
+must *not* be taken — a blocker beginning within the deadline tolerance of
+a probe's finish — and pin that it is not.
 
-The last test is the deterministic work gate: probe and candidate counts
-repeat exactly, so "how many questions does a hotspot search ask" is
-gated on counts, without a clock.
+The last test is the deterministic work gate: probe, rate-evaluation and
+candidate counts repeat exactly, so "how many questions does a hotspot
+search ask" is gated on counts, without a clock.
 """
 
 import math
 import random
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Degradation, Platform, PortLedger, Request
 from repro.core.booking import (
@@ -39,6 +45,8 @@ from repro.core.allocation import Allocation
 from repro.gateway import ShardBroker, ShardMap
 from repro.gateway.view import PairLedgerView
 from repro.schedulers.policies import FractionOfMaxPolicy, FullRatePolicy, MinRatePolicy
+
+from .conftest import CountedRule, hotspot_stream
 
 PORTS = 4
 CAPACITY = 100.0
@@ -167,14 +175,12 @@ def _zigzag(request):
     return rate_for
 
 
-def _policy(policy):
-    return lambda request: lambda sigma: policy.assign(request, sigma)
-
-
+# The shipped policies go through ``policy.bind`` and so through the monotone
+# jump; the zigzag closure declares nothing and is the per-candidate control.
 RATE_RULES = {
-    "min-bw": _policy(MinRatePolicy()),
-    "f=0.5": _policy(FractionOfMaxPolicy(0.5)),
-    "full-rate": _policy(FullRatePolicy()),
+    "min-bw": MinRatePolicy().bind,
+    "f=0.5": FractionOfMaxPolicy(0.5).bind,
+    "full-rate": FullRatePolicy().bind,
     "zigzag": _zigzag,
 }
 
@@ -291,45 +297,104 @@ def test_degraded_pairs_probe_every_candidate(blocker_calls):
         rid=0, ingress=0, egress=0, volume=20000.0, t_start=0.0, t_end=700.0, max_rate=CAPACITY
     )
     probe = FitProbe()
-    allocation = earliest_fit(ledger, request, probe=probe)
+    rule = CountedRule(MinRatePolicy().bind(request))
+    allocation = earliest_fit(ledger, request, rule, probe=probe)
     assert allocation is not None and allocation.sigma == 500.0
     assert probe.candidates == 42
     assert len(blocker_calls) == 42
+    assert rule.calls == 42
+
+
+# ----------------------------------------------------------------------
+# Where the monotone jump must not be taken
+# ----------------------------------------------------------------------
+# Finish times are monotone in the reals and only to within a few ulps in
+# floats: under MIN-BW every start "finishes at t_end", give or take one.
+# A blocker that begins that close to a probe's finish may therefore lie
+# clear of a *later* start's interval, so the walk tests those starts one
+# by one (``blocked_from + deadline_tolerance > tau``: no jump).
+T_END = 100.0
+JUST_BEFORE, JUST_AFTER = math.nextafter(T_END, -math.inf), math.nextafter(T_END, math.inf)
+
+
+def _edge_ledger(hot_from):
+    """Sixteen quiet breakpoints in the start range and one 95 MB/s booking
+    over ``[hot_from, 200)``."""
+    ledger = PortLedger(Platform.uniform(1, 1, CAPACITY))
+    for k in range(1, 9):
+        ledger.allocate(0, 0, 10.0 * k, 10.0 * k + 5.0, 5.0)
+    ledger.allocate(0, 0, hot_from, 200.0, 95.0)
+    return ledger
+
+
+def _edge_request(volume):
+    return Request(
+        rid=0, ingress=0, egress=0, volume=volume, t_start=0.0, t_end=T_END, max_rate=CAPACITY
+    )
+
+
+def test_a_blocker_at_the_finish_edge_is_walked_not_jumped():
+    request = _edge_request(2344.6)
+    bound = MinRatePolicy().bind(request)
+    finish = {sigma: sigma + request.volume / bound(sigma) for sigma in (0.0, 10.0, 20.0, 30.0)}
+    # The float fact this test stands on: the start at 30 finishes one ulp
+    # *before* the starts at 0, 10 and 20 do.
+    assert finish[0.0] == finish[10.0] == finish[20.0] == T_END
+    assert finish[30.0] == JUST_BEFORE
+    rule = CountedRule(bound)
+    ledger = _edge_ledger(hot_from=JUST_BEFORE)
+    allocation, probe = _assert_same_search(ledger, request, rule, None)
+    # [0, 100) bounces off [JUST_BEFORE, 200); a jump to 200 would refuse a
+    # request that fits at 30, where [30, JUST_BEFORE) stays clear of it.
+    assert allocation is not None and allocation.sigma == 30.0
+    assert probe.candidates == 6  # 0, 10, 15, 20, 25, 30
+    # Three searches ran (oracle, with probe, without): each visited all six.
+    assert rule.calls == 3 * 6
+
+
+def test_a_blocker_clear_of_the_finish_edge_is_jumped():
+    request = _edge_request(2344.6)
+    rule = CountedRule(MinRatePolicy().bind(request))
+    ledger = _edge_ledger(hot_from=T_END - 1.0)
+    probe = FitProbe()
+    assert earliest_fit(ledger, request, rule, probe=probe) is None
+    assert probe.reason is RejectReason.INGRESS_FULL
+    # Every start finishes past 99: one evaluation, one probe, then past the end.
+    assert probe.candidates == 15  # 0, then 10, 15, ... 75
+    assert rule.calls == 1
+    assert naive_earliest_fit(ledger, request, rule)[1] == probe
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    volume=st.floats(200.0, 9000.0).map(lambda v: round(v, 1)),
+    hot_from=st.sampled_from(
+        [JUST_BEFORE, T_END, JUST_AFTER, T_END - 5e-8, T_END + 5e-8, T_END - 2e-7, T_END - 1.0]
+    ),
+    rule=st.sampled_from(["min-bw", "f=0.5", "full-rate"]),
+    not_before=st.sampled_from([None, 12.5]),
+)
+def test_finish_edge_blockers_equal_naive_walk(volume, hot_from, rule, not_before):
+    request = _edge_request(volume)
+    _assert_same_search(_edge_ledger(hot_from), request, RATE_RULES[rule](request), not_before)
 
 
 # ----------------------------------------------------------------------
 # Deterministic work gate
 # ----------------------------------------------------------------------
-def _hotspot_stream(seed, n, ports=16, capacity=1000.0):
-    """The ``serve_hot`` traffic shape: long transfers into four hot ports."""
-    rng = np.random.default_rng([seed, 2])
-    at = np.cumsum(rng.exponential(1.0, n))
-    volume = np.exp(rng.uniform(np.log(1e3), np.log(2e5), n))
-    window = np.maximum(rng.uniform(600.0, 7200.0, n), volume / capacity) + 60.0
-    weights = np.where(np.arange(ports) < 4, 4.0, 1.0)
-    weights /= weights.sum()
-    ingress = rng.choice(ports, n, p=weights)
-    egress = rng.choice(ports, n, p=weights)
-    for rid in range(n):
-        yield Request(
-            rid=rid,
-            ingress=int(ingress[rid]),
-            egress=int(egress[rid]),
-            volume=float(volume[rid]),
-            t_start=float(at[rid]),
-            t_end=float(at[rid] + window[rid]),
-            max_rate=capacity,
-        )
-
-
 def test_hotspot_search_asks_few_questions(blocker_calls):
-    """4,016 hotspot requests: many candidates per search, few probes."""
+    """4,016 hotspot requests: many candidates per search, few probes, and
+    (the rule being monotone) as few rate evaluations."""
     ledger = PortLedger(Platform.uniform(16, 16, 1000.0))
-    searches = candidates = 0
-    for request in _hotspot_stream(1, 4016):
+    policy = MinRatePolicy()
+    searches = candidates = evaluations = 0
+    for request in hotspot_stream(1, 4016):
         probe = FitProbe()
-        book_earliest(ledger, request, probe=probe)
+        rule = CountedRule(policy.bind(request))
+        book_earliest(ledger, request, rule, probe=probe)
         searches += 1
         candidates += probe.candidates
+        evaluations += rule.calls
     assert candidates / searches >= 50
     assert len(blocker_calls) / searches <= 8
+    assert evaluations / searches <= 8

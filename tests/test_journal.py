@@ -222,6 +222,16 @@ def half_open(make_plane):
     return plane
 
 
+def test_replay_rebuilds_the_very_policy(make_plane):
+    """``f = 1/3`` has no exact six-digit spelling; the header must still name
+    this very ``f``, or replay re-decides history at 33.3333 MB/s."""
+    plane = make_plane(Platform.uniform(4, 4, 100.0), policy=FractionOfMaxPolicy(1 / 3))
+    for ingress in range(4):  # four fill the 4-shard gateway's batch: all decided
+        plane.submit(ingress=ingress, egress=1, volume=100.0, deadline=90.0, now=0.0)
+    assert plane.snapshot()["reservations"][0]["allocation"]["bw"] == (1 / 3) * 100.0
+    assert_replays(plane)
+
+
 class TestOneLifecycleProtocol:
     def test_malformed_submit_burns_no_rid(self, make_plane):
         plane = half_open(make_plane)
