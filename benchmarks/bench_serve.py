@@ -175,11 +175,7 @@ async def _restart_phase(results_dir) -> dict:
     if journal_path.exists():
         journal_path.unlink()
     plan = smoke_plan(RESTART_WAVES * RESTART_WAVE_SIZE)
-    config = serve_config(
-        journal_path=journal_path,
-        max_wave=RESTART_WAVE_SIZE,
-        max_delay_s=60.0,
-    )
+    config = serve_config(journal_path=journal_path, max_wave=RESTART_WAVE_SIZE)
     app = ServeApp(config, clock=LogicalClock())
     host, port = await app.start()
     client = ServiceClient(host, port)

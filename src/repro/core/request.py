@@ -64,15 +64,17 @@ class Request:
     max_rate: float
 
     def __post_init__(self) -> None:
-        if self.volume <= 0:
+        # Every test is phrased ``not (a > b)`` so that a NaN, for which
+        # all comparisons are false, is refused instead of waved through.
+        if not (self.volume > 0):
             raise InvalidRequestError(f"request {self.rid}: volume must be positive, got {self.volume}")
         if not (self.t_end > self.t_start):
             raise InvalidRequestError(
                 f"request {self.rid}: empty transmission window [{self.t_start}, {self.t_end}]"
             )
-        if self.max_rate <= 0:
+        if not (self.max_rate > 0):
             raise InvalidRequestError(f"request {self.rid}: max_rate must be positive, got {self.max_rate}")
-        if self.max_rate < self.min_rate * (1 - RATE_TOLERANCE):
+        if not (self.max_rate >= self.min_rate * (1 - RATE_TOLERANCE)):
             raise InvalidRequestError(
                 f"request {self.rid}: max_rate {self.max_rate} below the MinRate "
                 f"{self.min_rate} implied by window [{self.t_start}, {self.t_end}]"

@@ -1,8 +1,10 @@
 """``GET /metrics`` — Prometheus text exposition of the live registry.
 
-Nothing new is computed here: the gateway, frontier and HTTP edge
-already publish into the app's :class:`~repro.obs.metrics.MetricsRegistry`;
-this endpoint renders it with the registry's own deterministic text
+Nothing new is computed here: the gateway (``gateway_*``), the frontier
+(``serve_frontier_wave_size``) and the HTTP edge (``serve_requests_total``,
+``serve_request_seconds``, ``serve_decisions_total``) already publish
+into the app's :class:`~repro.obs.metrics.MetricsRegistry`; this
+endpoint renders it with the registry's own deterministic text
 exposition (sorted families, sorted label sets).
 """
 

@@ -33,7 +33,8 @@ def parse_submission(body: Any, ctx: RequestContext) -> tuple[dict[str, Any], fl
 
     Raises :class:`HttpError` 400 on anything the gateway would refuse as
     *malformed* (as opposed to *rejected*): missing fields, wrong types,
-    non-positive volume, a deadline before the arrival instant.
+    non-finite numbers (``json.loads`` accepts the ``NaN`` / ``Infinity``
+    literals), non-positive volume, a deadline before the arrival instant.
     """
     if not isinstance(body, dict):
         raise HttpError(400, "submission must be a JSON object")
@@ -42,16 +43,20 @@ def parse_submission(body: Any, ctx: RequestContext) -> tuple[dict[str, Any], fl
         egress = int(body["egress"])
         volume = float(body["volume"])
         deadline = float(body["deadline"])
+        max_rate = body.get("max_rate")
+        if max_rate is not None:
+            max_rate = float(max_rate)
+        at = float(body.get("at", ctx.now))
     except KeyError as exc:
         raise HttpError(400, f"submission is missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise HttpError(400, f"submission field has a wrong type: {exc}") from exc
-    max_rate = body.get("max_rate")
-    if max_rate is not None:
-        max_rate = float(max_rate)
-    at = float(body.get("at", ctx.now))
-    if not math.isfinite(at):
-        raise HttpError(400, f"at must be finite, got {at}")
+    # A NaN compares false with everything, so it would pass every range
+    # check below, be journaled write-ahead and blow up inside the wave.
+    numbers = (("volume", volume), ("deadline", deadline), ("max_rate", max_rate), ("at", at))
+    for name, value in numbers:
+        if value is not None and not math.isfinite(value):
+            raise HttpError(400, f"{name} must be finite, got {value}")
     at = ctx.app.clock.observe(at)
     platform = ctx.app.gateway.platform
     if not (0 <= ingress < platform.num_ingress):

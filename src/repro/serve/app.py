@@ -99,9 +99,9 @@ class ServeConfig:
     slo_rules: tuple[SloRule, ...] | None = None
     #: Write-ahead journal location; ``None`` = in-memory only.
     journal_path: Path | None = None
-    #: Frontier shape: wave cap and wall-seconds linger.
+    #: Frontier shape: the most submissions one synchronous flush decides
+    #: (a wave is otherwise whatever arrived in one event-loop turn).
     max_wave: int = 64
-    max_delay_s: float = 0.002
 
     def __post_init__(self) -> None:
         if self.journal_path is not None:
@@ -154,12 +154,7 @@ class ServeApp:
         )
         self.keyring = ApiKeyring(config.keys)
         self.quota = QuotaLimiter(config.quota) if config.quota is not None else None
-        self.frontier = AdmissionFrontier(
-            self.gateway,
-            self.clock,
-            max_wave=config.max_wave,
-            max_delay_s=config.max_delay_s,
-        )
+        self.frontier = AdmissionFrontier(self.gateway, self.clock, max_wave=config.max_wave)
         self.router = Router()
         # Metric samples are bound once per label set: binding registers
         # nothing, so a family shows on ``/metrics`` from its first firing.

@@ -80,7 +80,6 @@ def _parser() -> argparse.ArgumentParser:
         "--edge-burst", type=float, default=None, help="per-client volume burst MB"
     )
     parser.add_argument("--max-wave", type=int, default=64)
-    parser.add_argument("--max-delay-ms", type=float, default=2.0)
     parser.add_argument(
         "--no-slo", action="store_true", help="disable the SLO watchdog entirely"
     )
@@ -124,7 +123,6 @@ def build_app(args: argparse.Namespace) -> ServeApp:
         slo_rules=() if args.no_slo else None,
         journal_path=args.journal,
         max_wave=args.max_wave,
-        max_delay_s=args.max_delay_ms / 1000.0,
     )
     return ServeApp(config)
 

@@ -3,18 +3,26 @@
 Without it, every HTTP submission would reach the gateway alone and the
 batcher (sized for admission throughput) would only ever see singleton
 batches.  The frontier restores the batch structure the gateway was
-built for: in-flight submissions accumulate while the event loop is busy
-and are released as one wave —
+built for.  A wave forms by **natural batching**: the first submission
+of an event-loop turn schedules the flush with ``loop.call_soon``, and
+asyncio runs only the handles that were ready when a turn began, so that
+flush runs after every connection handler runnable in the same turn has
+parked.  A wave is therefore exactly the submissions that arrived
+together — plus, under load, everything that arrived while the previous
+wave was being decided.  An idle service answers a lone submission one
+loop turn later; a busy one batches harder the busier it is; no timer
+and no arrival-rate estimate is involved.  ``max_wave`` pending
+submissions flush at once (it bounds how long one synchronous flush
+holds the loop).
 
-- immediately once ``max_wave`` submissions are pending, or
-- after ``max_delay_s`` wall seconds, whichever comes first —
-
-with every member submitted at a single simulated instant (so the
-gateway's "a batch never mixes instants" invariant holds by
+Every member of a wave is submitted at a single simulated instant (so
+the gateway's "a batch never mixes instants" invariant holds by
 construction) before the trailing partial batch is drained.  Each
 caller's coroutine parks on a future and resumes with its decided
 :class:`~repro.gateway.gateway.Ticket`; a structurally invalid
-submission fails only its own future, never its wave-mates.
+submission fails only its own future, never its wave-mates, and
+whatever else a flush runs into, no future of the wave it took is left
+pending.
 
 The flush itself is synchronous: the gateway never awaits, so a wave is
 decided atomically between event-loop steps — no interleaving hazards,
@@ -36,29 +44,26 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 __all__ = ["AdmissionFrontier"]
 
 
+#: Histogram bounds for ``serve_frontier_wave_size`` (powers of two up to
+#: the default ``max_wave``).
+WAVE_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
+
+
 class AdmissionFrontier:
     """Coalesces concurrent submits into same-instant :meth:`Gateway.submit` waves."""
 
-    def __init__(
-        self,
-        gateway: Gateway,
-        clock: ServiceClock,
-        *,
-        max_wave: int = 64,
-        max_delay_s: float = 0.002,
-    ) -> None:
+    def __init__(self, gateway: Gateway, clock: ServiceClock, *, max_wave: int = 64) -> None:
         if max_wave <= 0:
             raise ConfigurationError(f"max_wave must be positive, got {max_wave}")
-        if max_delay_s < 0:
-            raise ConfigurationError(f"max_delay_s must be >= 0, got {max_delay_s}")
         self.gateway = gateway
         self.clock = clock
         self.max_wave = max_wave
-        self.max_delay_s = max_delay_s
         self._pending: list[tuple[dict[str, Any], asyncio.Future[Ticket]]] = []
-        self._timer: asyncio.TimerHandle | None = None
         self.waves = 0
         self.coalesced = 0
+        self._wave_size = gateway.telemetry.metrics.bind_histogram(
+            "serve_frontier_wave_size", "Submissions decided per frontier wave.", WAVE_SIZE_BUCKETS
+        )
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -76,8 +81,12 @@ class AdmissionFrontier:
         self._pending.append((fields, future))
         if len(self._pending) >= self.max_wave:
             self.flush()
-        elif self._timer is None:
-            self._timer = loop.call_later(self.max_delay_s, self.flush)
+        elif len(self._pending) == 1:
+            # First of its wave: flush once every handler that is
+            # runnable in this loop turn has parked beside it.  A handle
+            # that finds nothing pending (``max_wave`` or a batch got
+            # there first) is a no-op, so there is none to track.
+            loop.call_soon(self.flush)
         return await future
 
     async def submit_wave(
@@ -89,7 +98,7 @@ class AdmissionFrontier:
         bulk submission coalesces with itself and with any concurrent
         singles already parked.  The caller grouped these deliberately —
         the wave is complete by definition — so it flushes immediately
-        rather than lingering on the timer.
+        rather than waiting for the loop turn to end.
         """
         loop = asyncio.get_running_loop()
         futures: list[asyncio.Future[Ticket]] = []
@@ -107,16 +116,32 @@ class AdmissionFrontier:
         return await asyncio.gather(*futures, return_exceptions=True)
 
     def flush(self) -> None:
-        """Decide every parked submission as one wave (synchronous)."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        """Decide every parked submission as one wave (synchronous).
+
+        Whatever happens, every future of the wave taken here ends up with
+        a result or an exception: the wave is off ``_pending`` from the
+        first line on, so nobody else could ever resume its callers.
+        """
         if not self._pending:
             return
         wave, self._pending = self._pending, []
-        now = self.clock.now()
         self.waves += 1
         self.coalesced += len(wave)
+        if self.gateway.telemetry.enabled:
+            self._wave_size.observe(len(wave))
+        try:
+            self._decide(wave)
+        except BaseException as exc:
+            for _, future in wave:
+                if not future.done():
+                    future.set_exception(exc)
+            # An ordinary failure has now reached everyone who can act on
+            # it (each parked caller raises it); only exits pass through.
+            if not isinstance(exc, Exception):
+                raise
+
+    def _decide(self, wave: list[tuple[dict[str, Any], asyncio.Future[Ticket]]]) -> None:
+        now = self.clock.now()
         # Submit entries one by one so a malformed submission fails only
         # its own future — the rest of the wave still shares one instant.
         accepted: list[tuple[asyncio.Future[Ticket], Ticket]] = []

@@ -80,7 +80,7 @@ class HttpRequest:
             return None
         try:
             return json.loads(self.body)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, bad UTF-8, oversized integer literal
             raise HttpError(400, f"request body is not valid JSON: {exc}") from exc
 
     def header(self, name: str, default: str | None = None) -> str | None:

@@ -44,6 +44,17 @@ class TestRequestValidation:
         with pytest.raises(InvalidRequestError):
             make_request(max_rate=0.0)
 
+    @pytest.mark.parametrize("field", ["volume", "t_start", "t_end", "max_rate"])
+    def test_nan_is_refused_in_every_field(self, field):
+        # NaN compares false with everything: ``volume <= 0`` let it through.
+        with pytest.raises(InvalidRequestError):
+            make_request(**{field: float("nan")})
+
+    def test_infinite_volume_in_an_endless_window_is_refused(self):
+        # MinRate is inf / inf = NaN; only the NaN-proof MaxRate test sees it.
+        with pytest.raises(InvalidRequestError):
+            make_request(volume=float("inf"), t_end=float("inf"), max_rate=float("inf"))
+
     def test_same_index_pair_is_legal(self):
         # ingress and egress index different port sets (single-pair case, §3)
         r = make_request(ingress=0, egress=0)

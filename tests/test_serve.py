@@ -15,6 +15,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.platform import Platform
 from repro.gateway import EdgeLimit, Gateway
 from repro.gateway.edge import EdgeLimiter
+from repro.gateway.invariants import check_gateway
 from repro.loadgen import ServiceClient
 from repro.serve import ServeApp, ServeConfig
 from repro.serve.clock import LogicalClock, WallServiceClock
@@ -57,6 +58,23 @@ def body(ingress=0, egress=1, volume=10.0, deadline=200.0, at=0.0, **extra):
     return fields
 
 
+NAN, INF = float("nan"), float("inf")
+
+#: (field, value) pairs no submission may carry.  ``json.loads`` accepts the
+#: NaN / Infinity literals and arbitrary-size integers, so every one of
+#: these reaches ``parse_submission`` as a Python number (or not a number).
+HOSTILE_NUMBERS = [
+    *((name, bad) for name in ("volume", "deadline", "max_rate", "at") for bad in (NAN, INF, -INF)),
+    ("at", "x"),
+    ("at", None),
+    ("at", [1]),
+    ("max_rate", "x"),
+    ("max_rate", [1]),
+    ("ingress", INF),  # int(inf) is an OverflowError, not a ValueError
+    ("volume", 10**400),  # float(10**400) likewise
+]
+
+
 # ----------------------------------------------------------------------
 # Wire format
 # ----------------------------------------------------------------------
@@ -96,6 +114,14 @@ class TestHttpWireFormat:
         with pytest.raises(HttpError) as err:
             self._parse(raw)
         assert err.value.status == 413
+
+    @pytest.mark.parametrize("raw", [b"{nope", b'{"a": "\xff"}'], ids=["syntax", "not-utf8"])
+    def test_undecodable_body_is_400(self, raw):
+        # Bad UTF-8 is a ValueError but not a JSONDecodeError: it used to
+        # escape ``dispatch`` and drop the connection.
+        with pytest.raises(HttpError) as err:
+            HttpRequest(method="POST", path="/", query={}, headers={}, body=raw).json()
+        assert err.value.status == 400
 
     def test_chunked_refused(self):
         raw = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
@@ -368,6 +394,74 @@ class TestEndpoints:
 
         run(main())
 
+    @pytest.mark.parametrize(
+        ("name", "value"), HOSTILE_NUMBERS, ids=[f"{n}={v!r:.8}" for n, v in HOSTILE_NUMBERS]
+    )
+    def test_hostile_number_is_400_and_poisons_nothing(self, name, value, tmp_path):
+        """``"volume": NaN`` used to pass every range check, be journaled
+        write-ahead, raise inside the flush (hanging the caller *and* its
+        wave-mates) and make the journal unreplayable; a non-numeric ``at``
+        or ``max_rate`` killed the connection with a traceback."""
+        journal_path = tmp_path / "hostile.journal.jsonl"
+
+        async def main():
+            app = make_app(journal_path=journal_path)
+            host, port = await app.start()
+            client, *mates = [ServiceClient(host, port) for _ in range(3)]
+            for c in (client, *mates):
+                await c.connect()
+            try:
+                # Single endpoint, two innocent submissions in the same wave.
+                bad, *good = await asyncio.wait_for(
+                    asyncio.gather(
+                        client.request("POST", "/v1/reservations", payload=body(**{name: value})),
+                        *(
+                            mate.request("POST", "/v1/reservations", payload=body(egress=k))
+                            for k, mate in enumerate(mates, start=2)
+                        ),
+                    ),
+                    timeout=10.0,
+                )
+                assert bad.status == 400
+                if isinstance(value, float) and name != "ingress":
+                    assert f"{name} must be finite" in bad.json()["error"]
+                assert all(r.status in (200, 201) for r in good)
+                # Batch endpoint: the bad entry is ``invalid`` in its own slot.
+                resp = await client.request(
+                    "POST",
+                    "/v1/reservations/batch",
+                    payload={"submissions": [body(), body(**{name: value}), body(egress=2)]},
+                )
+                assert resp.status == 200
+                outcomes = [d["outcome"] for d in resp.json()["decisions"]]
+                assert outcomes[1] == "invalid"
+                assert set(outcomes[::2]) <= {"accepted", "rejected"}
+                # The refusal was answered on the connection it came in on
+                # and counted like any other request.
+                assert client.reconnects == 0
+                text = (await client.request("GET", "/metrics")).body.decode()
+                assert (
+                    'serve_requests_total{endpoint="/v1/reservations",method="POST",status="400"} 1'
+                    in text
+                )
+            finally:
+                for c in (client, *mates):
+                    await c.close()
+                await app.drain()
+            return app
+
+        app = run(main())
+        # The bad entries took no rid and no journal line.
+        assert app.gateway.stats.submits == 4 == app.snapshot()["next_rid"]
+        journal_text = journal_path.read_text()
+        assert journal_text.count('"op": "submit"') == 4
+        assert "NaN" not in journal_text and "Infinity" not in journal_text
+        report = check_gateway(app.gateway, journal=app.journal, expect_quiesced=True)
+        assert report.ok, report.violations
+        successor = make_app(journal_path=journal_path)
+        successor.journal.close()  # replayed; nothing more is appended
+        assert successor.snapshot() == app.snapshot()
+
     def test_unknown_route_404_wrong_method_405(self):
         async def main():
             app = make_app()
@@ -497,6 +591,7 @@ class TestEndpoints:
                 assert "serve_requests_total" in text
                 assert "serve_request_seconds" in text
                 assert "serve_decisions_total" in text
+                assert 'serve_frontier_wave_size_bucket{le="1"} 1' in text
                 assert "gateway_submits_total" in text
             finally:
                 await client.close()
@@ -525,7 +620,7 @@ class TestEndpoints:
 
     def test_frontier_coalesces_concurrent_submits(self):
         async def main():
-            app = make_app(max_wave=8, max_delay_s=0.01)
+            app = make_app(max_wave=8)
             client_count = 8
             host, port = await app.start()
             clients = [ServiceClient(host, port) for _ in range(client_count)]

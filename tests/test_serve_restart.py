@@ -40,7 +40,6 @@ def make_config(journal_path, **overrides):
         slo_rules=(),
         journal_path=journal_path,
         max_wave=1024,
-        max_delay_s=60.0,  # nothing flushes on a timer; drain decides
     )
     settings.update(overrides)
     return ServeConfig(**settings)
@@ -83,8 +82,9 @@ async def drained_run(seed: int, journal_path):
         asyncio.ensure_future(app.frontier.submit(fields, at=at))
         for fields, at in wave_fields(plan, 32, 8)
     ]
-    for _ in range(3):
-        await asyncio.sleep(0)  # let every submit park
+    # One yield: every submit has parked and scheduled the wave's flush
+    # for the next loop turn, which the drain below gets in ahead of.
+    await asyncio.sleep(0)
     assert len(app.frontier) == 8
     await app.drain()
     tickets = await asyncio.gather(*parked)
