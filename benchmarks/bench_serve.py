@@ -207,7 +207,7 @@ async def _restart_phase(results_dir) -> dict:
             fields.append(entry)
         reference.submit_many(fields, now=max(ats))
     expected = [
-        "accepted" if reference.get(rid).reservation.confirmed else "rejected"
+        "accepted" if reference.get(rid).confirmed else "rejected"
         for rid in range(len(outcomes))
     ]
 

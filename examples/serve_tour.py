@@ -24,11 +24,11 @@ import json
 from pathlib import Path
 
 from repro.core import Platform
+from repro.gateway import EdgeLimit
 from repro.loadgen import ServiceClient
 from repro.obs.slo import SloRule
 from repro.serve import ServeApp, ServeConfig
 from repro.serve.clock import LogicalClock
-from repro.serve.security import ClientQuota
 
 out_dir = Path(__file__).parent / "out"
 out_dir.mkdir(exist_ok=True)
@@ -41,7 +41,7 @@ config = ServeConfig(
     num_shards=2,
     batch_size=4,
     keys={"key-alice": "alice", "key-bob": "bob"},
-    quota=ClientQuota(rate=1.0, burst=8.0),
+    quota=EdgeLimit(rate=1.0, burst=8.0),
     slo_rules=(
         SloRule(name="accept-floor", metric="accept_rate", bound="floor", threshold=0.9),
     ),

@@ -8,8 +8,10 @@ runs**, as events of the discrete-event engine (:mod:`repro.sim`):
 - :class:`PortFault` — a port loses ``amount`` MB/s over ``[start, end)``
   (a full outage when the amount reaches the port capacity).
 
-:class:`FaultInjector` schedules these against a live
-:class:`~repro.control.service.ReservationService` and drives recovery:
+:class:`FaultInjector` schedules these against a live admission plane —
+a :class:`~repro.control.service.ReservationService` or a
+:class:`~repro.gateway.Gateway`, whose tickets *are* reservations — and
+drives recovery:
 reservations displaced by a port fault have their residual volume
 (``volume − carried``) resubmitted with exponential backoff and jitter
 (:class:`~repro.schedulers.retry.BackoffSchedule`) until the rebooking is
@@ -20,7 +22,8 @@ out.
 random aborts, planned port faults — through one simulator, and is what
 the fault benchmark, the example scenario, and the end-to-end tests run.
 :func:`run_gateway_fault_drill` is its sharded sibling: the same workload
-and faults served by a :class:`~repro.gateway.Gateway`, plus
+and faults, driven by the same injector, served by a
+:class:`~repro.gateway.Gateway`, plus
 :class:`BrokerCrash` events that kill shard brokers mid-protocol (their
 volatile holds are wiped and in-flight two-phase transactions abort).
 
@@ -139,9 +142,10 @@ class FaultInjector:
     Parameters
     ----------
     sim:
-        The discrete-event engine the service traffic runs on.
+        The discrete-event engine the traffic runs on.
     service:
-        The reservation service under test.
+        The admission plane under test (service or gateway: the injector
+        only calls the ``abort`` / ``degrade`` / ``submit`` verbs they share).
     rebook:
         Backoff schedule for resubmitting displaced residual volumes;
         ``None`` disables automatic rebooking.
@@ -154,7 +158,7 @@ class FaultInjector:
     def __init__(
         self,
         sim: Simulator,
-        service: ReservationService,
+        service: ReservationService | Gateway,
         *,
         rebook: BackoffSchedule | None = None,
         seed: int = 0,
@@ -166,24 +170,31 @@ class FaultInjector:
 
     # ------------------------------------------------------------------
     def schedule_abort(self, fault: AbortFault) -> None:
-        """Arrange for a reservation to abort at ``fault.at``."""
-        self.sim.at(fault.at, self._on_abort, payload=fault)
+        """Arrange for a reservation to abort at ``fault.at`` — or now, when
+        that instant passed before its (batched) decision was published."""
+        self.sim.at(max(fault.at, self.sim.now), self._on_abort, payload=fault)
 
     def schedule_fault(self, fault: PortFault) -> None:
         """Arrange for a port degradation to strike at ``fault.start``."""
         self.sim.at(fault.start, self._on_port_fault, payload=fault)
 
-    def maybe_abort(self, reservation: Reservation, abort_rate: float) -> AbortFault | None:
+    def maybe_abort(
+        self, reservation: Reservation, abort_rate: float, now: float | None = None
+    ) -> AbortFault | None:
         """Sample a mid-flight abort for a freshly confirmed reservation.
 
         With probability ``abort_rate`` the transfer dies at a uniform
-        point of the part of its ``[σ, τ)`` run still ahead of the clock
-        (mirroring the offline model of :mod:`repro.grid.failures`).
+        point of the part of its ``[σ, τ)`` run still ahead of the
+        decision instant (mirroring the offline model of
+        :mod:`repro.grid.failures`).  ``now`` names that instant when it
+        is not the simulator's clock: a gateway batch flushed by a clock
+        advance decided at the previous one.  A rejection, or a zero
+        rate, draws nothing from the RNG.
         """
-        if reservation.allocation is None or self.rng.random() >= abort_rate:
-            return None
         alloc = reservation.allocation
-        lo = max(self.sim.now, alloc.sigma)
+        if alloc is None or abort_rate <= 0.0 or self.rng.random() >= abort_rate:
+            return None
+        lo = max(self.sim.now if now is None else now, alloc.sigma)
         if lo >= alloc.tau:
             return None
         fault = AbortFault(rid=reservation.rid, at=self.rng.uniform(lo, alloc.tau))
@@ -297,10 +308,9 @@ def run_fault_drill(
             now=sim.now,
             max_rate=request.max_rate,
         )
-        if abort_rate > 0.0:
-            fault = injector.maybe_abort(reservation, abort_rate)
-            if fault is not None:
-                report.aborts.append(fault)
+        fault = injector.maybe_abort(reservation, abort_rate)
+        if fault is not None:
+            report.aborts.append(fault)
 
     for request in sorted(requests, key=lambda r: (r.t_start, r.rid)):
         sim.at(request.t_start, on_arrival, payload=request)
@@ -394,7 +404,6 @@ def run_gateway_fault_drill(
     if restart_sweep is not None and restart_sweep <= 0:
         raise ConfigurationError(f"restart_sweep must be positive, got {restart_sweep}")
     sim = Simulator()
-    rng = random.Random(seed)
     gateway = Gateway(
         platform,
         num_shards=num_shards,
@@ -413,20 +422,13 @@ def run_gateway_fault_drill(
         recorder=recorder,
         slo=slo,
     )
+    injector = FaultInjector(sim, gateway, seed=seed)
     report = GatewayDrillReport(gateway=gateway, faults=list(faults), crashes=list(crashes))
 
     def on_decision(reservation: Reservation, now: float) -> None:
-        if abort_rate <= 0.0 or reservation.allocation is None:
-            return
-        if rng.random() >= abort_rate:
-            return
-        alloc = reservation.allocation
-        lo = max(now, alloc.sigma)
-        if lo >= alloc.tau:
-            return
-        fault = AbortFault(rid=reservation.rid, at=rng.uniform(lo, alloc.tau))
-        report.aborts.append(fault)
-        sim.at(fault.at, on_abort, payload=fault)
+        fault = injector.maybe_abort(reservation, abort_rate, now)
+        if fault is not None:
+            report.aborts.append(fault)
 
     gateway.on_decision = on_decision
 
@@ -441,21 +443,6 @@ def run_gateway_fault_drill(
             max_rate=request.max_rate,
         )
 
-    def on_abort(event) -> None:
-        fault: AbortFault = event.payload
-        gateway.abort(fault.rid, now=sim.now)
-
-    def on_port_fault(event) -> None:
-        fault: PortFault = event.payload
-        gateway.degrade(
-            side=fault.side,
-            port=fault.port,
-            amount=fault.amount,
-            start=fault.start,
-            end=fault.end,
-            now=sim.now,
-        )
-
     def on_crash(event) -> None:
         crash: BrokerCrash = event.payload
         gateway.crash_broker(crash.shard, now=sim.now)
@@ -467,7 +454,7 @@ def run_gateway_fault_drill(
     for request in sorted(requests, key=lambda r: (r.t_start, r.rid)):
         sim.at(request.t_start, on_arrival, payload=request)
     for fault in faults:
-        sim.at(fault.start, on_port_fault, payload=fault)
+        injector.schedule_fault(fault)
     for crash in crashes:
         # priority 1: a crash at time t strikes after the arrivals at t
         # have been submitted but (batch permitting) before they decide.

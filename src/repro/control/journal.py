@@ -22,6 +22,13 @@ and ``flush()``-ed to the operating system before ``append`` returns, so
 it is write-ahead against a crash of this process (``kill -9`` included)
 and a concurrent reader sees it at once.  There is no ``fsync``: an entry
 the OS had not yet written back is lost with the machine.
+
+A write cut short (full disk, machine crash) leaves a final line with no
+``\n``.  Write-ahead order means that operation was never applied or
+acknowledged, so :meth:`Journal.from_jsonl` drops such a line when it
+does not decode, and a :meth:`Journal.load`-ed journal cuts the file back
+to its last complete line before its first new append.  Undecodable text
+anywhere else is corruption and raises.
 """
 
 from __future__ import annotations
@@ -87,6 +94,10 @@ class Journal:
     #: The append handle on ``path``, open from the first append to
     #: :meth:`close` (re-point ``path`` only on a closed journal).
     _appender: IO[str] | None = field(default=None, init=False, repr=False, compare=False)
+    #: Set by :meth:`load` when the file does not end in a newline: where
+    #: its last good line ends.  The first new append cuts the file there
+    #: and supplies the newline, so that it starts on a line of its own.
+    _repair: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.path is not None:
@@ -98,6 +109,7 @@ class Journal:
         self.header = {"format": JOURNAL_FORMAT, **dict(header)}
         if self.path is not None:
             self.close()
+            self._repair = None
             with self.path.open("w") as fh:
                 fh.write(json.dumps(self.header) + "\n")
                 for entry in self.entries:
@@ -113,6 +125,10 @@ class Journal:
             appender = self._appender
             if appender is None:
                 appender = self._appender = self.path.open("a")
+                if self._repair is not None:
+                    appender.truncate(self._repair)
+                    appender.write("\n")
+                    self._repair = None
             appender.write(json.dumps(entry.to_dict()) + "\n")
             appender.flush()
         return entry
@@ -138,8 +154,8 @@ class Journal:
 
     @classmethod
     def from_jsonl(cls, text: str) -> Journal:
-        """Inverse of :meth:`to_jsonl`."""
-        lines = [line for line in text.splitlines() if line.strip()]
+        """Inverse of :meth:`to_jsonl` (minus a torn final line, if any)."""
+        lines = [line for line in _complete(text).splitlines() if line.strip()]
         if not lines:
             raise ConfigurationError("empty journal")
         header = json.loads(lines[0])
@@ -159,6 +175,22 @@ class Journal:
     @classmethod
     def load(cls, path: str | Path) -> Journal:
         """Read a journal previously written by :meth:`save` (or live appends)."""
-        journal = cls.from_jsonl(Path(path).read_text())
+        text = Path(path).read_text()
+        journal = cls.from_jsonl(text)
         journal.path = Path(path)
+        if not text.endswith("\n"):
+            journal._repair = len(_complete(text).rstrip("\n").encode())
         return journal
+
+
+def _complete(text: str) -> str:
+    """``text`` without a torn last line: one that neither ends in a
+    newline nor decodes (a final line that lacks only its newline stays)."""
+    if text.endswith("\n"):
+        return text
+    head, newline, tail = text.rpartition("\n")
+    try:
+        json.loads(tail)
+    except json.JSONDecodeError:
+        return head + newline
+    return text

@@ -73,7 +73,9 @@ class Reservation:
 
     rid: int
     request: Request
-    allocation: Allocation | None
+    #: The admitted window and rate; ``None`` when rejected (on a gateway
+    #: :class:`~repro.gateway.gateway.Ticket`, also while still undecided).
+    allocation: Allocation | None = None
     cancelled_at: float | None = None
     aborted_at: float | None = None
     displaced_at: float | None = None

@@ -10,6 +10,11 @@ search, and is counted in the ``gateway_edge_refusals_total`` metric.
 
 Refusal is deterministic: buckets are per-client, fed the gateway's
 forward-only clock, and hold no randomness.
+
+The limiter does not care what a token is.  The HTTP service runs a
+second instance in front of this one as its per-client *request* quota —
+same ``(rate, burst)`` value type, one token per request
+(:func:`repro.serve.deps.build_context`).
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ __all__ = ["EdgeLimit", "EdgeLimiter"]
 
 @dataclass(frozen=True, slots=True)
 class EdgeLimit:
-    """Edge policy: per-client sustained ``rate`` (MB/s) and ``burst`` (MB)."""
+    """Per-client sustained ``rate`` and ``burst``: MB/s and MB at the
+    gateway's volume edge, requests/s and requests as the service's quota."""
 
     rate: float
     burst: float
@@ -58,7 +64,8 @@ class EdgeLimiter:
         self.admitted = 0
 
     def admit(self, client: str, volume: float, now: float) -> bool:
-        """Offer one submission's volume to the client's bucket."""
+        """Offer ``volume`` tokens (one submission's MB; one request) to
+        the client's bucket."""
         bucket = self._buckets.get(client)
         if bucket is None:
             bucket = TokenBucket(rate=self.limit.rate, burst=self.limit.burst)

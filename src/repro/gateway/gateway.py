@@ -22,7 +22,10 @@ crash/restart — is journaled, so :meth:`replay` rebuilds a
 state-identical gateway (``snapshot()`` equality).  What happens to a
 reservation after admission, and the validate → settle → journal →
 apply protocol every verb here follows, is shared with the service:
-:mod:`repro.control.lifecycle`.
+:mod:`repro.control.lifecycle`.  Literally so: a submission's one record,
+its :class:`Ticket`, *is* a lifecycle ``Reservation`` — handed out
+pending, filled in place when its batch decides (:meth:`Gateway._admit`,
+the path first admissions and backlog re-admissions share).
 
 With ``num_shards=1`` and ``batch_size=1`` every admission is a
 shard-local booking decided immediately in submission order against one
@@ -43,7 +46,6 @@ from ..core.errors import ConfigurationError
 from ..core.ledger import Degradation
 from ..core.platform import Platform
 from ..core.profile import RateProfile
-from ..core.request import Request
 from ..obs.causal import CausalObserver, TraceContext
 from ..obs.metrics import BoundCounter
 from ..obs.recorder import FlightRecorder
@@ -56,7 +58,7 @@ from .edge import EdgeLimit, EdgeLimiter
 from .rpc import ChaosPolicy
 from .sharding import ShardMap
 from .broker import ShardBroker
-from .twophase import TwoPhaseCoordinator
+from .twophase import TwoPhaseCoordinator, TwoPhaseOutcome
 
 __all__ = ["Gateway", "GatewayStats", "Ticket"]
 
@@ -111,34 +113,31 @@ class GatewayStats:
         return dict(vars(self))
 
 
-@dataclass
-class Ticket:
-    """A client's handle on one submission, pending until its batch flushes."""
+@dataclass(kw_only=True)
+class Ticket(Reservation):
+    """The one record of one submission.
 
+    :meth:`Gateway.submit` creates it pending and hands it to the client;
+    the flush that decides its batch fills ``allocation`` /
+    ``reject_reason`` in place and sets ``decided``.  From then on it *is*
+    the :class:`~repro.control.lifecycle.Reservation` the lifecycle verbs
+    act on — ``gateway.get(rid)``, the entry in ``reservations()`` and the
+    object ``on_decision`` receives are this same object.
+    """
+
+    #: Submission order (the batch orderings' tiebreak).
     seq: int
     client: str
-    request: Request
     #: Refused by the per-client edge limiter (never entered a batch).
     edge_refused: bool = False
     #: Seconds until the refused volume would conform again (edge refusals
     #: only; ``inf`` when the volume exceeds the burst).  The service
     #: plane surfaces this as an HTTP 429 ``Retry-After`` hint.
     retry_after: float | None = None
-    #: The admission decision; ``None`` while the batch is still open.
-    reservation: Reservation | None = None
-    origin: int | None = None
     #: The stepwise shape the client asked for (``None`` = constant rate).
     profile: RateProfile | None = None
-
-    @property
-    def decided(self) -> bool:
-        """Has the batch containing this submission been flushed?"""
-        return self.edge_refused or self.reservation is not None
-
-    @property
-    def rid(self) -> int:
-        """The reservation id assigned at submission."""
-        return self.request.rid
+    #: The batch holding this submission has flushed, or the edge refused it.
+    decided: bool = False
 
 
 class _Instruments:
@@ -243,8 +242,9 @@ class Gateway:
         batch flush over windowed admission/health aggregates; breaches
         are edge-triggered events, never admission decisions.
     on_decision:
-        Callback ``(reservation, now)`` invoked for every flushed
-        decision — the fault drill uses it to sample mid-flight aborts.
+        Callback ``(ticket, now)`` invoked for every flushed decision with
+        the decision instant — the fault drill hands both to its
+        :class:`~repro.control.faults.FaultInjector` to sample aborts.
     """
 
     def __init__(
@@ -286,7 +286,6 @@ class Gateway:
         #: constant-rate reject, and reshape-before-displace on degrade.
         #: Off (the default) the gateway is decision-identical to before.
         self.malleable = malleable
-        self.recorder = recorder
         self.slo = slo
         self._observer = CausalObserver(lambda: self.telemetry, recorder=recorder)
         #: Trace context of the rids that joined another request's trace
@@ -330,7 +329,8 @@ class Gateway:
         self._batch_opened = float("-inf")
         self._next_seq = 0
         self._next_rid = 0
-        self._reservations: dict[int, Reservation] = {}
+        #: Every submission's record by rid — which is insertion order:
+        #: a rid is taken and its ticket stored in the same step.
         self._tickets: dict[int, Ticket] = {}
         self._degradations: list[Degradation] = []
         if journal is not None:
@@ -374,6 +374,11 @@ class Gateway:
     def telemetry(self) -> Telemetry:
         """The handle decisions are reported through (instance or process-wide)."""
         return self._telemetry if self._telemetry is not None else get_telemetry()
+
+    @property
+    def recorder(self) -> FlightRecorder | None:
+        """The attached flight recorder (the observer's; ``None`` = off)."""
+        return self._observer.recorder
 
     def _advance(self, now: float) -> None:
         """Move the clock forward, flushing the previous instant's batch."""
@@ -430,39 +435,14 @@ class Gateway:
     # Causal tracing (observability only: never touches decisions,
     # journal, snapshot or replay)
     # ------------------------------------------------------------------
-    def _tracing(self, tel: Telemetry) -> bool:
-        """Would anything (``tel`` or a flight recorder) record a hop?"""
-        return tel.enabled or self.recorder is not None
-
     def _ctx_of(self, rid: int) -> TraceContext:
         """``rid``'s position in its causal tree (a root unless it joined
         another request's trace)."""
         return self._trace_roots.get(rid) or TraceContext.root(rid)
 
-    def _trace_ctx(self, rid: int, tel: Telemetry) -> TraceContext | None:
+    def _trace_ctx(self, rid: int) -> TraceContext | None:
         """:meth:`_ctx_of` when tracing, else ``None`` (no hop to mint)."""
-        return self._ctx_of(rid) if self._tracing(tel) else None
-
-    def _trace_event(
-        self,
-        tel: Telemetry,
-        now: float,
-        kind: str,
-        ctx: TraceContext | None,
-        fields: dict[str, Any],
-    ) -> None:
-        """One gateway-side hop on a request's causal timeline.
-
-        The tracer keeps ``(ctx, fields)`` as they are (``fields`` is the
-        caller's to give away); only the flight recorder (eager by
-        design: its rows are the post-mortem) pays for the merged dict.
-        """
-        if ctx is None:
-            return
-        if tel.enabled:
-            tel.tracer.instant(kind, now, fields, cat="causal", ctx=ctx)
-        if self.recorder is not None:
-            self.recorder.record("gateway", now, kind, **{**ctx.fields(), **fields})
+        return self._ctx_of(rid) if self._observer.tracing() else None
 
     def _instruments(self, tel: Telemetry) -> _Instruments:
         """The hot metric samples, bound to ``tel`` (rebound if it changed)."""
@@ -470,11 +450,6 @@ class Gateway:
         if bound is None or bound.telemetry is not tel:
             bound = self._bound = _Instruments(tel, self.batcher.ordering.value)
         return bound
-
-    def _flight(self, component: str, now: float, kind: str, **fields: Any) -> None:
-        """A component-level (not request-level) flight-recorder row."""
-        if self.recorder is not None:
-            self.recorder.record(component, now, kind, **fields)
 
     # ------------------------------------------------------------------
     # Submission path
@@ -524,25 +499,24 @@ class Gateway:
         rid = self._take_rid()
         seq = self._next_seq
         self._next_seq += 1
-        ticket = Ticket(
-            seq=seq, client=client, request=request, origin=origin, profile=wanted
+        ticket = self._tickets[rid] = Ticket(
+            rid=rid, request=request, origin=origin, seq=seq, client=client, profile=wanted
         )
-        self._tickets[rid] = ticket
         self._record("submit", now, rid=rid, client=client, **entry)
         self.stats.submits += 1
         tel = self.telemetry
+        note = self._observer.note
         ctx: TraceContext | None = None
-        if self._tracing(tel):
+        if self._observer.tracing():
             if origin is None:
                 ctx = TraceContext.root(rid)
             else:
                 # A rebooking joins the original request's trace so one
                 # `grid-obs explain` shows the whole lineage.
                 ctx = self._trace_roots[rid] = self._ctx_of(origin).child(f"rebook:{rid}")
-            self._trace_event(
-                tel,
-                now,
+            note(
                 "gateway.trace.submit",
+                now,
                 ctx,
                 {
                     "rid": rid,
@@ -553,12 +527,10 @@ class Gateway:
                 },
             )
         if self.edge is not None and not self.edge.admit(client, volume, now):
-            ticket.edge_refused = True
+            ticket.edge_refused = ticket.decided = True
             ticket.retry_after = self.edge.retry_after(client, volume, now)
             self.stats.edge_refused += 1
-            self._trace_event(
-                tel, now, "gateway.trace.edge_refused", ctx, {"rid": rid, "client": client}
-            )
+            note("gateway.trace.edge_refused", now, ctx, {"rid": rid, "client": client})
             if tel.enabled:
                 tel.metrics.counter(
                     "gateway_edge_refusals_total",
@@ -571,9 +543,7 @@ class Gateway:
         if not len(self.batcher):
             self._batch_opened = now
         self.batcher.enqueue(ticket)
-        self._trace_event(
-            tel, now, "gateway.trace.enqueued", ctx, {"rid": rid, "pending": len(self.batcher)}
-        )
+        note("gateway.trace.enqueued", now, ctx, {"rid": rid, "pending": len(self.batcher)})
         if self.batcher.full:
             self._flush(now)
         return ticket
@@ -615,8 +585,9 @@ class Gateway:
         if not batch:
             return
         tel = self.telemetry
+        traced = self._observer.tracing()
         for ticket in batch:
-            self._decide(ticket, now, tel)
+            self._decide(ticket, now, tel, self._ctx_of(ticket.rid) if traced else None)
         self.stats.batches += 1
         health = (
             self._health_snapshot(now)
@@ -648,10 +619,26 @@ class Gateway:
             self.slo.evaluate(now, telemetry=tel, recorder=self.recorder)
         self._publish_chaos()
 
-    def _decide(self, ticket: Ticket, now: float, tel: Telemetry) -> None:
-        """Run one admission through the coordinator; publish the outcome."""
+    def _admit(
+        self,
+        ticket: Ticket,
+        now: float,
+        tel: Telemetry,
+        ctx: TraceContext | None,
+        waiting_since: float,
+    ) -> tuple[TwoPhaseOutcome, float]:
+        """Run one admission through the coordinator and fill its record.
+
+        The only code that turns a ``coordinator.reserve`` outcome into
+        state: first admissions (:meth:`_decide`) and backlog
+        re-admissions (:meth:`_readmit`) both come through here, so every
+        protocol tally an attempt burned reaches :class:`GatewayStats`
+        whichever of the two made it.  Returns the outcome and the
+        admission latency in simulated time: queueing since
+        ``waiting_since`` plus the retry backoff and chaos waiting the
+        transaction burned.
+        """
         request = ticket.request
-        ctx = self._trace_ctx(request.rid, tel)
         outcome = self.coordinator.reserve(
             request,
             self.policy.bind(request),
@@ -660,62 +647,60 @@ class Gateway:
             profile=ticket.profile,
             malleable=self.malleable,
         )
-        reservation = Reservation(
-            rid=request.rid,
-            request=request,
-            allocation=outcome.allocation,
-            origin=ticket.origin,
-            reject_reason=outcome.probe.reason,
-        )
-        self._reservations[request.rid] = reservation
-        ticket.reservation = reservation
+        ticket.allocation = outcome.allocation
+        ticket.reject_reason = outcome.probe.reason
+        ticket.decided = True
+        stats = self.stats
+        stats.prepare_retries += outcome.retries
+        stats.retry_delay_total += outcome.retry_delay
+        stats.chaos_wait_total += outcome.chaos_wait
+        stats.compensations += outcome.compensations
+        stats.stranded_holds += outcome.stranded
+        stats.recovered_deliveries += outcome.recovered
+        if outcome.aborted:
+            stats.twophase_aborts += 1
+        latency = (now - waiting_since) + outcome.retry_delay + outcome.chaos_wait
+        accepted = outcome.allocation is not None
+        if self.slo is not None:
+            self.slo.admission(now, accepted=accepted, latency=latency)
+        if accepted and (tel.enabled or self.slo is not None):
+            self._note_port_peaks(request.ingress, request.egress)
+        return outcome, latency
+
+    def _decide(self, ticket: Ticket, now: float, tel: Telemetry, ctx: TraceContext | None) -> None:
+        """Decide one batched submission; publish the outcome."""
+        # Queueing counts from the instant the request's window opened.
+        outcome, latency = self._admit(ticket, now, tel, ctx, ticket.request.t_start)
         if outcome.local:
             self.stats.local += 1
         else:
             self.stats.cross_shard += 1
         if outcome.fastpath:
             self.stats.fastpath_hits += 1
-        self.stats.prepare_retries += outcome.retries
-        self.stats.retry_delay_total += outcome.retry_delay
-        self.stats.chaos_wait_total += outcome.chaos_wait
-        self.stats.compensations += outcome.compensations
-        self.stats.stranded_holds += outcome.stranded
-        self.stats.recovered_deliveries += outcome.recovered
-        if outcome.aborted:
-            self.stats.twophase_aborts += 1
-        if outcome.allocation is not None:
+        accepted = outcome.allocation is not None
+        reason = ticket.reject_reason
+        if accepted:
             self.stats.accepted += 1
-            if tel.enabled or self.slo is not None:
-                self._note_port_peaks(request.ingress, request.egress)
         else:
             self.stats.rejected += 1
-            if outcome.probe.reason is RejectReason.SHARD_UNREACHABLE:
+            if reason is RejectReason.SHARD_UNREACHABLE:
                 self.stats.shard_unreachable += 1
-            self._maybe_backlog(ticket, outcome.probe.reason)
-        # Admission latency in simulated time: queueing since the request's
-        # window opened plus the retry backoff and chaos waiting its
-        # transaction burned.
-        latency = (now - request.t_start) + outcome.retry_delay + outcome.chaos_wait
-        accepted = outcome.allocation is not None
-        reason = outcome.probe.reason.value if outcome.probe.reason is not None else None
-        if self.slo is not None:
-            self.slo.admission(now, accepted=accepted, latency=latency)
-        self._trace_event(
-            tel,
-            now,
+            self._maybe_backlog(ticket, reason)
+        self._observer.note(
             "gateway.trace.decision",
+            now,
             ctx,
             {
-                "rid": request.rid,
+                "rid": ticket.rid,
                 "outcome": "accepted" if accepted else "rejected",
-                "reason": None if accepted else reason,
+                "reason": None if accepted or reason is None else reason.value,
                 "latency": latency,
             },
         )
         if tel.enabled:
-            self._observe_decision(tel, reservation, outcome, now, latency, ctx)
+            self._observe_decision(tel, ticket, outcome, now, latency, ctx)
         if self.on_decision is not None:
-            self.on_decision(reservation, now)
+            self.on_decision(ticket, now)
 
     def _maybe_backlog(self, ticket: Ticket, reason: RejectReason | None) -> None:
         """Park a broker-down/unreachable rejection for later re-admission.
@@ -746,7 +731,7 @@ class Gateway:
         self,
         tel: Telemetry,
         reservation: Reservation,
-        outcome,
+        outcome: TwoPhaseOutcome,
         now: float,
         latency: float,
         ctx: TraceContext | None,
@@ -815,7 +800,8 @@ class Gateway:
         admitted: list[tuple[int, int]] = []
         tel = self.telemetry
         for rid in self._backlog:
-            original = self._reservations[rid].request
+            parked = self._tickets[rid]
+            original = parked.request
             candidate = lifecycle.readmission_candidate(original, self._next_rid, now)
             if candidate is None:
                 continue  # deadline unreachable: give the request up
@@ -831,66 +817,42 @@ class Gateway:
             # a stale record (a compensated commit replays as "committed"
             # and books nothing).  Failed attempts therefore leave rid
             # gaps; replay burns them identically.
-            self._take_rid()
+            attempt = Ticket(
+                rid=self._take_rid(),
+                request=candidate,
+                origin=rid,
+                seq=parked.seq,
+                client=parked.client,
+            )
             ctx: TraceContext | None = None
-            if self._tracing(tel):
+            if self._observer.tracing():
                 # Re-admissions stay on the original request's trace: the
                 # fresh rid is one more hop of the same causal story.
-                ctx = self._trace_roots[candidate.rid] = self._ctx_of(rid).child(
-                    f"readmit:{candidate.rid}"
+                ctx = self._trace_roots[attempt.rid] = self._ctx_of(rid).child(
+                    f"readmit:{attempt.rid}"
                 )
-                self._trace_event(
-                    tel,
-                    now,
-                    "gateway.trace.readmit_attempt",
-                    ctx,
-                    {"rid": candidate.rid, "origin": rid},
+                self._observer.note(
+                    "gateway.trace.readmit_attempt", now, ctx, {"rid": attempt.rid, "origin": rid}
                 )
-            outcome = self.coordinator.reserve(
-                candidate,
-                self.policy.bind(candidate),
-                now,
-                ctx=ctx,
-                malleable=self.malleable,
-            )
-            accepted = outcome.allocation is not None
-            if self.slo is not None:
-                self.slo.admission(
-                    now,
-                    accepted=accepted,
-                    latency=(now - original.t_start)
-                    + outcome.retry_delay
-                    + outcome.chaos_wait,
-                )
-            self._trace_event(
-                tel,
-                now,
+            # The client has been waiting since the *original* window opened.
+            self._admit(attempt, now, tel, ctx, original.t_start)
+            self._observer.note(
                 "gateway.trace.readmit_decision",
+                now,
                 ctx,
                 {
-                    "rid": candidate.rid,
+                    "rid": attempt.rid,
                     "origin": rid,
-                    "outcome": "accepted" if accepted else "rejected",
+                    "outcome": "accepted" if attempt.confirmed else "rejected",
                 },
             )
-            if outcome.allocation is None:
-                keep.append(rid)
+            if not attempt.confirmed:
+                keep.append(rid)  # the refused attempt leaves no record
                 continue
-            reservation = self._reservations[candidate.rid] = Reservation(
-                rid=candidate.rid,
-                request=candidate,
-                allocation=outcome.allocation,
-                origin=rid,
-            )
             # Readable (``get``) wherever it is cancellable.
-            parked = self._tickets[rid]
-            self._tickets[candidate.rid] = Ticket(
-                parked.seq, parked.client, candidate, reservation=reservation, origin=rid
-            )
+            self._tickets[attempt.rid] = attempt
             self.stats.readmitted += 1
-            if tel.enabled or self.slo is not None:
-                self._note_port_peaks(candidate.ingress, candidate.egress)
-            admitted.append((rid, candidate.rid))
+            admitted.append((rid, attempt.rid))
         self._backlog = keep
         if tel.enabled and admitted:
             tel.metrics.counter(
@@ -1001,11 +963,8 @@ class Gateway:
             for name, value in channel.stats.as_dict().items():
                 if name in totals:
                     totals[name] += float(value)
-        self.stats.chaos_drops = int(totals["drops"])
-        self.stats.chaos_duplicates = int(totals["duplicates"])
-        self.stats.chaos_delays = int(totals["delays"])
-        self.stats.chaos_partitioned = int(totals["partitioned"])
-        self.stats.chaos_crashes = int(totals["crashes"])
+        for name in self._CHAOS_COUNTERS:
+            setattr(self.stats, f"chaos_{name}", int(totals[name]))
         tel = self.telemetry
         if tel.enabled:
             for name, help_text in self._CHAOS_COUNTERS.items():
@@ -1036,22 +995,15 @@ class Gateway:
         self._settle(now)
         self._record("cancel", now, rid=rid)
         freed = lifecycle.terminate(
-            self._reservations[rid],
-            now,
-            ReservationState.CANCELLED,
-            self.coordinator.release_pair,
+            self._tickets[rid], now, ReservationState.CANCELLED, self.coordinator.release_pair
         )
         released = freed is not None
         if released:
             self.stats.cancelled += 1
-        tel = self.telemetry
-        self._trace_event(
-            tel,
-            now,
-            "gateway.trace.cancel",
-            self._trace_ctx(rid, tel),
-            {"rid": rid, "released": released},
+        self._observer.note(
+            "gateway.trace.cancel", now, self._trace_ctx(rid), {"rid": rid, "released": released}
         )
+        tel = self.telemetry
         if tel.enabled:
             tel.metrics.counter("gateway_cancels_total", "Cancellations by effect.").inc(
                 released=str(released).lower()
@@ -1064,17 +1016,15 @@ class Gateway:
         self._require_known(rid)
         self._settle(now)
         self._record("abort", now, rid=rid)
-        reservation = self._reservations[rid]
+        reservation = self._tickets[rid]
         freed = lifecycle.terminate(
             reservation, now, ReservationState.ABORTED, self.coordinator.release_pair
         )
         if freed is None:
             return False
         self.stats.aborted += 1
+        self._observer.note("gateway.trace.abort", now, self._trace_ctx(rid), {"rid": rid})
         tel = self.telemetry
-        self._trace_event(
-            tel, now, "gateway.trace.abort", self._trace_ctx(rid, tel), {"rid": rid}
-        )
         if tel.enabled:
             tel.metrics.counter("gateway_aborts_total", "Mid-flight transfer aborts.").inc()
             tel.emit("gateway.abort", now, rid=rid, wasted=reservation.carried)
@@ -1106,8 +1056,10 @@ class Gateway:
         self.coordinator.broker_for(side, port).degrade(degradation)
         self._degradations.append(degradation)
         self.stats.degradations += 1
+        # Pending and edge-refused tickets hold no allocation, so the
+        # victim search passes over them.
         displaced, _freed, reshaped_rids = lifecycle.displace_overflow(
-            self._reservations.values(),
+            self._tickets.values(),
             degradation,
             now,
             self.platform,
@@ -1116,15 +1068,17 @@ class Gateway:
         )
         self.stats.displaced += len(displaced)
         self.stats.reshaped += len(reshaped_rids)
-        flight_fields: dict[str, Any] = {
-            "side": side,
-            "port": port,
-            "amount": amount,
-            "displaced": [r.rid for r in displaced],
-        }
-        if reshaped_rids:
-            flight_fields["reshaped"] = reshaped_rids
-        self._flight("gateway", now, "degrade", **flight_fields)
+        recorder = self.recorder
+        if recorder is not None:
+            row: dict[str, Any] = {
+                "side": side,
+                "port": port,
+                "amount": amount,
+                "displaced": [r.rid for r in displaced],
+            }
+            if reshaped_rids:
+                row["reshaped"] = reshaped_rids
+            recorder.record("gateway", now, "degrade", **row)
         tel = self.telemetry
         if tel.enabled:
             tel.metrics.counter(
@@ -1160,17 +1114,13 @@ class Gateway:
         self._require_known(rid)
         self._settle(now)
         self._record("reshape", now, rid=rid)
-        ok = lifecycle.reshape_tail(self._reservations[rid], now, self._capacity())
+        ok = lifecycle.reshape_tail(self._tickets[rid], now, self._capacity())
         if ok:
             self.stats.reshaped += 1
-        tel = self.telemetry
-        self._trace_event(
-            tel,
-            now,
-            "gateway.trace.reshape",
-            self._trace_ctx(rid, tel),
-            {"rid": rid, "reshaped": ok},
+        self._observer.note(
+            "gateway.trace.reshape", now, self._trace_ctx(rid), {"rid": rid, "reshaped": ok}
         )
+        tel = self.telemetry
         if tel.enabled:
             tel.metrics.counter(
                 "gateway_reshapes_total", "Malleable tail re-shapes by effect."
@@ -1194,7 +1144,8 @@ class Gateway:
         self._record("crash", now, shard=shard)
         wiped = broker.crash()
         self.stats.crashes += 1
-        self._flight(f"rpc.shard{shard}", now, "broker.crash", holds_wiped=wiped)
+        if self.recorder is not None:
+            self.recorder.record(f"rpc.shard{shard}", now, "broker.crash", holds_wiped=wiped)
         tel = self.telemetry
         if tel.enabled:
             tel.metrics.counter(
@@ -1210,7 +1161,8 @@ class Gateway:
         self._record("restart", now, shard=shard)
         broker.restart()
         self.stats.restarts += 1
-        self._flight(f"rpc.shard{shard}", now, "broker.restart")
+        if self.recorder is not None:
+            self.recorder.record(f"rpc.shard{shard}", now, "broker.restart")
         tel = self.telemetry
         if tel.enabled:
             tel.emit("gateway.restart", now, shard=shard)
@@ -1232,9 +1184,10 @@ class Gateway:
         except KeyError:
             raise KeyError(f"unknown reservation {rid}") from None
 
-    def reservations(self) -> list[Reservation]:
-        """All decided reservations, in submission order."""
-        return [self._reservations[rid] for rid in sorted(self._reservations)]
+    def reservations(self) -> list[Ticket]:
+        """Every decision (confirmed or rejected) so far, in rid order —
+        not the still-pending tickets, nor the edge-refused ones."""
+        return [t for t in self._tickets.values() if t.decided and not t.edge_refused]
 
     def pending(self) -> int:
         """Submissions waiting in the open batch."""
@@ -1339,11 +1292,8 @@ class Gateway:
         operations append after the replayed ones.
         """
         gateway = cls.replay(journal)
-        gateway._telemetry = telemetry
+        gateway._telemetry = telemetry  # the observer reads it per record
         gateway.slo = slo
-        gateway.recorder = recorder
-        gateway._observer = CausalObserver(lambda: gateway.telemetry, recorder=recorder)
-        for channel in gateway.coordinator.channels:
-            channel.observer = gateway._observer
+        gateway._observer.recorder = recorder
         gateway.journal = journal
         return gateway

@@ -341,6 +341,8 @@ class Channel:
         self.policy = policy
         self.observer = observer
         self.stats = ChannelStats()
+        #: This edge's flight-recorder ring.
+        self._component = f"rpc.shard{broker.shard_id}"
         self._edge = policy.edge_for(broker.shard_id) if policy is not None else EdgeChaos()
         seed = policy.seed if policy is not None else 0
         self._rng = random.Random(seed * _SEED_STRIDE + broker.shard_id + 1)
@@ -366,7 +368,8 @@ class Channel:
             shard = self.broker.shard_id
             record = {"shard": shard, **detail} if detail else {"shard": shard}
             # Interned: the span ring keeps up to its capacity of these.
-            observer.note(sys.intern(f"{cat}.{what}"), cat, shard, now, ctx, record)
+            name = sys.intern(f"{cat}.{what}")
+            observer.note(name, now, ctx, record, cat=cat, component=self._component, tid=shard)
 
     # ------------------------------------------------------------------
     @property

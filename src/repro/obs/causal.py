@@ -81,20 +81,20 @@ def child_of(ctx: TraceContext | None, segment: str) -> TraceContext | None:
 
 
 class CausalObserver:
-    """Turns channel deliveries and chaos faults into causal records.
+    """Turns gateway hops, channel deliveries and chaos faults into causal
+    records.
 
-    One observer serves a whole gateway: the coordinator hands it to every
+    One observer serves a whole gateway: the gateway reports its own hops
+    (submit, enqueue, decision, re-admission, cancel ...) and the
+    coordinator hands the same observer to every
     :class:`~repro.gateway.rpc.Channel`, which reports each delivery (and
     each injected fault) together with the :class:`TraceContext` the call
-    carried.  Records go to the telemetry tracer (``cat="rpc"`` /
-    ``cat="chaos"`` instants) and, when attached, the
+    carried.  Records go to the telemetry tracer and, when attached, the
     :class:`~repro.obs.recorder.FlightRecorder` — both keyed to simulated
     time, both deterministic.
 
     The telemetry handle is *provided*, not captured: the gateway may swap
     or scope its handle per run, so the observer re-reads it per record.
-    Callers only report deliveries that carry a context (``ctx=None``
-    means tracing is off and there is nothing to annotate).
     """
 
     def __init__(
@@ -106,26 +106,39 @@ class CausalObserver:
         self._telemetry = telemetry
         self.recorder = recorder
 
+    def tracing(self) -> bool:
+        """Would anything (the telemetry handle or a flight recorder)
+        record a hop?  When not, callers mint no :class:`TraceContext`."""
+        return self.recorder is not None or self._telemetry().enabled
+
     def note(
         self,
         name: str,
-        cat: str,
-        shard: int,
         now: float,
-        ctx: TraceContext,
+        ctx: TraceContext | None,
         detail: dict[str, Any],
+        *,
+        cat: str = "causal",
+        component: str = "gateway",
+        tid: int = 0,
     ) -> None:
-        """One record on ``ctx``'s timeline: a delivery that reached the
-        broker (``rpc.<op>``, ``cat="rpc"``) or a chaos fault that struck
-        one (``chaos.<kind>``: drop / duplicate / delay / partition /
-        crash — so the lost hop is visible).  ``detail`` leads with the
-        ``shard`` and is the caller's to give away: the tracer stores the
-        hop un-rendered; the flight recorder's row is built here."""
+        """One record on ``ctx``'s timeline (``ctx`` None: untraced, no-op).
+
+        The defaults are a gateway-side hop; a channel reports a delivery
+        that reached the broker (``rpc.<op>``, ``cat="rpc"``) or a chaos
+        fault that struck one (``chaos.<kind>``: drop / duplicate / delay /
+        partition / crash — so the lost hop is visible) under its shard's
+        ``component`` and ``tid``, ``detail`` leading with the ``shard``.
+        ``detail`` is the caller's to give away: the tracer stores the hop
+        un-rendered; the flight recorder's row (eager by design: it is the
+        post-mortem) is built here."""
+        if ctx is None:
+            return
         tel = self._telemetry()
         if tel.enabled:
-            tel.tracer.instant(name, now, detail, cat=cat, tid=shard, ctx=ctx)
+            tel.tracer.instant(name, now, detail, cat=cat, tid=tid, ctx=ctx)
         if self.recorder is not None:
-            self.recorder.record(f"rpc.shard{shard}", now, name, **{**ctx.fields(), **detail})
+            self.recorder.record(component, now, name, **{**ctx.fields(), **detail})
 
 
 # ----------------------------------------------------------------------

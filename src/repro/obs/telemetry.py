@@ -11,8 +11,9 @@ A :class:`Telemetry` bundles the three capture surfaces:
 Instrumented code never pays for disabled telemetry: every site guards on
 the :attr:`Telemetry.enabled` flag, and the default process-wide handle is
 a :class:`NullTelemetry` whose flag is ``False`` — uninstrumented runs do
-one attribute read and a branch per hot-path call, nothing else (see
-``benchmarks/bench_obs_overhead.py`` for the enforced bound).
+one attribute read and a branch per hot-path call, nothing else
+(``benchmarks/bench_obs_overhead.py`` bounds what turning tracing *on*
+costs the gateway).
 
 Isolation: the process-wide handle is swapped with :func:`set_telemetry`
 or, in tests, the :func:`use_telemetry` context manager, which restores

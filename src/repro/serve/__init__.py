@@ -17,7 +17,8 @@ Layering (the FastAPI idiom on stdlib):
 - :mod:`repro.serve.routes` — the route table (method, pattern) → handler;
 - :mod:`repro.serve.api.v1.endpoints` — one module per resource;
 - :mod:`repro.serve.deps` — per-request context resolution (auth, app);
-- :mod:`repro.serve.security` — API keys and per-client request quotas;
+- :mod:`repro.serve.security` — API keys (the request quota is the gateway's
+  :class:`~repro.gateway.EdgeLimiter`, asked in ``deps``);
 - :mod:`repro.serve.frontier` — the batching frontier (submit hot path);
 - :mod:`repro.serve.app` — :class:`ServeApp`: wiring + lifecycle;
 - :mod:`repro.serve.cli` — the ``grid-serve`` entry point.
@@ -30,18 +31,16 @@ from .clock import LogicalClock, ServiceClock, WallServiceClock
 from .frontier import AdmissionFrontier
 from .http import HttpError, HttpRequest, HttpResponse
 from .routes import ROUTE_TABLE, Route, Router
-from .security import ApiKeyring, ClientQuota, QuotaLimiter
+from .security import ApiKeyring
 
 __all__ = [
     "ROUTE_TABLE",
     "AdmissionFrontier",
     "ApiKeyring",
-    "ClientQuota",
     "HttpError",
     "HttpRequest",
     "HttpResponse",
     "LogicalClock",
-    "QuotaLimiter",
     "Route",
     "Router",
     "ServeApp",

@@ -119,16 +119,15 @@ def decision_payload(ticket: Ticket, now: float) -> dict[str, Any]:
             "outcome": "edge-refused",
             "retry_after": None if retry is None or math.isinf(retry) else retry,
         }
-    reservation = ticket.reservation
-    if reservation is None:  # pragma: no cover - waves always drain
+    if not ticket.decided:  # pragma: no cover - waves always drain
         return {"rid": ticket.rid, "outcome": "pending"}
     payload: dict[str, Any] = {
         "rid": ticket.rid,
-        "outcome": "accepted" if reservation.confirmed else "rejected",
-        "state": reservation.state(now).value,
+        "outcome": "accepted" if ticket.confirmed else "rejected",
+        "state": ticket.state(now).value,
     }
-    if reservation.allocation is not None:
-        alloc = reservation.allocation
+    alloc = ticket.allocation
+    if alloc is not None:
         payload["allocation"] = {
             "sigma": alloc.sigma,
             "tau": alloc.tau,
@@ -140,8 +139,8 @@ def decision_payload(ticket: Ticket, now: float) -> dict[str, Any]:
             # Key present only for stepwise grants: constant-rate
             # decision payloads stay byte-identical.
             payload["allocation"]["profile"] = alloc.profile.to_list()
-    if reservation.reject_reason is not None:
-        payload["reason"] = reservation.reject_reason.value
+    if ticket.reject_reason is not None:
+        payload["reason"] = ticket.reject_reason.value
     return payload
 
 
@@ -171,10 +170,10 @@ async def handle_submit(ctx: RequestContext, request: HttpRequest) -> HttpRespon
 async def handle_submit_batch(ctx: RequestContext, request: HttpRequest) -> HttpResponse:
     """``POST /v1/reservations/batch`` — a client-side wave of submissions.
 
-    The whole wave parks on the frontier together (one quota charge per
-    submission was already applied by the caller's context) and the
-    response carries one decision per entry, in order — an entry that
-    fails validation (at parse or at flush) reports ``outcome:
+    The whole wave parks on the frontier together (the request quota was
+    charged one token for the HTTP request, whatever the batch's size)
+    and the response carries one decision per entry, in order — an entry
+    that fails validation (at parse or at flush) reports ``outcome:
     "invalid"`` in its own slot while its wave-mates decide normally.
     """
     body = request.json()

@@ -29,7 +29,7 @@ from typing import Any
 from ..control.journal import Journal
 from ..core.errors import ConfigurationError, ReproError
 from ..core.platform import Platform
-from ..gateway import EdgeLimit, Gateway
+from ..gateway import EdgeLimit, EdgeLimiter, Gateway
 from ..gateway.gateway import Ticket
 from ..obs.causal import TraceContext, explain_request
 from ..obs.artifact import RunTelemetry
@@ -47,7 +47,7 @@ from .http import (
     render_response,
 )
 from .routes import Router
-from .security import ApiKeyring, ClientQuota, QuotaLimiter
+from .security import ApiKeyring
 
 __all__ = ["ServeApp", "ServeConfig"]
 
@@ -91,8 +91,9 @@ class ServeConfig:
     malleable: bool = False
     #: Per-client *volume* limit enforced inside the gateway edge.
     edge: EdgeLimit | None = None
-    #: Per-client *request-count* quota enforced at the HTTP edge.
-    quota: ClientQuota | None = None
+    #: Per-client *request-count* quota enforced at the HTTP edge
+    #: (the same limiter, one token per request).
+    quota: EdgeLimit | None = None
     #: API key → client identity; empty = open access (dev / bench).
     keys: dict[str, str] = field(default_factory=dict)
     #: SLO rules for the watchdog; ``None`` = scaled defaults, ``()`` = off.
@@ -153,7 +154,7 @@ class ServeApp:
             clock if clock is not None else WallServiceClock(origin=max(0.0, self.gateway.now))
         )
         self.keyring = ApiKeyring(config.keys)
-        self.quota = QuotaLimiter(config.quota) if config.quota is not None else None
+        self.quota = EdgeLimiter(config.quota) if config.quota is not None else None
         self.frontier = AdmissionFrontier(self.gateway, self.clock, max_wave=config.max_wave)
         self.router = Router()
         # Metric samples are bound once per label set: binding registers
@@ -318,15 +319,10 @@ class ServeApp:
         telemetry = self.telemetry
         if not telemetry.enabled:
             return
-        outcome = (
-            "edge-refused"
-            if ticket.edge_refused
-            else (
-                "accepted"
-                if ticket.reservation is not None and ticket.reservation.confirmed
-                else "rejected"
-            )
-        )
+        if ticket.edge_refused:
+            outcome = "edge-refused"
+        else:
+            outcome = "accepted" if ticket.confirmed else "rejected"
         telemetry.emit(
             "serve.decision",
             self.clock.now(),

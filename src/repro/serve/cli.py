@@ -19,7 +19,7 @@ from pathlib import Path
 from ..core.platform import Platform
 from ..gateway import EdgeLimit
 from .app import ServeApp, ServeConfig
-from .security import ApiKeyring, ClientQuota
+from .security import ApiKeyring
 
 __all__ = ["build_app", "main"]
 
@@ -100,7 +100,7 @@ def build_app(args: argparse.Namespace) -> ServeApp:
         keys = ApiKeyring.generate(args.gen_keys).keys()
     quota = None
     if args.quota_rate is not None or args.quota_burst is not None:
-        quota = ClientQuota(
+        quota = EdgeLimit(
             rate=args.quota_rate if args.quota_rate is not None else 50.0,
             burst=args.quota_burst if args.quota_burst is not None else 100.0,
         )

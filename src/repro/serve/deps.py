@@ -61,14 +61,12 @@ def build_context(app: ServeApp, request: HttpRequest) -> RequestContext:
     if client is None:
         raise HttpError(401, "unknown or missing API key")
     now = app.clock.now()
-    if app.quota is not None:
-        decision = app.quota.check(client, now)
-        if not decision.admitted:
-            raise HttpError(
-                429,
-                f"request quota exceeded for {client}",
-                retry_after=decision.retry_after,
-            )
+    if app.quota is not None and not app.quota.admit(client, 1.0, now):
+        raise HttpError(
+            429,
+            f"request quota exceeded for {client}",
+            retry_after=app.quota.retry_after(client, 1.0, now),
+        )
     return RequestContext(
         app=app, client=client, now=now, perf_start=app.clock.perf()
     )

@@ -10,23 +10,18 @@ layers two edges in front of that:
 2. **Request quota** — a per-client token bucket over *request count*
    (not volume), so a single client cannot monopolise the event loop no
    matter how small its submissions are.  Refusals are 429 with a
-   ``Retry-After`` hint from the same earliest-conforming arithmetic the
-   gateway edge uses (exact-refill boundary included).
-
-Both reuse :class:`~repro.control.token_bucket.TokenBucket` — no new
-mechanism, just the existing deterministic primitive fed the service
-clock.
+   ``Retry-After`` hint (exact-refill boundary included).  The quota is
+   the gateway edge's own limiter, :class:`~repro.gateway.edge.EdgeLimiter`,
+   charged one token per HTTP request and fed the service clock
+   (``ServeConfig.quota`` is an ``EdgeLimit(rate, burst)`` in requests);
+   :func:`~repro.serve.deps.build_context` is where it is asked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
-
-from ..control.token_bucket import TokenBucket
 from ..core.errors import ConfigurationError
 
-__all__ = ["ApiKeyring", "ClientQuota", "QuotaDecision", "QuotaLimiter"]
+__all__ = ["ApiKeyring"]
 
 
 class ApiKeyring:
@@ -68,66 +63,3 @@ class ApiKeyring:
     def keys(self) -> dict[str, str]:
         """A copy of the mapping (loadgen hands keys to its clients)."""
         return dict(self._keys)
-
-
-@dataclass(frozen=True, slots=True)
-class ClientQuota:
-    """Per-client request quota: sustained ``rate`` req/s, ``burst`` requests."""
-
-    rate: float
-    burst: float
-
-    def __post_init__(self) -> None:
-        if self.rate <= 0 or self.burst <= 0:
-            raise ConfigurationError(
-                f"quota needs positive rate and burst, got ({self.rate}, {self.burst})"
-            )
-
-    def to_dict(self) -> dict[str, float]:
-        return {"rate": self.rate, "burst": self.burst}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> ClientQuota:
-        return cls(rate=float(data["rate"]), burst=float(data["burst"]))
-
-
-@dataclass(frozen=True, slots=True)
-class QuotaDecision:
-    """One quota verdict: admitted, or refused with a retry hint."""
-
-    admitted: bool
-    retry_after: float = 0.0
-
-
-class QuotaLimiter:
-    """Lazily-created per-client request-count buckets (cf. ``EdgeLimiter``)."""
-
-    __slots__ = ("quota", "_buckets", "admitted", "refused")
-
-    def __init__(self, quota: ClientQuota) -> None:
-        self.quota = quota
-        self._buckets: dict[str, TokenBucket] = {}
-        self.admitted = 0
-        self.refused = 0
-
-    def check(self, client: str, now: float, *, cost: float = 1.0) -> QuotaDecision:
-        """Charge ``cost`` requests against the client's bucket.
-
-        The retry hint follows the edge-limit boundary convention: at
-        exactly ``now + retry_after`` the same cost conforms.
-        """
-        bucket = self._buckets.get(client)
-        if bucket is None:
-            bucket = TokenBucket(rate=self.quota.rate, burst=self.quota.burst)
-            bucket.reset(now)
-            self._buckets[client] = bucket
-        if bucket.offer(now, cost):
-            self.admitted += 1
-            return QuotaDecision(admitted=True)
-        self.refused += 1
-        retry = max(0.0, bucket.earliest_conforming(now, cost) - now)
-        return QuotaDecision(admitted=False, retry_after=retry)
-
-    def clients(self) -> list[str]:
-        """Every client charged so far (deterministic order)."""
-        return sorted(self._buckets)

@@ -386,8 +386,8 @@ class TestDegradedModeAdmission:
     def test_partition_rejects_shard_unreachable(self):
         gw = Gateway(platform(), num_shards=2, chaos=ChaosPolicy.with_partition(1, 0.0, 100.0))
         ticket = self.cross_shard_submit(gw)
-        assert not ticket.reservation.confirmed
-        assert ticket.reservation.reject_reason == RejectReason.SHARD_UNREACHABLE
+        assert not ticket.confirmed
+        assert ticket.reject_reason == RejectReason.SHARD_UNREACHABLE
         assert gw.stats.shard_unreachable == 1
         assert gw.stats.backlogged == 0  # no backlog configured
 
@@ -399,7 +399,7 @@ class TestDegradedModeAdmission:
             backlog_limit=4,
         )
         ticket = self.cross_shard_submit(gw, deadline=500.0)
-        assert ticket.reservation.reject_reason == RejectReason.SHARD_UNREACHABLE
+        assert ticket.reject_reason == RejectReason.SHARD_UNREACHABLE
         assert gw.stats.backlogged == 1
         gw.drain(50.0)  # still partitioned: parked, not retried into a wall
         assert gw.stats.readmitted == 0
@@ -429,7 +429,7 @@ class TestDegradedModeAdmission:
         gw = Gateway(platform(), num_shards=2, backlog_limit=4)
         gw.crash_broker(1, now=0.0)
         ticket = self.cross_shard_submit(gw, deadline=500.0)
-        assert ticket.reservation.reject_reason == RejectReason.BROKER_UNAVAILABLE
+        assert ticket.reject_reason == RejectReason.BROKER_UNAVAILABLE
         assert gw.stats.backlogged == 1
         gw.restart_broker(1, now=10.0)
         assert gw.stats.readmitted == 1
@@ -438,9 +438,9 @@ class TestDegradedModeAdmission:
         # The re-admission has a decided ticket of its own: ``get`` reads
         # every rid ``cancel`` accepts (it raised ``KeyError`` for this one).
         readmitted = gw.get(ticket.rid + 1)
-        assert readmitted.decided and readmitted.reservation.confirmed
+        assert readmitted.decided and readmitted.confirmed
         assert (readmitted.origin, readmitted.client) == (ticket.rid, ticket.client)
-        assert gw.get(ticket.rid) is ticket and not ticket.reservation.confirmed
+        assert gw.get(ticket.rid) is ticket and not ticket.confirmed
         assert gw.snapshot()["pending"] == []  # it takes no place in line
         assert gw.cancel(readmitted.rid, now=11.0) is True
         with pytest.raises(KeyError):
@@ -461,12 +461,68 @@ class TestDegradedModeAdmission:
                 ingress=k % 4, egress=(k + 1) % 4, volume=50.0,
                 deadline=float(500 + k), now=float(k),
             )
-            accepted += bool(t.reservation.confirmed)
+            accepted += bool(t.confirmed)
         gw.drain(600.0)
         assert accepted >= 15  # the retry budget absorbs most of the loss
         assert gw.stats.chaos_wait_total > 0.0
         report = check_gateway(gw, now=gw.now)
         assert report.ok, report.violations
+
+
+    def test_stats_count_what_every_attempt_burned(self):
+        """Each protocol tally is the sum over every outcome the
+        coordinator returned — backlog re-admission attempts included
+        (their retries, waits, aborts and compensations used to vanish)."""
+        tallies = {
+            "prepare_retries": "retries",
+            "retry_delay_total": "retry_delay",
+            "chaos_wait_total": "chaos_wait",
+            "compensations": "compensations",
+            "stranded_holds": "stranded",
+            "recovered_deliveries": "recovered",
+            "twophase_aborts": "aborted",
+        }
+        journal = Journal()
+        gw = Gateway(
+            platform(),
+            num_shards=4,
+            batch_size=2,
+            hold_ttl=60.0,
+            chaos=ChaosPolicy.lossy(seed=3, drop=0.3),
+            backoff=BackoffSchedule(base=1.0, max_attempts=3),
+            rpc_deadline=20.0,
+            backlog_limit=8,
+            journal=journal,
+        )
+        outcomes = []
+        reserve = gw.coordinator.reserve
+
+        def counted(request, *args, **kwargs):
+            outcome = reserve(request, *args, **kwargs)
+            outcomes.append((request.rid, outcome))
+            return outcome
+
+        gw.coordinator.reserve = counted
+        rng = random.Random(3)
+        submitted = {
+            gw.submit(
+                ingress=rng.randrange(4),
+                egress=rng.randrange(4),
+                volume=rng.uniform(500.0, 4000.0),
+                deadline=3.0 * k + rng.uniform(100.0, 300.0),
+                now=3.0 * k,
+            ).rid
+            for k in range(30)
+        }
+        gw.drain(600.0)
+        for stat, tally in tallies.items():
+            assert getattr(gw.stats, stat) == sum(getattr(o, tally) for _, o in outcomes), stat
+        # Not vacuous: re-admission attempts burned some of every kind but retries.
+        readmissions = [o for rid, o in outcomes if rid not in submitted]
+        assert gw.stats.readmitted > 0 and len(readmissions) > gw.stats.readmitted
+        for tally in ("chaos_wait", "compensations", "stranded", "recovered", "aborted"):
+            assert sum(getattr(o, tally) for o in readmissions) > 0, tally
+        assert Gateway.replay(journal).snapshot() == gw.snapshot()
 
 
 class TestCrashMidTwoPhase:
@@ -495,10 +551,10 @@ class TestCrashMidTwoPhase:
         assert crashed, "the scripted crash must have fired"
         if "commit" in label:
             # Crash *after* commit: the booking is durable, admission won.
-            assert ticket.reservation.confirmed
+            assert ticket.confirmed
         else:
             # Crash after prepare: the transaction must have aborted.
-            assert not ticket.reservation.confirmed
+            assert not ticket.confirmed
         for shard in crashed:
             gw.restart_broker(shard, now=1.0)
         gw.drain(100.0)  # one full TTL: any stranded hold expires
@@ -516,7 +572,7 @@ class TestCrashMidTwoPhase:
             chaos=ChaosPolicy(seed=0, edges=((1, EdgeChaos(crash_after_prepare=1.0)),)),
         )
         ticket = gw.submit(ingress=0, egress=1, volume=100.0, deadline=300.0, now=0.0)
-        assert not ticket.reservation.confirmed
+        assert not ticket.confirmed
         assert gw.stats.compensations == 1
         ins, outs = gw.port_usage(50.0)
         assert ins[0] == pytest.approx(0.0) and outs[1] == pytest.approx(0.0)
@@ -537,7 +593,7 @@ class TestCrashMidTwoPhase:
         confirmed = 0
         for k in range(12):
             t = gw.submit(ingress=0, egress=1, volume=20.0, deadline=1000.0, now=float(k))
-            confirmed += bool(t.reservation.confirmed)
+            confirmed += bool(t.confirmed)
         gw.drain(1200.0)
         assert gw.stats.recovered_deliveries > 0  # probe fired, admission stood
         assert confirmed > 0

@@ -45,8 +45,8 @@ def drive(gw, seed, mode, scenario, n=60):
             ticket.rid
             for ticket in tickets
             if ticket.decided
-            and ticket.reservation.confirmed
-            and ticket.reservation.terminated_at is None
+            and ticket.confirmed
+            and ticket.terminated_at is None
         ]
         roll = rng.random()
         if roll < 0.12 and live:
@@ -213,7 +213,7 @@ class TestBrokerSurface:
     def test_refused_egress_leaves_the_ingress_slice_as_found(self):
         gw = self.gateway()
         first = gw.submit(ingress=0, egress=3, volume=700.0, deadline=10.0, now=0.0)
-        assert first.reservation.confirmed
+        assert first.confirmed
         ingress_before = list(gw.brokers[0].timeline("ingress", 0).segments())
         egress_before = list(gw.brokers[1].timeline("egress", 1).segments())
         # Fill egress 1 behind the coordinator's back *after* its search
@@ -230,8 +230,8 @@ class TestBrokerSurface:
         gw.brokers[1].book_side = sabotaged
         ticket = gw.submit(ingress=0, egress=1, volume=333.3, deadline=17.0, now=1.0)
         assert outcome_holder == [False]
-        assert not ticket.reservation.confirmed
-        assert ticket.reservation.reject_reason.value == "egress-full"
+        assert not ticket.confirmed
+        assert ticket.reject_reason.value == "egress-full"
         assert gw.stats.twophase_aborts == 1
         assert list(gw.brokers[0].timeline("ingress", 0).segments()) == ingress_before
         assert list(gw.brokers[1].timeline("egress", 1).segments()) == egress_before

@@ -1,5 +1,7 @@
 """Unit and integration tests for the sharded admission gateway."""
 
+import hashlib
+
 import pytest
 
 from repro.control import BrokerCrash, PortFault, run_gateway_fault_drill
@@ -16,6 +18,7 @@ from repro.gateway import (
     Gateway,
     ShardBroker,
     ShardMap,
+    Ticket,
 )
 from repro.obs.telemetry import Telemetry
 from repro.sim.engine import Simulator
@@ -162,9 +165,7 @@ class TestBatcher:
             rid=rid, ingress=0, egress=0, volume=volume,
             t_start=0.0, t_end=t_end, max_rate=1000.0,
         )
-        from repro.gateway.gateway import Ticket
-
-        return Ticket(seq=seq, client="c", request=req)
+        return Ticket(rid=rid, request=req, seq=seq, client="c")
 
     def test_fifo_preserves_submission_order(self):
         b = Batcher(3, AdmissionOrdering.FIFO)
@@ -200,7 +201,7 @@ class TestGatewayBasics:
     def test_batch_of_one_decides_immediately(self):
         gw = Gateway(platform())
         t = gw.submit(ingress=0, egress=1, volume=1000.0, deadline=100.0, now=0.0)
-        assert t.decided and t.reservation.confirmed
+        assert t.decided and t.confirmed
 
     def test_batch_flushes_when_full_or_on_time_advance(self):
         gw = Gateway(platform(), batch_size=3)
@@ -223,12 +224,12 @@ class TestGatewayBasics:
     def test_cancel_returns_capacity(self):
         gw = Gateway(platform(2, 100.0))
         a = gw.submit(ingress=0, egress=0, volume=1000.0, deadline=10.0, now=0.0)
-        assert a.reservation.confirmed
+        assert a.confirmed
         b = gw.submit(ingress=0, egress=0, volume=1000.0, deadline=10.0, now=0.0)
-        assert not b.reservation.confirmed
+        assert not b.confirmed
         assert gw.cancel(a.rid, now=0.0) is True
         c = gw.submit(ingress=0, egress=0, volume=1000.0, deadline=10.0, now=0.0)
-        assert c.reservation.confirmed
+        assert c.confirmed
         assert gw.cancel(a.rid, now=0.0) is False  # already terminated
 
     def test_abort_frees_tail_only(self):
@@ -237,13 +238,13 @@ class TestGatewayBasics:
         assert gw.abort(a.rid, now=5.0) is True
         ins, _ = gw.port_usage(7.0)
         assert ins[0] == pytest.approx(0.0)
-        assert a.reservation.carried == pytest.approx(500.0)
+        assert a.carried == pytest.approx(500.0)
 
     def test_degrade_displaces_latest_start_first(self):
         gw = Gateway(platform(2, 100.0), num_shards=2)
         a = gw.submit(ingress=0, egress=0, volume=600.0, deadline=10.0, now=0.0)
         b = gw.submit(ingress=0, egress=1, volume=400.0, deadline=20.0, now=0.0)
-        assert a.reservation.confirmed and b.reservation.confirmed
+        assert a.confirmed and b.confirmed
         displaced = gw.degrade(
             side="ingress", port=0, amount=70.0, start=0.0, end=20.0, now=0.0
         )
@@ -259,7 +260,7 @@ class TestGatewayBasics:
             side="ingress", port=0, amount=30.0, start=0.0, end=20.0, now=0.0
         )
         assert [r.rid for r in displaced2] == [b2.rid]
-        assert a2.reservation.confirmed and gw2.max_overcommit() <= 1e-6
+        assert a2.confirmed and gw2.max_overcommit() <= 1e-6
 
     def test_unknown_rid_raises(self):
         gw = Gateway(platform())
@@ -267,6 +268,49 @@ class TestGatewayBasics:
             gw.cancel(99, now=0.0)
         with pytest.raises(KeyError):
             gw.abort(99, now=0.0)
+
+
+class TestOneRecordPerDecision:
+    """A ticket *is* the reservation: one object from submit to cancel."""
+
+    def test_the_ticket_is_what_every_reader_sees(self):
+        seen = []
+        gw = Gateway(platform(), on_decision=lambda reservation, now: seen.append(reservation))
+        ticket = gw.submit(ingress=0, egress=1, volume=1000.0, deadline=100.0, now=0.0)
+        assert isinstance(ticket, Ticket)
+        assert gw.get(ticket.rid) is ticket
+        assert gw.reservations() == [ticket] and gw.reservations()[0] is ticket
+        assert seen == [ticket] and seen[0] is ticket
+
+    def test_pending_and_edge_refused_tickets_are_not_reservations(self):
+        gw = Gateway(platform(), batch_size=2, edge=EdgeLimit(rate=10.0, burst=100.0))
+        pending = gw.submit(ingress=0, egress=1, volume=80.0, deadline=500.0, now=0.0)
+        refused = gw.submit(ingress=0, egress=1, volume=80.0, deadline=500.0, now=0.0)
+        assert not pending.decided and gw.get(pending.rid) is pending
+        assert refused.decided and refused.edge_refused and not refused.confirmed
+        assert gw.reservations() == [] and gw.snapshot()["reservations"] == []
+        with pytest.raises(KeyError):
+            gw.cancel(refused.rid, now=0.0)
+        # ... which did not settle the open batch; draining it does.
+        gw.drain(0.0)
+        assert pending.decided and gw.reservations() == [pending]
+        assert [row["rid"] for row in gw.snapshot()["reservations"]] == [pending.rid]
+        assert gw.snapshot()["edge_refused"] == [refused.rid]
+
+    def test_a_readmission_is_a_ticket_carrying_the_parked_one(self):
+        gw = Gateway(platform(), num_shards=2, backlog_limit=4)
+        gw.crash_broker(1, now=0.0)
+        parked = gw.submit(
+            ingress=0, egress=1, volume=100.0, deadline=500.0, now=0.0, client="alice"
+        )
+        gw.submit(ingress=0, egress=0, volume=100.0, deadline=500.0, now=1.0, client="bob")
+        gw.restart_broker(1, now=10.0)
+        readmitted = gw.get(parked.rid + 2)
+        assert isinstance(readmitted, Ticket) and readmitted.decided and readmitted.confirmed
+        assert (readmitted.seq, readmitted.client) == (parked.seq, "alice")
+        assert readmitted.origin == parked.rid
+        assert readmitted in gw.reservations()
+        assert gw.get(parked.rid) is parked and not parked.confirmed
 
 
 class TestEdgeLimiter:
@@ -277,7 +321,7 @@ class TestEdgeLimiter:
         b = gw.submit(ingress=0, egress=0, volume=80.0, deadline=500.0, now=0.0, client="u1")
         c = gw.submit(ingress=0, egress=0, volume=80.0, deadline=500.0, now=0.0, client="u2")
         assert not a.edge_refused and b.edge_refused and not c.edge_refused
-        assert b.reservation is None and b.decided
+        assert b.allocation is None and b.decided
         assert gw.stats.edge_refused == 1
         counter = tel.metrics.counter("gateway_edge_refusals_total")
         assert counter.value(client="u1") == pytest.approx(1.0)
@@ -296,9 +340,9 @@ class TestTwoPhase:
     def test_cross_shard_admission_books_both_slices(self):
         gw = Gateway(platform(), num_shards=2)
         t = gw.submit(ingress=0, egress=1, volume=1000.0, deadline=100.0, now=0.0)
-        assert t.reservation.confirmed
+        assert t.confirmed
         assert gw.stats.cross_shard == 1 and gw.stats.local == 0
-        alloc = t.reservation.allocation
+        alloc = t.allocation
         b_in = gw.coordinator.broker_for("ingress", 0)
         b_out = gw.coordinator.broker_for("egress", 1)
         mid = (alloc.sigma + alloc.tau) / 2
@@ -315,7 +359,7 @@ class TestTwoPhase:
         t2 = gw.submit(ingress=2, egress=3, volume=500.0, deadline=100.0, now=0.0)
         assert t2.decided  # batch full -> flushed against the crashed broker
         for ticket in (gw.get(0), t2):
-            r = ticket.reservation
+            r = ticket
             assert not r.confirmed
             assert r.reject_reason.value == "broker-unavailable"
         assert gw.stats.twophase_aborts >= 1
@@ -330,10 +374,10 @@ class TestTwoPhase:
         gw = Gateway(platform(), num_shards=2)
         gw.crash_broker(1, now=0.0)
         bad = gw.submit(ingress=0, egress=1, volume=10.0, deadline=100.0, now=0.0)
-        assert not bad.reservation.confirmed
+        assert not bad.confirmed
         gw.restart_broker(1, now=1.0)
         good = gw.submit(ingress=0, egress=1, volume=10.0, deadline=100.0, now=1.0)
-        assert good.reservation.confirmed
+        assert good.confirmed
 
     def test_hold_ttl_expires_via_clock_advance(self):
         gw = Gateway(platform(), num_shards=2, hold_ttl=30.0)
@@ -452,6 +496,40 @@ class TestGatewayFaultDrill:
         assert rebuilt.snapshot() == gw.snapshot()
         for broker in gw.brokers:
             assert broker.holds() == []
+        # The injector's draw order, pinned before the drill's private
+        # sampler was folded into FaultInjector: one draw per *confirmed*
+        # decision, the abort instant uniform from the decision instant (a
+        # batch flushed by a clock advance decided at the previous one).
+        assert [(a.rid, a.at) for a in report.aborts] == [
+            (6, 134.44918163712987),
+            (10, 426.7212515348533),
+            (14, 222.15159501284847),
+            (24, 652.4772746167711),
+            (25, 202.08129438907918),
+        ]
+        assert (
+            hashlib.sha256(journal.to_jsonl().encode()).hexdigest()
+            == "5a63be5026a334aa82c5ab863eda07336cffb3f8b500c6e91e05d5f8fabc930e"
+        )
+
+    def test_an_abort_whose_instant_passed_while_its_batch_waited_strikes_now(self):
+        """A batch decides at its own instant but is flushed by the next
+        arrival; an abort sampled between the two used to be scheduled in
+        the simulator's past (ValueError on 16 of 60 seeds at this rate)."""
+        for seed in (1, 2, 5):
+            journal = Journal()
+            report = run_gateway_fault_drill(
+                Platform.uniform(6, 6, 1000.0),
+                self.requests(seed),
+                num_shards=4,
+                batch_size=4,
+                abort_rate=0.5,
+                journal=journal,
+                seed=seed,
+            )
+            gw = report.gateway
+            assert gw.stats.aborted > 0 and gw.max_overcommit() <= 1e-6
+            assert Gateway.replay(journal).snapshot() == gw.snapshot()
 
     def test_crash_without_restart_keeps_rejecting(self):
         report = run_gateway_fault_drill(

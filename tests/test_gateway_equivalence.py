@@ -98,7 +98,7 @@ def run_pair(seed):
         if kind == "submit":
             rs = service.submit(**args)
             tg = gateway.submit(**args)
-            rg = tg.reservation
+            rg = tg
             assert tg.decided, "batch_size=1 must decide at submit"
             assert rg.rid == rs.rid
             assert rg.confirmed == rs.confirmed, (

@@ -138,6 +138,61 @@ class TestSerialisation:
         assert Journal.load(path).to_jsonl() == journal.to_jsonl()
 
 
+class TestTornTail:
+    """A write cut short mid-line (full disk, machine crash) must not make
+    the journal — and with it the service — unrestartable."""
+
+    SUBMITS = [
+        dict(ingress=0, egress=1, volume=100.0, deadline=50.0, now=0.0),
+        dict(ingress=1, egress=0, volume=200.0, deadline=60.0, now=1.0),
+        dict(ingress=1, egress=1, volume=300.0, deadline=70.0, now=2.0),
+    ]
+    LATER = dict(ingress=0, egress=0, volume=400.0, deadline=80.0, now=3.0)
+
+    def written(self, platform, path):
+        gateway = Gateway(platform, journal=Journal(path=path))
+        for submit in self.SUBMITS:
+            gateway.submit(**submit)
+        gateway.journal.close()
+
+    @pytest.mark.parametrize("chop, survive", [(20, 2), (1, 3)])
+    def test_resume_after_a_cut_write(self, platform, tmp_path, chop, survive):
+        """20 bytes short: the last op is torn, was never applied, and goes.
+        One byte short: it lacks only its newline, and stays."""
+        path = tmp_path / "wal.jsonl"
+        self.written(platform, path)
+        path.write_bytes(path.read_bytes()[:-chop])
+        journal = Journal.load(path)
+        assert len(journal) == survive
+        resumed = Gateway.resume(journal)
+        resumed.submit(**self.LATER)
+        journal.close()
+        reloaded = Journal.load(path)  # the new entry got a line of its own
+        assert reloaded.to_jsonl() == path.read_text() == journal.to_jsonl()
+        never_torn = Gateway(platform)
+        for submit in [*self.SUBMITS[:survive], self.LATER]:
+            never_torn.submit(**submit)
+        successor = Gateway.replay(reloaded)
+        assert successor.snapshot() == resumed.snapshot() == never_torn.snapshot()
+
+    def test_torn_text_drops_only_an_undecodable_unterminated_tail(self, platform, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        self.written(platform, path)
+        text = path.read_text()
+        assert len(Journal.from_jsonl(text[:-20])) == 2
+        assert len(Journal.from_jsonl(text[:-1])) == 3
+
+    def test_garbage_anywhere_else_still_raises(self, platform, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        self.written(platform, path)
+        lines = path.read_text().splitlines()
+        mid_file = "\n".join([lines[0], lines[1][:-20], *lines[2:]]) + "\n"
+        complete_last_line = "\n".join([*lines[:-1], lines[-1][:-20]]) + "\n"
+        for text in (mid_file, mid_file[:-30], complete_last_line):
+            with pytest.raises(json.JSONDecodeError):
+                Journal.from_jsonl(text)
+
+
 class TestReplay:
     def test_replay_requires_header(self):
         with pytest.raises(ConfigurationError):
@@ -354,7 +409,7 @@ class TestReadmissionPrunesInsteadOfRaising:
         ticket = gateway.submit(
             ingress=0, egress=1, volume=1000.0005, deadline=1000.0, now=0.0, max_rate=1000.0
         )
-        assert not ticket.reservation.confirmed
+        assert not ticket.confirmed
         assert gateway.snapshot()["backlog"] == [ticket.rid]
         gateway.restart_broker(0, now=999.0)  # returns: the entry is pruned
         snapshot = gateway.snapshot()

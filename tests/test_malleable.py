@@ -218,8 +218,8 @@ class TestGatewayMalleable:
             now=0.0,
             profile=[[0.0, 10.0, 20.0], [20.0, 30.0, 10.0]],
         )
-        assert ticket.decided and ticket.reservation.confirmed
-        alloc = ticket.reservation.allocation
+        assert ticket.decided and ticket.confirmed
+        alloc = ticket.allocation
         assert alloc.profile is not None
         assert alloc.profile.to_list() == [[0.0, 10.0, 20.0], [20.0, 30.0, 10.0]]
         assert gw.stats.cross_shard >= 1
@@ -243,13 +243,13 @@ class TestGatewayMalleable:
     def test_shaped_fallback_matches_service_semantics(self):
         rigid = Gateway(small_platform(), num_shards=1, batch_size=1, malleable=False)
         submit_hotspot(rigid)
-        assert not submit_probe(rigid).reservation.confirmed
+        assert not submit_probe(rigid).confirmed
 
         gw = Gateway(small_platform(), num_shards=1, batch_size=1, malleable=True)
         submit_hotspot(gw)
         ticket = submit_probe(gw)
-        assert ticket.reservation.confirmed
-        profile = ticket.reservation.allocation.profile
+        assert ticket.confirmed
+        profile = ticket.allocation.profile
         assert profile is not None and len(profile.segments) >= 2
         assert profile.conserves(700.0)
 
@@ -265,7 +265,7 @@ class TestGatewayMalleable:
         ticket = gw.submit(
             ingress=0, egress=1, volume=2000.0, deadline=100.0, now=0.0, max_rate=50.0
         )
-        assert ticket.reservation.confirmed
+        assert ticket.confirmed
         displaced = gw.degrade(
             side="ingress", port=0, amount=95.0, start=30.0, end=60.0, now=10.0
         )

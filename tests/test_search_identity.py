@@ -67,9 +67,7 @@ def _gateway_run(policy, requests, shards):
             ],
             now=wave[-1].t_start,
         )
-    decisions = [
-        (t.reservation.rid, t.reservation.allocation, t.reservation.reject_reason) for t in tickets
-    ]
+    decisions = [(t.rid, t.allocation, t.reject_reason) for t in tickets]
     return gateway, decisions, searches
 
 

@@ -21,7 +21,7 @@ from repro.serve import ServeApp, ServeConfig
 from repro.serve.clock import LogicalClock, WallServiceClock
 from repro.serve.http import HttpError, HttpRequest, HttpResponse, read_request, render_response
 from repro.serve.routes import ROUTE_TABLE, Route, Router
-from repro.serve.security import ApiKeyring, ClientQuota, QuotaLimiter
+from repro.serve.security import ApiKeyring
 
 
 def run(coro):
@@ -193,14 +193,15 @@ class TestSecurity:
         assert a.keys() == b.keys() and len(a) == 3
 
     def test_quota_refusal_carries_exact_refill_hint(self):
-        limiter = QuotaLimiter(ClientQuota(rate=1.0, burst=2.0))
-        assert limiter.check("c", 0.0).admitted
-        assert limiter.check("c", 0.0).admitted
-        refusal = limiter.check("c", 0.0)
-        assert not refusal.admitted and refusal.retry_after > 0
+        limiter = EdgeLimiter(EdgeLimit(rate=1.0, burst=2.0))
+        assert limiter.admit("c", 1.0, 0.0)
+        assert limiter.admit("c", 1.0, 0.0)
+        assert not limiter.admit("c", 1.0, 0.0)
+        retry_after = limiter.retry_after("c", 1.0, 0.0)
+        assert retry_after > 0
         # Boundary convention (mirrors hold_expired): at exactly
         # now + retry_after the same cost conforms.
-        assert limiter.check("c", refusal.retry_after).admitted
+        assert limiter.admit("c", 1.0, retry_after)
 
 
 class TestEdgeRetryAfter:
@@ -501,7 +502,7 @@ class TestEndpoints:
 
     def test_quota_429_carries_retry_after_header(self):
         async def main():
-            app = make_app(quota=ClientQuota(rate=1.0, burst=2.0))
+            app = make_app(quota=EdgeLimit(rate=1.0, burst=2.0))
             client = await serving(app)
             try:
                 assert (await client.request("GET", "/healthz")).status == 200
@@ -509,6 +510,21 @@ class TestEndpoints:
                 refused = await client.request("GET", "/healthz")
                 assert refused.status == 429
                 assert refused.retry_after is not None and refused.retry_after > 0
+            finally:
+                await client.close()
+                await app.drain()
+
+        run(main())
+
+    def test_batch_costs_one_quota_token_whatever_its_size(self):
+        async def main():
+            app = make_app(quota=EdgeLimit(rate=1.0, burst=2.0))
+            client = await serving(app)
+            try:
+                batch = {"submissions": [body(ingress=i) for i in range(3)]}
+                sent = await client.request("POST", "/v1/reservations/batch", payload=batch)
+                assert sent.status == 200 and len(sent.json()["decisions"]) == 3
+                assert (app.quota.admitted, app.quota.refused) == (1, 0)
             finally:
                 await client.close()
                 await app.drain()
@@ -676,7 +692,7 @@ class TestServeConfigValidation:
         )
         app = build_app(args)
         assert len(app.keyring) == 3
-        assert app.quota is not None and app.quota.quota.rate == 5.0
+        assert app.quota is not None and app.quota.limit.rate == 5.0
         assert app.gateway.platform.num_ingress == 4
 
     def test_journal_json_roundtrip(self, tmp_path):

@@ -90,7 +90,7 @@ async def drained_run(seed: int, journal_path):
     tickets = await asyncio.gather(*parked)
     assert all(t.decided for t in tickets)
     decisions.extend(
-        {"rid": t.rid, "outcome": "accepted" if t.reservation.confirmed else "rejected"}
+        {"rid": t.rid, "outcome": "accepted" if t.confirmed else "rejected"}
         for t in tickets
     )
     return app, decisions
@@ -120,7 +120,7 @@ def test_drain_restart_is_snapshot_equal_and_decision_equivalent(seed, tmp_path)
     reference = uninterrupted_reference(seed)
     for decision in decisions:
         ticket = reference.get(decision["rid"])
-        expected = "accepted" if ticket.reservation.confirmed else "rejected"
+        expected = "accepted" if ticket.confirmed else "rejected"
         assert decision["outcome"] in (expected, "accepted", "rejected")
         assert decision["outcome"] == expected, (
             f"seed {seed} rid {decision['rid']}: served {decision['outcome']},"
