@@ -26,11 +26,12 @@ __all__ = ["LedgerEncapsulationRule"]
 
 #: attribute → path suffixes of the modules allowed to write it.
 _PROTECTED: dict[str, tuple[str, ...]] = {
-    # PortLedger usage/reduction timelines (slots of repro.core.ledger).
+    # PortLedger's port lists and a Port's usage/reduction profiles (slots
+    # of repro.core.ledger; a shard broker holds Ports too).
     "_ingress": ("core/ledger.py", "core/booking.py"),
     "_egress": ("core/ledger.py", "core/booking.py"),
-    "_ingress_red": ("core/ledger.py", "core/booking.py"),
-    "_egress_red": ("core/ledger.py", "core/booking.py"),
+    "usage": ("core/ledger.py", "gateway/broker.py"),
+    "reductions": ("core/ledger.py", "gateway/broker.py"),
     # Reservation lifecycle stamps (owned by the lifecycle core both
     # admission planes — the service and the gateway — call).
     "cancelled_at": ("control/lifecycle.py",),

@@ -2,22 +2,23 @@
 
 The gateway's no-overcommit guarantee rests on single-writer ownership:
 each :class:`repro.gateway.broker.ShardBroker` is the *only* writer of
-its ledger slice (``_owned_ledger``) and its two-phase hold table
-(``_holds``); everyone else — the coordinator, the facade, benchmarks —
-goes through the broker's public surface (``book_pair`` / ``prepare`` /
-``commit`` / ``abort_hold`` / ``release`` / ``degrade``), where ownership
-is asserted.  An out-of-band write —
-``broker._owned_ledger.allocate(...)`` from a scheduler, or replacing
+its port table (``_ports``: one :class:`repro.core.ledger.Port` per owned
+access point) and its two-phase hold table (``_holds``); everyone else —
+the coordinator, the facade, benchmarks — goes through the broker's public
+surface (``book_pair`` / ``prepare`` / ``commit`` / ``abort_hold`` /
+``release`` / ``degrade``), where ownership is asserted.  An out-of-band
+write —
+``broker._ports[side, p].usage.add(...)`` from a scheduler, or replacing
 ``broker._holds`` wholesale — books capacity no admission check ever saw
 and desynchronises crash replay.
 
 The rule flags, outside the broker module (and, for hold bookkeeping,
 the two-phase commit path):
 
-- assignments (plain, augmented, subscripted) to ``_owned_ledger`` or
-  ``_holds`` attributes;
-- mutating calls (``allocate`` / ``release`` / ``degrade`` / ``add`` /
-  dict mutators) on an attribute chain passing through either.
+- assignments (plain, augmented, subscripted) to ``_ports`` or ``_holds``
+  attributes;
+- mutating calls (``add`` / ``add_batch`` / ``degrade`` / dict mutators)
+  on an attribute chain passing through either.
 
 Ownership is by path suffix, mirroring GL004, so fixture trees that
 mirror the layout exercise the rule too.
@@ -35,19 +36,14 @@ from ._common import terminal_name
 __all__ = ["ShardLedgerRule"]
 
 #: The broker-private state GL008 guards.
-_GUARDED = ("_owned_ledger", "_holds")
+_GUARDED = ("_ports", "_holds")
 
 #: Modules allowed to touch it (path suffixes).
 _OWNERS: tuple[str, ...] = ("gateway/broker.py", "gateway/twophase.py")
 
-#: Method names that mutate a ledger/timeline or a hold table.
+#: Method names that mutate a port, its profiles or a hold table.
 _MUTATORS = frozenset(
     {
-        "allocate",
-        "allocate_segments",
-        "release",
-        "release_segments",
-        "restore",
         "degrade",
         "add",
         "add_batch",
@@ -71,7 +67,7 @@ def _assignment_targets(node: ast.AST) -> list[ast.expr]:
 def _chain_guarded(node: ast.expr) -> str | None:
     """The guarded attribute an access chain passes through, if any.
 
-    ``broker._owned_ledger.allocate`` → ``_owned_ledger``;
+    ``broker._ports[side, p].usage.add`` → ``_ports``;
     ``self._holds[hold_id]`` → ``_holds``; plain locals → ``None``.
     """
     current: ast.expr = node

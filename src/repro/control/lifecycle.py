@@ -146,8 +146,8 @@ class CapacityOps(NamedTuple):
     restore: Callable[[int, int, Segments], None]
     #: ``(side, port, t0, t1)`` — worst ``usage − capacity`` on one port.
     overcommit_on: Callable[[str, int, float, float], float]
-    #: ``(ingress, egress)`` — a read view the shaping search can query.
-    view: Callable[[int, int], LedgerView]
+    #: The store itself, as the shaping search reads it.
+    view: LedgerView
 
 
 def new_request(
@@ -294,9 +294,7 @@ def reshape_tail(reservation: Reservation, now: float, capacity: CapacityOps) ->
     except InvalidRequestError:
         return False  # nothing left to carry, or no valid window to carry it in
     capacity.release(alloc.ingress, alloc.egress, old_tail)
-    shaped = shape_profile(
-        capacity.view(alloc.ingress, alloc.egress), target, not_before=release_from
-    )
+    shaped = shape_profile(capacity.view, target, not_before=release_from)
     if shaped is None:
         capacity.restore(alloc.ingress, alloc.egress, old_tail)
         return False

@@ -106,7 +106,7 @@ class ReservationService:
             release=ledger.release_segments,
             restore=partial(ledger.allocate_segments, check=False),
             overcommit_on=ledger.overcommit_on,
-            view=lambda ingress, egress: ledger,
+            view=ledger,
         )
         self._clock = float("-inf")
         self._next_rid = 0

@@ -27,7 +27,7 @@ from .errors import (
     ReproError,
     ScheduleViolation,
 )
-from .ledger import Degradation, PortLedger
+from .ledger import Degradation, Port, PortLedger
 from .objectives import (
     accept_rate,
     demanded_bandwidth,
@@ -55,6 +55,7 @@ __all__ = [
     "FitProbe",
     "InvalidRequestError",
     "Platform",
+    "Port",
     "PortLedger",
     "ProblemInstance",
     "RateProfile",

@@ -27,13 +27,12 @@ import enum
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from typing import Protocol, runtime_checkable
 
 from ..obs.telemetry import get_telemetry
 from .allocation import Allocation
-from .capacity import CapacityProfile
-from .ledger import PortLedger
+from .ledger import Port, PortLedger
 from .profile import RateProfile
 from .request import Request
 
@@ -54,27 +53,16 @@ __all__ = [
 
 @runtime_checkable
 class LedgerView(Protocol):
-    """The read surface the earliest-fit search needs from a ledger.
+    """What a book-ahead search needs from a capacity store: the pair's two
+    :class:`~repro.core.ledger.Port`\\ s, which it then asks directly.
 
-    :class:`~repro.core.ledger.PortLedger` satisfies it natively; the
-    gateway's :class:`~repro.gateway.view.PairLedgerView` satisfies it by
-    stitching two shard brokers together.  Only queries — the search never
-    mutates; committing is :func:`book_earliest`'s (or a broker's) job.
+    :class:`~repro.core.ledger.PortLedger` answers from its own lists, the
+    gateway's :class:`~repro.gateway.twophase.TwoPhaseCoordinator` with the
+    ports of the two owning shard brokers.  The search only reads them;
+    committing is :func:`book_earliest`'s (or a broker's) job.
     """
 
-    def ingress_timeline(self, i: int) -> CapacityProfile: ...
-
-    def egress_timeline(self, e: int) -> CapacityProfile: ...
-
-    def degradation_edges(self, side: str, port: int) -> Iterator[float]: ...
-
-    def free_capacity(self, side: str, port: int, t0: float, t1: float) -> float: ...
-
-    def fits(self, ingress: int, egress: int, t0: float, t1: float, bw: float) -> bool: ...
-
-    def blocker(
-        self, ingress: int, egress: int, t0: float, t1: float, bw: float
-    ) -> tuple[float, float] | None: ...
+    def ports(self, ingress: int, egress: int) -> tuple[Port, Port]: ...
 
 
 class RejectReason(enum.Enum):
@@ -199,8 +187,9 @@ def _first_fit(
     whose rate fits is returned.
 
     What keeps a long walk cheap is the blocker memo: a failed probe
-    (:meth:`LedgerView.blocker`) names an interval ``[a, b)`` on which the
-    usage alone already rules out the tried rate, and a later candidate
+    (:meth:`Port.blocker <repro.core.ledger.Port.blocker>`, the ingress
+    port's or else the egress port's) names an interval ``[a, b)`` on which
+    the usage alone already rules out the tried rate, and a later candidate
     with ``bw >= blocked rate``, ``sigma < b`` and ``tau > a`` is failed
     without asking the ledger again.  The test is made per candidate on
     that candidate's own rate and interval, so it is exact for *any*
@@ -215,9 +204,9 @@ def _first_fit(
     are monotone only to within a few ulps, hence the jump is taken only
     when the blocker starts :func:`deadline_tolerance` or more before the
     probe's ``tau``; closer than that, the candidates under this blocker
-    are tested one by one as for any other rule.  A degraded ledger's
-    empty blocker ``(t0, t0)`` matches no later start and skips nothing:
-    there every candidate is visited and probed.
+    are tested one by one as for any other rule.  A degraded port's empty
+    blocker ``(t0, t0)`` matches no later start and skips nothing: while it
+    is what blocks, every candidate is visited and probed.
 
     ``limit`` is the caller's deadline bound, kept per caller on purpose:
     :func:`earliest_fit` allows :func:`deadline_tolerance` (``1e-9``
@@ -235,10 +224,11 @@ def _first_fit(
     latest = request.t_end - request.min_duration
     if latest < earliest:
         return None, 0, None
-    ingress, egress, volume = request.ingress, request.egress, request.volume
+    volume = request.volume
+    port_in, port_out = ledger.ports(request.ingress, request.egress)
     # sorted(set(...)), cheaper: the points are two ascending runs (one merge
     # for the sort) and the dedupe keeps their order.
-    starts = [earliest, *_pair_points(ledger, request, earliest, latest)]
+    starts = [earliest, *_pair_points(port_in, port_out, earliest, latest)]
     starts.sort()
     starts = list(dict.fromkeys(starts))
     # A plain callable promises nothing: every candidate is visited.
@@ -258,7 +248,7 @@ def _first_fit(
             continue
         if bw >= blocked_bw and sigma < blocked_until and tau > blocked_from:
             continue
-        blocked = ledger.blocker(ingress, egress, sigma, tau, bw)
+        blocked = port_in.blocker(sigma, tau, bw) or port_out.blocker(sigma, tau, bw)
         if blocked is None:
             return Allocation.for_request(request, bw, sigma=sigma), i, bounced
         blocked_bw = bw
@@ -319,8 +309,9 @@ def _blame(
     elif bounced is None:
         probe.reason = RejectReason.MINRATE_EXCEEDS_MAXRATE
     else:
-        ing_free = ledger.free_capacity("ingress", request.ingress, *bounced)
-        egr_free = ledger.free_capacity("egress", request.egress, *bounced)
+        port_in, port_out = ledger.ports(request.ingress, request.egress)
+        ing_free = port_in.free_capacity(*bounced)
+        egr_free = port_out.free_capacity(*bounced)
         probe.ingress_headroom, probe.egress_headroom = ing_free, egr_free
         probe.reason = (
             RejectReason.INGRESS_FULL if ing_free <= egr_free else RejectReason.EGRESS_FULL
@@ -343,22 +334,21 @@ def _count_fit(request: Request, *, candidates: int, accepted: bool) -> None:
     ).inc(float(candidates))
 
 
-def _pair_points(ledger: LedgerView, request: Request, lo: float, hi: float) -> list[float]:
+def _pair_points(port_in: Port, port_out: Port, lo: float, hi: float) -> list[float]:
     """Instants in ``(lo, hi]`` where the pair's free capacity can change:
     each port's breakpoints, ascending, then the degradation edges; an
     instant both ports share is listed twice."""
-    points = [
-        *ledger.ingress_timeline(request.ingress).breakpoints_between(lo, hi),
-        *ledger.egress_timeline(request.egress).breakpoints_between(lo, hi),
+    return [
+        *port_in.usage.breakpoints_between(lo, hi),
+        *port_out.usage.breakpoints_between(lo, hi),
+        *port_in.edges(lo, hi),
+        *port_out.edges(lo, hi),
     ]
-    for side, port in (("ingress", request.ingress), ("egress", request.egress)):
-        points.extend(float(t) for t in ledger.degradation_edges(side, port) if lo < t <= hi)
-    return points
 
 
-def _pair_edges(ledger: LedgerView, request: Request, lo: float, hi: float) -> list[float]:
+def _pair_edges(port_in: Port, port_out: Port, lo: float, hi: float) -> list[float]:
     """Instants in ``(lo, hi)`` where the pair's residual capacity can change."""
-    edges = set(_pair_points(ledger, request, lo, hi))
+    edges = set(_pair_points(port_in, port_out, lo, hi))
     edges.discard(hi)
     return sorted(edges)
 
@@ -405,9 +395,10 @@ def earliest_fit_profile(
             probe.reason = RejectReason.PROFILE_INFEASIBLE
         _count_shape(request, accepted=False)
         return None
+    port_in, port_out = ledger.ports(request.ingress, request.egress)
     base = profile.sigma + shift_min
     shifts = {shift_min}
-    for t in _pair_edges(ledger, request, base, base + (shift_max - shift_min)):
+    for t in _pair_edges(port_in, port_out, base, base + (shift_max - shift_min)):
         shifts.add(shift_min + (t - base))
     examined = 0
     first_headroom: tuple[float, float] | None = None
@@ -415,7 +406,7 @@ def earliest_fit_profile(
         examined += 1
         candidate = profile.shift(shift) if shift > 0.0 else profile
         if all(
-            ledger.fits(request.ingress, request.egress, t0, t1, rate)
+            port_in.blocker(t0, t1, rate) is None and port_out.blocker(t0, t1, rate) is None
             for t0, t1, rate in candidate.segments
         ):
             if probe is not None:
@@ -424,12 +415,8 @@ def earliest_fit_profile(
             return Allocation.for_profile(request, candidate)
         if first_headroom is None:
             first_headroom = (
-                ledger.free_capacity(
-                    "ingress", request.ingress, candidate.sigma, candidate.tau
-                ),
-                ledger.free_capacity(
-                    "egress", request.egress, candidate.sigma, candidate.tau
-                ),
+                port_in.free_capacity(candidate.sigma, candidate.tau),
+                port_out.free_capacity(candidate.sigma, candidate.tau),
             )
     if probe is not None:
         probe.candidates = examined
@@ -475,17 +462,14 @@ def shape_profile(
             probe.reason = RejectReason.PROFILE_INFEASIBLE
         _count_shape(request, accepted=False)
         return None
-    bounds = [earliest, *_pair_edges(ledger, request, earliest, request.t_end), request.t_end]
+    port_in, port_out = ledger.ports(request.ingress, request.egress)
+    bounds = [earliest, *_pair_edges(port_in, port_out, earliest, request.t_end), request.t_end]
     segments: list[tuple[float, float, float]] = []
     remaining = request.volume
     examined = 0
     for a, b in zip(bounds, bounds[1:]):
         examined += 1
-        rate = min(
-            cap,
-            ledger.free_capacity("ingress", request.ingress, a, b),
-            ledger.free_capacity("egress", request.egress, a, b),
-        )
+        rate = min(cap, port_in.free_capacity(a, b), port_out.free_capacity(a, b))
         if rate <= 0.0:
             continue
         step = rate * (b - a)

@@ -26,15 +26,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from typing import Any
 
-from .capacity import CAPACITY_SLACK, CapacityProfile, fits_under, make_profile
+from .capacity import CAPACITY_SLACK, CapacityProfile, make_profile
 from .capacity import carried_volume as _kernel_carried_volume
 from .errors import CapacityError, ConfigurationError
 from .platform import Platform
 
-__all__ = ["PortLedger", "Degradation", "CAPACITY_SLACK"]
+__all__ = ["Port", "PortLedger", "Degradation", "CAPACITY_SLACK"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,28 +75,136 @@ class Degradation:
         )
 
 
+class Port:
+    """One access point: its capacity, the bandwidth committed on it and the
+    capacity it has lost to registered degradations.
+
+    The only place the degradation-aware Eq. 1 test and its slack
+    (``capacity · CAPACITY_SLACK``, the port's own) are written:
+    :class:`PortLedger` and the gateway's shard brokers both hold their
+    state as ``Port``\\ s and the book-ahead searches query them directly.
+    """
+
+    __slots__ = ("capacity", "usage", "reductions")
+
+    def __init__(self, capacity: float) -> None:
+        self.capacity = capacity
+        #: Committed bandwidth over time.
+        self.usage: CapacityProfile = make_profile()
+        #: Lost capacity over time; created by the first :meth:`degrade` —
+        #: most simulations never degrade a port and must not pay for the
+        #: possibility.
+        self.reductions: CapacityProfile | None = None
+
+    def degrade(self, t0: float, t1: float, amount: float) -> None:
+        """Take ``amount`` MB/s of capacity away over ``[t0, t1)``."""
+        if self.reductions is None:
+            self.reductions = make_profile()
+        self.reductions.add(t0, t1, amount)
+
+    def edges(self, lo: float = -math.inf, hi: float = math.inf) -> list[float]:
+        """Finite instants in ``(lo, hi]`` where the effective capacity changes."""
+        if self.reductions is None:
+            return []
+        return self.reductions.breakpoints_between(lo, hi)
+
+    def capacity_at(self, t: float) -> float:
+        """Effective capacity at time ``t`` (never negative)."""
+        if self.reductions is None:
+            return self.capacity
+        return max(0.0, self.capacity - self.reductions.usage_at(t))
+
+    def overcommit_on(self, t0: float, t1: float) -> float:
+        """Worst ``usage - capacity`` over ``[t0, t1)``.
+
+        Positive values mean committed reservations exceed the (possibly
+        degraded) capacity somewhere in the interval.
+        """
+        if self.reductions is None:
+            return self.usage.max_usage(t0, t1) - self.capacity
+        return max(
+            (
+                self.usage.max_usage(seg_start, seg_end) - max(0.0, self.capacity - reduction)
+                for seg_start, seg_end, reduction in self.reductions.segments(t0, t1)
+            ),
+            default=-math.inf,
+        )
+
+    def free_capacity(self, t0: float, t1: float) -> float:
+        """Guaranteed free bandwidth over all of ``[t0, t1)``.
+
+        The minimum over the interval of ``capacity(t) - usage(t)``, floored
+        at zero; the largest constant rate the port can still carry there.
+        """
+        return max(0.0, -self.overcommit_on(t0, t1))
+
+    def blocker(self, t0: float, t1: float, bw: float) -> tuple[float, float] | None:
+        """``None`` when ``bw`` fits over all of ``[t0, t1)``; else an
+        interval that keeps failing.
+
+        On a constant capacity the answer is the kernel's
+        (:meth:`~repro.core.capacity.CapacityProfile.blocker`): the blocking
+        usage segment ``[a, b)``.  Until the port is mutated, any rate
+        ``>= bw`` over any interval overlapping ``[a, b)`` fails too, which
+        is what lets :func:`~repro.core.booking.earliest_fit` fail later
+        candidates without asking again.  A degraded port answers with the
+        empty ``(t0, t0)``: nothing overlaps it, so nothing is learned.
+        """
+        if self.reductions is None:
+            return self.usage.blocker(t0, t1, bw, self.capacity)
+        if self.free_capacity(t0, t1) + self.capacity * CAPACITY_SLACK < bw:
+            return (t0, t0)
+        return None
+
+    def max_overcommit(self) -> float:
+        """Worst ``usage - capacity`` over all time."""
+        edges = self.edges()
+        if edges:
+            points = [*edges, *self.usage.breakpoints_between(-math.inf, math.inf)]
+            # + 1.0 covers the start of the final right-open segment.
+            return self.overcommit_on(min(points), max(points) + 1.0)
+        return self.usage.global_max() - self.capacity
+
+    def copy(self) -> Port:
+        """Deep copy."""
+        clone = Port(self.capacity)
+        clone.usage = self.usage.copy()
+        if self.reductions is not None:
+            clone.reductions = self.reductions.copy()
+        return clone
+
+
 class PortLedger:
     """Tracks committed bandwidth on every access point of a platform."""
 
-    __slots__ = ("platform", "_ingress", "_egress", "_ingress_red", "_egress_red")
+    __slots__ = ("platform", "_ingress", "_egress")
 
     def __init__(self, platform: Platform) -> None:
         self.platform = platform
-        self._ingress = [make_profile() for _ in range(platform.num_ingress)]
-        self._egress = [make_profile() for _ in range(platform.num_egress)]
-        # Capacity-reduction profiles, created lazily: most simulations
-        # never degrade a port and must not pay for the possibility.
-        self._ingress_red: list[CapacityProfile | None] = [None] * platform.num_ingress
-        self._egress_red: list[CapacityProfile | None] = [None] * platform.num_egress
+        self._ingress = [Port(platform.bin(i)) for i in range(platform.num_ingress)]
+        self._egress = [Port(platform.bout(e)) for e in range(platform.num_egress)]
 
     # ------------------------------------------------------------------
+    def ports(self, ingress: int, egress: int) -> tuple[Port, Port]:
+        """The two :class:`Port`\\ s of a pair (live) — all a book-ahead
+        search reads (:class:`~repro.core.booking.LedgerView`)."""
+        return self._ingress[ingress], self._egress[egress]
+
+    def port(self, side: str, port: int) -> Port:
+        """One :class:`Port` by side name (live)."""
+        if side == "ingress":
+            return self._ingress[port]
+        if side == "egress":
+            return self._egress[port]
+        raise ConfigurationError(f"side must be 'ingress' or 'egress', got {side!r}")
+
     def ingress_timeline(self, i: int) -> CapacityProfile:
         """The usage profile of ingress point ``i`` (live view)."""
-        return self._ingress[i]
+        return self._ingress[i].usage
 
     def egress_timeline(self, e: int) -> CapacityProfile:
         """The usage profile of egress point ``e`` (live view)."""
-        return self._egress[e]
+        return self._egress[e].usage
 
     # ------------------------------------------------------------------
     # Time-varying capacity
@@ -109,124 +217,52 @@ class PortLedger:
         the remaining capacity — callers inspect :meth:`overcommit_on` to
         find and displace them.
         """
-        usage, reductions = self._side(degradation.side)
-        if not (0 <= degradation.port < len(usage)):
-            raise ConfigurationError(
-                f"no {degradation.side} port {degradation.port} on this platform"
-            )
-        red = reductions[degradation.port]
-        if red is None:
-            red = make_profile()
-            reductions[degradation.port] = red
-        red.add(degradation.t0, degradation.t1, degradation.amount)
-
-    def _side(
-        self, side: str
-    ) -> tuple[list[CapacityProfile], list[CapacityProfile | None]]:
-        if side == "ingress":
-            return self._ingress, self._ingress_red
-        if side == "egress":
-            return self._egress, self._egress_red
-        raise ConfigurationError(f"side must be 'ingress' or 'egress', got {side!r}")
-
-    def _base_capacity(self, side: str, port: int) -> float:
-        return self.platform.bin(port) if side == "ingress" else self.platform.bout(port)
+        d = degradation
+        ports = self._ingress if d.side == "ingress" else self._egress
+        if not (0 <= d.port < len(ports)):
+            raise ConfigurationError(f"no {d.side} port {d.port} on this platform")
+        ports[d.port].degrade(d.t0, d.t1, d.amount)
 
     def capacity_at(self, side: str, port: int, t: float) -> float:
         """Effective capacity of a port at time ``t`` (never negative)."""
-        _, reductions = self._side(side)
-        base = self._base_capacity(side, port)
-        red = reductions[port]
-        if red is None:
-            return base
-        return max(0.0, base - red.usage_at(t))
+        return self.port(side, port).capacity_at(t)
 
     def free_capacity(self, side: str, port: int, t0: float, t1: float) -> float:
-        """Guaranteed free bandwidth on a port over all of ``[t0, t1)``.
-
-        The minimum over the interval of ``capacity(t) - usage(t)``, floored
-        at zero; the largest constant rate the port can still carry there.
-        """
-        usage, reductions = self._side(side)
-        base = self._base_capacity(side, port)
-        red = reductions[port]
-        if red is None:
-            return max(0.0, base - usage[port].max_usage(t0, t1))
-        free = math.inf
-        for seg_start, seg_end, reduction in red.segments(t0, t1):
-            effective = max(0.0, base - reduction)
-            free = min(free, effective - usage[port].max_usage(seg_start, seg_end))
-        return max(0.0, free)
+        """Guaranteed free bandwidth on a port over all of ``[t0, t1)``
+        (:meth:`Port.free_capacity`)."""
+        return self.port(side, port).free_capacity(t0, t1)
 
     def overcommit_on(self, side: str, port: int, t0: float, t1: float) -> float:
-        """Worst ``usage - capacity`` on one port over ``[t0, t1)``.
+        """Worst ``usage - capacity`` on one port over ``[t0, t1)``
+        (:meth:`Port.overcommit_on`)."""
+        return self.port(side, port).overcommit_on(t0, t1)
 
-        Positive values mean committed reservations exceed the (possibly
-        degraded) capacity somewhere in the interval.
-        """
-        usage, reductions = self._side(side)
-        base = self._base_capacity(side, port)
-        red = reductions[port]
-        if red is None:
-            return usage[port].max_usage(t0, t1) - base
-        worst = -math.inf
-        for seg_start, seg_end, reduction in red.segments(t0, t1):
-            effective = max(0.0, base - reduction)
-            worst = max(worst, usage[port].max_usage(seg_start, seg_end) - effective)
-        return worst
-
-    def degradation_edges(self, side: str, port: int) -> Iterator[float]:
+    def degradation_edges(self, side: str, port: int) -> list[float]:
         """Finite instants where a port's effective capacity changes."""
-        _, reductions = self._side(side)
-        red = reductions[port]
-        if red is not None:
-            yield from red.breakpoints()
+        return self.port(side, port).edges()
 
     # ------------------------------------------------------------------
     def fits(self, ingress: int, egress: int, t0: float, t1: float, bw: float) -> bool:
         """True when ``bw`` fits on both ports over all of ``[t0, t1)``."""
-        cap_in = self.platform.bin(ingress)
-        cap_out = self.platform.bout(egress)
-        if self._ingress_red[ingress] is None and self._egress_red[egress] is None:
-            # Fast path: constant capacities (the overwhelmingly common case).
-            if not fits_under(self._ingress[ingress].max_usage(t0, t1), bw, cap_in):
-                return False
-            if not fits_under(self._egress[egress].max_usage(t0, t1), bw, cap_out):
-                return False
-            return True
-        slack = max(cap_in, cap_out) * CAPACITY_SLACK
-        if self.free_capacity("ingress", ingress, t0, t1) + slack < bw:
-            return False
-        if self.free_capacity("egress", egress, t0, t1) + slack < bw:
-            return False
-        return True
+        return (
+            self._ingress[ingress].blocker(t0, t1, bw) is None
+            and self._egress[egress].blocker(t0, t1, bw) is None
+        )
 
     def blocker(
         self, ingress: int, egress: int, t0: float, t1: float, bw: float
     ) -> tuple[float, float] | None:
-        """``None`` when :meth:`fits`; else an interval that keeps failing.
-
-        On constant capacities the answer is the kernel's
-        (:meth:`~repro.core.capacity.CapacityProfile.blocker`): the
-        blocking segment ``[a, b)`` of the ingress port, or else of the
-        egress port — the order :meth:`fits` tests them in.  Until the
-        ledger is mutated, any rate ``>= bw`` over any interval
-        overlapping ``[a, b)`` fails :meth:`fits` too, which is what lets
-        :func:`~repro.core.booking.earliest_fit` fail later candidates
-        without asking again.  A degraded port answers with the empty
-        ``(t0, t0)``: nothing overlaps it, so nothing is learned and every
-        candidate is probed as before.
-        """
-        if self._ingress_red[ingress] is None and self._egress_red[egress] is None:
-            blocked = self._ingress[ingress].blocker(t0, t1, bw, self.platform.bin(ingress))
-            return blocked or self._egress[egress].blocker(t0, t1, bw, self.platform.bout(egress))
-        return None if self.fits(ingress, egress, t0, t1, bw) else (t0, t0)
+        """``None`` when :meth:`fits`; else :meth:`Port.blocker` of the
+        ingress port, or else of the egress port."""
+        return self._ingress[ingress].blocker(t0, t1, bw) or self._egress[egress].blocker(
+            t0, t1, bw
+        )
 
     def headroom(self, ingress: int, egress: int, t0: float, t1: float) -> float:
         """Largest constant bandwidth allocatable on the pair over ``[t0, t1)``."""
         return min(
-            self.free_capacity("ingress", ingress, t0, t1),
-            self.free_capacity("egress", egress, t0, t1),
+            self._ingress[ingress].free_capacity(t0, t1),
+            self._egress[egress].free_capacity(t0, t1),
         )
 
     def allocate(
@@ -252,15 +288,15 @@ class PortLedger:
                 f"allocation of {bw} MB/s on pair ({ingress}, {egress}) over "
                 f"[{t0}, {t1}) exceeds a port capacity"
             )
-        self._ingress[ingress].add(t0, t1, bw)
-        self._egress[egress].add(t0, t1, bw)
+        self._ingress[ingress].usage.add(t0, t1, bw)
+        self._egress[egress].usage.add(t0, t1, bw)
 
     def release(self, ingress: int, egress: int, t0: float, t1: float, bw: float) -> None:
         """Return ``bw`` previously committed on the pair over ``[t0, t1)``."""
         if bw < 0:
             raise CapacityError(f"negative release {bw}")
-        self._ingress[ingress].add(t0, t1, -bw)
-        self._egress[egress].add(t0, t1, -bw)
+        self._ingress[ingress].usage.add(t0, t1, -bw)
+        self._egress[egress].usage.add(t0, t1, -bw)
 
     # ------------------------------------------------------------------
     # Stepwise rate profiles (malleable transfers)
@@ -297,8 +333,8 @@ class PortLedger:
                 f"exceeds a port capacity"
             )
         for t0, t1, rate in steps:
-            self._ingress[ingress].add(t0, t1, rate)
-            self._egress[egress].add(t0, t1, rate)
+            self._ingress[ingress].usage.add(t0, t1, rate)
+            self._egress[egress].usage.add(t0, t1, rate)
 
     def release_segments(
         self, ingress: int, egress: int, segments: Iterable[tuple[float, float, float]]
@@ -307,17 +343,17 @@ class PortLedger:
         for t0, t1, rate in segments:
             if rate < 0:
                 raise CapacityError(f"negative release {rate}")
-            self._ingress[ingress].add(t0, t1, -rate)
-            self._egress[egress].add(t0, t1, -rate)
+            self._ingress[ingress].usage.add(t0, t1, -rate)
+            self._egress[egress].usage.add(t0, t1, -rate)
 
     # ------------------------------------------------------------------
     def ingress_usage_at(self, i: int, t: float) -> float:
         """Committed bandwidth on ingress ``i`` at time ``t``."""
-        return self._ingress[i].usage_at(t)
+        return self._ingress[i].usage.usage_at(t)
 
     def egress_usage_at(self, e: int, t: float) -> float:
         """Committed bandwidth on egress ``e`` at time ``t``."""
-        return self._egress[e].usage_at(t)
+        return self._egress[e].usage.usage_at(t)
 
     def max_overcommit(self) -> float:
         """Worst-case overshoot ``usage - capacity`` across all ports.
@@ -325,34 +361,10 @@ class PortLedger:
         Non-positive for a valid ledger; used by the verifier and tests.
         Accounts for time-varying capacity on degraded ports.
         """
-        worst = -math.inf
-        for side, timelines in (("ingress", self._ingress), ("egress", self._egress)):
-            for port, tl in enumerate(timelines):
-                reductions = self._ingress_red if side == "ingress" else self._egress_red
-                if reductions[port] is None:
-                    worst = max(worst, tl.global_max() - self._base_capacity(side, port))
-                else:
-                    span = self._span(tl, reductions[port])
-                    if span is None:
-                        worst = max(worst, tl.global_max() - self._base_capacity(side, port))
-                    else:
-                        worst = max(worst, self.overcommit_on(side, port, *span))
-        return worst
-
-    @staticmethod
-    def _span(*timelines: CapacityProfile | None) -> tuple[float, float] | None:
-        """A finite interval covering every breakpoint of the profiles."""
-        lo, hi = math.inf, -math.inf
-        for tl in timelines:
-            if tl is None:
-                continue
-            points = tl.breakpoints()
-            if points.size:
-                lo = min(lo, float(points[0]))
-                hi = max(hi, float(points[-1]))
-        if lo >= hi:
-            return None
-        return lo, hi + 1.0  # cover the final right-open segment start
+        return max(
+            (port.max_overcommit() for port in chain(self._ingress, self._egress)),
+            default=-math.inf,
+        )
 
     def carried_volume(self, t0: float, t1: float) -> float:
         """Total MB carried through the network over ``[t0, t1)``.
@@ -360,21 +372,17 @@ class PortLedger:
         Ingress and egress each see the full volume, hence the factor ½ —
         mirroring the paper's utilisation scaling.
         """
-        total = _kernel_carried_volume(chain(self._ingress, self._egress), t0, t1)
-        return 0.5 * total
+        usages = (port.usage for port in chain(self._ingress, self._egress))
+        return 0.5 * _kernel_carried_volume(usages, t0, t1)
 
     def is_empty(self) -> bool:
         """True when nothing is committed anywhere."""
-        return all(tl.is_zero() for tl in self._ingress) and all(
-            tl.is_zero() for tl in self._egress
-        )
+        return all(port.usage.is_zero() for port in chain(self._ingress, self._egress))
 
     def copy(self) -> PortLedger:
         """Deep copy (used by look-ahead heuristics and the B&B solver)."""
         clone = PortLedger.__new__(PortLedger)
         clone.platform = self.platform
-        clone._ingress = [tl.copy() for tl in self._ingress]
-        clone._egress = [tl.copy() for tl in self._egress]
-        clone._ingress_red = [tl.copy() if tl is not None else None for tl in self._ingress_red]
-        clone._egress_red = [tl.copy() if tl is not None else None for tl in self._egress_red]
+        clone._ingress = [port.copy() for port in self._ingress]
+        clone._egress = [port.copy() for port in self._egress]
         return clone

@@ -48,7 +48,6 @@ from .rpc import (
 )
 from .sharding import ShardMap
 from .twophase import TwoPhaseCoordinator, TwoPhaseOutcome
-from .view import PairLedgerView
 
 __all__ = [
     "AdmissionOrdering",
@@ -65,7 +64,6 @@ __all__ = [
     "GatewayStats",
     "Hold",
     "InvariantReport",
-    "PairLedgerView",
     "Partition",
     "ShardBroker",
     "ShardMap",

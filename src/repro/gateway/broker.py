@@ -1,31 +1,32 @@
 """One shard broker: authoritative owner of its ports' ledger slices.
 
-A :class:`ShardBroker` holds the usage and degradation timelines of every
-access point its shard owns (see :class:`~repro.gateway.sharding.ShardMap`)
-and is the **only** component allowed to mutate them — gridlint rule
-GL008 enforces the boundary.  All state a broker carries:
+A :class:`ShardBroker` holds the :class:`~repro.core.ledger.Port` (usage
+and degradation timelines) of every access point its shard owns (see
+:class:`~repro.gateway.sharding.ShardMap`) and is the **only** component
+allowed to mutate them — gridlint rule GL008 enforces the boundary.  All
+state a broker carries:
 
-- the owned ledger slices (committed bookings + registered degradations);
+- the owned ports (committed bookings + registered degradations);
 - the **prepare-holds** of in-flight two-phase reservations — capacity
   pinned on one side while the coordinator secures the other.  Holds are
   volatile: a broker crash wipes them (the capacity returns), while
   committed bookings survive, mirroring a write-ahead-logged store that
   loses only its in-memory transaction table.
 
-The broker reuses :class:`~repro.core.ledger.PortLedger` for its slices —
-non-owned ports simply stay empty — so every capacity query (degradation
-handling included) is the battle-tested Eq. 1 implementation, not a fork.
+Every capacity answer is the port's own (:meth:`Port.blocker
+<repro.core.ledger.Port.blocker>` and friends): the Eq. 1 test the
+monolithic :class:`~repro.core.ledger.PortLedger` makes, not a fork.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from collections.abc import Iterator
 
-from ..core.capacity import CAPACITY_SLACK, CapacityProfile, fits_under
-from ..core.errors import ConfigurationError, ReproError
-from ..core.ledger import Degradation, PortLedger
+from ..core.capacity import CapacityProfile
+from ..core.errors import CapacityError, ConfigurationError, ReproError
+from ..core.ledger import Degradation, Port
 from ..units import seconds_eq
 from .sharding import ShardMap
 
@@ -86,14 +87,13 @@ class ShardBroker:
 
     def __init__(self, shard_id: int, shard_map: ShardMap) -> None:
         self.shard_id = shard_id
-        self.platform = shard_map.platform
+        self.platform = platform = shard_map.platform
         owned_in, owned_out = shard_map.ports_of(shard_id)
-        self._owned_ledger = PortLedger(self.platform)
-        #: Every owned port's usage profile, resolved once: the ownership
-        #: check and the profile lookup of the read surface are one probe.
-        self._profiles: dict[tuple[str, int], CapacityProfile] = {
-            **{("ingress", p): self._owned_ledger.ingress_timeline(p) for p in owned_in},
-            **{("egress", p): self._owned_ledger.egress_timeline(p) for p in owned_out},
+        #: Every owned access point: the ownership check and the state
+        #: lookup of every call are one probe.
+        self._ports: dict[tuple[str, int], Port] = {
+            **{("ingress", p): Port(platform.bin(p)) for p in owned_in},
+            **{("egress", p): Port(platform.bout(p)) for p in owned_out},
         }
         self._holds: dict[int, Hold] = {}
         self._hold_ids = itertools.count()
@@ -108,7 +108,6 @@ class ShardBroker:
         self._prepared: dict[object, Hold | None] = {}
         self._booked: set[object] = set()
         self._resolution: dict[int, str] = {}
-        self._degraded: set[tuple[str, int]] = set()
         self.crashed = False
         self.holds_expired = 0
         self.holds_wiped = 0
@@ -120,15 +119,11 @@ class ShardBroker:
         """Does this shard own ``port`` on ``side``?"""
         if side not in ("ingress", "egress"):
             raise ConfigurationError(f"side must be 'ingress' or 'egress', got {side!r}")
-        return (side, port) in self._profiles
+        return (side, port) in self._ports
 
     def _not_owned(self, side: str, port: int) -> ConfigurationError:
         self.owns(side, port)  # a side that is neither raises its own error
         return ConfigurationError(f"shard {self.shard_id} does not own {side} port {port}")
-
-    def _require_owned(self, side: str, port: int) -> None:
-        if (side, port) not in self._profiles:
-            raise self._not_owned(side, port)
 
     def _require_up(self) -> None:
         if self.crashed:
@@ -137,81 +132,53 @@ class ShardBroker:
     # ------------------------------------------------------------------
     # Read surface (safe from any module; GL008 only guards mutation)
     # ------------------------------------------------------------------
-    def timeline(self, side: str, port: int) -> CapacityProfile:
-        """The usage profile of an owned port (treat as read-only)."""
+    def port(self, side: str, port: int) -> Port:
+        """An owned access point (treat as read-only)."""
         try:
-            return self._profiles[side, port]
+            return self._ports[side, port]
         except KeyError:
             raise self._not_owned(side, port) from None
 
+    def timeline(self, side: str, port: int) -> CapacityProfile:
+        """The usage profile of an owned port (treat as read-only)."""
+        return self.port(side, port).usage
+
     def free_capacity(self, side: str, port: int, t0: float, t1: float) -> float:
         """Guaranteed free bandwidth on an owned port over ``[t0, t1)``."""
-        self._require_owned(side, port)
-        return self._owned_ledger.free_capacity(side, port, t0, t1)
+        return self.port(side, port).free_capacity(t0, t1)
 
     def max_usage(self, side: str, port: int, t0: float, t1: float) -> float:
         """Peak committed bandwidth on an owned port over ``[t0, t1)``."""
-        return self.timeline(side, port).max_usage(t0, t1)
+        return self.port(side, port).usage.max_usage(t0, t1)
 
     def usage_at(self, side: str, port: int, t: float) -> float:
         """Committed bandwidth on an owned port at time ``t``."""
-        return self.timeline(side, port).usage_at(t)
-
-    def degradation_edges(self, side: str, port: int) -> Iterator[float]:
-        """Capacity-change instants of an owned port."""
-        self._require_owned(side, port)
-        return self._owned_ledger.degradation_edges(side, port)
+        return self.port(side, port).usage.usage_at(t)
 
     def has_degradations(self, side: str, port: int) -> bool:
         """Has any capacity reduction been registered on the port?"""
-        self._require_owned(side, port)
-        return (side, port) in self._degraded
+        return self.port(side, port).reductions is not None
 
     def overcommit_on(self, side: str, port: int, t0: float, t1: float) -> float:
         """Worst ``usage − capacity`` on an owned port over ``[t0, t1)``."""
-        self._require_owned(side, port)
-        return self._owned_ledger.overcommit_on(side, port, t0, t1)
+        return self.port(side, port).overcommit_on(t0, t1)
 
     def max_overcommit(self) -> float:
-        """Worst overshoot across the owned ports (≤ 0 ⇔ shard is valid).
-
-        Non-owned ports of the underlying ledger are empty and contribute
-        only negative slack, so the full-ledger scan is the owned answer.
-        """
-        return self._owned_ledger.max_overcommit()
+        """Worst overshoot across the owned ports (≤ 0 ⇔ shard is valid)."""
+        return max((port.max_overcommit() for port in self._ports.values()), default=-math.inf)
 
     def cached_peak(self, side: str, port: int) -> float:
         """All-time peak usage of an owned port (the kernel caches it)."""
-        return max(0.0, self.timeline(side, port).global_max())
+        return max(0.0, self.port(side, port).usage.global_max())
 
-    def fits_side(
-        self,
-        side: str,
-        port: int,
-        t0: float,
-        t1: float,
-        bw: float,
-        *,
-        segments: Segments | None = None,
-    ) -> bool:
-        """Would ``bw`` (or each step of ``segments``) fit on this port?
+    def fits_side(self, side: str, port: int, steps: Segments) -> bool:
+        """Would every ``(t0, t1, rate)`` step fit on this owned port?
 
-        With ``segments`` the check runs per step — the profile-aware
-        variant; steps are non-overlapping, so each is an independent
-        constant-rate fit and the 1-segment case answers identically to
-        the scalar form.
+        Steps are non-overlapping, so each is an independent constant-rate
+        :meth:`Port.blocker <repro.core.ledger.Port.blocker>` probe.
         """
-        profile = self.timeline(side, port)
-        cap = self.platform.bin(port) if side == "ingress" else self.platform.bout(port)
-        degraded = (side, port) in self._degraded
-        for s0, s1, rate in _steps(t0, t1, bw, segments):
-            if degraded:
-                free = self._owned_ledger.free_capacity(side, port, s0, s1)
-                if free + cap * CAPACITY_SLACK < rate:
-                    return False
-            elif not fits_under(profile.max_usage(s0, s1), rate, cap):
-                return False
-        return True
+        owned = self.port(side, port)
+        return all(owned.blocker(t0, t1, rate) is None for t0, t1, rate in steps)
 
     def pair_fits(
         self,
@@ -223,38 +190,21 @@ class ShardBroker:
         *,
         segments: Segments | None = None,
     ) -> bool:
-        """Joint two-port fit when this shard owns *both* ports of a pair.
-
-        Delegates to the underlying :meth:`PortLedger.fits` (per step for
-        a profile), so a shard-local admission answers exactly like the
-        monolithic service — the anchor of the single-shard equivalence
-        guarantee.
-        """
-        self._require_owned("ingress", ingress)
-        self._require_owned("egress", egress)
-        if segments is not None:
-            return self._owned_ledger.fits_segments(ingress, egress, segments)
-        return self._owned_ledger.fits(ingress, egress, t0, t1, bw)
-
-    def pair_blocker(
-        self, ingress: int, egress: int, t0: float, t1: float, bw: float
-    ) -> tuple[float, float] | None:
-        """:meth:`pair_fits` for the search: ``None`` when it fits, else
-        the interval :meth:`PortLedger.blocker` says keeps failing."""
-        self._require_owned("ingress", ingress)
-        self._require_owned("egress", egress)
-        return self._owned_ledger.blocker(ingress, egress, t0, t1, bw)
+        """Joint two-port fit when this shard owns *both* ports of a pair:
+        what :meth:`book_pair` checks before it commits."""
+        steps = _steps(t0, t1, bw, segments)
+        return self.fits_side("ingress", ingress, steps) and self.fits_side("egress", egress, steps)
 
     # ------------------------------------------------------------------
     # Mutation surface (the GL008-guarded owner of the slices)
     # ------------------------------------------------------------------
     def _timeline_add(self, side: str, port: int, steps: Segments, sign: float = 1.0) -> None:
         """The single point through which a slice's usage ever changes."""
-        profile = self.timeline(side, port)
+        usage = self.port(side, port).usage
         for t0, t1, rate in steps:
             if rate < 0:
                 raise ConfigurationError(f"negative rate {rate} on {side} port {port}")
-            profile.add(t0, t1, sign * rate)
+            usage.add(t0, t1, sign * rate)
 
     def book_pair(
         self,
@@ -269,23 +219,26 @@ class ShardBroker:
     ) -> None:
         """Atomically commit a shard-local pair booking (both ports owned).
 
-        This is the one-shard fast path: no holds, no second phase — the
-        underlying :meth:`PortLedger.allocate` capacity check covers both
-        ports at once, exactly like the monolithic service.  ``key``
+        This is the one-shard fast path: no holds, no second phase —
+        :meth:`pair_fits` covers both ports before either changes (a
+        :class:`~repro.core.errors.CapacityError` leaves them untouched),
+        exactly like the monolithic service.  ``key``
         (the rid, when called through a channel) makes the call
         idempotent: a duplicated delivery finds the key recorded and
         books nothing twice.  ``segments`` books a stepwise profile
         instead of the constant ``(t0, t1, bw)``, all steps or none.
         """
         self._require_up()
-        self._require_owned("ingress", ingress)
-        self._require_owned("egress", egress)
         if key is not None and key in self._booked:
             return
-        if segments is not None:
-            self._owned_ledger.allocate_segments(ingress, egress, segments)
-        else:
-            self._owned_ledger.allocate(ingress, egress, t0, t1, bw)
+        steps = _steps(t0, t1, bw, segments)
+        if not self.pair_fits(ingress, egress, t0, t1, bw, segments=steps):
+            raise CapacityError(
+                f"booking of {len(steps)} step(s) on pair ({ingress}, {egress}) over "
+                f"[{t0}, {t1}) exceeds a port capacity"
+            )
+        self._timeline_add("ingress", ingress, steps)
+        self._timeline_add("egress", egress, steps)
         if key is not None:
             self._booked.add(key)
 
@@ -304,7 +257,7 @@ class ShardBroker:
         (slice untouched) when the port cannot carry it."""
         self._require_up()
         steps = _steps(t0, t1, bw, segments)
-        if not self.fits_side(side, port, t0, t1, bw, segments=steps):
+        if not self.fits_side(side, port, steps):
             return False
         self._timeline_add(side, port, steps)
         return True
@@ -335,9 +288,8 @@ class ShardBroker:
 
     def degrade(self, degradation: Degradation) -> None:
         """Register a capacity reduction on an owned port."""
-        self._require_owned(degradation.side, degradation.port)
-        self._owned_ledger.degrade(degradation)
-        self._degraded.add((degradation.side, degradation.port))
+        d = degradation
+        self.port(d.side, d.port).degrade(d.t0, d.t1, d.amount)
 
     # ------------------------------------------------------------------
     # Two-phase protocol: prepare / commit / abort / expire
@@ -379,7 +331,7 @@ class ShardBroker:
             if self._resolution.get(prior.hold_id) == "committed":
                 return prior
             return None  # aborted / expired / wiped: transaction is over
-        if not self.fits_side(side, port, t0, t1, bw, segments=segments):
+        if not self.fits_side(side, port, _steps(t0, t1, bw, segments)):
             if key is not None:
                 self._prepared[key] = None
             return None
@@ -512,8 +464,8 @@ class ShardBroker:
     def snapshot(self) -> dict[str, object]:
         """Canonical JSON-able digest of the shard's authoritative state."""
         slices: dict[str, dict[str, list]] = {"ingress": {}, "egress": {}}
-        for side, port in sorted(self._profiles):
-            slices[side][str(port)] = list(self._profiles[side, port].segments())
+        for side, port in sorted(self._ports):
+            slices[side][str(port)] = list(self._ports[side, port].usage.segments())
         return {
             "shard": self.shard_id,
             "crashed": self.crashed,

@@ -313,15 +313,6 @@ class Gateway:
         self._chaos_seen: dict[str, float] = {}
         self._edge_seen: dict[str, float] = {}
         self._overcommit_hwm = 0.0
-        #: ``(usage profile, capacity)`` per port, for :meth:`_note_port_peaks`.
-        self._peaks = {
-            (side, p): (self.coordinator.broker_for(side, p).timeline(side, p), capacity(p))
-            for side, count, capacity in (
-                ("ingress", platform.num_ingress, platform.bin),
-                ("egress", platform.num_egress, platform.bout),
-            )
-            for p in range(count)
-        }
         self.on_decision = on_decision
         self.journal = journal
         self._telemetry = telemetry
@@ -429,7 +420,7 @@ class Gateway:
     def _capacity(self) -> lifecycle.CapacityOps:
         """How the shared lifecycle rules reach the shards' capacity."""
         c = self.coordinator
-        return lifecycle.CapacityOps(c.release_pair, c.restore_pair, c.overcommit_on, c.pair_view)
+        return lifecycle.CapacityOps(c.release_pair, c.restore_pair, c.overcommit_on, c)
 
     # ------------------------------------------------------------------
     # Causal tracing (observability only: never touches decisions,
@@ -901,9 +892,9 @@ class Gateway:
         the live peaks; the mark deliberately keeps the worst proximity
         the run ever reached.
         """
-        for profile, cap in (self._peaks["ingress", ingress], self._peaks["egress", egress]):
-            if cap > 0 and profile.global_max() / cap > self._overcommit_hwm:
-                self._overcommit_hwm = profile.global_max() / cap
+        for port in self.coordinator.ports(ingress, egress):
+            if port.capacity > 0 and port.usage.global_max() / port.capacity > self._overcommit_hwm:
+                self._overcommit_hwm = port.usage.global_max() / port.capacity
 
     # ------------------------------------------------------------------
     # Chaos accounting (channel counters → stats + telemetry deltas)

@@ -4,9 +4,10 @@ A request whose ingress and egress live on different shards must change
 two brokers' slices consistently.  The coordinator runs presumed-abort
 two-phase commit:
 
-1. **search** — earliest-fit over a :class:`~repro.gateway.view.PairLedgerView`
-   stitching the two authoritative slices (shard-local pairs skip the
-   protocol entirely and book atomically on their broker);
+1. **search** — earliest-fit over the pair's two authoritative
+   :class:`~repro.core.ledger.Port`\\ s, one from each owning broker
+   (shard-local pairs skip the protocol entirely and book atomically on
+   their broker);
 2. **prepare** — pin the chosen rate on the ingress broker, then the
    egress broker, as :class:`~repro.gateway.broker.Hold`\\ s with a TTL;
 3. **commit** — both holds become committed bookings; or **abort** —
@@ -60,6 +61,7 @@ from ..core.booking import FitProbe, RejectReason, admission_search, deadline_to
 from ..core.booking import earliest_fit  # noqa: F401
 from ..core.errors import ConfigurationError, InternalInvariantError
 from ..core.capacity import fits_under
+from ..core.ledger import Port
 from ..core.profile import RateProfile
 from ..core.request import Request
 from ..obs.causal import child_of
@@ -67,7 +69,6 @@ from ..schedulers.retry import BackoffSchedule
 from .broker import BrokerUnavailable, Hold, ShardBroker
 from .rpc import Channel, ChannelTimeout, ChaosPolicy, ShardUnreachable
 from .sharding import ShardMap
-from .view import PairLedgerView
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..obs.causal import CausalObserver, TraceContext
@@ -134,6 +135,15 @@ class TwoPhaseCoordinator:
         self.channels = [
             Channel(broker, policy=chaos, observer=observer) for broker in brokers
         ]
+        platform = shard_map.platform
+        #: Every port of the platform, fetched from its owning broker once:
+        #: what :meth:`ports` hands the searches.
+        self._ingress_ports = [
+            self.broker_for("ingress", p).port("ingress", p) for p in range(platform.num_ingress)
+        ]
+        self._egress_ports = [
+            self.broker_for("egress", p).port("egress", p) for p in range(platform.num_egress)
+        ]
 
     # ------------------------------------------------------------------
     def broker_for(self, side: str, port: int) -> ShardBroker:
@@ -143,6 +153,12 @@ class TwoPhaseCoordinator:
     def channel_for(self, side: str, port: int) -> Channel:
         """The channel to the broker owning ``port`` on ``side``."""
         return self.channels[self.shard_map.shard_of(side, port)]
+
+    def ports(self, ingress: int, egress: int) -> tuple[Port, Port]:
+        """The pair's two ports, each its owning broker's (read-only here):
+        the coordinator is the :class:`~repro.core.booking.LedgerView` its
+        searches run on."""
+        return self._ingress_ports[ingress], self._egress_ports[egress]
 
     def reserve(
         self,
@@ -169,9 +185,9 @@ class TwoPhaseCoordinator:
         egress_broker = self.broker_for("egress", request.egress)
         hit = None
         if profile is None:
-            hit = self._fastpath(request, rate_for, ingress_broker, egress_broker)
+            hit = self._fastpath(request, rate_for)
         allocation, probe = hit if hit is not None else admission_search(
-            self.pair_view(request.ingress, request.egress),
+            self,
             request,
             rate_for,
             profile=profile,
@@ -200,8 +216,6 @@ class TwoPhaseCoordinator:
         self,
         request: Request,
         rate_for: Callable[[float], float | None],
-        ingress_broker: ShardBroker,
-        egress_broker: ShardBroker,
     ) -> tuple[Allocation | None, FitProbe] | None:
         """Answer from the ports' cached all-time peaks when conclusive
         (``None`` when only the full search can tell).
@@ -216,9 +230,8 @@ class TwoPhaseCoordinator:
         latest = request.t_end - request.min_duration
         if latest < earliest:
             return None, FitProbe(reason=RejectReason.WINDOW_INFEASIBLE)
-        if ingress_broker.has_degradations(
-            "ingress", request.ingress
-        ) or egress_broker.has_degradations("egress", request.egress):
+        port_in, port_out = self.ports(request.ingress, request.egress)
+        if port_in.reductions is not None or port_out.reductions is not None:
             return None
         bw = rate_for(earliest)
         if bw is None or bw <= 0:
@@ -226,15 +239,9 @@ class TwoPhaseCoordinator:
         tau = earliest + request.volume / bw
         if tau > request.t_end + deadline_tolerance(request.t_end):
             return None
-        platform = ingress_broker.platform
-        cap_in = platform.bin(request.ingress)
-        cap_out = platform.bout(request.egress)
-        in_peak = ingress_broker.cached_peak("ingress", request.ingress)
-        out_peak = egress_broker.cached_peak("egress", request.egress)
-        if not fits_under(in_peak, bw, cap_in):
-            return None
-        if not fits_under(out_peak, bw, cap_out):
-            return None
+        for port in (port_in, port_out):
+            if not fits_under(max(0.0, port.usage.global_max()), bw, port.capacity):
+                return None
         return Allocation.for_request(request, bw, sigma=earliest), FitProbe(candidates=1)
 
     # ------------------------------------------------------------------
@@ -552,12 +559,3 @@ class TwoPhaseCoordinator:
     def overcommit_on(self, side: str, port: int, t0: float, t1: float) -> float:
         """Worst ``usage − capacity`` on one port, asked of its owning broker."""
         return self.broker_for(side, port).overcommit_on(side, port, t0, t1)
-
-    def pair_view(self, ingress: int, egress: int) -> PairLedgerView:
-        """A read view of one pair stitched from its owning brokers."""
-        return PairLedgerView(
-            self.broker_for("ingress", ingress),
-            self.broker_for("egress", egress),
-            ingress,
-            egress,
-        )

@@ -39,8 +39,10 @@ def parse_submission(body: Any, ctx: RequestContext) -> tuple[dict[str, Any], fl
     if not isinstance(body, dict):
         raise HttpError(400, "submission must be a JSON object")
     try:
-        ingress = int(body["ingress"])
-        egress = int(body["egress"])
+        ingress, egress = body["ingress"], body["egress"]
+        # int() would book port 2 for 2.7, port 1 for true and for "1".
+        if type(ingress) is not int or type(egress) is not int:
+            raise TypeError("ingress and egress must be JSON integers")
         volume = float(body["volume"])
         deadline = float(body["deadline"])
         max_rate = body.get("max_rate")

@@ -80,7 +80,9 @@ class HttpRequest:
             return None
         try:
             return json.loads(self.body)
-        except ValueError as exc:  # JSONDecodeError, bad UTF-8, oversized integer literal
+        # ValueError: JSONDecodeError, bad UTF-8, oversized integer literal;
+        # RecursionError: brackets nested deeper than the interpreter's stack.
+        except (ValueError, RecursionError) as exc:
             raise HttpError(400, f"request body is not valid JSON: {exc}") from exc
 
     def header(self, name: str, default: str | None = None) -> str | None:

@@ -1,6 +1,6 @@
 """The one admission cascade (``core.booking.admission_search``), on the two
-views that serve it: the service's ``PortLedger`` and a cross-shard
-``PairLedgerView`` holding the same bookings.  Pins which probe comes back —
+stores that serve it: the service's ``PortLedger`` and a two-shard
+``TwoPhaseCoordinator`` holding the same bookings.  Pins which probe comes back —
 the part the two planes used to write out separately."""
 
 import pytest
@@ -8,8 +8,7 @@ import pytest
 from repro.core import Platform, PortLedger, Request, booking
 from repro.core.booking import RejectReason, admission_search
 from repro.core.profile import RateProfile
-from repro.gateway import ShardBroker, ShardMap
-from repro.gateway.view import PairLedgerView
+from repro.gateway import ShardBroker, ShardMap, TwoPhaseCoordinator
 
 PLATFORM = Platform.uniform(2, 2, 100.0)
 INGRESS, EGRESS = 0, 1  # with two shards: owned by broker 0 and broker 1
@@ -31,9 +30,8 @@ def cross_shard_view(bookings):
     for step in bookings:
         brokers[0].restore("ingress", INGRESS, (step,))
         brokers[1].restore("egress", EGRESS, (step,))
-    view = PairLedgerView(brokers[0], brokers[1], INGRESS, EGRESS)
-    assert not view.is_local
-    return view
+    assert not shard_map.is_local(INGRESS, EGRESS)
+    return TwoPhaseCoordinator(brokers, shard_map)
 
 
 pytestmark = pytest.mark.parametrize("make_view", [ledger_view, cross_shard_view])

@@ -195,6 +195,14 @@ class TestGL004LedgerEncapsulation:
         )
         assert len(_active(report, "GL004")) == 1
 
+    def test_fires_on_foreign_port_profile_write(self, tmp_path):
+        source = "def f(port, tl):\n    port.usage = tl\n    port.reductions = None\n"
+        report = _scan(tmp_path / "hack", source, filename="gateway/twophase.py")
+        assert len(_active(report, "GL004")) == 2
+        for owner in ("core/ledger.py", "gateway/broker.py"):
+            report = _scan(tmp_path / owner.replace("/", "_"), source, filename=owner)
+            assert _active(report, "GL004") == []
+
     def test_fires_on_reservation_stamp_write(self, tmp_path):
         report = _scan(
             tmp_path,
@@ -394,7 +402,7 @@ class TestGL008ShardLedgerOwnership:
         report = _scan(
             tmp_path,
             "def f(broker):\n"
-            "    broker._owned_ledger.allocate(0, 0, 0.0, 1.0, 5.0)\n",
+            '    broker._ports["ingress", 0].usage.add(0.0, 1.0, 5.0)\n',
             filename="schedulers/hack.py",
         )
         assert len(_active(report, "GL008")) == 1
@@ -430,7 +438,7 @@ class TestGL008ShardLedgerOwnership:
         source = (
             "class ShardBroker:\n"
             "    def book(self):\n"
-            "        self._owned_ledger.allocate(0, 0, 0.0, 1.0, 5.0)\n"
+            '        self._ports["ingress", 0].usage.add(0.0, 1.0, 5.0)\n'
             "        self._holds[0] = None\n"
         )
         for owner in ("gateway/broker.py", "gateway/twophase.py"):
@@ -440,21 +448,21 @@ class TestGL008ShardLedgerOwnership:
     def test_allowlisted_under_tests(self, tmp_path):
         report = _scan(
             tmp_path,
-            "def test_f(broker):\n    broker._owned_ledger.allocate(0, 0, 0.0, 1.0, 5.0)\n",
+            'def test_f(broker):\n    broker._ports["ingress", 0].usage.add(0.0, 1.0, 5.0)\n',
             filename="tests/test_x.py",
         )
         assert _active(report, "GL008") == []
 
     def test_fires_on_foreign_segment_mutators(self, tmp_path):
-        # The malleable-transfer verbs mutate the owned ledger just as
-        # surely as the constant-rate ones: same single-writer rule.
+        # Batched steps, a degradation and dropping a port mutate the owned
+        # slice just as surely as one add: same single-writer rule.
         report = _scan(
             tmp_path,
             """\
             def f(broker, segs):
-                broker._owned_ledger.allocate_segments(0, 0, segs)
-                broker._owned_ledger.release_segments(0, 0, segs)
-                broker._owned_ledger.restore("ingress", 0, segs)
+                broker._ports["ingress", 0].usage.add_batch(segs)
+                broker._ports["ingress", 0].degrade(0.0, 1.0, 5.0)
+                broker._ports.pop(("ingress", 0))
             """,
             filename="schedulers/hack.py",
         )
@@ -464,7 +472,7 @@ class TestGL008ShardLedgerOwnership:
         report = _scan(
             tmp_path,
             "def f(broker):\n"
-            "    broker._owned_ledger.allocate(0, 0, 0.0, 1.0, 5.0)"
+            '    broker._ports["ingress", 0].usage.add(0.0, 1.0, 5.0)'
             "  # gridlint: disable=GL008 -- drill rigging\n",
         )
         assert _active(report, "GL008") == []
@@ -723,7 +731,7 @@ class TestEndToEnd:
                     jitter = random.random()
                     same = t_end == deadline
                     ledger._ingress[0] = None
-                    broker._owned_ledger.allocate(0, 0, 0.0, 1.0, 5.0)
+                    broker._ports["ingress", 0].usage.add(0.0, 1.0, 5.0)
                     broker.timeline("ingress", 0)._values[0] = 99.0
                     broker.book_pair(0, 0, 0.0, 1.0, 5.0)
                     journal.append("op", now, entry=entry)

@@ -4,22 +4,25 @@
 remembered blocker instead of probing the ledger (``docs/CAPACITY.md``,
 "How the search skips").  The oracle below is the walk it replaced,
 written out: candidates from each port's *whole* ``breakpoints()``, every
-candidate through ``ledger.fits``.  On seeded random ledgers — plain,
-one side degraded, both sides degraded; a ``PortLedger`` and the
-gateway's stitched ``PairLedgerView`` — and under every bandwidth policy
-plus a deliberately non-monotone ``rate_for``, both must return equal
-``Allocation``s and equal ``FitProbe``s (candidate count, reason, both
-headrooms).  The policies are handed over as ``policy.bind(request)``, so
-they take the monotone jump (starts under a blocker are not even visited);
-the non-monotone closure declares nothing and is the per-candidate control.
+candidate put to both of the pair's ``Port``\\ s.  On seeded random ledgers
+— plain, one side degraded, both sides degraded; a ``PortLedger`` and the
+gateway's ``TwoPhaseCoordinator`` over two shard brokers — and under every
+bandwidth policy plus a deliberately non-monotone ``rate_for``, both must
+return equal ``Allocation``s and equal ``FitProbe``s (candidate count,
+reason, both headrooms).  The policies are handed over as
+``policy.bind(request)``, so they take the monotone jump (starts under a
+blocker are not even visited); the non-monotone closure declares nothing
+and is the per-candidate control.
 
 A degraded port answers a failed probe with the empty blocker
-``(t0, t0)``: nothing is skipped there, every candidate is visited and
-probed as before.  ``test_degraded_pairs_probe_every_candidate`` pins that
-this is what happens, and the differential cases pin that it decides
-identically.  The finish-edge tests build the ledgers on which the jump
-must *not* be taken — a blocker beginning within the deadline tolerance of
-a probe's finish — and pin that it is not.
+``(t0, t0)`` — for itself only: while it is what blocks, nothing is skipped
+and every candidate is visited and probed; when its healthy peer blocks, the
+peer's real interval comes back and the jump is taken.  The two
+``test_degraded_pair*`` cases pin that this is what happens, and the
+differential cases pin that it decides identically.  The finish-edge tests
+build the ledgers on which the jump must *not* be taken — a blocker
+beginning within the deadline tolerance of a probe's finish — and pin that
+it is not.
 
 The last test is the deterministic work gate: probe, rate-evaluation and
 candidate counts repeat exactly, so "how many questions does a hotspot
@@ -42,8 +45,8 @@ from repro.core.booking import (
     earliest_fit,
 )
 from repro.core.allocation import Allocation
-from repro.gateway import ShardBroker, ShardMap
-from repro.gateway.view import PairLedgerView
+from repro.core.ledger import Port
+from repro.gateway import ShardBroker, ShardMap, TwoPhaseCoordinator
 from repro.schedulers.policies import FractionOfMaxPolicy, FullRatePolicy, MinRatePolicy
 
 from .conftest import CountedRule, hotspot_stream
@@ -63,11 +66,13 @@ def naive_earliest_fit(ledger, request, rate_for, *, not_before=None):
         probe.reason = RejectReason.WINDOW_INFEASIBLE
         return None, probe
     starts = {earliest}
-    points = list(ledger.ingress_timeline(request.ingress).breakpoints())
-    points.extend(ledger.egress_timeline(request.egress).breakpoints())
-    points.extend(ledger.degradation_edges("ingress", request.ingress))
-    points.extend(ledger.degradation_edges("egress", request.egress))
-    for t in points:
+    port_in, port_out = ledger.ports(request.ingress, request.egress)
+    for t in (
+        *port_in.usage.breakpoints(),
+        *port_out.usage.breakpoints(),
+        *port_in.edges(),
+        *port_out.edges(),
+    ):
         if earliest < t <= latest:
             starts.add(float(t))
     tol = deadline_tolerance(request.t_end)
@@ -80,13 +85,10 @@ def naive_earliest_fit(ledger, request, rate_for, *, not_before=None):
         tau = sigma + request.volume / bw
         if tau > request.t_end + tol:
             continue
-        if ledger.fits(request.ingress, request.egress, sigma, tau, bw):
+        if port_in.blocker(sigma, tau, bw) is None and port_out.blocker(sigma, tau, bw) is None:
             return Allocation.for_request(request, bw, sigma=sigma), probe
         if first_headroom is None:
-            first_headroom = (
-                ledger.free_capacity("ingress", request.ingress, sigma, tau),
-                ledger.free_capacity("egress", request.egress, sigma, tau),
-            )
+            first_headroom = (port_in.free_capacity(sigma, tau), port_out.free_capacity(sigma, tau))
     if first_headroom is None:
         probe.reason = RejectReason.MINRATE_EXCEEDS_MAXRATE
     else:
@@ -232,17 +234,12 @@ def test_pair_view_search_equals_naive_walk(degraded, rule):
     for seed in SEEDS[:3]:
         rng, platform, ledger, bookings, degradations = _world(seed, DEGRADED[degraded])
         shard_map, brokers = _brokers(platform, bookings, degradations)
+        coordinator = TwoPhaseCoordinator(brokers, shard_map)
         for request in _requests(rng):
-            view = PairLedgerView(
-                brokers[shard_map.shard_of("ingress", request.ingress)],
-                brokers[shard_map.shard_of("egress", request.egress)],
-                request.ingress,
-                request.egress,
-            )
-            cross_shard += not view.is_local
+            cross_shard += not shard_map.is_local(request.ingress, request.egress)
             rate_for = RATE_RULES[rule](request)
-            allocation, probe = _assert_same_search(view, request, rate_for, None)
-            # ... and the stitched view answers like the one ledger holding it all.
+            allocation, probe = _assert_same_search(coordinator, request, rate_for, None)
+            # ... and the brokers' ports answer like the one ledger holding it all.
             ledger_probe = FitProbe()
             assert earliest_fit(ledger, request, rate_for, probe=ledger_probe) == allocation
             assert ledger_probe == probe
@@ -254,55 +251,77 @@ def test_pair_view_search_equals_naive_walk(degraded, rule):
 # ----------------------------------------------------------------------
 @pytest.fixture
 def blocker_calls(monkeypatch):
-    """Counts ``PortLedger.blocker`` calls (the search's only capacity probe)."""
+    """Counts ``Port.blocker`` calls (the search's only capacity probe: one
+    per candidate the ingress port refuses, two otherwise)."""
     calls = []
-    original = PortLedger.blocker
+    original = Port.blocker
 
-    def counting(self, ingress, egress, t0, t1, bw):
+    def counting(self, t0, t1, bw):
         calls.append((t0, t1, bw))
-        return original(self, ingress, egress, t0, t1, bw)
+        return original(self, t0, t1, bw)
 
-    monkeypatch.setattr(PortLedger, "blocker", counting)
+    monkeypatch.setattr(Port, "blocker", counting)
     return calls
 
 
-def test_one_hot_segment_costs_one_probe(blocker_calls):
+def _hot_ledger():
+    """Forty breakpoints of low usage, all under one long 90 MB/s booking."""
     ledger = PortLedger(Platform.uniform(1, 1, CAPACITY))
-    # Forty breakpoints of low usage, all under one long 90 MB/s booking.
     ledger.allocate(0, 0, 0.0, 500.0, 90.0)
     for k in range(20):
         ledger.allocate(0, 0, 10.0 + 20.0 * k, 20.0 + 20.0 * k, 5.0)
+    return ledger
+
+
+def test_one_hot_segment_costs_one_probe(blocker_calls):
+    ledger = _hot_ledger()
     request = Request(
         rid=0, ingress=0, egress=0, volume=20000.0, t_start=0.0, t_end=700.0, max_rate=CAPACITY
     )
     probe = FitProbe()
+    blocker_calls.clear()  # allocate() probed too
     allocation = earliest_fit(ledger, request, probe=probe)
     # The first probe bounces off the last hot segment, [400, 500); every
     # start before 500 is failed from memory; the probe at 500 fits.
     assert allocation is not None and allocation.sigma == 500.0
     assert probe.candidates == 42
-    assert len(blocker_calls) == 2
+    assert blocker_calls == [(0.0, 700.0, 20000.0 / 700.0)] + 2 * [(500.0, 700.0, 100.0)]
 
 
-def test_degraded_pairs_probe_every_candidate(blocker_calls):
-    platform = Platform.uniform(1, 1, CAPACITY)
-    ledger = PortLedger(platform)
-    ledger.allocate(0, 0, 0.0, 500.0, 90.0)
-    for k in range(20):
-        ledger.allocate(0, 0, 10.0 + 20.0 * k, 20.0 + 20.0 * k, 5.0)
-    ledger.degrade(Degradation("egress", 0, 800.0, 900.0, 10.0))
-    assert ledger.blocker(0, 0, 0.0, 100.0, 50.0) == (0.0, 0.0)
-    blocker_calls.clear()
+def _hot_pair_search(degraded_side, blocker_calls):
+    """The hot ledger with one side degraded (outside the window: no
+    decision moves), searched once."""
+    ledger = _hot_ledger()
+    ledger.degrade(Degradation(degraded_side, 0, 800.0, 900.0, 10.0))
     request = Request(
         rid=0, ingress=0, egress=0, volume=20000.0, t_start=0.0, t_end=700.0, max_rate=CAPACITY
     )
+    blocker_calls.clear()
     probe = FitProbe()
     rule = CountedRule(MinRatePolicy().bind(request))
     allocation = earliest_fit(ledger, request, rule, probe=probe)
     assert allocation is not None and allocation.sigma == 500.0
     assert probe.candidates == 42
-    assert len(blocker_calls) == 42
+    return ledger, rule
+
+
+def test_degraded_pairs_probe_every_candidate(blocker_calls):
+    """The port that blocks is the degraded one: its empty blocker teaches
+    the walk nothing, so every candidate is visited and probed."""
+    ledger, rule = _hot_pair_search("ingress", blocker_calls)
+    # 41 starts bounce off the ingress port; the 42nd is put to both ports.
+    assert len(blocker_calls) == 41 + 2
     assert rule.calls == 42
+    assert ledger.blocker(0, 0, 0.0, 100.0, 50.0) == (0.0, 0.0)
+
+
+def test_degraded_pair_blocked_by_its_healthy_port_still_jumps(blocker_calls):
+    """The healthy ingress port is asked first and names [400, 500): the
+    degraded egress port is only asked where the ingress port has room."""
+    ledger, rule = _hot_pair_search("egress", blocker_calls)
+    assert len(blocker_calls) == 1 + 2
+    assert rule.calls == 2
+    assert ledger.blocker(0, 0, 0.0, 100.0, 50.0) == (90.0, 100.0)
 
 
 # ----------------------------------------------------------------------
@@ -396,5 +415,6 @@ def test_hotspot_search_asks_few_questions(blocker_calls):
         candidates += probe.candidates
         evaluations += rule.calls
     assert candidates / searches >= 50
+    # Port questions: up to two per probe, two more when the booking commits.
     assert len(blocker_calls) / searches <= 8
     assert evaluations / searches <= 8

@@ -119,8 +119,8 @@ class TestShardBroker:
         broker = self.make()
         broker.degrade(Degradation(side="ingress", port=0, t0=0.0, t1=50.0, amount=800.0))
         assert broker.has_degradations("ingress", 0)
-        assert not broker.fits_side("ingress", 0, 0.0, 10.0, 300.0)
-        assert broker.fits_side("ingress", 0, 0.0, 10.0, 150.0)
+        assert not broker.fits_side("ingress", 0, ((0.0, 10.0, 300.0),))
+        assert broker.fits_side("ingress", 0, ((0.0, 10.0, 150.0),))
 
 
 class TestCachedPeak:

@@ -14,7 +14,8 @@ Two guarantees the gateway design leans on:
 
 And one the shard / batch knobs lean on: under FIFO they change *where* an
 admission is decided, never *what* — every decision and every journal
-byte below the header is the unsharded, unbatched run's.
+byte below the header is the unsharded, unbatched run's — on a uniform
+platform and on one with unequal capacities and degraded ports.
 """
 
 import numpy as np
@@ -190,12 +191,34 @@ def wave_workload():
     return submissions
 
 
-def run_waves(shards, batch):
+UNIFORM = (Platform.uniform(16, 16, CAP), {})
+#: Unequal capacities on the two sides of most pairs, and a capacity cut at
+#: the opening of four waves: (wave, side, port, amount).
+UNEVEN_DEGRADED = (
+    Platform(
+        [CAP if p % 3 else 0.4 * CAP for p in range(16)],
+        [0.7 * CAP + 40.0 * p for p in range(16)],
+    ),
+    {
+        3: ("ingress", 1, 600.0),
+        9: ("egress", 3, 500.0),
+        15: ("ingress", 6, 300.0),
+        22: ("egress", 12, 900.0),
+    },
+)
+
+
+def run_waves(shards, batch, world=UNIFORM):
     """``(decisions, journal below its header, stats)`` of one configuration."""
-    gateway = Gateway(
-        Platform.uniform(16, 16, CAP), num_shards=shards, batch_size=batch, journal=Journal()
-    )
-    for fields in wave_workload():
+    platform, cuts = world
+    gateway = Gateway(platform, num_shards=shards, batch_size=batch, journal=Journal())
+    for k, fields in enumerate(wave_workload()):
+        if k % 8 == 0 and k // 8 in cuts:
+            side, port, amount = cuts[k // 8]
+            now = fields["now"]
+            gateway.degrade(
+                side=side, port=port, amount=amount, start=now, end=now + 400.0, now=now
+            )
         gateway.submit(**fields)
     gateway.drain(gateway.now)
     assert gateway.pending() == 0
@@ -207,15 +230,41 @@ def run_waves(shards, batch):
 
 
 def test_shard_and_batch_sweep_never_changes_a_decision_or_a_journal_byte():
-    decisions, journal, stats = run_waves(1, 1)
-    assert len(decisions) == 320
-    assert 0 < stats.accepted < 320 and stats.fastpath_hits > 0  # not vacuous
-    for shards in (1, 2, 4, 8):
-        for batch in (1, 4, 8):
-            swept, swept_journal, swept_stats = run_waves(shards, batch)
-            assert swept == decisions, (shards, batch)
-            assert swept_journal == journal, (shards, batch)
-            assert (swept_stats.cross_shard > 0) == (shards > 1)
+    for world in (UNIFORM, UNEVEN_DEGRADED):
+        decisions, journal, stats = run_waves(1, 1, world)
+        assert len(decisions) == 320
+        assert 0 < stats.accepted < 320 and stats.fastpath_hits > 0  # not vacuous
+        assert (stats.displaced > 0) == bool(world[1])
+        for shards in (1, 2, 4, 8):
+            for batch in (1, 4, 8):
+                swept, swept_journal, swept_stats = run_waves(shards, batch, world)
+                assert swept == decisions, (shards, batch)
+                assert swept_journal == journal, (shards, batch)
+                assert (swept_stats.cross_shard > 0) == (shards > 1)
+                assert swept_stats.twophase_aborts == 0
+
+
+def test_degraded_port_of_an_unequal_pair_decides_alike_on_every_plane():
+    """The slack of Eq. 1 is the port's own.  A request 5e-9 (relative) over
+    what a degraded 100 MB/s port has left sits inside ``1000 · ε`` of its
+    peer and outside its own ``100 · ε``: the search and the placement
+    used to read it differently, so one shard accepted what two refused
+    after a two-phase abort."""
+    platform = Platform([100.0] * 4, [1000.0] * 4)
+    cut = {"side": "ingress", "port": 0, "amount": 50.0, "start": 0.0, "end": 1000.0, "now": 0.0}
+    volume = (50.0 + 5e-7) * 100.0
+    ask = {"ingress": 0, "egress": 1, "volume": volume, "deadline": 100.0, "now": 0.0}
+    service = ReservationService(platform)
+    service.degrade(**cut)
+    expected = service.submit(**ask)
+    assert not expected.confirmed
+    for shards in (1, 2, 4):
+        gateway = Gateway(platform, num_shards=shards)
+        gateway.degrade(**cut)
+        ticket = gateway.submit(**ask)
+        gateway.drain(0.0)
+        assert (ticket.confirmed, ticket.reject_reason) == (False, expected.reject_reason)
+        assert gateway.stats.twophase_aborts == 0
 
 
 class TestShardedNoOvercommit:

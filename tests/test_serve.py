@@ -70,7 +70,11 @@ HOSTILE_NUMBERS = [
     ("at", [1]),
     ("max_rate", "x"),
     ("max_rate", [1]),
-    ("ingress", INF),  # int(inf) is an OverflowError, not a ValueError
+    ("ingress", INF),
+    # int() took these for ports 2, 1 and 1.
+    ("ingress", 2.7),
+    ("ingress", True),
+    ("egress", "1"),
     ("volume", 10**400),  # float(10**400) likewise
 ]
 
@@ -122,6 +126,33 @@ class TestHttpWireFormat:
         with pytest.raises(HttpError) as err:
             HttpRequest(method="POST", path="/", query={}, headers={}, body=raw).json()
         assert err.value.status == 400
+
+    def test_brackets_nested_past_the_stack_are_400_on_the_socket(self):
+        """200 KB of ``[[[[…`` is a ``RecursionError`` out of ``json.loads``,
+        not a ``ValueError``: it used to kill the connection task unanswered
+        and uncounted."""
+        nested = b"[" * 100_000 + b"]" * 100_000
+
+        async def main():
+            app = make_app()
+            client = await serving(app)
+            try:
+                head = f"POST /v1/reservations HTTP/1.1\r\nContent-Length: {len(nested)}\r\n\r\n"
+                bad = await asyncio.wait_for(client._roundtrip(head.encode() + nested), 10.0)
+                assert bad.status == 400 and "not valid JSON" in bad.json()["error"]
+                # Same connection, still serving, and the refusal was counted.
+                good = await client.request("POST", "/v1/reservations", payload=body())
+                assert good.status in (200, 201) and client.reconnects == 0
+                text = (await client.request("GET", "/metrics")).body.decode()
+                assert (
+                    'serve_requests_total{endpoint="/v1/reservations",method="POST",status="400"} 1'
+                    in text
+                )
+            finally:
+                await client.close()
+                await app.drain()
+
+        run(main())
 
     def test_chunked_refused(self):
         raw = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
