@@ -9,8 +9,13 @@ call.  An out-of-band write — ``ledger._ingress[i] = ...``,
 capacity checks and desynchronises journal replay from reality.
 
 The rule flags assignments (plain, augmented, or subscripted) to the known
-internal attributes outside their owning modules.  Ownership is by path
-suffix, so fixture trees mirroring the layout exercise the rule too.
+internal attributes outside their owning modules, and mutating calls
+(``add`` / ``add_batch``) made through a port's ``usage`` or
+``reductions`` profile outside :mod:`repro.core.ledger`: a
+``port.usage.add(...)`` books capacity no Eq. 1 probe saw, and
+:meth:`Port.add <repro.core.ledger.Port.add>` is the one writer.
+Ownership is by path suffix, so fixture trees mirroring the layout
+exercise the rule too.
 """
 
 from __future__ import annotations
@@ -27,11 +32,11 @@ __all__ = ["LedgerEncapsulationRule"]
 #: attribute → path suffixes of the modules allowed to write it.
 _PROTECTED: dict[str, tuple[str, ...]] = {
     # PortLedger's port lists and a Port's usage/reduction profiles (slots
-    # of repro.core.ledger; a shard broker holds Ports too).
+    # of repro.core.ledger; a shard broker holds Ports and goes through them).
     "_ingress": ("core/ledger.py", "core/booking.py"),
     "_egress": ("core/ledger.py", "core/booking.py"),
-    "usage": ("core/ledger.py", "gateway/broker.py"),
-    "reductions": ("core/ledger.py", "gateway/broker.py"),
+    "usage": ("core/ledger.py",),
+    "reductions": ("core/ledger.py",),
     # Reservation lifecycle stamps (owned by the lifecycle core both
     # admission planes — the service and the gateway — call).
     "cancelled_at": ("control/lifecycle.py",),
@@ -48,6 +53,19 @@ _PROTECTED: dict[str, tuple[str, ...]] = {
     # use the surgery verbs (shift/head_until/tail_from/concat) instead.
     "_segments": ("core/",),
 }
+
+
+#: Calls that mutate a capacity profile reached through ``usage`` /
+#: ``reductions``.
+_PROFILE_MUTATORS = frozenset({"add", "add_batch"})
+
+
+def _owned(module: Module, owners: tuple[str, ...]) -> bool:
+    # Owner suffixes ending in "/" own a whole package.
+    return any(
+        suffix in module.relpath if suffix.endswith("/") else module.relpath.endswith(suffix)
+        for suffix in owners
+    )
 
 
 def _assignment_targets(node: ast.AST) -> list[ast.expr]:
@@ -68,6 +86,20 @@ class LedgerEncapsulationRule(Rule):
 
     def check(self, module: Module) -> Iterable[Finding]:
         for node in ast.walk(module.tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _PROFILE_MUTATORS
+                and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr in ("usage", "reductions")
+                and not _owned(module, _PROTECTED[node.func.value.attr])
+            ):
+                yield self.finding(
+                    module,
+                    node,
+                    f"call {node.func.value.attr}.{node.func.attr}() outside core/ledger.py "
+                    "bypasses the Eq. 1 probe; go through Port.add",
+                )
             for target in _assignment_targets(node):
                 # Unwrap subscript writes: ledger._ingress[i] = tl.
                 inner = target.value if isinstance(target, ast.Subscript) else target
@@ -75,14 +107,7 @@ class LedgerEncapsulationRule(Rule):
                     continue
                 attr = inner.attr
                 owners = _PROTECTED.get(attr)
-                if owners is None:
-                    continue
-                # Owner suffixes ending in "/" own a whole package.
-                if any(
-                    suffix in module.relpath if suffix.endswith("/")
-                    else module.relpath.endswith(suffix)
-                    for suffix in owners
-                ):
+                if owners is None or _owned(module, owners):
                     continue
                 # Class-body definitions (dataclass fields) are declarations,
                 # not writes on a foreign object.

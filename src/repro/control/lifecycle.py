@@ -28,7 +28,7 @@ from ..core.capacity import CAPACITY_SLACK
 from ..core.errors import ConfigurationError, InternalInvariantError, InvalidRequestError
 from ..core.ledger import Degradation
 from ..core.platform import Platform
-from ..core.profile import RateProfile
+from ..core.profile import RateProfile, Segment
 from ..core.request import Request
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
@@ -51,9 +51,6 @@ __all__ = [
     "reshape_tail",
     "terminate",
 ]
-
-Segments = tuple[tuple[float, float, float], ...]
-
 
 class ReservationState(enum.Enum):
     """Lifecycle of a reservation."""
@@ -140,10 +137,10 @@ class CapacityOps(NamedTuple):
     ``PortLedger`` (service) or ``TwoPhaseCoordinator`` (gateway)."""
 
     #: ``(ingress, egress, segments)`` — give committed segments back.
-    release: Callable[[int, int, Segments], None]
+    release: Callable[[int, int, tuple[Segment, ...]], None]
     #: ``(ingress, egress, segments)`` — re-add them with no capacity probe
     #: (a rolled-back tail may sit in an already degraded region).
-    restore: Callable[[int, int, Segments], None]
+    restore: Callable[[int, int, tuple[Segment, ...]], None]
     #: ``(side, port, t0, t1)`` — worst ``usage − capacity`` on one port.
     overcommit_on: Callable[[str, int, float, float], float]
     #: The store itself, as the shaping search reads it.
@@ -219,14 +216,10 @@ def new_degradation(
     return degradation
 
 
-def _unconsumed(alloc: Allocation, now: float) -> Segments:
+def _unconsumed(alloc: Allocation, now: float) -> tuple[Segment, ...]:
     """The segments of ``[max(now, σ), τ)`` an allocation still holds."""
     start = max(now, alloc.sigma)
-    if start >= alloc.tau:
-        return ()
-    if alloc.profile is None:
-        return ((start, alloc.tau, alloc.bw),)
-    return alloc.profile.tail_from(start).segments
+    return tuple((max(start, t0), t1, rate) for t0, t1, rate in alloc.segments() if t1 > start)
 
 
 def release_tail(alloc: Allocation, now: float, release: Callable[..., None]) -> float:
@@ -298,12 +291,7 @@ def reshape_tail(reservation: Reservation, now: float, capacity: CapacityOps) ->
     if shaped is None:
         capacity.restore(alloc.ingress, alloc.egress, old_tail)
         return False
-    if alloc.profile is not None:
-        head = alloc.profile.head_until(release_from)
-    elif release_from > alloc.sigma:
-        head = RateProfile.constant(alloc.sigma, release_from, alloc.bw)
-    else:
-        head = RateProfile(())
+    head = RateProfile(alloc.segments()).head_until(release_from)
     capacity.restore(alloc.ingress, alloc.egress, shaped.segments)
     reservation.allocation = alloc.with_profile(head.concat(shaped))
     return True

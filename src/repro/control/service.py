@@ -244,13 +244,10 @@ class ReservationService:
         if allocation is None:
             return None, probe
         a = allocation
-        if a.profile is None:
-            self._ledger.allocate(a.ingress, a.egress, a.sigma, a.tau, a.bw)
-        else:
-            # A client's shape is probed again; a shaped one fits by construction.
-            self._ledger.allocate_segments(
-                a.ingress, a.egress, a.segments(), check=profile is not None
-            )
+        # A client's shape is probed again; a shaped one fits by construction.
+        self._ledger.allocate_segments(
+            a.ingress, a.egress, a.segments(), check=a.profile is None or profile is not None
+        )
         self._note_port_peaks(a)
         return a, probe
 

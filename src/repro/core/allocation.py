@@ -64,7 +64,8 @@ class Allocation:
         """The rate steps this allocation commits on both its ports.
 
         Constant-rate allocations report their single ``(σ, τ, bw)``
-        segment, so capacity bookkeeping can be written profile-first.
+        segment: this is the only shape in which a booking reaches
+        capacity state, on every plane.
         """
         if self.profile is not None:
             return self.profile.segments
@@ -242,14 +243,7 @@ class ScheduleResult:
         """Replay the accepted allocations into a fresh (unchecked) ledger."""
         ledger = PortLedger(platform)
         for alloc in self.accepted.values():
-            if alloc.profile is None:
-                ledger.allocate(
-                    alloc.ingress, alloc.egress, alloc.sigma, alloc.tau, alloc.bw, check=False
-                )
-            else:
-                ledger.allocate_segments(
-                    alloc.ingress, alloc.egress, alloc.profile.segments, check=False
-                )
+            ledger.allocate_segments(alloc.ingress, alloc.egress, alloc.segments(), check=False)
         return ledger
 
     # ------------------------------------------------------------------

@@ -13,6 +13,11 @@ Schedulers use the ledger in two modes:
   ``(ingress, egress)`` over ``[t0, t1)`` stay within both capacities?
 - *mutate* (``allocate`` / ``release``): commit or return bandwidth.
 
+Both are the one-segment case of the stepwise forms
+(``allocate_segments`` / ``release_segments``): a booking reaches capacity
+state as a tuple of ``(t0, t1, rate)`` segments, and :meth:`Port.fits` /
+:meth:`Port.add` are the only probe and the only writer of a port's usage.
+
 Capacities may be **time-varying**: :meth:`PortLedger.degrade` registers a
 capacity reduction over an interval (a maintenance window, a partial link
 failure, or a full outage when the reduction equals the port capacity).
@@ -26,13 +31,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping, Sequence
 from typing import Any
 
 from .capacity import CAPACITY_SLACK, CapacityProfile, make_profile
 from .capacity import carried_volume as _kernel_carried_volume
 from .errors import CapacityError, ConfigurationError
 from .platform import Platform
+from .profile import Segment
 
 __all__ = ["Port", "PortLedger", "Degradation", "CAPACITY_SLACK"]
 
@@ -80,7 +86,8 @@ class Port:
     capacity it has lost to registered degradations.
 
     The only place the degradation-aware Eq. 1 test and its slack
-    (``capacity · CAPACITY_SLACK``, the port's own) are written:
+    (``capacity · CAPACITY_SLACK``, the port's own) are written, and —
+    through :meth:`add` — the only writer of its usage:
     :class:`PortLedger` and the gateway's shard brokers both hold their
     state as ``Port``\\ s and the book-ahead searches query them directly.
     """
@@ -155,6 +162,23 @@ class Port:
         if self.free_capacity(t0, t1) + self.capacity * CAPACITY_SLACK < bw:
             return (t0, t0)
         return None
+
+    def fits(self, segments: Sequence[Segment]) -> bool:
+        """Would every ``(t0, t1, rate)`` step fit?  Steps do not overlap,
+        so each is an independent :meth:`blocker` probe."""
+        return all(self.blocker(t0, t1, rate) is None for t0, t1, rate in segments)
+
+    def add(self, segments: Sequence[Segment], sign: float = 1.0) -> None:
+        """Commit (``sign=1``) or return (``sign=-1``) ``(t0, t1, rate)``
+        steps, unprobed: the only writer of :attr:`usage`.
+
+        A negative rate raises :class:`CapacityError` before any step lands.
+        """
+        for _, _, rate in segments:
+            if rate < 0:
+                raise CapacityError(f"negative rate {rate}")
+        for t0, t1, rate in segments:
+            self.usage.add(t0, t1, sign * rate)
 
     def max_overcommit(self) -> float:
         """Worst ``usage - capacity`` over all time."""
@@ -266,85 +290,42 @@ class PortLedger:
         )
 
     def allocate(
-        self,
-        ingress: int,
-        egress: int,
-        t0: float,
-        t1: float,
-        bw: float,
-        *,
-        check: bool = True,
+        self, ingress: int, egress: int, t0: float, t1: float, bw: float, *, check: bool = True
     ) -> None:
-        """Commit ``bw`` on the pair over ``[t0, t1)``.
-
-        With ``check=True`` (default) a :class:`CapacityError` is raised and
-        the ledger left untouched when the allocation would overflow either
-        port.
-        """
-        if bw < 0:
-            raise CapacityError(f"negative allocation {bw}")
-        if check and not self.fits(ingress, egress, t0, t1, bw):
-            raise CapacityError(
-                f"allocation of {bw} MB/s on pair ({ingress}, {egress}) over "
-                f"[{t0}, {t1}) exceeds a port capacity"
-            )
-        self._ingress[ingress].usage.add(t0, t1, bw)
-        self._egress[egress].usage.add(t0, t1, bw)
+        """Commit ``bw`` on the pair over ``[t0, t1)``: the one-segment
+        :meth:`allocate_segments`."""
+        self.allocate_segments(ingress, egress, ((t0, t1, bw),), check=check)
 
     def release(self, ingress: int, egress: int, t0: float, t1: float, bw: float) -> None:
-        """Return ``bw`` previously committed on the pair over ``[t0, t1)``."""
-        if bw < 0:
-            raise CapacityError(f"negative release {bw}")
-        self._ingress[ingress].usage.add(t0, t1, -bw)
-        self._egress[egress].usage.add(t0, t1, -bw)
+        """Return ``bw`` previously committed on the pair over ``[t0, t1)``:
+        the one-segment :meth:`release_segments`."""
+        self.release_segments(ingress, egress, ((t0, t1, bw),))
 
     # ------------------------------------------------------------------
     # Stepwise rate profiles (malleable transfers)
     # ------------------------------------------------------------------
-    def fits_segments(
-        self, ingress: int, egress: int, segments: Iterable[tuple[float, float, float]]
-    ) -> bool:
-        """True when every ``(t0, t1, rate)`` step fits on both ports.
-
-        Segments are normalized (non-overlapping), so each step is an
-        independent constant-rate check — the 1-segment case is exactly
-        :meth:`fits`, keeping constant-rate decisions byte-identical.
-        """
-        return all(self.fits(ingress, egress, t0, t1, rate) for t0, t1, rate in segments)
-
     def allocate_segments(
-        self,
-        ingress: int,
-        egress: int,
-        segments: Iterable[tuple[float, float, float]],
-        *,
-        check: bool = True,
+        self, ingress: int, egress: int, segments: Sequence[Segment], *, check: bool = True
     ) -> None:
-        """Commit a stepwise profile on the pair, all segments or none.
+        """Commit ``(t0, t1, rate)`` steps on the pair, all or none.
 
-        With ``check=True`` the whole profile is probed first and a
-        :class:`CapacityError` raised (ledger untouched) when any step
-        would overflow either port.
+        With ``check=True`` (default) every step is probed on both ports
+        first and a :class:`CapacityError` raised (ledger untouched) when
+        any would overflow either port.
         """
-        steps = tuple(segments)
-        if check and not self.fits_segments(ingress, egress, steps):
+        port_in, port_out = self._ingress[ingress], self._egress[egress]
+        if check and not (port_in.fits(segments) and port_out.fits(segments)):
             raise CapacityError(
-                f"profile of {len(steps)} segments on pair ({ingress}, {egress}) "
+                f"booking of {len(segments)} step(s) on pair ({ingress}, {egress}) "
                 f"exceeds a port capacity"
             )
-        for t0, t1, rate in steps:
-            self._ingress[ingress].usage.add(t0, t1, rate)
-            self._egress[egress].usage.add(t0, t1, rate)
+        port_in.add(segments)
+        port_out.add(segments)
 
-    def release_segments(
-        self, ingress: int, egress: int, segments: Iterable[tuple[float, float, float]]
-    ) -> None:
-        """Return a previously committed stepwise profile on the pair."""
-        for t0, t1, rate in segments:
-            if rate < 0:
-                raise CapacityError(f"negative release {rate}")
-            self._ingress[ingress].usage.add(t0, t1, -rate)
-            self._egress[egress].usage.add(t0, t1, -rate)
+    def release_segments(self, ingress: int, egress: int, segments: Sequence[Segment]) -> None:
+        """Return previously committed ``(t0, t1, rate)`` steps on the pair."""
+        self._ingress[ingress].add(segments, -1.0)
+        self._egress[egress].add(segments, -1.0)
 
     # ------------------------------------------------------------------
     def ingress_usage_at(self, i: int, t: float) -> float:

@@ -13,9 +13,12 @@ state a broker carries:
   committed bookings survive, mirroring a write-ahead-logged store that
   loses only its in-memory transaction table.
 
-Every capacity answer is the port's own (:meth:`Port.blocker
-<repro.core.ledger.Port.blocker>` and friends): the Eq. 1 test the
-monolithic :class:`~repro.core.ledger.PortLedger` makes, not a fork.
+Every capacity answer and every usage change is the port's own
+(:meth:`Port.fits <repro.core.ledger.Port.fits>` / :meth:`Port.add
+<repro.core.ledger.Port.add>`): the Eq. 1 test and the writes the
+monolithic :class:`~repro.core.ledger.PortLedger` makes, not a fork.  A
+booking arrives as its ``(t0, t1, rate)`` segments, one for a constant
+rate.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 from ..core.capacity import CapacityProfile
 from ..core.errors import CapacityError, ConfigurationError, ReproError
 from ..core.ledger import Degradation, Port
+from ..core.profile import Segment
 from ..units import seconds_eq
 from .sharding import ShardMap
 
@@ -44,14 +48,6 @@ def hold_expired(expires: float, now: float) -> bool:
     return expires <= now or seconds_eq(expires, now)
 
 
-Segments = tuple[tuple[float, float, float], ...]
-
-
-def _steps(t0: float, t1: float, bw: float, segments: Segments | None) -> Segments:
-    """The ``(t0, t1, rate)`` steps a booking covers (one when constant)."""
-    return segments if segments is not None else ((t0, t1, bw),)
-
-
 class BrokerUnavailable(ReproError):
     """The addressed shard broker is crashed and cannot serve the call."""
 
@@ -63,23 +59,28 @@ class Hold:
     hold_id: int
     side: str
     port: int
-    t0: float
-    t1: float
-    bw: float
+    #: The ``(t0, t1, rate)`` steps pinned — one for a constant rate.
+    segments: tuple[Segment, ...]
     rid: int
     #: Absolute sim time at which an uncommitted hold self-releases — the
     #: timeout-abort that keeps a crashed *coordinator* from stranding
     #: capacity on a healthy broker.
     expires: float
-    #: Stepwise ``(t0, t1, rate)`` steps for a malleable (profile) hold;
-    #: ``None`` for the constant-rate case, where ``(t0, t1, bw)`` is the
-    #: whole story.  When present, ``t0``/``t1``/``bw`` summarise the
-    #: span and peak — idempotency keys and the wire shape are unchanged.
-    segments: Segments | None = None
 
-    def steps(self) -> Segments:
-        """The rate steps this hold pins (1-segment for constant holds)."""
-        return _steps(self.t0, self.t1, self.bw, self.segments)
+    def row(self) -> dict[str, object]:
+        """The hold's ``snapshot()`` row: span and peak rate, plus the
+        ``segments`` themselves only when there is more than one."""
+        steps = self.segments
+        return {
+            "side": self.side,
+            "port": self.port,
+            "t0": steps[0][0],
+            "t1": steps[-1][1],
+            "bw": max(rate for _, _, rate in steps),
+            "rid": self.rid,
+            "expires": self.expires,
+            **({"segments": [list(s) for s in steps]} if len(steps) > 1 else {}),
+        }
 
 
 class ShardBroker:
@@ -171,51 +172,18 @@ class ShardBroker:
         """All-time peak usage of an owned port (the kernel caches it)."""
         return max(0.0, self.port(side, port).usage.global_max())
 
-    def fits_side(self, side: str, port: int, steps: Segments) -> bool:
-        """Would every ``(t0, t1, rate)`` step fit on this owned port?
-
-        Steps are non-overlapping, so each is an independent constant-rate
-        :meth:`Port.blocker <repro.core.ledger.Port.blocker>` probe.
-        """
-        owned = self.port(side, port)
-        return all(owned.blocker(t0, t1, rate) is None for t0, t1, rate in steps)
-
-    def pair_fits(
-        self,
-        ingress: int,
-        egress: int,
-        t0: float,
-        t1: float,
-        bw: float,
-        *,
-        segments: Segments | None = None,
-    ) -> bool:
+    def pair_fits(self, ingress: int, egress: int, segments: tuple[Segment, ...]) -> bool:
         """Joint two-port fit when this shard owns *both* ports of a pair:
         what :meth:`book_pair` checks before it commits."""
-        steps = _steps(t0, t1, bw, segments)
-        return self.fits_side("ingress", ingress, steps) and self.fits_side("egress", egress, steps)
+        return self.port("ingress", ingress).fits(segments) and (
+            self.port("egress", egress).fits(segments)
+        )
 
     # ------------------------------------------------------------------
     # Mutation surface (the GL008-guarded owner of the slices)
     # ------------------------------------------------------------------
-    def _timeline_add(self, side: str, port: int, steps: Segments, sign: float = 1.0) -> None:
-        """The single point through which a slice's usage ever changes."""
-        usage = self.port(side, port).usage
-        for t0, t1, rate in steps:
-            if rate < 0:
-                raise ConfigurationError(f"negative rate {rate} on {side} port {port}")
-            usage.add(t0, t1, sign * rate)
-
     def book_pair(
-        self,
-        ingress: int,
-        egress: int,
-        t0: float,
-        t1: float,
-        bw: float,
-        *,
-        key: object | None = None,
-        segments: Segments | None = None,
+        self, ingress: int, egress: int, segments: tuple[Segment, ...], *, key: object | None = None
     ) -> None:
         """Atomically commit a shard-local pair booking (both ports owned).
 
@@ -225,57 +193,37 @@ class ShardBroker:
         exactly like the monolithic service.  ``key``
         (the rid, when called through a channel) makes the call
         idempotent: a duplicated delivery finds the key recorded and
-        books nothing twice.  ``segments`` books a stepwise profile
-        instead of the constant ``(t0, t1, bw)``, all steps or none.
+        books nothing twice.
         """
         self._require_up()
         if key is not None and key in self._booked:
             return
-        steps = _steps(t0, t1, bw, segments)
-        if not self.pair_fits(ingress, egress, t0, t1, bw, segments=steps):
+        if not self.pair_fits(ingress, egress, segments):
             raise CapacityError(
-                f"booking of {len(steps)} step(s) on pair ({ingress}, {egress}) over "
-                f"[{t0}, {t1}) exceeds a port capacity"
+                f"booking of {len(segments)} step(s) on pair ({ingress}, {egress}) "
+                f"exceeds a port capacity"
             )
-        self._timeline_add("ingress", ingress, steps)
-        self._timeline_add("egress", egress, steps)
+        self.port("ingress", ingress).add(segments)
+        self.port("egress", egress).add(segments)
         if key is not None:
             self._booked.add(key)
 
-    def book_side(
-        self,
-        side: str,
-        port: int,
-        t0: float,
-        t1: float,
-        bw: float,
-        *,
-        segments: Segments | None = None,
-    ) -> bool:
+    def book_side(self, side: str, port: int, segments: tuple[Segment, ...]) -> bool:
         """One half of a direct cross-shard booking: :meth:`prepare`'s
         capacity check, then committed at once with no hold.  ``False``
         (slice untouched) when the port cannot carry it."""
         self._require_up()
-        steps = _steps(t0, t1, bw, segments)
-        if not self.fits_side(side, port, steps):
+        owned = self.port(side, port)
+        if not owned.fits(segments):
             return False
-        self._timeline_add(side, port, steps)
+        owned.add(segments)
         return True
 
-    def release(
-        self,
-        side: str,
-        port: int,
-        t0: float,
-        t1: float,
-        bw: float,
-        *,
-        segments: Segments | None = None,
-    ) -> None:
+    def release(self, side: str, port: int, segments: tuple[Segment, ...]) -> None:
         """Return committed bandwidth on one owned port (cancel/abort path)."""
-        self._timeline_add(side, port, _steps(t0, t1, bw, segments), -1.0)
+        self.port(side, port).add(segments, -1.0)
 
-    def restore(self, side: str, port: int, segments: Segments) -> None:
+    def restore(self, side: str, port: int, segments: tuple[Segment, ...]) -> None:
         """Re-add segments to one owned port without a capacity probe.
 
         The malleable reshape path uses this twice: to roll a released
@@ -284,7 +232,7 @@ class ShardBroker:
         state, not ours to reject), and to commit a shaped profile that
         fits by construction.
         """
-        self._timeline_add(side, port, segments)
+        self.port(side, port).add(segments)
 
     def degrade(self, degradation: Degradation) -> None:
         """Register a capacity reduction on an owned port."""
@@ -298,16 +246,13 @@ class ShardBroker:
         self,
         side: str,
         port: int,
-        t0: float,
-        t1: float,
-        bw: float,
+        segments: tuple[Segment, ...],
         *,
         rid: int,
         expires: float,
         key: object | None = None,
-        segments: Segments | None = None,
     ) -> Hold | None:
-        """Phase one: pin ``bw`` on one owned port, or refuse.
+        """Phase one: pin ``segments`` on one owned port, or refuse.
 
         Raises :class:`BrokerUnavailable` when the broker is crashed;
         returns ``None`` when the port cannot carry the hold (the
@@ -331,22 +276,13 @@ class ShardBroker:
             if self._resolution.get(prior.hold_id) == "committed":
                 return prior
             return None  # aborted / expired / wiped: transaction is over
-        if not self.fits_side(side, port, _steps(t0, t1, bw, segments)):
+        owned = self.port(side, port)
+        if not owned.fits(segments):
             if key is not None:
                 self._prepared[key] = None
             return None
-        hold = Hold(
-            hold_id=next(self._hold_ids),
-            side=side,
-            port=port,
-            t0=t0,
-            t1=t1,
-            bw=bw,
-            rid=rid,
-            expires=expires,
-            segments=segments,
-        )
-        self._timeline_add(side, port, hold.steps())
+        hold = Hold(next(self._hold_ids), side, port, segments, rid, expires)
+        owned.add(segments)
         self._holds[hold.hold_id] = hold
         if key is not None:
             self._prepared[key] = hold
@@ -375,7 +311,7 @@ class ShardBroker:
         hold = self._holds.pop(hold_id, None)
         if hold is None:
             return False
-        self._timeline_add(hold.side, hold.port, hold.steps(), -1.0)
+        self.port(hold.side, hold.port).add(hold.segments, -1.0)
         self._resolution[hold_id] = resolution
         return True
 
@@ -470,21 +406,7 @@ class ShardBroker:
             "shard": self.shard_id,
             "crashed": self.crashed,
             "slices": slices,
-            "holds": [
-                {
-                    "side": h.side,
-                    "port": h.port,
-                    "t0": h.t0,
-                    "t1": h.t1,
-                    "bw": h.bw,
-                    "rid": h.rid,
-                    "expires": h.expires,
-                    # Key present only for malleable holds: constant-rate
-                    # snapshots stay byte-identical to the scalar format.
-                    **({"segments": [list(s) for s in h.segments]} if h.segments is not None else {}),
-                }
-                for h in self.holds()
-            ],
+            "holds": [hold.row() for hold in self.holds()],
             "resolved": {
                 str(hold_id): outcome
                 for hold_id, outcome in sorted(self._resolution.items())

@@ -7,7 +7,7 @@ commit.  :func:`check_gateway` audits a finished (or mid-flight) gateway
 against the four invariants the design rests on:
 
 1. **No overcommit** — no port's committed usage exceeds its capacity
-   (Eq. 1 per shard slice), beyond the standard numerical slack.
+   (Eq. 1 per shard slice), beyond that port's own numerical slack.
 2. **Presumed abort** — every prepared-never-committed hold is either
    still within its TTL, or gone (released / timeout-expired / wiped);
    a hold past its tolerance-aware expiry is a zombie, and at a
@@ -104,7 +104,7 @@ def _expected_edges(gateway: Gateway) -> dict[tuple[str, int], list[tuple[float,
                 pin("egress", alloc.egress, s0, min(s1, end), rate)
     for broker in gateway.brokers:
         for hold in broker.holds():
-            for s0, s1, rate in hold.steps():
+            for s0, s1, rate in hold.segments:
                 pin(hold.side, hold.port, s0, s1, rate)
     return edges
 
@@ -135,17 +135,17 @@ def check_gateway(
     report = InvariantReport()
     violations = report.violations
 
-    # 1 — no overcommit on any shard slice.
-    platform = gateway.platform
-    caps = [platform.bin(i) for i in range(platform.num_ingress)] + [
-        platform.bout(e) for e in range(platform.num_egress)
-    ]
-    tolerance = CAPACITY_SLACK * max(1.0, max(caps, default=1.0))
-    for broker in gateway.brokers:
-        overshoot = broker.max_overcommit()
+    # 1 — no overcommit on any port, each at its own slack (the tolerance
+    # displace_overflow resolves a degradation to).
+    ports = _all_ports(gateway)
+    for side, port in ports:
+        broker = gateway.coordinator.broker_for(side, port)
+        owned = broker.port(side, port)
+        overshoot = owned.max_overcommit()
+        tolerance = CAPACITY_SLACK * max(1.0, owned.capacity)
         if overshoot > tolerance:
             violations.append(
-                f"shard {broker.shard_id}: usage exceeds capacity by "
+                f"shard {broker.shard_id}: {side} port {port} usage exceeds capacity by "
                 f"{overshoot:.6g} MB/s (tolerance {tolerance:.3g})"
             )
 
@@ -176,7 +176,6 @@ def check_gateway(
     # One sweep over each port's sorted edges, sampling between every two
     # distinct instants (and once past the last) against a running sum.
     expected = _expected_edges(gateway)
-    ports = _all_ports(gateway)
     for side, port in ports:
         edges = sorted(expected.get((side, port), ()))
         broker = gateway.coordinator.broker_for(side, port)
@@ -199,7 +198,7 @@ def check_gateway(
                 violations.append(
                     f"{side} port {port} at t={t:.6g}: ledger carries "
                     f"{got:.6g} MB/s but reservations+holds account for "
-                    f"{want:.6g} MB/s"
+                    f"{want:.6g} MB/s (off by {got - want:+.3g})"
                 )
                 break  # one sample per port is diagnosis enough
 

@@ -46,6 +46,7 @@ from typing import TYPE_CHECKING, Any, TypeVar
 from ..core.errors import ConfigurationError, ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from ..core.profile import Segment
     from ..obs.causal import CausalObserver, TraceContext
     from .broker import Hold, ShardBroker
 
@@ -523,26 +524,19 @@ class Channel:
         self,
         side: str,
         port: int,
-        t0: float,
-        t1: float,
-        bw: float,
+        segments: tuple[Segment, ...],
         *,
         rid: int,
         expires: float,
         now: float,
         ctx: TraceContext | None = None,
-        segments: tuple[tuple[float, float, float], ...] | None = None,
     ) -> Hold | None:
-        """Phase one through the channel; ``(rid, side)`` keys the replay.
-
-        ``segments`` rides the wire for malleable (stepwise-profile)
-        holds; the idempotency key is unchanged, so duplicate deliveries
-        of a profile prepare replay exactly like constant ones.
-        """
+        """Phase one through the channel; ``(rid, side)`` keys the replay,
+        whatever the number of ``segments``."""
         hold = self.deliver(
             "prepare",
             lambda: self.broker.prepare(
-                side, port, t0, t1, bw, rid=rid, expires=expires, key=(rid, side), segments=segments
+                side, port, segments, rid=rid, expires=expires, key=(rid, side)
             ),
             now=now,
             ctx=ctx,
@@ -583,19 +577,16 @@ class Channel:
         self,
         ingress: int,
         egress: int,
-        t0: float,
-        t1: float,
-        bw: float,
+        segments: tuple[Segment, ...],
         *,
         rid: int,
         now: float,
         ctx: TraceContext | None = None,
-        segments: tuple[tuple[float, float, float], ...] | None = None,
     ) -> None:
         """Shard-local atomic booking through the channel; ``rid`` keys it."""
         self.deliver(
             "book_pair",
-            lambda: self.broker.book_pair(ingress, egress, t0, t1, bw, key=rid, segments=segments),
+            lambda: self.broker.book_pair(ingress, egress, segments, key=rid),
             now=now,
             ctx=ctx,
             detail=lambda _: {"rid": rid},
@@ -605,20 +596,17 @@ class Channel:
         self,
         side: str,
         port: int,
-        t0: float,
-        t1: float,
-        bw: float,
+        segments: tuple[Segment, ...],
         *,
         now: float,
         ctx: TraceContext | None = None,
-        segments: tuple[tuple[float, float, float], ...] | None = None,
     ) -> None:
         """Compensation release — ``reliable``: modelled as a durable
         compensation record replayed until acknowledged, so undoing a
         partial commit can never itself be lost."""
         self.deliver(
             "release",
-            lambda: self.broker.release(side, port, t0, t1, bw, segments=segments),
+            lambda: self.broker.release(side, port, segments),
             now=now,
             ctx=ctx,
             reliable=True,

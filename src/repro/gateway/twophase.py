@@ -59,10 +59,10 @@ from ..core.booking import FitProbe, RejectReason, admission_search, deadline_to
 # Unused: the frozen benchmarks/stack/tracer.py (CORE_TARGETS) resolves this
 # name on this module until ROADMAP 1(b) re-baselines.
 from ..core.booking import earliest_fit  # noqa: F401
-from ..core.errors import ConfigurationError, InternalInvariantError
+from ..core.errors import ConfigurationError
 from ..core.capacity import fits_under
 from ..core.ledger import Port
-from ..core.profile import RateProfile
+from ..core.profile import RateProfile, Segment
 from ..core.request import Request
 from ..obs.causal import child_of
 from ..schedulers.retry import BackoffSchedule
@@ -259,11 +259,9 @@ class TwoPhaseCoordinator:
         ``book_side`` per owning broker, a refusal rejecting as a refused
         prepare does."""
         a = allocation
-        segments = a.segments() if a.profile is not None else None
+        segments = a.segments()
         if ingress_broker is egress_broker:
-            ingress_broker.book_pair(
-                a.ingress, a.egress, a.sigma, a.tau, a.bw, key=a.rid, segments=segments
-            )
+            ingress_broker.book_pair(a.ingress, a.egress, segments, key=a.rid)
             if ctx is not None:
                 self.channels[ingress_broker.shard_id].observe(
                     "rpc", "book_pair", now, ctx.child("book"), {"rid": a.rid}
@@ -275,9 +273,9 @@ class TwoPhaseCoordinator:
             (ingress_broker, "ingress", a.ingress, RejectReason.INGRESS_FULL),
             (egress_broker, "egress", a.egress, RejectReason.EGRESS_FULL),
         ):
-            if not broker.book_side(side, port, a.sigma, a.tau, a.bw, segments=segments):
+            if not broker.book_side(side, port, segments):
                 for peer, peer_side, peer_port in booked:
-                    peer.release(peer_side, peer_port, a.sigma, a.tau, a.bw, segments=segments)
+                    peer.release(peer_side, peer_port, segments)
                 outcome.aborted = True
                 outcome.probe.reason = full
                 return
@@ -298,19 +296,15 @@ class TwoPhaseCoordinator:
     ) -> None:
         """Shard-local placement: one atomic pair booking, no protocol."""
         book_ctx = child_of(ctx, "book")
-        segments = allocation.segments() if allocation.profile is not None else None
         try:
             self._with_retry(
                 lambda: channel.book_pair(
                     allocation.ingress,
                     allocation.egress,
-                    allocation.sigma,
-                    allocation.tau,
-                    allocation.bw,
+                    allocation.segments(),
                     rid=allocation.rid,
                     now=now,
                     ctx=book_ctx,
-                    segments=segments,
                 ),
                 outcome,
             )
@@ -339,37 +333,19 @@ class TwoPhaseCoordinator:
     ) -> None:
         """Cross-shard placement: prepare both holds, then commit both."""
         expires = now + self.hold_ttl
-        segments = allocation.segments() if allocation.profile is not None else None
+        segments = allocation.segments()
         plan = (
-            (
-                self.channel_for("ingress", allocation.ingress),
-                "ingress",
-                allocation.ingress,
-                RejectReason.INGRESS_FULL,
-            ),
-            (
-                self.channel_for("egress", allocation.egress),
-                "egress",
-                allocation.egress,
-                RejectReason.EGRESS_FULL,
-            ),
+            ("ingress", allocation.ingress, RejectReason.INGRESS_FULL),
+            ("egress", allocation.egress, RejectReason.EGRESS_FULL),
         )
         placed: list[tuple[Channel, Hold]] = []
-        for channel, side, port, full_reason in plan:
+        for side, port, full_reason in plan:
+            channel = self.channel_for(side, port)
             prepare_ctx = child_of(ctx, f"prepare:{side}")
             try:
                 hold = self._with_retry(
                     lambda c=channel, s=side, p=port, x=prepare_ctx: c.prepare(
-                        s,
-                        p,
-                        allocation.sigma,
-                        allocation.tau,
-                        allocation.bw,
-                        rid=allocation.rid,
-                        expires=expires,
-                        now=now,
-                        ctx=x,
-                        segments=segments,
+                        s, p, segments, rid=allocation.rid, expires=expires, now=now, ctx=x
                     ),
                     outcome,
                 )
@@ -458,16 +434,8 @@ class TwoPhaseCoordinator:
     ) -> None:
         """Undo committed halves of a failed transaction (never lost)."""
         for channel, hold in committed:
-            channel.release(
-                hold.side,
-                hold.port,
-                hold.t0,
-                hold.t1,
-                hold.bw,
-                now=now,
-                ctx=child_of(ctx, f"release:{hold.side}"),
-                segments=hold.segments,
-            )
+            release_ctx = child_of(ctx, f"release:{hold.side}")
+            channel.release(hold.side, hold.port, hold.segments, now=now, ctx=release_ctx)
             outcome.compensations += 1
 
     def _with_retry(self, call: Callable[[], _T], outcome: TwoPhaseOutcome) -> _T:
@@ -522,31 +490,13 @@ class TwoPhaseCoordinator:
             expired += len(broker.expire_holds(now))
         return expired
 
-    def release_pair(
-        self,
-        ingress: int,
-        egress: int,
-        segments: tuple[tuple[float, float, float], ...],
-    ) -> None:
+    def release_pair(self, ingress: int, egress: int, segments: tuple[Segment, ...]) -> None:
         """Release committed ``(t0, t1, rate)`` segments of a pair booking
         back to the owning brokers (one segment for a constant rate)."""
-        t0, t1 = segments[0][0], segments[-1][1]
-        if t1 <= t0:
-            raise InternalInvariantError(f"empty release window [{t0}, {t1})")
-        # A broker ignores the constant-rate argument when given segments.
-        self.broker_for("ingress", ingress).release(
-            "ingress", ingress, t0, t1, 0.0, segments=segments
-        )
-        self.broker_for("egress", egress).release(
-            "egress", egress, t0, t1, 0.0, segments=segments
-        )
+        self.broker_for("ingress", ingress).release("ingress", ingress, segments)
+        self.broker_for("egress", egress).release("egress", egress, segments)
 
-    def restore_pair(
-        self,
-        ingress: int,
-        egress: int,
-        segments: tuple[tuple[float, float, float], ...],
-    ) -> None:
+    def restore_pair(self, ingress: int, egress: int, segments: tuple[Segment, ...]) -> None:
         """Re-add segments on both owning brokers without a capacity probe.
 
         The reshape path's inverse of :meth:`release_pair` — used to roll

@@ -26,6 +26,9 @@ __all__ = ["handle_cancel", "handle_status", "handle_submit", "handle_submit_bat
 
 #: Refuse pathological bulk submissions before they park on the frontier.
 MAX_BATCH_SUBMISSIONS = 512
+#: Refuse pathological client profiles before they are normalised: every
+#: segment is a breakpoint each later search on the port walks past.
+MAX_PROFILE_SEGMENTS = 256
 
 
 def parse_submission(body: Any, ctx: RequestContext) -> tuple[dict[str, Any], float]:
@@ -34,7 +37,8 @@ def parse_submission(body: Any, ctx: RequestContext) -> tuple[dict[str, Any], fl
     Raises :class:`HttpError` 400 on anything the gateway would refuse as
     *malformed* (as opposed to *rejected*): missing fields, wrong types,
     non-finite numbers (``json.loads`` accepts the ``NaN`` / ``Infinity``
-    literals), non-positive volume, a deadline before the arrival instant.
+    literals), non-positive volume, a deadline before the arrival instant,
+    a profile of more than :data:`MAX_PROFILE_SEGMENTS` segments.
     """
     if not isinstance(body, dict):
         raise HttpError(400, "submission must be a JSON object")
@@ -97,6 +101,10 @@ def parse_submission(body: Any, ctx: RequestContext) -> tuple[dict[str, Any], fl
         # shapes and volume mismatches are the caller's 400, front-loaded
         # here for the same wave-mate-protection reason as the Request
         # probe above.
+        if isinstance(profile, list) and len(profile) > MAX_PROFILE_SEGMENTS:
+            raise HttpError(
+                400, f"profile of {len(profile)} segments exceeds {MAX_PROFILE_SEGMENTS}"
+            )
         try:
             wanted = RateProfile.maybe_from(profile)
         except (TypeError, ValueError) as exc:

@@ -199,9 +199,35 @@ class TestGL004LedgerEncapsulation:
         source = "def f(port, tl):\n    port.usage = tl\n    port.reductions = None\n"
         report = _scan(tmp_path / "hack", source, filename="gateway/twophase.py")
         assert len(_active(report, "GL004")) == 2
-        for owner in ("core/ledger.py", "gateway/broker.py"):
-            report = _scan(tmp_path / owner.replace("/", "_"), source, filename=owner)
-            assert _active(report, "GL004") == []
+        report = _scan(tmp_path / "owner", source, filename="core/ledger.py")
+        assert _active(report, "GL004") == []
+        # A shard broker holds Ports but no longer writes their profiles.
+        report = _scan(tmp_path / "broker", source, filename="gateway/broker.py")
+        assert len(_active(report, "GL004")) == 2
+
+    def test_fires_on_foreign_port_profile_mutation(self, tmp_path):
+        source = (
+            "def f(ledger, segs):\n"
+            '    ledger.port("ingress", 0).usage.add(0.0, 1.0, 5.0)\n'
+            '    ledger.port("egress", 1).reductions.add_batch(segs)\n'
+        )
+        for k, foreign in enumerate(("schedulers/hack.py", "gateway/broker.py")):
+            report = _scan(tmp_path / str(k), source, filename=foreign)
+            findings = _active(report, "GL004")
+            assert len(findings) == 2
+            assert "usage.add()" in findings[0].message
+        report = _scan(tmp_path / "owner", source, filename="core/ledger.py")
+        assert _active(report, "GL004") == []
+
+    def test_port_profile_mutation_suppression(self, tmp_path):
+        report = _scan(
+            tmp_path,
+            "def f(port):\n"
+            "    port.usage.add(0.0, 1.0, 5.0)  # gridlint: disable=GL004 -- drill rigging\n",
+            filename="schedulers/hack.py",
+        )
+        assert _active(report, "GL004") == []
+        assert len(_suppressed(report, "GL004")) == 1
 
     def test_fires_on_reservation_stamp_write(self, tmp_path):
         report = _scan(

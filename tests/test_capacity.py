@@ -302,7 +302,7 @@ class TestPortLedgerAcrossBackends:
     def test_same_decisions_both_backends_multi_segment(self, platform, monkeypatch):
         """Stepwise (multi-segment) bookings decide identically too.
 
-        Fuzzed ``fits_segments`` / ``allocate_segments`` /
+        Fuzzed ``Port.fits`` / ``allocate_segments`` /
         ``release_segments`` streams drawn from binary fractions, so
         float arithmetic is exact and the traces compare with ``==``.
         """
@@ -325,7 +325,7 @@ class TestPortLedgerAcrossBackends:
                         segments.append((t, t1, quarter(rng, 5.0, 45.0)))
                         t = t1 + quarter(rng, 0.0, 3.0)
                     i, e = rng.randrange(2), rng.randrange(2)
-                    if ledger.fits_segments(i, e, segments):
+                    if all(port.fits(segments) for port in ledger.ports(i, e)):
                         ledger.allocate_segments(i, e, segments)
                         live.append((i, e, segments))
                         outcome.append((k, True))

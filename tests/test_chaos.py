@@ -140,7 +140,7 @@ class TestChannel:
     def test_chaos_off_is_pure_passthrough(self):
         broker = make_broker()
         channel = Channel(broker)
-        hold = channel.prepare("ingress", 0, 0.0, 10.0, 100.0, **self.hold_args())
+        hold = channel.prepare("ingress", 0, ((0.0, 10.0, 100.0),), **self.hold_args())
         assert hold is not None
         channel.commit(hold.hold_id, now=0.0)
         assert channel.stats.calls == 0  # nothing even counted
@@ -154,7 +154,7 @@ class TestChannel:
             for rid in range(30):
                 try:
                     hold = channel.prepare(
-                        "ingress", 0, float(rid), float(rid) + 1.0, 1.0,
+                        "ingress", 0, ((float(rid), float(rid) + 1.0, 1.0),),
                         rid=rid, expires=1e9, now=float(rid),
                     )
                     outcomes.append(hold.hold_id if hold else None)
@@ -171,7 +171,7 @@ class TestChannel:
         for rid in range(20):
             with pytest.raises(ChannelTimeout):
                 channel.prepare(
-                    "ingress", 0, float(rid), float(rid) + 1.0, 1.0,
+                    "ingress", 0, ((float(rid), float(rid) + 1.0, 1.0),),
                     rid=rid, expires=1e9, now=0.0,
                 )
             lost += 1
@@ -186,7 +186,7 @@ class TestChannel:
         channel = Channel(
             broker, policy=ChaosPolicy(seed=0, default=EdgeChaos(duplicate=1.0))
         )
-        hold = channel.prepare("ingress", 0, 0.0, 10.0, 50.0, **self.hold_args())
+        hold = channel.prepare("ingress", 0, ((0.0, 10.0, 50.0),), **self.hold_args())
         assert hold is not None
         assert channel.stats.duplicates == 1
         assert len(broker.holds()) == 1  # the replay was absorbed
@@ -198,16 +198,16 @@ class TestChannel:
         assert channel.serviceable(5.0)
         assert not channel.serviceable(10.0)
         with pytest.raises(ChannelTimeout) as err:
-            channel.prepare("ingress", 0, 0.0, 1.0, 1.0, rid=1, expires=99.0, now=15.0)
+            channel.prepare("ingress", 0, ((0.0, 1.0, 1.0),), rid=1, expires=99.0, now=15.0)
         assert err.value.cost == pytest.approx(30.0)
         assert channel.stats.partitioned == 1
         assert channel.prepare(
-            "ingress", 0, 0.0, 1.0, 1.0, rid=1, expires=99.0, now=20.0
+            "ingress", 0, ((0.0, 1.0, 1.0),), rid=1, expires=99.0, now=20.0
         ) is not None
 
     def test_release_is_reliable_through_partition_and_drop(self):
         broker = make_broker()
-        broker.book_pair(0, 0, 0.0, 10.0, 100.0, key=1)
+        broker.book_pair(0, 0, ((0.0, 10.0, 100.0),), key=1)
         channel = Channel(
             broker,
             policy=ChaosPolicy(
@@ -216,7 +216,7 @@ class TestChannel:
                 partitions=(Partition(shard=0, start=0.0),),
             ),
         )
-        channel.release("ingress", 0, 0.0, 10.0, 100.0, now=5.0)
+        channel.release("ingress", 0, ((0.0, 10.0, 100.0),), now=5.0)
         assert broker.usage_at("ingress", 0, 5.0) == pytest.approx(0.0)
 
     def test_crash_after_prepare_wipes_the_broker(self):
@@ -225,7 +225,7 @@ class TestChannel:
             broker,
             policy=ChaosPolicy(seed=0, default=EdgeChaos(crash_after_prepare=1.0)),
         )
-        hold = channel.prepare("ingress", 0, 0.0, 10.0, 50.0, **self.hold_args())
+        hold = channel.prepare("ingress", 0, ((0.0, 10.0, 50.0),), **self.hold_args())
         assert hold is not None and broker.crashed
         assert broker.holds() == []  # wiped with the process
         assert channel.stats.crashes == 1
@@ -233,45 +233,45 @@ class TestChannel:
     def test_termination_probes_read_the_durable_log(self):
         broker = make_broker()
         channel = Channel(broker)
-        hold = channel.prepare("ingress", 0, 0.0, 10.0, 50.0, **self.hold_args())
+        hold = channel.prepare("ingress", 0, ((0.0, 10.0, 50.0),), **self.hold_args())
         assert not channel.resolved_committed(hold.hold_id)
         channel.commit(hold.hold_id, now=0.0)
         assert channel.resolved_committed(hold.hold_id)
         assert not channel.booking_landed(9)
-        channel.book_pair(0, 0, 20.0, 30.0, 10.0, rid=9, now=0.0)
+        channel.book_pair(0, 0, ((20.0, 30.0, 10.0),), rid=9, now=0.0)
         assert channel.booking_landed(9)
 
 
 class TestBrokerIdempotency:
     def test_duplicate_prepare_returns_same_hold(self):
         broker = make_broker()
-        first = broker.prepare("ingress", 0, 0.0, 10.0, 100.0, rid=1, expires=99.0, key=(1, "ingress"))
-        replay = broker.prepare("ingress", 0, 0.0, 10.0, 100.0, rid=1, expires=99.0, key=(1, "ingress"))
+        first = broker.prepare("ingress", 0, ((0.0, 10.0, 100.0),), rid=1, expires=99.0, key=(1, "ingress"))
+        replay = broker.prepare("ingress", 0, ((0.0, 10.0, 100.0),), rid=1, expires=99.0, key=(1, "ingress"))
         assert replay is first
         assert broker.usage_at("ingress", 0, 5.0) == pytest.approx(100.0)
 
     def test_refusal_is_replayed_too(self):
         broker = make_broker()
         key = (2, "ingress")
-        assert broker.prepare("ingress", 0, 0.0, 1.0, 5000.0, rid=2, expires=99.0, key=key) is None
+        assert broker.prepare("ingress", 0, ((0.0, 1.0, 5000.0),), rid=2, expires=99.0, key=key) is None
         # Even though capacity is free now, the recorded refusal answers.
-        assert broker.prepare("ingress", 0, 0.0, 1.0, 1.0, rid=2, expires=99.0, key=key) is None
+        assert broker.prepare("ingress", 0, ((0.0, 1.0, 1.0),), rid=2, expires=99.0, key=key) is None
 
     def test_replayed_prepare_after_abort_answers_none(self):
         broker = make_broker()
         key = (3, "ingress")
-        hold = broker.prepare("ingress", 0, 0.0, 10.0, 10.0, rid=3, expires=99.0, key=key)
+        hold = broker.prepare("ingress", 0, ((0.0, 10.0, 10.0),), rid=3, expires=99.0, key=key)
         broker.abort_hold(hold.hold_id)
-        assert broker.prepare("ingress", 0, 0.0, 10.0, 10.0, rid=3, expires=99.0, key=key) is None
+        assert broker.prepare("ingress", 0, ((0.0, 10.0, 10.0),), rid=3, expires=99.0, key=key) is None
         assert broker.usage_at("ingress", 0, 5.0) == pytest.approx(0.0)
 
     def test_duplicate_commit_and_abort_are_noops(self):
         broker = make_broker()
-        hold = broker.prepare("ingress", 0, 0.0, 10.0, 10.0, rid=4, expires=99.0, key=(4, "i"))
+        hold = broker.prepare("ingress", 0, ((0.0, 10.0, 10.0),), rid=4, expires=99.0, key=(4, "i"))
         broker.commit(hold.hold_id)
         broker.commit(hold.hold_id)  # replayed: no error, no double booking
         assert broker.usage_at("ingress", 0, 5.0) == pytest.approx(10.0)
-        other = broker.prepare("ingress", 0, 0.0, 10.0, 5.0, rid=5, expires=99.0, key=(5, "i"))
+        other = broker.prepare("ingress", 0, ((0.0, 10.0, 5.0),), rid=5, expires=99.0, key=(5, "i"))
         assert broker.abort_hold(other.hold_id) is True
         assert broker.abort_hold(other.hold_id) is False  # replay: harmless
         assert broker.usage_at("ingress", 0, 5.0) == pytest.approx(10.0)
@@ -283,15 +283,15 @@ class TestBrokerIdempotency:
 
     def test_duplicate_book_pair_books_once(self):
         broker = make_broker()
-        broker.book_pair(0, 0, 0.0, 10.0, 40.0, key=7)
-        broker.book_pair(0, 0, 0.0, 10.0, 40.0, key=7)
+        broker.book_pair(0, 0, ((0.0, 10.0, 40.0),), key=7)
+        broker.book_pair(0, 0, ((0.0, 10.0, 40.0),), key=7)
         assert broker.usage_at("ingress", 0, 5.0) == pytest.approx(40.0)
         assert broker.was_booked(7) and not broker.was_booked(8)
 
     def test_booked_and_resolution_records_survive_crash(self):
         broker = make_broker()
-        broker.book_pair(0, 0, 0.0, 10.0, 40.0, key=7)
-        hold = broker.prepare("ingress", 0, 20.0, 30.0, 10.0, rid=9, expires=99.0, key=(9, "i"))
+        broker.book_pair(0, 0, ((0.0, 10.0, 40.0),), key=7)
+        hold = broker.prepare("ingress", 0, ((20.0, 30.0, 10.0),), rid=9, expires=99.0, key=(9, "i"))
         broker.commit(hold.hold_id)
         broker.crash()
         assert broker.was_booked(7)
@@ -318,7 +318,7 @@ class TestDuplicateDeliveryProperty:
     def apply(self, broker, op, args, holds):
         if op == "prepare":
             side, port, t0, t1, bw, rid = args
-            hold = broker.prepare(side, port, t0, t1, bw, rid=rid, expires=1e9, key=(rid, side))
+            hold = broker.prepare(side, port, ((t0, t1, bw),), rid=rid, expires=1e9, key=(rid, side))
             if hold is not None:
                 holds[(rid, side)] = hold.hold_id
         elif op == "commit":
@@ -329,7 +329,7 @@ class TestDuplicateDeliveryProperty:
             broker.abort_hold(holds[(rid, side)])
         elif op == "book":
             ingress, egress, t0, t1, bw, rid = args
-            broker.book_pair(ingress, egress, t0, t1, bw, key=rid)
+            broker.book_pair(ingress, egress, ((t0, t1, bw),), key=rid)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_chaotic_schedules_converge(self, seed):
@@ -362,7 +362,7 @@ class TestHoldTtlBoundary:
 
     def test_broker_sweep_expires_exact_deadline(self):
         broker = make_broker()
-        broker.prepare("ingress", 0, 0.0, 10.0, 10.0, rid=1, expires=50.0, key=(1, "i"))
+        broker.prepare("ingress", 0, ((0.0, 10.0, 10.0),), rid=1, expires=50.0, key=(1, "i"))
         assert broker.expire_holds(49.9) == []
         expired = broker.expire_holds(50.0)
         assert len(expired) == 1
@@ -373,7 +373,7 @@ class TestHoldTtlBoundary:
         # must be reclaimed by that tick's sweep, not one tick later.
         gw = Gateway(platform(), num_shards=2, hold_ttl=50.0)
         broker = gw.brokers[0]
-        broker.prepare("ingress", 0, 0.0, 10.0, 10.0, rid=900, expires=50.0, key=(900, "i"))
+        broker.prepare("ingress", 0, ((0.0, 10.0, 10.0),), rid=900, expires=50.0, key=(900, "i"))
         gw.drain(50.0)
         assert broker.holds() == []
         assert gw.stats.holds_expired == 1
@@ -614,7 +614,7 @@ class TestInvariantChecker:
 
     def test_detects_unexplained_booking(self):
         gw = Gateway(platform(), num_shards=2)
-        gw.brokers[0].book_pair(0, 0, 0.0, 10.0, 50.0)  # behind the gateway's back
+        gw.brokers[0].book_pair(0, 0, ((0.0, 10.0, 50.0),))  # behind the gateway's back
         report = check_gateway(gw, now=0.0)
         assert not report.ok
         assert any("ledger carries" in v for v in report.violations)
@@ -623,7 +623,7 @@ class TestInvariantChecker:
 
     def test_detects_zombie_hold(self):
         gw = Gateway(platform(), num_shards=2, hold_ttl=50.0)
-        gw.brokers[0].prepare("ingress", 0, 0.0, 10.0, 5.0, rid=99, expires=10.0, key=(99, "i"))
+        gw.brokers[0].prepare("ingress", 0, ((0.0, 10.0, 5.0),), rid=99, expires=10.0, key=(99, "i"))
         report = check_gateway(gw, now=60.0)
         assert any("zombie hold" in v for v in report.violations)
 
@@ -647,10 +647,23 @@ class TestInvariantChecker:
             if delta > 0:
                 broker.restore("ingress", r.ingress, ((t0, t1, delta),))
             else:
-                broker.release("ingress", r.ingress, t0, t1, -delta)
+                broker.release("ingress", r.ingress, ((t0, t1, -delta),))
             report = check_gateway(gw)
             assert [v for v in report.violations if f"ingress port {r.ingress}" in v], (t0, t1)
             assert len(report.violations) == 1  # one port, one report
+
+    def test_overcommit_is_audited_at_each_ports_own_slack(self):
+        """5e-7 MB/s over a 10 MB/s port is 50x that port's slack; one
+        platform-wide tolerance (1e-9 x 1000 MB/s) used to let it pass."""
+        gw = Gateway(Platform([10.0, 1000.0], [10.0, 1000.0]), num_shards=2)
+        ticket = gw.submit(ingress=0, egress=0, volume=100.0, deadline=10.0, now=0.0)
+        assert ticket.confirmed and ticket.allocation.bw == 10.0
+        broker = gw.coordinator.broker_for("ingress", 0)
+        broker.restore("ingress", 0, ((0.0, 10.0, 5e-7),))
+        violations = check_gateway(gw, now=0.0).violations
+        assert [v for v in violations if "ingress port 0 usage exceeds capacity" in v]
+        # Reconciliation prints the discrepancy, not two equal-looking rates.
+        assert [v for v in violations if "(off by +5e-07)" in v]
 
     def test_reconciliation_is_one_sweep_per_port(self):
         gw = Gateway(Platform.uniform(16, 16, 1000.0), num_shards=4, batch_size=8)
@@ -675,7 +688,7 @@ class TestInvariantChecker:
 
     def test_quiesced_gateway_must_hold_nothing(self):
         gw = Gateway(platform(), num_shards=2)
-        gw.brokers[0].prepare("ingress", 0, 0.0, 10.0, 5.0, rid=99, expires=1e9, key=(99, "i"))
+        gw.brokers[0].prepare("ingress", 0, ((0.0, 10.0, 5.0),), rid=99, expires=1e9, key=(99, "i"))
         assert check_gateway(gw, now=0.0).ok  # within TTL: fine mid-flight
         report = check_gateway(gw, now=0.0, expect_quiesced=True)
         assert any("quiesced" in v for v in report.violations)
@@ -684,7 +697,7 @@ class TestInvariantChecker:
         journal = Journal()
         gw = Gateway(platform(), num_shards=2, journal=journal)
         gw.submit(ingress=0, egress=1, volume=100.0, deadline=100.0, now=0.0)
-        gw.brokers[0].release("ingress", 0, 0.0, 10.0, 1.0)  # un-journaled mutation
+        gw.brokers[0].release("ingress", 0, ((0.0, 10.0, 1.0),))  # un-journaled mutation
         report = check_gateway(gw, journal=journal, now=0.0)
         assert any("replay diverges" in v for v in report.violations)
 

@@ -192,7 +192,7 @@ class TestBrokerSurface:
     def test_non_owned_ports_still_raise(self):
         broker = self.gateway().brokers[0]  # owns the even ports
         with pytest.raises(ConfigurationError, match="does not own ingress port 1"):
-            broker.book_side("ingress", 1, 0.0, 10.0, 5.0)
+            broker.book_side("ingress", 1, ((0.0, 10.0, 5.0),))
         with pytest.raises(ConfigurationError, match="does not own egress port 3"):
             broker.timeline("egress", 3)
         with pytest.raises(ConfigurationError, match="does not own"):
@@ -202,11 +202,11 @@ class TestBrokerSurface:
 
     def test_book_side_checks_capacity_and_commits_without_a_hold(self):
         broker = self.gateway().brokers[0]
-        assert broker.book_side("ingress", 0, 0.0, 10.0, 60.0)
-        assert not broker.book_side("ingress", 0, 5.0, 15.0, 60.0)  # 120 > 100
-        assert broker.book_side("ingress", 0, 10.0, 20.0, 60.0)
-        assert broker.book_side("egress", 2, 0.0, 30.0, 1.0, segments=((0.0, 10.0, 80.0), (10.0, 20.0, 100.0)))
-        assert not broker.book_side("egress", 2, 0.0, 30.0, 1.0, segments=((0.0, 5.0, 20.0), (5.0, 10.0, 30.0)))
+        assert broker.book_side("ingress", 0, ((0.0, 10.0, 60.0),))
+        assert not broker.book_side("ingress", 0, ((5.0, 15.0, 60.0),))  # 120 > 100
+        assert broker.book_side("ingress", 0, ((10.0, 20.0, 60.0),))
+        assert broker.book_side("egress", 2, ((0.0, 10.0, 80.0), (10.0, 20.0, 100.0)))
+        assert not broker.book_side("egress", 2, ((0.0, 5.0, 20.0), (5.0, 10.0, 30.0)))
         assert list(broker.timeline("egress", 2).segments()) == [(0.0, 10.0, 80.0), (10.0, 20.0, 100.0)]
         assert broker.holds() == [] and broker.resolutions() == {}
 
@@ -224,7 +224,7 @@ class TestBrokerSurface:
         def sabotaged(side, port, *args, **kwargs):
             gw.brokers[1].restore("egress", 1, ((0.0, 50.0, CAP),))
             outcome_holder.append(real(side, port, *args, **kwargs))
-            gw.brokers[1].release("egress", 1, 0.0, 50.0, CAP)
+            gw.brokers[1].release("egress", 1, ((0.0, 50.0, CAP),))
             return outcome_holder[-1]
 
         gw.brokers[1].book_side = sabotaged

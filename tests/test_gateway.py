@@ -66,11 +66,11 @@ class TestShardBroker:
         with pytest.raises(ConfigurationError):
             broker.timeline("ingress", 1)
         with pytest.raises(ConfigurationError):
-            broker.book_pair(1, 1, 0.0, 1.0, 5.0)
+            broker.book_pair(1, 1, ((0.0, 1.0, 5.0),))
 
     def test_prepare_commit_books_capacity(self):
         broker = self.make()
-        hold = broker.prepare("ingress", 0, 0.0, 10.0, 400.0, rid=7, expires=100.0)
+        hold = broker.prepare("ingress", 0, ((0.0, 10.0, 400.0),), rid=7, expires=100.0)
         assert hold is not None
         assert broker.usage_at("ingress", 0, 5.0) == pytest.approx(400.0)
         broker.commit(hold.hold_id)
@@ -79,20 +79,20 @@ class TestShardBroker:
 
     def test_prepare_refuses_beyond_capacity(self):
         broker = self.make()
-        assert broker.prepare("ingress", 0, 0.0, 10.0, 900.0, rid=1, expires=99.0)
-        assert broker.prepare("ingress", 0, 0.0, 10.0, 200.0, rid=2, expires=99.0) is None
+        assert broker.prepare("ingress", 0, ((0.0, 10.0, 900.0),), rid=1, expires=99.0)
+        assert broker.prepare("ingress", 0, ((0.0, 10.0, 200.0),), rid=2, expires=99.0) is None
 
     def test_abort_hold_releases_capacity(self):
         broker = self.make()
-        hold = broker.prepare("egress", 0, 0.0, 10.0, 400.0, rid=7, expires=100.0)
+        hold = broker.prepare("egress", 0, ((0.0, 10.0, 400.0),), rid=7, expires=100.0)
         assert broker.abort_hold(hold.hold_id) is True
         assert broker.usage_at("egress", 0, 5.0) == pytest.approx(0.0)
         assert broker.abort_hold(hold.hold_id) is False
 
     def test_expire_holds_sweep(self):
         broker = self.make()
-        h1 = broker.prepare("ingress", 0, 0.0, 10.0, 100.0, rid=1, expires=50.0)
-        h2 = broker.prepare("ingress", 0, 0.0, 10.0, 100.0, rid=2, expires=200.0)
+        h1 = broker.prepare("ingress", 0, ((0.0, 10.0, 100.0),), rid=1, expires=50.0)
+        h2 = broker.prepare("ingress", 0, ((0.0, 10.0, 100.0),), rid=2, expires=200.0)
         expired = broker.expire_holds(60.0)
         assert [h.hold_id for h in expired] == [h1.hold_id]
         assert [h.hold_id for h in broker.holds()] == [h2.hold_id]
@@ -101,26 +101,26 @@ class TestShardBroker:
 
     def test_crash_wipes_holds_but_keeps_commits(self):
         broker = self.make()
-        broker.book_pair(0, 0, 0.0, 10.0, 300.0)
-        hold = broker.prepare("ingress", 0, 0.0, 10.0, 400.0, rid=9, expires=99.0)
+        broker.book_pair(0, 0, ((0.0, 10.0, 300.0),))
+        hold = broker.prepare("ingress", 0, ((0.0, 10.0, 400.0),), rid=9, expires=99.0)
         assert broker.crash() == 1
         assert broker.holds_wiped == 1
         # Pinned capacity returned; the committed booking survives.
         assert broker.usage_at("ingress", 0, 5.0) == pytest.approx(300.0)
         with pytest.raises(BrokerUnavailable):
-            broker.prepare("ingress", 0, 0.0, 1.0, 1.0, rid=1, expires=9.0)
+            broker.prepare("ingress", 0, ((0.0, 1.0, 1.0),), rid=1, expires=9.0)
         with pytest.raises(BrokerUnavailable):
             broker.commit(hold.hold_id)
         assert broker.abort_hold(hold.hold_id) is False  # cleanup stays callable
         broker.restart()
-        assert broker.prepare("ingress", 0, 0.0, 1.0, 1.0, rid=1, expires=9.0)
+        assert broker.prepare("ingress", 0, ((0.0, 1.0, 1.0),), rid=1, expires=9.0)
 
     def test_degraded_port_uses_free_capacity_path(self):
         broker = self.make()
         broker.degrade(Degradation(side="ingress", port=0, t0=0.0, t1=50.0, amount=800.0))
         assert broker.has_degradations("ingress", 0)
-        assert not broker.fits_side("ingress", 0, ((0.0, 10.0, 300.0),))
-        assert broker.fits_side("ingress", 0, ((0.0, 10.0, 150.0),))
+        assert not broker.port("ingress", 0).fits(((0.0, 10.0, 300.0),))
+        assert broker.port("ingress", 0).fits(((0.0, 10.0, 150.0),))
 
 
 class TestCachedPeak:
@@ -132,15 +132,15 @@ class TestCachedPeak:
             assert broker.cached_peak("ingress", 0) == max(0.0, tl.global_max())
 
         check()
-        broker.book_pair(0, 0, 0.0, 10.0, 250.0)
+        broker.book_pair(0, 0, ((0.0, 10.0, 250.0),))
         check()
         assert broker.cached_peak("ingress", 0) == pytest.approx(250.0)
-        hold = broker.prepare("ingress", 0, 5.0, 15.0, 100.0, rid=1, expires=99.0)
+        hold = broker.prepare("ingress", 0, ((5.0, 15.0, 100.0),), rid=1, expires=99.0)
         check()
         assert broker.cached_peak("ingress", 0) == pytest.approx(350.0)
         broker.abort_hold(hold.hold_id)
         check()
-        broker.release("ingress", 0, 0.0, 10.0, 250.0)
+        broker.release("ingress", 0, ((0.0, 10.0, 250.0),))
         check()
         assert broker.cached_peak("ingress", 0) == pytest.approx(0.0)
         broker.degrade(Degradation(side="ingress", port=0, t0=0.0, t1=5.0, amount=10.0))
@@ -384,7 +384,7 @@ class TestTwoPhase:
         broker = gw.brokers[0]
         # A stranded hold (e.g. a crashed coordinator): placed directly,
         # never committed.
-        broker.prepare("ingress", 0, 0.0, 100.0, 500.0, rid=77, expires=30.0)
+        broker.prepare("ingress", 0, ((0.0, 100.0, 500.0),), rid=77, expires=30.0)
         gw.submit(ingress=1, egress=0, volume=10.0, deadline=100.0, now=40.0)
         assert broker.holds() == []
         assert gw.stats.holds_expired == 1

@@ -91,7 +91,7 @@ class TestFailureCapture:
         recorder = FlightRecorder()
         gw = Gateway(platform(), num_shards=2, recorder=recorder)
         gw.submit(ingress=0, egress=1, volume=100.0, deadline=100.0, now=0.0)
-        gw.brokers[0].book_pair(0, 0, 0.0, 10.0, 50.0)  # behind the gateway's back
+        gw.brokers[0].book_pair(0, 0, ((0.0, 10.0, 50.0),))  # behind the gateway's back
         report = check_gateway(gw, now=0.0)
         assert not report.ok
         assert report.flight is not None
@@ -112,7 +112,7 @@ class TestFailureCapture:
 
     def test_recorderless_gateway_fails_without_a_dump(self):
         gw = Gateway(platform(), num_shards=2)
-        gw.brokers[0].book_pair(0, 0, 0.0, 10.0, 50.0)
+        gw.brokers[0].book_pair(0, 0, ((0.0, 10.0, 50.0),))
         report = check_gateway(gw, now=0.0)
         assert not report.ok and report.flight is None
 

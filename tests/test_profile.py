@@ -156,7 +156,7 @@ class TestSegmentsOnBackends:
         ledger.allocate(0, 0, 0.0, 50.0, 80.0)
         for bw in (10.0, 20.0, 25.0, 60.0):
             single = RateProfile.constant(10.0, 40.0, bw)
-            assert ledger.fits_segments(0, 0, single.segments) == ledger.fits(
+            assert all(port.fits(single.segments) for port in ledger.ports(0, 0)) == ledger.fits(
                 0, 0, 10.0, 40.0, bw
             )
 
@@ -295,7 +295,7 @@ class TestShapeProfile:
         shaped = shape_profile(ledger, request)
         assert shaped is not None and shaped.conserves(request.volume)
         assert len(shaped) >= 2  # stepwise, not constant
-        assert ledger.fits_segments(0, 0, shaped.segments)
+        assert all(port.fits(shaped.segments) for port in ledger.ports(0, 0))
 
     def test_infeasible_window_is_profile_infeasible(self, ledger_kernel):
         ledger = PortLedger(Platform.uniform(2, 2, 100.0))

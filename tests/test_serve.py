@@ -18,6 +18,7 @@ from repro.gateway.edge import EdgeLimiter
 from repro.gateway.invariants import check_gateway
 from repro.loadgen import ServiceClient
 from repro.serve import ServeApp, ServeConfig
+from repro.serve.api.v1.endpoints.reservations import MAX_PROFILE_SEGMENTS
 from repro.serve.clock import LogicalClock, WallServiceClock
 from repro.serve.http import HttpError, HttpRequest, HttpResponse, read_request, render_response
 from repro.serve.routes import ROUTE_TABLE, Route, Router
@@ -493,6 +494,51 @@ class TestEndpoints:
         successor = make_app(journal_path=journal_path)
         successor.journal.close()  # replayed; nothing more is appended
         assert successor.snapshot() == app.snapshot()
+
+    def test_overlong_profile_is_400_and_journals_nothing(self, tmp_path):
+        """A client profile had no segment bound below the body size: 200k
+        one-second segments were normalised and searched on the event loop,
+        journaled write-ahead, and left 200k breakpoints every later search
+        on the port walked past.  One segment past the cap is the caller's
+        400 (its own ``invalid`` slot in a batch); the cap itself passes."""
+        journal_path = tmp_path / "profile.journal.jsonl"
+
+        def stepwise(n):
+            segments = [[float(k), k + 1.0, 1.0 + k % 2] for k in range(n)]
+            volume = sum(s[2] for s in segments)
+            return body(egress=2, volume=volume, deadline=300.0, profile=segments)
+
+        async def main():
+            app = make_app(journal_path=journal_path)
+            client = await serving(app)
+            try:
+                bad = await client.request(
+                    "POST", "/v1/reservations", payload=stepwise(MAX_PROFILE_SEGMENTS + 1)
+                )
+                assert bad.status == 400
+                assert f"exceeds {MAX_PROFILE_SEGMENTS}" in bad.json()["error"]
+                resp = await client.request(
+                    "POST",
+                    "/v1/reservations/batch",
+                    payload={
+                        "submissions": [
+                            body(),
+                            stepwise(MAX_PROFILE_SEGMENTS + 1),
+                            stepwise(MAX_PROFILE_SEGMENTS),
+                        ]
+                    },
+                )
+                outcomes = [d["outcome"] for d in resp.json()["decisions"]]
+                assert outcomes == ["accepted", "invalid", "accepted"]
+                assert client.reconnects == 0
+            finally:
+                await client.close()
+                await app.drain()
+            return app
+
+        app = run(main())
+        assert app.gateway.stats.submits == 2
+        assert journal_path.read_text().count('"op": "submit"') == 2
 
     def test_unknown_route_404_wrong_method_405(self):
         async def main():
