@@ -10,9 +10,10 @@ capacity checks and desynchronises journal replay from reality.
 
 The rule flags assignments (plain, augmented, or subscripted) to the known
 internal attributes outside their owning modules, and mutating calls
-(``add`` / ``add_batch``) made through a port's ``usage`` or
+(``add`` / ``add_batch`` / ``book``) made through a port's ``usage`` or
 ``reductions`` profile outside :mod:`repro.core.ledger`: a
-``port.usage.add(...)`` books capacity no Eq. 1 probe saw, and
+``port.usage.add(...)`` books capacity no Eq. 1 probe saw, a
+``port.usage.book(...)`` one the port's degradations never saw, and
 :meth:`Port.add <repro.core.ledger.Port.add>` is the one writer.
 Ownership is by path suffix, so fixture trees mirroring the layout
 exercise the rule too.
@@ -57,7 +58,7 @@ _PROTECTED: dict[str, tuple[str, ...]] = {
 
 #: Calls that mutate a capacity profile reached through ``usage`` /
 #: ``reductions``.
-_PROFILE_MUTATORS = frozenset({"add", "add_batch"})
+_PROFILE_MUTATORS = frozenset({"add", "add_batch", "book"})
 
 
 def _owned(module: Module, owners: tuple[str, ...]) -> bool:

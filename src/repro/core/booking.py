@@ -226,38 +226,56 @@ def _first_fit(
         return None, 0, None
     volume = request.volume
     port_in, port_out = ledger.ports(request.ingress, request.egress)
-    # sorted(set(...)), cheaper: the points are two ascending runs (one merge
-    # for the sort) and the dedupe keeps their order.
-    starts = [earliest, *_pair_points(port_in, port_out, earliest, latest)]
-    starts.sort()
-    starts = list(dict.fromkeys(starts))
+    # The later starts are never listed: each port's breakpoints and edges
+    # in (earliest, latest] stay the ascending runs they are, one cursor
+    # each, and the next start is the least head past sigma.
+    runs = [
+        run
+        for run in (
+            port_in.usage.breakpoints_between(earliest, latest),
+            port_out.usage.breakpoints_between(earliest, latest),
+            port_in.edges(earliest, latest),
+            port_out.edges(earliest, latest),
+        )
+        if run
+    ]
+    heads = [0] * len(runs)
     # A plain callable promises nothing: every candidate is visited.
     monotone = getattr(rate_for, "monotone", False)
     tolerance = deadline_tolerance(request.t_end)
     bounced: tuple[float, float] | None = None
     blocked_bw, blocked_from, blocked_until = math.inf, 0.0, 0.0
-    i = 0
-    while i < len(starts):
-        sigma = starts[i]
-        i += 1
+    sigma = earliest
+    while True:
         bw = rate_for(sigma)
-        if bw is None or bw <= 0:
-            continue
-        tau = sigma + volume / bw
-        if tau > limit:
-            continue
-        if bw >= blocked_bw and sigma < blocked_until and tau > blocked_from:
-            continue
-        blocked = port_in.blocker(sigma, tau, bw) or port_out.blocker(sigma, tau, bw)
-        if blocked is None:
-            return Allocation.for_request(request, bw, sigma=sigma), i, bounced
-        blocked_bw = bw
-        blocked_from, blocked_until = blocked
-        if bounced is None:
-            bounced = (sigma, tau)
-        if monotone and blocked_from + tolerance <= tau:
-            i = bisect_left(starts, blocked_until, i)
-    return None, len(starts), bounced
+        if bw is not None and bw > 0:
+            tau = sigma + volume / bw
+            if tau <= limit and not (
+                bw >= blocked_bw and sigma < blocked_until and tau > blocked_from
+            ):
+                blocked = port_in.blocker(sigma, tau, bw) or port_out.blocker(sigma, tau, bw)
+                if blocked is None:
+                    allocation = Allocation.for_request(request, bw, sigma=sigma)
+                    return allocation, _rank(runs, heads), bounced
+                blocked_bw = bw
+                blocked_from, blocked_until = blocked
+                if bounced is None:
+                    bounced = (sigma, tau)
+                if monotone and blocked_from + tolerance <= tau:
+                    heads = [bisect_left(run, blocked_until, k) for run, k in zip(runs, heads)]
+        live = [run[k] for run, k in zip(runs, heads) if k < len(run)]
+        if not live:
+            return None, _rank(runs, heads), bounced
+        sigma = min(live)
+        heads = [k + (k < len(run) and run[k] == sigma) for run, k in zip(runs, heads)]
+
+
+def _rank(runs: list[list[float]], heads: list[int]) -> int:
+    """Distinct starts up to the walk's stop: ``earliest`` (in no run) and
+    every run entry before its cursor, each run's shares counted once."""
+    if len(runs) == 1:
+        return 1 + heads[0]
+    return 1 + len(set().union(*(run[:k] for run, k in zip(runs, heads))))
 
 
 def earliest_fit(

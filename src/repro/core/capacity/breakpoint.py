@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Iterator
+from operator import eq
 
 import numpy as np
 
-from .checks import fits_under
-from .interface import CapacityProfile
+from .interface import CAPACITY_SLACK, CapacityProfile
 
 __all__ = ["BreakpointProfile"]
 
@@ -48,48 +48,49 @@ class BreakpointProfile(CapacityProfile):
         """Index of the segment containing time ``t``."""
         return bisect_right(self._breakpoints, t) - 1
 
-    def _ensure_breakpoint(self, t: float) -> int:
-        """Insert a breakpoint at ``t`` (if absent) and return its index."""
-        idx = self._segment_index(t)
-        if self._breakpoints[idx] == t:  # gridlint: disable=GL003 -- breakpoint identity: t was bisected into _breakpoints, only an exact hit reuses the entry
-            return idx
-        self._breakpoints.insert(idx + 1, t)
-        self._values.insert(idx + 1, self._values[idx])
-        return idx + 1
-
     def _range_indices(self, t0: float, t1: float) -> tuple[int, int]:
         """First and last index of the segments touching ``[t0, t1)``."""
         if not (t1 > t0):
             raise ValueError(f"empty interval [{t0}, {t1})")
-        i0 = self._segment_index(t0)
-        i1 = self._segment_index(t1)
-        if self._breakpoints[i1] == t1:  # gridlint: disable=GL003 -- breakpoint identity: half-open [t0, t1) excludes an exactly-aligned final segment
+        points = self._breakpoints
+        i0 = bisect_right(points, t0) - 1
+        i1 = bisect_right(points, t1, i0) - 1
+        if points[i1] == t1:  # half-open: an exactly-aligned final segment is not touched
             i1 -= 1
         return i0, i1
 
     def _coalesce(self, lo: int, hi: int) -> None:
         """Merge equal-valued adjacent segments in index range [lo, hi]."""
+        points, values = self._breakpoints, self._values
         lo = max(lo, 1)
-        hi = min(hi, len(self._breakpoints) - 1)
+        hi = min(hi, len(points) - 1)
+        if not any(map(eq, values[lo - 1 : hi], values[lo : hi + 1])):
+            return
         # Walk backwards so deletions do not disturb earlier indices.
         for k in range(hi, lo - 1, -1):
-            if k < len(self._breakpoints) and self._values[k] == self._values[k - 1]:
-                del self._breakpoints[k]
-                del self._values[k]
+            if k < len(points) and values[k] == values[k - 1]:
+                del points[k]
+                del values[k]
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def add(self, t0: float, t1: float, delta: float) -> None:
-        if not (t1 > t0):
-            raise ValueError(f"empty interval [{t0}, {t1})")
-        if delta == 0.0:
-            return
-        i0 = self._ensure_breakpoint(t0)
-        i1 = self._ensure_breakpoint(t1)
+    def _commit(self, i0: int, i1: int, t0: float, t1: float, delta: float) -> None:
+        """Add ``delta`` over ``[t0, t1)`` given the segments ``i0`` / ``i1``
+        containing ``t0`` / ``t1``: insert the missing breakpoints, add,
+        then merge what became equal."""
+        points = self._breakpoints
         values = self._values
-        for k in range(i0, i1):
-            values[k] += delta
+        if points[i0] != t0:  # only an exact hit reuses the breakpoint
+            i0 += 1
+            i1 += 1  # t1 > t0: its segment is at or after the split one
+            points.insert(i0, t0)
+            values.insert(i0, values[i0 - 1])
+        if points[i1] != t1:
+            i1 += 1
+            points.insert(i1, t1)
+            values.insert(i1, values[i1 - 1])
+        values[i0:i1] = [v + delta for v in values[i0:i1]]
         if delta > 0.0 and self._peak is not None:
             # Every untouched value is still <= the old peak and every
             # touched one only grew: the new peak is exact, not a bound.
@@ -97,6 +98,30 @@ class BreakpointProfile(CapacityProfile):
         else:
             self._peak = None
         self._coalesce(i0 - 1, i1 + 1)
+
+    def add(self, t0: float, t1: float, delta: float) -> None:
+        if not (t1 > t0):
+            raise ValueError(f"empty interval [{t0}, {t1})")
+        if delta == 0.0:
+            return
+        points = self._breakpoints
+        i0 = bisect_right(points, t0) - 1
+        self._commit(i0, bisect_right(points, t1, i0) - 1, t0, t1, delta)
+
+    def book(self, t0: float, t1: float, delta: float, capacity: float) -> bool:
+        # One bisect pair serves the probe and the breakpoint inserts.
+        if not (t1 > t0):
+            raise ValueError(f"empty interval [{t0}, {t1})")
+        points = self._breakpoints
+        i0 = bisect_right(points, t0) - 1
+        i1 = bisect_right(points, t1, i0) - 1
+        # Half-open [t0, t1): an exactly-aligned final segment is not probed.
+        last = i1 - 1 if points[i1] == t1 else i1
+        if not (max(self._values[i0 : last + 1]) + delta <= capacity + capacity * CAPACITY_SLACK):
+            return False
+        if delta != 0.0:
+            self._commit(i0, i1, t0, t1, delta)
+        return True
 
     def clear(self) -> None:
         self._breakpoints = [-math.inf]
@@ -149,10 +174,11 @@ class BreakpointProfile(CapacityProfile):
         i0, i1 = self._range_indices(t0, t1)
         points = self._breakpoints
         values = self._values
-        if fits_under(max(values[i0 : i1 + 1]), bw, capacity):
+        limit = capacity + capacity * CAPACITY_SLACK  # fits_under's two operations, once
+        if max(values[i0 : i1 + 1]) + bw <= limit:
             return None
         k = i1
-        while fits_under(values[k], bw, capacity):
+        while values[k] + bw <= limit:
             k -= 1
         return points[k], (points[k + 1] if k + 1 < len(points) else math.inf)
 

@@ -6,6 +6,7 @@ port over a time interval?*  A :class:`CapacityProfile` is a
 piecewise-constant function ``usage(t)`` over the real line supporting
 
 - **range add** (:meth:`~CapacityProfile.add`, :meth:`~CapacityProfile.add_batch`),
+- **probe-and-add** (:meth:`~CapacityProfile.book`),
 - **range max / min** (:meth:`~CapacityProfile.max_usage`,
   :meth:`~CapacityProfile.min_usage`),
 - **point query** (:meth:`~CapacityProfile.usage_at`),
@@ -85,6 +86,15 @@ class CapacityProfile:
         """
         for t0, t1, delta in intervals:
             self.add(t0, t1, delta)
+
+    def book(self, t0: float, t1: float, delta: float, capacity: float) -> bool:
+        """Probe and commit in one call: :meth:`add` ``delta`` over
+        ``[t0, t1)`` iff :meth:`blocker` finds nothing under ``capacity``.
+        Returns whether it did."""
+        if self.blocker(t0, t1, delta, capacity) is not None:
+            return False
+        self.add(t0, t1, delta)
+        return True
 
     def clear(self) -> None:
         """Reset to the identically-zero function."""

@@ -16,7 +16,8 @@ Schedulers use the ledger in two modes:
 Both are the one-segment case of the stepwise forms
 (``allocate_segments`` / ``release_segments``): a booking reaches capacity
 state as a tuple of ``(t0, t1, rate)`` segments, and :meth:`Port.fits` /
-:meth:`Port.add` are the only probe and the only writer of a port's usage.
+:meth:`Port.add` are the only probe and the only writer of a port's usage
+(:meth:`Port.book` is the two in one call).
 
 Capacities may be **time-varying**: :meth:`PortLedger.degrade` registers a
 capacity reduction over an interval (a maintenance window, a partial link
@@ -87,7 +88,7 @@ class Port:
 
     The only place the degradation-aware Eq. 1 test and its slack
     (``capacity · CAPACITY_SLACK``, the port's own) are written, and —
-    through :meth:`add` — the only writer of its usage:
+    through :meth:`add` and :meth:`book` — the only writer of its usage:
     :class:`PortLedger` and the gateway's shard brokers both hold their
     state as ``Port``\\ s and the book-ahead searches query them directly.
     """
@@ -174,11 +175,24 @@ class Port:
 
         A negative rate raises :class:`CapacityError` before any step lands.
         """
-        for _, _, rate in segments:
-            if rate < 0:
-                raise CapacityError(f"negative rate {rate}")
+        _refuse_negative(segments)
         for t0, t1, rate in segments:
             self.usage.add(t0, t1, sign * rate)
+
+    def book(self, segments: Sequence[Segment]) -> bool:
+        """:meth:`add` the steps iff they :meth:`fit <fits>`; whether it did.
+
+        An undegraded one-step booking is one kernel call
+        (:meth:`CapacityProfile.book <repro.core.capacity.CapacityProfile.book>`).
+        """
+        _refuse_negative(segments)
+        if self.reductions is None and len(segments) == 1:
+            t0, t1, rate = segments[0]
+            return self.usage.book(t0, t1, rate, self.capacity)
+        if not self.fits(segments):
+            return False
+        self.add(segments)
+        return True
 
     def max_overcommit(self) -> float:
         """Worst ``usage - capacity`` over all time."""
@@ -196,6 +210,12 @@ class Port:
         if self.reductions is not None:
             clone.reductions = self.reductions.copy()
         return clone
+
+
+def _refuse_negative(segments: Sequence[Segment]) -> None:
+    for _, _, rate in segments:
+        if rate < 0:
+            raise CapacityError(f"negative rate {rate}")
 
 
 class PortLedger:
@@ -314,13 +334,14 @@ class PortLedger:
         any would overflow either port.
         """
         port_in, port_out = self._ingress[ingress], self._egress[egress]
-        if check and not (port_in.fits(segments) and port_out.fits(segments)):
+        if not check:
+            port_out.add(segments)
+        elif not (port_in.fits(segments) and port_out.book(segments)):
             raise CapacityError(
                 f"booking of {len(segments)} step(s) on pair ({ingress}, {egress}) "
                 f"exceeds a port capacity"
             )
         port_in.add(segments)
-        port_out.add(segments)
 
     def release_segments(self, ingress: int, egress: int, segments: Sequence[Segment]) -> None:
         """Return previously committed ``(t0, t1, rate)`` steps on the pair."""

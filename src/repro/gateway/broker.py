@@ -15,7 +15,8 @@ state a broker carries:
 
 Every capacity answer and every usage change is the port's own
 (:meth:`Port.fits <repro.core.ledger.Port.fits>` / :meth:`Port.add
-<repro.core.ledger.Port.add>`): the Eq. 1 test and the writes the
+<repro.core.ledger.Port.add>`, or both at once through :meth:`Port.book
+<repro.core.ledger.Port.book>`): the Eq. 1 test and the writes the
 monolithic :class:`~repro.core.ledger.PortLedger` makes, not a fork.  A
 booking arrives as its ``(t0, t1, rate)`` segments, one for a constant
 rate.
@@ -188,7 +189,8 @@ class ShardBroker:
         """Atomically commit a shard-local pair booking (both ports owned).
 
         This is the one-shard fast path: no holds, no second phase —
-        :meth:`pair_fits` covers both ports before either changes (a
+        :meth:`pair_fits`' test, the ingress port probed and the egress
+        port booked before the ingress port changes (a
         :class:`~repro.core.errors.CapacityError` leaves them untouched),
         exactly like the monolithic service.  ``key``
         (the rid, when called through a channel) makes the call
@@ -198,13 +200,13 @@ class ShardBroker:
         self._require_up()
         if key is not None and key in self._booked:
             return
-        if not self.pair_fits(ingress, egress, segments):
+        port_in = self.port("ingress", ingress)
+        if not (port_in.fits(segments) and self.port("egress", egress).book(segments)):
             raise CapacityError(
                 f"booking of {len(segments)} step(s) on pair ({ingress}, {egress}) "
                 f"exceeds a port capacity"
             )
-        self.port("ingress", ingress).add(segments)
-        self.port("egress", egress).add(segments)
+        port_in.add(segments)
         if key is not None:
             self._booked.add(key)
 
@@ -213,11 +215,7 @@ class ShardBroker:
         capacity check, then committed at once with no hold.  ``False``
         (slice untouched) when the port cannot carry it."""
         self._require_up()
-        owned = self.port(side, port)
-        if not owned.fits(segments):
-            return False
-        owned.add(segments)
-        return True
+        return self.port(side, port).book(segments)
 
     def release(self, side: str, port: int, segments: tuple[Segment, ...]) -> None:
         """Return committed bandwidth on one owned port (cancel/abort path)."""
@@ -276,13 +274,11 @@ class ShardBroker:
             if self._resolution.get(prior.hold_id) == "committed":
                 return prior
             return None  # aborted / expired / wiped: transaction is over
-        owned = self.port(side, port)
-        if not owned.fits(segments):
+        if not self.port(side, port).book(segments):
             if key is not None:
                 self._prepared[key] = None
             return None
         hold = Hold(next(self._hold_ids), side, port, segments, rid, expires)
-        owned.add(segments)
         self._holds[hold.hold_id] = hold
         if key is not None:
             self._prepared[key] = hold

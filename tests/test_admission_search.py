@@ -6,9 +6,13 @@ the part the two planes used to write out separately."""
 import pytest
 
 from repro.core import Platform, PortLedger, Request, booking
-from repro.core.booking import RejectReason, admission_search
+from repro.core.booking import FitProbe, RejectReason, admission_search, earliest_fit
+from repro.core.ledger import Degradation
 from repro.core.profile import RateProfile
 from repro.gateway import ShardBroker, ShardMap, TwoPhaseCoordinator
+from repro.schedulers.policies import MinRatePolicy
+
+from .test_search_identity import Unpromised
 
 PLATFORM = Platform.uniform(2, 2, 100.0)
 INGRESS, EGRESS = 0, 1  # with two shards: owned by broker 0 and broker 1
@@ -17,19 +21,23 @@ INGRESS, EGRESS = 0, 1  # with two shards: owned by broker 0 and broker 1
 VALLEY = [(40.0, 60.0, 80.0)]
 
 
-def ledger_view(bookings):
+def ledger_view(bookings, degradations=()):
     ledger = PortLedger(PLATFORM)
     for t0, t1, bw in bookings:
         ledger.allocate(INGRESS, EGRESS, t0, t1, bw)
+    for degradation in degradations:
+        ledger.degrade(degradation)
     return ledger
 
 
-def cross_shard_view(bookings):
+def cross_shard_view(bookings, degradations=()):
     shard_map = ShardMap(PLATFORM, 2)
     brokers = [ShardBroker(s, shard_map) for s in range(2)]
     for step in bookings:
         brokers[0].restore("ingress", INGRESS, (step,))
         brokers[1].restore("egress", EGRESS, (step,))
+    for degradation in degradations:
+        brokers[shard_map.shard_of(degradation.side, degradation.port)].degrade(degradation)
     assert not shard_map.is_local(INGRESS, EGRESS)
     return TwoPhaseCoordinator(brokers, shard_map)
 
@@ -111,3 +119,43 @@ def test_shaping_runs_only_when_malleable_and_the_constant_search_failed(make_vi
     )
     assert (allocation.sigma, allocation.tau, allocation.profile) == (0.0, 20.0, None)
     assert (probe.candidates, probe.reason) == (1, None)
+
+
+# ----------------------------------------------------------------------
+# FitProbe.candidates is a rank, not a visit count
+# ----------------------------------------------------------------------
+#: Both ports carry 30 MB/s over [10, 20) and 90 over [30, 50) — the same
+#: pair, so 10, 20, 30 and 50 are breakpoints of both — and the egress port
+#: loses 5 MB/s over [5, 90): a degradation edge at 5 (90 lies past every
+#: start range below).  The distinct starts are sorted(set(...)) of
+#: earliest = 0 and those instants inside (0, latest].
+RANKED = [(10.0, 20.0, 30.0), (30.0, 50.0, 90.0)]
+EDGE = [Degradation("egress", EGRESS, 5.0, 90.0, 5.0)]
+
+
+@pytest.mark.parametrize(
+    "volume, expected",
+    [
+        # latest = 80: starts 0, 5, 10, 20, 30, 50.  20 MB/s from 0 bounces
+        # off the ingress port's [30, 50); the jump lands on 50, which fits:
+        # two starts visited, six up to the chosen one.
+        (2000.0, (50.0, 6, None)),
+        # 4 MB/s fits from 0 (egress [30, 50) has 95 - 90 = 5 left).
+        (400.0, (0.0, 1, None)),
+        # latest = 30: starts 0, 5, 10, 20, 30.  70 MB/s from 0 bounces off
+        # [30, 50) and the jump runs past them all: a reject counts all five.
+        (7000.0, (None, 5, RejectReason.EGRESS_FULL)),
+    ],
+    ids=["jump-then-accept", "accept-at-earliest", "reject"],
+)
+def test_candidates_count_distinct_starts_up_to_the_stop(make_view, volume, expected):
+    outcomes = []
+    for policy in (MinRatePolicy(), Unpromised(MinRatePolicy())):
+        probe = FitProbe()
+        req = request(volume)
+        allocation = earliest_fit(make_view(RANKED, EDGE), req, policy.bind(req), probe=probe)
+        outcomes.append((allocation, probe))
+    (allocation, probe), control = outcomes
+    assert (allocation, probe) == control
+    sigma = None if allocation is None else allocation.sigma
+    assert (sigma, probe.candidates, probe.reason) == expected

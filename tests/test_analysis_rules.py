@@ -219,6 +219,14 @@ class TestGL004LedgerEncapsulation:
         report = _scan(tmp_path / "owner", source, filename="core/ledger.py")
         assert _active(report, "GL004") == []
 
+    def test_fires_on_foreign_kernel_book(self, tmp_path):
+        """``usage.book`` writes too, and tests only the undegraded capacity."""
+        source = "def f(port):\n    port.usage.book(0.0, 1.0, 5.0, port.capacity)\n"
+        report = _scan(tmp_path / "hack", source, filename="gateway/broker.py")
+        assert len(_active(report, "GL004")) == 1
+        report = _scan(tmp_path / "owner", source, filename="core/ledger.py")
+        assert _active(report, "GL004") == []
+
     def test_port_profile_mutation_suppression(self, tmp_path):
         report = _scan(
             tmp_path,

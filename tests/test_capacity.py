@@ -13,6 +13,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Platform, PortLedger
 from repro.core.capacity import BreakpointProfile, CapacityProfile, make_profile
@@ -210,6 +212,61 @@ class TestProfileContract:
     def test_repr_mentions_backend_class(self, profile):
         profile.add(0.0, 1.0, 2.0)
         assert type(profile).__name__ in repr(profile)
+
+
+#: One step of a book/release sequence: book ``delta`` over ``[t0, t0 + span)``
+#: under capacity 100, or release the ``pick``-th live booking.  Whole-number
+#: times land on existing breakpoints; 0, 25, 50 and 100 give zero deltas
+#: and exact-capacity fits.
+BOOK_STEPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("book"),
+            st.integers(0, 12).map(float) | st.floats(0.0, 12.0),
+            st.integers(1, 6).map(float) | st.floats(0.25, 6.0),
+            st.sampled_from([0.0, 25.0, 50.0, 100.0]) | st.floats(0.0, 110.0),
+        ),
+        st.tuples(st.just("release"), st.integers(0, 40)),
+    ),
+    max_size=30,
+)
+
+
+class TestBookConformance:
+    """``book`` is ``blocker(...) is None`` then ``add``, in one call."""
+
+    @pytest.mark.parametrize("kernel_class", KERNELS.values(), ids=KERNELS.keys())
+    @settings(max_examples=120, deadline=None)
+    @given(steps=BOOK_STEPS)
+    def test_book_equals_blocker_then_add(self, kernel_class, steps):
+        booked, probed = kernel_class(), kernel_class()
+        live = []
+        for step in steps:
+            if step[0] == "release":
+                if not live:
+                    continue
+                t0, t1, delta = live.pop(step[1] % len(live))
+                booked.add(t0, t1, -delta)
+                probed.add(t0, t1, -delta)
+            else:
+                _, t0, span, delta = step
+                t1 = t0 + span
+                fits = probed.blocker(t0, t1, delta, 100.0) is None
+                if fits:
+                    probed.add(t0, t1, delta)
+                assert booked.book(t0, t1, delta, 100.0) is fits
+                if fits and delta:
+                    live.append((t0, t1, delta))
+            assert list(booked.breakpoints()) == list(probed.breakpoints())
+            assert list(booked.segments()) == list(probed.segments())
+            for profile in (booked, probed):
+                assert profile.global_max() == max(
+                    [0.0, *(value for _, _, value in profile.segments())]
+                )
+
+    def test_book_rejects_an_empty_interval(self, profile):
+        with pytest.raises(ValueError):
+            profile.book(4.0, 4.0, 1.0, 100.0)
 
 
 class TestCoalescingRegression:
