@@ -6,14 +6,21 @@ enabled (every RPC hop spans, every decision event carries its trace
 context) must make byte-identical admission decisions to the same run
 under :class:`~repro.obs.telemetry.NullTelemetry` — tracing observes, it
 never steers — and is gated in wall time: the min-of-repeats
-``traced_over_null_wall`` ratio must stay under
-``MAX_TRACING_WALL = 1.5``.  The write path only stores (ring records,
-bound metric samples — docs/OBSERVABILITY.md, "Write path / read path");
-that took this ratio from 1.84 to about 1.40 on this workload.  ROADMAP's
-target for tracing that stays on in production is 1.10x: the result is
-still ~0.30 away, i.e. a traced decision still costs ~25 us more than an
-untraced ~65 us one (5.9 stored hops, 1.25 events, 5 metric samples and
-the trace contexts of one submission).
+``traced_over_null_wall`` ratio must stay under ``MAX_TRACING_WALL``.
+The write path only stores (ring records, bound metric samples —
+docs/OBSERVABILITY.md, "Write path / read path"); that took this ratio
+from 1.84 to about 1.45, and storing each decision as two records (its
+submit and its admission, together rendering 4.66 spans; 2.25 ring
+records per decision with the batch's span, 1.25 events, 5 metric
+samples) took it to about 1.30: a traced decision costs ~13 us more than
+an untraced ~41 us one (~17 us more with one stored hop per span).
+ROADMAP's target for tracing that stays on in production is 1.10x.
+
+The gate is the worst of five runs at 40 repeats (1.28-1.31 on a 2-core
+host) plus 0.05, so a return of per-span recording (1.43-1.44 at 40
+repeats on the same host) fails it.  ``TRACING_REPEATS`` is 40 because at
+15 the ratio read 1.40-1.52 on the per-span path, failing a 1.5 gate one
+run in three.
 
 Timing uses the injectable :class:`~repro.obs.perfclock.WallClock` — the
 only sanctioned wall-clock source — with a min-of-repeats protocol so a
@@ -36,8 +43,8 @@ from repro.obs.perfclock import PerfClock
 from conftest import RESULTS_DIR
 
 #: Allowed traced/null wall-clock ratio of the same gateway run.
-MAX_TRACING_WALL = 1.5
-TRACING_REPEATS = 15
+MAX_TRACING_WALL = 1.36
+TRACING_REPEATS = 40
 
 
 def _wall(clock: PerfClock, fn: Callable[[], object]) -> float:

@@ -13,7 +13,10 @@ profile submits, cancel, abort, reshape, degrade, broker crash/restart
 gateway at 1/2/4 shards × ``malleable`` off/on × {no chaos, ``lossy``,
 ``crash_mid_2pc``}, plus the service at ``malleable`` off/on.  A cell's
 digest covers ``snapshot()`` after every operation (and any refusal it
-raised) plus the journal bytes.  Every cell is also replayed from its
+raised), the journal bytes, and the :class:`~repro.obs.artifact.RunTelemetry`
+JSON of the cell's telemetry handle, whose caps (:data:`MAX_EVENTS`,
+:data:`MAX_SPANS`) evict — so "exports byte-identical" is the same
+comparison as "decisions unchanged".  Every cell is also replayed from its
 journal; the script exits 1 when a replay's snapshot differs from the
 cell's final one.  ``--quick`` runs a short stream (the CI form).
 
@@ -38,9 +41,13 @@ from repro.control.service import ReservationService  # noqa: E402
 from repro.core.errors import ReproError  # noqa: E402
 from repro.core.platform import Platform  # noqa: E402
 from repro.gateway import ChaosPolicy, Gateway  # noqa: E402
+from repro.obs import RunTelemetry, Telemetry  # noqa: E402
 
 PORTS = 6
 CAPACITY = 100.0
+#: Telemetry caps of every cell: small enough that the rings evict.
+MAX_EVENTS = 97
+MAX_SPANS = 211
 CHAOS = {
     "none": lambda seed: None,
     "lossy": lambda seed: ChaosPolicy.lossy(seed=seed),
@@ -131,8 +138,11 @@ def make_stream(seed: int, n: int) -> list[tuple[Any, ...]]:
 
 def build(shards: int, malleable: bool, chaos: str, seed: int) -> Any:
     platform = Platform.uniform(PORTS, PORTS, CAPACITY)
+    telemetry = Telemetry(max_events=MAX_EVENTS, max_spans=MAX_SPANS)
     if shards == 0:
-        return ReservationService(platform, backlog_limit=4, malleable=malleable, journal=Journal())
+        return ReservationService(
+            platform, backlog_limit=4, malleable=malleable, journal=Journal(), telemetry=telemetry
+        )
     return Gateway(
         platform,
         num_shards=shards,
@@ -141,6 +151,7 @@ def build(shards: int, malleable: bool, chaos: str, seed: int) -> Any:
         backlog_limit=4,
         malleable=malleable,
         journal=Journal(),
+        telemetry=telemetry,
     )
 
 
@@ -183,6 +194,9 @@ def run_cell(cell: tuple[str, int, bool, str], ops: list[tuple[Any, ...]], seed:
             digest.update(f"refused {type(exc).__name__}\n".encode())
         digest.update(json.dumps(plane.snapshot(), sort_keys=True, default=str).encode())
     digest.update(plane.journal.to_jsonl().encode())
+    artifact = RunTelemetry(cell[0], meta={"seed": seed})
+    artifact.capture("cell", plane.telemetry)
+    digest.update(artifact.to_json().encode())
     replayed = type(plane).replay(plane.journal)
     return digest.hexdigest(), replayed.snapshot() == plane.snapshot()
 

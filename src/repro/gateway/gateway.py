@@ -36,7 +36,7 @@ equivalence property tests hold the gateway to this).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..control.journal import Journal
 from ..control import lifecycle
@@ -46,11 +46,12 @@ from ..core.errors import ConfigurationError
 from ..core.ledger import Degradation
 from ..core.platform import Platform
 from ..core.profile import RateProfile
-from ..obs.causal import CausalObserver, TraceContext
+from ..obs.causal import CausalObserver, TraceContext, hop_spans
 from ..obs.metrics import BoundCounter
 from ..obs.recorder import FlightRecorder
 from ..obs.slo import SloWatchdog
 from ..obs.telemetry import Telemetry, get_telemetry
+from ..obs.tracer import Hop, Span
 from ..schedulers.policies import BandwidthPolicy, MinRatePolicy, policy_from_name
 from ..schedulers.retry import BackoffSchedule
 from .batch import AdmissionOrdering, Batcher
@@ -138,6 +139,112 @@ class Ticket(Reservation):
     profile: RateProfile | None = None
     #: The batch holding this submission has flushed, or the edge refused it.
     decided: bool = False
+
+
+def _hop(name: str, now: float, ctx: TraceContext, fields: dict[str, Any]) -> Span:
+    """One gateway-side span of a record (``cat="causal"``, track 0)."""
+    return Hop(name, now, "causal", 0, ctx, fields).span()
+
+
+class _Submitted(NamedTuple):
+    """The causal record of one submission: ``gateway.trace.submit`` and
+    ``gateway.trace.enqueued`` (``pending`` set) or
+    ``gateway.trace.edge_refused``, rendered on read.  ``ctx`` is ``None``
+    for a rid on its own root trace."""
+
+    now: float
+    rid: int
+    ctx: TraceContext | None
+    client: str
+    ingress: int
+    egress: int
+    origin: int | None
+    pending: int | None
+
+    @property
+    def width(self) -> int:
+        return 2
+
+    def spans(self) -> list[Span]:
+        now, rid, ctx = self.now, self.rid, self.ctx or TraceContext.root(self.rid)
+        submit = {"rid": rid, "client": self.client, "ingress": self.ingress}
+        submit.update(egress=self.egress, origin=self.origin)
+        if self.pending is None:
+            then = _hop("gateway.trace.edge_refused", now, ctx, {"rid": rid, "client": self.client})
+        else:
+            then = _hop("gateway.trace.enqueued", now, ctx, {"rid": rid, "pending": self.pending})
+        return [_hop("gateway.trace.submit", now, ctx, submit), then]
+
+
+class _Admission:
+    """The causal record of one admission attempt, stored once when it is
+    decided: the placement's hops — ``(cat, what, shard, segment,
+    detail)`` tuples the channels add while it is :attr:`CausalObserver.open`
+    — then ``gateway.trace.decision``, or, for a backlog re-admission of
+    rid ``readmits``, ``gateway.trace.readmit_attempt`` + hops +
+    ``gateway.trace.readmit_decision``.  A first admission's record also
+    renders its ``gateway.submit`` event.  Decision-time values only
+    (:meth:`Gateway._admit` sets ``outcome`` and ``latency``): the ticket
+    is rewritten later (reshape, degrade, cancel), its ``request`` and the
+    attempt's ``outcome`` are not."""
+
+    __slots__ = ("now", "rid", "ctx", "request", "readmits", "hops", "outcome", "latency")
+    outcome: TwoPhaseOutcome
+    latency: float
+
+    def __init__(
+        self, now: float, ticket: Ticket, ctx: TraceContext | None, readmits: int | None = None
+    ) -> None:
+        self.now, self.rid, self.request = now, ticket.rid, ticket.request
+        self.ctx, self.readmits = ctx, readmits
+        self.hops: list[tuple[str, str, int, str, dict[str, Any] | None]] = []
+
+    @property
+    def width(self) -> int:
+        return len(self.hops) + (1 if self.readmits is None else 2)
+
+    def spans(self) -> list[Span]:
+        now, rid, ctx = self.now, self.rid, self.ctx or TraceContext.root(self.rid)
+        spans = hop_spans(self.hops, now, ctx)
+        accepted = self.outcome.allocation is not None
+        decided = "accepted" if accepted else "rejected"
+        if self.readmits is not None:
+            fields: dict[str, Any] = {"rid": rid, "origin": self.readmits}
+            attempt = _hop("gateway.trace.readmit_attempt", now, ctx, fields)
+            done = _hop("gateway.trace.readmit_decision", now, ctx, {**fields, "outcome": decided})
+            return [attempt, *spans, done]
+        reason = self.outcome.probe.reason
+        shown = None if accepted or reason is None else reason.value
+        fields = {"rid": rid, "outcome": decided, "reason": shown, "latency": self.latency}
+        return [*spans, _hop("gateway.trace.decision", now, ctx, fields)]
+
+    def event(self) -> tuple[float, str, dict[str, Any]]:
+        """The ``gateway.submit`` event of a first admission."""
+        request, outcome, alloc = self.request, self.outcome, self.outcome.allocation
+        fields: dict[str, Any] = {
+            "rid": self.rid,
+            "ingress": request.ingress,
+            "egress": request.egress,
+            "volume": request.volume,
+            "deadline": request.t_end,
+            "outcome": "accepted" if alloc is not None else "rejected",
+            "path": "local" if outcome.local else "cross-shard",
+            "fastpath": outcome.fastpath,
+            "candidates": outcome.probe.candidates,
+            "latency": self.latency,
+        }
+        fields.update((self.ctx or TraceContext.root(self.rid)).fields())
+        if alloc is not None:
+            fields.update(sigma=alloc.sigma, tau=alloc.tau, bw=alloc.bw)
+        else:
+            fields["reason"] = _reason(outcome)
+        return self.now, "gateway.submit", fields
+
+
+def _reason(outcome: TwoPhaseOutcome) -> str:
+    """A rejected attempt's reason as reported (``unspecified`` if none)."""
+    reason = outcome.probe.reason
+    return reason.value if reason is not None else "unspecified"
 
 
 class _Instruments:
@@ -496,32 +603,19 @@ class Gateway:
         self._record("submit", now, rid=rid, client=client, **entry)
         self.stats.submits += 1
         tel = self.telemetry
-        note = self._observer.note
+        traced = self._observer.tracing()
         ctx: TraceContext | None = None
-        if self._observer.tracing():
-            if origin is None:
-                ctx = TraceContext.root(rid)
-            else:
-                # A rebooking joins the original request's trace so one
-                # `grid-obs explain` shows the whole lineage.
-                ctx = self._trace_roots[rid] = self._ctx_of(origin).child(f"rebook:{rid}")
-            note(
-                "gateway.trace.submit",
-                now,
-                ctx,
-                {
-                    "rid": rid,
-                    "client": client,
-                    "ingress": ingress,
-                    "egress": egress,
-                    "origin": origin,
-                },
-            )
+        if traced and origin is not None:
+            # A rebooking joins the original request's trace so one
+            # `grid-obs explain` shows the whole lineage.
+            ctx = self._trace_roots[rid] = self._ctx_of(origin).child(f"rebook:{rid}")
         if self.edge is not None and not self.edge.admit(client, volume, now):
             ticket.edge_refused = ticket.decided = True
             ticket.retry_after = self.edge.retry_after(client, volume, now)
             self.stats.edge_refused += 1
-            note("gateway.trace.edge_refused", now, ctx, {"rid": rid, "client": client})
+            if traced:
+                record = _Submitted(now, rid, ctx, client, ingress, egress, origin, None)
+                self._observer.store(record)
             if tel.enabled:
                 tel.metrics.counter(
                     "gateway_edge_refusals_total",
@@ -534,7 +628,9 @@ class Gateway:
         if not len(self.batcher):
             self._batch_opened = now
         self.batcher.enqueue(ticket)
-        note("gateway.trace.enqueued", now, ctx, {"rid": rid, "pending": len(self.batcher)})
+        if traced:
+            record = _Submitted(now, rid, ctx, client, ingress, egress, origin, len(self.batcher))
+            self._observer.store(record)
         if self.batcher.full:
             self._flush(now)
         return ticket
@@ -578,7 +674,7 @@ class Gateway:
         tel = self.telemetry
         traced = self._observer.tracing()
         for ticket in batch:
-            self._decide(ticket, now, tel, self._ctx_of(ticket.rid) if traced else None)
+            self._decide(ticket, now, tel, traced)
         self.stats.batches += 1
         health = (
             self._health_snapshot(now)
@@ -615,7 +711,7 @@ class Gateway:
         ticket: Ticket,
         now: float,
         tel: Telemetry,
-        ctx: TraceContext | None,
+        trace: _Admission | None,
         waiting_since: float,
     ) -> tuple[TwoPhaseOutcome, float]:
         """Run one admission through the coordinator and fill its record.
@@ -627,17 +723,19 @@ class Gateway:
         whichever of the two made it.  Returns the outcome and the
         admission latency in simulated time: queueing since
         ``waiting_since`` plus the retry backoff and chaos waiting the
-        transaction burned.
+        transaction burned.  A traced attempt's ``trace`` collects the
+        placement's hops, is filled with the outcome and is stored.
         """
         request = ticket.request
+        self._observer.open = trace
         outcome = self.coordinator.reserve(
             request,
             self.policy.bind(request),
             now,
-            ctx=ctx,
             profile=ticket.profile,
             malleable=self.malleable,
         )
+        self._observer.open = None
         ticket.allocation = outcome.allocation
         ticket.reject_reason = outcome.probe.reason
         ticket.decided = True
@@ -651,6 +749,9 @@ class Gateway:
         if outcome.aborted:
             stats.twophase_aborts += 1
         latency = (now - waiting_since) + outcome.retry_delay + outcome.chaos_wait
+        if trace is not None:
+            trace.outcome, trace.latency = outcome, latency
+            self._observer.store(trace)
         accepted = outcome.allocation is not None
         if self.slo is not None:
             self.slo.admission(now, accepted=accepted, latency=latency)
@@ -658,38 +759,27 @@ class Gateway:
             self._note_port_peaks(request.ingress, request.egress)
         return outcome, latency
 
-    def _decide(self, ticket: Ticket, now: float, tel: Telemetry, ctx: TraceContext | None) -> None:
+    def _decide(self, ticket: Ticket, now: float, tel: Telemetry, traced: bool) -> None:
         """Decide one batched submission; publish the outcome."""
+        trace = _Admission(now, ticket, self._trace_roots.get(ticket.rid)) if traced else None
         # Queueing counts from the instant the request's window opened.
-        outcome, latency = self._admit(ticket, now, tel, ctx, ticket.request.t_start)
+        outcome, latency = self._admit(ticket, now, tel, trace, ticket.request.t_start)
         if outcome.local:
             self.stats.local += 1
         else:
             self.stats.cross_shard += 1
         if outcome.fastpath:
             self.stats.fastpath_hits += 1
-        accepted = outcome.allocation is not None
-        reason = ticket.reject_reason
-        if accepted:
+        if outcome.allocation is not None:
             self.stats.accepted += 1
         else:
+            reason = ticket.reject_reason
             self.stats.rejected += 1
             if reason is RejectReason.SHARD_UNREACHABLE:
                 self.stats.shard_unreachable += 1
             self._maybe_backlog(ticket, reason)
-        self._observer.note(
-            "gateway.trace.decision",
-            now,
-            ctx,
-            {
-                "rid": ticket.rid,
-                "outcome": "accepted" if accepted else "rejected",
-                "reason": None if accepted or reason is None else reason.value,
-                "latency": latency,
-            },
-        )
-        if tel.enabled:
-            self._observe_decision(tel, ticket, outcome, now, latency, ctx)
+        if trace is not None and tel.enabled:  # (an enabled handle always traces)
+            self._observe_decision(tel, outcome, latency, trace)
         if self.on_decision is not None:
             self.on_decision(ticket, now)
 
@@ -719,20 +809,11 @@ class Gateway:
             ).inc()
 
     def _observe_decision(
-        self,
-        tel: Telemetry,
-        reservation: Reservation,
-        outcome: TwoPhaseOutcome,
-        now: float,
-        latency: float,
-        ctx: TraceContext | None,
+        self, tel: Telemetry, outcome: TwoPhaseOutcome, latency: float, trace: _Admission
     ) -> None:
         bound = self._instruments(tel)
-        alloc = reservation.allocation
-        decided = "accepted" if alloc is not None else "rejected"
-        path = "local" if outcome.local else "cross-shard"
-        bound.submits[decided].inc()
-        bound.admissions[path].inc()
+        bound.submits["accepted" if outcome.allocation is not None else "rejected"].inc()
+        bound.admissions["local" if outcome.local else "cross-shard"].inc()
         bound.fastpath[outcome.fastpath].inc()
         if outcome.retries:
             tel.metrics.counter(
@@ -745,32 +826,9 @@ class Gateway:
                 "Two-phase transactions rolled back with holds released.",
             ).inc()
         bound.latency.observe(latency)
-        request = reservation.request
-        fields: dict[str, Any] = {
-            "rid": reservation.rid,
-            "ingress": request.ingress,
-            "egress": request.egress,
-            "volume": request.volume,
-            "deadline": request.t_end,
-            "outcome": decided,
-            "path": path,
-            "fastpath": outcome.fastpath,
-            "candidates": outcome.probe.candidates,
-            "latency": latency,
-        }
-        if ctx is not None:
-            fields.update(ctx.fields())
-        if alloc is not None:
-            fields.update(sigma=alloc.sigma, tau=alloc.tau, bw=alloc.bw)
-        else:
-            reason = (
-                outcome.probe.reason.value
-                if outcome.probe.reason is not None
-                else "unspecified"
-            )
-            fields["reason"] = reason
-            bound.rejects(reason).inc()
-        tel.emit("gateway.submit", now, fields)
+        if outcome.allocation is None:
+            bound.rejects(_reason(outcome)).inc()
+        tel.store(trace)
 
     # ------------------------------------------------------------------
     # Degraded-mode re-admission (the backlog)
@@ -815,28 +873,16 @@ class Gateway:
                 seq=parked.seq,
                 client=parked.client,
             )
-            ctx: TraceContext | None = None
+            trace: _Admission | None = None
             if self._observer.tracing():
                 # Re-admissions stay on the original request's trace: the
                 # fresh rid is one more hop of the same causal story.
                 ctx = self._trace_roots[attempt.rid] = self._ctx_of(rid).child(
                     f"readmit:{attempt.rid}"
                 )
-                self._observer.note(
-                    "gateway.trace.readmit_attempt", now, ctx, {"rid": attempt.rid, "origin": rid}
-                )
+                trace = _Admission(now, attempt, ctx, readmits=rid)
             # The client has been waiting since the *original* window opened.
-            self._admit(attempt, now, tel, ctx, original.t_start)
-            self._observer.note(
-                "gateway.trace.readmit_decision",
-                now,
-                ctx,
-                {
-                    "rid": attempt.rid,
-                    "origin": rid,
-                    "outcome": "accepted" if attempt.confirmed else "rejected",
-                },
-            )
+            self._admit(attempt, now, tel, trace, original.t_start)
             if not attempt.confirmed:
                 keep.append(rid)  # the refused attempt leaves no record
                 continue

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from dataclasses import dataclass, fields
 from collections.abc import Callable
 from typing import TYPE_CHECKING, Any, TypeVar
@@ -47,7 +46,7 @@ from ..core.errors import ConfigurationError, ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..core.profile import Segment
-    from ..obs.causal import CausalObserver, TraceContext
+    from ..obs.causal import CausalObserver
     from .broker import Hold, ShardBroker
 
 __all__ = [
@@ -342,8 +341,6 @@ class Channel:
         self.policy = policy
         self.observer = observer
         self.stats = ChannelStats()
-        #: This edge's flight-recorder ring.
-        self._component = f"rpc.shard{broker.shard_id}"
         self._edge = policy.edge_for(broker.shard_id) if policy is not None else EdgeChaos()
         seed = policy.seed if policy is not None else 0
         self._rng = random.Random(seed * _SEED_STRIDE + broker.shard_id + 1)
@@ -352,25 +349,13 @@ class Channel:
     # Causal tracing: the channel is where faults become visible, so it
     # is the channel that annotates them onto the request's timeline.
     # ------------------------------------------------------------------
-    def observe(
-        self,
-        cat: str,
-        what: str,
-        now: float,
-        ctx: TraceContext | None,
-        detail: dict[str, Any] | None = None,
-    ) -> None:
+    def observe(self, cat: str, what: str, hop: str, detail: dict[str, Any] | None = None) -> None:
         """Report a delivery (``rpc.<op>``) or a fault (``chaos.<kind>``,
-        whose ``detail`` leads with the ``op`` it struck) on ``ctx``; the
-        one place that asks whether the call is traced (``ctx`` is None:
-        it is not, and neither the name nor the record is built)."""
-        observer = self.observer
-        if observer is not None and ctx is not None:
-            shard = self.broker.shard_id
-            record = {"shard": shard, **detail} if detail else {"shard": shard}
-            # Interned: the span ring keeps up to its capacity of these.
-            name = sys.intern(f"{cat}.{what}")
-            observer.note(name, now, ctx, record, cat=cat, component=self._component, tid=shard)
+        whose ``detail`` leads with the ``op`` it struck) as ``hop`` of the
+        admission being placed; the observer keeps it only when that
+        admission is traced."""
+        if self.observer is not None:
+            self.observer.hop(cat, what, self.broker.shard_id, hop, detail)
 
     # ------------------------------------------------------------------
     @property
@@ -392,9 +377,7 @@ class Channel:
     # ------------------------------------------------------------------
     # Termination protocol: durable-log reads
     # ------------------------------------------------------------------
-    def resolved_committed(
-        self, hold_id: int, *, now: float = 0.0, ctx: TraceContext | None = None
-    ) -> bool:
+    def resolved_committed(self, hold_id: int, *, hop: str = "") -> bool:
         """Did ``hold_id``'s commit land, per the broker's durable log?
 
         The coordinator's termination-protocol read for an ambiguous
@@ -405,18 +388,16 @@ class Channel:
         landed = self.broker.resolution_of(hold_id) == "committed"
         if landed:
             self.stats.recovered += 1
-            self.observe("rpc", "commit", now, ctx, {"outcome": "recovered", "hold_id": hold_id})
+            self.observe("rpc", "commit", hop, {"outcome": "recovered", "hold_id": hold_id})
         return landed
 
-    def booking_landed(
-        self, rid: int, *, now: float = 0.0, ctx: TraceContext | None = None
-    ) -> bool:
+    def booking_landed(self, rid: int, *, hop: str = "") -> bool:
         """Did the pair booking keyed ``rid`` land?  (Reliable log read,
         the :meth:`resolved_committed` analogue for the local fast path.)"""
         landed = self.broker.was_booked(rid)
         if landed:
             self.stats.recovered += 1
-            self.observe("rpc", "book_pair", now, ctx, {"outcome": "recovered", "rid": rid})
+            self.observe("rpc", "book_pair", hop, {"outcome": "recovered", "rid": rid})
         return landed
 
     # ------------------------------------------------------------------
@@ -427,7 +408,7 @@ class Channel:
         *,
         now: float,
         reliable: bool = False,
-        ctx: TraceContext | None = None,
+        hop: str = "",
         detail: Callable[[_T], dict[str, Any]] | None = None,
     ) -> _T:
         """Run one broker call through the configured chaos.
@@ -437,14 +418,14 @@ class Channel:
         duplicate — and a draw only happens when its probability is
         non-zero, so an all-zero policy consumes no randomness at all.
         ``reliable=True`` (compensation records) bypasses partition,
-        drop and duplication: only latency applies.  ``ctx`` is the
-        causal trace context of the transaction this delivery serves;
-        every fault that strikes is annotated onto its timeline.  With no
+        drop and duplication: only latency applies.  ``hop`` names this
+        delivery in the causal trace of the admission it serves; every
+        fault that strikes is annotated onto its timeline.  With no
         policy the call runs as-is and its hop carries ``detail(result)``.
         """
         if self.policy is None:
             result = invoke()
-            self.observe("rpc", op, now, ctx, detail(result) if detail is not None else None)
+            self.observe("rpc", op, hop, detail(result) if detail is not None else None)
             return result
         self.stats.calls += 1
         edge = self._edge
@@ -454,9 +435,8 @@ class Channel:
         if not reliable:
             if self.partitioned(now):
                 self.stats.partitioned += 1
-                self.observe(
-                    "chaos", "partition", now, ctx, {"op": op, "cost": self.policy.timeout_cost}
-                )
+                cost = self.policy.timeout_cost
+                self.observe("chaos", "partition", hop, {"op": op, "cost": cost})
                 raise ChannelTimeout(
                     f"{op}: shard {self.shard_id} is partitioned",
                     cost=self.policy.timeout_cost,
@@ -467,8 +447,7 @@ class Channel:
                 self.observe(
                     "chaos",
                     "drop",
-                    now,
-                    ctx,
+                    hop,
                     {
                         "op": op,
                         "mode": "reply-lost" if reply_lost else "request-lost",
@@ -488,25 +467,19 @@ class Channel:
         if edge.delay > 0.0 and rng.random() < edge.delay:
             self.stats.delays += 1
             self.stats.latency += edge.delay_cost
-            self.observe("chaos", "delay", now, ctx, {"op": op, "cost": edge.delay_cost})
+            self.observe("chaos", "delay", hop, {"op": op, "cost": edge.delay_cost})
         result = invoke()
         if not reliable and edge.duplicate > 0.0 and rng.random() < edge.duplicate:
             self.stats.duplicates += 1
-            self.observe("chaos", "duplicate", now, ctx, {"op": op})
+            self.observe("chaos", "duplicate", hop, {"op": op})
             try:
                 invoke()  # at-least-once: the broker sees the replay too
             except ReproError:
                 pass
-        self.observe("rpc", op, now, ctx)
+        self.observe("rpc", op, hop)
         return result
 
-    def _maybe_crash(
-        self,
-        probability: float,
-        op: str,
-        now: float,
-        ctx: TraceContext | None,
-    ) -> None:
+    def _maybe_crash(self, probability: float, op: str, hop: str) -> None:
         """Sample a broker crash right after an acknowledged phase."""
         if (
             probability > 0.0
@@ -514,7 +487,7 @@ class Channel:
             and self._rng.random() < probability
         ):
             self.stats.crashes += 1
-            self.observe("chaos", "crash", now, ctx, {"op": op})
+            self.observe("chaos", "crash", hop, {"op": op})
             self.broker.crash()
 
     # ------------------------------------------------------------------
@@ -529,7 +502,7 @@ class Channel:
         rid: int,
         expires: float,
         now: float,
-        ctx: TraceContext | None = None,
+        hop: str = "",
     ) -> Hold | None:
         """Phase one through the channel; ``(rid, side)`` keys the replay,
         whatever the number of ``segments``."""
@@ -539,28 +512,28 @@ class Channel:
                 side, port, segments, rid=rid, expires=expires, key=(rid, side)
             ),
             now=now,
-            ctx=ctx,
+            hop=hop,
             detail=lambda held: {"rid": rid, "side": side, "held": held is not None},
         )
         if hold is not None:
-            self._maybe_crash(self._edge.crash_after_prepare, "prepare", now, ctx)
+            self._maybe_crash(self._edge.crash_after_prepare, "prepare", hop)
         return hold
 
     def commit(
-        self, hold_id: int, *, now: float, ctx: TraceContext | None = None
+        self, hold_id: int, *, now: float, hop: str = ""
     ) -> None:
         """Phase two through the channel."""
         self.deliver(
             "commit",
             lambda: self.broker.commit(hold_id),
             now=now,
-            ctx=ctx,
+            hop=hop,
             detail=lambda _: {"hold_id": hold_id},
         )
-        self._maybe_crash(self._edge.crash_after_commit, "commit", now, ctx)
+        self._maybe_crash(self._edge.crash_after_commit, "commit", hop)
 
     def abort_hold(
-        self, hold_id: int, *, now: float, ctx: TraceContext | None = None
+        self, hold_id: int, *, now: float, hop: str = ""
     ) -> bool:
         """Abort through the channel — deliberately *unreliable*: a lost
         abort strands the hold until the broker's TTL sweep (presumed
@@ -569,7 +542,7 @@ class Channel:
             "abort",
             lambda: self.broker.abort_hold(hold_id),
             now=now,
-            ctx=ctx,
+            hop=hop,
             detail=lambda _: {"hold_id": hold_id},
         )
 
@@ -581,14 +554,14 @@ class Channel:
         *,
         rid: int,
         now: float,
-        ctx: TraceContext | None = None,
+        hop: str = "",
     ) -> None:
         """Shard-local atomic booking through the channel; ``rid`` keys it."""
         self.deliver(
             "book_pair",
             lambda: self.broker.book_pair(ingress, egress, segments, key=rid),
             now=now,
-            ctx=ctx,
+            hop=hop,
             detail=lambda _: {"rid": rid},
         )
 
@@ -599,7 +572,7 @@ class Channel:
         segments: tuple[Segment, ...],
         *,
         now: float,
-        ctx: TraceContext | None = None,
+        hop: str = "",
     ) -> None:
         """Compensation release — ``reliable``: modelled as a durable
         compensation record replayed until acknowledged, so undoing a
@@ -608,7 +581,7 @@ class Channel:
             "release",
             lambda: self.broker.release(side, port, segments),
             now=now,
-            ctx=ctx,
+            hop=hop,
             reliable=True,
             detail=lambda _: {"side": side},
         )

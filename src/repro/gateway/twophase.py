@@ -64,14 +64,13 @@ from ..core.capacity import fits_under
 from ..core.ledger import Port
 from ..core.profile import RateProfile, Segment
 from ..core.request import Request
-from ..obs.causal import child_of
 from ..schedulers.retry import BackoffSchedule
 from .broker import BrokerUnavailable, Hold, ShardBroker
 from .rpc import Channel, ChannelTimeout, ChaosPolicy, ShardUnreachable
 from .sharding import ShardMap
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from ..obs.causal import CausalObserver, TraceContext
+    from ..obs.causal import CausalObserver
 
 __all__ = ["TwoPhaseCoordinator", "TwoPhaseOutcome"]
 
@@ -166,17 +165,16 @@ class TwoPhaseCoordinator:
         rate_for: Callable[[float], float | None],
         now: float,
         *,
-        ctx: TraceContext | None = None,
         profile: RateProfile | None = None,
         malleable: bool = False,
     ) -> TwoPhaseOutcome:
         """Admit one request: search, then place it consistently.
 
         Returns a :class:`TwoPhaseOutcome`; ``outcome.allocation`` is
-        ``None`` on rejection with ``outcome.probe.reason`` set.
-        ``ctx`` (when tracing) is the request's causal context; each
-        protocol phase runs under a derived child context so faults land
-        on the right hop of the timeline.
+        ``None`` on rejection with ``outcome.probe.reason`` set.  Each
+        booking call names its hop (``book``, ``prepare:<side>``,
+        ``commit:<side>`` ...) so that, when the admission is traced, its
+        deliveries and faults land on the right hop of its timeline.
 
         ``profile`` and ``malleable`` select the search as on the service
         (:func:`~repro.core.booking.admission_search`).
@@ -202,13 +200,12 @@ class TwoPhaseCoordinator:
         if allocation is None:
             return outcome
         if self.chaos is None and not (ingress_broker.crashed or egress_broker.crashed):
-            self._place_direct(ingress_broker, egress_broker, allocation, outcome, now, ctx)
+            self._place_direct(ingress_broker, egress_broker, allocation, outcome)
         elif outcome.local:
-            self._place_local(
-                self.channel_for("ingress", request.ingress), allocation, outcome, now, ctx
-            )
+            channel = self.channel_for("ingress", request.ingress)
+            self._place_local(channel, allocation, outcome, now)
         else:
-            self._place_two_phase(allocation, now, outcome, ctx)
+            self._place_two_phase(allocation, now, outcome)
         return outcome
 
     # ------------------------------------------------------------------
@@ -251,8 +248,6 @@ class TwoPhaseCoordinator:
         egress_broker: ShardBroker,
         allocation: Allocation,
         outcome: TwoPhaseOutcome,
-        now: float,
-        ctx: TraceContext | None = None,
     ) -> None:
         """Book with no protocol (nothing can land between the halves): one
         ``book_pair`` for a shard-local pair, else one capacity-checked
@@ -262,16 +257,14 @@ class TwoPhaseCoordinator:
         segments = a.segments()
         if ingress_broker is egress_broker:
             ingress_broker.book_pair(a.ingress, a.egress, segments, key=a.rid)
-            if ctx is not None:
-                self.channels[ingress_broker.shard_id].observe(
-                    "rpc", "book_pair", now, ctx.child("book"), {"rid": a.rid}
-                )
+            channel = self.channels[ingress_broker.shard_id]
+            channel.observe("rpc", "book_pair", "book", {"rid": a.rid})
             outcome.allocation = a
             return
         booked: list[tuple[ShardBroker, str, int]] = []
-        for broker, side, port, full in (
-            (ingress_broker, "ingress", a.ingress, RejectReason.INGRESS_FULL),
-            (egress_broker, "egress", a.egress, RejectReason.EGRESS_FULL),
+        for broker, side, port, full, hop in (
+            (ingress_broker, "ingress", a.ingress, RejectReason.INGRESS_FULL, "book:ingress"),
+            (egress_broker, "egress", a.egress, RejectReason.EGRESS_FULL, "book:egress"),
         ):
             if not broker.book_side(side, port, segments):
                 for peer, peer_side, peer_port in booked:
@@ -280,10 +273,7 @@ class TwoPhaseCoordinator:
                 outcome.probe.reason = full
                 return
             booked.append((broker, side, port))
-            if ctx is not None:
-                self.channels[broker.shard_id].observe(
-                    "rpc", "book", now, ctx.child(f"book:{side}"), {"rid": a.rid, "side": side}
-                )
+            self.channels[broker.shard_id].observe("rpc", "book", hop, {"rid": a.rid, "side": side})
         outcome.allocation = a
 
     def _place_local(
@@ -292,10 +282,8 @@ class TwoPhaseCoordinator:
         allocation: Allocation,
         outcome: TwoPhaseOutcome,
         now: float,
-        ctx: TraceContext | None = None,
     ) -> None:
         """Shard-local placement: one atomic pair booking, no protocol."""
-        book_ctx = child_of(ctx, "book")
         try:
             self._with_retry(
                 lambda: channel.book_pair(
@@ -304,7 +292,7 @@ class TwoPhaseCoordinator:
                     allocation.segments(),
                     rid=allocation.rid,
                     now=now,
-                    ctx=book_ctx,
+                    hop="book",
                 ),
                 outcome,
             )
@@ -312,7 +300,7 @@ class TwoPhaseCoordinator:
             outcome.probe.reason = RejectReason.BROKER_UNAVAILABLE
             return
         except ShardUnreachable:
-            if channel.booking_landed(allocation.rid, now=now, ctx=book_ctx):
+            if channel.booking_landed(allocation.rid, hop="book"):
                 # Termination probe: the booking executed and only its
                 # acknowledgements were lost.  Accepting is the only
                 # correct answer — rejecting would strand the booked
@@ -329,7 +317,6 @@ class TwoPhaseCoordinator:
         allocation: Allocation,
         now: float,
         outcome: TwoPhaseOutcome,
-        ctx: TraceContext | None = None,
     ) -> None:
         """Cross-shard placement: prepare both holds, then commit both."""
         expires = now + self.hold_ttl
@@ -341,43 +328,40 @@ class TwoPhaseCoordinator:
         placed: list[tuple[Channel, Hold]] = []
         for side, port, full_reason in plan:
             channel = self.channel_for(side, port)
-            prepare_ctx = child_of(ctx, f"prepare:{side}")
             try:
                 hold = self._with_retry(
-                    lambda c=channel, s=side, p=port, x=prepare_ctx: c.prepare(
-                        s, p, segments, rid=allocation.rid, expires=expires, now=now, ctx=x
+                    lambda c=channel, s=side, p=port: c.prepare(
+                        s, p, segments, rid=allocation.rid, expires=expires, now=now,
+                        hop=f"prepare:{s}",
                     ),
                     outcome,
                 )
             except BrokerUnavailable:
-                self._abort(placed, outcome, now, ctx)
+                self._abort(placed, outcome, now)
                 outcome.probe.reason = RejectReason.BROKER_UNAVAILABLE
                 return
             except ShardUnreachable:
-                self._abort(placed, outcome, now, ctx)
+                self._abort(placed, outcome, now)
                 outcome.probe.reason = RejectReason.SHARD_UNREACHABLE
                 return
             if hold is None:
                 # The search said it fits; a refusal here means the slice
                 # moved between search and prepare (never within one batch,
                 # but the protocol does not assume that).
-                self._abort(placed, outcome, now, ctx)
+                self._abort(placed, outcome, now)
                 outcome.probe.reason = full_reason
                 return
             placed.append((channel, hold))
         committed: list[tuple[Channel, Hold]] = []
         for channel, hold in placed:
-            commit_ctx = child_of(ctx, f"commit:{hold.side}")
+            hop = f"commit:{hold.side}"
             try:
                 self._with_retry(
-                    lambda c=channel, h=hold, x=commit_ctx: c.commit(
-                        h.hold_id, now=now, ctx=x
-                    ),
-                    outcome,
+                    lambda c=channel, h=hold, x=hop: c.commit(h.hold_id, now=now, hop=x), outcome
                 )
             except (BrokerUnavailable, ShardUnreachable) as exc:
                 if isinstance(exc, ShardUnreachable) and channel.resolved_committed(
-                    hold.hold_id, now=now, ctx=commit_ctx
+                    hold.hold_id, hop=hop
                 ):
                     # Termination probe against the broker's durable
                     # resolution log: the commit landed and only its
@@ -390,8 +374,8 @@ class TwoPhaseCoordinator:
                 # Atomicity under partial commit: undo the peer bookings
                 # that already committed (reliable compensation records),
                 # then abort whatever is still held.
-                self._compensate(committed, outcome, now, ctx)
-                self._abort(placed[len(committed):], outcome, now, ctx)
+                self._compensate(committed, outcome, now)
+                self._abort(placed[len(committed):], outcome, now)
                 outcome.probe.reason = (
                     RejectReason.SHARD_UNREACHABLE
                     if isinstance(exc, ShardUnreachable)
@@ -406,7 +390,6 @@ class TwoPhaseCoordinator:
         placed: list[tuple[Channel, Hold]],
         outcome: TwoPhaseOutcome,
         now: float,
-        ctx: TraceContext | None = None,
     ) -> None:
         """Roll the transaction back: release every hold we placed.
 
@@ -418,9 +401,7 @@ class TwoPhaseCoordinator:
         """
         for channel, hold in placed:
             try:
-                channel.abort_hold(
-                    hold.hold_id, now=now, ctx=child_of(ctx, f"abort:{hold.side}")
-                )
+                channel.abort_hold(hold.hold_id, now=now, hop=f"abort:{hold.side}")
             except ChannelTimeout:
                 outcome.stranded += 1
         outcome.aborted = True
@@ -430,12 +411,11 @@ class TwoPhaseCoordinator:
         committed: list[tuple[Channel, Hold]],
         outcome: TwoPhaseOutcome,
         now: float,
-        ctx: TraceContext | None = None,
     ) -> None:
         """Undo committed halves of a failed transaction (never lost)."""
         for channel, hold in committed:
-            release_ctx = child_of(ctx, f"release:{hold.side}")
-            channel.release(hold.side, hold.port, hold.segments, now=now, ctx=release_ctx)
+            hop = f"release:{hold.side}"
+            channel.release(hold.side, hold.port, hold.segments, now=now, hop=hop)
             outcome.compensations += 1
 
     def _with_retry(self, call: Callable[[], _T], outcome: TwoPhaseOutcome) -> _T:

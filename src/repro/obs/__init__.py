@@ -19,7 +19,7 @@ Wall-clock timing never enters this package's data: benchmarks inject a
 """
 
 from .artifact import RunTelemetry
-from .causal import CausalObserver, TraceContext, child_of, explain_request
+from .causal import CausalObserver, TraceContext, explain_request
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .perfclock import PerfClock, TickClock, WallClock
 from .recorder import FlightEntry, FlightRecorder
@@ -80,7 +80,6 @@ __all__ = [
     "TickClock",
     "TraceContext",
     "WallClock",
-    "child_of",
     "default_slo_rules",
     "evaluate_artifact",
     "explain_request",

@@ -8,19 +8,20 @@ every child id is the parent's id plus a path segment, so two identical
 seeded runs produce byte-identical causal records (no counters, no RNG,
 no wall clock).
 
-The gateway mints a root context per submission and threads children
-through the whole pipeline::
+A request's hops hang off its root context as children::
 
     req-7                      submit / batch / decision
     req-7/prepare:ingress      2PC phase one on the ingress shard
     req-7/commit:egress        2PC phase two on the egress shard
     req-7/readmit:12           backlog re-admission (fresh rid 12)
 
-Every :class:`~repro.gateway.rpc.Channel` delivery carries the context as
-an explicit argument, and a :class:`CausalObserver` turns deliveries and
-chaos faults (drops, duplicates, delays, partitions, crashes) into
-tracer instants and flight-recorder rows — so a request's timeline shows
+Every :class:`~repro.gateway.rpc.Channel` delivery names its hop (the
+path segment above), and a :class:`CausalObserver` adds deliveries and
+chaos faults (drops, duplicates, delays, partitions, crashes) to the
+record of the admission being placed — so a request's timeline shows
 exactly which delivery was lost, on which edge, at which simulated time.
+One admission is one record, stored once when it is decided and rendered
+to those spans on read (:meth:`CausalObserver.store`).
 
 :func:`explain_request` is the read side: it reconstructs one request's
 full causal story from a :class:`~repro.obs.artifact.RunTelemetry`
@@ -34,12 +35,15 @@ import json
 from collections.abc import Callable, Iterable, Mapping
 from typing import TYPE_CHECKING, Any, NamedTuple
 
+from .tracer import Hop
+
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from .artifact import RunTelemetry
     from .recorder import FlightRecorder
     from .telemetry import Telemetry
+    from .tracer import Span, SpanRecord
 
-__all__ = ["CausalObserver", "TraceContext", "child_of", "explain_request"]
+__all__ = ["CausalObserver", "TraceContext", "explain_request"]
 
 
 #: What ``namedtuple.__new__`` itself calls, minus its keyword parsing.
@@ -49,7 +53,7 @@ _new_context = tuple.__new__
 class TraceContext(NamedTuple):
     """One request's position in the causal tree (immutable, derived).
 
-    A tuple, because one is minted per hop of every traced decision.
+    A tuple, because one is minted per hop a read renders.
     """
 
     trace_id: str
@@ -75,23 +79,19 @@ class TraceContext(NamedTuple):
         return out
 
 
-def child_of(ctx: TraceContext | None, segment: str) -> TraceContext | None:
-    """``ctx.child(segment)``, propagating ``None`` (tracing disabled)."""
-    return None if ctx is None else ctx.child(segment)
-
-
 class CausalObserver:
     """Turns gateway hops, channel deliveries and chaos faults into causal
     records.
 
-    One observer serves a whole gateway: the gateway reports its own hops
-    (submit, enqueue, decision, re-admission, cancel ...) and the
-    coordinator hands the same observer to every
-    :class:`~repro.gateway.rpc.Channel`, which reports each delivery (and
-    each injected fault) together with the :class:`TraceContext` the call
-    carried.  Records go to the telemetry tracer and, when attached, the
-    :class:`~repro.obs.recorder.FlightRecorder` — both keyed to simulated
-    time, both deterministic.
+    One observer serves a whole gateway.  While the gateway places one
+    admission it holds that admission's record in :attr:`open`, and each
+    :class:`~repro.gateway.rpc.Channel` (the coordinator hands every one
+    this observer) adds the deliveries and faults it sees to it as
+    :meth:`hop` tuples; the gateway then hands the finished record to
+    :meth:`store`.  Its other verbs (cancel, abort, reshape) :meth:`note`
+    one-span records.  Records go to the telemetry tracer and, when
+    attached, the :class:`~repro.obs.recorder.FlightRecorder` — both keyed
+    to simulated time, both deterministic.
 
     The telemetry handle is *provided*, not captured: the gateway may swap
     or scope its handle per run, so the observer re-reads it per record.
@@ -105,40 +105,53 @@ class CausalObserver:
     ) -> None:
         self._telemetry = telemetry
         self.recorder = recorder
+        #: The record of the admission being placed (``None``: untraced).
+        self.open: Any = None
 
     def tracing(self) -> bool:
         """Would anything (the telemetry handle or a flight recorder)
         record a hop?  When not, callers mint no :class:`TraceContext`."""
         return self.recorder is not None or self._telemetry().enabled
 
-    def note(
-        self,
-        name: str,
-        now: float,
-        ctx: TraceContext | None,
-        detail: dict[str, Any],
-        *,
-        cat: str = "causal",
-        component: str = "gateway",
-        tid: int = 0,
+    def hop(
+        self, cat: str, what: str, shard: int, segment: str, detail: dict[str, Any] | None
     ) -> None:
-        """One record on ``ctx``'s timeline (``ctx`` None: untraced, no-op).
+        """A delivery (``rpc.<op>``) or a chaos fault (``chaos.<kind>``) on
+        ``shard``, hop ``segment`` of the :attr:`open` admission, kept in its
+        ``hops`` as a tuple :func:`hop_spans` renders on read (or nothing)."""
+        record = self.open
+        if record is not None:
+            record.hops.append((cat, what, shard, segment, detail))
 
-        The defaults are a gateway-side hop; a channel reports a delivery
-        that reached the broker (``rpc.<op>``, ``cat="rpc"``) or a chaos
-        fault that struck one (``chaos.<kind>``: drop / duplicate / delay /
-        partition / crash — so the lost hop is visible) under its shard's
-        ``component`` and ``tid``, ``detail`` leading with the ``shard``.
-        ``detail`` is the caller's to give away: the tracer stores the hop
-        un-rendered; the flight recorder's row (eager by design: it is the
-        post-mortem) is built here."""
-        if ctx is None:
-            return
+    def store(self, record: SpanRecord) -> None:
+        """Keep one finished record: the tracer stores it un-rendered; a
+        flight recorder (eager by design: it is the post-mortem) gets one
+        row per span now, under the gateway or the span's shard edge."""
         tel = self._telemetry()
         if tel.enabled:
-            tel.tracer.instant(name, now, detail, cat=cat, tid=tid, ctx=ctx)
+            tel.tracer.store(record)
         if self.recorder is not None:
-            self.recorder.record(component, now, name, **{**ctx.fields(), **detail})
+            for span in record.spans():
+                component = "gateway" if span.cat == "causal" else f"rpc.shard{span.tid}"
+                self.recorder.record(component, span.start, span.name, **span.args)
+
+    def note(
+        self, name: str, now: float, ctx: TraceContext | None, detail: dict[str, Any]
+    ) -> None:
+        """One gateway-side hop on ``ctx``'s timeline (``ctx`` None:
+        untraced, no-op); ``detail`` is the caller's to give away."""
+        if ctx is not None:
+            self.store(Hop(name, now, "causal", 0, ctx, detail))
+
+
+def hop_spans(hops: Iterable[tuple[Any, ...]], now: float, ctx: TraceContext) -> list[Span]:
+    """The spans of an admission's :meth:`CausalObserver.hop` tuples, each
+    on the child context its segment names, ``args`` led by the shard."""
+    spans = []
+    for cat, what, shard, segment, detail in hops:
+        fields = {"shard": shard, **detail} if detail else {"shard": shard}
+        spans.append(Hop(f"{cat}.{what}", now, cat, shard, ctx.child(segment), fields).span())
+    return spans
 
 
 # ----------------------------------------------------------------------

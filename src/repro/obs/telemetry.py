@@ -8,6 +8,11 @@ A :class:`Telemetry` bundles the three capture surfaces:
 - :meth:`Telemetry.emit` — structured decision events
   (:class:`TelemetryEvent`), e.g. one per admission decision.
 
+Events are stored, not built: the ring keeps what :meth:`Telemetry.emit`
+was handed, or a record handed to :meth:`Telemetry.store` (the gateway's
+admission record is its ``gateway.submit`` event); :attr:`Telemetry.events`
+is the one place either is rendered.  One entry is one event.
+
 Instrumented code never pays for disabled telemetry: every site guards on
 the :attr:`Telemetry.enabled` flag, and the default process-wide handle is
 a :class:`NullTelemetry` whose flag is ``False`` — uninstrumented runs do
@@ -90,8 +95,9 @@ class Telemetry:
             raise ConfigurationError(f"max_events must be positive, got {max_events}")
         self.metrics = MetricsRegistry()
         self.tracer = SpanTracer(capacity=max_spans)
-        #: ``(time, name, fields)`` as emitted; :attr:`events` renders them.
-        self._events: deque[tuple[float, str, dict[str, Any]]] = deque(maxlen=max_events)
+        #: ``(time, name, fields)`` as emitted, or a stored record;
+        #: :attr:`events` renders them.
+        self._events: deque[Any] = deque(maxlen=max_events)
         #: Events recorded through :meth:`emit`, retained or since evicted.
         self.events_emitted = 0
 
@@ -114,6 +120,13 @@ class Telemetry:
         self._events.append((t, name, fields))
         self.events_emitted += 1
 
+    def store(self, record: Any) -> None:
+        """Record one event as ``record``, whose ``event()`` renders it on
+        read as the ``(time, name, fields)`` :meth:`emit` would be handed."""
+        if self.enabled:
+            self._events.append(record)
+            self.events_emitted += 1
+
     @property
     def events(self) -> list[TelemetryEvent]:
         """The retained events, oldest first.
@@ -122,7 +135,10 @@ class Telemetry:
         ``emit`` calls do not show in a list already taken; for counts use
         :attr:`events_emitted` and :attr:`events_dropped`.
         """
-        return [TelemetryEvent(t, name, fields) for t, name, fields in self._events]
+        return [
+            TelemetryEvent(*(entry if type(entry) is tuple else entry.event()))
+            for entry in self._events
+        ]
 
     @property
     def events_dropped(self) -> int:

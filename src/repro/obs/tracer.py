@@ -17,12 +17,15 @@ Exports:
 Both directions round-trip: :meth:`SpanTracer.from_chrome_trace` and
 :meth:`SpanTracer.from_jsonl` rebuild an equivalent tracer.
 
-Write path / read path: recording only *stores*.  Spans live in a
-``deque`` ring (eviction is O(1) whatever the capacity), and a causal hop
-— :meth:`SpanTracer.instant` with a ``ctx`` — is kept as the caller's own
-``(name, t, cat, tid, ctx, fields)``; its :class:`Span`, with
-``args = {**ctx.fields(), **fields}``, is only built when something reads
-the tracer (iteration, :meth:`SpanTracer.spans`, any export).  A hot
+Write path / read path: recording only *stores*.  The ring holds
+*records* (:class:`SpanRecord`), each rendering to ``width`` spans on read
+(iteration, :meth:`SpanTracer.spans`, any export): a :class:`Span` is its
+own one-span record, a causal hop — :meth:`SpanTracer.instant` with a
+``ctx`` — is kept as the caller's :class:`Hop`, and a caller deciding many
+spans at once (a gateway admission) hands :meth:`SpanTracer.store` one
+record for all of them.  The capacity and ``dropped`` count spans: eviction
+pops whole records and keeps an offset into a head record the bound cuts,
+so the tracer reads as a per-span ``deque(maxlen=capacity)``.  A hot
 caller hands ``fields`` over as one dict, positionally: keyword arguments
 cost a parse and a repack per call, a dict literal does not.
 """
@@ -30,17 +33,19 @@ cost a parse and a repack per call, a dict literal does not.
 from __future__ import annotations
 
 import json
+import sys
 from collections import deque
 from dataclasses import dataclass, field
-from collections.abc import Iterator, Mapping
-from typing import TYPE_CHECKING, Any
+from collections.abc import Iterator, Mapping, Sequence
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Any, NamedTuple, Protocol
 
 from ..core.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from .causal import TraceContext
 
-__all__ = ["Span", "SpanTracer", "SECONDS_TO_TRACE_US"]
+__all__ = ["Hop", "Span", "SpanRecord", "SpanTracer", "SECONDS_TO_TRACE_US"]
 
 #: Chrome trace events are timestamped in microseconds.
 SECONDS_TO_TRACE_US: float = 1e6
@@ -61,6 +66,13 @@ class Span:
     args: dict[str, Any] = field(default_factory=dict)
     #: ``"span"`` for intervals, ``"instant"`` for zero-length markers.
     kind: str = "span"
+    @property
+    def width(self) -> int:
+        """A span is the one-span ring record of itself."""
+        return 1
+
+    def spans(self) -> tuple[Span]:
+        return (self,)
 
     @property
     def duration(self) -> float:
@@ -96,19 +108,38 @@ class Span:
         )
 
 
-#: An un-rendered causal hop: ``(name, t, cat, tid, ctx, fields)``.
-_Hop = tuple[str, float, str, int, "TraceContext", dict[str, Any]]
+class SpanRecord(Protocol):
+    """A ring entry: ``width`` spans, built by ``spans()`` on read."""
+
+    @property
+    def width(self) -> int: ...
+
+    def spans(self) -> Sequence[Span]: ...
 
 
-def _render(record: Span | _Hop) -> Span:
-    """The :class:`Span` of one ring record (the read path's only cost)."""
-    if isinstance(record, Span):
-        return record
-    name, t, cat, tid, ctx, fields = record
-    return Span(
-        name=name, start=t, end=t, cat=cat, tid=tid, args={**ctx.fields(), **fields},
-        kind="instant",
-    )  # fmt: skip
+class Hop(NamedTuple):
+    """An un-rendered causal instant on ``ctx``'s timeline (one span)."""
+
+    name: str
+    t: float
+    cat: str
+    tid: int
+    ctx: TraceContext
+    fields: dict[str, Any]
+
+    @property
+    def width(self) -> int:
+        return 1
+
+    def spans(self) -> tuple[Span]:
+        return (self.span(),)
+
+    def span(self) -> Span:
+        """The instant, its ``args`` led by the context's trace / span / parent."""
+        return Span(
+            name=self.name, start=self.t, end=self.t, cat=self.cat, tid=self.tid,
+            args={**self.ctx.fields(), **self.fields}, kind="instant",
+        )  # fmt: skip
 
 
 class SpanTracer:
@@ -125,13 +156,40 @@ class SpanTracer:
     def __init__(self, capacity: int | None = None) -> None:
         if capacity is not None and capacity <= 0:
             raise ConfigurationError(f"capacity must be positive, got {capacity}")
-        self._ring: deque[Span | _Hop] = deque(maxlen=capacity)
+        self._capacity = sys.maxsize if capacity is None else capacity
+        self._ring: deque[SpanRecord] = deque()
         self._pushed = 0
+        self._retained = 0
+        #: Leading spans of the head record already evicted.
+        self._cut = 0
 
     # ------------------------------------------------------------------
+    def store(self, record: SpanRecord) -> None:
+        """Keep ``record`` as given; its ``width`` spans render on read."""
+        self._ring.append(record)
+        width = record.width
+        self._pushed += width
+        self._retained += width
+        if self._retained > self._capacity:
+            self._evict()
+
+    def _evict(self) -> None:
+        """Drop the oldest spans beyond the capacity: whole records off the
+        head, then an offset into the head record the bound cuts through."""
+        ring = self._ring
+        excess = self._retained - self._capacity
+        self._retained -= excess
+        while excess:
+            left = ring[0].width - self._cut
+            if left > excess:
+                self._cut += excess
+                return
+            ring.popleft()
+            self._cut = 0
+            excess -= left
+
     def _push(self, span: Span) -> Span:
-        self._ring.append(span)
-        self._pushed += 1
+        self.store(span)
         return span
 
     def begin(self, name: str, t: float, *, cat: str = "", tid: int = 0, **args: Any) -> Span:
@@ -185,8 +243,7 @@ class SpanTracer:
                 raise TypeError(f"instant() got its fields as a dict and as keywords {list(args)}")
             args = fields
         if ctx is not None:
-            self._ring.append((name, t, cat, tid, ctx, args))
-            self._pushed += 1
+            self.store(Hop(name, t, cat, tid, ctx, args))
             return None
         return self._push(
             Span(name=name, start=t, end=t, cat=cat, tid=tid, args=args, kind="instant")
@@ -194,15 +251,16 @@ class SpanTracer:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._ring)
+        return self._retained
 
     def __iter__(self) -> Iterator[Span]:
-        return map(_render, self._ring)
+        spans = chain.from_iterable(record.spans() for record in self._ring)
+        return islice(spans, self._cut, None)
 
     @property
     def dropped(self) -> int:
         """Spans evicted by the capacity bound (pushed − retained)."""
-        return self._pushed - len(self._ring)
+        return self._pushed - self._retained
 
     def spans(self, *, name: str | None = None, cat: str | None = None) -> list[Span]:
         """Recorded spans, optionally filtered by name and/or category."""
@@ -285,7 +343,7 @@ class SpanTracer:
         return "\n".join(
             json.dumps(span.to_dict(), sort_keys=True, separators=(",", ":"))
             for span in self
-        ) + ("\n" if self._ring else "")
+        ) + ("\n" if self._retained else "")
 
     @classmethod
     def from_jsonl(cls, text: str) -> SpanTracer:

@@ -24,7 +24,7 @@ import asyncio
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..control.journal import Journal
 from ..core.errors import ConfigurationError, ReproError
@@ -107,6 +107,22 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.journal_path is not None:
             self.journal_path = Path(self.journal_path)
+
+
+class _Served(NamedTuple):
+    """The ``serve.decision`` event of one answered submission, rendered on
+    read: its fields lead with the rid and end with the HTTP-edge hop
+    ``req-<rid>/http`` of the request's causal trace."""
+
+    t: float
+    rid: int
+    client: str
+    outcome: str
+
+    def event(self) -> tuple[float, str, dict[str, Any]]:
+        fields = {"rid": self.rid, "client": self.client, "outcome": self.outcome}
+        fields.update(TraceContext.root(self.rid).child("http").fields())
+        return self.t, "serve.decision", fields
 
 
 class ServeApp:
@@ -310,11 +326,12 @@ class ServeApp:
     # Decision-side accounting (submit endpoints)
     # ------------------------------------------------------------------
     def note_decision(self, ticket: Ticket) -> None:
-        """Mint the HTTP-edge hop on the request's causal timeline.
+        """Record the HTTP-edge hop on the request's causal timeline.
 
         The gateway already owns the root ``req-<rid>`` trace; the edge
         adds its own child span so ``grid-obs explain`` shows where the
-        request *entered*, not just how it was decided.
+        request *entered*, not just how it was decided.  Stored as a
+        record of decision-time values; the event renders on read.
         """
         telemetry = self.telemetry
         if not telemetry.enabled:
@@ -323,16 +340,7 @@ class ServeApp:
             outcome = "edge-refused"
         else:
             outcome = "accepted" if ticket.confirmed else "rejected"
-        telemetry.emit(
-            "serve.decision",
-            self.clock.now(),
-            {
-                "rid": ticket.rid,
-                "client": ticket.client,
-                "outcome": outcome,
-                **TraceContext.root(ticket.rid).child("http").fields(),
-            },
-        )
+        telemetry.store(_Served(self.clock.now(), ticket.rid, ticket.client, outcome))
         self._decisions[outcome].inc()
 
     # ------------------------------------------------------------------

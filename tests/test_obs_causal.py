@@ -21,7 +21,6 @@ from repro.obs import (
     RunTelemetry,
     Telemetry,
     TraceContext,
-    child_of,
     explain_request,
 )
 from repro.obs.cli import main
@@ -102,10 +101,6 @@ class TestTraceContext:
     def test_fields_omit_absent_parent(self):
         assert TraceContext.root(1).fields() == {"trace": "req-1", "span": "req-1"}
         assert "parent" in TraceContext.root(1).child("x").fields()
-
-    def test_child_of_propagates_none(self):
-        assert child_of(None, "x") is None
-        assert child_of(TraceContext.root(2), "x").span_id == "req-2/x"
 
 
 #: A policy that injects nothing: the gateway still runs the two-phase

@@ -10,8 +10,11 @@ ring semantics (O(1) eviction, exact ``dropped``) on all three FIFO caps.
 import hashlib
 import json
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.control.journal import Journal
 from repro.core.errors import ConfigurationError
@@ -94,7 +97,10 @@ def artifact_of(telemetry, seed):
 
 class EagerTracer(SpanTracer):
     """The reference: a causal hop rendered the moment it is recorded,
-    with the formula the write path ran before it was split off."""
+    with the formula the write path ran before it was split off, and a
+    record rendered the moment it is stored — so a record that read state
+    changed after its decision (a reshaped or cancelled ticket) would
+    differ from it."""
 
     def instant(self, name, t, fields=None, /, *, cat="", tid=0, ctx=None, **kwargs):
         own = kwargs if fields is None else fields
@@ -103,11 +109,23 @@ class EagerTracer(SpanTracer):
             Span(name=name, start=t, end=t, cat=cat, tid=tid, args=args, kind="instant")
         )
 
+    def store(self, record):
+        for span in record.spans():
+            super().store(span)
+
+
+class EagerTelemetry(Telemetry):
+    """The reference's events: a stored record rendered at once."""
+
+    def store(self, record):
+        t, name, fields = record.event()
+        self.emit(name, t, fields)
+
 
 def run_pair(seed):
     production = Telemetry()
     gw, journal, rebooked = seeded_run(seed, production)
-    reference = Telemetry()
+    reference = EagerTelemetry()
     reference.tracer = EagerTracer()
     seeded_run(seed, reference)
     return gw, journal, rebooked, production, reference
@@ -121,6 +139,14 @@ def run_pair(seed):
 PARENT_ARTIFACT_SHA256 = {
     1: "a9a609199c749e077fb6960a35375c73dbdaaa375416d80d10e6f1f183879728",
     7: "34e6d8dc30c129048d5114b412fe8bb105bcc11d740bdba2b5753408f48da720",
+}
+
+
+#: SHA-256 of ``json.dumps(telemetry.snapshot())`` — key order kept — as
+#: the per-hop write path before decision records produced it.
+PARENT_SNAPSHOT_SHA256 = {
+    1: "b1c6dd0bb3031fac80724f96c900c68ea4c1bb3bfaec117e1fa7171b4a79258d",
+    7: "89007c6cc75acc2da270a5541cdad423d496d27e9a32e10f88505a5156ff2c68",
 }
 
 
@@ -152,6 +178,12 @@ class TestExportsAreTheSameBytes:
         assert text == artifact_of(reference, seed).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == PARENT_ARTIFACT_SHA256[seed]
 
+    def test_key_order_is_the_parents(self, seed):
+        """The artifact sorts keys; the snapshot dumped as is does not."""
+        _, _, _, production, _ = run_pair(seed)
+        text = json.dumps(production.snapshot())
+        assert hashlib.sha256(text.encode()).hexdigest() == PARENT_SNAPSHOT_SHA256[seed]
+
     def test_explain_text(self, seed):
         gw, journal, rebooked, production, reference = run_pair(seed)
         readmitted = next(r for r in gw.reservations() if r.origin not in (None, rebooked.origin))
@@ -173,6 +205,111 @@ class TestExportsAreTheSameBytes:
         text = production.metrics.to_prometheus_text()
         assert text == reference.metrics.to_prometheus_text()
         assert "gateway_submits_total" in text
+
+
+def chaos_off_run(telemetry):
+    """A traced 4-shard, batch-8 gateway run with no chaos policy: every
+    placement takes the direct path (``rpc.book`` / ``rpc.book_pair``
+    hops).  Waves of one to six submissions per instant; one cross-shard
+    booking is refused by its egress broker after the search passed (an
+    ``egress-full`` abort, rid 132) and one reservation is cancelled and
+    rebooked (origin rid 124).  Returns ``(gateway, journal)``.
+    """
+    journal = Journal()
+    gw = Gateway(
+        Platform.uniform(8, 8, 1000.0),
+        num_shards=4,
+        batch_size=8,
+        journal=journal,
+        telemetry=telemetry,
+    )
+    rng = random.Random(1)
+    t = 0.0
+    for wave in range(40):
+        t += rng.expovariate(0.1)
+        for _ in range(rng.randint(1, 6)):
+            ingress, egress = rng.randrange(8), rng.randrange(8)
+            window = rng.uniform(30.0, 150.0)
+            gw.submit(
+                ingress=ingress,
+                egress=egress,
+                volume=rng.uniform(0.05, 0.6) * 1000.0 * window,
+                deadline=t + window,
+                now=t,
+            )
+        if wave == 36:
+            victim = [r for r in gw.reservations() if r.confirmed][-1]
+            gw.cancel(victim.rid, now=t)
+            req = victim.request
+            gw.submit(
+                ingress=req.ingress,
+                egress=req.egress,
+                volume=req.volume,
+                deadline=req.t_end + 100.0,
+                now=t,
+                origin=victim.rid,
+            )
+        if wave == 37:
+            broker = gw.brokers[1]
+            book_side = broker.book_side
+
+            def refuse_one_egress(side, port, segments):
+                if side != "egress":
+                    return book_side(side, port, segments)
+                del broker.book_side  # one refusal, then the real method again
+                return False
+
+            broker.book_side = refuse_one_egress
+    gw.drain(t + 1.0)
+    return gw, journal
+
+
+#: SHA-256 of the chaos-off run's exports under ``Telemetry(max_events=37,
+#: max_spans=53)``, as the per-hop write path before decision records
+#: produced them: the artifact, ``explain_request`` of the rebooked origin
+#: and of the aborted rid (with the journal), the Prometheus text and the
+#: snapshot dumped with its key order.
+CHAOS_OFF_SHA256 = {
+    "artifact": "b2998fb6c00becf1713239a05f292069005060ae86b630b87a6175ec89be4f37",
+    "explain-124": "f71d27e2ac33b6df6cb8a1f94879a52fce385baa7a7e5499dcaa591dc0d78d04",
+    "explain-132": "71a9bfcf6d6663c7fc9509a7b2989ac30b70c0f37cd5fe84255763fb6fc09bf5",
+    "metrics": "5cce6e897cfbf9b4f03bad00aaba854e3a5b2ec9effab301bc7a3e14e0fe8f49",
+    "snapshot": "d6a82e07ac0c2aa7e03fbcc162844325c87663aa5958cbfa0eca50f08c1ad85c",
+}
+
+
+class TestChaosOffExports:
+    """The direct path's hops under caps that evict mid-decision."""
+
+    def test_the_run_covers_the_direct_path(self):
+        telemetry = Telemetry(max_events=37, max_spans=53)
+        gw, _ = chaos_off_run(telemetry)
+        stats = gw.stats
+        assert stats.fastpath_hits > 0 and stats.local > 0 and stats.cross_shard > 0
+        assert stats.rejected > 0 and stats.twophase_aborts == 1 and stats.cancelled == 1
+        assert gw.get(132).reject_reason.value == "egress-full"
+        assert gw.get(131).origin == 124 and gw.get(131).confirmed
+        spans = list(telemetry.tracer)
+        assert (len(spans), len(telemetry.tracer), telemetry.tracer.dropped) == (53, 53, 570)
+        assert {"rpc.book", "rpc.book_pair"} <= {span.name for span in spans}
+        # The cap cut the rebooking's decision after its two ``rpc.book`` hops.
+        assert spans[0].name == "gateway.trace.decision" and spans[0].args["rid"] == 131
+        assert (len(telemetry.events), telemetry.events_dropped) == (37, 150)
+
+    def test_exports_are_the_pinned_bytes(self):
+        telemetry = Telemetry(max_events=37, max_spans=53)
+        _, journal = chaos_off_run(telemetry)
+        artifact = RunTelemetry("chaos-off", meta={"seed": 1})
+        artifact.capture("run", telemetry)
+        texts = {
+            "artifact": artifact.to_json(),
+            "explain-124": explain_request(artifact, 124, journal=journal),
+            "explain-132": explain_request(artifact, 132, journal=journal),
+            "metrics": telemetry.metrics.to_prometheus_text(),
+            "snapshot": json.dumps(telemetry.snapshot()),
+        }
+        digests = {key: hashlib.sha256(text.encode()).hexdigest() for key, text in texts.items()}
+        assert digests == CHAOS_OFF_SHA256
 
 
 class TestOneDictWrites:
@@ -301,6 +438,27 @@ class TestBoundSamples:
         assert "gateway_rejects_total" not in text
 
 
+class SpanBatch:
+    """A ring record of the given spans."""
+
+    def __init__(self, spans):
+        self._spans = spans
+        self.width = len(spans)
+
+    def spans(self):
+        return self._spans
+
+
+class OneEvent:
+    """An event-ring record of one ``(time, name, fields)``."""
+
+    def __init__(self, event):
+        self._event = event
+
+    def event(self):
+        return self._event
+
+
 class TestRings:
     """FIFO caps evict in O(1) and account for every drop: push 3x the
     capacity, keep exactly the tail."""
@@ -352,6 +510,56 @@ class TestRings:
             self.PUSHED,
         )
         assert trace.dropped == self.PUSHED - self.CAPACITY
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        capacity=st.one_of(st.none(), st.integers(1, 13)),
+        widths=st.lists(st.integers(0, 5), max_size=40),
+    )
+    def test_a_record_ring_is_a_per_span_fifo(self, capacity, widths):
+        """Records of 1..5 spans, plain spans (width 0 below) and causal
+        hops, under caps that split records: after every write the tracer
+        reads as a ``deque(maxlen=capacity)`` fed the same spans one by one."""
+        tracer, reference = SpanTracer(capacity=capacity), deque(maxlen=capacity)
+        for k, width in enumerate(widths):
+            if width == 0 and k % 2:
+                ctx = TraceContext.root(k)
+                tracer.instant(f"hop{k}", float(k), {"k": k}, cat="rpc", tid=k, ctx=ctx)
+                args = {**ctx.fields(), "k": k}
+                spans = [Span(f"hop{k}", float(k), float(k), "rpc", k, args, "instant")]
+            elif width == 0:
+                spans = [tracer.instant(f"mark{k}", float(k), {"k": k})]
+            else:
+                spans = [Span(f"r{k}.{j}", float(k), float(k) + j, args={"j": j}) for j in range(width)]
+                tracer.store(SpanBatch(spans))
+            reference.extend(spans)
+            assert [s.to_dict() for s in tracer] == [s.to_dict() for s in reference]
+            assert len(tracer) == len(reference)
+        pushed = sum(max(width, 1) for width in widths)
+        assert tracer.dropped == pushed - len(reference)
+        assert tracer.to_jsonl() == "".join(
+            json.dumps(s.to_dict(), sort_keys=True, separators=(",", ":")) + "\n" for s in reference
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.one_of(st.none(), st.integers(1, 7)),
+        stored=st.lists(st.booleans(), max_size=30),
+    )
+    def test_an_event_record_is_one_event(self, capacity, stored):
+        telemetry, reference = Telemetry(max_events=capacity), deque(maxlen=capacity)
+        for k, as_record in enumerate(stored):
+            event = (float(k), f"e{k}", {"k": k})
+            if as_record:
+                telemetry.store(OneEvent(event))
+            else:
+                telemetry.emit(event[1], event[0], dict(event[2]))
+            reference.append(event)
+        assert [e.to_dict() for e in telemetry.events] == [
+            {"time": t, "name": name, "fields": fields} for t, name, fields in reference
+        ]
+        assert telemetry.events_dropped == len(stored) - len(reference)
+        assert telemetry.events_emitted == len(stored)
 
     def test_unbounded_rings_keep_everything(self):
         tracer, telemetry, trace = SpanTracer(), Telemetry(), EventTrace()
