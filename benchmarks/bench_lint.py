@@ -1,12 +1,13 @@
 """gridlint wall-time gate: the flow-sensitive rules must stay cheap.
 
-PR 7 added CFG construction and three dataflow fixpoints (typestate,
-taint, reaching definitions) on top of the ten single-pass AST rules.
-This bench runs the full ``src`` tree twice — once with the legacy
-catalogue (GL001–GL010, the pre-flow baseline) and once with every rule —
-and gates the ratio: flow analysis may at most *double* the lint time
-(``MAX_SLOWDOWN``).  The solver's pre-filters (verb mentions, sink
-tokens) are what keep the ratio honest: most modules never build a CFG.
+The CFG rules (GL011, GL012) build per-function control-flow graphs and
+run two dataflow fixpoints (typestate, reaching definitions) on top of
+the single-pass AST rules.  This bench runs the full ``src`` tree twice —
+once with the single-pass catalogue (every rule but the CFG rules) and
+once with every rule — and gates the ratio: flow analysis may at most
+*double* the lint time (``MAX_SLOWDOWN``).  The typestate pre-filter
+(acquire-verb mentions) is what keeps the ratio honest: most modules
+never build a CFG.
 
 Also checks the ``--jobs`` parse parallelism stays report-identical, and
 writes ``benchmarks/results/BENCH_lint.json`` (a CI artifact) with the
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from repro.analysis import all_rules, run_analysis
 
-#: Full catalogue may cost at most this multiple of the legacy catalogue.
+#: Full catalogue may cost at most this multiple of the single-pass one.
 MAX_SLOWDOWN = 2.0
 
 #: Ratios are noisy when both runs are fast; the gate also passes while
@@ -32,12 +33,12 @@ REPEATS = 3
 
 SRC = Path(__file__).parent.parent / "src"
 
-#: The pre-flow catalogue: the ten single-pass AST rules of PRs 1–6.
-LEGACY_MAX_ID = "GL010"
+#: The rules that build a CFG and solve a fixpoint over it.
+CFG_RULE_IDS = frozenset({"GL011", "GL012"})
 
 
-def _legacy_rules():
-    return [rule for rule in all_rules() if rule.rule_id <= LEGACY_MAX_ID]
+def _single_pass_rules():
+    return [rule for rule in all_rules() if rule.rule_id not in CFG_RULE_IDS]
 
 
 def _time_run(rules):
@@ -51,18 +52,18 @@ def _time_run(rules):
 
 
 def test_flow_rules_stay_under_slowdown_gate(results_dir):
-    legacy_time, legacy_report = _time_run(_legacy_rules())
+    single_time, single_report = _time_run(_single_pass_rules())
     full_time, full_report = _time_run(all_rules())
 
     # Same tree, strictly larger catalogue: scan coverage must agree.
-    assert full_report.files_scanned == legacy_report.files_scanned
+    assert full_report.files_scanned == single_report.files_scanned
     assert full_report.findings == [], "src tree must lint clean"
 
-    slowdown = full_time / legacy_time if legacy_time > 0 else float("inf")
-    overhead = full_time - legacy_time
+    slowdown = full_time / single_time if single_time > 0 else float("inf")
+    overhead = full_time - single_time
     assert slowdown < MAX_SLOWDOWN or overhead < ABSOLUTE_SLACK_S, (
         f"flow rules slowed gridlint {slowdown:.2f}x "
-        f"(legacy {legacy_time:.3f}s → full {full_time:.3f}s); "
+        f"(single-pass {single_time:.3f}s → full {full_time:.3f}s); "
         f"gate is {MAX_SLOWDOWN}x"
     )
 
@@ -71,9 +72,9 @@ def test_flow_rules_stay_under_slowdown_gate(results_dir):
 
     payload = {
         "files_scanned": full_report.files_scanned,
-        "legacy_rules": len(_legacy_rules()),
+        "single_pass_rules": len(_single_pass_rules()),
         "full_rules": len(all_rules()),
-        "legacy_time_s": round(legacy_time, 4),
+        "single_pass_time_s": round(single_time, 4),
         "full_time_s": round(full_time, 4),
         "slowdown": round(slowdown, 3),
         "gate": MAX_SLOWDOWN,

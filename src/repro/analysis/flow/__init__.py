@@ -4,15 +4,13 @@ Layers (each usable on its own):
 
 - :mod:`~repro.analysis.flow.cfg` — per-function control-flow graphs over
   ``ast`` with explicit exception edges and a pluggable raise filter;
-- :mod:`~repro.analysis.flow.solver` — generic worklist dataflow solver,
-  plus reaching definitions and liveness as library passes;
-- :mod:`~repro.analysis.flow.taint` — intraprocedural taint lattice with
-  a one-level call summary table;
+- :mod:`~repro.analysis.flow.solver` — generic forward worklist dataflow
+  solver, plus reaching definitions as a library pass;
 - :mod:`~repro.analysis.flow.typestate` — resource typestate checker
   parameterised by (acquire, release, transfer) verb sets.
 
-Rules GL011–GL014 are clients; see ``docs/FLOW.md`` for the architecture
-and a worked hold-leak example.
+Rules GL011 and GL012 are clients; see ``docs/FLOW.md`` for the
+architecture and a worked hold-leak example.
 """
 
 from .cfg import (
@@ -32,12 +30,9 @@ from .solver import (
     Analysis,
     DataflowResult,
     assigned_names,
-    liveness,
     reaching_definitions,
     solve,
-    used_names,
 )
-from .taint import ModuleTaint, TaintState, module_summaries
 from .typestate import (
     ResourceSpec,
     TypestateEvent,
@@ -56,21 +51,16 @@ __all__ = [
     "TRUE",
     "Analysis",
     "DataflowResult",
-    "ModuleTaint",
     "ResourceSpec",
-    "TaintState",
     "TypestateEvent",
     "assigned_names",
     "build_cfg",
     "check_function",
     "check_tree",
     "function_cfgs",
-    "liveness",
-    "module_summaries",
     "reaching_definitions",
     "solve",
     "spec_can_raise",
     "stmt_exprs",
     "syntactic_can_raise",
-    "used_names",
 ]

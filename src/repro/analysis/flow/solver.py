@@ -1,10 +1,11 @@
-"""Generic worklist dataflow solver plus two library passes.
+"""Generic forward worklist dataflow solver plus one library pass.
 
 The solver is lattice-agnostic: an :class:`Analysis` supplies the
 boundary state, the join, and a per-node transfer function; the solver
-iterates to a fixpoint over a :class:`~repro.analysis.flow.cfg.CFG`.
-States must be immutable values with structural equality (frozensets of
-tuples throughout this package) — convergence is detected by ``==``.
+iterates to a fixpoint over a :class:`~repro.analysis.flow.cfg.CFG`,
+propagating states from ``entry`` towards the exits.  States must be
+immutable values with structural equality (frozensets of tuples
+throughout this package) — convergence is detected by ``==``.
 
 Edge sensitivity hooks keep the clients precise without complicating the
 core loop:
@@ -15,13 +16,9 @@ core loop:
 - :meth:`Analysis.refine` post-filters the state on ``true``/``false``
   edges (default: identity).  Typestate uses it for ``is None`` guards.
 
-Library passes:
-
-- :func:`reaching_definitions` — forward may-analysis mapping each node
-  to the ``(variable, defining node)`` pairs that may reach it;
-- :func:`liveness` — backward may-analysis; ``before[nid]`` holds the
-  variables live *out of* a node (the state flowing into it against the
-  control-flow direction), ``after(nid)`` the variables live into it.
+Library pass: :func:`reaching_definitions` — forward may-analysis mapping
+each node to the ``(variable, defining node)`` pairs that may reach it
+(GL012's rid-reuse check).
 """
 
 from __future__ import annotations
@@ -36,8 +33,6 @@ __all__ = [
     "Analysis",
     "DataflowResult",
     "assigned_names",
-    "used_names",
-    "liveness",
     "reaching_definitions",
     "solve",
 ]
@@ -46,18 +41,10 @@ S = TypeVar("S")
 
 
 class Analysis(Generic[S]):
-    """One dataflow problem: lattice + transfer functions.
-
-    ``direction`` is ``"forward"`` (states propagate entry → exit) or
-    ``"backward"`` (exit → entry; ``transfer_exc``/``refine`` are not
-    consulted backward — exception and branch sensitivity are forward
-    notions here).
-    """
-
-    direction: str = "forward"
+    """One forward dataflow problem: lattice + transfer functions."""
 
     def initial(self) -> S:
-        """The boundary state (at ``entry`` forward, exits backward)."""
+        """The boundary state at ``entry``."""
         raise NotImplementedError
 
     def bottom(self) -> S:
@@ -84,10 +71,8 @@ class Analysis(Generic[S]):
 class DataflowResult(Generic[S]):
     """Fixpoint states.
 
-    ``before[nid]`` is the join over the edges arriving *in analysis
-    direction*: the classic in-state for forward problems, the out-state
-    (e.g. live-out) for backward ones.  ``after(nid)`` applies the node's
-    transfer to it.
+    ``before[nid]`` is the join over the edges arriving at the node (its
+    in-state); ``after(nid)`` applies the node's transfer to it.
     """
 
     def __init__(self, cfg: CFG, analysis: Analysis[S], before: dict[int, S]) -> None:
@@ -102,52 +87,35 @@ class DataflowResult(Generic[S]):
 
 def solve(cfg: CFG, analysis: Analysis[S]) -> DataflowResult[S]:
     """Run ``analysis`` over ``cfg`` to a fixpoint (worklist iteration)."""
-    forward = analysis.direction == "forward"
-    if forward:
-        boundary = [cfg.entry]
-        edges_into = cfg.preds
-        edges_from = cfg.succs
-    else:
-        boundary = [cfg.exit, cfg.raise_exit]
-        edges_into = cfg.succs
-        edges_from = cfg.preds
-
     before: dict[int, S] = {n.nid: analysis.bottom() for n in cfg.nodes}
-    for nid in boundary:
-        before[nid] = analysis.initial()
+    before[cfg.entry] = analysis.initial()
 
-    def edge_state(edge_src: int, kind: str) -> S:
-        node = cfg.node(edge_src)
-        state = before[edge_src]
+    def edge_state(src: int, kind: str) -> S:
+        node = cfg.node(src)
+        state = before[src]
         if node.stmt is None:
             return state  # markers are identity
-        if forward and kind == EXC:
+        if kind == EXC:
             return analysis.transfer_exc(node, state)
-        out = analysis.transfer(node, state)
-        if forward:
-            out = analysis.refine(kind, node, out)
-        return out
+        return analysis.refine(kind, node, analysis.transfer(node, state))
 
     work = [n.nid for n in cfg.nodes]
     while work:
         nid = work.pop()
-        if nid in boundary:
+        if nid == cfg.entry:
             continue
-        incoming = edges_into(nid)
         state = analysis.bottom()
-        for edge in incoming:
-            src = edge.src if forward else edge.dst
-            state = analysis.join(state, edge_state(src, edge.kind))
+        for edge in cfg.preds(nid):
+            state = analysis.join(state, edge_state(edge.src, edge.kind))
         if state == before[nid]:
             continue
         before[nid] = state
-        for edge in edges_from(nid):
-            work.append(edge.dst if forward else edge.src)
+        work.extend(edge.dst for edge in cfg.succs(nid))
     return DataflowResult(cfg, analysis, before)
 
 
 # ----------------------------------------------------------------------
-# Name extraction shared by the library passes
+# Name extraction
 # ----------------------------------------------------------------------
 def _target_names(target: ast.expr) -> Iterator[str]:
     for node in ast.walk(target):
@@ -183,22 +151,11 @@ def assigned_names(stmt: ast.stmt) -> set[str]:
     return names
 
 
-def used_names(stmt: ast.stmt) -> set[str]:
-    """Every name this CFG node reads (loads, header-only for compounds)."""
-    return {
-        node.id
-        for node in stmt_exprs(stmt)
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-    }
-
-
 #: One reaching definition: ``(variable, defining node id)``.
 ReachingDefs = frozenset[tuple[str, int]]
 
 
 class _ReachingDefs(Analysis[ReachingDefs]):
-    direction = "forward"
-
     def initial(self) -> ReachingDefs:
         return frozenset()
 
@@ -226,31 +183,3 @@ class _ReachingDefs(Analysis[ReachingDefs]):
 def reaching_definitions(cfg: CFG) -> DataflowResult[ReachingDefs]:
     """May-reaching ``(var, def-node)`` pairs before each node."""
     return solve(cfg, _ReachingDefs())
-
-
-LiveVars = frozenset[str]
-
-
-class _Liveness(Analysis[LiveVars]):
-    direction = "backward"
-
-    def initial(self) -> LiveVars:
-        return frozenset()
-
-    def bottom(self) -> LiveVars:
-        return frozenset()
-
-    def join(self, a: LiveVars, b: LiveVars) -> LiveVars:
-        return a | b
-
-    def transfer(self, node: CFGNode, state: LiveVars) -> LiveVars:
-        if node.stmt is None:
-            return state
-        return (state - frozenset(assigned_names(node.stmt))) | frozenset(
-            used_names(node.stmt)
-        )
-
-
-def liveness(cfg: CFG) -> DataflowResult[LiveVars]:
-    """Backward liveness: ``before[nid]`` = live-out, ``after(nid)`` = live-in."""
-    return solve(cfg, _Liveness())

@@ -239,7 +239,6 @@ class _TypestateAnalysis(Analysis[_State]):
     facts: dict[int, _StmtFacts]
     events: list[TypestateEvent] = field(default_factory=list)
     _seen: set[tuple[object, ...]] = field(default_factory=set)
-    direction: str = "forward"
 
     def initial(self) -> _State:
         return frozenset()

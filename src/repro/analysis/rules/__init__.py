@@ -2,7 +2,8 @@
 
 Each module defines one rule class; :func:`all_rules` instantiates the full
 set in id order.  ``docs/ANALYSIS.md`` documents every rule with the
-replay/admission invariant it protects.
+replay/admission invariant it protects, the mistake it catches today, and
+the ids that were retired (GL008, GL010, GL013, GL014).
 """
 
 from __future__ import annotations
@@ -15,13 +16,9 @@ from .encapsulation import LedgerEncapsulationRule
 from .registry_complete import RegistryCompletenessRule
 from .journal_safety import JournalSafetyRule
 from .asserts import NoAssertRule
-from .shard_ledger import ShardLedgerRule
 from .timeline_internals import TimelineInternalsRule
-from .channel_boundary import ChannelBoundaryRule
 from .hold_leak import HoldLeakRule
 from .twophase_order import TwoPhaseOrderRule
-from .nondet_taint import NondetTaintRule
-from .shard_aliasing import ShardAliasingRule
 from .route_registry import RouteRegistryRule
 
 __all__ = ["all_rules", "default_rules", "rules_by_id"]
@@ -34,13 +31,9 @@ _RULE_CLASSES: tuple[type[Rule], ...] = (
     RegistryCompletenessRule,
     JournalSafetyRule,
     NoAssertRule,
-    ShardLedgerRule,
     TimelineInternalsRule,
-    ChannelBoundaryRule,
     HoldLeakRule,
     TwoPhaseOrderRule,
-    NondetTaintRule,
-    ShardAliasingRule,
     RouteRegistryRule,
 )
 

@@ -27,7 +27,7 @@ The rule flags, outside each attribute's owning package:
   (owner ``repro/core/``);
 - any direct call of ``BreakpointProfile`` / ``VectorProfile``.
 
-Ownership is by path fragment, mirroring GL004/GL008, so fixture trees
+Ownership is by path fragment, mirroring GL004, so fixture trees
 that mirror the layout exercise the rule too.  Tests and benchmarks are
 allowlisted: the equivalence suites construct both classes on purpose.
 """

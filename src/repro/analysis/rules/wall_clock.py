@@ -50,10 +50,6 @@ class WallClockRule(Rule):
         # time.perf_counter().  Everything else must take simulated time
         # as an argument (or a PerfClock instance).
         "obs/perfclock.py",
-        # The flight recorder: its ring rows are keyed to simulated time,
-        # but a saved post-mortem dump may stamp host metadata (when the
-        # artifact was written) without touching replayed state.
-        "obs/recorder.py",
         # The service plane's wall↔sim seam: WallServiceClock maps
         # time.monotonic() onto the gateway's time axis.  Every other
         # serve module takes a ServiceClock — the deterministic

@@ -3,7 +3,7 @@
 A :class:`ShardBroker` holds the :class:`~repro.core.ledger.Port` (usage
 and degradation timelines) of every access point its shard owns (see
 :class:`~repro.gateway.sharding.ShardMap`) and is the **only** component
-allowed to mutate them — gridlint rule GL008 enforces the boundary.  All
+allowed to mutate them — gridlint rule GL004 enforces the boundary.  All
 state a broker carries:
 
 - the owned ports (committed bookings + registered degradations);
@@ -132,7 +132,7 @@ class ShardBroker:
             raise BrokerUnavailable(f"shard broker {self.shard_id} is down")
 
     # ------------------------------------------------------------------
-    # Read surface (safe from any module; GL008 only guards mutation)
+    # Read surface (safe from any module; GL004 only guards mutation)
     # ------------------------------------------------------------------
     def port(self, side: str, port: int) -> Port:
         """An owned access point (treat as read-only)."""
@@ -181,7 +181,7 @@ class ShardBroker:
         )
 
     # ------------------------------------------------------------------
-    # Mutation surface (the GL008-guarded owner of the slices)
+    # Mutation surface (the GL004-guarded owner of the slices)
     # ------------------------------------------------------------------
     def book_pair(
         self, ingress: int, egress: int, segments: tuple[Segment, ...], *, key: object | None = None

@@ -19,6 +19,13 @@ def shift(t0, dt):
     return t0 + dt
 """
 
+#: Every rule id, in catalogue order (GL008 and GL010 went into GL004,
+#: GL013 is covered by GL001 / GL002, GL014 was retired).
+CATALOGUE = [
+    "GL001", "GL002", "GL003", "GL004", "GL005", "GL006", "GL007",
+    "GL009", "GL011", "GL012", "GL015",
+]
+
 #: One GL003 violation, unsuppressed.
 VIOLATING = """\
 def same(t_end, deadline):
@@ -155,8 +162,7 @@ class TestExitCodes:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("GL001", "GL002", "GL003", "GL004", "GL005", "GL006", "GL007"):
-            assert rule_id in out
+        assert [line.split()[0] for line in out.splitlines()] == CATALOGUE
 
     def test_json_flag_emits_json(self, tmp_path, capsys):
         _write(tmp_path / "mod.py", VIOLATING)
@@ -284,8 +290,7 @@ class TestSarifOutput:
         run = doc["runs"][0]
         driver = run["tool"]["driver"]
         assert driver["name"] == "gridlint"
-        rule_ids = {r["id"] for r in driver["rules"]}
-        assert {"GL001", "GL011", "GL012", "GL013", "GL014"} <= rule_ids
+        assert [r["id"] for r in driver["rules"]] == CATALOGUE
         assert all(r["helpUri"].startswith("docs/ANALYSIS.md#") for r in driver["rules"])
         results = run["results"]
         assert len(results) == 1

@@ -1,9 +1,11 @@
-"""Fixture-driven tests for the per-module gridlint rules (GL001–GL010,
-GL015; the flow-sensitive GL011–GL014 live in test_analysis_dataflow.py).
+"""Fixture-driven tests for the single-pass gridlint rules (GL001–GL007,
+GL009, GL015; the flow-sensitive GL011 / GL012 live in test_flow_rules.py).
 
 Each rule gets (at least) one fixture proving it fires and one proving
 inline suppression silences it; the end-to-end test plants a violation of
 every rule in one temp package and checks the CLI gates on all of them.
+The fixtures of the retired GL008 / GL010 keep their tests and now fire
+GL004, once per planted mistake.
 """
 
 import textwrap
@@ -26,6 +28,15 @@ def _active(report, rule_id):
 
 def _suppressed(report, rule_id):
     return [f for f in report.suppressed if f.rule == rule_id]
+
+
+def _only(report, rule_id):
+    """All active findings, asserting each is ``rule_id`` on a line of its
+    own: one report per planted mistake, from one rule."""
+    lines = [f.line for f in report.findings]
+    assert {f.rule for f in report.findings} == {rule_id}, report.findings
+    assert len(set(lines)) == len(lines), report.findings
+    return report.findings
 
 
 class TestGL001WallClock:
@@ -62,20 +73,11 @@ class TestGL001WallClock:
         report = _scan(tmp_path / "a", source, filename="obs/perfclock.py")
         assert _active(report, "GL001") == []
         # The exemption covers exactly repro/obs/perfclock.py — its siblings
-        # in the obs package still must not read the wall clock.
-        report = _scan(tmp_path / "b", source, filename="obs/metrics.py")
-        assert len(_active(report, "GL001")) == 1
-        report = _scan(tmp_path / "c", source, filename="obs/tracer.py")
-        assert len(_active(report, "GL001")) == 1
-
-    def test_flight_recorder_joins_the_clock_allowlist(self, tmp_path):
-        # Post-mortem dumps may stamp host metadata; the SLO watchdog (and
-        # every other obs sibling) still must not read the wall clock.
-        source = "import time\n\ndef dumped_at():\n    return time.time()\n"
-        report = _scan(tmp_path / "a", source, filename="obs/recorder.py")
-        assert _active(report, "GL001") == []
-        report = _scan(tmp_path / "b", source, filename="obs/slo.py")
-        assert len(_active(report, "GL001")) == 1
+        # in the obs package, the flight recorder included, still must not
+        # read the wall clock.
+        for sibling in ("metrics", "tracer", "recorder", "slo"):
+            report = _scan(tmp_path / sibling, source, filename=f"obs/{sibling}.py")
+            assert len(_active(report, "GL001")) == 1
 
     def test_serve_clock_joins_the_allowlist_scoped(self, tmp_path):
         # The service's wall-clock seam (WallServiceClock) legitimately
@@ -261,12 +263,14 @@ class TestGL004LedgerEncapsulation:
             assert len(_active(report, "GL004")) == 1
 
     def test_fires_on_foreign_profile_segment_write(self, tmp_path):
+        # GL009 guards every `_segments` access outside core/; GL004 does
+        # not report the same write a second time.
         report = _scan(
             tmp_path,
             "def widen(profile, segs):\n    profile._segments = segs\n",
             filename="schedulers/hack.py",
         )
-        assert len(_active(report, "GL004")) == 1
+        assert len(_only(report, "GL009")) == 1
 
     def test_core_owns_profile_segments(self, tmp_path):
         report = _scan(
@@ -276,7 +280,7 @@ class TestGL004LedgerEncapsulation:
             "        self._segments = tuple(segments)\n",
             filename="core/profile.py",
         )
-        assert _active(report, "GL004") == []
+        assert report.findings == []
 
     def test_suppression(self, tmp_path):
         report = _scan(
@@ -432,6 +436,9 @@ class TestGL007NoAssert:
 
 
 class TestGL008ShardLedgerOwnership:
+    """GL008 was retired into GL004: a shard broker's `_ports` / `_holds`
+    are two rows of its owner table."""
+
     def test_fires_on_foreign_owned_ledger_mutation(self, tmp_path):
         report = _scan(
             tmp_path,
@@ -439,7 +446,7 @@ class TestGL008ShardLedgerOwnership:
             '    broker._ports["ingress", 0].usage.add(0.0, 1.0, 5.0)\n',
             filename="schedulers/hack.py",
         )
-        assert len(_active(report, "GL008")) == 1
+        assert len(_only(report, "GL004")) == 1
 
     def test_fires_on_hold_table_writes(self, tmp_path):
         report = _scan(
@@ -452,7 +459,7 @@ class TestGL008ShardLedgerOwnership:
             """,
             filename="gateway/gateway.py",
         )
-        assert len(_active(report, "GL008")) == 3
+        assert len(_only(report, "GL004")) == 3
 
     def test_reads_and_unrelated_mutators_are_fine(self, tmp_path):
         report = _scan(
@@ -466,18 +473,19 @@ class TestGL008ShardLedgerOwnership:
             """,
             filename="gateway/gateway.py",
         )
-        assert _active(report, "GL008") == []
+        assert report.findings == []
 
     def test_owning_modules_may_mutate(self, tmp_path):
         source = (
             "class ShardBroker:\n"
             "    def book(self):\n"
-            '        self._ports["ingress", 0].usage.add(0.0, 1.0, 5.0)\n'
+            '        self._ports["ingress", 0].degrade(0.0, 1.0, 5.0)\n'
             "        self._holds[0] = None\n"
+            "        self._holds.pop(0)\n"
         )
         for owner in ("gateway/broker.py", "gateway/twophase.py"):
             report = _scan(tmp_path / owner.replace("/", "_"), source, filename=owner)
-            assert _active(report, "GL008") == []
+            assert report.findings == []
 
     def test_allowlisted_under_tests(self, tmp_path):
         report = _scan(
@@ -485,7 +493,7 @@ class TestGL008ShardLedgerOwnership:
             'def test_f(broker):\n    broker._ports["ingress", 0].usage.add(0.0, 1.0, 5.0)\n',
             filename="tests/test_x.py",
         )
-        assert _active(report, "GL008") == []
+        assert _active(report, "GL004") == []
 
     def test_fires_on_foreign_segment_mutators(self, tmp_path):
         # Batched steps, a degradation and dropping a port mutate the owned
@@ -500,17 +508,17 @@ class TestGL008ShardLedgerOwnership:
             """,
             filename="schedulers/hack.py",
         )
-        assert len(_active(report, "GL008")) == 3
+        assert len(_only(report, "GL004")) == 3
 
     def test_suppression(self, tmp_path):
         report = _scan(
             tmp_path,
             "def f(broker):\n"
             '    broker._ports["ingress", 0].usage.add(0.0, 1.0, 5.0)'
-            "  # gridlint: disable=GL008 -- drill rigging\n",
+            "  # gridlint: disable=GL004 -- drill rigging\n",
         )
-        assert _active(report, "GL008") == []
-        assert len(_suppressed(report, "GL008")) == 1
+        assert report.findings == []
+        assert len(_suppressed(report, "GL004")) == 1
 
 
 class TestGL009TimelineInternals:
@@ -603,6 +611,9 @@ class TestGL009TimelineInternals:
 
 
 class TestGL010ChannelBoundary:
+    """GL010 was retired into GL004: the two-phase verbs on a broker are
+    rows of its owner table, owned by broker.py, twophase.py and rpc.py."""
+
     def test_fires_on_direct_protocol_calls(self, tmp_path):
         report = _scan(
             tmp_path,
@@ -615,7 +626,7 @@ class TestGL010ChannelBoundary:
             """,
             filename="gateway/gateway.py",
         )
-        assert len(_active(report, "GL010")) == 4
+        assert [f.line for f in _active(report, "GL004")] == [2, 3, 4, 5]
 
     def test_fires_through_containers_and_attributes(self, tmp_path):
         report = _scan(
@@ -627,7 +638,7 @@ class TestGL010ChannelBoundary:
             """,
             filename="control/orchestrate.py",
         )
-        assert len(_active(report, "GL010")) == 2
+        assert [f.line for f in _active(report, "GL004")] == [2, 3]
 
     def test_channel_calls_and_non_protocol_methods_are_fine(self, tmp_path):
         report = _scan(
@@ -642,7 +653,7 @@ class TestGL010ChannelBoundary:
             """,
             filename="gateway/gateway.py",
         )
-        assert _active(report, "GL010") == []
+        assert _active(report, "GL004") == []
 
     def test_protocol_internals_may_call_directly(self, tmp_path):
         source = (
@@ -652,25 +663,25 @@ class TestGL010ChannelBoundary:
         )
         for owner in ("gateway/broker.py", "gateway/twophase.py", "gateway/rpc.py"):
             report = _scan(tmp_path / owner.replace("/", "_"), source, filename=owner)
-            assert _active(report, "GL010") == []
+            assert _active(report, "GL004") == []
 
     def test_allowlisted_under_tests_and_benchmarks(self, tmp_path):
         source = "def f(broker):\n    broker.book_pair(0, 0, 0.0, 1.0, 5.0)\n"
         report = _scan(tmp_path, source, filename="tests/test_broker.py")
-        assert _active(report, "GL010") == []
+        assert _active(report, "GL004") == []
         report = _scan(tmp_path, source, filename="benchmarks/bench_gw.py")
-        assert _active(report, "GL010") == []
+        assert _active(report, "GL004") == []
 
     def test_suppression(self, tmp_path):
         report = _scan(
             tmp_path,
             "def f(broker, hid):\n"
             "    broker.abort_hold(hid)"
-            "  # gridlint: disable=GL010 -- janitor tooling\n",
+            "  # gridlint: disable=GL004 -- janitor tooling\n",
             filename="obs/janitor.py",
         )
-        assert _active(report, "GL010") == []
-        assert len(_suppressed(report, "GL010")) == 1
+        assert report.findings == []
+        assert len(_suppressed(report, "GL004")) == 1
 
 
 class TestGL015RouteRegistry:
@@ -778,8 +789,8 @@ class TestEndToEnd:
         code = main(["--format", "json", str(tmp_path)])
         assert code == 1
         doc = __import__("json").loads(capsys.readouterr().out)
-        seen = {f["rule"] for f in doc["findings"]}
-        assert {
+        seen = [f["rule"] for f in doc["findings"]]
+        assert set(seen) == {
             "GL001",
             "GL002",
             "GL003",
@@ -787,11 +798,12 @@ class TestEndToEnd:
             "GL005",
             "GL006",
             "GL007",
-            "GL008",
             "GL009",
-            "GL010",
             "GL015",
-        } <= seen
+        }
+        # The ledger write, the port write through a broker and the direct
+        # book_pair: one GL004 finding each.
+        assert seen.count("GL004") == 3
 
     def test_clean_package_exits_zero(self, tmp_path, capsys):
         pkg = tmp_path / "pkg"

@@ -9,11 +9,7 @@ builder regression cannot hide behind a partial containment check.
 import ast
 import textwrap
 
-from repro.analysis.flow import (
-    build_cfg,
-    liveness,
-    reaching_definitions,
-)
+from repro.analysis.flow import build_cfg, reaching_definitions
 
 
 def _cfg(source, *, can_raise=None, name=None):
@@ -364,37 +360,3 @@ class TestSolverPasses:
             cfg.node(nid).stmt.lineno for var, nid in defs if var == "a"
         )
         assert lines == [2, 4]
-
-    def test_liveness_kills_dead_store(self):
-        cfg = _cfg(
-            """\
-            def f(x):
-                dead = 1
-                alive = 2
-                return alive
-            """,
-            can_raise=_never,
-        )
-        live = liveness(cfg)
-        entry_assign = next(
-            n.nid for n in cfg.stmt_nodes() if n.stmt.lineno == 2
-        )
-        # Live-out of `dead = 1`: only `alive` is ever read afterwards.
-        assert "dead" not in live.before[entry_assign]
-
-    def test_liveness_through_loop(self):
-        cfg = _cfg(
-            """\
-            def f(xs):
-                total = 0
-                for x in xs:
-                    total = total + x
-                return total
-            """,
-            can_raise=_never,
-        )
-        live = liveness(cfg)
-        init_nid = next(
-            n.nid for n in cfg.stmt_nodes() if n.stmt.lineno == 2
-        )
-        assert "total" in live.before[init_nid]
