@@ -73,9 +73,17 @@ class TestGL001WallClock:
         report = _scan(tmp_path / "a", source, filename="obs/perfclock.py")
         assert _active(report, "GL001") == []
         # The exemption covers exactly repro/obs/perfclock.py — its siblings
-        # in the obs package, the flight recorder included, still must not
-        # read the wall clock.
-        for sibling in ("metrics", "tracer", "recorder", "slo"):
+        # in the obs package still must not read the wall clock.
+        for sibling in ("metrics", "tracer"):
+            report = _scan(tmp_path / sibling, source, filename=f"obs/{sibling}.py")
+            assert len(_active(report, "GL001")) == 1
+
+    def test_flight_recorder_joins_the_clock_allowlist(self, tmp_path):
+        # The flight recorder stamps its dumps with simulated time and reads
+        # no clock, so it is no longer on the allowlist: a wall-clock read
+        # there fires GL001, as it does in the SLO watchdog.
+        source = "import time\n\ndef dumped_at():\n    return time.time()\n"
+        for sibling in ("recorder", "slo"):
             report = _scan(tmp_path / sibling, source, filename=f"obs/{sibling}.py")
             assert len(_active(report, "GL001")) == 1
 
