@@ -39,20 +39,19 @@ def test_fault_drill_throughput(benchmark, abort_rate):
 
     def run():
         report = run_fault_drill(
-            platform,
+            ReservationService(platform, backlog_limit=16),
             requests,
             abort_rate=abort_rate,
             faults=faults,
             rebook=BackoffSchedule(base=30.0, multiplier=2.0, jitter=0.25),
-            backlog_limit=16,
             seed=1,
         )
-        assert report.service.max_overcommit() <= 1e-6
+        assert report.plane.max_overcommit() <= 1e-6
         return report
 
     report = benchmark(run)
-    assert report.service.stats.aborted > 0
-    assert report.service.stats.displaced > 0
+    assert report.plane.stats.aborted > 0
+    assert report.plane.stats.displaced > 0
 
 
 def test_journal_replay(benchmark):
@@ -60,17 +59,16 @@ def test_journal_replay(benchmark):
     platform = Platform.uniform(6, 6, 1000.0)
     requests = _workload(2, platform, 300)
     journal = Journal()
-    report = run_fault_drill(
-        platform,
+    service = ReservationService(platform, backlog_limit=16, journal=journal)
+    run_fault_drill(
+        service,
         requests,
         abort_rate=0.2,
         faults=[PortFault.outage("egress", 2, 1000.0, start=400.0, end=800.0)],
         rebook=BackoffSchedule(base=30.0, multiplier=2.0),
-        backlog_limit=16,
-        journal=journal,
         seed=3,
     )
-    expected = report.service.snapshot()
+    expected = service.snapshot()
 
     rebuilt = benchmark(ReservationService.replay, journal)
     assert rebuilt.snapshot() == expected

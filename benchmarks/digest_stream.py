@@ -176,7 +176,7 @@ def apply(plane: Any, op: tuple[Any, ...]) -> None:
                 for shard, broker in enumerate(plane.brokers):
                     if broker.crashed:
                         plane.restart_broker(shard, now=now)
-    elif isinstance(plane, Gateway):
+    else:
         plane.drain(now)
 
 

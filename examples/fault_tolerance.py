@@ -51,17 +51,15 @@ print("Running a 24h fault drill on the paper platform:")
 print(f"  {len(requests)} transfers, 5% abort rate, egress 4 dark 6h-8h\n")
 
 journal = Journal()
-report = run_fault_drill(
-    platform,
+service = ReservationService(platform, backlog_limit=32, journal=journal)
+run_fault_drill(
+    service,
     requests,
     abort_rate=0.05,
     faults=[outage],
     rebook=BackoffSchedule(base=300.0, multiplier=2.0, jitter=0.25),
-    backlog_limit=32,
-    journal=journal,
     seed=7,
 )
-service = report.service
 stats = service.stats
 
 print("Damage report:")

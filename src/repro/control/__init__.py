@@ -13,14 +13,12 @@ from .faults import (
     AbortFault,
     BrokerCrash,
     ChaosMatrixReport,
-    FaultDrillReport,
+    DrillReport,
     FaultInjector,
-    GatewayDrillReport,
     PortFault,
     chaos_scenario,
     run_chaos_matrix,
     run_fault_drill,
-    run_gateway_fault_drill,
 )
 from .journal import Journal, JournalEntry
 from .messages import MessageType, ReservationMessage
@@ -36,9 +34,8 @@ __all__ = [
     "CHAOS_SCENARIOS",
     "ChaosMatrixReport",
     "ControlPlane",
-    "FaultDrillReport",
+    "DrillReport",
     "FaultInjector",
-    "GatewayDrillReport",
     "Journal",
     "JournalEntry",
     "MessageType",
@@ -57,5 +54,4 @@ __all__ = [
     "plan_striped",
     "run_chaos_matrix",
     "run_fault_drill",
-    "run_gateway_fault_drill",
 ]

@@ -19,13 +19,12 @@ admitted, the deadline becomes unreachable, or the attempt budget runs
 out.
 
 :func:`run_fault_drill` wires a whole experiment — workload arrivals,
-random aborts, planned port faults — through one simulator, and is what
-the fault benchmark, the example scenario, and the end-to-end tests run.
-:func:`run_gateway_fault_drill` is its sharded sibling: the same workload
-and faults, driven by the same injector, served by a
-:class:`~repro.gateway.Gateway`, plus
-:class:`BrokerCrash` events that kill shard brokers mid-protocol (their
-volatile holds are wiped and in-flight two-phase transactions abort).
+random aborts, planned port faults — through one simulator against
+either plane, built by the caller, and is what the fault benchmark, the
+example scenario, and the end-to-end tests run.  On a
+:class:`~repro.gateway.Gateway` it also plays :class:`BrokerCrash`
+events that kill shard brokers mid-protocol (their volatile holds are
+wiped and in-flight two-phase transactions abort).
 
 On top of the drill sits the **chaos matrix**
 (:func:`run_chaos_matrix`): seeds × scenarios — clean, lossy, partition,
@@ -58,11 +57,8 @@ from .service import Reservation, ReservationService
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
     from ..gateway import Gateway
-    from ..gateway.edge import EdgeLimit
     from ..gateway.rpc import ChaosPolicy
-    from ..obs.recorder import FlightRecorder
-    from ..obs.slo import SloRule, SloWatchdog
-    from ..obs.telemetry import Telemetry
+    from ..obs.slo import SloRule
 
 __all__ = [
     "AbortFault",
@@ -70,13 +66,11 @@ __all__ = [
     "CHAOS_SCENARIOS",
     "ChaosMatrixReport",
     "PortFault",
+    "DrillReport",
     "FaultInjector",
-    "FaultDrillReport",
-    "GatewayDrillReport",
     "chaos_scenario",
     "run_chaos_matrix",
     "run_fault_drill",
-    "run_gateway_fault_drill",
 ]
 
 
@@ -167,6 +161,8 @@ class FaultInjector:
         self.service = service
         self.rebook = rebook
         self.rng = random.Random(seed)
+        #: Rebookings a batched gateway has not decided yet, by rid.
+        self._undecided: dict[int, tuple[Reservation, int]] = {}
 
     # ------------------------------------------------------------------
     def schedule_abort(self, fault: AbortFault) -> None:
@@ -248,154 +244,64 @@ class FaultInjector:
             max_rate=request.max_rate,
             origin=displaced.rid,
         )
-        if not rebooked.confirmed:
+        if not getattr(rebooked, "decided", True):
+            # A batched gateway decides at the flush; settle() retries then.
+            self._undecided[rebooked.rid] = (displaced, attempt)
+        elif not rebooked.confirmed:
+            self._schedule_rebook(displaced, attempt + 1)
+
+    def settle(self, rebooked: Reservation) -> None:
+        """Hear a rebooking's late (batched) decision; retry a rejection."""
+        pending = self._undecided.pop(rebooked.rid, None)
+        if pending is not None and not rebooked.confirmed:
+            displaced, attempt = pending
             self._schedule_rebook(displaced, attempt + 1)
 
 
 @dataclass
-class FaultDrillReport:
+class DrillReport:
     """Everything a fault-injection run produces."""
 
-    service: ReservationService
+    plane: ReservationService | Gateway
     injector: FaultInjector
-    aborts: list[AbortFault] = field(default_factory=list)
-    faults: list[PortFault] = field(default_factory=list)
-
-    @property
-    def journal(self) -> Journal | None:
-        """The service's operation journal (when one was attached)."""
-        return self.service.journal
-
-
-def run_fault_drill(
-    platform: Platform,
-    requests: Iterable[Request],
-    *,
-    policy: BandwidthPolicy | None = None,
-    abort_rate: float = 0.0,
-    faults: Sequence[PortFault] = (),
-    rebook: BackoffSchedule | None = None,
-    backlog_limit: int = 0,
-    journal: Journal | None = None,
-    seed: int = 0,
-    until: float | None = None,
-) -> FaultDrillReport:
-    """Drive a workload plus failures through one online simulation.
-
-    Each request is submitted at its ``t_start``; confirmed reservations
-    abort mid-flight with probability ``abort_rate``; the planned port
-    ``faults`` strike at their start times, displacing reservations whose
-    residual volume is then rebooked per ``rebook``.  Returns the finished
-    service (inspect ``service.stats``, ``service.snapshot()``, or verify
-    Eq. 1 via ``service.surviving_schedule()``).
-    """
-    if not (0.0 <= abort_rate <= 1.0):
-        raise ConfigurationError(f"abort_rate must be in [0, 1], got {abort_rate}")
-    service = ReservationService(
-        platform, policy=policy, backlog_limit=backlog_limit, journal=journal
-    )
-    sim = Simulator()
-    injector = FaultInjector(sim, service, rebook=rebook, seed=seed)
-    report = FaultDrillReport(service=service, injector=injector, faults=list(faults))
-
-    def on_arrival(event) -> None:
-        request: Request = event.payload
-        reservation = service.submit(
-            ingress=request.ingress,
-            egress=request.egress,
-            volume=request.volume,
-            deadline=request.t_end,
-            now=sim.now,
-            max_rate=request.max_rate,
-        )
-        fault = injector.maybe_abort(reservation, abort_rate)
-        if fault is not None:
-            report.aborts.append(fault)
-
-    for request in sorted(requests, key=lambda r: (r.t_start, r.rid)):
-        sim.at(request.t_start, on_arrival, payload=request)
-    for fault in faults:
-        injector.schedule_fault(fault)
-    sim.run(until=until if until is not None else float("inf"))
-    return report
-
-
-@dataclass
-class GatewayDrillReport:
-    """Everything a sharded (gateway) fault-injection run produces."""
-
-    gateway: Any  # repro.gateway.Gateway (annotated loosely: cycle guard)
     aborts: list[AbortFault] = field(default_factory=list)
     faults: list[PortFault] = field(default_factory=list)
     crashes: list[BrokerCrash] = field(default_factory=list)
 
     @property
     def journal(self) -> Journal | None:
-        """The gateway's operation journal (when one was attached)."""
-        return self.gateway.journal
+        """The plane's operation journal (when one was attached)."""
+        return self.plane.journal
 
 
-def run_gateway_fault_drill(
-    platform: Platform,
+def run_fault_drill(
+    plane: ReservationService | Gateway,
     requests: Iterable[Request],
     *,
-    num_shards: int = 1,
-    batch_size: int = 1,
-    ordering: str = "fifo",
-    policy: BandwidthPolicy | None = None,
     abort_rate: float = 0.0,
     faults: Sequence[PortFault] = (),
     crashes: Sequence[BrokerCrash] = (),
-    edge: EdgeLimit | None = None,
-    hold_ttl: float = 300.0,
-    backoff: BackoffSchedule | None = None,
-    chaos: ChaosPolicy | None = None,
-    rpc_deadline: float | None = None,
-    backlog_limit: int = 0,
-    malleable: bool = False,
+    rebook: BackoffSchedule | None = None,
     restart_sweep: float | None = None,
-    journal: Journal | None = None,
-    telemetry: Telemetry | None = None,
-    recorder: FlightRecorder | None = None,
-    slo: SloWatchdog | None = None,
     seed: int = 0,
     until: float | None = None,
-) -> GatewayDrillReport:
-    """:func:`run_fault_drill` against a sharded, batched gateway.
+) -> DrillReport:
+    """Drive a workload plus failures through one online simulation.
 
-    The same experiment shape — arrivals at ``t_start``, sampled
-    mid-flight aborts, planned port faults — served by a
-    :class:`~repro.gateway.Gateway`, with one extra hazard class:
-    :class:`BrokerCrash` events.  At each crash instant arrivals already
-    scheduled at that time have been submitted (events at equal times run
-    in priority order; crashes run last), so when their batch decides it
-    faces the dead broker: prepares fail, placed holds are aborted, and
-    the requests reject ``broker-unavailable`` after burning the two-phase
-    retry budget.  The trailing open batch is drained at the end of the
-    run, so every submission is decided in the returned report.
+    ``plane`` is a :class:`~repro.control.service.ReservationService` or
+    a :class:`~repro.gateway.Gateway` the caller built and configured.
+    Each request is submitted at its ``t_start``; each confirmed arrival
+    aborts mid-flight with probability ``abort_rate``, drawn from the
+    instant the plane decides it (its ``on_decision`` hook; rebookings
+    and re-admissions are never sampled).  Port ``faults`` strike at
+    their start times; displaced residuals are rebooked per ``rebook``.
 
-    ``chaos`` / ``rpc_deadline`` / ``backlog_limit`` wire the message-level
-    fault plane straight through to the gateway (see
-    :mod:`repro.gateway.rpc`), and ``malleable`` turns on its
-    stepwise-profile plane (shaped fallback admission, reshape before
-    displacement on degrade).  ``restart_sweep`` schedules a periodic
-    janitor that restarts every crashed broker (journaled ``restart``
-    ops) — the recovery half of the crash-mid-2PC scenario, where crashes
-    are sampled *inside* the protocol by the chaos policy rather than
-    planned as :class:`BrokerCrash` events.
-
-    ``telemetry`` / ``recorder`` / ``slo`` attach the observability plane:
-    an enabled :class:`~repro.obs.telemetry.Telemetry` (or any
-    :class:`~repro.obs.recorder.FlightRecorder`) turns on causal tracing
-    for every admission, and an :class:`~repro.obs.slo.SloWatchdog` is fed
-    each decision and each batch's health snapshot as the drill runs.
-
-    Displacement rebooking is a service-drill feature and is not offered
-    here; displaced residuals stay unbooked (though with a
-    ``backlog_limit`` broker-down rejections re-admit themselves).
-    Aborts sampled for a batched decision are scheduled from the decision
-    (flush) time, mirroring the service drill's "from confirmation"
-    semantics.
+    ``crashes`` (:class:`BrokerCrash`, run after same-instant arrivals so
+    their batch faces the dead broker) and ``restart_sweep`` (a periodic
+    janitor restarting every crashed broker) need a gateway; with a
+    service they raise :class:`ConfigurationError`.  The run ends with
+    ``plane.drain(now)`` (a gateway decides its open batch; a no-op on
+    the service) and runs on, so aborts drawn by that flush strike too.
     """
     from ..gateway import Gateway  # local import: control <-> gateway cycle
 
@@ -403,38 +309,28 @@ def run_gateway_fault_drill(
         raise ConfigurationError(f"abort_rate must be in [0, 1], got {abort_rate}")
     if restart_sweep is not None and restart_sweep <= 0:
         raise ConfigurationError(f"restart_sweep must be positive, got {restart_sweep}")
+    if (crashes or restart_sweep is not None) and not isinstance(plane, Gateway):
+        raise ConfigurationError(
+            "crashes and restart_sweep need a plane with shard brokers (a Gateway)"
+        )
+    arrivals = sorted(requests, key=lambda r: (r.t_start, r.rid))
     sim = Simulator()
-    gateway = Gateway(
-        platform,
-        num_shards=num_shards,
-        batch_size=batch_size,
-        ordering=ordering,
-        policy=policy,
-        edge=edge,
-        hold_ttl=hold_ttl,
-        backoff=backoff,
-        chaos=chaos,
-        rpc_deadline=rpc_deadline,
-        backlog_limit=backlog_limit,
-        malleable=malleable,
-        journal=journal,
-        telemetry=telemetry,
-        recorder=recorder,
-        slo=slo,
-    )
-    injector = FaultInjector(sim, gateway, seed=seed)
-    report = GatewayDrillReport(gateway=gateway, faults=list(faults), crashes=list(crashes))
+    injector = FaultInjector(sim, plane, rebook=rebook, seed=seed)
+    report = DrillReport(plane, injector, faults=list(faults), crashes=list(crashes))
 
     def on_decision(reservation: Reservation, now: float) -> None:
+        if reservation.origin is not None:
+            injector.settle(reservation)
+            return
         fault = injector.maybe_abort(reservation, abort_rate, now)
         if fault is not None:
             report.aborts.append(fault)
 
-    gateway.on_decision = on_decision
+    plane.on_decision = on_decision
 
     def on_arrival(event) -> None:
         request: Request = event.payload
-        gateway.submit(
+        plane.submit(
             ingress=request.ingress,
             egress=request.egress,
             volume=request.volume,
@@ -443,44 +339,52 @@ def run_gateway_fault_drill(
             max_rate=request.max_rate,
         )
 
-    def on_crash(event) -> None:
-        crash: BrokerCrash = event.payload
-        gateway.crash_broker(crash.shard, now=sim.now)
-
-    def on_restart(event) -> None:
-        crash: BrokerCrash = event.payload
-        gateway.restart_broker(crash.shard, now=sim.now)
-
-    for request in sorted(requests, key=lambda r: (r.t_start, r.rid)):
+    for request in arrivals:
         sim.at(request.t_start, on_arrival, payload=request)
     for fault in faults:
         injector.schedule_fault(fault)
+    if isinstance(plane, Gateway):
+        _schedule_brokers(sim, plane, crashes, restart_sweep, arrivals)
+    horizon = until if until is not None else float("inf")
+    sim.run(until=horizon)
+    plane.drain(sim.now)
+    sim.run(until=horizon)
+    return report
+
+
+def _schedule_brokers(
+    sim: Simulator,
+    gateway: Gateway,
+    crashes: Sequence[BrokerCrash],
+    restart_sweep: float | None,
+    arrivals: list[Request],
+) -> None:
+    """Planned broker crashes and restarts, and the restart janitor."""
+
+    def on_crash(event) -> None:
+        gateway.crash_broker(event.payload, now=sim.now)
+
+    def on_restart(event) -> None:
+        gateway.restart_broker(event.payload, now=sim.now)
+
     for crash in crashes:
         # priority 1: a crash at time t strikes after the arrivals at t
         # have been submitted but (batch permitting) before they decide.
-        sim.at(crash.at, on_crash, payload=crash, priority=1)
+        sim.at(crash.at, on_crash, payload=crash.shard, priority=1)
         if crash.restart_at is not None:
-            sim.at(crash.restart_at, on_restart, payload=crash)
-    if restart_sweep is not None and requests:
-        # A periodic janitor for chaos-sampled crashes (crash_after_prepare
-        # and friends): restart every dead broker so sampled wipes recover
-        # instead of blacking out a shard for the rest of the run.
-        def on_sweep(event) -> None:
-            for broker in gateway.brokers:
-                if broker.crashed:
-                    gateway.restart_broker(broker.shard_id, now=sim.now)
+            sim.at(crash.restart_at, on_restart, payload=crash.shard)
+    if restart_sweep is None or not arrivals:
+        return
 
-        last = max(r.t_start for r in requests) + restart_sweep
-        tick = restart_sweep
-        while tick <= last:
-            sim.at(tick, on_sweep, priority=2)
-            tick += restart_sweep
-    horizon = until if until is not None else float("inf")
-    sim.run(until=horizon)
-    gateway.drain(sim.now)
-    # The trailing drain can sample fresh mid-flight aborts; run them too.
-    sim.run(until=horizon)
-    return report
+    # A periodic janitor for chaos-sampled crashes (crash_after_prepare
+    # and friends): restart every dead broker so sampled wipes recover
+    # instead of blacking out a shard for the rest of the run.
+    def on_sweep(event) -> None:
+        for broker in gateway.brokers:
+            if broker.crashed:
+                gateway.restart_broker(broker.shard_id, now=sim.now)
+
+    sim.every(restart_sweep, on_sweep, priority=2, until=arrivals[-1].t_start + restart_sweep)
 
 
 # ----------------------------------------------------------------------
@@ -618,9 +522,10 @@ def run_chaos_matrix(
     degradations to every cell, and ``malleable=True`` turns on the
     gateway's stepwise-profile plane — shaped fallback admission and
     reshape-before-displace recovery — so the matrix audits the reshape
-    verb under every chaos scenario.  Each cell runs a full
-    :func:`run_gateway_fault_drill` with the scenario's chaos policy and
-    a journal attached, then drains repeatedly until the gateway has
+    verb under every chaos scenario.  Each cell builds a
+    :class:`~repro.gateway.Gateway` with the scenario's chaos policy and a
+    journal, runs :func:`run_fault_drill` on it, then drains repeatedly
+    until the gateway has
     quiesced — no live hold on any broker and the clock past every
     request deadline (each drain pass advances the clock one hold TTL, so
     parked backlog entries get their re-admission attempts and any holds
@@ -641,6 +546,7 @@ def run_chaos_matrix(
     flight-recorder dump is saved there as
     ``FLIGHT_seed<seed>_<scenario>.json`` (paths in ``report.flight_paths``).
     """
+    from ..gateway import Gateway
     from ..gateway.invariants import check_gateway
     from ..obs.artifact import RunTelemetry
     from ..obs.recorder import FlightRecorder
@@ -668,32 +574,32 @@ def run_chaos_matrix(
                 scenario, seed=seed, num_shards=num_shards, horizon=horizon
             )
             journal = Journal()
-            telemetry = Telemetry() if tracing else None
-            recorder = FlightRecorder() if tracing else None
             watchdog = SloWatchdog(rules)
-            drill = run_gateway_fault_drill(
+            gateway = Gateway(
                 platform,
-                requests,
                 num_shards=num_shards,
                 batch_size=batch_size,
                 ordering=ordering,
                 policy=policy,
-                abort_rate=abort_rate,
-                faults=faults,
-                crashes=crashes,
                 hold_ttl=hold_ttl,
                 chaos=chaos,
                 rpc_deadline=rpc_deadline,
                 backlog_limit=backlog_limit,
                 malleable=malleable,
-                restart_sweep=restart_sweep,
                 journal=journal,
-                telemetry=telemetry,
-                recorder=recorder,
+                telemetry=Telemetry() if tracing else None,
+                recorder=FlightRecorder() if tracing else None,
                 slo=watchdog,
+            )
+            run_fault_drill(
+                gateway,
+                requests,
+                abort_rate=abort_rate,
+                faults=faults,
+                crashes=crashes,
+                restart_sweep=restart_sweep,
                 seed=seed,
             )
-            gateway = drill.gateway
             # Quiesce: backlog re-admissions triggered by a drain can
             # strand fresh holds, so keep sweeping full TTLs until the
             # brokers are empty and the clock is past every deadline
@@ -707,8 +613,8 @@ def run_chaos_matrix(
             invariants = check_gateway(
                 gateway, journal=journal, now=gateway.now, expect_quiesced=True
             )
-            if report.telemetry is not None and telemetry is not None:
-                report.telemetry.capture(f"seed={seed}/{scenario}", telemetry)
+            if report.telemetry is not None:
+                report.telemetry.capture(f"seed={seed}/{scenario}", gateway.telemetry)
             if invariants.flight is not None and flight_dir is not None:
                 dump_path = Path(flight_dir) / f"FLIGHT_seed{seed}_{scenario}.json"
                 dump_path.parent.mkdir(parents=True, exist_ok=True)

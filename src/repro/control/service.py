@@ -32,6 +32,7 @@ fault-tolerant control plane (see :mod:`repro.control.faults`):
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import partial
 from typing import Any
 
@@ -116,6 +117,9 @@ class ReservationService:
         self._backlog: list[int] = []
         self._degradations: list[Degradation] = []
         self.stats = FaultStats()
+        #: Callback ``(reservation, now)`` run at the end of every
+        #: :meth:`submit` — the fault drill samples aborts from it.
+        self.on_decision: Callable[[Reservation, float], None] | None = None
         self.journal = journal
         if journal is not None:
             header: dict[str, Any] = {
@@ -228,7 +232,14 @@ class ReservationService:
             self.stats.backlogged += 1
             if len(self._backlog) > self.backlog_limit:
                 self._backlog.pop(0)
+        if self.on_decision is not None:
+            self.on_decision(reservation, now)
         return reservation
+
+    def drain(self, now: float) -> None:
+        """A no-op: :meth:`submit` decides at once, so nothing is pending
+        (the gateway's ``drain`` decides its open batch).  Neither moves the
+        clock nor writes to the journal."""
 
     def _book(
         self, request: Request, profile: RateProfile | None = None

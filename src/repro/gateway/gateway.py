@@ -35,6 +35,7 @@ equivalence property tests hold the gateway to this).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
@@ -348,10 +349,10 @@ class Gateway:
         Optional :class:`~repro.obs.slo.SloWatchdog` evaluated at every
         batch flush over windowed admission/health aggregates; breaches
         are edge-triggered events, never admission decisions.
-    on_decision:
-        Callback ``(ticket, now)`` invoked for every flushed decision with
-        the decision instant — the fault drill hands both to its
-        :class:`~repro.control.faults.FaultInjector` to sample aborts.
+
+    The ``on_decision`` attribute (default ``None``) is a callback
+    ``(ticket, now)`` invoked for every flushed decision with the decision
+    instant — the fault drill sets it to sample aborts.
     """
 
     def __init__(
@@ -373,7 +374,6 @@ class Gateway:
         telemetry: Telemetry | None = None,
         recorder: FlightRecorder | None = None,
         slo: SloWatchdog | None = None,
-        on_decision=None,
     ) -> None:
         if hold_ttl <= 0:
             raise ConfigurationError(f"hold_ttl must be positive, got {hold_ttl}")
@@ -420,7 +420,7 @@ class Gateway:
         self._chaos_seen: dict[str, float] = {}
         self._edge_seen: dict[str, float] = {}
         self._overcommit_hwm = 0.0
-        self.on_decision = on_decision
+        self.on_decision: Callable[[Ticket, float], None] | None = None
         self.journal = journal
         self._telemetry = telemetry
         self._clock = float("-inf")

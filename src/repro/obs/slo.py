@@ -11,14 +11,17 @@ records (plus an ``slo.breach`` telemetry event, an
 ``slo_breaches_total`` counter and a flight-recorder row) when a bound
 is first crossed.
 
-The chaos matrix (:func:`repro.control.faults.run_chaos_matrix`) runs a
-watchdog per cell so each cell reports both invariant *and* SLO
-verdicts; ``grid-obs slo`` replays the same evaluation offline against a
+A gateway built with ``slo=`` feeds its watchdog whatever drives it,
+:func:`repro.control.faults.run_fault_drill` included; the chaos matrix
+(:func:`repro.control.faults.run_chaos_matrix`) gives every cell one, so
+each cell reports both invariant *and* SLO verdicts.  ``grid-obs slo``
+replays the same evaluation offline against a
 :class:`~repro.obs.artifact.RunTelemetry` artifact and a rules file.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from collections.abc import Mapping, Sequence
@@ -139,6 +142,34 @@ class SloBreach:
         }
 
 
+def _p99_index(n: int) -> int:
+    """Rank of the p99 in ``n`` sorted values (nearest-rank, 0-based)."""
+    return max(min(n - 1, math.ceil(0.99 * n) - 1), 0)
+
+
+class _RunningP99:
+    """The whole-run p99, ``sorted(values)[_p99_index(n)]``, kept exactly
+    by two heaps split at that rank: O(log n) per value, O(1) per read."""
+
+    def __init__(self) -> None:
+        self._low: list[float] = []  # max-heap (negated): the smallest rank + 1
+        self._high: list[float] = []  # min-heap: the rest
+
+    def add(self, value: float) -> None:
+        if self._low and value <= -self._low[0]:
+            heapq.heappush(self._low, -value)
+        else:
+            heapq.heappush(self._high, value)
+        keep = _p99_index(len(self._low) + len(self._high)) + 1
+        while len(self._low) > keep:
+            heapq.heappush(self._high, -heapq.heappop(self._low))
+        while len(self._low) < keep:
+            heapq.heappush(self._low, -heapq.heappop(self._high))
+
+    def value(self) -> float | None:
+        return -self._low[0] if self._low else None
+
+
 class SloWatchdog:
     """Evaluates a rule set over the gateway's windowed health aggregates.
 
@@ -154,8 +185,23 @@ class SloWatchdog:
             raise SloRuleError(f"duplicate rule name(s): {dupes}")
         self.rules = tuple(rules)
         self.breaches: list[SloBreach] = []
-        self._admissions: list[tuple[float, bool, float]] = []
-        self._samples: dict[str, list[tuple[float, float]]] = {}
+        finite = [rule.window for rule in self.rules if not math.isinf(rule.window)]
+        #: Widest finite window; ``None`` when every rule looks at the whole
+        #: run, so no row is kept at all.
+        self._span = max(finite) if finite else None
+        # Rows inside the widest finite window, for the windowed rules.
+        self._recent_admissions: list[tuple[float, bool, float]] = []
+        self._recent_samples: dict[str, list[tuple[float, float]]] = {}
+        # Running aggregates for the whole-run rules.
+        #: Admissions ingested so far.
+        self._admissions = 0
+        self._accepted = 0
+        self._extrema: dict[str, tuple[float, float]] = {}
+        whole_p99 = any(
+            rule.metric == "p99_admission_latency" and math.isinf(rule.window)
+            for rule in self.rules
+        )
+        self._p99 = _RunningP99() if whole_p99 else None
         self._active: set[str] = set()
 
     @property
@@ -181,39 +227,60 @@ class SloWatchdog:
 
     def admission(self, t: float, *, accepted: bool, latency: float) -> None:
         """Ingest one admission decision (latency in simulated time)."""
-        self._admissions.append((t, accepted, latency))
+        self._admissions += 1
+        if accepted:
+            self._accepted += 1
+        if self._p99 is not None:
+            self._p99.add(latency)
+        if self._span is not None:
+            self._recent_admissions.append((t, accepted, latency))
 
     def sample(self, metric: str, t: float, value: float) -> None:
         """Ingest one health sample (hold age, backlog depth, utilisation)."""
-        self._samples.setdefault(metric, []).append((t, value))
+        low, high = self._extrema.get(metric, (value, value))
+        self._extrema[metric] = (min(low, value), max(high, value))
+        if self._span is not None:
+            self._recent_samples.setdefault(metric, []).append((t, value))
 
     def _prune(self, now: float) -> None:
-        finite = [rule.window for rule in self.rules if not math.isinf(rule.window)]
-        if len(finite) != len(self.rules):
-            return  # some rule looks at the whole run; keep everything
-        horizon = now - max(finite, default=0.0)
-        self._admissions = [row for row in self._admissions if row[0] >= horizon]
-        for metric, rows in self._samples.items():
-            self._samples[metric] = [row for row in rows if row[0] >= horizon]
+        """Drop rows no windowed rule can read again (evaluation instants
+        never decrease: the gateway clock only moves forward)."""
+        if self._span is None:
+            return
+        horizon = now - self._span
+        self._recent_admissions = [row for row in self._recent_admissions if row[0] >= horizon]
+        for metric, rows in self._recent_samples.items():
+            self._recent_samples[metric] = [row for row in rows if row[0] >= horizon]
 
     def _value_of(self, rule: SloRule, now: float) -> float | None:
+        if math.isinf(rule.window):
+            return self._whole_run_value(rule)
         since = now - rule.window
         if rule.metric == "accept_rate":
-            decided = [row for row in self._admissions if row[0] >= since]
+            decided = [row for row in self._recent_admissions if row[0] >= since]
             if not decided:
                 return None
             return sum(1 for row in decided if row[1]) / len(decided)
         if rule.metric == "p99_admission_latency":
-            latencies = sorted(row[2] for row in self._admissions if row[0] >= since)
+            latencies = sorted(row[2] for row in self._recent_admissions if row[0] >= since)
             if not latencies:
                 return None
-            index = min(len(latencies) - 1, math.ceil(0.99 * len(latencies)) - 1)
-            return latencies[max(index, 0)]
-        rows = [row[1] for row in self._samples.get(rule.metric, ()) if row[0] >= since]
+            return latencies[_p99_index(len(latencies))]
+        rows = [row[1] for row in self._recent_samples.get(rule.metric, ()) if row[0] >= since]
         if not rows:
             return None
         # worst-case within the window: the direction the bound cares about
         return min(rows) if rule.bound == "floor" else max(rows)
+
+    def _whole_run_value(self, rule: SloRule) -> float | None:
+        if rule.metric == "accept_rate":
+            return self._accepted / self._admissions if self._admissions else None
+        if rule.metric == "p99_admission_latency":
+            return self._p99.value() if self._p99 is not None else None
+        extrema = self._extrema.get(rule.metric)
+        if extrema is None:
+            return None
+        return extrema[0] if rule.bound == "floor" else extrema[1]
 
     def evaluate(
         self,

@@ -14,9 +14,11 @@ import pytest
 
 from repro.control import (
     CHAOS_SCENARIOS,
+    BrokerCrash,
+    ReservationService,
     chaos_scenario,
     run_chaos_matrix,
-    run_gateway_fault_drill,
+    run_fault_drill,
 )
 from repro.control.journal import Journal
 from repro.core.booking import RejectReason
@@ -874,24 +876,26 @@ class TestChaosMatrix:
         assert list(tmp_path.iterdir()) == []
 
     def test_drill_accepts_chaos_parameters(self):
-        report = run_gateway_fault_drill(
+        gw = Gateway(
             platform(8),
-            chaotic_workload(7, n=16),
             num_shards=4,
             batch_size=2,
             chaos=ChaosPolicy.lossy(seed=7),
             backoff=BackoffSchedule(base=1.0, max_attempts=4),
             rpc_deadline=90.0,
             backlog_limit=4,
-            restart_sweep=100.0,
-            seed=7,
         )
-        gw = report.gateway
+        run_fault_drill(gw, chaotic_workload(7, n=16), restart_sweep=100.0, seed=7)
         assert gw.stats.submits >= 16  # arrivals (+ any readmissions)
         assert check_gateway(gw, now=gw.now).ok
 
     def test_restart_sweep_validation(self):
         with pytest.raises(ConfigurationError):
-            run_gateway_fault_drill(
-                platform(), chaotic_workload(1, n=2), restart_sweep=0.0
-            )
+            run_fault_drill(Gateway(platform()), chaotic_workload(1, n=2), restart_sweep=0.0)
+
+    def test_broker_hazards_need_a_plane_with_brokers(self):
+        service = ReservationService(platform())
+        for hazard in ({"crashes": [BrokerCrash(shard=0, at=1.0)]}, {"restart_sweep": 10.0}):
+            with pytest.raises(ConfigurationError, match="shard brokers"):
+                run_fault_drill(service, chaotic_workload(1, n=2), **hazard)
+            assert service.reservations() == []  # refused before anything ran

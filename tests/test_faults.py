@@ -43,7 +43,7 @@ class TestFaultValidation:
 
     def test_drill_rejects_bad_abort_rate(self, platform):
         with pytest.raises(ConfigurationError):
-            run_fault_drill(platform, [], abort_rate=1.5)
+            run_fault_drill(ReservationService(platform), [], abort_rate=1.5)
 
 
 class TestBackoffSchedule:
@@ -297,17 +297,15 @@ class TestFaultDrill:
         platform = Platform.uniform(3, 3, 100.0)
         requests = _workload(random.Random(11), platform, 60)
         journal = Journal()
+        service = ReservationService(platform, backlog_limit=8, journal=journal)
         report = run_fault_drill(
-            platform,
+            service,
             requests,
             abort_rate=0.3,
             faults=[PortFault.outage("egress", 0, 100.0, start=150.0, end=260.0)],
             rebook=BackoffSchedule(base=10.0, multiplier=2.0, jitter=0.25),
-            backlog_limit=8,
-            journal=journal,
             seed=5,
         )
-        service = report.service
         stats = service.stats
 
         # the drill actually exercised the machinery (an abort scheduled on
@@ -349,10 +347,10 @@ class TestFaultDrill:
     def test_drill_without_faults_matches_plain_service(self):
         platform = Platform.uniform(2, 2, 100.0)
         requests = _workload(random.Random(3), platform, 20)
-        report = run_fault_drill(platform, requests)
+        report = run_fault_drill(ReservationService(platform), requests)
         assert report.aborts == []
-        assert report.service.stats.aborted == 0
-        assert report.service.max_overcommit() <= 1e-6
+        assert report.plane.stats.aborted == 0
+        assert report.plane.max_overcommit() <= 1e-6
 
 
 @settings(max_examples=25, deadline=None)

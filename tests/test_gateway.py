@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from repro.control import BrokerCrash, PortFault, run_gateway_fault_drill
+from repro.control import BrokerCrash, PortFault, run_fault_drill
 from repro.control.journal import Journal
 from repro.core.errors import ConfigurationError
 from repro.core.ledger import Degradation
@@ -275,7 +275,8 @@ class TestOneRecordPerDecision:
 
     def test_the_ticket_is_what_every_reader_sees(self):
         seen = []
-        gw = Gateway(platform(), on_decision=lambda reservation, now: seen.append(reservation))
+        gw = Gateway(platform())
+        gw.on_decision = lambda reservation, now: seen.append(reservation)
         ticket = gw.submit(ingress=0, egress=1, volume=1000.0, deadline=100.0, now=0.0)
         assert isinstance(ticket, Ticket)
         assert gw.get(ticket.rid) is ticket
@@ -477,18 +478,15 @@ class TestGatewayFaultDrill:
 
     def test_drill_decides_everything_and_journal_replays(self):
         journal = Journal()
-        report = run_gateway_fault_drill(
-            Platform.uniform(6, 6, 1000.0),
+        gw = Gateway(Platform.uniform(6, 6, 1000.0), num_shards=4, batch_size=4, journal=journal)
+        report = run_fault_drill(
+            gw,
             self.requests(11),
-            num_shards=4,
-            batch_size=4,
             abort_rate=0.15,
             faults=[PortFault(side="ingress", port=2, amount=700.0, start=60.0, end=200.0)],
             crashes=[BrokerCrash(shard=1, at=100.0, restart_at=150.0)],
-            journal=journal,
             seed=5,
         )
-        gw = report.gateway
         assert gw.pending() == 0
         assert gw.stats.submits == 40
         assert gw.stats.accepted + gw.stats.rejected == 40
@@ -518,28 +516,18 @@ class TestGatewayFaultDrill:
         the simulator's past (ValueError on 16 of 60 seeds at this rate)."""
         for seed in (1, 2, 5):
             journal = Journal()
-            report = run_gateway_fault_drill(
-                Platform.uniform(6, 6, 1000.0),
-                self.requests(seed),
-                num_shards=4,
-                batch_size=4,
-                abort_rate=0.5,
-                journal=journal,
-                seed=seed,
+            gw = Gateway(
+                Platform.uniform(6, 6, 1000.0), num_shards=4, batch_size=4, journal=journal
             )
-            gw = report.gateway
+            run_fault_drill(gw, self.requests(seed), abort_rate=0.5, seed=seed)
             assert gw.stats.aborted > 0 and gw.max_overcommit() <= 1e-6
             assert Gateway.replay(journal).snapshot() == gw.snapshot()
 
     def test_crash_without_restart_keeps_rejecting(self):
-        report = run_gateway_fault_drill(
-            Platform.uniform(4, 4, 1000.0),
-            self.requests(3, n=20, ports=4),
-            num_shards=4,
-            crashes=[BrokerCrash(shard=0, at=0.0)],
-            seed=2,
+        gw = Gateway(Platform.uniform(4, 4, 1000.0), num_shards=4)
+        run_fault_drill(
+            gw, self.requests(3, n=20, ports=4), crashes=[BrokerCrash(shard=0, at=0.0)], seed=2
         )
-        gw = report.gateway
         unavailable = [
             r for r in gw.reservations()
             if r.reject_reason is not None and r.reject_reason.value == "broker-unavailable"

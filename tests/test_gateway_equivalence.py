@@ -21,7 +21,7 @@ platform and on one with unequal capacities and degraded ports.
 import numpy as np
 import pytest
 
-from repro.control import BrokerCrash, PortFault, run_gateway_fault_drill
+from repro.control import BrokerCrash, PortFault, run_fault_drill
 from repro.control.journal import Journal
 from repro.control.service import ReservationService
 from repro.core.ledger import CAPACITY_SLACK
@@ -287,11 +287,10 @@ class TestShardedNoOvercommit:
                     max_rate=CAP,
                 )
             )
-        report = run_gateway_fault_drill(
-            Platform.uniform(n_ports, n_ports, CAP),
+        gw = Gateway(Platform.uniform(n_ports, n_ports, CAP), num_shards=shards, batch_size=4)
+        run_fault_drill(
+            gw,
             requests,
-            num_shards=shards,
-            batch_size=4,
             abort_rate=0.1,
             faults=[
                 PortFault(side="ingress", port=1, amount=600.0, start=100.0, end=300.0),
@@ -303,7 +302,6 @@ class TestShardedNoOvercommit:
             ],
             seed=shards * 7,
         )
-        gw = report.gateway
         assert gw.stats.accepted > 0
         # Eq. 1 on every shard slice, degradations included.
         assert gw.max_overcommit() <= CAPACITY_SLACK * CAP

@@ -23,7 +23,7 @@ from repro.control import (
     RejectReason,
     ReservationService,
     run_chaos_matrix,
-    run_gateway_fault_drill,
+    run_fault_drill,
 )
 from repro.control.journal import Journal
 from repro.core.errors import InvalidRequestError
@@ -323,17 +323,16 @@ def planned_faults(seed):
 
 class TestChaosReshape:
     def test_drill_with_faults_stays_invariant_clean(self):
-        report = run_gateway_fault_drill(
+        gw = Gateway(
             Platform.uniform(8, 8, 1000.0),
-            chaotic_workload(3, n=40, horizon=300.0),
             num_shards=2,
             batch_size=2,
-            faults=planned_faults(3),
             malleable=True,
             journal=Journal(),
-            seed=3,
         )
-        gw = report.gateway
+        run_fault_drill(
+            gw, chaotic_workload(3, n=40, horizon=300.0), faults=planned_faults(3), seed=3
+        )
         audit = check_gateway(gw, journal=gw.journal, now=gw.now)
         assert audit.ok, audit.violations
 
