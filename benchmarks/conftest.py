@@ -4,7 +4,8 @@ Every figure benchmark runs a scaled-down version of the corresponding
 experiment (the full-size parameterisations are what EXPERIMENTS.md
 records; run them via ``grid-bandwidth run <figure>``).  Each bench writes
 its table to ``benchmarks/results/<name>.{txt,csv}`` so a benchmark run
-leaves inspectable artefacts.
+leaves inspectable artefacts.  Those files are gitignored: the committed
+copy of each table is the full-size ``results/<id>.txt``.
 """
 
 from __future__ import annotations

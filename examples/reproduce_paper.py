@@ -2,8 +2,8 @@
 """One-shot reproduction driver: every figure + the §5.3 claims.
 
 Runs a scaled-down version of every registered experiment (full sizes live
-in EXPERIMENTS.md and take a few minutes via ``results/generate.py``) and
-prints each table, ending with the claims checklist.
+in EXPERIMENTS.md and take a few minutes via ``grid-bandwidth report --out
+results``) and prints each table, ending with the claims checklist.
 
 Run:  python examples/reproduce_paper.py          (~1 minute)
 """

@@ -20,7 +20,7 @@ repro.analysis`` and the ``grid-lint`` console script.  See
 from __future__ import annotations
 
 from .engine import AnalysisReport, Finding, Module, Project, Rule, run_analysis
-from .rules import all_rules, default_rules
+from .rules import all_rules
 
 __all__ = [
     "AnalysisReport",
@@ -29,6 +29,5 @@ __all__ = [
     "Project",
     "Rule",
     "all_rules",
-    "default_rules",
     "run_analysis",
 ]

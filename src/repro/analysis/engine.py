@@ -129,12 +129,6 @@ class Project:
 
     modules: list[Module] = field(default_factory=list)
 
-    def by_suffix(self, suffix: str) -> Iterator[Module]:
-        """Modules whose relative path ends with ``suffix`` (posix form)."""
-        for module in self.modules:
-            if module.relpath.endswith(suffix):
-                yield module
-
 
 class Rule:
     """Base class for gridlint rules.

@@ -37,7 +37,6 @@ from .typestate import (
     ResourceSpec,
     TypestateEvent,
     check_function,
-    check_tree,
     spec_can_raise,
 )
 
@@ -56,7 +55,6 @@ __all__ = [
     "assigned_names",
     "build_cfg",
     "check_function",
-    "check_tree",
     "function_cfgs",
     "reaching_definitions",
     "solve",

@@ -46,14 +46,13 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 from ..rules._common import dotted_name, terminal_name
-from .cfg import CFG, CFGNode, build_cfg, stmt_exprs
+from .cfg import CFG, CFGNode, stmt_exprs
 from .solver import Analysis, assigned_names, solve
 
 __all__ = [
     "ResourceSpec",
     "TypestateEvent",
     "check_function",
-    "check_tree",
     "spec_can_raise",
 ]
 
@@ -401,16 +400,3 @@ def check_function(
         if not (e.kind == "order" and e.receiver not in acquires_receivers)
     ]
     return events
-
-
-def check_tree(
-    tree: ast.AST, spec: ResourceSpec
-) -> list[tuple[CFG, list[TypestateEvent]]]:
-    """Check every function under ``tree``; returns per-function events."""
-    results: list[tuple[CFG, list[TypestateEvent]]] = []
-    can_raise = spec_can_raise(spec)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef):
-            cfg = build_cfg(node, can_raise=can_raise)
-            results.append((cfg, check_function(cfg, spec)))
-    return results

@@ -21,7 +21,7 @@ from .hold_leak import HoldLeakRule
 from .twophase_order import TwoPhaseOrderRule
 from .route_registry import RouteRegistryRule
 
-__all__ = ["all_rules", "default_rules", "rules_by_id"]
+__all__ = ["all_rules", "rules_by_id"]
 
 _RULE_CLASSES: tuple[type[Rule], ...] = (
     WallClockRule,
@@ -41,11 +41,6 @@ _RULE_CLASSES: tuple[type[Rule], ...] = (
 def all_rules() -> list[Rule]:
     """One instance of every rule, sorted by rule id."""
     return sorted((cls() for cls in _RULE_CLASSES), key=lambda r: r.rule_id)
-
-
-def default_rules() -> list[Rule]:
-    """The rules enabled by default (currently: all of them)."""
-    return all_rules()
 
 
 def rules_by_id() -> dict[str, Rule]:

@@ -1,8 +1,7 @@
 """Online failure injection for the reservation control plane.
 
-The offline abort model (:mod:`repro.grid.failures`) post-processes a
-finished schedule; this module injects failures **while the service
-runs**, as events of the discrete-event engine (:mod:`repro.sim`):
+This module injects failures **while the service runs**, as events of
+the discrete-event engine (:mod:`repro.sim`):
 
 - :class:`AbortFault` — a transfer dies mid-flight at a given instant;
 - :class:`PortFault` — a port loses ``amount`` MB/s over ``[start, end)``
@@ -181,8 +180,7 @@ class FaultInjector:
 
         With probability ``abort_rate`` the transfer dies at a uniform
         point of the part of its ``[σ, τ)`` run still ahead of the
-        decision instant (mirroring the offline model of
-        :mod:`repro.grid.failures`).  ``now`` names that instant when it
+        decision instant.  ``now`` names that instant when it
         is not the simulator's clock: a gateway batch flushed by a clock
         advance decided at the previous one.  A rejection, or a zero
         rate, draws nothing from the RNG.
@@ -267,11 +265,6 @@ class DrillReport:
     aborts: list[AbortFault] = field(default_factory=list)
     faults: list[PortFault] = field(default_factory=list)
     crashes: list[BrokerCrash] = field(default_factory=list)
-
-    @property
-    def journal(self) -> Journal | None:
-        """The plane's operation journal (when one was attached)."""
-        return self.plane.journal
 
 
 def run_fault_drill(

@@ -3,9 +3,8 @@
 Several layers run the same search: "find the earliest start within the
 request's window at which a rate assignment fits the ledger" — the
 service and the gateway's coordinator on every admission (through the
-:func:`admission_search` cascade), the offline salvage pass of
-:mod:`repro.grid.failures`, and the re-admission / rebooking paths of the
-fault-tolerant control plane.  This module is the single implementation
+:func:`admission_search` cascade) and the re-admission / rebooking
+paths of the fault-tolerant control plane.  This module is the single implementation
 they all delegate to.
 
 Candidate starts are the request's window opening plus every instant where

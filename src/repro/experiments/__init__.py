@@ -27,7 +27,6 @@ from .planning import PlanningResult, capacity_for_accept_rate
 from .report_gen import generate_all
 from .plotting import ascii_chart
 from .runner import Aggregate, replicate
-from .sweep import grid_points, sweep
 from .stats import (
     SchedulerComparison,
     bootstrap_confidence_interval,
@@ -47,8 +46,6 @@ __all__ = [
     "coallocation",
     "diurnal_load",
     "generate_all",
-    "grid_points",
-    "sweep",
     "localsearch_study",
     "optimality_gap_flexible",
     "rtt_unfairness_study",

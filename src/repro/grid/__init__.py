@@ -5,16 +5,13 @@ compute finish; granting transfers more bandwidth (larger ``f``) releases
 CPUs earlier at the price of accept rate.  See :class:`JobSimulator`.
 """
 
-from .failures import AbortReport, simulate_aborts
 from .jobs import GridJob, JobOutcome, JobSimulationResult, JobSimulator
 from .workload import random_jobs
 
 __all__ = [
-    "AbortReport",
     "GridJob",
     "JobOutcome",
     "JobSimulationResult",
     "JobSimulator",
     "random_jobs",
-    "simulate_aborts",
 ]

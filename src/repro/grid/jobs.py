@@ -92,11 +92,6 @@ class JobSimulationResult:
     schedule: ScheduleResult | None = None
 
     @property
-    def num_jobs(self) -> int:
-        """Total jobs submitted."""
-        return len(self.outcomes)
-
-    @property
     def completed_rate(self) -> float:
         """Fraction of jobs that ran."""
         if not self.outcomes:

@@ -8,7 +8,7 @@ Two pacing modes:
 - ``paced`` — clients sleep until each submission's planned arrival
   instant (scaled by ``timescale``), approximating an open system; a
   client that falls behind stops sleeping (bounded backlog, not an
-  unbounded queue).
+  unbounded queue), and no sleep outlasts the run's wall deadline.
 
 Latency accounting: each submission's recorded latency is the wall
 round-trip of the HTTP request that carried it (batch submissions share
@@ -21,6 +21,7 @@ clock directly (GL001).
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -86,9 +87,16 @@ class _Budget:
             perf.now() + config.duration_s if config.duration_s > 0 else None
         )
 
+    def left(self) -> float:
+        """Seconds before the wall deadline (``inf`` when only the target
+        bounds the run)."""
+        if self._deadline is None:
+            return math.inf
+        return self._deadline - self._perf.now()
+
     def take(self, want: int) -> int:
         """Claim up to ``want`` submissions; 0 means the run is over."""
-        if self._deadline is not None and self._perf.now() >= self._deadline:
+        if self.left() <= 0:
             return 0
         if self._remaining is None:
             return want
@@ -120,12 +128,15 @@ async def _run_client(
             bodies = [plan.body(position + k * config.clients) for k in range(granted)]
             position += granted * config.clients
             if config.mode == "paced":
-                # Sleep until the first body's planned arrival; a late
-                # client just proceeds (no queue of missed arrivals).
+                # Sleep until the first body's planned arrival, or the
+                # deadline if that comes first; a late client just
+                # proceeds (no queue of missed arrivals).
                 due = pace_origin + bodies[0]["at"] / config.timescale
-                delay = due - perf.now()
+                delay = min(due - perf.now(), budget.left())
                 if delay > 0:
                     await asyncio.sleep(delay)
+                if budget.left() <= 0:
+                    break
             await _submit(client, config, bodies, report, perf)
             await _auxiliary_reads(client, config, report, perf)
     finally:

@@ -3,15 +3,11 @@
 from .collector import MetricsReport, evaluate, jain_index
 from .faults import FaultStats
 from .report import Table
-from .steady import accept_rate_series, steady_accept_rate, steady_window
 
 __all__ = [
     "FaultStats",
     "MetricsReport",
     "Table",
-    "accept_rate_series",
     "evaluate",
     "jain_index",
-    "steady_accept_rate",
-    "steady_window",
 ]

@@ -40,7 +40,6 @@ from .schema import (
 )
 from .slo import default_slo_rules, evaluate_artifact, load_rules
 from .summary import summarize
-from .tracer import SpanTracer
 
 __all__ = ["main", "build_parser"]
 

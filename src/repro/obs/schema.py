@@ -19,7 +19,7 @@ and the CLI can gate on them.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from typing import Any
 
 from ..core.errors import ReproError

@@ -149,8 +149,7 @@ class SpanTracer:
     ----------
     capacity:
         Keep at most this many spans; older spans are evicted FIFO once
-        exceeded (mirrors :class:`repro.sim.trace.EventTrace`) and counted
-        in :attr:`dropped`.
+        exceeded and counted in :attr:`dropped`.
     """
 
     def __init__(self, capacity: int | None = None) -> None:

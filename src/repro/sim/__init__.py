@@ -6,6 +6,5 @@ the overlay control plane.  See :class:`Simulator`.
 
 from .engine import Simulator
 from .events import Event, EventQueue
-from .trace import EventTrace, TraceRecord
 
-__all__ = ["Event", "EventQueue", "EventTrace", "Simulator", "TraceRecord"]
+__all__ = ["Event", "EventQueue", "Simulator"]

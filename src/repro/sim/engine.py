@@ -15,7 +15,6 @@ from typing import Any
 
 from ..obs.telemetry import get_telemetry
 from .events import Event, EventQueue
-from .trace import EventTrace
 
 __all__ = ["Simulator"]
 
@@ -27,15 +26,11 @@ class Simulator:
     ----------
     start_time:
         Initial clock value.
-    trace:
-        Optional :class:`EventTrace` receiving a record of every dispatched
-        event (useful for debugging schedulers and for the tests).
     """
 
-    def __init__(self, start_time: float = 0.0, trace: EventTrace | None = None) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self.queue = EventQueue()
         self._now = start_time
-        self.trace = trace
         self._steps = 0
 
     # ------------------------------------------------------------------
@@ -116,8 +111,6 @@ class Simulator:
             raise RuntimeError(f"time went backwards: {event.time} < {self._now}")
         self._now = event.time
         self._steps += 1
-        if self.trace is not None:
-            self.trace.record(event)
         tel = get_telemetry()
         if tel.enabled:
             label = getattr(event.callback, "__name__", "event")

@@ -35,7 +35,6 @@ from .load import (
 from .matrix import FixedPair, GravityPairs, HotspotPairs, PairSelector, UniformPairs
 from .rates import FixedRate, LogUniformRates, RateDistribution, UniformRates, paper_rates
 from .summary import summarize, text_histogram
-from .traces import load_csv, load_npz, save_csv, save_npz
 from .volumes import (
     ChoiceVolumes,
     FixedVolume,
@@ -76,8 +75,6 @@ __all__ = [
     "VolumeDistribution",
     "arrival_rate_for_load",
     "empirical_load",
-    "load_csv",
-    "load_npz",
     "mean_interarrival_for_load",
     "offered_load",
     "paper_durations",
@@ -85,8 +82,6 @@ __all__ = [
     "paper_rates",
     "paper_rigid_workload",
     "paper_volume_set",
-    "save_csv",
-    "save_npz",
     "steady_state_load",
     "summarize",
     "text_histogram",

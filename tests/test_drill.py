@@ -156,7 +156,7 @@ def test_service_drills_match_their_pins():
     seen = {}
     for name, service, report in pinned_runs():
         assert isinstance(report, DrillReport) and report.plane is service
-        journal = report.journal
+        journal = service.journal
         aborts = [(a.rid, a.at) for a in report.aborts]
         seen[name] = (
             sha(json.dumps(service.snapshot(), sort_keys=True)),

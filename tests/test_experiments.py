@@ -201,66 +201,3 @@ class TestHeterogeneousAblation:
         # all variants produce sane rates on the heterogeneous platform
         for name in ("full", "no-priority", "no-bmin", "minbw"):
             assert 0.0 <= row[name] <= 1.0
-
-
-class TestSweep:
-    def test_grid_points_order(self):
-        from repro.experiments import grid_points
-
-        points = grid_points({"a": [1, 2], "b": ["x", "y"]})
-        assert points == [
-            {"a": 1, "b": "x"},
-            {"a": 1, "b": "y"},
-            {"a": 2, "b": "x"},
-            {"a": 2, "b": "y"},
-        ]
-        assert grid_points({}) == [{}]
-
-    def test_grid_points_empty_axis(self):
-        from repro.experiments import grid_points
-
-        with pytest.raises(ValueError):
-            grid_points({"a": []})
-
-    def test_sweep_table(self):
-        from repro.experiments import sweep
-
-        def run(params, seed):
-            return {"value": params["a"] * 10 + seed}
-
-        table = sweep({"a": [1, 2]}, run, seeds=(0, 1), title="demo")
-        assert table.headers == ["a", "value"]
-        assert table.rows[0][1] == pytest.approx(10.5)  # mean of 10, 11
-        assert table.rows[1][1] == pytest.approx(20.5)
-
-    def test_sweep_with_std_rendering(self):
-        from repro.experiments import sweep
-
-        table = sweep(
-            {"a": [3]},
-            lambda p, s: {"v": float(s)},
-            seeds=(0, 2),
-            include_std=True,
-        )
-        assert "±" in table.rows[0][1]
-
-    def test_sweep_inconsistent_metrics(self):
-        from repro.experiments import sweep
-
-        def run(params, seed):
-            return {"x": 1.0} if params["a"] == 1 else {"y": 1.0}
-
-        with pytest.raises(ValueError):
-            sweep({"a": [1, 2]}, run, seeds=(0,))
-
-    def test_sweep_real_scheduler(self):
-        from repro.experiments import sweep
-        from repro.schedulers import GreedyFlexible
-        from repro.workload import paper_flexible_workload
-
-        def run(params, seed):
-            prob = paper_flexible_workload(params["gap"], 80, seed=seed)
-            return {"accept": GreedyFlexible().schedule(prob).accept_rate}
-
-        table = sweep({"gap": [0.5, 10.0]}, run, seeds=(0,))
-        assert table.rows[1][1] >= table.rows[0][1]  # lighter load accepts more

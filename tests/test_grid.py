@@ -93,58 +93,3 @@ class TestRandomJobs:
             random_jobs(p, 5, rng, max_cpus=0)
         with pytest.raises(ConfigurationError):
             random_jobs(p, 5, rng, cpu_time_range=(10.0, 5.0))
-
-
-class TestAbortInjection:
-    def _scheduled(self):
-        from repro.workload import paper_flexible_workload
-        from repro.schedulers import GreedyFlexible
-
-        prob = paper_flexible_workload(0.5, 300, seed=13)
-        return prob, GreedyFlexible().schedule(prob)
-
-    def test_no_aborts_at_zero_rate(self):
-        from repro.grid import simulate_aborts
-
-        prob, result = self._scheduled()
-        report = simulate_aborts(prob, result, 0.0, np.random.default_rng(0))
-        assert report.num_aborted == 0
-        assert report.wasted_volume == 0.0
-        # NOTE: salvageable may be positive even with no aborts — greedy
-        # rejected some requests that an offline book-ahead pass can place.
-        baseline = report.num_salvageable
-        freed = simulate_aborts(prob, result, 0.6, np.random.default_rng(0))
-        assert freed.num_salvageable >= baseline  # aborts only free capacity
-
-    def test_all_abort_at_one(self):
-        from repro.grid import simulate_aborts
-
-        prob, result = self._scheduled()
-        report = simulate_aborts(prob, result, 1.0, np.random.default_rng(1), salvage=False)
-        assert report.num_aborted == result.num_accepted
-        assert report.wasted_volume > 0
-        assert report.freed_capacity_time > 0
-
-    def test_accounting_conserves_volume(self):
-        from repro.grid import simulate_aborts
-
-        prob, result = self._scheduled()
-        report = simulate_aborts(prob, result, 1.0, np.random.default_rng(2), salvage=False)
-        total = sum(prob.requests.by_rid(rid).volume for rid in result.accepted)
-        assert report.wasted_volume + report.freed_capacity_time == pytest.approx(total)
-
-    def test_salvage_readmits_some(self):
-        from repro.grid import simulate_aborts
-
-        prob, result = self._scheduled()
-        assert result.num_rejected > 0
-        report = simulate_aborts(prob, result, 0.5, np.random.default_rng(3), salvage=True)
-        assert report.num_salvageable > 0
-        assert set(report.salvageable) <= result.rejected
-
-    def test_validation(self):
-        from repro.grid import simulate_aborts
-
-        prob, result = self._scheduled()
-        with pytest.raises(ConfigurationError):
-            simulate_aborts(prob, result, 1.5, np.random.default_rng(0))

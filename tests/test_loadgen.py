@@ -21,7 +21,7 @@ from repro.loadgen import (
     run_load,
 )
 from repro.loadgen.plan import arrival_process
-from repro.obs.perfclock import TickClock
+from repro.obs.perfclock import TickClock, WallClock
 from repro.obs.schema import SchemaError, validate
 from repro.serve import ServeApp, ServeConfig
 from repro.serve.clock import LogicalClock
@@ -208,7 +208,7 @@ class TestLoadgenConfig:
 # Live fleet against an in-process service
 # ----------------------------------------------------------------------
 class TestRunLoad:
-    def _run(self, config_overrides=None, app_overrides=None):
+    def _run(self, config_overrides=None, app_overrides=None, perf=None, timeout=None):
         async def inner():
             app = make_app(**(app_overrides or {}))
             host, port = await app.start()
@@ -217,8 +217,9 @@ class TestRunLoad:
             )
             settings.update(config_overrides or {})
             config = LoadgenConfig(host=host, port=port, **settings)
-            report = await run_load(
-                config, platform=PLATFORM, perf=TickClock(step=0.001)
+            report = await asyncio.wait_for(
+                run_load(config, platform=PLATFORM, perf=perf or TickClock(step=0.001)),
+                timeout,
             )
             await app.drain()
             return app, report
@@ -265,6 +266,17 @@ class TestRunLoad:
         )
         assert report.submits == 32
         assert report.mode == "paced"
+
+    def test_paced_mode_stops_at_the_deadline(self):
+        # Each client's second batch is planned seconds away: the pace
+        # sleep must end at the 0.5 s wall deadline and send nothing after
+        # it, so the run is over well inside the 5 s guard.
+        _, report = self._run(
+            {"mode": "paced", "target_submissions": 0, "duration_s": 0.5, "clients": 2},
+            perf=WallClock(),
+            timeout=5,
+        )
+        assert report.submits > 0
 
     def test_duration_bound_stops_the_fleet(self):
         # TickClock advances 1 ms per read: the deadline trips after a

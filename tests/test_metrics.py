@@ -148,61 +148,3 @@ class TestTable:
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
             self._table().add_row("only-one")
-
-
-class TestSteadyState:
-    def _scheduled(self, gap=0.5, n=400):
-        prob = paper_flexible_workload(gap, n, seed=11)
-        return prob, GreedyFlexible().schedule(prob)
-
-    def test_steady_window_trims(self):
-        from repro.metrics import steady_window
-
-        prob, _ = self._scheduled()
-        t0, t1 = prob.requests.time_span()
-        lo, hi = steady_window(prob, trim=0.2)
-        assert t0 < lo < hi < t1
-
-    def test_steady_rate_below_raw_under_load(self):
-        """Warm-up inflates the raw accept rate under sustained overload."""
-        from repro.metrics import steady_accept_rate
-
-        prob, result = self._scheduled(gap=0.3)
-        assert steady_accept_rate(prob, result, trim=0.2) <= result.accept_rate + 0.02
-
-    def test_trim_zero_matches_raw(self):
-        from repro.metrics import steady_accept_rate
-
-        prob, result = self._scheduled()
-        assert steady_accept_rate(prob, result, trim=0.0) == pytest.approx(result.accept_rate)
-
-    def test_series_shape(self):
-        import numpy as np
-
-        from repro.metrics import accept_rate_series
-
-        prob, result = self._scheduled()
-        centres, rates = accept_rate_series(prob, result, num_bins=10)
-        assert centres.shape == rates.shape == (10,)
-        finite = rates[~np.isnan(rates)]
-        assert np.all((finite >= 0) & (finite <= 1))
-
-    def test_series_shows_warmup(self):
-        import numpy as np
-
-        from repro.metrics import accept_rate_series
-
-        prob, result = self._scheduled(gap=0.3)
-        _, rates = accept_rate_series(prob, result, num_bins=8)
-        # first bin (empty network) at least as good as the middle bins
-        middle = np.nanmean(rates[2:6])
-        assert rates[0] >= middle - 0.05
-
-    def test_validation(self):
-        from repro.metrics import accept_rate_series, steady_window
-
-        prob, result = self._scheduled(n=20)
-        with pytest.raises(ValueError):
-            steady_window(prob, trim=0.7)
-        with pytest.raises(ValueError):
-            accept_rate_series(prob, result, num_bins=0)

@@ -10,8 +10,6 @@ across repeated seeded runs.
 import json
 import random
 
-import pytest
-
 from repro.control.journal import Journal
 from repro.core.platform import Platform
 from repro.core.request import Request

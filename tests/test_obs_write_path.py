@@ -30,7 +30,6 @@ from repro.obs import (
     explain_request,
 )
 from repro.schedulers.retry import BackoffSchedule
-from repro.sim.trace import EventTrace
 
 
 def seeded_run(seed, telemetry):
@@ -494,23 +493,6 @@ class TestRings:
         telemetry.emit("late", float(self.PUSHED))
         assert events[-1].name != "late" and telemetry.events[-1].name == "late"
 
-    def test_event_trace(self):
-        trace = EventTrace(capacity=self.CAPACITY)
-        for k in range(self.PUSHED):
-            trace.append(float(k), f"l{k}", k)
-        first = self.PUSHED - self.CAPACITY
-        assert [r.label for r in trace] == [f"l{k}" for k in range(first, self.PUSHED)]
-        assert trace[0].payload == first and trace[-1].payload == self.PUSHED - 1
-        assert trace[self.CAPACITY // 2].payload == first + self.CAPACITY // 2
-        assert trace.times() == [float(k) for k in range(first, self.PUSHED)]
-        summary = trace.summary()
-        assert (summary["retained"], summary["dropped"], summary["recorded"]) == (
-            self.CAPACITY,
-            self.PUSHED - self.CAPACITY,
-            self.PUSHED,
-        )
-        assert trace.dropped == self.PUSHED - self.CAPACITY
-
     @settings(max_examples=300, deadline=None)
     @given(
         capacity=st.one_of(st.none(), st.integers(1, 13)),
@@ -562,13 +544,12 @@ class TestRings:
         assert telemetry.events_emitted == len(stored)
 
     def test_unbounded_rings_keep_everything(self):
-        tracer, telemetry, trace = SpanTracer(), Telemetry(), EventTrace()
+        tracer, telemetry = SpanTracer(), Telemetry()
         for k in range(self.PUSHED):
             tracer.instant("s", float(k))
             telemetry.emit("e", float(k))
-            trace.append(float(k), "l")
-        assert (len(tracer), len(telemetry.events), len(trace)) == (self.PUSHED,) * 3
-        assert (tracer.dropped, telemetry.events_dropped, trace.dropped) == (0, 0, 0)
+        assert (len(tracer), len(telemetry.events)) == (self.PUSHED,) * 2
+        assert (tracer.dropped, telemetry.events_dropped) == (0, 0)
 
 
 class TestTraceRootsStayBounded:

@@ -4,7 +4,7 @@
 import pytest
 
 from repro.obs import Telemetry, use_telemetry
-from repro.sim import EventQueue, EventTrace, Simulator
+from repro.sim import EventQueue, Simulator
 
 
 class TestEventQueue:
@@ -131,97 +131,6 @@ class TestSimulator:
         sim.at(1.0, lambda e: got.append(e.payload), payload={"x": 1})
         sim.run()
         assert got == [{"x": 1}]
-
-
-class TestEventTrace:
-    def test_records_dispatched_events(self):
-        trace = EventTrace()
-        sim = Simulator(trace=trace)
-
-        def handler(event):
-            pass
-
-        sim.at(1.0, handler)
-        sim.at(2.0, handler)
-        sim.run()
-        assert len(trace) == 2
-        assert trace.times() == [1.0, 2.0]
-        assert trace[0].label == "handler"
-
-    def test_capacity_bound(self):
-        trace = EventTrace(capacity=3)
-        for i in range(10):
-            trace.append(float(i), "tick")
-        assert len(trace) == 3
-        assert trace.dropped == 7
-        assert trace.times() == [7.0, 8.0, 9.0]
-
-    def test_filter(self):
-        trace = EventTrace()
-        trace.append(0.0, "a")
-        trace.append(1.0, "b")
-        trace.append(2.0, "a")
-        assert len(trace.filter("a")) == 2
-
-    def test_summary_counts_dropped_events(self):
-        trace = EventTrace(capacity=4)
-        for i in range(10):
-            trace.append(float(i), "tick" if i % 2 == 0 else "tock")
-        digest = trace.summary()
-        assert digest["retained"] == 4
-        assert digest["dropped"] == 6
-        assert digest["recorded"] == 10
-        assert digest["labels"] == {"tick": 2, "tock": 2}
-        assert digest["first_time"] == 6.0
-        assert digest["last_time"] == 9.0
-
-    def test_summary_of_empty_trace(self):
-        digest = EventTrace().summary()
-        assert digest["retained"] == 0
-        assert digest["dropped"] == 0
-        assert digest["recorded"] == 0
-        assert digest["labels"] == {}
-        assert digest["first_time"] is None
-        assert digest["last_time"] is None
-
-    def test_summary_tallies_reject_reasons_and_readmissions(self):
-        from repro.core.booking import RejectReason
-
-        trace = EventTrace()
-        trace.append(0.0, "gw_submit", {"rid": 0, "outcome": "accepted"})
-        # Enum payloads and pre-stringified ones normalise to the same key.
-        trace.append(1.0, "gw_reject", {"rid": 1, "reason": RejectReason.SHARD_UNREACHABLE})
-        trace.append(2.0, "gw_reject", {"rid": 2, "reason": "shard-unreachable"})
-        trace.append(3.0, "gw_reject", {"rid": 3, "reason": RejectReason.WINDOW_INFEASIBLE})
-        trace.append(4.0, "gw_readmit", {"rid": 1, "origin": 1})
-        trace.append(5.0, "backlog_readmit_attempt", {"rid": 2})
-        digest = trace.summary()
-        assert digest["reject_reasons"]["shard-unreachable"] == 2
-        assert digest["reject_reasons"][RejectReason.WINDOW_INFEASIBLE.value] == 1
-        assert digest["readmissions"] == 2
-
-    def test_summary_reads_attribute_style_payloads(self):
-        class Decision:
-            reason = "no-capacity"
-
-        trace = EventTrace(capacity=2)
-        trace.append(0.0, "old", Decision())  # evicted below
-        trace.append(1.0, "gw_reject", Decision())
-        trace.append(2.0, "gw_reject", Decision())
-        digest = trace.summary()
-        assert digest["reject_reasons"] == {"no-capacity": 2}
-        assert digest["dropped"] == 1 and digest["recorded"] == 3
-        assert digest["readmissions"] == 0
-
-    def test_fifo_eviction_keeps_newest_tail(self):
-        # Regression guard: eviction must discard the *oldest* records and
-        # the dropped counter must keep the true dispatch count.
-        trace = EventTrace(capacity=2)
-        for i in range(5):
-            trace.append(float(i), f"e{i}")
-        assert [r.label for r in trace] == ["e3", "e4"]
-        assert trace.dropped == 3
-        assert trace.summary()["recorded"] == 5
 
 
 class TestEngineTelemetry:
