@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.control import Journal, PortFault, ReservationService, run_fault_drill
+from repro.control import Journal, PortFault, run_fault_drill
 from repro.core import Platform, Request
+from repro.gateway import Gateway
 from repro.schedulers import BackoffSchedule
 
 
@@ -39,7 +40,7 @@ def test_fault_drill_throughput(benchmark, abort_rate):
 
     def run():
         report = run_fault_drill(
-            ReservationService(platform, backlog_limit=16),
+            Gateway(platform),
             requests,
             abort_rate=abort_rate,
             faults=faults,
@@ -55,11 +56,11 @@ def test_fault_drill_throughput(benchmark, abort_rate):
 
 
 def test_journal_replay(benchmark):
-    """Crash recovery: rebuilding a service from its operation journal."""
+    """Crash recovery: rebuilding a gateway from its operation journal."""
     platform = Platform.uniform(6, 6, 1000.0)
     requests = _workload(2, platform, 300)
     journal = Journal()
-    service = ReservationService(platform, backlog_limit=16, journal=journal)
+    service = Gateway(platform, journal=journal)
     run_fault_drill(
         service,
         requests,
@@ -70,5 +71,5 @@ def test_journal_replay(benchmark):
     )
     expected = service.snapshot()
 
-    rebuilt = benchmark(ReservationService.replay, journal)
+    rebuilt = benchmark(Gateway.replay, journal)
     assert rebuilt.snapshot() == expected

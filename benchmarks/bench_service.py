@@ -1,10 +1,10 @@
-"""Benchmarks: the stateful reservation service and striped staging."""
+"""Benchmarks: the default gateway as the reservation service, and striped staging."""
 
 import numpy as np
 
-from repro.control import ReservationService
 from repro.control.striped import book_striped
 from repro.core import Platform, PortLedger
+from repro.gateway import Gateway
 from repro.schedulers import MinRatePolicy
 
 
@@ -16,7 +16,7 @@ def test_service_throughput(benchmark):
     pairs = rng.integers(0, 10, size=(n, 2))
 
     def run():
-        service = ReservationService(Platform.paper_platform(), policy=MinRatePolicy())
+        service = Gateway(Platform.paper_platform(), policy=MinRatePolicy())
         now = 0.0
         confirmed = []
         for k in range(n):

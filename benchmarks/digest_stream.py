@@ -9,9 +9,10 @@ printed lines::
 
 The stream (:func:`make_stream`) mixes constant and one- or two-segment
 profile submits, cancel, abort, reshape, degrade, broker crash/restart
-(gateway cells only) and a final drain.  It runs through 20 cells: the
-gateway at 1/2/4 shards × ``malleable`` off/on × {no chaos, ``lossy``,
-``crash_mid_2pc``}, plus the service at ``malleable`` off/on.  A cell's
+and a final drain.  It runs through 20 cells: the gateway batching by 3 at
+1/2/4 shards × ``malleable`` off/on × {no chaos, ``lossy``,
+``crash_mid_2pc``}, plus the default gateway (one shard, unbatched — the
+``service`` cells) at ``malleable`` off/on.  A cell's
 digest covers ``snapshot()`` after every operation (and any refusal it
 raised), the journal bytes, and the :class:`~repro.obs.artifact.RunTelemetry`
 JSON of the cell's telemetry handle, whose caps (:data:`MAX_EVENTS`,
@@ -37,7 +38,6 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.control.journal import Journal  # noqa: E402
-from repro.control.service import ReservationService  # noqa: E402
 from repro.core.errors import ReproError  # noqa: E402
 from repro.core.platform import Platform  # noqa: E402
 from repro.gateway import ChaosPolicy, Gateway  # noqa: E402
@@ -67,7 +67,7 @@ MIX = (
 
 
 def cells() -> list[tuple[str, int, bool, str]]:
-    """``(name, shards, malleable, chaos)``; ``shards == 0`` is the service."""
+    """``(name, shards, malleable, chaos)``; ``shards == 0`` is the default gateway."""
     out = [
         (f"gateway-s{shards}-{'m' if malleable else 'c'}-{chaos}", shards, malleable, chaos)
         for shards in (1, 2, 4)
@@ -136,11 +136,11 @@ def make_stream(seed: int, n: int) -> list[tuple[Any, ...]]:
     return ops
 
 
-def build(shards: int, malleable: bool, chaos: str, seed: int) -> Any:
+def build(shards: int, malleable: bool, chaos: str, seed: int) -> Gateway:
     platform = Platform.uniform(PORTS, PORTS, CAPACITY)
     telemetry = Telemetry(max_events=MAX_EVENTS, max_spans=MAX_SPANS)
     if shards == 0:
-        return ReservationService(
+        return Gateway(
             platform, backlog_limit=4, malleable=malleable, journal=Journal(), telemetry=telemetry
         )
     return Gateway(
@@ -155,7 +155,7 @@ def build(shards: int, malleable: bool, chaos: str, seed: int) -> Any:
     )
 
 
-def apply(plane: Any, op: tuple[Any, ...]) -> None:
+def apply(plane: Gateway, op: tuple[Any, ...]) -> None:
     kind, now = op[0], op[1]
     if kind == "submit":
         _, _, ingress, egress, volume, deadline, segments = op
@@ -168,14 +168,12 @@ def apply(plane: Any, op: tuple[Any, ...]) -> None:
         plane.degrade(side=side, port=port, amount=amount, start=start, end=end, now=now)
     elif kind in ("cancel", "abort", "reshape"):
         getattr(plane, kind)(op[2], now=now)
-    elif kind in ("crash", "restart"):
-        if isinstance(plane, Gateway):
-            if kind == "crash":
-                plane.crash_broker(op[2] % plane.num_shards, now=now)
-            else:  # brokers the chaos policy crashed come back too
-                for shard, broker in enumerate(plane.brokers):
-                    if broker.crashed:
-                        plane.restart_broker(shard, now=now)
+    elif kind == "crash":
+        plane.crash_broker(op[2] % plane.num_shards, now=now)
+    elif kind == "restart":  # brokers the chaos policy crashed come back too
+        for shard, broker in enumerate(plane.brokers):
+            if broker.crashed:
+                plane.restart_broker(shard, now=now)
     else:
         plane.drain(now)
 

@@ -5,23 +5,27 @@ The paper motivates reservations with reliability — "a large amount of
 resources could be wasted when long transfer failure occurs".  This
 example runs the fault-tolerant control plane end to end:
 
-1. a day of grid traffic is submitted to the reservation service, with a
-   journal recording every operation;
+1. a day of grid traffic is submitted to the reservation service (the
+   default gateway), with a journal recording every operation;
 2. mid-flight aborts waste the carried volume but return each tail to
-   the ledger, where backlogged rejections immediately re-compete;
+   the ledger for later submissions;
 3. a storage site loses its egress port for two hours — the service
    displaces what no longer fits and rebooks the residual volumes with
    exponential backoff;
 4. the service "crashes"; replaying the journal rebuilds the exact
-   ledger state, verified against the paper's Eq. 1.
+   ledger state, verified against the paper's Eq. 1;
+5. the same drill at abort rates 0.05 / 0.15 / 0.30 prints the rows of
+   EXPERIMENTS.md's fault table.
 
 Run:  python examples/fault_tolerance.py
 """
 
 import random
 
-from repro.control import Journal, PortFault, ReservationService, run_fault_drill
+from repro.control import Journal, PortFault, run_fault_drill
 from repro.core import Platform, Request, verify_schedule
+from repro.gateway import Gateway
+from repro.metrics import FaultStats
 from repro.schedulers import BackoffSchedule
 from repro.units import GB, HOUR, format_volume
 
@@ -47,20 +51,28 @@ outage = PortFault.outage(
     "egress", port=4, capacity=platform.bout(4), start=6 * HOUR, end=8 * HOUR
 )
 
+
+
+def drill(abort_rate, journal=None):
+    """The day of traffic, the outage and ``abort_rate`` through one gateway."""
+    service = Gateway(platform, journal=journal)
+    run_fault_drill(
+        service,
+        requests,
+        abort_rate=abort_rate,
+        faults=[outage],
+        rebook=BackoffSchedule(base=300.0, multiplier=2.0, jitter=0.25),
+        seed=7,
+    )
+    return service
+
+
 print("Running a 24h fault drill on the paper platform:")
 print(f"  {len(requests)} transfers, 5% abort rate, egress 4 dark 6h-8h\n")
 
 journal = Journal()
-service = ReservationService(platform, backlog_limit=32, journal=journal)
-run_fault_drill(
-    service,
-    requests,
-    abort_rate=0.05,
-    faults=[outage],
-    rebook=BackoffSchedule(base=300.0, multiplier=2.0, jitter=0.25),
-    seed=7,
-)
-stats = service.stats
+service = drill(0.05, journal)
+stats = FaultStats.of(service)
 
 print("Damage report:")
 print(f"  mid-flight aborts        : {stats.aborted}")
@@ -73,8 +85,6 @@ print(f"  rebooking attempts       : {stats.rebook_attempts}")
 print(f"  residuals rebooked       : {stats.rebooked} "
       f"({format_volume(stats.recovered_volume)})")
 print(f"  mean time to rebook      : {stats.mean_time_to_rebook / HOUR:.2f} h")
-print(f"  backlog re-admissions    : {stats.readmitted} "
-      f"({format_volume(stats.readmitted_volume)})")
 print(f"  accept rate (recovered)  : {service.accept_rate():.2%}")
 
 surviving, result = service.surviving_schedule()
@@ -89,7 +99,19 @@ print(f"\nEq. 1 verified under degraded capacity "
       f"(max overcommit {service.max_overcommit():.2e} MB/s)")
 
 print(f"\nCrash! Replaying the {len(journal)}-entry journal ...")
-rebuilt = ReservationService.replay(journal)
+rebuilt = Gateway.replay(journal)
 identical = rebuilt.snapshot() == service.snapshot()
 print(f"  rebuilt state identical  : {identical}")
 assert identical
+
+print("\nAbort-rate sweep (the rows of EXPERIMENTS.md's fault table):")
+print("| abort rate | aborted | displaced | wasted  | rebooked     | recovered volume |")
+print("|-----------:|--------:|----------:|--------:|-------------:|-----------------:|")
+for rate in (0.05, 0.15, 0.30):
+    row = stats if rate == 0.05 else FaultStats.of(drill(rate))
+    print(
+        f"| {rate:<10.2f} | {row.aborted:<7d} | {row.displaced:<9d} "
+        f"| {format_volume(row.wasted_volume):<7s} "
+        f"| {f'{row.rebooked}/{row.rebook_attempts} att.':<12s} "
+        f"| {format_volume(row.recovered_volume):<16s} |"
+    )

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Tour of the sharded admission gateway (`repro.gateway`).
 
-The monolithic reservation service funnels every admission through one
-ledger; the gateway shards that state across per-access-point brokers
-(the paper's Eq. 1 is per-port, so it partitions cleanly) and batches
+The default gateway decides every admission against one ledger; a
+sharded gateway splits that state across per-access-point brokers (the
+paper's Eq. 1 is per-port, so it partitions cleanly) and batches
 concurrent arrivals.  This tour runs the whole serving layer on the
 discrete-event engine:
 

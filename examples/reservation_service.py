@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Driving the reservation service like a grid middleware would (§5.4).
 
-The ReservationService is the client-facing API: submit a transfer, get
-back a confirmed window + rate (or a rejection) immediately; cancel later
-and the unused bandwidth returns to the pool.  This example walks a small
+The default :class:`~repro.gateway.Gateway` (one shard, batch size 1) is
+the client-facing API: submit a transfer, get back a confirmed window +
+rate (or a rejection) immediately; cancel later and the unused bandwidth
+returns to the pool.  This example walks a small
 scenario on the paper platform:
 
 1. a physics VO books three large replications;
@@ -14,14 +15,12 @@ scenario on the paper platform:
 Run:  python examples/reservation_service.py
 """
 
-from repro.control import ReservationService
 from repro.core import Platform
+from repro.gateway import Gateway
 from repro.schedulers import FractionOfMaxPolicy
 from repro.units import GB, HOUR, format_bandwidth, format_duration
 
-service = ReservationService(
-    Platform.paper_platform(), policy=FractionOfMaxPolicy(1.0)
-)
+service = Gateway(Platform.paper_platform(), policy=FractionOfMaxPolicy(1.0))
 
 
 def show(label, reservation, now):

@@ -2,9 +2,9 @@
 """A tour of the observability layer (``repro.obs``).
 
 The control plane is instrumented end to end: the booking search, the
-:class:`~repro.control.service.ReservationService`, the schedulers and the
-simulation engine all report decisions through a process-wide telemetry
-handle.  By default that handle is a no-op — this example turns it on,
+:class:`~repro.gateway.Gateway` (the reservation service), the schedulers
+and the simulation engine all report decisions through a process-wide
+telemetry handle.  By default that handle is a no-op — this example turns it on,
 drives a small reservation workload through faults, and shows every
 surface:
 
@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.control.service import ReservationService
 from repro.core import Platform
+from repro.gateway import Gateway
 from repro.obs import RunTelemetry, Telemetry, summarize, use_telemetry, validate_chrome_trace
 
 platform = Platform.paper_platform()
@@ -31,7 +31,7 @@ rng = np.random.default_rng(42)
 
 telemetry = Telemetry()
 with use_telemetry(telemetry):
-    service = ReservationService(platform, backlog_limit=16)
+    service = Gateway(platform)
     rids = []
     for k in range(120):
         now = float(k * 40)

@@ -2,8 +2,8 @@
 
 The fault-tolerant control plane (PR 1) made two properties load-bearing:
 
-- **replay determinism** — :meth:`repro.control.service.ReservationService.replay`
-  must rebuild a byte-identical service from its journal, so simulation and
+- **replay determinism** — :meth:`repro.gateway.gateway.Gateway.replay`
+  must rebuild a byte-identical gateway from its journal, so simulation and
   control code may not read wall clocks or draw from ambient RNG state;
 - **ledger encapsulation** — every capacity decision flows through
   :class:`repro.core.ledger.PortLedger` and :mod:`repro.core.booking`

@@ -4,7 +4,7 @@ Paper Eq. 1 (no port over capacity) and journal replay both rest on
 single-writer arguments: capacity state changes only through
 :meth:`Port.add <repro.core.ledger.Port.add>`, a shard broker's port and
 hold tables only through the broker, reservation lifecycle stamps only
-through :func:`repro.control.lifecycle.terminate`, and broker protocol
+through :func:`repro.gateway.lifecycle.terminate`, and broker protocol
 messages travel only over the coordinator's channels.  One owner table
 names each protected name and the modules (path suffixes; a suffix
 ending in ``/`` owns a whole package) that may touch it.  Everywhere else
@@ -55,10 +55,10 @@ _OWNERS: dict[str, tuple[str, ...]] = {
     # A shard broker's port table and two-phase hold table.
     "_ports": _BROKER,
     "_holds": _BROKER,
-    # Reservation lifecycle stamps (both admission planes call terminate).
-    "cancelled_at": ("control/lifecycle.py",),
-    "aborted_at": ("control/lifecycle.py",),
-    "displaced_at": ("control/lifecycle.py",),
+    # Reservation lifecycle stamps (the gateway's verbs call terminate).
+    "cancelled_at": ("gateway/lifecycle.py",),
+    "aborted_at": ("gateway/lifecycle.py",),
+    "displaced_at": ("gateway/lifecycle.py",),
     # Capacity-kernel query caches (the arrays themselves are GL009's).
     "_peak": ("core/capacity/",),
     "_suffix": ("core/capacity/",),

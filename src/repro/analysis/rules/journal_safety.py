@@ -2,9 +2,9 @@
 
 The journal is a write-ahead log: replay assumes each entry's arguments
 still describe the operation exactly as it was applied.  Mutating an
-object *after* it was passed to ``journal.append(...)`` (or the service's
+object *after* it was passed to ``journal.append(...)`` (or the gateway's
 ``_record`` wrapper) makes the in-memory history diverge from the
-serialised one — the recovered service replays arguments the original
+serialised one — the recovered gateway replays arguments the original
 never saw.
 
 Within each function body the rule tracks the names passed (positionally,
@@ -88,7 +88,7 @@ class JournalSafetyRule(Rule):
     rule_id: ClassVar[str] = "GL006"
     title: ClassVar[str] = "journal-safety"
     severity: ClassVar[str] = "error"
-    allowlist: ClassVar[tuple[str, ...]] = ("tests/", "control/journal.py")
+    allowlist: ClassVar[tuple[str, ...]] = ("tests/", "gateway/journal.py")
 
     def check(self, module: Module) -> Iterable[Finding]:
         for func in ast.walk(module.tree):

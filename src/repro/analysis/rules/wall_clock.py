@@ -1,7 +1,7 @@
 """GL001 — no wall-clock reads in deterministic code.
 
-Journal replay (:meth:`repro.control.service.ReservationService.replay`)
-rebuilds a service from recorded operations; any ambient time source —
+Journal replay (:meth:`repro.gateway.gateway.Gateway.replay`) rebuilds a
+gateway from recorded operations; any ambient time source —
 ``time.time()``, ``datetime.now()``, ``perf_counter()`` — makes the rebuilt
 state diverge from the original.  Simulated time always arrives as an
 explicit ``now``/``t`` argument.  Real-clock timing is legitimate only in

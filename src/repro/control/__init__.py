@@ -1,13 +1,15 @@
-"""Overlay control plane: distributed admission, rate enforcement, faults.
+"""Overlay control plane: the §5.4 signalling model, rate enforcement, drills.
 
 :class:`ControlPlane` simulates the RSVP-like two-phase reservation between
 ingress and egress access routers; :class:`TokenBucket` models the
-client-side pacing / access-point drop enforcement.
-:class:`ReservationService` is the stateful client-facing API, hardened
-against mid-flight aborts, port outages, and process crashes
-(:mod:`repro.control.faults`, :mod:`repro.control.journal`).
+client-side pacing / access-point drop enforcement.  The fault drills
+(:mod:`repro.control.faults`) drive a :class:`~repro.gateway.Gateway` — the
+client-facing reservation service — through mid-flight aborts, port
+outages, broker crashes and message chaos; :mod:`repro.control.striped`
+plans the §1 striped (multi-source) staging transfers offline.
 """
 
+from ..gateway.token_bucket import TokenBucket, enforce_series
 from .faults import (
     CHAOS_SCENARIOS,
     AbortFault,
@@ -24,9 +26,7 @@ from .journal import Journal, JournalEntry
 from .messages import MessageType, ReservationMessage
 from .plane import ControlPlane
 from .router import PortAgent
-from .service import Reservation, ReservationService, ReservationState, RejectReason
 from .striped import StripedBooking, book_striped, plan_striped
-from .token_bucket import TokenBucket, enforce_series
 
 __all__ = [
     "AbortFault",
@@ -41,10 +41,6 @@ __all__ = [
     "MessageType",
     "PortAgent",
     "PortFault",
-    "RejectReason",
-    "Reservation",
-    "ReservationService",
-    "ReservationState",
     "ReservationMessage",
     "StripedBooking",
     "TokenBucket",

@@ -5,11 +5,12 @@ the discrete-event engine (:mod:`repro.sim`):
 
 - :class:`AbortFault` — a transfer dies mid-flight at a given instant;
 - :class:`PortFault` — a port loses ``amount`` MB/s over ``[start, end)``
-  (a full outage when the amount reaches the port capacity).
+  (a full outage when the amount reaches the port capacity);
+- :class:`BrokerCrash` — a shard broker dies mid-protocol (its volatile
+  holds are wiped and in-flight two-phase transactions abort).
 
-:class:`FaultInjector` schedules these against a live admission plane —
-a :class:`~repro.control.service.ReservationService` or a
-:class:`~repro.gateway.Gateway`, whose tickets *are* reservations — and
+:class:`FaultInjector` schedules these against a live
+:class:`~repro.gateway.Gateway`, whose tickets *are* reservations, and
 drives recovery:
 reservations displaced by a port fault have their residual volume
 (``volume − carried``) resubmitted with exponential backoff and jitter
@@ -18,12 +19,9 @@ admitted, the deadline becomes unreachable, or the attempt budget runs
 out.
 
 :func:`run_fault_drill` wires a whole experiment — workload arrivals,
-random aborts, planned port faults — through one simulator against
-either plane, built by the caller, and is what the fault benchmark, the
-example scenario, and the end-to-end tests run.  On a
-:class:`~repro.gateway.Gateway` it also plays :class:`BrokerCrash`
-events that kill shard brokers mid-protocol (their volatile holds are
-wiped and in-flight two-phase transactions abort).
+random aborts, planned port faults, broker crashes — through one
+simulator against a gateway the caller built, and is what the fault
+benchmark, the example scenario, and the end-to-end tests run.
 
 On top of the drill sits the **chaos matrix**
 (:func:`run_chaos_matrix`): seeds × scenarios — clean, lossy, partition,
@@ -42,22 +40,24 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Iterable, Sequence
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from ..core.booking import deadline_tolerance
 from ..core.errors import ConfigurationError
 from ..core.platform import Platform
 from ..core.request import Request
+from ..gateway.gateway import Gateway
+from ..gateway.invariants import check_gateway
+from ..gateway.journal import Journal
+from ..gateway.lifecycle import Reservation
+from ..gateway.rpc import ChaosPolicy
+from ..obs.artifact import RunTelemetry
+from ..obs.recorder import FlightRecorder
+from ..obs.slo import SloRule, SloWatchdog, default_slo_rules
+from ..obs.telemetry import Telemetry
 from ..schedulers.policies import BandwidthPolicy
 from ..schedulers.retry import BackoffSchedule
 from ..sim.engine import Simulator
-from .journal import Journal
-from .service import Reservation, ReservationService
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
-    from ..gateway import Gateway
-    from ..gateway.rpc import ChaosPolicy
-    from ..obs.slo import SloRule
 
 __all__ = [
     "AbortFault",
@@ -137,8 +137,8 @@ class FaultInjector:
     sim:
         The discrete-event engine the traffic runs on.
     service:
-        The admission plane under test (service or gateway: the injector
-        only calls the ``abort`` / ``degrade`` / ``submit`` verbs they share).
+        The gateway under test (the injector calls its ``abort`` /
+        ``degrade`` / ``submit`` verbs).
     rebook:
         Backoff schedule for resubmitting displaced residual volumes;
         ``None`` disables automatic rebooking.
@@ -151,7 +151,7 @@ class FaultInjector:
     def __init__(
         self,
         sim: Simulator,
-        service: ReservationService | Gateway,
+        service: Gateway,
         *,
         rebook: BackoffSchedule | None = None,
         seed: int = 0,
@@ -242,7 +242,7 @@ class FaultInjector:
             max_rate=request.max_rate,
             origin=displaced.rid,
         )
-        if not getattr(rebooked, "decided", True):
+        if not rebooked.decided:
             # A batched gateway decides at the flush; settle() retries then.
             self._undecided[rebooked.rid] = (displaced, attempt)
         elif not rebooked.confirmed:
@@ -260,7 +260,7 @@ class FaultInjector:
 class DrillReport:
     """Everything a fault-injection run produces."""
 
-    plane: ReservationService | Gateway
+    plane: Gateway
     injector: FaultInjector
     aborts: list[AbortFault] = field(default_factory=list)
     faults: list[PortFault] = field(default_factory=list)
@@ -268,7 +268,7 @@ class DrillReport:
 
 
 def run_fault_drill(
-    plane: ReservationService | Gateway,
+    plane: Gateway,
     requests: Iterable[Request],
     *,
     abort_rate: float = 0.0,
@@ -281,31 +281,23 @@ def run_fault_drill(
 ) -> DrillReport:
     """Drive a workload plus failures through one online simulation.
 
-    ``plane`` is a :class:`~repro.control.service.ReservationService` or
-    a :class:`~repro.gateway.Gateway` the caller built and configured.
-    Each request is submitted at its ``t_start``; each confirmed arrival
-    aborts mid-flight with probability ``abort_rate``, drawn from the
-    instant the plane decides it (its ``on_decision`` hook; rebookings
-    and re-admissions are never sampled).  Port ``faults`` strike at
+    ``plane`` is a :class:`~repro.gateway.Gateway` the caller built and
+    configured.  Each request is submitted at its ``t_start``; each
+    confirmed arrival aborts mid-flight with probability ``abort_rate``,
+    drawn from the instant the plane decides it (its ``on_decision``
+    hook; rebookings and re-admissions are never sampled).  Port ``faults`` strike at
     their start times; displaced residuals are rebooked per ``rebook``.
 
-    ``crashes`` (:class:`BrokerCrash`, run after same-instant arrivals so
-    their batch faces the dead broker) and ``restart_sweep`` (a periodic
-    janitor restarting every crashed broker) need a gateway; with a
-    service they raise :class:`ConfigurationError`.  The run ends with
-    ``plane.drain(now)`` (a gateway decides its open batch; a no-op on
-    the service) and runs on, so aborts drawn by that flush strike too.
+    ``crashes`` (:class:`BrokerCrash`) run after same-instant arrivals, so
+    their batch faces the dead broker; ``restart_sweep`` is a periodic
+    janitor restarting every crashed broker.  The run ends with
+    ``plane.drain(now)`` (deciding the open batch) and runs on, so aborts
+    drawn by that flush strike too.
     """
-    from ..gateway import Gateway  # local import: control <-> gateway cycle
-
     if not (0.0 <= abort_rate <= 1.0):
         raise ConfigurationError(f"abort_rate must be in [0, 1], got {abort_rate}")
     if restart_sweep is not None and restart_sweep <= 0:
         raise ConfigurationError(f"restart_sweep must be positive, got {restart_sweep}")
-    if (crashes or restart_sweep is not None) and not isinstance(plane, Gateway):
-        raise ConfigurationError(
-            "crashes and restart_sweep need a plane with shard brokers (a Gateway)"
-        )
     arrivals = sorted(requests, key=lambda r: (r.t_start, r.rid))
     sim = Simulator()
     injector = FaultInjector(sim, plane, rebook=rebook, seed=seed)
@@ -336,8 +328,7 @@ def run_fault_drill(
         sim.at(request.t_start, on_arrival, payload=request)
     for fault in faults:
         injector.schedule_fault(fault)
-    if isinstance(plane, Gateway):
-        _schedule_brokers(sim, plane, crashes, restart_sweep, arrivals)
+    _schedule_brokers(sim, plane, crashes, restart_sweep, arrivals)
     horizon = until if until is not None else float("inf")
     sim.run(until=horizon)
     plane.drain(sim.now)
@@ -418,8 +409,6 @@ def chaos_scenario(
       :class:`BrokerCrash`, with a periodic restart sweep as the
       recovery half.
     """
-    from ..gateway.rpc import ChaosPolicy
-
     if num_shards < 1:
         raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
     if horizon <= 0:
@@ -454,7 +443,7 @@ class ChaosMatrixReport:
     #: full invariant report and the cell's SLO verdict.
     cells: list[dict[str, Any]] = field(default_factory=list)
     #: Causal-trace artifact covering every cell (``tracing=True`` only).
-    telemetry: Any | None = None  # repro.obs.RunTelemetry (cycle guard)
+    telemetry: RunTelemetry | None = None
     #: Flight-recorder dumps of failing cells, saved under ``flight_dir``.
     flight_paths: list[str] = field(default_factory=list)
 
@@ -539,13 +528,6 @@ def run_chaos_matrix(
     flight-recorder dump is saved there as
     ``FLIGHT_seed<seed>_<scenario>.json`` (paths in ``report.flight_paths``).
     """
-    from ..gateway import Gateway
-    from ..gateway.invariants import check_gateway
-    from ..obs.artifact import RunTelemetry
-    from ..obs.recorder import FlightRecorder
-    from ..obs.slo import SloWatchdog, default_slo_rules
-    from ..obs.telemetry import Telemetry
-
     rules = (
         list(slo_rules)
         if slo_rules is not None

@@ -2,10 +2,10 @@
 
 Several layers run the same search: "find the earliest start within the
 request's window at which a rate assignment fits the ledger" — the
-service and the gateway's coordinator on every admission (through the
-:func:`admission_search` cascade) and the re-admission / rebooking
-paths of the fault-tolerant control plane.  This module is the single implementation
-they all delegate to.
+gateway's coordinator on every admission (through the
+:func:`admission_search` cascade, re-admissions and rebookings included)
+and the offline book-ahead schedulers.  This module is the single
+implementation they all delegate to.
 
 Candidate starts are the request's window opening plus every instant where
 the pair's available capacity can change: usage breakpoints of both port
@@ -80,7 +80,7 @@ class RejectReason(enum.Enum):
       deadline-implied rate exceeds what the policy/MaxRate can grant;
     - ``BROKER_UNAVAILABLE`` — a gateway-only outcome: a shard broker
       owning one of the request's ports stayed down through the two-phase
-      retry budget (the monolithic service never emits it);
+      retry budget (never on a gateway whose brokers stay up);
     - ``SHARD_UNREACHABLE`` — gateway-only: message-level faults (lost
       deliveries, a network partition) exhausted the coordinator's retry
       or RPC-deadline budget for a shard (see :mod:`repro.gateway.rpc`);

@@ -12,7 +12,7 @@ Layering (modules above only ever call downward through the interface)::
 
     experiments / metrics / analysis
         schedulers (rigid, flexible, advance, localsearch)
-            control (ReservationService)   gateway (brokers, 2PC)
+            gateway (brokers, 2PC)
                 core.booking (earliest_fit)
                     core.ledger (PortLedger, Degradation)
                         repro.core.capacity   ← the kernel

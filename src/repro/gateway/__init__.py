@@ -1,13 +1,12 @@
 """Sharded, batched admission gateway with two-phase cross-shard reservation.
 
-The monolithic :class:`~repro.control.service.ReservationService` funnels
-every admission through one :class:`~repro.core.ledger.PortLedger` — the
-scalability wall named in the ROADMAP.  The paper's model is inherently
-federated (a request touches exactly one ingress and one egress access
-point, and Eq. 1 constrains only per-port capacity), so admission state
-partitions cleanly across per-access-point brokers, the architecture Chen
-& Primet's flexible-reservation framework argues for.  This package is
-that serving layer:
+The paper's §5.4 deployment is one admission service: a client submits a
+transfer and is answered with a window and a rate.  This package is that
+service.  The paper's model is inherently federated (a request touches
+exactly one ingress and one egress access point, and Eq. 1 constrains
+only per-port capacity), so admission state partitions cleanly across
+per-access-point brokers, the architecture Chen & Primet's
+flexible-reservation framework argues for:
 
 - :class:`~repro.gateway.sharding.ShardMap` partitions access points
   across N **shard brokers**;
@@ -22,14 +21,18 @@ that serving layer:
   egress brokers, then commit — or abort with every hold released, so a
   crashed peer never strands capacity;
 - :class:`~repro.gateway.gateway.Gateway` is the client-facing facade:
-  submit / cancel / abort / degrade with journaling, crash
+  submit / cancel / abort / degrade with journaling
+  (:mod:`~repro.gateway.journal`), crash
   :meth:`~repro.gateway.gateway.Gateway.replay`, and ``gateway_*``
-  telemetry on every decision.
+  telemetry on every decision;
+- :mod:`~repro.gateway.lifecycle` holds the rules a reservation follows
+  after admission (release, re-shape, displacement, re-admission,
+  replay).
 
-A single-shard, batch-of-one gateway is decision-for-decision equivalent
-to :class:`~repro.control.service.ReservationService` on the same
-workload (the property tests assert this); sharding and batching change
-*where* the work happens, never *what* is decided.
+The default gateway is one shard and batch size 1: every admission is
+decided at submit against one ledger.  Sharding and batching change
+*where* the work happens, never *what* is decided (the shard/batch
+sweep test asserts this).
 """
 
 from .batch import AdmissionOrdering, Batcher
@@ -37,6 +40,8 @@ from .broker import BrokerUnavailable, Hold, ShardBroker, hold_expired
 from .edge import EdgeLimit, EdgeLimiter
 from .gateway import Gateway, GatewayStats, Ticket
 from .invariants import InvariantReport, check_gateway
+from .journal import Journal, JournalEntry
+from .lifecycle import Reservation, ReservationState
 from .rpc import (
     Channel,
     ChannelStats,
@@ -64,7 +69,11 @@ __all__ = [
     "GatewayStats",
     "Hold",
     "InvariantReport",
+    "Journal",
+    "JournalEntry",
     "Partition",
+    "Reservation",
+    "ReservationState",
     "ShardBroker",
     "ShardMap",
     "ShardUnreachable",

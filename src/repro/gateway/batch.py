@@ -10,8 +10,8 @@ instant (the gateway force-flushes whenever its clock advances, so a
 batch never mixes instants) up to ``batch_size``, then releases them in
 the order of a pluggable policy:
 
-- ``fifo`` — submission order (the monolithic service's order; the
-  single-shard equivalence tests run this);
+- ``fifo`` — submission order (the order under which shard count and
+  batch size never change a decision);
 - ``min-laxity`` — least scheduling slack first
   (``(t_end − now) − vol/MaxRate``), the classic urgency order: tight
   requests grab capacity before flexible ones fragment it;

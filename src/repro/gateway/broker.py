@@ -16,8 +16,8 @@ state a broker carries:
 Every capacity answer and every usage change is the port's own
 (:meth:`Port.fits <repro.core.ledger.Port.fits>` / :meth:`Port.add
 <repro.core.ledger.Port.add>`, or both at once through :meth:`Port.book
-<repro.core.ledger.Port.book>`): the Eq. 1 test and the writes the
-monolithic :class:`~repro.core.ledger.PortLedger` makes, not a fork.  A
+<repro.core.ledger.Port.book>`): the Eq. 1 test and the writes a
+:class:`~repro.core.ledger.PortLedger` makes, not a fork.  A
 booking arrives as its ``(t0, t1, rate)`` segments, one for a constant
 rate.
 """
@@ -191,9 +191,8 @@ class ShardBroker:
         This is the one-shard fast path: no holds, no second phase —
         :meth:`pair_fits`' test, the ingress port probed and the egress
         port booked before the ingress port changes (a
-        :class:`~repro.core.errors.CapacityError` leaves them untouched),
-        exactly like the monolithic service.  ``key``
-        (the rid, when called through a channel) makes the call
+        :class:`~repro.core.errors.CapacityError` leaves them untouched).
+        ``key`` (the rid, when called through a channel) makes the call
         idempotent: a duplicated delivery finds the key recorded and
         books nothing twice.
         """

@@ -2,7 +2,7 @@
 
 The paper's deployment pairs admission with client-side token-bucket
 enforcement (§5.4); the gateway reuses the same primitive
-(:class:`~repro.control.token_bucket.TokenBucket`) one layer earlier, as
+(:class:`~repro.gateway.token_bucket.TokenBucket`) one layer earlier, as
 *submission* backpressure: each client may ask for at most ``burst`` MB
 at once and ``rate`` MB/s sustained.  A submission whose volume does not
 conform is refused at the edge — it never reaches a batch, never runs a
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..control.token_bucket import TokenBucket
+from .token_bucket import TokenBucket
 from ..core.errors import ConfigurationError
 
 __all__ = ["EdgeLimit", "EdgeLimiter"]

@@ -1,9 +1,9 @@
 """The client-facing admission gateway: batched, sharded, journaled.
 
-:class:`Gateway` offers the :class:`~repro.control.service.ReservationService`
-surface — submit / cancel / abort / reshape / degrade, with journaling
-and crash :meth:`Gateway.replay` — but serves it through the sharded
-pipeline:
+This is the paper's §5.4 reservation service: a client submits a
+transfer and is answered with a window and a rate.  :class:`Gateway`
+offers submit / cancel / abort / reshape / degrade, with journaling and
+crash :meth:`Gateway.replay`, served through the sharded pipeline:
 
 1. the **edge** (optional per-client token bucket) refuses out-of-quota
    submissions before they cost any admission work;
@@ -21,16 +21,14 @@ explicit drain, cancel, abort, reshape, degradation, broker
 crash/restart — is journaled, so :meth:`replay` rebuilds a
 state-identical gateway (``snapshot()`` equality).  What happens to a
 reservation after admission, and the validate → settle → journal →
-apply protocol every verb here follows, is shared with the service:
-:mod:`repro.control.lifecycle`.  Literally so: a submission's one record,
-its :class:`Ticket`, *is* a lifecycle ``Reservation`` — handed out
-pending, filled in place when its batch decides (:meth:`Gateway._admit`,
-the path first admissions and backlog re-admissions share).
+apply protocol every verb here follows, is :mod:`repro.gateway.lifecycle`.
+A submission's one record, its :class:`Ticket`, *is* a lifecycle
+``Reservation`` — handed out pending, filled in place when its batch
+decides (:meth:`Gateway._admit`, the path first admissions and backlog
+re-admissions share).
 
-With ``num_shards=1`` and ``batch_size=1`` every admission is a
-shard-local booking decided immediately in submission order against one
-authoritative ledger: decision-for-decision the monolithic service (the
-equivalence property tests hold the gateway to this).
+The defaults — one shard, batch size 1 — decide every admission at
+submit, in submission order, against one authoritative ledger.
 """
 
 from __future__ import annotations
@@ -39,14 +37,13 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
-from ..control.journal import Journal
-from ..control import lifecycle
-from ..control.lifecycle import Reservation, ReservationState
+from ..core.allocation import ScheduleResult
 from ..core.booking import RejectReason
 from ..core.errors import ConfigurationError
 from ..core.ledger import Degradation
 from ..core.platform import Platform
 from ..core.profile import RateProfile
+from ..core.request import RequestSet
 from ..obs.causal import CausalObserver, TraceContext, hop_spans
 from ..obs.metrics import BoundCounter
 from ..obs.recorder import FlightRecorder
@@ -55,8 +52,11 @@ from ..obs.telemetry import Telemetry, get_telemetry
 from ..obs.tracer import Hop, Span
 from ..schedulers.policies import BandwidthPolicy, MinRatePolicy, policy_from_name
 from ..schedulers.retry import BackoffSchedule
+from . import lifecycle
 from .batch import AdmissionOrdering, Batcher
 from .edge import EdgeLimit, EdgeLimiter
+from .journal import Journal
+from .lifecycle import Reservation, ReservationState
 from .rpc import ChaosPolicy
 from .sharding import ShardMap
 from .broker import ShardBroker
@@ -122,7 +122,7 @@ class Ticket(Reservation):
     :meth:`Gateway.submit` creates it pending and hands it to the client;
     the flush that decides its batch fills ``allocation`` /
     ``reject_reason`` in place and sets ``decided``.  From then on it *is*
-    the :class:`~repro.control.lifecycle.Reservation` the lifecycle verbs
+    the :class:`~repro.gateway.lifecycle.Reservation` the lifecycle verbs
     act on — ``gateway.get(rid)``, the entry in ``reservations()`` and the
     object ``on_decision`` receives are this same object.
     """
@@ -336,8 +336,13 @@ class Gateway:
         Backlogged requests are retried — as fresh, window-clipped
         submissions linked via ``origin`` — whenever the clock advances
         or a broker restarts and their shards answer again.
-    journal / telemetry:
-        As on :class:`~repro.control.service.ReservationService`.
+    journal:
+        Optional operation journal; every state-changing call is appended
+        so :meth:`replay` can rebuild the gateway after a crash.
+    telemetry:
+        Explicit telemetry handle; when omitted, decisions are reported
+        through the process-wide handle
+        (:func:`~repro.obs.telemetry.get_telemetry`, a no-op by default).
     recorder:
         Optional :class:`~repro.obs.recorder.FlightRecorder` — bounded
         per-component ring buffers of recent causal events, dumped by
@@ -524,11 +529,6 @@ class Gateway:
         if ticket is None or ticket.edge_refused:
             raise KeyError(f"unknown reservation {rid}")
 
-    def _capacity(self) -> lifecycle.CapacityOps:
-        """How the shared lifecycle rules reach the shards' capacity."""
-        c = self.coordinator
-        return lifecycle.CapacityOps(c.release_pair, c.restore_pair, c.overcommit_on, c)
-
     # ------------------------------------------------------------------
     # Causal tracing (observability only: never touches decisions,
     # journal, snapshot or replay)
@@ -569,7 +569,8 @@ class Gateway:
 
         With ``batch_size=1`` the batch flushes inside this call and the
         returned ticket is already decided.  ``origin`` links a rebooking
-        to the reservation it replaces, as on the service.  ``profile``
+        to the reservation it replaces (an abort's or displacement's
+        residual), for accounting and :meth:`accept_rate`.  ``profile``
         requests a stepwise (malleable) rate shape — absolute-time
         ``(t0, t1, rate)`` segments delivering exactly ``volume`` MB —
         placed as-given or slid later within the window.
@@ -837,7 +838,7 @@ class Gateway:
         """Retry backlogged rejections whose shards answer again.
 
         Each entry is retried as a fresh, window-clipped request
-        (:func:`~repro.control.lifecycle.readmission_candidate`: new rid,
+        (:func:`~repro.gateway.lifecycle.readmission_candidate`: new rid,
         ``origin`` = the rejected rid) once a **read-only** serviceability
         probe says both owning shards are up and unpartitioned; entries
         whose deadline can no longer be met even at MaxRate are dropped.
@@ -1024,17 +1025,16 @@ class Gateway:
         self._chaos_seen = totals
 
     # ------------------------------------------------------------------
-    # Lifecycle operations (the rules live in repro.control.lifecycle)
+    # Lifecycle operations (the rules live in repro.gateway.lifecycle)
     # ------------------------------------------------------------------
     def cancel(self, rid: int, *, now: float) -> bool:
         """Cancel a reservation; the unconsumed tail returns to its shards."""
         self._require_known(rid)
         self._settle(now)
         self._record("cancel", now, rid=rid)
-        freed = lifecycle.terminate(
-            self._tickets[rid], now, ReservationState.CANCELLED, self.coordinator.release_pair
+        released = lifecycle.terminate(
+            self._tickets[rid], now, ReservationState.CANCELLED, self.coordinator
         )
-        released = freed is not None
         if released:
             self.stats.cancelled += 1
         self._observer.note(
@@ -1054,10 +1054,7 @@ class Gateway:
         self._settle(now)
         self._record("abort", now, rid=rid)
         reservation = self._tickets[rid]
-        freed = lifecycle.terminate(
-            reservation, now, ReservationState.ABORTED, self.coordinator.release_pair
-        )
-        if freed is None:
+        if not lifecycle.terminate(reservation, now, ReservationState.ABORTED, self.coordinator):
             return False
         self.stats.aborted += 1
         self._observer.note("gateway.trace.abort", now, self._trace_ctx(rid), {"rid": rid})
@@ -1095,12 +1092,12 @@ class Gateway:
         self.stats.degradations += 1
         # Pending and edge-refused tickets hold no allocation, so the
         # victim search passes over them.
-        displaced, _freed, reshaped_rids = lifecycle.displace_overflow(
+        displaced, reshaped_rids = lifecycle.displace_overflow(
             self._tickets.values(),
             degradation,
             now,
             self.platform,
-            self._capacity(),
+            self.coordinator,
             malleable=self.malleable,
         )
         self.stats.displaced += len(displaced)
@@ -1144,14 +1141,14 @@ class Gateway:
 
         The tail ``[max(now, σ), τ)`` returns to its shards and the still
         undelivered volume is re-carved into the pair's residual capacity
-        valleys (:func:`~repro.control.lifecycle.reshape_tail`).  On
+        valleys (:func:`~repro.gateway.lifecycle.reshape_tail`).  On
         failure the original tail is restored exactly.  Journaled as
         ``reshape``; returns True when re-shaped.
         """
         self._require_known(rid)
         self._settle(now)
         self._record("reshape", now, rid=rid)
-        ok = lifecycle.reshape_tail(self._tickets[rid], now, self._capacity())
+        ok = lifecycle.reshape_tail(self._tickets[rid], now, self.coordinator)
         if ok:
             self.stats.reshaped += 1
         self._observer.note(
@@ -1250,6 +1247,50 @@ class Gateway:
         ]
         return ins, outs
 
+    def accept_rate(self) -> float:
+        """Served client submissions over all decided client submissions.
+
+        A client submission (no ``origin``) counts as served when its own
+        reservation was confirmed **or** a later re-admission or rebooking
+        linked to it through ``origin`` was.
+        """
+        decided = self.reservations()
+        roots = {r.rid for r in decided if r.origin is None}
+        if not roots:
+            return 0.0
+        served = {self._root_of(r.rid) for r in decided if r.confirmed}
+        return len(served & roots) / len(roots)
+
+    def _root_of(self, rid: int) -> int:
+        """Follow ``origin`` links back to the original client submission
+        (an ``origin`` always names an earlier rid)."""
+        origin = self._tickets[rid].origin
+        while origin is not None:
+            rid, origin = origin, self._tickets[origin].origin
+        return rid
+
+    def surviving_schedule(self) -> tuple[RequestSet, ScheduleResult]:
+        """The live schedule as (requests, result) for ``verify_schedule``.
+
+        Accepted: every confirmed reservation not terminated early (its
+        full allocation holds shard capacity).  Rejected: submissions that
+        were never admitted.  Terminated reservations (cancelled / aborted
+        / displaced) are in neither — their consumed heads remain in the
+        shards' timelines but no longer constitute scheduled transfers.
+        """
+        requests = []
+        result = ScheduleResult(scheduler=f"gateway[{self.policy.name}]")
+        for r in self.reservations():
+            if r.confirmed and r.terminated_at is None:
+                requests.append(r.request)
+                result.accept(r.allocation)
+            elif not r.confirmed:
+                requests.append(r.request)
+                result.reject(
+                    r.rid, r.reject_reason.value if r.reject_reason is not None else "capacity"
+                )
+        return RequestSet(requests), result
+
     # ------------------------------------------------------------------
     # Crash recovery
     # ------------------------------------------------------------------
@@ -1281,9 +1322,15 @@ class Gateway:
         re-applied in order.  Batch flushes triggered by batch-full and
         clock-advance recur identically (they are functions of the op
         stream), and explicit drains are journaled, so the rebuilt gateway
-        is state-identical (``snapshot()`` equality).
+        is state-identical (``snapshot()`` equality).  A header with no
+        ``kind`` (a journal of the retired single-ledger service) reads as
+        a default gateway.
         """
-        header = lifecycle.replay_header(journal, "gateway")
+        header = journal.header
+        if not header:
+            raise ConfigurationError("journal has no header; cannot replay")
+        if header.get("kind", "gateway") != "gateway":
+            raise ConfigurationError(f"not a gateway journal (kind: {header.get('kind')!r})")
         backoff_cfg = header.get("backoff") or {}
         edge_cfg = header.get("edge")
         chaos_cfg = header.get("chaos")

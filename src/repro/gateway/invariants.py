@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..control.journal import Journal
+from .journal import Journal
 from ..core.errors import InternalInvariantError
 from ..core.ledger import CAPACITY_SLACK
 from ..units import bandwidth_eq

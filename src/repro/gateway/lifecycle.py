@@ -1,16 +1,15 @@
-"""The reservation lifecycle — the rules both admission planes share.
+"""The reservation lifecycle: what happens to a reservation after admission.
 
-:class:`~repro.control.service.ReservationService` (one ledger) and
-:class:`~repro.gateway.gateway.Gateway` (sharded brokers behind a
-two-phase coordinator) hand out the same :class:`Reservation`; how one
-is released, re-shaped, displaced, re-admitted, snapshotted, journaled
-and replayed is written here once.  The verbs stay on each class — they
-differ in what they settle first and offer afterwards — but all follow
+:class:`~repro.gateway.gateway.Gateway` hands out a :class:`Reservation`
+(its :class:`~repro.gateway.gateway.Ticket`); how one is released,
+re-shaped, displaced, re-admitted, snapshotted, journaled and replayed
+is written here, against the gateway's
+:class:`~repro.gateway.twophase.TwoPhaseCoordinator`.  Every verb follows
 one protocol (docs/FAULTS.md, "When an entry is appended"):
 
 1. **validate** against state that settling cannot change — a bad call
    raises here, leaving ``snapshot()`` and the journal as they were;
-2. **settle** — advance the clock (the gateway: flush its open batch);
+2. **settle** — advance the clock and flush the open batch;
 3. **journal** the operation, then **apply** it — nothing visible in
    ``snapshot()`` changes without an entry written in the same call.
 """
@@ -20,10 +19,10 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import TYPE_CHECKING, Any
 
 from ..core.allocation import Allocation
-from ..core.booking import LedgerView, RejectReason, deadline_tolerance, shape_profile
+from ..core.booking import RejectReason, deadline_tolerance, shape_profile
 from ..core.capacity import CAPACITY_SLACK
 from ..core.errors import ConfigurationError, InternalInvariantError, InvalidRequestError
 from ..core.ledger import Degradation
@@ -33,9 +32,9 @@ from ..core.request import Request
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
     from .journal import Journal
+    from .twophase import TwoPhaseCoordinator
 
 __all__ = [
-    "CapacityOps",
     "JOURNAL_OPS",
     "Reservation",
     "ReservationState",
@@ -44,8 +43,6 @@ __all__ = [
     "new_degradation",
     "new_request",
     "readmission_candidate",
-    "release_tail",
-    "replay_header",
     "replay_ops",
     "reservation_rows",
     "reshape_tail",
@@ -132,21 +129,6 @@ class Reservation:
         return None
 
 
-class CapacityOps(NamedTuple):
-    """What the lifecycle needs from a capacity store: bound methods of
-    ``PortLedger`` (service) or ``TwoPhaseCoordinator`` (gateway)."""
-
-    #: ``(ingress, egress, segments)`` — give committed segments back.
-    release: Callable[[int, int, tuple[Segment, ...]], None]
-    #: ``(ingress, egress, segments)`` — re-add them with no capacity probe
-    #: (a rolled-back tail may sit in an already degraded region).
-    restore: Callable[[int, int, tuple[Segment, ...]], None]
-    #: ``(side, port, t0, t1)`` — worst ``usage − capacity`` on one port.
-    overcommit_on: Callable[[str, int, float, float], float]
-    #: The store itself, as the shaping search reads it.
-    view: LedgerView
-
-
 def new_request(
     platform: Platform,
     rid: int,
@@ -222,30 +204,24 @@ def _unconsumed(alloc: Allocation, now: float) -> tuple[Segment, ...]:
     return tuple((max(start, t0), t1, rate) for t0, t1, rate in alloc.segments() if t1 > start)
 
 
-def release_tail(alloc: Allocation, now: float, release: Callable[..., None]) -> float:
-    """Return the unconsumed part of an allocation to the store; MB released."""
-    tail = _unconsumed(alloc, now)
-    if tail:
-        release(alloc.ingress, alloc.egress, tail)
-    return sum((rate * (t1 - t0) for t0, t1, rate in tail), 0.0)
-
-
 def terminate(
     reservation: Reservation,
     now: float,
     how: ReservationState,
-    release: Callable[..., None],
-) -> float | None:
+    coordinator: TwoPhaseCoordinator,
+) -> bool:
     """End a live reservation early: free its tail, stamp it ``how``.
 
-    ``how`` is ``CANCELLED``, ``ABORTED`` or ``DISPLACED``.  Returns the MB
-    released, or ``None`` (nothing touched) when the reservation is not
-    live — rejected, completed or already ended.
+    ``how`` is ``CANCELLED``, ``ABORTED`` or ``DISPLACED``.  Returns False
+    (nothing touched) when the reservation is not live — rejected,
+    completed or already ended.
     """
     alloc = reservation.live_allocation(now)
     if alloc is None:
-        return None
-    freed = release_tail(alloc, now, release)
+        return False
+    tail = _unconsumed(alloc, now)
+    if tail:
+        coordinator.release_pair(alloc.ingress, alloc.egress, tail)
     if how is ReservationState.CANCELLED:
         reservation.cancelled_at = now
     elif how is ReservationState.ABORTED:
@@ -254,17 +230,17 @@ def terminate(
         reservation.displaced_at = now
     else:
         raise InternalInvariantError(f"{how} does not end a reservation early")
-    return freed
+    return True
 
 
-def reshape_tail(reservation: Reservation, now: float, capacity: CapacityOps) -> bool:
+def reshape_tail(reservation: Reservation, now: float, coordinator: TwoPhaseCoordinator) -> bool:
     """Release + re-carve one live reservation's unconsumed tail.
 
-    The tail returns to the store and the still undelivered volume is
+    The tail returns to its shards and the still undelivered volume is
     shaped into the pair's current residual capacity
     (:func:`~repro.core.booking.shape_profile`); the consumed head is
     preserved exactly.  On failure the original tail is restored and the
-    store left as found.
+    shards left as found.
     """
     alloc = reservation.live_allocation(now)
     if alloc is None:
@@ -286,13 +262,13 @@ def reshape_tail(reservation: Reservation, now: float, capacity: CapacityOps) ->
         )
     except InvalidRequestError:
         return False  # nothing left to carry, or no valid window to carry it in
-    capacity.release(alloc.ingress, alloc.egress, old_tail)
-    shaped = shape_profile(capacity.view, target, not_before=release_from)
+    coordinator.release_pair(alloc.ingress, alloc.egress, old_tail)
+    shaped = shape_profile(coordinator, target, not_before=release_from)
     if shaped is None:
-        capacity.restore(alloc.ingress, alloc.egress, old_tail)
+        coordinator.restore_pair(alloc.ingress, alloc.egress, old_tail)
         return False
     head = RateProfile(alloc.segments()).head_until(release_from)
-    capacity.restore(alloc.ingress, alloc.egress, shaped.segments)
+    coordinator.restore_pair(alloc.ingress, alloc.egress, shaped.segments)
     reservation.allocation = alloc.with_profile(head.concat(shaped))
     return True
 
@@ -325,36 +301,33 @@ def displace_overflow(
     degradation: Degradation,
     now: float,
     platform: Platform,
-    capacity: CapacityOps,
+    coordinator: TwoPhaseCoordinator,
     *,
     malleable: bool,
-) -> tuple[list[Reservation], list[float], list[int]]:
+) -> tuple[list[Reservation], list[int]]:
     """Displace until the degraded port fits under its remaining capacity.
 
     Victims go latest-start-first.  With ``malleable`` each victim's tail
     is first re-shaped around the degraded window (once per rid; a
     re-shaped reservation that still blocks the port is displaced later).
-    Returns ``(displaced, freed, reshaped)``: the displaced reservations,
-    the MB each released (same order), and the rids re-shaped instead.
+    Returns ``(displaced, reshaped)``: the displaced reservations and the
+    rids re-shaped instead.
     """
     side, port = degradation.side, degradation.port
     cap = platform.bin(port) if side == "ingress" else platform.bout(port)
     tol = CAPACITY_SLACK * max(1.0, cap)
     displaced: list[Reservation] = []
-    freed: list[float] = []
     reshaped: list[int] = []
-    while capacity.overcommit_on(side, port, degradation.t0, degradation.t1) > tol:
+    while coordinator.overcommit_on(side, port, degradation.t0, degradation.t1) > tol:
         victim = displacement_victim(reservations, degradation, now)
         if victim is None:
             break  # remaining overcommit is not ours to resolve
-        if malleable and victim.rid not in reshaped and reshape_tail(victim, now, capacity):
+        if malleable and victim.rid not in reshaped and reshape_tail(victim, now, coordinator):
             reshaped.append(victim.rid)
             continue
-        freed.append(
-            terminate(victim, now, ReservationState.DISPLACED, capacity.release) or 0.0
-        )
+        terminate(victim, now, ReservationState.DISPLACED, coordinator)
         displaced.append(victim)
-    return displaced, freed, reshaped
+    return displaced, reshaped
 
 
 def readmission_candidate(original: Request, rid: int, now: float) -> Request | None:
@@ -399,13 +372,11 @@ def reservation_rows(reservations: Iterable[Reservation]) -> list[dict[str, Any]
     ]
 
 
-#: The journal vocabulary: op name → the verb that wrote it.  An entry's
-#: arguments are that verb's keywords (plus ``now``), so replay is the
-#: same call again.  The header's ``kind`` tells the two planes' journals
-#: apart; the last three ops are the gateway's alone.
+#: The journal vocabulary: op name → the gateway verb that wrote it.  An
+#: entry's arguments are that verb's keywords (plus ``now``), so replay is
+#: the same call again.
 _VERBS = {
     "submit": "submit",
-    "submit_striped": "submit_striped",
     "cancel": "cancel",
     "abort": "abort",
     "reshape": "reshape",
@@ -417,19 +388,6 @@ _VERBS = {
 
 #: Every operation name a journal may contain.
 JOURNAL_OPS = frozenset(_VERBS)
-
-
-def replay_header(journal: Journal, kind: str | None) -> dict[str, Any]:
-    """The header of a journal written by a ``kind`` plane (``None``: the
-    service) — op names are shared, only the header tells journals apart."""
-    header = journal.header
-    if not header:
-        raise ConfigurationError("journal has no header; cannot replay")
-    if header.get("kind") != kind:
-        raise ConfigurationError(
-            f"not a {kind or 'service'} journal (kind: {header.get('kind')!r})"
-        )
-    return header
 
 
 def replay_ops(plane: Any, journal: Journal) -> None:

@@ -195,7 +195,7 @@ def explain_request(
     it into via ``origin``), then gather every journal op, event and span
     belonging to those traces and merge them into one time-ordered,
     deterministic text timeline.  ``journal`` may be a
-    :class:`~repro.control.journal.Journal` (or any iterable of entries
+    :class:`~repro.gateway.journal.Journal` (or any iterable of entries
     with ``op`` / ``now`` / ``args``).  Returns ``None`` when the
     artifact carries no record of the rid at all.
     """

@@ -177,7 +177,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     validate_artifact(artifact)
     journal = None
     if args.journal is not None:
-        from ..control.journal import Journal  # local: obs must stay core-only
+        from ..gateway.journal import Journal  # local: obs must stay core-only
 
         journal = Journal.load(args.journal)
     story = explain_request(artifact, args.rid, journal=journal)

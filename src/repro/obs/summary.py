@@ -4,9 +4,10 @@ Aggregates every capture of a :class:`~repro.obs.artifact.RunTelemetry`
 into the questions an operator actually asks after a run:
 
 - how many submissions were accepted / rejected, and the top reject
-  reasons (from the ``service_rejects_total`` counter);
-- per-port peak committed utilisation (from the
-  ``service_port_peak_utilization`` gauge);
+  reasons (from the ``gateway_submits_total`` / ``gateway_rejects_total``
+  counters);
+- how many backlogged rejections were re-admitted
+  (``gateway_readmissions_total``);
 - where simulated time went — a flamegraph-style table aggregating spans
   by name (count, total, mean, max duration).
 """
@@ -21,16 +22,10 @@ from .metrics import Counter, Gauge, MetricsRegistry
 
 __all__ = ["ArtifactSummary", "SpanRow", "summarize"]
 
-#: Metric names the service instrumentation publishes (see docs/OBSERVABILITY.md).
-SUBMITS_TOTAL = "service_submits_total"
-REJECTS_TOTAL = "service_rejects_total"
-PORT_PEAK_UTILIZATION = "service_port_peak_utilization"
-#: ... and their sharded-gateway twins, so one summary covers both planes:
-#: ``shard-unreachable`` rejections (message-level faults) land here.
-GATEWAY_SUBMITS_TOTAL = "gateway_submits_total"
-GATEWAY_REJECTS_TOTAL = "gateway_rejects_total"
-#: Backlog re-admissions, tallied across both control planes.
-READMISSIONS_TOTALS = ("service_readmissions_total", "gateway_readmissions_total")
+#: Metric names the gateway publishes (see docs/OBSERVABILITY.md).
+SUBMITS_TOTAL = "gateway_submits_total"
+REJECTS_TOTAL = "gateway_rejects_total"
+READMISSIONS_TOTAL = "gateway_readmissions_total"
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,10 +48,8 @@ class ArtifactSummary:
     accepted: int
     rejected: int
     reject_reasons: dict[str, int] = field(default_factory=dict)
-    #: Backlogged rejections later re-admitted (service + gateway planes).
+    #: Backlogged rejections later re-admitted.
     readmissions: int = 0
-    #: ``(side, port) -> peak utilisation`` (committed bandwidth / capacity).
-    port_peaks: dict[tuple[str, int], float] = field(default_factory=dict)
     span_table: list[SpanRow] = field(default_factory=list)
     events: int = 0
     counters: dict[str, float] = field(default_factory=dict)
@@ -77,9 +70,6 @@ class ArtifactSummary:
             "accept_rate": self.accept_rate,
             "reject_reasons": dict(sorted(self.reject_reasons.items())),
             "readmissions": self.readmissions,
-            "port_peaks": {
-                f"{side}:{port}": peak for (side, port), peak in sorted(self.port_peaks.items())
-            },
             "spans": [
                 {
                     "name": row.name,
@@ -110,11 +100,6 @@ class ArtifactSummary:
                 lines.append(f"  {reason:28s} {count}")
         if self.readmissions:
             lines.append(f"backlog re-admissions: {self.readmissions}")
-        if self.port_peaks:
-            lines.append("per-port peak utilisation:")
-            for (side, port), peak in sorted(self.port_peaks.items()):
-                bar = "#" * int(round(min(1.0, peak) * 20))
-                lines.append(f"  {side:8s}[{port:3d}] {peak:7.2%} {bar}")
         if self.span_table:
             lines.append("spans (by simulated time):")
             lines.append(f"  {'name':32s} {'count':>7s} {'total_s':>12s} {'mean_s':>10s} {'max_s':>10s}")
@@ -138,34 +123,25 @@ def summarize(artifact: RunTelemetry) -> ArtifactSummary:
     rejected = 0
     reject_reasons: dict[str, int] = {}
     readmissions = 0
-    port_peaks: dict[tuple[str, int], float] = {}
     counters: dict[str, float] = {}
     events = 0
 
     for registry in _iter_registries(artifact):
-        for metric in (SUBMITS_TOTAL, GATEWAY_SUBMITS_TOTAL):
-            submits = registry.get(metric)
-            if isinstance(submits, Counter):
-                for labels, value in submits.samples():
-                    if labels.get("outcome") == "accepted":
-                        accepted += int(value)
-                    elif labels.get("outcome") == "rejected":
-                        rejected += int(value)
-        for metric in (REJECTS_TOTAL, GATEWAY_REJECTS_TOTAL):
-            rejects = registry.get(metric)
-            if isinstance(rejects, Counter):
-                for labels, value in rejects.samples():
-                    reason = labels.get("reason", "unspecified")
-                    reject_reasons[reason] = reject_reasons.get(reason, 0) + int(value)
-        for metric in READMISSIONS_TOTALS:
-            readmits = registry.get(metric)
-            if isinstance(readmits, Counter):
-                readmissions += int(readmits.total())
-        peaks = registry.get(PORT_PEAK_UTILIZATION)
-        if isinstance(peaks, Gauge):
-            for labels, value in peaks.samples():
-                key = (labels.get("side", "?"), int(labels.get("port", -1)))
-                port_peaks[key] = max(port_peaks.get(key, 0.0), value)
+        submits = registry.get(SUBMITS_TOTAL)
+        if isinstance(submits, Counter):
+            for labels, value in submits.samples():
+                if labels.get("outcome") == "accepted":
+                    accepted += int(value)
+                elif labels.get("outcome") == "rejected":
+                    rejected += int(value)
+        rejects = registry.get(REJECTS_TOTAL)
+        if isinstance(rejects, Counter):
+            for labels, value in rejects.samples():
+                reason = labels.get("reason", "unspecified")
+                reject_reasons[reason] = reject_reasons.get(reason, 0) + int(value)
+        readmits = registry.get(READMISSIONS_TOTAL)
+        if isinstance(readmits, Counter):
+            readmissions += int(readmits.total())
         for name in registry.names():
             instrument = registry.get(name)
             if isinstance(instrument, Counter) and not isinstance(instrument, Gauge):
@@ -198,7 +174,6 @@ def summarize(artifact: RunTelemetry) -> ArtifactSummary:
         rejected=rejected,
         reject_reasons=reject_reasons,
         readmissions=readmissions,
-        port_peaks=port_peaks,
         span_table=table,
         events=events,
         counters=counters,

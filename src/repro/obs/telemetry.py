@@ -23,8 +23,8 @@ costs the gateway).
 Isolation: the process-wide handle is swapped with :func:`set_telemetry`
 or, in tests, the :func:`use_telemetry` context manager, which restores
 the previous handle on exit no matter what.  Objects that should not
-depend on ambient state (e.g. a :class:`~repro.control.service.ReservationService`
-under test) accept an explicit handle instead.
+depend on ambient state (e.g. a :class:`~repro.gateway.Gateway` under
+test) accept an explicit handle instead.
 """
 
 from __future__ import annotations

@@ -26,11 +26,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, NamedTuple
 
-from ..control.journal import Journal
 from ..core.errors import ConfigurationError, ReproError
 from ..core.platform import Platform
 from ..gateway import EdgeLimit, EdgeLimiter, Gateway
 from ..gateway.gateway import Ticket
+from ..gateway.journal import Journal
 from ..obs.causal import TraceContext, explain_request
 from ..obs.artifact import RunTelemetry
 from ..obs.metrics import BoundCounter, BoundHistogram

@@ -263,10 +263,12 @@ class TestGL004LedgerEncapsulation:
         )
         assert _active(report, "GL004") == []
         stamp = "def terminate(reservation, now):\n    reservation.cancelled_at = now\n"
-        report = _scan(tmp_path, stamp, filename="control/lifecycle.py")
+        report = _scan(tmp_path, stamp, filename="gateway/lifecycle.py")
         assert _active(report, "GL004") == []
-        # The admission planes call the lifecycle core; neither stamps itself.
-        for k, former_owner in enumerate(("control/service.py", "gateway/gateway.py")):
+        # The admission planes call the lifecycle core; none stamps itself.
+        for k, former_owner in enumerate(
+            ("control/service.py", "control/lifecycle.py", "gateway/gateway.py")
+        ):
             report = _scan(tmp_path / str(k), stamp, filename=former_owner)
             assert len(_active(report, "GL004")) == 1
 

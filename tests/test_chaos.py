@@ -14,8 +14,6 @@ import pytest
 
 from repro.control import (
     CHAOS_SCENARIOS,
-    BrokerCrash,
-    ReservationService,
     chaos_scenario,
     run_chaos_matrix,
     run_fault_drill,
@@ -892,10 +890,3 @@ class TestChaosMatrix:
     def test_restart_sweep_validation(self):
         with pytest.raises(ConfigurationError):
             run_fault_drill(Gateway(platform()), chaotic_workload(1, n=2), restart_sweep=0.0)
-
-    def test_broker_hazards_need_a_plane_with_brokers(self):
-        service = ReservationService(platform())
-        for hazard in ({"crashes": [BrokerCrash(shard=0, at=1.0)]}, {"restart_sweep": 10.0}):
-            with pytest.raises(ConfigurationError, match="shard brokers"):
-                run_fault_drill(service, chaotic_workload(1, n=2), **hazard)
-            assert service.reservations() == []  # refused before anything ran

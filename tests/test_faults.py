@@ -6,15 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.control import (
-    FaultInjector,
-    Journal,
-    PortFault,
-    ReservationService,
-    ReservationState,
-    run_fault_drill,
-)
+from repro.control import FaultInjector, Journal, PortFault, run_fault_drill
 from repro.core import ConfigurationError, Platform, Request, verify_schedule
+from repro.gateway import Gateway, ReservationState
+from repro.metrics import FaultStats
 from repro.schedulers import BackoffSchedule, FractionOfMaxPolicy
 from repro.sim import Simulator
 
@@ -43,7 +38,7 @@ class TestFaultValidation:
 
     def test_drill_rejects_bad_abort_rate(self, platform):
         with pytest.raises(ConfigurationError):
-            run_fault_drill(ReservationService(platform), [], abort_rate=1.5)
+            run_fault_drill(Gateway(platform), [], abort_rate=1.5)
 
 
 class TestBackoffSchedule:
@@ -71,7 +66,7 @@ class TestBackoffSchedule:
 
 class TestAbort:
     def test_abort_frees_tail_and_accounts_waste(self):
-        service = ReservationService(
+        service = Gateway(
             Platform.uniform(1, 1, 100.0), policy=FractionOfMaxPolicy(1.0)
         )
         r = service.submit(ingress=0, egress=0, volume=10_000.0, deadline=200.0, now=0.0)
@@ -79,15 +74,16 @@ class TestAbort:
         assert r.state(50.0) == ReservationState.ABORTED
         assert r.carried == pytest.approx(4000.0)
         assert r.residual == pytest.approx(6000.0)
-        assert service.stats.aborted == 1
-        assert service.stats.wasted_volume == pytest.approx(4000.0)
-        assert service.stats.freed_volume == pytest.approx(6000.0)
+        stats = FaultStats.of(service)
+        assert stats.aborted == 1
+        assert stats.wasted_volume == pytest.approx(4000.0)
+        assert stats.freed_volume == pytest.approx(6000.0)
         # the tail [40, 100) is bookable again
         ins, _ = service.port_usage(70.0)
         assert ins[0] == pytest.approx(0.0)
 
     def test_abort_terminated_is_noop(self, platform):
-        service = ReservationService(platform)
+        service = Gateway(platform)
         r = service.submit(ingress=0, egress=1, volume=100.0, deadline=50.0, now=0.0)
         assert service.cancel(r.rid, now=1.0)
         assert not service.abort(r.rid, now=2.0)
@@ -95,55 +91,12 @@ class TestAbort:
 
     def test_abort_unknown_raises(self, platform):
         with pytest.raises(KeyError):
-            ReservationService(platform).abort(99, now=0.0)
-
-    def test_abort_triggers_readmission(self):
-        service = ReservationService(
-            Platform.uniform(1, 1, 100.0),
-            policy=FractionOfMaxPolicy(1.0),
-            backlog_limit=4,
-        )
-        first = service.submit(ingress=0, egress=0, volume=10_000.0, deadline=200.0, now=0.0)
-        blocked = service.submit(ingress=0, egress=0, volume=5_000.0, deadline=90.0, now=1.0)
-        assert not blocked.confirmed
-        assert service.stats.backlogged == 1
-        service.abort(first.rid, now=10.0)
-        assert service.stats.readmitted == 1
-        readmit = service.reservations()[-1]
-        assert readmit.origin == blocked.rid
-        assert readmit.confirmed
-        assert service.accept_rate() == 1.0  # both client submissions served
-
-    def test_backlog_prunes_expired_deadlines(self):
-        service = ReservationService(
-            Platform.uniform(1, 1, 100.0),
-            policy=FractionOfMaxPolicy(1.0),
-            backlog_limit=4,
-        )
-        first = service.submit(ingress=0, egress=0, volume=10_000.0, deadline=200.0, now=0.0)
-        blocked = service.submit(ingress=0, egress=0, volume=5_000.0, deadline=90.0, now=1.0)
-        assert not blocked.confirmed
-        # by t=60 the leftover window [60, 90) can't carry 5000 MB at cap 100
-        service.abort(first.rid, now=60.0)
-        assert service.stats.readmitted == 0
-        assert service._backlog == []
-
-    def test_backlog_fifo_eviction(self):
-        service = ReservationService(
-            Platform.uniform(1, 1, 100.0),
-            policy=FractionOfMaxPolicy(1.0),
-            backlog_limit=1,
-        )
-        service.submit(ingress=0, egress=0, volume=10_000.0, deadline=200.0, now=0.0)
-        a = service.submit(ingress=0, egress=0, volume=5_000.0, deadline=90.0, now=1.0)
-        b = service.submit(ingress=0, egress=0, volume=5_000.0, deadline=95.0, now=2.0)
-        assert not a.confirmed and not b.confirmed
-        assert service._backlog == [b.rid]  # oldest evicted at the limit
+            Gateway(platform).abort(99, now=0.0)
 
 
 class TestDegrade:
     def test_degrade_without_conflict_displaces_nothing(self, platform):
-        service = ReservationService(platform)
+        service = Gateway(platform)
         service.submit(ingress=0, egress=1, volume=100.0, deadline=100.0, now=0.0)
         displaced = service.degrade(
             side="ingress", port=1, amount=100.0, start=0.0, end=50.0, now=0.0
@@ -153,7 +106,7 @@ class TestDegrade:
         assert service.max_overcommit() <= 1e-9
 
     def test_outage_displaces_latest_start_first(self):
-        service = ReservationService(
+        service = Gateway(
             Platform.uniform(1, 2, 100.0), policy=FractionOfMaxPolicy(0.5)
         )
         early = service.submit(ingress=0, egress=0, volume=5_000.0, deadline=400.0, now=0.0)
@@ -173,7 +126,7 @@ class TestDegrade:
         assert service.stats.displaced == 1
 
     def test_displaced_checkpoints_carried_volume(self):
-        service = ReservationService(
+        service = Gateway(
             Platform.uniform(1, 1, 100.0), policy=FractionOfMaxPolicy(1.0)
         )
         r = service.submit(ingress=0, egress=0, volume=10_000.0, deadline=200.0, now=0.0)
@@ -183,7 +136,7 @@ class TestDegrade:
         assert r.residual == pytest.approx(7000.0)
 
     def test_degraded_window_rejects_new_load(self):
-        service = ReservationService(
+        service = Gateway(
             Platform.uniform(1, 1, 100.0), policy=FractionOfMaxPolicy(1.0)
         )
         service.degrade(side="ingress", port=0, amount=100.0, start=0.0, end=50.0, now=0.0)
@@ -195,7 +148,7 @@ class TestDegrade:
 class TestRebooking:
     def test_injector_rebooks_displaced_residual(self):
         sim = Simulator()
-        service = ReservationService(
+        service = Gateway(
             Platform.uniform(1, 1, 100.0), policy=FractionOfMaxPolicy(1.0)
         )
         injector = FaultInjector(
@@ -212,14 +165,15 @@ class TestRebooking:
         assert rebooks[0].confirmed
         assert rebooks[0].request.volume == pytest.approx(8000.0)  # residual
         assert rebooks[0].allocation.sigma >= 25.0 - 1e-9  # first retry at 20+5
-        assert service.stats.rebook_attempts == 1
-        assert service.stats.rebooked == 1
-        assert service.stats.rebook_rate == 1.0
+        stats = FaultStats.of(service)
+        assert stats.rebook_attempts == 1
+        assert stats.rebooked == 1
+        assert stats.rebook_rate == 1.0
         assert service.accept_rate() == 1.0  # the rebooking serves the original
 
     def test_rebooking_backs_off_until_capacity_frees(self):
         sim = Simulator()
-        service = ReservationService(
+        service = Gateway(
             Platform.uniform(1, 1, 100.0), policy=FractionOfMaxPolicy(1.0)
         )
         injector = FaultInjector(
@@ -238,12 +192,13 @@ class TestRebooking:
         rebooks = [x for x in service.reservations() if x.origin == r.rid]
         assert rebooks and rebooks[-1].confirmed
         assert rebooks[-1].allocation.sigma >= 40.0 - 1e-9  # after the outage
-        assert service.stats.rebook_attempts == 2  # one failed try, then success
-        assert service.stats.rebooked == 1
+        stats = FaultStats.of(service)
+        assert stats.rebook_attempts == 2  # one failed try, then success
+        assert stats.rebooked == 1
 
     def test_rebooking_gives_up_on_dead_deadline(self):
         sim = Simulator()
-        service = ReservationService(
+        service = Gateway(
             Platform.uniform(1, 1, 100.0), policy=FractionOfMaxPolicy(1.0)
         )
         injector = FaultInjector(
@@ -258,7 +213,7 @@ class TestRebooking:
 
     def test_maybe_abort_only_hits_live_window(self):
         sim = Simulator()
-        service = ReservationService(
+        service = Gateway(
             Platform.uniform(1, 1, 100.0), policy=FractionOfMaxPolicy(1.0)
         )
         injector = FaultInjector(sim, service, seed=3)
@@ -270,6 +225,23 @@ class TestRebooking:
         bad = service.submit(ingress=0, egress=0, volume=9000.0, deadline=95.0, now=1.0)
         assert not bad.confirmed
         assert injector.maybe_abort(bad, abort_rate=1.0) is None
+
+
+class TestFaultStatsView:
+    def test_readmission_is_read_off_the_origin_link(self):
+        """A broker-down rejection parked and re-admitted after the restart
+        counts as re-admitted volume, not as a rebooking."""
+        gateway = Gateway(Platform.uniform(2, 2, 100.0), num_shards=2, backlog_limit=4)
+        gateway.crash_broker(0, now=0.0)
+        parked = gateway.submit(ingress=0, egress=1, volume=500.0, deadline=100.0, now=0.0)
+        assert not parked.confirmed
+        gateway.restart_broker(0, now=10.0)
+        stats = FaultStats.of(gateway)
+        assert (stats.backlogged, stats.readmitted) == (1, 1)
+        assert stats.readmitted_volume == pytest.approx(500.0)
+        assert stats.readmission_rate == 1.0
+        assert (stats.rebook_attempts, stats.recovered_volume) == (0, 0.0)
+        assert gateway.accept_rate() == 1.0  # the re-admission serves the original
 
 
 def _workload(rng, platform, n):
@@ -297,7 +269,7 @@ class TestFaultDrill:
         platform = Platform.uniform(3, 3, 100.0)
         requests = _workload(random.Random(11), platform, 60)
         journal = Journal()
-        service = ReservationService(platform, backlog_limit=8, journal=journal)
+        service = Gateway(platform, journal=journal)
         report = run_fault_drill(
             service,
             requests,
@@ -306,7 +278,7 @@ class TestFaultDrill:
             rebook=BackoffSchedule(base=10.0, multiplier=2.0, jitter=0.25),
             seed=5,
         )
-        stats = service.stats
+        stats = FaultStats.of(service)
 
         # the drill actually exercised the machinery (an abort scheduled on
         # an already-displaced reservation is a no-op, hence <=)
@@ -324,7 +296,7 @@ class TestFaultDrill:
                 continue
             parent = service.get(r.origin)
             if parent.terminated_at is None:
-                continue  # backlog re-admission of a rejected request
+                continue  # not the rebooking of a terminated reservation
             assert r.request.volume == pytest.approx(parent.residual)
             assert r.allocation.sigma >= parent.terminated_at
 
@@ -341,13 +313,13 @@ class TestFaultDrill:
         )
 
         # crash recovery: replaying the journal rebuilds identical state
-        rebuilt = ReservationService.replay(journal)
+        rebuilt = Gateway.replay(journal)
         assert rebuilt.snapshot() == service.snapshot()
 
     def test_drill_without_faults_matches_plain_service(self):
         platform = Platform.uniform(2, 2, 100.0)
         requests = _workload(random.Random(3), platform, 20)
-        report = run_fault_drill(ReservationService(platform), requests)
+        report = run_fault_drill(Gateway(platform), requests)
         assert report.aborts == []
         assert report.plane.stats.aborted == 0
         assert report.plane.max_overcommit() <= 1e-6
@@ -371,7 +343,7 @@ def test_faulty_interleavings_never_overcommit(ops):
     """Property: submit/cancel/abort/degrade keeps Eq. 1 under time-varying
     capacity, and the surviving schedule always verifies."""
     platform = Platform.uniform(2, 2, 100.0)
-    service = ReservationService(platform, backlog_limit=4)
+    service = Gateway(platform)
     now = 0.0
     live: list[int] = []
     for op, dt, volume, a, b in ops:

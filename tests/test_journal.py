@@ -1,14 +1,16 @@
 """Tests for the operation journal and crash-recovery replay."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.control import Journal, JournalEntry, ReservationService
-from repro.control.journal import JOURNAL_FORMAT
 from repro.core import ConfigurationError, InvalidRequestError, Platform
-from repro.gateway import Gateway
+from repro.gateway import Gateway, Journal, JournalEntry, lifecycle
+from repro.gateway.journal import JOURNAL_FORMAT
 from repro.schedulers import FractionOfMaxPolicy
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -32,7 +34,7 @@ class TestJournalEntry:
 class TestSerialisation:
     def test_jsonl_round_trip(self, platform):
         journal = Journal()
-        ReservationService(platform, journal=journal).submit(
+        Gateway(platform, journal=journal).submit(
             ingress=0, egress=1, volume=100.0, deadline=50.0, now=0.0
         )
         text = journal.to_jsonl()
@@ -43,7 +45,7 @@ class TestSerialisation:
 
     def test_header_first_line_has_format_tag(self, platform):
         journal = Journal()
-        ReservationService(platform, journal=journal)
+        Gateway(platform, journal=journal)
         first = json.loads(journal.to_jsonl().splitlines()[0])
         assert first["format"] == JOURNAL_FORMAT
         assert first["platform"] == platform.to_dict()
@@ -59,7 +61,7 @@ class TestSerialisation:
     def test_file_backed_appends(self, platform, tmp_path):
         path = tmp_path / "ops.jsonl"
         journal = Journal(path=path)
-        service = ReservationService(platform, journal=journal)
+        service = Gateway(platform, journal=journal)
         service.submit(ingress=0, egress=1, volume=100.0, deadline=50.0, now=0.0)
         service.cancel(0, now=1.0)
         # every append hit the disk immediately: load without a save() call
@@ -72,7 +74,7 @@ class TestSerialisation:
         file's size) sees entry N right after append N, before any close."""
         path = tmp_path / "live.jsonl"
         journal = Journal(path=path)
-        journal.set_header({"kind": "service"})
+        journal.set_header({"kind": "gateway"})
         sizes = [path.stat().st_size]
         for k in range(25):
             journal.append("cancel", float(k), rid=k)
@@ -95,7 +97,7 @@ class TestSerialisation:
 
         monkeypatch.setattr(Path, "open", counting_open)
         journal = Journal(path=tmp_path / "one.jsonl")
-        journal.set_header({"kind": "service"})
+        journal.set_header({"kind": "gateway"})
         for k in range(50):
             journal.append("cancel", float(k), rid=k)
         assert opened == ["w", "a"]  # the header rewrite, then one append handle
@@ -109,10 +111,10 @@ class TestSerialisation:
     def test_header_rewrite_and_load_keep_appending(self, tmp_path):
         path = tmp_path / "rewrite.jsonl"
         journal = Journal(path=path)
-        journal.set_header({"kind": "service"})
+        journal.set_header({"kind": "gateway"})
         journal.append("cancel", 0.0, rid=0)
         # A header set late rewrites the file under the open handle ...
-        journal.set_header({"kind": "service", "late": True})
+        journal.set_header({"kind": "gateway", "late": True})
         journal.append("cancel", 1.0, rid=1)
         assert path.read_text() == journal.to_jsonl()
         journal.close()
@@ -131,7 +133,7 @@ class TestSerialisation:
 
     def test_save_load_round_trip(self, platform, tmp_path):
         journal = Journal()
-        service = ReservationService(platform, journal=journal)
+        service = Gateway(platform, journal=journal)
         service.submit(ingress=0, egress=1, volume=100.0, deadline=50.0, now=0.0)
         path = tmp_path / "saved.jsonl"
         journal.save(path)
@@ -196,11 +198,11 @@ class TestTornTail:
 class TestReplay:
     def test_replay_requires_header(self):
         with pytest.raises(ConfigurationError):
-            ReservationService.replay(Journal())
+            Gateway.replay(Journal())
 
     def test_replay_rebuilds_identical_state(self, platform):
         journal = Journal()
-        service = ReservationService(
+        service = Gateway(
             platform,
             policy=FractionOfMaxPolicy(0.5),
             backlog_limit=4,
@@ -208,37 +210,35 @@ class TestReplay:
         )
         service.submit(ingress=0, egress=0, volume=20_000.0, deadline=500.0, now=0.0)
         service.submit(ingress=0, egress=0, volume=10_000.0, deadline=120.0, now=1.0)
-        service.submit_striped(sources=[0, 1], egress=1, volume=500.0, deadline=100.0, now=2.0)
         service.abort(0, now=10.0)
         service.degrade(side="egress", port=0, amount=100.0, start=20.0, end=40.0, now=20.0)
         service.cancel(1, now=25.0) if service.get(1).confirmed else None
 
-        rebuilt = ReservationService.replay(journal)
+        rebuilt = Gateway.replay(journal)
         assert rebuilt.snapshot() == service.snapshot()
         assert rebuilt.policy.name == service.policy.name
         assert rebuilt.backlog_limit == 4
 
     def test_replay_from_disk_after_crash(self, platform, tmp_path):
         path = tmp_path / "wal.jsonl"
-        service = ReservationService(platform, backlog_limit=2, journal=Journal(path=path))
+        service = Gateway(platform, backlog_limit=2, journal=Journal(path=path))
         service.submit(ingress=0, egress=1, volume=5000.0, deadline=100.0, now=0.0)
         service.submit(ingress=1, egress=0, volume=3000.0, deadline=80.0, now=5.0)
         service.abort(0, now=10.0)
         before = service.snapshot()
         del service  # "crash"
-        rebuilt = ReservationService.replay(Journal.load(path))
+        rebuilt = Gateway.replay(Journal.load(path))
         assert rebuilt.snapshot() == before
 
 
 # ----------------------------------------------------------------------
-# One lifecycle protocol on both planes: validate → settle → journal →
+# One lifecycle protocol at any shard and batch count: validate → settle → journal →
 # apply.  A call that raises on its arguments changes nothing; everything
 # else replays snapshot-equal — checked after every single call.
 # ----------------------------------------------------------------------
 ARGUMENT_ERRORS = (KeyError, InvalidRequestError, ConfigurationError)
 
 PLANES = {
-    "service": lambda platform, **kw: ReservationService(platform, journal=Journal(), **kw),
     "gateway-s1b1": lambda platform, **kw: Gateway(
         platform, num_shards=1, batch_size=1, journal=Journal(), **kw
     ),
@@ -372,32 +372,12 @@ class TestOneLifecycleProtocol:
         assert gateway.pending() == 2
         assert Gateway.replay(gateway.journal).pending() == 2
 
-    def test_striped_submit_validates_before_it_books(self):
-        service = PLANES["service"](Platform.uniform(3, 3, 100.0))
-        service.submit(ingress=0, egress=1, volume=100.0, deadline=50.0, now=0.0)
-        for bad in (
-            dict(sources=[], volume=10.0),
-            dict(sources=[0, 0], volume=10.0),
-            dict(sources=[0, 7], volume=10.0),
-            dict(sources=[0, 1], volume=-1.0),
-        ):
-            assert_refused(
-                service,
-                lambda bad=bad: service.submit_striped(egress=2, deadline=90.0, now=5.0, **bad),
-                ConfigurationError,
-            )
-        booking = service.submit_striped(
-            sources=[0, 1], egress=2, volume=100.0, deadline=90.0, now=6.0
-        )
-        assert booking is not None and booking.allocations[0].rid == 1
-        assert_replays(service)
-
 
 class TestReadmissionPrunesInsteadOfRaising:
     def test_clipped_window_inside_the_deadline_tolerance(self):
         """volume/max_rate = 1.0000005 s against a window clipped to 1 s:
-        past the prune test's tolerance, refused by Request — the gateway
-        twin of the service's guard was missing and restart_broker raised."""
+        past the prune test's tolerance, refused by Request — without the
+        guard restart_broker raised."""
         gateway = Gateway(
             Platform.uniform(2, 2, 1000.0),
             num_shards=2,
@@ -419,14 +399,11 @@ class TestReadmissionPrunesInsteadOfRaising:
 
 
 class TestOneVocabulary:
-    def test_both_planes_write_the_same_nine_names(self):
-        from repro.control.lifecycle import JOURNAL_OPS
-
-        assert JOURNAL_OPS == {
-            "submit", "submit_striped", "cancel", "abort", "degrade", "reshape",
-            "drain", "crash", "restart",
+    def test_every_verb_journals_its_own_name(self):
+        assert lifecycle.JOURNAL_OPS == {
+            "submit", "cancel", "abort", "degrade", "reshape", "drain", "crash", "restart",
         }  # fmt: skip
-        for name in ("service", "gateway-s4b4"):
+        for name in ("gateway-s1b1", "gateway-s4b4"):
             plane = PLANES[name](Platform.uniform(4, 4, 100.0), malleable=True)
             rid = plane.submit(ingress=0, egress=1, volume=500.0, deadline=50.0, now=0.0).rid
             plane.submit(ingress=1, egress=1, volume=500.0, deadline=50.0, now=0.0)
@@ -434,18 +411,10 @@ class TestOneVocabulary:
             plane.degrade(side="egress", port=1, amount=60.0, start=2.0, end=9.0, now=1.0)
             plane.abort(rid, now=2.0)
             plane.cancel(rid + 1, now=3.0)
-            assert {e.op for e in plane.journal} == {
+            assert {e.op for e in plane.journal} - {"drain"} == {
                 "submit", "reshape", "degrade", "abort", "cancel"
             }  # fmt: skip
             assert_replays(plane)
-
-    def test_header_kind_keeps_the_planes_apart(self):
-        service = PLANES["service"](Platform.uniform(2, 2, 100.0))
-        gateway = PLANES["gateway-s1b1"](Platform.uniform(2, 2, 100.0))
-        with pytest.raises(ConfigurationError, match="not a service journal"):
-            ReservationService.replay(gateway.journal)
-        with pytest.raises(ConfigurationError, match="not a gateway journal"):
-            Gateway.replay(service.journal)
 
     def test_format_1_fails_at_the_header_naming_both_tags(self):
         old = '{"format": "repro-journal/1", "kind": "gateway"}\n{"op": "gw_drain", "now": 0.0}\n'
@@ -453,6 +422,33 @@ class TestOneVocabulary:
             Journal.from_jsonl(old)
         assert "repro-journal/1" in str(excinfo.value)
         assert JOURNAL_FORMAT in str(excinfo.value) and JOURNAL_FORMAT.endswith("/2")
+
+
+class TestOldServiceJournals:
+    """Journals written by the retired single-ledger service (fixtures
+    recorded with it: ``backlog_limit=0``, ``malleable`` on, constant and
+    profile submits, a shaped fallback, cancel, abort, degrade, reshape and
+    a rebooking)."""
+
+    def test_replay_into_the_default_gateway_decides_the_same(self):
+        journal = Journal.load(DATA / "service_journal.jsonl")
+        assert "kind" not in journal.header and journal.header["malleable"] is True
+        assert {e.op for e in journal} == {"submit", "cancel", "abort", "degrade", "reshape"}
+        rebuilt = Gateway.replay(journal)
+        expected = json.loads((DATA / "service_journal.rows.json").read_text())
+        assert lifecycle.reservation_rows(rebuilt.reservations()) == expected
+        assert rebuilt.malleable and rebuilt.num_shards == 1
+
+    def test_an_online_striped_line_is_refused_before_anything_is_applied(self):
+        text = (DATA / "service_journal_striped.jsonl").read_text()
+        with pytest.raises(ConfigurationError, match="submit_striped"):
+            Journal.from_jsonl(text)
+
+    def test_a_foreign_kind_is_refused(self):
+        journal = Journal()
+        journal.set_header({"kind": "service", "platform": Platform.uniform(2, 2, 1.0).to_dict()})
+        with pytest.raises(ConfigurationError, match="not a gateway journal"):
+            Gateway.replay(journal)
 
 
 # ----------------------------------------------------------------------
@@ -469,7 +465,7 @@ def random_call(plane, rng, now):
     rid = 10_000 + rng.randrange(100) if flaw == "rid" else rng.randrange(max(1, next_rid))
     port = rng.choice([-1, ports, ports + 3]) if flaw == "port" else rng.randrange(ports)
     verb = rng.choice(
-        ["submit"] * 4 + ["cancel", "abort", "reshape", "degrade", "profile", "striped", "broker"]
+        ["submit"] * 4 + ["cancel", "abort", "reshape", "degrade", "profile", "broker"]
     )
     if flaw in ("rid", "stale") and verb not in ("cancel", "abort", "reshape"):
         verb = rng.choice(["cancel", "abort", "reshape"])
@@ -479,10 +475,6 @@ def random_call(plane, rng, now):
         verb = "profile"
     if flaw == "port" and verb in ("cancel", "abort", "reshape", "broker"):
         verb = "submit"
-    if verb == "striped" and not hasattr(plane, "submit_striped"):
-        verb = "submit"
-    if verb == "broker" and not hasattr(plane, "crash_broker"):
-        verb = "degrade"
     if verb in ("cancel", "abort", "reshape"):
         return (lambda: getattr(plane, verb)(rid, now=at)), invalid
     if verb == "submit":
@@ -500,14 +492,6 @@ def random_call(plane, rng, now):
             lambda: plane.submit(
                 ingress=port, egress=rng.randrange(ports), volume=volume,
                 deadline=now + 40.0, now=at, profile=segments,
-            )  # fmt: skip
-        ), invalid
-    if verb == "striped":
-        sources = [port, port] if flaw == "port" else rng.sample(range(ports), 2)
-        return (
-            lambda: plane.submit_striped(
-                sources=sources, egress=rng.randrange(ports), volume=rng.uniform(50.0, 900.0),
-                deadline=now + rng.uniform(5.0, 40.0), now=at,
             )  # fmt: skip
         ), invalid
     if verb == "broker":

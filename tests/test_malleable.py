@@ -2,9 +2,9 @@
 
 Stepwise :class:`~repro.core.profile.RateProfile` requests and the
 shaped-fallback / reshape-before-displace recovery verbs, exercised at
-every layer above the booking kernel: the reservation service, the
-sharded gateway (including 2PC cross-shard placement and journal
-replay), the chaos matrix, and the serve HTTP API.  The kernel-level
+every layer above the booking kernel: the default (one-shard,
+unbatched) gateway, the sharded gateway (including 2PC cross-shard
+placement and journal replay), the chaos matrix, and the serve HTTP API.  The kernel-level
 properties (decision identity, reserve/release restoration, shaping
 math) live in ``tests/test_profile.py``; this module checks that the
 layers *above* thread profiles through without corrupting their
@@ -18,14 +18,9 @@ import random
 
 import pytest
 
-from repro.control import (
-    PortFault,
-    RejectReason,
-    ReservationService,
-    run_chaos_matrix,
-    run_fault_drill,
-)
+from repro.control import PortFault, run_chaos_matrix, run_fault_drill
 from repro.control.journal import Journal
+from repro.core.booking import RejectReason
 from repro.core.errors import InvalidRequestError
 from repro.core.platform import Platform
 from repro.core.request import Request
@@ -64,11 +59,11 @@ def submit_probe(svc_or_gw, *, now: float = 20.0):
 
 
 # ----------------------------------------------------------------------
-# Reservation service
+# The default gateway (one shard, batch size 1)
 # ----------------------------------------------------------------------
 class TestServiceMalleable:
     def test_explicit_profile_granted_as_given(self):
-        svc = ReservationService(small_platform(), malleable=True)
+        svc = Gateway(small_platform(), malleable=True)
         res = svc.submit(
             ingress=0,
             egress=1,
@@ -84,7 +79,7 @@ class TestServiceMalleable:
         assert alloc.sigma == 0.0 and alloc.tau == 30.0
 
     def test_profile_volume_mismatch_is_malformed_not_rejected(self):
-        svc = ReservationService(small_platform(), malleable=True)
+        svc = Gateway(small_platform(), malleable=True)
         with pytest.raises(InvalidRequestError):
             svc.submit(
                 ingress=0,
@@ -96,7 +91,7 @@ class TestServiceMalleable:
             )
 
     def test_profile_longer_than_window_rejects_profile_infeasible(self):
-        svc = ReservationService(small_platform(), malleable=True)
+        svc = Gateway(small_platform(), malleable=True)
         res = svc.submit(
             ingress=0,
             egress=1,
@@ -109,11 +104,11 @@ class TestServiceMalleable:
         assert res.reject_reason == RejectReason.PROFILE_INFEASIBLE
 
     def test_shaped_fallback_rescues_hotspot_request(self):
-        rigid = ReservationService(small_platform(), malleable=False)
+        rigid = Gateway(small_platform(), malleable=False)
         submit_hotspot(rigid)
         assert not submit_probe(rigid).confirmed
 
-        malleable = ReservationService(small_platform(), malleable=True)
+        malleable = Gateway(small_platform(), malleable=True)
         submit_hotspot(malleable)
         res = submit_probe(malleable)
         assert res.confirmed
@@ -124,7 +119,7 @@ class TestServiceMalleable:
         assert profile.peak_rate <= 40.0 + 1e-9
 
     def test_reshape_conserves_volume(self):
-        svc = ReservationService(small_platform(), malleable=True)
+        svc = Gateway(small_platform(), malleable=True)
         res = svc.submit(
             ingress=0, egress=1, volume=2000.0, deadline=100.0, now=0.0, max_rate=50.0
         )
@@ -134,10 +129,10 @@ class TestServiceMalleable:
         assert profile is not None
         assert profile.conserves(2000.0)
         assert profile.peak_rate <= 50.0 + 1e-9
-        assert svc._ledger.max_overcommit() <= 1e-9
+        assert svc.max_overcommit() <= 1e-9
 
     def test_degrade_reshapes_before_displacing(self):
-        svc = ReservationService(small_platform(), malleable=True)
+        svc = Gateway(small_platform(), malleable=True)
         res = svc.submit(
             ingress=0, egress=1, volume=2000.0, deadline=100.0, now=0.0, max_rate=50.0
         )
@@ -155,10 +150,10 @@ class TestServiceMalleable:
         for t0, t1, rate in profile.segments:
             if t0 < 60.0 and t1 > 30.0 and t0 >= 10.0:
                 assert rate <= 5.0 + 1e-9
-        assert svc._ledger.max_overcommit() <= 1e-9
+        assert svc.max_overcommit() <= 1e-9
 
     def test_degrade_without_malleable_displaces(self):
-        svc = ReservationService(small_platform(), malleable=False)
+        svc = Gateway(small_platform(), malleable=False)
         res = svc.submit(
             ingress=0, egress=1, volume=2000.0, deadline=100.0, now=0.0, max_rate=50.0
         )
@@ -170,7 +165,7 @@ class TestServiceMalleable:
 
     def test_journal_replay_converges_with_profiles(self):
         journal = Journal()
-        svc = ReservationService(small_platform(), malleable=True, journal=journal)
+        svc = Gateway(small_platform(), malleable=True, journal=journal)
         submit_hotspot(svc)
         shaped = submit_probe(svc)
         assert shaped.confirmed
@@ -185,12 +180,12 @@ class TestServiceMalleable:
         assert explicit.confirmed
         svc.degrade(side="egress", port=1, amount=95.0, start=62.0, end=68.0, now=30.0)
         svc.reshape(explicit.rid, now=35.0)
-        replayed = ReservationService.replay(journal)
+        replayed = Gateway.replay(journal)
         assert replayed.snapshot() == svc.snapshot()
 
     def test_constant_journal_stays_profile_free(self):
         journal = Journal()
-        svc = ReservationService(small_platform(), malleable=False, journal=journal)
+        svc = Gateway(small_platform(), malleable=False, journal=journal)
         res = svc.submit(ingress=0, egress=1, volume=100.0, deadline=50.0, now=0.0)
         assert res.confirmed
         assert "malleable" not in journal.header

@@ -1,9 +1,9 @@
 """docs/OBSERVABILITY.md's metric catalog names every family the planes register.
 
-A short seeded stream of every lifecycle verb runs through a
-:class:`~repro.control.ReservationService` and a
-:class:`~repro.gateway.Gateway` (each on its own enabled telemetry
-handle), and one gateway cell runs under a partition chaos policy.  Every
+A short seeded stream of every lifecycle verb runs through a default
+:class:`~repro.gateway.Gateway` and a sharded, batched, edge-limited one
+(each on its own enabled telemetry handle), and one gateway cell runs
+under a partition chaos policy.  Every
 metric family those handles end up holding must appear in the catalog
 table, brace patterns (``gateway_chaos_{drops,delays}_total``) expanded.
 """
@@ -13,7 +13,6 @@ import random
 import re
 from pathlib import Path
 
-from repro.control import ReservationService
 from repro.core.errors import ReproError
 from repro.core.platform import Platform
 from repro.gateway import ChaosPolicy, EdgeLimit, Gateway
@@ -98,10 +97,7 @@ def test_every_family_the_planes_register_is_in_the_catalog():
     families = set()
     for seed in (1, 2):
         telemetry = Telemetry()
-        service = ReservationService(
-            platform, backlog_limit=4, malleable=True, telemetry=telemetry
-        )
-        drive(service, seed)
+        drive(Gateway(platform, malleable=True, telemetry=telemetry), seed)
         families |= registered(telemetry)
         telemetry = Telemetry()
         gateway = Gateway(
@@ -136,8 +132,8 @@ def test_every_family_the_planes_register_is_in_the_catalog():
         "gateway_chaos_partitioned_total",
         "gateway_fastpath_total",
         "gateway_reshapes_total",
-        "service_reshapes_total",
     } <= families
+    assert not any(name.startswith("service_") for name in families)
     missing = sorted(families - catalog())
     assert not missing, f"metric families missing from {DOC.name}'s catalog: {missing}"
 

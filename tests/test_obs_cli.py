@@ -11,13 +11,12 @@ from repro.obs.cli import main
 @pytest.fixture
 def artifact_path(tmp_path):
     tel = Telemetry()
-    submits = tel.metrics.counter("service_submits_total")
+    submits = tel.metrics.counter("gateway_submits_total")
     submits.inc(2.0, outcome="accepted")
     submits.inc(outcome="rejected")
-    tel.metrics.counter("service_rejects_total").inc(reason="ingress-full")
-    tel.metrics.gauge("service_port_peak_utilization").set_max(0.75, side="ingress", port=0)
-    tel.tracer.complete("reservation", 0.0, 100.0, cat="service")
-    tel.emit("service.submit", 0.0, rid=0, outcome="accepted")
+    tel.metrics.counter("gateway_rejects_total").inc(reason="ingress-full")
+    tel.tracer.complete("reservation", 0.0, 100.0, cat="gateway")
+    tel.emit("gateway.submit", 0.0, rid=0, outcome="accepted")
     artifact = RunTelemetry("cli-test")
     artifact.capture("run", tel)
     path = tmp_path / "run.json"
@@ -39,7 +38,7 @@ class TestSummary:
         assert data["accepted"] == 2
         assert data["rejected"] == 1
         assert data["reject_reasons"] == {"ingress-full": 1}
-        assert data["port_peaks"] == {"ingress:0": 0.75}
+        assert "port_peaks" not in data
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["summary", "/no/such/artifact.json"]) == 2
@@ -135,7 +134,7 @@ class TestConvert:
     def test_to_prometheus(self, artifact_path, capsys):
         assert main(["convert", str(artifact_path), "--to", "prometheus"]) == 0
         out = capsys.readouterr().out
-        assert 'service_submits_total{outcome="accepted"} 2' in out
+        assert 'gateway_submits_total{outcome="accepted"} 2' in out
         assert "# capture: run" in out
 
 

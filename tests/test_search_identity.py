@@ -7,8 +7,8 @@ in one process — one under the shipped policy, one under the same policy
 behind a wrapper that makes no promise and is therefore searched candidate
 by candidate, exactly as before the contract existed — and everything a
 caller, an operator or a restart can see must be equal; a half-length
-stream does the same for ``ReservationService`` and the ``bookahead``
-scheduler.  Differential, so no pinned hash depends on the numpy version.
+stream does the same for the default (one-shard, unbatched) gateway and
+the ``bookahead`` scheduler.  Differential, so no pinned hash depends on the numpy version.
 
 The vacuity guard reads the work from the test's side: every rule handed to
 the coordinator is counted, so "took the jump" is "asked for fewer rates
@@ -18,7 +18,6 @@ than there were candidates".
 import pytest
 
 from repro.control.journal import Journal
-from repro.control.service import ReservationService
 from repro.core import Platform, ProblemInstance
 from repro.core.request import RequestSet
 from repro.gateway import Gateway
@@ -103,7 +102,7 @@ def test_service_decides_the_same_with_and_without_the_promise():
     requests = list(hotspot_stream(7, 2008))
     planes = []
     for policy in (MinRatePolicy(), Unpromised(MinRatePolicy())):
-        service = ReservationService(PLATFORM, policy=policy, journal=Journal())
+        service = Gateway(PLATFORM, policy=policy, journal=Journal())
         decided = [
             service.submit(
                 ingress=r.ingress, egress=r.egress, volume=r.volume, deadline=r.t_end, now=r.t_start

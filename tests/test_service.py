@@ -1,18 +1,19 @@
-"""Tests for the stateful ReservationService."""
+"""Tests for the default gateway as the client-facing reservation service (§5.4)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.control import RejectReason, ReservationService, ReservationState
 from repro.core import ConfigurationError, InvalidRequestError, Platform
+from repro.core.booking import RejectReason
+from repro.gateway import Gateway, ReservationState
 from repro.obs import NullTelemetry, Telemetry, get_telemetry, use_telemetry
 from repro.schedulers import FractionOfMaxPolicy
 
 
 @pytest.fixture
 def service():
-    return ReservationService(Platform.uniform(2, 2, 100.0))
+    return Gateway(Platform.uniform(2, 2, 100.0))
 
 
 class TestSubmit:
@@ -28,7 +29,7 @@ class TestSubmit:
         assert r.request.max_rate == pytest.approx(100.0)
 
     def test_books_ahead_when_busy(self):
-        service = ReservationService(
+        service = Gateway(
             Platform.uniform(2, 2, 100.0), policy=FractionOfMaxPolicy(1.0)
         )
         first = service.submit(ingress=0, egress=1, volume=1000.0, deadline=1000.0, now=0.0)
@@ -39,7 +40,7 @@ class TestSubmit:
         assert second.state(5.0) == ReservationState.CONFIRMED
 
     def test_rejects_infeasible(self):
-        service = ReservationService(
+        service = Gateway(
             Platform.uniform(1, 1, 100.0), policy=FractionOfMaxPolicy(1.0)
         )
         service.submit(ingress=0, egress=0, volume=1000.0, deadline=100.0, now=0.0)
@@ -59,7 +60,7 @@ class TestSubmit:
 
 class TestCancel:
     def test_cancel_frees_capacity_for_next(self):
-        service = ReservationService(
+        service = Gateway(
             Platform.uniform(1, 1, 100.0), policy=FractionOfMaxPolicy(1.0)
         )
         first = service.submit(ingress=0, egress=0, volume=10_000.0, deadline=200.0, now=0.0)
@@ -71,7 +72,7 @@ class TestCancel:
         assert retry.confirmed
 
     def test_cancel_mid_transfer_releases_remainder(self):
-        service = ReservationService(
+        service = Gateway(
             Platform.uniform(1, 1, 100.0), policy=FractionOfMaxPolicy(1.0)
         )
         r = service.submit(ingress=0, egress=0, volume=10_000.0, deadline=200.0, now=0.0)
@@ -89,7 +90,7 @@ class TestCancel:
         assert not service.cancel(r.rid, now=20.0)
 
     def test_cancel_rejected_is_noop(self):
-        service = ReservationService(
+        service = Gateway(
             Platform.uniform(1, 1, 100.0), policy=FractionOfMaxPolicy(1.0)
         )
         service.submit(ingress=0, egress=0, volume=1000.0, deadline=100.0, now=0.0)
@@ -119,62 +120,12 @@ class TestInspection:
     def test_empty_accept_rate(self, service):
         assert service.accept_rate() == 0.0
 
-    def test_accept_rate_counts_striped(self):
-        # regression: striped bookings used to vanish from the accounting
-        service = ReservationService(Platform.uniform(4, 2, 100.0))
-        service.submit(ingress=0, egress=1, volume=100.0, deadline=100.0, now=0.0)
-        ok = service.submit_striped(
-            sources=[0, 1], egress=0, volume=100.0, deadline=100.0, now=1.0
-        )
-        assert ok is not None
-        bad = service.submit_striped(
-            sources=[2, 3], egress=1, volume=1e9, deadline=2.0, now=1.5
-        )
-        assert bad is None
-        # 3 client submissions, 2 served
-        assert service.accept_rate() == pytest.approx(2 / 3)
-        assert set(service.striped_bookings()) == {1, 3}
-
     def test_deadline_at_zero_accepts_exact_fit(self, service):
         # regression: tau overshoots t_end=0 by a few ulp; the old relative
         # tolerance (t_end * (1 + 1e-12) == 0) rejected the request
         r = service.submit(ingress=0, egress=1, volume=3.3, deadline=0.0, now=-0.1)
         assert r.confirmed
         assert r.allocation.tau <= 1e-9
-
-
-class TestStripedCancel:
-    def test_cancel_striped_frees_all_stripes(self):
-        service = ReservationService(Platform.uniform(4, 2, 100.0))
-        booking = service.submit_striped(
-            sources=[0, 1], egress=0, volume=1000.0, deadline=1000.0, now=0.0
-        )
-        base = booking.allocations[0].rid
-        assert service.cancel(base, now=2.0)
-        _, outs = service.port_usage(5.0)
-        assert outs[0] == pytest.approx(2 * 50.0 * 0.0)  # tails released
-        # consumed heads [0, 2) stay accounted
-        _, outs = service.port_usage(1.0)
-        assert outs[0] == pytest.approx(100.0)
-        # double cancel is a no-op
-        assert not service.cancel(base, now=3.0)
-
-    def test_cancel_completed_striped_is_noop(self):
-        service = ReservationService(Platform.uniform(4, 2, 100.0))
-        booking = service.submit_striped(
-            sources=[0, 1], egress=0, volume=1000.0, deadline=1000.0, now=0.0
-        )
-        assert not service.cancel(booking.allocations[0].rid, now=booking.finish + 1.0)
-
-    def test_cancel_rejected_striped_is_noop(self):
-        service = ReservationService(Platform.uniform(2, 1, 10.0))
-        assert (
-            service.submit_striped(
-                sources=[0, 1], egress=0, volume=1e9, deadline=10.0, now=0.0
-            )
-            is None
-        )
-        assert not service.cancel(0, now=1.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -193,7 +144,7 @@ class TestStripedCancel:
 )
 def test_service_never_overcommits(ops):
     """Property: any submit/cancel interleaving keeps ports within capacity."""
-    service = ReservationService(Platform.uniform(2, 2, 100.0))
+    service = Gateway(Platform.uniform(2, 2, 100.0))
     now = 0.0
     confirmed: list[int] = []
     for op, dt, volume, ingress, egress in ops:
@@ -206,43 +157,12 @@ def test_service_never_overcommits(ops):
                 confirmed.append(r.rid)
         else:
             service.cancel(confirmed.pop(0), now=now)
-    assert service._ledger.max_overcommit() <= 1e-6
-
-
-class TestStripedSubmission:
-    def test_striped_books_and_blocks(self):
-        service = ReservationService(Platform.uniform(4, 2, 100.0))
-        booking = service.submit_striped(
-            sources=[0, 1], egress=0, volume=1000.0, deadline=1000.0, now=0.0
-        )
-        assert booking is not None
-        assert booking.volume == pytest.approx(1000.0)
-        assert booking.finish == pytest.approx(10.0)  # 2 sources, egress cap 100
-        # the egress is now full until t=10: a conflicting submit waits
-        r = service.submit(ingress=2, egress=0, volume=500.0, deadline=100.0, now=1.0)
-        assert r.confirmed
-        assert r.allocation.sigma >= 10.0 - 1e-9
-
-    def test_striped_infeasible_books_nothing(self):
-        service = ReservationService(Platform.uniform(2, 1, 10.0))
-        booking = service.submit_striped(
-            sources=[0, 1], egress=0, volume=1_000_000.0, deadline=10.0, now=0.0
-        )
-        assert booking is None
-        ins, outs = service.port_usage(5.0)
-        assert outs[0] == pytest.approx(0.0)
-
-    def test_striped_rids_unique(self):
-        service = ReservationService(Platform.uniform(4, 2, 100.0))
-        a = service.submit_striped(sources=[0, 1], egress=0, volume=100.0, deadline=100.0, now=0.0)
-        b = service.submit_striped(sources=[2, 3], egress=1, volume=100.0, deadline=100.0, now=1.0)
-        rids = [al.rid for al in a.allocations] + [al.rid for al in b.allocations]
-        assert len(set(rids)) == len(rids)
+    assert service.max_overcommit() <= 1e-6
 
 
 class TestRejectReasons:
     def test_capacity_rejection_names_ingress(self):
-        service = ReservationService(
+        service = Gateway(
             Platform.uniform(1, 1, 100.0), policy=FractionOfMaxPolicy(1.0)
         )
         service.submit(ingress=0, egress=0, volume=1000.0, deadline=100.0, now=0.0)
@@ -253,7 +173,7 @@ class TestRejectReasons:
 
     def test_capacity_rejection_names_egress(self):
         # two wide ingress ports funnel into one narrow egress
-        service = ReservationService(
+        service = Gateway(
             Platform([100.0, 100.0], [50.0]), policy=FractionOfMaxPolicy(1.0)
         )
         service.submit(ingress=0, egress=0, volume=500.0, deadline=100.0, now=0.0)
@@ -267,7 +187,7 @@ class TestRejectReasons:
         assert r.reject_reason is None
 
     def test_reject_reason_survives_snapshot(self):
-        service = ReservationService(
+        service = Gateway(
             Platform.uniform(1, 1, 100.0), policy=FractionOfMaxPolicy(1.0)
         )
         service.submit(ingress=0, egress=0, volume=1000.0, deadline=100.0, now=0.0)
@@ -280,9 +200,9 @@ class TestRejectReasons:
 class TestServiceTelemetry:
     def test_ctor_handle_overrides_global(self):
         tel = Telemetry()
-        service = ReservationService(Platform.uniform(2, 2, 100.0), telemetry=tel)
+        service = Gateway(Platform.uniform(2, 2, 100.0), telemetry=tel)
         service.submit(ingress=0, egress=1, volume=100.0, deadline=100.0, now=0.0)
-        submits = tel.metrics.counter("service_submits_total")
+        submits = tel.metrics.counter("gateway_submits_total")
         assert submits.value(outcome="accepted") == 1.0
         # the process-wide handle stays the inert default
         assert isinstance(get_telemetry(), NullTelemetry)
@@ -291,35 +211,24 @@ class TestServiceTelemetry:
     def test_global_handle_used_when_ctor_omitted(self):
         tel = Telemetry()
         with use_telemetry(tel):
-            service = ReservationService(
+            service = Gateway(
                 Platform.uniform(1, 1, 100.0), policy=FractionOfMaxPolicy(1.0)
             )
             service.submit(ingress=0, egress=0, volume=1000.0, deadline=100.0, now=0.0)
             service.submit(ingress=0, egress=0, volume=1000.0, deadline=12.0, now=1.0)
-        submits = tel.metrics.counter("service_submits_total")
+        submits = tel.metrics.counter("gateway_submits_total")
         assert submits.value(outcome="accepted") == 1.0
         assert submits.value(outcome="rejected") == 1.0
-        rejects = tel.metrics.counter("service_rejects_total")
+        rejects = tel.metrics.counter("gateway_rejects_total")
         assert rejects.value(reason="ingress-full") == 1.0
-        assert [e.name for e in tel.events] == ["service.submit", "service.submit"]
+        decisions = [e.name for e in tel.events if e.name != "gateway.batch"]
+        assert decisions == ["gateway.submit", "gateway.submit"]
 
     def test_lifecycle_counters(self):
         tel = Telemetry()
-        service = ReservationService(Platform.uniform(2, 2, 100.0), telemetry=tel)
+        service = Gateway(Platform.uniform(2, 2, 100.0), telemetry=tel)
         r = service.submit(ingress=0, egress=1, volume=1000.0, deadline=100.0, now=0.0)
         service.cancel(r.rid, now=1.0)
-        assert tel.metrics.counter("service_cancels_total").total() == 1.0
-        names = [e.name for e in tel.events]
-        assert names == ["service.submit", "service.cancel"]
-
-    def test_peak_utilization_gauge(self):
-        tel = Telemetry()
-        service = ReservationService(
-            Platform.uniform(1, 1, 100.0),
-            policy=FractionOfMaxPolicy(0.5),
-            telemetry=tel,
-        )
-        service.submit(ingress=0, egress=0, volume=100.0, deadline=100.0, now=0.0)
-        gauge = tel.metrics.gauge("service_port_peak_utilization")
-        assert gauge.value(side="ingress", port=0) == pytest.approx(0.5)
-        assert gauge.value(side="egress", port=0) == pytest.approx(0.5)
+        assert tel.metrics.counter("gateway_cancels_total").total() == 1.0
+        names = [e.name for e in tel.events if e.name != "gateway.batch"]
+        assert names == ["gateway.submit", "gateway.cancel"]
