@@ -35,10 +35,9 @@ import random
 import numpy as np
 
 from repro.control.faults import run_chaos_matrix
-from repro.control.journal import Journal
 from repro.core.platform import Platform
 from repro.core.request import Request
-from repro.gateway import ChaosPolicy, Gateway, check_gateway
+from repro.gateway import ChaosPolicy, Gateway, Journal, check_gateway
 from repro.gateway.rpc import EdgeChaos
 from repro.schedulers.retry import BackoffSchedule
 

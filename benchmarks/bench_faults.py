@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.control import Journal, PortFault, run_fault_drill
+from repro.control import PortFault, run_fault_drill
 from repro.core import Platform, Request
-from repro.gateway import Gateway
+from repro.gateway import Gateway, Journal
 from repro.schedulers import BackoffSchedule
 
 

@@ -37,10 +37,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.control.journal import Journal  # noqa: E402
 from repro.core.errors import ReproError  # noqa: E402
 from repro.core.platform import Platform  # noqa: E402
-from repro.gateway import ChaosPolicy, Gateway  # noqa: E402
+from repro.gateway import ChaosPolicy, Gateway, Journal  # noqa: E402
 from repro.obs import RunTelemetry, Telemetry  # noqa: E402
 
 PORTS = 6

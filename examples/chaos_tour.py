@@ -23,9 +23,9 @@ Run:  python examples/chaos_tour.py
 
 import random
 
-from repro.control import Journal, run_chaos_matrix
+from repro.control import run_chaos_matrix
 from repro.core import Platform
-from repro.gateway import ChaosPolicy, Gateway, check_gateway
+from repro.gateway import ChaosPolicy, Gateway, Journal, check_gateway
 from repro.gateway.rpc import EdgeChaos, Partition
 from repro.schedulers.retry import BackoffSchedule
 

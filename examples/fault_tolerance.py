@@ -22,9 +22,9 @@ Run:  python examples/fault_tolerance.py
 
 import random
 
-from repro.control import Journal, PortFault, run_fault_drill
+from repro.control import PortFault, run_fault_drill
 from repro.core import Platform, Request, verify_schedule
-from repro.gateway import Gateway
+from repro.gateway import Gateway, Journal
 from repro.metrics import FaultStats
 from repro.schedulers import BackoffSchedule
 from repro.units import GB, HOUR, format_volume

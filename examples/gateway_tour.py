@@ -26,9 +26,8 @@ Run:  python examples/gateway_tour.py
 
 import random
 
-from repro.control import Journal
 from repro.core import Platform
-from repro.gateway import EdgeLimit, Gateway
+from repro.gateway import EdgeLimit, Gateway, Journal
 from repro.sim.engine import Simulator
 
 PORTS, CAP = 8, 1000.0

@@ -22,7 +22,6 @@ from .faults import (
     run_chaos_matrix,
     run_fault_drill,
 )
-from .journal import Journal, JournalEntry
 from .messages import MessageType, ReservationMessage
 from .plane import ControlPlane
 from .router import PortAgent
@@ -36,8 +35,6 @@ __all__ = [
     "ControlPlane",
     "DrillReport",
     "FaultInjector",
-    "Journal",
-    "JournalEntry",
     "MessageType",
     "PortAgent",
     "PortFault",

@@ -1324,13 +1324,20 @@ class Gateway:
         stream), and explicit drains are journaled, so the rebuilt gateway
         is state-identical (``snapshot()`` equality).  A header with no
         ``kind`` (a journal of the retired single-ledger service) reads as
-        a default gateway.
+        a default gateway, unless that service ran a backlog: it re-admitted
+        parked rejections whenever capacity freed, unjournaled, each taking
+        a rid, so its later rids cannot be reproduced and it is refused.
         """
         header = journal.header
         if not header:
             raise ConfigurationError("journal has no header; cannot replay")
         if header.get("kind", "gateway") != "gateway":
             raise ConfigurationError(f"not a gateway journal (kind: {header.get('kind')!r})")
+        if "kind" not in header and int(header.get("backlog_limit", 0)) > 0:
+            raise ConfigurationError(
+                "service journal with backlog_limit > 0: its capacity-backlog "
+                "re-admissions were not journaled, so its rids cannot be replayed"
+            )
         backoff_cfg = header.get("backoff") or {}
         edge_cfg = header.get("edge")
         chaos_cfg = header.get("chaos")

@@ -18,7 +18,6 @@ from repro.control import (
     run_chaos_matrix,
     run_fault_drill,
 )
-from repro.control.journal import Journal
 from repro.core.booking import RejectReason
 from repro.core.errors import ConfigurationError, InternalInvariantError
 from repro.core.platform import Platform
@@ -29,6 +28,7 @@ from repro.gateway import (
     ChaosPolicy,
     EdgeChaos,
     Gateway,
+    Journal,
     Partition,
     ShardBroker,
     ShardMap,

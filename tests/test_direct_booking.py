@@ -12,10 +12,9 @@ import random
 
 import pytest
 
-from repro.control.journal import Journal
 from repro.core.errors import ConfigurationError
 from repro.core.platform import Platform
-from repro.gateway import ChaosPolicy, Gateway, check_gateway
+from repro.gateway import ChaosPolicy, Gateway, Journal, check_gateway
 from repro.schedulers.retry import BackoffSchedule
 
 from .conftest import without_protocol_records

@@ -24,9 +24,9 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.control import DrillReport, Journal, PortFault, run_fault_drill
+from repro.control import DrillReport, PortFault, run_fault_drill
 from repro.core import Platform, Request
-from repro.gateway import Gateway
+from repro.gateway import Gateway, Journal
 from repro.gateway.lifecycle import reservation_rows
 from repro.schedulers import BackoffSchedule
 from repro.units import GB, HOUR

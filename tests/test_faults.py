@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.control import FaultInjector, Journal, PortFault, run_fault_drill
+from repro.control import FaultInjector, PortFault, run_fault_drill
 from repro.core import ConfigurationError, Platform, Request, verify_schedule
-from repro.gateway import Gateway, ReservationState
+from repro.gateway import Gateway, Journal, ReservationState
 from repro.metrics import FaultStats
 from repro.schedulers import BackoffSchedule, FractionOfMaxPolicy
 from repro.sim import Simulator

@@ -5,7 +5,6 @@ import hashlib
 import pytest
 
 from repro.control import BrokerCrash, PortFault, run_fault_drill
-from repro.control.journal import Journal
 from repro.core.errors import ConfigurationError
 from repro.core.ledger import Degradation
 from repro.core.platform import Platform
@@ -16,6 +15,7 @@ from repro.gateway import (
     BrokerUnavailable,
     EdgeLimit,
     Gateway,
+    Journal,
     ShardBroker,
     ShardMap,
     Ticket,

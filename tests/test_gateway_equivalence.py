@@ -13,12 +13,11 @@ import numpy as np
 import pytest
 
 from repro.control import BrokerCrash, PortFault, run_fault_drill
-from repro.control.journal import Journal
 from repro.core.booking import RejectReason
 from repro.core.ledger import CAPACITY_SLACK
 from repro.core.platform import Platform
 from repro.core.request import Request
-from repro.gateway import Gateway
+from repro.gateway import Gateway, Journal
 
 PORTS = 5
 CAP = 1000.0

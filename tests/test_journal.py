@@ -411,7 +411,7 @@ class TestOneVocabulary:
             plane.degrade(side="egress", port=1, amount=60.0, start=2.0, end=9.0, now=1.0)
             plane.abort(rid, now=2.0)
             plane.cancel(rid + 1, now=3.0)
-            assert {e.op for e in plane.journal} - {"drain"} == {
+            assert {e.op for e in plane.journal} == {
                 "submit", "reshape", "degrade", "abort", "cancel"
             }  # fmt: skip
             assert_replays(plane)
@@ -443,6 +443,14 @@ class TestOldServiceJournals:
         text = (DATA / "service_journal_striped.jsonl").read_text()
         with pytest.raises(ConfigurationError, match="submit_striped"):
             Journal.from_jsonl(text)
+
+    def test_a_backlogged_service_journal_is_refused_before_anything_is_applied(self):
+        lines = (DATA / "service_journal.jsonl").read_text().splitlines()
+        header = json.loads(lines[0])
+        header["backlog_limit"] = 8
+        journal = Journal.from_jsonl("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        with pytest.raises(ConfigurationError, match="backlog_limit > 0"):
+            Gateway.replay(journal)
 
     def test_a_foreign_kind_is_refused(self):
         journal = Journal()

@@ -19,12 +19,11 @@ import random
 import pytest
 
 from repro.control import PortFault, run_chaos_matrix, run_fault_drill
-from repro.control.journal import Journal
 from repro.core.booking import RejectReason
 from repro.core.errors import InvalidRequestError
 from repro.core.platform import Platform
 from repro.core.request import Request
-from repro.gateway import Gateway, check_gateway
+from repro.gateway import Gateway, Journal, check_gateway
 from repro.loadgen import ServiceClient
 from repro.serve import ServeApp, ServeConfig
 from repro.serve.clock import LogicalClock

@@ -10,10 +10,9 @@ across repeated seeded runs.
 import json
 import random
 
-from repro.control.journal import Journal
 from repro.core.platform import Platform
 from repro.core.request import Request
-from repro.gateway import ChaosPolicy, Gateway
+from repro.gateway import ChaosPolicy, Gateway, Journal
 from repro.obs import (
     FlightRecorder,
     RunTelemetry,

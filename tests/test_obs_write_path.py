@@ -16,10 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.control.journal import Journal
 from repro.core.errors import ConfigurationError
 from repro.core.platform import Platform
-from repro.gateway import ChaosPolicy, Gateway
+from repro.gateway import ChaosPolicy, Gateway, Journal
 from repro.obs import (
     MetricsRegistry,
     RunTelemetry,

@@ -17,10 +17,9 @@ than there were candidates".
 
 import pytest
 
-from repro.control.journal import Journal
 from repro.core import Platform, ProblemInstance
 from repro.core.request import RequestSet
-from repro.gateway import Gateway
+from repro.gateway import Gateway, Journal
 from repro.gateway.invariants import check_gateway
 from repro.schedulers import make_scheduler
 from repro.schedulers.policies import BandwidthPolicy, FractionOfMaxPolicy, MinRatePolicy

@@ -215,7 +215,7 @@ def test_grid_serve_sigterm_drains_and_journal_replays(tmp_path):
 
     # The journal the process left behind replays into a quiesced gateway
     # holding every decision it served.
-    from repro.control.journal import Journal
+    from repro.gateway import Journal
 
     gateway = Gateway.replay(Journal.load(journal_path))
     for rid in rids:
