@@ -39,12 +39,10 @@ from .core import (
     RequestSet,
     ScheduleResult,
     ScheduleViolation,
-    accept_rate,
     guaranteed_count,
     guaranteed_rate,
     resource_utilization,
     resource_utilization_time_averaged,
-    time_averaged_utilization,
     verify_schedule,
 )
 from .schedulers import (
@@ -94,7 +92,6 @@ __all__ = [
     "SlotsScheduler",
     "WindowFlexible",
     "__version__",
-    "accept_rate",
     "available_schedulers",
     "cumulated_slots",
     "fifo_slots",
@@ -108,6 +105,5 @@ __all__ = [
     "paper_rigid_workload",
     "resource_utilization",
     "resource_utilization_time_averaged",
-    "time_averaged_utilization",
     "verify_schedule",
 ]

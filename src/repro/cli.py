@@ -18,10 +18,13 @@ from collections.abc import Sequence
 from .core import verify_schedule
 from .experiments import FIGURES
 from .metrics import evaluate
-from .schedulers import available_schedulers, make_scheduler
+from .schedulers import RIGID_SCHEDULERS, available_schedulers, make_scheduler
 from .workload import paper_flexible_workload, paper_rigid_workload
 
 __all__ = ["main", "build_parser"]
+
+#: The schedulers that take the flexible workloads of ``gantt`` and ``compare``.
+_FLEXIBLE_SCHEDULERS = [name for name in available_schedulers() if name not in RIGID_SCHEDULERS]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     schedule.add_argument("--seed", type=int, default=0)
 
     gantt = sub.add_parser("gantt", help="render a schedule as an ASCII Gantt chart")
-    gantt.add_argument("--scheduler", choices=available_schedulers(), default="window")
+    gantt.add_argument("--scheduler", choices=_FLEXIBLE_SCHEDULERS, default="window")
     gantt.add_argument("--gap", type=float, default=5.0)
     gantt.add_argument("--requests", type=int, default=25)
     gantt.add_argument("--seed", type=int, default=0)
@@ -73,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--only", type=str, nargs="+", default=None)
 
     compare = sub.add_parser("compare", help="statistically compare two schedulers")
-    compare.add_argument("a", choices=available_schedulers())
-    compare.add_argument("b", choices=available_schedulers())
+    compare.add_argument("a", choices=_FLEXIBLE_SCHEDULERS)
+    compare.add_argument("b", choices=_FLEXIBLE_SCHEDULERS)
     compare.add_argument("--gap", type=float, default=0.5)
     compare.add_argument("--requests", type=int, default=400)
     compare.add_argument("--seeds", type=int, nargs="+", default=list(range(5)))
@@ -118,7 +121,6 @@ def _cmd_claims(args: argparse.Namespace) -> int:
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
     options = {}
-    rigid_names = {"fcfs-rigid", "fifo-slots", "cumulated-slots", "minbw-slots", "minvol-slots"}
     if args.scheduler in {"greedy", "window"} and args.policy is not None:
         try:
             options["policy"] = float(args.policy)
@@ -128,7 +130,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         options["t_step"] = args.t_step
     scheduler = make_scheduler(args.scheduler, **options)
 
-    if args.scheduler in rigid_names:
+    if args.scheduler in RIGID_SCHEDULERS:
         problem = paper_rigid_workload(args.load, args.requests, seed=args.seed)
     else:
         problem = paper_flexible_workload(args.gap, args.requests, seed=args.seed)
@@ -195,12 +197,16 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from .experiments import compare_schedulers
 
-    comparison = compare_schedulers(
-        lambda seed: paper_flexible_workload(args.gap, args.requests, seed=seed),
-        make_scheduler(args.a),
-        make_scheduler(args.b),
-        seeds=tuple(args.seeds),
-    )
+    try:
+        comparison = compare_schedulers(
+            lambda seed: paper_flexible_workload(args.gap, args.requests, seed=seed),
+            make_scheduler(args.a),
+            make_scheduler(args.b),
+            seeds=tuple(args.seeds),
+        )
+    except ValueError as exc:
+        print(f"comparison failed: {exc}")
+        return 1
     print(f"{comparison.name_a}: accept {comparison.mean_a:.3f}")
     print(f"{comparison.name_b}: accept {comparison.mean_b:.3f}")
     lo, hi = comparison.diff_ci

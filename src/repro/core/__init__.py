@@ -29,13 +29,11 @@ from .errors import (
 )
 from .ledger import Degradation, Port, PortLedger
 from .objectives import (
-    accept_rate,
     demanded_bandwidth,
     guaranteed_count,
     guaranteed_rate,
     resource_utilization,
     resource_utilization_time_averaged,
-    time_averaged_utilization,
 )
 from .platform import Platform
 from .problem import ProblemInstance
@@ -65,7 +63,6 @@ __all__ = [
     "RequestSet",
     "ScheduleResult",
     "ScheduleViolation",
-    "accept_rate",
     "book_earliest",
     "demanded_bandwidth",
     "earliest_fit",
@@ -76,6 +73,5 @@ __all__ = [
     "guaranteed_rate",
     "resource_utilization",
     "resource_utilization_time_averaged",
-    "time_averaged_utilization",
     "verify_schedule",
 ]

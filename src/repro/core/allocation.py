@@ -10,7 +10,7 @@ bookkeeping with the schedulers, so tests can use it as ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from typing import Any
 
 from ..units import seconds_eq
@@ -143,19 +143,6 @@ class Allocation:
             data["profile"] = self.profile.to_list()
         return data
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> Allocation:
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            rid=int(data["rid"]),
-            ingress=int(data["ingress"]),
-            egress=int(data["egress"]),
-            bw=float(data["bw"]),
-            sigma=float(data["sigma"]),
-            tau=float(data["tau"]),
-            profile=RateProfile.maybe_from(data.get("profile")),
-        )
-
 
 @dataclass
 class ScheduleResult:
@@ -195,15 +182,6 @@ class ScheduleResult:
         self.rejected.add(rid)
         if reason is not None:
             self.rejection_reasons[rid] = reason
-
-    def revoke(self, rid: int, reason: str | None = None) -> Allocation:
-        """Turn a previous accept into a reject (SLOTS heuristics do this
-        when a multi-interval request fails in a later interval)."""
-        allocation = self.accepted.pop(rid)
-        self.rejected.add(rid)
-        if reason is not None:
-            self.rejection_reasons[rid] = reason
-        return allocation
 
     def rejection_breakdown(self) -> dict[str, int]:
         """Count rejections per reason ("unspecified" when untagged)."""
@@ -245,28 +223,6 @@ class ScheduleResult:
         for alloc in self.accepted.values():
             ledger.allocate_segments(alloc.ingress, alloc.egress, alloc.segments(), check=False)
         return ledger
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict representation (JSON friendly)."""
-        return {
-            "scheduler": self.scheduler,
-            "meta": dict(self.meta),
-            "accepted": [a.to_dict() for a in self.allocations()],
-            "rejected": sorted(self.rejected),
-            "rejection_reasons": {str(k): v for k, v in self.rejection_reasons.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> ScheduleResult:
-        """Inverse of :meth:`to_dict`."""
-        result = cls(scheduler=str(data.get("scheduler", "")), meta=dict(data.get("meta", {})))
-        reasons = {int(k): str(v) for k, v in data.get("rejection_reasons", {}).items()}
-        for item in data.get("accepted", []):
-            result.accept(Allocation.from_dict(item))
-        for rid in data.get("rejected", []):
-            result.reject(int(rid), reasons.get(int(rid)))
-        return result
 
 
 def verify_schedule(

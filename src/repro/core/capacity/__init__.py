@@ -31,14 +31,13 @@ from __future__ import annotations
 from .breakpoint import BreakpointProfile
 from .checks import CAPACITY_SLACK, UTILISATION_LIMIT, fits_under, slack_capacity
 from .interface import CapacityProfile
-from .stats import carried_volume, utilisation
+from .stats import utilisation
 
 __all__ = [
     "CAPACITY_SLACK",
     "UTILISATION_LIMIT",
     "BreakpointProfile",
     "CapacityProfile",
-    "carried_volume",
     "fits_under",
     "make_profile",
     "slack_capacity",

@@ -1,28 +1,15 @@
-"""Volume and utilisation accounting over capacity profiles.
+"""Utilisation accounting over capacity profiles.
 
-The carried-volume and per-port-utilisation sums behind
-:meth:`repro.core.ledger.PortLedger.carried_volume` and the metrics
-layer's Jain-index inputs, expressed once against the kernel interface so
-the accounting cannot drift between consumers.  Sums run left to right in
-iteration order — the production class and its oracle then produce
-bit-identical totals.
+The per-port utilisation behind the metrics layer's Jain-index inputs,
+expressed once against the kernel interface so the accounting cannot drift
+between consumers.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from .interface import CapacityProfile
 
-__all__ = ["carried_volume", "utilisation"]
-
-
-def carried_volume(profiles: Iterable[CapacityProfile], t0: float, t1: float) -> float:
-    """Summed ``∫ usage dt`` over ``profiles`` on ``[t0, t1)`` (MB)."""
-    total = 0.0
-    for profile in profiles:
-        total += profile.integral(t0, t1)
-    return total
+__all__ = ["utilisation"]
 
 
 def utilisation(profile: CapacityProfile, capacity: float, t0: float, t1: float) -> float:

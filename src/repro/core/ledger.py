@@ -24,7 +24,7 @@ capacity reduction over an interval (a maintenance window, a partial link
 failure, or a full outage when the reduction equals the port capacity).
 Reductions are tracked on separate timelines so committed usage and lost
 capacity stay independently inspectable; every query (``fits``,
-``headroom``, ``max_overcommit``) accounts for them.
+``free_capacity``, ``max_overcommit``) accounts for them.
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from typing import Any
 
 from .capacity import CAPACITY_SLACK, CapacityProfile, make_profile
-from .capacity import carried_volume as _kernel_carried_volume
 from .errors import CapacityError, ConfigurationError
 from .platform import Platform
 from .profile import Segment
@@ -69,17 +68,6 @@ class Degradation:
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict representation (JSON friendly)."""
         return {"side": self.side, "port": self.port, "t0": self.t0, "t1": self.t1, "amount": self.amount}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> Degradation:
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            side=str(data["side"]),
-            port=int(data["port"]),
-            t0=float(data["t0"]),
-            t1=float(data["t1"]),
-            amount=float(data["amount"]),
-        )
 
 
 class Port:
@@ -302,13 +290,6 @@ class PortLedger:
             t0, t1, bw
         )
 
-    def headroom(self, ingress: int, egress: int, t0: float, t1: float) -> float:
-        """Largest constant bandwidth allocatable on the pair over ``[t0, t1)``."""
-        return min(
-            self._ingress[ingress].free_capacity(t0, t1),
-            self._egress[egress].free_capacity(t0, t1),
-        )
-
     def allocate(
         self, ingress: int, egress: int, t0: float, t1: float, bw: float, *, check: bool = True
     ) -> None:
@@ -367,15 +348,6 @@ class PortLedger:
             (port.max_overcommit() for port in chain(self._ingress, self._egress)),
             default=-math.inf,
         )
-
-    def carried_volume(self, t0: float, t1: float) -> float:
-        """Total MB carried through the network over ``[t0, t1)``.
-
-        Ingress and egress each see the full volume, hence the factor ½ —
-        mirroring the paper's utilisation scaling.
-        """
-        usages = (port.usage for port in chain(self._ingress, self._egress))
-        return 0.5 * _kernel_carried_volume(usages, t0, t1)
 
     def is_empty(self) -> bool:
         """True when nothing is committed anywhere."""

@@ -21,18 +21,11 @@ from .platform import Platform
 from .request import Request, RequestSet
 
 __all__ = [
-    "accept_rate",
     "resource_utilization",
     "guaranteed_count",
     "guaranteed_rate",
-    "time_averaged_utilization",
     "demanded_bandwidth",
 ]
-
-
-def accept_rate(result: ScheduleResult) -> float:
-    """MAX-REQUESTS metric: accepted requests over all decided requests."""
-    return result.accept_rate
 
 
 def demanded_bandwidth(request: Request) -> float:
@@ -147,28 +140,3 @@ def guaranteed_rate(
     """``#guaranteed`` normalised by the total number of requests."""
     total = len(requests)
     return guaranteed_count(requests, result, f) / total if total else 0.0
-
-
-def time_averaged_utilization(
-    platform: Platform,
-    result: ScheduleResult,
-    t0: float | None = None,
-    t1: float | None = None,
-) -> float:
-    """Volume actually carried over ``half_capacity × horizon``.
-
-    The horizon defaults to the span of the accepted allocations.  Returns
-    0.0 when nothing was accepted or the horizon is empty.
-    """
-    allocations = result.allocations()
-    if not allocations:
-        return 0.0
-    if t0 is None:
-        t0 = min(a.sigma for a in allocations)
-    if t1 is None:
-        t1 = max(a.tau for a in allocations)
-    horizon = t1 - t0
-    if horizon <= 0:
-        return 0.0
-    ledger = result.build_ledger(platform)
-    return ledger.carried_volume(t0, t1) / (platform.half_capacity * horizon)

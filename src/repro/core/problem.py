@@ -8,13 +8,10 @@ harness uses to label sweeps.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any
 
 from .platform import Platform
-from .request import Request, RequestSet
+from .request import RequestSet
 
 __all__ = ["ProblemInstance"]
 
@@ -32,17 +29,6 @@ class ProblemInstance:
         """Number of requests ``K``."""
         return len(self.requests)
 
-    def offered_load(self) -> float:
-        """The paper's instantaneous load definition (§4.3).
-
-        ``load = Σ_r bw(r) / ½(Σ B_in + Σ B_out)`` with ``bw(r)`` read as the
-        demanded rate (``MinRate``).  Meaningful when requests largely
-        overlap in time; see :meth:`offered_load_rate` for the steady-state
-        variant used to calibrate Poisson workloads.
-        """
-        demanded = sum(r.min_rate for r in self.requests)
-        return demanded / self.platform.half_capacity
-
     def offered_load_rate(self) -> float:
         """Steady-state offered load: bytes offered per second over capacity.
 
@@ -58,48 +44,3 @@ class ProblemInstance:
         if horizon <= 0:
             return 0.0
         return (self.requests.total_volume() / horizon) / self.platform.half_capacity
-
-    def validate(self) -> None:
-        """Check requests reference existing ports (raises ``IndexError``-style
-        :class:`ValueError` otherwise)."""
-        m = self.platform.num_ingress
-        n = self.platform.num_egress
-        for r in self.requests:
-            if not (0 <= r.ingress < m):
-                raise ValueError(f"request {r.rid}: ingress {r.ingress} outside platform (M={m})")
-            if not (0 <= r.egress < n):
-                raise ValueError(f"request {r.rid}: egress {r.egress} outside platform (N={n})")
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict representation (JSON friendly)."""
-        return {
-            "platform": self.platform.to_dict(),
-            "requests": [r.to_dict() for r in self.requests],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> ProblemInstance:
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            platform=Platform.from_dict(data["platform"]),
-            requests=RequestSet(Request.from_dict(d) for d in data["requests"]),
-        )
-
-    def to_json(self) -> str:
-        """Serialise to a JSON string."""
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> ProblemInstance:
-        """Inverse of :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: str | Path) -> None:
-        """Write the instance to a JSON file."""
-        Path(path).write_text(self.to_json())
-
-    @classmethod
-    def load(cls, path: str | Path) -> ProblemInstance:
-        """Read an instance from a JSON file."""
-        return cls.from_json(Path(path).read_text())

@@ -99,10 +99,6 @@ class RateProfile:
         return tuple(out)
 
     # -- constructors ---------------------------------------------------
-    @classmethod
-    def constant(cls, t0: float, t1: float, rate: float) -> RateProfile:
-        """The 1-segment special case: the paper's constant-rate transfer."""
-        return cls(((t0, t1, rate),))
 
     @classmethod
     def from_list(cls, data: Iterable[Sequence[float]]) -> RateProfile:
@@ -138,11 +134,6 @@ class RateProfile:
         if not self._segments:
             raise ValueError("empty profile has no end")
         return self._segments[-1][1]
-
-    @property
-    def duration(self) -> float:
-        """Span ``τ − σ`` (including any internal gaps)."""
-        return self.tau - self.sigma
 
     @property
     def volume(self) -> float:
@@ -189,12 +180,6 @@ class RateProfile:
         """The (possibly empty) portion carried strictly before ``t``."""
         return RateProfile(
             (t0, min(t, t1), rate) for t0, t1, rate in self._segments if t0 < t
-        )
-
-    def tail_from(self, t: float) -> RateProfile:
-        """The (possibly empty) portion carried at or after ``t``."""
-        return RateProfile(
-            (max(t, t0), t1, rate) for t0, t1, rate in self._segments if t1 > t
         )
 
     def concat(self, other: RateProfile) -> RateProfile:

@@ -19,7 +19,6 @@ bandwidth assignment: it occupies exactly its window at exactly its rate) and
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -86,15 +85,6 @@ class Request:
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
-    @property
-    def window(self) -> tuple[float, float]:
-        """The requested transmission window ``(t_s, t_f)``."""
-        return (self.t_start, self.t_end)
-
-    @property
-    def window_length(self) -> float:
-        """Length of the requested window, ``t_f - t_s``."""
-        return self.t_end - self.t_start
 
     @property
     def min_rate(self) -> float:
@@ -105,11 +95,6 @@ class Request:
     def is_rigid(self) -> bool:
         """True when ``MinRate == MaxRate`` up to :data:`RATE_TOLERANCE`."""
         return abs(self.max_rate - self.min_rate) <= RATE_TOLERANCE * max(self.max_rate, self.min_rate)
-
-    @property
-    def is_flexible(self) -> bool:
-        """True when the bandwidth assignment has freedom (paper §2.3)."""
-        return not self.is_rigid
 
     @property
     def min_duration(self) -> float:
@@ -145,21 +130,6 @@ class Request:
             return None
         return min(needed, self.max_rate)
 
-    def feasible_rate_interval(self, start: float | None = None) -> tuple[float, float]:
-        """Admissible ``bw`` interval ``[MinRate, MaxRate]`` for a given start.
-
-        With ``start=None`` the requested start ``t_s`` is assumed (the
-        paper's default, Figure 2).
-        """
-        lo = self.min_rate if start is None else self.rate_for_deadline(start)
-        return (lo, self.max_rate)
-
-    def duration_at(self, bw: float) -> float:
-        """Transfer duration ``vol / bw`` at constant bandwidth ``bw``."""
-        if bw <= 0:
-            raise InvalidRequestError(f"bandwidth must be positive, got {bw}")
-        return self.volume / bw
-
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
@@ -176,26 +146,6 @@ class Request:
         """Build a rigid request: ``MaxRate`` set to the window-implied rate."""
         min_rate = volume / (t_end - t_start)
         return cls(rid, ingress, egress, volume, t_start, t_end, min_rate)
-
-    @classmethod
-    def flexible(
-        cls,
-        rid: int,
-        ingress: int,
-        egress: int,
-        volume: float,
-        t_start: float,
-        min_rate: float,
-        max_rate: float,
-    ) -> Request:
-        """Build a flexible request from a requested ``MinRate``.
-
-        The deadline is derived: ``t_f = t_s + vol / min_rate``.
-        """
-        if min_rate <= 0:
-            raise InvalidRequestError(f"request {rid}: min_rate must be positive, got {min_rate}")
-        t_end = t_start + volume / min_rate
-        return cls(rid, ingress, egress, volume, t_start, t_end, max_rate)
 
     def with_rid(self, rid: int) -> Request:
         """Return a copy of this request with a different identifier."""
@@ -215,19 +165,6 @@ class Request:
             "t_end": self.t_end,
             "max_rate": self.max_rate,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> Request:
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            rid=int(data["rid"]),
-            ingress=int(data["ingress"]),
-            egress=int(data["egress"]),
-            volume=float(data["volume"]),
-            t_start=float(data["t_start"]),
-            t_end=float(data["t_end"]),
-            max_rate=float(data["max_rate"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -335,21 +272,3 @@ class RequestSet(Sequence[Request]):
     def total_volume(self) -> float:
         """Sum of request volumes in MB."""
         return float(sum(r.volume for r in self.requests))
-
-    def rigid_subset(self) -> RequestSet:
-        """Only the rigid requests."""
-        return RequestSet(r for r in self.requests if r.is_rigid)
-
-    def flexible_subset(self) -> RequestSet:
-        """Only the flexible requests."""
-        return RequestSet(r for r in self.requests if r.is_flexible)
-
-    # -- Serialisation ----------------------------------------------------
-    def to_json(self) -> str:
-        """Serialise to a JSON string."""
-        return json.dumps([r.to_dict() for r in self.requests])
-
-    @classmethod
-    def from_json(cls, text: str) -> RequestSet:
-        """Inverse of :meth:`to_json`."""
-        return cls(Request.from_dict(d) for d in json.loads(text))

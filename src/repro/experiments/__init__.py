@@ -29,7 +29,6 @@ from .plotting import ascii_chart
 from .runner import Aggregate, replicate
 from .stats import (
     SchedulerComparison,
-    bootstrap_confidence_interval,
     compare_schedulers,
     t_confidence_interval,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "Aggregate",
     "PlanningResult",
     "SchedulerComparison",
-    "bootstrap_confidence_interval",
     "compare_schedulers",
     "t_confidence_interval",
     "capacity_for_accept_rate",

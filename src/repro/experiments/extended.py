@@ -250,7 +250,7 @@ def localsearch_study(
                 "minbw": minbw_slots().schedule(prob).accept_rate,
                 "cumulated": cumulated_slots().schedule(prob).accept_rate,
                 "localsearch": LocalSearchScheduler(
-                    mode="rigid", iterations=iterations, restarts=3, seed=seed
+                    iterations=iterations, restarts=3, seed=seed
                 ).schedule(prob).accept_rate,
             }
 

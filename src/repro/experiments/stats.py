@@ -2,9 +2,8 @@
 
 Accept-rate differences between heuristics are often a few points on
 noisy Poisson workloads; these helpers make the comparisons honest:
-t-based and bootstrap confidence intervals, and a paired-by-seed
-comparison of two schedulers (pairing removes the workload variance, which
-dominates).
+t-based confidence intervals and a paired-by-seed comparison of two
+schedulers (pairing removes the workload variance, which dominates).
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from ..schedulers.base import Scheduler
 
 __all__ = [
     "t_confidence_interval",
-    "bootstrap_confidence_interval",
     "SchedulerComparison",
     "compare_schedulers",
 ]
@@ -46,25 +44,6 @@ def t_confidence_interval(
         return (mean, mean)
     half = float(sps.t.ppf(0.5 + confidence / 2, df=arr.size - 1)) * sem
     return (mean - half, mean + half)
-
-
-def bootstrap_confidence_interval(
-    samples: Sequence[float],
-    *,
-    statistic: Callable[[np.ndarray], float] = np.mean,
-    confidence: float = 0.95,
-    n_boot: int = 2000,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, float]:
-    """Percentile-bootstrap confidence interval for any statistic."""
-    arr = np.asarray(list(samples), dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("need at least one sample")
-    rng = rng or np.random.default_rng(0)
-    idx = rng.integers(0, arr.size, size=(n_boot, arr.size))
-    boots = np.apply_along_axis(statistic, 1, arr[idx])
-    alpha = (1 - confidence) / 2
-    return (float(np.quantile(boots, alpha)), float(np.quantile(boots, 1 - alpha)))
 
 
 @dataclass(frozen=True)

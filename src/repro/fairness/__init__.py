@@ -11,8 +11,6 @@ from .tcp_model import (
     BIC_LIKE,
     RENO,
     ResponseFunction,
-    mathis_throughput,
-    pftk_throughput,
     rtt_unfairness,
 )
 
@@ -24,8 +22,6 @@ __all__ = [
     "RENO",
     "ResponseFunction",
     "is_maxmin_fair",
-    "mathis_throughput",
     "maxmin_rates",
-    "pftk_throughput",
     "rtt_unfairness",
 ]

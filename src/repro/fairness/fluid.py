@@ -68,11 +68,6 @@ class FluidResult:
     horizon: float = 0.0
 
     @property
-    def num_flows(self) -> int:
-        """Total flows simulated."""
-        return len(self.outcomes)
-
-    @property
     def deadline_met_rate(self) -> float:
         """Fraction of flows that finished within their window — the
         number to compare against a reservation scheduler's accept rate
@@ -80,13 +75,6 @@ class FluidResult:
         if not self.outcomes:
             return 0.0
         return sum(o.met_deadline for o in self.outcomes.values()) / len(self.outcomes)
-
-    @property
-    def completed_rate(self) -> float:
-        """Fraction of flows that eventually delivered their volume."""
-        if not self.outcomes:
-            return 0.0
-        return sum(o.completed for o in self.outcomes.values()) / len(self.outcomes)
 
     @property
     def dropped_rate(self) -> float:

@@ -6,13 +6,12 @@ penalises long-RTT bulk flows, producing unpredictable and unfair shares
 [21].  This module implements the standard analytic models used to make
 that argument quantitative:
 
-- :func:`mathis_throughput` — the square-root law
-  ``B = MSS/RTT · sqrt(3/2) / sqrt(p)`` (Mathis et al.);
-- :func:`pftk_throughput` — the full PFTK model with timeouts and a
-  receiver-window cap (Padhye, Firoiu, Towsley, Kurose);
 - :class:`ResponseFunction` — the generic ``B = c · MSS / (RTT^a · p^b)``
-  family, with presets for Reno and BIC-like high-speed variants, enough
-  to reproduce the RTT-unfairness shape §5.4 alludes to.
+  family, with presets for Reno (:data:`RENO`, the Mathis et al.
+  square-root law ``B = MSS/RTT · sqrt(3/2) / sqrt(p)``) and BIC-like
+  high-speed variants, enough to reproduce the RTT-unfairness shape §5.4
+  alludes to;
+- :func:`rtt_unfairness` — the spread of those shares across RTTs.
 
 All throughputs are returned in MB/s for an MSS given in bytes.
 """
@@ -27,8 +26,6 @@ import numpy as np
 from ..core.errors import ConfigurationError
 
 __all__ = [
-    "mathis_throughput",
-    "pftk_throughput",
     "ResponseFunction",
     "RENO",
     "BIC_LIKE",
@@ -45,45 +42,6 @@ def _validate(mss: float, rtt: float, loss: float) -> None:
         raise ConfigurationError(f"RTT must be positive, got {rtt}")
     if not (0 < loss < 1):
         raise ConfigurationError(f"loss rate must be in (0, 1), got {loss}")
-
-
-def mathis_throughput(mss: float, rtt: float, loss: float) -> float:
-    """The Mathis square-root model, MB/s.
-
-    ``B = (MSS / RTT) · sqrt(3/2) / sqrt(p)`` — the light-loss asymptote
-    of Reno; MSS in bytes, RTT in seconds.
-    """
-    _validate(mss, rtt, loss)
-    return (mss / rtt) * math.sqrt(1.5 / loss) / _BYTES_PER_MB
-
-
-def pftk_throughput(
-    mss: float,
-    rtt: float,
-    loss: float,
-    *,
-    rto: float = 1.0,
-    b: int = 2,
-    wmax: float | None = None,
-) -> float:
-    """The PFTK steady-state Reno model, MB/s.
-
-    ``B = min(Wmax/RTT,
-              MSS / (RTT·sqrt(2bp/3) + RTO·min(1, 3·sqrt(3bp/8))·p·(1+32p²)))``
-
-    with ``b`` delayed-ack factor and optional receiver window ``wmax``
-    (bytes).
-    """
-    _validate(mss, rtt, loss)
-    if rto <= 0:
-        raise ConfigurationError(f"RTO must be positive, got {rto}")
-    denom = rtt * math.sqrt(2 * b * loss / 3) + rto * min(
-        1.0, 3 * math.sqrt(3 * b * loss / 8)
-    ) * loss * (1 + 32 * loss**2)
-    rate = mss / denom
-    if wmax is not None:
-        rate = min(rate, wmax / rtt)
-    return rate / _BYTES_PER_MB
 
 
 @dataclass(frozen=True)

@@ -166,13 +166,9 @@ class Journal:
         journal.entries = [JournalEntry.from_dict(json.loads(line)) for line in lines[1:]]
         return journal
 
-    def save(self, path: str | Path) -> None:
-        """Write the whole journal to ``path`` (JSONL)."""
-        Path(path).write_text(self.to_jsonl())
-
     @classmethod
     def load(cls, path: str | Path) -> Journal:
-        """Read a journal previously written by :meth:`save` (or live appends)."""
+        """Read a journal written by live appends (or :meth:`to_jsonl`)."""
         text = Path(path).read_text()
         journal = cls.from_jsonl(text)
         journal.path = Path(path)

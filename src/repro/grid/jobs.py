@@ -62,11 +62,6 @@ class GridJob:
         """Identifier shared with the staging request."""
         return self.request.rid
 
-    @property
-    def site(self) -> int:
-        """Destination (egress) site index."""
-        return self.request.egress
-
 
 @dataclass(frozen=True, slots=True)
 class JobOutcome:

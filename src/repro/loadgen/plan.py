@@ -109,9 +109,3 @@ class SubmissionPlan:
     def body(self, position: int) -> dict[str, Any]:
         """The submission at ``position`` (cycling past the end)."""
         return dict(self._bodies[position % len(self._bodies)])
-
-    def slice_for(self, client: int, clients: int, count: int) -> list[dict[str, Any]]:
-        """``count`` consecutive bodies along client ``client``'s stride."""
-        if not 0 <= client < clients:
-            raise ConfigurationError(f"client {client} outside fleet of {clients}")
-        return [self.body(client + k * clients) for k in range(count)]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
-from typing import Any
 
 import numpy as np
 
@@ -51,24 +50,6 @@ class MetricsReport:
     mean_granted_over_max: float
     mean_transfer_duration: float
     port_jain_index: float
-
-    def as_dict(self) -> dict[str, Any]:
-        """Flat dict (guaranteed rates expanded) for tables and CSV."""
-        out: dict[str, Any] = {
-            "scheduler": self.scheduler,
-            "num_requests": self.num_requests,
-            "accept_rate": self.accept_rate,
-            "resource_utilization": self.resource_utilization,
-            "utilization_time_averaged": self.utilization_time_averaged,
-            "mean_wait": self.mean_wait,
-            "max_wait": self.max_wait,
-            "mean_granted_over_max": self.mean_granted_over_max,
-            "mean_transfer_duration": self.mean_transfer_duration,
-            "port_jain_index": self.port_jain_index,
-        }
-        for f, rate in sorted(self.guaranteed.items()):
-            out[f"guaranteed_f{f:g}"] = rate
-        return out
 
 
 def evaluate(

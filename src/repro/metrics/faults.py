@@ -10,7 +10,7 @@ these figures quantify the damage and the recovery:
   aborts and outage displacements;
 - **recovered volume** — MB of residual transfer successfully rebooked
   after an abort or displacement ended the original reservation;
-- **re-admission rate** — fraction of backlogged rejections later admitted;
+- **re-admissions** — backlogged rejections later admitted;
 - **mean time to rebook** — termination-to-rebooking latency.
 
 :meth:`FaultStats.of` derives every figure from the plane's reservations,
@@ -20,8 +20,8 @@ here is a counter the plane has to keep.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..gateway.gateway import Gateway
@@ -107,26 +107,7 @@ class FaultStats:
             readmitted_volume=readmitted_volume,
         )
 
-    # ------------------------------------------------------------------
-    @property
-    def readmission_rate(self) -> float:
-        """Backlogged rejections that were eventually admitted."""
-        return self.readmitted / self.backlogged if self.backlogged else 0.0
-
-    @property
-    def rebook_rate(self) -> float:
-        """Displaced reservations whose residual volume found a new slot."""
-        return self.rebooked / self.displaced if self.displaced else 0.0
-
     @property
     def mean_time_to_rebook(self) -> float:
         """Mean termination-to-rebooking latency in seconds."""
         return self.rebook_wait_total / self.rebooked if self.rebooked else 0.0
-
-    def as_dict(self) -> dict[str, Any]:
-        """Figures plus derived rates, flat (CSV/JSON friendly)."""
-        out = asdict(self)
-        out["readmission_rate"] = self.readmission_rate
-        out["rebook_rate"] = self.rebook_rate
-        out["mean_time_to_rebook"] = self.mean_time_to_rebook
-        return out

@@ -108,10 +108,6 @@ class LinkResult:
         (un)predictability measure."""
         return self.goodput.std(axis=0)
 
-    def utilization(self, capacity: float) -> float:
-        """Delivered over capacity."""
-        return float(self.goodput.sum(axis=1).mean() / capacity)
-
 
 class LinkSimulation:
     """Share a bottleneck among AIMD and (optionally protected) paced flows.

@@ -15,7 +15,6 @@ from .costs import (
     MinBwCost,
     MinVolCost,
     SlotCost,
-    WeightedCost,
     priority_factor,
 )
 from .flexible import GreedyFlexible, WindowFlexible
@@ -27,7 +26,7 @@ from .policies import (
     MinRatePolicy,
     policy_from_name,
 )
-from .registry import available_schedulers, make_scheduler, register_scheduler
+from .registry import RIGID_SCHEDULERS, available_schedulers, make_scheduler
 from .retry import BackoffSchedule, RetryGreedyFlexible
 from .rigid import FCFSRigid, SlotsScheduler, cumulated_slots, fifo_slots, minbw_slots, minvol_slots
 
@@ -46,11 +45,11 @@ __all__ = [
     "MinBwCost",
     "MinRatePolicy",
     "MinVolCost",
+    "RIGID_SCHEDULERS",
     "RetryGreedyFlexible",
     "Scheduler",
     "SlotCost",
     "SlotsScheduler",
-    "WeightedCost",
     "WindowFlexible",
     "available_schedulers",
     "cumulated_slots",
@@ -60,5 +59,4 @@ __all__ = [
     "minvol_slots",
     "policy_from_name",
     "priority_factor",
-    "register_scheduler",
 ]

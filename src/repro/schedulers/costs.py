@@ -29,7 +29,6 @@ __all__ = [
     "CumulatedCost",
     "MinBwCost",
     "MinVolCost",
-    "WeightedCost",
     "priority_factor",
 ]
 
@@ -117,23 +116,3 @@ class MinVolCost(SlotCost):
 
     def cost(self, request: Request, t_lo: float, t_hi: float, platform: Platform) -> float:
         return request.volume
-
-
-class WeightedCost(SlotCost):
-    """Priority classes on top of any base cost: ``cost / weight``.
-
-    A request with twice the weight is served as if it demanded half the
-    resources; unlisted rids weigh 1.  Realises the "refined objectives"
-    direction of the paper's conclusion for the rigid heuristics.
-    """
-
-    def __init__(self, base: SlotCost, weights: dict[int, float]) -> None:
-        for rid, weight in weights.items():
-            if weight <= 0:
-                raise ValueError(f"weight for request {rid} must be positive, got {weight}")
-        self.base = base
-        self.weights = dict(weights)
-        self.name = f"weighted-{base.name}"
-
-    def cost(self, request: Request, t_lo: float, t_hi: float, platform: Platform) -> float:
-        return self.base.cost(request, t_lo, t_hi, platform) / self.weights.get(request.rid, 1.0)

@@ -20,7 +20,7 @@ from .advance import EarliestStartFlexible, GuaranteedProfile
 from .retry import RetryGreedyFlexible
 from .rigid import FCFSRigid, SlotsScheduler
 
-__all__ = ["make_scheduler", "available_schedulers", "register_scheduler"]
+__all__ = ["RIGID_SCHEDULERS", "make_scheduler", "available_schedulers"]
 
 
 def _make_policy(policy: str | float | None):
@@ -63,10 +63,8 @@ _FACTORIES: dict[str, Callable[[dict[str, Any]], Scheduler]] = {
         policy=_make_policy(kw.pop("policy", None)),
     ),
     "localsearch": lambda kw: LocalSearchScheduler(
-        mode=kw.pop("mode", "rigid"),
         iterations=kw.pop("iterations", 400),
         restarts=kw.pop("restarts", 3),
-        policy=_make_policy(kw.pop("policy", None)),
         seed=kw.pop("seed", 0),
     ),
     "retry-greedy": lambda kw: RetryGreedyFlexible(
@@ -78,18 +76,17 @@ _FACTORIES: dict[str, Callable[[dict[str, Any]], Scheduler]] = {
 }
 
 
+#: Registered names whose scheduler refuses flexible requests: the CLI feeds
+#: them a rigid workload and offers only the others where the workload is
+#: flexible.
+RIGID_SCHEDULERS = frozenset(
+    {"fcfs-rigid", "fifo-slots", "cumulated-slots", "minbw-slots", "minvol-slots", "localsearch"}
+)
+
+
 def available_schedulers() -> list[str]:
     """Registered scheduler names, sorted."""
     return sorted(_FACTORIES)
-
-
-def register_scheduler(name: str, factory: Callable[[dict[str, Any]], Scheduler]) -> None:
-    """Add a custom scheduler factory under ``name`` (overwrites allowed).
-
-    The factory receives a mutable option dict and must ``pop`` every option
-    it consumes.
-    """
-    _FACTORIES[name] = factory
 
 
 def make_scheduler(name: str, **options: Any) -> Scheduler:

@@ -10,30 +10,24 @@ The paper's 1 GB/s access ports are therefore ``1000.0`` and a 1 TB transfer
 is ``1_000_000.0``.  Decimal prefixes are used (1 GB = 1000 MB), matching the
 paper's networking context.
 
-This module provides named constants, parsing of human-readable strings such
-as ``"1GB/s"`` or ``"250 MB"``, and compact formatting for reports.
+This module provides named constants, tolerance-aware comparisons and
+compact formatting for reports.
 """
 
 from __future__ import annotations
 
 import math
-import re
 
 __all__ = [
     "MB",
     "GB",
     "TB",
-    "KB",
     "MBPS",
     "GBPS",
-    "SECOND",
     "MINUTE",
     "HOUR",
     "DAY",
     "REL_TOL",
-    "parse_volume",
-    "parse_bandwidth",
-    "parse_duration",
     "format_volume",
     "format_bandwidth",
     "format_duration",
@@ -44,7 +38,6 @@ __all__ = [
 ]
 
 # Volumes, in MB.
-KB: float = 1e-3
 MB: float = 1.0
 GB: float = 1000.0
 TB: float = 1_000_000.0
@@ -54,7 +47,6 @@ MBPS: float = 1.0
 GBPS: float = 1000.0
 
 # Times, in seconds.
-SECOND: float = 1.0
 MINUTE: float = 60.0
 HOUR: float = 3600.0
 DAY: float = 86400.0
@@ -102,96 +94,6 @@ def bandwidth_eq(a: float, b: float, *, rel: float = REL_TOL) -> bool:
 def volume_eq(a: float, b: float, *, rel: float = REL_TOL) -> bool:
     """Are two volumes (MB) equal up to numerical noise?"""
     return close(a, b, rel=rel, floor=1.0)
-
-
-_VOLUME_UNITS = {
-    "kb": KB,
-    "mb": MB,
-    "gb": GB,
-    "tb": TB,
-    "k": KB,
-    "m": MB,
-    "g": GB,
-    "t": TB,
-}
-
-_TIME_UNITS = {
-    "s": SECOND,
-    "sec": SECOND,
-    "second": SECOND,
-    "seconds": SECOND,
-    "min": MINUTE,
-    "minute": MINUTE,
-    "minutes": MINUTE,
-    "h": HOUR,
-    "hour": HOUR,
-    "hours": HOUR,
-    "d": DAY,
-    "day": DAY,
-    "days": DAY,
-}
-
-_QUANTITY_RE = re.compile(
-    r"^\s*(?P<num>[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)\s*(?P<unit>[a-zA-Z/]*)\s*$"
-)
-
-
-def _split(text: str) -> tuple[float, str]:
-    match = _QUANTITY_RE.match(text)
-    if match is None:
-        raise ValueError(f"cannot parse quantity: {text!r}")
-    return float(match.group("num")), match.group("unit").lower()
-
-
-def parse_volume(text: str | float | int) -> float:
-    """Parse a data volume into MB.
-
-    Accepts a bare number (already in MB) or a string such as ``"100GB"``,
-    ``"1 TB"`` or ``"512mb"``.
-    """
-    if isinstance(text, (int, float)):
-        return float(text)
-    value, unit = _split(text)
-    if unit == "":
-        return value
-    try:
-        return value * _VOLUME_UNITS[unit]
-    except KeyError:
-        raise ValueError(f"unknown volume unit {unit!r} in {text!r}") from None
-
-
-def parse_bandwidth(text: str | float | int) -> float:
-    """Parse a bandwidth into MB/s.
-
-    Accepts a bare number (already in MB/s) or a string such as ``"1GB/s"``
-    or ``"10 MB/s"``.
-    """
-    if isinstance(text, (int, float)):
-        return float(text)
-    value, unit = _split(text)
-    if unit == "":
-        return value
-    if unit.endswith("/s"):
-        unit = unit[:-2]
-    if unit.endswith("ps"):
-        unit = unit[:-2]
-    try:
-        return value * _VOLUME_UNITS[unit]
-    except KeyError:
-        raise ValueError(f"unknown bandwidth unit in {text!r}") from None
-
-
-def parse_duration(text: str | float | int) -> float:
-    """Parse a duration into seconds (``"2h"``, ``"90 min"``, ``"1 day"``)."""
-    if isinstance(text, (int, float)):
-        return float(text)
-    value, unit = _split(text)
-    if unit == "":
-        return value
-    try:
-        return value * _TIME_UNITS[unit]
-    except KeyError:
-        raise ValueError(f"unknown time unit {unit!r} in {text!r}") from None
 
 
 def _format_scaled(value: float, steps: list[tuple[float, str]], suffix: str) -> str:

@@ -9,11 +9,9 @@ from .arrivals import (
     DeterministicArrivals,
     PoissonArrivals,
     SinusoidalArrivals,
-    TraceArrivals,
 )
 from .durations import (
     DurationDistribution,
-    FixedDuration,
     LogUniformDurations,
     UniformDurations,
     paper_durations,
@@ -29,16 +27,12 @@ from .load import (
     arrival_rate_for_load,
     empirical_load,
     mean_interarrival_for_load,
-    offered_load,
-    steady_state_load,
 )
-from .matrix import FixedPair, GravityPairs, HotspotPairs, PairSelector, UniformPairs
-from .rates import FixedRate, LogUniformRates, RateDistribution, UniformRates, paper_rates
+from .matrix import HotspotPairs, PairSelector, UniformPairs
+from .rates import RateDistribution, UniformRates, paper_rates
 from .summary import summarize, text_histogram
 from .volumes import (
     ChoiceVolumes,
-    FixedVolume,
-    LogUniformVolumes,
     PaperVolumes,
     UniformVolumes,
     VolumeDistribution,
@@ -49,17 +43,10 @@ __all__ = [
     "ArrivalProcess",
     "ChoiceVolumes",
     "DeterministicArrivals",
-    "FixedPair",
-    "FixedRate",
-    "FixedVolume",
     "DurationDistribution",
-    "FixedDuration",
     "FlexibleWorkload",
-    "GravityPairs",
     "HotspotPairs",
     "LogUniformDurations",
-    "LogUniformRates",
-    "LogUniformVolumes",
     "PairSelector",
     "PaperVolumes",
     "PoissonArrivals",
@@ -67,7 +54,6 @@ __all__ = [
     "RigidWorkload",
     "SinusoidalArrivals",
     "SlottedRigidWorkload",
-    "TraceArrivals",
     "UniformDurations",
     "UniformPairs",
     "UniformRates",
@@ -76,13 +62,11 @@ __all__ = [
     "arrival_rate_for_load",
     "empirical_load",
     "mean_interarrival_for_load",
-    "offered_load",
     "paper_durations",
     "paper_flexible_workload",
     "paper_rates",
     "paper_rigid_workload",
     "paper_volume_set",
-    "steady_state_load",
     "summarize",
     "text_histogram",
 ]

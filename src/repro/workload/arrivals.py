@@ -3,15 +3,14 @@
 The paper's workloads arrive "according to a Poisson distribution" (§2.1):
 exponential inter-arrival times whose mean is the knob the published sweeps
 turn (0.1–5 s in the heavy-load experiments, 3–20 s in the underloaded
-ones).  Deterministic and trace-driven processes are provided for tests and
-for replaying recorded workloads.
+ones).  Deterministic and sinusoidally modulated processes are provided
+for tests and for load that varies over the day.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -22,7 +21,6 @@ __all__ = [
     "PoissonArrivals",
     "DeterministicArrivals",
     "SinusoidalArrivals",
-    "TraceArrivals",
 ]
 
 
@@ -59,13 +57,6 @@ class PoissonArrivals(ArrivalProcess):
 
     def mean_interarrival(self) -> float:
         return self.mean
-
-    @classmethod
-    def with_rate(cls, rate: float) -> PoissonArrivals:
-        """Construct from an arrival *rate* (arrivals per second)."""
-        if rate <= 0:
-            raise ConfigurationError(f"arrival rate must be positive, got {rate}")
-        return cls(mean=1.0 / rate)
 
 
 @dataclass(frozen=True)
@@ -125,27 +116,3 @@ class SinusoidalArrivals(ArrivalProcess):
 
     def mean_interarrival(self) -> float:
         return self.mean
-
-
-class TraceArrivals(ArrivalProcess):
-    """Replays a fixed, sorted sequence of arrival times."""
-
-    def __init__(self, times: Sequence[float]) -> None:
-        arr = np.asarray(list(times), dtype=np.float64)
-        if arr.ndim != 1:
-            raise ConfigurationError("trace must be one-dimensional")
-        if arr.size and np.any(np.diff(arr) < 0):
-            raise ConfigurationError("trace times must be non-decreasing")
-        self._times = arr
-
-    def generate(self, n: int, rng: np.random.Generator, t0: float = 0.0) -> np.ndarray:
-        if n > self._times.size:
-            raise ConfigurationError(
-                f"trace holds {self._times.size} arrivals, {n} requested"
-            )
-        return t0 + self._times[:n]
-
-    def mean_interarrival(self) -> float:
-        if self._times.size < 2:
-            return float("inf")
-        return float(np.mean(np.diff(self._times)))

@@ -23,7 +23,6 @@ __all__ = [
     "DurationDistribution",
     "UniformDurations",
     "LogUniformDurations",
-    "FixedDuration",
     "paper_durations",
 ]
 
@@ -78,23 +77,6 @@ class LogUniformDurations(DurationDistribution):
             return self.low
         span = np.log(self.high) - np.log(self.low)
         return float((self.high - self.low) / span)
-
-
-@dataclass(frozen=True)
-class FixedDuration(DurationDistribution):
-    """Every window has the same length (unit-request experiments)."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.value <= 0:
-            raise ConfigurationError(f"duration must be positive, got {self.value}")
-
-    def generate(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.full(n, self.value, dtype=np.float64)
-
-    def mean(self) -> float:
-        return self.value
 
 
 def paper_durations() -> LogUniformDurations:

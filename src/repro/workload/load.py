@@ -17,28 +17,14 @@ a *target* load directly.
 
 from __future__ import annotations
 
-
 from ..core.platform import Platform
 from ..core.request import RequestSet
 
 __all__ = [
-    "offered_load",
-    "steady_state_load",
     "arrival_rate_for_load",
     "mean_interarrival_for_load",
     "empirical_load",
 ]
-
-
-def offered_load(platform: Platform, requests: RequestSet) -> float:
-    """The paper's instantaneous formula: Σ demanded bw over half capacity."""
-    demanded = sum(r.min_rate for r in requests)
-    return demanded / platform.half_capacity
-
-
-def steady_state_load(platform: Platform, arrival_rate: float, mean_volume: float) -> float:
-    """Expected load of a Poisson workload: ``λ · E[vol] / half_capacity``."""
-    return arrival_rate * mean_volume / platform.half_capacity
 
 
 def arrival_rate_for_load(platform: Platform, target_load: float, mean_volume: float) -> float:
@@ -59,8 +45,8 @@ def empirical_load(platform: Platform, requests: RequestSet) -> float:
     """Measured time-average of concurrent demanded bandwidth over capacity.
 
     Integrates ``MinRate`` over each request's window and divides by
-    ``half_capacity × horizon`` — the realised counterpart of
-    :func:`steady_state_load` for a concrete request set.
+    ``half_capacity × horizon`` — the realised counterpart of the load
+    :func:`arrival_rate_for_load` targets, for a concrete request set.
     """
     if not len(requests):
         return 0.0

@@ -17,7 +17,7 @@ import numpy as np
 from ..core.errors import ConfigurationError
 from ..core.platform import Platform
 
-__all__ = ["PairSelector", "UniformPairs", "HotspotPairs", "GravityPairs", "FixedPair"]
+__all__ = ["PairSelector", "UniformPairs", "HotspotPairs"]
 
 
 class PairSelector(abc.ABC):
@@ -105,63 +105,3 @@ class HotspotPairs(PairSelector):
                         "cannot draw distinct pairs: egress weights degenerate"
                     )
         return ingress.astype(np.int64), egress.astype(np.int64)
-
-
-class GravityPairs(PairSelector):
-    """Gravity-model traffic: pair probability ∝ mass(src) × mass(dst).
-
-    The classic traffic-matrix model — larger sites exchange more data.
-    Masses default to the port capacities (bigger pipe ⇒ bigger site).
-    """
-
-    def __init__(
-        self,
-        masses: Sequence[float] | None = None,
-        exclude_same_index: bool = True,
-    ) -> None:
-        self._masses = None if masses is None else np.asarray(masses, dtype=np.float64)
-        if self._masses is not None and (
-            self._masses.ndim != 1 or np.any(self._masses < 0) or self._masses.sum() <= 0
-        ):
-            raise ConfigurationError("masses must be non-negative with positive sum")
-        self.exclude_same_index = exclude_same_index
-
-    def generate(
-        self, platform: Platform, n: int, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        mass_in = (
-            platform.ingress_capacity if self._masses is None else self._masses
-        )
-        mass_out = (
-            platform.egress_capacity if self._masses is None else self._masses
-        )
-        if mass_in.size != platform.num_ingress or mass_out.size != platform.num_egress:
-            raise ConfigurationError(
-                f"expected {platform.num_ingress} masses, got {mass_in.size}"
-            )
-        selector = HotspotPairs(
-            ingress_weights=mass_in,
-            egress_weights=mass_out,
-            exclude_same_index=self.exclude_same_index,
-        )
-        return selector.generate(platform, n, rng)
-
-
-@dataclass(frozen=True)
-class FixedPair(PairSelector):
-    """Every request uses one fixed pair (single-pair polynomial case, §3)."""
-
-    ingress: int = 0
-    egress: int = 0
-
-    def generate(
-        self, platform: Platform, n: int, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        if not (0 <= self.ingress < platform.num_ingress):
-            raise ConfigurationError(f"ingress {self.ingress} outside platform")
-        if not (0 <= self.egress < platform.num_egress):
-            raise ConfigurationError(f"egress {self.egress} outside platform")
-        return (
-            np.full(n, self.ingress, dtype=np.int64),
-            np.full(n, self.egress, dtype=np.int64),
-        )

@@ -16,7 +16,7 @@ import numpy as np
 from ..core.errors import ConfigurationError
 from ..units import GBPS, MBPS
 
-__all__ = ["RateDistribution", "UniformRates", "LogUniformRates", "FixedRate", "paper_rates"]
+__all__ = ["RateDistribution", "UniformRates", "paper_rates"]
 
 
 class RateDistribution(abc.ABC):
@@ -47,44 +47,6 @@ class UniformRates(RateDistribution):
 
     def mean(self) -> float:
         return 0.5 * (self.low + self.high)
-
-
-@dataclass(frozen=True)
-class LogUniformRates(RateDistribution):
-    """Log-uniform rates over ``[low, high]`` MB/s."""
-
-    low: float
-    high: float
-
-    def __post_init__(self) -> None:
-        if not (0 < self.low <= self.high):
-            raise ConfigurationError(f"need 0 < low <= high, got [{self.low}, {self.high}]")
-
-    def generate(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.exp(rng.uniform(np.log(self.low), np.log(self.high), size=n))
-
-    def mean(self) -> float:
-        if self.low == self.high:
-            return self.low
-        span = np.log(self.high) - np.log(self.low)
-        return float((self.high - self.low) / span)
-
-
-@dataclass(frozen=True)
-class FixedRate(RateDistribution):
-    """Every request demands the same rate (uniform-request experiments)."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.value <= 0:
-            raise ConfigurationError(f"rate must be positive, got {self.value}")
-
-    def generate(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.full(n, self.value, dtype=np.float64)
-
-    def mean(self) -> float:
-        return self.value
 
 
 def paper_rates() -> UniformRates:

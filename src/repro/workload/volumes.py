@@ -22,8 +22,6 @@ __all__ = [
     "VolumeDistribution",
     "ChoiceVolumes",
     "UniformVolumes",
-    "LogUniformVolumes",
-    "FixedVolume",
     "paper_volume_set",
     "PaperVolumes",
 ]
@@ -90,42 +88,3 @@ class UniformVolumes(VolumeDistribution):
 
     def mean(self) -> float:
         return 0.5 * (self.low + self.high)
-
-
-@dataclass(frozen=True)
-class LogUniformVolumes(VolumeDistribution):
-    """Log-uniform volumes over ``[low, high]`` MB — heavy-tailed mixes of
-    small and bulk transfers (mice and elephants)."""
-
-    low: float
-    high: float
-
-    def __post_init__(self) -> None:
-        if not (0 < self.low <= self.high):
-            raise ConfigurationError(f"need 0 < low <= high, got [{self.low}, {self.high}]")
-
-    def generate(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.exp(rng.uniform(np.log(self.low), np.log(self.high), size=n))
-
-    def mean(self) -> float:
-        if self.low == self.high:
-            return self.low
-        span = np.log(self.high) - np.log(self.low)
-        return float((self.high - self.low) / span)
-
-
-@dataclass(frozen=True)
-class FixedVolume(VolumeDistribution):
-    """Every request carries the same volume (unit-request experiments)."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.value <= 0:
-            raise ConfigurationError(f"volume must be positive, got {self.value}")
-
-    def generate(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.full(n, self.value, dtype=np.float64)
-
-    def mean(self) -> float:
-        return self.value

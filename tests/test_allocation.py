@@ -45,7 +45,9 @@ class TestAllocation:
 
     def test_roundtrip(self):
         alloc = Allocation(3, 1, 0, bw=7.0, sigma=1.0, tau=9.0)
-        assert Allocation.from_dict(alloc.to_dict()) == alloc
+        assert alloc.to_dict() == {
+            "rid": 3, "ingress": 1, "egress": 0, "bw": 7.0, "sigma": 1.0, "tau": 9.0
+        }
 
 
 class TestScheduleResult:
@@ -65,13 +67,6 @@ class TestScheduleResult:
         with pytest.raises(ScheduleViolation):
             result.reject(0)
 
-    def test_revoke(self, requests):
-        result = ScheduleResult()
-        result.accept(Allocation.for_request(requests[0], 10.0))
-        result.revoke(0)
-        assert result.num_accepted == 0
-        assert 0 in result.rejected
-
     def test_empty_accept_rate(self):
         assert ScheduleResult().accept_rate == 0.0
 
@@ -81,15 +76,6 @@ class TestScheduleResult:
         result.accept(Allocation.for_request(requests[0], 10.0))
         sigmas = [a.sigma for a in result.allocations()]
         assert sigmas == sorted(sigmas)
-
-    def test_roundtrip(self, requests):
-        result = ScheduleResult(scheduler="x", meta={"k": 1})
-        result.accept(Allocation.for_request(requests[0], 10.0))
-        result.reject(1)
-        clone = ScheduleResult.from_dict(result.to_dict())
-        assert clone.scheduler == "x"
-        assert clone.accepted.keys() == result.accepted.keys()
-        assert clone.rejected == result.rejected
 
 
 class TestVerifySchedule:

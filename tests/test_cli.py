@@ -1,8 +1,19 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def _choices(command, dest):
+    """The values ``command``'s argument ``dest`` offers."""
+    commands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return next(a for a in commands.choices[command]._actions if a.dest == dest).choices
 
 
 class TestParser:
@@ -97,3 +108,33 @@ class TestCommands:
         code = main(["plan", "--target", "1.0", "--gap", "0.01", "--requests", "200", "--seeds", "0"])
         out = capsys.readouterr().out
         assert code == 1 or "capacity scale" in out
+
+    def test_compare_needs_two_seeds(self, capsys):
+        code = main(["compare", "greedy", "window", "--requests", "30", "--seeds", "0"])
+        assert code == 1
+        assert "needs at least two seeds" in capsys.readouterr().out
+
+
+class TestEverySchedulerOnOffer:
+    """Each command runs every scheduler it offers on its workload."""
+
+    @pytest.mark.parametrize("name", _choices("schedule", "scheduler"))
+    def test_schedule(self, name, capsys):
+        assert main(["schedule", "--scheduler", name, "--requests", "30"]) == 0
+
+    @pytest.mark.parametrize("name", _choices("gantt", "scheduler"))
+    def test_gantt(self, name, capsys):
+        assert main(["gantt", "--scheduler", name, "--requests", "8"]) == 0
+
+    @pytest.mark.parametrize("name", _choices("compare", "a"))
+    def test_compare(self, name, capsys):
+        argv = ["compare", name, "greedy", "--requests", "30", "--seeds", "0", "1"]
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize(
+        "argv", [["gantt", "--scheduler", "fcfs-rigid"], ["compare", "greedy", "localsearch"]]
+    )
+    def test_flexible_workloads_refuse_rigid_schedulers(self, argv, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert refused.value.code == 2

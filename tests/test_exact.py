@@ -342,26 +342,3 @@ class TestWeightedExact:
         prob = paper_rigid_workload(4.0, 6, seed=1)
         with pytest.raises(ConfigurationError):
             max_requests_rigid_exact(prob, weights={0: -1.0})
-
-
-class TestWeightedCostHeuristic:
-    def test_weight_flips_slot_decision(self):
-        from repro.schedulers import MinBwCost, SlotsScheduler, WeightedCost
-
-        requests = RequestSet(
-            [
-                Request.rigid(0, 0, 0, volume=40.0, t_start=0.0, t_end=10.0),  # bw 4
-                Request.rigid(1, 0, 0, volume=80.0, t_start=0.0, t_end=10.0),  # bw 8
-            ]
-        )
-        prob = ProblemInstance(Platform.uniform(1, 1, 10.0), requests)
-        plain = SlotsScheduler(MinBwCost()).schedule(prob)
-        assert 0 in plain.accepted and 1 in plain.rejected
-        boosted = SlotsScheduler(WeightedCost(MinBwCost(), {1: 10.0})).schedule(prob)
-        assert 1 in boosted.accepted and 0 in boosted.rejected
-
-    def test_weight_validation(self):
-        from repro.schedulers import MinBwCost, WeightedCost
-
-        with pytest.raises(ValueError):
-            WeightedCost(MinBwCost(), {0: 0.0})

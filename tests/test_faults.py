@@ -168,7 +168,6 @@ class TestRebooking:
         stats = FaultStats.of(service)
         assert stats.rebook_attempts == 1
         assert stats.rebooked == 1
-        assert stats.rebook_rate == 1.0
         assert service.accept_rate() == 1.0  # the rebooking serves the original
 
     def test_rebooking_backs_off_until_capacity_frees(self):
@@ -239,7 +238,6 @@ class TestFaultStatsView:
         stats = FaultStats.of(gateway)
         assert (stats.backlogged, stats.readmitted) == (1, 1)
         assert stats.readmitted_volume == pytest.approx(500.0)
-        assert stats.readmission_rate == 1.0
         assert (stats.rebook_attempts, stats.recovered_volume) == (0, 0.0)
         assert gateway.accept_rate() == 1.0  # the re-admission serves the original
 

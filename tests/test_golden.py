@@ -20,15 +20,14 @@ from pathlib import Path
 import pytest
 
 from repro.core import verify_schedule
-from repro.schedulers import make_scheduler
+from repro.schedulers import RIGID_SCHEDULERS, make_scheduler
 from repro.workload import paper_flexible_workload, paper_rigid_workload
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden.json").read_text())
-RIGID_NAMES = {"fcfs-rigid", "fifo-slots", "cumulated-slots", "minbw-slots", "minvol-slots"}
 
 
 def _problem(name):
-    if name in RIGID_NAMES:
+    if name in RIGID_SCHEDULERS:
         p = GOLDEN["rigid_params"]
         return paper_rigid_workload(p["load"], p["n_requests"], seed=p["seed"])
     p = GOLDEN["flexible_params"]

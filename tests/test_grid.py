@@ -22,7 +22,6 @@ class TestGridJob:
     def test_properties(self):
         j = job(3)
         assert j.rid == 3
-        assert j.site == 1
 
     def test_validation(self):
         with pytest.raises(InvalidRequestError):

@@ -75,21 +75,6 @@ class TestSubmissionPlan:
         assert plan.body(0) == plan.body(8)
         assert plan.body(3) == plan.body(11)
 
-    def test_stride_slices_partition_the_plan(self):
-        plan = SubmissionPlan(PLATFORM, 12, seed=0)
-        seen = []
-        for client in range(3):
-            seen.extend(plan.slice_for(client, 3, 4))
-        assert len(seen) == 12
-        everything = [plan.body(i) for i in range(12)]
-        for entry in everything:
-            assert entry in seen
-
-    def test_slice_rejects_client_outside_fleet(self):
-        plan = SubmissionPlan(PLATFORM, 8, seed=0)
-        with pytest.raises(ConfigurationError):
-            plan.slice_for(3, 3, 1)
-
     def test_arrival_shapes(self):
         for shape in ("poisson", "uniform", "sinusoid"):
             assert arrival_process(shape, 1.0) is not None

@@ -5,10 +5,8 @@ import pytest
 from repro.core import ConfigurationError, verify_schedule
 from repro.exact import max_requests_rigid_exact
 from repro.schedulers import (
-    EarliestStartFlexible,
     FCFSRigid,
     LocalSearchScheduler,
-    MinRatePolicy,
 )
 from repro.workload import paper_flexible_workload, paper_rigid_workload
 
@@ -16,7 +14,7 @@ from repro.workload import paper_flexible_workload, paper_rigid_workload
 class TestLocalSearchRigid:
     def test_valid_and_complete(self):
         prob = paper_rigid_workload(8.0, 120, seed=1)
-        result = LocalSearchScheduler(mode="rigid", iterations=60, restarts=2).schedule(prob)
+        result = LocalSearchScheduler(iterations=60, restarts=2).schedule(prob)
         verify_schedule(prob.platform, prob.requests, result)
         assert result.num_decided == prob.num_requests
 
@@ -25,14 +23,14 @@ class TestLocalSearchRigid:
         # dominates plain FCFS by construction
         for seed in range(4):
             prob = paper_rigid_workload(12.0, 80, seed=seed)
-            search = LocalSearchScheduler(mode="rigid", iterations=40, restarts=1).schedule(prob)
+            search = LocalSearchScheduler(iterations=40, restarts=1).schedule(prob)
             fcfs = FCFSRigid().schedule(prob)
             assert search.num_accepted >= fcfs.num_accepted
 
     def test_never_beats_exact(self):
         for seed in range(3):
             prob = paper_rigid_workload(8.0, 14, seed=seed)
-            search = LocalSearchScheduler(mode="rigid", iterations=120, restarts=3).schedule(prob)
+            search = LocalSearchScheduler(iterations=120, restarts=3).schedule(prob)
             exact = max_requests_rigid_exact(prob)
             assert search.num_accepted <= exact.num_accepted
 
@@ -40,43 +38,24 @@ class TestLocalSearchRigid:
         hits = 0
         for seed in range(5):
             prob = paper_rigid_workload(8.0, 12, seed=seed)
-            search = LocalSearchScheduler(mode="rigid", iterations=200, restarts=4).schedule(prob)
+            search = LocalSearchScheduler(iterations=200, restarts=4).schedule(prob)
             if search.num_accepted == max_requests_rigid_exact(prob).num_accepted:
                 hits += 1
         assert hits >= 3
 
     def test_deterministic_for_seed(self):
         prob = paper_rigid_workload(8.0, 60, seed=2)
-        a = LocalSearchScheduler(mode="rigid", iterations=50, seed=7).schedule(prob)
-        b = LocalSearchScheduler(mode="rigid", iterations=50, seed=7).schedule(prob)
+        a = LocalSearchScheduler(iterations=50, seed=7).schedule(prob)
+        b = LocalSearchScheduler(iterations=50, seed=7).schedule(prob)
         assert set(a.accepted) == set(b.accepted)
 
     def test_rejects_flexible_in_rigid_mode(self):
         prob = paper_flexible_workload(2.0, 20, seed=1)
         with pytest.raises(ConfigurationError):
-            LocalSearchScheduler(mode="rigid").schedule(prob)
-
-
-class TestLocalSearchFlexible:
-    def test_valid(self):
-        prob = paper_flexible_workload(1.0, 100, seed=3)
-        result = LocalSearchScheduler(
-            mode="flexible", iterations=40, restarts=2, policy=MinRatePolicy()
-        ).schedule(prob)
-        verify_schedule(prob.platform, prob.requests, result)
-
-    def test_never_worse_than_bookahead(self):
-        prob = paper_flexible_workload(0.5, 100, seed=4)
-        search = LocalSearchScheduler(mode="flexible", iterations=40, restarts=1).schedule(prob)
-        book = EarliestStartFlexible().schedule(prob)
-        assert search.num_accepted >= book.num_accepted
+            LocalSearchScheduler().schedule(prob)
 
 
 class TestValidation:
-    def test_bad_mode(self):
-        with pytest.raises(ConfigurationError):
-            LocalSearchScheduler(mode="quantum")
-
     def test_bad_budget(self):
         with pytest.raises(ConfigurationError):
             LocalSearchScheduler(iterations=-1)

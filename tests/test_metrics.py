@@ -53,13 +53,6 @@ class TestEvaluate:
         report = evaluate(prob, GreedyFlexible().schedule(prob), fractions=(0.2, 0.5, 1.0))
         assert report.guaranteed[0.2] >= report.guaranteed[0.5] >= report.guaranteed[1.0]
 
-    def test_as_dict_flat(self):
-        prob = paper_flexible_workload(2.0, 50, seed=6)
-        report = evaluate(prob, GreedyFlexible().schedule(prob))
-        flat = report.as_dict()
-        assert "guaranteed_f0.5" in flat
-        assert flat["accept_rate"] == report.accept_rate
-
 
 class TestEvaluateEdgeCases:
     """evaluate() must stay finite on degenerate schedules (no div-by-zero)."""

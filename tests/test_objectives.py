@@ -8,12 +8,10 @@ from repro.core import (
     Request,
     RequestSet,
     ScheduleResult,
-    accept_rate,
     guaranteed_count,
     guaranteed_rate,
     resource_utilization,
     resource_utilization_time_averaged,
-    time_averaged_utilization,
 )
 
 
@@ -40,13 +38,6 @@ def _result(requests, bws):
         else:
             result.accept(Allocation.for_request(r, bw))
     return result
-
-
-class TestAcceptRate:
-    def test_basic(self):
-        requests = _requests()
-        result = _result(requests, [10.0, 10.0, None])
-        assert accept_rate(result) == pytest.approx(2 / 3)
 
 
 class TestResourceUtil:
@@ -87,15 +78,6 @@ class TestTimeAveragedVariants:
         full = resource_utilization_time_averaged(platform, requests, _result(requests, [10.0, 10.0, 10.0]))
         partial = resource_utilization_time_averaged(platform, requests, _result(requests, [10.0, None, None]))
         assert partial == pytest.approx(full / 3)
-
-    def test_time_averaged_utilization(self, platform):
-        requests = _requests()
-        result = _result(requests, [10.0, 10.0, 10.0])
-        # carried = 3000 MB over horizon 100 s, half capacity 200 MB/s
-        assert time_averaged_utilization(platform, result) == pytest.approx(3000.0 / (200.0 * 100.0))
-
-    def test_time_averaged_empty(self, platform):
-        assert time_averaged_utilization(platform, ScheduleResult()) == 0.0
 
 
 class TestGuaranteed:

@@ -285,7 +285,7 @@ class TestExplainCli:
         art_path = tmp_path / "run.json"
         jr_path = tmp_path / "run.journal.jsonl"
         artifact.save(art_path)
-        journal.save(jr_path)
+        jr_path.write_text(journal.to_jsonl())
         rid = next(
             r.rid
             for r in gw.reservations()

@@ -21,37 +21,10 @@ class TestBasics:
     def test_num_requests(self, problem):
         assert problem.num_requests == 2
 
-    def test_offered_load(self, problem):
-        # demanded = 10 + 5 = 15; half capacity = 200
-        assert problem.offered_load() == pytest.approx(15.0 / 200.0)
-
     def test_offered_load_rate(self, problem):
         # total volume 1500 over horizon 150 -> 10 MB/s over 200
         assert problem.offered_load_rate() == pytest.approx(10.0 / 200.0)
 
     def test_empty_loads(self):
         p = ProblemInstance(Platform.uniform(1, 1, 10.0), RequestSet())
-        assert p.offered_load() == 0.0
         assert p.offered_load_rate() == 0.0
-
-    def test_validate_ok(self, problem):
-        problem.validate()
-
-    def test_validate_catches_bad_ports(self):
-        platform = Platform.uniform(1, 1, 100.0)
-        requests = RequestSet([Request(0, 3, 0, 100.0, 0.0, 10.0, 50.0)])
-        with pytest.raises(ValueError, match="ingress"):
-            ProblemInstance(platform, requests).validate()
-
-
-class TestSerialisation:
-    def test_json_roundtrip(self, problem):
-        clone = ProblemInstance.from_json(problem.to_json())
-        assert clone.platform == problem.platform
-        assert list(clone.requests) == list(problem.requests)
-
-    def test_file_roundtrip(self, problem, tmp_path):
-        path = tmp_path / "instance.json"
-        problem.save(path)
-        clone = ProblemInstance.load(path)
-        assert list(clone.requests) == list(problem.requests)

@@ -60,7 +60,7 @@ class TestNormalize:
         p = RateProfile([(0.0, 2.0, 10.0), (4.0, 6.0, 10.0)])
         assert len(p) == 2
         assert p.rate_at(3.0) == 0.0
-        assert p.duration == 6.0
+        assert p.tau - p.sigma == 6.0
 
     def test_rejects_real_overlap(self):
         with pytest.raises(ValueError, match="overlap"):
@@ -110,7 +110,8 @@ class TestShapeAndSurgery:
     def test_head_tail_partition_conserves_volume(self):
         p = RateProfile([(10.0, 20.0, 4.0), (30.0, 40.0, 8.0)])
         for cut in (5.0, 10.0, 15.0, 25.0, 35.0, 40.0, 50.0):
-            head, tail = p.head_until(cut), p.tail_from(cut)
+            head = p.head_until(cut)
+            tail = RateProfile((max(cut, t0), t1, rate) for t0, t1, rate in p.segments if t1 > cut)
             assert head.volume + tail.volume == p.volume
             assert head.concat(tail).approx_eq(p)
 
@@ -155,7 +156,7 @@ class TestSegmentsOnBackends:
         ledger = PortLedger(Platform.uniform(2, 2, 100.0))
         ledger.allocate(0, 0, 0.0, 50.0, 80.0)
         for bw in (10.0, 20.0, 25.0, 60.0):
-            single = RateProfile.constant(10.0, 40.0, bw)
+            single = RateProfile(((10.0, 40.0, bw),))
             assert all(port.fits(single.segments) for port in ledger.ports(0, 0)) == ledger.fits(
                 0, 0, 10.0, 40.0, bw
             )
@@ -211,7 +212,7 @@ class TestOneSegmentDecisionIdentity:
             const = earliest_fit(
                 ledger, request, lambda sigma: bw, probe=const_probe
             )
-            profile = RateProfile.constant(t_start, t_start + duration, bw)
+            profile = RateProfile(((t_start, t_start + duration, bw),))
             shaped = earliest_fit_profile(
                 ledger, request, profile, probe=prof_probe
             )

@@ -7,7 +7,6 @@ from repro.schedulers import (
     Scheduler,
     available_schedulers,
     make_scheduler,
-    register_scheduler,
 )
 
 
@@ -47,19 +46,3 @@ class TestMakeScheduler:
     def test_cumulated_ablation_options(self):
         s = make_scheduler("cumulated-slots", use_priority=False)
         assert "nopriority" in s.name
-
-    def test_register_custom(self):
-        class Dummy(Scheduler):
-            name = "dummy"
-
-            def schedule(self, problem):  # pragma: no cover - not exercised
-                return self._new_result()
-
-        register_scheduler("dummy", lambda kw: Dummy())
-        try:
-            assert isinstance(make_scheduler("dummy"), Dummy)
-        finally:
-            # keep the registry clean for other tests
-            from repro.schedulers import registry
-
-            del registry._FACTORIES["dummy"]

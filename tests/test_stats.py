@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.experiments.stats import (
-    bootstrap_confidence_interval,
     compare_schedulers,
     t_confidence_interval,
 )
@@ -45,25 +44,6 @@ class TestTCI:
             t_confidence_interval([])
         with pytest.raises(ValueError):
             t_confidence_interval([1.0, 2.0], confidence=1.5)
-
-
-class TestBootstrap:
-    def test_contains_mean(self):
-        rng = np.random.default_rng(2)
-        samples = rng.exponential(5.0, 100)
-        lo, hi = bootstrap_confidence_interval(samples, rng=np.random.default_rng(3))
-        assert lo < samples.mean() < hi
-
-    def test_custom_statistic(self):
-        samples = np.arange(1.0, 101.0)
-        lo, hi = bootstrap_confidence_interval(
-            samples, statistic=np.median, rng=np.random.default_rng(4)
-        )
-        assert lo < 50.5 < hi
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            bootstrap_confidence_interval([])
 
 
 class TestCompareSchedulers:

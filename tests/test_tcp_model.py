@@ -8,67 +8,27 @@ from repro.fairness import (
     BIC_LIKE,
     RENO,
     ResponseFunction,
-    mathis_throughput,
-    pftk_throughput,
     rtt_unfairness,
 )
 
 
 class TestMathis:
-    def test_known_value(self):
-        # MSS 1460 B, RTT 100 ms, p 1e-4: 1460/0.1 * sqrt(1.5e4) B/s ≈ 1.79 MB/s
-        assert mathis_throughput(1460, 0.1, 1e-4) == pytest.approx(1.788, rel=1e-3)
-
-    def test_scales_inverse_rtt(self):
-        fast = mathis_throughput(1460, 0.01, 1e-4)
-        slow = mathis_throughput(1460, 0.1, 1e-4)
-        assert fast / slow == pytest.approx(10.0)
-
-    def test_scales_inverse_sqrt_loss(self):
-        low = mathis_throughput(1460, 0.1, 1e-4)
-        high = mathis_throughput(1460, 0.1, 1e-2)
-        assert low / high == pytest.approx(10.0)
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            mathis_throughput(0, 0.1, 1e-4)
+            RENO.throughput(0, 0.1, 1e-4)
         with pytest.raises(ConfigurationError):
-            mathis_throughput(1460, -1, 1e-4)
+            RENO.throughput(1460, -1, 1e-4)
         with pytest.raises(ConfigurationError):
-            mathis_throughput(1460, 0.1, 0.0)
+            RENO.throughput(1460, 0.1, 0.0)
         with pytest.raises(ConfigurationError):
-            mathis_throughput(1460, 0.1, 1.5)
-
-
-class TestPftk:
-    def test_below_mathis(self):
-        # PFTK adds timeout losses: always at or below the square-root law
-        for p in (1e-4, 1e-3, 1e-2):
-            assert pftk_throughput(1460, 0.1, p) <= mathis_throughput(1460, 0.1, p) * 1.01
-
-    def test_approaches_mathis_at_low_loss(self):
-        p = 1e-6
-        ratio = pftk_throughput(1460, 0.1, p, b=1) / mathis_throughput(1460, 0.1, p)
-        assert ratio == pytest.approx(1.0, rel=0.05)
-
-    def test_window_cap(self):
-        capped = pftk_throughput(1460, 0.1, 1e-6, wmax=65535)
-        assert capped == pytest.approx(65535 / 0.1 / 1e6)
-
-    def test_monotone_in_loss(self):
-        rates = [pftk_throughput(1460, 0.1, p) for p in (1e-5, 1e-4, 1e-3, 1e-2)]
-        assert all(a > b for a, b in zip(rates, rates[1:]))
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            pftk_throughput(1460, 0.1, 1e-4, rto=0)
+            RENO.throughput(1460, 0.1, 1.5)
 
 
 class TestResponseFunctions:
     def test_reno_matches_mathis(self):
-        assert RENO.throughput(1460, 0.1, 1e-4) == pytest.approx(
-            mathis_throughput(1460, 0.1, 1e-4), rel=1e-9
-        )
+        # The Mathis square-root law: MSS / RTT · sqrt(3/2) / sqrt(p), in MB/s.
+        mathis = 1460 / 0.1 * np.sqrt(1.5 / 1e-4) / 1e6
+        assert RENO.throughput(1460, 0.1, 1e-4) == pytest.approx(mathis, rel=1e-9)
 
     def test_bic_less_rtt_sensitive(self):
         """The §5.4 observation: high-speed variants suffer less RTT bias."""

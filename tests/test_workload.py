@@ -10,34 +10,30 @@ from repro.units import GB, TB
 from repro.workload import (
     ChoiceVolumes,
     DeterministicArrivals,
-    FixedDuration,
-    FixedPair,
-    FixedRate,
-    FixedVolume,
     FlexibleWorkload,
     HotspotPairs,
     LogUniformDurations,
-    LogUniformRates,
-    LogUniformVolumes,
     PaperVolumes,
     PoissonArrivals,
     RigidWorkload,
     SlottedRigidWorkload,
-    TraceArrivals,
     UniformPairs,
     UniformRates,
     UniformVolumes,
     arrival_rate_for_load,
     empirical_load,
     mean_interarrival_for_load,
-    offered_load,
     paper_flexible_workload,
     paper_rigid_workload,
     paper_volume_set,
-    steady_state_load,
 )
 
 RNG = lambda seed=0: np.random.default_rng(seed)
+
+
+def _assert_ports_exist(prob):
+    m, n = prob.platform.num_ingress, prob.platform.num_egress
+    assert all(0 <= r.ingress < m and 0 <= r.egress < n for r in prob.requests)
 
 
 class TestArrivals:
@@ -51,29 +47,17 @@ class TestArrivals:
         assert np.mean(np.diff(times)) == pytest.approx(2.0, rel=0.05)
 
     def test_poisson_with_rate(self):
-        assert PoissonArrivals.with_rate(4.0).mean_interarrival() == pytest.approx(0.25)
         assert PoissonArrivals(0.5).rate() == pytest.approx(2.0)
 
     def test_poisson_rejects_bad(self):
         with pytest.raises(ConfigurationError):
             PoissonArrivals(0.0)
         with pytest.raises(ConfigurationError):
-            PoissonArrivals.with_rate(-1.0)
+            PoissonArrivals(-1.0)
 
     def test_deterministic(self):
         times = DeterministicArrivals(5.0).generate(4, RNG(), t0=100.0)
         assert list(times) == [105.0, 110.0, 115.0, 120.0]
-
-    def test_trace(self):
-        trace = TraceArrivals([1.0, 2.0, 5.0])
-        assert list(trace.generate(2, RNG())) == [1.0, 2.0]
-        assert trace.mean_interarrival() == pytest.approx(2.0)
-        with pytest.raises(ConfigurationError):
-            trace.generate(5, RNG())
-
-    def test_trace_must_be_sorted(self):
-        with pytest.raises(ConfigurationError):
-            TraceArrivals([3.0, 1.0])
 
 
 class TestVolumes:
@@ -103,21 +87,9 @@ class TestVolumes:
         assert draws.min() >= 10.0
         assert draws.max() <= 20.0
 
-    def test_loguniform_bounds_and_mean(self):
-        dist = LogUniformVolumes(10.0, 1000.0)
-        draws = dist.generate(20_000, RNG())
-        assert draws.min() >= 10.0 and draws.max() <= 1000.0
-        assert np.mean(draws) == pytest.approx(dist.mean(), rel=0.05)
-
-    def test_fixed(self):
-        draws = FixedVolume(42.0).generate(10, RNG())
-        assert np.all(draws == 42.0)
-
     def test_bad_bounds(self):
         with pytest.raises(ConfigurationError):
             UniformVolumes(10.0, 5.0)
-        with pytest.raises(ConfigurationError):
-            LogUniformVolumes(0.0, 5.0)
 
 
 class TestRatesAndDurations:
@@ -125,19 +97,10 @@ class TestRatesAndDurations:
         draws = UniformRates(10.0, 1000.0).generate(1000, RNG())
         assert draws.min() >= 10.0 and draws.max() <= 1000.0
 
-    def test_loguniform_rates_mean(self):
-        dist = LogUniformRates(10.0, 1000.0)
-        draws = dist.generate(20_000, RNG())
-        assert np.mean(draws) == pytest.approx(dist.mean(), rel=0.05)
-
-    def test_fixed_rate(self):
-        assert FixedRate(5.0).mean() == 5.0
-
     def test_durations(self):
         dist = LogUniformDurations(60.0, 3600.0)
         draws = dist.generate(1000, RNG())
         assert draws.min() >= 60.0 and draws.max() <= 3600.0
-        assert FixedDuration(10.0).generate(3, RNG()).tolist() == [10.0, 10.0, 10.0]
 
 
 class TestPairs:
@@ -175,22 +138,13 @@ class TestPairs:
         with pytest.raises(ConfigurationError):
             HotspotPairs(ingress_weights=[1.0, 2.0]).generate(p, 10, RNG())
 
-    def test_fixed_pair(self):
-        p = Platform.uniform(3, 3, 10.0)
-        ing, egr = FixedPair(1, 2).generate(p, 5, RNG())
-        assert np.all(ing == 1) and np.all(egr == 2)
-
-    def test_fixed_pair_bounds(self):
-        p = Platform.uniform(2, 2, 10.0)
-        with pytest.raises(ConfigurationError):
-            FixedPair(5, 0).generate(p, 1, RNG())
-
 
 class TestLoad:
     def test_calibration_roundtrip(self):
         p = Platform.paper_platform()
         rate = arrival_rate_for_load(p, 2.0, mean_volume=313_157.0)
-        assert steady_state_load(p, rate, 313_157.0) == pytest.approx(2.0)
+        # Little's law: λ · E[vol] MB/s demanded over half the capacity.
+        assert rate * 313_157.0 / p.half_capacity == pytest.approx(2.0)
         assert mean_interarrival_for_load(p, 2.0, 313_157.0) == pytest.approx(1.0 / rate)
 
     def test_calibration_rejects_bad(self):
@@ -207,18 +161,13 @@ class TestLoad:
         measured = empirical_load(p, prob.requests)
         assert measured == pytest.approx(2.0, rel=0.25)
 
-    def test_offered_load(self):
-        p = Platform.uniform(1, 1, 100.0)
-        prob = paper_rigid_workload(0.5, 50, seed=1)
-        assert offered_load(prob.platform, prob.requests) > 0
-
 
 class TestGenerators:
     def test_rigid_all_rigid(self):
         p = Platform.paper_platform()
         prob = RigidWorkload(p, PoissonArrivals(5.0)).generate(200, RNG(3))
         assert all(r.is_rigid for r in prob.requests)
-        prob.validate()
+        _assert_ports_exist(prob)
 
     def test_rigid_rates_within_port_capacity(self):
         p = Platform.uniform(3, 3, 50.0)
@@ -231,7 +180,7 @@ class TestGenerators:
         prob = wl.generate(300, RNG(3))
         for r in prob.requests:
             assert r.t_start % 300.0 == pytest.approx(0.0, abs=1e-6)
-            spans = r.window_length / 300.0
+            spans = (r.t_end - r.t_start) / 300.0
             assert spans == pytest.approx(round(spans))
             assert r.is_rigid
             assert r.min_rate <= 1000.0 * (1 + 1e-9)
@@ -250,7 +199,7 @@ class TestGenerators:
         for r in prob.requests:
             assert r.max_rate <= 1000.0 * (1 + 1e-9)
             assert r.min_rate == pytest.approx(r.max_rate / 6.0, rel=1e-9)
-            assert r.is_flexible
+            assert not r.is_rigid
 
     def test_flexible_rejects_bad_slack(self):
         p = Platform.paper_platform()
@@ -289,7 +238,7 @@ def test_flexible_generation_always_valid(n, seed, slack):
     p = Platform.paper_platform()
     wl = FlexibleWorkload(p, PoissonArrivals(3.0), slack=slack)
     prob = wl.generate(n, np.random.default_rng(seed))
-    prob.validate()
+    _assert_ports_exist(prob)
     for r in prob.requests:
         assert r.min_rate <= r.max_rate * (1 + 1e-9)
         assert r.t_end > r.t_start
@@ -337,37 +286,6 @@ class TestSinusoidalArrivals:
             SinusoidalArrivals(mean=1.0, amplitude=1.0)
         with pytest.raises(ConfigurationError):
             SinusoidalArrivals(mean=1.0, period=-5.0)
-
-
-class TestGravityPairs:
-    def test_defaults_to_capacity_masses(self):
-        from repro.workload import GravityPairs
-
-        p = Platform([100.0, 10.0, 10.0], [100.0, 10.0, 10.0])
-        ing, egr = GravityPairs(exclude_same_index=False).generate(p, 6000, RNG(0))
-        counts = np.bincount(ing, minlength=3)
-        assert counts[0] > 4 * counts[1]
-
-    def test_explicit_masses(self):
-        from repro.workload import GravityPairs
-
-        p = Platform.uniform(3, 3, 10.0)
-        sel = GravityPairs(masses=[1.0, 1.0, 10.0], exclude_same_index=False)
-        ing, egr = sel.generate(p, 6000, RNG(1))
-        assert np.bincount(egr, minlength=3)[2] > 3 * np.bincount(egr, minlength=3)[0]
-
-    def test_mass_length_checked(self):
-        from repro.workload import GravityPairs
-
-        p = Platform.uniform(3, 3, 10.0)
-        with pytest.raises(ConfigurationError):
-            GravityPairs(masses=[1.0, 2.0]).generate(p, 5, RNG(2))
-
-    def test_bad_masses(self):
-        from repro.workload import GravityPairs
-
-        with pytest.raises(ConfigurationError):
-            GravityPairs(masses=[-1.0, 1.0])
 
 
 class TestSummary:
