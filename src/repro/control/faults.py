@@ -35,10 +35,8 @@ smoke tier of the matrix and fails on any violation.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
-from pathlib import Path
 from collections.abc import Iterable, Sequence
 from typing import Any
 
@@ -52,7 +50,6 @@ from ..gateway.journal import Journal
 from ..gateway.lifecycle import Reservation
 from ..gateway.rpc import ChaosPolicy
 from ..obs.artifact import RunTelemetry
-from ..obs.recorder import FlightRecorder
 from ..obs.slo import SloRule, SloWatchdog, default_slo_rules
 from ..obs.telemetry import Telemetry
 from ..schedulers.policies import BandwidthPolicy
@@ -444,8 +441,6 @@ class ChaosMatrixReport:
     cells: list[dict[str, Any]] = field(default_factory=list)
     #: Causal-trace artifact covering every cell (``tracing=True`` only).
     telemetry: RunTelemetry | None = None
-    #: Flight-recorder dumps of failing cells, saved under ``flight_dir``.
-    flight_paths: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -494,7 +489,6 @@ def run_chaos_matrix(
     horizon: float = 600.0,
     tracing: bool = False,
     slo_rules: Sequence[SloRule] | None = None,
-    flight_dir: str | Path | None = None,
 ) -> ChaosMatrixReport:
     """Sweep seeds x scenarios; quiesce and invariant-audit every cell.
 
@@ -520,13 +514,11 @@ def run_chaos_matrix(
     live gateway (``slo_rules`` or :func:`~repro.obs.slo.default_slo_rules`
     scaled to the cell's TTL / deadline / backlog) and reports its verdict
     under ``cell["slo"]`` — ``report.slo_ok`` aggregates them.  With
-    ``tracing=True`` each cell gets its own enabled telemetry handle and
-    flight recorder; the captures land in ``report.telemetry`` (a
+    ``tracing=True`` each cell gets its own enabled telemetry handle; the
+    captures land in ``report.telemetry`` (a
     :class:`~repro.obs.artifact.RunTelemetry` named ``chaos-matrix``) so
-    ``grid-obs explain`` can reconstruct any request in any cell.  When a
-    cell fails its audit and ``flight_dir`` is given, the attached
-    flight-recorder dump is saved there as
-    ``FLIGHT_seed<seed>_<scenario>.json`` (paths in ``report.flight_paths``).
+    ``grid-obs explain`` can reconstruct any request in any cell — a
+    failing cell's post-mortem is its capture plus its violations.
     """
     rules = (
         list(slo_rules)
@@ -563,7 +555,6 @@ def run_chaos_matrix(
                 malleable=malleable,
                 journal=journal,
                 telemetry=Telemetry() if tracing else None,
-                recorder=FlightRecorder() if tracing else None,
                 slo=watchdog,
             )
             run_fault_drill(
@@ -590,14 +581,6 @@ def run_chaos_matrix(
             )
             if report.telemetry is not None:
                 report.telemetry.capture(f"seed={seed}/{scenario}", gateway.telemetry)
-            if invariants.flight is not None and flight_dir is not None:
-                dump_path = Path(flight_dir) / f"FLIGHT_seed{seed}_{scenario}.json"
-                dump_path.parent.mkdir(parents=True, exist_ok=True)
-                dump_path.write_text(
-                    json.dumps(invariants.flight, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8",
-                )
-                report.flight_paths.append(str(dump_path))
             stats = gateway.stats
             report.cells.append(
                 {

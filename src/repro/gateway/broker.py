@@ -153,18 +153,6 @@ class ShardBroker:
         """Peak committed bandwidth on an owned port over ``[t0, t1)``."""
         return self.port(side, port).usage.max_usage(t0, t1)
 
-    def usage_at(self, side: str, port: int, t: float) -> float:
-        """Committed bandwidth on an owned port at time ``t``."""
-        return self.port(side, port).usage.usage_at(t)
-
-    def has_degradations(self, side: str, port: int) -> bool:
-        """Has any capacity reduction been registered on the port?"""
-        return self.port(side, port).reductions is not None
-
-    def overcommit_on(self, side: str, port: int, t0: float, t1: float) -> float:
-        """Worst ``usage − capacity`` on an owned port over ``[t0, t1)``."""
-        return self.port(side, port).overcommit_on(t0, t1)
-
     def max_overcommit(self) -> float:
         """Worst overshoot across the owned ports (≤ 0 ⇔ shard is valid)."""
         return max((port.max_overcommit() for port in self._ports.values()), default=-math.inf)

@@ -46,7 +46,6 @@ from ..core.profile import RateProfile
 from ..core.request import RequestSet
 from ..obs.causal import CausalObserver, TraceContext, hop_spans
 from ..obs.metrics import BoundCounter
-from ..obs.recorder import FlightRecorder
 from ..obs.slo import SloWatchdog
 from ..obs.telemetry import Telemetry, get_telemetry
 from ..obs.tracer import Hop, Span
@@ -343,13 +342,6 @@ class Gateway:
         Explicit telemetry handle; when omitted, decisions are reported
         through the process-wide handle
         (:func:`~repro.obs.telemetry.get_telemetry`, a no-op by default).
-    recorder:
-        Optional :class:`~repro.obs.recorder.FlightRecorder` — bounded
-        per-component ring buffers of recent causal events, dumped by
-        :func:`~repro.gateway.invariants.check_gateway` on violation and
-        by drills on demand.  Always on when attached (records even
-        under :class:`~repro.obs.telemetry.NullTelemetry`); never
-        journaled, snapshotted or replayed.
     slo:
         Optional :class:`~repro.obs.slo.SloWatchdog` evaluated at every
         batch flush over windowed admission/health aggregates; breaches
@@ -377,7 +369,6 @@ class Gateway:
         malleable: bool = False,
         journal: Journal | None = None,
         telemetry: Telemetry | None = None,
-        recorder: FlightRecorder | None = None,
         slo: SloWatchdog | None = None,
     ) -> None:
         if hold_ttl <= 0:
@@ -399,7 +390,7 @@ class Gateway:
         #: Off (the default) the gateway is decision-identical to before.
         self.malleable = malleable
         self.slo = slo
-        self._observer = CausalObserver(lambda: self.telemetry, recorder=recorder)
+        self._observer = CausalObserver(lambda: self.telemetry)
         #: Trace context of the rids that joined another request's trace
         #: (rebookings, re-admissions).  Every other rid's context is the
         #: pure function ``TraceContext.root(rid)`` and is not stored.
@@ -478,11 +469,6 @@ class Gateway:
         """The handle decisions are reported through (instance or process-wide)."""
         return self._telemetry if self._telemetry is not None else get_telemetry()
 
-    @property
-    def recorder(self) -> FlightRecorder | None:
-        """The attached flight recorder (the observer's; ``None`` = off)."""
-        return self._observer.recorder
-
     def _advance(self, now: float) -> None:
         """Move the clock forward, flushing the previous instant's batch."""
         if now < self._clock:
@@ -539,8 +525,9 @@ class Gateway:
         return self._trace_roots.get(rid) or TraceContext.root(rid)
 
     def _trace_ctx(self, rid: int) -> TraceContext | None:
-        """:meth:`_ctx_of` when tracing, else ``None`` (no hop to mint)."""
-        return self._ctx_of(rid) if self._observer.tracing() else None
+        """:meth:`_ctx_of` when telemetry is enabled, else ``None`` (no hop
+        to mint)."""
+        return self._ctx_of(rid) if self.telemetry.enabled else None
 
     def _instruments(self, tel: Telemetry) -> _Instruments:
         """The hot metric samples, bound to ``tel`` (rebound if it changed)."""
@@ -604,9 +591,8 @@ class Gateway:
         self._record("submit", now, rid=rid, client=client, **entry)
         self.stats.submits += 1
         tel = self.telemetry
-        traced = self._observer.tracing()
         ctx: TraceContext | None = None
-        if traced and origin is not None:
+        if tel.enabled and origin is not None:
             # A rebooking joins the original request's trace so one
             # `grid-obs explain` shows the whole lineage.
             ctx = self._trace_roots[rid] = self._ctx_of(origin).child(f"rebook:{rid}")
@@ -614,10 +600,9 @@ class Gateway:
             ticket.edge_refused = ticket.decided = True
             ticket.retry_after = self.edge.retry_after(client, volume, now)
             self.stats.edge_refused += 1
-            if traced:
+            if tel.enabled:
                 record = _Submitted(now, rid, ctx, client, ingress, egress, origin, None)
                 self._observer.store(record)
-            if tel.enabled:
                 tel.metrics.counter(
                     "gateway_edge_refusals_total",
                     "Submissions refused by the per-client edge token bucket.",
@@ -629,7 +614,7 @@ class Gateway:
         if not len(self.batcher):
             self._batch_opened = now
         self.batcher.enqueue(ticket)
-        if traced:
+        if tel.enabled:
             record = _Submitted(now, rid, ctx, client, ingress, egress, origin, len(self.batcher))
             self._observer.store(record)
         if self.batcher.full:
@@ -673,9 +658,8 @@ class Gateway:
         if not batch:
             return
         tel = self.telemetry
-        traced = self._observer.tracing()
         for ticket in batch:
-            self._decide(ticket, now, tel, traced)
+            self._decide(ticket, now, tel)
         self.stats.batches += 1
         health = (
             self._health_snapshot(now)
@@ -704,7 +688,7 @@ class Gateway:
         if self.slo is not None and health is not None:
             for metric in ("backlog_depth", "max_hold_age", "overcommit_proximity"):
                 self.slo.sample(metric, now, health[metric])
-            self.slo.evaluate(now, telemetry=tel, recorder=self.recorder)
+            self.slo.evaluate(now, telemetry=tel)
         self._publish_chaos()
 
     def _admit(
@@ -760,9 +744,9 @@ class Gateway:
             self._note_port_peaks(request.ingress, request.egress)
         return outcome, latency
 
-    def _decide(self, ticket: Ticket, now: float, tel: Telemetry, traced: bool) -> None:
+    def _decide(self, ticket: Ticket, now: float, tel: Telemetry) -> None:
         """Decide one batched submission; publish the outcome."""
-        trace = _Admission(now, ticket, self._trace_roots.get(ticket.rid)) if traced else None
+        trace = _Admission(now, ticket, self._trace_roots.get(ticket.rid)) if tel.enabled else None
         # Queueing counts from the instant the request's window opened.
         outcome, latency = self._admit(ticket, now, tel, trace, ticket.request.t_start)
         if outcome.local:
@@ -779,7 +763,7 @@ class Gateway:
             if reason is RejectReason.SHARD_UNREACHABLE:
                 self.stats.shard_unreachable += 1
             self._maybe_backlog(ticket, reason)
-        if trace is not None and tel.enabled:  # (an enabled handle always traces)
+        if trace is not None:
             self._observe_decision(tel, outcome, latency, trace)
         if self.on_decision is not None:
             self.on_decision(ticket, now)
@@ -875,7 +859,7 @@ class Gateway:
                 client=parked.client,
             )
             trace: _Admission | None = None
-            if self._observer.tracing():
+            if tel.enabled:
                 # Re-admissions stay on the original request's trace: the
                 # fresh rid is one more hop of the same causal story.
                 ctx = self._trace_roots[attempt.rid] = self._ctx_of(rid).child(
@@ -1096,23 +1080,11 @@ class Gateway:
             self._tickets.values(),
             degradation,
             now,
-            self.platform,
             self.coordinator,
             malleable=self.malleable,
         )
         self.stats.displaced += len(displaced)
         self.stats.reshaped += len(reshaped_rids)
-        recorder = self.recorder
-        if recorder is not None:
-            row: dict[str, Any] = {
-                "side": side,
-                "port": port,
-                "amount": amount,
-                "displaced": [r.rid for r in displaced],
-            }
-            if reshaped_rids:
-                row["reshaped"] = reshaped_rids
-            recorder.record("gateway", now, "degrade", **row)
         tel = self.telemetry
         if tel.enabled:
             tel.metrics.counter(
@@ -1178,8 +1150,6 @@ class Gateway:
         self._record("crash", now, shard=shard)
         wiped = broker.crash()
         self.stats.crashes += 1
-        if self.recorder is not None:
-            self.recorder.record(f"rpc.shard{shard}", now, "broker.crash", holds_wiped=wiped)
         tel = self.telemetry
         if tel.enabled:
             tel.metrics.counter(
@@ -1195,8 +1165,6 @@ class Gateway:
         self._record("restart", now, shard=shard)
         broker.restart()
         self.stats.restarts += 1
-        if self.recorder is not None:
-            self.recorder.record(f"rpc.shard{shard}", now, "broker.restart")
         tel = self.telemetry
         if tel.enabled:
             tel.emit("gateway.restart", now, shard=shard)
@@ -1237,12 +1205,13 @@ class Gateway:
 
     def port_usage(self, t: float) -> tuple[list[float], list[float]]:
         """Committed bandwidth per (ingress, egress) port at time ``t``."""
+        broker_for = self.coordinator.broker_for
         ins = [
-            self.coordinator.broker_for("ingress", i).usage_at("ingress", i, t)
+            broker_for("ingress", i).port("ingress", i).usage.usage_at(t)
             for i in range(self.platform.num_ingress)
         ]
         outs = [
-            self.coordinator.broker_for("egress", e).usage_at("egress", e, t)
+            broker_for("egress", e).port("egress", e).usage.usage_at(t)
             for e in range(self.platform.num_egress)
         ]
         return ins, outs
@@ -1372,7 +1341,6 @@ class Gateway:
         *,
         telemetry: Telemetry | None = None,
         slo: SloWatchdog | None = None,
-        recorder: FlightRecorder | None = None,
     ) -> Gateway:
         """Replay a journal into a gateway that keeps *living* on it.
 
@@ -1385,6 +1353,5 @@ class Gateway:
         gateway = cls.replay(journal)
         gateway._telemetry = telemetry  # the observer reads it per record
         gateway.slo = slo
-        gateway._observer.recorder = recorder
         gateway.journal = journal
         return gateway

@@ -48,11 +48,6 @@ class InvariantReport:
     violations: list[str] = field(default_factory=list)
     #: How much was audited (shards, ports, reservations, live holds...).
     checks: dict[str, int] = field(default_factory=dict)
-    #: Flight-recorder dump captured at failure time (only when the
-    #: audited gateway carries a recorder AND something was violated).
-    #: Deliberately excluded from :meth:`to_dict` — it is a post-mortem
-    #: artifact saved to its own file, not a matrix-cell payload.
-    flight: dict[str, Any] | None = None
 
     @property
     def ok(self) -> bool:
@@ -178,7 +173,7 @@ def check_gateway(
     expected = _expected_edges(gateway)
     for side, port in ports:
         edges = sorted(expected.get((side, port), ()))
-        broker = gateway.coordinator.broker_for(side, port)
+        usage = gateway.coordinator.broker_for(side, port).port(side, port).usage
         samples: list[tuple[float, float]] = []
         want, live = 0.0, 0
         for k, (t, sign, rate) in enumerate(edges):
@@ -193,7 +188,7 @@ def check_gateway(
                 mid = t + (edges[k + 1][0] - t) / 2.0
                 samples.append((mid if mid < edges[k + 1][0] else t, want))
         for t, want in samples or [(at + 1.0, 0.0)]:
-            got = broker.usage_at(side, port, t)
+            got = usage.usage_at(t)
             if not bandwidth_eq(want, got):
                 violations.append(
                     f"{side} port {port} at t={t:.6g}: ledger carries "
@@ -225,10 +220,4 @@ def check_gateway(
         "live_holds": live_holds,
         "replayed": replayed,
     }
-    if report.violations and gateway.recorder is not None:
-        # Post-mortem: freeze every component's recent tail the moment the
-        # audit fails, before any further activity rolls the rings over.
-        report.flight = gateway.recorder.dump(
-            reason=f"invariant-violation: {report.violations[0]}", now=at
-        )
     return report

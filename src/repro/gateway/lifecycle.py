@@ -300,7 +300,6 @@ def displace_overflow(
     reservations: Iterable[Reservation],
     degradation: Degradation,
     now: float,
-    platform: Platform,
     coordinator: TwoPhaseCoordinator,
     *,
     malleable: bool,
@@ -314,11 +313,11 @@ def displace_overflow(
     rids re-shaped instead.
     """
     side, port = degradation.side, degradation.port
-    cap = platform.bin(port) if side == "ingress" else platform.bout(port)
-    tol = CAPACITY_SLACK * max(1.0, cap)
+    degraded = coordinator.broker_for(side, port).port(side, port)
+    tol = CAPACITY_SLACK * max(1.0, degraded.capacity)
     displaced: list[Reservation] = []
     reshaped: list[int] = []
-    while coordinator.overcommit_on(side, port, degradation.t0, degradation.t1) > tol:
+    while degraded.overcommit_on(degradation.t0, degradation.t1) > tol:
         victim = displacement_victim(reservations, degradation, now)
         if victim is None:
             break  # remaining overcommit is not ours to resolve

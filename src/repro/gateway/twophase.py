@@ -485,7 +485,3 @@ class TwoPhaseCoordinator:
         """
         self.broker_for("ingress", ingress).restore("ingress", ingress, segments)
         self.broker_for("egress", egress).restore("egress", egress, segments)
-
-    def overcommit_on(self, side: str, port: int, t0: float, t1: float) -> float:
-        """Worst ``usage − capacity`` on one port, asked of its owning broker."""
-        return self.broker_for(side, port).overcommit_on(side, port, t0, t1)

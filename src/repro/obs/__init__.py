@@ -22,16 +22,13 @@ from .artifact import RunTelemetry
 from .causal import CausalObserver, TraceContext, explain_request
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .perfclock import PerfClock, TickClock, WallClock
-from .recorder import FlightEntry, FlightRecorder
 from .schema import (
     ARTIFACT_SCHEMA,
     CHROME_TRACE_SCHEMA,
-    FLIGHT_RECORDER_SCHEMA,
     SchemaError,
     validate,
     validate_artifact,
     validate_chrome_trace,
-    validate_flight_dump,
 )
 from .slo import (
     SLO_METRICS,
@@ -56,13 +53,10 @@ from .tracer import Span, SpanTracer
 __all__ = [
     "ARTIFACT_SCHEMA",
     "CHROME_TRACE_SCHEMA",
-    "FLIGHT_RECORDER_SCHEMA",
     "SLO_METRICS",
     "ArtifactSummary",
     "CausalObserver",
     "Counter",
-    "FlightEntry",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -90,5 +84,4 @@ __all__ = [
     "validate",
     "validate_artifact",
     "validate_chrome_trace",
-    "validate_flight_dump",
 ]

@@ -39,7 +39,6 @@ from .tracer import Hop
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from .artifact import RunTelemetry
-    from .recorder import FlightRecorder
     from .telemetry import Telemetry
     from .tracer import Span, SpanRecord
 
@@ -89,29 +88,17 @@ class CausalObserver:
     this observer) adds the deliveries and faults it sees to it as
     :meth:`hop` tuples; the gateway then hands the finished record to
     :meth:`store`.  Its other verbs (cancel, abort, reshape) :meth:`note`
-    one-span records.  Records go to the telemetry tracer and, when
-    attached, the :class:`~repro.obs.recorder.FlightRecorder` — both keyed
-    to simulated time, both deterministic.
+    one-span records.  Records go to the telemetry tracer, keyed to
+    simulated time and deterministic.
 
     The telemetry handle is *provided*, not captured: the gateway may swap
     or scope its handle per run, so the observer re-reads it per record.
     """
 
-    def __init__(
-        self,
-        telemetry: Callable[[], Telemetry],
-        *,
-        recorder: FlightRecorder | None = None,
-    ) -> None:
+    def __init__(self, telemetry: Callable[[], Telemetry]) -> None:
         self._telemetry = telemetry
-        self.recorder = recorder
         #: The record of the admission being placed (``None``: untraced).
         self.open: Any = None
-
-    def tracing(self) -> bool:
-        """Would anything (the telemetry handle or a flight recorder)
-        record a hop?  When not, callers mint no :class:`TraceContext`."""
-        return self.recorder is not None or self._telemetry().enabled
 
     def hop(
         self, cat: str, what: str, shard: int, segment: str, detail: dict[str, Any] | None
@@ -124,16 +111,10 @@ class CausalObserver:
             record.hops.append((cat, what, shard, segment, detail))
 
     def store(self, record: SpanRecord) -> None:
-        """Keep one finished record: the tracer stores it un-rendered; a
-        flight recorder (eager by design: it is the post-mortem) gets one
-        row per span now, under the gateway or the span's shard edge."""
+        """Keep one finished record: the tracer stores it un-rendered."""
         tel = self._telemetry()
         if tel.enabled:
             tel.tracer.store(record)
-        if self.recorder is not None:
-            for span in record.spans():
-                component = "gateway" if span.cat == "causal" else f"rpc.shard{span.tid}"
-                self.recorder.record(component, span.start, span.name, **span.args)
 
     def note(
         self, name: str, now: float, ctx: TraceContext | None, detail: dict[str, Any]
@@ -190,30 +171,58 @@ def explain_request(
 ) -> str | None:
     """Reconstruct request ``rid``'s full causal timeline from ``artifact``.
 
+    One time-ordered block per capture that mentions the rid, in capture
+    order, separated by a blank line: each capture is its own gateway, and
+    ``req-<rid>`` names a different request in each, so their rows never
+    merge.  ``journal`` may be a :class:`~repro.gateway.journal.Journal`
+    (or any iterable of entries with ``op`` / ``now`` / ``args``); a
+    journal belongs to one gateway, so it raises :class:`ValueError` on an
+    artifact of more than one capture.  Returns ``None`` when the artifact
+    carries no record of the rid at all.
+    """
+    captures = list(iter_captures(artifact))
+    if journal is not None and len(captures) > 1:
+        raise ValueError(
+            f"a journal belongs to one gateway, but the artifact holds "
+            f"{len(captures)} captures"
+        )
+    blocks = [
+        _explain_capture(entry, rid, journal, labelled=len(captures) > 1)
+        for entry in captures or [{}]
+    ]
+    found = [block for block in blocks if block is not None]
+    return "\n\n".join(found) if found else None
+
+
+def _explain_capture(
+    entry: Mapping[str, Any],
+    rid: int,
+    journal: Iterable[Any] | None,
+    *,
+    labelled: bool,
+) -> str | None:
+    """One capture's block of :func:`explain_request` (``None``: no record).
+
     Two passes: first collect every trace id that mentions the rid (the
     root ``req-<rid>`` plus any trace a re-admission or rebooking linked
     it into via ``origin``), then gather every journal op, event and span
     belonging to those traces and merge them into one time-ordered,
-    deterministic text timeline.  ``journal`` may be a
-    :class:`~repro.gateway.journal.Journal` (or any iterable of entries
-    with ``op`` / ``now`` / ``args``).  Returns ``None`` when the
-    artifact carries no record of the rid at all.
+    deterministic text timeline.
     """
     marker = f"req-{rid}"
     traces: set[str] = {marker}
-    for entry in iter_captures(artifact):
-        for event in entry.get("events", []):
-            fields = event.get("fields", {})
-            if _mentions(fields, rid):
-                trace = _trace_of(fields)
-                if trace is not None:
-                    traces.add(trace)
-        for span in entry.get("spans", []):
-            args = span.get("args", {})
-            if _mentions(args, rid):
-                trace = _trace_of(args)
-                if trace is not None:
-                    traces.add(trace)
+    for event in entry.get("events", []):
+        fields = event.get("fields", {})
+        if _mentions(fields, rid):
+            trace = _trace_of(fields)
+            if trace is not None:
+                traces.add(trace)
+    for span in entry.get("spans", []):
+        args = span.get("args", {})
+        if _mentions(args, rid):
+            trace = _trace_of(args)
+            if trace is not None:
+                traces.add(trace)
 
     # (time, insertion order) keys keep the merge stable and byte-identical
     # across runs: journal rows sort before events before spans at one
@@ -223,59 +232,59 @@ def explain_request(
     matched = 0
 
     if journal is not None:
-        for entry in journal:
-            args = dict(getattr(entry, "args", {}) or {})
+        for op in journal:
+            args = dict(getattr(op, "args", {}) or {})
             if not _mentions(args, rid):
                 continue
             rows.append(
                 (
-                    float(entry.now),
+                    float(op.now),
                     order,
-                    f"journal    {entry.op:<22} {_render_fields(args)}",
+                    f"journal    {op.op:<22} {_render_fields(args)}",
                 )
             )
             order += 1
             matched += 1
 
-    for entry in iter_captures(artifact):
-        label = str(entry.get("label", ""))
-        for event in entry.get("events", []):
-            fields = dict(event.get("fields", {}))
-            if _trace_of(fields) not in traces and not _mentions(fields, rid):
-                continue
-            rows.append(
-                (
-                    float(event["time"]),
-                    order,
-                    f"event      {str(event['name']):<22} "
-                    f"[{label}] {_render_fields(fields)}",
-                )
+    label = str(entry.get("label", ""))
+    for event in entry.get("events", []):
+        fields = dict(event.get("fields", {}))
+        if _trace_of(fields) not in traces and not _mentions(fields, rid):
+            continue
+        rows.append(
+            (
+                float(event["time"]),
+                order,
+                f"event      {str(event['name']):<22} "
+                f"[{label}] {_render_fields(fields)}",
             )
-            order += 1
-            matched += 1
-        for span in entry.get("spans", []):
-            args = dict(span.get("args", {}))
-            if _trace_of(args) not in traces and not _mentions(args, rid):
-                continue
-            kind = str(span.get("kind", "span"))
-            name = str(span["name"])
-            cat = str(span.get("cat", ""))
-            source = {"chaos": "chaos", "rpc": "rpc"}.get(cat, kind)
-            rows.append(
-                (
-                    float(span["start"]),
-                    order,
-                    f"{source:<10} {name:<22} [{label}] {_render_fields(args)}",
-                )
+        )
+        order += 1
+        matched += 1
+    for span in entry.get("spans", []):
+        args = dict(span.get("args", {}))
+        if _trace_of(args) not in traces and not _mentions(args, rid):
+            continue
+        kind = str(span.get("kind", "span"))
+        name = str(span["name"])
+        cat = str(span.get("cat", ""))
+        source = {"chaos": "chaos", "rpc": "rpc"}.get(cat, kind)
+        rows.append(
+            (
+                float(span["start"]),
+                order,
+                f"{source:<10} {name:<22} [{label}] {_render_fields(args)}",
             )
-            order += 1
-            matched += 1
+        )
+        order += 1
+        matched += 1
 
     if matched == 0:
         return None
     rows.sort(key=lambda row: (row[0], row[1]))
+    where = f" in [{label}]" if labelled else ""
     lines = [
-        f"causal timeline for rid {rid} (trace {marker}; "
+        f"causal timeline for rid {rid}{where} (trace {marker}; "
         f"{matched} record(s), {len(traces)} trace(s))"
     ]
     for t, _, text in rows:

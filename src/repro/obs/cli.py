@@ -15,7 +15,7 @@ Examples::
 Exit codes follow the gridlint convention: ``0`` success, ``1`` the
 document failed validation (or, for ``explain``, the rid is unknown; for
 ``slo``, an objective was breached), ``2`` usage error (missing file,
-bad format).
+bad format, a ``--journal`` beside an artifact of several captures).
 """
 
 from __future__ import annotations
@@ -32,12 +32,7 @@ from ..core.errors import ReproError
 from .artifact import RunTelemetry
 from .causal import explain_request
 from .metrics import MetricsRegistry
-from .schema import (
-    SchemaError,
-    validate_artifact,
-    validate_chrome_trace,
-    validate_flight_dump,
-)
+from .schema import SchemaError, validate_artifact, validate_chrome_trace
 from .slo import default_slo_rules, evaluate_artifact, load_rules
 from .summary import summarize
 
@@ -71,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("document", help="path to the JSON document")
     validate.add_argument(
         "--kind",
-        choices=("artifact", "chrome", "flight", "auto"),
+        choices=("artifact", "chrome", "auto"),
         default="auto",
         help="schema to apply (auto sniffs the document)",
     )
@@ -84,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--journal",
         default=None,
-        help="gateway journal (JSONL) to interleave into the timeline",
+        help="gateway journal (JSONL) to interleave into the timeline "
+        "(one-capture artifacts only)",
     )
 
     slo = sub.add_parser(
@@ -148,8 +144,6 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 def _sniff_kind(document: Any) -> str:
     if isinstance(document, dict) and document.get("format") == "repro-run-telemetry":
         return "artifact"
-    if isinstance(document, dict) and document.get("format") == "repro-flight-recorder":
-        return "flight"
     if isinstance(document, dict) and "traceEvents" in document:
         return "chrome"
     return "artifact"
@@ -161,8 +155,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     try:
         if kind == "artifact":
             validate_artifact(document)
-        elif kind == "flight":
-            validate_flight_dump(document)
         else:
             validate_chrome_trace(document)
     except SchemaError as exc:
@@ -180,7 +172,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         from ..gateway.journal import Journal  # local: obs must stay core-only
 
         journal = Journal.load(args.journal)
-    story = explain_request(artifact, args.rid, journal=journal)
+    try:
+        story = explain_request(artifact, args.rid, journal=journal)
+    except ValueError as exc:
+        print(f"error: --journal {args.journal}: {exc}", file=sys.stderr)
+        return 2
     if story is None:
         print(f"no record of rid {args.rid} in {args.artifact}", file=sys.stderr)
         return 1

@@ -8,9 +8,7 @@ documents the observability layer exchanges with the outside world:
 - :data:`CHROME_TRACE_SCHEMA` — the Chrome trace-event document produced
   by :meth:`repro.obs.tracer.SpanTracer.to_chrome_trace`;
 - :data:`ARTIFACT_SCHEMA` — the :class:`~repro.obs.artifact.RunTelemetry`
-  run artifact;
-- :data:`FLIGHT_RECORDER_SCHEMA` — the post-mortem dump produced by
-  :meth:`repro.obs.recorder.FlightRecorder.dump`.
+  run artifact.
 
 The validators return a list of human-readable errors (empty = valid);
 the ``validate_*`` wrappers raise :class:`SchemaError` instead, so tests
@@ -27,12 +25,10 @@ from ..core.errors import ReproError
 __all__ = [
     "ARTIFACT_SCHEMA",
     "CHROME_TRACE_SCHEMA",
-    "FLIGHT_RECORDER_SCHEMA",
     "SchemaError",
     "validate",
     "validate_artifact",
     "validate_chrome_trace",
-    "validate_flight_dump",
 ]
 
 
@@ -179,40 +175,6 @@ ARTIFACT_SCHEMA: dict[str, Any] = {
 }
 
 
-_FLIGHT_EVENT_SCHEMA: dict[str, Any] = {
-    "type": "object",
-    "required": ["t", "kind"],
-    "properties": {
-        "t": {"type": "number"},
-        "kind": {"type": "string"},
-        "fields": {"type": "object"},
-    },
-}
-
-_FLIGHT_COMPONENT_SCHEMA: dict[str, Any] = {
-    "type": "object",
-    "required": ["component", "dropped", "events"],
-    "properties": {
-        "component": {"type": "string"},
-        "dropped": {"type": "integer"},
-        "events": {"type": "array", "items": _FLIGHT_EVENT_SCHEMA},
-    },
-}
-
-FLIGHT_RECORDER_SCHEMA: dict[str, Any] = {
-    "type": "object",
-    "required": ["format", "version", "reason", "now", "components"],
-    "properties": {
-        "format": {"type": "string", "enum": ["repro-flight-recorder"]},
-        "version": {"type": "integer"},
-        "reason": {"type": "string"},
-        "now": {"type": "number"},
-        "capacity": {"type": "integer"},
-        "components": {"type": "array", "items": _FLIGHT_COMPONENT_SCHEMA},
-    },
-}
-
-
 def _raise_on_errors(errors: list[str], what: str) -> None:
     if errors:
         head = "; ".join(errors[:5])
@@ -228,8 +190,3 @@ def validate_chrome_trace(document: Any) -> None:
 def validate_artifact(document: Any) -> None:
     """Raise :class:`SchemaError` unless ``document`` is a valid run artifact."""
     _raise_on_errors(validate(document, ARTIFACT_SCHEMA), "run-telemetry artifact")
-
-
-def validate_flight_dump(document: Any) -> None:
-    """Raise :class:`SchemaError` unless ``document`` is a flight-recorder dump."""
-    _raise_on_errors(validate(document, FLIGHT_RECORDER_SCHEMA), "flight-recorder dump")

@@ -7,9 +7,8 @@ time), a ``max_hold_age`` ceiling, a ``backlog_depth`` ceiling or an
 window of recent simulated time.  The :class:`SloWatchdog` ingests
 admission decisions and health samples from the gateway, evaluates every
 rule at each batch flush, and emits edge-triggered :class:`SloBreach`
-records (plus an ``slo.breach`` telemetry event, an
-``slo_breaches_total`` counter and a flight-recorder row) when a bound
-is first crossed.
+records (plus an ``slo.breach`` telemetry event and an
+``slo_breaches_total`` counter) when a bound is first crossed.
 
 A gateway built with ``slo=`` feeds its watchdog whatever drives it,
 :func:`repro.control.faults.run_fault_drill` included; the chaos matrix
@@ -34,7 +33,6 @@ from .causal import iter_captures
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from .artifact import RunTelemetry
-    from .recorder import FlightRecorder
     from .telemetry import Telemetry
 
 __all__ = [
@@ -282,13 +280,7 @@ class SloWatchdog:
             return None
         return extrema[0] if rule.bound == "floor" else extrema[1]
 
-    def evaluate(
-        self,
-        now: float,
-        *,
-        telemetry: Telemetry | None = None,
-        recorder: FlightRecorder | None = None,
-    ) -> list[SloBreach]:
+    def evaluate(self, now: float, *, telemetry: Telemetry | None = None) -> list[SloBreach]:
         """Evaluate every rule at ``now``; returns breaches new this call."""
         self._prune(now)
         fresh: list[SloBreach] = []
@@ -315,8 +307,6 @@ class SloWatchdog:
                 telemetry.metrics.counter(
                     "slo_breaches_total", "SLO rule breaches (edge-triggered)."
                 ).inc(rule=rule.name)
-            if recorder is not None:
-                recorder.record("slo", now, "slo.breach", **breach.to_dict())
         return fresh
 
     def report(self) -> dict[str, Any]:

@@ -144,7 +144,7 @@ class TestChannel:
         assert hold is not None
         channel.commit(hold.hold_id, now=0.0)
         assert channel.stats.calls == 0  # nothing even counted
-        assert broker.usage_at("ingress", 0, 5.0) == pytest.approx(100.0)
+        assert broker.port("ingress", 0).usage.usage_at(5.0) == pytest.approx(100.0)
 
     def test_deterministic_across_rebuilds(self):
         def run():
@@ -190,7 +190,7 @@ class TestChannel:
         assert hold is not None
         assert channel.stats.duplicates == 1
         assert len(broker.holds()) == 1  # the replay was absorbed
-        assert broker.usage_at("ingress", 0, 5.0) == pytest.approx(50.0)
+        assert broker.port("ingress", 0).usage.usage_at(5.0) == pytest.approx(50.0)
 
     def test_partition_times_out_then_heals(self):
         broker = make_broker()
@@ -217,7 +217,7 @@ class TestChannel:
             ),
         )
         channel.release("ingress", 0, ((0.0, 10.0, 100.0),), now=5.0)
-        assert broker.usage_at("ingress", 0, 5.0) == pytest.approx(0.0)
+        assert broker.port("ingress", 0).usage.usage_at(5.0) == pytest.approx(0.0)
 
     def test_crash_after_prepare_wipes_the_broker(self):
         broker = make_broker()
@@ -248,7 +248,7 @@ class TestBrokerIdempotency:
         first = broker.prepare("ingress", 0, ((0.0, 10.0, 100.0),), rid=1, expires=99.0, key=(1, "ingress"))
         replay = broker.prepare("ingress", 0, ((0.0, 10.0, 100.0),), rid=1, expires=99.0, key=(1, "ingress"))
         assert replay is first
-        assert broker.usage_at("ingress", 0, 5.0) == pytest.approx(100.0)
+        assert broker.port("ingress", 0).usage.usage_at(5.0) == pytest.approx(100.0)
 
     def test_refusal_is_replayed_too(self):
         broker = make_broker()
@@ -263,18 +263,18 @@ class TestBrokerIdempotency:
         hold = broker.prepare("ingress", 0, ((0.0, 10.0, 10.0),), rid=3, expires=99.0, key=key)
         broker.abort_hold(hold.hold_id)
         assert broker.prepare("ingress", 0, ((0.0, 10.0, 10.0),), rid=3, expires=99.0, key=key) is None
-        assert broker.usage_at("ingress", 0, 5.0) == pytest.approx(0.0)
+        assert broker.port("ingress", 0).usage.usage_at(5.0) == pytest.approx(0.0)
 
     def test_duplicate_commit_and_abort_are_noops(self):
         broker = make_broker()
         hold = broker.prepare("ingress", 0, ((0.0, 10.0, 10.0),), rid=4, expires=99.0, key=(4, "i"))
         broker.commit(hold.hold_id)
         broker.commit(hold.hold_id)  # replayed: no error, no double booking
-        assert broker.usage_at("ingress", 0, 5.0) == pytest.approx(10.0)
+        assert broker.port("ingress", 0).usage.usage_at(5.0) == pytest.approx(10.0)
         other = broker.prepare("ingress", 0, ((0.0, 10.0, 5.0),), rid=5, expires=99.0, key=(5, "i"))
         assert broker.abort_hold(other.hold_id) is True
         assert broker.abort_hold(other.hold_id) is False  # replay: harmless
-        assert broker.usage_at("ingress", 0, 5.0) == pytest.approx(10.0)
+        assert broker.port("ingress", 0).usage.usage_at(5.0) == pytest.approx(10.0)
 
     def test_commit_of_unknown_hold_still_raises(self):
         broker = make_broker()
@@ -285,7 +285,7 @@ class TestBrokerIdempotency:
         broker = make_broker()
         broker.book_pair(0, 0, ((0.0, 10.0, 40.0),), key=7)
         broker.book_pair(0, 0, ((0.0, 10.0, 40.0),), key=7)
-        assert broker.usage_at("ingress", 0, 5.0) == pytest.approx(40.0)
+        assert broker.port("ingress", 0).usage.usage_at(5.0) == pytest.approx(40.0)
         assert broker.was_booked(7) and not broker.was_booked(8)
 
     def test_booked_and_resolution_records_survive_crash(self):
@@ -366,7 +366,7 @@ class TestHoldTtlBoundary:
         assert broker.expire_holds(49.9) == []
         expired = broker.expire_holds(50.0)
         assert len(expired) == 1
-        assert broker.holds() == [] and broker.usage_at("ingress", 0, 5.0) == pytest.approx(0.0)
+        assert broker.holds() == [] and broker.port("ingress", 0).usage.usage_at(5.0) == pytest.approx(0.0)
 
     def test_gateway_sweep_matches_broker_boundary(self):
         # A stranded hold whose TTL lands exactly on the next clock tick
@@ -621,6 +621,14 @@ class TestInvariantChecker:
         with pytest.raises(InternalInvariantError):
             report.raise_if_failed()
 
+    def test_detects_a_booking_beside_a_confirmed_reservation(self):
+        gw = Gateway(platform(), num_shards=2)
+        assert gw.submit(ingress=0, egress=1, volume=100.0, deadline=100.0, now=0.0).confirmed
+        gw.brokers[0].book_pair(0, 0, ((0.0, 10.0, 50.0),))  # behind the gateway's back
+        report = check_gateway(gw, now=0.0)
+        assert not report.ok
+        assert any("ledger carries" in v for v in report.violations)
+
     def test_detects_zombie_hold(self):
         gw = Gateway(platform(), num_shards=2, hold_ttl=50.0)
         gw.brokers[0].prepare("ingress", 0, ((0.0, 10.0, 5.0),), rid=99, expires=10.0, key=(99, "i"))
@@ -847,7 +855,7 @@ class TestChaosMatrix:
         doc = report.to_dict()
         assert doc["ok"] is True and len(doc["cells"]) == len(report.cells)
 
-    def test_matrix_cells_carry_slo_verdicts(self, tmp_path):
+    def test_matrix_cells_carry_slo_verdicts(self):
         report = run_chaos_matrix(
             platform(8),
             lambda seed: chaotic_workload(seed, n=16),
@@ -855,7 +863,6 @@ class TestChaosMatrix:
             scenarios=["clean", "lossy"],
             horizon=600.0,
             tracing=True,
-            flight_dir=tmp_path,
         )
         assert report.ok
         for cell in report.cells:
@@ -869,9 +876,6 @@ class TestChaosMatrix:
         assert report.telemetry is not None
         labels = {c["label"] for c in report.telemetry.captures()}
         assert labels == {"seed=0/clean", "seed=0/lossy"}
-        # Invariant-clean cells leave no post-mortems behind.
-        assert report.flight_paths == []
-        assert list(tmp_path.iterdir()) == []
 
     def test_drill_accepts_chaos_parameters(self):
         gw = Gateway(

@@ -195,7 +195,7 @@ class TestBrokerSurface:
         with pytest.raises(ConfigurationError, match="does not own egress port 3"):
             broker.timeline("egress", 3)
         with pytest.raises(ConfigurationError, match="does not own"):
-            broker.has_degradations("ingress", 1)
+            broker.port("ingress", 1)
         with pytest.raises(ConfigurationError, match="side must be"):
             broker.timeline("sideways", 0)
 

@@ -10,11 +10,12 @@ across repeated seeded runs.
 import json
 import random
 
+import pytest
+
 from repro.core.platform import Platform
 from repro.core.request import Request
 from repro.gateway import ChaosPolicy, Gateway, Journal
 from repro.obs import (
-    FlightRecorder,
     RunTelemetry,
     Telemetry,
     TraceContext,
@@ -184,22 +185,19 @@ class TestTracedPipeline:
         gw.drain(500.0)
         assert gw._trace_roots == {}
 
-    def test_recorder_alone_enables_tracing(self):
-        recorder = FlightRecorder()
-        gw = Gateway(platform(), num_shards=2, recorder=recorder)
-        request = workload(3, n=1)[0]
-        gw.submit(
-            ingress=request.ingress,
-            egress=request.egress,
-            volume=request.volume,
-            deadline=request.t_end,
-            now=request.t_start,
-            max_rate=request.max_rate,
-        )
-        gw.drain(500.0)
-        assert "gateway" in recorder.components()
-        kinds = {e.kind for e in recorder.entries("gateway")}
-        assert "gateway.trace.submit" in kinds
+
+def two_gateway_artifact():
+    """One artifact of two single-request gateways, labelled ``roomy``
+    (rid 0 accepted) and ``tight`` (rid 0 rejected: ingress 0 cut to zero)."""
+    artifact = RunTelemetry("two-gateways")
+    for label, cut in (("roomy", None), ("tight", 1000.0)):
+        telemetry = Telemetry()
+        gw = Gateway(platform(), num_shards=2, telemetry=telemetry)
+        if cut is not None:
+            gw.degrade(side="ingress", port=0, amount=cut, start=0.0, end=500.0, now=0.0)
+        gw.submit(ingress=0, egress=1, volume=100.0, deadline=100.0, now=0.0)
+        artifact.capture(label, telemetry)
+    return artifact
 
 
 class TestExplainRequest:
@@ -277,6 +275,21 @@ class TestExplainRequest:
         as_dict = json.loads(artifact.to_json())
         assert explain_request(as_dict, 0) == explain_request(artifact, 0)
 
+    def test_one_block_per_capture(self):
+        # rid 0 is a different request in each capture: accepted by a
+        # roomy gateway, rejected by one whose ingress port is cut to zero.
+        artifact = two_gateway_artifact()
+        roomy, tight = explain_request(artifact, 0).split("\n\n")
+        assert roomy.startswith("causal timeline for rid 0 in [roomy] ")
+        assert tight.startswith("causal timeline for rid 0 in [tight] ")
+        assert 'outcome="accepted"' in roomy and 'outcome="rejected"' not in roomy
+        assert 'outcome="rejected"' in tight and 'outcome="accepted"' not in tight
+        assert "[tight]" not in roomy and "[roomy]" not in tight
+
+    def test_a_journal_belongs_to_one_capture(self):
+        with pytest.raises(ValueError, match="2 captures"):
+            explain_request(two_gateway_artifact(), 0, journal=Journal())
+
 
 class TestExplainCli:
     def _write_run(self, tmp_path):
@@ -313,6 +326,14 @@ class TestExplainCli:
         assert main(["explain", str(rid), str(art)]) == 0
         out = capsys.readouterr().out
         assert f"req-{rid}/book:ingress" in out and f"req-{rid}/book:egress" in out
+
+    def test_journal_beside_several_captures_exits_two(self, tmp_path, capsys):
+        _, jr, _ = self._write_run(tmp_path)
+        two = tmp_path / "two.json"
+        two_gateway_artifact().save(two)
+        assert main(["explain", "0", str(two), "--journal", str(jr)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "2 captures" in err
 
     def test_unknown_rid_exits_one(self, tmp_path, capsys):
         art, _, _ = self._write_run(tmp_path)

@@ -131,3 +131,53 @@ class TestDecisionEvents:
             assert fields["candidates"] >= 1
         capacity_rejects = [f for f in rejections if f["reason"].endswith("-full")]
         assert capacity_rejects, "expected capacity-driven rejections in this workload"
+
+
+class TestLifecycleEvents:
+    """``gateway.crash`` / ``gateway.restart`` / ``gateway.degrade`` are a
+    traced cell's only record of its faults: every field is pinned."""
+
+    @staticmethod
+    def crash(gw):
+        # A hold placed behind the gateway's back is live at the crash.
+        gw.brokers[0].prepare(
+            "ingress", 0, ((0.0, 10.0, 5.0),), rid=99, expires=50.0, key=(99, "i")
+        )
+        assert gw.crash_broker(0, now=1.0) == 1
+        return "gateway.crash", 1.0, {"shard": 0, "holds_wiped": 1}
+
+    @staticmethod
+    def restart(gw):
+        gw.crash_broker(1, now=1.0)
+        gw.restart_broker(1, now=2.0)
+        return "gateway.restart", 2.0, {"shard": 1}
+
+    @staticmethod
+    def degrade(gw):
+        ticket = gw.submit(
+            ingress=0, egress=1, volume=2000.0, deadline=100.0, now=0.0, max_rate=50.0
+        )
+        assert ticket.confirmed
+        gw.degrade(side="ingress", port=0, amount=95.0, start=30.0, end=60.0, now=10.0)
+        fields = {"side": "ingress", "port": 0, "amount": 95.0, "start": 30.0, "end": 60.0}
+        if gw.malleable:  # the victim's tail is re-shaped around the cut
+            fields.update(displaced=[], reshaped=[ticket.rid])
+        else:
+            fields.update(displaced=[ticket.rid])
+        return "gateway.degrade", 10.0, fields
+
+    @pytest.mark.parametrize(
+        "verb, malleable",
+        [("crash", False), ("restart", False), ("degrade", False), ("degrade", True)],
+    )
+    def test_event_carries_every_field(self, verb, malleable):
+        telemetry = Telemetry()
+        gw = Gateway(
+            Platform.uniform(2, 2, 100.0),
+            num_shards=2,
+            malleable=malleable,
+            telemetry=telemetry,
+        )
+        name, at, fields = getattr(self, verb)(gw)
+        (event,) = [e for e in telemetry.events if e.name == name]
+        assert (event.time, event.fields) == (at, fields)

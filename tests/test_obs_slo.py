@@ -12,7 +12,6 @@ import pytest
 from repro.core.platform import Platform
 from repro.gateway import ChaosPolicy, Gateway
 from repro.obs import (
-    FlightRecorder,
     RunTelemetry,
     SloRule,
     SloWatchdog,
@@ -134,17 +133,14 @@ class TestWatchdog:
 
     def test_breach_emits_event_counter_and_flight_row(self):
         telemetry = Telemetry()
-        recorder = FlightRecorder()
         dog = SloWatchdog([SloRule("floor", "accept_rate", "floor", 0.5)])
         dog.admission(1.0, accepted=False, latency=0.0)
-        dog.evaluate(1.0, telemetry=telemetry, recorder=recorder)
+        dog.evaluate(1.0, telemetry=telemetry)
         events = [e for e in telemetry.events if e.name == "slo.breach"]
         assert len(events) == 1 and events[0].fields["rule"] == "floor"
         counter = telemetry.metrics.counter("slo_breaches_total", "")
         samples = {tuple(sorted(labels.items())): value for labels, value in counter.samples()}
         assert samples[(("rule", "floor"),)] == 1.0
-        (row,) = recorder.entries("slo")
-        assert row.kind == "slo.breach" and row.fields["rule"] == "floor"
 
     def test_report_shape(self):
         dog = SloWatchdog(default_slo_rules())
