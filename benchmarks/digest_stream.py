@@ -18,8 +18,11 @@ raised), the journal bytes, and the :class:`~repro.obs.artifact.RunTelemetry`
 JSON of the cell's telemetry handle, whose caps (:data:`MAX_EVENTS`,
 :data:`MAX_SPANS`) evict — so "exports byte-identical" is the same
 comparison as "decisions unchanged".  Every cell is also replayed from its
-journal; the script exits 1 when a replay's snapshot differs from the
-cell's final one.  ``--quick`` runs a short stream (the CI form).
+journal, then checkpointed and restored from the JSON text of that
+journal (``Gateway.resume``); the script exits 1 when a replay's snapshot,
+or a restore's snapshot or complete state, differs from the cell's final
+one.  The checkpoint is taken after the digest, so it moves no digest.
+``--quick`` runs a short stream (the CI form).
 
 The program is imported from this checkout's ``src/``.
 """
@@ -178,7 +181,8 @@ def apply(plane: Gateway, op: tuple[Any, ...]) -> None:
 
 
 def run_cell(cell: tuple[str, int, bool, str], ops: list[tuple[Any, ...]], seed: int) -> tuple[str, bool]:
-    """``(digest, replay_ok)`` of one cell over ``ops``."""
+    """``(digest, rebuilds_ok)`` of one cell over ``ops``: ``rebuilds_ok``
+    when the replay and the checkpoint restore both land on its final state."""
     _, shards, malleable, chaos = cell
     plane = build(shards, malleable, chaos, seed)
     digest = hashlib.sha256()
@@ -195,7 +199,12 @@ def run_cell(cell: tuple[str, int, bool, str], ops: list[tuple[Any, ...]], seed:
     artifact.capture("cell", plane.telemetry)
     digest.update(artifact.to_json().encode())
     replayed = type(plane).replay(plane.journal)
-    return digest.hexdigest(), replayed.snapshot() == plane.snapshot()
+    plane.checkpoint()
+    restored = type(plane).resume(Journal.from_jsonl(plane.journal.to_jsonl()))
+    return digest.hexdigest(), (
+        replayed.snapshot() == plane.snapshot() == restored.snapshot()
+        and restored.dump_state() == plane.dump_state()
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -207,12 +216,14 @@ def main(argv: list[str] | None = None) -> int:
     ops = make_stream(args.seed, 120 if args.quick else args.ops)
     failed = []
     for cell in cells():
-        digest, replay_ok = run_cell(cell, ops, args.seed)
+        digest, rebuilds_ok = run_cell(cell, ops, args.seed)
         print(f"{cell[0]:<28} {digest}")
-        if not replay_ok:
+        if not rebuilds_ok:
             failed.append(cell[0])
     if failed:
-        print(f"journal replay diverged: {', '.join(failed)}", file=sys.stderr)
+        print(
+            f"journal replay or checkpoint restore diverged: {', '.join(failed)}", file=sys.stderr
+        )
         return 1
     return 0
 

@@ -21,7 +21,7 @@ from operator import eq
 
 import numpy as np
 
-from .interface import CAPACITY_SLACK, CapacityProfile
+from .interface import CAPACITY_SLACK, CapacityProfile, check_runs
 
 __all__ = ["BreakpointProfile"]
 
@@ -201,3 +201,12 @@ class BreakpointProfile(CapacityProfile):
         clone._values = list(self._values)
         clone._peak = self._peak
         return clone
+
+    def runs(self) -> tuple[list[float], list[float]]:
+        return self._breakpoints[1:], list(self._values)
+
+    def load_runs(self, points: list[float], values: list[float]) -> None:
+        check_runs(points, values)
+        self._breakpoints = [-math.inf, *points]
+        self._values = list(values)
+        self._peak = None

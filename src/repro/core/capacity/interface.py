@@ -14,7 +14,9 @@ piecewise-constant function ``usage(t)`` over the real line supporting
 - **segment iteration** (:meth:`~CapacityProfile.segments`),
 - **the search's two reads** (:meth:`~CapacityProfile.breakpoints_between`,
   :meth:`~CapacityProfile.blocker`),
-- **copy / snapshot** (:meth:`~CapacityProfile.copy`).
+- **copy / snapshot** (:meth:`~CapacityProfile.copy`,
+  :meth:`~CapacityProfile.runs` and its inverse
+  :meth:`~CapacityProfile.load_runs`).
 
 One production class implements it, the breakpoint-list
 :class:`~repro.core.capacity.breakpoint.BreakpointProfile`; every profile
@@ -36,7 +38,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["CAPACITY_SLACK", "CapacityProfile"]
+__all__ = ["CAPACITY_SLACK", "CapacityProfile", "check_runs"]
 
 #: Relative numerical slack applied to capacity comparisons.  Bandwidth
 #: values are sums of floats; a strict ``<=`` would reject exact fits that
@@ -196,6 +198,24 @@ class CapacityProfile:
         """An independent copy of this profile (same class)."""
         raise NotImplementedError
 
+    def runs(self) -> tuple[list[float], list[float]]:
+        """The stored function as two plain lists: the finite breakpoints,
+        ascending, and the value of every run — ``values[0]`` before the
+        first breakpoint, ``values[k]`` from ``points[k - 1]`` on.
+
+        :meth:`load_runs` inverts it exactly (no value is recomputed), which
+        is what a gateway checkpoint stores per port.
+        """
+        raise NotImplementedError
+
+    def load_runs(self, points: list[float], values: list[float]) -> None:
+        """Replace the whole function by stored :meth:`runs`.
+
+        Raises :class:`ValueError` unless ``values`` has one entry more
+        than ``points`` and the points strictly ascend.
+        """
+        raise NotImplementedError
+
     def __repr__(self) -> str:
         finite = [
             (seg_start, value)
@@ -203,3 +223,13 @@ class CapacityProfile:
             if math.isfinite(seg_start)
         ]
         return f"{type(self).__name__}({finite!r})"
+
+
+def check_runs(points: list[float], values: list[float]) -> None:
+    """:meth:`CapacityProfile.load_runs`' shape test (``ValueError``)."""
+    if len(values) != len(points) + 1:
+        raise ValueError(
+            f"{len(points)} breakpoints need {len(points) + 1} run values, got {len(values)}"
+        )
+    if not all(a < b for a, b in zip(points, points[1:])):
+        raise ValueError("breakpoints must strictly ascend")

@@ -41,7 +41,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from .checks import fits_under
-from .interface import CapacityProfile
+from .interface import CapacityProfile, check_runs
 
 __all__ = ["VectorProfile"]
 
@@ -258,3 +258,12 @@ class VectorProfile(CapacityProfile):
         clone._suffix = None
         clone._rmq = None
         return clone
+
+    def runs(self) -> tuple[list[float], list[float]]:
+        return self._breakpoints[1:].tolist(), self._values.tolist()
+
+    def load_runs(self, points: list[float], values: list[float]) -> None:
+        check_runs(points, values)
+        self._breakpoints = np.array([-math.inf, *points], dtype=np.float64)
+        self._values = np.array(values, dtype=np.float64)
+        self._invalidate()

@@ -191,6 +191,24 @@ class Port:
             return self.overcommit_on(min(points), max(points) + 1.0)
         return self.usage.global_max() - self.capacity
 
+    def dump_state(self) -> list[Any]:
+        """``[usage runs, reduction runs or None]``, JSON-able
+        (:meth:`CapacityProfile.runs <repro.core.capacity.CapacityProfile.runs>`):
+        what :meth:`load_state` rebuilds exactly."""
+        reductions = self.reductions
+        return [self.usage.runs(), None if reductions is None else reductions.runs()]
+
+    def load_state(self, state: Sequence[Any]) -> None:
+        """Replace usage and reductions by a :meth:`dump_state` (the capacity
+        stays the platform's)."""
+        usage, reductions = state
+        self.usage.load_runs(*usage)
+        if reductions is None:
+            self.reductions = None
+        else:
+            self.reductions = make_profile()
+            self.reductions.load_runs(*reductions)
+
     def copy(self) -> Port:
         """Deep copy."""
         clone = Port(self.capacity)

@@ -24,9 +24,10 @@ rate.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import Any
 
 from ..core.capacity import CapacityProfile
 from ..core.errors import CapacityError, ConfigurationError, ReproError
@@ -98,7 +99,8 @@ class ShardBroker:
             **{("egress", p): Port(platform.bout(p)) for p in owned_out},
         }
         self._holds: dict[int, Hold] = {}
-        self._hold_ids = itertools.count()
+        #: The id the next granted hold takes.
+        self._next_hold = 0
         #: Idempotency tables for at-least-once delivery: a replayed
         #: ``prepare`` finds its first answer here instead of double-
         #: booking, a replayed ``book_pair`` finds its key already
@@ -265,7 +267,8 @@ class ShardBroker:
             if key is not None:
                 self._prepared[key] = None
             return None
-        hold = Hold(next(self._hold_ids), side, port, segments, rid, expires)
+        hold = Hold(self._next_hold, side, port, segments, rid, expires)
+        self._next_hold += 1
         self._holds[hold.hold_id] = hold
         if key is not None:
             self._prepared[key] = hold
@@ -380,6 +383,51 @@ class ShardBroker:
         self.crashed = False
 
     # ------------------------------------------------------------------
+    # Checkpoint
+    # ------------------------------------------------------------------
+    def dump_state(self) -> dict[str, Any]:
+        """Everything this broker holds, JSON-able: what :meth:`load_state`
+        restores exactly (a gateway checkpoint's shard entry)."""
+        return {
+            "ports": [
+                [side, port, owned.dump_state()] for (side, port), owned in self._ports.items()
+            ],
+            "holds": [_hold_out(hold) for hold in self._holds.values()],
+            "next_hold": self._next_hold,
+            "prepared": [
+                [_key_out(key), None if hold is None else _hold_out(hold)]
+                for key, hold in self._prepared.items()
+            ],
+            # Sorted: a set's iteration order depends on its history.
+            "booked": [_key_out(key) for key in sorted(self._booked, key=str)],
+            "resolution": [[hold_id, outcome] for hold_id, outcome in self._resolution.items()],
+            "crashed": self.crashed,
+            "holds_expired": self.holds_expired,
+            "holds_wiped": self.holds_wiped,
+        }
+
+    def load_state(self, state: Mapping[str, Any]) -> None:
+        """Replace this broker's state by a :meth:`dump_state` of a broker of
+        the same shard (``ConfigurationError`` when the ports differ)."""
+        ports = {(side, port): runs for side, port, runs in state["ports"]}
+        if ports.keys() != self._ports.keys():
+            raise ConfigurationError(
+                f"checkpoint holds another port set than shard {self.shard_id}'s"
+            )
+        for key, runs in ports.items():
+            self._ports[key].load_state(runs)
+        self._holds = {row[0]: _hold_in(row) for row in state["holds"]}
+        self._next_hold = state["next_hold"]
+        self._prepared = {
+            _key_in(key): None if row is None else _hold_in(row) for key, row in state["prepared"]
+        }
+        self._booked = {_key_in(key) for key in state["booked"]}
+        self._resolution = {hold_id: outcome for hold_id, outcome in state["resolution"]}
+        self.crashed = state["crashed"]
+        self.holds_expired = state["holds_expired"]
+        self.holds_wiped = state["holds_wiped"]
+
+    # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, object]:
         """Canonical JSON-able digest of the shard's authoritative state."""
         slices: dict[str, dict[str, list]] = {"ingress": {}, "egress": {}}
@@ -402,3 +450,24 @@ class ShardBroker:
             },
             "booked": sorted(str(key) for key in self._booked),
         }
+
+
+def _hold_out(hold: Hold) -> list[Any]:
+    return [
+        hold.hold_id, hold.side, hold.port, [list(step) for step in hold.segments],
+        hold.rid, hold.expires,
+    ]  # fmt: skip
+
+
+def _hold_in(row: Any) -> Hold:
+    hold_id, side, port, segments, rid, expires = row
+    return Hold(hold_id, side, port, tuple(tuple(step) for step in segments), rid, expires)
+
+
+def _key_out(key: object) -> Any:
+    """An idempotency key as JSON: a rid as is, a ``(rid, side)`` as a list."""
+    return list(key) if isinstance(key, tuple) else key
+
+
+def _key_in(key: Any) -> object:
+    return tuple(key) if isinstance(key, list) else key

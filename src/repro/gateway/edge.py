@@ -93,6 +93,24 @@ class EdgeLimiter:
             return 0.0
         return max(0.0, bucket.earliest_conforming(now, volume) - now)
 
+    def dump_state(self) -> dict[str, Any]:
+        """Every client's bucket and the two counters, JSON-able: what
+        :meth:`load_state` restores exactly."""
+        return {
+            "buckets": [[client, *b.dump_state()] for client, b in self._buckets.items()],
+            "refused": self.refused,
+            "admitted": self.admitted,
+        }
+
+    def load_state(self, state: dict[str, Any]) -> None:
+        """Replace buckets and counters by a :meth:`dump_state`."""
+        self._buckets = {}
+        for client, tokens, last in state["buckets"]:
+            bucket = self._buckets[client] = TokenBucket(self.limit.rate, self.limit.burst)
+            bucket.load_state((tokens, last))
+        self.refused = state["refused"]
+        self.admitted = state["admitted"]
+
     def clients(self) -> list[str]:
         """Every client seen so far (deterministic order)."""
         return sorted(self._buckets)

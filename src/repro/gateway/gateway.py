@@ -37,13 +37,13 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
-from ..core.allocation import ScheduleResult
+from ..core.allocation import Allocation, ScheduleResult
 from ..core.booking import RejectReason
 from ..core.errors import ConfigurationError
 from ..core.ledger import Degradation
 from ..core.platform import Platform
 from ..core.profile import RateProfile
-from ..core.request import RequestSet
+from ..core.request import Request, RequestSet
 from ..obs.causal import CausalObserver, TraceContext, hop_spans
 from ..obs.metrics import BoundCounter
 from ..obs.slo import SloWatchdog
@@ -139,6 +139,52 @@ class Ticket(Reservation):
     profile: RateProfile | None = None
     #: The batch holding this submission has flushed, or the edge refused it.
     decided: bool = False
+
+    def row(self) -> list[Any]:
+        """Every field as one JSON-able list (a checkpoint's ticket row);
+        :meth:`from_row` inverts it exactly."""
+        r, a = self.request, self.allocation
+        return [
+            self.rid, self.seq, self.client,
+            [r.rid, r.ingress, r.egress, r.volume, r.t_start, r.t_end, r.max_rate],
+            None if a is None else [
+                a.rid, a.ingress, a.egress, a.bw, a.sigma, a.tau,
+                None if a.profile is None else a.profile.to_list(),
+            ],
+            self.cancelled_at, self.aborted_at, self.displaced_at, self.origin,
+            None if self.reject_reason is None else self.reject_reason.value,
+            self.edge_refused, self.retry_after,
+            None if self.profile is None else self.profile.to_list(),
+            self.decided,
+        ]  # fmt: skip
+
+    @classmethod
+    def from_row(cls, row: list[Any]) -> Ticket:
+        """Inverse of :meth:`row`."""
+        (
+            rid, seq, client, request, allocation, cancelled_at, aborted_at, displaced_at,
+            origin, reason, edge_refused, retry_after, profile, decided,
+        ) = row  # fmt: skip
+        granted: Allocation | None = None
+        if allocation is not None:
+            *fields, shape = allocation
+            granted = Allocation(*fields, profile=RateProfile.maybe_from(shape))
+        return cls(
+            rid=rid,
+            request=Request(*request),
+            allocation=granted,
+            cancelled_at=cancelled_at,
+            aborted_at=aborted_at,
+            displaced_at=displaced_at,
+            origin=origin,
+            reject_reason=None if reason is None else RejectReason(reason),
+            seq=seq,
+            client=client,
+            edge_refused=edge_refused,
+            retry_after=retry_after,
+            profile=RateProfile.maybe_from(profile),
+            decided=decided,
+        )
 
 
 def _hop(name: str, now: float, ctx: TraceContext, fields: dict[str, Any]) -> Span:
@@ -1283,6 +1329,62 @@ class Gateway:
             "stats": self.stats.as_dict(),
         }
 
+    def checkpoint(self) -> None:
+        """Journal the gateway's complete state as one ``checkpoint`` entry.
+
+        :meth:`resume` restores the last checkpoint and replays only the
+        entries after it; :meth:`replay` skips checkpoints.  Changes nothing
+        (no clock move, no flush), so a pending submission would be lost
+        from the checkpointed state: ``ConfigurationError`` while the open
+        batch holds one — :meth:`drain` first.
+        """
+        if len(self.batcher):
+            raise ConfigurationError(
+                f"cannot checkpoint with {len(self.batcher)} pending submission(s); drain first"
+            )
+        self._record("checkpoint", self._clock, state=self.dump_state())
+
+    def dump_state(self) -> dict[str, Any]:
+        """Everything :meth:`replay` would rebuild, JSON-able (what
+        :meth:`checkpoint` journals).  Observability-only fields — trace
+        roots, the overcommit high-water mark, the per-edge metric marks —
+        are not state: replay does not rebuild them either."""
+        return {
+            "clock": self._clock,
+            "next_rid": self._next_rid,
+            "next_seq": self._next_seq,
+            "stats": self.stats.as_dict(),
+            "tickets": [ticket.row() for ticket in self._tickets.values()],
+            "backlog": list(self._backlog),
+            "degradations": [d.to_dict() for d in self._degradations],
+            "chaos_seen": dict(self._chaos_seen),
+            "brokers": [broker.dump_state() for broker in self.brokers],
+            "channels": [channel.dump_state() for channel in self.coordinator.channels],
+            "edge": None if self.edge is None else self.edge.dump_state(),
+        }
+
+    def _load_state(self, state: dict[str, Any]) -> None:
+        """Replace this (freshly configured) gateway's state by a
+        :meth:`dump_state` of a gateway of the same configuration."""
+        if len(state["brokers"]) != len(self.brokers) or (state["edge"] is None) != (
+            self.edge is None
+        ):
+            raise ConfigurationError("checkpoint does not match the journal header")
+        self._clock = state["clock"]
+        self._next_rid = state["next_rid"]
+        self._next_seq = state["next_seq"]
+        self.stats = GatewayStats(**state["stats"])
+        self._tickets = {row[0]: Ticket.from_row(row) for row in state["tickets"]}
+        self._backlog = list(state["backlog"])
+        self._degradations = [Degradation(**d) for d in state["degradations"]]
+        self._chaos_seen = dict(state["chaos_seen"])
+        for broker, dumped in zip(self.brokers, state["brokers"]):
+            broker.load_state(dumped)
+        for channel, dumped in zip(self.coordinator.channels, state["channels"]):
+            channel.load_state(dumped)
+        if self.edge is not None:
+            self.edge.load_state(state["edge"])
+
     @classmethod
     def replay(cls, journal: Journal) -> Gateway:
         """Rebuild a gateway from its operation journal.
@@ -1297,7 +1399,14 @@ class Gateway:
         parked rejections whenever capacity freed, unjournaled, each taking
         a rid, so its later rids cannot be reproduced and it is refused.
         """
-        header = journal.header
+        gateway = cls._configured(journal.header)
+        lifecycle.replay_ops(gateway, journal)
+        return gateway
+
+    @classmethod
+    def _configured(cls, header: dict[str, Any]) -> Gateway:
+        """A fresh, journal-less gateway of a journal header's configuration
+        (what :meth:`replay` refuses, this refuses)."""
         if not header:
             raise ConfigurationError("journal has no header; cannot replay")
         if header.get("kind", "gateway") != "gateway":
@@ -1311,7 +1420,7 @@ class Gateway:
         edge_cfg = header.get("edge")
         chaos_cfg = header.get("chaos")
         rpc_deadline = header.get("rpc_deadline")
-        gateway = cls(
+        return cls(
             Platform.from_dict(header["platform"]),
             num_shards=int(header.get("num_shards", 1)),
             batch_size=int(header.get("batch_size", 1)),
@@ -1331,8 +1440,6 @@ class Gateway:
             malleable=bool(header.get("malleable", False)),
             journal=None,
         )
-        lifecycle.replay_ops(gateway, journal)
-        return gateway
 
     @classmethod
     def resume(
@@ -1342,15 +1449,26 @@ class Gateway:
         telemetry: Telemetry | None = None,
         slo: SloWatchdog | None = None,
     ) -> Gateway:
-        """Replay a journal into a gateway that keeps *living* on it.
+        """Rebuild a gateway from its journal and keep *living* on it.
 
-        The service plane's restart path: :meth:`replay` deliberately
-        rebuilds without observability wiring (replayed history must not
-        re-emit metrics or SLO samples — it already happened), then this
-        re-attaches the live handles and re-arms the journal so new
-        operations append after the replayed ones.
+        The service plane's restart path.  With a ``checkpoint`` in the
+        journal the last one is restored and only the entries after it are
+        replayed; without one this is :meth:`replay`.  Either way the
+        rebuild runs without observability wiring (replayed history must
+        not re-emit metrics or SLO samples — it already happened), then
+        this re-attaches the live handles and re-arms the journal so new
+        operations append after the recorded ones.
         """
-        gateway = cls.replay(journal)
+        entries = journal.entries
+        last = next(
+            (k for k in range(len(entries) - 1, -1, -1) if entries[k].op == "checkpoint"), None
+        )
+        if last is None:
+            gateway = cls.replay(journal)
+        else:
+            gateway = cls._configured(journal.header)
+            gateway._load_state(entries[last].args["state"])
+            lifecycle.replay_ops(gateway, entries[last + 1 :])
         gateway._telemetry = telemetry  # the observer reads it per record
         gateway.slo = slo
         gateway.journal = journal

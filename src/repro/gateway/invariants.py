@@ -19,7 +19,11 @@ against the four invariants the design rests on:
    state promises is missing from a ledger.
 4. **Replay convergence** — when the gateway's journal is supplied,
    :meth:`~repro.gateway.gateway.Gateway.replay` rebuilds a
-   ``snapshot()``-identical gateway, chaos, crash-mid-commit and all.
+   ``snapshot()``-identical gateway, chaos, crash-mid-commit and all;
+   and when that journal holds a ``checkpoint``,
+   :meth:`~repro.gateway.gateway.Gateway.resume` (the last checkpoint
+   restored, the entries after it replayed) lands on the same complete
+   state (``dump_state()``) as the from-scratch replay.
 
 The checker never asserts; it collects human-readable violation strings
 into an :class:`InvariantReport` so a chaos-matrix cell can carry them.
@@ -104,6 +108,11 @@ def _expected_edges(gateway: Gateway) -> dict[tuple[str, int], list[tuple[float,
     return edges
 
 
+def _diverged(left: dict[str, Any], right: dict[str, Any]) -> list[str]:
+    """The top-level keys on which two state dumps differ."""
+    return sorted(key for key in set(left) | set(right) if left.get(key) != right.get(key))
+
+
 def check_gateway(
     gateway: Gateway,
     *,
@@ -118,7 +127,8 @@ def check_gateway(
     gateway:
         The gateway to audit (typically after a drill).
     journal:
-        When given, invariant 4 replays it and compares snapshots.
+        When given, invariant 4 replays it and compares snapshots (and,
+        when it holds a checkpoint, restores that and compares states).
     now:
         The audit instant for TTL checks; defaults to the gateway clock.
     expect_quiesced:
@@ -197,21 +207,22 @@ def check_gateway(
                 )
                 break  # one sample per port is diagnosis enough
 
-    # 4 — replay convergence (when the journal is available).
+    # 4 — replay convergence (when the journal is available), and a
+    # checkpoint restore converging on that replay.
     replayed = 0
     if journal is not None:
         replayed = 1
-        rebuilt = Gateway.replay(journal).snapshot()
-        current = gateway.snapshot()
-        if rebuilt != current:
-            diverged = sorted(
-                key
-                for key in set(rebuilt) | set(current)
-                if rebuilt.get(key) != current.get(key)
-            )
-            violations.append(
-                "journal replay diverges on: " + ", ".join(diverged)
-            )
+        diverged = _diverged(Gateway.replay(journal).snapshot(), gateway.snapshot())
+        if diverged:
+            violations.append("journal replay diverges on: " + ", ".join(diverged))
+        if any(entry.op == "checkpoint" for entry in journal):
+            replayed = 2
+            restored = Gateway.resume(journal).dump_state()
+            diverged = _diverged(restored, Gateway.replay(journal).dump_state())
+            if diverged:
+                violations.append(
+                    "checkpoint restore diverges from the replay on: " + ", ".join(diverged)
+                )
 
     report.checks = {
         "shards": len(gateway.brokers),

@@ -10,6 +10,15 @@ gateway is deterministic given its configuration and the operation
 sequence, ``Gateway.replay`` (:func:`repro.gateway.lifecycle.replay_ops`)
 rebuilds a state-identical gateway (the tests assert snapshot equality).
 
+One more entry changes nothing: ``checkpoint``, the gateway's complete
+state (``Gateway.checkpoint``, written by a graceful drain).
+``Gateway.resume`` restores the last one and replays only the entries
+after it; ``Gateway.replay`` skips checkpoints and stays the
+from-scratch oracle.  The op joined the ``/2`` vocabulary without a new
+header tag, so a journal never checkpointed is byte-identical to one
+written before it existed, and an older build refuses a checkpointed file
+with "unknown journal op".
+
 Serialisation is JSON lines: the header object on the first line, one
 operation object per subsequent line (see ``docs/FAULTS.md`` for the
 format).  Appends are O(1); nothing is ever rewritten.

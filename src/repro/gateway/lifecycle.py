@@ -31,7 +31,7 @@ from ..core.profile import RateProfile, Segment
 from ..core.request import Request
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
-    from .journal import Journal
+    from .journal import JournalEntry
     from .twophase import TwoPhaseCoordinator
 
 __all__ = [
@@ -385,13 +385,19 @@ _VERBS = {
     "restart": "restart_broker",
 }
 
-#: Every operation name a journal may contain.
-JOURNAL_OPS = frozenset(_VERBS)
+#: Every operation name a journal may contain: the verbs, plus
+#: ``checkpoint`` — the gateway's whole state at that point, which changes
+#: nothing and is only read by ``Gateway.resume``.
+JOURNAL_OPS = frozenset({*_VERBS, "checkpoint"})
 
 
-def replay_ops(plane: Any, journal: Journal) -> None:
-    """Re-apply every journaled operation, in order, to a fresh ``plane``."""
-    for entry in journal:
+def replay_ops(plane: Any, entries: Iterable[JournalEntry]) -> None:
+    """Re-apply journaled operations, in order, to ``plane`` (a fresh one,
+    or one restored from the checkpoint just before ``entries``);
+    checkpoints are skipped."""
+    for entry in entries:
+        if entry.op == "checkpoint":
+            continue
         args = dict(entry.args)
         if entry.op == "submit":
             # The gateway records the rid it assigned (`grid-obs explain`

@@ -375,6 +375,21 @@ class Channel:
         return not self.broker.crashed and not self.partitioned(now)
 
     # ------------------------------------------------------------------
+    # Checkpoint
+    # ------------------------------------------------------------------
+    def dump_state(self) -> dict[str, Any]:
+        """The counters and the fault RNG's position, JSON-able: what
+        :meth:`load_state` restores exactly."""
+        version, internal, gauss = self._rng.getstate()
+        return {"stats": self.stats.as_dict(), "rng": [version, list(internal), gauss]}
+
+    def load_state(self, state: dict[str, Any]) -> None:
+        """Resume the counters and the fault draws of a :meth:`dump_state`."""
+        self.stats = ChannelStats(**state["stats"])
+        version, internal, gauss = state["rng"]
+        self._rng.setstate((version, tuple(internal), gauss))
+
+    # ------------------------------------------------------------------
     # Termination protocol: durable-log reads
     # ------------------------------------------------------------------
     def resolved_committed(self, hold_id: int, *, hop: str = "") -> bool:

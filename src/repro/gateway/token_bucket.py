@@ -74,6 +74,14 @@ class TokenBucket:
             return t
         return t + deficit / self.rate
 
+    def dump_state(self) -> tuple[float, float]:
+        """``(tokens, last fed time)``: what :meth:`load_state` restores."""
+        return self._tokens, self._last
+
+    def load_state(self, state: tuple[float, float]) -> None:
+        """Resume a bucket from its :meth:`dump_state`."""
+        self._tokens, self._last = state
+
     def reset(self, t: float = 0.0) -> None:
         """Refill the bucket and restart the clock at ``t``."""
         self._tokens = self.burst

@@ -233,6 +233,8 @@ def _explain_capture(
 
     if journal is not None:
         for op in journal:
+            if op.op == "checkpoint":
+                continue  # the whole state, about no rid in particular
             args = dict(getattr(op, "args", {}) or {})
             if not _mentions(args, rid):
                 continue

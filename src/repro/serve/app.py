@@ -12,10 +12,13 @@ Lifecycle contract (the drain/restart property tests pin this down):
    requests are refused with 503 while reads stay served;
 2. the frontier quiesces: every in-flight submission is decided and
    answered (journaled like any other wave);
-3. the journal is flushed (write-ahead: it already is) and the server
-   sockets close;
-4. a successor built with the same journal path replays into a
-   snapshot-equal gateway and resumes the clock at the replayed time.
+3. the gateway's complete state is journaled as one ``checkpoint``
+   entry, the journal's append handle closes (write-ahead: every entry is
+   already flushed) and the server sockets close;
+4. a successor built with the same journal path restores that checkpoint
+   (replaying only what follows it — nothing, after a clean drain; the
+   whole journal after a crash with no checkpoint) into a snapshot-equal
+   gateway and resumes the clock at the recorded time.
 """
 
 from __future__ import annotations
@@ -221,17 +224,22 @@ class ServeApp:
             self._server = None
 
     async def drain(self) -> None:
-        """Graceful shutdown: refuse new work, decide in-flight, persist.
+        """Graceful shutdown: refuse new work, decide in-flight, checkpoint.
 
         The journal is write-ahead (every entry is flushed as it is
-        appended) so nothing needs an explicit save, only its append
-        handle closing; the explicit gateway drain makes the final batch
-        flush visible in the op stream (``drain``), which is what makes
-        the successor's replay land on the *decided* state.
+        appended), so no operation needs an explicit save.  The explicit
+        gateway drain makes the final batch flush visible in the op stream
+        (``drain``); the ``checkpoint`` right after it holds the decided
+        state, so the successor's :meth:`Gateway.resume
+        <repro.gateway.Gateway.resume>` restores it instead of re-deciding
+        every journaled submission.  A checkpoint cut short by a crash is
+        dropped by the journal's torn-line repair, and the successor falls
+        back to the previous checkpoint or a full replay.
         """
         self.draining = True
         await self.frontier.quiesce()
         self.gateway.drain(self.clock.now())
+        self.gateway.checkpoint()
         self.journal.close()
         await self.stop()
 

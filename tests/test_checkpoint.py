@@ -1,0 +1,432 @@
+"""Checkpoints: a drained gateway's journal ends in its complete state, and
+:meth:`Gateway.resume` restores that instead of re-deciding every journaled
+submission.
+
+The differential property: cut a random operation stream anywhere, drain,
+checkpoint, restore from the journal's JSON text and run the rest of the
+stream.  Every answer, every journal line after the cut and the complete
+state (``dump_state()``) equal those of the same stream run uninterrupted.
+:meth:`Gateway.replay` stays the from-scratch oracle: it ignores
+checkpoints, and ``check_gateway`` holds every restore to it.
+"""
+
+import asyncio
+import dataclasses
+import enum
+import json
+import math
+import random
+from itertools import accumulate
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.capacity import make_profile
+from repro.core.capacity.vector import VectorProfile
+from repro.core.errors import ConfigurationError, ReproError
+from repro.core.ledger import Port
+from repro.core.platform import Platform
+from repro.core.profile import RateProfile
+from repro.gateway import ChaosPolicy, EdgeLimit, Gateway, Journal, lifecycle
+from repro.gateway.invariants import check_gateway
+from repro.obs import RunTelemetry, Telemetry
+from repro.obs.causal import explain_request
+from repro.obs.cli import main as grid_obs
+from repro.serve import ServeApp, ServeConfig
+from repro.serve.clock import LogicalClock
+
+PLATFORM = Platform.uniform(4, 4, 100.0)
+
+#: Operation kinds, submissions weighted up.
+KINDS = (
+    *("submit",) * 4, *("profile",) * 2,
+    "cancel", "abort", "degrade", "reshape", "crash", "restart", "drain",
+)  # fmt: skip
+
+#: One operation: (kind, clock step, a, b, size, slack, k) — a/b pick ports
+#: or a rid, k a client, side or shard.
+OPS = st.tuples(
+    st.sampled_from(KINDS),
+    st.sampled_from([0.0, 0.0, 0.5, 3.0, 17.0]),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.floats(50.0, 3000.0),
+    st.floats(5.0, 200.0),
+    st.integers(0, 2),
+)
+
+#: Loses half the deliveries: aborts go missing, so holds outlive their
+#: transaction until a crash wipes them or the TTL sweep expires them.
+STRANDING = ChaosPolicy.lossy(seed=5, drop=0.5)
+
+CONFIGS = st.fixed_dictionaries(
+    {
+        "num_shards": st.sampled_from([1, 4]),
+        "batch_size": st.sampled_from([1, 8]),
+        "malleable": st.booleans(),
+        "edge": st.sampled_from([None, EdgeLimit(rate=40.0, burst=3000.0)]),
+        "backlog_limit": st.sampled_from([0, 3]),
+        # The heavy-drop mesh strands holds (lost aborts) across the cut.
+        "chaos": st.sampled_from([None, ChaosPolicy.lossy(seed=5), STRANDING]),
+    }
+)
+
+
+def seeded_ops(seed, n):
+    """``n`` operations of the :data:`OPS` shape from a seed."""
+    rng = random.Random(seed)
+    return [
+        (
+            rng.choice(KINDS), rng.choice([0.0, 0.0, 0.5, 3.0, 17.0]),
+            rng.randrange(4), rng.randrange(4), rng.uniform(50.0, 3000.0),
+            rng.uniform(5.0, 200.0), rng.randrange(3),
+        )  # fmt: skip
+        for _ in range(n)
+    ]
+
+
+def apply(gateway, op, now):
+    """Run one operation; its answer, or the name of what it raised."""
+    kind, _, a, b, size, slack, k = op
+    try:
+        if kind == "submit":
+            deadline = now + size / 100.0 + slack
+            ticket = gateway.submit(
+                ingress=a, egress=b, volume=size, deadline=deadline, now=now, client=f"c{k}"
+            )
+            return ticket.row()
+        if kind == "profile":
+            rate, t0 = 20.0 + slack / 4.0, now + k
+            t1 = t0 + size / rate
+            ticket = gateway.submit(
+                ingress=a, egress=b, volume=size, deadline=t1 + slack, now=now,
+                client=f"c{k}", profile=[[t0, t1, rate]],
+            )  # fmt: skip
+            return ticket.row()
+        if kind in ("cancel", "abort", "reshape"):
+            return getattr(gateway, kind)(a * 4 + b + 16 * k, now=now)
+        if kind == "degrade":
+            side = ("ingress", "egress")[k % 2]
+            displaced = gateway.degrade(
+                side=side, port=a, amount=10.0 + size / 50.0, start=now + b,
+                end=now + b + slack, now=now,
+            )  # fmt: skip
+            return [r.rid for r in displaced]
+        if kind == "crash":
+            return gateway.crash_broker(k % gateway.num_shards, now=now)
+        if kind == "restart":
+            for shard, broker in enumerate(gateway.brokers):
+                if broker.crashed:
+                    gateway.restart_broker(shard, now=now)
+            return None
+        gateway.drain(now)
+        return None
+    except (ReproError, KeyError, ValueError) as exc:
+        return type(exc).__name__
+
+
+def lines(entries):
+    return [json.dumps(entry.to_dict()) for entry in entries]
+
+
+def plain(value):
+    """A ticket (or a field of one) as comparable plain values."""
+    if isinstance(value, RateProfile):
+        return value.segments
+    if isinstance(value, enum.Enum):
+        return value.value
+    if dataclasses.is_dataclass(value):
+        return tuple(plain(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return value
+
+
+def observed(gateway):
+    """State read off the objects themselves rather than through
+    ``dump_state()``: fields neither ``snapshot()`` nor any later answer
+    shows (a ticket's client, seq and wanted profile, the counters)."""
+    edge = gateway.edge
+    return {
+        "tickets": [plain(ticket) for ticket in gateway._tickets.values()],
+        "chaos_seen": gateway._chaos_seen,
+        "brokers": [(b.holds_expired, b.holds_wiped) for b in gateway.brokers],
+        "channels": [vars(channel.stats) for channel in gateway.coordinator.channels],
+        "edge": None if edge is None else (
+            edge.refused, edge.admitted, {c: b.tokens for c, b in edge._buckets.items()},
+        ),
+    }  # fmt: skip
+
+
+def assert_cut_equals_uninterrupted(config, ops, cut):
+    times = list(accumulate(op[1] for op in ops))
+    reference = Gateway(PLATFORM, journal=Journal(), **config)
+    original = Gateway(PLATFORM, journal=Journal(), **config)
+    for op, now in zip(ops[:cut], times[:cut]):
+        assert apply(original, op, now) == apply(reference, op, now)
+    at = times[cut - 1] if cut else 0.0
+    reference.drain(at)
+    original.drain(at)
+    original.checkpoint()
+    assert original.journal.entries[-1].op == "checkpoint"
+
+    restored = Gateway.resume(Journal.from_jsonl(original.journal.to_jsonl()))
+    assert restored.snapshot() == reference.snapshot()
+    assert restored.dump_state() == reference.dump_state()
+    assert observed(restored) == observed(reference)
+
+    mark = len(reference.journal)
+    for op, now in zip(ops[cut:], times[cut:]):
+        assert apply(restored, op, now) == apply(reference, op, now), op
+    assert lines(restored.journal.entries[mark + 1 :]) == lines(reference.journal.entries[mark:])
+    assert restored.snapshot() == reference.snapshot()
+    assert restored.dump_state() == reference.dump_state()
+    assert observed(restored) == observed(reference)
+    report = check_gateway(restored, journal=restored.journal)
+    assert report.ok, report.violations
+    assert report.checks["replayed"] == 2  # the replay, then the restore
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=CONFIGS, ops=st.lists(OPS, max_size=40), data=st.data())
+def test_a_checkpoint_cut_equals_an_uninterrupted_run(config, ops, data):
+    cut = data.draw(st.integers(0, len(ops)), label="cut")
+    assert_cut_equals_uninterrupted(config, ops, cut)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "config",
+    [
+        dict(num_shards=4, batch_size=8, chaos=STRANDING, backlog_limit=3),
+        dict(num_shards=1, batch_size=1, edge=EdgeLimit(rate=40.0, burst=3000.0)),
+        dict(num_shards=4, batch_size=8, malleable=True, backlog_limit=3),
+    ],
+    ids=["lossy-backlog", "edge", "malleable"],
+)
+def test_a_long_seeded_stream_cut_in_the_middle(config, seed):
+    """The property on fixed, long streams, which exercise every state field:
+    fault draws, edge refusals, re-admissions, and holds live at the cut,
+    wiped by crashes and expired by the TTL sweep."""
+    ops = seeded_ops(seed, 160)
+    assert_cut_equals_uninterrupted(config, ops, 80)
+
+
+def run_stream(gateway, ops, start=0.0):
+    now = start
+    for op in ops:
+        now += op[1]
+        apply(gateway, op, now)
+    return now
+
+
+class TestCheckpointVerb:
+    def test_pending_submissions_refuse_a_checkpoint(self):
+        gateway = Gateway(PLATFORM, batch_size=4, journal=Journal())
+        gateway.submit(ingress=0, egress=1, volume=10.0, deadline=50.0, now=0.0)
+        with pytest.raises(ConfigurationError, match="pending"):
+            gateway.checkpoint()
+        assert [entry.op for entry in gateway.journal] == ["submit"]
+
+    def test_replay_ignores_checkpoints(self):
+        gateway = Gateway(PLATFORM, num_shards=2, batch_size=4, journal=Journal())
+        end = run_stream(gateway, seeded_ops(4, 60))
+        gateway.drain(end)
+        gateway.checkpoint()
+        state = gateway.journal.entries[-1].args["state"]
+        state["next_rid"] += 100  # a replay that read the checkpoint would see this
+        assert Gateway.replay(gateway.journal).snapshot() == gateway.snapshot()
+        assert Gateway.resume(gateway.journal).snapshot() != gateway.snapshot()
+
+    def test_a_mismatched_header_is_refused(self):
+        gateway = Gateway(PLATFORM, num_shards=2, journal=Journal())
+        gateway.checkpoint()
+        journal = Journal.from_jsonl(gateway.journal.to_jsonl())
+        journal.header["num_shards"] = 1
+        with pytest.raises(ConfigurationError, match="header"):
+            Gateway.resume(journal)
+
+
+class TestCheckGateway:
+    def checkpointed(self):
+        gateway = Gateway(PLATFORM, num_shards=2, batch_size=4, journal=Journal())
+        gateway.drain(run_stream(gateway, seeded_ops(6, 80)))
+        gateway.checkpoint()
+        return gateway, Journal.from_jsonl(gateway.journal.to_jsonl())
+
+    def test_a_clean_checkpoint_passes_both_rebuilds(self):
+        gateway, journal = self.checkpointed()
+        report = check_gateway(gateway, journal=journal)
+        assert report.ok, report.violations
+        assert report.checks["replayed"] == 2
+
+    def test_one_nudged_port_value_is_flagged(self):
+        gateway, journal = self.checkpointed()
+        ports = journal.entries[-1].args["state"]["brokers"][0]["ports"]
+        _, _, ((_, values), _) = max(ports, key=lambda p: len(p[2][0][0]))
+        k = next(i for i, v in enumerate(values) if v > 0.0)
+        values[k] = math.nextafter(values[k], math.inf)  # one ulp
+        report = check_gateway(gateway, journal=journal)
+        assert report.violations == ["checkpoint restore diverges from the replay on: brokers"]
+
+
+class TestTornAndStacked:
+    def written(self, tmp_path, checkpoints):
+        """A file-backed gateway: ``checkpoints`` rounds of a stream, a
+        drain and a checkpoint; returns it, its path and each round's
+        end-of-round snapshot."""
+        path = tmp_path / "wal.jsonl"
+        gateway = Gateway(PLATFORM, num_shards=2, batch_size=4, journal=Journal(path=path))
+        snapshots, now = [], 0.0
+        for round_ in range(checkpoints):
+            now = run_stream(gateway, seeded_ops(10 + round_, 50), now)
+            gateway.drain(now)
+            snapshots.append(gateway.snapshot())
+            gateway.checkpoint()
+        return gateway, path, snapshots
+
+    @pytest.fixture
+    def replayed(self, monkeypatch):
+        """How many entries each ``replay_ops`` call re-applied."""
+        counts = []
+        real = lifecycle.replay_ops
+
+        def spy(plane, entries):
+            entries = list(entries)
+            counts.append(len(entries))
+            real(plane, entries)
+
+        monkeypatch.setattr(lifecycle, "replay_ops", spy)
+        return counts
+
+    def chop_last_line(self, path):
+        data = path.read_bytes()
+        start = data.rstrip(b"\n").rfind(b"\n") + 1
+        path.write_bytes(data[: start + (len(data) - start) // 2])
+
+    def test_a_torn_checkpoint_falls_back_to_the_previous_one(self, tmp_path, replayed):
+        gateway, path, snapshots = self.written(tmp_path, 2)
+        gateway.journal.close()
+        self.chop_last_line(path)
+        journal = Journal.load(path)
+        ops = [entry.op for entry in journal]
+        assert ops[-1] == "drain" and ops.count("checkpoint") == 1
+        resumed = Gateway.resume(journal)
+        assert resumed.snapshot() == snapshots[-1]
+        assert replayed == [len(ops) - ops.index("checkpoint") - 1]
+        # The repaired file keeps appending, and replays to the same state.
+        now = resumed.now
+        resumed.submit(ingress=0, egress=1, volume=5.0, deadline=now + 90.0, now=now)
+        resumed.journal.close()
+        assert Gateway.replay(Journal.load(path)).snapshot() == resumed.snapshot()
+
+    def test_a_lone_torn_checkpoint_falls_back_to_a_full_replay(self, tmp_path, replayed):
+        gateway, path, snapshots = self.written(tmp_path, 1)
+        gateway.journal.close()
+        self.chop_last_line(path)
+        journal = Journal.load(path)
+        assert "checkpoint" not in {entry.op for entry in journal}
+        assert Gateway.resume(journal).snapshot() == snapshots[-1]
+        assert replayed == [len(journal)]
+
+    def test_checkpoint_then_ops_then_a_crash_restores_and_replays_the_tail(
+        self, tmp_path, replayed
+    ):
+        gateway, path, _ = self.written(tmp_path, 2)
+        mark = len(gateway.journal)
+        now = run_stream(gateway, seeded_ops(30, 30), gateway.now)
+        before = gateway.snapshot()
+        # The process dies while writing one more submission: its line is cut.
+        gateway.submit(ingress=1, egress=2, volume=40.0, deadline=now + 99.0, now=now)
+        gateway.journal.close()
+        self.chop_last_line(path)
+        journal = Journal.load(path)
+        resumed = Gateway.resume(journal)
+        assert resumed.snapshot() == before
+        assert replayed == [len(journal) - mark]
+        report = check_gateway(resumed, journal=journal)
+        assert report.ok, report.violations
+
+
+class TestExplain:
+    def test_a_checkpoint_changes_no_explain_text(self, tmp_path, capsys):
+        telemetry = Telemetry()
+        path = tmp_path / "wal.jsonl"
+        gateway = Gateway(
+            PLATFORM, num_shards=2, batch_size=4, journal=Journal(path=path), telemetry=telemetry
+        )
+        gateway.drain(run_stream(gateway, seeded_ops(7, 60)))
+        artifact = RunTelemetry("checkpoint")
+        artifact.capture("run", telemetry)
+        artifact_path = tmp_path / "run.json"
+        artifact.save(artifact_path)
+        plain = tmp_path / "plain.jsonl"
+        plain.write_bytes(path.read_bytes())
+        gateway.checkpoint()
+        gateway.journal.close()
+
+        rids = range(gateway.snapshot()["next_rid"])
+        for rid in rids:
+            with_checkpoint = explain_request(artifact, rid, journal=Journal.load(path))
+            assert with_checkpoint == explain_request(artifact, rid, journal=Journal.load(plain))
+        rid = next(r.rid for r in gateway.reservations())
+        outputs = []
+        for journal in (plain, path):
+            argv = ["explain", str(rid), str(artifact_path), "--journal", str(journal)]
+            assert grid_obs(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "checkpoint" not in outputs[1] and "journal" in outputs[1]
+
+    def test_serve_app_explain_is_the_same_across_its_drain(self, tmp_path):
+        app = ServeApp(
+            ServeConfig(
+                platform=PLATFORM, num_shards=2, batch_size=4, slo_rules=(),
+                journal_path=tmp_path / "wal.jsonl",
+            ),  # fmt: skip
+            clock=LogicalClock(),
+        )
+        for wave in range(4):
+            app.gateway.submit_many(
+                [
+                    dict(ingress=k % 4, egress=(k + wave) % 4, volume=300.0, deadline=900.0)
+                    for k in range(6)
+                ],
+                now=float(wave),
+            )
+        app.clock.advance(app.gateway.now)
+        rids = [r.rid for r in app.gateway.reservations()]
+        before = {rid: app.explain(rid) for rid in rids}
+        asyncio.run(app.drain())
+        assert app.journal.entries[-1].op == "checkpoint"
+        assert {rid: app.explain(rid) for rid in rids} == before
+
+
+class TestStateOut:
+    @pytest.mark.parametrize("kernel", [make_profile, VectorProfile], ids=["breakpoint", "vector"])
+    def test_profile_runs_round_trip_exactly(self, kernel):
+        rng = random.Random(8)
+        profile = kernel()
+        for _ in range(200):
+            t0 = rng.uniform(0.0, 500.0)
+            profile.add(t0, t0 + rng.uniform(0.1, 80.0), rng.uniform(-5.0, 30.0) / 3.0)
+        points, values = json.loads(json.dumps(profile.runs()))
+        restored = kernel()
+        restored.load_runs(points, values)
+        assert restored.runs() == profile.runs()
+        assert list(restored.segments()) == list(profile.segments())
+        assert restored.global_max() == profile.global_max()
+        with pytest.raises(ValueError, match="run values"):
+            restored.load_runs(points, values[:-1])
+        with pytest.raises(ValueError, match="ascend"):
+            restored.load_runs(points[::-1], values)
+
+    def test_a_port_restores_usage_and_reductions(self):
+        port = Port(100.0)
+        port.add(((0.0, 10.0, 30.0), (10.0, 25.5, 12.25)))
+        port.degrade(3.0, 7.0, 60.0)
+        twin = Port(100.0)
+        twin.load_state(json.loads(json.dumps(port.dump_state())))
+        assert twin.dump_state() == port.dump_state()
+        assert twin.free_capacity(0.0, 30.0) == port.free_capacity(0.0, 30.0)
+        twin.load_state(Port(100.0).dump_state())
+        assert twin.reductions is None and twin.usage.is_zero()

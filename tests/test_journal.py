@@ -399,6 +399,7 @@ class TestOneVocabulary:
     def test_every_verb_journals_its_own_name(self):
         assert lifecycle.JOURNAL_OPS == {
             "submit", "cancel", "abort", "degrade", "reshape", "drain", "crash", "restart",
+            "checkpoint",
         }  # fmt: skip
         for name in ("gateway-s1b1", "gateway-s4b4"):
             plane = PLANES[name](Platform.uniform(4, 4, 100.0), malleable=True)

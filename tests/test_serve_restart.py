@@ -156,7 +156,8 @@ def test_restarted_app_resumes_clock_past_replayed_time(tmp_path):
 
 
 def test_grid_serve_sigterm_drains_and_journal_replays(tmp_path):
-    """The real signal path: a grid-serve process, SIGTERM, then replay."""
+    """The real signal path: a grid-serve process, SIGTERM, then replay and
+    a successor restored from the drain's checkpoint."""
     journal_path = tmp_path / "proc.journal.jsonl"
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     proc = subprocess.Popen(
@@ -213,15 +214,22 @@ def test_grid_serve_sigterm_drains_and_journal_replays(tmp_path):
             proc.kill()
             proc.wait()
 
-    # The journal the process left behind replays into a quiesced gateway
-    # holding every decision it served.
+    # The journal the process left behind ends in the drain's checkpoint,
+    # and replays into a quiesced gateway holding every decision it served.
     from repro.gateway import Journal
 
-    gateway = Gateway.replay(Journal.load(journal_path))
+    journal = Journal.load(journal_path)
+    assert [entry.op for entry in journal.entries[-2:]] == ["drain", "checkpoint"]
+    gateway = Gateway.replay(journal)
     for rid in rids:
         assert gateway.get(rid).decided
-    report = check_gateway(gateway, expect_quiesced=True)
+    report = check_gateway(gateway, journal=journal, expect_quiesced=True)
     assert report.ok, report.violations
+    assert report.checks["replayed"] == 2
+
+    # The successor restores the checkpoint, snapshot-equal to the replay.
+    successor = ServeApp(make_config(journal_path), clock=LogicalClock())
+    assert successor.snapshot() == gateway.snapshot()
 
 
 def test_journal_file_is_json_lines(tmp_path):
