@@ -22,49 +22,107 @@ See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
 from ._version import __version__
-from .core import (
-    Allocation,
-    BandwidthTimeline,
-    CapacityError,
-    CapacityProfile,
-    ConfigurationError,
-    InvalidRequestError,
-    make_profile,
-    Platform,
-    PortLedger,
-    ProblemInstance,
-    ReproError,
-    Request,
-    RequestSet,
-    ScheduleResult,
-    ScheduleViolation,
-    guaranteed_count,
-    guaranteed_rate,
-    resource_utilization,
-    resource_utilization_time_averaged,
-    verify_schedule,
-)
-from .schedulers import (
-    FCFSRigid,
-    FractionOfMaxPolicy,
-    GreedyFlexible,
-    MinRatePolicy,
-    SlotsScheduler,
-    WindowFlexible,
-    available_schedulers,
-    cumulated_slots,
-    fifo_slots,
-    make_scheduler,
-    minbw_slots,
-    minvol_slots,
-)
-from .workload import (
-    FlexibleWorkload,
-    PoissonArrivals,
-    RigidWorkload,
-    paper_flexible_workload,
-    paper_rigid_workload,
+
+# Every name below is imported on first access (see ``repro._lazy``), so
+# ``import repro.serve`` does not load the heuristics, the workload
+# generators or numpy.
+if TYPE_CHECKING:
+    from .core import (
+        Allocation,
+        BandwidthTimeline,
+        CapacityError,
+        CapacityProfile,
+        ConfigurationError,
+        InvalidRequestError,
+        make_profile,
+        Platform,
+        PortLedger,
+        ProblemInstance,
+        ReproError,
+        Request,
+        RequestSet,
+        ScheduleResult,
+        ScheduleViolation,
+        guaranteed_count,
+        guaranteed_rate,
+        resource_utilization,
+        resource_utilization_time_averaged,
+        verify_schedule,
+    )
+    from .schedulers import (
+        FCFSRigid,
+        FractionOfMaxPolicy,
+        GreedyFlexible,
+        MinRatePolicy,
+        SlotsScheduler,
+        WindowFlexible,
+        available_schedulers,
+        cumulated_slots,
+        fifo_slots,
+        make_scheduler,
+        minbw_slots,
+        minvol_slots,
+    )
+    from .workload import (
+        FlexibleWorkload,
+        PoissonArrivals,
+        RigidWorkload,
+        paper_flexible_workload,
+        paper_rigid_workload,
+    )
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".core": (
+            "Allocation",
+            "BandwidthTimeline",
+            "CapacityError",
+            "CapacityProfile",
+            "ConfigurationError",
+            "InvalidRequestError",
+            "make_profile",
+            "Platform",
+            "PortLedger",
+            "ProblemInstance",
+            "ReproError",
+            "Request",
+            "RequestSet",
+            "ScheduleResult",
+            "ScheduleViolation",
+            "guaranteed_count",
+            "guaranteed_rate",
+            "resource_utilization",
+            "resource_utilization_time_averaged",
+            "verify_schedule",
+        ),
+        ".schedulers": (
+            "FCFSRigid",
+            "FractionOfMaxPolicy",
+            "GreedyFlexible",
+            "MinRatePolicy",
+            "SlotsScheduler",
+            "WindowFlexible",
+            "available_schedulers",
+            "cumulated_slots",
+            "fifo_slots",
+            "make_scheduler",
+            "minbw_slots",
+            "minvol_slots",
+        ),
+        ".workload": (
+            "FlexibleWorkload",
+            "PoissonArrivals",
+            "RigidWorkload",
+            "paper_flexible_workload",
+            "paper_rigid_workload",
+        ),
+    },
+    globals(),
 )
 
 __all__ = [

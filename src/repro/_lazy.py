@@ -1,0 +1,35 @@
+"""Lazy package re-exports (PEP 562).
+
+``repro`` and ``repro.schedulers`` re-export names from submodules that
+pull in numpy and the offline heuristics.  A process that only serves
+admissions must not pay for those imports at start-up, so each of the two
+packages imports an exported name's defining submodule on first access.
+"""
+
+from __future__ import annotations
+
+import importlib
+from collections.abc import Callable, Mapping
+from typing import Any
+
+
+def lazy_exports(
+    package: str, table: Mapping[str, tuple[str, ...]], namespace: dict[str, Any]
+) -> tuple[Callable[[str], Any], Callable[[], list[str]]]:
+    """The ``__getattr__`` and ``__dir__`` of ``package``, whose ``table``
+    maps each relative submodule to the names it defines; a resolved name
+    is cached in the package ``namespace``."""
+    owner = {name: module for module, names in table.items() for name in names}
+
+    def __getattr__(name: str) -> Any:
+        module = owner.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(module, package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *owner})
+
+    return __getattr__, __dir__

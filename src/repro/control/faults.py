@@ -14,7 +14,7 @@ the discrete-event engine (:mod:`repro.sim`):
 drives recovery:
 reservations displaced by a port fault have their residual volume
 (``volume − carried``) resubmitted with exponential backoff and jitter
-(:class:`~repro.schedulers.retry.BackoffSchedule`) until the rebooking is
+(:class:`~repro.gateway.twophase.BackoffSchedule`) until the rebooking is
 admitted, the deadline becomes unreachable, or the attempt budget runs
 out.
 
@@ -49,11 +49,11 @@ from ..gateway.invariants import check_gateway
 from ..gateway.journal import Journal
 from ..gateway.lifecycle import Reservation
 from ..gateway.rpc import ChaosPolicy
+from ..gateway.twophase import BackoffSchedule
 from ..obs.artifact import RunTelemetry
 from ..obs.slo import SloRule, SloWatchdog, default_slo_rules
 from ..obs.telemetry import Telemetry
 from ..schedulers.policies import BandwidthPolicy
-from ..schedulers.retry import BackoffSchedule
 from ..sim.engine import Simulator
 
 __all__ = [

@@ -18,10 +18,12 @@ import math
 from bisect import bisect_right
 from collections.abc import Iterator
 from operator import eq
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .interface import CAPACITY_SLACK, CapacityProfile, check_runs
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["BreakpointProfile"]
 
@@ -161,6 +163,8 @@ class BreakpointProfile(CapacityProfile):
             yield (seg_start, seg_end, self._values[k])
 
     def breakpoints(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self._breakpoints[1:], dtype=np.float64)
 
     def breakpoints_between(self, lo: float, hi: float) -> list[float]:

@@ -35,8 +35,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["CAPACITY_SLACK", "CapacityProfile", "check_runs"]
 

@@ -14,8 +14,6 @@ capacity × horizon), which the paper's instantaneous formula approximates.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .allocation import ScheduleResult
 from .platform import Platform
 from .request import Request, RequestSet
@@ -56,6 +54,8 @@ def resource_utilization(
     compensates for each granted request being counted at both its ingress
     and its egress.
     """
+    import numpy as np
+
     m = platform.num_ingress
     n = platform.num_egress
     demand_in = np.zeros(m)
@@ -89,6 +89,8 @@ def resource_utilization_time_averaged(
     ``[min t_s, max t_f]`` — a value in [0, 1] directly comparable to the
     utilisation axis of Figure 4.
     """
+    import numpy as np
+
     if not len(requests):
         return 0.0
     t0, t1 = requests.time_span()

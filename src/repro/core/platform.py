@@ -14,60 +14,96 @@ resources (Eq. 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Iterable
-from typing import Any
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING, Any
 
 from .errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Platform"]
 
 
-@dataclass(frozen=True)
+def _capacities(values: Iterable[float]) -> tuple[float, ...]:
+    """One side's capacities as floats, refused unless one-dimensional,
+    non-empty, finite and positive."""
+    if getattr(values, "ndim", 1) != 1:
+        raise ConfigurationError("capacities must be one-dimensional")
+    try:
+        caps = tuple(map(float, values))
+    except TypeError:
+        raise ConfigurationError("capacities must be one-dimensional") from None
+    if not caps:
+        raise ConfigurationError("platform needs at least one ingress and one egress")
+    if not all(map(math.isfinite, caps)):
+        raise ConfigurationError(f"capacities must be finite, got {list(caps)}")
+    if min(caps) <= 0:
+        raise ConfigurationError("capacities must be positive")
+    return caps
+
+
+def _frozen_array(caps: tuple[float, ...]) -> np.ndarray:
+    import numpy as np
+
+    arr = np.array(caps, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Platform:
     """Capacities of the grid access points.
 
     Parameters
     ----------
     ingress_capacity:
-        Array of ``M`` ingress capacities ``B_in(i)`` in MB/s.
+        The ``M`` ingress capacities ``B_in(i)`` in MB/s.
     egress_capacity:
-        Array of ``N`` egress capacities ``B_out(e)`` in MB/s.
+        The ``N`` egress capacities ``B_out(e)`` in MB/s.
+
+    Every capacity must be finite and positive.  They are kept as tuples of
+    floats, which is all the admission path reads (:meth:`bin`,
+    :meth:`bout`, :meth:`bottleneck`); :attr:`ingress_capacity` and
+    :attr:`egress_capacity` are read-only float64 arrays for the offline
+    analyses, built on first access, so a process that only admits never
+    imports numpy.
     """
 
-    ingress_capacity: np.ndarray
-    egress_capacity: np.ndarray
+    _ingress: tuple[float, ...]
+    _egress: tuple[float, ...]
 
     def __init__(
         self,
         ingress_capacity: Iterable[float],
         egress_capacity: Iterable[float],
     ) -> None:
-        bin_arr = np.asarray(list(ingress_capacity), dtype=np.float64)
-        bout_arr = np.asarray(list(egress_capacity), dtype=np.float64)
-        if bin_arr.ndim != 1 or bout_arr.ndim != 1:
-            raise ConfigurationError("capacities must be one-dimensional")
-        if bin_arr.size == 0 or bout_arr.size == 0:
-            raise ConfigurationError("platform needs at least one ingress and one egress")
-        if np.any(bin_arr <= 0) or np.any(bout_arr <= 0):
-            raise ConfigurationError("capacities must be positive")
-        bin_arr.flags.writeable = False
-        bout_arr.flags.writeable = False
-        object.__setattr__(self, "ingress_capacity", bin_arr)
-        object.__setattr__(self, "egress_capacity", bout_arr)
+        object.__setattr__(self, "_ingress", _capacities(ingress_capacity))
+        object.__setattr__(self, "_egress", _capacities(egress_capacity))
+
+    @cached_property
+    def ingress_capacity(self) -> np.ndarray:
+        """The ingress capacities as a read-only float64 array."""
+        return _frozen_array(self._ingress)
+
+    @cached_property
+    def egress_capacity(self) -> np.ndarray:
+        """The egress capacities as a read-only float64 array."""
+        return _frozen_array(self._egress)
 
     # ------------------------------------------------------------------
     @property
     def num_ingress(self) -> int:
         """Number of ingress points ``M``."""
-        return int(self.ingress_capacity.size)
+        return len(self._ingress)
 
     @property
     def num_egress(self) -> int:
         """Number of egress points ``N``."""
-        return int(self.egress_capacity.size)
+        return len(self._egress)
 
     @property
     def total_capacity(self) -> float:
@@ -85,16 +121,16 @@ class Platform:
 
     def bin(self, i: int) -> float:
         """Capacity ``B_in(i)`` of ingress point ``i``."""
-        return float(self.ingress_capacity[i])
+        return self._ingress[i]
 
     def bout(self, e: int) -> float:
         """Capacity ``B_out(e)`` of egress point ``e``."""
-        return float(self.egress_capacity[e])
+        return self._egress[e]
 
     def bottleneck(self, i: int, e: int) -> float:
         """``b_min = min(B_in(i), B_out(e))`` for a pair — used by the
         CUMULATED-SLOTS cost factor (§4.2)."""
-        return min(self.bin(i), self.bout(e))
+        return min(self._ingress[i], self._egress[e])
 
     # ------------------------------------------------------------------
     # Constructors
@@ -130,8 +166,8 @@ class Platform:
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict representation (JSON friendly)."""
         return {
-            "ingress_capacity": self.ingress_capacity.tolist(),
-            "egress_capacity": self.egress_capacity.tolist(),
+            "ingress_capacity": list(self._ingress),
+            "egress_capacity": list(self._egress),
         }
 
     @classmethod
@@ -142,9 +178,13 @@ class Platform:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Platform):
             return NotImplemented
-        return np.array_equal(self.ingress_capacity, other.ingress_capacity) and np.array_equal(
-            self.egress_capacity, other.egress_capacity
-        )
+        return self._ingress == other._ingress and self._egress == other._egress
 
     def __hash__(self) -> int:
-        return hash((self.ingress_capacity.tobytes(), self.egress_capacity.tobytes()))
+        return hash((self._ingress, self._egress))
+
+    def __repr__(self) -> str:
+        return (
+            f"Platform(ingress_capacity={self.ingress_capacity!r}, "
+            f"egress_capacity={self.egress_capacity!r})"
+        )

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from .errors import InvalidRequestError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Request", "RequestSet", "RATE_TOLERANCE"]
 
@@ -221,6 +222,8 @@ class RequestSet(Sequence[Request]):
         Returns a dict with keys ``rid``, ``ingress``, ``egress``,
         ``volume``, ``t_start``, ``t_end``, ``max_rate``, ``min_rate``.
         """
+        import numpy as np
+
         n = len(self.requests)
         out = {
             "rid": np.empty(n, dtype=np.int64),
@@ -263,6 +266,8 @@ class RequestSet(Sequence[Request]):
 
     def breakpoints(self) -> np.ndarray:
         """Sorted unique window endpoints (the paper's slice boundaries, §4.2)."""
+        import numpy as np
+
         times: set[float] = set()
         for r in self.requests:
             times.add(r.t_start)

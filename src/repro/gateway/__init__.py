@@ -52,10 +52,11 @@ from .rpc import (
     ShardUnreachable,
 )
 from .sharding import ShardMap
-from .twophase import TwoPhaseCoordinator, TwoPhaseOutcome
+from .twophase import BackoffSchedule, TwoPhaseCoordinator, TwoPhaseOutcome
 
 __all__ = [
     "AdmissionOrdering",
+    "BackoffSchedule",
     "Batcher",
     "BrokerUnavailable",
     "Channel",

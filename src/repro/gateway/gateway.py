@@ -50,7 +50,6 @@ from ..obs.slo import SloWatchdog
 from ..obs.telemetry import Telemetry, get_telemetry
 from ..obs.tracer import Hop, Span
 from ..schedulers.policies import BandwidthPolicy, MinRatePolicy, policy_from_name
-from ..schedulers.retry import BackoffSchedule
 from . import lifecycle
 from .batch import AdmissionOrdering, Batcher
 from .edge import EdgeLimit, EdgeLimiter
@@ -59,7 +58,7 @@ from .lifecycle import Reservation, ReservationState
 from .rpc import ChaosPolicy
 from .sharding import ShardMap
 from .broker import ShardBroker
-from .twophase import TwoPhaseCoordinator, TwoPhaseOutcome
+from .twophase import BackoffSchedule, TwoPhaseCoordinator, TwoPhaseOutcome
 
 __all__ = ["Gateway", "GatewayStats", "Ticket"]
 
@@ -1453,22 +1452,23 @@ class Gateway:
 
         The service plane's restart path.  With a ``checkpoint`` in the
         journal the last one is restored and only the entries after it are
-        replayed; without one this is :meth:`replay`.  Either way the
-        rebuild runs without observability wiring (replayed history must
-        not re-emit metrics or SLO samples — it already happened), then
-        this re-attaches the live handles and re-arms the journal so new
-        operations append after the recorded ones.
+        replayed (both come from :meth:`Journal.last_checkpoint
+        <repro.gateway.journal.Journal.last_checkpoint>`, so a loaded
+        journal never decodes the lines before them); without one this is
+        :meth:`replay`.  Either way the rebuild runs without observability
+        wiring (replayed history must not re-emit metrics or SLO samples —
+        it already happened), then this re-attaches the live handles and
+        re-arms the journal so new operations append after the recorded
+        ones.
         """
-        entries = journal.entries
-        last = next(
-            (k for k in range(len(entries) - 1, -1, -1) if entries[k].op == "checkpoint"), None
-        )
-        if last is None:
+        restart = journal.last_checkpoint()
+        if restart is None:
             gateway = cls.replay(journal)
         else:
+            checkpoint, tail = restart
             gateway = cls._configured(journal.header)
-            gateway._load_state(entries[last].args["state"])
-            lifecycle.replay_ops(gateway, entries[last + 1 :])
+            gateway._load_state(checkpoint.args["state"])
+            lifecycle.replay_ops(gateway, tail)
         gateway._telemetry = telemetry  # the observer reads it per record
         gateway.slo = slo
         gateway.journal = journal

@@ -19,6 +19,14 @@ header tag, so a journal never checkpointed is byte-identical to one
 written before it existed, and an older build refuses a checkpointed file
 with "unknown journal op".
 
+Reading a journal back costs what a restart needs, not the history:
+:meth:`Journal.load` decodes the header, the last complete checkpoint and
+every line after it, which :meth:`Journal.last_checkpoint` hands to
+``Gateway.resume``.  The lines before the checkpoint stay undecoded text
+until the first full read of :attr:`Journal.entries` (``Gateway.replay``,
+explain, ``check_gateway(journal=...)``, :meth:`Journal.to_jsonl`,
+iteration); ``len()`` and :meth:`Journal.append` never force it.
+
 Serialisation is JSON lines: the header object on the first line, one
 operation object per subsequent line (see ``docs/FAULTS.md`` for the
 format).  Appends are O(1); nothing is ever rewritten.
@@ -35,13 +43,15 @@ A write cut short (full disk, machine crash) leaves a final line with no
 acknowledged, so :meth:`Journal.from_jsonl` drops such a line when it
 does not decode, and a :meth:`Journal.load`-ed journal cuts the file back
 to its last complete line before its first new append.  Undecodable text
-anywhere else is corruption and raises.
+anywhere else is corruption and raises: at load when it lies at or after
+the last checkpoint, and at the first full read — as a
+``ConfigurationError`` naming the line — when it lies before it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Iterator, Mapping
 from typing import IO, Any
@@ -85,7 +95,6 @@ class JournalEntry:
         return cls(op=op, now=now, args=payload)
 
 
-@dataclass
 class Journal:
     """An append-only log of gateway operations plus a config header.
 
@@ -93,22 +102,74 @@ class Journal:
     backlog limit); entries accumulate via :meth:`append`.  An optional
     ``path`` turns every append into an immediate JSONL write — the
     write-ahead behaviour a crash-recovery log needs.
+
+    A journal read back with :meth:`load` / :meth:`from_jsonl` keeps the
+    lines before its last checkpoint as undecoded text until the first
+    read of :attr:`entries` (iteration, :meth:`to_jsonl`) needs them;
+    ``len()``, :meth:`append` and :meth:`last_checkpoint` never do.
     """
 
-    header: dict[str, Any] = field(default_factory=dict)
-    entries: list[JournalEntry] = field(default_factory=list)
-    path: Path | None = None
-    #: The append handle on ``path``, open from the first append to
-    #: :meth:`close` (re-point ``path`` only on a closed journal).
-    _appender: IO[str] | None = field(default=None, init=False, repr=False, compare=False)
-    #: Set by :meth:`load` when the file does not end in a newline: where
-    #: its last good line ends.  The first new append cuts the file there
-    #: and supplies the newline, so that it starts on a line of its own.
-    _repair: int | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        header: dict[str, Any] | None = None,
+        entries: list[JournalEntry] | None = None,
+        path: str | Path | None = None,
+    ) -> None:
+        self.header: dict[str, Any] = header if header is not None else {}
+        self._entries: list[JournalEntry] = entries if entries is not None else []
+        #: Index in ``_entries`` of the last ``checkpoint``, if any.
+        self._checkpoint: int | None = None
+        for k, entry in enumerate(self._entries):
+            if entry.op == "checkpoint":
+                self._checkpoint = k
+        #: Undecoded lines (blank ones included) that precede ``_entries``;
+        #: the first is line ``_first_line`` of the text, and ``_pending``
+        #: of them are not blank.
+        self._lines: list[str] = []
+        self._first_line = 0
+        self._pending = 0
+        self.path: Path | None = Path(path) if path is not None else None
+        #: The append handle on ``path``, open from the first append to
+        #: :meth:`close` (re-point ``path`` only on a closed journal).
+        self._appender: IO[str] | None = None
+        #: Set by :meth:`load` when the file does not end in a newline: where
+        #: its last good line ends.  The first new append cuts the file there
+        #: and supplies the newline, so that it starts on a line of its own.
+        self._repair: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.path is not None:
-            self.path = Path(self.path)
+    @property
+    def entries(self) -> list[JournalEntry]:
+        """Every entry, in order.  The first read decodes the lines that
+        :meth:`load` left as text; a corrupt one raises
+        ``ConfigurationError`` naming its line, here and on every later
+        read."""
+        if self._lines:
+            self._decode_lines()
+        return self._entries
+
+    def _decode_lines(self) -> None:
+        decoded: list[JournalEntry] = []
+        for number, line in enumerate(self._lines, start=self._first_line):
+            if not line.strip():
+                continue
+            try:
+                decoded.append(JournalEntry.from_dict(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                where = f"journal {self.path}" if self.path is not None else "journal"
+                raise ConfigurationError(f"{where}, line {number}: {exc}") from exc
+        self._entries[:0] = decoded
+        if self._checkpoint is not None:
+            self._checkpoint += len(decoded)
+        self._lines, self._pending = [], 0
+
+    def last_checkpoint(self) -> tuple[JournalEntry, list[JournalEntry]] | None:
+        """The last ``checkpoint`` entry and the entries after it (what
+        ``Gateway.resume`` applies), or ``None`` when there is none.
+        Decodes nothing: a loaded journal decoded exactly these."""
+        k = self._checkpoint
+        if k is None:
+            return None
+        return self._entries[k], self._entries[k + 1 :]
 
     # ------------------------------------------------------------------
     def set_header(self, header: Mapping[str, Any]) -> None:
@@ -127,7 +188,9 @@ class Journal:
         backed (see the module docstring for what that does and does not
         survive)."""
         entry = JournalEntry(op=op, now=now, args=args)
-        self.entries.append(entry)
+        self._entries.append(entry)
+        if op == "checkpoint":
+            self._checkpoint = len(self._entries) - 1
         if self.path is not None:
             appender = self._appender
             if appender is None:
@@ -147,7 +210,7 @@ class Journal:
             self._appender = None
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._pending + len(self._entries)
 
     def __iter__(self) -> Iterator[JournalEntry]:
         return iter(self.entries)
@@ -161,18 +224,35 @@ class Journal:
 
     @classmethod
     def from_jsonl(cls, text: str) -> Journal:
-        """Inverse of :meth:`to_jsonl` (minus a torn final line, if any)."""
-        lines = [line for line in _complete(text).splitlines() if line.strip()]
-        if not lines:
+        """Inverse of :meth:`to_jsonl` (minus a torn final line, if any).
+
+        Decodes the header, the last checkpoint and every line after it —
+        undecodable text there raises here; the lines before the
+        checkpoint wait for the first read of :attr:`entries`.
+        """
+        lines = _complete(text).splitlines()
+        first = next((k for k, line in enumerate(lines) if line.strip()), None)
+        if first is None:
             raise ConfigurationError("empty journal")
-        header = json.loads(lines[0])
+        header = json.loads(lines[first])
         if header.get("format") != JOURNAL_FORMAT:
             raise ConfigurationError(
                 f"not a {JOURNAL_FORMAT} journal (header format: {header.get('format')!r}); "
                 "journals of another format version cannot be replayed"
             )
-        journal = cls(header=header)
-        journal.entries = [JournalEntry.from_dict(json.loads(line)) for line in lines[1:]]
+        tail: list[JournalEntry] = []
+        cut = len(lines)
+        while cut > first + 1:
+            cut -= 1
+            if lines[cut].strip():
+                tail.append(JournalEntry.from_dict(json.loads(lines[cut])))
+                if tail[-1].op == "checkpoint":
+                    break
+        tail.reverse()
+        journal = cls(header=header, entries=tail)
+        journal._lines = lines[first + 1 : cut]
+        journal._first_line = first + 2
+        journal._pending = sum(1 for line in journal._lines if line.strip())
         return journal
 
     @classmethod

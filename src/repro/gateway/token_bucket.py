@@ -12,10 +12,12 @@ conforming/dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..core.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["TokenBucket", "enforce_series"]
 
@@ -96,6 +98,8 @@ def enforce_series(
     Models the drop-enforcement at the access point: non-conforming packets
     are dropped (they do not consume tokens).
     """
+    import numpy as np
+
     times = np.asarray(times, dtype=np.float64)
     sizes = np.asarray(sizes, dtype=np.float64)
     if times.shape != sizes.shape:

@@ -15,11 +15,10 @@ two-phase commit:
 
 Failure semantics (what the fault drills exercise):
 
-- a broker found down is retried per a
-  :class:`~repro.schedulers.retry.BackoffSchedule`; brokers stay down for
-  at least the rest of the simulated instant, so the budget exhausts
-  deterministically and the request is rejected ``broker-unavailable``
-  with every already-placed hold aborted;
+- a broker found down is retried per a :class:`BackoffSchedule`;
+  brokers stay down for at least the rest of the simulated instant, so
+  the budget exhausts deterministically and the request is rejected
+  ``broker-unavailable`` with every already-placed hold aborted;
 - a broker *crash* wipes its own (volatile) holds — capacity returns
   instantly — and the coordinator aborts the surviving peer holds, so a
   crashed peer never strands capacity;
@@ -52,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING, TypeVar
+from typing import TYPE_CHECKING, Any, TypeVar
 
 from ..core.allocation import Allocation
 from ..core.booking import FitProbe, RejectReason, admission_search, deadline_tolerance
@@ -64,7 +63,6 @@ from ..core.capacity import fits_under
 from ..core.ledger import Port
 from ..core.profile import RateProfile, Segment
 from ..core.request import Request
-from ..schedulers.retry import BackoffSchedule
 from .broker import BrokerUnavailable, Hold, ShardBroker
 from .rpc import Channel, ChannelTimeout, ChaosPolicy, ShardUnreachable
 from .sharding import ShardMap
@@ -72,9 +70,53 @@ from .sharding import ShardMap
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..obs.causal import CausalObserver
 
-__all__ = ["TwoPhaseCoordinator", "TwoPhaseOutcome"]
+__all__ = ["BackoffSchedule", "TwoPhaseCoordinator", "TwoPhaseOutcome"]
 
 _T = TypeVar("_T")
+
+
+@dataclass(frozen=True)
+class BackoffSchedule:
+    """Exponential backoff with optional jitter, shared by every retry path.
+
+    Attempt ``k`` (1-based) waits ``base × multiplier^(k-1)`` seconds, plus
+    a uniform random fraction of that delay up to ``jitter`` when an ``rng``
+    is supplied — jitter decorrelates rebooking storms after a port outage
+    displaces many reservations at once.
+
+    Used by the coordinator's broker retries, by
+    :class:`~repro.schedulers.retry.RetryGreedyFlexible` (client
+    resubmission, §2.3, which re-exports it) and by the fault-recovery
+    rebooking daemon (:mod:`repro.control.faults`).
+    """
+
+    base: float = 60.0
+    multiplier: float = 2.0
+    max_attempts: int = 8
+    jitter: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.base <= 0:
+            raise ConfigurationError(f"backoff base must be positive, got {self.base}")
+        if self.multiplier < 1.0:
+            raise ConfigurationError(f"multiplier must be >= 1, got {self.multiplier}")
+        if self.max_attempts < 1:
+            raise ConfigurationError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        if not (0.0 <= self.jitter <= 1.0):
+            raise ConfigurationError(f"jitter must be in [0, 1], got {self.jitter}")
+
+    def delay(self, attempt: int, rng: Any = None) -> float:
+        """Wait before retry number ``attempt`` (1-based).
+
+        ``rng`` is any object with a ``random()`` method returning a float
+        in ``[0, 1)`` (``random.Random``, ``numpy.random.Generator``).
+        """
+        if attempt < 1:
+            raise ConfigurationError(f"attempt must be >= 1, got {attempt}")
+        delay = self.base * self.multiplier ** (attempt - 1)
+        if self.jitter and rng is not None:
+            delay *= 1.0 + self.jitter * rng.random()
+        return delay
 
 
 @dataclass

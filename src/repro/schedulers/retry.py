@@ -18,56 +18,14 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 
-from ..core.errors import ConfigurationError
 from ..core.problem import ProblemInstance
 from ..core.allocation import ScheduleResult
+from ..gateway.twophase import BackoffSchedule
 from .base import Scheduler
 from .flexible import _PortOccupancy
 from .policies import BandwidthPolicy, MinRatePolicy
 
 __all__ = ["BackoffSchedule", "RetryGreedyFlexible"]
-
-
-@dataclass(frozen=True)
-class BackoffSchedule:
-    """Exponential backoff with optional jitter, shared by every retry path.
-
-    Attempt ``k`` (1-based) waits ``base × multiplier^(k-1)`` seconds, plus
-    a uniform random fraction of that delay up to ``jitter`` when an ``rng``
-    is supplied — jitter decorrelates rebooking storms after a port outage
-    displaces many reservations at once.
-
-    Used by :class:`RetryGreedyFlexible` (client resubmission, §2.3) and by
-    the fault-recovery rebooking daemon (:mod:`repro.control.faults`).
-    """
-
-    base: float = 60.0
-    multiplier: float = 2.0
-    max_attempts: int = 8
-    jitter: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.base <= 0:
-            raise ConfigurationError(f"backoff base must be positive, got {self.base}")
-        if self.multiplier < 1.0:
-            raise ConfigurationError(f"multiplier must be >= 1, got {self.multiplier}")
-        if self.max_attempts < 1:
-            raise ConfigurationError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if not (0.0 <= self.jitter <= 1.0):
-            raise ConfigurationError(f"jitter must be in [0, 1], got {self.jitter}")
-
-    def delay(self, attempt: int, rng=None) -> float:
-        """Wait before retry number ``attempt`` (1-based).
-
-        ``rng`` is any object with a ``random()`` method returning a float
-        in ``[0, 1)`` (``random.Random``, ``numpy.random.Generator``).
-        """
-        if attempt < 1:
-            raise ConfigurationError(f"attempt must be >= 1, got {attempt}")
-        delay = self.base * self.multiplier ** (attempt - 1)
-        if self.jitter and rng is not None:
-            delay *= 1.0 + self.jitter * rng.random()
-        return delay
 
 
 @dataclass

@@ -28,7 +28,7 @@ from repro.core.errors import ConfigurationError, ReproError
 from repro.core.ledger import Port
 from repro.core.platform import Platform
 from repro.core.profile import RateProfile
-from repro.gateway import ChaosPolicy, EdgeLimit, Gateway, Journal, lifecycle
+from repro.gateway import ChaosPolicy, EdgeLimit, Gateway, Journal, JournalEntry, lifecycle
 from repro.gateway.invariants import check_gateway
 from repro.obs import RunTelemetry, Telemetry
 from repro.obs.causal import explain_request
@@ -399,6 +399,95 @@ class TestExplain:
         asyncio.run(app.drain())
         assert app.journal.entries[-1].op == "checkpoint"
         assert {rid: app.explain(rid) for rid in rids} == before
+
+
+class TestLazyLoad:
+    """``Journal.load`` decodes the header, the last checkpoint and the
+    lines after it; the lines before wait for the first full read."""
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        """A traced file-backed gateway: ops, a drain and a checkpoint,
+        then more ops.  Returns it, its journal's path and the artifact."""
+        telemetry = Telemetry()
+        path = tmp_path / "wal.jsonl"
+        gateway = Gateway(
+            PLATFORM, num_shards=2, batch_size=4, journal=Journal(path=path), telemetry=telemetry
+        )
+        gateway.drain(run_stream(gateway, seeded_ops(21, 60)))
+        gateway.checkpoint()
+        gateway.drain(run_stream(gateway, seeded_ops(22, 30), gateway.now))
+        gateway.journal.close()
+        artifact = RunTelemetry("lazy")
+        artifact.capture("run", telemetry)
+        return gateway, path, artifact
+
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        """How many journal lines have been decoded into entries."""
+        count = [0]
+        real = JournalEntry.from_dict.__func__
+
+        def spy(cls, data):
+            count[0] += 1
+            return real(cls, data)
+
+        monkeypatch.setattr(JournalEntry, "from_dict", classmethod(spy))
+        return count
+
+    @staticmethod
+    def eager(path):
+        lines = path.read_text().splitlines()
+        return Journal(
+            header=json.loads(lines[0]),
+            entries=[JournalEntry.from_dict(json.loads(line)) for line in lines[1:]],
+        )
+
+    def test_load_and_resume_decode_only_the_checkpoint_and_its_tail(self, written, decoded):
+        gateway, path, _ = written
+        text = path.read_text().splitlines()
+        at = max(k for k, line in enumerate(text) if '"op": "checkpoint"' in line)
+        journal = Journal.load(path)
+        assert decoded == [len(text) - at] and len(journal) == len(text) - 1
+        resumed = Gateway.resume(journal)
+        assert resumed.snapshot() == gateway.snapshot()
+        now = resumed.now
+        resumed.submit(ingress=0, egress=1, volume=5.0, deadline=now + 90.0, now=now)
+        assert decoded == [len(text) - at] and len(journal) == len(text)
+        assert journal.to_jsonl() == path.read_text()  # the first full read
+        assert decoded == [len(text) - 1]
+        assert lines(journal.entries) == lines(self.eager(path).entries)
+
+    def test_explain_text_is_that_of_an_eagerly_loaded_journal(self, written):
+        gateway, path, artifact = written
+        for rid in range(gateway.snapshot()["next_rid"]):
+            story = explain_request(artifact, rid, journal=Journal.load(path))
+            assert story == explain_request(artifact, rid, journal=self.eager(path))
+
+    def test_a_corrupt_line_before_the_checkpoint_raises_at_the_first_full_read(
+        self, written, tmp_path, capsys
+    ):
+        gateway, path, artifact = written
+        text = path.read_text().splitlines()
+        k = 1 + next(n for n, line in enumerate(text) if '"op": "submit"' in line)
+        text[k - 1] = text[k - 1][:-7]  # file line k no longer decodes
+        path.write_text("\n".join(text) + "\n")
+        journal = Journal.load(path)
+        assert len(journal) == len(text) - 1
+        resumed = Gateway.resume(journal)
+        assert resumed.snapshot() == gateway.snapshot()
+        named = f"line {k}:"
+        with pytest.raises(ConfigurationError, match=named):
+            Gateway.replay(journal)
+        with pytest.raises(ConfigurationError, match=named):
+            check_gateway(resumed, journal=journal)
+        with pytest.raises(ConfigurationError, match=named):
+            list(journal)  # and again: nothing was half-decoded
+        artifact_path = tmp_path / "run.json"
+        artifact.save(artifact_path)
+        argv = ["explain", "0", str(artifact_path), "--journal", str(path)]
+        assert grid_obs(argv) == 2
+        assert named in capsys.readouterr().err
 
 
 class TestStateOut:

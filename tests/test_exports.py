@@ -1,7 +1,11 @@
-"""Every name a module lists in ``__all__`` resolves on that module, and the
-control and gateway packages import in either order."""
+"""Every name a module lists in ``__all__`` resolves on that module, the
+control and gateway packages import in either order, the lazy packages
+re-export the defining modules' objects, and a serving process imports
+neither numpy nor the offline packages."""
 
+import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -49,3 +53,95 @@ def test_the_gateway_imports_nothing_from_control():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# ----------------------------------------------------------------------
+# What a ``grid-serve`` process imports.  Run in a clean interpreter:
+# pytest itself has numpy loaded long before any test runs.
+# ----------------------------------------------------------------------
+SERVE_LIFE = r"""
+import asyncio, json, sys, tempfile
+from pathlib import Path
+
+from repro.serve.cli import _parser, build_app
+from repro.serve.http import HttpRequest
+from repro.gateway.invariants import check_gateway
+
+
+def call(app, method, path, body=None):
+    raw = json.dumps(body).encode() if body is not None else b""
+    request = HttpRequest(method=method, path=path, query={}, headers={}, body=raw)
+    return asyncio.run(app.dispatch(request))
+
+
+journal = Path(tempfile.mkdtemp()) / "wal.jsonl"
+argv = ["--ports", "4", "--shards", "2", "--batch-size", "4", "--journal", str(journal)]
+app = build_app(_parser().parse_args(argv))
+wave = [
+    {"ingress": k % 4, "egress": (k + 1) % 4, "volume": 500.0, "deadline": 900.0, "at": 1.0}
+    for k in range(12)
+]
+assert call(app, "POST", "/v1/reservations/batch", {"submissions": wave}).status == 200
+assert call(app, "GET", "/v1/reservations/3").status == 200
+assert "gateway_" in call(app, "GET", "/metrics").text
+asyncio.run(app.drain())
+successor = build_app(_parser().parse_args(argv))
+assert successor.snapshot() == app.snapshot()
+report = check_gateway(successor.gateway, journal=successor.journal)
+assert report.ok and report.checks["replayed"] == 2, report.violations
+assert call(successor, "GET", "/v1/reservations/3").status == 200
+assert "serve_requests_total" in call(successor, "GET", "/metrics").text
+print(json.dumps(sorted(sys.modules)))
+"""
+
+#: Modules no part of a serving process's life may load.
+OFFLINE = {
+    "numpy",
+    *(f"repro.schedulers.{m}" for m in ("flexible", "advance", "localsearch", "rigid", "registry")),
+    "repro.workload",
+    "repro.metrics",
+    "repro.experiments",
+    "repro.exact",
+    "repro.fairness",
+}
+
+
+def test_a_serving_process_never_imports_numpy_or_the_offline_packages():
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run(
+        [sys.executable, "-c", SERVE_LIFE], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout.splitlines()[-1]))
+    assert "repro.serve.cli" in loaded and "repro.gateway.invariants" in loaded
+    assert sorted(OFFLINE & loaded) == []
+
+
+def _type_checking_imports(module):
+    """``(relative module, name)`` for every import under the package's
+    ``if TYPE_CHECKING:`` block — what mypy sees it export."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    block = next(
+        node for node in tree.body
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING"
+    )  # fmt: skip
+    return [
+        ("." * stmt.level + (stmt.module or ""), alias.name)
+        for stmt in block.body
+        for alias in stmt.names
+    ]
+
+
+@pytest.mark.parametrize("package", ["repro", "repro.schedulers"])
+def test_lazy_reexports_are_the_defining_modules_objects(package):
+    """The lazy packages export what their ``TYPE_CHECKING`` imports
+    declare, and each name resolves to the very object of the module the
+    declaration names."""
+    module = importlib.import_module(package)
+    declared = _type_checking_imports(module)
+    assert sorted(name for _, name in declared) == sorted(set(module.__all__) - {"__version__"})
+    for source, name in declared:
+        assert getattr(module, name) is getattr(importlib.import_module(source, package), name)
+    assert set(module.__all__) <= set(dir(module))
+    with pytest.raises(AttributeError):
+        module.no_such_name  # noqa: B018

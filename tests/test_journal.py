@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import ConfigurationError, InvalidRequestError, Platform
-from repro.gateway import Gateway, Journal, JournalEntry, lifecycle
+from repro.gateway import EdgeLimit, Gateway, Journal, JournalEntry, lifecycle
 from repro.gateway.journal import JOURNAL_FORMAT
 from repro.schedulers import FractionOfMaxPolicy
 
@@ -32,6 +32,27 @@ class TestJournalEntry:
 
 
 class TestSerialisation:
+    def test_header_bytes_are_pinned(self):
+        """The header a journal starts with, byte for byte as written when
+        ``Platform`` kept its capacities in numpy arrays."""
+        journal = Journal()
+        Gateway(
+            Platform([1250.0, 625.0, 0.1, 1e-3], [3.0, 1e9 / 7]),
+            num_shards=2,
+            batch_size=4,
+            edge=EdgeLimit(rate=10.0, burst=20.0),
+            journal=journal,
+        )
+        assert journal.to_jsonl() == (
+            '{"format": "repro-journal/2", "kind": "gateway", "platform": '
+            '{"ingress_capacity": [1250.0, 625.0, 0.1, 0.001], '
+            '"egress_capacity": [3.0, 142857142.85714287]}, "num_shards": 2, '
+            '"batch_size": 4, "ordering": "fifo", "policy": "min-bw", "hold_ttl": 300.0, '
+            '"backoff": {"base": 5.0, "multiplier": 2.0, "max_attempts": 3, "jitter": 0.0}, '
+            '"edge": {"rate": 10.0, "burst": 20.0}, "chaos": null, "rpc_deadline": null, '
+            '"backlog_limit": 0}\n'
+        )
+
     def test_jsonl_round_trip(self, platform):
         journal = Journal()
         Gateway(platform, journal=journal).submit(

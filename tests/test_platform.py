@@ -76,3 +76,62 @@ class TestEqualitySerialisation:
         a = Platform.uniform(3, 3, 7.0)
         b = Platform.uniform(3, 3, 7.0)
         assert hash(a) == hash(b)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_capacities_are_refused(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            Platform([bad], [1.0])
+        with pytest.raises(ConfigurationError, match="finite"):
+            Platform([1.0, 2.0], [3.0, bad])
+
+    @pytest.mark.parametrize("capacity", ["nan", "inf"])
+    def test_grid_serve_refuses_a_non_finite_capacity(self, capacity):
+        from repro.serve.cli import _parser, build_app, main
+
+        with pytest.raises(ConfigurationError, match="finite"):
+            build_app(_parser().parse_args(["--capacity", capacity]))
+        with pytest.raises(ConfigurationError, match="finite"):
+            main(["--capacity", capacity, "--port", "0"])
+
+
+class TestArraysAndTuples:
+    """The capacities are tuples underneath; the arrays and every
+    comparison read exactly as they did when arrays were the storage."""
+
+    def test_arrays_are_read_only_float64_and_cached(self):
+        p = Platform([10, 20.5], (30.0,))
+        for arr, want in ((p.ingress_capacity, [10.0, 20.5]), (p.egress_capacity, [30.0])):
+            assert arr.dtype == np.float64 and arr.ndim == 1
+            assert not arr.flags.writeable
+            np.testing.assert_array_equal(arr, want)
+        assert p.ingress_capacity is p.ingress_capacity
+        assert isinstance(p.bin(0), float) and p.bin(0) == 10.0
+
+    def test_array_input_reads_the_same(self):
+        arr = np.array([125.0, 1250.0])
+        assert Platform(arr, arr) == Platform([125.0, 1250.0], [125.0, 1250.0])
+        with pytest.raises(ConfigurationError, match="one-dimensional"):
+            Platform(np.ones((2, 1)), [1.0])
+        with pytest.raises(ConfigurationError, match="one-dimensional"):
+            Platform([[1.0]], [1.0])
+
+    def test_equality_and_hash_ignore_the_cached_arrays(self):
+        a, b = Platform.grid5000(), Platform.grid5000()
+        a.ingress_capacity  # noqa: B018 - builds a's arrays only
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert Platform([1.0], [2.0]) != Platform([2.0], [1.0])
+        assert Platform([1.0], [2.0]) != Platform([1.0, 1.0], [2.0])
+
+    def test_frozen(self):
+        p = Platform.uniform(2, 2, 10.0)
+        with pytest.raises(AttributeError):
+            p._ingress = (1.0, 1.0)  # type: ignore[misc]
+
+    def test_to_dict_and_repr_are_unchanged(self):
+        p = Platform([1250.0, 0.1], [1e9 / 7])
+        assert p.to_dict() == {"ingress_capacity": [1250.0, 0.1], "egress_capacity": [1e9 / 7]}
+        assert repr(Platform.uniform(1, 2, 5.0)) == (
+            "Platform(ingress_capacity=array([5.]), egress_capacity=array([5., 5.]))"
+        )
