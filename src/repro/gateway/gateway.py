@@ -58,7 +58,9 @@ from .lifecycle import Reservation, ReservationState
 from .rpc import ChaosPolicy
 from .sharding import ShardMap
 from .broker import ShardBroker
-from .twophase import BackoffSchedule, TwoPhaseCoordinator, TwoPhaseOutcome
+from .twophase import (
+    BackoffSchedule, PlacementHop, TwoPhaseCoordinator, TwoPhaseOutcome, direct_hops,
+)  # fmt: skip
 
 __all__ = ["Gateway", "GatewayStats", "Ticket"]
 
@@ -113,7 +115,7 @@ class GatewayStats:
         return dict(vars(self))
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class Ticket(Reservation):
     """The one record of one submission.
 
@@ -140,16 +142,17 @@ class Ticket(Reservation):
     decided: bool = False
 
     def row(self) -> list[Any]:
-        """Every field as one JSON-able list (a checkpoint's ticket row);
-        :meth:`from_row` inverts it exactly."""
+        """Every field as one flat JSON-able list (a checkpoint's ticket
+        row: the request's fields, then the allocation's rate, window and
+        shape, all ``None`` when there is none); :meth:`from_row` inverts
+        it exactly."""
         r, a = self.request, self.allocation
         return [
             self.rid, self.seq, self.client,
-            [r.rid, r.ingress, r.egress, r.volume, r.t_start, r.t_end, r.max_rate],
-            None if a is None else [
-                a.rid, a.ingress, a.egress, a.bw, a.sigma, a.tau,
-                None if a.profile is None else a.profile.to_list(),
-            ],
+            r.ingress, r.egress, r.volume, r.t_start, r.t_end, r.max_rate,
+            *((None, None, None, None) if a is None else (
+                a.bw, a.sigma, a.tau, None if a.profile is None else a.profile.to_list()
+            )),
             self.cancelled_at, self.aborted_at, self.displaced_at, self.origin,
             None if self.reject_reason is None else self.reject_reason.value,
             self.edge_refused, self.retry_after,
@@ -159,18 +162,24 @@ class Ticket(Reservation):
 
     @classmethod
     def from_row(cls, row: list[Any]) -> Ticket:
-        """Inverse of :meth:`row`."""
+        """Inverse of :meth:`row`; also reads the rows of checkpoints
+        written before it was flat (request and allocation nested)."""
+        if len(row) == 14:
+            rid, seq, client, request, allocation, *rest = row
+            row = [rid, seq, client, *request[1:], *(allocation or [None] * 7)[3:], *rest]
         (
-            rid, seq, client, request, allocation, cancelled_at, aborted_at, displaced_at,
-            origin, reason, edge_refused, retry_after, profile, decided,
+            rid, seq, client, ingress, egress, volume, t_start, t_end, max_rate, bw, sigma, tau,
+            shape, cancelled_at, aborted_at, displaced_at, origin, reason, edge_refused,
+            retry_after, profile, decided,
         ) = row  # fmt: skip
         granted: Allocation | None = None
-        if allocation is not None:
-            *fields, shape = allocation
-            granted = Allocation(*fields, profile=RateProfile.maybe_from(shape))
+        if bw is not None:
+            granted = Allocation(
+                rid, ingress, egress, bw, sigma, tau, profile=RateProfile.maybe_from(shape)
+            )
         return cls(
             rid=rid,
-            request=Request(*request),
+            request=Request(rid, ingress, egress, volume, t_start, t_end, max_rate),
             allocation=granted,
             cancelled_at=cancelled_at,
             aborted_at=aborted_at,
@@ -194,16 +203,13 @@ def _hop(name: str, now: float, ctx: TraceContext, fields: dict[str, Any]) -> Sp
 class _Submitted(NamedTuple):
     """The causal record of one submission: ``gateway.trace.submit`` and
     ``gateway.trace.enqueued`` (``pending`` set) or
-    ``gateway.trace.edge_refused``, rendered on read.  ``ctx`` is ``None``
-    for a rid on its own root trace."""
+    ``gateway.trace.edge_refused``, rendered on read from the ticket's
+    fields that never change.  ``ctx`` is ``None`` for a rid on its own
+    root trace."""
 
     now: float
-    rid: int
+    ticket: Ticket
     ctx: TraceContext | None
-    client: str
-    ingress: int
-    egress: int
-    origin: int | None
     pending: int | None
 
     @property
@@ -211,11 +217,13 @@ class _Submitted(NamedTuple):
         return 2
 
     def spans(self) -> list[Span]:
-        now, rid, ctx = self.now, self.rid, self.ctx or TraceContext.root(self.rid)
-        submit = {"rid": rid, "client": self.client, "ingress": self.ingress}
-        submit.update(egress=self.egress, origin=self.origin)
+        ticket, request = self.ticket, self.ticket.request
+        now, rid, client = self.now, ticket.rid, ticket.client
+        ctx = self.ctx or TraceContext.root(rid)
+        submit = {"rid": rid, "client": client, "ingress": request.ingress}
+        submit.update(egress=request.egress, origin=ticket.origin)
         if self.pending is None:
-            then = _hop("gateway.trace.edge_refused", now, ctx, {"rid": rid, "client": self.client})
+            then = _hop("gateway.trace.edge_refused", now, ctx, {"rid": rid, "client": client})
         else:
             then = _hop("gateway.trace.enqueued", now, ctx, {"rid": rid, "pending": self.pending})
         return [_hop("gateway.trace.submit", now, ctx, submit), then]
@@ -223,72 +231,96 @@ class _Submitted(NamedTuple):
 
 class _Admission:
     """The causal record of one admission attempt, stored once when it is
-    decided: the placement's hops — ``(cat, what, shard, segment,
-    detail)`` tuples the channels add while it is :attr:`CausalObserver.open`
-    — then ``gateway.trace.decision``, or, for a backlog re-admission of
-    rid ``readmits``, ``gateway.trace.readmit_attempt`` + hops +
+    decided: the placement's hops, then ``gateway.trace.decision``, or,
+    for a backlog re-admission of rid ``readmits``,
+    ``gateway.trace.readmit_attempt`` + hops +
     ``gateway.trace.readmit_decision``.  A first admission's record also
-    renders its ``gateway.submit`` event.  Decision-time values only
-    (:meth:`Gateway._admit` sets ``outcome`` and ``latency``): the ticket
-    is rewritten later (reshape, degrade, cancel), its ``request`` and the
-    attempt's ``outcome`` are not."""
+    renders its ``gateway.submit`` event.
 
-    __slots__ = ("now", "rid", "ctx", "request", "readmits", "hops", "outcome", "latency")
-    outcome: TwoPhaseOutcome
+    Flat and decision-time only (:meth:`Gateway._admit` fills the
+    outcome's scalars and the granted ``allocation``, which it shares with
+    the ticket): the ticket's request, client and reject reason never
+    change; its allocation may (reshape), so the record keeps its own.
+    A direct placement (:func:`~repro.gateway.twophase.direct_hops`) keeps
+    only how many of its fixed bookings it made (``booked``); only the
+    two-phase protocol's deliveries and faults are kept as ``hops`` —
+    ``(cat, what, shard, segment, detail)`` tuples the channels add while
+    the record is :attr:`CausalObserver.open`."""
+
+    __slots__ = (
+        "now", "ticket", "ctx", "readmits", "shards", "booked", "hops",
+        "allocation", "fastpath", "candidates", "latency",
+    )  # fmt: skip
+    allocation: Allocation | None
+    fastpath: bool
+    candidates: int
     latency: float
 
     def __init__(
-        self, now: float, ticket: Ticket, ctx: TraceContext | None, readmits: int | None = None
+        self,
+        now: float,
+        ticket: Ticket,
+        ctx: TraceContext | None,
+        shards: ShardMap,
+        readmits: int | None = None,
     ) -> None:
-        self.now, self.rid, self.request = now, ticket.rid, ticket.request
-        self.ctx, self.readmits = ctx, readmits
-        self.hops: list[tuple[str, str, int, str, dict[str, Any] | None]] = []
+        self.now, self.ticket, self.ctx, self.shards = now, ticket, ctx, shards
+        self.readmits = readmits
+        self.booked = 0
+        self.hops: list[PlacementHop] | None = None
+
+    def hop(self, hop: PlacementHop) -> None:
+        """Keep one protocol delivery or fault (:meth:`CausalObserver.hop`)."""
+        self.hops = [*(self.hops or ()), hop]
 
     @property
     def width(self) -> int:
-        return len(self.hops) + (1 if self.readmits is None else 2)
+        hops = self.booked if self.hops is None else len(self.hops)
+        return hops + (1 if self.readmits is None else 2)
 
     def spans(self) -> list[Span]:
-        now, rid, ctx = self.now, self.rid, self.ctx or TraceContext.root(self.rid)
-        spans = hop_spans(self.hops, now, ctx)
-        accepted = self.outcome.allocation is not None
+        now, rid = self.now, self.ticket.rid
+        ctx = self.ctx or TraceContext.root(rid)
+        hops = self.hops or direct_hops(self.shards, self.ticket.request, self.booked)
+        spans = hop_spans(hops, now, ctx)
+        accepted = self.allocation is not None
         decided = "accepted" if accepted else "rejected"
         if self.readmits is not None:
             fields: dict[str, Any] = {"rid": rid, "origin": self.readmits}
             attempt = _hop("gateway.trace.readmit_attempt", now, ctx, fields)
             done = _hop("gateway.trace.readmit_decision", now, ctx, {**fields, "outcome": decided})
             return [attempt, *spans, done]
-        reason = self.outcome.probe.reason
+        reason = self.ticket.reject_reason
         shown = None if accepted or reason is None else reason.value
         fields = {"rid": rid, "outcome": decided, "reason": shown, "latency": self.latency}
         return [*spans, _hop("gateway.trace.decision", now, ctx, fields)]
 
     def event(self) -> tuple[float, str, dict[str, Any]]:
         """The ``gateway.submit`` event of a first admission."""
-        request, outcome, alloc = self.request, self.outcome, self.outcome.allocation
+        rid, request, alloc = self.ticket.rid, self.ticket.request, self.allocation
+        local = self.shards.is_local(request.ingress, request.egress)
         fields: dict[str, Any] = {
-            "rid": self.rid,
+            "rid": rid,
             "ingress": request.ingress,
             "egress": request.egress,
             "volume": request.volume,
             "deadline": request.t_end,
             "outcome": "accepted" if alloc is not None else "rejected",
-            "path": "local" if outcome.local else "cross-shard",
-            "fastpath": outcome.fastpath,
-            "candidates": outcome.probe.candidates,
+            "path": "local" if local else "cross-shard",
+            "fastpath": self.fastpath,
+            "candidates": self.candidates,
             "latency": self.latency,
         }
-        fields.update((self.ctx or TraceContext.root(self.rid)).fields())
+        fields.update((self.ctx or TraceContext.root(rid)).fields())
         if alloc is not None:
             fields.update(sigma=alloc.sigma, tau=alloc.tau, bw=alloc.bw)
         else:
-            fields["reason"] = _reason(outcome)
+            fields["reason"] = _reason(self.ticket.reject_reason)
         return self.now, "gateway.submit", fields
 
 
-def _reason(outcome: TwoPhaseOutcome) -> str:
+def _reason(reason: RejectReason | None) -> str:
     """A rejected attempt's reason as reported (``unspecified`` if none)."""
-    reason = outcome.probe.reason
     return reason.value if reason is not None else "unspecified"
 
 
@@ -646,8 +678,7 @@ class Gateway:
             ticket.retry_after = self.edge.retry_after(client, volume, now)
             self.stats.edge_refused += 1
             if tel.enabled:
-                record = _Submitted(now, rid, ctx, client, ingress, egress, origin, None)
-                self._observer.store(record)
+                self._observer.store(_Submitted(now, ticket, ctx, None))
                 tel.metrics.counter(
                     "gateway_edge_refusals_total",
                     "Submissions refused by the per-client edge token bucket.",
@@ -660,8 +691,7 @@ class Gateway:
             self._batch_opened = now
         self.batcher.enqueue(ticket)
         if tel.enabled:
-            record = _Submitted(now, rid, ctx, client, ingress, egress, origin, len(self.batcher))
-            self._observer.store(record)
+            self._observer.store(_Submitted(now, ticket, ctx, len(self.batcher)))
         if self.batcher.full:
             self._flush(now)
         return ticket
@@ -780,7 +810,8 @@ class Gateway:
             stats.twophase_aborts += 1
         latency = (now - waiting_since) + outcome.retry_delay + outcome.chaos_wait
         if trace is not None:
-            trace.outcome, trace.latency = outcome, latency
+            trace.allocation, trace.fastpath = outcome.allocation, outcome.fastpath
+            trace.candidates, trace.latency = outcome.probe.candidates, latency
             self._observer.store(trace)
         accepted = outcome.allocation is not None
         if self.slo is not None:
@@ -791,7 +822,9 @@ class Gateway:
 
     def _decide(self, ticket: Ticket, now: float, tel: Telemetry) -> None:
         """Decide one batched submission; publish the outcome."""
-        trace = _Admission(now, ticket, self._trace_roots.get(ticket.rid)) if tel.enabled else None
+        trace: _Admission | None = None
+        if tel.enabled:
+            trace = _Admission(now, ticket, self._trace_roots.get(ticket.rid), self.shard_map)
         # Queueing counts from the instant the request's window opened.
         outcome, latency = self._admit(ticket, now, tel, trace, ticket.request.t_start)
         if outcome.local:
@@ -857,7 +890,7 @@ class Gateway:
             ).inc()
         bound.latency.observe(latency)
         if outcome.allocation is None:
-            bound.rejects(_reason(outcome)).inc()
+            bound.rejects(_reason(outcome.probe.reason)).inc()
         tel.store(trace)
 
     # ------------------------------------------------------------------
@@ -910,7 +943,7 @@ class Gateway:
                 ctx = self._trace_roots[attempt.rid] = self._ctx_of(rid).child(
                     f"readmit:{attempt.rid}"
                 )
-                trace = _Admission(now, attempt, ctx, readmits=rid)
+                trace = _Admission(now, attempt, ctx, self.shard_map, readmits=rid)
             # The client has been waiting since the *original* window opened.
             self._admit(attempt, now, tel, trace, original.t_start)
             if not attempt.confirmed:

@@ -19,13 +19,23 @@ header tag, so a journal never checkpointed is byte-identical to one
 written before it existed, and an older build refuses a checkpointed file
 with "unknown journal op".
 
+What a journal keeps in memory depends on where it lives.  An in-memory
+journal (no ``path``, or read back with :meth:`Journal.from_jsonl`) is
+its list of entries.  A file-backed one keeps
+nothing of them: :meth:`Journal.append` encodes and writes the line and
+remembers only the count and which entry is the last checkpoint, so its
+resident size does not grow with its length.  Every full read —
+:attr:`Journal.entries`, iteration, :meth:`Journal.to_jsonl`,
+:meth:`Journal.set_header`, ``Gateway.replay``, explain,
+``check_gateway(journal=...)`` — re-reads the file.
+
 Reading a journal back costs what a restart needs, not the history:
-:meth:`Journal.load` decodes the header, the last complete checkpoint and
-every line after it, which :meth:`Journal.last_checkpoint` hands to
-``Gateway.resume``.  The lines before the checkpoint stay undecoded text
-until the first full read of :attr:`Journal.entries` (``Gateway.replay``,
-explain, ``check_gateway(journal=...)``, :meth:`Journal.to_jsonl`,
-iteration); ``len()`` and :meth:`Journal.append` never force it.
+:meth:`Journal.load` decodes the header and, when the file holds one, the
+last complete checkpoint and every line after it, which the first
+:meth:`Journal.last_checkpoint` hands to ``Gateway.resume`` and lets go of
+(a later call reads them from the file again).  Without a checkpoint it
+decodes only the header: the full replay a restart then runs reads the
+rest.  ``len()`` and :meth:`Journal.append` never decode.
 
 Serialisation is JSON lines: the header object on the first line, one
 operation object per subsequent line (see ``docs/FAULTS.md`` for the
@@ -40,12 +50,12 @@ the OS had not yet written back is lost with the machine.
 
 A write cut short (full disk, machine crash) leaves a final line with no
 ``\n``.  Write-ahead order means that operation was never applied or
-acknowledged, so :meth:`Journal.from_jsonl` drops such a line when it
-does not decode, and a :meth:`Journal.load`-ed journal cuts the file back
-to its last complete line before its first new append.  Undecodable text
-anywhere else is corruption and raises: at load when it lies at or after
-the last checkpoint, and at the first full read — as a
-``ConfigurationError`` naming the line — when it lies before it.
+acknowledged, so every read drops such a line when it does not decode,
+and a :meth:`Journal.load`-ed journal cuts the file back to its last
+complete line before its first new append.  Undecodable text anywhere
+else is corruption and raises: in :meth:`Journal.from_jsonl`; at load
+when it lies at or after the last checkpoint; and at every full read of a
+file — as a ``ConfigurationError`` naming the line — wherever it lies.
 """
 
 from __future__ import annotations
@@ -101,12 +111,8 @@ class Journal:
     ``header`` is written by the gateway on attach (platform, policy,
     backlog limit); entries accumulate via :meth:`append`.  An optional
     ``path`` turns every append into an immediate JSONL write — the
-    write-ahead behaviour a crash-recovery log needs.
-
-    A journal read back with :meth:`load` / :meth:`from_jsonl` keeps the
-    lines before its last checkpoint as undecoded text until the first
-    read of :attr:`entries` (iteration, :meth:`to_jsonl`) needs them;
-    ``len()``, :meth:`append` and :meth:`last_checkpoint` never do.
+    write-ahead behaviour a crash-recovery log needs — and makes the file
+    the only copy of the entries (see the module docstring).
     """
 
     def __init__(
@@ -116,21 +122,21 @@ class Journal:
         path: str | Path | None = None,
     ) -> None:
         self.header: dict[str, Any] = header if header is not None else {}
+        #: Every entry of an in-memory journal; a file-backed one keeps none.
         self._entries: list[JournalEntry] = entries if entries is not None else []
-        #: Index in ``_entries`` of the last ``checkpoint``, if any.
+        self.path: Path | None = Path(path) if path is not None else None
+        #: Entries in the file (file-backed only).
+        self._length = 0
+        #: The position of the last ``checkpoint`` among the entries, if any.
         self._checkpoint: int | None = None
         for k, entry in enumerate(self._entries):
             if entry.op == "checkpoint":
                 self._checkpoint = k
-        #: Undecoded lines (blank ones included) that precede ``_entries``;
-        #: the first is line ``_first_line`` of the text, and ``_pending``
-        #: of them are not blank.
-        self._lines: list[str] = []
-        self._first_line = 0
-        self._pending = 0
-        self.path: Path | None = Path(path) if path is not None else None
+        #: What :meth:`load` decoded for :meth:`last_checkpoint`, held until
+        #: that call (or a write) lets go of it.
+        self._restart: tuple[JournalEntry, list[JournalEntry]] | None = None
         #: The append handle on ``path``, open from the first append to
-        #: :meth:`close` (re-point ``path`` only on a closed journal).
+        #: :meth:`close`.
         self._appender: IO[str] | None = None
         #: Set by :meth:`load` when the file does not end in a newline: where
         #: its last good line ends.  The first new append cuts the file there
@@ -139,69 +145,78 @@ class Journal:
 
     @property
     def entries(self) -> list[JournalEntry]:
-        """Every entry, in order.  The first read decodes the lines that
-        :meth:`load` left as text; a corrupt one raises
-        ``ConfigurationError`` naming its line, here and on every later
-        read."""
-        if self._lines:
-            self._decode_lines()
-        return self._entries
+        """Every entry, in order; re-read from the file when backed, where a
+        corrupt line raises ``ConfigurationError`` naming it."""
+        return list(self._read()) if self.path is not None else self._entries
 
-    def _decode_lines(self) -> None:
-        decoded: list[JournalEntry] = []
-        for number, line in enumerate(self._lines, start=self._first_line):
-            if not line.strip():
-                continue
-            try:
-                decoded.append(JournalEntry.from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                where = f"journal {self.path}" if self.path is not None else "journal"
-                raise ConfigurationError(f"{where}, line {number}: {exc}") from exc
-        self._entries[:0] = decoded
-        if self._checkpoint is not None:
-            self._checkpoint += len(decoded)
-        self._lines, self._pending = [], 0
+    def _read(self, start: int = 0) -> Iterator[JournalEntry]:
+        """The entries from the ``start``-th on; a file's are decoded one
+        line at a time (the ones before are counted, not decoded), a torn
+        last line skipped as :meth:`load` skipped it."""
+        if self.path is None:
+            yield from self._entries[start:]
+            return
+        with self.path.open() as fh:
+            seen = -1  # lines that are not blank, after the header (line 0)
+            for number, line in enumerate(fh, start=1):
+                if line.isspace():
+                    continue
+                seen += 1
+                if seen <= start:
+                    continue
+                if not line.endswith("\n") and _torn(line):
+                    return
+                try:
+                    entry = JournalEntry.from_dict(json.loads(line))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ConfigurationError(f"journal {self.path}, line {number}: {exc}") from exc
+                yield entry
 
     def last_checkpoint(self) -> tuple[JournalEntry, list[JournalEntry]] | None:
         """The last ``checkpoint`` entry and the entries after it (what
         ``Gateway.resume`` applies), or ``None`` when there is none.
-        Decodes nothing: a loaded journal decoded exactly these."""
-        k = self._checkpoint
-        if k is None:
-            return None
-        return self._entries[k], self._entries[k + 1 :]
+        Decodes none of the lines before it; on a loaded journal the first
+        call hands over what :meth:`load` decoded."""
+        restart, self._restart = self._restart, None
+        if restart is None and self._checkpoint is not None:
+            checkpoint, *tail = self._read(self._checkpoint)
+            restart = checkpoint, tail
+        return restart
 
     # ------------------------------------------------------------------
     def set_header(self, header: Mapping[str, Any]) -> None:
         """Record the gateway configuration; rewrites the file when backed."""
         self.header = {"format": JOURNAL_FORMAT, **dict(header)}
         if self.path is not None:
+            entries = self.entries if self._length else []
             self.close()
-            self._repair = None
+            self._repair = self._restart = None
             with self.path.open("w") as fh:
                 fh.write(json.dumps(self.header) + "\n")
-                for entry in self.entries:
+                for entry in entries:
                     fh.write(json.dumps(entry.to_dict()) + "\n")
 
-    def append(self, op: str, now: float, **args: Any) -> JournalEntry:
+    def append(self, op: str, now: float, **args: Any) -> None:
         """Append one operation; written and flushed before returning when
         backed (see the module docstring for what that does and does not
         survive)."""
         entry = JournalEntry(op=op, now=now, args=args)
-        self._entries.append(entry)
         if op == "checkpoint":
-            self._checkpoint = len(self._entries) - 1
-        if self.path is not None:
-            appender = self._appender
-            if appender is None:
-                appender = self._appender = self.path.open("a")
-                if self._repair is not None:
-                    appender.truncate(self._repair)
-                    appender.write("\n")
-                    self._repair = None
-            appender.write(json.dumps(entry.to_dict()) + "\n")
-            appender.flush()
-        return entry
+            self._checkpoint = len(self)
+        if self.path is None:
+            self._entries.append(entry)
+            return
+        appender = self._appender
+        if appender is None:
+            appender = self._appender = self.path.open("a")
+            if self._repair is not None:
+                appender.truncate(self._repair)
+                appender.write("\n")
+                self._repair = None
+        appender.write(json.dumps(entry.to_dict()) + "\n")
+        appender.flush()
+        self._length += 1
+        self._restart = None
 
     def close(self) -> None:
         """Release the append handle; a later :meth:`append` reopens it."""
@@ -210,60 +225,76 @@ class Journal:
             self._appender = None
 
     def __len__(self) -> int:
-        return self._pending + len(self._entries)
+        return self._length + len(self._entries)
 
     def __iter__(self) -> Iterator[JournalEntry]:
-        return iter(self.entries)
+        return self._read()
 
     # ------------------------------------------------------------------
     def to_jsonl(self) -> str:
         """Serialise header + entries as JSON lines."""
         lines = [json.dumps(self.header or {"format": JOURNAL_FORMAT})]
-        lines.extend(json.dumps(entry.to_dict()) for entry in self.entries)
+        lines.extend(json.dumps(entry.to_dict()) for entry in self)
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_jsonl(cls, text: str) -> Journal:
-        """Inverse of :meth:`to_jsonl` (minus a torn final line, if any).
-
-        Decodes the header, the last checkpoint and every line after it —
-        undecodable text there raises here; the lines before the
-        checkpoint wait for the first read of :attr:`entries`.
-        """
+        """Inverse of :meth:`to_jsonl` (minus a torn final line, if any): an
+        in-memory journal, every line decoded (undecodable text raises)."""
         lines = _complete(text).splitlines()
-        first = next((k for k, line in enumerate(lines) if line.strip()), None)
-        if first is None:
-            raise ConfigurationError("empty journal")
-        header = json.loads(lines[first])
-        if header.get("format") != JOURNAL_FORMAT:
-            raise ConfigurationError(
-                f"not a {JOURNAL_FORMAT} journal (header format: {header.get('format')!r}); "
-                "journals of another format version cannot be replayed"
-            )
-        tail: list[JournalEntry] = []
-        cut = len(lines)
-        while cut > first + 1:
-            cut -= 1
-            if lines[cut].strip():
-                tail.append(JournalEntry.from_dict(json.loads(lines[cut])))
-                if tail[-1].op == "checkpoint":
-                    break
-        tail.reverse()
-        journal = cls(header=header, entries=tail)
-        journal._lines = lines[first + 1 : cut]
-        journal._first_line = first + 2
-        journal._pending = sum(1 for line in journal._lines if line.strip())
-        return journal
+        first, header = _header(lines)
+        body = lines[first + 1 :]
+        entries = [JournalEntry.from_dict(json.loads(line)) for line in body if line.strip()]
+        return cls(header=header, entries=entries)
 
     @classmethod
     def load(cls, path: str | Path) -> Journal:
-        """Read a journal written by live appends (or :meth:`to_jsonl`)."""
+        """Open a journal written by live appends (or :meth:`to_jsonl`) to
+        go on appending to it.  Decodes the header and, from the last line
+        that starts a checkpoint on, that checkpoint and its tail."""
         text = Path(path).read_text()
-        journal = cls.from_jsonl(text)
-        journal.path = Path(path)
+        complete = _complete(text)
+        lines = complete.splitlines()
+        first, header = _header(lines)
+        journal = cls(header=header, path=path)
+        body = [line for line in lines[first + 1 :] if line and not line.isspace()]
+        journal._length = len(body)
+        starts = [k for k, line in enumerate(body) if line.startswith(_CHECKPOINT)]
+        if starts:
+            at = starts[-1]
+            checkpoint, *tail = (JournalEntry.from_dict(json.loads(line)) for line in body[at:])
+            journal._checkpoint, journal._restart = at, (checkpoint, tail)
         if not text.endswith("\n"):
-            journal._repair = len(_complete(text).rstrip("\n").encode())
+            journal._repair = len(complete.rstrip("\n").encode())
         return journal
+
+
+#: How every checkpoint line :meth:`Journal.append` writes begins.
+_CHECKPOINT = json.dumps({"op": "checkpoint"})[:-1]
+
+
+def _header(lines: list[str]) -> tuple[int, dict[str, Any]]:
+    """The index of the first line that is not blank, and that line as a
+    ``/2`` journal header."""
+    first = next((k for k, line in enumerate(lines) if line.strip()), None)
+    if first is None:
+        raise ConfigurationError("empty journal")
+    header = json.loads(lines[first])
+    if header.get("format") != JOURNAL_FORMAT:
+        raise ConfigurationError(
+            f"not a {JOURNAL_FORMAT} journal (header format: {header.get('format')!r}); "
+            "journals of another format version cannot be replayed"
+        )
+    return first, header
+
+
+def _torn(line: str) -> bool:
+    """Does an unterminated last line fail to decode (a write cut short)?"""
+    try:
+        json.loads(line)
+    except json.JSONDecodeError:
+        return True
+    return False
 
 
 def _complete(text: str) -> str:
@@ -272,8 +303,4 @@ def _complete(text: str) -> str:
     if text.endswith("\n"):
         return text
     head, newline, tail = text.rpartition("\n")
-    try:
-        json.loads(tail)
-    except json.JSONDecodeError:
-        return head + newline
-    return text
+    return head + newline if _torn(tail) else text

@@ -61,7 +61,7 @@ class ReservationState(enum.Enum):
     DISPLACED = "displaced"   # cancelled by a port outage/degradation
 
 
-@dataclass
+@dataclass(slots=True)
 class Reservation:
     """A client's handle on one submitted transfer."""
 

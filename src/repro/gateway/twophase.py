@@ -70,7 +70,7 @@ from .sharding import ShardMap
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..obs.causal import CausalObserver
 
-__all__ = ["BackoffSchedule", "TwoPhaseCoordinator", "TwoPhaseOutcome"]
+__all__ = ["BackoffSchedule", "TwoPhaseCoordinator", "TwoPhaseOutcome", "direct_hops"]
 
 _T = TypeVar("_T")
 
@@ -147,6 +147,26 @@ class TwoPhaseOutcome:
     recovered: int = 0
 
 
+#: One causal hop of a placement: ``(cat, what, shard, segment, detail)``.
+PlacementHop = tuple[str, str, int, str, dict[str, Any] | None]
+
+
+def direct_hops(shards: ShardMap, request: Request, booked: int) -> list[PlacementHop]:
+    """The causal hops of the first ``booked`` bookings of a direct
+    placement (:meth:`TwoPhaseCoordinator._place_direct`): ``rpc.book_pair``
+    on hop ``book`` of a shard-local pair, else ``rpc.book`` on
+    ``book:ingress`` then ``book:egress``, each on its owning shard."""
+    rid, ingress, egress = request.rid, request.ingress, request.egress
+    into, out = shards.ingress_shard(ingress), shards.egress_shard(egress)
+    hops: list[PlacementHop] = (
+        [("rpc", "book_pair", into, "book", {"rid": rid})] if into == out else [
+            ("rpc", "book", into, "book:ingress", {"rid": rid, "side": "ingress"}),
+            ("rpc", "book", out, "book:egress", {"rid": rid, "side": "egress"}),
+        ]
+    )  # fmt: skip
+    return hops[:booked]
+
+
 class TwoPhaseCoordinator:
     """Admission coordinator over a fleet of shard brokers."""
 
@@ -173,6 +193,7 @@ class TwoPhaseCoordinator:
         #: Simulated seconds of waiting (backoff + timeouts) a transaction
         #: may burn on one shard before it is declared unreachable.
         self.rpc_deadline = rpc_deadline
+        self.observer = observer
         self.channels = [
             Channel(broker, policy=chaos, observer=observer) for broker in brokers
         ]
@@ -294,19 +315,21 @@ class TwoPhaseCoordinator:
         """Book with no protocol (nothing can land between the halves): one
         ``book_pair`` for a shard-local pair, else one capacity-checked
         ``book_side`` per owning broker, a refusal rejecting as a refused
-        prepare does."""
+        prepare does.  The observer counts the bookings; what they look like
+        on a timeline is :func:`direct_hops`."""
         a = allocation
         segments = a.segments()
+        observer = self.observer
         if ingress_broker is egress_broker:
             ingress_broker.book_pair(a.ingress, a.egress, segments, key=a.rid)
-            channel = self.channels[ingress_broker.shard_id]
-            channel.observe("rpc", "book_pair", "book", {"rid": a.rid})
+            if observer is not None:
+                observer.booked()
             outcome.allocation = a
             return
         booked: list[tuple[ShardBroker, str, int]] = []
-        for broker, side, port, full, hop in (
-            (ingress_broker, "ingress", a.ingress, RejectReason.INGRESS_FULL, "book:ingress"),
-            (egress_broker, "egress", a.egress, RejectReason.EGRESS_FULL, "book:egress"),
+        for broker, side, port, full in (
+            (ingress_broker, "ingress", a.ingress, RejectReason.INGRESS_FULL),
+            (egress_broker, "egress", a.egress, RejectReason.EGRESS_FULL),
         ):
             if not broker.book_side(side, port, segments):
                 for peer, peer_side, peer_port in booked:
@@ -315,7 +338,8 @@ class TwoPhaseCoordinator:
                 outcome.probe.reason = full
                 return
             booked.append((broker, side, port))
-            self.channels[broker.shard_id].observe("rpc", "book", hop, {"rid": a.rid, "side": side})
+            if observer is not None:
+                observer.booked()
         outcome.allocation = a
 
     def _place_local(

@@ -104,11 +104,19 @@ class CausalObserver:
         self, cat: str, what: str, shard: int, segment: str, detail: dict[str, Any] | None
     ) -> None:
         """A delivery (``rpc.<op>``) or a chaos fault (``chaos.<kind>``) on
-        ``shard``, hop ``segment`` of the :attr:`open` admission, kept in its
-        ``hops`` as a tuple :func:`hop_spans` renders on read (or nothing)."""
+        ``shard``, hop ``segment`` of the :attr:`open` admission, handed to
+        its ``hop`` as a tuple :func:`hop_spans` renders on read (or
+        nothing)."""
         record = self.open
         if record is not None:
-            record.hops.append((cat, what, shard, segment, detail))
+            record.hop((cat, what, shard, segment, detail))
+
+    def booked(self) -> None:
+        """One more booking of the :attr:`open` admission's direct
+        placement, whose hops its record derives on read (or nothing)."""
+        record = self.open
+        if record is not None:
+            record.booked += 1
 
     def store(self, record: SpanRecord) -> None:
         """Keep one finished record: the tracer stores it un-rendered."""

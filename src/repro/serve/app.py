@@ -114,17 +114,18 @@ class ServeConfig:
 
 class _Served(NamedTuple):
     """The ``serve.decision`` event of one answered submission, rendered on
-    read: its fields lead with the rid and end with the HTTP-edge hop
-    ``req-<rid>/http`` of the request's causal trace."""
+    read from the ticket (whose rid and client never change): its fields
+    lead with the rid and end with the HTTP-edge hop ``req-<rid>/http`` of
+    the request's causal trace."""
 
     t: float
-    rid: int
-    client: str
+    ticket: Ticket
     outcome: str
 
     def event(self) -> tuple[float, str, dict[str, Any]]:
-        fields = {"rid": self.rid, "client": self.client, "outcome": self.outcome}
-        fields.update(TraceContext.root(self.rid).child("http").fields())
+        rid = self.ticket.rid
+        fields = {"rid": rid, "client": self.ticket.client, "outcome": self.outcome}
+        fields.update(TraceContext.root(rid).child("http").fields())
         return self.t, "serve.decision", fields
 
 
@@ -348,7 +349,7 @@ class ServeApp:
             outcome = "edge-refused"
         else:
             outcome = "accepted" if ticket.confirmed else "rejected"
-        telemetry.store(_Served(self.clock.now(), ticket.rid, ticket.client, outcome))
+        telemetry.store(_Served(self.clock.now(), ticket, outcome))
         self._decisions[outcome].inc()
 
     # ------------------------------------------------------------------

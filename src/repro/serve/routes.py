@@ -84,6 +84,8 @@ class Router:
                 raise ConfigurationError(f"duplicate route {key}")
             seen.add(key)
         self.routes = routes
+        #: Each route with its pattern split once, in table order.
+        self._split = [(route, route.segments()) for route in routes]
 
     def resolve(self, method: str, path: str) -> Resolution:
         """Match one request target against the table.
@@ -93,8 +95,8 @@ class Router:
         """
         parts = tuple(seg for seg in path.split("/") if seg)
         path_known = False
-        for route in self.routes:
-            params = _match(route.segments(), parts)
+        for route, segments in self._split:
+            params = _match(segments, parts)
             if params is None:
                 continue
             path_known = True

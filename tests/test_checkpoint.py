@@ -16,7 +16,9 @@ import enum
 import json
 import math
 import random
+import shutil
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,7 @@ from repro.serve import ServeApp, ServeConfig
 from repro.serve.clock import LogicalClock
 
 PLATFORM = Platform.uniform(4, 4, 100.0)
+DATA = Path(__file__).parent / "data"
 
 #: Operation kinds, submissions weighted up.
 KINDS = (
@@ -403,7 +406,7 @@ class TestExplain:
 
 class TestLazyLoad:
     """``Journal.load`` decodes the header, the last checkpoint and the
-    lines after it; the lines before wait for the first full read."""
+    lines after it; a full read decodes the whole file, each time."""
 
     @pytest.fixture
     def written(self, tmp_path):
@@ -454,9 +457,10 @@ class TestLazyLoad:
         now = resumed.now
         resumed.submit(ingress=0, egress=1, volume=5.0, deadline=now + 90.0, now=now)
         assert decoded == [len(text) - at] and len(journal) == len(text)
-        assert journal.to_jsonl() == path.read_text()  # the first full read
-        assert decoded == [len(text) - 1]
+        assert journal.to_jsonl() == path.read_text()  # a full read re-reads the file ...
+        assert decoded == [len(text) - at + len(text)]
         assert lines(journal.entries) == lines(self.eager(path).entries)
+        assert decoded == [len(text) - at + 3 * len(text)]  # ... every time
 
     def test_explain_text_is_that_of_an_eagerly_loaded_journal(self, written):
         gateway, path, artifact = written
@@ -488,6 +492,28 @@ class TestLazyLoad:
         argv = ["explain", "0", str(artifact_path), "--journal", str(path)]
         assert grid_obs(argv) == 2
         assert named in capsys.readouterr().err
+
+
+def test_a_checkpoint_of_nested_ticket_rows_still_restores(tmp_path):
+    """A checkpoint written while ticket rows nested the request and the
+    allocation as lists (committed: 30 tickets of a malleable, edge-limited
+    2-shard gateway) restores to what a full replay rebuilds, and the
+    restored gateway writes flat rows."""
+    path = tmp_path / "wal.jsonl"
+    shutil.copy(DATA / "checkpoint_nested_rows.jsonl", path)
+    state = json.loads(path.read_text().splitlines()[-1])["state"]
+    rows = state["tickets"]
+    assert all(len(row) == 14 and len(row[3]) == 7 for row in rows)
+    assert sum(row[4] is None for row in rows) == 20  # rejected, edge refusals among them
+    assert sum(row[4] is not None and row[4][6] is not None for row in rows) == 3  # shaped
+    assert sum(row[10] for row in rows) == 3 and sum(row[5] is not None for row in rows) == 1
+    journal = Journal.load(path)
+    resumed, replayed = Gateway.resume(journal), Gateway.replay(journal)
+    assert resumed.dump_state() == replayed.dump_state()
+    assert resumed.snapshot() == replayed.snapshot()
+    flat = resumed.dump_state()["tickets"]
+    assert [len(row) for row in flat] == [22] * len(rows)
+    assert not any(isinstance(value, list) for row in flat for value in row[:9])
 
 
 class TestStateOut:

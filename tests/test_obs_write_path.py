@@ -7,6 +7,7 @@ path used to run — same values, same key order, same bytes — and pin the
 ring semantics (O(1) eviction, exact ``dropped``) on all three FIFO caps.
 """
 
+import asyncio
 import hashlib
 import json
 import random
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError
 from repro.core.platform import Platform
-from repro.gateway import ChaosPolicy, Gateway, Journal
+from repro.gateway import ChaosPolicy, EdgeLimit, Gateway, Journal
 from repro.obs import (
     MetricsRegistry,
     RunTelemetry,
@@ -29,6 +30,9 @@ from repro.obs import (
     explain_request,
 )
 from repro.schedulers.retry import BackoffSchedule
+from repro.serve import ServeApp, ServeConfig
+from repro.serve.clock import LogicalClock
+from repro.serve.http import HttpRequest
 
 
 def seeded_run(seed, telemetry):
@@ -574,3 +578,105 @@ class TestTraceRootsStayBounded:
         # Failed re-admission attempts burn rids that joined a trace too;
         # nothing else is in the map.
         assert all(ctx.parent_id is not None for ctx in gw._trace_roots.values())
+
+
+def serve_run(journal_path):
+    """A seeded :class:`ServeApp` run through ``dispatch`` (no sockets,
+    logical clock): single submits gathered into frontier waves, batch
+    submits, an edge refusal, rejections, a cancel and ``?explain=1``
+    reads, over a file-backed journal.  Returns ``(app, explain texts)``.
+    """
+    config = ServeConfig(
+        platform=Platform.uniform(8, 8, 1000.0),
+        num_shards=4,
+        batch_size=8,
+        edge=EdgeLimit(rate=2e4, burst=4e5),
+        journal_path=journal_path,
+    )
+    app = ServeApp(config, clock=LogicalClock())
+    rng = random.Random(3)
+
+    def submission(t):
+        window = rng.uniform(30.0, 150.0)
+        return {
+            "ingress": rng.randrange(8),
+            "egress": rng.randrange(8),
+            "volume": rng.uniform(0.05, 0.6) * 1000.0 * window,
+            "deadline": t + window,
+            "at": t,
+        }
+
+    def call(method, path, payload=None, query=None):
+        raw = b"" if payload is None else json.dumps(payload).encode()
+        return app.dispatch(HttpRequest(method, path, query or {}, {}, raw))
+
+    async def drive():
+        stories = []
+        t = 0.0
+        for wave in range(30):
+            t += rng.expovariate(0.1)
+            if wave % 3 == 0:
+                entries = [submission(t) for _ in range(rng.randint(2, 12))]
+                await call("POST", "/v1/reservations/batch", {"submissions": entries})
+            else:
+                singles = [submission(t) for _ in range(rng.randint(1, 4))]
+                await asyncio.gather(*(call("POST", "/v1/reservations", s) for s in singles))
+            if wave == 20:
+                victim = [r for r in app.gateway.reservations() if r.confirmed][-1]
+                await call("DELETE", f"/v1/reservations/{victim.rid}")
+        tickets = [app.gateway.get(rid) for rid in range(app.gateway.stats.submits)]
+        refused = next(t.rid for t in tickets if t.edge_refused)
+        local = next(
+            t.rid for t in tickets if t.confirmed and t.request.ingress % 4 == t.request.egress % 4
+        )
+        for rid in (0, local, victim.rid, refused, tickets[-1].rid):
+            response = await call("GET", f"/v1/reservations/{rid}", query={"explain": "1"})
+            stories.append(response.payload["explain"])
+        metrics = await call("GET", "/metrics")
+        return stories, metrics.text
+
+    stories, metrics = asyncio.run(drive())
+    return app, stories, metrics
+
+
+#: SHA-256 of the serve path's exports as the write path produced them
+#: before its records were flat (one ``TwoPhaseOutcome`` and one hop tuple
+#: per booking kept per admission): the rendered events and spans, the
+#: ``/metrics`` body minus its one wall-clock family, the ``?explain=1``
+#: stories and the journal.
+SERVE_SHA256 = {
+    "events": "29a65b5db33f8d2680489cc0fe0fdf156f39e6e97ca3fdd589449fe26e9bf098",
+    "explain": "2105eb0e15377adabc594101c05f96c16cd04ea1e5ba0c3a278002f6123dd900",
+    "journal": "1d4d226533a5b77f90b9110f86b701589837b04b0bb473c53eafa915c752b142",
+    "metrics": "0bd6daeec272ea3600b279aea740a51950f32c9cc15d3fc8649a553c6955c999",
+    "spans": "117cbc741e546ae51dc5d64a902fd3325fb5dcf6ac6bc676987eedd8a39a285a",
+}
+
+
+class TestServePathExports:
+    def test_the_run_covers_the_serve_path(self, tmp_path):
+        app, stories, _ = serve_run(tmp_path / "serve.journal.jsonl")
+        stats = app.gateway.stats
+        assert stats.accepted > 0 and stats.rejected > 0
+        assert 0 < stats.edge_refused < 10 and stats.cancelled == 1
+        assert stats.local > 0 and stats.cross_shard > 0
+        names = {event.name for event in app.telemetry.events}
+        assert {"gateway.submit", "serve.decision", "gateway.edge_refusal"} <= names
+        assert all(story for story in stories)
+
+    def test_exports_are_the_pinned_bytes(self, tmp_path):
+        app, stories, metrics = serve_run(tmp_path / "serve.journal.jsonl")
+        telemetry = app.telemetry
+        texts = {
+            "events": json.dumps([event.to_dict() for event in telemetry.events]),
+            "spans": telemetry.tracer.to_jsonl(),
+            "metrics": "".join(
+                line
+                for line in metrics.splitlines(keepends=True)
+                if "serve_request_seconds" not in line
+            ),
+            "explain": "\n\n".join(stories),
+            "journal": (tmp_path / "serve.journal.jsonl").read_text(),
+        }
+        digests = {key: hashlib.sha256(text.encode()).hexdigest() for key, text in texts.items()}
+        assert digests == SERVE_SHA256

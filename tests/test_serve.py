@@ -193,6 +193,19 @@ class TestRouter:
         res = Router().resolve("DELETE", "/healthz")
         assert res.handler is None and res.path_known
 
+    def test_patterns_are_split_once_not_per_request(self, monkeypatch):
+        calls = []
+        split = Route.segments
+        monkeypatch.setattr(Route, "segments", lambda route: calls.append(route) or split(route))
+        router = Router()
+        assert len(calls) == len(ROUTE_TABLE)
+        for method, path in (
+            ("GET", "/v1/reservations/42"), ("GET", "/nope"), ("DELETE", "/healthz"),
+            ("POST", "/v1/reservations/batch"),
+        ):  # fmt: skip
+            router.resolve(method, path)
+        assert len(calls) == len(ROUTE_TABLE)
+
     def test_duplicate_routes_refused(self):
         with pytest.raises(ConfigurationError):
             Router(ROUTE_TABLE + (Route("GET", "/healthz", ROUTE_TABLE[0].handler),))
