@@ -14,14 +14,13 @@ of the client's stays behind), and prints:
 
 Run from the repository root::
 
-    PYTHONPATH=src python benchmarks/footprint.py [--decisions N] [--seed S]
+    PYTHONPATH=src python benchmarks/footprint.py
 
 CI writes the report to ``benchmarks/results/FOOTPRINT_serve.txt``.
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import gc
 import json
@@ -43,6 +42,10 @@ from repro.serve.http import HttpRequest  # noqa: E402
 
 #: Submissions per batch POST (the ``serve_light`` loadgen's batch size).
 WAVE = 16
+#: The stream: about as many decisions as a ``serve_light`` run makes.
+DECISIONS, SEED = 9008, 1
+#: Allocation sites the report lists.
+TOP = 12
 
 
 def tracked() -> Counter[str]:
@@ -63,21 +66,28 @@ def serve(app: ServeApp, bodies: list[dict]) -> None:
     asyncio.run(drive())
 
 
-def measure(bodies: list[dict], workdir: Path, by_site: bool) -> tuple[int, Any]:
-    """Serve ``bodies`` on a fresh app; returns the decisions after the
-    warm-up wave and what they left: allocation sites (``by_site``, a
-    tracemalloc comparison) or GC-tracked objects by type."""
-    app = ServeApp(
-        ServeConfig(
-            platform=Platform.uniform(16, 16, 1000.0),
-            num_shards=4,
-            batch_size=8,
-            slo_rules=(),
-            journal_path=workdir / f"serve-{by_site}.journal.jsonl",
-        ),
-        clock=LogicalClock(),
+def make_app(journal_path: Path) -> ServeApp:
+    """A ``ServeApp`` configured as the stack benchmark's server, its
+    write-ahead journal at ``journal_path``."""
+    config = ServeConfig(
+        platform=Platform.uniform(16, 16, 1000.0),
+        num_shards=4,
+        batch_size=8,
+        slo_rules=(),
+        journal_path=journal_path,
     )
+    return ServeApp(config, clock=LogicalClock())
+
+
+def measure(bodies: list[dict], workdir: Path, by_site: bool) -> tuple[int, int, Any]:
+    """Serve ``bodies`` on a fresh app; returns the decisions and the
+    batches flushed after the warm-up wave, and what they left: allocation
+    sites (``by_site``, a tracemalloc comparison) or GC-tracked objects by
+    type."""
+    app = make_app(workdir / f"serve-{by_site}.journal.jsonl")
     serve(app, bodies[:WAVE])
+    stats = app.gateway.stats
+    warm = stats.submits, stats.batches
     if by_site:
         tracemalloc.start()
     gc.collect()
@@ -90,21 +100,16 @@ def measure(bodies: list[dict], workdir: Path, by_site: bool) -> tuple[int, Any]
     else:
         left = tracked() - before
     app.journal.close()
-    return app.gateway.stats.submits - WAVE, left
+    return stats.submits - warm[0], stats.batches - warm[1], left
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--decisions", type=int, default=9008)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--top", type=int, default=12, help="allocation sites to list")
-    args = parser.parse_args()
-    bodies = light_stream(args.seed, args.decisions)
+    bodies = light_stream(SEED, DECISIONS)
     with tempfile.TemporaryDirectory() as workdir:
-        decided, objects = measure(bodies, Path(workdir), by_site=False)
-        _, sites = measure(bodies, Path(workdir), by_site=True)
+        decided, _, objects = measure(bodies, Path(workdir), by_site=False)
+        _, _, sites = measure(bodies, Path(workdir), by_site=True)
     retained = sum(stat.size_diff for stat in sites)
-    print(f"serve_light footprint: {decided} decisions after a warm-up wave, seed {args.seed}, "
+    print(f"serve_light footprint: {decided} decisions after a warm-up wave, seed {SEED}, "
           f"Python {sys.version.split()[0]}")
     print(f"retained bytes per decision: {retained / decided:.0f} "
           f"({retained / 2**20:.2f} MiB in all)")
@@ -112,7 +117,7 @@ def main() -> int:
     for name, count in objects.most_common():
         print(f"  {count / decided:6.2f}  {name}")
     print("largest allocation sites (bytes per decision):")
-    for stat in sorted(sites, key=lambda s: -s.size_diff)[: args.top]:
+    for stat in sorted(sites, key=lambda s: -s.size_diff)[:TOP]:
         frame = stat.traceback[0]
         where = Path(frame.filename)
         if where.is_relative_to(ROOT):

@@ -271,7 +271,9 @@ class _Admission:
 
     def hop(self, hop: PlacementHop) -> None:
         """Keep one protocol delivery or fault (:meth:`CausalObserver.hop`)."""
-        self.hops = [*(self.hops or ()), hop]
+        if self.hops is None:
+            self.hops = []
+        self.hops.append(hop)
 
     @property
     def width(self) -> int:

@@ -215,7 +215,7 @@ def check_gateway(
         diverged = _diverged(Gateway.replay(journal).snapshot(), gateway.snapshot())
         if diverged:
             violations.append("journal replay diverges on: " + ", ".join(diverged))
-        if journal.last_checkpoint() is not None:
+        if journal.has_checkpoint():
             replayed = 2
             restored = Gateway.resume(journal).dump_state()
             diverged = _diverged(restored, Gateway.replay(journal).dump_state())

@@ -30,12 +30,12 @@ resident size does not grow with its length.  Every full read —
 ``check_gateway(journal=...)`` — re-reads the file.
 
 Reading a journal back costs what a restart needs, not the history:
-:meth:`Journal.load` decodes the header and, when the file holds one, the
-last complete checkpoint and every line after it, which the first
-:meth:`Journal.last_checkpoint` hands to ``Gateway.resume`` and lets go of
-(a later call reads them from the file again).  Without a checkpoint it
-decodes only the header: the full replay a restart then runs reads the
-rest.  ``len()`` and :meth:`Journal.append` never decode.
+:meth:`Journal.load` decodes only the header, and counts the other lines
+and finds the last that starts a checkpoint without decoding them;
+:meth:`Journal.last_checkpoint` decodes that checkpoint and every line
+after it from the file, on each call.  Without a checkpoint the full
+replay a restart runs reads the rest.  ``len()``,
+:meth:`Journal.has_checkpoint` and :meth:`Journal.append` never decode.
 
 Serialisation is JSON lines: the header object on the first line, one
 operation object per subsequent line (see ``docs/FAULTS.md`` for the
@@ -53,9 +53,10 @@ A write cut short (full disk, machine crash) leaves a final line with no
 acknowledged, so every read drops such a line when it does not decode,
 and a :meth:`Journal.load`-ed journal cuts the file back to its last
 complete line before its first new append.  Undecodable text anywhere
-else is corruption and raises: in :meth:`Journal.from_jsonl`; at load
-when it lies at or after the last checkpoint; and at every full read of a
-file — as a ``ConfigurationError`` naming the line — wherever it lies.
+else is corruption and raises: in :meth:`Journal.from_jsonl`; and, as a
+``ConfigurationError`` naming the line, at every read of a file that
+reaches it — :meth:`Journal.last_checkpoint` when it lies at or after the
+last checkpoint, every full read wherever it lies.
 """
 
 from __future__ import annotations
@@ -132,9 +133,6 @@ class Journal:
         for k, entry in enumerate(self._entries):
             if entry.op == "checkpoint":
                 self._checkpoint = k
-        #: What :meth:`load` decoded for :meth:`last_checkpoint`, held until
-        #: that call (or a write) lets go of it.
-        self._restart: tuple[JournalEntry, list[JournalEntry]] | None = None
         #: The append handle on ``path``, open from the first append to
         #: :meth:`close`.
         self._appender: IO[str] | None = None
@@ -172,16 +170,19 @@ class Journal:
                     raise ConfigurationError(f"journal {self.path}, line {number}: {exc}") from exc
                 yield entry
 
+    def has_checkpoint(self) -> bool:
+        """Does the journal hold a ``checkpoint`` entry?  Decodes nothing."""
+        return self._checkpoint is not None
+
     def last_checkpoint(self) -> tuple[JournalEntry, list[JournalEntry]] | None:
         """The last ``checkpoint`` entry and the entries after it (what
         ``Gateway.resume`` applies), or ``None`` when there is none.
-        Decodes none of the lines before it; on a loaded journal the first
-        call hands over what :meth:`load` decoded."""
-        restart, self._restart = self._restart, None
-        if restart is None and self._checkpoint is not None:
-            checkpoint, *tail = self._read(self._checkpoint)
-            restart = checkpoint, tail
-        return restart
+        Decodes them from the file on each call, and none of the lines
+        before them."""
+        if self._checkpoint is None:
+            return None
+        checkpoint, *tail = self._read(self._checkpoint)
+        return checkpoint, tail
 
     # ------------------------------------------------------------------
     def set_header(self, header: Mapping[str, Any]) -> None:
@@ -190,7 +191,7 @@ class Journal:
         if self.path is not None:
             entries = self.entries if self._length else []
             self.close()
-            self._repair = self._restart = None
+            self._repair = None
             with self.path.open("w") as fh:
                 fh.write(json.dumps(self.header) + "\n")
                 for entry in entries:
@@ -201,22 +202,22 @@ class Journal:
         backed (see the module docstring for what that does and does not
         survive)."""
         entry = JournalEntry(op=op, now=now, args=args)
-        if op == "checkpoint":
-            self._checkpoint = len(self)
+        position = len(self)
         if self.path is None:
             self._entries.append(entry)
-            return
-        appender = self._appender
-        if appender is None:
-            appender = self._appender = self.path.open("a")
-            if self._repair is not None:
-                appender.truncate(self._repair)
-                appender.write("\n")
-                self._repair = None
-        appender.write(json.dumps(entry.to_dict()) + "\n")
-        appender.flush()
-        self._length += 1
-        self._restart = None
+        else:
+            appender = self._appender
+            if appender is None:
+                appender = self._appender = self.path.open("a")
+                if self._repair is not None:
+                    appender.truncate(self._repair)
+                    appender.write("\n")
+                    self._repair = None
+            appender.write(json.dumps(entry.to_dict()) + "\n")
+            appender.flush()
+            self._length += 1
+        if op == "checkpoint":  # only once it is in: a failed write keeps the last
+            self._checkpoint = position
 
     def close(self) -> None:
         """Release the append handle; a later :meth:`append` reopens it."""
@@ -250,8 +251,8 @@ class Journal:
     @classmethod
     def load(cls, path: str | Path) -> Journal:
         """Open a journal written by live appends (or :meth:`to_jsonl`) to
-        go on appending to it.  Decodes the header and, from the last line
-        that starts a checkpoint on, that checkpoint and its tail."""
+        go on appending to it.  Decodes only the header: the other lines
+        are counted, and the last that starts a checkpoint is remembered."""
         text = Path(path).read_text()
         complete = _complete(text)
         lines = complete.splitlines()
@@ -261,9 +262,7 @@ class Journal:
         journal._length = len(body)
         starts = [k for k, line in enumerate(body) if line.startswith(_CHECKPOINT)]
         if starts:
-            at = starts[-1]
-            checkpoint, *tail = (JournalEntry.from_dict(json.loads(line)) for line in body[at:])
-            journal._checkpoint, journal._restart = at, (checkpoint, tail)
+            journal._checkpoint = starts[-1]
         if not text.endswith("\n"):
             journal._repair = len(complete.rstrip("\n").encode())
         return journal

@@ -13,6 +13,7 @@ checkpoints, and ``check_gateway`` holds every restore to it.
 import asyncio
 import dataclasses
 import enum
+import errno
 import json
 import math
 import random
@@ -331,6 +332,35 @@ class TestTornAndStacked:
         assert Gateway.resume(journal).snapshot() == snapshots[-1]
         assert replayed == [len(journal)]
 
+    def test_a_checkpoint_whose_write_fails_leaves_the_previous_one(
+        self, tmp_path, monkeypatch
+    ):
+        gateway, path, snapshots = self.written(tmp_path, 1)
+        journal = gateway.journal
+        journal.close()
+        mark = len(journal)
+        real_open = Path.open
+
+        class FullDisk:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+        monkeypatch.setattr(Path, "open", lambda self, *a, **k: FullDisk(real_open(self, *a, **k)))
+        with pytest.raises(OSError):
+            gateway.checkpoint()
+        monkeypatch.undo()
+        journal.close()
+        assert len(journal) == mark and journal.has_checkpoint()
+        checkpoint, tail = journal.last_checkpoint()
+        assert checkpoint.op == "checkpoint" and tail == []
+        assert Gateway.resume(journal).snapshot() == snapshots[-1]
+
     def test_checkpoint_then_ops_then_a_crash_restores_and_replays_the_tail(
         self, tmp_path, replayed
     ):
@@ -405,8 +435,9 @@ class TestExplain:
 
 
 class TestLazyLoad:
-    """``Journal.load`` decodes the header, the last checkpoint and the
-    lines after it; a full read decodes the whole file, each time."""
+    """``Journal.load`` decodes only the header, ``Gateway.resume`` the
+    last checkpoint and the lines after it; a full read decodes the whole
+    file, each time."""
 
     @pytest.fixture
     def written(self, tmp_path):
@@ -451,9 +482,10 @@ class TestLazyLoad:
         text = path.read_text().splitlines()
         at = max(k for k, line in enumerate(text) if '"op": "checkpoint"' in line)
         journal = Journal.load(path)
-        assert decoded == [len(text) - at] and len(journal) == len(text) - 1
+        assert decoded == [0] and len(journal) == len(text) - 1
         resumed = Gateway.resume(journal)
         assert resumed.snapshot() == gateway.snapshot()
+        assert decoded == [len(text) - at]
         now = resumed.now
         resumed.submit(ingress=0, egress=1, volume=5.0, deadline=now + 90.0, now=now)
         assert decoded == [len(text) - at] and len(journal) == len(text)

@@ -6,23 +6,18 @@ allocation, plus one flat telemetry record per ring entry
 (``_Submitted``, ``_Admission``, ``_Served``).  A file-backed journal
 keeps none of its entries — the file is their only copy.
 
-The run is the ``serve_light`` shape in miniature: a ``ServeApp`` as the
-stack benchmark's server configures it (16x16 ports, 4 shards, batch 8, no
-SLO rules, default telemetry, journal on disk) answering uncontended batch
-POSTs of 16 through ``dispatch``.  ``benchmarks/footprint.py`` prints the
-same measurement at full size, by type and in bytes.
+Both tests run ``benchmarks/footprint.py`` — the ``serve_light`` shape,
+a ``ServeApp`` as the stack benchmark's server configures it answering
+batch POSTs of 16 through ``dispatch`` — on a short stream; the script
+prints the same measurement at full size, by type and in bytes.
 """
 
-import asyncio
 import gc
-import json
-import random
-from collections import Counter
+import importlib.util
+from pathlib import Path
 from types import FunctionType, ModuleType
 
-from repro.core.platform import Platform
-from repro.serve import LogicalClock, ServeApp, ServeConfig
-from repro.serve.http import HttpRequest
+SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "footprint.py"
 
 #: GC-tracked objects a decision may leave: its ticket, request and
 #: allocation, and its three telemetry records.
@@ -32,49 +27,13 @@ PER_BATCH = 2
 #: What a run leaves whatever its length (the event loop's and the test
 #: runner's leftovers, the measurement's own counter).
 SLACK = 64
-WAVE = 16
 
 
-def light_bodies(seed, count):
-    """Uncontended submissions (every one fits): uniform port pairs,
-    1-100 MB, windows of 100-190 s, about one arrival a second."""
-    rng = random.Random(seed)
-    at, bodies = 0.0, []
-    for _ in range(count):
-        at += rng.expovariate(1.0)
-        bodies.append(
-            {
-                "ingress": rng.randrange(16),
-                "egress": rng.randrange(16),
-                "volume": rng.uniform(1.0, 100.0),
-                "at": at,
-                "deadline": at + rng.uniform(30.0, 120.0) + 70.0,
-            }
-        )
-    return bodies
-
-
-def make_app(tmp_path):
-    config = ServeConfig(
-        platform=Platform.uniform(16, 16, 1000.0),
-        num_shards=4,
-        batch_size=8,
-        slo_rules=(),
-        journal_path=tmp_path / "serve.journal.jsonl",
-    )
-    return ServeApp(config, clock=LogicalClock())
-
-
-def serve(app, bodies):
-    async def drive():
-        for k in range(0, len(bodies), WAVE):
-            raw = json.dumps({"submissions": bodies[k : k + WAVE]}).encode()
-            response = await app.dispatch(
-                HttpRequest("POST", "/v1/reservations/batch", {}, {}, raw)
-            )
-            assert response.status == 200
-
-    asyncio.run(drive())
+def load_tool():
+    spec = importlib.util.spec_from_file_location("footprint", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def held(root):
@@ -94,32 +53,23 @@ def held(root):
 
 
 def test_a_decision_leaves_its_state_and_one_flat_record_per_ring_entry(tmp_path):
-    app = make_app(tmp_path)
-    bodies = light_bodies(1, 51 * WAVE)
-    serve(app, bodies[:WAVE])  # warm-up: caches, bound metric samples
-    stats = app.gateway.stats
-    decided, batches = stats.submits, stats.batches
-    gc.collect()
-    before = Counter(type(obj).__qualname__ for obj in gc.get_objects())
-    serve(app, bodies[WAVE:])
-    gc.collect()
-    after = Counter(type(obj).__qualname__ for obj in gc.get_objects())
-    app.journal.close()
-    decided, batches = stats.submits - decided, stats.batches - batches
-    assert decided == 50 * WAVE
-    grown = sum(after.values()) - sum(before.values())
-    bound = PER_DECISION * decided + PER_BATCH * batches + SLACK
-    assert grown <= bound, str(dict(after - before))
+    tool = load_tool()
+    bodies = tool.light_stream(1, 51 * tool.WAVE)
+    decided, batches, left = tool.measure(bodies, tmp_path, by_site=False)
+    assert decided == 50 * tool.WAVE
+    grown = sum(left.values())
+    assert grown <= PER_DECISION * decided + PER_BATCH * batches + SLACK, str(dict(left))
     for name in ("Ticket", "Request", "Allocation", "_Submitted", "_Admission", "_Served"):
-        assert after[name] - before[name] == decided, name
+        assert left[name] == decided, name
 
 
 def test_a_file_journal_holds_nothing_that_grows_with_its_length(tmp_path):
+    tool = load_tool()
     resident = []
     for waves in (4, 40):
-        app = make_app(tmp_path / str(waves))
-        serve(app, light_bodies(2, waves * WAVE))
-        assert len(app.journal) == waves * WAVE
+        app = tool.make_app(tmp_path / f"{waves}.journal.jsonl")
+        tool.serve(app, tool.light_stream(2, waves * tool.WAVE))
+        assert len(app.journal) == waves * tool.WAVE
         resident.append(held(app.journal))
         app.journal.close()
     assert resident[0] == resident[1]
