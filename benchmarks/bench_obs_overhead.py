@@ -14,6 +14,11 @@ submit and its admission, together rendering 4.66 spans; 2.25 ring
 records per decision with the batch's span, 1.25 events, 5 metric
 samples) took it to about 1.30: a traced decision costs ~13 us more than
 an untraced ~41 us one (~17 us more with one stored hop per span).
+Counting the per-decision and per-flush counters as integer tallies the
+registry folds in on read, storing a flushed batch as one record for its
+span and event, and reading the overcommit probe's peak off the port took
+the median of five runs from 1.29 (1.23-1.31) to 1.22 (1.17-1.40, one
+slow-phase outlier) on a 2-core host, parent and change alternated.
 ROADMAP's target for tracing that stays on in production is 1.10x.
 
 The gate is the worst of five runs at 40 repeats (1.28-1.31 on a 2-core

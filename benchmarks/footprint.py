@@ -10,7 +10,12 @@ of the client's stays behind), and prints:
 - the bytes the run left allocated per decision (``tracemalloc``, after a
   full collection; the first wave, which warms caches and binds metric
   samples, is before the baseline) and the source lines that hold most;
-- the garbage-collector-tracked objects the run left per decision, by type.
+- the garbage-collector-tracked objects the run left per decision, by type;
+- the CPU a decision costs with the default telemetry and with a
+  ``NullTelemetry`` (median of :data:`ROUNDS` alternating runs), scaled
+  to the stack benchmark's reference host speed as ``benchmarks/stack``
+  does (``child.Reference`` bursts beside each run, times multiplied by
+  ``run.REFERENCE_NS`` / mean burst), and the share telemetry takes.
 
 Run from the repository root::
 
@@ -24,8 +29,10 @@ from __future__ import annotations
 import asyncio
 import gc
 import json
+import statistics
 import sys
 import tempfile
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -34,9 +41,12 @@ from typing import Any
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "benchmarks" / "stack"))
 
+from child import Reference  # noqa: E402
 from inputs import light_stream  # noqa: E402
+from run import REFERENCE_NS  # noqa: E402
 
 from repro.core.platform import Platform  # noqa: E402
+from repro.obs import NullTelemetry  # noqa: E402
 from repro.serve import LogicalClock, ServeApp, ServeConfig  # noqa: E402
 from repro.serve.http import HttpRequest  # noqa: E402
 
@@ -46,6 +56,8 @@ WAVE = 16
 DECISIONS, SEED = 9008, 1
 #: Allocation sites the report lists.
 TOP = 12
+#: Alternating telemetry-on / telemetry-off runs the CPU figures are medians of.
+ROUNDS = 5
 
 
 def tracked() -> Counter[str]:
@@ -66,9 +78,10 @@ def serve(app: ServeApp, bodies: list[dict]) -> None:
     asyncio.run(drive())
 
 
-def make_app(journal_path: Path) -> ServeApp:
+def make_app(journal_path: Path, *, traced: bool = True) -> ServeApp:
     """A ``ServeApp`` configured as the stack benchmark's server, its
-    write-ahead journal at ``journal_path``."""
+    write-ahead journal at ``journal_path`` (``traced=False``: with a
+    ``NullTelemetry``)."""
     config = ServeConfig(
         platform=Platform.uniform(16, 16, 1000.0),
         num_shards=4,
@@ -76,7 +89,24 @@ def make_app(journal_path: Path) -> ServeApp:
         slo_rules=(),
         journal_path=journal_path,
     )
-    return ServeApp(config, clock=LogicalClock())
+    telemetry = None if traced else NullTelemetry()
+    return ServeApp(config, clock=LogicalClock(), telemetry=telemetry)
+
+
+def cpu_us_per_decision(bodies: list[dict], journal_path: Path, traced: bool) -> float:
+    """Reference-scaled CPU microseconds per decision of a fresh app
+    serving ``bodies`` after a warm-up wave."""
+    app = make_app(journal_path, traced=traced)
+    serve(app, bodies[:WAVE])
+    reference = Reference()
+    reference.block(8)
+    cpu = time.process_time_ns()
+    serve(app, bodies[WAVE:])
+    cpu = time.process_time_ns() - cpu
+    reference.block(8)
+    app.journal.close()
+    burst_ns = reference.wall_ns / reference.bursts
+    return cpu / 1e3 * (REFERENCE_NS / burst_ns) / (len(bodies) - WAVE)
 
 
 def measure(bodies: list[dict], workdir: Path, by_site: bool) -> tuple[int, int, Any]:
@@ -108,6 +138,12 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         decided, _, objects = measure(bodies, Path(workdir), by_site=False)
         _, _, sites = measure(bodies, Path(workdir), by_site=True)
+        runs: dict[bool, list[float]] = {True: [], False: []}
+        for k in range(ROUNDS):
+            for traced in (True, False):
+                path = Path(workdir) / f"cpu-{k}-{traced}.journal.jsonl"
+                runs[traced].append(cpu_us_per_decision(bodies, path, traced))
+    on, off = (statistics.median(runs[traced]) for traced in (True, False))
     retained = sum(stat.size_diff for stat in sites)
     print(f"serve_light footprint: {decided} decisions after a warm-up wave, seed {SEED}, "
           f"Python {sys.version.split()[0]}")
@@ -116,6 +152,8 @@ def main() -> int:
     print(f"gc-tracked objects per decision: {sum(objects.values()) / decided:.2f}")
     for name, count in objects.most_common():
         print(f"  {count / decided:6.2f}  {name}")
+    print(f"cpu us per decision (reference-scaled, median of {ROUNDS} alternating runs): "
+          f"telemetry on {on:.1f}, off {off:.1f}; telemetry share {1 - off / on:.1%}")
     print("largest allocation sites (bytes per decision):")
     for stat in sorted(sites, key=lambda s: -s.size_diff)[:TOP]:
         frame = stat.traceback[0]

@@ -239,6 +239,9 @@ def _first_fit(
         if run
     ]
     heads = [0] * len(runs)
+    # Distinct starts consumed so far: ``earliest``, one per step of the
+    # walk, and those a jump passes over.
+    examined = 1
     # A plain callable promises nothing: every candidate is visited.
     monotone = getattr(rate_for, "monotone", False)
     tolerance = deadline_tolerance(request.t_end)
@@ -255,26 +258,29 @@ def _first_fit(
                 blocked = port_in.blocker(sigma, tau, bw) or port_out.blocker(sigma, tau, bw)
                 if blocked is None:
                     allocation = Allocation.for_request(request, bw, sigma=sigma)
-                    return allocation, _rank(runs, heads), bounced
+                    return allocation, examined, bounced
                 blocked_bw = bw
                 blocked_from, blocked_until = blocked
                 if bounced is None:
                     bounced = (sigma, tau)
                 if monotone and blocked_from + tolerance <= tau:
-                    heads = [bisect_left(run, blocked_until, k) for run, k in zip(runs, heads)]
+                    jumped = [bisect_left(run, blocked_until, k) for run, k in zip(runs, heads)]
+                    examined += _skipped(runs, heads, jumped)
+                    heads = jumped
         live = [run[k] for run, k in zip(runs, heads) if k < len(run)]
         if not live:
-            return None, _rank(runs, heads), bounced
+            return None, examined, bounced
         sigma = min(live)
+        examined += 1
         heads = [k + (k < len(run) and run[k] == sigma) for run, k in zip(runs, heads)]
 
 
-def _rank(runs: list[list[float]], heads: list[int]) -> int:
-    """Distinct starts up to the walk's stop: ``earliest`` (in no run) and
-    every run entry before its cursor, each run's shares counted once."""
+def _skipped(runs: list[list[float]], heads: list[int], jumped: list[int]) -> int:
+    """Distinct starts a jump of the cursors from ``heads`` to ``jumped``
+    passes over, each run's shares counted once."""
     if len(runs) == 1:
-        return 1 + heads[0]
-    return 1 + len(set().union(*(run[:k] for run, k in zip(runs, heads))))
+        return jumped[0] - heads[0]
+    return len(set().union(*(run[k:j] for run, k, j in zip(runs, heads, jumped))))
 
 
 def earliest_fit(

@@ -110,7 +110,7 @@ class BreakpointProfile(CapacityProfile):
         i0 = bisect_right(points, t0) - 1
         self._commit(i0, bisect_right(points, t1, i0) - 1, t0, t1, delta)
 
-    def book(self, t0: float, t1: float, delta: float, capacity: float) -> bool:
+    def book(self, t0: float, t1: float, delta: float, capacity: float) -> float | None:
         # One bisect pair serves the probe and the breakpoint inserts.
         if not (t1 > t0):
             raise ValueError(f"empty interval [{t0}, {t1})")
@@ -120,10 +120,11 @@ class BreakpointProfile(CapacityProfile):
         # Half-open [t0, t1): an exactly-aligned final segment is not probed.
         last = i1 - 1 if points[i1] == t1 else i1
         if not (max(self._values[i0 : last + 1]) + delta <= capacity + capacity * CAPACITY_SLACK):
-            return False
+            return None
         if delta != 0.0:
             self._commit(i0, i1, t0, t1, delta)
-        return True
+        peak = self._peak  # the commit kept it exact, unless it was not known
+        return peak if peak is not None else self.global_max()
 
     def clear(self) -> None:
         self._breakpoints = [-math.inf]

@@ -91,14 +91,15 @@ class CapacityProfile:
         for t0, t1, delta in intervals:
             self.add(t0, t1, delta)
 
-    def book(self, t0: float, t1: float, delta: float, capacity: float) -> bool:
+    def book(self, t0: float, t1: float, delta: float, capacity: float) -> float | None:
         """Probe and commit in one call: :meth:`add` ``delta`` over
         ``[t0, t1)`` iff :meth:`blocker` finds nothing under ``capacity``.
-        Returns whether it did."""
+        Returns the :meth:`global_max` after the booking, ``None`` when
+        refused."""
         if self.blocker(t0, t1, delta, capacity) is not None:
-            return False
+            return None
         self.add(t0, t1, delta)
-        return True
+        return self.global_max()
 
     def clear(self) -> None:
         """Reset to the identically-zero function."""

@@ -81,12 +81,16 @@ class Port:
     state as ``Port``\\ s and the book-ahead searches query them directly.
     """
 
-    __slots__ = ("capacity", "usage", "reductions")
+    __slots__ = ("capacity", "usage", "reductions", "peak")
 
     def __init__(self, capacity: float) -> None:
         self.capacity = capacity
         #: Committed bandwidth over time.
         self.usage: CapacityProfile = make_profile()
+        #: ``usage.global_max()`` as the last write of :attr:`usage` left
+        #: it (a booking's kernel call hands it back), so the gateway's
+        #: overcommit probe reads it without asking the profile again.
+        self.peak = 0.0
         #: Lost capacity over time; created by the first :meth:`degrade` —
         #: most simulations never degrade a port and must not pay for the
         #: possibility.
@@ -164,8 +168,10 @@ class Port:
         A negative rate raises :class:`CapacityError` before any step lands.
         """
         _refuse_negative(segments)
+        usage = self.usage
         for t0, t1, rate in segments:
-            self.usage.add(t0, t1, sign * rate)
+            usage.add(t0, t1, sign * rate)
+        self.peak = usage.global_max()
 
     def book(self, segments: Sequence[Segment]) -> bool:
         """:meth:`add` the steps iff they :meth:`fit <fits>`; whether it did.
@@ -176,7 +182,10 @@ class Port:
         _refuse_negative(segments)
         if self.reductions is None and len(segments) == 1:
             t0, t1, rate = segments[0]
-            return self.usage.book(t0, t1, rate, self.capacity)
+            peak = self.usage.book(t0, t1, rate, self.capacity)
+            if peak is not None:
+                self.peak = peak
+            return peak is not None
         if not self.fits(segments):
             return False
         self.add(segments)
@@ -203,6 +212,7 @@ class Port:
         stays the platform's)."""
         usage, reductions = state
         self.usage.load_runs(*usage)
+        self.peak = self.usage.global_max()
         if reductions is None:
             self.reductions = None
         else:
@@ -213,6 +223,7 @@ class Port:
         """Deep copy."""
         clone = Port(self.capacity)
         clone.usage = self.usage.copy()
+        clone.peak = self.peak
         if self.reductions is not None:
             clone.reductions = self.reductions.copy()
         return clone

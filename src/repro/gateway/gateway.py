@@ -34,6 +34,7 @@ submit, in submission order, against one authoritative ledger.
 from __future__ import annotations
 
 from collections.abc import Callable
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
@@ -195,6 +196,16 @@ class Ticket(Reservation):
         )
 
 
+def _about(
+    ctx: TraceContext | None, ticket: Ticket, *more: int | None
+) -> tuple[str, tuple[int | None, ...]]:
+    """A record's trace and the rids its rows can name (what
+    :func:`repro.obs.causal.explain_live` asks it): the ticket's, its
+    origin, and ``more``."""
+    trace = f"req-{ticket.rid}" if ctx is None else ctx.trace_id
+    return trace, (ticket.rid, ticket.origin, *more)
+
+
 def _hop(name: str, now: float, ctx: TraceContext, fields: dict[str, Any]) -> Span:
     """One gateway-side span of a record (``cat="causal"``, track 0)."""
     return Hop(name, now, "causal", 0, ctx, fields).span()
@@ -215,6 +226,9 @@ class _Submitted(NamedTuple):
     @property
     def width(self) -> int:
         return 2
+
+    def about(self) -> tuple[str, tuple[int | None, ...]]:
+        return _about(self.ctx, self.ticket)
 
     def spans(self) -> list[Span]:
         ticket, request = self.ticket, self.ticket.request
@@ -280,6 +294,9 @@ class _Admission:
         hops = self.booked if self.hops is None else len(self.hops)
         return hops + (1 if self.readmits is None else 2)
 
+    def about(self) -> tuple[str, tuple[int | None, ...]]:
+        return _about(self.ctx, self.ticket, self.readmits)
+
     def spans(self) -> list[Span]:
         now, rid = self.now, self.ticket.rid
         ctx = self.ctx or TraceContext.root(rid)
@@ -321,6 +338,40 @@ class _Admission:
         return self.now, "gateway.submit", fields
 
 
+class _Flushed(NamedTuple):
+    """One flushed batch, stored once in both rings: its ``gateway.batch``
+    span (``opened`` to ``now``) and its ``gateway.batch`` event, whose
+    health fields are the :meth:`Gateway._health` readings at the flush."""
+
+    opened: float
+    now: float
+    size: int
+    ordering: str
+    backlog_depth: float
+    max_hold_age: float
+    overcommit_proximity: float
+
+    @property
+    def width(self) -> int:
+        return 1
+
+    def about(self) -> tuple[None, tuple[()]]:
+        return None, ()
+
+    def spans(self) -> tuple[Span]:
+        args = {"size": self.size, "ordering": self.ordering}
+        return (Span("gateway.batch", self.opened, self.now, "gateway", 0, args),)
+
+    def event(self) -> tuple[float, str, dict[str, Any]]:
+        fields = {"size": self.size, "ordering": self.ordering}
+        fields.update(zip(_HEALTH, self[4:]))
+        return self.now, "gateway.batch", fields
+
+
+#: The health readings a flush samples, in the order they are reported.
+_HEALTH = ("backlog_depth", "max_hold_age", "overcommit_proximity")
+
+
 def _reason(reason: RejectReason | None) -> str:
     """A rejected attempt's reason as reported (``unspecified`` if none)."""
     return reason.value if reason is not None else "unspecified"
@@ -331,7 +382,9 @@ class _Instruments:
     telemetry handle (rarer verbs keep addressing the registry by name).
 
     Binding registers nothing: a family enters the registry — and
-    ``/metrics``, and the artifact — with its first firing child.
+    ``/metrics``, and the artifact — with its first firing child.  The
+    counters are :class:`~repro.obs.metrics.Tally` integers, indexed by
+    the decision's flag (``False`` first).
     """
 
     __slots__ = (
@@ -341,28 +394,20 @@ class _Instruments:
 
     def __init__(self, telemetry: Telemetry, ordering: str) -> None:
         self.telemetry = telemetry
-        counter = telemetry.metrics.bind_counter
+        tally = telemetry.metrics.bind_tally
         histogram = telemetry.metrics.bind_histogram
         name, text = "gateway_submits_total", "Gateway admissions by outcome."
-        self.submits = {
-            outcome: counter(name, text, outcome=outcome) for outcome in ("accepted", "rejected")
-        }
+        self.submits = tuple(tally(name, text, outcome=o) for o in ("rejected", "accepted"))
         name, text = "gateway_admissions_total", "Gateway admissions by placement path."
-        self.admissions = {
-            path: counter(name, text, path=path) for path in ("local", "cross-shard")
-        }
+        self.admissions = tuple(tally(name, text, path=p) for p in ("cross-shard", "local"))
         name, text = "gateway_fastpath_total", "Headroom-index fast-path answers."
-        #: Keyed by ``TwoPhaseOutcome.fastpath``.
-        self.fastpath = {
-            True: counter(name, text, outcome="hit"),
-            False: counter(name, text, outcome="miss"),
-        }
+        self.fastpath = tuple(tally(name, text, outcome=o) for o in ("miss", "hit"))
         self.latency = histogram(
             "gateway_admission_latency_seconds",
             "Admission latency in simulated seconds (queueing + retries + chaos).",
         )
         self._rejects_by_reason: dict[str, BoundCounter] = {}
-        self.batches = counter(
+        self.batches = tally(
             "gateway_batches_total", "Admission batches flushed, by ordering.", ordering=ordering
         )
         self.occupancy = histogram("gateway_batch_occupancy", "Requests per flushed batch.")
@@ -680,7 +725,7 @@ class Gateway:
             ticket.retry_after = self.edge.retry_after(client, volume, now)
             self.stats.edge_refused += 1
             if tel.enabled:
-                self._observer.store(_Submitted(now, ticket, ctx, None))
+                tel.tracer.store(_Submitted(now, ticket, ctx, None))
                 tel.metrics.counter(
                     "gateway_edge_refusals_total",
                     "Submissions refused by the per-client edge token bucket.",
@@ -693,7 +738,7 @@ class Gateway:
             self._batch_opened = now
         self.batcher.enqueue(ticket)
         if tel.enabled:
-            self._observer.store(_Submitted(now, ticket, ctx, len(self.batcher)))
+            tel.tracer.store(_Submitted(now, ticket, ctx, len(self.batcher)))
         if self.batcher.full:
             self._flush(now)
         return ticket
@@ -715,12 +760,20 @@ class Gateway:
 
         Runs synchronously on the caller's thread — safe to call from a
         single-threaded event loop between ``await`` points, because
-        nothing here yields.
+        nothing here yields.  The wave's journal entries go out as one
+        write before this returns (:meth:`journal_group`).
         """
-        tickets = [self.submit(**fields, now=now) for fields in submissions]
-        if drain and len(self.batcher):
-            self.drain(now)
+        with self.journal_group():
+            tickets = [self.submit(**fields, now=now) for fields in submissions]
+            if drain and len(self.batcher):
+                self.drain(now)
         return tickets
+
+    def journal_group(self) -> AbstractContextManager[None]:
+        """The journal's :meth:`~repro.gateway.journal.Journal.group` (a
+        no-op without a journal): what a wave appends inside it is written
+        as one ``write`` + ``flush()`` when it ends."""
+        return self.journal.group() if self.journal is not None else nullcontext()
 
     def drain(self, now: float | None = None) -> None:
         """Force the open batch to decide now (journaled — order matters)."""
@@ -738,34 +791,20 @@ class Gateway:
         for ticket in batch:
             self._decide(ticket, now, tel)
         self.stats.batches += 1
-        health = (
-            self._health_snapshot(now)
-            if (tel.enabled or self.slo is not None)
-            else None
-        )
-        if tel.enabled:
-            bound = self._instruments(tel)
-            bound.batches.inc()
-            bound.occupancy.observe(float(len(batch)))
-            tel.tracer.complete(
-                "gateway.batch",
-                self._batch_opened,
-                now,
-                cat="gateway",
-                size=len(batch),
-                ordering=self.batcher.ordering.value,
-            )
-            tel.emit(
-                "gateway.batch",
-                now,
-                size=len(batch),
-                ordering=self.batcher.ordering.value,
-                **(health or {}),
-            )
-        if self.slo is not None and health is not None:
-            for metric in ("backlog_depth", "max_hold_age", "overcommit_proximity"):
-                self.slo.sample(metric, now, health[metric])
-            self.slo.evaluate(now, telemetry=tel)
+        if tel.enabled or self.slo is not None:
+            health = self._health(now)
+            if tel.enabled:
+                bound = self._instruments(tel)
+                bound.batches.count += 1
+                bound.occupancy.observe(float(len(batch)))
+                ordering = self.batcher.ordering.value
+                record = _Flushed(self._batch_opened, now, len(batch), ordering, *health)
+                tel.tracer.store(record)
+                tel.store(record)
+            if self.slo is not None:
+                for metric, value in zip(_HEALTH, health):
+                    self.slo.sample(metric, now, value)
+                self.slo.evaluate(now, telemetry=tel)
         self._publish_chaos()
 
     def _admit(
@@ -814,7 +853,7 @@ class Gateway:
         if trace is not None:
             trace.allocation, trace.fastpath = outcome.allocation, outcome.fastpath
             trace.candidates, trace.latency = outcome.probe.candidates, latency
-            self._observer.store(trace)
+            tel.tracer.store(trace)
         accepted = outcome.allocation is not None
         if self.slo is not None:
             self.slo.admission(now, accepted=accepted, latency=latency)
@@ -877,9 +916,9 @@ class Gateway:
         self, tel: Telemetry, outcome: TwoPhaseOutcome, latency: float, trace: _Admission
     ) -> None:
         bound = self._instruments(tel)
-        bound.submits["accepted" if outcome.allocation is not None else "rejected"].inc()
-        bound.admissions["local" if outcome.local else "cross-shard"].inc()
-        bound.fastpath[outcome.fastpath].inc()
+        bound.submits[outcome.allocation is not None].count += 1
+        bound.admissions[outcome.local].count += 1
+        bound.fastpath[outcome.fastpath].count += 1
         if outcome.retries:
             tel.metrics.counter(
                 "gateway_prepare_retries_total",
@@ -974,8 +1013,9 @@ class Gateway:
     # ------------------------------------------------------------------
     # Health gauges (SLO watchdog inputs, sampled at every flush)
     # ------------------------------------------------------------------
-    def _health_snapshot(self, now: float) -> dict[str, float]:
-        """Point-in-time health gauges: backlog, hold age, peak proximity.
+    def _health(self, now: float) -> tuple[float, float, float]:
+        """Point-in-time health gauges, in :data:`_HEALTH` order: backlog
+        depth, oldest live hold's age, overcommit proximity.
 
         ``overcommit_proximity`` is the worst all-time ``peak / capacity``
         ratio across ports — 1.0 is a fully-booked port, anything beyond
@@ -988,24 +1028,24 @@ class Gateway:
         for broker in self.brokers:
             for hold in broker.holds():
                 max_age = max(max_age, now - (hold.expires - self.hold_ttl))
-        return {
-            "backlog_depth": float(len(self._backlog)),
-            "max_hold_age": max_age,
-            "overcommit_proximity": self._overcommit_hwm,
-        }
+        return float(len(self._backlog)), max_age, self._overcommit_hwm
 
     def _note_port_peaks(self, ingress: int, egress: int) -> None:
         """Advance the overcommit high-water mark after a confirmed booking.
 
         Only the two ports the booking touched can move the worst
-        ``peak / capacity`` ratio, so the probe stays O(1) per admission.
-        Cancellations, compensations and broker restarts can later lower
-        the live peaks; the mark deliberately keeps the worst proximity
-        the run ever reached.
+        ``peak / capacity`` ratio, so the probe stays O(1) per admission:
+        each port's :attr:`~repro.core.ledger.Port.peak` is what its last
+        booking's kernel call computed, not a re-read.  Cancellations,
+        compensations and broker restarts can later lower the live peaks;
+        the mark deliberately keeps the worst proximity the run ever
+        reached.
         """
+        hwm = self._overcommit_hwm
         for port in self.coordinator.ports(ingress, egress):
-            if port.capacity > 0 and port.usage.global_max() / port.capacity > self._overcommit_hwm:
-                self._overcommit_hwm = port.usage.global_max() / port.capacity
+            if port.capacity > 0 and port.peak / port.capacity > hwm:
+                hwm = port.peak / port.capacity
+        self._overcommit_hwm = hwm
 
     # ------------------------------------------------------------------
     # Chaos accounting (channel counters → stats + telemetry deltas)

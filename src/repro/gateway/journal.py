@@ -42,15 +42,21 @@ operation object per subsequent line (see ``docs/FAULTS.md`` for the
 format).  Appends are O(1); nothing is ever rewritten.
 
 Flush policy of a file-backed journal: one append handle, opened by the
-first append and kept until :meth:`Journal.close`; every entry is written
-and ``flush()``-ed to the operating system before ``append`` returns, so
-it is write-ahead against a crash of this process (``kill -9`` included)
-and a concurrent reader sees it at once.  There is no ``fsync``: an entry
-the OS had not yet written back is lost with the machine.
+first append and kept until :meth:`Journal.close`.  An entry is written
+and ``flush()``-ed to the operating system before ``append`` returns —
+unless a :meth:`Journal.group` is open (a wave: ``Gateway.submit_many``,
+the service frontier's flush), whose entries go out as one ``write`` +
+``flush()`` when it ends, before the wave is answered, or at the first
+read, checkpoint or :meth:`Journal.close` before that.  Either way an
+answered operation is write-ahead against a crash of this process
+(``kill -9`` included), a reader sees every entry appended so far, and
+the file is byte for byte the per-entry one.  There is no ``fsync``: an
+entry the OS had not yet written back is lost with the machine.
 
 A write cut short (full disk, machine crash) leaves a final line with no
-``\n``.  Write-ahead order means that operation was never applied or
-acknowledged, so every read drops such a line when it does not decode,
+``\n`` — after the complete lines of its group, if it was one.
+Write-ahead order means that operation was never acknowledged (nor were
+its group-mates), so every read drops such a line when it does not decode,
 and a :meth:`Journal.load`-ed journal cuts the file back to its last
 complete line before its first new append.  Undecodable text anywhere
 else is corruption and raises: in :meth:`Journal.from_jsonl`; and, as a
@@ -62,9 +68,11 @@ last checkpoint, every full read wherever it lies.
 from __future__ import annotations
 
 import json
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from typing import IO, Any
 
 from ..core.errors import ConfigurationError
@@ -136,6 +144,8 @@ class Journal:
         #: The append handle on ``path``, open from the first append to
         #: :meth:`close`.
         self._appender: IO[str] | None = None
+        #: Inside :meth:`group`: the lines appended and not yet written.
+        self._group: list[str] | None = None
         #: Set by :meth:`load` when the file does not end in a newline: where
         #: its last good line ends.  The first new append cuts the file there
         #: and supplies the newline, so that it starts on a line of its own.
@@ -147,13 +157,17 @@ class Journal:
         corrupt line raises ``ConfigurationError`` naming it."""
         return list(self._read()) if self.path is not None else self._entries
 
-    def _read(self, start: int = 0) -> Iterator[JournalEntry]:
+    def _read(
+        self, start: int = 0, wanted: Callable[[str], bool] | None = None
+    ) -> Iterator[JournalEntry]:
         """The entries from the ``start``-th on; a file's are decoded one
-        line at a time (the ones before are counted, not decoded), a torn
-        last line skipped as :meth:`load` skipped it."""
+        line at a time (the ones before are counted, not decoded, and so
+        are the lines ``wanted`` refuses), a torn last line skipped as
+        :meth:`load` skipped it."""
         if self.path is None:
             yield from self._entries[start:]
             return
+        self._write()
         with self.path.open() as fh:
             seen = -1  # lines that are not blank, after the header (line 0)
             for number, line in enumerate(fh, start=1):
@@ -164,11 +178,21 @@ class Journal:
                     continue
                 if not line.endswith("\n") and _torn(line):
                     return
+                if wanted is not None and not wanted(line):
+                    continue
                 try:
                     entry = JournalEntry.from_dict(json.loads(line))
                 except (ValueError, KeyError, TypeError) as exc:
                     raise ConfigurationError(f"journal {self.path}, line {number}: {exc}") from exc
                 yield entry
+
+    def mentioning(self, rid: int) -> Iterator[JournalEntry]:
+        """Every entry but a checkpoint that may name ``rid`` as its ``rid``
+        or ``origin`` (a superset): a file's other lines are not decoded."""
+        named = re.compile(f'"(?:rid|origin)": {rid}[,}}]').search
+        return self._read(
+            0, lambda line: not line.startswith(_CHECKPOINT) and named(line) is not None
+        )
 
     def has_checkpoint(self) -> bool:
         """Does the journal hold a ``checkpoint`` entry?  Decodes nothing."""
@@ -189,7 +213,7 @@ class Journal:
         """Record the gateway configuration; rewrites the file when backed."""
         self.header = {"format": JOURNAL_FORMAT, **dict(header)}
         if self.path is not None:
-            entries = self.entries if self._length else []
+            entries = self.entries if len(self) else []
             self.close()
             self._repair = None
             with self.path.open("w") as fh:
@@ -199,34 +223,70 @@ class Journal:
 
     def append(self, op: str, now: float, **args: Any) -> None:
         """Append one operation; written and flushed before returning when
-        backed (see the module docstring for what that does and does not
-        survive)."""
-        entry = JournalEntry(op=op, now=now, args=args)
+        backed, unless a :meth:`group` is open (see the module docstring for
+        what that does and does not survive)."""
         position = len(self)
         if self.path is None:
-            self._entries.append(entry)
+            self._entries.append(JournalEntry(op=op, now=now, args=args))
         else:
-            appender = self._appender
-            if appender is None:
-                appender = self._appender = self.path.open("a")
-                if self._repair is not None:
-                    appender.truncate(self._repair)
-                    appender.write("\n")
-                    self._repair = None
-            appender.write(json.dumps(entry.to_dict()) + "\n")
-            appender.flush()
-            self._length += 1
+            if op not in _KNOWN_OPS:  # what an entry checks, without building one
+                raise ConfigurationError(f"unknown journal op {op!r}")
+            line = _encode({"op": op, "now": now, **args}) + "\n"
+            if self._group is not None and op != "checkpoint":
+                self._group.append(line)
+                return
+            self._write()
+            self._emit([line])
         if op == "checkpoint":  # only once it is in: a failed write keeps the last
             self._checkpoint = position
 
+    @contextmanager
+    def group(self) -> Iterator[None]:
+        """Write the entries appended inside the ``with`` block as one
+        ``write`` + ``flush()`` when it ends (a no-op without a file, or
+        inside another group)."""
+        if self.path is None or self._group is not None:
+            yield
+            return
+        self._group = []
+        try:
+            yield
+        finally:
+            lines, self._group = self._group, None
+            if lines:
+                self._emit(lines)
+
+    def _write(self) -> None:
+        """Write what the open group holds so far (the group stays open)."""
+        lines = self._group
+        if lines:
+            self._group = []
+            self._emit(lines)
+
+    def _emit(self, lines: list[str]) -> None:
+        """Whole lines as one ``write`` + ``flush()``; the count moves only
+        once they are in."""
+        appender = self._appender
+        if appender is None:
+            appender = self._appender = self.path.open("a")  # type: ignore[union-attr]
+            if self._repair is not None:
+                appender.truncate(self._repair)
+                appender.write("\n")
+                self._repair = None
+        appender.write("".join(lines))
+        appender.flush()
+        self._length += len(lines)
+
     def close(self) -> None:
-        """Release the append handle; a later :meth:`append` reopens it."""
+        """Write what a group holds and release the append handle; a later
+        :meth:`append` reopens it."""
+        self._write()
         if self._appender is not None:
             self._appender.close()
             self._appender = None
 
     def __len__(self) -> int:
-        return self._length + len(self._entries)
+        return self._length + len(self._entries) + len(self._group or ())
 
     def __iter__(self) -> Iterator[JournalEntry]:
         return self._read()
@@ -266,6 +326,19 @@ class Journal:
         if not text.endswith("\n"):
             journal._repair = len(complete.rstrip("\n").encode())
         return journal
+
+
+#: The C encoder ``json.dumps`` builds on every call, built once: the same
+#: text without the per-call set-up (``None`` without the accelerator).
+_C_ENCODER = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+    None, ": ", ", ", False, False, True,
+)  # fmt: skip
+
+
+def _encode(entry: dict[str, Any]) -> str:
+    """``json.dumps(entry)`` (no circular-reference check: an entry is a tree)."""
+    return "".join(_C_ENCODER(entry, 0)) if _C_ENCODER else json.dumps(entry)
 
 
 #: How every checkpoint line :meth:`Journal.append` writes begins.

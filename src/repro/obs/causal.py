@@ -20,8 +20,8 @@ path segment above), and a :class:`CausalObserver` adds deliveries and
 chaos faults (drops, duplicates, delays, partitions, crashes) to the
 record of the admission being placed — so a request's timeline shows
 exactly which delivery was lost, on which edge, at which simulated time.
-One admission is one record, stored once when it is decided and rendered
-to those spans on read (:meth:`CausalObserver.store`).
+One admission is one record, stored once on the tracer when it is
+decided and rendered to those spans on read.
 
 :func:`explain_request` is the read side: it reconstructs one request's
 full causal story from a :class:`~repro.obs.artifact.RunTelemetry`
@@ -35,14 +35,14 @@ import json
 from collections.abc import Callable, Iterable, Mapping
 from typing import TYPE_CHECKING, Any, NamedTuple
 
-from .tracer import Hop
+from .tracer import Hop, Span
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from ..gateway.journal import Journal
     from .artifact import RunTelemetry
     from .telemetry import Telemetry
-    from .tracer import Span, SpanRecord
 
-__all__ = ["CausalObserver", "TraceContext", "explain_request"]
+__all__ = ["CausalObserver", "TraceContext", "explain_live", "explain_request"]
 
 
 #: What ``namedtuple.__new__`` itself calls, minus its keyword parsing.
@@ -86,10 +86,10 @@ class CausalObserver:
     admission it holds that admission's record in :attr:`open`, and each
     :class:`~repro.gateway.rpc.Channel` (the coordinator hands every one
     this observer) adds the deliveries and faults it sees to it as
-    :meth:`hop` tuples; the gateway then hands the finished record to
-    :meth:`store`.  Its other verbs (cancel, abort, reshape) :meth:`note`
-    one-span records.  Records go to the telemetry tracer, keyed to
-    simulated time and deterministic.
+    :meth:`hop` tuples; the gateway then stores the finished record on
+    the tracer.  Its other verbs (cancel, abort, reshape) :meth:`note`
+    one-span records.  Records are keyed to simulated time and
+    deterministic.
 
     The telemetry handle is *provided*, not captured: the gateway may swap
     or scope its handle per run, so the observer re-reads it per record.
@@ -118,19 +118,14 @@ class CausalObserver:
         if record is not None:
             record.booked += 1
 
-    def store(self, record: SpanRecord) -> None:
-        """Keep one finished record: the tracer stores it un-rendered."""
-        tel = self._telemetry()
-        if tel.enabled:
-            tel.tracer.store(record)
-
     def note(
         self, name: str, now: float, ctx: TraceContext | None, detail: dict[str, Any]
     ) -> None:
-        """One gateway-side hop on ``ctx``'s timeline (``ctx`` None:
-        untraced, no-op); ``detail`` is the caller's to give away."""
-        if ctx is not None:
-            self.store(Hop(name, now, "causal", 0, ctx, detail))
+        """One gateway-side hop on ``ctx``'s timeline, stored un-rendered
+        (``ctx`` None: untraced, no-op); ``detail`` is the caller's to give
+        away."""
+        if ctx is not None and (tel := self._telemetry()).enabled:
+            tel.tracer.store(Hop(name, now, "causal", 0, ctx, detail))
 
 
 def hop_spans(hops: Iterable[tuple[Any, ...]], now: float, ctx: TraceContext) -> list[Span]:
@@ -200,6 +195,44 @@ def explain_request(
     ]
     found = [block for block in blocks if block is not None]
     return "\n\n".join(found) if found else None
+
+
+def explain_live(
+    telemetry: Telemetry, rid: int, *, label: str, journal: Journal | None = None
+) -> str | None:
+    """:func:`explain_request` of an artifact capturing ``telemetry`` under
+    ``label`` — the same text — rendering only the ring entries that can be
+    on ``rid``'s traces, and decoding only the journal lines that can name
+    it (:meth:`Journal.mentioning <repro.gateway.journal.Journal.mentioning>`).
+    An entry of a kind :func:`_about` cannot read is always rendered."""
+    abouts = [_about(record) for record in telemetry.records()]
+    traces = {f"req-{rid}"}
+    traces.update(a[0] for a in abouts if a is not None and a[0] is not None and rid in a[1])
+    # One verdict per entry, taken in ``records()`` order: events, then spans.
+    verdicts = iter([a is None or a[0] in traces or rid in a[1] for a in abouts])
+    events = [event.to_dict() for event in telemetry.events_of(lambda _: next(verdicts))]
+    spans = [span.to_dict() for span in telemetry.tracer.spans_of(lambda _: next(verdicts))]
+    entry = {"label": label, "events": events, "spans": spans}
+    cited = None if journal is None else journal.mentioning(rid)
+    return _explain_capture(entry, rid, cited, labelled=False)
+
+
+def _about(record: Any) -> tuple[Any, tuple[Any, ...]] | None:
+    """The trace id and the rids (``rid`` / ``origin``) a ring entry's rows
+    can carry, read without rendering it (the entry's own ``about()`` for
+    a record); ``None`` for an entry that cannot tell."""
+    about = getattr(record, "about", None)
+    if about is not None:
+        return about()
+    if type(record) is tuple:  # an emitted (time, name, fields)
+        fields = record[2]
+    elif isinstance(record, Hop):
+        return record.ctx.trace_id, (record.fields.get("rid"), record.fields.get("origin"))
+    elif isinstance(record, Span):
+        fields = record.args
+    else:
+        return None
+    return fields.get("trace"), (fields.get("rid"), fields.get("origin"))
 
 
 def _explain_capture(

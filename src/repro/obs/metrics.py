@@ -19,6 +19,11 @@ help string or label sort per call.  Binding writes nothing: a sample exists
 from its first ``inc`` / ``observe``, and a family bound through the registry
 is registered by its first firing child, exactly when addressing it by name
 on every call would have registered it.
+
+A :class:`Tally` (``registry.bind_tally(...)``), for a sample fired once
+per decision, is cheaper still: a plain ``tally.count += 1`` that the
+registry adds into the family at the start of every read, so no reader
+can tell it from a bound counter.
 """
 
 from __future__ import annotations
@@ -153,6 +158,23 @@ class BoundCounter:
             family.inc(amount, **dict(self._key))
             return
         samples[self._key] = samples.get(self._key, 0.0) + amount
+
+
+class Tally:
+    """A counter sample fired as a plain integer, ``tally.count += 1``,
+    that its registry folds into the family before every read (through
+    the bound child: the first non-zero fold registers the family)."""
+
+    __slots__ = ("count", "_child")
+
+    def __init__(self, child: BoundCounter) -> None:
+        self.count = 0
+        self._child = child
+
+    def fold(self) -> None:
+        """Add the count into the family and start again from zero."""
+        count, self.count = self.count, 0
+        self._child.inc(count)
 
 
 class Gauge(Counter):
@@ -295,19 +317,31 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, Instrument] = {}
+        #: One :class:`Tally` per bound ``(name, labels)``, folded on read.
+        self._tallies: dict[tuple[str, LabelKey], Tally] = {}
+
+    def _fold(self) -> None:
+        """Add every tally's count into its family (the start of a read)."""
+        for tally in self._tallies.values():
+            if tally.count:
+                tally.fold()
 
     def __len__(self) -> int:
+        self._fold()
         return len(self._metrics)
 
     def __contains__(self, name: str) -> bool:
+        self._fold()
         return name in self._metrics
 
     def names(self) -> list[str]:
         """Registered metric names, sorted."""
+        self._fold()
         return sorted(self._metrics)
 
     def get(self, name: str) -> Instrument | None:
         """The instrument registered under ``name``, if any."""
+        self._fold()
         return self._metrics.get(name)
 
     def _register(self, name: str, kind: type, factory: Any) -> Any:
@@ -325,22 +359,38 @@ class MetricsRegistry:
 
     def counter(self, name: str, help: str = "") -> Counter:
         """Get or create a counter."""
+        self._fold()
         return self._register(name, Counter, lambda: Counter(name, help))
 
     def gauge(self, name: str, help: str = "") -> Gauge:
         """Get or create a gauge."""
+        self._fold()
         return self._register(name, Gauge, lambda: Gauge(name, help))
 
     def histogram(
         self, name: str, help: str = "", buckets: Sequence[float] = DEFAULT_BUCKETS
     ) -> Histogram:
         """Get or create a histogram."""
+        self._fold()
         return self._register(name, Histogram, lambda: Histogram(name, help, buckets))
 
     def bind_counter(self, name: str, help: str = "", /, **labels: Any) -> BoundCounter:
         """One sample of counter ``name``, bound ahead of use: the family
         is got or created by the child's first ``inc``, not here."""
-        return BoundCounter(lambda: self.counter(name, help), _label_key(labels))
+
+        def family() -> Counter:  # not :meth:`counter`: a tally's fold calls it
+            return self._register(name, Counter, lambda: Counter(name, help))
+
+        return BoundCounter(family, _label_key(labels))
+
+    def bind_tally(self, name: str, help: str = "", /, **labels: Any) -> Tally:
+        """One sample of counter ``name`` as a :class:`Tally` — the same one
+        for every binding of the same name and labels — folded on read."""
+        key = (name, _label_key(labels))
+        tally = self._tallies.get(key)
+        if tally is None:
+            tally = self._tallies[key] = Tally(self.bind_counter(name, help, **labels))
+        return tally
 
     def bind_histogram(
         self,
@@ -359,6 +409,7 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def to_prometheus_text(self) -> str:
         """The full registry in Prometheus text exposition format."""
+        self._fold()
         lines: list[str] = []
         for name in sorted(self._metrics):
             lines.extend(self._metrics[name].expose())
@@ -366,6 +417,7 @@ class MetricsRegistry:
 
     def to_dict(self) -> dict[str, Any]:
         """Canonical JSON-able form, metrics sorted by name."""
+        self._fold()
         return {"metrics": [self._metrics[name].to_dict() for name in sorted(self._metrics)]}
 
     def to_json(self) -> str:

@@ -32,7 +32,8 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from itertools import chain
 from typing import Any
 
 from ..core.errors import ConfigurationError
@@ -135,10 +136,20 @@ class Telemetry:
         ``emit`` calls do not show in a list already taken; for counts use
         :attr:`events_emitted` and :attr:`events_dropped`.
         """
+        return self.events_of(None)
+
+    def events_of(self, keep: Callable[[Any], bool] | None) -> list[TelemetryEvent]:
+        """The retained events whose ring entry ``keep`` accepts (all when
+        ``None``); no other entry is rendered."""
         return [
             TelemetryEvent(*(entry if type(entry) is tuple else entry.event()))
             for entry in self._events
+            if keep is None or keep(entry)
         ]
+
+    def records(self) -> Iterator[Any]:
+        """Every retained event entry, then every span record, as stored."""
+        return chain(self._events, self.tracer.records())
 
     @property
     def events_dropped(self) -> int:

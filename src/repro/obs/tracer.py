@@ -36,7 +36,7 @@ import json
 import sys
 from collections import deque
 from dataclasses import dataclass, field
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Any, NamedTuple, Protocol
 
@@ -255,6 +255,21 @@ class SpanTracer:
     def __iter__(self) -> Iterator[Span]:
         spans = chain.from_iterable(record.spans() for record in self._ring)
         return islice(spans, self._cut, None)
+
+    def records(self) -> Iterator[SpanRecord]:
+        """The ring's records as stored, oldest first."""
+        return iter(self._ring)
+
+    def spans_of(self, keep: Callable[[SpanRecord], bool]) -> list[Span]:
+        """What iteration yields of the records ``keep`` accepts; no other
+        record is rendered."""
+        spans: list[Span] = []
+        cut = self._cut
+        for record in self._ring:
+            if keep(record):
+                spans.extend(record.spans()[cut:])
+            cut = 0
+        return spans
 
     @property
     def dropped(self) -> int:

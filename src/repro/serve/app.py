@@ -34,8 +34,7 @@ from ..core.platform import Platform
 from ..gateway import EdgeLimit, EdgeLimiter, Gateway
 from ..gateway.gateway import Ticket
 from ..gateway.journal import Journal
-from ..obs.causal import TraceContext, explain_request
-from ..obs.artifact import RunTelemetry
+from ..obs.causal import TraceContext, explain_live
 from ..obs.metrics import BoundCounter, BoundHistogram
 from ..obs.slo import SloRule, SloWatchdog, default_slo_rules
 from ..obs.telemetry import Telemetry
@@ -122,6 +121,9 @@ class _Served(NamedTuple):
     ticket: Ticket
     outcome: str
 
+    def about(self) -> tuple[str, tuple[int]]:
+        return f"req-{self.ticket.rid}", (self.ticket.rid,)
+
     def event(self) -> tuple[float, str, dict[str, Any]]:
         rid = self.ticket.rid
         fields = {"rid": rid, "client": self.ticket.client, "outcome": self.outcome}
@@ -178,9 +180,10 @@ class ServeApp:
         self.frontier = AdmissionFrontier(self.gateway, self.clock, max_wave=config.max_wave)
         self.router = Router()
         # Metric samples are bound once per label set: binding registers
-        # nothing, so a family shows on ``/metrics`` from its first firing.
+        # nothing, so a family shows on ``/metrics`` from its first firing
+        # (a decision's is a tally the registry folds in on read).
         self._decisions = {
-            outcome: self.telemetry.metrics.bind_counter(
+            outcome: self.telemetry.metrics.bind_tally(
                 "serve_decisions_total", "Admission decisions served, by outcome.", outcome=outcome
             )
             for outcome in ("accepted", "rejected", "edge-refused")
@@ -350,16 +353,15 @@ class ServeApp:
         else:
             outcome = "accepted" if ticket.confirmed else "rejected"
         telemetry.store(_Served(self.clock.now(), ticket, outcome))
-        self._decisions[outcome].inc()
+        self._decisions[outcome].count += 1
 
     # ------------------------------------------------------------------
     # Explain (the PR-8 causal plane over HTTP)
     # ------------------------------------------------------------------
     def explain(self, rid: int) -> str | None:
-        """One request's merged journal + telemetry story (or ``None``)."""
-        artifact = RunTelemetry("serve-live")
-        artifact.capture("serve", self.telemetry)
-        return explain_request(artifact, rid, journal=self.journal)
+        """One request's merged journal + telemetry story (or ``None``), from
+        the records on its traces alone."""
+        return explain_live(self.telemetry, rid, label="serve", journal=self.journal)
 
     # ------------------------------------------------------------------
     # Introspection for benches and tests

@@ -17,12 +17,14 @@ holds the loop).
 
 Every member of a wave is submitted at a single simulated instant (so
 the gateway's "a batch never mixes instants" invariant holds by
-construction) before the trailing partial batch is drained.  Each
-caller's coroutine parks on a future and resumes with its decided
-:class:`~repro.gateway.gateway.Ticket`; a structurally invalid
-submission fails only its own future, never its wave-mates, and
-whatever else a flush runs into, no future of the wave it took is left
-pending.
+construction) before the trailing partial batch is drained, and the
+wave's journal entries go out as one write before anyone is answered.
+A single submission's coroutine parks on a future and resumes with its
+decided :class:`~repro.gateway.gateway.Ticket`; a
+:meth:`~AdmissionFrontier.submit_wave` call flushes at once and parks
+on none.  A structurally invalid submission fails only its own future or
+slot, never its wave-mates, and whatever else a flush runs into, nobody
+of the wave it took is left unanswered.
 
 The flush itself is synchronous: the gateway never awaits, so a wave is
 decided atomically between event-loop steps — no interleaving hazards,
@@ -32,7 +34,7 @@ no locks.
 from __future__ import annotations
 
 import asyncio
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from ..core.errors import ConfigurationError, ReproError
 
@@ -49,6 +51,30 @@ __all__ = ["AdmissionFrontier"]
 WAVE_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
 
 
+class _Slot(NamedTuple):
+    """A :meth:`AdmissionFrontier.submit_wave` entry's place in its call's
+    result list, answered as a single submission's future is."""
+
+    results: list[Any]
+    index: int
+
+    def done(self) -> bool:
+        return self.results[self.index] is not _OPEN
+
+    def set_result(self, result: Ticket | BaseException) -> None:
+        self.results[self.index] = result
+
+    #: A failed entry's exception takes its place in the list.
+    set_exception = set_result
+
+
+#: A :class:`_Slot` not answered yet.
+_OPEN: Any = object()
+
+#: A parked submission: its fields, and where it is answered.
+_Parked = tuple[dict[str, Any], "asyncio.Future[Ticket] | _Slot"]
+
+
 class AdmissionFrontier:
     """Coalesces concurrent submits into same-instant :meth:`Gateway.submit` waves."""
 
@@ -58,7 +84,8 @@ class AdmissionFrontier:
         self.gateway = gateway
         self.clock = clock
         self.max_wave = max_wave
-        self._pending: list[tuple[dict[str, Any], asyncio.Future[Ticket]]] = []
+        #: Parked submissions and where each is answered.
+        self._pending: list[_Parked] = []
         self.waves = 0
         self.coalesced = 0
         self._wave_size = gateway.telemetry.metrics.bind_histogram(
@@ -98,22 +125,19 @@ class AdmissionFrontier:
         bulk submission coalesces with itself and with any concurrent
         singles already parked.  The caller grouped these deliberately —
         the wave is complete by definition — so it flushes immediately
-        rather than waiting for the loop turn to end.
+        rather than waiting for the loop turn to end — and so it parks no
+        future at all: every entry is answered, one ticket or exception in
+        its own slot (a malformed entry fails alone), by the time that
+        synchronous flush returns.
         """
-        loop = asyncio.get_running_loop()
-        futures: list[asyncio.Future[Ticket]] = []
-        for fields, at in entries:
+        results: list[Any] = [_OPEN] * len(entries)
+        for index, (fields, at) in enumerate(entries):
             self.clock.observe(at)
-            future: asyncio.Future[Ticket] = loop.create_future()
-            self._pending.append((fields, future))
-            futures.append(future)
+            self._pending.append((fields, _Slot(results, index)))
             if len(self._pending) >= self.max_wave:
                 self.flush()
         self.flush()
-        # gather(return_exceptions=True) so one malformed entry surfaces
-        # on its own slot instead of abandoning the rest of the batch
-        # (abandoned futures would log "exception was never retrieved").
-        return await asyncio.gather(*futures, return_exceptions=True)
+        return results
 
     def flush(self) -> None:
         """Decide every parked submission as one wave (synchronous).
@@ -140,22 +164,24 @@ class AdmissionFrontier:
             if not isinstance(exc, Exception):
                 raise
 
-    def _decide(self, wave: list[tuple[dict[str, Any], asyncio.Future[Ticket]]]) -> None:
+    def _decide(self, wave: list[_Parked]) -> None:
         now = self.clock.now()
+        gateway = self.gateway
         # Submit entries one by one so a malformed submission fails only
         # its own future — the rest of the wave still shares one instant.
-        accepted: list[tuple[asyncio.Future[Ticket], Ticket]] = []
-        for fields, future in wave:
-            try:
-                accepted.append((future, self.gateway.submit(**fields, now=now)))
-            except ReproError as exc:
-                if not future.done():
-                    future.set_exception(exc)
-        # Decide the trailing partial batch, then resolve — tickets are
-        # mutated in place when their batch flushes, so resolution must
-        # wait until every member of the wave is decided.
-        if len(self.gateway.batcher):
-            self.gateway.drain(now)
+        accepted: list[tuple[asyncio.Future[Ticket] | _Slot, Ticket]] = []
+        with gateway.journal_group():
+            for fields, future in wave:
+                try:
+                    accepted.append((future, gateway.submit(**fields, now=now)))
+                except ReproError as exc:
+                    if not future.done():
+                        future.set_exception(exc)
+            # Decide the trailing partial batch, then resolve — tickets are
+            # mutated in place when their batch flushes, so resolution must
+            # wait until every member of the wave is decided (and journaled).
+            if len(gateway.batcher):
+                gateway.drain(now)
         for future, ticket in accepted:
             if not future.done():
                 future.set_result(ticket)

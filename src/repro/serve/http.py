@@ -73,6 +73,8 @@ class HttpRequest:
     body: bytes = b""
     #: Path parameters bound by the router (``{rid}`` segments).
     params: dict[str, str] = field(default_factory=dict)
+    #: The request line's protocol version (set by :func:`read_request`).
+    version: str = field(default="HTTP/1.1", init=False)
 
     def json(self) -> Any:
         """The body as JSON; :class:`HttpError` 400 on garbage."""
@@ -91,8 +93,14 @@ class HttpRequest:
 
     @property
     def keep_alive(self) -> bool:
-        """Whether the connection survives this exchange."""
-        return self.headers.get("connection", "keep-alive").lower() != "close"
+        """Whether the connection survives this exchange (RFC 9112 §9.3):
+        not if ``Connection`` lists ``close``; for HTTP/1.0, only if it
+        lists ``keep-alive``."""
+        connection = self.headers.get("connection")
+        if connection is None:
+            return self.version != "HTTP/1.0"
+        tokens = {token.strip().lower() for token in connection.split(",")}
+        return "close" not in tokens and (self.version != "HTTP/1.0" or "keep-alive" in tokens)
 
 
 @dataclass
@@ -156,13 +164,11 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
                 raise HttpError(400, "truncated request body") from exc
     elif headers.get("transfer-encoding"):
         raise HttpError(400, "chunked request bodies are not supported")
-    return HttpRequest(
-        method=method.upper(),
-        path=unquote(split.path),
-        query=query,
-        headers=headers,
-        body=body,
+    request = HttpRequest(
+        method=method.upper(), path=unquote(split.path), query=query, headers=headers, body=body
     )
+    request.version = version
+    return request
 
 
 def render_response(response: HttpResponse, *, keep_alive: bool) -> bytes:

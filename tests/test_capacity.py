@@ -233,7 +233,8 @@ BOOK_STEPS = st.lists(
 
 
 class TestBookConformance:
-    """``book`` is ``blocker(...) is None`` then ``add``, in one call."""
+    """``book`` is ``blocker(...) is None`` then ``add``, in one call, and
+    hands back the peak after it (``None``: refused)."""
 
     @pytest.mark.parametrize("kernel_class", KERNELS.values(), ids=KERNELS.keys())
     @settings(max_examples=120, deadline=None)
@@ -254,7 +255,9 @@ class TestBookConformance:
                 fits = probed.blocker(t0, t1, delta, 100.0) is None
                 if fits:
                     probed.add(t0, t1, delta)
-                assert booked.book(t0, t1, delta, 100.0) is fits
+                peak = booked.book(t0, t1, delta, 100.0)
+                assert (peak is not None) is fits
+                assert peak is None or peak == probed.global_max()
                 if fits and delta:
                     live.append((t0, t1, delta))
             assert list(booked.breakpoints()) == list(probed.breakpoints())

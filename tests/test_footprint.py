@@ -22,8 +22,9 @@ SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "footprint.py"
 #: GC-tracked objects a decision may leave: its ticket, request and
 #: allocation, and its three telemetry records.
 PER_DECISION = 6
-#: ... and a flushed batch: its ``gateway.batch`` span and event.
-PER_BATCH = 2
+#: ... and a flushed batch: one ``_Flushed`` record, its ``gateway.batch``
+#: span and event.
+PER_BATCH = 1
 #: What a run leaves whatever its length (the event loop's and the test
 #: runner's leftovers, the measurement's own counter).
 SLACK = 64
@@ -61,6 +62,7 @@ def test_a_decision_leaves_its_state_and_one_flat_record_per_ring_entry(tmp_path
     assert grown <= PER_DECISION * decided + PER_BATCH * batches + SLACK, str(dict(left))
     for name in ("Ticket", "Request", "Allocation", "_Submitted", "_Admission", "_Served"):
         assert left[name] == decided, name
+    assert left["_Flushed"] == batches
 
 
 def test_a_file_journal_holds_nothing_that_grows_with_its_length(tmp_path):

@@ -1,6 +1,10 @@
 """Tests for the operation journal and crash-recovery replay."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -211,6 +215,122 @@ class TestTornTail:
         for text in (mid_file, mid_file[:-30], complete_last_line):
             with pytest.raises(json.JSONDecodeError):
                 Journal.from_jsonl(text)
+
+
+def wave(k, size=6):
+    """Submission ``k`` of a seeded-looking wave on a 4×4 platform."""
+    return [
+        dict(ingress=(k + j) % 4, egress=(3 * k + j) % 4, volume=50.0 + 7 * j, deadline=90.0 + k)
+        for j in range(size)
+    ]
+
+
+def waved(path, waves, **kwargs):
+    """A 2-shard, batch-4 gateway on a file journal fed ``waves`` through
+    ``submit_many``, one instant each."""
+    gateway = Gateway(
+        Platform.uniform(4, 4, 100.0), num_shards=2, batch_size=4, journal=Journal(path=path)
+    )
+    for k in range(waves):
+        gateway.submit_many(wave(k), now=float(k), **kwargs)
+    return gateway
+
+
+class TestGroupCommit:
+    """A wave's entries go out as one ``write`` + ``flush()``, before the
+    wave is answered; the file is what per-entry appends write."""
+
+    def test_a_wave_is_one_write_of_the_per_entry_bytes(self, tmp_path, monkeypatch):
+        writes = []
+        emit = Journal._emit
+
+        def counted(self, lines):
+            writes.append(len(lines))
+            emit(self, lines)
+
+        monkeypatch.setattr(Journal, "_emit", counted)
+        grouped = waved(tmp_path / "grouped.jsonl", 5)
+        # each wave: 6 submits and its drain, in one write
+        assert writes == [7] * 5
+        one_by_one = Gateway(
+            Platform.uniform(4, 4, 100.0),
+            num_shards=2,
+            batch_size=4,
+            journal=Journal(path=tmp_path / "single.jsonl"),
+        )
+        for k in range(5):
+            for fields in wave(k):
+                one_by_one.submit(**fields, now=float(k))
+            one_by_one.drain(float(k))
+        assert writes[5:] == [1] * 35  # outside a wave: one write per entry
+        assert (tmp_path / "grouped.jsonl").read_bytes() == (tmp_path / "single.jsonl").read_bytes()
+        assert grouped.snapshot() == one_by_one.snapshot()
+
+    def test_a_read_during_a_wave_sees_every_line_so_far(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        journal = Journal(path=path)
+        journal.set_header({"kind": "gateway"})
+        with journal.group():
+            for k in range(3):
+                journal.append("cancel", float(k), rid=k)
+            assert len(journal) == 3
+            assert len(Journal.load(path)) == 0  # not written yet ...
+            assert [e.args["rid"] for e in journal] == [0, 1, 2]  # ... until read
+            assert len(Journal.load(path)) == 3
+            journal.append("cancel", 3.0, rid=3)
+            journal.append("checkpoint", 3.0, state={})  # a checkpoint is written at once
+            assert len(Journal.load(path)) == 5 and journal.has_checkpoint()
+            journal.append("cancel", 4.0, rid=4)
+        assert [e.args.get("rid") for e in Journal.load(path)] == [0, 1, 2, 3, None, 4]
+        assert path.read_text() == journal.to_jsonl()
+        journal.close()
+
+    @pytest.mark.parametrize("whole, survived", [(0, 21), (0, 20), (1, 19)])
+    def test_a_torn_group_write_is_repaired(self, tmp_path, whole, survived):
+        """A group write cut short keeps its complete lines and drops the
+        torn one (none of the wave was answered); the next append repairs
+        the file and a resume decides as a replay does.  Cut: one byte
+        (the last newline), or into the last or the last-but-one line."""
+        path = tmp_path / "wal.jsonl"
+        waved(path, 3).journal.close()
+        data = path.read_bytes()
+        lines = data.splitlines(keepends=True)
+        chop = 1 if survived == 21 else sum(len(line) for line in lines[len(lines) - whole :]) + 20
+        path.write_bytes(data[:-chop])
+        journal = Journal.load(path)
+        assert len(journal) == survived
+        resumed = Gateway.resume(journal)
+        resumed.submit_many(wave(3), now=3.0)
+        journal.close()
+        reloaded = Journal.load(path)
+        assert len(reloaded) == survived + 7
+        assert reloaded.to_jsonl() == path.read_text()
+        assert Gateway.replay(reloaded).snapshot() == resumed.snapshot()
+
+    def test_a_process_killed_between_a_wave_write_and_its_answers(self, tmp_path):
+        """``kill -9`` right after the third wave's group write: the wave
+        is in the file though nobody was answered, and both restart paths
+        rebuild the book the dead process held."""
+        path = tmp_path / "wal.jsonl"
+        child = f"""
+import os, signal, sys
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+from repro.gateway import Journal
+from test_journal import waved
+emit = Journal._emit
+def dying_emit(self, lines):
+    emit(self, lines)
+    if len(self) == 21:
+        os.kill(os.getpid(), signal.SIGKILL)
+Journal._emit = dying_emit
+waved({str(path)!r}, 5)
+"""
+        src = str(Path(__file__).parents[1] / "src")
+        done = subprocess.run([sys.executable, "-c", child], env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == -signal.SIGKILL
+        held = waved(tmp_path / "alive.jsonl", 3).snapshot()
+        assert Gateway.resume(Journal.load(path)).snapshot() == held
+        assert Gateway.replay(Journal.load(path)).snapshot() == held
 
 
 class TestReplay:

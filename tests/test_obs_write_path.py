@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError
 from repro.core.platform import Platform
-from repro.gateway import ChaosPolicy, EdgeLimit, Gateway, Journal
+from repro.gateway import ChaosPolicy, EdgeLimit, Gateway, Journal, JournalEntry
 from repro.obs import (
     MetricsRegistry,
     RunTelemetry,
@@ -28,6 +28,7 @@ from repro.obs import (
     Telemetry,
     TraceContext,
     explain_request,
+    use_telemetry,
 )
 from repro.schedulers.retry import BackoffSchedule
 from repro.serve import ServeApp, ServeConfig
@@ -440,6 +441,60 @@ class TestBoundSamples:
         assert "gateway_rejects_total" not in text
 
 
+class TestTallies:
+    """The per-decision counters are integers the registry folds in on
+    every read: no reader can tell them from counters fired per call."""
+
+    READS = {
+        "prometheus": lambda r: r.to_prometheus_text(),
+        "dict": lambda r: r.to_dict(),
+        "value": lambda r: r.counter("gateway_submits_total").value(outcome="accepted"),
+        "names": lambda r: r.names(),
+        "in": lambda r: "gateway_submits_total" in r,
+        "len": len,
+        "get": lambda r: r.get("gateway_submits_total"),
+    }
+
+    @pytest.mark.parametrize("read", sorted(READS))
+    def test_a_family_is_absent_until_it_fires_whatever_reads_it(self, read):
+        registry = MetricsRegistry()
+        bind = ("gateway_submits_total", "By outcome.")
+        tally = registry.bind_tally(*bind, outcome="accepted")
+        assert registry.bind_tally(*bind, outcome="accepted") is tally
+        assert "gateway_submits_total" not in registry.to_prometheus_text()
+        tally.count += 2
+        self.READS[read](registry)  # the first read folds the count in
+        assert registry.names() == ["gateway_submits_total"]
+        assert registry.counter("gateway_submits_total").value(outcome="accepted") == 2.0
+        tally.count += 1
+        assert 'gateway_submits_total{outcome="accepted"} 3' in registry.to_prometheus_text()
+        assert registry.to_dict() == MetricsRegistry.from_dict(registry.to_dict()).to_dict()
+
+    def test_counts_stay_with_the_handle_current_at_each_decision(self):
+        first, second = Telemetry(), Telemetry()
+        gw = Gateway(Platform.uniform(2, 2, 1000.0), batch_size=2)
+        with use_telemetry(first):
+            assert "gateway_submits_total" not in first.metrics and len(first.metrics) == 0
+            for t in (0.0, 0.0, 1.0):
+                gw.submit(ingress=0, egress=1, volume=10.0, deadline=100.0, now=t)
+        with use_telemetry(second):
+            gw.submit(ingress=1, egress=0, volume=10.0, deadline=100.0, now=2.0)
+            gw.drain(2.0)
+        with use_telemetry(first):
+            gw.submit(ingress=1, egress=1, volume=10.0, deadline=100.0, now=3.0)
+            gw.drain(3.0)
+        # first: the batch of two at t=0 (flushed by the clock move) and
+        # the lone one at t=3; second: the t=1 batch and the t=2 one.
+        assert [
+            (tel.metrics.counter("gateway_submits_total").value(outcome="accepted"),
+             tel.metrics.counter("gateway_batches_total").value(ordering="fifo"))
+            for tel in (first, second)
+        ] == [(3.0, 2.0), (2.0, 2.0)]  # fmt: skip
+        for tel in (first, second):
+            assert "gateway_submits_total" in tel.metrics.names()
+            assert 'outcome="rejected"' not in tel.metrics.to_prometheus_text()
+
+
 class SpanBatch:
     """A ring record of the given spans."""
 
@@ -680,3 +735,71 @@ class TestServePathExports:
         }
         digests = {key: hashlib.sha256(text.encode()).hexdigest() for key, text in texts.items()}
         assert digests == SERVE_SHA256
+
+
+class TestExplainReadsOneStory:
+    """``?explain=1`` renders the records on the rid's traces and decodes
+    the journal lines that name it — not every retained record and line."""
+
+    RECORDS = ("_Submitted", "_Admission", "_Flushed")
+
+    def served(self, path, waves):
+        config = ServeConfig(
+            platform=Platform.uniform(8, 8, 1000.0), num_shards=4, batch_size=8, journal_path=path
+        )
+        app = ServeApp(config, clock=LogicalClock())
+        rng = random.Random(5)
+
+        async def drive():
+            for k in range(waves):
+                entries = [
+                    {
+                        "ingress": rng.randrange(8),
+                        "egress": rng.randrange(8),
+                        "volume": rng.uniform(500.0, 5000.0),
+                        "deadline": 10.0 * k + 120.0,
+                        "at": 10.0 * k,
+                    }
+                    for _ in range(16)
+                ]
+                body = json.dumps({"submissions": entries}).encode()
+                await app.dispatch(HttpRequest("POST", "/v1/reservations/batch", {}, {}, body))
+            await app.dispatch(HttpRequest("DELETE", "/v1/reservations/3", {}, {}, b""))
+
+        asyncio.run(drive())
+        return app
+
+    def test_rendered_records_do_not_grow_with_the_run(self, tmp_path, monkeypatch):
+        import repro.gateway.gateway as gateway_module
+        import repro.serve.app as app_module
+
+        rendered = []
+        for module, name in [*((gateway_module, n) for n in self.RECORDS), (app_module, "_Served")]:
+            cls = getattr(module, name)
+            for method in ("spans", "event"):
+                real = getattr(cls, method, None)
+                if real is not None:
+                    monkeypatch.setattr(
+                        cls, method, lambda self, real=real: rendered.append(self) or real(self)
+                    )
+        decoded = []
+        from_dict = JournalEntry.from_dict.__func__
+        monkeypatch.setattr(
+            JournalEntry,
+            "from_dict",
+            classmethod(lambda cls, data: decoded.append(data) or from_dict(cls, data)),
+        )
+        counts = []
+        for waves in (10, 40):
+            app = self.served(tmp_path / f"{waves}.jsonl", waves)
+            artifact = RunTelemetry("serve-live")
+            artifact.capture("serve", app.telemetry)
+            stories = {rid: explain_request(artifact, rid, journal=app.journal) for rid in (3, 100)}
+            del rendered[:], decoded[:]
+            for rid, story in stories.items():
+                assert app.explain(rid) == story
+            counts.append((len(rendered), len(decoded)))
+            app.journal.close()
+        # rid 3: submit, admission (spans + event), served, cancel's line;
+        # rid 100: the same without the cancel.
+        assert counts[0] == counts[1] and counts[0][0] <= 8 and counts[0][1] <= 3, counts

@@ -106,6 +106,34 @@ class TestHttpWireFormat:
         assert request.json() == {}
         assert request.keep_alive
 
+    @pytest.mark.parametrize(
+        "version, connection, keep",
+        [
+            ("HTTP/1.1", None, True),
+            ("HTTP/1.1", "keep-alive", True),
+            ("HTTP/1.1", "close", False),
+            ("HTTP/1.1", "Close", False),
+            ("HTTP/1.1", "close, TE", False),
+            ("HTTP/1.1", "TE,  CLOSE", False),
+            ("HTTP/1.1", "TE", True),
+            ("HTTP/1.0", None, False),
+            ("HTTP/1.0", "TE", False),
+            ("HTTP/1.0", "keep-alive", True),
+            ("HTTP/1.0", "Keep-Alive, TE", True),
+            ("HTTP/1.0", "keep-alive, close", False),
+        ],
+    )
+    def test_persistence_follows_rfc_9112(self, version, connection, keep):
+        """RFC 9112 §9.3: ``close`` anywhere in the token list ends the
+        connection; otherwise HTTP/1.1 persists and HTTP/1.0 persists only
+        when it asks for ``keep-alive``."""
+        head = f"GET /health {version}\r\nHost: h\r\n"
+        if connection is not None:
+            head += f"Connection: {connection}\r\n"
+        request = self._parse((head + "\r\n").encode())
+        assert request.version == version
+        assert request.keep_alive is keep
+
     def test_clean_eof_returns_none(self):
         assert self._parse(b"") is None
 

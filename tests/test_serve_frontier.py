@@ -11,8 +11,9 @@ import asyncio
 
 import pytest
 
+from repro.core.errors import InvalidRequestError
 from repro.core.platform import Platform
-from repro.gateway import Gateway
+from repro.gateway import Gateway, Journal
 from repro.obs.telemetry import NullTelemetry, Telemetry
 from repro.serve.clock import LogicalClock
 from repro.serve.frontier import AdmissionFrontier
@@ -198,5 +199,68 @@ def test_wave_size_histogram_is_published_once_per_flush():
         assert 'serve_frontier_wave_size_bucket{le="4"} 2' in text
         assert "serve_frontier_wave_size_sum 4" in text
         assert "serve_frontier_wave_size_count 2" in text
+
+    asyncio.run(main())
+
+
+def test_one_future_per_single_caller_none_for_a_wave_and_a_stale_entry_fails_alone(
+    monkeypatch,
+):
+    """A single submission parks on one future; a ``submit_wave`` call,
+    decided before it returns, on none (it took one per entry plus a
+    gather).  An entry whose window closed by the time its wave flushed
+    fails its own slot, and its wave-mates decide."""
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        created = []
+        create_future = loop.create_future
+        monkeypatch.setattr(
+            loop, "create_future", lambda: created.append(1) or create_future()
+        )
+        frontier = make_frontier(max_wave=4)
+        singles = park(frontier, range(2))
+        await turns(1)
+        assert len(created) == 2
+        # max_wave=4: entries 0-1 go with the singles, the rest flush at 7.0
+        stale = dict(fields(9), deadline=5.0)  # fine at its ``at``, dead at 7.0
+        entries = [*((fields(i), float(i)) for i in (2, 3)), (stale, 4.0), (fields(7), 7.0)]
+        results = await frontier.submit_wave(entries)
+        assert len(created) == 2
+        assert isinstance(results[2], InvalidRequestError)
+        tickets = [*results[:2], results[3]]
+        assert all(t.decided for t in tickets)
+        # max_wave cut the call across two waves; both answered it.
+        assert (frontier.waves, frontier.coalesced) == (2, 6)
+        assert all(t.decided for t in await asyncio.gather(*singles))
+        assert await frontier.submit_wave([]) == []
+
+    asyncio.run(main())
+
+
+def test_a_wave_is_journaled_in_one_write_before_it_is_answered(tmp_path, monkeypatch):
+    async def main():
+        gateway = Gateway(
+            Platform.uniform(4, 4, 100.0),
+            num_shards=2,
+            batch_size=4,
+            journal=Journal(path=tmp_path / "wal.jsonl"),
+            telemetry=NullTelemetry(),
+        )
+        frontier = AdmissionFrontier(gateway, LogicalClock())
+        writes = []
+        emit = Journal._emit
+
+        def counted(journal, lines):
+            writes.append(len(lines))
+            emit(journal, lines)
+
+        monkeypatch.setattr(Journal, "_emit", counted)
+        tasks = park(frontier, range(6))
+        await turns(2)  # the flush ran; its callers are not resumed yet
+        assert writes == [7] and not any(task.done() for task in tasks)  # 6 submits, 1 drain
+        await asyncio.gather(*tasks)
+        assert len(Journal.load(tmp_path / "wal.jsonl")) == 7
+        gateway.journal.close()
 
     asyncio.run(main())
