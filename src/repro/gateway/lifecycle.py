@@ -306,18 +306,23 @@ def displace_overflow(
 ) -> tuple[list[Reservation], list[int]]:
     """Displace until the degraded port fits under its remaining capacity.
 
-    Victims go latest-start-first.  With ``malleable`` each victim's tail
-    is first re-shaped around the degraded window (once per rid; a
-    re-shaped reservation that still blocks the port is displaced later).
-    Returns ``(displaced, reshaped)``: the displaced reservations and the
-    rids re-shaped instead.
+    A port that does not fit first loses its live holds that overlap the
+    window: the two-phase protocol runs inside one call, so a hold alive
+    now is one whose abort was lost (stranded until its TTL), and no
+    reservation owns its capacity.  Victims go latest-start-first.  With
+    ``malleable`` each victim's tail is first re-shaped around the
+    degraded window (once per rid; a re-shaped reservation that still
+    blocks the port is displaced later).  Returns ``(displaced,
+    reshaped)``: the displaced reservations and the rids re-shaped instead.
     """
-    side, port = degradation.side, degradation.port
+    side, port, t0, t1 = degradation.side, degradation.port, degradation.t0, degradation.t1
     degraded = coordinator.broker_for(side, port).port(side, port)
     tol = CAPACITY_SLACK * max(1.0, degraded.capacity)
     displaced: list[Reservation] = []
     reshaped: list[int] = []
-    while degraded.overcommit_on(degradation.t0, degradation.t1) > tol:
+    if degraded.overcommit_on(t0, t1) > tol:
+        coordinator.release_stranded(side, port, t0, t1)
+    while degraded.overcommit_on(t0, t1) > tol:
         victim = displacement_victim(reservations, degradation, now)
         if victim is None:
             break  # remaining overcommit is not ours to resolve

@@ -551,3 +551,18 @@ class TwoPhaseCoordinator:
         """
         self.broker_for("ingress", ingress).restore("ingress", ingress, segments)
         self.broker_for("egress", egress).restore("egress", egress, segments)
+
+    def release_stranded(self, side: str, port: int, t0: float, t1: float) -> int:
+        """Abort the live holds on one port that overlap ``[t0, t1)``; returns
+        how many.  Between admissions every live hold is stranded (its
+        transaction ran and ended inside one :meth:`reserve`, its abort
+        lost), so this frees only capacity no reservation owns."""
+        broker = self.broker_for(side, port)
+        stranded = [
+            hold for hold in broker.holds()
+            if (hold.side, hold.port) == (side, port)
+            and hold.segments[0][0] < t1 and hold.segments[-1][1] > t0
+        ]  # fmt: skip
+        for hold in stranded:
+            broker.abort_hold(hold.hold_id)
+        return len(stranded)
