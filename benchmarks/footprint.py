@@ -15,7 +15,9 @@ of the client's stays behind), and prints:
   ``NullTelemetry`` (median of :data:`ROUNDS` alternating runs), scaled
   to the stack benchmark's reference host speed as ``benchmarks/stack``
   does (``child.Reference`` bursts beside each run, times multiplied by
-  ``run.REFERENCE_NS`` / mean burst), and the share telemetry takes.
+  ``run.REFERENCE_NS`` / mean burst), and the share telemetry takes —
+  on that stream and on ``serve_hot``'s, ``inputs.hot_stream``, whose
+  decisions search and book on contended ports.
 
 Run from the repository root::
 
@@ -42,7 +44,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "benchmarks" / "stack"))
 
 from child import Reference  # noqa: E402
-from inputs import light_stream  # noqa: E402
+from inputs import hot_stream, light_stream  # noqa: E402
 from run import REFERENCE_NS  # noqa: E402
 
 from repro.core.platform import Platform  # noqa: E402
@@ -133,17 +135,25 @@ def measure(bodies: list[dict], workdir: Path, by_site: bool) -> tuple[int, int,
     return stats.submits - warm[0], stats.batches - warm[1], left
 
 
+def cpu_medians(stream: str, bodies: list[dict], workdir: Path) -> tuple[float, float]:
+    """Reference-scaled CPU microseconds per decision of ``bodies`` with
+    telemetry on and off: medians of :data:`ROUNDS` alternating runs, each
+    on a fresh journal."""
+    runs: dict[bool, list[float]] = {True: [], False: []}
+    for k in range(ROUNDS):
+        for traced in (True, False):
+            path = workdir / f"cpu-{stream}-{k}-{traced}.journal.jsonl"
+            runs[traced].append(cpu_us_per_decision(bodies, path, traced))
+    return statistics.median(runs[True]), statistics.median(runs[False])
+
+
 def main() -> int:
     bodies = light_stream(SEED, DECISIONS)
     with tempfile.TemporaryDirectory() as workdir:
         decided, _, objects = measure(bodies, Path(workdir), by_site=False)
         _, _, sites = measure(bodies, Path(workdir), by_site=True)
-        runs: dict[bool, list[float]] = {True: [], False: []}
-        for k in range(ROUNDS):
-            for traced in (True, False):
-                path = Path(workdir) / f"cpu-{k}-{traced}.journal.jsonl"
-                runs[traced].append(cpu_us_per_decision(bodies, path, traced))
-    on, off = (statistics.median(runs[traced]) for traced in (True, False))
+        on, off = cpu_medians("light", bodies, Path(workdir))
+        hot_on, hot_off = cpu_medians("hot", hot_stream(SEED, DECISIONS), Path(workdir))
     retained = sum(stat.size_diff for stat in sites)
     print(f"serve_light footprint: {decided} decisions after a warm-up wave, seed {SEED}, "
           f"Python {sys.version.split()[0]}")
@@ -154,6 +164,9 @@ def main() -> int:
         print(f"  {count / decided:6.2f}  {name}")
     print(f"cpu us per decision (reference-scaled, median of {ROUNDS} alternating runs): "
           f"telemetry on {on:.1f}, off {off:.1f}; telemetry share {1 - off / on:.1%}")
+    print(f"hot stream cpu us per decision ({DECISIONS} decisions, same measure): "
+          f"telemetry on {hot_on:.1f}, off {hot_off:.1f}; "
+          f"telemetry share {1 - hot_off / hot_on:.1%}")
     print("largest allocation sites (bytes per decision):")
     for stat in sorted(sites, key=lambda s: -s.size_diff)[:TOP]:
         frame = stat.traceback[0]

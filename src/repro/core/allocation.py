@@ -86,14 +86,10 @@ class Allocation:
         derived from the volume.
         """
         start = request.t_start if sigma is None else sigma
-        return cls(
-            rid=request.rid,
-            ingress=request.ingress,
-            egress=request.egress,
-            bw=bw,
-            sigma=start,
-            tau=start + request.volume / bw,
-        )
+        # Positional: a keyword call costs this frozen class's __init__ about
+        # twice as much, and every accepted admission builds one.
+        tau = start + request.volume / bw
+        return cls(request.rid, request.ingress, request.egress, bw, start, tau)
 
     @classmethod
     def for_profile(cls, request: Request, profile: RateProfile) -> Allocation:

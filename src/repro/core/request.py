@@ -28,10 +28,32 @@ from .errors import InvalidRequestError
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["Request", "RequestSet", "RATE_TOLERANCE"]
+__all__ = ["Request", "RequestSet", "RATE_TOLERANCE", "check_request"]
 
 #: Relative tolerance used when comparing rates (e.g. rigid classification).
 RATE_TOLERANCE: float = 1e-9
+
+
+def check_request(rid: int, volume: float, t_start: float, t_end: float, max_rate: float) -> None:
+    """Raise :class:`InvalidRequestError` unless these fields make a valid
+    :class:`Request` (what building one checks; the edge asks it alone)."""
+    # Every test is phrased ``not (a > b)`` so that a NaN, for which
+    # all comparisons are false, is refused instead of waved through.
+    if not (volume > 0):
+        raise InvalidRequestError(f"request {rid}: volume must be positive, got {volume}")
+    if not (t_end > t_start):
+        raise InvalidRequestError(f"request {rid}: empty transmission window [{t_start}, {t_end}]")
+    if not (max_rate > 0):
+        raise InvalidRequestError(f"request {rid}: max_rate must be positive, got {max_rate}")
+    min_rate = volume / (t_end - t_start)
+    if not (max_rate >= min_rate * (1 - RATE_TOLERANCE)):
+        raise InvalidRequestError(
+            f"request {rid}: max_rate {max_rate} below the MinRate "
+            f"{min_rate} implied by window [{t_start}, {t_end}]"
+        )
+    # Note: ingress and egress indices address *different* port sets, so
+    # equal indices are legal (e.g. the single ingress-egress pair case of
+    # §3).  Same-site exclusion is a workload (PairSelector) concern.
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,24 +86,7 @@ class Request:
     max_rate: float
 
     def __post_init__(self) -> None:
-        # Every test is phrased ``not (a > b)`` so that a NaN, for which
-        # all comparisons are false, is refused instead of waved through.
-        if not (self.volume > 0):
-            raise InvalidRequestError(f"request {self.rid}: volume must be positive, got {self.volume}")
-        if not (self.t_end > self.t_start):
-            raise InvalidRequestError(
-                f"request {self.rid}: empty transmission window [{self.t_start}, {self.t_end}]"
-            )
-        if not (self.max_rate > 0):
-            raise InvalidRequestError(f"request {self.rid}: max_rate must be positive, got {self.max_rate}")
-        if not (self.max_rate >= self.min_rate * (1 - RATE_TOLERANCE)):
-            raise InvalidRequestError(
-                f"request {self.rid}: max_rate {self.max_rate} below the MinRate "
-                f"{self.min_rate} implied by window [{self.t_start}, {self.t_end}]"
-            )
-        # Note: ingress and egress indices address *different* port sets, so
-        # equal indices are legal (e.g. the single ingress-egress pair case of
-        # §3).  Same-site exclusion is a workload (PairSelector) concern.
+        check_request(self.rid, self.volume, self.t_start, self.t_end, self.max_rate)
 
     # ------------------------------------------------------------------
     # Derived quantities

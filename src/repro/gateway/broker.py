@@ -25,7 +25,7 @@ rate.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from typing import Any
 
@@ -115,6 +115,9 @@ class ShardBroker:
         self.crashed = False
         self.holds_expired = 0
         self.holds_wiped = 0
+        #: Told each granted hold's ``expires`` (the coordinator's sweep
+        #: bookkeeping, :meth:`TwoPhaseCoordinator.expire_holds`).
+        self.on_grant: Callable[[float], None] | None = None
 
     # ------------------------------------------------------------------
     # Ownership
@@ -272,6 +275,8 @@ class ShardBroker:
         self._holds[hold.hold_id] = hold
         if key is not None:
             self._prepared[key] = hold
+        if self.on_grant is not None:
+            self.on_grant(expires)
         return hold
 
     def commit(self, hold_id: int) -> None:
@@ -318,8 +323,6 @@ class ShardBroker:
         whose deadline equals ``now`` — or sits within float noise of it —
         expires on this sweep, consistently with the coordinator's sweep.
         """
-        if not self._holds:
-            return []
         expired = [h for h in self._holds.values() if hold_expired(h.expires, now)]
         for hold in expired:
             self._drop_hold(hold.hold_id, "expired")

@@ -39,7 +39,8 @@ replay a restart runs reads the rest.  ``len()``,
 
 Serialisation is JSON lines: the header object on the first line, one
 operation object per subsequent line (see ``docs/FAULTS.md`` for the
-format).  Appends are O(1); nothing is ever rewritten.
+format).  Appends are O(1); nothing is ever rewritten.  Every line is the
+bytes ``json.dumps`` writes; a file's ``submit`` lines come from a template.
 
 Flush policy of a file-backed journal: one append handle, opened by the
 first append and kept until :meth:`Journal.close`.  An entry is written
@@ -150,6 +151,10 @@ class Journal:
         #: its last good line ends.  The first new append cuts the file there
         #: and supplies the newline, so that it starts on a line of its own.
         self._repair: int | None = None
+        #: :meth:`_submit_line`'s one-entry caches: last value and its text.
+        self._now: tuple[object, str] = (None, "")
+        self._rate: tuple[object, str] = (None, "")
+        self._client: tuple[object, str] = (None, "")
 
     @property
     def entries(self) -> list[JournalEntry]:
@@ -225,20 +230,53 @@ class Journal:
         """Append one operation; written and flushed before returning when
         backed, unless a :meth:`group` is open (see the module docstring for
         what that does and does not survive)."""
-        position = len(self)
         if self.path is None:
+            position = len(self._entries)
             self._entries.append(JournalEntry(op=op, now=now, args=args))
         else:
-            if op not in _KNOWN_OPS:  # what an entry checks, without building one
-                raise ConfigurationError(f"unknown journal op {op!r}")
-            line = _encode({"op": op, "now": now, **args}) + "\n"
+            line = self._submit_line(now, args) if op == "submit" else None
+            if line is None:
+                if op not in _KNOWN_OPS:  # what an entry checks, without building one
+                    raise ConfigurationError(f"unknown journal op {op!r}")
+                line = _encode({"op": op, "now": now, **args}) + "\n"
             if self._group is not None and op != "checkpoint":
                 self._group.append(line)
                 return
             self._write()
+            position = len(self)
             self._emit([line])
         if op == "checkpoint":  # only once it is in: a failed write keeps the last
             self._checkpoint = position
+
+    def _submit_line(self, now: float, args: dict[str, Any]) -> str | None:
+        """The line :func:`_encode` writes for a ``submit`` entry, from a template;
+        ``None`` when it cannot render it exactly: other keywords or order (a
+        profile), a number not a finite ``float``, a port, rid or origin not an ``int``."""
+        if tuple(args) != _SUBMIT_KEYS:
+            return None
+        rid, client, ingress, egress, volume, deadline, max_rate, origin = args.values()
+        if not (
+            type(rid) is type(ingress) is type(egress) is int
+            and type(volume) is type(deadline) is type(max_rate) is type(now) is float
+            and type(client) is str
+            and (origin is None or type(origin) is int)
+            # x - x is 0.0 for a finite float, a (true) nan for inf or nan.
+            and not (volume - volume or deadline - deadline or max_rate - max_rate or now - now)
+        ):
+            return None
+        # A wave shares its instant, most submits their pair's bottleneck rate.
+        if self._now[0] is not now:
+            self._now = (now, repr(now))
+        if self._rate[0] is not max_rate:
+            self._rate = (max_rate, repr(max_rate))
+        if self._client[0] != client:
+            self._client = (client, json.encoder.encode_basestring_ascii(client))
+        return (
+            f'{{"op": "submit", "now": {self._now[1]}, "rid": {rid}, '
+            f'"client": {self._client[1]}, "ingress": {ingress}, "egress": {egress}, '
+            f'"volume": {volume!r}, "deadline": {deadline!r}, "max_rate": {self._rate[1]}, '
+            f'"origin": {"null" if origin is None else origin}}}\n'
+        )
 
     @contextmanager
     def group(self) -> Iterator[None]:
@@ -339,6 +377,10 @@ _C_ENCODER = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
 def _encode(entry: dict[str, Any]) -> str:
     """``json.dumps(entry)`` (no circular-reference check: an entry is a tree)."""
     return "".join(_C_ENCODER(entry, 0)) if _C_ENCODER else json.dumps(entry)
+
+
+#: A ``submit`` entry's keywords as ``Gateway.submit`` passes them (no profile).
+_SUBMIT_KEYS = ("rid", "client", "ingress", "egress", "volume", "deadline", "max_rate", "origin")
 
 
 #: How every checkpoint line :meth:`Journal.append` writes begins.

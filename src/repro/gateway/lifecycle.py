@@ -142,15 +142,14 @@ def new_request(
     max_rate: float | None,
     origin: int | None,
     profile: RateProfile | list[Any] | None,
-) -> tuple[Request, RateProfile | None, dict[str, Any]]:
-    """Validate one submission: its request, wanted shape and journal entry.
+) -> tuple[Request, RateProfile | None]:
+    """Validate one submission: its request and wanted shape.
 
     Raises — before any rid is consumed — ``InvalidRequestError`` for a
     malformed submission (unknown port, non-positive volume, empty or
     unreachable window, a profile that does not deliver ``volume``);
     ``require(origin)`` raises ``KeyError`` for a rid the plane does not
-    know.  ``max_rate`` defaults to the pair's bottleneck capacity.  The
-    entry holds the ``submit`` keywords that reproduce the request.
+    know.  ``max_rate`` defaults to the pair's bottleneck capacity.
     """
     if not (0 <= ingress < platform.num_ingress and 0 <= egress < platform.num_egress):
         raise InvalidRequestError(f"unknown port in pair ({ingress}, {egress})")
@@ -163,28 +162,8 @@ def new_request(
         raise InvalidRequestError(
             f"profile delivers {wanted.volume} MB but the submission asks for {volume} MB"
         )
-    request = Request(
-        rid=rid,
-        ingress=ingress,
-        egress=egress,
-        volume=volume,
-        t_start=now,
-        t_end=deadline,
-        max_rate=max_rate,
-    )
-    entry: dict[str, Any] = {
-        "ingress": ingress,
-        "egress": egress,
-        "volume": volume,
-        "deadline": deadline,
-        "max_rate": max_rate,
-        "origin": origin,
-    }
-    if wanted is not None:
-        # Key present only for stepwise submissions, so constant-rate
-        # journals keep their pre-profile bytes.
-        entry["profile"] = wanted.to_list()
-    return request, wanted, entry
+    # Positional, as Allocation.for_request builds its allocation.
+    return Request(rid, ingress, egress, volume, now, deadline, max_rate), wanted
 
 
 def new_degradation(
@@ -306,14 +285,12 @@ def displace_overflow(
 ) -> tuple[list[Reservation], list[int]]:
     """Displace until the degraded port fits under its remaining capacity.
 
-    A port that does not fit first loses its live holds that overlap the
-    window: the two-phase protocol runs inside one call, so a hold alive
-    now is one whose abort was lost (stranded until its TTL), and no
-    reservation owns its capacity.  Victims go latest-start-first.  With
-    ``malleable`` each victim's tail is first re-shaped around the
-    degraded window (once per rid; a re-shaped reservation that still
-    blocks the port is displaced later).  Returns ``(displaced,
-    reshaped)``: the displaced reservations and the rids re-shaped instead.
+    Stranded holds in the window go first (no reservation owns them).
+    Victims go latest-start-first.  With ``malleable`` each victim's tail
+    is first re-shaped around the degraded window (once per rid; a
+    re-shaped reservation that still blocks the port is displaced later).
+    Returns ``(displaced, reshaped)``: the displaced reservations and the
+    rids re-shaped instead.
     """
     side, port, t0, t1 = degradation.side, degradation.port, degradation.t0, degradation.t1
     degraded = coordinator.broker_for(side, port).port(side, port)

@@ -63,7 +63,7 @@ from ..core.capacity import fits_under
 from ..core.ledger import Port
 from ..core.profile import RateProfile, Segment
 from ..core.request import Request
-from .broker import BrokerUnavailable, Hold, ShardBroker
+from .broker import BrokerUnavailable, Hold, ShardBroker, hold_expired
 from .rpc import Channel, ChannelTimeout, ChaosPolicy, ShardUnreachable
 from .sharding import ShardMap
 
@@ -119,16 +119,12 @@ class BackoffSchedule:
         return delay
 
 
-@dataclass
 class TwoPhaseOutcome:
-    """Everything one admission attempt produced, for stats and telemetry."""
+    """Everything one admission attempt produced, for stats and telemetry.
 
-    allocation: Allocation | None
-    probe: FitProbe
-    #: Both ports on one shard (booked atomically, no protocol run).
-    local: bool = False
-    #: The ports' cached all-time peaks answered without a full search.
-    fastpath: bool = False
+    The protocol tallies stay class-level zeros unless the protocol ran; a
+    fast-path hit builds its :attr:`probe` only when something reads it."""
+
     #: Prepare/commit attempts burned on crashed brokers.
     retries: int = 0
     #: Simulated seconds of backoff the retries would have waited.
@@ -145,6 +141,27 @@ class TwoPhaseOutcome:
     #: Ambiguous deliveries (every ack lost) the termination probe found
     #: had actually landed on the broker's durable log (chaos only).
     recovered: int = 0
+
+    def __init__(self, probe: FitProbe | None, *, local: bool, fastpath: bool = False) -> None:
+        self.allocation: Allocation | None = None  # the placed one; None on rejection
+        self._probe = probe
+        self.local = local  # both ports on one shard: booked atomically, no protocol
+        self.fastpath = fastpath  # answered from the ports' cached all-time peaks
+
+    @property
+    def probe(self) -> FitProbe:
+        """The search's diagnostics (a fast-path hit's: one candidate)."""
+        if self._probe is None:
+            self._probe = FitProbe(candidates=1)
+        return self._probe
+
+    @property
+    def reason(self) -> RejectReason | None:  # probe.reason, building no probe
+        return None if self._probe is None else self._probe.reason
+
+    @property
+    def candidates(self) -> int:  # probe.candidates, building no probe
+        return 1 if self._probe is None else self._probe.candidates
 
 
 #: One causal hop of a placement: ``(cat, what, shard, segment, detail)``.
@@ -206,6 +223,13 @@ class TwoPhaseCoordinator:
         self._egress_ports = [
             self.broker_for("egress", p).port("egress", p) for p in range(platform.num_egress)
         ]
+        #: Each port's owning broker, looked up once like its port.
+        self._ingress_brokers = [self.broker_for("ingress", p) for p in range(platform.num_ingress)]
+        self._egress_brokers = [self.broker_for("egress", p) for p in range(platform.num_egress)]
+        #: No live hold expires before this (``None``: no hold is live).
+        self._due: float | None = None
+        for broker in self.brokers:
+            broker.on_grant = self._granted
 
     # ------------------------------------------------------------------
     def broker_for(self, side: str, port: int) -> ShardBroker:
@@ -242,29 +266,26 @@ class TwoPhaseCoordinator:
         ``profile`` and ``malleable`` select the search as on the service
         (:func:`~repro.core.booking.admission_search`).
         """
-        ingress_broker = self.broker_for("ingress", request.ingress)
-        egress_broker = self.broker_for("egress", request.egress)
-        hit = None
+        ingress_broker = self._ingress_brokers[request.ingress]
+        egress_broker = self._egress_brokers[request.egress]
+        local = ingress_broker is egress_broker
+        allocation = None
         if profile is None:
-            hit = self._fastpath(request, rate_for)
-        allocation, probe = hit if hit is not None else admission_search(
-            self,
-            request,
-            rate_for,
-            profile=profile,
-            malleable=malleable,
-        )
-        outcome = TwoPhaseOutcome(
-            allocation=None,
-            probe=probe,
-            local=ingress_broker is egress_broker,
-            fastpath=hit is not None and allocation is not None,
-        )
-        if allocation is None:
-            return outcome
+            if request.t_end - request.min_duration < request.t_start:  # no shaping either
+                return TwoPhaseOutcome(FitProbe(reason=RejectReason.WINDOW_INFEASIBLE), local=local)
+            allocation = self._fastpath(request, rate_for)
+        if allocation is not None:
+            outcome = TwoPhaseOutcome(None, local=local, fastpath=True)
+        else:
+            allocation, probe = admission_search(
+                self, request, rate_for, profile=profile, malleable=malleable
+            )
+            outcome = TwoPhaseOutcome(probe, local=local)
+            if allocation is None:
+                return outcome
         if self.chaos is None and not (ingress_broker.crashed or egress_broker.crashed):
             self._place_direct(ingress_broker, egress_broker, allocation, outcome)
-        elif outcome.local:
+        elif local:
             channel = self.channel_for("ingress", request.ingress)
             self._place_local(channel, allocation, outcome, now)
         else:
@@ -273,10 +294,8 @@ class TwoPhaseCoordinator:
 
     # ------------------------------------------------------------------
     def _fastpath(
-        self,
-        request: Request,
-        rate_for: Callable[[float], float | None],
-    ) -> tuple[Allocation | None, FitProbe] | None:
+        self, request: Request, rate_for: Callable[[float], float | None]
+    ) -> Allocation | None:
         """Answer from the ports' cached all-time peaks when conclusive
         (``None`` when only the full search can tell).
 
@@ -286,23 +305,22 @@ class TwoPhaseCoordinator:
         opening (the search's first candidate) is feasible and is exactly
         what the full search would return.
         """
-        earliest = request.t_start
-        latest = request.t_end - request.min_duration
-        if latest < earliest:
-            return None, FitProbe(reason=RejectReason.WINDOW_INFEASIBLE)
-        port_in, port_out = self.ports(request.ingress, request.egress)
+        port_in, port_out = self._ingress_ports[request.ingress], self._egress_ports[request.egress]
         if port_in.reductions is not None or port_out.reductions is not None:
             return None
+        earliest = request.t_start
         bw = rate_for(earliest)
         if bw is None or bw <= 0:
             return None
         tau = earliest + request.volume / bw
         if tau > request.t_end + deadline_tolerance(request.t_end):
             return None
-        for port in (port_in, port_out):
-            if not fits_under(max(0.0, port.usage.global_max()), bw, port.capacity):
-                return None
-        return Allocation.for_request(request, bw, sigma=earliest), FitProbe(candidates=1)
+        if not (
+            fits_under(max(0.0, port_in.usage.global_max()), bw, port_in.capacity)
+            and fits_under(max(0.0, port_out.usage.global_max()), bw, port_out.capacity)
+        ):
+            return None
+        return Allocation.for_request(request, bw, sigma=earliest)
 
     # ------------------------------------------------------------------
     def _place_direct(
@@ -326,20 +344,19 @@ class TwoPhaseCoordinator:
                 observer.booked()
             outcome.allocation = a
             return
-        booked: list[tuple[ShardBroker, str, int]] = []
-        for broker, side, port, full in (
-            (ingress_broker, "ingress", a.ingress, RejectReason.INGRESS_FULL),
-            (egress_broker, "egress", a.egress, RejectReason.EGRESS_FULL),
-        ):
-            if not broker.book_side(side, port, segments):
-                for peer, peer_side, peer_port in booked:
-                    peer.release(peer_side, peer_port, segments)
-                outcome.aborted = True
-                outcome.probe.reason = full
-                return
-            booked.append((broker, side, port))
-            if observer is not None:
-                observer.booked()
+        if not ingress_broker.book_side("ingress", a.ingress, segments):
+            outcome.aborted = True
+            outcome.probe.reason = RejectReason.INGRESS_FULL
+            return
+        if observer is not None:
+            observer.booked()
+        if not egress_broker.book_side("egress", a.egress, segments):
+            ingress_broker.release("ingress", a.ingress, segments)
+            outcome.aborted = True
+            outcome.probe.reason = RejectReason.EGRESS_FULL
+            return
+        if observer is not None:
+            observer.booked()
         outcome.allocation = a
 
     def _place_local(
@@ -530,11 +547,26 @@ class TwoPhaseCoordinator:
 
     # ------------------------------------------------------------------
     def expire_holds(self, now: float) -> int:
-        """Sweep every broker for timed-out holds; returns the count."""
+        """Sweep every broker for timed-out holds; returns the count.  No
+        broker is asked before the earliest live hold is due by the brokers'
+        own test (:func:`~repro.gateway.broker.hold_expired`)."""
+        if self._due is None or not hold_expired(self._due, now):
+            return 0
         expired = 0
         for broker in self.brokers:
             expired += len(broker.expire_holds(now))
+        self.rescan_holds()
         return expired
+
+    def _granted(self, expires: float) -> None:
+        if self._due is None or expires < self._due:
+            self._due = expires
+
+    def rescan_holds(self) -> None:
+        """Re-read the earliest live hold expiry (after a sweep, restore or crash)."""
+        self._due = min(
+            (hold.expires for broker in self.brokers for hold in broker.holds()), default=None
+        )
 
     def release_pair(self, ingress: int, egress: int, segments: tuple[Segment, ...]) -> None:
         """Release committed ``(t0, t1, rate)`` segments of a pair booking
@@ -552,17 +584,11 @@ class TwoPhaseCoordinator:
         self.broker_for("ingress", ingress).restore("ingress", ingress, segments)
         self.broker_for("egress", egress).restore("egress", egress, segments)
 
-    def release_stranded(self, side: str, port: int, t0: float, t1: float) -> int:
-        """Abort the live holds on one port that overlap ``[t0, t1)``; returns
-        how many.  Between admissions every live hold is stranded (its
-        transaction ran and ended inside one :meth:`reserve`, its abort
-        lost), so this frees only capacity no reservation owns."""
+    def release_stranded(self, side: str, port: int, t0: float, t1: float) -> None:
+        """Abort the live holds on one port that overlap ``[t0, t1)``: between
+        admissions a live hold is stranded (its abort lost), no one's booking."""
         broker = self.broker_for(side, port)
-        stranded = [
-            hold for hold in broker.holds()
-            if (hold.side, hold.port) == (side, port)
-            and hold.segments[0][0] < t1 and hold.segments[-1][1] > t0
-        ]  # fmt: skip
-        for hold in stranded:
-            broker.abort_hold(hold.hold_id)
-        return len(stranded)
+        for hold in broker.holds():
+            steps = hold.segments
+            if (hold.side, hold.port) == (side, port) and steps[0][0] < t1 and steps[-1][1] > t0:
+                broker.abort_hold(hold.hold_id)

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Any
 
 from .....core.errors import InvalidRequestError
 from .....core.profile import RateProfile
-from .....core.request import Request
+from .....core.request import check_request
 from ....deps import RequestContext
 from ....http import HttpError, HttpRequest, HttpResponse
 
@@ -59,10 +59,12 @@ def parse_submission(body: Any, ctx: RequestContext) -> tuple[dict[str, Any], fl
         raise HttpError(400, f"submission field has a wrong type: {exc}") from exc
     # A NaN compares false with everything, so it would pass every range
     # check below, be journaled write-ahead and blow up inside the wave.
-    numbers = (("volume", volume), ("deadline", deadline), ("max_rate", max_rate), ("at", at))
-    for name, value in numbers:
-        if value is not None and not math.isfinite(value):
-            raise HttpError(400, f"{name} must be finite, got {value}")
+    # Their sum is finite unless one of them is not (or it overflows).
+    if not math.isfinite(volume + deadline + at + (max_rate or 0.0)):
+        numbers = (("volume", volume), ("deadline", deadline), ("max_rate", max_rate), ("at", at))
+        for name, value in numbers:
+            if value is not None and not math.isfinite(value):
+                raise HttpError(400, f"{name} must be finite, got {value}")
     at = ctx.app.clock.observe(at)
     platform = ctx.app.gateway.platform
     if not (0 <= ingress < platform.num_ingress):
@@ -73,16 +75,8 @@ def parse_submission(body: Any, ctx: RequestContext) -> tuple[dict[str, Any], fl
     try:
         # Structural validation without burning a rid: the gateway would
         # raise InvalidRequestError *after* the wave closed, poisoning
-        # innocent wave-mates; the probe front-loads it onto this caller.
-        Request(
-            rid=0,
-            ingress=ingress,
-            egress=egress,
-            volume=volume,
-            t_start=at,
-            t_end=deadline,
-            max_rate=probe_rate,
-        )
+        # innocent wave-mates; the check front-loads it onto this caller.
+        check_request(0, volume, at, deadline, probe_rate)
     except InvalidRequestError as exc:
         raise HttpError(400, f"invalid submission: {exc}") from exc
     fields: dict[str, Any] = {
@@ -99,8 +93,8 @@ def parse_submission(body: Any, ctx: RequestContext) -> tuple[dict[str, Any], fl
         # A stepwise (malleable) rate shape: [[t0, t1, rate], ...] in
         # absolute seconds, delivering exactly ``volume`` MB.  Malformed
         # shapes and volume mismatches are the caller's 400, front-loaded
-        # here for the same wave-mate-protection reason as the Request
-        # probe above.
+        # here for the same wave-mate-protection reason as the request
+        # check above.
         if isinstance(profile, list) and len(profile) > MAX_PROFILE_SEGMENTS:
             raise HttpError(
                 400, f"profile of {len(profile)} segments exceeds {MAX_PROFILE_SEGMENTS}"

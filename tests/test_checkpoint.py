@@ -223,6 +223,108 @@ def run_stream(gateway, ops, start=0.0):
     return now
 
 
+def sweep_every_call(gateway):
+    """Make ``gateway`` sweep every broker on every call, as the coordinator
+    did before it kept the earliest live hold expiry: the reference."""
+    brokers = gateway.coordinator.brokers
+    gateway.coordinator.expire_holds = lambda now: sum(
+        len(broker.expire_holds(now)) for broker in brokers
+    )
+    return gateway
+
+
+def live_holds(gateway):
+    return sum(len(broker.holds()) for broker in gateway.brokers)
+
+
+class TestHoldSweepIsExact:
+    """The coordinator sweeps only once its earliest live hold is due; the
+    holds expire on exactly the calls that sweeping on every call expires
+    them."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stranding_streams_match_a_sweep_on_every_call(self, seed):
+        config = dict(num_shards=4, batch_size=1, chaos=STRANDING, hold_ttl=20.0)
+        gateway = Gateway(PLATFORM, journal=Journal(), **config)
+        reference = sweep_every_call(Gateway(PLATFORM, journal=Journal(), **config))
+        now, expired = 0.0, 0
+        for op in seeded_ops(seed, 160):
+            now += op[1]
+            assert apply(gateway, op, now) == apply(reference, op, now), op
+            assert gateway.stats.holds_expired == reference.stats.holds_expired
+            assert gateway.snapshot() == reference.snapshot()
+            expired = gateway.stats.holds_expired
+        assert gateway.dump_state() == reference.dump_state()
+        assert expired > 0  # not vacuous: the TTL sweep reclaimed holds
+
+    def test_a_ttl_inside_float_noise_expires_at_its_grant_instant(self):
+        """``hold_expired`` counts a deadline within ``seconds_eq`` noise of
+        ``now``: a hold granted at 5.0 with a 1e-12 s TTL is reclaimed by the
+        next call at 5.0, though the clock has not moved."""
+        config = dict(num_shards=4, batch_size=1, chaos=STRANDING, hold_ttl=1e-12)
+        gateway = Gateway(PLATFORM, **config)
+        reference = sweep_every_call(Gateway(PLATFORM, **config))
+        stranded = False
+        for k in range(40):
+            for plane in (gateway, reference):
+                plane.submit(ingress=k % 4, egress=(k + 1) % 4, volume=50.0, deadline=90.0, now=5.0)
+            stranded = stranded or live_holds(gateway) > 0
+            assert live_holds(gateway) == live_holds(reference)
+            assert gateway.stats.holds_expired == reference.stats.holds_expired
+        assert stranded and gateway.stats.holds_expired > 0
+        gateway.drain(5.0)
+        assert live_holds(gateway) == 0
+
+    def test_a_hold_placed_on_a_broker_is_swept_when_due(self):
+        gateway = Gateway(PLATFORM, num_shards=2)
+        broker = gateway.brokers[1]
+        broker.prepare("egress", 1, ((0.0, 10.0, 5.0),), rid=99, expires=3.0 + 1e-12, key=(99, "e"))
+        gateway.drain(2.0)
+        assert live_holds(gateway) == 1
+        gateway.drain(3.0)
+        assert live_holds(gateway) == 0 and gateway.stats.holds_expired == 1
+
+    def stranded(self, tmp_path=None):
+        """A 4-shard lossy gateway left with live holds that expire at 30."""
+        gateway = Gateway(
+            PLATFORM, num_shards=4, batch_size=1, chaos=STRANDING, hold_ttl=30.0,
+            journal=Journal(path=tmp_path / "wal.jsonl") if tmp_path else Journal(),
+        )  # fmt: skip
+        k = 0
+        while live_holds(gateway) < 3:
+            gateway.submit(ingress=k % 4, egress=(k + 1) % 4, volume=60.0, deadline=400.0, now=0.0)
+            k += 1
+        return gateway
+
+    def test_the_first_call_after_a_resume_sweeps_restored_holds(self, tmp_path):
+        gateway = self.stranded(tmp_path)
+        held = live_holds(gateway)
+        gateway.checkpoint()
+        gateway.journal.close()
+        restored = Gateway.resume(Journal.load(tmp_path / "wal.jsonl"))
+        assert live_holds(restored) == held
+        restored.drain(29.0)
+        assert live_holds(restored) == held
+        restored.drain(30.0)
+        assert live_holds(restored) == 0
+        assert restored.stats.holds_expired == gateway.stats.holds_expired + held
+
+    def test_the_first_call_after_a_restart_sweeps_the_surviving_holds(self):
+        gateway = self.stranded()
+        reference = sweep_every_call(self.stranded())
+        for plane in (gateway, reference):
+            shard = next(k for k, broker in enumerate(plane.brokers) if broker.holds())
+            plane.crash_broker(shard, now=1.0)
+            plane.restart_broker(shard, now=2.0)
+        survivors = live_holds(gateway)
+        assert survivors == live_holds(reference) > 0
+        gateway.drain(30.0)
+        reference.drain(30.0)
+        assert live_holds(gateway) == 0
+        assert gateway.stats.holds_expired == reference.stats.holds_expired == survivors
+        assert gateway.dump_state() == reference.dump_state()
+
+
 class TestCheckpointVerb:
     def test_pending_submissions_refuse_a_checkpoint(self):
         gateway = Gateway(PLATFORM, batch_size=4, journal=Journal())

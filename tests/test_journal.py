@@ -1,6 +1,8 @@
 """Tests for the operation journal and crash-recovery replay."""
 
+import asyncio
 import json
+import math
 import os
 import signal
 import subprocess
@@ -8,10 +10,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ConfigurationError, InvalidRequestError, Platform
 from repro.gateway import EdgeLimit, Gateway, Journal, JournalEntry, lifecycle
-from repro.gateway.journal import JOURNAL_FORMAT
+from repro.gateway.journal import JOURNAL_FORMAT, _encode
+from repro.serve import LogicalClock, ServeApp, ServeConfig
+from repro.serve.http import HttpRequest
 from repro.schedulers import FractionOfMaxPolicy
 
 DATA = Path(__file__).parent / "data"
@@ -331,6 +337,145 @@ waved({str(path)!r}, 5)
         held = waved(tmp_path / "alive.jsonl", 3).snapshot()
         assert Gateway.resume(Journal.load(path)).snapshot() == held
         assert Gateway.replay(Journal.load(path)).snapshot() == held
+
+
+#: Floats the encoder writes in every shape ``repr`` has: signed zero,
+#: subnormals, the last fixed-point values before ``repr`` switches to an
+#: exponent (below 1e-4, at 1e16) and their neighbours.
+EDGE_FLOATS = [
+    -0.0, 0.0, 1e16, 1e-5, 1e-7, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-4, 1e-3,
+    9999999999999998.0, 1.7976931348623157e308, 0.1, 1 / 3, 123456.789,
+    *(math.nextafter(x, toward) for x in (1e-4, 1e16) for toward in (0.0, math.inf)),
+]  # fmt: skip
+FLOATS = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1e-6, max_value=1e-3),
+    st.floats(min_value=1e15, max_value=1e17),
+)
+#: Client names with what JSON escapes: quotes, backslashes, control
+#: characters, non-ASCII text and astral characters (surrogate pairs).
+CLIENTS = st.one_of(
+    st.sampled_from(["default", 'a"b', "a\\b", "tab\there", "\x00\x1f\x7f", "é", "名前", "\U0001f600"]),
+    st.text(max_size=12),
+)
+
+
+def submit_args(rid, client, ingress, egress, volume, deadline, max_rate, origin):
+    """A ``submit`` entry's keywords, in the order ``Gateway.submit`` passes them."""
+    return dict(
+        rid=rid, client=client, ingress=ingress, egress=egress, volume=volume,
+        deadline=deadline, max_rate=max_rate, origin=origin,
+    )  # fmt: skip
+
+
+class TestSubmitTemplate:
+    """``submit`` lines are rendered from a template; every byte is what
+    ``json.dumps`` writes for the same entry, and whatever the template
+    cannot render exactly goes to the encoder."""
+
+    #: One journal across the examples, so its caches see every transition.
+    journal = Journal()
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        now=FLOATS, volume=FLOATS, deadline=FLOATS, max_rate=FLOATS, client=CLIENTS,
+        rid=st.integers(0, 2**70), ports=st.tuples(st.integers(0, 999), st.integers(0, 999)),
+        origin=st.one_of(st.none(), st.integers(0, 2**40)),
+    )  # fmt: skip
+    def test_a_rendered_line_is_json_dumps(
+        self, now, volume, deadline, max_rate, client, rid, ports, origin
+    ):
+        args = submit_args(rid, client, *ports, volume, deadline, max_rate, origin)
+        line = self.journal._submit_line(now, args)
+        assert line == json.dumps({"op": "submit", "now": now, **args}) + "\n"
+        assert line == _encode({"op": "submit", "now": now, **args}) + "\n"
+
+    def test_the_caches_follow_each_new_value(self):
+        journal = Journal()
+        for now, rate, client in [(1.0, 5.0, "a"), (1.0, 5.0, "a"), (-0.0, 0.0, "b"), (0.0, -0.0, "a")]:
+            args = submit_args(3, client, 0, 1, 2.5, 7.0, rate, None)
+            assert journal._submit_line(now, args) == _encode({"op": "submit", "now": now, **args}) + "\n"
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(volume=math.inf), dict(deadline=-math.inf), dict(max_rate=math.nan),
+            dict(volume=2), dict(ingress=1.0), dict(egress=True), dict(rid=7.0),
+            dict(origin=False), dict(client=None), dict(profile=[[0.0, 1.0, 2.5]]),
+        ],
+        ids=repr,
+    )  # fmt: skip
+    def test_what_the_template_cannot_render_goes_to_the_encoder(self, tmp_path, change):
+        args = {**submit_args(3, "c", 0, 1, 2.5, 7.0, 5.0, None), **change}
+        assert Journal()._submit_line(1.0, args) is None
+        path = tmp_path / "wal.jsonl"
+        journal = Journal({"format": JOURNAL_FORMAT}, path=path)
+        journal.append("submit", 1.0, **args)
+        journal.close()
+        body = path.read_text().splitlines()[-1]
+        assert body == json.dumps({"op": "submit", "now": 1.0, **args})
+
+    def test_a_non_float_instant_goes_to_the_encoder(self):
+        args = submit_args(3, "c", 0, 1, 2.5, 7.0, 5.0, None)
+        assert Journal()._submit_line(1, args) is None
+        reordered = dict(reversed(args.items()))
+        assert Journal()._submit_line(1.0, reordered) is None
+
+    def test_a_served_wave_writes_the_file_the_encoder_writes(self, tmp_path, monkeypatch):
+        """The same batch POSTs, and one gateway wave with odd client names
+        and a profile, written once with the template and once with
+        ``json.dumps`` per entry: equal files."""
+
+        def write(path):
+            app = ServeApp(
+                ServeConfig(
+                    platform=Platform.uniform(4, 4, 100.0), num_shards=2, batch_size=4,
+                    slo_rules=(), journal_path=path,
+                ),
+                clock=LogicalClock(),
+            )  # fmt: skip
+
+            async def drive():
+                for k in range(6):
+                    submissions = [
+                        {**entry, "at": float(k), **({"max_rate": 30.0} if k % 2 else {})}
+                        for entry in wave(k)
+                    ]
+                    raw = json.dumps({"submissions": submissions}).encode()
+                    request = HttpRequest("POST", "/v1/reservations/batch", {}, {}, raw)
+                    assert (await app.dispatch(request)).status == 200
+
+            asyncio.run(drive())
+            odd = ['q"uote', "back\\slash", "\x07bell", "naïve", "名前"]
+            app.gateway.submit_many(
+                [
+                    dict(entry, client=name, origin=None if j % 2 else 1)
+                    for j, (entry, name) in enumerate(zip(wave(9), odd))
+                ]
+                + [dict(wave(9)[0], profile=[[9.0, 10.0, wave(9)[0]["volume"]]])],
+                now=9.0,
+            )
+            app.journal.close()
+            return path.read_text()
+
+        rendered = []
+        template = Journal._submit_line
+
+        def spy(self, now, args):
+            line = template(self, now, args)
+            rendered.append(line is not None)
+            return line
+
+        monkeypatch.setattr(Journal, "_submit_line", spy)
+        templated = write(tmp_path / "templated.jsonl")
+        assert rendered.count(True) > 30 and rendered.count(False) == 1  # the profile
+        monkeypatch.setattr(Journal, "_submit_line", lambda self, now, args: None)
+        encoded = write(tmp_path / "encoded.jsonl")
+        assert templated == encoded
+        lines = templated.splitlines()
+        assert len(lines) > 40
+        assert lines == [json.dumps(json.loads(line)) for line in lines]
 
 
 class TestReplay:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import InvalidRequestError, Request, RequestSet
+from repro.core.request import check_request
 
 
 def make_request(**kw):
@@ -59,6 +60,26 @@ class TestRequestValidation:
         # ingress and egress index different port sets (single-pair case, §3)
         r = make_request(ingress=0, egress=0)
         assert r.ingress == r.egress == 0
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(volume=-1.0), dict(volume=float("nan")), dict(t_end=0.0), dict(t_start=7.0, t_end=3.0),
+            dict(max_rate=0.0), dict(max_rate=9.0), dict(max_rate=float("nan")),
+            dict(volume=float("inf"), t_end=float("inf"), max_rate=float("inf")),
+        ],
+        ids=repr,
+    )  # fmt: skip
+    def test_check_request_refuses_what_building_one_refuses(self, fields):
+        """The edge checks a submission without building a Request: the
+        same test, the same message."""
+        fields = {**dict(rid=4, volume=1000.0, t_start=0.0, t_end=100.0, max_rate=50.0), **fields}
+        with pytest.raises(InvalidRequestError) as built:
+            make_request(**fields)
+        with pytest.raises(InvalidRequestError) as checked:
+            check_request(**fields)
+        assert str(checked.value) == str(built.value)
+        assert str(built.value).startswith("request 4: ")
 
 
 class TestRequestDerived:
