@@ -151,10 +151,15 @@ class Journal:
         #: its last good line ends.  The first new append cuts the file there
         #: and supplies the newline, so that it starts on a line of its own.
         self._repair: int | None = None
-        #: :meth:`_submit_line`'s one-entry caches: last value and its text.
-        self._now: tuple[object, str] = (None, "")
-        self._rate: tuple[object, str] = (None, "")
-        self._client: tuple[object, str] = (None, "")
+        #: :meth:`_submit_line`'s one-entry caches: last value and its text
+        #: (plain attributes, not pairs: a fresh tuple stays GC-tracked until
+        #: the next collection, so what the journal holds would vary with it).
+        self._now: object = None
+        self._now_text = ""
+        self._rate: object = None
+        self._rate_text = ""
+        self._client: object = None
+        self._client_text = ""
 
     @property
     def entries(self) -> list[JournalEntry]:
@@ -265,16 +270,17 @@ class Journal:
         ):
             return None
         # A wave shares its instant, most submits their pair's bottleneck rate.
-        if self._now[0] is not now:
-            self._now = (now, repr(now))
-        if self._rate[0] is not max_rate:
-            self._rate = (max_rate, repr(max_rate))
-        if self._client[0] != client:
-            self._client = (client, json.encoder.encode_basestring_ascii(client))
+        if self._now is not now:
+            self._now, self._now_text = now, repr(now)
+        if self._rate is not max_rate:
+            self._rate, self._rate_text = max_rate, repr(max_rate)
+        if self._client != client:
+            self._client = client
+            self._client_text = json.encoder.encode_basestring_ascii(client)
         return (
-            f'{{"op": "submit", "now": {self._now[1]}, "rid": {rid}, '
-            f'"client": {self._client[1]}, "ingress": {ingress}, "egress": {egress}, '
-            f'"volume": {volume!r}, "deadline": {deadline!r}, "max_rate": {self._rate[1]}, '
+            f'{{"op": "submit", "now": {self._now_text}, "rid": {rid}, '
+            f'"client": {self._client_text}, "ingress": {ingress}, "egress": {egress}, '
+            f'"volume": {volume!r}, "deadline": {deadline!r}, "max_rate": {self._rate_text}, '
             f'"origin": {"null" if origin is None else origin}}}\n'
         )
 
