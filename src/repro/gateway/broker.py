@@ -25,7 +25,7 @@ rate.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any
 
@@ -115,9 +115,9 @@ class ShardBroker:
         self.crashed = False
         self.holds_expired = 0
         self.holds_wiped = 0
-        #: Told each granted hold's ``expires`` (the coordinator's sweep
-        #: bookkeeping, :meth:`TwoPhaseCoordinator.expire_holds`).
-        self.on_grant: Callable[[float], None] | None = None
+        #: No live hold expires before this (``None``: none is live); the
+        #: coordinator's sweep asks this broker only once it is due.
+        self.due: float | None = None
 
     # ------------------------------------------------------------------
     # Ownership
@@ -273,10 +273,10 @@ class ShardBroker:
         hold = Hold(self._next_hold, side, port, segments, rid, expires)
         self._next_hold += 1
         self._holds[hold.hold_id] = hold
+        if self.due is None or expires < self.due:
+            self.due = expires
         if key is not None:
             self._prepared[key] = hold
-        if self.on_grant is not None:
-            self.on_grant(expires)
         return hold
 
     def commit(self, hold_id: int) -> None:
@@ -327,7 +327,11 @@ class ShardBroker:
         for hold in expired:
             self._drop_hold(hold.hold_id, "expired")
         self.holds_expired += len(expired)
+        self._rescan_due()
         return expired
+
+    def _rescan_due(self) -> None:
+        self.due = min((hold.expires for hold in self._holds.values()), default=None)
 
     def holds(self) -> list[Hold]:
         """The live (uncommitted) holds, in grant order."""
@@ -374,6 +378,7 @@ class ShardBroker:
         for hold in wiped:
             self._drop_hold(hold.hold_id, "wiped")
         self.holds_wiped += len(wiped)
+        self.due = None
         # The prepare table is in-memory transaction state and dies with
         # the process; the booking-key and resolution records (WAL-backed,
         # witnessing durable bookings) survive.
@@ -420,6 +425,7 @@ class ShardBroker:
         for key, runs in ports.items():
             self._ports[key].load_state(runs)
         self._holds = {row[0]: _hold_in(row) for row in state["holds"]}
+        self._rescan_due()
         self._next_hold = state["next_hold"]
         self._prepared = {
             _key_in(key): None if row is None else _hold_in(row) for key, row in state["prepared"]

@@ -712,12 +712,12 @@ class Gateway:
         ticket = self._tickets[rid] = Ticket(
             rid=rid, request=request, origin=origin, seq=seq, client=client, profile=wanted
         )
-        if self.journal is not None:  # _record's append; only a stepwise submit has a profile
-            self.journal.append(
-                "submit", now, rid=rid, client=client, ingress=ingress, egress=egress,
-                volume=volume, deadline=deadline, max_rate=request.max_rate, origin=origin,
-                **({} if wanted is None else {"profile": wanted.to_list()}),
-            )  # fmt: skip
+        self._record(
+            "submit", now, rid=rid, client=client, ingress=ingress, egress=egress,
+            volume=volume, deadline=deadline, max_rate=request.max_rate, origin=origin,
+            # Only a stepwise submit has the key: constant-rate lines keep their bytes.
+            **({} if wanted is None else {"profile": wanted.to_list()}),
+        )  # fmt: skip
         self.stats.submits += 1
         tel = self.telemetry
         ctx: TraceContext | None = None
@@ -843,7 +843,7 @@ class Gateway:
         )
         self._observer.open = None
         ticket.allocation = outcome.allocation
-        ticket.reject_reason = outcome.reason
+        ticket.reject_reason = outcome.probe.reason
         ticket.decided = True
         stats = self.stats
         stats.prepare_retries += outcome.retries
@@ -857,7 +857,7 @@ class Gateway:
         latency = (now - waiting_since) + outcome.retry_delay + outcome.chaos_wait
         if trace is not None:
             trace.allocation, trace.fastpath = outcome.allocation, outcome.fastpath
-            trace.candidates, trace.latency = outcome.candidates, latency
+            trace.candidates, trace.latency = outcome.probe.candidates, latency
             tel.tracer.store(trace)
         accepted = outcome.allocation is not None
         if self.slo is not None:
@@ -936,7 +936,7 @@ class Gateway:
             ).inc()
         bound.latency.observe(latency)
         if outcome.allocation is None:
-            bound.rejects(_reason(outcome.reason)).inc()
+            bound.rejects(_reason(outcome.probe.reason)).inc()
         tel.store(trace)
 
     # ------------------------------------------------------------------
@@ -1031,6 +1031,8 @@ class Gateway:
         """
         max_age = 0.0
         for broker in self.brokers:
+            if broker.due is None:  # no live hold
+                continue
             for hold in broker.holds():
                 max_age = max(max_age, now - (hold.expires - self.hold_ttl))
         return float(len(self._backlog)), max_age, self._overcommit_hwm
@@ -1274,7 +1276,6 @@ class Gateway:
         self._advance(now)
         self._record("crash", now, shard=shard)
         wiped = broker.crash()
-        self.coordinator.rescan_holds()
         self.stats.crashes += 1
         tel = self.telemetry
         if tel.enabled:
@@ -1460,7 +1461,6 @@ class Gateway:
         self._chaos_seen = dict(state["chaos_seen"])
         for broker, dumped in zip(self.brokers, state["brokers"]):
             broker.load_state(dumped)
-        self.coordinator.rescan_holds()
         for channel, dumped in zip(self.coordinator.channels, state["channels"]):
             channel.load_state(dumped)
         if self.edge is not None:

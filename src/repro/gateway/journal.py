@@ -151,15 +151,6 @@ class Journal:
         #: its last good line ends.  The first new append cuts the file there
         #: and supplies the newline, so that it starts on a line of its own.
         self._repair: int | None = None
-        #: :meth:`_submit_line`'s one-entry caches: last value and its text
-        #: (plain attributes, not pairs: a fresh tuple stays GC-tracked until
-        #: the next collection, so what the journal holds would vary with it).
-        self._now: object = None
-        self._now_text = ""
-        self._rate: object = None
-        self._rate_text = ""
-        self._client: object = None
-        self._client_text = ""
 
     @property
     def entries(self) -> list[JournalEntry]:
@@ -269,18 +260,10 @@ class Journal:
             and not (volume - volume or deadline - deadline or max_rate - max_rate or now - now)
         ):
             return None
-        # A wave shares its instant, most submits their pair's bottleneck rate.
-        if self._now is not now:
-            self._now, self._now_text = now, repr(now)
-        if self._rate is not max_rate:
-            self._rate, self._rate_text = max_rate, repr(max_rate)
-        if self._client != client:
-            self._client = client
-            self._client_text = json.encoder.encode_basestring_ascii(client)
         return (
-            f'{{"op": "submit", "now": {self._now_text}, "rid": {rid}, '
-            f'"client": {self._client_text}, "ingress": {ingress}, "egress": {egress}, '
-            f'"volume": {volume!r}, "deadline": {deadline!r}, "max_rate": {self._rate_text}, '
+            f'{{"op": "submit", "now": {now!r}, "rid": {rid}, '
+            f'"client": {_escape(client)}, "ingress": {ingress}, "egress": {egress}, '
+            f'"volume": {volume!r}, "deadline": {deadline!r}, "max_rate": {max_rate!r}, '
             f'"origin": {"null" if origin is None else origin}}}\n'
         )
 
@@ -384,6 +367,9 @@ def _encode(entry: dict[str, Any]) -> str:
     """``json.dumps(entry)`` (no circular-reference check: an entry is a tree)."""
     return "".join(_C_ENCODER(entry, 0)) if _C_ENCODER else json.dumps(entry)
 
+
+#: How :func:`_encode` writes a string (``ensure_ascii``), quotes included.
+_escape = json.encoder.encode_basestring_ascii
 
 #: A ``submit`` entry's keywords as ``Gateway.submit`` passes them (no profile).
 _SUBMIT_KEYS = ("rid", "client", "ingress", "egress", "volume", "deadline", "max_rate", "origin")

@@ -122,8 +122,7 @@ class BackoffSchedule:
 class TwoPhaseOutcome:
     """Everything one admission attempt produced, for stats and telemetry.
 
-    The protocol tallies stay class-level zeros unless the protocol ran; a
-    fast-path hit builds its :attr:`probe` only when something reads it."""
+    The protocol tallies stay class-level zeros unless the protocol ran."""
 
     #: Prepare/commit attempts burned on crashed brokers.
     retries: int = 0
@@ -142,26 +141,11 @@ class TwoPhaseOutcome:
     #: had actually landed on the broker's durable log (chaos only).
     recovered: int = 0
 
-    def __init__(self, probe: FitProbe | None, *, local: bool, fastpath: bool = False) -> None:
+    def __init__(self, probe: FitProbe, *, local: bool, fastpath: bool = False) -> None:
         self.allocation: Allocation | None = None  # the placed one; None on rejection
-        self._probe = probe
+        self.probe = probe  # the search's diagnostics (a fast-path hit's: one candidate)
         self.local = local  # both ports on one shard: booked atomically, no protocol
         self.fastpath = fastpath  # answered from the ports' cached all-time peaks
-
-    @property
-    def probe(self) -> FitProbe:
-        """The search's diagnostics (a fast-path hit's: one candidate)."""
-        if self._probe is None:
-            self._probe = FitProbe(candidates=1)
-        return self._probe
-
-    @property
-    def reason(self) -> RejectReason | None:  # probe.reason, building no probe
-        return None if self._probe is None else self._probe.reason
-
-    @property
-    def candidates(self) -> int:  # probe.candidates, building no probe
-        return 1 if self._probe is None else self._probe.candidates
 
 
 #: One causal hop of a placement: ``(cat, what, shard, segment, detail)``.
@@ -226,10 +210,6 @@ class TwoPhaseCoordinator:
         #: Each port's owning broker, looked up once like its port.
         self._ingress_brokers = [self.broker_for("ingress", p) for p in range(platform.num_ingress)]
         self._egress_brokers = [self.broker_for("egress", p) for p in range(platform.num_egress)]
-        #: No live hold expires before this (``None``: no hold is live).
-        self._due: float | None = None
-        for broker in self.brokers:
-            broker.on_grant = self._granted
 
     # ------------------------------------------------------------------
     def broker_for(self, side: str, port: int) -> ShardBroker:
@@ -275,7 +255,7 @@ class TwoPhaseCoordinator:
                 return TwoPhaseOutcome(FitProbe(reason=RejectReason.WINDOW_INFEASIBLE), local=local)
             allocation = self._fastpath(request, rate_for)
         if allocation is not None:
-            outcome = TwoPhaseOutcome(None, local=local, fastpath=True)
+            outcome = TwoPhaseOutcome(FitProbe(candidates=1), local=local, fastpath=True)
         else:
             allocation, probe = admission_search(
                 self, request, rate_for, profile=profile, malleable=malleable
@@ -547,26 +527,15 @@ class TwoPhaseCoordinator:
 
     # ------------------------------------------------------------------
     def expire_holds(self, now: float) -> int:
-        """Sweep every broker for timed-out holds; returns the count.  No
-        broker is asked before the earliest live hold is due by the brokers'
-        own test (:func:`~repro.gateway.broker.hold_expired`)."""
-        if self._due is None or not hold_expired(self._due, now):
-            return 0
+        """Sweep the brokers for timed-out holds; returns the count.  A broker
+        is asked only once its earliest live hold (:attr:`ShardBroker.due`)
+        is due by its own test (:func:`~repro.gateway.broker.hold_expired`)."""
         expired = 0
         for broker in self.brokers:
-            expired += len(broker.expire_holds(now))
-        self.rescan_holds()
+            due = broker.due
+            if due is not None and hold_expired(due, now):
+                expired += len(broker.expire_holds(now))
         return expired
-
-    def _granted(self, expires: float) -> None:
-        if self._due is None or expires < self._due:
-            self._due = expires
-
-    def rescan_holds(self) -> None:
-        """Re-read the earliest live hold expiry (after a sweep, restore or crash)."""
-        self._due = min(
-            (hold.expires for broker in self.brokers for hold in broker.holds()), default=None
-        )
 
     def release_pair(self, ingress: int, egress: int, segments: tuple[Segment, ...]) -> None:
         """Release committed ``(t0, t1, rate)`` segments of a pair booking

@@ -59,12 +59,10 @@ def parse_submission(body: Any, ctx: RequestContext) -> tuple[dict[str, Any], fl
         raise HttpError(400, f"submission field has a wrong type: {exc}") from exc
     # A NaN compares false with everything, so it would pass every range
     # check below, be journaled write-ahead and blow up inside the wave.
-    # Their sum is finite unless one of them is not (or it overflows).
-    if not math.isfinite(volume + deadline + at + (max_rate or 0.0)):
-        numbers = (("volume", volume), ("deadline", deadline), ("max_rate", max_rate), ("at", at))
-        for name, value in numbers:
-            if value is not None and not math.isfinite(value):
-                raise HttpError(400, f"{name} must be finite, got {value}")
+    numbers = (("volume", volume), ("deadline", deadline), ("max_rate", max_rate), ("at", at))
+    for name, value in numbers:
+        if value is not None and not math.isfinite(value):
+            raise HttpError(400, f"{name} must be finite, got {value}")
     at = ctx.app.clock.observe(at)
     platform = ctx.app.gateway.platform
     if not (0 <= ingress < platform.num_ingress):

@@ -225,7 +225,7 @@ def run_stream(gateway, ops, start=0.0):
 
 def sweep_every_call(gateway):
     """Make ``gateway`` sweep every broker on every call, as the coordinator
-    did before it kept the earliest live hold expiry: the reference."""
+    did before each broker kept its earliest live hold expiry: the reference."""
     brokers = gateway.coordinator.brokers
     gateway.coordinator.expire_holds = lambda now: sum(
         len(broker.expire_holds(now)) for broker in brokers
@@ -238,9 +238,9 @@ def live_holds(gateway):
 
 
 class TestHoldSweepIsExact:
-    """The coordinator sweeps only once its earliest live hold is due; the
-    holds expire on exactly the calls that sweeping on every call expires
-    them."""
+    """The coordinator sweeps a broker only once its earliest live hold is
+    due; the holds expire on exactly the calls that sweeping on every call
+    expires them."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_stranding_streams_match_a_sweep_on_every_call(self, seed):
@@ -283,6 +283,23 @@ class TestHoldSweepIsExact:
         assert live_holds(gateway) == 1
         gateway.drain(3.0)
         assert live_holds(gateway) == 0 and gateway.stats.holds_expired == 1
+
+    def test_each_batch_reports_the_oldest_live_hold(self):
+        """A flush's ``max_hold_age`` reads every broker that holds one, and
+        only those can: a broker with no live hold has no ``due``."""
+        telemetry = Telemetry()
+        gateway = Gateway(
+            PLATFORM, num_shards=4, batch_size=1, chaos=STRANDING, hold_ttl=30.0,
+            telemetry=telemetry,
+        )  # fmt: skip
+        ages = []
+        for k in range(40):
+            now = float(k // 8)
+            gateway.submit(ingress=k % 4, egress=(k + 1) % 4, volume=60.0, deadline=400.0, now=now)
+            granted = [hold.expires - 30.0 for broker in gateway.brokers for hold in broker.holds()]
+            ages.append(max((now - t for t in granted), default=0.0))
+        reported = [e.fields["max_hold_age"] for e in telemetry.events if e.name == "gateway.batch"]
+        assert reported == ages and max(ages) > 0
 
     def stranded(self, tmp_path=None):
         """A 4-shard lossy gateway left with live holds that expire at 30."""

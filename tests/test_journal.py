@@ -374,9 +374,6 @@ class TestSubmitTemplate:
     ``json.dumps`` writes for the same entry, and whatever the template
     cannot render exactly goes to the encoder."""
 
-    #: One journal across the examples, so its caches see every transition.
-    journal = Journal()
-
     @settings(max_examples=400, deadline=None)
     @given(
         now=FLOATS, volume=FLOATS, deadline=FLOATS, max_rate=FLOATS, client=CLIENTS,
@@ -387,15 +384,9 @@ class TestSubmitTemplate:
         self, now, volume, deadline, max_rate, client, rid, ports, origin
     ):
         args = submit_args(rid, client, *ports, volume, deadline, max_rate, origin)
-        line = self.journal._submit_line(now, args)
+        line = Journal()._submit_line(now, args)
         assert line == json.dumps({"op": "submit", "now": now, **args}) + "\n"
         assert line == _encode({"op": "submit", "now": now, **args}) + "\n"
-
-    def test_the_caches_follow_each_new_value(self):
-        journal = Journal()
-        for now, rate, client in [(1.0, 5.0, "a"), (1.0, 5.0, "a"), (-0.0, 0.0, "b"), (0.0, -0.0, "a")]:
-            args = submit_args(3, client, 0, 1, 2.5, 7.0, rate, None)
-            assert journal._submit_line(now, args) == _encode({"op": "submit", "now": now, **args}) + "\n"
 
     @pytest.mark.parametrize(
         "change",
