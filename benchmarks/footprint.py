@@ -80,10 +80,10 @@ def serve(app: ServeApp, bodies: list[dict]) -> None:
     asyncio.run(drive())
 
 
-def make_app(journal_path: Path, *, traced: bool = True) -> ServeApp:
+def make_app(journal_path: Path | None, *, traced: bool = True) -> ServeApp:
     """A ``ServeApp`` configured as the stack benchmark's server, its
-    write-ahead journal at ``journal_path`` (``traced=False``: with a
-    ``NullTelemetry``)."""
+    write-ahead journal at ``journal_path`` (``None``: held in memory;
+    ``traced=False``: with a ``NullTelemetry``)."""
     config = ServeConfig(
         platform=Platform.uniform(16, 16, 1000.0),
         num_shards=4,

@@ -34,13 +34,13 @@ submit, in submission order, against one authoritative ledger.
 from __future__ import annotations
 
 from collections.abc import Callable
-from contextlib import AbstractContextManager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 from ..core.allocation import Allocation, ScheduleResult
 from ..core.booking import RejectReason
-from ..core.errors import ConfigurationError
+from ..core.errors import ConfigurationError, ReproError
 from ..core.ledger import Degradation
 from ..core.platform import Platform
 from ..core.profile import RateProfile
@@ -754,31 +754,32 @@ class Gateway:
         *,
         now: float,
         drain: bool = True,
-    ) -> list[Ticket]:
+    ) -> list[Ticket | ReproError]:
         """Admit a whole wave of submissions at one instant, then decide.
 
         The batcher splits the wave at ``batch_size``.  Each entry is a
         keyword dict for :meth:`submit` minus ``now``; with ``drain=True``
         (default) the trailing partial batch is flushed so every returned
-        ticket is decided.  (The service plane's frontier loops
-        :meth:`submit` itself, to fail a malformed entry alone.)
+        ticket is decided.  A malformed entry fails alone: the
+        :class:`~repro.core.errors.ReproError` :meth:`submit` raised for it
+        takes its place in the returned list, and the rest of the wave is
+        still submitted at ``now``.
 
         Runs synchronously on the caller's thread — safe to call from a
         single-threaded event loop between ``await`` points, because
         nothing here yields.  The wave's journal entries go out as one
-        write before this returns (:meth:`journal_group`).
+        write before this returns (:meth:`~repro.gateway.journal.Journal.group`).
         """
-        with self.journal_group():
-            tickets = [self.submit(**fields, now=now) for fields in submissions]
+        results: list[Ticket | ReproError] = []
+        with self.journal.group() if self.journal is not None else nullcontext():
+            for fields in submissions:
+                try:
+                    results.append(self.submit(**fields, now=now))
+                except ReproError as exc:
+                    results.append(exc)
             if drain and len(self.batcher):
                 self.drain(now)
-        return tickets
-
-    def journal_group(self) -> AbstractContextManager[None]:
-        """The journal's :meth:`~repro.gateway.journal.Journal.group` (a
-        no-op without a journal): what a wave appends inside it is written
-        as one ``write`` + ``flush()`` when it ends."""
-        return self.journal.group() if self.journal is not None else nullcontext()
+        return results
 
     def drain(self, now: float | None = None) -> None:
         """Force the open batch to decide now (journaled — order matters)."""

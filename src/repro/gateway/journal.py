@@ -19,28 +19,26 @@ header tag, so a journal never checkpointed is byte-identical to one
 written before it existed, and an older build refuses a checkpointed file
 with "unknown journal op".
 
-What a journal keeps in memory depends on where it lives.  An in-memory
-journal (no ``path``, or read back with :meth:`Journal.from_jsonl`) is
-its list of entries.  A file-backed one keeps
-nothing of them: :meth:`Journal.append` encodes and writes the line and
-remembers only the count and which entry is the last checkpoint, so its
-resident size does not grow with its length.  Every full read —
-:attr:`Journal.entries`, iteration, :meth:`Journal.to_jsonl`,
-:meth:`Journal.set_header`, ``Gateway.replay``, explain,
-``check_gateway(journal=...)`` — re-reads the file.
+A journal is its lines, the header's first: :meth:`Journal.append`
+encodes each (the bytes ``json.dumps`` writes; ``submit`` lines come
+from a template), and every read — iteration, :attr:`Journal.entries`,
+:meth:`Journal.to_jsonl`, ``Gateway.replay``, explain — decodes them
+back.  Only the sink differs: a ``path``'s file is the lines' only copy,
+so its resident size does not grow with its length and every read
+re-reads it; without a ``path`` (or from :meth:`Journal.from_jsonl`)
+they are held as strings in a list, for the life of the journal.
 
 Reading a journal back costs what a restart needs, not the history:
 :meth:`Journal.load` decodes only the header, and counts the other lines
 and finds the last that starts a checkpoint without decoding them;
 :meth:`Journal.last_checkpoint` decodes that checkpoint and every line
-after it from the file, on each call.  Without a checkpoint the full
-replay a restart runs reads the rest.  ``len()``,
-:meth:`Journal.has_checkpoint` and :meth:`Journal.append` never decode.
+after it, on each call.  Without a checkpoint the full replay a restart
+runs reads the rest.  ``len()``, :meth:`Journal.has_checkpoint` and
+:meth:`Journal.append` never decode.
 
 Serialisation is JSON lines: the header object on the first line, one
 operation object per subsequent line (see ``docs/FAULTS.md`` for the
-format).  Appends are O(1); nothing is ever rewritten.  Every line is the
-bytes ``json.dumps`` writes; a file's ``submit`` lines come from a template.
+format).  Appends are O(1); nothing is ever rewritten.
 
 Flush policy of a file-backed journal: one append handle, opened by the
 first append and kept until :meth:`Journal.close`.  An entry is written
@@ -70,10 +68,10 @@ from __future__ import annotations
 
 import json
 import re
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from typing import IO, Any
 
 from ..core.errors import ConfigurationError
@@ -122,26 +120,25 @@ class Journal:
     backlog limit); entries accumulate via :meth:`append`.  An optional
     ``path`` turns every append into an immediate JSONL write — the
     write-ahead behaviour a crash-recovery log needs — and makes the file
-    the only copy of the entries (see the module docstring).
+    the only copy of the lines (see the module docstring).
     """
 
     def __init__(
         self,
         header: dict[str, Any] | None = None,
-        entries: list[JournalEntry] | None = None,
         path: str | Path | None = None,
     ) -> None:
         self.header: dict[str, Any] = header if header is not None else {}
-        #: Every entry of an in-memory journal; a file-backed one keeps none.
-        self._entries: list[JournalEntry] = entries if entries is not None else []
         self.path: Path | None = Path(path) if path is not None else None
-        #: Entries in the file (file-backed only).
+        #: Without a ``path``, every line, the header's first; with one,
+        #: ``None``: the file is their only copy.
+        self._lines: list[str] | None = (
+            [json.dumps(self.header) + "\n"] if self.path is None else None
+        )
+        #: Entries written to the sink.
         self._length = 0
         #: The position of the last ``checkpoint`` among the entries, if any.
         self._checkpoint: int | None = None
-        for k, entry in enumerate(self._entries):
-            if entry.op == "checkpoint":
-                self._checkpoint = k
         #: The append handle on ``path``, open from the first append to
         #: :meth:`close`.
         self._appender: IO[str] | None = None
@@ -154,24 +151,25 @@ class Journal:
 
     @property
     def entries(self) -> list[JournalEntry]:
-        """Every entry, in order; re-read from the file when backed, where a
-        corrupt line raises ``ConfigurationError`` naming it."""
-        return list(self._read()) if self.path is not None else self._entries
+        """Every entry, in order, decoded from the lines; a corrupt line
+        raises ``ConfigurationError`` naming it."""
+        return list(self._read())
 
     def _read(
         self, start: int = 0, wanted: Callable[[str], bool] | None = None
     ) -> Iterator[JournalEntry]:
-        """The entries from the ``start``-th on; a file's are decoded one
-        line at a time (the ones before are counted, not decoded, and so
-        are the lines ``wanted`` refuses), a torn last line skipped as
-        :meth:`load` skipped it."""
-        if self.path is None:
-            yield from self._entries[start:]
-            return
+        """The entries from the ``start``-th on, decoded one line at a time
+        (the ones before are counted, not decoded, and so are the lines
+        ``wanted`` refuses), a torn last line skipped as :meth:`load`
+        skipped it."""
         self._write()
-        with self.path.open() as fh:
+        held = self._lines
+        source: AbstractContextManager[Iterable[str]] = (
+            self.path.open() if held is None else nullcontext(held)  # type: ignore[union-attr]
+        )
+        with source as lines:
             seen = -1  # lines that are not blank, after the header (line 0)
-            for number, line in enumerate(fh, start=1):
+            for number, line in enumerate(lines, start=1):
                 if line.isspace():
                     continue
                 seen += 1
@@ -189,7 +187,7 @@ class Journal:
 
     def mentioning(self, rid: int) -> Iterator[JournalEntry]:
         """Every entry but a checkpoint that may name ``rid`` as its ``rid``
-        or ``origin`` (a superset): a file's other lines are not decoded."""
+        or ``origin`` (a superset): the other lines are not decoded."""
         named = re.compile(f'"(?:rid|origin)": {rid}[,}}]').search
         return self._read(
             0, lambda line: not line.startswith(_CHECKPOINT) and named(line) is not None
@@ -202,8 +200,7 @@ class Journal:
     def last_checkpoint(self) -> tuple[JournalEntry, list[JournalEntry]] | None:
         """The last ``checkpoint`` entry and the entries after it (what
         ``Gateway.resume`` applies), or ``None`` when there is none.
-        Decodes them from the file on each call, and none of the lines
-        before them."""
+        Decodes them on each call, and none of the lines before them."""
         if self._checkpoint is None:
             return None
         checkpoint, *tail = self._read(self._checkpoint)
@@ -211,36 +208,31 @@ class Journal:
 
     # ------------------------------------------------------------------
     def set_header(self, header: Mapping[str, Any]) -> None:
-        """Record the gateway configuration; rewrites the file when backed."""
+        """Record the gateway configuration; rewrites the lines with it first."""
         self.header = {"format": JOURNAL_FORMAT, **dict(header)}
-        if self.path is not None:
-            entries = self.entries if len(self) else []
-            self.close()
-            self._repair = None
-            with self.path.open("w") as fh:
-                fh.write(json.dumps(self.header) + "\n")
-                for entry in entries:
-                    fh.write(json.dumps(entry.to_dict()) + "\n")
+        text = self.to_jsonl() if len(self) else json.dumps(self.header) + "\n"
+        self.close()
+        self._repair = None
+        if self._lines is None:
+            self.path.write_text(text)  # type: ignore[union-attr]
+        else:
+            self._lines = text.splitlines(keepends=True)
 
     def append(self, op: str, now: float, **args: Any) -> None:
-        """Append one operation; written and flushed before returning when
-        backed, unless a :meth:`group` is open (see the module docstring for
-        what that does and does not survive)."""
-        if self.path is None:
-            position = len(self._entries)
-            self._entries.append(JournalEntry(op=op, now=now, args=args))
-        else:
-            line = self._submit_line(now, args) if op == "submit" else None
-            if line is None:
-                if op not in _KNOWN_OPS:  # what an entry checks, without building one
-                    raise ConfigurationError(f"unknown journal op {op!r}")
-                line = _encode({"op": op, "now": now, **args}) + "\n"
-            if self._group is not None and op != "checkpoint":
-                self._group.append(line)
-                return
-            self._write()
-            position = len(self)
-            self._emit([line])
+        """Append one operation; written (and flushed, when backed) before
+        returning, unless a :meth:`group` is open (see the module docstring
+        for what that does and does not survive)."""
+        line = self._submit_line(now, args) if op == "submit" else None
+        if line is None:
+            if op not in _KNOWN_OPS:  # what an entry checks, without building one
+                raise ConfigurationError(f"unknown journal op {op!r}")
+            line = _encode({"op": op, "now": now, **args}) + "\n"
+        if self._group is not None and op != "checkpoint":
+            self._group.append(line)
+            return
+        self._write()
+        position = len(self)
+        self._emit([line])
         if op == "checkpoint":  # only once it is in: a failed write keeps the last
             self._checkpoint = position
 
@@ -269,10 +261,10 @@ class Journal:
 
     @contextmanager
     def group(self) -> Iterator[None]:
-        """Write the entries appended inside the ``with`` block as one
-        ``write`` + ``flush()`` when it ends (a no-op without a file, or
+        """Write the entries appended inside the ``with`` block together
+        when it ends, as one ``write`` + ``flush()`` when backed (a no-op
         inside another group)."""
-        if self.path is None or self._group is not None:
+        if self._group is not None:
             yield
             return
         self._group = []
@@ -291,17 +283,20 @@ class Journal:
             self._emit(lines)
 
     def _emit(self, lines: list[str]) -> None:
-        """Whole lines as one ``write`` + ``flush()``; the count moves only
-        once they are in."""
-        appender = self._appender
-        if appender is None:
-            appender = self._appender = self.path.open("a")  # type: ignore[union-attr]
-            if self._repair is not None:
-                appender.truncate(self._repair)
-                appender.write("\n")
-                self._repair = None
-        appender.write("".join(lines))
-        appender.flush()
+        """Whole lines to the sink: the list, or the file as one ``write`` +
+        ``flush()``; the count moves only once they are in."""
+        if self._lines is not None:
+            self._lines += lines
+        else:
+            appender = self._appender
+            if appender is None:
+                appender = self._appender = self.path.open("a")  # type: ignore[union-attr]
+                if self._repair is not None:
+                    appender.truncate(self._repair)
+                    appender.write("\n")
+                    self._repair = None
+            appender.write("".join(lines))
+            appender.flush()
         self._length += len(lines)
 
     def close(self) -> None:
@@ -313,7 +308,7 @@ class Journal:
             self._appender = None
 
     def __len__(self) -> int:
-        return self._length + len(self._entries) + len(self._group or ())
+        return self._length + len(self._group or ())
 
     def __iter__(self) -> Iterator[JournalEntry]:
         return self._read()
@@ -327,30 +322,36 @@ class Journal:
 
     @classmethod
     def from_jsonl(cls, text: str) -> Journal:
-        """Inverse of :meth:`to_jsonl` (minus a torn final line, if any): an
-        in-memory journal, every line decoded (undecodable text raises)."""
-        lines = _complete(text).splitlines()
-        first, header = _header(lines)
-        body = lines[first + 1 :]
-        entries = [JournalEntry.from_dict(json.loads(line)) for line in body if line.strip()]
-        return cls(header=header, entries=entries)
+        """Inverse of :meth:`to_jsonl` (minus a torn final line, if any): the
+        lines held in memory, each decoded once here (undecodable text raises)."""
+        journal = cls._open(text)
+        for line in journal._lines[1:]:  # type: ignore[index]
+            JournalEntry.from_dict(json.loads(line))
+        return journal
 
     @classmethod
     def load(cls, path: str | Path) -> Journal:
         """Open a journal written by live appends (or :meth:`to_jsonl`) to
         go on appending to it.  Decodes only the header: the other lines
         are counted, and the last that starts a checkpoint is remembered."""
-        text = Path(path).read_text()
+        return cls._open(Path(path).read_text(), path)
+
+    @classmethod
+    def _open(cls, text: str, path: str | Path | None = None) -> Journal:
+        """A journal of ``text``'s lines, held in memory or, with a
+        ``path``, left in that file (the text read from it).  Decodes only
+        the header."""
         complete = _complete(text)
-        lines = complete.splitlines()
+        lines = complete.splitlines(keepends=True)
         first, header = _header(lines)
         journal = cls(header=header, path=path)
-        body = [line for line in lines[first + 1 :] if line and not line.isspace()]
+        body = [line for line in lines[first + 1 :] if not line.isspace()]
         journal._length = len(body)
         starts = [k for k, line in enumerate(body) if line.startswith(_CHECKPOINT)]
-        if starts:
-            journal._checkpoint = starts[-1]
-        if not text.endswith("\n"):
+        journal._checkpoint = starts[-1] if starts else None
+        if journal._lines is not None:
+            journal._lines += body
+        elif not text.endswith("\n"):
             journal._repair = len(complete.rstrip("\n").encode())
         return journal
 

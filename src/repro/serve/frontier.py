@@ -15,8 +15,9 @@ and no arrival-rate estimate is involved.  ``max_wave`` pending
 submissions flush at once (it bounds how long one synchronous flush
 holds the loop).
 
-Every member of a wave is submitted at a single simulated instant (so
-the gateway's "a batch never mixes instants" invariant holds by
+A wave is one :meth:`~repro.gateway.gateway.Gateway.submit_many` call:
+every member is submitted at a single simulated instant (so the
+gateway's "a batch never mixes instants" invariant holds by
 construction) before the trailing partial batch is drained, and the
 wave's journal entries go out as one write before anyone is answered.
 A single submission's coroutine parks on a future and resumes with its
@@ -76,7 +77,7 @@ _Parked = tuple[dict[str, Any], "asyncio.Future[Ticket] | _Slot"]
 
 
 class AdmissionFrontier:
-    """Coalesces concurrent submits into same-instant :meth:`Gateway.submit` waves."""
+    """Coalesces concurrent submits into same-instant :meth:`Gateway.submit_many` waves."""
 
     def __init__(self, gateway: Gateway, clock: ServiceClock, *, max_wave: int = 64) -> None:
         if max_wave <= 0:
@@ -154,7 +155,9 @@ class AdmissionFrontier:
         if self.gateway.telemetry.enabled:
             self._wave_size.observe(len(wave))
         try:
-            self._decide(wave)
+            # Tickets are mutated in place as their batches flush: nobody is
+            # answered before the whole wave is decided (and journaled).
+            results = self.gateway.submit_many([fields for fields, _ in wave], now=self.clock.now())
         except BaseException as exc:
             for _, future in wave:
                 if not future.done():
@@ -163,28 +166,14 @@ class AdmissionFrontier:
             # it (each parked caller raises it); only exits pass through.
             if not isinstance(exc, Exception):
                 raise
-
-    def _decide(self, wave: list[_Parked]) -> None:
-        now = self.clock.now()
-        gateway = self.gateway
-        # Submit entries one by one so a malformed submission fails only
-        # its own future — the rest of the wave still shares one instant.
-        accepted: list[tuple[asyncio.Future[Ticket] | _Slot, Ticket]] = []
-        with gateway.journal_group():
-            for fields, future in wave:
-                try:
-                    accepted.append((future, gateway.submit(**fields, now=now)))
-                except ReproError as exc:
-                    if not future.done():
-                        future.set_exception(exc)
-            # Decide the trailing partial batch, then resolve — tickets are
-            # mutated in place when their batch flushes, so resolution must
-            # wait until every member of the wave is decided (and journaled).
-            if len(gateway.batcher):
-                gateway.drain(now)
-        for future, ticket in accepted:
-            if not future.done():
-                future.set_result(ticket)
+            return
+        for (_, future), result in zip(wave, results):
+            if future.done():
+                continue
+            if isinstance(result, ReproError):  # a malformed entry fails alone
+                future.set_exception(result)
+            else:
+                future.set_result(result)
 
     async def quiesce(self) -> None:
         """Drain hook: decide everything in flight (graceful shutdown)."""

@@ -4,7 +4,8 @@ Stdlib only (no new runtime dependencies): a hand-rolled, strict-enough
 parser for the small JSON API the service exposes.  Supported surface:
 
 - request line + headers + ``Content-Length`` bodies (no chunked
-  encoding, no multipart — the API never produces them);
+  encoding, no multipart — the API never produces them; RFC 9112 §6.3
+  framing: one run of ASCII digits, no ``Transfer-Encoding``);
 - keep-alive by default (HTTP/1.1), ``Connection: close`` honoured;
 - JSON request/response helpers with deterministic serialisation
   (sorted keys — byte-stable responses for byte-stable tests).
@@ -145,25 +146,32 @@ async def read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
         name, sep, value = line.partition(":")
         if not sep:
             raise HttpError(400, f"malformed header line: {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise HttpError(400, "Content-Length values differ")
+        headers[name] = value
     split = urlsplit(target)
     query = dict(parse_qsl(split.query, keep_blank_values=True))
+    # RFC 9112 §6.3: a transfer coding (chunked, or beside a length) or a
+    # length not 1*DIGIT leaves the body's end in doubt (request smuggling).
+    if "transfer-encoding" in headers:
+        raise HttpError(400, "Transfer-Encoding request bodies are not supported")
     body = b""
     length_header = headers.get("content-length")
     if length_header is not None:
         try:
-            length = int(length_header)
+            if not (length_header.isascii() and length_header.isdigit()):
+                raise ValueError("not 1*DIGIT")
+            length = int(length_header)  # ValueError past int()'s digit limit
         except ValueError as exc:
             raise HttpError(400, f"bad Content-Length {length_header!r}") from exc
-        if length < 0 or length > MAX_BODY_BYTES:
+        if length > MAX_BODY_BYTES:
             raise HttpError(413, f"body of {length} bytes refused")
         if length:
             try:
                 body = await reader.readexactly(length)
             except asyncio.IncompleteReadError as exc:
                 raise HttpError(400, "truncated request body") from exc
-    elif headers.get("transfer-encoding"):
-        raise HttpError(400, "chunked request bodies are not supported")
     request = HttpRequest(
         method=method.upper(), path=unquote(split.path), query=query, headers=headers, body=body
     )

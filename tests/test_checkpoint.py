@@ -134,6 +134,15 @@ def lines(entries):
     return [json.dumps(entry.to_dict()) for entry in entries]
 
 
+def with_last_entry(journal, edit):
+    """``journal`` read back with its last entry's decoded fields passed
+    through ``edit`` (a journal keeps lines: there is no entry to mutate)."""
+    *head, last = journal.to_jsonl().splitlines()
+    entry = json.loads(last)
+    edit(entry)
+    return Journal.from_jsonl("\n".join([*head, json.dumps(entry)]) + "\n")
+
+
 def plain(value):
     """A ticket (or a field of one) as comparable plain values."""
     if isinstance(value, RateProfile):
@@ -355,10 +364,13 @@ class TestCheckpointVerb:
         end = run_stream(gateway, seeded_ops(4, 60))
         gateway.drain(end)
         gateway.checkpoint()
-        state = gateway.journal.entries[-1].args["state"]
-        state["next_rid"] += 100  # a replay that read the checkpoint would see this
-        assert Gateway.replay(gateway.journal).snapshot() == gateway.snapshot()
-        assert Gateway.resume(gateway.journal).snapshot() != gateway.snapshot()
+
+        def skew(entry):  # a replay that read the checkpoint would see this
+            entry["state"]["next_rid"] += 100
+
+        journal = with_last_entry(gateway.journal, skew)
+        assert Gateway.replay(journal).snapshot() == gateway.snapshot()
+        assert Gateway.resume(journal).snapshot() != gateway.snapshot()
 
     def test_a_mismatched_header_is_refused(self):
         gateway = Gateway(PLATFORM, num_shards=2, journal=Journal())
@@ -384,11 +396,14 @@ class TestCheckGateway:
 
     def test_one_nudged_port_value_is_flagged(self):
         gateway, journal = self.checkpointed()
-        ports = journal.entries[-1].args["state"]["brokers"][0]["ports"]
-        _, _, ((_, values), _) = max(ports, key=lambda p: len(p[2][0][0]))
-        k = next(i for i, v in enumerate(values) if v > 0.0)
-        values[k] = math.nextafter(values[k], math.inf)  # one ulp
-        report = check_gateway(gateway, journal=journal)
+
+        def nudge(entry):
+            ports = entry["state"]["brokers"][0]["ports"]
+            _, _, ((_, values), _) = max(ports, key=lambda p: len(p[2][0][0]))
+            k = next(i for i, v in enumerate(values) if v > 0.0)
+            values[k] = math.nextafter(values[k], math.inf)  # one ulp
+
+        report = check_gateway(gateway, journal=with_last_entry(journal, nudge))
         assert report.violations == ["checkpoint restore diverges from the replay on: brokers"]
 
 
@@ -590,11 +605,8 @@ class TestLazyLoad:
 
     @staticmethod
     def eager(path):
-        lines = path.read_text().splitlines()
-        return Journal(
-            header=json.loads(lines[0]),
-            entries=[JournalEntry.from_dict(json.loads(line)) for line in lines[1:]],
-        )
+        """The file's text read into memory, every line decoded once."""
+        return Journal.from_jsonl(path.read_text())
 
     def test_load_and_resume_decode_only_the_checkpoint_and_its_tail(self, written, decoded):
         gateway, path, _ = written
@@ -611,7 +623,9 @@ class TestLazyLoad:
         assert journal.to_jsonl() == path.read_text()  # a full read re-reads the file ...
         assert decoded == [len(text) - at + len(text)]
         assert lines(journal.entries) == lines(self.eager(path).entries)
-        assert decoded == [len(text) - at + 3 * len(text)]  # ... every time
+        # ... every time: once more here, and the in-memory copy's lines
+        # twice (decoded to check them, then read).
+        assert decoded == [len(text) - at + 4 * len(text)]
 
     def test_explain_text_is_that_of_an_eagerly_loaded_journal(self, written):
         gateway, path, artifact = written

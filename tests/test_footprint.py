@@ -3,8 +3,9 @@
 A service that never stops must not grow with its history beyond the
 state it serves: per decision that is the ticket, its request and its
 allocation, plus one flat telemetry record per ring entry
-(``_Submitted``, ``_Admission``, ``_Served``).  A file-backed journal
-keeps none of its entries — the file is their only copy.
+(``_Submitted``, ``_Admission``, ``_Served``).  A journal keeps no
+entry object: a file-backed one leaves its lines in the file, their only
+copy, and one without a file holds them as text.
 
 Both tests run ``benchmarks/footprint.py`` — the ``serve_light`` shape,
 a ``ServeApp`` as the stack benchmark's server configures it answering
@@ -16,6 +17,8 @@ import gc
 import importlib.util
 from pathlib import Path
 from types import FunctionType, ModuleType
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "footprint.py"
 
@@ -65,11 +68,14 @@ def test_a_decision_leaves_its_state_and_one_flat_record_per_ring_entry(tmp_path
     assert left["_Flushed"] == batches
 
 
-def test_a_file_journal_holds_nothing_that_grows_with_its_length(tmp_path):
+@pytest.mark.parametrize("on_file", [True, False], ids=["file", "memory"])
+def test_a_journal_holds_nothing_that_grows_with_its_length(tmp_path, on_file):
+    """A file journal's lines are in the file; one without a file holds
+    them as strings, which the collector does not track, in one list."""
     tool = load_tool()
     resident = []
     for waves in (4, 40):
-        app = tool.make_app(tmp_path / f"{waves}.journal.jsonl")
+        app = tool.make_app(tmp_path / f"{waves}.journal.jsonl" if on_file else None)
         tool.serve(app, tool.light_stream(2, waves * tool.WAVE))
         assert len(app.journal) == waves * tool.WAVE
         resident.append(held(app.journal))

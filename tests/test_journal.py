@@ -272,6 +272,29 @@ class TestGroupCommit:
         assert (tmp_path / "grouped.jsonl").read_bytes() == (tmp_path / "single.jsonl").read_bytes()
         assert grouped.snapshot() == one_by_one.snapshot()
 
+    def test_a_malformed_entry_fails_alone_and_its_wave_is_one_write(self, tmp_path, monkeypatch):
+        """A deadline before ``now`` in mid-wave: that slot holds the
+        ``InvalidRequestError``, the other entries are decided at the one
+        instant, and the file receives the wave as one write, the bytes of
+        the same wave without it."""
+        writes = []
+        emit = Journal._emit
+
+        def counted(self, lines):
+            writes.append(len(lines))
+            emit(self, lines)
+
+        monkeypatch.setattr(Journal, "_emit", counted)
+        good = wave(2)
+        results = waved(tmp_path / "mixed.jsonl", 0).submit_many(
+            [*good[:3], dict(good[3], deadline=1.0), *good[3:]], now=2.0
+        )
+        assert isinstance(results.pop(3), InvalidRequestError)
+        assert all(ticket.decided and ticket.request.t_start == 2.0 for ticket in results)
+        assert writes == [len(good) + 1]  # its submits and its drain
+        waved(tmp_path / "good.jsonl", 0).submit_many(good, now=2.0)
+        assert (tmp_path / "mixed.jsonl").read_bytes() == (tmp_path / "good.jsonl").read_bytes()
+
     def test_a_read_during_a_wave_sees_every_line_so_far(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         journal = Journal(path=path)

@@ -189,6 +189,46 @@ class TestHttpWireFormat:
             self._parse(raw)
         assert err.value.status == 400
 
+    @pytest.mark.parametrize(
+        "framing",
+        [
+            b"Content-Length: 1_0\r\n",  # int() read 10
+            b"Content-Length: +3\r\n",  # int() read 3
+            b"Content-Length: 3\r\nContent-Length: 10\r\n",  # the last one was kept
+            b"Content-Length: 10\r\nTransfer-Encoding: chunked\r\n",  # framed by the length
+            b"Content-Length: " + b"9" * 5000 + b"\r\n",  # past int()'s digit limit
+        ],
+        ids=["underscore", "plus-sign", "two-that-differ", "with-transfer-encoding", "5000-digits"],
+    )
+    def test_a_content_length_in_doubt_is_400_and_closes(self, framing):
+        """RFC 9112 §6.3: a body whose end the two ends of a connection
+        could read differently is refused, and the connection closed, on
+        the socket as in the parser."""
+        raw = b"POST /v1/reservations HTTP/1.1\r\nHost: h\r\n" + framing + b"\r\n" + b"{}" * 5
+        with pytest.raises(HttpError) as err:
+            self._parse(raw)
+        assert err.value.status == 400
+
+        async def main():
+            app = make_app()
+            host, port = await app.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(raw)
+                # Everything up to the server's close: one answer, then EOF.
+                answer = await asyncio.wait_for(reader.read(), 10.0)
+            finally:
+                writer.close()
+                await app.drain()
+            assert answer.startswith(b"HTTP/1.1 400 ") and answer.count(b"HTTP/1.1") == 1
+            assert b"Connection: close" in answer
+
+        run(main())
+
+    def test_repeated_equal_content_lengths_frame_the_body(self):
+        raw = b"POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}"
+        assert self._parse(raw).json() == {}
+
     def test_render_is_deterministic_and_framed(self):
         raw = render_response(
             HttpResponse(status=201, payload={"b": 1, "a": 2}), keep_alive=True
