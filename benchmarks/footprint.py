@@ -2,7 +2,8 @@
 
 Drives a ``ServeApp`` configured as the stack benchmark's server
 (``Platform.uniform(16, 16, 1000.0)``, 4 shards, batch 8, no SLO rules,
-default telemetry, a write-ahead journal on disk, logical clock) with the
+default telemetry — metrics only, no ring record — a write-ahead journal
+on disk, logical clock) with the
 ``serve_light`` stream — ``benchmarks/stack/inputs.light_stream`` in
 batch POSTs of 16 — through ``ServeApp.dispatch`` (no sockets, so nothing
 of the client's stays behind), and prints:
@@ -17,7 +18,10 @@ of the client's stays behind), and prints:
   does (``child.Reference`` bursts beside each run, times multiplied by
   ``run.REFERENCE_NS`` / mean burst), and the share telemetry takes —
   on that stream and on ``serve_hot``'s, ``inputs.hot_stream``, whose
-  decisions search and book on contended ports.
+  decisions search and book on contended ports;
+- the wall seconds ``ServeApp.explain`` takes, after the whole stream,
+  for rid 5 and for the newest rid: the story is rebuilt by replaying
+  the journal, so this is what ``?explain=1`` costs.
 
 Run from the repository root::
 
@@ -80,10 +84,10 @@ def serve(app: ServeApp, bodies: list[dict]) -> None:
     asyncio.run(drive())
 
 
-def make_app(journal_path: Path | None, *, traced: bool = True) -> ServeApp:
+def make_app(journal_path: Path | None, *, metrics: bool = True) -> ServeApp:
     """A ``ServeApp`` configured as the stack benchmark's server, its
     write-ahead journal at ``journal_path`` (``None``: held in memory;
-    ``traced=False``: with a ``NullTelemetry``)."""
+    ``metrics=False``: with a ``NullTelemetry``)."""
     config = ServeConfig(
         platform=Platform.uniform(16, 16, 1000.0),
         num_shards=4,
@@ -91,14 +95,14 @@ def make_app(journal_path: Path | None, *, traced: bool = True) -> ServeApp:
         slo_rules=(),
         journal_path=journal_path,
     )
-    telemetry = None if traced else NullTelemetry()
+    telemetry = None if metrics else NullTelemetry()
     return ServeApp(config, clock=LogicalClock(), telemetry=telemetry)
 
 
-def cpu_us_per_decision(bodies: list[dict], journal_path: Path, traced: bool) -> float:
+def cpu_us_per_decision(bodies: list[dict], journal_path: Path, metrics: bool) -> float:
     """Reference-scaled CPU microseconds per decision of a fresh app
     serving ``bodies`` after a warm-up wave."""
-    app = make_app(journal_path, traced=traced)
+    app = make_app(journal_path, metrics=metrics)
     serve(app, bodies[:WAVE])
     reference = Reference()
     reference.block(8)
@@ -141,10 +145,26 @@ def cpu_medians(stream: str, bodies: list[dict], workdir: Path) -> tuple[float, 
     on a fresh journal."""
     runs: dict[bool, list[float]] = {True: [], False: []}
     for k in range(ROUNDS):
-        for traced in (True, False):
-            path = workdir / f"cpu-{stream}-{k}-{traced}.journal.jsonl"
-            runs[traced].append(cpu_us_per_decision(bodies, path, traced))
+        for metrics in (True, False):
+            path = workdir / f"cpu-{stream}-{k}-{metrics}.journal.jsonl"
+            runs[metrics].append(cpu_us_per_decision(bodies, path, metrics))
     return statistics.median(runs[True]), statistics.median(runs[False])
+
+
+def explain_seconds(bodies: list[dict], workdir: Path) -> tuple[int, float, float]:
+    """Serve ``bodies`` on a fresh app, then time ``app.explain`` for rid 5
+    and for the newest rid; returns that rid and the two wall times."""
+    app = make_app(workdir / "explain.journal.jsonl")
+    serve(app, bodies)
+    newest = app.gateway.stats.submits - 1  # no backlog: every rid is a submission
+    seconds = []
+    for rid in (5, newest):
+        start = time.perf_counter()
+        story = asyncio.run(app.explain(rid))
+        seconds.append(time.perf_counter() - start)
+        assert story is not None and f"rid {rid}" in story
+    app.journal.close()
+    return newest, seconds[0], seconds[1]
 
 
 def main() -> int:
@@ -154,6 +174,7 @@ def main() -> int:
         _, _, sites = measure(bodies, Path(workdir), by_site=True)
         on, off = cpu_medians("light", bodies, Path(workdir))
         hot_on, hot_off = cpu_medians("hot", hot_stream(SEED, DECISIONS), Path(workdir))
+        newest, first_s, newest_s = explain_seconds(bodies, Path(workdir))
     retained = sum(stat.size_diff for stat in sites)
     print(f"serve_light footprint: {decided} decisions after a warm-up wave, seed {SEED}, "
           f"Python {sys.version.split()[0]}")
@@ -167,6 +188,8 @@ def main() -> int:
     print(f"hot stream cpu us per decision ({DECISIONS} decisions, same measure): "
           f"telemetry on {hot_on:.1f}, off {hot_off:.1f}; "
           f"telemetry share {1 - hot_off / hot_on:.1%}")
+    print(f"explain seconds after {DECISIONS} decisions (replayed from the header): "
+          f"rid 5 {first_s:.3f}, newest rid {newest} {newest_s:.3f}")
     print("largest allocation sites (bytes per decision):")
     for stat in sorted(sites, key=lambda s: -s.size_diff)[:TOP]:
         frame = stat.traceback[0]

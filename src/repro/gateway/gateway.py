@@ -54,7 +54,7 @@ from ..schedulers.policies import BandwidthPolicy, MinRatePolicy, policy_from_na
 from . import lifecycle
 from .batch import AdmissionOrdering, Batcher
 from .edge import EdgeLimit, EdgeLimiter
-from .journal import Journal
+from .journal import Journal, JournalEntry
 from .lifecycle import Reservation, ReservationState
 from .rpc import ChaosPolicy
 from .sharding import ShardMap
@@ -196,16 +196,6 @@ class Ticket(Reservation):
         )
 
 
-def _about(
-    ctx: TraceContext | None, ticket: Ticket, *more: int | None
-) -> tuple[str, tuple[int | None, ...]]:
-    """A record's trace and the rids its rows can name (what
-    :func:`repro.obs.causal.explain_live` asks it): the ticket's, its
-    origin, and ``more``."""
-    trace = f"req-{ticket.rid}" if ctx is None else ctx.trace_id
-    return trace, (ticket.rid, ticket.origin, *more)
-
-
 def _hop(name: str, now: float, ctx: TraceContext, fields: dict[str, Any]) -> Span:
     """One gateway-side span of a record (``cat="causal"``, track 0)."""
     return Hop(name, now, "causal", 0, ctx, fields).span()
@@ -226,9 +216,6 @@ class _Submitted(NamedTuple):
     @property
     def width(self) -> int:
         return 2
-
-    def about(self) -> tuple[str, tuple[int | None, ...]]:
-        return _about(self.ctx, self.ticket)
 
     def spans(self) -> list[Span]:
         ticket, request = self.ticket, self.ticket.request
@@ -294,9 +281,6 @@ class _Admission:
         hops = self.booked if self.hops is None else len(self.hops)
         return hops + (1 if self.readmits is None else 2)
 
-    def about(self) -> tuple[str, tuple[int | None, ...]]:
-        return _about(self.ctx, self.ticket, self.readmits)
-
     def spans(self) -> list[Span]:
         now, rid = self.now, self.ticket.rid
         ctx = self.ctx or TraceContext.root(rid)
@@ -354,9 +338,6 @@ class _Flushed(NamedTuple):
     @property
     def width(self) -> int:
         return 1
-
-    def about(self) -> tuple[None, tuple[()]]:
-        return None, ()
 
     def spans(self) -> tuple[Span]:
         args = {"size": self.size, "ordering": self.ordering}
@@ -593,6 +574,10 @@ class Gateway:
         """The handle decisions are reported through (instance or process-wide)."""
         return self._telemetry if self._telemetry is not None else get_telemetry()
 
+    @telemetry.setter
+    def telemetry(self, handle: Telemetry) -> None:
+        self._telemetry = handle  # the observer reads it per record
+
     def _advance(self, now: float) -> None:
         """Move the clock forward, flushing the previous instant's batch."""
         if now < self._clock:
@@ -643,15 +628,19 @@ class Gateway:
     # Causal tracing (observability only: never touches decisions,
     # journal, snapshot or replay)
     # ------------------------------------------------------------------
+    def joined(self, trace: str) -> list[int]:
+        """The rids that joined ``trace`` traced, as rebookings or re-admissions."""
+        return [rid for rid, ctx in self._trace_roots.items() if ctx.trace_id == trace]
+
     def _ctx_of(self, rid: int) -> TraceContext:
         """``rid``'s position in its causal tree (a root unless it joined
         another request's trace)."""
         return self._trace_roots.get(rid) or TraceContext.root(rid)
 
     def _trace_ctx(self, rid: int) -> TraceContext | None:
-        """:meth:`_ctx_of` when telemetry is enabled, else ``None`` (no hop
-        to mint)."""
-        return self._ctx_of(rid) if self.telemetry.enabled else None
+        """:meth:`_ctx_of` when the handle keeps records, else ``None`` (no
+        hop to mint)."""
+        return self._ctx_of(rid) if self.telemetry.traced else None
 
     def _instruments(self, tel: Telemetry) -> _Instruments:
         """The hot metric samples, bound to ``tel`` (rebound if it changed)."""
@@ -721,7 +710,7 @@ class Gateway:
         self.stats.submits += 1
         tel = self.telemetry
         ctx: TraceContext | None = None
-        if tel.enabled and origin is not None:
+        if tel.traced and origin is not None:
             # A rebooking joins the original request's trace so one
             # `grid-obs explain` shows the whole lineage.
             ctx = self._trace_roots[rid] = self._ctx_of(origin).child(f"rebook:{rid}")
@@ -729,8 +718,9 @@ class Gateway:
             ticket.edge_refused = ticket.decided = True
             ticket.retry_after = self.edge.retry_after(client, volume, now)
             self.stats.edge_refused += 1
-            if tel.enabled:
+            if tel.traced:
                 tel.tracer.store(_Submitted(now, ticket, ctx, None))
+            if tel.enabled:
                 tel.metrics.counter(
                     "gateway_edge_refusals_total",
                     "Submissions refused by the per-client edge token bucket.",
@@ -742,7 +732,7 @@ class Gateway:
         if not len(self.batcher):
             self._batch_opened = now
         self.batcher.enqueue(ticket)
-        if tel.enabled:
+        if tel.traced:
             tel.tracer.store(_Submitted(now, ticket, ctx, len(self.batcher)))
         if self.batcher.full:
             self._flush(now)
@@ -797,12 +787,13 @@ class Gateway:
         for ticket in batch:
             self._decide(ticket, now, tel)
         self.stats.batches += 1
-        if tel.enabled or self.slo is not None:
+        if tel.enabled:
+            bound = self._instruments(tel)
+            bound.batches.count += 1
+            bound.occupancy.observe(float(len(batch)))
+        if tel.traced or self.slo is not None:
             health = self._health(now)
-            if tel.enabled:
-                bound = self._instruments(tel)
-                bound.batches.count += 1
-                bound.occupancy.observe(float(len(batch)))
+            if tel.traced:
                 ordering = self.batcher.ordering.value
                 record = _Flushed(self._batch_opened, now, len(batch), ordering, *health)
                 tel.tracer.store(record)
@@ -863,14 +854,14 @@ class Gateway:
         accepted = outcome.allocation is not None
         if self.slo is not None:
             self.slo.admission(now, accepted=accepted, latency=latency)
-        if accepted and (tel.enabled or self.slo is not None):
+        if accepted and (tel.traced or self.slo is not None):
             self._note_port_peaks(request.ingress, request.egress)
         return outcome, latency
 
     def _decide(self, ticket: Ticket, now: float, tel: Telemetry) -> None:
         """Decide one batched submission; publish the outcome."""
         trace: _Admission | None = None
-        if tel.enabled:
+        if tel.traced:
             trace = _Admission(now, ticket, self._trace_roots.get(ticket.rid), self.shard_map)
         # Queueing counts from the instant the request's window opened.
         outcome, latency = self._admit(ticket, now, tel, trace, ticket.request.t_start)
@@ -888,7 +879,7 @@ class Gateway:
             if reason is RejectReason.SHARD_UNREACHABLE:
                 self.stats.shard_unreachable += 1
             self._maybe_backlog(ticket, reason)
-        if trace is not None:
+        if tel.enabled:
             self._observe_decision(tel, outcome, latency, trace)
         if self.on_decision is not None:
             self.on_decision(ticket, now)
@@ -919,7 +910,7 @@ class Gateway:
             ).inc()
 
     def _observe_decision(
-        self, tel: Telemetry, outcome: TwoPhaseOutcome, latency: float, trace: _Admission
+        self, tel: Telemetry, outcome: TwoPhaseOutcome, latency: float, trace: _Admission | None
     ) -> None:
         bound = self._instruments(tel)
         bound.submits[outcome.allocation is not None].count += 1
@@ -938,7 +929,8 @@ class Gateway:
         bound.latency.observe(latency)
         if outcome.allocation is None:
             bound.rejects(_reason(outcome.probe.reason)).inc()
-        tel.store(trace)
+        if trace is not None:
+            tel.store(trace)
 
     # ------------------------------------------------------------------
     # Degraded-mode re-admission (the backlog)
@@ -984,7 +976,7 @@ class Gateway:
                 client=parked.client,
             )
             trace: _Admission | None = None
-            if tel.enabled:
+            if tel.traced:
                 # Re-admissions stay on the original request's trace: the
                 # fresh rid is one more hop of the same causal story.
                 ctx = self._trace_roots[attempt.rid] = self._ctx_of(rid).child(
@@ -1323,6 +1315,10 @@ class Gateway:
         """Submissions waiting in the open batch."""
         return len(self.batcher)
 
+    def backlogged(self, rid: int) -> bool:
+        """Is ``rid`` parked in the re-admission backlog?"""
+        return rid in self._backlog
+
     def degradations(self) -> list[Degradation]:
         """Every capacity degradation applied so far, in order."""
         return list(self._degradations)
@@ -1481,14 +1477,14 @@ class Gateway:
         parked rejections whenever capacity freed, unjournaled, each taking
         a rid, so its later rids cannot be reproduced and it is refused.
         """
-        gateway = cls._configured(journal.header)
+        gateway = cls.restored(journal.header)
         lifecycle.replay_ops(gateway, journal)
         return gateway
 
     @classmethod
-    def _configured(cls, header: dict[str, Any]) -> Gateway:
-        """A fresh, journal-less gateway of a journal header's configuration
-        (what :meth:`replay` refuses, this refuses)."""
+    def restored(cls, header: dict[str, Any], checkpoint: JournalEntry | None = None) -> Gateway:
+        """A journal-less gateway of a journal header's configuration, holding
+        a ``checkpoint`` entry's state if given (refuses what :meth:`replay` does)."""
         if not header:
             raise ConfigurationError("journal has no header; cannot replay")
         if header.get("kind", "gateway") != "gateway":
@@ -1502,7 +1498,7 @@ class Gateway:
         edge_cfg = header.get("edge")
         chaos_cfg = header.get("chaos")
         rpc_deadline = header.get("rpc_deadline")
-        return cls(
+        gateway = cls(
             Platform.from_dict(header["platform"]),
             num_shards=int(header.get("num_shards", 1)),
             batch_size=int(header.get("batch_size", 1)),
@@ -1522,6 +1518,9 @@ class Gateway:
             malleable=bool(header.get("malleable", False)),
             journal=None,
         )
+        if checkpoint is not None:
+            gateway._load_state(checkpoint.args["state"])
+        return gateway
 
     @classmethod
     def resume(
@@ -1549,8 +1548,7 @@ class Gateway:
             gateway = cls.replay(journal)
         else:
             checkpoint, tail = restart
-            gateway = cls._configured(journal.header)
-            gateway._load_state(checkpoint.args["state"])
+            gateway = cls.restored(journal.header, checkpoint)
             lifecycle.replay_ops(gateway, tail)
         gateway._telemetry = telemetry  # the observer reads it per record
         gateway.slo = slo

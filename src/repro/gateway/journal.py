@@ -155,13 +155,10 @@ class Journal:
         raises ``ConfigurationError`` naming it."""
         return list(self._read())
 
-    def _read(
-        self, start: int = 0, wanted: Callable[[str], bool] | None = None
-    ) -> Iterator[JournalEntry]:
+    def _read(self, start: int = 0) -> Iterator[JournalEntry]:
         """The entries from the ``start``-th on, decoded one line at a time
-        (the ones before are counted, not decoded, and so are the lines
-        ``wanted`` refuses), a torn last line skipped as :meth:`load`
-        skipped it."""
+        (the ones before are counted, not decoded), a torn last line skipped
+        as :meth:`load` skipped it."""
         self._write()
         held = self._lines
         source: AbstractContextManager[Iterable[str]] = (
@@ -177,21 +174,20 @@ class Journal:
                     continue
                 if not line.endswith("\n") and _torn(line):
                     return
-                if wanted is not None and not wanted(line):
-                    continue
                 try:
                     entry = JournalEntry.from_dict(json.loads(line))
                 except (ValueError, KeyError, TypeError) as exc:
                     raise ConfigurationError(f"journal {self.path}, line {number}: {exc}") from exc
                 yield entry
 
-    def mentioning(self, rid: int) -> Iterator[JournalEntry]:
-        """Every entry but a checkpoint that may name ``rid`` as its ``rid``
-        or ``origin`` (a superset): the other lines are not decoded."""
-        named = re.compile(f'"(?:rid|origin)": {rid}[,}}]').search
-        return self._read(
-            0, lambda line: not line.startswith(_CHECKPOINT) and named(line) is not None
-        )
+    def lines(self) -> list[str]:
+        """The entries' lines written so far, as a list later appends leave
+        alone (no header or blank line; a torn last line dropped)."""
+        self._write()
+        if self._lines is not None:
+            return self._lines[1:]
+        text = _complete(self.path.read_text())  # type: ignore[union-attr]
+        return [line for line in text.splitlines(keepends=True) if not line.isspace()][1:]
 
     def has_checkpoint(self) -> bool:
         """Does the journal hold a ``checkpoint`` entry?  Decodes nothing."""
@@ -347,7 +343,7 @@ class Journal:
         journal = cls(header=header, path=path)
         body = [line for line in lines[first + 1 :] if not line.isspace()]
         journal._length = len(body)
-        starts = [k for k, line in enumerate(body) if line.startswith(_CHECKPOINT)]
+        starts = [k for k, line in enumerate(body) if line.startswith(CHECKPOINT_PREFIX)]
         journal._checkpoint = starts[-1] if starts else None
         if journal._lines is not None:
             journal._lines += body
@@ -377,7 +373,15 @@ _SUBMIT_KEYS = ("rid", "client", "ingress", "egress", "volume", "deadline", "max
 
 
 #: How every checkpoint line :meth:`Journal.append` writes begins.
-_CHECKPOINT = json.dumps({"op": "checkpoint"})[:-1]
+CHECKPOINT_PREFIX = json.dumps({"op": "checkpoint"})[:-1]
+
+
+def naming(rids: Iterable[int]) -> Callable[[str], bool]:
+    """A test of whether an entry's line may name one of ``rids`` as its
+    ``rid`` or ``origin``, read off the text (a superset; never true of a
+    checkpoint)."""
+    named = re.compile(f'"(?:rid|origin)": (?:{"|".join(map(str, rids))})[,}}]').search
+    return lambda line: not line.startswith(CHECKPOINT_PREFIX) and named(line) is not None
 
 
 def _header(lines: list[str]) -> tuple[int, dict[str, Any]]:

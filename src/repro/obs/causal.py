@@ -38,11 +38,10 @@ from typing import TYPE_CHECKING, Any, NamedTuple
 from .tracer import Hop, Span
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from ..gateway.journal import Journal
     from .artifact import RunTelemetry
     from .telemetry import Telemetry
 
-__all__ = ["CausalObserver", "TraceContext", "explain_live", "explain_request"]
+__all__ = ["CausalObserver", "TraceContext", "explain_request"]
 
 
 #: What ``namedtuple.__new__`` itself calls, minus its keyword parsing.
@@ -122,9 +121,9 @@ class CausalObserver:
         self, name: str, now: float, ctx: TraceContext | None, detail: dict[str, Any]
     ) -> None:
         """One gateway-side hop on ``ctx``'s timeline, stored un-rendered
-        (``ctx`` None: untraced, no-op); ``detail`` is the caller's to give
-        away."""
-        if ctx is not None and (tel := self._telemetry()).enabled:
+        (``ctx`` None, or a handle that keeps no record: no-op); ``detail``
+        is the caller's to give away."""
+        if ctx is not None and (tel := self._telemetry()).traced:
             tel.tracer.store(Hop(name, now, "causal", 0, ctx, detail))
 
 
@@ -195,44 +194,6 @@ def explain_request(
     ]
     found = [block for block in blocks if block is not None]
     return "\n\n".join(found) if found else None
-
-
-def explain_live(
-    telemetry: Telemetry, rid: int, *, label: str, journal: Journal | None = None
-) -> str | None:
-    """:func:`explain_request` of an artifact capturing ``telemetry`` under
-    ``label`` — the same text — rendering only the ring entries that can be
-    on ``rid``'s traces, and decoding only the journal lines that can name
-    it (:meth:`Journal.mentioning <repro.gateway.journal.Journal.mentioning>`).
-    An entry of a kind :func:`_about` cannot read is always rendered."""
-    abouts = [_about(record) for record in telemetry.records()]
-    traces = {f"req-{rid}"}
-    traces.update(a[0] for a in abouts if a is not None and a[0] is not None and rid in a[1])
-    # One verdict per entry, taken in ``records()`` order: events, then spans.
-    verdicts = iter([a is None or a[0] in traces or rid in a[1] for a in abouts])
-    events = [event.to_dict() for event in telemetry.events_of(lambda _: next(verdicts))]
-    spans = [span.to_dict() for span in telemetry.tracer.spans_of(lambda _: next(verdicts))]
-    entry = {"label": label, "events": events, "spans": spans}
-    cited = None if journal is None else journal.mentioning(rid)
-    return _explain_capture(entry, rid, cited, labelled=False)
-
-
-def _about(record: Any) -> tuple[Any, tuple[Any, ...]] | None:
-    """The trace id and the rids (``rid`` / ``origin``) a ring entry's rows
-    can carry, read without rendering it (the entry's own ``about()`` for
-    a record); ``None`` for an entry that cannot tell."""
-    about = getattr(record, "about", None)
-    if about is not None:
-        return about()
-    if type(record) is tuple:  # an emitted (time, name, fields)
-        fields = record[2]
-    elif isinstance(record, Hop):
-        return record.ctx.trace_id, (record.fields.get("rid"), record.fields.get("origin"))
-    elif isinstance(record, Span):
-        fields = record.args
-    else:
-        return None
-    return fields.get("trace"), (fields.get("rid"), fields.get("origin"))
 
 
 def _explain_capture(

@@ -11,7 +11,8 @@ A :class:`Telemetry` bundles the three capture surfaces:
 Events are stored, not built: the ring keeps what :meth:`Telemetry.emit`
 was handed, or a record handed to :meth:`Telemetry.store` (the gateway's
 admission record is its ``gateway.submit`` event); :attr:`Telemetry.events`
-is the one place either is rendered.  One entry is one event.
+is the one place either is rendered.  One entry is one event.  With both
+rings bounded at 0 a handle keeps metrics only, and no record is built.
 
 Instrumented code never pays for disabled telemetry: every site guards on
 the :attr:`Telemetry.enabled` flag, and the default process-wide handle is
@@ -32,8 +33,7 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterator
-from itertools import chain
+from collections.abc import Iterator
 from typing import Any
 
 from ..core.errors import ConfigurationError
@@ -79,7 +79,7 @@ class Telemetry:
     ----------
     max_events:
         FIFO bound on retained events (evictions are counted in
-        :attr:`events_dropped`); ``None`` keeps everything.
+        :attr:`events_dropped`); ``None`` keeps everything, ``0`` nothing.
     max_spans:
         Capacity bound forwarded to the :class:`SpanTracer`.
     """
@@ -92,8 +92,11 @@ class Telemetry:
         max_events: int | None = None,
         max_spans: int | None = None,
     ) -> None:
-        if max_events is not None and max_events <= 0:
-            raise ConfigurationError(f"max_events must be positive, got {max_events}")
+        if max_events is not None and max_events < 0:
+            raise ConfigurationError(f"max_events must be >= 0, got {max_events}")
+        #: Does a ring keep anything?  ``False`` when both bounds are 0 (and
+        #: on a :class:`NullTelemetry`): instrumented code stores no record.
+        self.traced = self.enabled and (max_events != 0 or max_spans != 0)
         self.metrics = MetricsRegistry()
         self.tracer = SpanTracer(capacity=max_spans)
         #: ``(time, name, fields)`` as emitted, or a stored record;
@@ -136,20 +139,10 @@ class Telemetry:
         ``emit`` calls do not show in a list already taken; for counts use
         :attr:`events_emitted` and :attr:`events_dropped`.
         """
-        return self.events_of(None)
-
-    def events_of(self, keep: Callable[[Any], bool] | None) -> list[TelemetryEvent]:
-        """The retained events whose ring entry ``keep`` accepts (all when
-        ``None``); no other entry is rendered."""
         return [
             TelemetryEvent(*(entry if type(entry) is tuple else entry.event()))
             for entry in self._events
-            if keep is None or keep(entry)
         ]
-
-    def records(self) -> Iterator[Any]:
-        """Every retained event entry, then every span record, as stored."""
-        return chain(self._events, self.tracer.records())
 
     @property
     def events_dropped(self) -> int:

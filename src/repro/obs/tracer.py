@@ -36,7 +36,7 @@ import json
 import sys
 from collections import deque
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Any, NamedTuple, Protocol
 
@@ -148,13 +148,13 @@ class SpanTracer:
     Parameters
     ----------
     capacity:
-        Keep at most this many spans; older spans are evicted FIFO once
-        exceeded and counted in :attr:`dropped`.
+        Keep at most this many spans (``0``: none); older spans are evicted
+        FIFO once exceeded and counted in :attr:`dropped`.
     """
 
     def __init__(self, capacity: int | None = None) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ConfigurationError(f"capacity must be positive, got {capacity}")
+        if capacity is not None and capacity < 0:
+            raise ConfigurationError(f"capacity must be >= 0, got {capacity}")
         self._capacity = sys.maxsize if capacity is None else capacity
         self._ring: deque[SpanRecord] = deque()
         self._pushed = 0
@@ -255,21 +255,6 @@ class SpanTracer:
     def __iter__(self) -> Iterator[Span]:
         spans = chain.from_iterable(record.spans() for record in self._ring)
         return islice(spans, self._cut, None)
-
-    def records(self) -> Iterator[SpanRecord]:
-        """The ring's records as stored, oldest first."""
-        return iter(self._ring)
-
-    def spans_of(self, keep: Callable[[SpanRecord], bool]) -> list[Span]:
-        """What iteration yields of the records ``keep`` accepts; no other
-        record is rendered."""
-        spans: list[Span] = []
-        cut = self._cut
-        for record in self._ring:
-            if keep(record):
-                spans.extend(record.spans()[cut:])
-            cut = 0
-        return spans
 
     @property
     def dropped(self) -> int:

@@ -4,8 +4,8 @@ Submissions are *validated at the edge* (a malformed body or a
 structurally impossible request is a 400 before it reaches the batching
 frontier), then parked on the frontier until their wave flushes through
 the gateway.  Status reads are pure; ``?explain=1`` upgrades a status
-read into the PR-8 causal story (:func:`repro.obs.causal.explain_request`
-over the live telemetry + journal).
+read into the request's causal story (:meth:`repro.serve.ServeApp.explain`,
+rebuilt by replaying the journal).
 """
 
 from __future__ import annotations
@@ -247,7 +247,7 @@ async def handle_status(ctx: RequestContext, request: HttpRequest) -> HttpRespon
         },
     )
     if request.query.get("explain") in ("1", "true", "yes"):
-        payload["explain"] = ctx.app.explain(rid)
+        payload["explain"] = await ctx.app.explain(rid)
     return HttpResponse(status=200, payload=payload)
 
 

@@ -24,6 +24,7 @@ Lifecycle contract (the drain/restart property tests pin this down):
 from __future__ import annotations
 
 import asyncio
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,13 +32,13 @@ from typing import Any, NamedTuple
 
 from ..core.errors import ConfigurationError, ReproError
 from ..core.platform import Platform
-from ..gateway import EdgeLimit, EdgeLimiter, Gateway
+from ..gateway import EdgeLimit, EdgeLimiter, Gateway, lifecycle
 from ..gateway.gateway import Ticket
-from ..gateway.journal import Journal
-from ..obs.causal import TraceContext, explain_live
+from ..gateway.journal import CHECKPOINT_PREFIX, Journal, JournalEntry, naming
+from ..obs.causal import TraceContext, explain_request
 from ..obs.metrics import BoundCounter, BoundHistogram
 from ..obs.slo import SloRule, SloWatchdog, default_slo_rules
-from ..obs.telemetry import Telemetry
+from ..obs.telemetry import NullTelemetry, Telemetry
 from .clock import ServiceClock, WallServiceClock
 from .deps import build_context
 from .frontier import AdmissionFrontier
@@ -71,10 +72,8 @@ REQUEST_LATENCY_BUCKETS = (
     5.0,
 )
 
-#: Telemetry FIFO caps — a long-running service must stay memory-bounded;
-#: evictions are counted, not silent (``events_dropped``).
-MAX_EVENTS = 50_000
-MAX_SPANS = 50_000
+#: Journal entries :meth:`ServeApp.explain` replays between yields to the loop.
+EXPLAIN_CHUNK = 256
 
 
 @dataclass
@@ -121,9 +120,6 @@ class _Served(NamedTuple):
     ticket: Ticket
     outcome: str
 
-    def about(self) -> tuple[str, tuple[int]]:
-        return f"req-{self.ticket.rid}", (self.ticket.rid,)
-
     def event(self) -> tuple[float, str, dict[str, Any]]:
         rid = self.ticket.rid
         fields = {"rid": rid, "client": self.ticket.client, "outcome": self.outcome}
@@ -142,10 +138,9 @@ class ServeApp:
         telemetry: Telemetry | None = None,
     ) -> None:
         self.config = config
+        # By default metrics only: explain rebuilds a story by replay.
         self.telemetry = (
-            telemetry
-            if telemetry is not None
-            else Telemetry(max_events=MAX_EVENTS, max_spans=MAX_SPANS)
+            telemetry if telemetry is not None else Telemetry(max_events=0, max_spans=0)
         )
         rules = (
             default_slo_rules(hold_ttl=config.hold_ttl)
@@ -343,25 +338,76 @@ class ServeApp:
         The gateway already owns the root ``req-<rid>`` trace; the edge
         adds its own child span so ``grid-obs explain`` shows where the
         request *entered*, not just how it was decided.  Stored as a
-        record of decision-time values; the event renders on read.
+        record of decision-time values, when the handle keeps records; the
+        event renders on read.
         """
         telemetry = self.telemetry
         if not telemetry.enabled:
             return
-        if ticket.edge_refused:
-            outcome = "edge-refused"
-        else:
-            outcome = "accepted" if ticket.confirmed else "rejected"
-        telemetry.store(_Served(self.clock.now(), ticket, outcome))
+        outcome = _outcome(ticket)
+        if telemetry.traced:
+            telemetry.store(_Served(self.clock.now(), ticket, outcome))
         self._decisions[outcome].count += 1
 
     # ------------------------------------------------------------------
     # Explain (the PR-8 causal plane over HTTP)
     # ------------------------------------------------------------------
-    def explain(self, rid: int) -> str | None:
-        """One request's merged journal + telemetry story (or ``None``), from
-        the records on its traces alone."""
-        return explain_live(self.telemetry, rid, label="serve", journal=self.journal)
+    async def explain(self, rid: int) -> str | None:
+        """Request ``rid``'s :func:`~repro.obs.causal.explain_request` story
+        (``None``: no such ticket), its records rebuilt by replaying the
+        journal's lines as this is called into a throwaway gateway: from the
+        last checkpoint at or before the submission of the rid's first
+        ancestor (``root``) or from the header, traced from that submission
+        on, to the last entry that names a rid on ``root``'s trace or later
+        while ``root`` is backlogged, serving the loop every
+        :data:`EXPLAIN_CHUNK` entries.  A traced submission's
+        ``serve.decision`` is stored when the replay decides it, at its
+        wave's instant (:meth:`note_decision` stores it live, right after
+        the wave)."""
+        try:
+            root = self.gateway.get(rid)
+        except KeyError:
+            return None
+        while root.origin is not None:
+            root = self.gateway.get(root.origin)
+        lines, watched, marker = self.journal.lines(), {rid, root.rid}, f"req-{root.rid}"
+        named = naming(watched)
+        hits = [k for k, line in enumerate(lines) if named(line)]  # the first: root's submit
+        first, last = (hits[0], hits[-1]) if hits else (0, 0)
+        before = range(first - 1, -1, -1)
+        start = next((k for k in before if lines[k].startswith(CHECKPOINT_PREFIX)), -1)
+        replay = Gateway.restored(self.journal.header, None if start < 0 else _decode(lines[start]))
+        replay.telemetry, telemetry = NullTelemetry(), Telemetry()
+
+        def served(ticket: Ticket, now: float) -> None:
+            telemetry.store(_Served(now, ticket, _outcome(ticket)))
+
+        for k in range(start + 1, len(lines)):
+            if k == first:
+                replay.telemetry, replay.on_decision = telemetry, served
+            entry = _decode(lines[k])
+            lifecycle.replay_ops(replay, (entry,))
+            if k >= first and entry.op == "submit":
+                if (ticket := replay.get(entry.args["rid"])).edge_refused:
+                    served(ticket, entry.now)  # never batched: decided at its submit
+            if k >= last and not replay.pending() and not replay.backlogged(root.rid):
+                joined = set(replay.joined(marker)) - watched
+                if joined:
+                    watched |= joined
+                    named = naming(joined)
+                    last = max([last, *(j for j in range(k + 1, len(lines)) if named(lines[j]))])
+                if k >= last:
+                    break
+            if k % EXPLAIN_CHUNK == 0:
+                await asyncio.sleep(0)
+        capture = {
+            "label": "serve",
+            "events": [event.to_dict() for event in telemetry.events],
+            "spans": telemetry.tracer.to_dicts(),
+        }
+        cites = naming([rid])
+        cited = [_decode(lines[k]) for k in hits if cites(lines[k])]
+        return explain_request({"captures": [capture]}, rid, journal=cited)
 
     # ------------------------------------------------------------------
     # Introspection for benches and tests
@@ -369,3 +415,15 @@ class ServeApp:
     def snapshot(self) -> dict[str, Any]:
         """The gateway snapshot (state identity across drain/restart)."""
         return self.gateway.snapshot()
+
+
+def _outcome(ticket: Ticket) -> str:
+    """A decided submission's outcome as its submitter was answered."""
+    if ticket.edge_refused:
+        return "edge-refused"
+    return "accepted" if ticket.confirmed else "rejected"
+
+
+def _decode(line: str) -> JournalEntry:
+    return JournalEntry.from_dict(json.loads(line))
+

@@ -562,10 +562,10 @@ class TestExplain:
             )
         app.clock.advance(app.gateway.now)
         rids = [r.rid for r in app.gateway.reservations()]
-        before = {rid: app.explain(rid) for rid in rids}
+        before = {rid: asyncio.run(app.explain(rid)) for rid in rids}
         asyncio.run(app.drain())
         assert app.journal.entries[-1].op == "checkpoint"
-        assert {rid: app.explain(rid) for rid in rids} == before
+        assert {rid: asyncio.run(app.explain(rid)) for rid in rids} == before
 
 
 class TestLazyLoad:

@@ -76,9 +76,21 @@ class TestEvents:
         assert [e.name for e in tel.events] == ["e4", "e5", "e6"]
         assert tel.events_dropped == 4
 
-    def test_cap_must_be_positive(self):
+    def test_cap_must_not_be_negative(self):
         with pytest.raises(ConfigurationError):
-            Telemetry(max_events=0)
+            Telemetry(max_events=-1)
+
+    def test_zero_caps_keep_metrics_only(self):
+        tel = Telemetry(max_events=0, max_spans=0)
+        assert tel.enabled and not tel.traced
+        tel.emit("e", 0.0)
+        tel.tracer.instant("s", 0.0)
+        tel.metrics.counter("c_total", "A counter.").inc()
+        assert (tel.events, len(tel.tracer)) == ([], 0)
+        assert (tel.events_dropped, tel.tracer.dropped) == (1, 1)
+        assert "c_total 1" in tel.metrics.to_prometheus_text()
+        assert Telemetry(max_events=0).traced and Telemetry(max_spans=0).traced
+        assert not NullTelemetry().traced
 
     def test_snapshot_reports_drops(self):
         tel = Telemetry(max_events=1, max_spans=1)

@@ -56,9 +56,13 @@ class TestCapacity:
         assert tracer.dropped == 5
         assert [s.name for s in tracer] == ["s5", "s6", "s7"]
 
-    def test_capacity_must_be_positive(self):
+    def test_capacity_must_not_be_negative(self):
         with pytest.raises(ConfigurationError):
-            SpanTracer(capacity=0)
+            SpanTracer(capacity=-1)
+        tracer = SpanTracer(capacity=0)
+        tracer.instant("s", 0.0)
+        tracer.complete("c", 0.0, 1.0)
+        assert (list(tracer), tracer.dropped) == ([], 2)
 
 
 class TestTracedRunDeterminism:

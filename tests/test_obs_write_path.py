@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError
 from repro.core.platform import Platform
-from repro.gateway import ChaosPolicy, EdgeLimit, Gateway, Journal, JournalEntry
+from repro.gateway import ChaosPolicy, EdgeLimit, Gateway, Journal
 from repro.obs import (
     MetricsRegistry,
     RunTelemetry,
@@ -635,11 +635,12 @@ class TestTraceRootsStayBounded:
         assert all(ctx.parent_id is not None for ctx in gw._trace_roots.values())
 
 
-def serve_run(journal_path):
+def serve_run(journal_path, telemetry=None):
     """A seeded :class:`ServeApp` run through ``dispatch`` (no sockets,
     logical clock): single submits gathered into frontier waves, batch
     submits, an edge refusal, rejections, a cancel and ``?explain=1``
-    reads, over a file-backed journal.  Returns ``(app, explain texts)``.
+    reads, over a file-backed journal, with the app's default telemetry
+    or ``telemetry``.  Returns ``(app, explain texts, /metrics body)``.
     """
     config = ServeConfig(
         platform=Platform.uniform(8, 8, 1000.0),
@@ -648,7 +649,7 @@ def serve_run(journal_path):
         edge=EdgeLimit(rate=2e4, burst=4e5),
         journal_path=journal_path,
     )
-    app = ServeApp(config, clock=LogicalClock())
+    app = ServeApp(config, clock=LogicalClock(), telemetry=telemetry)
     rng = random.Random(3)
 
     def submission(t):
@@ -696,9 +697,11 @@ def serve_run(journal_path):
 
 #: SHA-256 of the serve path's exports as the write path produced them
 #: before its records were flat (one ``TwoPhaseOutcome`` and one hop tuple
-#: per booking kept per admission): the rendered events and spans, the
-#: ``/metrics`` body minus its one wall-clock family, the ``?explain=1``
-#: stories and the journal.
+#: per booking kept per admission): the rendered events and spans of a
+#: traced app, and the ``/metrics`` body minus its one wall-clock family,
+#: the ``?explain=1`` stories and the journal of a default (metrics-only)
+#: one — stories the traced app then kept in its rings, now rebuilt by
+#: replay.
 SERVE_SHA256 = {
     "events": "29a65b5db33f8d2680489cc0fe0fdf156f39e6e97ca3fdd589449fe26e9bf098",
     "explain": "2105eb0e15377adabc594101c05f96c16cd04ea1e5ba0c3a278002f6123dd900",
@@ -710,7 +713,7 @@ SERVE_SHA256 = {
 
 class TestServePathExports:
     def test_the_run_covers_the_serve_path(self, tmp_path):
-        app, stories, _ = serve_run(tmp_path / "serve.journal.jsonl")
+        app, stories, _ = serve_run(tmp_path / "serve.journal.jsonl", Telemetry())
         stats = app.gateway.stats
         assert stats.accepted > 0 and stats.rejected > 0
         assert 0 < stats.edge_refused < 10 and stats.cancelled == 1
@@ -721,7 +724,9 @@ class TestServePathExports:
 
     def test_exports_are_the_pinned_bytes(self, tmp_path):
         app, stories, metrics = serve_run(tmp_path / "serve.journal.jsonl")
-        telemetry = app.telemetry
+        assert not app.telemetry.traced and len(app.telemetry.tracer) == 0
+        traced, _, _ = serve_run(tmp_path / "traced.journal.jsonl", Telemetry())
+        telemetry = traced.telemetry
         texts = {
             "events": json.dumps([event.to_dict() for event in telemetry.events]),
             "spans": telemetry.tracer.to_jsonl(),
@@ -738,16 +743,17 @@ class TestServePathExports:
 
 
 class TestExplainReadsOneStory:
-    """``?explain=1`` renders the records on the rid's traces and decodes
-    the journal lines that name it — not every retained record and line."""
+    """``?explain=1`` replays the journal up to the last entry that can add
+    to the rid's story and renders what that replay traced — not every
+    entry, and not every record a traced run keeps."""
 
     RECORDS = ("_Submitted", "_Admission", "_Flushed")
 
-    def served(self, path, waves):
+    def served(self, path, waves, telemetry=None):
         config = ServeConfig(
             platform=Platform.uniform(8, 8, 1000.0), num_shards=4, batch_size=8, journal_path=path
         )
-        app = ServeApp(config, clock=LogicalClock())
+        app = ServeApp(config, clock=LogicalClock(), telemetry=telemetry)
         rng = random.Random(5)
 
         async def drive():
@@ -764,7 +770,8 @@ class TestExplainReadsOneStory:
                 ]
                 body = json.dumps({"submissions": entries}).encode()
                 await app.dispatch(HttpRequest("POST", "/v1/reservations/batch", {}, {}, body))
-            await app.dispatch(HttpRequest("DELETE", "/v1/reservations/3", {}, {}, b""))
+                if k == 0:
+                    await app.dispatch(HttpRequest("DELETE", "/v1/reservations/3", {}, {}, b""))
 
         asyncio.run(drive())
         return app
@@ -772,6 +779,17 @@ class TestExplainReadsOneStory:
     def test_rendered_records_do_not_grow_with_the_run(self, tmp_path, monkeypatch):
         import repro.gateway.gateway as gateway_module
         import repro.serve.app as app_module
+        from repro.gateway import lifecycle
+
+        twins = {}
+        for waves in (10, 40):
+            twin = self.served(tmp_path / f"twin-{waves}.jsonl", waves, Telemetry())
+            artifact = RunTelemetry("serve-live")
+            artifact.capture("serve", twin.telemetry)
+            twins[waves] = {
+                rid: explain_request(artifact, rid, journal=twin.journal) for rid in (3, 100)
+            }
+            twin.journal.close()
 
         rendered = []
         for module, name in [*((gateway_module, n) for n in self.RECORDS), (app_module, "_Served")]:
@@ -782,24 +800,24 @@ class TestExplainReadsOneStory:
                     monkeypatch.setattr(
                         cls, method, lambda self, real=real: rendered.append(self) or real(self)
                     )
-        decoded = []
-        from_dict = JournalEntry.from_dict.__func__
+        replayed = []
+        replay_ops = lifecycle.replay_ops
         monkeypatch.setattr(
-            JournalEntry,
-            "from_dict",
-            classmethod(lambda cls, data: decoded.append(data) or from_dict(cls, data)),
+            lifecycle,
+            "replay_ops",
+            lambda plane, entries: replay_ops(plane, replayed.extend(entries) or entries),
         )
         counts = []
         for waves in (10, 40):
             app = self.served(tmp_path / f"{waves}.jsonl", waves)
-            artifact = RunTelemetry("serve-live")
-            artifact.capture("serve", app.telemetry)
-            stories = {rid: explain_request(artifact, rid, journal=app.journal) for rid in (3, 100)}
-            del rendered[:], decoded[:]
-            for rid, story in stories.items():
-                assert app.explain(rid) == story
-            counts.append((len(rendered), len(decoded)))
+            assert len(app.journal) == 16 * waves + 1
+            for rid, story in twins[waves].items():
+                del rendered[:], replayed[:]
+                assert asyncio.run(app.explain(rid)) == story
+                counts.append((rid, waves, len(replayed), len(rendered)))
             app.journal.close()
-        # rid 3: submit, admission (spans + event), served, cancel's line;
-        # rid 100: the same without the cancel.
-        assert counts[0] == counts[1] and counts[0][0] <= 8 and counts[0][1] <= 3, counts
+        # rid 3: the first wave up to its cancel (17 entries); rid 100: up
+        # to the submission that fills its batch, the 105th entry.
+        (_, _, *rid3_10), (_, _, *rid100_10), (_, _, *rid3_40), (_, _, *rid100_40) = counts
+        assert rid3_10 == rid3_40 and rid100_10 == rid100_40, counts
+        assert (rid3_10[0], rid100_10[0]) == (17, 105), counts

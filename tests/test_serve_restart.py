@@ -25,6 +25,7 @@ from repro.gateway.invariants import check_gateway
 from repro.loadgen import ServiceClient, SubmissionPlan
 from repro.serve import ServeApp, ServeConfig
 from repro.serve.clock import LogicalClock
+from repro.serve.http import HttpRequest
 
 REPO = Path(__file__).parent.parent
 
@@ -145,6 +146,7 @@ def test_drain_restart_is_snapshot_equal_and_decision_equivalent(seed, tmp_path)
         now=successor.gateway.now,
     )
     assert next_ticket.rid == drained_snapshot["next_rid"]
+    successor.journal.close()
 
 
 def test_restarted_app_resumes_clock_past_replayed_time(tmp_path):
@@ -213,6 +215,7 @@ def test_grid_serve_sigterm_drains_and_journal_replays(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+        proc.stdout.close()
 
     # The journal the process left behind ends in the drain's checkpoint,
     # and replays into a quiesced gateway holding every decision it served.
@@ -275,3 +278,28 @@ def test_refused_delete_before_drain_moves_nothing(tmp_path):
     assert successor.snapshot() == app.gateway.snapshot()
     report = check_gateway(successor.gateway, journal=successor.journal, expect_quiesced=True)
     assert report.ok, report.violations
+
+
+def test_explain_is_the_same_text_after_a_restart(tmp_path):
+    """A successor restored from the drain's checkpoint tells a pre-restart
+    rid's story as the drained app did: both rebuild it by replaying the
+    journal, whose lines survive the restart."""
+    journal_path = tmp_path / "explain.journal.jsonl"
+    app, decisions = asyncio.run(drained_run(11, journal_path))
+    successor = ServeApp(make_config(journal_path), clock=LogicalClock())
+    assert successor.gateway.journal.has_checkpoint()
+
+    async def stories(service):
+        texts = []
+        for decision in decisions[::7]:
+            path = f"/v1/reservations/{decision['rid']}"
+            request = HttpRequest("GET", path, {"explain": "1"}, {}, b"")
+            response = await service.dispatch(request)
+            assert response.status == 200
+            texts.append(response.payload["explain"])
+        return texts
+
+    before = asyncio.run(stories(app))
+    assert all(f"req-{d['rid']}" in text for d, text in zip(decisions[::7], before))
+    assert asyncio.run(stories(successor)) == before
+    successor.journal.close()
