@@ -19,6 +19,10 @@ of the client's stays behind), and prints:
   ``run.REFERENCE_NS`` / mean burst), and the share telemetry takes —
   on that stream and on ``serve_hot``'s, ``inputs.hot_stream``, whose
   decisions search and book on contended ports;
+- the hot stream's search counts per decision: book-ahead searches,
+  ``Port.blocker`` probes and the mean ``FitProbe.candidates`` of a
+  search.  They repeat exactly, so a change to the search shows it asks
+  the kernel the same questions by printing the same three numbers;
 - the wall seconds ``ServeApp.explain`` takes, after the whole stream,
   for rid 5 and for the newest rid: the story is rebuilt by replaying
   the journal, so this is what ``?explain=1`` costs.
@@ -51,8 +55,10 @@ from child import Reference  # noqa: E402
 from inputs import hot_stream, light_stream  # noqa: E402
 from run import REFERENCE_NS  # noqa: E402
 
+from repro.core.ledger import Port  # noqa: E402
 from repro.core.platform import Platform  # noqa: E402
-from repro.obs import NullTelemetry  # noqa: E402
+from repro.obs import NullTelemetry, Telemetry  # noqa: E402
+from repro.obs.telemetry import use_telemetry  # noqa: E402
 from repro.serve import LogicalClock, ServeApp, ServeConfig  # noqa: E402
 from repro.serve.http import HttpRequest  # noqa: E402
 
@@ -151,6 +157,33 @@ def cpu_medians(stream: str, bodies: list[dict], workdir: Path) -> tuple[float, 
     return statistics.median(runs[True]), statistics.median(runs[False])
 
 
+def search_counts(bodies: list[dict], workdir: Path) -> tuple[int, int, int, int]:
+    """Serve ``bodies`` on a fresh app; returns the decisions, the
+    book-ahead searches and ``Port.blocker`` probes they made, and the
+    searches' summed ``FitProbe.candidates`` (the booking layer's counters,
+    read from a metrics-only handle installed for the run)."""
+    app = make_app(workdir / "search.journal.jsonl")
+    probes = 0
+    blocker = Port.blocker
+
+    def counted(port: Port, t0: float, t1: float, bw: float) -> tuple[float, float] | None:
+        nonlocal probes
+        probes += 1
+        return blocker(port, t0, t1, bw)
+
+    Port.blocker = counted  # type: ignore[method-assign]
+    try:
+        with use_telemetry(Telemetry(max_events=0, max_spans=0)) as telemetry:
+            serve(app, bodies)
+    finally:
+        Port.blocker = blocker  # type: ignore[method-assign]
+    app.journal.close()
+    metrics = telemetry.metrics
+    searches = int(metrics.counter("booking_earliest_fit_total").total())
+    candidates = int(metrics.counter("booking_candidates_examined_total").total())
+    return app.gateway.stats.submits, searches, probes, candidates
+
+
 def explain_seconds(bodies: list[dict], workdir: Path) -> tuple[int, float, float]:
     """Serve ``bodies`` on a fresh app, then time ``app.explain`` for rid 5
     and for the newest rid; returns that rid and the two wall times."""
@@ -173,7 +206,9 @@ def main() -> int:
         decided, _, objects = measure(bodies, Path(workdir), by_site=False)
         _, _, sites = measure(bodies, Path(workdir), by_site=True)
         on, off = cpu_medians("light", bodies, Path(workdir))
-        hot_on, hot_off = cpu_medians("hot", hot_stream(SEED, DECISIONS), Path(workdir))
+        hot = hot_stream(SEED, DECISIONS)
+        hot_on, hot_off = cpu_medians("hot", hot, Path(workdir))
+        hot_decided, searches, probes, candidates = search_counts(hot, Path(workdir))
         newest, first_s, newest_s = explain_seconds(bodies, Path(workdir))
     retained = sum(stat.size_diff for stat in sites)
     print(f"serve_light footprint: {decided} decisions after a warm-up wave, seed {SEED}, "
@@ -188,6 +223,10 @@ def main() -> int:
     print(f"hot stream cpu us per decision ({DECISIONS} decisions, same measure): "
           f"telemetry on {hot_on:.1f}, off {hot_off:.1f}; "
           f"telemetry share {1 - hot_off / hot_on:.1%}")
+    print(f"hot stream searches per decision ({hot_decided} decisions, exact counts): "
+          f"searches {searches / hot_decided:.4f}, Port.blocker probes "
+          f"{probes / hot_decided:.4f}, FitProbe.candidates per search "
+          f"{candidates / searches:.4f}")
     print(f"explain seconds after {DECISIONS} decisions (replayed from the header): "
           f"rid 5 {first_s:.3f}, newest rid {newest} {newest_s:.3f}")
     print("largest allocation sites (bytes per decision):")

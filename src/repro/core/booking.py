@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from collections.abc import Callable
+from operator import eq
 from typing import Protocol, runtime_checkable
 
 from ..obs.telemetry import get_telemetry
@@ -207,6 +208,11 @@ def _first_fit(
     blocker ``(t0, t0)`` matches no later start and skips nothing: while it
     is what blocks, every candidate is visited and probed.
 
+    The later candidates are one sorted list in which an instant two runs
+    share appears twice: a step moves one cursor past all copies of
+    ``sigma``, a jump is one bisect, and nothing is counted on the way —
+    the rank is taken once, when the walk stops.
+
     ``limit`` is the caller's deadline bound, kept per caller on purpose:
     :func:`earliest_fit` allows :func:`deadline_tolerance` (``1e-9``
     relative with an absolute floor), the offline schedulers
@@ -215,9 +221,10 @@ def _first_fit(
     traces do not happen to cover.
 
     Returns ``(allocation, candidates, bounced)``: the uncommitted
-    allocation or ``None``; the number of candidates up to and including
-    the chosen one, all of them on failure (0 only when the start range is
-    empty); and ``(sigma, tau)`` of the first candidate that failed on
+    allocation or ``None``; the rank of the stop among the distinct
+    candidates — those up to and including the chosen one, visited or
+    not, all of them on failure (0 only when the start range is empty);
+    and ``(sigma, tau)`` of the first candidate that failed on
     capacity (``None`` when none got that far).
     """
     latest = request.t_end - request.min_duration
@@ -225,28 +232,24 @@ def _first_fit(
         return None, 0, None
     volume = request.volume
     port_in, port_out = ledger.ports(request.ingress, request.egress)
-    # The later starts are never listed: each port's breakpoints and edges
-    # in (earliest, latest] stay the ascending runs they are, one cursor
-    # each, and the next start is the least head past sigma.
-    runs = [
-        run
-        for run in (
-            port_in.usage.breakpoints_between(earliest, latest),
-            port_out.usage.breakpoints_between(earliest, latest),
-            port_in.edges(earliest, latest),
-            port_out.edges(earliest, latest),
-        )
-        if run
-    ]
-    heads = [0] * len(runs)
-    # Distinct starts consumed so far: ``earliest``, one per step of the
-    # walk, and those a jump passes over.
-    examined = 1
+    # Both ports' breakpoints in (earliest, latest], plus a degraded port's
+    # edges: ``sort`` merges these ascending runs.
+    starts = port_in.usage.breakpoints_between(earliest, latest)
+    starts += port_out.usage.breakpoints_between(earliest, latest)
+    if port_in.reductions is not None:
+        starts += port_in.edges(earliest, latest)
+    if port_out.reductions is not None:
+        starts += port_out.edges(earliest, latest)
+    starts.sort()
+    end = len(starts)
+    # ``starts[:cursor]`` is consumed: stepped onto or jumped over.
+    cursor = 0
     # A plain callable promises nothing: every candidate is visited.
     monotone = getattr(rate_for, "monotone", False)
     tolerance = deadline_tolerance(request.t_end)
     bounced: tuple[float, float] | None = None
     blocked_bw, blocked_from, blocked_until = math.inf, 0.0, 0.0
+    allocation: Allocation | None = None
     sigma = earliest
     while True:
         bw = rate_for(sigma)
@@ -258,29 +261,20 @@ def _first_fit(
                 blocked = port_in.blocker(sigma, tau, bw) or port_out.blocker(sigma, tau, bw)
                 if blocked is None:
                     allocation = Allocation.for_request(request, bw, sigma=sigma)
-                    return allocation, examined, bounced
+                    break
                 blocked_bw = bw
                 blocked_from, blocked_until = blocked
                 if bounced is None:
                     bounced = (sigma, tau)
                 if monotone and blocked_from + tolerance <= tau:
-                    jumped = [bisect_left(run, blocked_until, k) for run, k in zip(runs, heads)]
-                    examined += _skipped(runs, heads, jumped)
-                    heads = jumped
-        live = [run[k] for run, k in zip(runs, heads) if k < len(run)]
-        if not live:
-            return None, examined, bounced
-        sigma = min(live)
-        examined += 1
-        heads = [k + (k < len(run) and run[k] == sigma) for run, k in zip(runs, heads)]
-
-
-def _skipped(runs: list[list[float]], heads: list[int], jumped: list[int]) -> int:
-    """Distinct starts a jump of the cursors from ``heads`` to ``jumped``
-    passes over, each run's shares counted once."""
-    if len(runs) == 1:
-        return jumped[0] - heads[0]
-    return len(set().union(*(run[k:j] for run, k, j in zip(runs, heads, jumped))))
+                    cursor = bisect_left(starts, blocked_until, cursor)
+        if cursor == end:
+            break
+        sigma = starts[cursor]
+        cursor = bisect_right(starts, sigma, cursor)
+    # The rank: ``earliest`` plus the distinct starts stepped on or jumped
+    # over, each repeat of its left neighbour counted out.
+    return allocation, 1 + cursor - sum(map(eq, starts[1:cursor], starts)), bounced
 
 
 def earliest_fit(
@@ -326,6 +320,8 @@ def _blame(
 
     ``bounced`` is the first capacity-failing ``(sigma, tau)``: the
     headrooms there are recorded and the side that had less is blamed.
+    An undegraded port's headroom is one range maximum of its usage
+    (:meth:`Port.free_capacity <repro.core.ledger.Port.free_capacity>`).
     """
     if probe.candidates == 0:
         probe.reason = RejectReason.WINDOW_INFEASIBLE
@@ -357,21 +353,14 @@ def _count_fit(request: Request, *, candidates: int, accepted: bool) -> None:
     ).inc(float(candidates))
 
 
-def _pair_points(port_in: Port, port_out: Port, lo: float, hi: float) -> list[float]:
-    """Instants in ``(lo, hi]`` where the pair's free capacity can change:
-    each port's breakpoints, ascending, then the degradation edges; an
-    instant both ports share is listed twice."""
-    return [
+def _pair_edges(port_in: Port, port_out: Port, lo: float, hi: float) -> list[float]:
+    """Instants in ``(lo, hi)`` where the pair's residual capacity can change."""
+    edges = {
         *port_in.usage.breakpoints_between(lo, hi),
         *port_out.usage.breakpoints_between(lo, hi),
         *port_in.edges(lo, hi),
         *port_out.edges(lo, hi),
-    ]
-
-
-def _pair_edges(port_in: Port, port_out: Port, lo: float, hi: float) -> list[float]:
-    """Instants in ``(lo, hi)`` where the pair's residual capacity can change."""
-    edges = set(_pair_points(port_in, port_out, lo, hi))
+    }
     edges.discard(hi)
     return sorted(edges)
 

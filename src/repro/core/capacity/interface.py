@@ -148,7 +148,8 @@ class CapacityProfile:
         raise NotImplementedError
 
     def breakpoints_between(self, lo: float, hi: float) -> list[float]:
-        """The finite breakpoints ``t`` with ``lo < t <= hi``, ascending.
+        """The finite breakpoints ``t`` with ``lo < t <= hi``, ascending,
+        as a new list the caller may extend.
 
         What a book-ahead search needs of a port's history: the instants
         inside one request's start range, not the whole timeline.

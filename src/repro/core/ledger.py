@@ -136,6 +136,8 @@ class Port:
         The minimum over the interval of ``capacity(t) - usage(t)``, floored
         at zero; the largest constant rate the port can still carry there.
         """
+        if self.reductions is None:
+            return max(0.0, self.capacity - self.usage.max_usage(t0, t1))
         return max(0.0, -self.overcommit_on(t0, t1))
 
     def blocker(self, t0: float, t1: float, bw: float) -> tuple[float, float] | None:

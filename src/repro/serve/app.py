@@ -191,6 +191,8 @@ class ServeApp:
         self.draining = False
         self._server: asyncio.base_events.Server | None = None
         self._connections = 0
+        #: Held by the one :meth:`explain` replay that may run.
+        self._explaining = asyncio.Lock()
 
     @staticmethod
     def _attach_journal(config: ServeConfig) -> tuple[Journal, bool]:
@@ -363,51 +365,55 @@ class ServeApp:
         :data:`EXPLAIN_CHUNK` entries.  A traced submission's
         ``serve.decision`` is stored when the replay decides it, at its
         wave's instant (:meth:`note_decision` stores it live, right after
-        the wave)."""
-        try:
-            root = self.gateway.get(rid)
-        except KeyError:
-            return None
-        while root.origin is not None:
-            root = self.gateway.get(root.origin)
-        lines, watched, marker = self.journal.lines(), {rid, root.rid}, f"req-{root.rid}"
-        named = naming(watched)
-        hits = [k for k, line in enumerate(lines) if named(line)]  # the first: root's submit
-        first, last = (hits[0], hits[-1]) if hits else (0, 0)
-        before = range(first - 1, -1, -1)
-        start = next((k for k in before if lines[k].startswith(CHECKPOINT_PREFIX)), -1)
-        replay = Gateway.restored(self.journal.header, None if start < 0 else _decode(lines[start]))
-        replay.telemetry, telemetry = NullTelemetry(), Telemetry()
+        the wave).  One replay (and one copy of the lines) at a time: an
+        overlapping call waits, then answers as if made after the other."""
+        async with self._explaining:
+            try:
+                root = self.gateway.get(rid)
+            except KeyError:
+                return None
+            while root.origin is not None:
+                root = self.gateway.get(root.origin)
+            lines, watched, marker = self.journal.lines(), {rid, root.rid}, f"req-{root.rid}"
+            named = naming(watched)
+            hits = [k for k, line in enumerate(lines) if named(line)]  # the first: root's submit
+            first, last = (hits[0], hits[-1]) if hits else (0, 0)
+            before = range(first - 1, -1, -1)
+            start = next((k for k in before if lines[k].startswith(CHECKPOINT_PREFIX)), -1)
+            checkpoint = None if start < 0 else _decode(lines[start])
+            replay = Gateway.restored(self.journal.header, checkpoint)
+            replay.telemetry, telemetry = NullTelemetry(), Telemetry()
 
-        def served(ticket: Ticket, now: float) -> None:
-            telemetry.store(_Served(now, ticket, _outcome(ticket)))
+            def served(ticket: Ticket, now: float) -> None:
+                telemetry.store(_Served(now, ticket, _outcome(ticket)))
 
-        for k in range(start + 1, len(lines)):
-            if k == first:
-                replay.telemetry, replay.on_decision = telemetry, served
-            entry = _decode(lines[k])
-            lifecycle.replay_ops(replay, (entry,))
-            if k >= first and entry.op == "submit":
-                if (ticket := replay.get(entry.args["rid"])).edge_refused:
-                    served(ticket, entry.now)  # never batched: decided at its submit
-            if k >= last and not replay.pending() and not replay.backlogged(root.rid):
-                joined = set(replay.joined(marker)) - watched
-                if joined:
-                    watched |= joined
-                    named = naming(joined)
-                    last = max([last, *(j for j in range(k + 1, len(lines)) if named(lines[j]))])
-                if k >= last:
-                    break
-            if k % EXPLAIN_CHUNK == 0:
-                await asyncio.sleep(0)
-        capture = {
-            "label": "serve",
-            "events": [event.to_dict() for event in telemetry.events],
-            "spans": telemetry.tracer.to_dicts(),
-        }
-        cites = naming([rid])
-        cited = [_decode(lines[k]) for k in hits if cites(lines[k])]
-        return explain_request({"captures": [capture]}, rid, journal=cited)
+            for k in range(start + 1, len(lines)):
+                if k == first:
+                    replay.telemetry, replay.on_decision = telemetry, served
+                entry = _decode(lines[k])
+                lifecycle.replay_ops(replay, (entry,))
+                if k >= first and entry.op == "submit":
+                    if (ticket := replay.get(entry.args["rid"])).edge_refused:
+                        served(ticket, entry.now)  # never batched: decided at its submit
+                if k >= last and not replay.pending() and not replay.backlogged(root.rid):
+                    joined = set(replay.joined(marker)) - watched
+                    if joined:
+                        watched |= joined
+                        named = naming(joined)
+                        later = (j for j in range(k + 1, len(lines)) if named(lines[j]))
+                        last = max([last, *later])
+                    if k >= last:
+                        break
+                if k % EXPLAIN_CHUNK == 0:
+                    await asyncio.sleep(0)
+            capture = {
+                "label": "serve",
+                "events": [event.to_dict() for event in telemetry.events],
+                "spans": telemetry.tracer.to_dicts(),
+            }
+            cites = naming([rid])
+            cited = [_decode(lines[k]) for k in hits if cites(lines[k])]
+            return explain_request({"captures": [capture]}, rid, journal=cited)
 
     # ------------------------------------------------------------------
     # Introspection for benches and tests

@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import Request
 from repro.core.capacity import BreakpointProfile
 from repro.core.capacity.vector import VectorProfile
+
+#: ``--hypothesis-profile=deep``: the Hypothesis tests that do not pin their
+#: own ``max_examples`` run twenty times as many examples (CI runs the search
+#: differential, ``tests/test_booking_sweep.py``, this way once per push).
+#: The default profile is Hypothesis's own.
+settings.register_profile("deep", max_examples=2000, deadline=None)
 
 #: The production capacity class and the reference oracle it is tested against.
 KERNELS = {"breakpoint": BreakpointProfile, "vector": VectorProfile}

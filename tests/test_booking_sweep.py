@@ -24,6 +24,12 @@ build the ledgers on which the jump must *not* be taken — a blocker
 beginning within the deadline tolerance of a probe's finish — and pin that
 it is not.
 
+The coinciding-instant cases put every time on a grid, so the two ports
+of a pair share most breakpoints, degradations begin and end on usage
+breakpoints, and searches open or resume exactly on one: the merged start
+list then holds an instant twice, and the rank in ``FitProbe.candidates``
+must still count it once.
+
 The last test is the deterministic work gate: probe, rate-evaluation and
 candidate counts repeat exactly, so "how many questions does a hotspot
 search ask" is gated on counts, without a clock.
@@ -49,7 +55,7 @@ from repro.core.ledger import Port
 from repro.gateway import ShardBroker, ShardMap, TwoPhaseCoordinator
 from repro.schedulers.policies import FractionOfMaxPolicy, FullRatePolicy, MinRatePolicy
 
-from .conftest import CountedRule, hotspot_stream
+from .conftest import KERNELS, CountedRule, hotspot_stream
 
 PORTS = 4
 CAPACITY = 100.0
@@ -396,6 +402,158 @@ def test_a_blocker_clear_of_the_finish_edge_is_jumped():
 def test_finish_edge_blockers_equal_naive_walk(volume, hot_from, rule, not_before):
     request = _edge_request(volume)
     _assert_same_search(_edge_ledger(hot_from), request, RATE_RULES[rule](request), not_before)
+
+
+# ----------------------------------------------------------------------
+# Coinciding instants: one start list, each instant counted once
+# ----------------------------------------------------------------------
+# The walk merges both ports' breakpoints (and a degraded port's edges)
+# into one sorted list in which an instant two runs share appears twice;
+# it steps over both copies at once and ranks the stop among the
+# *distinct* starts.  These worlds put times on a 5 s grid so instants
+# coincide on purpose: bookings mostly on the pair (0, 0), whose two ports
+# then share their breakpoints; degradations that begin and end exactly on
+# a usage breakpoint of the same port or of its peer; and searches that
+# open (``t_start``) or resume (``not_before``) exactly on a breakpoint.
+GRID = 5.0
+SHARED_PAIRS = ((0, 0), (0, 0), (0, 0), (0, 1), (1, 0))
+
+
+def _shared_ledger(bookings, degradations):
+    """``bookings`` as ``(pair, slot, slots, bw)`` on the grid, then each
+    degradation ``(side, port, i, j, amount)`` from the ``i``-th to the
+    ``j``-th breakpoint of ``port`` (0: the port, 1: its peer), both
+    taken modulo the breakpoint count."""
+    ledger = PortLedger(Platform.uniform(2, 2, CAPACITY))
+    for (i, e), slot, slots, bw in bookings:
+        if ledger.fits(i, e, slot * GRID, (slot + slots) * GRID, bw):
+            ledger.allocate(i, e, slot * GRID, (slot + slots) * GRID, bw)
+    for side, peer, first, last, amount in degradations:
+        other = "egress" if side == "ingress" else "ingress"
+        points = sorted(ledger.port(other if peer else side, 0).usage.breakpoints().tolist())
+        if len(points) < 2:
+            continue
+        t0, t1 = points[first % len(points)], points[last % len(points)]
+        if t1 > t0:
+            ledger.degrade(Degradation(side, 0, t0, t1, amount))
+    return ledger
+
+
+def _pair_breakpoints(ledger):
+    """Breakpoints of either port of the pair (0, 0), ascending."""
+    port_in, port_out = ledger.ports(0, 0)
+    return sorted({*port_in.usage.breakpoints().tolist(), *port_out.usage.breakpoints().tolist()})
+
+
+def _shared_request(rid, t_start, slots, volume_per_s):
+    window = slots * GRID
+    return Request(
+        rid=rid,
+        ingress=0,
+        egress=0,
+        volume=window * volume_per_s,
+        t_start=t_start,
+        t_end=t_start + window,
+        max_rate=CAPACITY,
+    )
+
+
+def _shares_a_start(ledger, request, not_before):
+    """Does the pair's start range hold an instant of two runs at once?"""
+    port_in, port_out = ledger.ports(0, 0)
+    earliest = request.t_start if not_before is None else max(request.t_start, not_before)
+    latest = request.t_end - request.min_duration
+    runs = [
+        set(run)
+        for run in (
+            port_in.usage.breakpoints_between(earliest, latest),
+            port_out.usage.breakpoints_between(earliest, latest),
+            port_in.edges(earliest, latest),
+            port_out.edges(earliest, latest),
+        )
+    ]
+    return any(a & b for k, a in enumerate(runs) for b in runs[k + 1 :])
+
+
+@pytest.mark.parametrize("ledger_kernel", KERNELS, indirect=True)
+@pytest.mark.parametrize("rule", RATE_RULES)
+@pytest.mark.parametrize("degraded", [False, True])
+def test_coinciding_instants_equal_naive_walk(degraded, rule, ledger_kernel):
+    shared = late = 0
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        bookings = [
+            (
+                rng.choice(SHARED_PAIRS),
+                rng.randrange(120),
+                rng.randrange(1, 18),
+                rng.choice((10.0, 20.0, 25.0, 40.0, 55.0)),
+            )
+            for _ in range(60)
+        ]
+        degradations = [
+            (
+                rng.choice(("ingress", "egress")),
+                rng.randrange(2),
+                rng.randrange(64),
+                rng.randrange(64),
+                rng.choice((15.0, 30.0, 100.0)),
+            )
+            for _ in range(6 if degraded else 0)
+        ]
+        ledger = _shared_ledger(bookings, degradations)
+        points = _pair_breakpoints(ledger)
+        for rid in range(30):
+            # Opens on a breakpoint; every third resumes on a later one.
+            t_start = rng.choice(points)
+            request = _shared_request(rid, t_start, rng.randrange(4, 60), rng.uniform(3.0, 60.0))
+            later = [t for t in points if t_start < t < request.t_end]
+            not_before = rng.choice(later) if later and rid % 3 == 0 else None
+            allocation, probe = _assert_same_search(
+                ledger, request, RATE_RULES[rule](request), not_before
+            )
+            shared += _shares_a_start(ledger, request, not_before) and probe.candidates > 2
+            late += allocation is not None and probe.candidates > 1
+    # The ranks compared above must have counted shared instants.
+    assert shared >= 40
+    assert late >= 10
+
+
+@settings(deadline=None)
+@given(
+    bookings=st.lists(
+        st.tuples(
+            st.sampled_from(SHARED_PAIRS),
+            st.integers(0, 100),
+            st.integers(1, 16),
+            st.sampled_from([10.0, 25.0, 40.0, 55.0]),
+        ),
+        min_size=4,
+        max_size=40,
+    ),
+    degradations=st.lists(
+        st.tuples(
+            st.sampled_from(["ingress", "egress"]),
+            st.integers(0, 1),
+            st.integers(0, 63),
+            st.integers(0, 63),
+            st.sampled_from([15.0, 45.0, 100.0]),
+        ),
+        max_size=4,
+    ),
+    data=st.data(),
+)
+def test_coinciding_instants_fuzzed_equal_naive_walk(bookings, degradations, data):
+    ledger = _shared_ledger(bookings, degradations)
+    points = _pair_breakpoints(ledger)
+    t_start = data.draw(st.sampled_from(points))
+    request = _shared_request(
+        0, t_start, data.draw(st.integers(1, 80)), data.draw(st.floats(1.0, 80.0))
+    )
+    later = [t for t in points if t_start < t < request.t_end]
+    not_before = data.draw(st.sampled_from([None, *later]))
+    rule = data.draw(st.sampled_from(sorted(RATE_RULES)))
+    _assert_same_search(ledger, request, RATE_RULES[rule](request), not_before)
 
 
 # ----------------------------------------------------------------------

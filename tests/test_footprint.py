@@ -80,3 +80,17 @@ def test_a_journal_holds_nothing_that_grows_with_its_length(tmp_path, on_file):
         resident.append(held(app.journal))
         app.journal.close()
     assert resident[0] == resident[1]
+
+
+def test_the_hot_streams_search_counts_repeat_exactly(tmp_path):
+    """The counts the script prints to show a search change asks the same
+    questions: equal on a second run, and the probe wrapper is gone after."""
+    tool = load_tool()
+    bodies = tool.hot_stream(1, 40 * tool.WAVE)
+    blocker = tool.Port.blocker
+    first = tool.search_counts(bodies, tmp_path / "first")
+    assert tool.Port.blocker is blocker
+    decided, searches, probes, candidates = first
+    assert decided == len(bodies)
+    assert 0 < searches <= decided and probes >= searches and candidates >= searches
+    assert tool.search_counts(bodies, tmp_path / "second") == first

@@ -195,7 +195,10 @@ def test_a_rid_after_a_checkpoint_is_replayed_from_it(tmp_path, monkeypatch):
         service.journal.close()
 
 
-def test_a_submission_is_answered_while_a_long_explain_replays(tmp_path):
+def long_journal_app(tmp_path):
+    """A service whose journal holds 100 batches of 16: explaining its
+    newest rid replays long enough to yield to the loop several times.
+    Returns the app (its batches not yet sent) and a body maker."""
     app = ServeApp(
         ServeConfig(platform=PLATFORM, num_shards=2, batch_size=8, slo_rules=(),
                     journal_path=tmp_path / "wal.jsonl"),
@@ -207,10 +210,20 @@ def test_a_submission_is_answered_while_a_long_explain_replays(tmp_path):
         return {"ingress": rng.randrange(8), "egress": rng.randrange(8), "volume": 50.0,
                 "deadline": t + 500.0, "at": t}  # fmt: skip
 
+    return app, body
+
+
+async def fill(app, body):
+    for k in range(100):
+        entries = [body(float(k)) for _ in range(16)]
+        await call(app, "POST", "/v1/reservations/batch", {"submissions": entries})
+
+
+def test_a_submission_is_answered_while_a_long_explain_replays(tmp_path):
+    app, body = long_journal_app(tmp_path)
+
     async def main():
-        for k in range(100):
-            entries = [body(float(k)) for _ in range(16)]
-            await call(app, "POST", "/v1/reservations/batch", {"submissions": entries})
+        await fill(app, body)
         newest = app.gateway.stats.submits - 1
         order = []
 
@@ -232,4 +245,45 @@ def test_a_submission_is_answered_while_a_long_explain_replays(tmp_path):
     assert story.startswith(f"causal timeline for rid {newest} ")
     # The submission that arrived mid-replay is not in the story's journal.
     assert f'"rid": {newest + 1}' not in story
+    app.journal.close()
+
+
+def test_overlapping_explains_replay_one_at_a_time(tmp_path):
+    """Two explains asked at once: the second takes its journal snapshot
+    only when the first is done, both tell what the same two calls made
+    one after the other tell, and a submission made meanwhile is answered
+    while the first replays."""
+    app, body = long_journal_app(tmp_path)
+
+    async def main():
+        await fill(app, body)
+        newest = app.gateway.stats.submits - 1
+        sequential = [await app.explain(newest), await app.explain(5)]
+        order = []
+        snapshot = app.journal.lines
+
+        def lines():
+            order.append("snapshot")
+            return snapshot()
+
+        app.journal.lines = lines
+
+        async def explain(rid):
+            story = await app.explain(rid)
+            order.append(f"explained {rid}")
+            return story
+
+        tasks = [asyncio.ensure_future(explain(rid)) for rid in (newest, 5)]
+        await asyncio.sleep(0)
+        response = await call(app, "POST", "/v1/reservations", body(100.0))
+        order.append("submit")
+        overlapping = await asyncio.gather(*tasks)
+        return sequential, overlapping, order, response, newest
+
+    sequential, overlapping, order, response, newest = asyncio.run(main())
+    assert response.status in (200, 201) and response.payload["rid"] == newest + 1
+    assert order == ["snapshot", "submit", f"explained {newest}", "snapshot", "explained 5"]
+    assert overlapping == sequential
+    assert sequential[0].startswith(f"causal timeline for rid {newest} ")
+    assert sequential[1].startswith("causal timeline for rid 5 ")
     app.journal.close()
