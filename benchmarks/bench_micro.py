@@ -8,7 +8,7 @@ solver, and end-to-end scheduler throughput.
 import numpy as np
 import pytest
 
-from repro.core import BandwidthTimeline, Platform, PortLedger
+from repro.core import Platform, PortLedger, make_profile
 from repro.fairness import maxmin_rates
 from repro.schedulers import GreedyFlexible, WindowFlexible, cumulated_slots
 from repro.workload import paper_flexible_workload, paper_rigid_workload
@@ -30,7 +30,7 @@ def test_timeline_add_release(benchmark):
            zip(rng.uniform(0, 1e4, 200), rng.uniform(1, 500, 200), rng.uniform(1, 100, 200))]
 
     def run():
-        tl = BandwidthTimeline()
+        tl = make_profile()
         for t0, t1, bw in ops:
             tl.add(t0, t1, bw)
         for t0, t1, bw in ops:
@@ -42,7 +42,7 @@ def test_timeline_add_release(benchmark):
 
 
 def test_timeline_max_usage_query(benchmark):
-    tl = BandwidthTimeline()
+    tl = make_profile()
     rng = np.random.default_rng(1)
     for s, d, b in zip(rng.uniform(0, 1e4, 500), rng.uniform(1, 500, 500), rng.uniform(1, 100, 500)):
         tl.add(float(s), float(s + d), float(b))

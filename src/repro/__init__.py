@@ -33,7 +33,6 @@ from ._version import __version__
 if TYPE_CHECKING:
     from .core import (
         Allocation,
-        BandwidthTimeline,
         CapacityError,
         CapacityProfile,
         ConfigurationError,
@@ -80,7 +79,6 @@ __getattr__, __dir__ = lazy_exports(
     {
         ".core": (
             "Allocation",
-            "BandwidthTimeline",
             "CapacityError",
             "CapacityProfile",
             "ConfigurationError",
@@ -127,7 +125,6 @@ __getattr__, __dir__ = lazy_exports(
 
 __all__ = [
     "Allocation",
-    "BandwidthTimeline",
     "CapacityError",
     "CapacityProfile",
     "ConfigurationError",

@@ -44,10 +44,9 @@ from ..core.booking import deadline_tolerance
 from ..core.errors import ConfigurationError
 from ..core.platform import Platform
 from ..core.request import Request
-from ..gateway.gateway import Gateway
+from ..gateway.gateway import Gateway, Ticket
 from ..gateway.invariants import check_gateway
 from ..gateway.journal import Journal
-from ..gateway.lifecycle import Reservation
 from ..gateway.rpc import ChaosPolicy
 from ..gateway.twophase import BackoffSchedule
 from ..obs.artifact import RunTelemetry
@@ -158,7 +157,7 @@ class FaultInjector:
         self.rebook = rebook
         self.rng = random.Random(seed)
         #: Rebookings a batched gateway has not decided yet, by rid.
-        self._undecided: dict[int, tuple[Reservation, int]] = {}
+        self._undecided: dict[int, tuple[Ticket, int]] = {}
 
     # ------------------------------------------------------------------
     def schedule_abort(self, fault: AbortFault) -> None:
@@ -171,7 +170,7 @@ class FaultInjector:
         self.sim.at(fault.start, self._on_port_fault, payload=fault)
 
     def maybe_abort(
-        self, reservation: Reservation, abort_rate: float, now: float | None = None
+        self, reservation: Ticket, abort_rate: float, now: float | None = None
     ) -> AbortFault | None:
         """Sample a mid-flight abort for a freshly confirmed reservation.
 
@@ -212,7 +211,7 @@ class FaultInjector:
         for reservation in displaced:
             self._schedule_rebook(reservation, attempt=1)
 
-    def _schedule_rebook(self, displaced: Reservation, attempt: int) -> None:
+    def _schedule_rebook(self, displaced: Ticket, attempt: int) -> None:
         """Queue rebooking attempt ``attempt`` for a displaced residual."""
         if attempt > self.rebook.max_attempts:
             return
@@ -245,7 +244,7 @@ class FaultInjector:
         elif not rebooked.confirmed:
             self._schedule_rebook(displaced, attempt + 1)
 
-    def settle(self, rebooked: Reservation) -> None:
+    def settle(self, rebooked: Ticket) -> None:
         """Hear a rebooking's late (batched) decision; retry a rejection."""
         pending = self._undecided.pop(rebooked.rid, None)
         if pending is not None and not rebooked.confirmed:
@@ -300,7 +299,7 @@ def run_fault_drill(
     injector = FaultInjector(sim, plane, rebook=rebook, seed=seed)
     report = DrillReport(plane, injector, faults=list(faults), crashes=list(crashes))
 
-    def on_decision(reservation: Reservation, now: float) -> None:
+    def on_decision(reservation: Ticket, now: float) -> None:
         if reservation.origin is not None:
             injector.settle(reservation)
             return

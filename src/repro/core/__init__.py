@@ -39,12 +39,10 @@ from .platform import Platform
 from .problem import ProblemInstance
 from .profile import RateProfile
 from .request import Request, RequestSet
-from .timeline import BandwidthTimeline
 
 __all__ = [
     "CAPACITY_SLACK",
     "Allocation",
-    "BandwidthTimeline",
     "BreakpointProfile",
     "CapacityError",
     "CapacityProfile",

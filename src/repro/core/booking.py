@@ -349,7 +349,8 @@ def _count_fit(request: Request, *, candidates: int, accepted: bool) -> None:
     ).inc(outcome=outcome)
     tel.metrics.counter(
         "booking_candidates_examined_total",
-        "Candidate start times examined by the earliest-fit search.",
+        "Summed rank of each earliest-fit search's stop among its candidate "
+        "starts (starts a jump skipped count too).",
     ).inc(float(candidates))
 
 

@@ -108,12 +108,6 @@ class Port:
             return []
         return self.reductions.breakpoints_between(lo, hi)
 
-    def capacity_at(self, t: float) -> float:
-        """Effective capacity at time ``t`` (never negative)."""
-        if self.reductions is None:
-            return self.capacity
-        return max(0.0, self.capacity - self.reductions.usage_at(t))
-
     def overcommit_on(self, t0: float, t1: float) -> float:
         """Worst ``usage - capacity`` over ``[t0, t1)``.
 
@@ -221,15 +215,6 @@ class Port:
             self.reductions = make_profile()
             self.reductions.load_runs(*reductions)
 
-    def copy(self) -> Port:
-        """Deep copy."""
-        clone = Port(self.capacity)
-        clone.usage = self.usage.copy()
-        clone.peak = self.peak
-        if self.reductions is not None:
-            clone.reductions = self.reductions.copy()
-        return clone
-
 
 def _refuse_negative(segments: Sequence[Segment]) -> None:
     for _, _, rate in segments:
@@ -277,7 +262,7 @@ class PortLedger:
 
         Degradations are external facts, not allocations: they are applied
         unconditionally and may leave already-committed reservations beyond
-        the remaining capacity — callers inspect :meth:`overcommit_on` to
+        the remaining capacity — callers inspect :meth:`Port.overcommit_on` to
         find and displace them.
         """
         d = degradation
@@ -286,19 +271,10 @@ class PortLedger:
             raise ConfigurationError(f"no {d.side} port {d.port} on this platform")
         ports[d.port].degrade(d.t0, d.t1, d.amount)
 
-    def capacity_at(self, side: str, port: int, t: float) -> float:
-        """Effective capacity of a port at time ``t`` (never negative)."""
-        return self.port(side, port).capacity_at(t)
-
     def free_capacity(self, side: str, port: int, t0: float, t1: float) -> float:
         """Guaranteed free bandwidth on a port over all of ``[t0, t1)``
         (:meth:`Port.free_capacity`)."""
         return self.port(side, port).free_capacity(t0, t1)
-
-    def overcommit_on(self, side: str, port: int, t0: float, t1: float) -> float:
-        """Worst ``usage - capacity`` on one port over ``[t0, t1)``
-        (:meth:`Port.overcommit_on`)."""
-        return self.port(side, port).overcommit_on(t0, t1)
 
     def degradation_edges(self, side: str, port: int) -> list[float]:
         """Finite instants where a port's effective capacity changes."""
@@ -310,15 +286,6 @@ class PortLedger:
         return (
             self._ingress[ingress].blocker(t0, t1, bw) is None
             and self._egress[egress].blocker(t0, t1, bw) is None
-        )
-
-    def blocker(
-        self, ingress: int, egress: int, t0: float, t1: float, bw: float
-    ) -> tuple[float, float] | None:
-        """``None`` when :meth:`fits`; else :meth:`Port.blocker` of the
-        ingress port, or else of the egress port."""
-        return self._ingress[ingress].blocker(t0, t1, bw) or self._egress[egress].blocker(
-            t0, t1, bw
         )
 
     def allocate(
@@ -361,14 +328,6 @@ class PortLedger:
         self._egress[egress].add(segments, -1.0)
 
     # ------------------------------------------------------------------
-    def ingress_usage_at(self, i: int, t: float) -> float:
-        """Committed bandwidth on ingress ``i`` at time ``t``."""
-        return self._ingress[i].usage.usage_at(t)
-
-    def egress_usage_at(self, e: int, t: float) -> float:
-        """Committed bandwidth on egress ``e`` at time ``t``."""
-        return self._egress[e].usage.usage_at(t)
-
     def max_overcommit(self) -> float:
         """Worst-case overshoot ``usage - capacity`` across all ports.
 
@@ -379,15 +338,3 @@ class PortLedger:
             (port.max_overcommit() for port in chain(self._ingress, self._egress)),
             default=-math.inf,
         )
-
-    def is_empty(self) -> bool:
-        """True when nothing is committed anywhere."""
-        return all(port.usage.is_zero() for port in chain(self._ingress, self._egress))
-
-    def copy(self) -> PortLedger:
-        """Deep copy (used by look-ahead heuristics and the B&B solver)."""
-        clone = PortLedger.__new__(PortLedger)
-        clone.platform = self.platform
-        clone._ingress = [port.copy() for port in self._ingress]
-        clone._egress = [port.copy() for port in self._egress]
-        return clone

@@ -22,7 +22,7 @@ import math
 from collections.abc import Iterable, Sequence
 from typing import Any
 
-from ..units import REL_TOL, bandwidth_eq, seconds_eq, volume_eq
+from ..units import bandwidth_eq, seconds_eq, volume_eq
 
 __all__ = ["RateProfile", "Segment"]
 
@@ -114,9 +114,6 @@ class RateProfile:
     def __bool__(self) -> bool:
         return bool(self._segments)
 
-    def __len__(self) -> int:
-        return len(self._segments)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(f"[{t0:g},{t1:g})@{rate:g}" for t0, t1, rate in self._segments)
         return f"RateProfile({inner})"
@@ -147,21 +144,7 @@ class RateProfile:
             return 0.0
         return max(rate for _, _, rate in self._segments)
 
-    @property
-    def is_constant(self) -> bool:
-        """True for the 1-segment (paper-shaped) special case."""
-        return len(self._segments) == 1
-
     # -- evaluation ------------------------------------------------------
-    def rate_at(self, t: float) -> float:
-        """Instantaneous rate at ``t`` (segments are half-open ``[t0, t1)``)."""
-        for t0, t1, rate in self._segments:
-            if t0 <= t < t1:
-                return rate
-            if t < t0:
-                break
-        return 0.0
-
     def volume_before(self, t: float) -> float:
         """Volume carried strictly before ``t`` (for consumed-head accounting)."""
         carried = 0.0
@@ -185,18 +168,6 @@ class RateProfile:
     def concat(self, other: RateProfile) -> RateProfile:
         """Union of two non-overlapping profiles (head + reshaped tail)."""
         return RateProfile((*self._segments, *other._segments))
-
-    # -- comparisons ------------------------------------------------------
-    def approx_eq(self, other: RateProfile, *, rel: float = REL_TOL) -> bool:
-        """Segment-wise equality via :mod:`repro.units` tolerances (GL003)."""
-        if len(self._segments) != len(other._segments):
-            return False
-        return all(
-            seconds_eq(a0, b0, rel=rel)
-            and seconds_eq(a1, b1, rel=rel)
-            and bandwidth_eq(ar, br, rel=rel)
-            for (a0, a1, ar), (b0, b1, br) in zip(self._segments, other._segments)
-        )
 
     def conserves(self, volume: float, *, rel: float = 1e-6) -> bool:
         """Does this profile deliver ``volume`` MB (volume-conserving)?"""

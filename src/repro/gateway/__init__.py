@@ -41,7 +41,7 @@ from .edge import EdgeLimit, EdgeLimiter
 from .gateway import Gateway, GatewayStats, Ticket
 from .invariants import InvariantReport, check_gateway
 from .journal import Journal, JournalEntry
-from .lifecycle import Reservation, ReservationState
+from .lifecycle import ReservationState
 from .rpc import (
     Channel,
     ChannelStats,
@@ -73,7 +73,6 @@ __all__ = [
     "Journal",
     "JournalEntry",
     "Partition",
-    "Reservation",
     "ReservationState",
     "ShardBroker",
     "ShardMap",

@@ -22,10 +22,10 @@ crash/restart — is journaled, so :meth:`replay` rebuilds a
 state-identical gateway (``snapshot()`` equality).  What happens to a
 reservation after admission, and the validate → settle → journal →
 apply protocol every verb here follows, is :mod:`repro.gateway.lifecycle`.
-A submission's one record, its :class:`Ticket`, *is* a lifecycle
-``Reservation`` — handed out pending, filled in place when its batch
-decides (:meth:`Gateway._admit`, the path first admissions and backlog
-re-admissions share).
+A submission's one record is its :class:`Ticket` — handed out pending,
+filled in place when its batch decides (:meth:`Gateway._admit`, the path
+first admissions and backlog re-admissions share), and acted on by the
+lifecycle verbs from then on.
 
 The defaults — one shard, batch size 1 — decide every admission at
 submit, in submission order, against one authoritative ledger.
@@ -55,7 +55,7 @@ from . import lifecycle
 from .batch import AdmissionOrdering, Batcher
 from .edge import EdgeLimit, EdgeLimiter
 from .journal import Journal, JournalEntry
-from .lifecycle import Reservation, ReservationState
+from .lifecycle import ReservationState
 from .rpc import ChaosPolicy
 from .sharding import ShardMap
 from .broker import ShardBroker
@@ -116,31 +116,92 @@ class GatewayStats:
         return dict(vars(self))
 
 
-@dataclass(kw_only=True, slots=True)
-class Ticket(Reservation):
-    """The one record of one submission.
+@dataclass(slots=True)
+class Ticket:
+    """The one record of one submission: a client's handle on one transfer.
 
     :meth:`Gateway.submit` creates it pending and hands it to the client;
     the flush that decides its batch fills ``allocation`` /
-    ``reject_reason`` in place and sets ``decided``.  From then on it *is*
-    the :class:`~repro.gateway.lifecycle.Reservation` the lifecycle verbs
-    act on — ``gateway.get(rid)``, the entry in ``reservations()`` and the
-    object ``on_decision`` receives are this same object.
+    ``reject_reason`` in place and sets ``decided``.  ``gateway.get(rid)``,
+    the entry in ``reservations()``, the object ``on_decision`` receives
+    and what the lifecycle verbs (:mod:`repro.gateway.lifecycle`) act on
+    are this same object.
     """
 
+    rid: int
+    request: Request
     #: Submission order (the batch orderings' tiebreak).
     seq: int
     client: str
+    #: rid of the reservation this one re-admits or rebooks, if any.
+    origin: int | None = None
+    #: The stepwise shape the client asked for (``None`` = constant rate).
+    profile: RateProfile | None = None
+    #: The admitted window and rate; ``None`` when rejected or undecided.
+    allocation: Allocation | None = None
+    #: Why admission failed (``None`` on confirmed reservations).
+    reject_reason: RejectReason | None = None
+    cancelled_at: float | None = None
+    aborted_at: float | None = None
+    displaced_at: float | None = None
     #: Refused by the per-client edge limiter (never entered a batch).
     edge_refused: bool = False
     #: Seconds until the refused volume would conform again (edge refusals
     #: only; ``inf`` when the volume exceeds the burst).  The service
     #: plane surfaces this as an HTTP 429 ``Retry-After`` hint.
     retry_after: float | None = None
-    #: The stepwise shape the client asked for (``None`` = constant rate).
-    profile: RateProfile | None = None
     #: The batch holding this submission has flushed, or the edge refused it.
     decided: bool = False
+
+    @property
+    def confirmed(self) -> bool:
+        """Was the reservation admitted?"""
+        return self.allocation is not None
+
+    @property
+    def terminated_at(self) -> float | None:
+        """When the reservation ended early (cancel/abort/displacement)."""
+        for t in (self.cancelled_at, self.aborted_at, self.displaced_at):
+            if t is not None:
+                return t
+        return None
+
+    @property
+    def carried(self) -> float:
+        """MB actually delivered before the transfer ended."""
+        if self.allocation is None:
+            return 0.0
+        stop = self.terminated_at
+        end = self.allocation.tau if stop is None else min(stop, self.allocation.tau)
+        return self.allocation.carried_before(end)
+
+    @property
+    def residual(self) -> float:
+        """MB still undelivered when the reservation ended early."""
+        return max(0.0, self.request.volume - self.carried)
+
+    def state(self, now: float) -> ReservationState:
+        """Lifecycle state as of time ``now``."""
+        if self.allocation is None:
+            return ReservationState.REJECTED
+        if self.aborted_at is not None:
+            return ReservationState.ABORTED
+        if self.displaced_at is not None:
+            return ReservationState.DISPLACED
+        if self.cancelled_at is not None:
+            return ReservationState.CANCELLED
+        if now < self.allocation.sigma:
+            return ReservationState.CONFIRMED
+        if now < self.allocation.tau:
+            return ReservationState.ACTIVE
+        return ReservationState.COMPLETED
+
+    def live_allocation(self, now: float) -> Allocation | None:
+        """The allocation while part of it is still unconsumed, else ``None``
+        (rejected, completed, or ended early)."""
+        if self.state(now) in (ReservationState.CONFIRMED, ReservationState.ACTIVE):
+            return self.allocation
+        return None
 
     def row(self) -> list[Any]:
         """Every field as one flat JSON-able list (a checkpoint's ticket
@@ -179,20 +240,20 @@ class Ticket(Reservation):
                 rid, ingress, egress, bw, sigma, tau, profile=RateProfile.maybe_from(shape)
             )
         return cls(
-            rid=rid,
-            request=Request(rid, ingress, egress, volume, t_start, t_end, max_rate),
-            allocation=granted,
-            cancelled_at=cancelled_at,
-            aborted_at=aborted_at,
-            displaced_at=displaced_at,
-            origin=origin,
-            reject_reason=None if reason is None else RejectReason(reason),
-            seq=seq,
-            client=client,
-            edge_refused=edge_refused,
-            retry_after=retry_after,
-            profile=RateProfile.maybe_from(profile),
-            decided=decided,
+            rid,
+            Request(rid, ingress, egress, volume, t_start, t_end, max_rate),
+            seq,
+            client,
+            origin,
+            RateProfile.maybe_from(profile),
+            granted,
+            None if reason is None else RejectReason(reason),
+            cancelled_at,
+            aborted_at,
+            displaced_at,
+            edge_refused,
+            retry_after,
+            decided,
         )
 
 
@@ -533,30 +594,36 @@ class Gateway:
         self._tickets: dict[int, Ticket] = {}
         self._degradations: list[Degradation] = []
         if journal is not None:
-            header: dict[str, Any] = {
-                "kind": "gateway",
-                "platform": platform.to_dict(),
-                "num_shards": num_shards,
-                "batch_size": batch_size,
-                "ordering": self.batcher.ordering.value,
-                "policy": self.policy.name,
-                "hold_ttl": hold_ttl,
-                "backoff": {
-                    "base": self.backoff.base,
-                    "multiplier": self.backoff.multiplier,
-                    "max_attempts": self.backoff.max_attempts,
-                    "jitter": self.backoff.jitter,
-                },
-                "edge": edge.to_dict() if edge is not None else None,
-                "chaos": chaos.to_dict() if chaos is not None else None,
-                "rpc_deadline": rpc_deadline,
-                "backlog_limit": backlog_limit,
-            }
-            if malleable:
-                # Key present only when the feature is on, so journals of
-                # constant-rate gateways stay byte-identical.
-                header["malleable"] = True
-            journal.set_header(header)
+            journal.set_header(self.header())
+
+    def header(self) -> dict[str, Any]:
+        """This gateway's configuration as its journal header records it
+        (what :meth:`restored` builds a gateway back from)."""
+        backoff = self.backoff
+        header: dict[str, Any] = {
+            "kind": "gateway",
+            "platform": self.platform.to_dict(),
+            "num_shards": self.num_shards,
+            "batch_size": self.batcher.batch_size,
+            "ordering": self.batcher.ordering.value,
+            "policy": self.policy.name,
+            "hold_ttl": self.hold_ttl,
+            "backoff": {
+                "base": backoff.base,
+                "multiplier": backoff.multiplier,
+                "max_attempts": backoff.max_attempts,
+                "jitter": backoff.jitter,
+            },
+            "edge": None if self.edge is None else self.edge.limit.to_dict(),
+            "chaos": None if self.chaos is None else self.chaos.to_dict(),
+            "rpc_deadline": self.rpc_deadline,
+            "backlog_limit": self.backlog_limit,
+        }
+        if self.malleable:
+            # Key present only when the feature is on, so journals of
+            # constant-rate gateways stay byte-identical.
+            header["malleable"] = True
+        return header
 
     # ------------------------------------------------------------------
     @property
@@ -698,9 +765,8 @@ class Gateway:
         rid = self._take_rid()
         seq = self._next_seq
         self._next_seq += 1
-        ticket = self._tickets[rid] = Ticket(
-            rid=rid, request=request, origin=origin, seq=seq, client=client, profile=wanted
-        )
+        # Positional: a keyword call costs the generated __init__ about twice as much.
+        ticket = self._tickets[rid] = Ticket(rid, request, seq, client, origin, wanted)
         self._record(
             "submit", now, rid=rid, client=client, ingress=ingress, egress=egress,
             volume=volume, deadline=deadline, max_rate=request.max_rate, origin=origin,
@@ -968,13 +1034,7 @@ class Gateway:
             # a stale record (a compensated commit replays as "committed"
             # and books nothing).  Failed attempts therefore leave rid
             # gaps; replay burns them identically.
-            attempt = Ticket(
-                rid=self._take_rid(),
-                request=candidate,
-                origin=rid,
-                seq=parked.seq,
-                client=parked.client,
-            )
+            attempt = Ticket(self._take_rid(), candidate, parked.seq, parked.client, rid)
             trace: _Admission | None = None
             if tel.traced:
                 # Re-admissions stay on the original request's trace: the
@@ -1177,7 +1237,7 @@ class Gateway:
         start: float,
         end: float,
         now: float,
-    ) -> list[Reservation]:
+    ) -> list[Ticket]:
         """Apply a capacity reduction on the owning shard; displace overflow.
 
         Latest-starting live reservations on the port yield first (their

@@ -21,12 +21,12 @@ with "unknown journal op".
 
 A journal is its lines, the header's first: :meth:`Journal.append`
 encodes each (the bytes ``json.dumps`` writes; ``submit`` lines come
-from a template), and every read — iteration, :attr:`Journal.entries`,
-:meth:`Journal.to_jsonl`, ``Gateway.replay``, explain — decodes them
-back.  Only the sink differs: a ``path``'s file is the lines' only copy,
-so its resident size does not grow with its length and every read
-re-reads it; without a ``path`` (or from :meth:`Journal.from_jsonl`)
-they are held as strings in a list, for the life of the journal.
+from a template), and every read — iteration, :meth:`Journal.to_jsonl`,
+``Gateway.replay``, explain — decodes them back.  Only the sink
+differs: a ``path``'s file is the lines' only copy, so its resident size
+does not grow with its length and every read re-reads it; without a
+``path`` (or from :meth:`Journal.from_jsonl`) they are held as strings
+in a list, for the life of the journal.
 
 Reading a journal back costs what a restart needs, not the history:
 :meth:`Journal.load` decodes only the header, and counts the other lines
@@ -84,9 +84,6 @@ __all__ = ["Journal", "JournalEntry", "JOURNAL_FORMAT"]
 #: theirs with a prefix and cannot be replayed.
 JOURNAL_FORMAT: str = "repro-journal/2"
 
-#: Operations a journal may contain.
-_KNOWN_OPS = JOURNAL_OPS
-
 
 @dataclass(frozen=True, slots=True)
 class JournalEntry:
@@ -97,7 +94,7 @@ class JournalEntry:
     args: Mapping[str, Any]
 
     def __post_init__(self) -> None:
-        if self.op not in _KNOWN_OPS:
+        if self.op not in JOURNAL_OPS:
             raise ConfigurationError(f"unknown journal op {self.op!r}")
 
     def to_dict(self) -> dict[str, Any]:
@@ -148,12 +145,6 @@ class Journal:
         #: its last good line ends.  The first new append cuts the file there
         #: and supplies the newline, so that it starts on a line of its own.
         self._repair: int | None = None
-
-    @property
-    def entries(self) -> list[JournalEntry]:
-        """Every entry, in order, decoded from the lines; a corrupt line
-        raises ``ConfigurationError`` naming it."""
-        return list(self._read())
 
     def _read(self, start: int = 0) -> Iterator[JournalEntry]:
         """The entries from the ``start``-th on, decoded one line at a time
@@ -220,7 +211,7 @@ class Journal:
         for what that does and does not survive)."""
         line = self._submit_line(now, args) if op == "submit" else None
         if line is None:
-            if op not in _KNOWN_OPS:  # what an entry checks, without building one
+            if op not in JOURNAL_OPS:  # what an entry checks, without building one
                 raise ConfigurationError(f"unknown journal op {op!r}")
             line = _encode({"op": op, "now": now, **args}) + "\n"
         if self._group is not None and op != "checkpoint":
@@ -307,6 +298,8 @@ class Journal:
         return self._length + len(self._group or ())
 
     def __iter__(self) -> Iterator[JournalEntry]:
+        """Every entry, in order, decoded from the lines; a corrupt line
+        raises ``ConfigurationError`` naming it."""
         return self._read()
 
     # ------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The reservation lifecycle: what happens to a reservation after admission.
 
-:class:`~repro.gateway.gateway.Gateway` hands out a :class:`Reservation`
-(its :class:`~repro.gateway.gateway.Ticket`); how one is released,
+:class:`~repro.gateway.gateway.Gateway` hands out a
+:class:`~repro.gateway.gateway.Ticket` per submission; how one is released,
 re-shaped, displaced, re-admitted, snapshotted, journaled and replayed
 is written here, against the gateway's
 :class:`~repro.gateway.twophase.TwoPhaseCoordinator`.  Every verb follows
@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from ..core.allocation import Allocation
-from ..core.booking import RejectReason, deadline_tolerance, shape_profile
+from ..core.booking import deadline_tolerance, shape_profile
 from ..core.capacity import CAPACITY_SLACK
 from ..core.errors import ConfigurationError, InternalInvariantError, InvalidRequestError
 from ..core.ledger import Degradation
@@ -31,12 +30,12 @@ from ..core.profile import RateProfile, Segment
 from ..core.request import Request
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
+    from .gateway import Ticket
     from .journal import JournalEntry
     from .twophase import TwoPhaseCoordinator
 
 __all__ = [
     "JOURNAL_OPS",
-    "Reservation",
     "ReservationState",
     "displace_overflow",
     "displacement_victim",
@@ -59,74 +58,6 @@ class ReservationState(enum.Enum):
     CANCELLED = "cancelled"
     ABORTED = "aborted"       # transfer failed mid-flight
     DISPLACED = "displaced"   # cancelled by a port outage/degradation
-
-
-@dataclass(slots=True)
-class Reservation:
-    """A client's handle on one submitted transfer."""
-
-    rid: int
-    request: Request
-    #: The admitted window and rate; ``None`` when rejected (on a gateway
-    #: :class:`~repro.gateway.gateway.Ticket`, also while still undecided).
-    allocation: Allocation | None = None
-    cancelled_at: float | None = None
-    aborted_at: float | None = None
-    displaced_at: float | None = None
-    #: rid of the reservation this one re-admits or rebooks, if any.
-    origin: int | None = None
-    #: Why admission failed (``None`` on confirmed reservations).
-    reject_reason: RejectReason | None = None
-
-    @property
-    def confirmed(self) -> bool:
-        """Was the reservation admitted?"""
-        return self.allocation is not None
-
-    @property
-    def terminated_at(self) -> float | None:
-        """When the reservation ended early (cancel/abort/displacement)."""
-        for t in (self.cancelled_at, self.aborted_at, self.displaced_at):
-            if t is not None:
-                return t
-        return None
-
-    @property
-    def carried(self) -> float:
-        """MB actually delivered before the transfer ended."""
-        if self.allocation is None:
-            return 0.0
-        stop = self.terminated_at
-        end = self.allocation.tau if stop is None else min(stop, self.allocation.tau)
-        return self.allocation.carried_before(end)
-
-    @property
-    def residual(self) -> float:
-        """MB still undelivered when the reservation ended early."""
-        return max(0.0, self.request.volume - self.carried)
-
-    def state(self, now: float) -> ReservationState:
-        """Lifecycle state as of time ``now``."""
-        if self.allocation is None:
-            return ReservationState.REJECTED
-        if self.aborted_at is not None:
-            return ReservationState.ABORTED
-        if self.displaced_at is not None:
-            return ReservationState.DISPLACED
-        if self.cancelled_at is not None:
-            return ReservationState.CANCELLED
-        if now < self.allocation.sigma:
-            return ReservationState.CONFIRMED
-        if now < self.allocation.tau:
-            return ReservationState.ACTIVE
-        return ReservationState.COMPLETED
-
-    def live_allocation(self, now: float) -> Allocation | None:
-        """The allocation while part of it is still unconsumed, else ``None``
-        (rejected, completed, or ended early)."""
-        if self.state(now) in (ReservationState.CONFIRMED, ReservationState.ACTIVE):
-            return self.allocation
-        return None
 
 
 def new_request(
@@ -184,7 +115,7 @@ def _unconsumed(alloc: Allocation, now: float) -> tuple[Segment, ...]:
 
 
 def terminate(
-    reservation: Reservation,
+    reservation: Ticket,
     now: float,
     how: ReservationState,
     coordinator: TwoPhaseCoordinator,
@@ -212,7 +143,7 @@ def terminate(
     return True
 
 
-def reshape_tail(reservation: Reservation, now: float, coordinator: TwoPhaseCoordinator) -> bool:
+def reshape_tail(reservation: Ticket, now: float, coordinator: TwoPhaseCoordinator) -> bool:
     """Release + re-carve one live reservation's unconsumed tail.
 
     The tail returns to its shards and the still undelivered volume is
@@ -253,10 +184,10 @@ def reshape_tail(reservation: Reservation, now: float, coordinator: TwoPhaseCoor
 
 
 def displacement_victim(
-    reservations: Iterable[Reservation], degradation: Degradation, now: float
-) -> Reservation | None:
+    reservations: Iterable[Ticket], degradation: Degradation, now: float
+) -> Ticket | None:
     """Latest-starting live reservation using the degraded port in its window."""
-    best: Reservation | None = None
+    best: Ticket | None = None
     best_key: tuple[float, int] | None = None
     for reservation in reservations:
         alloc = reservation.live_allocation(now)
@@ -276,13 +207,13 @@ def displacement_victim(
 
 
 def displace_overflow(
-    reservations: Iterable[Reservation],
+    reservations: Iterable[Ticket],
     degradation: Degradation,
     now: float,
     coordinator: TwoPhaseCoordinator,
     *,
     malleable: bool,
-) -> tuple[list[Reservation], list[int]]:
+) -> tuple[list[Ticket], list[int]]:
     """Displace until the degraded port fits under its remaining capacity.
 
     Stranded holds in the window go first (no reservation owns them).
@@ -295,7 +226,7 @@ def displace_overflow(
     side, port, t0, t1 = degradation.side, degradation.port, degradation.t0, degradation.t1
     degraded = coordinator.broker_for(side, port).port(side, port)
     tol = CAPACITY_SLACK * max(1.0, degraded.capacity)
-    displaced: list[Reservation] = []
+    displaced: list[Ticket] = []
     reshaped: list[int] = []
     if degraded.overcommit_on(t0, t1) > tol:
         coordinator.release_stranded(side, port, t0, t1)
@@ -336,7 +267,7 @@ def readmission_candidate(original: Request, rid: int, now: float) -> Request | 
         return None
 
 
-def reservation_rows(reservations: Iterable[Reservation]) -> list[dict[str, Any]]:
+def reservation_rows(reservations: Iterable[Ticket]) -> list[dict[str, Any]]:
     """The ``reservations`` section of a plane's ``snapshot()``."""
     return [
         {

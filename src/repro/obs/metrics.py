@@ -12,13 +12,12 @@ Label values are stringified on entry; a label *set* is the sorted tuple
 of ``(key, value)`` pairs, so ``inc(port=3, side="ingress")`` and
 ``inc(side="ingress", port=3)`` address the same sample.
 
-A hot call site binds its sample once — ``counter.labels(outcome="accepted")``
-on a family it holds, ``registry.bind_counter(name, help, outcome="accepted")``
-ahead of use — and fires the child (``child.inc()``): no registry lookup,
-help string or label sort per call.  Binding writes nothing: a sample exists
-from its first ``inc`` / ``observe``, and a family bound through the registry
-is registered by its first firing child, exactly when addressing it by name
-on every call would have registered it.
+A hot call site binds its sample once, ahead of use —
+``registry.bind_counter(name, help, outcome="accepted")`` — and fires the
+child (``child.inc()``): no registry lookup, help string or label sort per
+call.  Binding writes nothing: a sample exists from its first ``inc`` /
+``observe``, and a bound family is registered by its first firing child,
+exactly when addressing it by name on every call would have registered it.
 
 A :class:`Tally` (``registry.bind_tally(...)``), for a sample fired once
 per decision, is cheaper still: a plain ``tally.count += 1`` that the
@@ -91,10 +90,6 @@ class Counter:
         key = _label_key(labels)
         self._samples[key] = self._samples.get(key, 0.0) + amount
 
-    def labels(self, **labels: Any) -> BoundCounter:
-        """The sample addressed by ``labels``, bound for repeated ``inc``."""
-        return BoundCounter(lambda: self, _label_key(labels))
-
     def value(self, **labels: Any) -> float:
         """Current value of one label set (0 when never incremented)."""
         return self._samples.get(_label_key(labels), 0.0)
@@ -132,12 +127,12 @@ class Counter:
 
 
 class BoundCounter:
-    """One label set of a counter or gauge, addressed once.
+    """One label set of a counter, addressed once.
 
-    ``family`` is asked for at the first ``inc``: :meth:`Counter.labels`
-    answers with the family itself, :meth:`MetricsRegistry.bind_counter`
-    with the registry's get-or-create — so a child bound ahead of use
-    registers nothing until it fires.
+    ``family`` is asked for at the first ``inc``
+    (:meth:`MetricsRegistry.bind_counter` passes the registry's
+    get-or-create), so a child bound ahead of use registers nothing until
+    it fires.
     """
 
     __slots__ = ("_family", "_key", "_samples")
@@ -151,8 +146,8 @@ class BoundCounter:
         """Add ``amount`` (default 1) to the bound sample."""
         samples = self._samples
         if samples is None or amount < 0:
-            # The first firing, or a decrement: the family's own ``inc``
-            # knows whether it may go down.
+            # The first firing, or a decrement, which the family's own
+            # ``inc`` refuses.
             family = self._family()
             self._samples = family._samples
             family.inc(amount, **dict(self._key))
@@ -234,10 +229,6 @@ class Histogram:
         counts[bisect_left(buckets, value) if value == value else len(buckets)] += 1
         self._sums[key] = self._sums.get(key, 0.0) + float(value)
         self._totals[key] = self._totals.get(key, 0) + 1
-
-    def labels(self, **labels: Any) -> BoundHistogram:
-        """The sample addressed by ``labels``, bound for repeated ``observe``."""
-        return BoundHistogram(lambda: self, _label_key(labels))
 
     def count(self, **labels: Any) -> int:
         """Number of observations for one label set."""

@@ -123,11 +123,11 @@ _METRIC_SCHEMA: dict[str, Any] = {
 
 _SPAN_SCHEMA: dict[str, Any] = {
     "type": "object",
-    "required": ["name", "start", "kind"],
+    "required": ["name", "start", "end", "kind"],
     "properties": {
         "name": {"type": "string"},
         "start": {"type": "number"},
-        "end": {"type": ["number", "null"]},
+        "end": {"type": "number"},
         "cat": {"type": "string"},
         "tid": {"type": "integer"},
         "args": {"type": "object"},

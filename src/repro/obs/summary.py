@@ -152,8 +152,7 @@ def summarize(artifact: RunTelemetry) -> ArtifactSummary:
     for entry in artifact.captures():
         events += len(entry.get("events", []))
         for span in entry.get("spans", []):
-            end = span.get("end")
-            duration = 0.0 if end is None else float(end) - float(span["start"])
+            duration = float(span["end"]) - float(span["start"])
             stats.setdefault(str(span["name"]), []).append(duration)
     table = [
         SpanRow(

@@ -62,15 +62,6 @@ class TelemetryEvent:
         """Canonical JSON-able form."""
         return {"time": self.time, "name": self.name, "fields": dict(self.fields)}
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> TelemetryEvent:
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            time=float(data["time"]),
-            name=str(data["name"]),
-            fields=dict(data.get("fields", {})),
-        )
-
 
 class Telemetry:
     """One capture context: metrics + spans + structured events.

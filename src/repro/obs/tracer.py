@@ -6,16 +6,11 @@ A :class:`Span` is a named interval of simulated time (seconds); an
 of the control plane, so traces replay byte-identically (wall-clock timing
 for benchmarks lives behind :mod:`repro.obs.perfclock` instead).
 
-Exports:
-
-- :meth:`SpanTracer.to_chrome_trace` — the Chrome trace-event JSON format
-  (load the file in ``chrome://tracing`` or Perfetto; simulated seconds
-  are mapped to trace microseconds);
-- :meth:`SpanTracer.to_jsonl` — one canonical JSON object per span, for
-  line-oriented tooling.
-
-Both directions round-trip: :meth:`SpanTracer.from_chrome_trace` and
-:meth:`SpanTracer.from_jsonl` rebuild an equivalent tracer.
+Exports: :meth:`SpanTracer.to_dicts` (one canonical dict per span, what a
+:class:`~repro.obs.artifact.RunTelemetry` keeps and loads back) and
+:meth:`SpanTracer.to_chrome_trace` — the Chrome trace-event JSON format
+(load the file in ``chrome://tracing`` or Perfetto; simulated seconds are
+mapped to trace microseconds).
 
 Write path / read path: recording only *stores*.  The ring holds
 *records* (:class:`SpanRecord`), each rendering to ``width`` spans on read
@@ -32,7 +27,6 @@ cost a parse and a repack per call, a dict literal does not.
 
 from __future__ import annotations
 
-import json
 import sys
 from collections import deque
 from dataclasses import dataclass, field
@@ -57,8 +51,7 @@ class Span:
 
     name: str
     start: float
-    #: ``None`` while the span is still open (see :meth:`SpanTracer.finish`).
-    end: float | None = None
+    end: float
     cat: str = ""
     #: Track id — lets related spans share a row in trace viewers
     #: (e.g. one track per ingress port).
@@ -76,9 +69,7 @@ class Span:
 
     @property
     def duration(self) -> float:
-        """Simulated seconds covered (0 for instants and open spans)."""
-        if self.end is None:
-            return 0.0
+        """Simulated seconds covered (0 for instants)."""
         return self.end - self.start
 
     def to_dict(self) -> dict[str, Any]:
@@ -96,11 +87,10 @@ class Span:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> Span:
         """Inverse of :meth:`to_dict`."""
-        end = data.get("end")
         return cls(
             name=str(data["name"]),
             start=float(data["start"]),
-            end=None if end is None else float(end),
+            end=float(data["end"]),
             cat=str(data.get("cat", "")),
             tid=int(data.get("tid", 0)),
             args=dict(data.get("args", {})),
@@ -191,21 +181,6 @@ class SpanTracer:
         self.store(span)
         return span
 
-    def begin(self, name: str, t: float, *, cat: str = "", tid: int = 0, **args: Any) -> Span:
-        """Open a span at simulated time ``t``; close it with :meth:`finish`."""
-        return self._push(Span(name=name, start=t, cat=cat, tid=tid, args=args))
-
-    def finish(self, span: Span, t: float) -> Span:
-        """Close an open span at simulated time ``t``."""
-        if span.end is not None:
-            raise ConfigurationError(f"span {span.name!r} already finished")
-        if t < span.start:
-            raise ConfigurationError(
-                f"span {span.name!r} cannot finish at {t} before its start {span.start}"
-            )
-        span.end = t
-        return span
-
     def complete(
         self, name: str, start: float, end: float, *, cat: str = "", tid: int = 0, **args: Any
     ) -> Span:
@@ -273,7 +248,7 @@ class SpanTracer:
         return out
 
     # ------------------------------------------------------------------
-    # Export / import
+    # Export
     # ------------------------------------------------------------------
     def to_dicts(self) -> list[dict[str, Any]]:
         """Every span as its canonical dict, in record order."""
@@ -284,8 +259,7 @@ class SpanTracer:
 
         Simulated seconds map to trace microseconds.  Intervals become
         complete events (``ph: "X"``); instants become instant events
-        (``ph: "i"``); spans still open at export time are emitted as
-        begin events (``ph: "B"``) so viewers show them as unterminated.
+        (``ph: "i"``).
         """
         events: list[dict[str, Any]] = []
         for span in self:
@@ -299,57 +273,8 @@ class SpanTracer:
             }
             if span.kind == "instant":
                 events.append({**base, "ph": "i", "s": "t"})
-            elif span.end is None:
-                events.append({**base, "ph": "B"})
             else:
                 events.append(
                     {**base, "ph": "X", "dur": (span.end - span.start) * SECONDS_TO_TRACE_US}
                 )
         return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-    @classmethod
-    def from_chrome_trace(cls, document: Mapping[str, Any]) -> SpanTracer:
-        """Rebuild a tracer from :meth:`to_chrome_trace` output."""
-        tracer = cls()
-        for event in document.get("traceEvents", []):
-            phase = event.get("ph")
-            start = float(event.get("ts", 0.0)) / SECONDS_TO_TRACE_US
-            cat = str(event.get("cat", ""))
-            cat = "" if cat == "repro" else cat
-            common: dict[str, Any] = {
-                "cat": cat,
-                "tid": int(event.get("tid", 0)),
-            }
-            name = str(event.get("name", ""))
-            args = dict(event.get("args", {}))
-            if phase == "i":
-                tracer._push(
-                    Span(name=name, start=start, end=start, args=args, kind="instant", **common)
-                )
-            elif phase == "B":
-                span = tracer.begin(name, start, **common)
-                span.args.update(args)
-            elif phase == "X":
-                end = start + float(event.get("dur", 0.0)) / SECONDS_TO_TRACE_US
-                span = tracer.complete(name, start, end, **common)
-                span.args.update(args)
-            # Other phases (metadata, counters, ...) are not produced by
-            # to_chrome_trace and are skipped on import.
-        return tracer
-
-    def to_jsonl(self) -> str:
-        """One canonical JSON object per span, newline-separated."""
-        return "\n".join(
-            json.dumps(span.to_dict(), sort_keys=True, separators=(",", ":"))
-            for span in self
-        ) + ("\n" if self._retained else "")
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> SpanTracer:
-        """Rebuild a tracer from :meth:`to_jsonl` output."""
-        tracer = cls()
-        for line in text.splitlines():
-            line = line.strip()
-            if line:
-                tracer._push(Span.from_dict(json.loads(line)))
-        return tracer

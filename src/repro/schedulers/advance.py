@@ -99,7 +99,8 @@ class EarliestStartFlexible(Scheduler):
             if tel.enabled:
                 tel.metrics.counter(
                     "scheduler_candidates_examined_total",
-                    "Candidate start times examined by book-ahead search, per scheduler.",
+                    "Summed rank of each book-ahead search's stop among its candidate "
+                    "starts (starts a jump skipped count too), per scheduler.",
                 ).inc(float(examined), scheduler=self.name)
         self._observe_schedule(problem, result)
         return result

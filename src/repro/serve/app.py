@@ -149,20 +149,37 @@ class ServeApp:
         )
         watchdog = SloWatchdog(rules) if rules else None
         self.journal, resume = self._attach_journal(config)
+        settings: dict[str, Any] = {
+            "num_shards": config.num_shards,
+            "batch_size": config.batch_size,
+            "ordering": config.ordering,
+            "edge": config.edge,
+            "hold_ttl": config.hold_ttl,
+            "backlog_limit": config.backlog_limit,
+            "malleable": config.malleable,
+        }
         if resume:
             self.gateway = Gateway.resume(
                 self.journal, telemetry=self.telemetry, slo=watchdog
             )
+            # The journal's header configures the resumed gateway, so a
+            # setting of this config that disagrees with it would be
+            # silently ignored: refuse it.  Header fields no config sets
+            # (chaos, backoff, ...) resume as the journal recorded them.
+            wanted = Gateway(config.platform, **settings).header()
+            found = self.gateway.header()
+            changed = sorted(
+                key for key in ("platform", *settings) if wanted.get(key) != found.get(key)
+            )
+            if changed:
+                raise ConfigurationError(
+                    f"journal {config.journal_path} was written with a different "
+                    f"configuration: {', '.join(changed)} differ"
+                )
         else:
             self.gateway = Gateway(
                 config.platform,
-                num_shards=config.num_shards,
-                batch_size=config.batch_size,
-                ordering=config.ordering,
-                edge=config.edge,
-                hold_ttl=config.hold_ttl,
-                backlog_limit=config.backlog_limit,
-                malleable=config.malleable,
+                **settings,
                 journal=self.journal,
                 telemetry=self.telemetry,
                 slo=watchdog,

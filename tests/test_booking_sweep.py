@@ -318,7 +318,7 @@ def test_degraded_pairs_probe_every_candidate(blocker_calls):
     # 41 starts bounce off the ingress port; the 42nd is put to both ports.
     assert len(blocker_calls) == 41 + 2
     assert rule.calls == 42
-    assert ledger.blocker(0, 0, 0.0, 100.0, 50.0) == (0.0, 0.0)
+    assert ledger.port("ingress", 0).blocker(0.0, 100.0, 50.0) == (0.0, 0.0)
 
 
 def test_degraded_pair_blocked_by_its_healthy_port_still_jumps(blocker_calls):
@@ -327,7 +327,7 @@ def test_degraded_pair_blocked_by_its_healthy_port_still_jumps(blocker_calls):
     ledger, rule = _hot_pair_search("egress", blocker_calls)
     assert len(blocker_calls) == 1 + 2
     assert rule.calls == 2
-    assert ledger.blocker(0, 0, 0.0, 100.0, 50.0) == (90.0, 100.0)
+    assert ledger.port("ingress", 0).blocker(0.0, 100.0, 50.0) == (90.0, 100.0)
 
 
 # ----------------------------------------------------------------------

@@ -180,7 +180,7 @@ def assert_cut_equals_uninterrupted(config, ops, cut):
     reference.drain(at)
     original.drain(at)
     original.checkpoint()
-    assert original.journal.entries[-1].op == "checkpoint"
+    assert list(original.journal)[-1].op == "checkpoint"
 
     restored = Gateway.resume(Journal.from_jsonl(original.journal.to_jsonl()))
     assert restored.snapshot() == reference.snapshot()
@@ -190,7 +190,7 @@ def assert_cut_equals_uninterrupted(config, ops, cut):
     mark = len(reference.journal)
     for op, now in zip(ops[cut:], times[cut:]):
         assert apply(restored, op, now) == apply(reference, op, now), op
-    assert lines(restored.journal.entries[mark + 1 :]) == lines(reference.journal.entries[mark:])
+    assert lines(list(restored.journal)[mark + 1 :]) == lines(list(reference.journal)[mark:])
     assert restored.snapshot() == reference.snapshot()
     assert restored.dump_state() == reference.dump_state()
     assert observed(restored) == observed(reference)
@@ -564,7 +564,7 @@ class TestExplain:
         rids = [r.rid for r in app.gateway.reservations()]
         before = {rid: asyncio.run(app.explain(rid)) for rid in rids}
         asyncio.run(app.drain())
-        assert app.journal.entries[-1].op == "checkpoint"
+        assert list(app.journal)[-1].op == "checkpoint"
         assert {rid: asyncio.run(app.explain(rid)) for rid in rids} == before
 
 
@@ -622,7 +622,7 @@ class TestLazyLoad:
         assert decoded == [len(text) - at] and len(journal) == len(text)
         assert journal.to_jsonl() == path.read_text()  # a full read re-reads the file ...
         assert decoded == [len(text) - at + len(text)]
-        assert lines(journal.entries) == lines(self.eager(path).entries)
+        assert lines(journal) == lines(self.eager(path))
         # ... every time: once more here, and the in-memory copy's lines
         # twice (decoded to check them, then read).
         assert decoded == [len(text) - at + 4 * len(text)]

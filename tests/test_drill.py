@@ -4,9 +4,11 @@
 drives arrivals, sampled aborts, port faults, rebooking and broker crashes
 through it.
 
-- ``PINS``: the fault benchmark's runs (``benchmarks/bench_faults.py``) and
+- ``PINS``: three drills of :func:`bench_workload` on a 6 × 6 platform (two
+  abort rates, and a journaled run that must replay) and
   ``examples/fault_tolerance.py``, as SHA-256 of ``snapshot()`` (JSON,
-  sorted keys), of the journal text and of the abort list.
+  sorted keys), of the journal text and of the abort list; none of them
+  may leave a port over capacity.
 - ``DECISION_PINS``: SHA-256 of the reservation rows
   (:func:`~repro.gateway.lifecycle.reservation_rows`) of runs recorded with
   the single-ledger ``ReservationService`` before it became the default
@@ -33,7 +35,8 @@ from repro.units import GB, HOUR
 
 
 def bench_workload(seed, platform, n, horizon=2000.0):
-    """``benchmarks/bench_faults.py``'s ``_workload``."""
+    """``n`` requests arriving over ``horizon`` seconds, each with a 600 to
+    2,400 s window and a 500 MB/s rate cap."""
     rng = np.random.default_rng(seed)
     requests = []
     for rid in range(n):
@@ -163,6 +166,7 @@ def test_service_drills_match_their_pins():
         )
         if journal is not None:
             assert Gateway.replay(journal).snapshot() == service.snapshot()
+        assert service.max_overcommit() <= 1e-6, name
     assert seen == PINS
 
 

@@ -188,7 +188,7 @@ class TestServiceMalleable:
         res = svc.submit(ingress=0, egress=1, volume=100.0, deadline=50.0, now=0.0)
         assert res.confirmed
         assert "malleable" not in journal.header
-        assert all("profile" not in entry.args for entry in journal.entries)
+        assert all("profile" not in entry.args for entry in journal)
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +273,7 @@ class TestGatewayMalleable:
         gw = Gateway(small_platform(), num_shards=1, batch_size=1, journal=journal)
         gw.submit(ingress=0, egress=1, volume=100.0, deadline=50.0, now=0.0)
         assert "malleable" not in journal.header
-        assert all("profile" not in entry.args for entry in journal.entries)
+        assert all("profile" not in entry.args for entry in journal)
 
 
 # ----------------------------------------------------------------------

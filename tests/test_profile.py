@@ -46,11 +46,10 @@ class TestNormalize:
     def test_coalesces_touching_equal_rates(self):
         p = RateProfile([(0.0, 5.0, 10.0), (5.0, 9.0, 10.0)])
         assert p.segments == ((0.0, 9.0, 10.0),)
-        assert p.is_constant
 
     def test_touching_different_rates_stay_separate(self):
         p = RateProfile([(0.0, 5.0, 10.0), (5.0, 9.0, 20.0)])
-        assert len(p) == 2
+        assert len(p.segments) == 2
 
     def test_sorts_out_of_order_input(self):
         p = RateProfile([(5.0, 9.0, 20.0), (0.0, 5.0, 10.0)])
@@ -58,8 +57,8 @@ class TestNormalize:
 
     def test_gaps_are_allowed(self):
         p = RateProfile([(0.0, 2.0, 10.0), (4.0, 6.0, 10.0)])
-        assert len(p) == 2
-        assert p.rate_at(3.0) == 0.0
+        assert len(p.segments) == 2
+        assert p.volume_before(4.0) == p.volume_before(2.0)  # nothing carried in the gap
         assert p.tau - p.sigma == 6.0
 
     def test_rejects_real_overlap(self):
@@ -83,7 +82,7 @@ class TestNormalize:
     def test_empty_profile_is_valid_and_falsy(self):
         p = RateProfile(())
         assert not p
-        assert len(p) == 0
+        assert p.segments == ()
         assert p.volume == 0.0
         assert p.peak_rate == 0.0
 
@@ -94,14 +93,14 @@ class TestShapeAndSurgery:
         assert p.sigma == 10.0 and p.tau == 40.0
         assert p.volume == 120.0
         assert p.peak_rate == 8.0
-        assert not p.is_constant
         assert p.conserves(120.0) and not p.conserves(121.0)
 
     def test_rate_at_and_volume_before(self):
         p = RateProfile([(10.0, 20.0, 4.0), (30.0, 40.0, 8.0)])
-        assert p.rate_at(10.0) == 4.0
-        assert p.rate_at(20.0) == 0.0  # half-open segments
-        assert p.rate_at(35.0) == 8.0
+        # The rate at t is what one more second from t carries.
+        assert p.volume_before(11.0) - p.volume_before(10.0) == 4.0
+        assert p.volume_before(21.0) - p.volume_before(20.0) == 0.0  # half-open segments
+        assert p.volume_before(36.0) - p.volume_before(35.0) == 8.0
         assert p.volume_before(10.0) == 0.0
         assert p.volume_before(15.0) == 20.0
         assert p.volume_before(35.0) == 80.0
@@ -113,7 +112,7 @@ class TestShapeAndSurgery:
             head = p.head_until(cut)
             tail = RateProfile((max(cut, t0), t1, rate) for t0, t1, rate in p.segments if t1 > cut)
             assert head.volume + tail.volume == p.volume
-            assert head.concat(tail).approx_eq(p)
+            assert head.concat(tail).segments == p.segments
 
     def test_shift_preserves_shape(self):
         p = RateProfile([(10.0, 20.0, 4.0), (30.0, 40.0, 8.0)])
@@ -140,17 +139,17 @@ class TestSegmentsOnBackends:
         ledger = PortLedger(Platform.uniform(2, 2, 100.0))
         profile = RateProfile([(0.0, 0.0, 50.0), (0.0, 10.0, 30.0), (10.0, 10.0, 5.0)])
         ledger.allocate_segments(0, 0, profile.segments)
-        assert ledger.ingress_usage_at(0, 5.0) == 30.0
-        assert ledger.ingress_usage_at(0, 10.0) == 0.0
+        assert ledger.ingress_timeline(0).usage_at(5.0) == 30.0
+        assert ledger.ingress_timeline(0).usage_at(10.0) == 0.0
 
     def test_touching_segments_coalesce_before_booking(self, ledger_kernel):
         ledger = PortLedger(Platform.uniform(2, 2, 100.0))
         profile = RateProfile([(0.0, 5.0, 30.0), (5.0, 10.0, 30.0)])
-        assert profile.is_constant
+        assert len(profile.segments) == 1
         ledger.allocate_segments(0, 0, profile.segments)
         for t in (0.0, 2.5, 5.0, 7.5):
-            assert ledger.ingress_usage_at(0, t) == 30.0
-            assert ledger.egress_usage_at(0, t) == 30.0
+            assert ledger.ingress_timeline(0).usage_at(t) == 30.0
+            assert ledger.egress_timeline(0).usage_at(t) == 30.0
 
     def test_one_segment_fits_equals_constant_fits(self, ledger_kernel):
         ledger = PortLedger(Platform.uniform(2, 2, 100.0))
@@ -218,7 +217,7 @@ class TestOneSegmentDecisionIdentity:
             )
             assert (const is None) == (shaped is None)
             if const is not None:
-                assert shaped.profile is not None and shaped.profile.is_constant
+                assert shaped.profile is not None
                 assert shaped.profile.segments == ((const.sigma, const.tau, const.bw),)
                 assert (shaped.sigma, shaped.tau, shaped.bw) == (
                     const.sigma,
@@ -251,7 +250,7 @@ def _fuzzed_profile(rng):
 
 def _usage_samples(ledger, platform, instants):
     return [
-        (ledger.ingress_usage_at(i, t), ledger.egress_usage_at(e, t))
+        (ledger.ingress_timeline(i).usage_at(t), ledger.egress_timeline(e).usage_at(t))
         for i in range(platform.num_ingress)
         for e in range(platform.num_egress)
         for t in instants
@@ -273,7 +272,7 @@ class TestReserveReleaseRestores:
             ledger.allocate_segments(i, e, profile.segments, check=False)
             # the reservation is visible while held...
             mid = profile.segments[0]
-            assert ledger.ingress_usage_at(i, mid[0]) >= mid[2]
+            assert ledger.ingress_timeline(i).usage_at(mid[0]) >= mid[2]
             ledger.release_segments(i, e, profile.segments)
             # ...and release restores every port exactly.
             assert _usage_samples(ledger, platform, instants) == before
@@ -295,7 +294,7 @@ class TestShapeProfile:
         assert earliest_fit(ledger, request) is None
         shaped = shape_profile(ledger, request)
         assert shaped is not None and shaped.conserves(request.volume)
-        assert len(shaped) >= 2  # stepwise, not constant
+        assert len(shaped.segments) >= 2  # stepwise, not constant
         assert all(port.fits(shaped.segments) for port in ledger.ports(0, 0))
 
     def test_infeasible_window_is_profile_infeasible(self, ledger_kernel):

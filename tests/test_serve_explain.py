@@ -27,24 +27,27 @@ from repro.serve.http import HttpRequest
 PLATFORM = Platform.uniform(8, 8, 1000.0)
 
 
+#: The gateway settings a ``ServeConfig`` holds, as ``chaos_app`` sets them
+#: (a successor must ask for the same).
+SERVED = dict(
+    num_shards=4, batch_size=4, hold_ttl=120.0, backlog_limit=8, edge=EdgeLimit(rate=2e4, burst=4e5)
+)
+
+
 def chaos_app(path, telemetry=None):
     """A service over a lossy 4-shard mesh with a re-admission backlog and a
     per-client volume edge: what ``ServeConfig`` cannot ask for comes from
     the journal header the service resumes."""
     Gateway(
         PLATFORM,
-        num_shards=4,
-        batch_size=4,
-        hold_ttl=120.0,
         chaos=ChaosPolicy.lossy(seed=5),
         backoff=BackoffSchedule(base=1.0, max_attempts=4),
         rpc_deadline=60.0,
-        backlog_limit=8,
-        edge=EdgeLimit(rate=2e4, burst=4e5),
         journal=Journal(path=path),
+        **SERVED,
     )
-    app = ServeApp(ServeConfig(platform=PLATFORM, journal_path=path), clock=LogicalClock(),
-                   telemetry=telemetry)  # fmt: skip
+    config = ServeConfig(platform=PLATFORM, journal_path=path, **SERVED)
+    app = ServeApp(config, clock=LogicalClock(), telemetry=telemetry)
     assert app.gateway.chaos is not None and app.gateway.backlog_limit == 8
     return app
 
@@ -108,7 +111,7 @@ def full_story(app):
     """``rid -> story`` of a traced app from its whole capture and journal."""
     artifact = RunTelemetry("twin")
     artifact.capture("serve", app.telemetry)
-    entries = app.journal.entries
+    entries = list(app.journal)
     return lambda rid: explain_request(artifact, rid, journal=entries)
 
 
@@ -166,8 +169,8 @@ def test_a_rid_after_a_checkpoint_is_replayed_from_it(tmp_path, monkeypatch):
         first = chaos_app(path)
         asyncio.run(drive(first, seed=4, waves=12))
         asyncio.run(first.drain())
-        successor = ServeApp(ServeConfig(platform=PLATFORM, journal_path=path),
-                             clock=LogicalClock(), telemetry=telemetry)  # fmt: skip
+        config = ServeConfig(platform=PLATFORM, journal_path=path, **SERVED)
+        successor = ServeApp(config, clock=LogicalClock(), telemetry=telemetry)
         successor.clock.advance(successor.gateway.now)
         services[name] = successor
     restored = services["served"].gateway.snapshot()["next_rid"]

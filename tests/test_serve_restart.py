@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.errors import ConfigurationError
 from repro.core.platform import Platform
 from repro.gateway import Gateway
 from repro.gateway.invariants import check_gateway
@@ -127,9 +128,16 @@ def test_drain_restart_is_snapshot_equal_and_decision_equivalent(seed, tmp_path)
             f" in-process {expected}"
         )
 
-    # A successor built over the same journal replays to the same state;
-    # the journal's header, not the new config, decides the shard count.
-    successor = ServeApp(make_config(journal_path, num_shards=1), clock=LogicalClock())
+    # A successor whose gateway settings disagree with the journal's header
+    # is refused, each setting named and the journal untouched; one that
+    # differs only outside the header (the frontier's wave) replays to the
+    # same state.
+    written = journal_path.read_bytes()
+    changed = make_config(journal_path, num_shards=1, batch_size=8, ordering="min-laxity")
+    with pytest.raises(ConfigurationError, match="batch_size, num_shards, ordering differ"):
+        ServeApp(changed, clock=LogicalClock())
+    assert journal_path.read_bytes() == written
+    successor = ServeApp(make_config(journal_path, max_wave=8), clock=LogicalClock())
     assert successor.gateway.num_shards == 2
     assert successor.snapshot() == drained_snapshot
     report = check_gateway(
@@ -162,20 +170,9 @@ def test_grid_serve_sigterm_drains_and_journal_replays(tmp_path):
     a successor restored from the drain's checkpoint."""
     journal_path = tmp_path / "proc.journal.jsonl"
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    argv = ["--port", "0", "--ports", "4", "--shards", "2", "--journal", str(journal_path)]
     proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.serve.cli",
-            "--port",
-            "0",
-            "--ports",
-            "4",
-            "--shards",
-            "2",
-            "--journal",
-            str(journal_path),
-        ],
+        [sys.executable, "-m", "repro.serve.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -222,7 +219,7 @@ def test_grid_serve_sigterm_drains_and_journal_replays(tmp_path):
     from repro.gateway import Journal
 
     journal = Journal.load(journal_path)
-    assert [entry.op for entry in journal.entries[-2:]] == ["drain", "checkpoint"]
+    assert [entry.op for entry in list(journal)[-2:]] == ["drain", "checkpoint"]
     gateway = Gateway.replay(journal)
     for rid in rids:
         assert gateway.get(rid).decided
@@ -230,8 +227,11 @@ def test_grid_serve_sigterm_drains_and_journal_replays(tmp_path):
     assert report.ok, report.violations
     assert report.checks["replayed"] == 2
 
-    # The successor restores the checkpoint, snapshot-equal to the replay.
-    successor = ServeApp(make_config(journal_path), clock=LogicalClock())
+    # The successor, started with the same flags, restores the checkpoint,
+    # snapshot-equal to the replay.
+    from repro.serve.cli import _parser, build_app
+
+    successor = build_app(_parser().parse_args(argv))
     assert successor.snapshot() == gateway.snapshot()
 
 

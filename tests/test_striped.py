@@ -1,5 +1,6 @@
 """Tests for striped (multi-source) transfer planning."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,9 +72,9 @@ class TestPlanning:
     def test_book_commits_and_plan_does_not(self, setup):
         platform, ledger = setup
         plan_striped(ledger, platform, sources=[0], egress=0, volume=100.0, t_start=0.0, t_end=10.0)
-        assert ledger.is_empty()
+        assert ledger.ingress_timeline(0).is_zero()
         book_striped(ledger, platform, sources=[0], egress=0, volume=100.0, t_start=0.0, t_end=10.0)
-        assert not ledger.is_empty()
+        assert not ledger.ingress_timeline(0).is_zero()
 
     def test_zero_rate_stripes_omitted(self, setup):
         platform, ledger = setup
@@ -94,6 +95,22 @@ class TestPlanning:
             plan_striped(ledger, platform, sources=[0], egress=0, volume=-1.0, t_start=0.0, t_end=1.0)
         with pytest.raises(ConfigurationError):
             plan_striped(ledger, platform, sources=[0], egress=0, volume=1.0, t_start=5.0, t_end=1.0)
+
+
+def test_busy_paper_platform_never_overcommits():
+    """Sixty three-source bookings, twenty seconds apart, on one ledger of
+    the paper's heterogeneous platform."""
+    platform, rng = Platform.paper_platform(), np.random.default_rng(1)
+    ledger = PortLedger(platform)
+    booked = 0
+    for k in range(60):
+        booked += book_striped(
+            ledger, platform, sources=list(rng.choice(10, size=3, replace=False)),
+            egress=int(rng.integers(10)), volume=float(rng.uniform(5e4, 5e5)),
+            t_start=k * 20.0, t_end=k * 20.0 + 3600.0, max_stream_rate=500.0,
+        ) is not None  # fmt: skip
+    assert booked >= 20
+    assert ledger.max_overcommit() <= 1e-6
 
 
 @settings(max_examples=40, deadline=None)
