@@ -1,27 +1,17 @@
-"""Chaos-plane equivalence gate and lossy-mesh degradation report.
+"""Chaos plane: lossy meshes degrade, they don't corrupt.
 
-Two claims the chaos plane makes, both checked here:
-
-1. **A zero policy injects nothing.**  A gateway built with an all-zero
-   :class:`~repro.gateway.rpc.ChaosPolicy` runs the two-phase protocol
-   through the channels; a gateway with no policy books directly.  On
-   the wave workload below the two must make the same decisions and
-   reach the same reservations, slices, holds, stats and journal bytes —
-   only the brokers' protocol records (``resolved`` / ``prepared``)
-   exist solely where the protocol ran.  Any other drift is a
-   regression.
-
-2. **Lossy meshes degrade, they don't corrupt.**  A sweep over drop
-   rates × seeds records accept rate, re-admissions, and simulated
-   seconds burned waiting on lost deliveries; every cell must finish
-   invariant-clean (no overcommit, no zombie holds, replayable journal
-   implied by the drill's own checks).  The accept rate may fall as the
-   mesh gets lossier — that is the *point* of degraded-mode admission —
-   but bookings never outrun confirmed reservations.
+A sweep over drop rates × seeds records accept rate, re-admissions, and
+simulated seconds burned waiting on lost deliveries; every cell must
+finish invariant-clean (no overcommit, no zombie holds, replayable
+journal implied by the drill's own checks).  The accept rate may fall as
+the mesh gets lossier — that is the *point* of degraded-mode admission —
+but bookings never outrun confirmed reservations.
 
 A scaled-down chaos matrix (seeds × all five canned scenarios) also runs
 here so a plain benchmark invocation leaves a ``CHAOS_matrix.json``
 artifact; CI runs the full-size matrix via ``tests/test_chaos.py``.
+That an all-zero policy (the two-phase protocol, no faults) decides as
+the direct path does is ``tests/test_direct_booking.py``'s differential.
 
 Results land in ``benchmarks/results/BENCH_chaos.{json,txt}`` and
 ``benchmarks/results/CHAOS_matrix.json`` (uploaded as CI artifacts).
@@ -37,7 +27,7 @@ import numpy as np
 from repro.control.faults import run_chaos_matrix
 from repro.core.platform import Platform
 from repro.core.request import Request
-from repro.gateway import ChaosPolicy, Gateway, Journal, check_gateway
+from repro.gateway import ChaosPolicy, Gateway, check_gateway
 from repro.gateway.rpc import EdgeChaos
 from repro.schedulers.retry import BackoffSchedule
 
@@ -99,21 +89,6 @@ def lossy_workload(seed, n=40, ports=PORTS, horizon=400.0):
     return requests
 
 
-def run_waves(submissions, chaos):
-    gateway = Gateway(
-        Platform.uniform(PORTS, PORTS, CAP),
-        num_shards=SHARDS,
-        batch_size=BATCH,
-        chaos=chaos,
-        journal=Journal(),
-    )
-    for sub in submissions:
-        gateway.submit(**sub)
-    gateway.drain(submissions[-1]["now"])
-    assert gateway.pending() == 0
-    return gateway
-
-
 def run_lossy_cell(drop, seed):
     gateway = Gateway(
         Platform.uniform(PORTS, PORTS, CAP),
@@ -162,37 +137,10 @@ def run_lossy_cell(drop, seed):
     }
 
 
-def shared_state(gateway):
-    """What a direct-booking and a protocol gateway must agree on: the
-    snapshot minus the brokers' protocol records (``resolved`` /
-    ``prepared`` exist only where the protocol ran) and the journal below
-    its header (which names the policy)."""
-    snapshot = gateway.snapshot()
-    snapshot["shards"] = [
-        {k: v for k, v in shard.items() if k not in ("resolved", "prepared")}
-        for shard in snapshot["shards"]
-    ]
-    return snapshot, gateway.journal.to_jsonl().split("\n", 1)[1]
-
-
-def test_disabled_chaos_plane_is_free(results_dir):
-    submissions = wave_workload()
-    plain = run_waves(submissions, chaos=None)
-    gated = run_waves(submissions, chaos=ChaosPolicy(seed=0))
-
-    # Same decisions, reservations, slices, holds, stats and journal bytes.
-    assert shared_state(gated) == shared_state(plain)
-    assert gated.stats.as_dict() == plain.stats.as_dict()
-    assert gated.stats.chaos_drops == 0 and gated.stats.chaos_wait_total == 0.0
-    assert all(not b.resolutions() for b in plain.brokers)
-    assert any(b.resolutions() for b in gated.brokers)
-
+def test_lossy_meshes_degrade_without_corrupting(results_dir):
     sweep = [run_lossy_cell(drop, seed) for drop in DROP_RATES for seed in SWEEP_SEEDS]
 
     lines = [
-        f"zero-policy protocol vs direct booking: {plain.stats.accepted + plain.stats.rejected} "
-        "decisions, state, stats and journal identical",
-        "",
         f"{'drop':>5} {'seed':>4} {'accept%':>8} {'unreach':>7} "
         f"{'readmit':>7} {'recov':>5} {'wait':>8}",
     ]
@@ -204,15 +152,7 @@ def test_disabled_chaos_plane_is_free(results_dir):
         )
     (results_dir / "BENCH_chaos.txt").write_text("\n".join(lines) + "\n")
     (results_dir / "BENCH_chaos.json").write_text(
-        json.dumps(
-            {
-                "decisions_identical": True,
-                "lossy_sweep": sweep,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+        json.dumps({"lossy_sweep": sweep}, indent=2, sort_keys=True) + "\n"
     )
 
 

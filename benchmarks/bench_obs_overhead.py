@@ -42,7 +42,7 @@ from bench_chaos import CAP, PORTS, wave_workload
 
 from repro.core import Platform
 from repro.gateway import Gateway
-from repro.obs import NullTelemetry, Telemetry, WallClock
+from repro.obs import NullTelemetry, Telemetry, WallClock, use_telemetry
 from repro.obs.perfclock import PerfClock
 
 from conftest import RESULTS_DIR
@@ -60,6 +60,14 @@ def _wall(clock: PerfClock, fn: Callable[[], object]) -> float:
 
 
 def test_traced_gateway_overhead_wall():
+    # Both sides run under a capped process-wide handle (the booking
+    # counters go to it whatever the gateway's own handle is): the gate
+    # was set with one installed.
+    with use_telemetry(Telemetry(max_events=20_000, max_spans=20_000)):
+        measure_tracing_overhead()
+
+
+def measure_tracing_overhead():
     clock = WallClock()
     submissions = wave_workload()
 

@@ -7,7 +7,9 @@ refactor are gated, mirroring the promises the profile plane makes:
   workload the ``guaranteed-profile`` scheduler must produce a decision
   trace byte-identical to the constant ``bookahead`` family it extends
   (shaping never engages when the constant search succeeds) and finish
-  within ``MAX_OVERHEAD`` (5%) of its wall time.  The workload is made
+  within ``MAX_OVERHEAD`` (5%) of its wall time, read as the median
+  shaped/baseline ratio of ``ROUNDS`` interleaved rounds (see
+  :func:`paired_overhead`).  The workload is made
   fully feasible by a self-filtering pass: requests the baseline rejects
   are dropped and the survivors re-run — removing never-allocated
   requests cannot change an earliest-fit trace, so the filtered problem
@@ -23,7 +25,7 @@ a CI artifact) plus a human-readable table.
 from __future__ import annotations
 
 import json
-import math
+import statistics
 import time
 
 import numpy as np
@@ -48,9 +50,15 @@ from repro.workload import (
 #: the constant baseline on a workload where shaping never engages.
 MAX_OVERHEAD = 1.05
 
+#: Interleaved rounds of the neutrality gate.  On a 2-core host one
+#: ``schedule`` call of the constant workload takes 10-20 ms and single
+#: calls spike by up to half; the median of 60 paired ratios read
+#: 1.008-1.031 over 20 clean runs, and 1.10-1.12 over 5 runs with a
+#: planted ~10 % overhead (a 1.9 us spin) in ``GuaranteedProfile._admit``.
+ROUNDS = 60
+
 CONSTANT_REQUESTS = 600
 UPLIFT_REQUESTS = 400
-REPEATS = 5
 SEEDS = (0, 1, 2)
 
 
@@ -92,16 +100,34 @@ def trace(result) -> str:
     return json.dumps({"grants": grants, "rejected": sorted(result.rejected)})
 
 
-def timed_schedule(scheduler, prob) -> tuple[str, float]:
-    """Best-of-``REPEATS`` wall time plus the (repeat-invariant) trace."""
-    best = math.inf
-    decisions = ""
-    for _ in range(REPEATS):
-        t_begin = time.perf_counter()
-        result = scheduler.schedule(prob)
-        best = min(best, time.perf_counter() - t_begin)
-        decisions = trace(result)
-    return decisions, best
+def wall(scheduler, prob) -> float:
+    """Wall seconds of one ``scheduler.schedule(prob)``."""
+    t_begin = time.perf_counter()
+    scheduler.schedule(prob)
+    return time.perf_counter() - t_begin
+
+
+def paired_overhead(baseline, shaped, prob) -> tuple[float, float, float]:
+    """``(median shaped/baseline ratio, median baseline s, median shaped s)``
+    over ``ROUNDS`` rounds of one call each, the side that goes first
+    alternating: a slow phase of the host lands on both sides of a round,
+    and the median drops the rounds a spike hit."""
+    base_times, shaped_times, ratios = [], [], []
+    for round_ in range(ROUNDS):
+        if round_ % 2:
+            base_s = wall(baseline, prob)
+            shaped_s = wall(shaped, prob)
+        else:
+            shaped_s = wall(shaped, prob)
+            base_s = wall(baseline, prob)
+        base_times.append(base_s)
+        shaped_times.append(shaped_s)
+        ratios.append(shaped_s / base_s)
+    return (
+        statistics.median(ratios),
+        statistics.median(base_times),
+        statistics.median(shaped_times),
+    )
 
 
 def test_profiles_free_when_off_uplift_when_on(results_dir):
@@ -110,8 +136,8 @@ def test_profiles_free_when_off_uplift_when_on(results_dir):
     baseline = EarliestStartFlexible(policy=MinRatePolicy())
     shaped = GuaranteedProfile(policy=MinRatePolicy())
 
-    base_trace, base_seconds = timed_schedule(baseline, prob)
-    shaped_trace, shaped_seconds = timed_schedule(shaped, prob)
+    base_trace = trace(baseline.schedule(prob))
+    shaped_trace = trace(shaped.schedule(prob))
 
     assert json.loads(base_trace)["rejected"] == [], (
         "constant workload is not fully feasible; the neutrality gate "
@@ -121,7 +147,7 @@ def test_profiles_free_when_off_uplift_when_on(results_dir):
         "guaranteed-profile diverged from the constant trace on a "
         "workload where shaping never engages"
     )
-    overhead = shaped_seconds / base_seconds
+    overhead, base_seconds, shaped_seconds = paired_overhead(baseline, shaped, prob)
     # -- gate 2: shaping uplift on congested workloads -----------------
     scenarios = {
         "hotspot": (hotspot_problem, FractionOfMaxPolicy(1.0)),
@@ -148,9 +174,9 @@ def test_profiles_free_when_off_uplift_when_on(results_dir):
 
     # -- artifacts -----------------------------------------------------
     lines = [
-        f"constant path: baseline {base_seconds:.4f}s, "
-        f"guaranteed-profile {shaped_seconds:.4f}s "
-        f"({overhead:.3f}x, gate <= {MAX_OVERHEAD}x), traces identical",
+        f"constant path, median of {ROUNDS} interleaved rounds: baseline "
+        f"{base_seconds:.4f}s, guaranteed-profile {shaped_seconds:.4f}s, paired "
+        f"ratio {overhead:.3f}x (gate <= {MAX_OVERHEAD}x), traces identical",
         "",
         f"{'scenario':>8} {'seed':>4} {'off':>8} {'on':>8} {'uplift':>8}",
     ]
@@ -166,6 +192,7 @@ def test_profiles_free_when_off_uplift_when_on(results_dir):
             {
                 "constant": {
                     "requests": prob.num_requests,
+                    "rounds": ROUNDS,
                     "baseline_seconds": base_seconds,
                     "shaped_seconds": shaped_seconds,
                     "overhead": overhead,

@@ -12,9 +12,6 @@ from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..obs.artifact import RunTelemetry
-from ..obs.telemetry import Telemetry, use_telemetry
-
 __all__ = ["Aggregate", "replicate"]
 
 
@@ -33,34 +30,18 @@ class Aggregate:
 def replicate(
     run: Callable[[int], Mapping[str, float]],
     seeds: Sequence[int],
-    telemetry: RunTelemetry | None = None,
 ) -> dict[str, Aggregate]:
     """Run ``run(seed)`` for every seed and aggregate each metric.
 
     ``run`` returns a flat ``{metric name: value}`` mapping; all
     replications must produce the same keys.
-
-    When a :class:`~repro.obs.artifact.RunTelemetry` is supplied, each
-    replication executes under its own fresh
-    :class:`~repro.obs.telemetry.Telemetry` handle and is captured into the
-    artifact as ``seed=<n>`` with the replication's metrics attached — so
-    any instrumented code the experiment touches (service, schedulers,
-    simulator) is recorded per seed without the figure definitions knowing
-    telemetry exists.
     """
     if not seeds:
         raise ValueError("need at least one seed")
     samples: dict[str, list[float]] = {}
     keys: set[str] | None = None
     for seed in seeds:
-        if telemetry is not None:
-            with use_telemetry(Telemetry()) as capture:
-                metrics = dict(run(int(seed)))
-            telemetry.capture(
-                f"seed={int(seed)}", capture, results={k: float(v) for k, v in metrics.items()}
-            )
-        else:
-            metrics = dict(run(int(seed)))
+        metrics = dict(run(int(seed)))
         if keys is None:
             keys = set(metrics)
             for key in keys:

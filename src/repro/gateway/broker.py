@@ -113,7 +113,6 @@ class ShardBroker:
         self._booked: set[object] = set()
         self._resolution: dict[int, str] = {}
         self.crashed = False
-        self.holds_expired = 0
         self.holds_wiped = 0
         #: No live hold expires before this (``None``: none is live); the
         #: coordinator's sweep asks this broker only once it is due.
@@ -326,7 +325,6 @@ class ShardBroker:
         expired = [h for h in self._holds.values() if hold_expired(h.expires, now)]
         for hold in expired:
             self._drop_hold(hold.hold_id, "expired")
-        self.holds_expired += len(expired)
         self._rescan_due()
         return expired
 
@@ -410,7 +408,6 @@ class ShardBroker:
             "booked": [_key_out(key) for key in sorted(self._booked, key=str)],
             "resolution": [[hold_id, outcome] for hold_id, outcome in self._resolution.items()],
             "crashed": self.crashed,
-            "holds_expired": self.holds_expired,
             "holds_wiped": self.holds_wiped,
         }
 
@@ -433,7 +430,6 @@ class ShardBroker:
         self._booked = {_key_in(key) for key in state["booked"]}
         self._resolution = {hold_id: outcome for hold_id, outcome in state["resolution"]}
         self.crashed = state["crashed"]
-        self.holds_expired = state["holds_expired"]
         self.holds_wiped = state["holds_wiped"]
 
     # ------------------------------------------------------------------

@@ -579,8 +579,8 @@ class Gateway:
         self.hold_ttl = hold_ttl
         self.stats = GatewayStats()
         self._backlog: list[int] = []
-        self._chaos_seen: dict[str, float] = {}
-        self._edge_seen: dict[str, float] = {}
+        #: What the channels had counted at the last chaos metric push.
+        self._chaos_seen, self._edge_seen = self._chaos_counts()
         self._overcommit_hwm = 0.0
         self.on_decision: Callable[[Ticket, float], None] | None = None
         self.journal = journal
@@ -809,17 +809,15 @@ class Gateway:
         submissions: list[dict[str, Any]],
         *,
         now: float,
-        drain: bool = True,
     ) -> list[Ticket | ReproError]:
         """Admit a whole wave of submissions at one instant, then decide.
 
         The batcher splits the wave at ``batch_size``.  Each entry is a
-        keyword dict for :meth:`submit` minus ``now``; with ``drain=True``
-        (default) the trailing partial batch is flushed so every returned
-        ticket is decided.  A malformed entry fails alone: the
-        :class:`~repro.core.errors.ReproError` :meth:`submit` raised for it
-        takes its place in the returned list, and the rest of the wave is
-        still submitted at ``now``.
+        keyword dict for :meth:`submit` minus ``now``; the trailing partial
+        batch is flushed, so every returned ticket is decided.  A malformed
+        entry fails alone: the :class:`~repro.core.errors.ReproError`
+        :meth:`submit` raised for it takes its place in the returned list,
+        and the rest of the wave is still submitted at ``now``.
 
         Runs synchronously on the caller's thread — safe to call from a
         single-threaded event loop between ``await`` points, because
@@ -833,7 +831,7 @@ class Gateway:
                     results.append(self.submit(**fields, now=now))
                 except ReproError as exc:
                     results.append(exc)
-            if drain and len(self.batcher):
+            if len(self.batcher):
                 self.drain(now)
         return results
 
@@ -884,7 +882,8 @@ class Gateway:
         state: first admissions (:meth:`_decide`) and backlog
         re-admissions (:meth:`_readmit`) both come through here, so every
         protocol tally an attempt burned reaches :class:`GatewayStats`
-        whichever of the two made it.  Returns the outcome and the
+        whichever of the two made it, and the retries and aborts reach
+        their ``/metrics`` counters beside it.  Returns the outcome and the
         admission latency in simulated time: queueing since
         ``waiting_since`` plus the retry backoff and chaos waiting the
         transaction burned.  A traced attempt's ``trace`` collects the
@@ -910,8 +909,18 @@ class Gateway:
         stats.compensations += outcome.compensations
         stats.stranded_holds += outcome.stranded
         stats.recovered_deliveries += outcome.recovered
+        if outcome.retries and tel.enabled:
+            tel.metrics.counter(
+                "gateway_prepare_retries_total",
+                "Two-phase attempts burned on crashed brokers.",
+            ).inc(float(outcome.retries))
         if outcome.aborted:
             stats.twophase_aborts += 1
+            if tel.enabled:
+                tel.metrics.counter(
+                    "gateway_twophase_aborts_total",
+                    "Two-phase transactions rolled back with holds released.",
+                ).inc()
         latency = (now - waiting_since) + outcome.retry_delay + outcome.chaos_wait
         if trace is not None:
             trace.allocation, trace.fastpath = outcome.allocation, outcome.fastpath
@@ -982,16 +991,6 @@ class Gateway:
         bound.submits[outcome.allocation is not None].count += 1
         bound.admissions[outcome.local].count += 1
         bound.fastpath[outcome.fastpath].count += 1
-        if outcome.retries:
-            tel.metrics.counter(
-                "gateway_prepare_retries_total",
-                "Two-phase attempts burned on crashed brokers.",
-            ).inc(float(outcome.retries))
-        if outcome.aborted:
-            tel.metrics.counter(
-                "gateway_twophase_aborts_total",
-                "Two-phase transactions rolled back with holds released.",
-            ).inc()
         bound.latency.observe(latency)
         if outcome.allocation is None:
             bound.rejects(_reason(outcome.probe.reason)).inc()
@@ -1151,42 +1150,45 @@ class Gateway:
         ),
     }
 
+    def _chaos_counts(self) -> tuple[dict[str, float], dict[tuple[int, str], float]]:
+        """The channels' own counts: summed per chaos counter, and per
+        ``(shard, field)`` of :data:`_CHANNEL_COUNTERS`."""
+        totals = dict.fromkeys(self._CHAOS_COUNTERS, 0.0)
+        per_edge: dict[tuple[int, str], float] = {}
+        for channel in self.coordinator.channels:
+            counts = channel.stats.as_dict()
+            for name in totals:
+                totals[name] += float(counts[name])
+            for field in self._CHANNEL_COUNTERS:
+                per_edge[channel.shard_id, field] = float(counts[field])
+        return totals, per_edge
+
     def _publish_chaos(self) -> None:
         """Fold the channels' chaos counters into stats and telemetry.
 
         With no chaos configured this returns immediately — no counters
         move, no events are emitted, decision traces stay byte-identical.
+        The metric baselines advance whatever the handle, so an enabled
+        one is only ever pushed what the channels did since the last call
+        (or since a restore, which takes them from the channels).
         """
         if self.chaos is None:
             return
-        totals = {name: 0.0 for name in self._CHAOS_COUNTERS}
-        totals["latency"] = 0.0
-        for channel in self.coordinator.channels:
-            for name, value in channel.stats.as_dict().items():
-                if name in totals:
-                    totals[name] += float(value)
+        totals, per_edge = self._chaos_counts()
         for name in self._CHAOS_COUNTERS:
             setattr(self.stats, f"chaos_{name}", int(totals[name]))
         tel = self.telemetry
         if tel.enabled:
             for name, help_text in self._CHAOS_COUNTERS.items():
-                delta = totals[name] - self._chaos_seen.get(name, 0.0)
+                delta = totals[name] - self._chaos_seen[name]
                 if delta > 0:
-                    tel.metrics.counter(
-                        f"gateway_chaos_{name}_total", help_text
-                    ).inc(delta)
-            for channel in self.coordinator.channels:
-                per_edge = channel.stats.as_dict()
-                for field, (metric, help_text) in self._CHANNEL_COUNTERS.items():
-                    key = f"{channel.shard_id}:{field}"
-                    value = float(per_edge[field])
-                    delta = value - self._edge_seen.get(key, 0.0)
-                    self._edge_seen[key] = value
-                    if delta > 0:
-                        tel.metrics.counter(metric, help_text).inc(
-                            delta, shard=channel.shard_id
-                        )
-        self._chaos_seen = totals
+                    tel.metrics.counter(f"gateway_chaos_{name}_total", help_text).inc(delta)
+            for (shard, field), value in per_edge.items():
+                delta = value - self._edge_seen[shard, field]
+                if delta > 0:
+                    metric, help_text = self._CHANNEL_COUNTERS[field]
+                    tel.metrics.counter(metric, help_text).inc(delta, shard=shard)
+        self._chaos_seen, self._edge_seen = totals, per_edge
 
     # ------------------------------------------------------------------
     # Lifecycle operations (the rules live in repro.gateway.lifecycle)
@@ -1485,8 +1487,9 @@ class Gateway:
     def dump_state(self) -> dict[str, Any]:
         """Everything :meth:`replay` would rebuild, JSON-able (what
         :meth:`checkpoint` journals).  Observability-only fields — trace
-        roots, the overcommit high-water mark, the per-edge metric marks —
-        are not state: replay does not rebuild them either."""
+        roots, the overcommit high-water mark — are not state: replay does
+        not rebuild them either.  The chaos metric marks are re-read from
+        the restored channels."""
         return {
             "clock": self._clock,
             "next_rid": self._next_rid,
@@ -1495,7 +1498,6 @@ class Gateway:
             "tickets": [ticket.row() for ticket in self._tickets.values()],
             "backlog": list(self._backlog),
             "degradations": [d.to_dict() for d in self._degradations],
-            "chaos_seen": dict(self._chaos_seen),
             "brokers": [broker.dump_state() for broker in self.brokers],
             "channels": [channel.dump_state() for channel in self.coordinator.channels],
             "edge": None if self.edge is None else self.edge.dump_state(),
@@ -1515,11 +1517,13 @@ class Gateway:
         self._tickets = {row[0]: Ticket.from_row(row) for row in state["tickets"]}
         self._backlog = list(state["backlog"])
         self._degradations = [Degradation(**d) for d in state["degradations"]]
-        self._chaos_seen = dict(state["chaos_seen"])
         for broker, dumped in zip(self.brokers, state["brokers"]):
             broker.load_state(dumped)
         for channel, dumped in zip(self.coordinator.channels, state["channels"]):
             channel.load_state(dumped)
+        # The restored history already happened: the chaos metrics count
+        # from here.  (An older checkpoint's ``chaos_seen`` is not read.)
+        self._chaos_seen, self._edge_seen = self._chaos_counts()
         if self.edge is not None:
             self.edge.load_state(state["edge"])
 

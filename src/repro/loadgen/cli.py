@@ -1,9 +1,10 @@
 """``grid-loadgen`` — drive a running service and write the artifact.
 
 Targets an already-running ``grid-serve`` (see ``examples/serve_tour.py``
-and ``benchmarks/bench_serve.py`` for in-process harnesses).  The
-artifact is schema-validated before it hits disk, and the summary line
-carries the numbers the CI smoke gates on.
+for an in-process harness).  The artifact is schema-validated before it
+hits disk, and the summary line carries the headline numbers.  The exit
+status is 1 when a request failed in transport or over HTTP, or when no
+submission was answered; quota and edge refusals are answers and leave it 0.
 """
 
 from __future__ import annotations
@@ -99,6 +100,11 @@ def main(argv: list[str] | None = None) -> int:
         f"p999 {latency['p999'] * 1e3:.2f}ms",
         file=sys.stderr,
     )
+    failed = doc["transport_errors"] + doc["http_errors"]
+    if failed or not doc["submits"]:
+        reason = f"{failed} request(s) failed" if failed else "no submission was answered"
+        print(f"grid-loadgen: {reason}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -1,9 +1,9 @@
 """The load-run artifact: percentile arithmetic, schema, validation.
 
-Every run ends in one JSON document (``LOADGEN_*.json``) that the serve
-benchmark gates on.  The document is validated against
-:data:`LOADGEN_SCHEMA` with the repo's own minimal validator
-(:func:`repro.obs.schema.validate`) before it is written — a malformed
+Every run ends in one JSON document (``grid-loadgen --out``), whose
+error and answer counts set the command's exit status.  The document is
+validated against :data:`LOADGEN_SCHEMA` with the repo's own minimal
+validator (:func:`repro.obs.schema.validate`) before it is written — a malformed
 artifact fails the producer, not a downstream consumer.
 """
 

@@ -16,6 +16,7 @@ import signal
 import sys
 from pathlib import Path
 
+from ..core.errors import ConfigurationError
 from ..core.platform import Platform
 from ..gateway import EdgeLimit
 from .app import ServeApp, ServeConfig
@@ -129,7 +130,6 @@ def build_app(args: argparse.Namespace) -> ServeApp:
 
 async def _run(app: ServeApp, host: str, port: int) -> None:
     bound_host, bound_port = await app.start(host, port)
-    print(f"grid-serve listening on http://{bound_host}:{bound_port}", flush=True)
     drained = asyncio.Event()
     loop = asyncio.get_running_loop()
 
@@ -141,6 +141,8 @@ async def _run(app: ServeApp, host: str, port: int) -> None:
 
     for sig in (signal.SIGTERM, signal.SIGINT):
         loop.add_signal_handler(sig, _begin_drain)
+    # Only now: a SIGTERM sent on reading this line drains.
+    print(f"grid-serve listening on http://{bound_host}:{bound_port}", flush=True)
     await drained.wait()
     decided = app.gateway.stats.accepted + app.gateway.stats.rejected
     print(
@@ -152,7 +154,11 @@ async def _run(app: ServeApp, host: str, port: int) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    app = build_app(args)
+    try:
+        app = build_app(args)
+    except ConfigurationError as exc:
+        print(f"grid-serve: {exc}", file=sys.stderr)
+        return 2
     try:
         asyncio.run(_run(app, args.host, args.port))
     except KeyboardInterrupt:  # pragma: no cover - direct ^C before loop start

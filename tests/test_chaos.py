@@ -6,9 +6,12 @@ The through-line: with chaos off the channel layer is invisible
 must end invariant-clean and replay-convergent.
 """
 
+import json
 import math
 import random
+import shutil
 import time
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +42,8 @@ from repro.obs import Telemetry
 from repro.schedulers.retry import BackoffSchedule
 
 from .conftest import without_protocol_records
+
+DATA = Path(__file__).parent / "data"
 
 
 def platform(n=4, cap=1000.0):
@@ -861,6 +866,98 @@ class TestChaosOffEquivalence:
         rebuilt = Gateway.replay(journal)
         assert rebuilt.snapshot() == gw.snapshot()
         assert journal.header["chaos"] == ChaosPolicy.lossy(seed=4).to_dict()
+
+
+class TestChaosMetrics:
+    """What ``/metrics`` counts under chaos equals what the gateway counted."""
+
+    #: Per-shard channel family of each ``gateway_chaos_<name>_total``.
+    FAMILIES = {
+        "drops": "gateway_channel_dropped_total",
+        "duplicates": "gateway_channel_duplicated_total",
+        "delays": "gateway_channel_delayed_total",
+        "partitioned": "gateway_channel_partitioned_total",
+        "crashes": "gateway_channel_crashes_total",
+    }
+
+    @staticmethod
+    def total(telemetry, name):
+        metric = telemetry.metrics.get(name)
+        return 0.0 if metric is None else metric.total()
+
+    @staticmethod
+    def submit_all(gw, requests):
+        for request in requests:
+            gw.submit(
+                ingress=request.ingress,
+                egress=request.egress,
+                volume=request.volume,
+                deadline=request.t_end,
+                now=request.t_start,
+                max_rate=request.max_rate,
+            )
+
+    def test_retries_and_aborts_of_readmissions_are_counted(self):
+        telemetry = Telemetry()
+        gw = Gateway(
+            platform(8, 200.0),
+            num_shards=4,
+            batch_size=4,
+            chaos=ChaosPolicy(seed=2, default=EdgeChaos(drop=0.4)),
+            backoff=BackoffSchedule(base=1.0, max_attempts=4),
+            rpc_deadline=120.0,
+            backlog_limit=8,
+            hold_ttl=60.0,
+            telemetry=telemetry,
+        )
+        self.submit_all(gw, sorted(chaotic_workload(2, n=60), key=lambda r: r.t_start))
+        for _ in range(8):
+            gw.drain(gw.now + 61.0)
+        assert gw.stats.readmitted > 0 and gw.stats.twophase_aborts > 0
+        assert self.total(telemetry, "gateway_prepare_retries_total") == gw.stats.prepare_retries
+        assert self.total(telemetry, "gateway_twophase_aborts_total") == gw.stats.twophase_aborts
+
+    @pytest.mark.parametrize("restart", ["checkpoint", "replay", "older-checkpoint"])
+    def test_edge_counters_count_only_what_follows_a_restart(self, restart, tmp_path):
+        """Each per-shard family, summed over shards, equals its chaos total
+        and holds only the deliveries after the restart.  The older
+        checkpoint was written while one still carried ``chaos_seen`` and
+        the brokers' ``holds_expired``; it is the first life below."""
+        chaos = ChaosPolicy.lossy(seed=4, drop=0.4)
+        config = dict(
+            num_shards=2,
+            batch_size=2,
+            backoff=BackoffSchedule(base=1.0, max_attempts=4),
+            rpc_deadline=120.0,
+            backlog_limit=4,
+        )
+        workload = sorted(chaotic_workload(17, n=40, ports=4), key=lambda r: r.t_start)
+        path = tmp_path / "wal.jsonl"
+        if restart == "older-checkpoint":
+            shutil.copy(DATA / "checkpoint_chaos_seen.jsonl", path)
+            assert "chaos_seen" in json.loads(path.read_text().splitlines()[-1])["state"]
+        else:
+            gw = Gateway(platform(4, 200.0), chaos=chaos, journal=Journal(path=path), **config)
+            self.submit_all(gw, [r for r in workload if r.t_start < 200.0])
+            gw.drain(200.0)
+            if restart == "checkpoint":
+                gw.checkpoint()
+            gw.journal.close()
+        journal = Journal.load(path)
+        assert journal.has_checkpoint() == (restart != "replay")
+        telemetry = Telemetry()
+        resumed = Gateway.resume(journal, telemetry=telemetry)
+        assert resumed.snapshot() == Gateway.replay(journal).snapshot()
+        assert "chaos_seen" not in resumed.dump_state()
+        before = {name: getattr(resumed.stats, f"chaos_{name}") for name in self.FAMILIES}
+        self.submit_all(resumed, [r for r in workload if r.t_start >= 200.0])
+        resumed.drain(resumed.now + 1.0)
+        journal.close()
+        assert before["drops"] > 0 and resumed.stats.chaos_drops > before["drops"]
+        for name, family in self.FAMILIES.items():
+            after = getattr(resumed.stats, f"chaos_{name}") - before[name]
+            assert self.total(telemetry, f"gateway_chaos_{name}_total") == after, name
+            assert self.total(telemetry, family) == after, name
 
 
 class TestChaosMatrix:

@@ -161,8 +161,8 @@ def observed(gateway):
     edge = gateway.edge
     return {
         "tickets": [plain(ticket) for ticket in gateway._tickets.values()],
-        "chaos_seen": gateway._chaos_seen,
-        "brokers": [(b.holds_expired, b.holds_wiped) for b in gateway.brokers],
+        "chaos_seen": (gateway._chaos_seen, gateway._edge_seen),
+        "holds_wiped": [b.holds_wiped for b in gateway.brokers],
         "channels": [vars(channel.stats) for channel in gateway.coordinator.channels],
         "edge": None if edge is None else (
             edge.refused, edge.admitted, {c: b.tokens for c, b in edge._buckets.items()},

@@ -96,7 +96,6 @@ class TestShardBroker:
         expired = broker.expire_holds(60.0)
         assert [h.hold_id for h in expired] == [h1.hold_id]
         assert [h.hold_id for h in broker.holds()] == [h2.hold_id]
-        assert broker.holds_expired == 1
         assert broker.port("ingress", 0).usage.usage_at(5.0) == pytest.approx(100.0)
 
     def test_crash_wipes_holds_but_keeps_commits(self):

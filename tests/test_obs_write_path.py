@@ -138,18 +138,22 @@ def run_pair(seed):
 #: write path of PR 14 produced it, minus the one simulated-cost field each
 #: of its 41 ``gateway.batch`` events carried (PR 17 deleted that model;
 #: checked once: PR 16's artifact with exactly those 41 keys removed is
-#: this one byte for byte — was ``e380add3…`` / ``d5381b1e…``).
+#: this one byte for byte — was ``e380add3…`` / ``d5381b1e…``), and with
+#: ``gateway_prepare_retries_total`` counting the backlog re-admissions'
+#: retries too (28 → 30 and 47 → 50, ``GatewayStats.prepare_retries``; the
+#: one value that differs from ``a9a60919…`` / ``34e6d8dc…``).
 PARENT_ARTIFACT_SHA256 = {
-    1: "a9a609199c749e077fb6960a35375c73dbdaaa375416d80d10e6f1f183879728",
-    7: "34e6d8dc30c129048d5114b412fe8bb105bcc11d740bdba2b5753408f48da720",
+    1: "50f81187ff9cceffafe8c28372ec08b0f16c4b92575d8cc8df551736b00dd3f6",
+    7: "b5a16325ce1510bb3947348edd64ee87c0661c1fb8b42552bfd9238bdc061be7",
 }
 
 
 #: SHA-256 of ``json.dumps(telemetry.snapshot())`` — key order kept — as
-#: the per-hop write path before decision records produced it.
+#: the per-hop write path before decision records produced it, with the
+#: same retry count (was ``b1c6dd0b…`` / ``89007c6c…``).
 PARENT_SNAPSHOT_SHA256 = {
-    1: "b1c6dd0bb3031fac80724f96c900c68ea4c1bb3bfaec117e1fa7171b4a79258d",
-    7: "89007c6cc75acc2da270a5541cdad423d496d27e9a32e10f88505a5156ff2c68",
+    1: "72b244a79a4787ebfe7741222b31a2d2aeeabd50d7eaba4f9ece12d0412289f0",
+    7: "81b83b6c23ea32c296a3ff80eac4f8b71e68e2f0805c6cc364348e30916219e0",
 }
 
 

@@ -87,13 +87,14 @@ class TestNonFinite:
             Platform([1.0, 2.0], [3.0, bad])
 
     @pytest.mark.parametrize("capacity", ["nan", "inf"])
-    def test_grid_serve_refuses_a_non_finite_capacity(self, capacity):
+    def test_grid_serve_refuses_a_non_finite_capacity(self, capacity, capsys):
         from repro.serve.cli import _parser, build_app, main
 
         with pytest.raises(ConfigurationError, match="finite"):
             build_app(_parser().parse_args(["--capacity", capacity]))
-        with pytest.raises(ConfigurationError, match="finite"):
-            main(["--capacity", capacity, "--port", "0"])
+        assert main(["--capacity", capacity, "--port", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("grid-serve: ") and "finite" in err and err.count("\n") == 1
 
 
 class TestArraysAndTuples:

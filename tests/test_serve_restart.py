@@ -4,8 +4,9 @@ The property, over several seeds: run a seeded workload through a
 journalled service, drain it with submissions still parked on the
 frontier, rebuild a successor from the journal, and the successor is
 snapshot-equal to the drained instance — and both match an uninterrupted
-in-process gateway fed the identical waves.  A subprocess test covers
-the real signal path (``grid-serve`` + SIGTERM over a socket).
+in-process gateway fed the identical waves.  Subprocess tests cover
+the real signal path (``grid-serve`` + SIGTERM over a socket) and what
+``grid-serve`` and ``grid-loadgen`` exit with.
 """
 
 import asyncio
@@ -15,6 +16,7 @@ import re
 import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -165,12 +167,11 @@ def test_restarted_app_resumes_clock_past_replayed_time(tmp_path):
     assert successor.gateway.now == app.gateway.now
 
 
-def test_grid_serve_sigterm_drains_and_journal_replays(tmp_path):
-    """The real signal path: a grid-serve process, SIGTERM, then replay and
-    a successor restored from the drain's checkpoint."""
-    journal_path = tmp_path / "proc.journal.jsonl"
+@contextmanager
+def grid_serve(argv):
+    """A ``grid-serve`` process: yields ``(process, host, port)`` once it
+    listens; kills it if the body left it running, and closes its pipe."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    argv = ["--port", "0", "--ports", "4", "--shards", "2", "--journal", str(journal_path)]
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.serve.cli", *argv],
         stdout=subprocess.PIPE,
@@ -183,7 +184,20 @@ def test_grid_serve_sigterm_drains_and_journal_replays(tmp_path):
         line = proc.stdout.readline()
         match = re.search(r"http://([\d.]+):(\d+)", line)
         assert match, f"no listening line: {line!r}"
-        host, port = match.group(1), int(match.group(2))
+        yield proc, match.group(1), int(match.group(2))
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+
+
+def test_grid_serve_sigterm_drains_and_journal_replays(tmp_path):
+    """The real signal path: a grid-serve process, SIGTERM, then replay and
+    a successor restored from the drain's checkpoint."""
+    journal_path = tmp_path / "proc.journal.jsonl"
+    argv = ["--port", "0", "--ports", "4", "--shards", "2", "--journal", str(journal_path)]
+    with grid_serve(argv) as (proc, host, port):
 
         async def drive():
             client = ServiceClient(host, port)
@@ -208,11 +222,6 @@ def test_grid_serve_sigterm_drains_and_journal_replays(tmp_path):
         rids = asyncio.run(drive())
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=20) == 0
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-        proc.stdout.close()
 
     # The journal the process left behind ends in the drain's checkpoint,
     # and replays into a quiesced gateway holding every decision it served.
@@ -233,6 +242,45 @@ def test_grid_serve_sigterm_drains_and_journal_replays(tmp_path):
 
     successor = build_app(_parser().parse_args(argv))
     assert successor.snapshot() == gateway.snapshot()
+
+
+def test_grid_serve_refuses_a_restart_with_other_flags_in_one_line(tmp_path, capsys):
+    from repro.serve.cli import main
+
+    journal_path = tmp_path / "one.journal.jsonl"
+    argv = ["--port", "0", "--ports", "4", "--journal", str(journal_path)]
+    with grid_serve([*argv, "--shards", "1"]) as (proc, _, _):
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=20) == 0
+    written = journal_path.read_bytes()
+    assert main([*argv, "--shards", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("grid-serve: journal ") and err.endswith("num_shards differ\n")
+    assert err.count("\n") == 1
+    assert journal_path.read_bytes() == written
+
+
+@pytest.mark.parametrize("gen_keys", [2, 0], ids=["keyed", "open"])
+def test_grid_loadgen_exits_1_when_no_request_is_answered(gen_keys, capsys):
+    """Driven without ``--keys``, every batch a keyed service gets is
+    refused 401: the run fails.  Against open access it passes."""
+    from repro.loadgen.cli import main
+
+    argv = ["--port", "0", "--ports", "4", "--gen-keys", str(gen_keys)]
+    with grid_serve(argv) as (_, host, port):
+        load = ["--host", host, "--port", str(port), "--ports", "4", "--clients", "2"]
+        status = main([*load, "--batch", "4", "--target", "16"])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    if gen_keys:
+        assert status == 1
+        assert report["submits"] == 0 and report["http_errors"] > 0
+        reason = f"grid-loadgen: {report['http_errors']} request(s) failed"
+        assert captured.err.splitlines()[-1] == reason
+    else:
+        assert status == 0
+        assert report["submits"] == 16 and report["http_errors"] == 0
+        assert "grid-loadgen:" not in captured.err
 
 
 def test_journal_file_is_json_lines(tmp_path):
