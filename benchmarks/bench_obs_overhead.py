@@ -5,8 +5,9 @@ gateway on ``bench_chaos``'s wave workload with tracing
 enabled (every RPC hop spans, every decision event carries its trace
 context) must make byte-identical admission decisions to the same run
 under :class:`~repro.obs.telemetry.NullTelemetry` — tracing observes, it
-never steers — and is gated in wall time: the min-of-repeats
-``traced_over_null_wall`` ratio must stay under ``MAX_TRACING_WALL``.
+never steers — and is gated in wall time: the median traced/null ratio
+of ``TRACING_ROUNDS`` paired rounds, ``traced_over_null_wall``, must stay
+under ``MAX_TRACING_WALL``.
 The write path only stores (ring records, bound metric samples —
 docs/OBSERVABILITY.md, "Write path / read path"); that took this ratio
 from 1.84 to about 1.45, and storing each decision as two records (its
@@ -21,21 +22,24 @@ the median of five runs from 1.29 (1.23-1.31) to 1.22 (1.17-1.40, one
 slow-phase outlier) on a 2-core host, parent and change alternated.
 ROADMAP's target for tracing that stays on in production is 1.10x.
 
-The gate is the worst of five runs at 40 repeats (1.28-1.31 on a 2-core
-host) plus 0.05, so a return of per-span recording (1.43-1.44 at 40
-repeats on the same host) fails it.  ``TRACING_REPEATS`` is 40 because at
-15 the ratio read 1.40-1.52 on the per-span path, failing a 1.5 gate one
-run in three.
+The ceiling, 1.36, was set as the worst of five min-of-40 runs (1.28-1.31
+on a 2-core host) plus 0.05, so that a return of per-span recording
+(1.43-1.44 on the same host) fails it.  A min of each side over 40
+alternated runs of ~15 ms still failed it at unchanged code (2 runs in
+38): one quiet run on the null side is enough.  Each round now times one
+run of each side, the side that goes first alternating, so a slow phase
+of the host lands on both sides of a round, and the median of the
+rounds' ratios drops the rounds a spike hit.
 
 Timing uses the injectable :class:`~repro.obs.perfclock.WallClock` — the
-only sanctioned wall-clock source — with a min-of-repeats protocol so a
-single noisy run cannot fail CI.  Results land in
+only sanctioned wall-clock source.  Results land in
 ``benchmarks/results/BENCH_obs.json``.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 from collections.abc import Callable
 
 from bench_chaos import CAP, PORTS, wave_workload
@@ -49,7 +53,8 @@ from conftest import RESULTS_DIR
 
 #: Allowed traced/null wall-clock ratio of the same gateway run.
 MAX_TRACING_WALL = 1.36
-TRACING_REPEATS = 40
+#: Paired rounds of the gate (one run of each side per round).
+TRACING_ROUNDS = 60
 
 
 def _wall(clock: PerfClock, fn: Callable[[], object]) -> float:
@@ -93,17 +98,23 @@ def measure_tracing_overhead():
 
     run_gateway(NullTelemetry())  # warm-up
     run_gateway(Telemetry())  # warm-up
-    # Alternate the two sides so a slow phase of the host lands on both;
-    # the min of each filters what is left.
-    null_time = traced_time = float("inf")
-    for _ in range(TRACING_REPEATS):
-        null_time = min(null_time, _wall(clock, lambda: run_gateway(NullTelemetry())))
-        traced_time = min(traced_time, _wall(clock, lambda: run_gateway(Telemetry())))
-    wall_ratio = traced_time / null_time
+    null_times, traced_times, ratios = [], [], []
+    for round_ in range(TRACING_ROUNDS):
+        if round_ % 2:
+            null_s = _wall(clock, lambda: run_gateway(NullTelemetry()))
+            traced_s = _wall(clock, lambda: run_gateway(Telemetry()))
+        else:
+            traced_s = _wall(clock, lambda: run_gateway(Telemetry()))
+            null_s = _wall(clock, lambda: run_gateway(NullTelemetry()))
+        null_times.append(null_s)
+        traced_times.append(traced_s)
+        ratios.append(traced_s / null_s)
+    wall_ratio = statistics.median(ratios)
+    null_time, traced_time = statistics.median(null_times), statistics.median(traced_times)
 
     tracing = {
         "submissions": len(submissions),
-        "repeats": TRACING_REPEATS,
+        "rounds": TRACING_ROUNDS,
         "spans_per_run": spans,
         "decisions_identical": True,
         "null_wall_seconds": null_time,

@@ -20,9 +20,10 @@ of the client's stays behind), and prints:
   on that stream and on ``serve_hot``'s, ``inputs.hot_stream``, whose
   decisions search and book on contended ports;
 - the hot stream's search counts per decision: book-ahead searches,
-  ``Port.blocker`` probes and the mean ``FitProbe.candidates`` of a
-  search.  They repeat exactly, so a change to the search shows it asks
-  the kernel the same questions by printing the same three numbers;
+  ``Port.blocker`` probes and the mean number of starts a search visited
+  (``FitProbe.candidates``, one rate asked per start).  They repeat
+  exactly, so a change to the search shows it asks the kernel the same
+  questions by printing the same numbers;
 - the wall seconds ``ServeApp.explain`` takes, after the whole stream,
   for rid 5 and for the newest rid: the story is rebuilt by replaying
   the journal, so this is what ``?explain=1`` costs.
@@ -160,8 +161,9 @@ def cpu_medians(stream: str, bodies: list[dict], workdir: Path) -> tuple[float, 
 def search_counts(bodies: list[dict], workdir: Path) -> tuple[int, int, int, int]:
     """Serve ``bodies`` on a fresh app; returns the decisions, the
     book-ahead searches and ``Port.blocker`` probes they made, and the
-    searches' summed ``FitProbe.candidates`` (the booking layer's counters,
-    read from a metrics-only handle installed for the run)."""
+    starts those searches visited (summed ``FitProbe.candidates``; the
+    booking layer's counters, read from a metrics-only handle installed
+    for the run)."""
     app = make_app(workdir / "search.journal.jsonl")
     probes = 0
     blocker = Port.blocker
@@ -225,7 +227,7 @@ def main() -> int:
           f"telemetry share {1 - hot_off / hot_on:.1%}")
     print(f"hot stream searches per decision ({hot_decided} decisions, exact counts): "
           f"searches {searches / hot_decided:.4f}, Port.blocker probes "
-          f"{probes / hot_decided:.4f}, FitProbe.candidates per search "
+          f"{probes / hot_decided:.4f}, starts visited per search "
           f"{candidates / searches:.4f}")
     print(f"explain seconds after {DECISIONS} decisions (replayed from the header): "
           f"rid 5 {first_s:.3f}, newest rid {newest} {newest_s:.3f}")

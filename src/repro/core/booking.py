@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from collections.abc import Callable
-from operator import eq
 from typing import Protocol, runtime_checkable
 
 from ..obs.telemetry import get_telemetry
@@ -111,9 +110,8 @@ class FitProbe:
     Attributes
     ----------
     candidates:
-        Candidate start times in the start range up to and including the
-        chosen one (all of them on failure): "how far did the search have
-        to look".  A ``monotone`` rule passes over most of them unvisited.
+        Candidate starts the search visited, one per rate asked; a
+        ``monotone`` rule passes over most starts in range uncounted.
     reason:
         Why the request could not be booked (``None`` on success).
     ingress_headroom / egress_headroom:
@@ -208,10 +206,10 @@ def _first_fit(
     blocker ``(t0, t0)`` matches no later start and skips nothing: while it
     is what blocks, every candidate is visited and probed.
 
-    The later candidates are one sorted list in which an instant two runs
-    share appears twice: a step moves one cursor past all copies of
-    ``sigma``, a jump is one bisect, and nothing is counted on the way —
-    the rank is taken once, when the walk stops.
+    The later candidates are two ascending lists, one per port (a degraded
+    port's edges folded in), each ending in ``inf``: a step takes the smaller
+    head and moves each cursor on it (a shared instant is visited once), a
+    jump is one bisect per list, and the walk stops at ``inf``.
 
     ``limit`` is the caller's deadline bound, kept per caller on purpose:
     :func:`earliest_fit` allows :func:`deadline_tolerance` (``1e-9``
@@ -220,30 +218,26 @@ def _first_fit(
     between the two, so one shared bound would flip decisions the golden
     traces do not happen to cover.
 
-    Returns ``(allocation, candidates, bounced)``: the uncommitted
-    allocation or ``None``; the rank of the stop among the distinct
-    candidates — those up to and including the chosen one, visited or
-    not, all of them on failure (0 only when the start range is empty);
-    and ``(sigma, tau)`` of the first candidate that failed on
-    capacity (``None`` when none got that far).
+    Returns ``(allocation, visited, bounced)``: the uncommitted allocation
+    or ``None``; the starts visited, one per ``rate_for`` call (0 only when
+    the start range is empty); and ``(sigma, tau)`` of the first candidate
+    that failed on capacity (``None`` when none got that far).
     """
     latest = request.t_end - request.min_duration
     if latest < earliest:
         return None, 0, None
     volume = request.volume
     port_in, port_out = ledger.ports(request.ingress, request.egress)
-    # Both ports' breakpoints in (earliest, latest], plus a degraded port's
-    # edges: ``sort`` merges these ascending runs.
-    starts = port_in.usage.breakpoints_between(earliest, latest)
-    starts += port_out.usage.breakpoints_between(earliest, latest)
+    starts_in = port_in.usage.breakpoints_between(earliest, latest)
+    starts_out = port_out.usage.breakpoints_between(earliest, latest)
     if port_in.reductions is not None:
-        starts += port_in.edges(earliest, latest)
+        starts_in = sorted({*starts_in, *port_in.edges(earliest, latest)})
     if port_out.reductions is not None:
-        starts += port_out.edges(earliest, latest)
-    starts.sort()
-    end = len(starts)
-    # ``starts[:cursor]`` is consumed: stepped onto or jumped over.
-    cursor = 0
+        starts_out = sorted({*starts_out, *port_out.edges(earliest, latest)})
+    starts_in.append(math.inf)
+    starts_out.append(math.inf)
+    # ``starts_in[:i]`` and ``starts_out[:o]`` are stepped onto or jumped over.
+    i = o = visited = 0
     # A plain callable promises nothing: every candidate is visited.
     monotone = getattr(rate_for, "monotone", False)
     tolerance = deadline_tolerance(request.t_end)
@@ -252,6 +246,7 @@ def _first_fit(
     allocation: Allocation | None = None
     sigma = earliest
     while True:
+        visited += 1
         bw = rate_for(sigma)
         if bw is not None and bw > 0:
             tau = sigma + volume / bw
@@ -267,14 +262,15 @@ def _first_fit(
                 if bounced is None:
                     bounced = (sigma, tau)
                 if monotone and blocked_from + tolerance <= tau:
-                    cursor = bisect_left(starts, blocked_until, cursor)
-        if cursor == end:
+                    i = bisect_left(starts_in, blocked_until, i)
+                    o = bisect_left(starts_out, blocked_until, o)
+        a, b = starts_in[i], starts_out[o]
+        sigma = min(a, b)
+        if sigma == math.inf:
             break
-        sigma = starts[cursor]
-        cursor = bisect_right(starts, sigma, cursor)
-    # The rank: ``earliest`` plus the distinct starts stepped on or jumped
-    # over, each repeat of its left neighbour counted out.
-    return allocation, 1 + cursor - sum(map(eq, starts[1:cursor], starts)), bounced
+        i += a == sigma
+        o += b == sigma
+    return allocation, visited, bounced
 
 
 def earliest_fit(
@@ -302,14 +298,14 @@ def earliest_fit(
     if rate_for is None:
         rate_for = BoundRule(Request.deadline_rate, request, monotone=True)
     earliest = request.t_start if not_before is None else max(request.t_start, not_before)
-    allocation, examined, bounced = _first_fit(
+    allocation, visited, bounced = _first_fit(
         ledger, request, rate_for, earliest, request.t_end + deadline_tolerance(request.t_end)
     )
     if probe is not None:
-        probe.candidates = examined
+        probe.candidates = visited
         if allocation is None:
             _blame(ledger, request, probe, bounced)
-    _count_fit(request, candidates=examined, accepted=allocation is not None)
+    _count_fit(request, candidates=visited, accepted=allocation is not None)
     return allocation
 
 
@@ -349,8 +345,8 @@ def _count_fit(request: Request, *, candidates: int, accepted: bool) -> None:
     ).inc(outcome=outcome)
     tel.metrics.counter(
         "booking_candidates_examined_total",
-        "Summed rank of each earliest-fit search's stop among its candidate "
-        "starts (starts a jump skipped count too).",
+        "Candidate starts visited by earliest-fit searches (one rate asked per "
+        "start; starts a jump skipped are not counted).",
     ).inc(float(candidates))
 
 

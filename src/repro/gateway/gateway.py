@@ -33,7 +33,7 @@ submit, in submission order, against one authoritative ledger.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, NamedTuple
@@ -48,7 +48,7 @@ from ..core.request import Request, RequestSet
 from ..obs.causal import CausalObserver, TraceContext, hop_spans
 from ..obs.metrics import BoundCounter
 from ..obs.slo import SloWatchdog
-from ..obs.telemetry import Telemetry, get_telemetry
+from ..obs.telemetry import NullTelemetry, Telemetry, get_telemetry, use_telemetry
 from ..obs.tracer import Hop, Span
 from ..schedulers.policies import BandwidthPolicy, MinRatePolicy, policy_from_name
 from . import lifecycle
@@ -1541,14 +1541,18 @@ class Gateway:
         parked rejections whenever capacity freed, unjournaled, each taking
         a rid, so its later rids cannot be reproduced and it is refused.
         """
-        gateway = cls.restored(journal.header)
-        lifecycle.replay_ops(gateway, journal)
-        return gateway
+        return cls.restored(journal.header, entries=journal)
 
     @classmethod
-    def restored(cls, header: dict[str, Any], checkpoint: JournalEntry | None = None) -> Gateway:
-        """A journal-less gateway of a journal header's configuration, holding
-        a ``checkpoint`` entry's state if given (refuses what :meth:`replay` does)."""
+    def restored(
+        cls,
+        header: dict[str, Any],
+        checkpoint: JournalEntry | None = None,
+        entries: Iterable[JournalEntry] = (),
+    ) -> Gateway:
+        """A journal-less gateway of a journal header's configuration: a
+        ``checkpoint`` entry's state if given, then ``entries`` replayed under a
+        :class:`NullTelemetry`, process-wide too (refuses what :meth:`replay` does)."""
         if not header:
             raise ConfigurationError("journal has no header; cannot replay")
         if header.get("kind", "gateway") != "gateway":
@@ -1581,9 +1585,13 @@ class Gateway:
             backlog_limit=int(header.get("backlog_limit", 0)),
             malleable=bool(header.get("malleable", False)),
             journal=None,
+            telemetry=NullTelemetry(),
         )
         if checkpoint is not None:
             gateway._load_state(checkpoint.args["state"])
+        with use_telemetry(gateway.telemetry):
+            lifecycle.replay_ops(gateway, entries)
+        gateway._telemetry = None
         return gateway
 
     @classmethod
@@ -1601,19 +1609,14 @@ class Gateway:
         replayed (both come from :meth:`Journal.last_checkpoint
         <repro.gateway.journal.Journal.last_checkpoint>`, so a loaded
         journal never decodes the lines before them); without one this is
-        :meth:`replay`.  Either way the rebuild runs without observability
-        wiring (replayed history must not re-emit metrics or SLO samples —
-        it already happened), then this re-attaches the live handles and
-        re-arms the journal so new operations append after the recorded
-        ones.
+        :meth:`replay`.  Either way the rebuild reports to no one, neither
+        ``telemetry`` nor the process-wide handle (replayed history must not
+        re-emit metrics or SLO samples — it already happened), then this
+        attaches the live handles and re-arms the journal so new operations
+        append after the recorded ones.
         """
-        restart = journal.last_checkpoint()
-        if restart is None:
-            gateway = cls.replay(journal)
-        else:
-            checkpoint, tail = restart
-            gateway = cls.restored(journal.header, checkpoint)
-            lifecycle.replay_ops(gateway, tail)
+        checkpoint, tail = journal.last_checkpoint() or (None, journal)
+        gateway = cls.restored(journal.header, checkpoint, tail)
         gateway._telemetry = telemetry  # the observer reads it per record
         gateway.slo = slo
         gateway.journal = journal

@@ -99,8 +99,8 @@ class EarliestStartFlexible(Scheduler):
             if tel.enabled:
                 tel.metrics.counter(
                     "scheduler_candidates_examined_total",
-                    "Summed rank of each book-ahead search's stop among its candidate "
-                    "starts (starts a jump skipped count too), per scheduler.",
+                    "Candidate starts visited by book-ahead searches (starts a jump "
+                    "skipped are not counted), per scheduler.",
                 ).inc(float(examined), scheduler=self.name)
         self._observe_schedule(problem, result)
         return result

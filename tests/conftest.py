@@ -72,14 +72,20 @@ def hotspot_stream(seed, n, ports=16, capacity=1000.0):
 
 
 class CountedRule:
-    """A bound rate rule that counts its evaluations; it repeats the
-    ``monotone`` promise of the rule it wraps."""
+    """A rate rule that records the starts it is asked about, in order;
+    it repeats the ``monotone`` promise of the rule it wraps, if that
+    makes one (a plain callable makes none)."""
 
     def __init__(self, rule):
         self.rule = rule
-        self.monotone = rule.monotone
-        self.calls = 0
+        self.starts = []
+        if hasattr(rule, "monotone"):
+            self.monotone = rule.monotone
+
+    @property
+    def calls(self):
+        return len(self.starts)
 
     def __call__(self, sigma):
-        self.calls += 1
+        self.starts.append(sigma)
         return self.rule(sigma)

@@ -12,6 +12,7 @@ from repro.core.profile import RateProfile
 from repro.gateway import ShardBroker, ShardMap, TwoPhaseCoordinator
 from repro.schedulers.policies import MinRatePolicy
 
+from .conftest import CountedRule
 from .test_search_identity import Unpromised
 
 PLATFORM = Platform.uniform(2, 2, 100.0)
@@ -122,13 +123,14 @@ def test_shaping_runs_only_when_malleable_and_the_constant_search_failed(make_vi
 
 
 # ----------------------------------------------------------------------
-# FitProbe.candidates is a rank, not a visit count
+# FitProbe.candidates counts the starts the search visited
 # ----------------------------------------------------------------------
 #: Both ports carry 30 MB/s over [10, 20) and 90 over [30, 50) — the same
 #: pair, so 10, 20, 30 and 50 are breakpoints of both — and the egress port
 #: loses 5 MB/s over [5, 90): a degradation edge at 5 (90 lies past every
 #: start range below).  The distinct starts are sorted(set(...)) of
-#: earliest = 0 and those instants inside (0, latest].
+#: earliest = 0 and those instants inside (0, latest]; a start both ports
+#: hold is visited once.
 RANKED = [(10.0, 20.0, 30.0), (30.0, 50.0, 90.0)]
 EDGE = [Degradation("egress", EGRESS, 5.0, 90.0, 5.0)]
 
@@ -138,13 +140,14 @@ EDGE = [Degradation("egress", EGRESS, 5.0, 90.0, 5.0)]
     [
         # latest = 80: starts 0, 5, 10, 20, 30, 50.  20 MB/s from 0 bounces
         # off the ingress port's [30, 50); the jump lands on 50, which fits:
-        # two starts visited, six up to the chosen one.
-        (2000.0, (50.0, 6, None)),
+        # two starts visited, where the control visits all six.
+        (2000.0, (50.0, 2, 6, None)),
         # 4 MB/s fits from 0 (egress [30, 50) has 95 - 90 = 5 left).
-        (400.0, (0.0, 1, None)),
+        (400.0, (0.0, 1, 1, None)),
         # latest = 30: starts 0, 5, 10, 20, 30.  70 MB/s from 0 bounces off
-        # [30, 50) and the jump runs past them all: a reject counts all five.
-        (7000.0, (None, 5, RejectReason.EGRESS_FULL)),
+        # [30, 50) and the jump runs past them all: one start visited, where
+        # the control visits all five.
+        (7000.0, (None, 1, 5, RejectReason.EGRESS_FULL)),
     ],
     ids=["jump-then-accept", "accept-at-earliest", "reject"],
 )
@@ -153,9 +156,16 @@ def test_candidates_count_distinct_starts_up_to_the_stop(make_view, volume, expe
     for policy in (MinRatePolicy(), Unpromised(MinRatePolicy())):
         probe = FitProbe()
         req = request(volume)
-        allocation = earliest_fit(make_view(RANKED, EDGE), req, policy.bind(req), probe=probe)
+        rule = CountedRule(policy.bind(req))
+        allocation = earliest_fit(make_view(RANKED, EDGE), req, rule, probe=probe)
+        assert probe.candidates == rule.calls
         outcomes.append((allocation, probe))
-    (allocation, probe), control = outcomes
-    assert (allocation, probe) == control
+    (allocation, probe), (control, control_probe) = outcomes
+    assert allocation == control
+    assert (probe.reason, probe.ingress_headroom, probe.egress_headroom) == (
+        control_probe.reason,
+        control_probe.ingress_headroom,
+        control_probe.egress_headroom,
+    )
     sigma = None if allocation is None else allocation.sigma
-    assert (sigma, probe.candidates, probe.reason) == expected
+    assert (sigma, probe.candidates, control_probe.candidates, probe.reason) == expected

@@ -8,11 +8,13 @@ candidate put to both of the pair's ``Port``\\ s.  On seeded random ledgers
 — plain, one side degraded, both sides degraded; a ``PortLedger`` and the
 gateway's ``TwoPhaseCoordinator`` over two shard brokers — and under every
 bandwidth policy plus a deliberately non-monotone ``rate_for``, both must
-return equal ``Allocation``s and equal ``FitProbe``s (candidate count,
-reason, both headrooms).  The policies are handed over as
-``policy.bind(request)``, so they take the monotone jump (starts under a
-blocker are not even visited); the non-monotone closure declares nothing
-and is the per-candidate control.
+return equal ``Allocation``s, reasons and both headrooms.  The policies
+are handed over as ``policy.bind(request)``, so they take the monotone jump
+(starts under a blocker are not even visited) and ``FitProbe.candidates``,
+the starts visited, is at most the oracle's; the non-monotone closure
+declares nothing, is the per-candidate control and visits exactly the
+oracle's starts.  Every search asks its rule once per start it counts, at
+strictly ascending starts.
 
 A degraded port answers a failed probe with the empty blocker
 ``(t0, t0)`` — for itself only: while it is what blocks, nothing is skipped
@@ -26,9 +28,8 @@ it is not.
 
 The coinciding-instant cases put every time on a grid, so the two ports
 of a pair share most breakpoints, degradations begin and end on usage
-breakpoints, and searches open or resume exactly on one: the merged start
-list then holds an instant twice, and the rank in ``FitProbe.candidates``
-must still count it once.
+breakpoints, and searches open or resume exactly on one: both ports' start
+lists then hold an instant, and the walk must visit it (and count it) once.
 
 The last test is the deterministic work gate: probe, rate-evaluation and
 candidate counts repeat exactly, so "how many questions does a hotspot
@@ -194,16 +195,33 @@ RATE_RULES = {
 
 
 def _assert_same_search(ledger, request, rate_for, not_before):
+    """The search against the oracle; returns ``(allocation, probe,
+    oracle_probe, starts_visited)``.  Equal decisions, reasons and headrooms; the starts
+    visited are the oracle's under a rule that promises nothing, and no
+    more than the oracle's under a monotone one."""
     expected, expected_probe = naive_earliest_fit(
         ledger, request, rate_for, not_before=not_before
     )
     probe = FitProbe()
-    allocation = earliest_fit(ledger, request, rate_for, not_before=not_before, probe=probe)
+    asked = CountedRule(rate_for)
+    allocation = earliest_fit(ledger, request, asked, not_before=not_before, probe=probe)
     assert allocation == expected
-    assert probe == expected_probe
+    assert (probe.reason, probe.ingress_headroom, probe.egress_headroom) == (
+        expected_probe.reason,
+        expected_probe.ingress_headroom,
+        expected_probe.egress_headroom,
+    )
+    # One rate asked per start counted, each start once, in ascending order.
+    assert probe.candidates == asked.calls
+    assert asked.starts == sorted(set(asked.starts))
+    if getattr(rate_for, "monotone", False):
+        assert (probe.candidates == 0) == (expected_probe.candidates == 0)
+        assert probe.candidates <= expected_probe.candidates
+    else:
+        assert probe.candidates == expected_probe.candidates
     # Without a probe the search decides the same (it skips the headroom reads).
     assert earliest_fit(ledger, request, rate_for, not_before=not_before) == expected
-    return allocation, probe
+    return allocation, probe, expected_probe, asked.starts
 
 
 @pytest.mark.parametrize("rule", RATE_RULES)
@@ -214,12 +232,12 @@ def test_port_ledger_search_equals_naive_walk(degraded, rule):
         rng, _, ledger, _, _ = _world(seed, DEGRADED[degraded])
         for request in _requests(rng):
             not_before = request.t_start + 7.5 if request.rid % 5 == 0 else None
-            allocation, probe = _assert_same_search(
+            allocation, probe, oracle, _ = _assert_same_search(
                 ledger, request, RATE_RULES[rule](request), not_before
             )
             late_accepts += allocation is not None and probe.candidates > 1
             capacity_rejects += probe.ingress_headroom is not None
-            deepest = max(deepest, probe.candidates)
+            deepest = max(deepest, oracle.candidates)
             if allocation is not None and request.rid % 2:
                 # Keep the ledger moving: later requests search a profile
                 # the earlier ones changed.
@@ -244,7 +262,7 @@ def test_pair_view_search_equals_naive_walk(degraded, rule):
         for request in _requests(rng):
             cross_shard += not shard_map.is_local(request.ingress, request.egress)
             rate_for = RATE_RULES[rule](request)
-            allocation, probe = _assert_same_search(coordinator, request, rate_for, None)
+            allocation, probe, _, _ = _assert_same_search(coordinator, request, rate_for, None)
             # ... and the brokers' ports answer like the one ledger holding it all.
             ledger_probe = FitProbe()
             assert earliest_fit(ledger, request, rate_for, probe=ledger_probe) == allocation
@@ -287,11 +305,15 @@ def test_one_hot_segment_costs_one_probe(blocker_calls):
     probe = FitProbe()
     blocker_calls.clear()  # allocate() probed too
     allocation = earliest_fit(ledger, request, probe=probe)
-    # The first probe bounces off the last hot segment, [400, 500); every
-    # start before 500 is failed from memory; the probe at 500 fits.
+    # The first probe bounces off the last hot segment, [400, 500); the
+    # walk jumps over the 40 starts before 500; the probe at 500 fits.
     assert allocation is not None and allocation.sigma == 500.0
-    assert probe.candidates == 42
+    assert probe.candidates == 2
     assert blocker_calls == [(0.0, 700.0, 20000.0 / 700.0)] + 2 * [(500.0, 700.0, 100.0)]
+    # The oracle visits all 42 starts up to 500.
+    blocker_calls.clear()
+    oracle = naive_earliest_fit(ledger, request, MinRatePolicy().bind(request))[1]
+    assert oracle.candidates == 42
 
 
 def _hot_pair_search(degraded_side, blocker_calls):
@@ -307,7 +329,7 @@ def _hot_pair_search(degraded_side, blocker_calls):
     rule = CountedRule(MinRatePolicy().bind(request))
     allocation = earliest_fit(ledger, request, rule, probe=probe)
     assert allocation is not None and allocation.sigma == 500.0
-    assert probe.candidates == 42
+    assert probe.candidates == rule.calls
     return ledger, rule
 
 
@@ -368,7 +390,7 @@ def test_a_blocker_at_the_finish_edge_is_walked_not_jumped():
     assert finish[30.0] == JUST_BEFORE
     rule = CountedRule(bound)
     ledger = _edge_ledger(hot_from=JUST_BEFORE)
-    allocation, probe = _assert_same_search(ledger, request, rule, None)
+    allocation, probe, _, _ = _assert_same_search(ledger, request, rule, None)
     # [0, 100) bounces off [JUST_BEFORE, 200); a jump to 200 would refuse a
     # request that fits at 30, where [30, JUST_BEFORE) stays clear of it.
     assert allocation is not None and allocation.sigma == 30.0
@@ -384,10 +406,16 @@ def test_a_blocker_clear_of_the_finish_edge_is_jumped():
     probe = FitProbe()
     assert earliest_fit(ledger, request, rule, probe=probe) is None
     assert probe.reason is RejectReason.INGRESS_FULL
-    # Every start finishes past 99: one evaluation, one probe, then past the end.
-    assert probe.candidates == 15  # 0, then 10, 15, ... 75
-    assert rule.calls == 1
-    assert naive_earliest_fit(ledger, request, rule)[1] == probe
+    # Every start finishes past 99: one evaluation, one probe, then past the
+    # end of the 15 starts (0, then 10, 15, ... 75) the oracle visits.
+    assert probe.candidates == rule.calls == 1
+    oracle = naive_earliest_fit(ledger, request, rule)[1]
+    assert oracle.candidates == 15
+    assert (oracle.reason, oracle.ingress_headroom, oracle.egress_headroom) == (
+        probe.reason,
+        probe.ingress_headroom,
+        probe.egress_headroom,
+    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -405,12 +433,12 @@ def test_finish_edge_blockers_equal_naive_walk(volume, hot_from, rule, not_befor
 
 
 # ----------------------------------------------------------------------
-# Coinciding instants: one start list, each instant counted once
+# Coinciding instants: two start lists, each instant visited once
 # ----------------------------------------------------------------------
-# The walk merges both ports' breakpoints (and a degraded port's edges)
-# into one sorted list in which an instant two runs share appears twice;
-# it steps over both copies at once and ranks the stop among the
-# *distinct* starts.  These worlds put times on a 5 s grid so instants
+# The walk steps through both ports' breakpoints (a degraded port's edges
+# folded into its own list) with one cursor per port; an instant both
+# lists hold is visited once and both cursors move past it.  These worlds
+# put times on a 5 s grid so instants
 # coincide on purpose: bookings mostly on the pair (0, 0), whose two ports
 # then share their breakpoints; degradations that begin and end exactly on
 # a usage breakpoint of the same port or of its peer; and searches that
@@ -458,8 +486,8 @@ def _shared_request(rid, t_start, slots, volume_per_s):
     )
 
 
-def _shares_a_start(ledger, request, not_before):
-    """Does the pair's start range hold an instant of two runs at once?"""
+def _shared_starts(ledger, request, not_before):
+    """The instants of the pair's start range that two runs hold at once."""
     port_in, port_out = ledger.ports(0, 0)
     earliest = request.t_start if not_before is None else max(request.t_start, not_before)
     latest = request.t_end - request.min_duration
@@ -472,7 +500,7 @@ def _shares_a_start(ledger, request, not_before):
             port_out.edges(earliest, latest),
         )
     ]
-    return any(a & b for k, a in enumerate(runs) for b in runs[k + 1 :])
+    return {t for k, a in enumerate(runs) for b in runs[k + 1 :] for t in a & b}
 
 
 @pytest.mark.parametrize("ledger_kernel", KERNELS, indirect=True)
@@ -509,12 +537,12 @@ def test_coinciding_instants_equal_naive_walk(degraded, rule, ledger_kernel):
             request = _shared_request(rid, t_start, rng.randrange(4, 60), rng.uniform(3.0, 60.0))
             later = [t for t in points if t_start < t < request.t_end]
             not_before = rng.choice(later) if later and rid % 3 == 0 else None
-            allocation, probe = _assert_same_search(
+            allocation, probe, _, visited = _assert_same_search(
                 ledger, request, RATE_RULES[rule](request), not_before
             )
-            shared += _shares_a_start(ledger, request, not_before) and probe.candidates > 2
+            shared += not _shared_starts(ledger, request, not_before).isdisjoint(visited)
             late += allocation is not None and probe.candidates > 1
-    # The ranks compared above must have counted shared instants.
+    # The walks compared above must have visited shared instants.
     assert shared >= 40
     assert late >= 10
 
@@ -560,19 +588,28 @@ def test_coinciding_instants_fuzzed_equal_naive_walk(bookings, degradations, dat
 # Deterministic work gate
 # ----------------------------------------------------------------------
 def test_hotspot_search_asks_few_questions(blocker_calls):
-    """4,016 hotspot requests: many candidates per search, few probes, and
-    (the rule being monotone) as few rate evaluations."""
+    """4,016 hotspot requests: many starts in range per search, few probes,
+    and (the rule being monotone) few starts visited, one rate asked each."""
     ledger = PortLedger(Platform.uniform(16, 16, 1000.0))
     policy = MinRatePolicy()
-    searches = candidates = evaluations = 0
+    searches = in_range = candidates = evaluations = 0
     for request in hotspot_stream(1, 4016):
+        port_in, port_out = ledger.ports(request.ingress, request.egress)
+        latest = request.t_end - request.min_duration
+        in_range += 1 + len(
+            {
+                *port_in.usage.breakpoints_between(request.t_start, latest),
+                *port_out.usage.breakpoints_between(request.t_start, latest),
+            }
+        )
         probe = FitProbe()
         rule = CountedRule(policy.bind(request))
         book_earliest(ledger, request, rule, probe=probe)
         searches += 1
         candidates += probe.candidates
         evaluations += rule.calls
-    assert candidates / searches >= 50
+    assert in_range / searches >= 50
+    assert candidates == evaluations
     # Port questions: up to two per probe, two more when the booking commits.
     assert len(blocker_calls) / searches <= 8
     assert evaluations / searches <= 8

@@ -38,7 +38,7 @@ from repro.gateway import (
     check_gateway,
     hold_expired,
 )
-from repro.obs import Telemetry
+from repro.obs import Telemetry, use_telemetry
 from repro.schedulers.retry import BackoffSchedule
 
 from .conftest import without_protocol_records
@@ -958,6 +958,36 @@ class TestChaosMetrics:
             after = getattr(resumed.stats, f"chaos_{name}") - before[name]
             assert self.total(telemetry, f"gateway_chaos_{name}_total") == after, name
             assert self.total(telemetry, family) == after, name
+
+
+    @pytest.mark.parametrize("restart", ["checkpoint", "replay"])
+    def test_a_rebuild_reports_nothing_to_the_process_wide_handle(self, restart):
+        """Replayed history already happened: checking a gateway against its
+        journal and resuming the journal, with or without a checkpoint, leave
+        no gateway or booking family on an enabled process-wide handle."""
+        gw = Gateway(
+            platform(4, 60.0),
+            num_shards=2,
+            batch_size=2,
+            chaos=ChaosPolicy.lossy(seed=4, drop=0.4),
+            backoff=BackoffSchedule(base=1.0, max_attempts=4),
+            rpc_deadline=120.0,
+            backlog_limit=4,
+            journal=Journal(),
+        )
+        workload = sorted(chaotic_workload(17, n=40, ports=4), key=lambda r: r.t_start)
+        self.submit_all(gw, workload)
+        gw.drain(gw.now + 1.0)
+        if restart == "checkpoint":
+            gw.checkpoint()
+        # Searches ran, and some failed: the booking layer had counts to leak.
+        assert gw.stats.accepted > 0 and gw.stats.rejected > 0
+        with use_telemetry(Telemetry()) as ambient:
+            assert check_gateway(gw, journal=gw.journal).ok
+            resumed = Gateway.resume(gw.journal)
+        assert resumed.snapshot() == gw.snapshot()
+        leaked = [name for name in ambient.metrics.names() if name.startswith(("gateway_", "booking_"))]
+        assert leaked == []
 
 
 class TestChaosMatrix:

@@ -274,13 +274,16 @@ def chaos_off_run(telemetry):
 #: max_spans=53)``, as the per-hop write path before decision records
 #: produced them: the artifact, ``explain_request`` of the rebooked origin
 #: and of the aborted rid (with the journal), the Prometheus text and the
-#: snapshot dumped with its key order.
+#: snapshot dumped with its key order.  The artifact and the snapshot were
+#: ``b2998fb6…`` / ``d6a82e07…`` while ``candidates`` ranked the search's
+#: stop among the starts in range; it now counts the starts visited, and
+#: with every ``candidates`` value masked the old and new texts are equal.
 CHAOS_OFF_SHA256 = {
-    "artifact": "b2998fb6c00becf1713239a05f292069005060ae86b630b87a6175ec89be4f37",
+    "artifact": "c8167194064420ecd4aa73f9722fa0cec21e866bf0e63e5cdb1407cb56da08be",
     "explain-124": "f71d27e2ac33b6df6cb8a1f94879a52fce385baa7a7e5499dcaa591dc0d78d04",
     "explain-132": "71a9bfcf6d6663c7fc9509a7b2989ac30b70c0f37cd5fe84255763fb6fc09bf5",
     "metrics": "5cce6e897cfbf9b4f03bad00aaba854e3a5b2ec9effab301bc7a3e14e0fe8f49",
-    "snapshot": "d6a82e07ac0c2aa7e03fbcc162844325c87663aa5958cbfa0eca50f08c1ad85c",
+    "snapshot": "65fdc887089ff721ec9a5368cbc170fe40b2d55af4a9c6370aff7b3f853d34cf",
 }
 
 
@@ -698,10 +701,12 @@ def serve_run(journal_path, telemetry=None):
 #: traced app, and the ``/metrics`` body minus its one wall-clock family,
 #: the ``?explain=1`` stories and the journal of a default (metrics-only)
 #: one — stories the traced app then kept in its rings, now rebuilt by
-#: replay.
+#: replay.  The events and the stories were ``29a65b5d…`` / ``2105eb0e…``
+#: while ``candidates`` was a rank; only those values moved (one story
+#: line reads ``candidates=2`` where it read ``candidates=4``).
 SERVE_SHA256 = {
-    "events": "29a65b5db33f8d2680489cc0fe0fdf156f39e6e97ca3fdd589449fe26e9bf098",
-    "explain": "2105eb0e15377adabc594101c05f96c16cd04ea1e5ba0c3a278002f6123dd900",
+    "events": "95eefd3b10cc685d3438c3082f06cce0c3faaf605d4dd1958fe059fc6d65b0d9",
+    "explain": "6f5bedbeda3c766ed4139db655b5d49775cb2bb4710a8343325d8434f42eb85a",
     "journal": "1d4d226533a5b77f90b9110f86b701589837b04b0bb473c53eafa915c752b142",
     "metrics": "0bd6daeec272ea3600b279aea740a51950f32c9cc15d3fc8649a553c6955c999",
     "spans": "117cbc741e546ae51dc5d64a902fd3325fb5dcf6ac6bc676987eedd8a39a285a",

@@ -10,16 +10,17 @@ caller, an operator or a restart can see must be equal; a half-length
 stream does the same for the default (one-shard, unbatched) gateway and
 the ``bookahead`` scheduler.  Differential, so no pinned hash depends on the numpy version.
 
-The vacuity guard reads the work from the test's side: every rule handed to
-the coordinator is counted, so "took the jump" is "asked for fewer rates
-than there were candidates".
+Every rule handed to a search is counted from the test's side, and
+``FitProbe.candidates`` must equal the rates it asked for: the search counts
+the starts it visits.  The vacuity guard compares the two gateways' walks:
+the monotone one visits strictly fewer starts on a thousand searches.
 """
 
 import pytest
 
-from repro.core import Platform, ProblemInstance
+from repro.core import Platform, ProblemInstance, booking
 from repro.core.request import RequestSet
-from repro.gateway import Gateway, Journal
+from repro.gateway import Gateway, Journal, twophase
 from repro.gateway.invariants import check_gateway
 from repro.schedulers import make_scheduler
 from repro.schedulers.policies import BandwidthPolicy, FractionOfMaxPolicy, MinRatePolicy
@@ -41,20 +42,25 @@ class Unpromised(BandwidthPolicy):
         return self.inner.assign(request, start)
 
 
-def _gateway_run(policy, requests, shards):
-    """Waves of sixteen through ``submit_many``; every search's probe and
-    rate-evaluation count is collected at the coordinator."""
-    gateway = Gateway(PLATFORM, num_shards=shards, batch_size=8, policy=policy, journal=Journal())
-    searches = []
-    reserve = gateway.coordinator.reserve
+@pytest.fixture
+def searches(monkeypatch):
+    """Every coordinator search's probe and rate-evaluation count (the
+    fast path, which asks one rate before it, is not a search)."""
+    seen = []
 
-    def counted_reserve(request, rate_for, now, **kw):
+    def counted_search(ledger, request, rate_for, **kw):
         rule = CountedRule(rate_for)
-        outcome = reserve(request, rule, now, **kw)
-        searches.append((outcome.probe, rule.calls))
-        return outcome
+        allocation, probe = booking.admission_search(ledger, request, rule, **kw)
+        seen.append((probe, rule.calls))
+        return allocation, probe
 
-    gateway.coordinator.reserve = counted_reserve
+    monkeypatch.setattr(twophase, "admission_search", counted_search)
+    return seen
+
+
+def _gateway_run(policy, requests, shards):
+    """Waves of sixteen through ``submit_many``."""
+    gateway = Gateway(PLATFORM, num_shards=shards, batch_size=8, policy=policy, journal=Journal())
     tickets = []
     for i in range(0, len(requests), WAVE):
         wave = requests[i : i + WAVE]
@@ -66,7 +72,7 @@ def _gateway_run(policy, requests, shards):
             now=wave[-1].t_start,
         )
     decisions = [(t.rid, t.allocation, t.reject_reason) for t in tickets]
-    return gateway, decisions, searches
+    return gateway, decisions
 
 
 # Two cases that see each seed, shard count and policy once: the full 2×2×2
@@ -76,25 +82,47 @@ def _gateway_run(policy, requests, shards):
     [(1, 4, MinRatePolicy()), (7, 1, FractionOfMaxPolicy(0.5))],
     ids=lambda value: getattr(value, "name", str(value)),
 )
-def test_gateway_decides_the_same_with_and_without_the_promise(seed, shards, policy):
+def test_gateway_decides_the_same_with_and_without_the_promise(seed, shards, policy, searches):
     assert policy.monotone and not Unpromised(policy).monotone
     requests = list(hotspot_stream(seed, 4016))
-    gateway, decisions, searches = _gateway_run(policy, requests, shards)
-    control, control_decisions, control_searches = _gateway_run(
-        Unpromised(policy), requests, shards
-    )
+    gateway, decisions = _gateway_run(policy, requests, shards)
+    promised = searches[:]
+    searches.clear()
+    control, control_decisions = _gateway_run(Unpromised(policy), requests, shards)
     assert decisions == control_decisions
-    assert [probe for probe, _ in searches] == [probe for probe, _ in control_searches]
+    assert len(promised) == len(searches)
+    fewer = 0
+    for (probe, _), (control_probe, _) in zip(promised, searches):
+        assert (probe.reason, probe.ingress_headroom, probe.egress_headroom) == (
+            control_probe.reason,
+            control_probe.ingress_headroom,
+            control_probe.egress_headroom,
+        )
+        assert probe.candidates <= control_probe.candidates
+        fewer += probe.candidates < control_probe.candidates
     assert vars(gateway.stats) == vars(control.stats)
     assert gateway.snapshot() == control.snapshot()
     # The header names the policy (equal here too); the ops below it are the history.
     assert gateway.journal.to_jsonl() == control.journal.to_jsonl()
     assert check_gateway(gateway, expect_quiesced=True).ok
-    # Not vacuous: a thousand long searches took the jump, the control none.
-    # (A search that missed the fast path asked it for one rate first.)
-    assert sum(p.candidates >= 50 and calls < p.candidates for p, calls in searches) >= 1000
-    assert all(calls >= p.candidates for p, calls in control_searches)
+    # Not vacuous: on a thousand searches the jump passed over starts the
+    # control visited.
+    assert fewer >= 1000
     assert 0 < gateway.stats.accepted < len(requests)
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize(
+    "policy", [MinRatePolicy(), Unpromised(MinRatePolicy())], ids=["min-bw", "unpromised"]
+)
+def test_candidates_are_the_rates_asked(policy, shards, searches):
+    """``FitProbe.candidates`` is the number of starts the walk visited: one
+    ``rate_for`` call each, exactly, on every search of a hotspot stream."""
+    _gateway_run(policy, list(hotspot_stream(3, 1004)), shards)
+    assert all(probe.candidates == calls for probe, calls in searches)
+    # Not vacuous: hundreds of searches, most of them past their first start.
+    assert len(searches) >= 300
+    assert sum(calls > 1 for _, calls in searches) >= 250
 
 
 def test_service_decides_the_same_with_and_without_the_promise():
