@@ -21,9 +21,11 @@ of the client's stays behind), and prints:
   decisions search and book on contended ports;
 - the hot stream's search counts per decision: book-ahead searches,
   ``Port.blocker`` probes and the mean number of starts a search visited
-  (``FitProbe.candidates``, one rate asked per start).  They repeat
-  exactly, so a change to the search shows it asks the kernel the same
-  questions by printing the same numbers;
+  (``FitProbe.candidates``, one rate asked per start), and how many of
+  its capacity-checked port bookings (``Port.fits`` / ``Port.book``
+  calls, each asking ``Port.proven`` once) committed on a proof, with no
+  second probe.  They repeat exactly, so a change to the search shows it
+  asks the kernel the same questions by printing the same numbers;
 - the wall seconds ``ServeApp.explain`` takes, after the whole stream,
   for rid 5 and for the newest rid: the story is rebuilt by replaying
   the journal, so this is what ``?explain=1`` costs.
@@ -46,6 +48,7 @@ import tempfile
 import time
 import tracemalloc
 from collections import Counter
+from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
@@ -58,6 +61,7 @@ from run import REFERENCE_NS  # noqa: E402
 
 from repro.core.ledger import Port  # noqa: E402
 from repro.core.platform import Platform  # noqa: E402
+from repro.core.profile import Segment  # noqa: E402
 from repro.obs import NullTelemetry, Telemetry  # noqa: E402
 from repro.obs.telemetry import use_telemetry  # noqa: E402
 from repro.serve import LogicalClock, ServeApp, ServeConfig  # noqa: E402
@@ -158,32 +162,40 @@ def cpu_medians(stream: str, bodies: list[dict], workdir: Path) -> tuple[float, 
     return statistics.median(runs[True]), statistics.median(runs[False])
 
 
-def search_counts(bodies: list[dict], workdir: Path) -> tuple[int, int, int, int]:
+def search_counts(bodies: list[dict], workdir: Path) -> tuple[int, int, int, int, int, int]:
     """Serve ``bodies`` on a fresh app; returns the decisions, the
-    book-ahead searches and ``Port.blocker`` probes they made, and the
-    starts those searches visited (summed ``FitProbe.candidates``; the
-    booking layer's counters, read from a metrics-only handle installed
-    for the run)."""
+    book-ahead searches and ``Port.blocker`` probes they made, the starts
+    those searches visited (summed ``FitProbe.candidates``; the booking
+    layer's counters, read from a metrics-only handle installed for the
+    run), the capacity-checked port bookings and how many of those
+    committed on a proof (``Port.proven`` calls and ``True`` answers)."""
     app = make_app(workdir / "search.journal.jsonl")
-    probes = 0
-    blocker = Port.blocker
+    probes = bookings = proofs = 0
+    blocker, proven = Port.blocker, Port.proven
 
     def counted(port: Port, t0: float, t1: float, bw: float) -> tuple[float, float] | None:
         nonlocal probes
         probes += 1
         return blocker(port, t0, t1, bw)
 
-    Port.blocker = counted  # type: ignore[method-assign]
+    def asked(port: Port, segments: Sequence[Segment]) -> bool:
+        nonlocal bookings, proofs
+        answer = proven(port, segments)
+        bookings += 1
+        proofs += answer
+        return answer
+
+    Port.blocker, Port.proven = counted, asked  # type: ignore[method-assign]
     try:
         with use_telemetry(Telemetry(max_events=0, max_spans=0)) as telemetry:
             serve(app, bodies)
     finally:
-        Port.blocker = blocker  # type: ignore[method-assign]
+        Port.blocker, Port.proven = blocker, proven  # type: ignore[method-assign]
     app.journal.close()
     metrics = telemetry.metrics
     searches = int(metrics.counter("booking_earliest_fit_total").total())
     candidates = int(metrics.counter("booking_candidates_examined_total").total())
-    return app.gateway.stats.submits, searches, probes, candidates
+    return app.gateway.stats.submits, searches, probes, candidates, bookings, proofs
 
 
 def explain_seconds(bodies: list[dict], workdir: Path) -> tuple[int, float, float]:
@@ -210,7 +222,9 @@ def main() -> int:
         on, off = cpu_medians("light", bodies, Path(workdir))
         hot = hot_stream(SEED, DECISIONS)
         hot_on, hot_off = cpu_medians("hot", hot, Path(workdir))
-        hot_decided, searches, probes, candidates = search_counts(hot, Path(workdir))
+        hot_decided, searches, probes, candidates, bookings, proofs = search_counts(
+            hot, Path(workdir)
+        )
         newest, first_s, newest_s = explain_seconds(bodies, Path(workdir))
     retained = sum(stat.size_diff for stat in sites)
     print(f"serve_light footprint: {decided} decisions after a warm-up wave, seed {SEED}, "
@@ -228,7 +242,8 @@ def main() -> int:
     print(f"hot stream searches per decision ({hot_decided} decisions, exact counts): "
           f"searches {searches / hot_decided:.4f}, Port.blocker probes "
           f"{probes / hot_decided:.4f}, starts visited per search "
-          f"{candidates / searches:.4f}")
+          f"{candidates / searches:.4f}; port bookings committed on a proof "
+          f"{proofs} of {bookings}")
     print(f"explain seconds after {DECISIONS} decisions (replayed from the header): "
           f"rid 5 {first_s:.3f}, newest rid {newest} {newest_s:.3f}")
     print("largest allocation sites (bytes per decision):")

@@ -52,6 +52,9 @@ _OWNERS: dict[str, tuple[str, ...]] = {
     "_egress": _LEDGER,
     "usage": _LEDGER,
     "reductions": _LEDGER,
+    # A Port's proof: forged, it would commit a step no probe saw.
+    "proof": _LEDGER,
+    "proved_at": _LEDGER,
     # A shard broker's port table and two-phase hold table.
     "_ports": _BROKER,
     "_holds": _BROKER,
@@ -63,6 +66,8 @@ _OWNERS: dict[str, tuple[str, ...]] = {
     "_peak": ("core/capacity/",),
     "_suffix": ("core/capacity/",),
     "_rmq": ("core/capacity/",),
+    # The kernel's write count, which every proof is checked against.
+    "writes": ("core/capacity/",),
     # The protocol verbs, spoken directly only by the protocol internals.
     **dict.fromkeys(_VERBS, (*_BROKER, "gateway/rpc.py")),
 }
@@ -112,8 +117,8 @@ def _foreign(module: Module, node: ast.expr) -> str | None:
 
 
 def _assignment_targets(node: ast.AST) -> list[ast.expr]:
-    if isinstance(node, ast.Assign):
-        return list(node.targets)
+    if isinstance(node, ast.Assign):  # ``a.proof, a.proved_at = ...`` writes both
+        return [t for x in node.targets for t in (x.elts if isinstance(x, ast.Tuple) else [x])]
     if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
         return [node.target]
     return []

@@ -206,10 +206,10 @@ def _first_fit(
     blocker ``(t0, t0)`` matches no later start and skips nothing: while it
     is what blocks, every candidate is visited and probed.
 
-    The later candidates are two ascending lists, one per port (a degraded
-    port's edges folded in), each ending in ``inf``: a step takes the smaller
-    head and moves each cursor on it (a shared instant is visited once), a
-    jump is one bisect per list, and the walk stops at ``inf``.
+    The later candidates are two ascending runs, one per port, read in place
+    (:func:`_starts`): a step takes the smaller head and moves each cursor on
+    it (a shared instant is visited once), a jump is one bisect per run, and
+    the walk stops when both runs are spent.
 
     ``limit`` is the caller's deadline bound, kept per caller on purpose:
     :func:`earliest_fit` allows :func:`deadline_tolerance` (``1e-9``
@@ -228,16 +228,10 @@ def _first_fit(
         return None, 0, None
     volume = request.volume
     port_in, port_out = ledger.ports(request.ingress, request.egress)
-    starts_in = port_in.usage.breakpoints_between(earliest, latest)
-    starts_out = port_out.usage.breakpoints_between(earliest, latest)
-    if port_in.reductions is not None:
-        starts_in = sorted({*starts_in, *port_in.edges(earliest, latest)})
-    if port_out.reductions is not None:
-        starts_out = sorted({*starts_out, *port_out.edges(earliest, latest)})
-    starts_in.append(math.inf)
-    starts_out.append(math.inf)
-    # ``starts_in[:i]`` and ``starts_out[:o]`` are stepped onto or jumped over.
-    i = o = visited = 0
+    # ``starts_in[i:i_end]`` and ``starts_out[o:o_end]`` are still ahead.
+    starts_in, i, i_end = _starts(port_in, earliest, latest)
+    starts_out, o, o_end = _starts(port_out, earliest, latest)
+    visited = 0
     # A plain callable promises nothing: every candidate is visited.
     monotone = getattr(rate_for, "monotone", False)
     tolerance = deadline_tolerance(request.t_end)
@@ -262,15 +256,25 @@ def _first_fit(
                 if bounced is None:
                     bounced = (sigma, tau)
                 if monotone and blocked_from + tolerance <= tau:
-                    i = bisect_left(starts_in, blocked_until, i)
-                    o = bisect_left(starts_out, blocked_until, o)
-        a, b = starts_in[i], starts_out[o]
+                    i = bisect_left(starts_in, blocked_until, i, i_end)
+                    o = bisect_left(starts_out, blocked_until, o, o_end)
+        a = starts_in[i] if i < i_end else math.inf
+        b = starts_out[o] if o < o_end else math.inf
         sigma = min(a, b)
         if sigma == math.inf:
             break
         i += a == sigma
         o += b == sigma
     return allocation, visited, bounced
+
+
+def _starts(port: Port, lo: float, hi: float) -> tuple[list[float], int, int]:
+    """A port's starts in ``(lo, hi]``, ``(list, start, stop)``: in place,
+    or a new list when a degraded port's edges are merged in."""
+    if port.reductions is None:
+        return port.usage.breakpoints_in(lo, hi)
+    merged = sorted({*port.usage.breakpoints_between(lo, hi), *port.edges(lo, hi)})
+    return merged, 0, len(merged)
 
 
 def earliest_fit(

@@ -31,7 +31,7 @@ __all__ = ["BreakpointProfile"]
 class BreakpointProfile(CapacityProfile):
     """Breakpoint-list :class:`~repro.core.capacity.interface.CapacityProfile`."""
 
-    __slots__ = ("_breakpoints", "_values", "_peak")
+    __slots__ = ("_breakpoints", "_values", "_peak", "writes")
 
     def __init__(self) -> None:
         # _values[k] applies on [_breakpoints[k], _breakpoints[k+1]); the
@@ -42,6 +42,7 @@ class BreakpointProfile(CapacityProfile):
         # Cached global_max; kept exact across positive adds, None after
         # a release.
         self._peak: float | None = 0.0
+        self.writes = 0
 
     # ------------------------------------------------------------------
     # Internal helpers
@@ -77,12 +78,17 @@ class BreakpointProfile(CapacityProfile):
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def _commit(self, i0: int, i1: int, t0: float, t1: float, delta: float) -> None:
-        """Add ``delta`` over ``[t0, t1)`` given the segments ``i0`` / ``i1``
-        containing ``t0`` / ``t1``: insert the missing breakpoints, add,
-        then merge what became equal."""
+    def add(self, t0: float, t1: float, delta: float) -> None:
+        if not (t1 > t0):
+            raise ValueError(f"empty interval [{t0}, {t1})")
+        if delta == 0.0:
+            return
+        self.writes += 1
         points = self._breakpoints
         values = self._values
+        i0 = bisect_right(points, t0) - 1
+        i1 = bisect_right(points, t1, i0) - 1
+        # Insert the missing breakpoints, add, then merge what became equal.
         if points[i0] != t0:  # only an exact hit reuses the breakpoint
             i0 += 1
             i1 += 1  # t1 > t0: its segment is at or after the split one
@@ -92,41 +98,21 @@ class BreakpointProfile(CapacityProfile):
             i1 += 1
             points.insert(i1, t1)
             values.insert(i1, values[i1 - 1])
-        values[i0:i1] = [v + delta for v in values[i0:i1]]
+        touched = [v + delta for v in values[i0:i1]]
+        values[i0:i1] = touched
         if delta > 0.0 and self._peak is not None:
             # Every untouched value is still <= the old peak and every
             # touched one only grew: the new peak is exact, not a bound.
-            self._peak = max(self._peak, max(values[i0:i1]))
+            self._peak = max(self._peak, max(touched))
         else:
             self._peak = None
-        self._coalesce(i0 - 1, i1 + 1)
-
-    def add(self, t0: float, t1: float, delta: float) -> None:
-        if not (t1 > t0):
-            raise ValueError(f"empty interval [{t0}, {t1})")
-        if delta == 0.0:
-            return
-        points = self._breakpoints
-        i0 = bisect_right(points, t0) - 1
-        self._commit(i0, bisect_right(points, t1, i0) - 1, t0, t1, delta)
-
-    def book(self, t0: float, t1: float, delta: float, capacity: float) -> float | None:
-        # One bisect pair serves the probe and the breakpoint inserts.
-        if not (t1 > t0):
-            raise ValueError(f"empty interval [{t0}, {t1})")
-        points = self._breakpoints
-        i0 = bisect_right(points, t0) - 1
-        i1 = bisect_right(points, t1, i0) - 1
-        # Half-open [t0, t1): an exactly-aligned final segment is not probed.
-        last = i1 - 1 if points[i1] == t1 else i1
-        if not (max(self._values[i0 : last + 1]) + delta <= capacity + capacity * CAPACITY_SLACK):
-            return None
-        if delta != 0.0:
-            self._commit(i0, i1, t0, t1, delta)
-        peak = self._peak  # the commit kept it exact, unless it was not known
-        return peak if peak is not None else self.global_max()
+        # No two neighbours were equal: a merge needs a touched value.
+        merged = values[i0 - 1] == touched[0] or touched[-1] == values[i1]
+        if merged or any(map(eq, touched, touched[1:])):
+            self._coalesce(i0 - 1, i1 + 1)
 
     def clear(self) -> None:
+        self.writes += 1
         self._breakpoints = [-math.inf]
         self._values = [0.0]
         self._peak = 0.0
@@ -173,6 +159,10 @@ class BreakpointProfile(CapacityProfile):
         # bisect_right(points, lo) >= 1: the -inf sentinel is never returned.
         return points[bisect_right(points, lo) : bisect_right(points, hi)]
 
+    def breakpoints_in(self, lo: float, hi: float) -> tuple[list[float], int, int]:
+        points = self._breakpoints
+        return points, bisect_right(points, lo), bisect_right(points, hi)
+
     def blocker(
         self, t0: float, t1: float, bw: float, capacity: float
     ) -> tuple[float, float] | None:
@@ -212,6 +202,7 @@ class BreakpointProfile(CapacityProfile):
 
     def load_runs(self, points: list[float], values: list[float]) -> None:
         check_runs(points, values)
+        self.writes += 1
         self._breakpoints = [-math.inf, *points]
         self._values = list(values)
         self._peak = None

@@ -6,14 +6,14 @@ port over a time interval?*  A :class:`CapacityProfile` is a
 piecewise-constant function ``usage(t)`` over the real line supporting
 
 - **range add** (:meth:`~CapacityProfile.add`, :meth:`~CapacityProfile.add_batch`),
-- **probe-and-add** (:meth:`~CapacityProfile.book`),
 - **range max / min** (:meth:`~CapacityProfile.max_usage`,
   :meth:`~CapacityProfile.min_usage`),
 - **point query** (:meth:`~CapacityProfile.usage_at`),
 - **integral** (:meth:`~CapacityProfile.integral`),
 - **segment iteration** (:meth:`~CapacityProfile.segments`),
-- **the search's two reads** (:meth:`~CapacityProfile.breakpoints_between`,
-  :meth:`~CapacityProfile.blocker`),
+- **the search's reads** (:meth:`~CapacityProfile.breakpoints_between`,
+  :meth:`~CapacityProfile.breakpoints_in`, :meth:`~CapacityProfile.blocker`),
+- **a write count** (``writes``, raised by every mutation),
 - **copy / snapshot** (:meth:`~CapacityProfile.copy`,
   :meth:`~CapacityProfile.runs` and its inverse
   :meth:`~CapacityProfile.load_runs`).
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
+from operator import eq
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -58,7 +59,8 @@ class CapacityProfile:
     compact over long simulations.
 
     This class is the abstract contract: it holds no state and is not
-    instantiable.  Subclasses must implement every method below.
+    instantiable.  Subclasses must implement every method below and keep
+    ``writes``, raised by every mutation: while it reads the same, so do the runs.
     """
 
     __slots__ = ()
@@ -90,16 +92,6 @@ class CapacityProfile:
         """
         for t0, t1, delta in intervals:
             self.add(t0, t1, delta)
-
-    def book(self, t0: float, t1: float, delta: float, capacity: float) -> float | None:
-        """Probe and commit in one call: :meth:`add` ``delta`` over
-        ``[t0, t1)`` iff :meth:`blocker` finds nothing under ``capacity``.
-        Returns the :meth:`global_max` after the booking, ``None`` when
-        refused."""
-        if self.blocker(t0, t1, delta, capacity) is not None:
-            return None
-        self.add(t0, t1, delta)
-        return self.global_max()
 
     def clear(self) -> None:
         """Reset to the identically-zero function."""
@@ -155,6 +147,12 @@ class CapacityProfile:
         inside one request's start range, not the whole timeline.
         """
         return [float(t) for t in self.breakpoints() if lo < t <= hi]
+
+    def breakpoints_in(self, lo: float, hi: float) -> tuple[list[float], int, int]:
+        """:meth:`breakpoints_between` in place: ``(points, start, stop)``;
+        ``points`` may be the profile's own (read it before the next write)."""
+        points = self.breakpoints_between(lo, hi)
+        return points, 0, len(points)
 
     def blocker(
         self, t0: float, t1: float, bw: float, capacity: float
@@ -216,7 +214,8 @@ class CapacityProfile:
         """Replace the whole function by stored :meth:`runs`.
 
         Raises :class:`ValueError` unless ``values`` has one entry more
-        than ``points`` and the points strictly ascend.
+        than ``points``, the points strictly ascend and no two neighbouring
+        values are equal (as :meth:`runs` never hands back).
         """
         raise NotImplementedError
 
@@ -237,3 +236,5 @@ def check_runs(points: list[float], values: list[float]) -> None:
         )
     if not all(a < b for a, b in zip(points, points[1:])):
         raise ValueError("breakpoints must strictly ascend")
+    if any(map(eq, values, values[1:])):  # what add's merge scan relies on
+        raise ValueError("neighbouring runs must differ: equal ones are one run")

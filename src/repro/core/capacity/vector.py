@@ -49,7 +49,7 @@ __all__ = ["VectorProfile"]
 class VectorProfile(CapacityProfile):
     """Numpy-backed :class:`~repro.core.capacity.interface.CapacityProfile`."""
 
-    __slots__ = ("_breakpoints", "_values", "_peak", "_suffix", "_rmq")
+    __slots__ = ("_breakpoints", "_values", "_peak", "_suffix", "_rmq", "writes")
 
     def __init__(self) -> None:
         # _values[k] applies on [_breakpoints[k], _breakpoints[k+1]); the
@@ -61,6 +61,7 @@ class VectorProfile(CapacityProfile):
         self._peak: float | None = 0.0
         self._suffix: np.ndarray | None = None
         self._rmq: list[np.ndarray] | None = None
+        self.writes = 0
 
     # ------------------------------------------------------------------
     # Internal helpers
@@ -93,6 +94,7 @@ class VectorProfile(CapacityProfile):
         self._values = self._values[keep]
 
     def _invalidate(self) -> None:
+        self.writes += 1
         self._peak = None
         self._suffix = None
         self._rmq = None
@@ -166,6 +168,7 @@ class VectorProfile(CapacityProfile):
         self._invalidate()
 
     def clear(self) -> None:
+        self.writes += 1
         self._breakpoints = np.array([-math.inf], dtype=np.float64)
         self._values = np.array([0.0], dtype=np.float64)
         self._peak = 0.0

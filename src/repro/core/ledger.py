@@ -35,7 +35,7 @@ from itertools import chain
 from collections.abc import Sequence
 from typing import Any
 
-from .capacity import CAPACITY_SLACK, CapacityProfile, make_profile
+from .capacity import CAPACITY_SLACK, CapacityProfile, fits_under, make_profile
 from .errors import CapacityError, ConfigurationError
 from .platform import Platform
 from .profile import Segment
@@ -81,23 +81,29 @@ class Port:
     state as ``Port``\\ s and the book-ahead searches query them directly.
     """
 
-    __slots__ = ("capacity", "usage", "reductions", "peak")
+    __slots__ = ("capacity", "usage", "reductions", "peak", "proof", "proved_at")
 
     def __init__(self, capacity: float) -> None:
         self.capacity = capacity
         #: Committed bandwidth over time.
         self.usage: CapacityProfile = make_profile()
         #: ``usage.global_max()`` as the last write of :attr:`usage` left
-        #: it (a booking's kernel call hands it back), so the gateway's
-        #: overcommit probe reads it without asking the profile again.
+        #: it, so the gateway's overcommit probe reads it without asking
+        #: the profile again.
         self.peak = 0.0
         #: Lost capacity over time; created by the first :meth:`degrade` —
         #: most simulations never degrade a port and must not pay for the
         #: possibility.
         self.reductions: CapacityProfile | None = None
+        #: The last step a probe or the headroom test proved fits, and
+        #: ``usage.writes`` then: the answer depends only on the step, the
+        #: runs and the capacity (never changed), so it holds until a write.
+        self.proof: Segment | None = None
+        self.proved_at = -1
 
     def degrade(self, t0: float, t1: float, amount: float) -> None:
         """Take ``amount`` MB/s of capacity away over ``[t0, t1)``."""
+        self.proof = None
         if self.reductions is None:
             self.reductions = make_profile()
         self.reductions.add(t0, t1, amount)
@@ -145,17 +151,37 @@ class Port:
         is what lets :func:`~repro.core.booking.earliest_fit` fail later
         candidates without asking again.  A degraded port answers with the
         empty ``(t0, t0)``: nothing overlaps it, so nothing is learned.
+        An undegraded ``None`` is kept as the port's proof (:meth:`proven`).
         """
         if self.reductions is None:
-            return self.usage.blocker(t0, t1, bw, self.capacity)
+            usage = self.usage
+            blocked = usage.blocker(t0, t1, bw, self.capacity)
+            if blocked is None:
+                self.proof, self.proved_at = (t0, t1, bw), usage.writes
+            return blocked
         if self.free_capacity(t0, t1) + self.capacity * CAPACITY_SLACK < bw:
             return (t0, t0)
         return None
 
+    def fits_headroom(self, t0: float, t1: float, bw: float) -> bool:
+        """The headroom fast path's test, which proves ``[t0, t1)``: an
+        undegraded port whose all-time peak (never below 0) leaves ``bw``."""
+        usage = self.usage
+        if self.reductions is None and fits_under(max(0.0, usage.global_max()), bw, self.capacity):
+            self.proof, self.proved_at = (t0, t1, bw), usage.writes
+            return True
+        return False
+
+    def proven(self, segments: Sequence[Segment]) -> bool:
+        """Are ``segments`` the one step last proved, with no write since?"""
+        proved = self.proved_at == self.usage.writes
+        return proved and len(segments) == 1 and segments[0] == self.proof
+
     def fits(self, segments: Sequence[Segment]) -> bool:
         """Would every ``(t0, t1, rate)`` step fit?  Steps do not overlap,
-        so each is an independent :meth:`blocker` probe."""
-        return all(self.blocker(t0, t1, rate) is None for t0, t1, rate in segments)
+        so each is an independent :meth:`blocker` probe, unless
+        :meth:`proven`."""
+        return self.proven(segments) or all(self.blocker(*step) is None for step in segments)
 
     def add(self, segments: Sequence[Segment], sign: float = 1.0) -> None:
         """Commit (``sign=1``) or return (``sign=-1``) ``(t0, t1, rate)``
@@ -170,18 +196,9 @@ class Port:
         self.peak = usage.global_max()
 
     def book(self, segments: Sequence[Segment]) -> bool:
-        """:meth:`add` the steps iff they :meth:`fit <fits>`; whether it did.
-
-        An undegraded one-step booking is one kernel call
-        (:meth:`CapacityProfile.book <repro.core.capacity.CapacityProfile.book>`).
-        """
+        """:meth:`add` the steps iff they :meth:`fit <fits>` (a :meth:`proven`
+        step is not probed again); whether it did."""
         _refuse_negative(segments)
-        if self.reductions is None and len(segments) == 1:
-            t0, t1, rate = segments[0]
-            peak = self.usage.book(t0, t1, rate, self.capacity)
-            if peak is not None:
-                self.peak = peak
-            return peak is not None
         if not self.fits(segments):
             return False
         self.add(segments)

@@ -181,8 +181,8 @@ class ShardBroker:
         """Atomically commit a shard-local pair booking (both ports owned).
 
         This is the one-shard fast path: no holds, no second phase —
-        :meth:`pair_fits`' test, the ingress port probed and the egress
-        port booked before the ingress port changes (a
+        :meth:`pair_fits`' test, the ingress port checked and the egress
+        port booked (a port's proof answers) before the ingress changes (a
         :class:`~repro.core.errors.CapacityError` leaves them untouched).
         ``key`` (the rid, when called through a channel) makes the call
         idempotent: a duplicated delivery finds the key recorded and

@@ -59,7 +59,6 @@ from ..core.booking import FitProbe, RejectReason, admission_search, deadline_to
 # name on this module until ROADMAP 1(b) re-baselines.
 from ..core.booking import earliest_fit  # noqa: F401
 from ..core.errors import ConfigurationError
-from ..core.capacity import fits_under
 from ..core.ledger import Port
 from ..core.profile import RateProfile, Segment
 from ..core.request import Request
@@ -283,7 +282,8 @@ class TwoPhaseCoordinator:
         on degradation-free ports where the chosen rate fits under
         ``capacity − all-time peak`` on both sides — then the window
         opening (the search's first candidate) is feasible and is exactly
-        what the full search would return.
+        what the full search would return.  The test proves the step on
+        both ports (:meth:`~repro.core.ledger.Port.fits_headroom`).
         """
         port_in, port_out = self._ingress_ports[request.ingress], self._egress_ports[request.egress]
         if port_in.reductions is not None or port_out.reductions is not None:
@@ -296,8 +296,7 @@ class TwoPhaseCoordinator:
         if tau > request.t_end + deadline_tolerance(request.t_end):
             return None
         if not (
-            fits_under(max(0.0, port_in.usage.global_max()), bw, port_in.capacity)
-            and fits_under(max(0.0, port_out.usage.global_max()), bw, port_out.capacity)
+            port_in.fits_headroom(earliest, tau, bw) and port_out.fits_headroom(earliest, tau, bw)
         ):
             return None
         return Allocation.for_request(request, bw, sigma=earliest)

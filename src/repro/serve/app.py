@@ -38,7 +38,7 @@ from ..gateway.journal import CHECKPOINT_PREFIX, Journal, JournalEntry, naming
 from ..obs.causal import TraceContext, explain_request
 from ..obs.metrics import BoundCounter, BoundHistogram
 from ..obs.slo import SloRule, SloWatchdog, default_slo_rules
-from ..obs.telemetry import NullTelemetry, Telemetry
+from ..obs.telemetry import NullTelemetry, Telemetry, use_telemetry
 from .clock import ServiceClock, WallServiceClock
 from .deps import build_context
 from .frontier import AdmissionFrontier
@@ -382,8 +382,9 @@ class ServeApp:
         :data:`EXPLAIN_CHUNK` entries.  A traced submission's
         ``serve.decision`` is stored when the replay decides it, at its
         wave's instant (:meth:`note_decision` stores it live, right after
-        the wave).  One replay (and one copy of the lines) at a time: an
-        overlapping call waits, then answers as if made after the other."""
+        the wave).  Replayed searches count nowhere, live ones still do.
+        One replay (and one copy of the lines) at a time: an overlapping
+        call waits, then answers as if made after the other."""
         async with self._explaining:
             try:
                 root = self.gateway.get(rid)
@@ -399,7 +400,8 @@ class ServeApp:
             start = next((k for k in before if lines[k].startswith(CHECKPOINT_PREFIX)), -1)
             checkpoint = None if start < 0 else _decode(lines[start])
             replay = Gateway.restored(self.journal.header, checkpoint)
-            replay.telemetry, telemetry = NullTelemetry(), Telemetry()
+            quiet, telemetry = NullTelemetry(), Telemetry()
+            replay.telemetry = quiet
 
             def served(ticket: Ticket, now: float) -> None:
                 telemetry.store(_Served(now, ticket, _outcome(ticket)))
@@ -408,7 +410,8 @@ class ServeApp:
                 if k == first:
                     replay.telemetry, replay.on_decision = telemetry, served
                 entry = _decode(lines[k])
-                lifecycle.replay_ops(replay, (entry,))
+                with use_telemetry(quiet):  # process-wide, and nothing awaits inside
+                    lifecycle.replay_ops(replay, (entry,))
                 if k >= first and entry.op == "submit":
                     if (ticket := replay.get(entry.args["rid"])).edge_refused:
                         served(ticket, entry.now)  # never batched: decided at its submit

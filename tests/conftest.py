@@ -10,7 +10,8 @@ from repro.core.capacity.vector import VectorProfile
 
 #: ``--hypothesis-profile=deep``: the Hypothesis tests that do not pin their
 #: own ``max_examples`` run twenty times as many examples (CI runs the search
-#: differential, ``tests/test_booking_sweep.py``, this way once per push).
+#: differential, ``tests/test_booking_sweep.py``, and the port proofs'
+#: differential, ``tests/test_port_proof.py``, this way once per push).
 #: The default profile is Hypothesis's own.
 settings.register_profile("deep", max_examples=2000, deadline=None)
 

@@ -230,11 +230,38 @@ class TestGL004LedgerEncapsulation:
         assert _active(report, "GL004") == []
 
     def test_fires_on_foreign_kernel_book(self, tmp_path):
-        """``usage.book`` writes too, and tests only the undegraded capacity."""
+        """A ``book`` call through ``usage`` counts as a write too (the kernel
+        has none now; ``Port.book`` is the owner's)."""
         source = "def f(port):\n    port.usage.book(0.0, 1.0, 5.0, port.capacity)\n"
         report = _scan(tmp_path / "hack", source, filename="gateway/broker.py")
         assert len(_active(report, "GL004")) == 1
         report = _scan(tmp_path / "owner", source, filename="core/ledger.py")
+        assert _active(report, "GL004") == []
+
+    def test_fires_on_a_forged_proof(self, tmp_path):
+        """A Port's proof is committed without a probe: only the ledger sets it."""
+        source = (
+            "def f(port, step):\n"
+            "    port.proof = step\n"
+            "    port.proved_at = 0\n"
+            "    port.proof, port.proved_at = step, 0\n"
+        )
+        for k, foreign in enumerate(("gateway/twophase.py", "core/booking.py")):
+            report = _scan(tmp_path / str(k), source, filename=foreign)
+            assert len(_active(report, "GL004")) == 4
+        report = _scan(tmp_path / "owner", source, filename="core/ledger.py")
+        assert _active(report, "GL004") == []
+
+    def test_fires_on_a_forged_write_count(self, tmp_path):
+        """Every proof is checked against the kernel's write count: not even
+        the ledger may set it."""
+        source = "def f(port):\n    port.usage.writes = 0\n"
+        for k, foreign in enumerate(("core/ledger.py", "gateway/broker.py")):
+            report = _scan(tmp_path / str(k), source, filename=foreign)
+            findings = _active(report, "GL004")
+            assert len(findings) == 1 and "write through .writes" in findings[0].message
+        owner = "def bump(self):\n    self.writes += 1\n"
+        report = _scan(tmp_path / "owner", owner, filename="core/capacity/breakpoint.py")
         assert _active(report, "GL004") == []
 
     def test_port_profile_mutation_suppression(self, tmp_path):

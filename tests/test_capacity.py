@@ -13,8 +13,6 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import Platform, PortLedger
 from repro.core.capacity import BreakpointProfile, CapacityProfile, make_profile
@@ -210,62 +208,33 @@ class TestProfileContract:
         assert type(profile).__name__ in repr(profile)
 
 
-#: One step of a book/release sequence: book ``delta`` over ``[t0, t0 + span)``
-#: under capacity 100, or release the ``pick``-th live booking.  Whole-number
-#: times land on existing breakpoints; 0, 25, 50 and 100 give zero deltas
-#: and exact-capacity fits.
-BOOK_STEPS = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("book"),
-            st.integers(0, 12).map(float) | st.floats(0.0, 12.0),
-            st.integers(1, 6).map(float) | st.floats(0.25, 6.0),
-            st.sampled_from([0.0, 25.0, 50.0, 100.0]) | st.floats(0.0, 110.0),
-        ),
-        st.tuples(st.just("release"), st.integers(0, 40)),
-    ),
-    max_size=30,
-)
+class TestWriteCount:
+    """``writes`` rises on every mutation, on both classes: a port's proof
+    (``Port.proven``) holds only while the count reads what it read."""
 
+    MUTATORS = {
+        "add": lambda p: p.add(0.0, 2.0, 5.0),
+        "release": lambda p: p.add(0.0, 2.0, -5.0),
+        "add_batch": lambda p: p.add_batch([(1.0, 3.0, 1.0), (4.0, 5.0, 2.0)]),
+        "load_runs": lambda p: p.load_runs(*p.runs()),
+        "clear": lambda p: p.clear(),
+    }
 
-class TestBookConformance:
-    """``book`` is ``blocker(...) is None`` then ``add``, in one call, and
-    hands back the peak after it (``None``: refused)."""
+    @pytest.mark.parametrize("mutate", MUTATORS.values(), ids=MUTATORS.keys())
+    def test_every_mutator_bumps_it(self, profile, mutate):
+        profile.add(0.5, 1.5, 20.0)
+        before = profile.writes
+        mutate(profile)
+        assert profile.writes > before
 
-    @pytest.mark.parametrize("kernel_class", KERNELS.values(), ids=KERNELS.keys())
-    @settings(max_examples=120, deadline=None)
-    @given(steps=BOOK_STEPS)
-    def test_book_equals_blocker_then_add(self, kernel_class, steps):
-        booked, probed = kernel_class(), kernel_class()
-        live = []
-        for step in steps:
-            if step[0] == "release":
-                if not live:
-                    continue
-                t0, t1, delta = live.pop(step[1] % len(live))
-                booked.add(t0, t1, -delta)
-                probed.add(t0, t1, -delta)
-            else:
-                _, t0, span, delta = step
-                t1 = t0 + span
-                fits = probed.blocker(t0, t1, delta, 100.0) is None
-                if fits:
-                    probed.add(t0, t1, delta)
-                peak = booked.book(t0, t1, delta, 100.0)
-                assert (peak is not None) is fits
-                assert peak is None or peak == probed.global_max()
-                if fits and delta:
-                    live.append((t0, t1, delta))
-            assert list(booked.breakpoints()) == list(probed.breakpoints())
-            assert list(booked.segments()) == list(probed.segments())
-            for profile in (booked, probed):
-                assert profile.global_max() == max(
-                    [0.0, *(value for _, _, value in profile.segments())]
-                )
-
-    def test_book_rejects_an_empty_interval(self, profile):
-        with pytest.raises(ValueError):
-            profile.book(4.0, 4.0, 1.0, 100.0)
+    def test_reads_leave_it(self, profile):
+        profile.add(0.0, 2.0, 50.0)
+        before = profile.writes
+        assert profile.blocker(0.0, 1.0, 60.0, 100.0) is not None
+        profile.max_usage(0.0, 3.0), profile.global_max(), profile.runs(), profile.copy()
+        points, start, stop = profile.breakpoints_in(-1.0, 5.0)
+        assert points[start:stop] == profile.breakpoints_between(-1.0, 5.0) == [0.0, 2.0]
+        assert profile.writes == before
 
 
 class TestCoalescingRegression:

@@ -699,6 +699,8 @@ class TestStateOut:
             restored.load_runs(points, values[:-1])
         with pytest.raises(ValueError, match="ascend"):
             restored.load_runs(points[::-1], values)
+        with pytest.raises(ValueError, match="neighbouring runs"):
+            restored.load_runs([1.0, 2.0], [0.0, 5.0, 5.0])
 
     def test_a_port_restores_usage_and_reductions(self):
         port = Port(100.0)

@@ -84,13 +84,16 @@ def test_a_journal_holds_nothing_that_grows_with_its_length(tmp_path, on_file):
 
 def test_the_hot_streams_search_counts_repeat_exactly(tmp_path):
     """The counts the script prints to show a search change asks the same
-    questions: equal on a second run, and the probe wrapper is gone after."""
+    questions: equal on a second run, and the probe wrappers are gone after.
+    Every booking of that chaos-off stream commits on a proof: the search or
+    the headroom test has just proved its step on both ports."""
     tool = load_tool()
     bodies = tool.hot_stream(1, 40 * tool.WAVE)
-    blocker = tool.Port.blocker
+    blocker, proven = tool.Port.blocker, tool.Port.proven
     first = tool.search_counts(bodies, tmp_path / "first")
-    assert tool.Port.blocker is blocker
-    decided, searches, probes, candidates = first
+    assert tool.Port.blocker is blocker and tool.Port.proven is proven
+    decided, searches, probes, candidates, bookings, proofs = first
     assert decided == len(bodies)
     assert 0 < searches <= decided and probes >= searches and candidates >= searches
+    assert 0 < bookings == proofs
     assert tool.search_counts(bodies, tmp_path / "second") == first

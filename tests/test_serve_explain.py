@@ -19,6 +19,7 @@ import re
 from repro.core.platform import Platform
 from repro.gateway import ChaosPolicy, EdgeLimit, Gateway, Journal, JournalEntry, lifecycle
 from repro.obs import RunTelemetry, Telemetry, explain_request
+from repro.obs.telemetry import use_telemetry
 from repro.schedulers.retry import BackoffSchedule
 from repro.serve import ServeApp, ServeConfig
 from repro.serve.clock import LogicalClock
@@ -289,4 +290,39 @@ def test_overlapping_explains_replay_one_at_a_time(tmp_path):
     assert overlapping == sequential
     assert sequential[0].startswith(f"causal timeline for rid {newest} ")
     assert sequential[1].startswith("causal timeline for rid 5 ")
+    app.journal.close()
+
+
+def test_an_explain_counts_no_replayed_search_and_live_ones_still_count(tmp_path):
+    """The booking counters read the process-wide handle.  An explain
+    replays each entry under a ``NullTelemetry`` installed there, so inside
+    an enabled handle it adds no ``booking_*`` sample, while a submission
+    answered mid-replay (one the headroom test cannot take) still counts
+    its search."""
+    app, body = long_journal_app(tmp_path)
+
+    def heavy(t):
+        return {**body(t), "volume": 990.0 * 500.0}
+
+    async def main():
+        await fill(app, body)
+        entries = [heavy(100.0) for _ in range(16)]
+        await call(app, "POST", "/v1/reservations/batch", {"submissions": entries})
+        newest = app.gateway.stats.submits - 1
+        with use_telemetry(Telemetry()) as ambient:
+            alone = await app.explain(newest)
+            quiet = list(ambient.metrics.names())
+            task = asyncio.ensure_future(app.explain(newest))
+            await asyncio.sleep(0)
+            response = await call(app, "POST", "/v1/reservations", heavy(101.0))
+            story = await task
+        return ambient, quiet, response, alone, story
+
+    ambient, quiet, response, alone, story = asyncio.run(main())
+    assert alone == story and story is not None
+    assert [name for name in quiet if name.startswith("booking_")] == []
+    assert response.status in (200, 201, 409)
+    searches = ambient.metrics.counter("booking_earliest_fit_total")
+    assert searches.total() == 1
+    assert ambient.metrics.counter("booking_candidates_examined_total").total() >= 1
     app.journal.close()
