@@ -12,6 +12,10 @@ of the client's stays behind), and prints:
   full collection; the first wave, which warms caches and binds metric
   samples, is before the baseline) and the source lines that hold most;
 - the garbage-collector-tracked objects the run left per decision, by type;
+- the collector's work while a fresh app serves the whole stream: the
+  collections of each generation and the longest pause, timed with
+  ``gc.callbacks`` (a pause that grows with the run's length is history
+  the collector keeps walking);
 - the CPU a decision costs with the default telemetry and with a
   ``NullTelemetry`` (median of :data:`ROUNDS` alternating runs), scaled
   to the stack benchmark's reference host speed as ``benchmarks/stack``
@@ -150,6 +154,31 @@ def measure(bodies: list[dict], workdir: Path, by_site: bool) -> tuple[int, int,
     return stats.submits - warm[0], stats.batches - warm[1], left
 
 
+def collector_pauses(bodies: list[dict], workdir: Path) -> tuple[int, dict[int, list[float]]]:
+    """Serve ``bodies`` on a fresh app with every garbage collection timed
+    (``gc.callbacks``); returns the decisions and each generation's pauses
+    in seconds."""
+    app = make_app(workdir / "gc.journal.jsonl")
+    pauses: dict[int, list[float]] = {0: [], 1: [], 2: []}
+    started = 0.0
+
+    def timed(phase: str, info: dict[str, int]) -> None:
+        nonlocal started
+        if phase == "start":
+            started = time.perf_counter()
+        else:
+            pauses[info["generation"]].append(time.perf_counter() - started)
+
+    gc.collect()
+    gc.callbacks.append(timed)
+    try:
+        serve(app, bodies)
+    finally:
+        gc.callbacks.remove(timed)
+    app.journal.close()
+    return app.gateway.stats.submits, pauses
+
+
 def cpu_medians(stream: str, bodies: list[dict], workdir: Path) -> tuple[float, float]:
     """Reference-scaled CPU microseconds per decision of ``bodies`` with
     telemetry on and off: medians of :data:`ROUNDS` alternating runs, each
@@ -219,6 +248,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         decided, _, objects = measure(bodies, Path(workdir), by_site=False)
         _, _, sites = measure(bodies, Path(workdir), by_site=True)
+        served, pauses = collector_pauses(bodies, Path(workdir))
         on, off = cpu_medians("light", bodies, Path(workdir))
         hot = hot_stream(SEED, DECISIONS)
         hot_on, hot_off = cpu_medians("hot", hot, Path(workdir))
@@ -234,6 +264,10 @@ def main() -> int:
     print(f"gc-tracked objects per decision: {sum(objects.values()) / decided:.2f}")
     for name, count in objects.most_common():
         print(f"  {count / decided:6.2f}  {name}")
+    print(f"garbage collections over {served} decisions (a fresh app, the whole stream): "
+          + ", ".join(f"generation {g} {len(p)}, longest {max(p, default=0.0) * 1e3:.2f} ms"
+                      for g, p in pauses.items())
+          + f"; {sum(map(sum, pauses.values())) * 1e3:.1f} ms in all")
     print(f"cpu us per decision (reference-scaled, median of {ROUNDS} alternating runs): "
           f"telemetry on {on:.1f}, off {off:.1f}; telemetry share {1 - off / on:.1%}")
     print(f"hot stream cpu us per decision ({DECISIONS} decisions, same measure): "

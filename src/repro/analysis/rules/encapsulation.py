@@ -3,8 +3,9 @@
 Paper Eq. 1 (no port over capacity) and journal replay both rest on
 single-writer arguments: capacity state changes only through
 :meth:`Port.add <repro.core.ledger.Port.add>`, a shard broker's port and
-hold tables only through the broker, reservation lifecycle stamps only
-through :func:`repro.gateway.lifecycle.terminate`, and broker protocol
+hold tables only through the broker, the ticket table's stamp columns
+only through :func:`repro.gateway.lifecycle.terminate` (and the table's
+own row setters), and broker protocol
 messages travel only over the coordinator's channels.  One owner table
 names each protected name and the modules (path suffixes; a suffix
 ending in ``/`` owns a whole package) that may touch it.  Everywhere else
@@ -12,9 +13,9 @@ the rule flags, once per statement part:
 
 - an assignment (plain, augmented, annotated, subscripted) whose target
   chain passes through a protected attribute — ``ledger._ingress[0] =
-  tl``, ``reservation.cancelled_at = t``, ``broker._holds[h] = hold``;
+  tl``, ``tickets.ended_at[i] = t``, ``broker._holds[h] = hold``;
 - a mutating call (``add`` / ``add_batch`` / ``book`` / ``degrade`` and
-  the dict mutators) whose receiver chain passes through one —
+  the dict, list and array mutators) whose receiver chain passes through one —
   ``port.usage.add(...)`` books capacity no Eq. 1 probe saw,
   ``broker._ports[k].degrade(...)`` shrinks a port its broker never
   journaled;
@@ -41,6 +42,7 @@ __all__ = ["LedgerEncapsulationRule"]
 
 _LEDGER = ("core/ledger.py",)
 _BROKER = ("gateway/broker.py", "gateway/twophase.py")
+_TICKETS = ("gateway/tickets.py", "gateway/lifecycle.py")
 
 #: The two-phase protocol verbs: rows touched by calling them on a broker.
 _VERBS = frozenset({"prepare", "commit", "abort_hold", "book_pair"})
@@ -58,10 +60,10 @@ _OWNERS: dict[str, tuple[str, ...]] = {
     # A shard broker's port table and two-phase hold table.
     "_ports": _BROKER,
     "_holds": _BROKER,
-    # Reservation lifecycle stamps (the gateway's verbs call terminate).
-    "cancelled_at": ("gateway/lifecycle.py",),
-    "aborted_at": ("gateway/lifecycle.py",),
-    "displaced_at": ("gateway/lifecycle.py",),
+    # The ticket table's stamp columns: when and how a reservation ended
+    # early (the gateway's verbs call terminate).
+    "ended_at": _TICKETS,
+    "ended_by": _TICKETS,
     # Capacity-kernel query caches (the arrays themselves are GL009's).
     "_peak": ("core/capacity/",),
     "_suffix": ("core/capacity/",),
@@ -72,10 +74,13 @@ _OWNERS: dict[str, tuple[str, ...]] = {
     **dict.fromkeys(_VERBS, (*_BROKER, "gateway/rpc.py")),
 }
 
-#: Calls that mutate a profile, a port or a table they are made through.
+#: Calls that mutate a profile, a port, a table or a column they are made through.
 _MUTATORS = frozenset(
-    {"add", "add_batch", "book", "degrade", "pop", "popitem", "clear", "update", "setdefault"}
-)
+    {
+        "add", "add_batch", "book", "degrade", "pop", "popitem", "clear", "update",
+        "setdefault", "append", "extend", "insert", "remove", "frombytes", "fromlist",
+    }
+)  # fmt: skip
 
 
 def _owned(module: Module, name: str) -> bool:

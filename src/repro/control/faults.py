@@ -44,10 +44,11 @@ from ..core.booking import deadline_tolerance
 from ..core.errors import ConfigurationError
 from ..core.platform import Platform
 from ..core.request import Request
-from ..gateway.gateway import Gateway, Ticket
+from ..gateway.gateway import Gateway
 from ..gateway.invariants import check_gateway
 from ..gateway.journal import Journal
 from ..gateway.rpc import ChaosPolicy
+from ..gateway.tickets import Ticket
 from ..gateway.twophase import BackoffSchedule
 from ..obs.artifact import RunTelemetry
 from ..obs.slo import SloRule, SloWatchdog, default_slo_rules

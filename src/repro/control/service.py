@@ -14,7 +14,8 @@ from typing import Any
 # name on this module until ROADMAP 1(b) re-baselines and item 4 retires
 # the tracer's name lookup.
 from ..core.booking import earliest_fit  # noqa: F401
-from ..gateway.gateway import Gateway, Ticket
+from ..gateway.gateway import Gateway
+from ..gateway.tickets import Ticket
 
 __all__ = ["ReservationService"]
 

@@ -38,10 +38,9 @@ sweep test asserts this).
 from .batch import AdmissionOrdering, Batcher
 from .broker import BrokerUnavailable, Hold, ShardBroker, hold_expired
 from .edge import EdgeLimit, EdgeLimiter
-from .gateway import Gateway, GatewayStats, Ticket
+from .gateway import Gateway, GatewayStats
 from .invariants import InvariantReport, check_gateway
 from .journal import Journal, JournalEntry
-from .lifecycle import ReservationState
 from .rpc import (
     Channel,
     ChannelStats,
@@ -52,6 +51,7 @@ from .rpc import (
     ShardUnreachable,
 )
 from .sharding import ShardMap
+from .tickets import ReservationState, Ticket, TicketTable
 from .twophase import BackoffSchedule, TwoPhaseCoordinator, TwoPhaseOutcome
 
 __all__ = [
@@ -78,6 +78,7 @@ __all__ = [
     "ShardMap",
     "ShardUnreachable",
     "Ticket",
+    "TicketTable",
     "TwoPhaseCoordinator",
     "TwoPhaseOutcome",
     "check_gateway",

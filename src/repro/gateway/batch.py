@@ -22,14 +22,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from operator import itemgetter
 
 from ..core.errors import ConfigurationError
+from ..core.profile import RateProfile
+from ..core.request import Request
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
-    from .gateway import Ticket
+__all__ = ["AdmissionOrdering", "Batcher", "Pending"]
 
-__all__ = ["AdmissionOrdering", "Batcher"]
+#: An undecided submission: its submission order (``seq``), its request
+#: and the stepwise shape its client asked for (``None``: constant rate).
+Pending = tuple[int, Request, RateProfile | None]
 
 
 class AdmissionOrdering(enum.Enum):
@@ -55,11 +58,11 @@ class AdmissionOrdering(enum.Enum):
 
 @dataclass
 class Batcher:
-    """Bounded accumulator of undecided tickets with a flush order."""
+    """Bounded accumulator of undecided submissions with a flush order."""
 
     batch_size: int
     ordering: AdmissionOrdering = AdmissionOrdering.FIFO
-    _pending: list[Ticket] = field(default_factory=list)
+    _pending: list[Pending] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -73,22 +76,22 @@ class Batcher:
         """Has the batch reached ``batch_size``?"""
         return len(self._pending) >= self.batch_size
 
-    def enqueue(self, ticket: Ticket) -> None:
+    def enqueue(self, pending: Pending) -> None:
         """Add one submission to the open batch."""
-        self._pending.append(ticket)
+        self._pending.append(pending)
 
-    def drain(self, now: float) -> list[Ticket]:
+    def drain(self, now: float) -> list[Pending]:
         """Close the batch: empty the buffer, return it in admission order."""
         batch, self._pending = self._pending, []
         return self.order(batch, now)
 
-    def order(self, batch: list[Ticket], now: float) -> list[Ticket]:
+    def order(self, batch: list[Pending], now: float) -> list[Pending]:
         """Sort one batch by the configured policy (stable, seq tiebreak)."""
         if self.ordering is AdmissionOrdering.FIFO:
-            return sorted(batch, key=lambda t: t.seq)
+            return sorted(batch, key=itemgetter(0))
         if self.ordering is AdmissionOrdering.MIN_LAXITY:
             return sorted(
                 batch,
-                key=lambda t: ((t.request.t_end - now) - t.request.min_duration, t.seq),
+                key=lambda p: ((p[1].t_end - now) - p[1].min_duration, p[0]),
             )
-        return sorted(batch, key=lambda t: (-t.request.volume, t.seq))
+        return sorted(batch, key=lambda p: (-p[1].volume, p[0]))

@@ -22,10 +22,12 @@ crash/restart — is journaled, so :meth:`replay` rebuilds a
 state-identical gateway (``snapshot()`` equality).  What happens to a
 reservation after admission, and the validate → settle → journal →
 apply protocol every verb here follows, is :mod:`repro.gateway.lifecycle`.
-A submission's one record is its :class:`Ticket` — handed out pending,
-filled in place when its batch decides (:meth:`Gateway._admit`, the path
-first admissions and backlog re-admissions share), and acted on by the
-lifecycle verbs from then on.
+A submission's one record is its row of the gateway's
+:class:`~repro.gateway.tickets.TicketTable` — written pending at submit,
+decided when its batch flushes (:meth:`Gateway._admit`, the path first
+admissions and backlog re-admissions share), and acted on by the
+lifecycle verbs from then on; a :class:`~repro.gateway.tickets.Ticket`
+is a live view of it.
 
 The defaults — one shard, batch size 1 — decide every admission at
 submit, in submission order, against one authoritative ledger.
@@ -55,15 +57,15 @@ from . import lifecycle
 from .batch import AdmissionOrdering, Batcher
 from .edge import EdgeLimit, EdgeLimiter
 from .journal import Journal, JournalEntry
-from .lifecycle import ReservationState
 from .rpc import ChaosPolicy
 from .sharding import ShardMap
 from .broker import ShardBroker
+from .tickets import DECIDED, REFUSED, ReservationState, Ticket, TicketTable
 from .twophase import (
     BackoffSchedule, PlacementHop, TwoPhaseCoordinator, TwoPhaseOutcome, direct_hops,
 )  # fmt: skip
 
-__all__ = ["Gateway", "GatewayStats", "Ticket"]
+__all__ = ["Gateway", "GatewayStats"]
 
 
 @dataclass
@@ -116,147 +118,6 @@ class GatewayStats:
         return dict(vars(self))
 
 
-@dataclass(slots=True)
-class Ticket:
-    """The one record of one submission: a client's handle on one transfer.
-
-    :meth:`Gateway.submit` creates it pending and hands it to the client;
-    the flush that decides its batch fills ``allocation`` /
-    ``reject_reason`` in place and sets ``decided``.  ``gateway.get(rid)``,
-    the entry in ``reservations()``, the object ``on_decision`` receives
-    and what the lifecycle verbs (:mod:`repro.gateway.lifecycle`) act on
-    are this same object.
-    """
-
-    rid: int
-    request: Request
-    #: Submission order (the batch orderings' tiebreak).
-    seq: int
-    client: str
-    #: rid of the reservation this one re-admits or rebooks, if any.
-    origin: int | None = None
-    #: The stepwise shape the client asked for (``None`` = constant rate).
-    profile: RateProfile | None = None
-    #: The admitted window and rate; ``None`` when rejected or undecided.
-    allocation: Allocation | None = None
-    #: Why admission failed (``None`` on confirmed reservations).
-    reject_reason: RejectReason | None = None
-    cancelled_at: float | None = None
-    aborted_at: float | None = None
-    displaced_at: float | None = None
-    #: Refused by the per-client edge limiter (never entered a batch).
-    edge_refused: bool = False
-    #: Seconds until the refused volume would conform again (edge refusals
-    #: only; ``inf`` when the volume exceeds the burst).  The service
-    #: plane surfaces this as an HTTP 429 ``Retry-After`` hint.
-    retry_after: float | None = None
-    #: The batch holding this submission has flushed, or the edge refused it.
-    decided: bool = False
-
-    @property
-    def confirmed(self) -> bool:
-        """Was the reservation admitted?"""
-        return self.allocation is not None
-
-    @property
-    def terminated_at(self) -> float | None:
-        """When the reservation ended early (cancel/abort/displacement)."""
-        for t in (self.cancelled_at, self.aborted_at, self.displaced_at):
-            if t is not None:
-                return t
-        return None
-
-    @property
-    def carried(self) -> float:
-        """MB actually delivered before the transfer ended."""
-        if self.allocation is None:
-            return 0.0
-        stop = self.terminated_at
-        end = self.allocation.tau if stop is None else min(stop, self.allocation.tau)
-        return self.allocation.carried_before(end)
-
-    @property
-    def residual(self) -> float:
-        """MB still undelivered when the reservation ended early."""
-        return max(0.0, self.request.volume - self.carried)
-
-    def state(self, now: float) -> ReservationState:
-        """Lifecycle state as of time ``now``."""
-        if self.allocation is None:
-            return ReservationState.REJECTED
-        if self.aborted_at is not None:
-            return ReservationState.ABORTED
-        if self.displaced_at is not None:
-            return ReservationState.DISPLACED
-        if self.cancelled_at is not None:
-            return ReservationState.CANCELLED
-        if now < self.allocation.sigma:
-            return ReservationState.CONFIRMED
-        if now < self.allocation.tau:
-            return ReservationState.ACTIVE
-        return ReservationState.COMPLETED
-
-    def live_allocation(self, now: float) -> Allocation | None:
-        """The allocation while part of it is still unconsumed, else ``None``
-        (rejected, completed, or ended early)."""
-        if self.state(now) in (ReservationState.CONFIRMED, ReservationState.ACTIVE):
-            return self.allocation
-        return None
-
-    def row(self) -> list[Any]:
-        """Every field as one flat JSON-able list (a checkpoint's ticket
-        row: the request's fields, then the allocation's rate, window and
-        shape, all ``None`` when there is none); :meth:`from_row` inverts
-        it exactly."""
-        r, a = self.request, self.allocation
-        return [
-            self.rid, self.seq, self.client,
-            r.ingress, r.egress, r.volume, r.t_start, r.t_end, r.max_rate,
-            *((None, None, None, None) if a is None else (
-                a.bw, a.sigma, a.tau, None if a.profile is None else a.profile.to_list()
-            )),
-            self.cancelled_at, self.aborted_at, self.displaced_at, self.origin,
-            None if self.reject_reason is None else self.reject_reason.value,
-            self.edge_refused, self.retry_after,
-            None if self.profile is None else self.profile.to_list(),
-            self.decided,
-        ]  # fmt: skip
-
-    @classmethod
-    def from_row(cls, row: list[Any]) -> Ticket:
-        """Inverse of :meth:`row`; also reads the rows of checkpoints
-        written before it was flat (request and allocation nested)."""
-        if len(row) == 14:
-            rid, seq, client, request, allocation, *rest = row
-            row = [rid, seq, client, *request[1:], *(allocation or [None] * 7)[3:], *rest]
-        (
-            rid, seq, client, ingress, egress, volume, t_start, t_end, max_rate, bw, sigma, tau,
-            shape, cancelled_at, aborted_at, displaced_at, origin, reason, edge_refused,
-            retry_after, profile, decided,
-        ) = row  # fmt: skip
-        granted: Allocation | None = None
-        if bw is not None:
-            granted = Allocation(
-                rid, ingress, egress, bw, sigma, tau, profile=RateProfile.maybe_from(shape)
-            )
-        return cls(
-            rid,
-            Request(rid, ingress, egress, volume, t_start, t_end, max_rate),
-            seq,
-            client,
-            origin,
-            RateProfile.maybe_from(profile),
-            granted,
-            None if reason is None else RejectReason(reason),
-            cancelled_at,
-            aborted_at,
-            displaced_at,
-            edge_refused,
-            retry_after,
-            decided,
-        )
-
-
 def _hop(name: str, now: float, ctx: TraceContext, fields: dict[str, Any]) -> Span:
     """One gateway-side span of a record (``cat="causal"``, track 0)."""
     return Hop(name, now, "causal", 0, ctx, fields).span()
@@ -300,9 +161,9 @@ class _Admission:
     renders its ``gateway.submit`` event.
 
     Flat and decision-time only (:meth:`Gateway._admit` fills the
-    outcome's scalars and the granted ``allocation``, which it shares with
-    the ticket): the ticket's request, client and reject reason never
-    change; its allocation may (reshape), so the record keeps its own.
+    outcome's scalars and the granted ``allocation`` the search built):
+    the ticket's request, client and reject reason never change; its
+    allocation may (reshape), so the record keeps its own.
     A direct placement (:func:`~repro.gateway.twophase.direct_hops`) keeps
     only how many of its fixed bookings it made (``booked``); only the
     two-phase protocol's deliveries and faults are kept as ``hops`` —
@@ -589,9 +450,9 @@ class Gateway:
         self._batch_opened = float("-inf")
         self._next_seq = 0
         self._next_rid = 0
-        #: Every submission's record by rid — which is insertion order:
-        #: a rid is taken and its ticket stored in the same step.
-        self._tickets: dict[int, Ticket] = {}
+        #: Every submission's row, by rid: a rid is taken and its row
+        #: written in the same step.
+        self.tickets = TicketTable()
         self._degradations: list[Degradation] = []
         if journal is not None:
             journal.set_header(self.header())
@@ -683,12 +544,11 @@ class Gateway:
     def _require_known(self, rid: int) -> None:
         """``KeyError`` unless ``rid`` is a reservation, decided or about to be.
 
-        Asked of the ticket map, before settling: the settle may flush the
-        very batch that decides ``rid``.  Edge-refused tickets never
+        Asked of the ticket table, before settling: the settle may flush
+        the very batch that decides ``rid``.  Edge-refused tickets never
         become reservations.
         """
-        ticket = self._tickets.get(rid)
-        if ticket is None or ticket.edge_refused:
+        if not self.tickets.has(rid) or Ticket(self.tickets, rid).edge_refused:
             raise KeyError(f"unknown reservation {rid}")
 
     # ------------------------------------------------------------------
@@ -765,8 +625,9 @@ class Gateway:
         rid = self._take_rid()
         seq = self._next_seq
         self._next_seq += 1
-        # Positional: a keyword call costs the generated __init__ about twice as much.
-        ticket = self._tickets[rid] = Ticket(rid, request, seq, client, origin, wanted)
+        tickets = self.tickets
+        tickets.add(request, seq, client, origin, wanted)
+        ticket = Ticket(tickets, rid)
         self._record(
             "submit", now, rid=rid, client=client, ingress=ingress, egress=egress,
             volume=volume, deadline=deadline, max_rate=request.max_rate, origin=origin,
@@ -781,8 +642,7 @@ class Gateway:
             # `grid-obs explain` shows the whole lineage.
             ctx = self._trace_roots[rid] = self._ctx_of(origin).child(f"rebook:{rid}")
         if self.edge is not None and not self.edge.admit(client, volume, now):
-            ticket.edge_refused = ticket.decided = True
-            ticket.retry_after = self.edge.retry_after(client, volume, now)
+            tickets.refuse(rid, self.edge.retry_after(client, volume, now))
             self.stats.edge_refused += 1
             if tel.traced:
                 tel.tracer.store(_Submitted(now, ticket, ctx, None))
@@ -797,7 +657,7 @@ class Gateway:
             return ticket
         if not len(self.batcher):
             self._batch_opened = now
-        self.batcher.enqueue(ticket)
+        self.batcher.enqueue((seq, request, wanted))
         if tel.traced:
             tel.tracer.store(_Submitted(now, ticket, ctx, len(self.batcher)))
         if self.batcher.full:
@@ -848,8 +708,8 @@ class Gateway:
         if not batch:
             return
         tel = self.telemetry
-        for ticket in batch:
-            self._decide(ticket, now, tel)
+        for _, request, wanted in batch:
+            self._decide(request, wanted, now, tel)
         self.stats.batches += 1
         if tel.enabled:
             bound = self._instruments(tel)
@@ -870,13 +730,16 @@ class Gateway:
 
     def _admit(
         self,
-        ticket: Ticket,
+        request: Request,
+        wanted: RateProfile | None,
         now: float,
         tel: Telemetry,
         trace: _Admission | None,
         waiting_since: float,
     ) -> tuple[TwoPhaseOutcome, float]:
-        """Run one admission through the coordinator and fill its record.
+        """Run one admission of ``request`` (whose row is pending; its
+        client asked for the shape ``wanted``) through the coordinator and
+        decide its row.
 
         The only code that turns a ``coordinator.reserve`` outcome into
         state: first admissions (:meth:`_decide`) and backlog
@@ -889,19 +752,16 @@ class Gateway:
         transaction burned.  A traced attempt's ``trace`` collects the
         placement's hops, is filled with the outcome and is stored.
         """
-        request = ticket.request
         self._observer.open = trace
         outcome = self.coordinator.reserve(
             request,
             self.policy.bind(request),
             now,
-            profile=ticket.profile,
+            profile=wanted,
             malleable=self.malleable,
         )
         self._observer.open = None
-        ticket.allocation = outcome.allocation
-        ticket.reject_reason = outcome.probe.reason
-        ticket.decided = True
+        self.tickets.decide(request.rid, outcome.allocation, outcome.probe.reason)
         stats = self.stats
         stats.prepare_retries += outcome.retries
         stats.retry_delay_total += outcome.retry_delay
@@ -933,13 +793,17 @@ class Gateway:
             self._note_port_peaks(request.ingress, request.egress)
         return outcome, latency
 
-    def _decide(self, ticket: Ticket, now: float, tel: Telemetry) -> None:
+    def _decide(
+        self, request: Request, wanted: RateProfile | None, now: float, tel: Telemetry
+    ) -> None:
         """Decide one batched submission; publish the outcome."""
+        rid = request.rid
         trace: _Admission | None = None
         if tel.traced:
-            trace = _Admission(now, ticket, self._trace_roots.get(ticket.rid), self.shard_map)
+            ticket = Ticket(self.tickets, rid)
+            trace = _Admission(now, ticket, self._trace_roots.get(rid), self.shard_map)
         # Queueing counts from the instant the request's window opened.
-        outcome, latency = self._admit(ticket, now, tel, trace, ticket.request.t_start)
+        outcome, latency = self._admit(request, wanted, now, tel, trace, request.t_start)
         if outcome.local:
             self.stats.local += 1
         else:
@@ -949,24 +813,24 @@ class Gateway:
         if outcome.allocation is not None:
             self.stats.accepted += 1
         else:
-            reason = ticket.reject_reason
+            reason = outcome.probe.reason
             self.stats.rejected += 1
             if reason is RejectReason.SHARD_UNREACHABLE:
                 self.stats.shard_unreachable += 1
-            self._maybe_backlog(ticket, reason)
+            self._maybe_backlog(rid, reason)
         if tel.enabled:
             self._observe_decision(tel, outcome, latency, trace)
         if self.on_decision is not None:
-            self.on_decision(ticket, now)
+            self.on_decision(Ticket(self.tickets, rid), now)
 
-    def _maybe_backlog(self, ticket: Ticket, reason: RejectReason | None) -> None:
+    def _maybe_backlog(self, rid: int, reason: RejectReason | None) -> None:
         """Park a broker-down/unreachable rejection for later re-admission.
 
         Only *infrastructure* rejections qualify — a capacity or window
         reject is final.  Re-admissions themselves (``origin`` set) are
         not parked again: their backlog entry is the original rid.
         """
-        if self.backlog_limit <= 0 or ticket.origin is not None:
+        if self.backlog_limit <= 0 or self.tickets.origin[rid - self.tickets.base] >= 0:
             return
         if reason not in (
             RejectReason.BROKER_UNAVAILABLE,
@@ -975,7 +839,7 @@ class Gateway:
             return
         if len(self._backlog) >= self.backlog_limit:
             return
-        self._backlog.append(ticket.rid)
+        self._backlog.append(rid)
         self.stats.backlogged += 1
         tel = self.telemetry
         if tel.enabled:
@@ -1015,8 +879,9 @@ class Gateway:
         keep: list[int] = []
         admitted: list[tuple[int, int]] = []
         tel = self.telemetry
+        tickets = self.tickets
         for rid in self._backlog:
-            parked = self._tickets[rid]
+            parked = Ticket(tickets, rid)
             original = parked.request
             candidate = lifecycle.readmission_candidate(original, self._next_rid, now)
             if candidate is None:
@@ -1033,24 +898,22 @@ class Gateway:
             # a stale record (a compensated commit replays as "committed"
             # and books nothing).  Failed attempts therefore leave rid
             # gaps; replay burns them identically.
-            attempt = Ticket(self._take_rid(), candidate, parked.seq, parked.client, rid)
+            fresh = self._take_rid()
+            tickets.add(candidate, parked.seq, parked.client, rid, None)
             trace: _Admission | None = None
             if tel.traced:
                 # Re-admissions stay on the original request's trace: the
                 # fresh rid is one more hop of the same causal story.
-                ctx = self._trace_roots[attempt.rid] = self._ctx_of(rid).child(
-                    f"readmit:{attempt.rid}"
-                )
-                trace = _Admission(now, attempt, ctx, self.shard_map, readmits=rid)
+                ctx = self._trace_roots[fresh] = self._ctx_of(rid).child(f"readmit:{fresh}")
+                trace = _Admission(now, Ticket(tickets, fresh), ctx, self.shard_map, readmits=rid)
             # The client has been waiting since the *original* window opened.
-            self._admit(attempt, now, tel, trace, original.t_start)
-            if not attempt.confirmed:
-                keep.append(rid)  # the refused attempt leaves no record
+            outcome, _ = self._admit(candidate, None, now, tel, trace, original.t_start)
+            if outcome.allocation is None:
+                tickets.burn(fresh)  # the refused attempt leaves no ticket
+                keep.append(rid)
                 continue
-            # Readable (``get``) wherever it is cancellable.
-            self._tickets[attempt.rid] = attempt
             self.stats.readmitted += 1
-            admitted.append((rid, attempt.rid))
+            admitted.append((rid, fresh))
         self._backlog = keep
         if tel.enabled and admitted:
             tel.metrics.counter(
@@ -1199,7 +1062,7 @@ class Gateway:
         self._settle(now)
         self._record("cancel", now, rid=rid)
         released = lifecycle.terminate(
-            self._tickets[rid], now, ReservationState.CANCELLED, self.coordinator
+            Ticket(self.tickets, rid), now, ReservationState.CANCELLED, self.coordinator
         )
         if released:
             self.stats.cancelled += 1
@@ -1219,7 +1082,7 @@ class Gateway:
         self._require_known(rid)
         self._settle(now)
         self._record("abort", now, rid=rid)
-        reservation = self._tickets[rid]
+        reservation = Ticket(self.tickets, rid)
         if not lifecycle.terminate(reservation, now, ReservationState.ABORTED, self.coordinator):
             return False
         self.stats.aborted += 1
@@ -1259,7 +1122,7 @@ class Gateway:
         # Pending and edge-refused tickets hold no allocation, so the
         # victim search passes over them.
         displaced, reshaped_rids = lifecycle.displace_overflow(
-            self._tickets.values(),
+            self.tickets,
             degradation,
             now,
             self.coordinator,
@@ -1302,7 +1165,7 @@ class Gateway:
         self._require_known(rid)
         self._settle(now)
         self._record("reshape", now, rid=rid)
-        ok = lifecycle.reshape_tail(self._tickets[rid], now, self.coordinator)
+        ok = lifecycle.reshape_tail(Ticket(self.tickets, rid), now, self.coordinator)
         if ok:
             self.stats.reshaped += 1
         self._observer.note(
@@ -1362,16 +1225,13 @@ class Gateway:
     # Inspection
     # ------------------------------------------------------------------
     def get(self, rid: int) -> Ticket:
-        """Look up a submission's ticket by reservation id."""
-        try:
-            return self._tickets[rid]
-        except KeyError:
-            raise KeyError(f"unknown reservation {rid}") from None
+        """A view of a submission's ticket by reservation id."""
+        return self.tickets.get(rid)
 
     def reservations(self) -> list[Ticket]:
         """Every decision (confirmed or rejected) so far, in rid order —
         not the still-pending tickets, nor the edge-refused ones."""
-        return [t for t in self._tickets.values() if t.decided and not t.edge_refused]
+        return [Ticket(self.tickets, rid) for rid in self.tickets.rids(DECIDED)]
 
     def pending(self) -> int:
         """Submissions waiting in the open batch."""
@@ -1419,9 +1279,10 @@ class Gateway:
     def _root_of(self, rid: int) -> int:
         """Follow ``origin`` links back to the original client submission
         (an ``origin`` always names an earlier rid)."""
-        origin = self._tickets[rid].origin
-        while origin is not None:
-            rid, origin = origin, self._tickets[origin].origin
+        origins, base = self.tickets.origin, self.tickets.base
+        origin = origins[rid - base]
+        while origin >= 0:
+            rid, origin = origin, origins[origin - base]
         return rid
 
     def surviving_schedule(self) -> tuple[RequestSet, ScheduleResult]:
@@ -1458,11 +1319,9 @@ class Gateway:
         return {
             "clock": self._clock,
             "next_rid": self._next_rid,
-            "pending": [t.seq for t in self.batcher._pending],
+            "pending": [pending[0] for pending in self.batcher._pending],
             "reservations": lifecycle.reservation_rows(self.reservations()),
-            "edge_refused": sorted(
-                rid for rid, t in self._tickets.items() if t.edge_refused
-            ),
+            "edge_refused": self.tickets.rids(REFUSED),
             "backlog": list(self._backlog),
             "shards": [broker.snapshot() for broker in self.brokers],
             "degradations": [d.to_dict() for d in self._degradations],
@@ -1495,7 +1354,7 @@ class Gateway:
             "next_rid": self._next_rid,
             "next_seq": self._next_seq,
             "stats": self.stats.as_dict(),
-            "tickets": [ticket.row() for ticket in self._tickets.values()],
+            "tickets": self.tickets.rows(),
             "backlog": list(self._backlog),
             "degradations": [d.to_dict() for d in self._degradations],
             "brokers": [broker.dump_state() for broker in self.brokers],
@@ -1514,7 +1373,7 @@ class Gateway:
         self._next_rid = state["next_rid"]
         self._next_seq = state["next_seq"]
         self.stats = GatewayStats(**state["stats"])
-        self._tickets = {row[0]: Ticket.from_row(row) for row in state["tickets"]}
+        self.tickets = TicketTable.from_rows(state["tickets"])
         self._backlog = list(state["backlog"])
         self._degradations = [Degradation(**d) for d in state["degradations"]]
         for broker, dumped in zip(self.brokers, state["brokers"]):

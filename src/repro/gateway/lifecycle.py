@@ -1,7 +1,7 @@
 """The reservation lifecycle: what happens to a reservation after admission.
 
-:class:`~repro.gateway.gateway.Gateway` hands out a
-:class:`~repro.gateway.gateway.Ticket` per submission; how one is released,
+:class:`~repro.gateway.gateway.Gateway` writes a
+:class:`~repro.gateway.tickets.TicketTable` row per submission; how one is released,
 re-shaped, displaced, re-admitted, snapshotted, journaled and replayed
 is written here, against the gateway's
 :class:`~repro.gateway.twophase.TwoPhaseCoordinator`.  Every verb follows
@@ -16,7 +16,6 @@ one protocol (docs/FAULTS.md, "When an entry is appended"):
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING, Any
 
@@ -28,15 +27,14 @@ from ..core.ledger import Degradation
 from ..core.platform import Platform
 from ..core.profile import RateProfile, Segment
 from ..core.request import Request
+from .tickets import DECIDED, ENDED_BY, ReservationState, Ticket, TicketTable
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
-    from .gateway import Ticket
     from .journal import JournalEntry
     from .twophase import TwoPhaseCoordinator
 
 __all__ = [
     "JOURNAL_OPS",
-    "ReservationState",
     "displace_overflow",
     "displacement_victim",
     "new_degradation",
@@ -47,18 +45,6 @@ __all__ = [
     "reshape_tail",
     "terminate",
 ]
-
-class ReservationState(enum.Enum):
-    """Lifecycle of a reservation."""
-
-    REJECTED = "rejected"
-    CONFIRMED = "confirmed"   # booked, transfer not yet started
-    ACTIVE = "active"         # transfer in progress
-    COMPLETED = "completed"   # transfer window fully elapsed
-    CANCELLED = "cancelled"
-    ABORTED = "aborted"       # transfer failed mid-flight
-    DISPLACED = "displaced"   # cancelled by a port outage/degradation
-
 
 def new_request(
     platform: Platform,
@@ -124,22 +110,20 @@ def terminate(
 
     ``how`` is ``CANCELLED``, ``ABORTED`` or ``DISPLACED``.  Returns False
     (nothing touched) when the reservation is not live — rejected,
-    completed or already ended.
+    completed or already ended.  The one writer of the table's stamp
+    columns once a row is written.
     """
+    code = ENDED_BY.get(how)
+    if code is None:
+        raise InternalInvariantError(f"{how} does not end a reservation early")
     alloc = reservation.live_allocation(now)
     if alloc is None:
         return False
     tail = _unconsumed(alloc, now)
     if tail:
         coordinator.release_pair(alloc.ingress, alloc.egress, tail)
-    if how is ReservationState.CANCELLED:
-        reservation.cancelled_at = now
-    elif how is ReservationState.ABORTED:
-        reservation.aborted_at = now
-    elif how is ReservationState.DISPLACED:
-        reservation.displaced_at = now
-    else:
-        raise InternalInvariantError(f"{how} does not end a reservation early")
+    tickets, i = reservation.table, reservation.rid - reservation.table.base
+    tickets.ended_at[i], tickets.ended_by[i] = now, code
     return True
 
 
@@ -179,35 +163,34 @@ def reshape_tail(reservation: Ticket, now: float, coordinator: TwoPhaseCoordinat
         return False
     head = RateProfile(alloc.segments()).head_until(release_from)
     coordinator.restore_pair(alloc.ingress, alloc.egress, shaped.segments)
-    reservation.allocation = alloc.with_profile(head.concat(shaped))
+    reservation.table.grant(reservation.rid, alloc.with_profile(head.concat(shaped)))
     return True
 
 
 def displacement_victim(
-    reservations: Iterable[Ticket], degradation: Degradation, now: float
+    tickets: TicketTable, degradation: Degradation, now: float
 ) -> Ticket | None:
     """Latest-starting live reservation using the degraded port in its window."""
-    best: Ticket | None = None
+    ports = tickets.ingress if degradation.side == "ingress" else tickets.egress
+    best: int | None = None
     best_key: tuple[float, int] | None = None
-    for reservation in reservations:
-        alloc = reservation.live_allocation(now)
-        if alloc is None:
-            continue
-        on_side = alloc.ingress if degradation.side == "ingress" else alloc.egress
-        if on_side != degradation.port:
+    for rid in tickets.rids(DECIDED):
+        i = rid - tickets.base
+        if ports[i] != degradation.port or not tickets.live(rid, now):
             continue
         # Only the not-yet-consumed part [max(now, σ), τ) still holds
         # capacity; it must overlap the degraded window.
-        if max(now, alloc.sigma) >= degradation.t1 or alloc.tau <= degradation.t0:
+        sigma = tickets.sigma[i]
+        if max(now, sigma) >= degradation.t1 or tickets.tau[i] <= degradation.t0:
             continue
-        key = (alloc.sigma, reservation.rid)
+        key = (sigma, rid)
         if best_key is None or key > best_key:
-            best, best_key = reservation, key
-    return best
+            best, best_key = rid, key
+    return None if best is None else Ticket(tickets, best)
 
 
 def displace_overflow(
-    reservations: Iterable[Ticket],
+    tickets: TicketTable,
     degradation: Degradation,
     now: float,
     coordinator: TwoPhaseCoordinator,
@@ -231,7 +214,7 @@ def displace_overflow(
     if degraded.overcommit_on(t0, t1) > tol:
         coordinator.release_stranded(side, port, t0, t1)
     while degraded.overcommit_on(t0, t1) > tol:
-        victim = displacement_victim(reservations, degradation, now)
+        victim = displacement_victim(tickets, degradation, now)
         if victim is None:
             break  # remaining overcommit is not ours to resolve
         if malleable and victim.rid not in reshaped and reshape_tail(victim, now, coordinator):

@@ -11,16 +11,14 @@ rebuilt by replaying the journal).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from .....core.errors import InvalidRequestError
 from .....core.profile import RateProfile
 from .....core.request import check_request
+from .....gateway.tickets import DECIDED, PENDING, REASONS, ReservationState, Ticket
 from ....deps import RequestContext
 from ....http import HttpError, HttpRequest, HttpResponse
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from .....gateway.gateway import Ticket
 
 __all__ = ["handle_cancel", "handle_status", "handle_submit", "handle_submit_batch"]
 
@@ -113,36 +111,41 @@ def parse_submission(body: Any, ctx: RequestContext) -> tuple[dict[str, Any], fl
 
 
 def decision_payload(ticket: Ticket, now: float) -> dict[str, Any]:
-    """The JSON decision a submitter gets back (single and batch)."""
-    if ticket.edge_refused:
-        retry = ticket.retry_after
+    """The JSON decision a submitter gets back (single and batch), read off
+    the ticket's row of columns (no request or allocation is built)."""
+    tickets, rid = ticket.table, ticket.rid
+    i = rid - tickets.base
+    status = tickets.status[i]
+    if status != DECIDED:
+        if status == PENDING:  # pragma: no cover - waves always drain
+            return {"rid": rid, "outcome": "pending"}
+        retry = tickets.retry_after[i]  # refused at the edge
         return {
-            "rid": ticket.rid,
+            "rid": rid,
             "outcome": "edge-refused",
-            "retry_after": None if retry is None or math.isinf(retry) else retry,
+            "retry_after": retry if math.isfinite(retry) else None,
         }
-    if not ticket.decided:  # pragma: no cover - waves always drain
-        return {"rid": ticket.rid, "outcome": "pending"}
-    payload: dict[str, Any] = {
-        "rid": ticket.rid,
-        "outcome": "accepted" if ticket.confirmed else "rejected",
-        "state": ticket.state(now).value,
-    }
-    alloc = ticket.allocation
-    if alloc is not None:
-        payload["allocation"] = {
-            "sigma": alloc.sigma,
-            "tau": alloc.tau,
-            "bw": alloc.bw,
-            "ingress": alloc.ingress,
-            "egress": alloc.egress,
+    bw = tickets.bw[i]
+    if math.isnan(bw):
+        rejected = ReservationState.REJECTED.value
+        payload: dict[str, Any] = {"rid": rid, "outcome": "rejected", "state": rejected}
+    else:
+        payload = {"rid": rid, "outcome": "accepted", "state": tickets.state(rid, now).value}
+        allocation = payload["allocation"] = {
+            "sigma": tickets.sigma[i],
+            "tau": tickets.tau[i],
+            "bw": bw,
+            "ingress": tickets.ingress[i],
+            "egress": tickets.egress[i],
         }
-        if alloc.profile is not None:
+        shapes = tickets.shapes
+        if shapes and rid in shapes and shapes[rid][1] is not None:
             # Key present only for stepwise grants: constant-rate
             # decision payloads stay byte-identical.
-            payload["allocation"]["profile"] = alloc.profile.to_list()
-    if ticket.reject_reason is not None:
-        payload["reason"] = ticket.reject_reason.value
+            allocation["profile"] = shapes[rid][1].to_list()
+    reason = tickets.reason[i]
+    if reason >= 0:
+        payload["reason"] = REASONS[reason].value
     return payload
 
 
@@ -157,8 +160,8 @@ async def handle_submit(ctx: RequestContext, request: HttpRequest) -> HttpRespon
         # become infeasible in between.  Still the caller's 400, not a
         # service fault.
         raise HttpError(400, f"invalid submission: {exc}") from exc
-    ctx.app.note_decision(ticket)
     payload = decision_payload(ticket, ctx.app.clock.now())
+    ctx.app.note_decision(ticket, payload["outcome"])
     if ticket.edge_refused:
         response = HttpResponse(status=429, payload=payload)
         retry = payload.get("retry_after")
@@ -214,8 +217,9 @@ async def handle_submit_batch(ctx: RequestContext, request: HttpRequest) -> Http
             continue
         if isinstance(result, BaseException):
             raise result
-        ctx.app.note_decision(result)
-        decisions.append(decision_payload(result, now))
+        payload = decision_payload(result, now)
+        ctx.app.note_decision(result, payload["outcome"])
+        decisions.append(payload)
     return HttpResponse(status=200, payload={"decisions": decisions})
 
 

@@ -33,8 +33,8 @@ from typing import Any, NamedTuple
 from ..core.errors import ConfigurationError, ReproError
 from ..core.platform import Platform
 from ..gateway import EdgeLimit, EdgeLimiter, Gateway, lifecycle
-from ..gateway.gateway import Ticket
 from ..gateway.journal import CHECKPOINT_PREFIX, Journal, JournalEntry, naming
+from ..gateway.tickets import Ticket
 from ..obs.causal import TraceContext, explain_request
 from ..obs.metrics import BoundCounter, BoundHistogram
 from ..obs.slo import SloRule, SloWatchdog, default_slo_rules
@@ -351,8 +351,10 @@ class ServeApp:
     # ------------------------------------------------------------------
     # Decision-side accounting (submit endpoints)
     # ------------------------------------------------------------------
-    def note_decision(self, ticket: Ticket) -> None:
-        """Record the HTTP-edge hop on the request's causal timeline.
+    def note_decision(self, ticket: Ticket, outcome: str) -> None:
+        """Record the HTTP-edge hop on the request's causal timeline;
+        ``outcome`` is what the submitter was answered (``accepted``,
+        ``rejected`` or ``edge-refused``).
 
         The gateway already owns the root ``req-<rid>`` trace; the edge
         adds its own child span so ``grid-obs explain`` shows where the
@@ -363,7 +365,6 @@ class ServeApp:
         telemetry = self.telemetry
         if not telemetry.enabled:
             return
-        outcome = _outcome(ticket)
         if telemetry.traced:
             telemetry.store(_Served(self.clock.now(), ticket, outcome))
         self._decisions[outcome].count += 1

@@ -21,7 +21,7 @@ gateway's "a batch never mixes instants" invariant holds by
 construction) before the trailing partial batch is drained, and the
 wave's journal entries go out as one write before anyone is answered.
 A single submission's coroutine parks on a future and resumes with its
-decided :class:`~repro.gateway.gateway.Ticket`; a
+decided :class:`~repro.gateway.tickets.Ticket`; a
 :meth:`~AdmissionFrontier.submit_wave` call flushes at once and parks
 on none.  A structurally invalid submission fails only its own future or
 slot, never its wave-mates, and whatever else a flush runs into, nobody
@@ -41,7 +41,7 @@ from ..core.errors import ConfigurationError, ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..gateway import Gateway
-    from ..gateway.gateway import Ticket
+    from ..gateway.tickets import Ticket
     from .clock import ServiceClock
 
 __all__ = ["AdmissionFrontier"]
@@ -155,7 +155,7 @@ class AdmissionFrontier:
         if self.gateway.telemetry.enabled:
             self._wave_size.observe(len(wave))
         try:
-            # Tickets are mutated in place as their batches flush: nobody is
+            # Ticket rows are written as their batches flush: nobody is
             # answered before the whole wave is decided (and journaled).
             results = self.gateway.submit_many([fields for fields, _ in wave], now=self.clock.now())
         except BaseException as exc:

@@ -277,10 +277,30 @@ class TestGL004LedgerEncapsulation:
     def test_fires_on_reservation_stamp_write(self, tmp_path):
         report = _scan(
             tmp_path,
-            "def f(reservation, now):\n    reservation.cancelled_at = now\n",
+            "def f(reservation, i, now):\n    reservation.table.ended_at[i] = now\n",
             filename="schedulers/hack.py",
         )
         assert len(_active(report, "GL004")) == 1
+
+    def test_fires_on_a_forged_stamp_column(self, tmp_path):
+        """A ticket's stamp columns say when and how it ended: written by
+        the table (a fresh row) and by ``lifecycle.terminate`` only."""
+        source = (
+            "def f(gateway, tickets, i, now):\n"
+            "    gateway.tickets.ended_at[i] = now\n"
+            "    tickets.ended_by[i] = 1\n"
+            "    tickets.ended_at, tickets.ended_by = [], []\n"
+            "    tickets.ended_at.append(now)\n"
+            "    tickets.ended_by.extend([1])\n"
+        )
+        for k, foreign in enumerate(("gateway/gateway.py", "serve/app.py", "control/faults.py")):
+            report = _scan(tmp_path / str(k), source, filename=foreign)
+            findings = _active(report, "GL004")
+            assert len(findings) == 6, findings
+            assert "gateway/tickets.py / gateway/lifecycle.py" in findings[0].message
+        for k, owner in enumerate(("gateway/tickets.py", "gateway/lifecycle.py")):
+            report = _scan(tmp_path / f"owner{k}", source, filename=owner)
+            assert _active(report, "GL004") == []
 
     def test_owning_modules_may_write(self, tmp_path):
         report = _scan(
@@ -289,7 +309,7 @@ class TestGL004LedgerEncapsulation:
             filename="core/ledger.py",
         )
         assert _active(report, "GL004") == []
-        stamp = "def terminate(reservation, now):\n    reservation.cancelled_at = now\n"
+        stamp = "def terminate(tickets, i, now):\n    tickets.ended_at[i] = now\n"
         report = _scan(tmp_path, stamp, filename="gateway/lifecycle.py")
         assert _active(report, "GL004") == []
         # The admission planes call the lifecycle core; none stamps itself.

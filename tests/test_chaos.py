@@ -445,9 +445,10 @@ class TestDegradedModeAdmission:
         readmitted = gw.get(ticket.rid + 1)
         assert readmitted.decided and readmitted.confirmed
         assert (readmitted.origin, readmitted.client) == (ticket.rid, ticket.client)
-        assert gw.get(ticket.rid) is ticket and not ticket.confirmed
+        assert gw.get(ticket.rid) == ticket and not ticket.confirmed
         assert gw.snapshot()["pending"] == []  # it takes no place in line
         assert gw.cancel(readmitted.rid, now=11.0) is True
+        assert readmitted.cancelled_at == 11.0  # a view taken before reads the cancel
         with pytest.raises(KeyError):
             gw.get(readmitted.rid + 1)
 

@@ -154,13 +154,23 @@ def plain(value):
     return value
 
 
+#: What a ticket view reads, field by field.
+VIEW_FIELDS = (
+    "rid", "seq", "client", "request", "allocation", "profile", "origin", "reject_reason",
+    "cancelled_at", "aborted_at", "displaced_at", "edge_refused", "retry_after", "decided",
+)  # fmt: skip
+
+
 def observed(gateway):
     """State read off the objects themselves rather than through
     ``dump_state()``: fields neither ``snapshot()`` nor any later answer
-    shows (a ticket's client, seq and wanted profile, the counters)."""
+    shows (a ticket's client, seq and wanted profile, read through its
+    view; the counters)."""
     edge = gateway.edge
+    rids = range(gateway.snapshot()["next_rid"])
+    tickets = [gateway.get(rid) for rid in rids if gateway.tickets.has(rid)]
     return {
-        "tickets": [plain(ticket) for ticket in gateway._tickets.values()],
+        "tickets": [tuple(plain(getattr(t, name)) for name in VIEW_FIELDS) for t in tickets],
         "chaos_seen": (gateway._chaos_seen, gateway._edge_seen),
         "holds_wiped": [b.holds_wiped for b in gateway.brokers],
         "channels": [vars(channel.stats) for channel in gateway.coordinator.channels],

@@ -17,6 +17,7 @@ from repro.gateway import (
     Gateway,
     Journal,
     ShardBroker,
+    ReservationState,
     ShardMap,
     Ticket,
 )
@@ -164,7 +165,7 @@ class TestBatcher:
             rid=rid, ingress=0, egress=0, volume=volume,
             t_start=0.0, t_end=t_end, max_rate=1000.0,
         )
-        return Ticket(rid=rid, request=req, seq=seq, client="c")
+        return (seq, req, None)
 
     def test_fifo_preserves_submission_order(self):
         b = Batcher(3, AdmissionOrdering.FIFO)
@@ -172,7 +173,7 @@ class TestBatcher:
                  self.pending(1, 1, 20.0, 100.0)]
         for p in items:
             b.enqueue(p)
-        assert [p.seq for p in b.drain(0.0)] == [0, 1, 2]
+        assert [seq for seq, _, _ in b.drain(0.0)] == [0, 1, 2]
 
     def test_min_laxity_orders_tightest_first(self):
         b = Batcher(3, AdmissionOrdering.MIN_LAXITY)
@@ -181,14 +182,14 @@ class TestBatcher:
                   self.pending(1, 1, 900.0, 10.0),    # laxity 9.1
                   self.pending(2, 2, 100.0, 50.0)]:   # laxity 49.9
             b.enqueue(p)
-        assert [p.seq for p in b.drain(0.0)] == [1, 2, 0]
+        assert [seq for seq, _, _ in b.drain(0.0)] == [1, 2, 0]
 
     def test_max_value_orders_biggest_first(self):
         b = Batcher(3, AdmissionOrdering.MAX_VALUE)
         for p in [self.pending(0, 0, 10.0, 100.0), self.pending(1, 1, 99.0, 100.0),
                   self.pending(2, 2, 50.0, 100.0)]:
             b.enqueue(p)
-        assert [p.seq for p in b.drain(0.0)] == [1, 2, 0]
+        assert [seq for seq, _, _ in b.drain(0.0)] == [1, 2, 0]
 
     def test_ordering_from_name(self):
         assert AdmissionOrdering.from_name("min-laxity") is AdmissionOrdering.MIN_LAXITY
@@ -270,7 +271,8 @@ class TestGatewayBasics:
 
 
 class TestOneRecordPerDecision:
-    """A ticket *is* the reservation: one object from submit to cancel."""
+    """A ticket *is* the reservation: one row from submit to cancel, read
+    through live views."""
 
     def test_the_ticket_is_what_every_reader_sees(self):
         seen = []
@@ -278,15 +280,19 @@ class TestOneRecordPerDecision:
         gw.on_decision = lambda reservation, now: seen.append(reservation)
         ticket = gw.submit(ingress=0, egress=1, volume=1000.0, deadline=100.0, now=0.0)
         assert isinstance(ticket, Ticket)
-        assert gw.get(ticket.rid) is ticket
-        assert gw.reservations() == [ticket] and gw.reservations()[0] is ticket
-        assert seen == [ticket] and seen[0] is ticket
+        assert gw.get(ticket.rid) == ticket
+        assert gw.reservations() == [ticket] and seen == [ticket]
+        # Views of one row: each reads a write made after it was taken.
+        before = gw.get(ticket.rid)
+        assert gw.cancel(ticket.rid, now=10.0) is True
+        for view in (ticket, before, seen[0]):
+            assert view.cancelled_at == 10.0 and view.state(20.0) is ReservationState.CANCELLED
 
     def test_pending_and_edge_refused_tickets_are_not_reservations(self):
         gw = Gateway(platform(), batch_size=2, edge=EdgeLimit(rate=10.0, burst=100.0))
         pending = gw.submit(ingress=0, egress=1, volume=80.0, deadline=500.0, now=0.0)
         refused = gw.submit(ingress=0, egress=1, volume=80.0, deadline=500.0, now=0.0)
-        assert not pending.decided and gw.get(pending.rid) is pending
+        assert not pending.decided and gw.get(pending.rid) == pending
         assert refused.decided and refused.edge_refused and not refused.confirmed
         assert gw.reservations() == [] and gw.snapshot()["reservations"] == []
         with pytest.raises(KeyError):
@@ -310,7 +316,7 @@ class TestOneRecordPerDecision:
         assert (readmitted.seq, readmitted.client) == (parked.seq, "alice")
         assert readmitted.origin == parked.rid
         assert readmitted in gw.reservations()
-        assert gw.get(parked.rid) is parked and not parked.confirmed
+        assert gw.get(parked.rid) == parked and not parked.confirmed
 
 
 class TestEdgeLimiter:
