@@ -48,7 +48,7 @@ from ..core.platform import Platform
 from ..core.profile import RateProfile
 from ..core.request import Request, RequestSet
 from ..obs.causal import CausalObserver, TraceContext, hop_spans
-from ..obs.metrics import BoundCounter
+from ..obs.metrics import BoundCounter, Sample
 from ..obs.slo import SloWatchdog
 from ..obs.telemetry import NullTelemetry, Telemetry, get_telemetry, use_telemetry
 from ..obs.tracer import Hop, Span
@@ -116,6 +116,82 @@ class GatewayStats:
     def as_dict(self) -> dict[str, float]:
         """Plain-dict form (snapshot / reports)."""
         return dict(vars(self))
+
+
+_SUBMITS_HELP = "Gateway admissions by outcome."
+_PATHS_HELP = "Gateway admissions by placement path."
+_FASTPATH_HELP = "Headroom-index fast-path answers."
+#: ``stats.chaos_<name>`` → help of ``gateway_chaos_<name>_total``.
+_CHAOS_COUNTERS = {
+    "drops": "Deliveries lost on coordinator→broker channels.",
+    "duplicates": "Deliveries replayed (at-least-once) to brokers.",
+    "delays": "Deliveries sampled slow on coordinator→broker channels.",
+    "partitioned": "Deliveries refused by an active shard partition.",
+    "crashes": "Broker crashes sampled right after a protocol phase.",
+}
+
+#: The :class:`GatewayStats` fields ``/metrics`` shows, each as the counter
+#: sample :meth:`Gateway._collect` renders it as.  It adds
+#: ``gateway_batches_total`` (labelled by the gateway's ordering), the
+#: fast-path misses (first admissions less the hits) and, with chaos on,
+#: each channel's counts per shard (:data:`_CHANNEL_COUNTERS`).
+_COLLECTED: dict[str, Sample] = {
+    "accepted": ("gateway_submits_total", _SUBMITS_HELP, (("outcome", "accepted"),)),
+    "rejected": ("gateway_submits_total", _SUBMITS_HELP, (("outcome", "rejected"),)),
+    "local": ("gateway_admissions_total", _PATHS_HELP, (("path", "local"),)),
+    "cross_shard": ("gateway_admissions_total", _PATHS_HELP, (("path", "cross-shard"),)),
+    "fastpath_hits": ("gateway_fastpath_total", _FASTPATH_HELP, (("outcome", "hit"),)),
+    "prepare_retries": (
+        "gateway_prepare_retries_total", "Two-phase attempts burned on crashed brokers.", ()
+    ),
+    "twophase_aborts": (
+        "gateway_twophase_aborts_total",
+        "Two-phase transactions rolled back with holds released.",
+        (),
+    ),
+    "holds_expired": (
+        "gateway_holds_expired_total",
+        "Two-phase holds timeout-aborted by the brokers' expiry sweep.",
+        (),
+    ),
+    "backlogged": (
+        "gateway_backlogged_total", "Broker-down rejections parked for re-admission.", ()
+    ),
+    "readmitted": (
+        "gateway_readmissions_total", "Backlogged rejections successfully re-admitted.", ()
+    ),
+    "aborted": ("gateway_aborts_total", "Mid-flight transfer aborts.", ()),
+    "displaced": ("gateway_displacements_total", "Reservations displaced by degradations.", ()),
+    **{
+        f"chaos_{name}": (f"gateway_chaos_{name}_total", help_text, ())
+        for name, help_text in _CHAOS_COUNTERS.items()
+    },
+}
+_FASTPATH_MISS: Sample = ("gateway_fastpath_total", _FASTPATH_HELP, (("outcome", "miss"),))
+
+#: Per-edge channel counters surfaced as shard-labeled metrics
+#: (``ChannelStats`` field → metric name + help).
+_CHANNEL_COUNTERS = {
+    "calls": (
+        "gateway_channel_deliveries_total",
+        "Protocol deliveries attempted per coordinator→broker edge.",
+    ),
+    "drops": ("gateway_channel_dropped_total", "Deliveries lost per coordinator→broker edge."),
+    "duplicates": (
+        "gateway_channel_duplicated_total",
+        "Deliveries replayed (at-least-once) per edge.",
+    ),
+    "delays": ("gateway_channel_delayed_total", "Deliveries sampled slow per edge."),
+    "partitioned": (
+        "gateway_channel_partitioned_total",
+        "Deliveries refused by a partition window per edge.",
+    ),
+    "crashes": ("gateway_channel_crashes_total", "Broker crashes sampled mid-protocol per edge."),
+    "recovered": (
+        "gateway_channel_recovered_total",
+        "Ambiguous deliveries the termination probe recovered per edge.",
+    ),
+}
 
 
 def _hop(name: str, now: float, ctx: TraceContext, fields: dict[str, Any]) -> Span:
@@ -285,34 +361,21 @@ class _Instruments:
     telemetry handle (rarer verbs keep addressing the registry by name).
 
     Binding registers nothing: a family enters the registry — and
-    ``/metrics``, and the artifact — with its first firing child.  The
-    counters are :class:`~repro.obs.metrics.Tally` integers, indexed by
-    the decision's flag (``False`` first).
+    ``/metrics``, and the artifact — with its first firing child.  What
+    :class:`GatewayStats` counts is not fired here: :meth:`Gateway._collect`
+    renders it when the registry is read.
     """
 
-    __slots__ = (
-        "telemetry", "submits", "admissions", "fastpath", "latency",
-        "_rejects_by_reason", "batches", "occupancy",
-    )  # fmt: skip
+    __slots__ = ("telemetry", "latency", "_rejects_by_reason", "occupancy")
 
-    def __init__(self, telemetry: Telemetry, ordering: str) -> None:
+    def __init__(self, telemetry: Telemetry) -> None:
         self.telemetry = telemetry
-        tally = telemetry.metrics.bind_tally
         histogram = telemetry.metrics.bind_histogram
-        name, text = "gateway_submits_total", "Gateway admissions by outcome."
-        self.submits = tuple(tally(name, text, outcome=o) for o in ("rejected", "accepted"))
-        name, text = "gateway_admissions_total", "Gateway admissions by placement path."
-        self.admissions = tuple(tally(name, text, path=p) for p in ("cross-shard", "local"))
-        name, text = "gateway_fastpath_total", "Headroom-index fast-path answers."
-        self.fastpath = tuple(tally(name, text, outcome=o) for o in ("miss", "hit"))
         self.latency = histogram(
             "gateway_admission_latency_seconds",
             "Admission latency in simulated seconds (queueing + retries + chaos).",
         )
         self._rejects_by_reason: dict[str, BoundCounter] = {}
-        self.batches = tally(
-            "gateway_batches_total", "Admission batches flushed, by ordering.", ordering=ordering
-        )
         self.occupancy = histogram("gateway_batch_occupancy", "Requests per flushed batch.")
 
     def rejects(self, reason: str) -> BoundCounter:
@@ -423,6 +486,8 @@ class Gateway:
         #: pure function ``TraceContext.root(rid)`` and is not stored.
         self._trace_roots: dict[int, TraceContext] = {}
         self._bound: _Instruments | None = None
+        #: The handle :meth:`_collect` is registered with (when enabled).
+        self._reporting: Telemetry | None = None
         # The coordinator gets its own copy of the broker list: the shard
         # set is fixed at construction, and a shared alias would let either
         # side mutate the other's view once brokers move out-of-process.
@@ -440,8 +505,6 @@ class Gateway:
         self.hold_ttl = hold_ttl
         self.stats = GatewayStats()
         self._backlog: list[int] = []
-        #: What the channels had counted at the last chaos metric push.
-        self._chaos_seen, self._edge_seen = self._chaos_counts()
         self._overcommit_hwm = 0.0
         self.on_decision: Callable[[Ticket, float], None] | None = None
         self.journal = journal
@@ -507,22 +570,20 @@ class Gateway:
         self._telemetry = handle  # the observer reads it per record
 
     def _advance(self, now: float) -> None:
-        """Move the clock forward, flushing the previous instant's batch."""
+        """Move the clock forward, flushing the previous instant's batch.
+
+        Every verb that changes :attr:`stats` comes through here before it
+        counts, so this is where the collector follows the handle."""
+        tel = self.telemetry
+        if tel is not self._reporting:
+            self._report_to(tel)
         if now < self._clock:
             raise ConfigurationError(f"time went backwards: {now} < {self._clock}")
         moved = now > self._clock
         if moved and len(self.batcher):
             self._flush(self._clock)
         self._clock = now
-        expired = self.coordinator.expire_holds(now)
-        if expired:
-            self.stats.holds_expired += expired
-            tel = self.telemetry
-            if tel.enabled:
-                tel.metrics.counter(
-                    "gateway_holds_expired_total",
-                    "Two-phase holds timeout-aborted by the brokers' expiry sweep.",
-                ).inc(float(expired))
+        self.stats.holds_expired += self.coordinator.expire_holds(now)
         if moved and self._backlog:
             self._readmit(now)
 
@@ -573,7 +634,7 @@ class Gateway:
         """The hot metric samples, bound to ``tel`` (rebound if it changed)."""
         bound = self._bound
         if bound is None or bound.telemetry is not tel:
-            bound = self._bound = _Instruments(tel, self.batcher.ordering.value)
+            bound = self._bound = _Instruments(tel)
         return bound
 
     # ------------------------------------------------------------------
@@ -712,9 +773,7 @@ class Gateway:
             self._decide(request, wanted, now, tel)
         self.stats.batches += 1
         if tel.enabled:
-            bound = self._instruments(tel)
-            bound.batches.count += 1
-            bound.occupancy.observe(float(len(batch)))
+            self._instruments(tel).occupancy.observe(float(len(batch)))
         if tel.traced or self.slo is not None:
             health = self._health(now)
             if tel.traced:
@@ -744,9 +803,9 @@ class Gateway:
         The only code that turns a ``coordinator.reserve`` outcome into
         state: first admissions (:meth:`_decide`) and backlog
         re-admissions (:meth:`_readmit`) both come through here, so every
-        protocol tally an attempt burned reaches :class:`GatewayStats`
-        whichever of the two made it, and the retries and aborts reach
-        their ``/metrics`` counters beside it.  Returns the outcome and the
+        protocol count an attempt burned reaches :class:`GatewayStats`
+        (and from there ``/metrics``) whichever of the two made it.
+        Returns the outcome and the
         admission latency in simulated time: queueing since
         ``waiting_since`` plus the retry backoff and chaos waiting the
         transaction burned.  A traced attempt's ``trace`` collects the
@@ -769,18 +828,8 @@ class Gateway:
         stats.compensations += outcome.compensations
         stats.stranded_holds += outcome.stranded
         stats.recovered_deliveries += outcome.recovered
-        if outcome.retries and tel.enabled:
-            tel.metrics.counter(
-                "gateway_prepare_retries_total",
-                "Two-phase attempts burned on crashed brokers.",
-            ).inc(float(outcome.retries))
         if outcome.aborted:
             stats.twophase_aborts += 1
-            if tel.enabled:
-                tel.metrics.counter(
-                    "gateway_twophase_aborts_total",
-                    "Two-phase transactions rolled back with holds released.",
-                ).inc()
         latency = (now - waiting_since) + outcome.retry_delay + outcome.chaos_wait
         if trace is not None:
             trace.allocation, trace.fastpath = outcome.allocation, outcome.fastpath
@@ -841,20 +890,11 @@ class Gateway:
             return
         self._backlog.append(rid)
         self.stats.backlogged += 1
-        tel = self.telemetry
-        if tel.enabled:
-            tel.metrics.counter(
-                "gateway_backlogged_total",
-                "Broker-down rejections parked for re-admission.",
-            ).inc()
 
     def _observe_decision(
         self, tel: Telemetry, outcome: TwoPhaseOutcome, latency: float, trace: _Admission | None
     ) -> None:
         bound = self._instruments(tel)
-        bound.submits[outcome.allocation is not None].count += 1
-        bound.admissions[outcome.local].count += 1
-        bound.fastpath[outcome.fastpath].count += 1
         bound.latency.observe(latency)
         if outcome.allocation is None:
             bound.rejects(_reason(outcome.probe.reason)).inc()
@@ -915,11 +955,7 @@ class Gateway:
             self.stats.readmitted += 1
             admitted.append((rid, fresh))
         self._backlog = keep
-        if tel.enabled and admitted:
-            tel.metrics.counter(
-                "gateway_readmissions_total",
-                "Backlogged rejections successfully re-admitted.",
-            ).inc(float(len(admitted)))
+        if tel.enabled:
             for origin_rid, new_rid in admitted:
                 tel.emit(
                     "gateway.readmit",
@@ -970,88 +1006,43 @@ class Gateway:
         self._overcommit_hwm = hwm
 
     # ------------------------------------------------------------------
-    # Chaos accounting (channel counters → stats + telemetry deltas)
+    # Metrics: what the registry reads of stats and the channels
     # ------------------------------------------------------------------
-    _CHAOS_COUNTERS = {
-        "drops": "Deliveries lost on coordinator→broker channels.",
-        "duplicates": "Deliveries replayed (at-least-once) to brokers.",
-        "delays": "Deliveries sampled slow on coordinator→broker channels.",
-        "partitioned": "Deliveries refused by an active shard partition.",
-        "crashes": "Broker crashes sampled right after a protocol phase.",
-    }
+    def _report_to(self, tel: Telemetry) -> None:
+        """Move :meth:`_collect` to handle ``tel``: the registry it leaves
+        folds it one last time, an enabled ``tel`` starts from the counts
+        as they stand."""
+        if self._reporting is not None and self._reporting.enabled:
+            self._reporting.metrics.unregister(self._collect)
+        self._reporting = tel
+        if tel.enabled:
+            tel.metrics.register(self._collect)
 
-    #: Per-edge channel counters surfaced as shard-labeled metrics
-    #: (``ChannelStats`` field → metric name + help).
-    _CHANNEL_COUNTERS = {
-        "calls": (
-            "gateway_channel_deliveries_total",
-            "Protocol deliveries attempted per coordinator→broker edge.",
-        ),
-        "drops": (
-            "gateway_channel_dropped_total",
-            "Deliveries lost per coordinator→broker edge.",
-        ),
-        "duplicates": (
-            "gateway_channel_duplicated_total",
-            "Deliveries replayed (at-least-once) per edge.",
-        ),
-        "delays": (
-            "gateway_channel_delayed_total",
-            "Deliveries sampled slow per edge.",
-        ),
-        "partitioned": (
-            "gateway_channel_partitioned_total",
-            "Deliveries refused by a partition window per edge.",
-        ),
-        "crashes": (
-            "gateway_channel_crashes_total",
-            "Broker crashes sampled mid-protocol per edge.",
-        ),
-        "recovered": (
-            "gateway_channel_recovered_total",
-            "Ambiguous deliveries the termination probe recovered per edge.",
-        ),
-    }
-
-    def _chaos_counts(self) -> tuple[dict[str, float], dict[tuple[int, str], float]]:
-        """The channels' own counts: summed per chaos counter, and per
-        ``(shard, field)`` of :data:`_CHANNEL_COUNTERS`."""
-        totals = dict.fromkeys(self._CHAOS_COUNTERS, 0.0)
-        per_edge: dict[tuple[int, str], float] = {}
-        for channel in self.coordinator.channels:
-            counts = channel.stats.as_dict()
-            for name in totals:
-                totals[name] += float(counts[name])
-            for field in self._CHANNEL_COUNTERS:
-                per_edge[channel.shard_id, field] = float(counts[field])
-        return totals, per_edge
+    def _collect(self) -> dict[Sample, float]:
+        """The counter samples ``/metrics`` shows of :attr:`stats` and of
+        the channels' own counts, as absolute values (the registry folds
+        what each grew by since it last read it)."""
+        stats = vars(self.stats)
+        samples = {sample: stats[field] for field, sample in _COLLECTED.items()}
+        samples[_FASTPATH_MISS] = stats["local"] + stats["cross_shard"] - stats["fastpath_hits"]
+        batches = "gateway_batches_total", "Admission batches flushed, by ordering."
+        samples[(*batches, (("ordering", self.batcher.ordering.value),))] = stats["batches"]
+        if self.chaos is not None:
+            for channel in self.coordinator.channels:
+                counts, shard = vars(channel.stats), (("shard", str(channel.shard_id)),)
+                for field, (family, help_text) in _CHANNEL_COUNTERS.items():
+                    samples[family, help_text, shard] = counts[field]
+        return samples
 
     def _publish_chaos(self) -> None:
-        """Fold the channels' chaos counters into stats and telemetry.
-
-        With no chaos configured this returns immediately — no counters
-        move, no events are emitted, decision traces stay byte-identical.
-        The metric baselines advance whatever the handle, so an enabled
-        one is only ever pushed what the channels did since the last call
-        (or since a restore, which takes them from the channels).
-        """
+        """Mirror the channels' chaos counters, summed, into
+        ``stats.chaos_*`` (which snapshots and checkpoints carry).  With no
+        chaos configured this returns immediately: nothing moves."""
         if self.chaos is None:
             return
-        totals, per_edge = self._chaos_counts()
-        for name in self._CHAOS_COUNTERS:
-            setattr(self.stats, f"chaos_{name}", int(totals[name]))
-        tel = self.telemetry
-        if tel.enabled:
-            for name, help_text in self._CHAOS_COUNTERS.items():
-                delta = totals[name] - self._chaos_seen[name]
-                if delta > 0:
-                    tel.metrics.counter(f"gateway_chaos_{name}_total", help_text).inc(delta)
-            for (shard, field), value in per_edge.items():
-                delta = value - self._edge_seen[shard, field]
-                if delta > 0:
-                    metric, help_text = self._CHANNEL_COUNTERS[field]
-                    tel.metrics.counter(metric, help_text).inc(delta, shard=shard)
-        self._chaos_seen, self._edge_seen = totals, per_edge
+        channels = [vars(channel.stats) for channel in self.coordinator.channels]
+        for name in _CHAOS_COUNTERS:
+            setattr(self.stats, f"chaos_{name}", sum(counts[name] for counts in channels))
 
     # ------------------------------------------------------------------
     # Lifecycle operations (the rules live in repro.gateway.lifecycle)
@@ -1089,7 +1080,6 @@ class Gateway:
         self._observer.note("gateway.trace.abort", now, self._trace_ctx(rid), {"rid": rid})
         tel = self.telemetry
         if tel.enabled:
-            tel.metrics.counter("gateway_aborts_total", "Mid-flight transfer aborts.").inc()
             tel.emit("gateway.abort", now, rid=rid, wasted=reservation.carried)
         return True
 
@@ -1135,11 +1125,6 @@ class Gateway:
             tel.metrics.counter(
                 "gateway_degrades_total", "Capacity degradations applied, by side."
             ).inc(side=side)
-            if displaced:
-                tel.metrics.counter(
-                    "gateway_displacements_total",
-                    "Reservations displaced by degradations.",
-                ).inc(float(len(displaced)))
             fields: dict[str, Any] = {
                 "side": side,
                 "port": port,
@@ -1347,8 +1332,7 @@ class Gateway:
         """Everything :meth:`replay` would rebuild, JSON-able (what
         :meth:`checkpoint` journals).  Observability-only fields — trace
         roots, the overcommit high-water mark — are not state: replay does
-        not rebuild them either.  The chaos metric marks are re-read from
-        the restored channels."""
+        not rebuild them either."""
         return {
             "clock": self._clock,
             "next_rid": self._next_rid,
@@ -1380,9 +1364,6 @@ class Gateway:
             broker.load_state(dumped)
         for channel, dumped in zip(self.coordinator.channels, state["channels"]):
             channel.load_state(dumped)
-        # The restored history already happened: the chaos metrics count
-        # from here.  (An older checkpoint's ``chaos_seen`` is not read.)
-        self._chaos_seen, self._edge_seen = self._chaos_counts()
         if self.edge is not None:
             self.edge.load_state(state["edge"])
 

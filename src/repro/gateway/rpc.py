@@ -319,7 +319,7 @@ class ChannelStats:
     latency: float = 0.0
 
     def as_dict(self) -> dict[str, float]:
-        """Plain-dict form (reports / telemetry deltas)."""
+        """Plain-dict form (reports / checkpoints)."""
         return dict(vars(self))
 
 

@@ -19,10 +19,9 @@ call.  Binding writes nothing: a sample exists from its first ``inc`` /
 ``observe``, and a bound family is registered by its first firing child,
 exactly when addressing it by name on every call would have registered it.
 
-A :class:`Tally` (``registry.bind_tally(...)``), for a sample fired once
-per decision, is cheaper still: a plain ``tally.count += 1`` that the
-registry adds into the family at the start of every read, so no reader
-can tell it from a bound counter.
+A count its owner already keeps (a gateway's stats) is not fired at all:
+the owner registers a *collector* returning its absolute values, whose
+growth the registry adds into the families at the start of every read.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ import json
 import math
 from bisect import bisect_left
 from collections.abc import Callable, Iterator, Mapping, Sequence
+from functools import partial
 from typing import Any
 
 from ..core.errors import ConfigurationError
@@ -51,6 +51,14 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 
 #: ``(key, value)`` pairs identifying one sample of a labeled metric.
 LabelKey = tuple[tuple[str, str], ...]
+
+#: One counter sample a collector owns: ``(family, help, labels)``, the
+#: labels as a :data:`LabelKey` (string pairs sorted by key).
+Sample = tuple[str, str, LabelKey]
+
+#: What :meth:`MetricsRegistry.register` takes: a callable returning the
+#: absolute value of every sample it owns, the same samples on every call.
+Collector = Callable[[], Mapping[Sample, float]]
 
 
 def _label_key(labels: Mapping[str, Any]) -> LabelKey:
@@ -153,23 +161,6 @@ class BoundCounter:
             family.inc(amount, **dict(self._key))
             return
         samples[self._key] = samples.get(self._key, 0.0) + amount
-
-
-class Tally:
-    """A counter sample fired as a plain integer, ``tally.count += 1``,
-    that its registry folds into the family before every read (through
-    the bound child: the first non-zero fold registers the family)."""
-
-    __slots__ = ("count", "_child")
-
-    def __init__(self, child: BoundCounter) -> None:
-        self.count = 0
-        self._child = child
-
-    def fold(self) -> None:
-        """Add the count into the family and start again from zero."""
-        count, self.count = self.count, 0
-        self._child.inc(count)
 
 
 class Gauge(Counter):
@@ -308,21 +299,45 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, Instrument] = {}
-        #: One :class:`Tally` per bound ``(name, labels)``, folded on read.
-        self._tallies: dict[tuple[str, LabelKey], Tally] = {}
+        #: Each registered collector, with its samples as last folded.
+        self._collectors: dict[Collector, dict[Sample, float]] = {}
+        #: The families a collector owns (or owned): a read by name folds
+        #: for these only.
+        self._collected: set[str] = set()
 
-    def _fold(self) -> None:
-        """Add every tally's count into its family (the start of a read)."""
-        for tally in self._tallies.values():
-            if tally.count:
-                tally.fold()
+    def register(self, collector: Collector) -> None:
+        """Fold ``collector``'s growth on every read from now on, from its
+        values at this call; the registry keeps it until :meth:`unregister`."""
+        folded = dict(collector())
+        self._collectors[collector] = folded
+        self._collected.update(family for family, _, _ in folded)
+
+    def unregister(self, collector: Collector) -> None:
+        """Fold ``collector`` one last time and stop reading it."""
+        self._fold_one(collector, self._collectors.pop(collector))
+
+    def _fold(self, name: str | None = None) -> None:
+        """Add every collector's growth into its families (the start of a
+        read; a read of family ``name`` folds only if a collector owns it)."""
+        if name is None or name in self._collected:
+            for collector, folded in self._collectors.items():
+                self._fold_one(collector, folded)
+
+    def _fold_one(self, collector: Collector, folded: dict[Sample, float]) -> None:
+        for sample, value in collector().items():
+            last = folded.get(sample, 0.0)
+            if value > last:  # a counter never folds a decrement
+                folded[sample] = value
+                name, help_text, key = sample
+                family = self._register(name, Counter, partial(Counter, name, help_text))
+                family._samples[key] = family._samples.get(key, 0.0) + (value - last)
 
     def __len__(self) -> int:
         self._fold()
         return len(self._metrics)
 
     def __contains__(self, name: str) -> bool:
-        self._fold()
+        self._fold(name)
         return name in self._metrics
 
     def names(self) -> list[str]:
@@ -332,7 +347,7 @@ class MetricsRegistry:
 
     def get(self, name: str) -> Instrument | None:
         """The instrument registered under ``name``, if any."""
-        self._fold()
+        self._fold(name)
         return self._metrics.get(name)
 
     def _register(self, name: str, kind: type, factory: Any) -> Any:
@@ -350,38 +365,29 @@ class MetricsRegistry:
 
     def counter(self, name: str, help: str = "") -> Counter:
         """Get or create a counter."""
-        self._fold()
+        self._fold(name)
         return self._register(name, Counter, lambda: Counter(name, help))
 
     def gauge(self, name: str, help: str = "") -> Gauge:
         """Get or create a gauge."""
-        self._fold()
+        self._fold(name)
         return self._register(name, Gauge, lambda: Gauge(name, help))
 
     def histogram(
         self, name: str, help: str = "", buckets: Sequence[float] = DEFAULT_BUCKETS
     ) -> Histogram:
         """Get or create a histogram."""
-        self._fold()
+        self._fold(name)
         return self._register(name, Histogram, lambda: Histogram(name, help, buckets))
 
     def bind_counter(self, name: str, help: str = "", /, **labels: Any) -> BoundCounter:
         """One sample of counter ``name``, bound ahead of use: the family
         is got or created by the child's first ``inc``, not here."""
 
-        def family() -> Counter:  # not :meth:`counter`: a tally's fold calls it
+        def family() -> Counter:  # not :meth:`counter`: firing is not a read
             return self._register(name, Counter, lambda: Counter(name, help))
 
         return BoundCounter(family, _label_key(labels))
-
-    def bind_tally(self, name: str, help: str = "", /, **labels: Any) -> Tally:
-        """One sample of counter ``name`` as a :class:`Tally` — the same one
-        for every binding of the same name and labels — folded on read."""
-        key = (name, _label_key(labels))
-        tally = self._tallies.get(key)
-        if tally is None:
-            tally = self._tallies[key] = Tally(self.bind_counter(name, help, **labels))
-        return tally
 
     def bind_histogram(
         self,

@@ -36,7 +36,7 @@ from ..gateway import EdgeLimit, EdgeLimiter, Gateway, lifecycle
 from ..gateway.journal import CHECKPOINT_PREFIX, Journal, JournalEntry, naming
 from ..gateway.tickets import Ticket
 from ..obs.causal import TraceContext, explain_request
-from ..obs.metrics import BoundCounter, BoundHistogram
+from ..obs.metrics import BoundCounter, BoundHistogram, Sample
 from ..obs.slo import SloRule, SloWatchdog, default_slo_rules
 from ..obs.telemetry import NullTelemetry, Telemetry, use_telemetry
 from .clock import ServiceClock, WallServiceClock
@@ -192,14 +192,10 @@ class ServeApp:
         self.frontier = AdmissionFrontier(self.gateway, self.clock, max_wave=config.max_wave)
         self.router = Router()
         # Metric samples are bound once per label set: binding registers
-        # nothing, so a family shows on ``/metrics`` from its first firing
-        # (a decision's is a tally the registry folds in on read).
-        self._decisions = {
-            outcome: self.telemetry.metrics.bind_tally(
-                "serve_decisions_total", "Admission decisions served, by outcome.", outcome=outcome
-            )
-            for outcome in ("accepted", "rejected", "edge-refused")
-        }
+        # nothing, so a family shows on ``/metrics`` from its first firing.
+        # Decisions served are plain counts the registry reads on render.
+        self._decisions = dict.fromkeys(("accepted", "rejected", "edge-refused"), 0)
+        self.telemetry.metrics.register(self._collect)
         #: (endpoint, method, status) -> that request kind's two samples;
         #: endpoints are route patterns, so the map stays small.
         self._request_samples: dict[
@@ -367,7 +363,15 @@ class ServeApp:
             return
         if telemetry.traced:
             telemetry.store(_Served(self.clock.now(), ticket, outcome))
-        self._decisions[outcome].count += 1
+        self._decisions[outcome] += 1
+
+    def _collect(self) -> dict[Sample, float]:
+        """``serve_decisions_total`` by outcome, read when the registry renders."""
+        help_text = "Admission decisions served, by outcome."
+        return {
+            ("serve_decisions_total", help_text, (("outcome", outcome),)): count
+            for outcome, count in self._decisions.items()
+        }
 
     # ------------------------------------------------------------------
     # Explain (the PR-8 causal plane over HTTP)

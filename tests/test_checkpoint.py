@@ -171,7 +171,6 @@ def observed(gateway):
     tickets = [gateway.get(rid) for rid in rids if gateway.tickets.has(rid)]
     return {
         "tickets": [tuple(plain(getattr(t, name)) for name in VIEW_FIELDS) for t in tickets],
-        "chaos_seen": (gateway._chaos_seen, gateway._edge_seen),
         "holds_wiped": [b.holds_wiped for b in gateway.brokers],
         "channels": [vars(channel.stats) for channel in gateway.coordinator.channels],
         "edge": None if edge is None else (

@@ -445,8 +445,9 @@ class TestBoundSamples:
 
 
 class TestTallies:
-    """The per-decision counters are integers the registry folds in on
-    every read: no reader can tell them from counters fired per call."""
+    """Counts an owner keeps itself reach the registry through a collector
+    it registers, folded in on every read: no reader can tell them from
+    counters fired per call."""
 
     READS = {
         "prometheus": lambda r: r.to_prometheus_text(),
@@ -457,21 +458,52 @@ class TestTallies:
         "len": len,
         "get": lambda r: r.get("gateway_submits_total"),
     }
+    SAMPLE = ("gateway_submits_total", "By outcome.", (("outcome", "accepted"),))
 
     @pytest.mark.parametrize("read", sorted(READS))
     def test_a_family_is_absent_until_it_fires_whatever_reads_it(self, read):
-        registry = MetricsRegistry()
-        bind = ("gateway_submits_total", "By outcome.")
-        tally = registry.bind_tally(*bind, outcome="accepted")
-        assert registry.bind_tally(*bind, outcome="accepted") is tally
+        registry, counts = MetricsRegistry(), {"accepted": 5}
+        registry.register(lambda: {self.SAMPLE: counts["accepted"]})  # 5 is where it starts
         assert "gateway_submits_total" not in registry.to_prometheus_text()
-        tally.count += 2
-        self.READS[read](registry)  # the first read folds the count in
+        assert len(registry) == 0
+        counts["accepted"] += 2
+        self.READS[read](registry)  # the first read folds the growth in
         assert registry.names() == ["gateway_submits_total"]
+        held = registry.counter("gateway_submits_total")
+        assert held.value(outcome="accepted") == 2.0
+        counts["accepted"] -= 1  # a counter never folds a decrement
         assert registry.counter("gateway_submits_total").value(outcome="accepted") == 2.0
-        tally.count += 1
+        counts["accepted"] += 2  # one past the last value folded
         assert 'gateway_submits_total{outcome="accepted"} 3' in registry.to_prometheus_text()
+        assert held.value(outcome="accepted") == 3.0
         assert registry.to_dict() == MetricsRegistry.from_dict(registry.to_dict()).to_dict()
+
+    def test_unregister_folds_once_more_then_stops_reading(self):
+        registry, counts = MetricsRegistry(), {"accepted": 0}
+
+        def collect():
+            return {self.SAMPLE: counts["accepted"]}
+
+        registry.register(collect)
+        counts["accepted"] = 4
+        registry.unregister(collect)
+        counts["accepted"] = 9
+        assert registry.counter("gateway_submits_total").value(outcome="accepted") == 4.0
+
+    def test_a_read_of_another_family_does_not_call_the_collector(self):
+        registry, calls = MetricsRegistry(), []
+
+        def collect():
+            calls.append(1)
+            return {self.SAMPLE: 0}
+
+        registry.register(collect)
+        registry.counter("booking_earliest_fit_total").inc(outcome="accepted")
+        assert "booking_earliest_fit_total" in registry
+        assert registry.get("booking_earliest_fit_total") is not None
+        assert len(calls) == 1  # the registration's own read
+        registry.counter("gateway_submits_total")
+        assert len(calls) == 2
 
     def test_counts_stay_with_the_handle_current_at_each_decision(self):
         first, second = Telemetry(), Telemetry()
