@@ -9,7 +9,8 @@ but bookings never outrun confirmed reservations.
 
 A scaled-down chaos matrix (seeds × all five canned scenarios) also runs
 here so a plain benchmark invocation leaves a ``CHAOS_matrix.json``
-artifact; CI runs the full-size matrix via ``tests/test_chaos.py``.
+artifact, and the offline replay of its saved trace must give every cell
+its live SLO verdict; CI runs the full-size matrix via ``tests/test_chaos.py``.
 That an all-zero policy (the two-phase protocol, no faults) decides as
 the direct path does is ``tests/test_direct_booking.py``'s differential.
 
@@ -29,6 +30,8 @@ from repro.core.platform import Platform
 from repro.core.request import Request
 from repro.gateway import ChaosPolicy, Gateway, check_gateway
 from repro.gateway.rpc import EdgeChaos
+from repro.obs.causal import iter_captures
+from repro.obs.slo import SloRule, evaluate_artifact
 from repro.schedulers.retry import BackoffSchedule
 
 PORTS = 16
@@ -156,8 +159,10 @@ def test_lossy_meshes_degrade_without_corrupting(results_dir):
     )
 
 
-def test_chaos_matrix_smoke(results_dir):
-    report = run_chaos_matrix(
+def chaos_matrix(slo_rules=None):
+    """The scaled-down traced matrix: :data:`MATRIX_SEEDS` x every scenario
+    (``slo_rules=None``: each cell's default rules)."""
+    return run_chaos_matrix(
         Platform.uniform(8, 8, 200.0),
         lambda seed: lossy_workload(seed, n=24, ports=8),
         seeds=MATRIX_SEEDS,
@@ -167,13 +172,36 @@ def test_chaos_matrix_smoke(results_dir):
         rpc_deadline=60.0,
         horizon=400.0,
         tracing=True,
+        slo_rules=slo_rules,
     )
+
+
+def offline_mismatches(report, artifact):
+    """Labels of the cells whose live SLO verdict differs from what
+    ``grid-obs slo`` (``evaluate_artifact``) gives replaying that cell's
+    capture in ``artifact`` under that cell's own rules."""
+    captures = {entry["label"]: entry for entry in iter_captures(artifact)}
+    wrong = []
+    for cell in report.cells:
+        label = f"seed={cell['seed']}/{cell['scenario']}"
+        rules = [SloRule.from_dict(rule) for rule in cell["slo"]["rules"]]
+        (offline,) = evaluate_artifact({"captures": [captures[label]]}, rules)["captures"]
+        if offline != {"label": label, **cell["slo"]}:
+            wrong.append(label)
+    return wrong
+
+
+def test_chaos_matrix_smoke(results_dir):
+    report = chaos_matrix()
     (results_dir / "CHAOS_matrix.json").write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     )
     # Every cell's causal trace, one artifact: `grid-obs explain <rid>
     # CHAOS_trace.json` reconstructs any request in any cell after the run.
     assert report.telemetry is not None
-    report.telemetry.save(results_dir / "CHAOS_trace.json")
+    trace = results_dir / "CHAOS_trace.json"
+    report.telemetry.save(trace)
     assert report.ok, report.violations
     assert report.slo_ok, [c["slo"] for c in report.cells if not c["slo"]["ok"]]
+    # `grid-obs slo` on the saved trace gives every cell its live verdict.
+    assert offline_mismatches(report, json.loads(trace.read_text())) == []

@@ -11,6 +11,9 @@ of the client's stays behind), and prints:
 - the bytes the run left allocated per decision (``tracemalloc``, after a
   full collection; the first wave, which warms caches and binds metric
   samples, is before the baseline) and the source lines that hold most;
+- the same bytes with what ``grid-serve`` ships (1 shard, the default SLO
+  rules) and with those defaults but ``slo_rules=()``: the watchdog's
+  own share;
 - the garbage-collector-tracked objects the run left per decision, by type;
 - the collector's work while a fresh app serves the whole stream: the
   collections of each generation and the longest pause, timed with
@@ -79,6 +82,12 @@ DECISIONS, SEED = 9008, 1
 TOP = 12
 #: Alternating telemetry-on / telemetry-off runs the CPU figures are medians of.
 ROUNDS = 5
+#: The stack benchmark server's settings: 4 shards, batches of 8, no SLO rules.
+BENCH: dict[str, Any] = {"num_shards": 4, "batch_size": 8, "slo_rules": ()}
+#: What ``grid-serve`` runs unless told otherwise: ``ServeConfig``'s own
+#: defaults (1 shard, the default SLO rules), and the same without rules.
+SHIPPED: dict[str, Any] = {}
+SHIPPED_NO_SLO: dict[str, Any] = {"slo_rules": ()}
 
 
 def tracked() -> Counter[str]:
@@ -99,16 +108,15 @@ def serve(app: ServeApp, bodies: list[dict]) -> None:
     asyncio.run(drive())
 
 
-def make_app(journal_path: Path | None, *, metrics: bool = True) -> ServeApp:
-    """A ``ServeApp`` configured as the stack benchmark's server, its
-    write-ahead journal at ``journal_path`` (``None``: held in memory;
-    ``metrics=False``: with a ``NullTelemetry``)."""
+def make_app(
+    journal_path: Path | None, *, metrics: bool = True, settings: dict[str, Any] = BENCH
+) -> ServeApp:
+    """A ``ServeApp`` configured as the stack benchmark's server (or with
+    other ``ServeConfig`` ``settings``), its write-ahead journal at
+    ``journal_path`` (``None``: held in memory; ``metrics=False``: with a
+    ``NullTelemetry``)."""
     config = ServeConfig(
-        platform=Platform.uniform(16, 16, 1000.0),
-        num_shards=4,
-        batch_size=8,
-        slo_rules=(),
-        journal_path=journal_path,
+        platform=Platform.uniform(16, 16, 1000.0), journal_path=journal_path, **settings
     )
     telemetry = None if metrics else NullTelemetry()
     return ServeApp(config, clock=LogicalClock(), telemetry=telemetry)
@@ -130,12 +138,14 @@ def cpu_us_per_decision(bodies: list[dict], journal_path: Path, metrics: bool) -
     return cpu / 1e3 * (REFERENCE_NS / burst_ns) / (len(bodies) - WAVE)
 
 
-def measure(bodies: list[dict], workdir: Path, by_site: bool) -> tuple[int, int, Any]:
-    """Serve ``bodies`` on a fresh app; returns the decisions and the
-    batches flushed after the warm-up wave, and what they left: allocation
-    sites (``by_site``, a tracemalloc comparison) or GC-tracked objects by
-    type."""
-    app = make_app(workdir / f"serve-{by_site}.journal.jsonl")
+def measure(
+    bodies: list[dict], workdir: Path, by_site: bool, settings: dict[str, Any] = BENCH
+) -> tuple[int, int, Any]:
+    """Serve ``bodies`` on a fresh app (built with ``settings``); returns
+    the decisions and the batches flushed after the warm-up wave, and what
+    they left: allocation sites (``by_site``, a tracemalloc comparison) or
+    GC-tracked objects by type."""
+    app = make_app(workdir / f"serve-{by_site}.journal.jsonl", settings=settings)
     serve(app, bodies[:WAVE])
     stats = app.gateway.stats
     warm = stats.submits, stats.batches
@@ -152,6 +162,15 @@ def measure(bodies: list[dict], workdir: Path, by_site: bool) -> tuple[int, int,
         left = tracked() - before
     app.journal.close()
     return stats.submits - warm[0], stats.batches - warm[1], left
+
+
+def retained_per_decision(bodies: list[dict], workdir: Path, settings: dict[str, Any]) -> float:
+    """The tracemalloc bytes per decision an app built with ``settings``
+    left after serving ``bodies`` (see :func:`measure`), its journal in a
+    fresh directory under ``workdir``."""
+    with tempfile.TemporaryDirectory(dir=workdir) as fresh:
+        decided, _, sites = measure(bodies, Path(fresh), by_site=True, settings=settings)
+    return sum(stat.size_diff for stat in sites) / decided
 
 
 def collector_pauses(bodies: list[dict], workdir: Path) -> tuple[int, dict[int, list[float]]]:
@@ -248,6 +267,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         decided, _, objects = measure(bodies, Path(workdir), by_site=False)
         _, _, sites = measure(bodies, Path(workdir), by_site=True)
+        shipped = {
+            name: retained_per_decision(bodies, Path(workdir), settings)
+            for name, settings in (("rules", SHIPPED), ("none", SHIPPED_NO_SLO))
+        }
         served, pauses = collector_pauses(bodies, Path(workdir))
         on, off = cpu_medians("light", bodies, Path(workdir))
         hot = hot_stream(SEED, DECISIONS)
@@ -261,6 +284,8 @@ def main() -> int:
           f"Python {sys.version.split()[0]}")
     print(f"retained bytes per decision: {retained / decided:.0f} "
           f"({retained / 2**20:.2f} MiB in all)")
+    print(f"grid-serve defaults (1 shard, default SLO rules): retained bytes per decision "
+          f"{shipped['rules']:.1f}, against {shipped['none']:.1f} with slo_rules=()")
     print(f"gc-tracked objects per decision: {sum(objects.values()) / decided:.2f}")
     for name, count in objects.most_common():
         print(f"  {count / decided:6.2f}  {name}")

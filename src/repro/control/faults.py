@@ -512,7 +512,7 @@ def run_chaos_matrix(
 
     Every cell also runs an :class:`~repro.obs.slo.SloWatchdog` over the
     live gateway (``slo_rules`` or :func:`~repro.obs.slo.default_slo_rules`
-    scaled to the cell's TTL / deadline / backlog) and reports its verdict
+    scaled to the cell's TTL and deadline) and reports its verdict
     under ``cell["slo"]`` — ``report.slo_ok`` aggregates them.  With
     ``tracing=True`` each cell gets its own enabled telemetry handle; the
     captures land in ``report.telemetry`` (a
@@ -523,9 +523,7 @@ def run_chaos_matrix(
     rules = (
         list(slo_rules)
         if slo_rules is not None
-        else default_slo_rules(
-            hold_ttl=hold_ttl, rpc_deadline=rpc_deadline, backlog_limit=backlog_limit
-        )
+        else default_slo_rules(hold_ttl=hold_ttl, rpc_deadline=rpc_deadline)
     )
     report = ChaosMatrixReport()
     if tracing:

@@ -433,9 +433,10 @@ class Gateway:
         through the process-wide handle
         (:func:`~repro.obs.telemetry.get_telemetry`, a no-op by default).
     slo:
-        Optional :class:`~repro.obs.slo.SloWatchdog` evaluated at every
-        batch flush over windowed admission/health aggregates; breaches
-        are edge-triggered events, never admission decisions.
+        Optional :class:`~repro.obs.slo.SloWatchdog` fed every first
+        decision (what ``gateway_submits_total`` counts) and each flush's
+        health sample, and evaluated at every batch flush; breaches are
+        edge-triggered events, never admission decisions.
 
     The ``on_decision`` attribute (default ``None``) is a callback
     ``(ticket, now)`` invoked for every flushed decision with the decision
@@ -835,10 +836,7 @@ class Gateway:
             trace.allocation, trace.fastpath = outcome.allocation, outcome.fastpath
             trace.candidates, trace.latency = outcome.probe.candidates, latency
             tel.tracer.store(trace)
-        accepted = outcome.allocation is not None
-        if self.slo is not None:
-            self.slo.admission(now, accepted=accepted, latency=latency)
-        if accepted and (tel.traced or self.slo is not None):
+        if outcome.allocation is not None and (tel.traced or self.slo is not None):
             self._note_port_peaks(request.ingress, request.egress)
         return outcome, latency
 
@@ -867,6 +865,9 @@ class Gateway:
             if reason is RejectReason.SHARD_UNREACHABLE:
                 self.stats.shard_unreachable += 1
             self._maybe_backlog(rid, reason)
+        # The watchdog judges what /metrics counts: first decisions only.
+        if self.slo is not None:
+            self.slo.admission(now, accepted=outcome.allocation is not None, latency=latency)
         if tel.enabled:
             self._observe_decision(tel, outcome, latency, trace)
         if self.on_decision is not None:

@@ -20,9 +20,10 @@ replays the same evaluation offline against a
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
+from bisect import bisect_left, insort
+from collections import deque
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,6 +57,9 @@ SLO_METRICS = (
 
 _BOUNDS = ("floor", "ceiling")
 
+#: The metrics read off the health sample of each flush.
+_SAMPLED = ("backlog_depth", "max_hold_age", "overcommit_proximity")
+
 
 class SloRuleError(ReproError, ValueError):
     """A rule (or rules file) is malformed."""
@@ -85,7 +89,9 @@ class SloRule:
             raise SloRuleError(
                 f"rule {self.name!r}: bound must be 'floor' or 'ceiling', got {self.bound!r}"
             )
-        if self.window <= 0:
+        if math.isnan(self.threshold):
+            raise SloRuleError(f"rule {self.name!r}: threshold must be a number")
+        if not self.window > 0:  # NaN too: a NaN window would never breach
             raise SloRuleError(f"rule {self.name!r}: window must be positive")
 
     def violated(self, value: float) -> bool:
@@ -105,17 +111,17 @@ class SloRule:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> SloRule:
+        if not isinstance(data, dict):
+            raise SloRuleError(f"a rule must be an object, got {data!r}")
         try:
-            window = data.get("window")
-            return cls(
-                name=str(data["name"]),
-                metric=str(data["metric"]),
-                bound=str(data["bound"]),
-                threshold=float(data["threshold"]),
-                window=math.inf if window is None else float(window),
-            )
+            name, metric, bound = str(data["name"]), str(data["metric"]), str(data["bound"])
+            threshold, window = float(data["threshold"]), data.get("window")
+            span = math.inf if window is None else float(window)
         except KeyError as exc:
             raise SloRuleError(f"rule is missing required key {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise SloRuleError(f"rule {data.get('name')!r}: {exc}") from exc
+        return cls(name, metric, bound, threshold, span)
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,36 +146,68 @@ class SloBreach:
         }
 
 
-def _p99_index(n: int) -> int:
-    """Rank of the p99 in ``n`` sorted values (nearest-rank, 0-based)."""
-    return max(min(n - 1, math.ceil(0.99 * n) - 1), 0)
+class _Judge:
+    """One rule's own count of the inputs it reads.
 
+    An accept rate counts admissions and acceptances.  Any other rule
+    counts its inputs and keeps, sorted, only those past its threshold:
+    while the rule is breached its value (the p99's nearest rank, or a
+    sampled metric's worst) is one of them, and otherwise it is inside
+    its bound (``None``).  A whole-run sampled rule keeps only its worst.
+    A finite window also keeps one ``(t, x)`` row per input, oldest
+    first, un-counted as the window passes it (evaluation instants never
+    decrease: the gateway clock only moves forward).
+    """
 
-class _RunningP99:
-    """The whole-run p99, ``sorted(values)[_p99_index(n)]``, kept exactly
-    by two heaps split at that rank: O(log n) per value, O(1) per read."""
+    __slots__ = ("rule", "rows", "n", "accepted", "past")
 
-    def __init__(self) -> None:
-        self._low: list[float] = []  # max-heap (negated): the smallest rank + 1
-        self._high: list[float] = []  # min-heap: the rest
+    def __init__(self, rule: SloRule) -> None:
+        self.rule = rule
+        self.rows: deque[tuple[float, float]] | None = (
+            None if math.isinf(rule.window) else deque()
+        )
+        self.n = self.accepted = 0
+        self.past: list[float] = []
 
-    def add(self, value: float) -> None:
-        if self._low and value <= -self._low[0]:
-            heapq.heappush(self._low, -value)
-        else:
-            heapq.heappush(self._high, value)
-        keep = _p99_index(len(self._low) + len(self._high)) + 1
-        while len(self._low) > keep:
-            heapq.heappush(self._high, -heapq.heappop(self._low))
-        while len(self._low) < keep:
-            heapq.heappush(self._low, -heapq.heappop(self._high))
+    def add(self, t: float, x: float) -> None:
+        self._count(x, 1)
+        if self.rows is not None:
+            self.rows.append((t, x))
+        elif self.rule.metric in _SAMPLED and len(self.past) > 1:
+            self.past = self.past[:1] if self.rule.bound == "floor" else self.past[-1:]
 
-    def value(self) -> float | None:
-        return -self._low[0] if self._low else None
+    def _count(self, x: float, step: int) -> None:
+        self.n += step
+        if self.rule.metric == "accept_rate":
+            self.accepted += step if x else 0
+        elif self.rule.violated(x):
+            if step > 0:
+                insort(self.past, x)
+            else:
+                del self.past[bisect_left(self.past, x)]
+
+    def value(self, now: float) -> float | None:
+        rows = self.rows
+        if rows is not None:
+            since = now - self.rule.window
+            while rows and rows[0][0] < since:
+                self._count(rows.popleft()[1], -1)
+        n, past, floor = self.n, self.past, self.rule.bound == "floor"
+        if not n:
+            return None
+        if self.rule.metric == "accept_rate":
+            return self.accepted / n
+        if self.rule.metric in _SAMPLED:
+            rank = 0 if floor else len(past) - 1
+        else:  # the p99's nearest rank, 0-based, among all n latencies
+            rank = max(min(n - 1, math.ceil(0.99 * n) - 1), 0)
+            if not floor:  # past a ceiling: the largest
+                rank -= n - len(past)
+        return past[rank] if 0 <= rank < len(past) else None
 
 
 class SloWatchdog:
-    """Evaluates a rule set over the gateway's windowed health aggregates.
+    """Evaluates a rule set, one :class:`_Judge` per rule.
 
     Breaches are **edge-triggered**: a rule that stays violated across
     many evaluations produces one breach when it first crosses and a new
@@ -183,23 +221,12 @@ class SloWatchdog:
             raise SloRuleError(f"duplicate rule name(s): {dupes}")
         self.rules = tuple(rules)
         self.breaches: list[SloBreach] = []
-        finite = [rule.window for rule in self.rules if not math.isinf(rule.window)]
-        #: Widest finite window; ``None`` when every rule looks at the whole
-        #: run, so no row is kept at all.
-        self._span = max(finite) if finite else None
-        # Rows inside the widest finite window, for the windowed rules.
-        self._recent_admissions: list[tuple[float, bool, float]] = []
-        self._recent_samples: dict[str, list[tuple[float, float]]] = {}
-        # Running aggregates for the whole-run rules.
-        #: Admissions ingested so far.
-        self._admissions = 0
-        self._accepted = 0
-        self._extrema: dict[str, tuple[float, float]] = {}
-        whole_p99 = any(
-            rule.metric == "p99_admission_latency" and math.isinf(rule.window)
-            for rule in self.rules
-        )
-        self._p99 = _RunningP99() if whole_p99 else None
+        self._judges = [_Judge(rule) for rule in self.rules]
+        #: Each metric's judges, the inputs :meth:`admission` and
+        #: :meth:`sample` feed.
+        self._fed: dict[str, list[_Judge]] = {}
+        for each in self._judges:
+            self._fed.setdefault(each.rule.metric, []).append(each)
         self._active: set[str] = set()
 
     @property
@@ -225,67 +252,22 @@ class SloWatchdog:
 
     def admission(self, t: float, *, accepted: bool, latency: float) -> None:
         """Ingest one admission decision (latency in simulated time)."""
-        self._admissions += 1
-        if accepted:
-            self._accepted += 1
-        if self._p99 is not None:
-            self._p99.add(latency)
-        if self._span is not None:
-            self._recent_admissions.append((t, accepted, latency))
+        for judge in self._fed.get("accept_rate", ()):
+            judge.add(t, accepted)
+        for judge in self._fed.get("p99_admission_latency", ()):
+            judge.add(t, latency)
 
     def sample(self, metric: str, t: float, value: float) -> None:
         """Ingest one health sample (hold age, backlog depth, utilisation)."""
-        low, high = self._extrema.get(metric, (value, value))
-        self._extrema[metric] = (min(low, value), max(high, value))
-        if self._span is not None:
-            self._recent_samples.setdefault(metric, []).append((t, value))
-
-    def _prune(self, now: float) -> None:
-        """Drop rows no windowed rule can read again (evaluation instants
-        never decrease: the gateway clock only moves forward)."""
-        if self._span is None:
-            return
-        horizon = now - self._span
-        self._recent_admissions = [row for row in self._recent_admissions if row[0] >= horizon]
-        for metric, rows in self._recent_samples.items():
-            self._recent_samples[metric] = [row for row in rows if row[0] >= horizon]
-
-    def _value_of(self, rule: SloRule, now: float) -> float | None:
-        if math.isinf(rule.window):
-            return self._whole_run_value(rule)
-        since = now - rule.window
-        if rule.metric == "accept_rate":
-            decided = [row for row in self._recent_admissions if row[0] >= since]
-            if not decided:
-                return None
-            return sum(1 for row in decided if row[1]) / len(decided)
-        if rule.metric == "p99_admission_latency":
-            latencies = sorted(row[2] for row in self._recent_admissions if row[0] >= since)
-            if not latencies:
-                return None
-            return latencies[_p99_index(len(latencies))]
-        rows = [row[1] for row in self._recent_samples.get(rule.metric, ()) if row[0] >= since]
-        if not rows:
-            return None
-        # worst-case within the window: the direction the bound cares about
-        return min(rows) if rule.bound == "floor" else max(rows)
-
-    def _whole_run_value(self, rule: SloRule) -> float | None:
-        if rule.metric == "accept_rate":
-            return self._accepted / self._admissions if self._admissions else None
-        if rule.metric == "p99_admission_latency":
-            return self._p99.value() if self._p99 is not None else None
-        extrema = self._extrema.get(rule.metric)
-        if extrema is None:
-            return None
-        return extrema[0] if rule.bound == "floor" else extrema[1]
+        for judge in self._fed.get(metric, ()):
+            judge.add(t, value)
 
     def evaluate(self, now: float, *, telemetry: Telemetry | None = None) -> list[SloBreach]:
         """Evaluate every rule at ``now``; returns breaches new this call."""
-        self._prune(now)
         fresh: list[SloBreach] = []
-        for rule in self.rules:
-            value = self._value_of(rule, now)
+        for judge in self._judges:
+            rule = judge.rule
+            value = judge.value(now)
             if value is None or not rule.violated(value):
                 self._active.discard(rule.name)
                 continue
@@ -319,19 +301,17 @@ class SloWatchdog:
 
 
 def default_slo_rules(
-    *,
-    hold_ttl: float = 300.0,
-    rpc_deadline: float | None = None,
-    backlog_limit: int | None = None,
+    *, hold_ttl: float = 300.0, rpc_deadline: float | None = None
 ) -> tuple[SloRule, ...]:
     """A conservative rule set scaled to the gateway's own knobs.
 
     The latency ceiling budgets for the worst chaos path — a full retry
     ladder on each of the four 2PC legs — so it gates pathology, not
-    ordinary chaos-induced slowness.
+    ordinary chaos-induced slowness.  No rule bounds the backlog: the
+    gateway never parks more than its ``backlog_limit``.
     """
     deadline = rpc_deadline if rpc_deadline is not None else 60.0
-    rules = [
+    return (
         SloRule("accept-rate-floor", "accept_rate", "floor", 0.02),
         SloRule(
             "admission-p99-ceiling",
@@ -341,10 +321,7 @@ def default_slo_rules(
         ),
         SloRule("hold-age-ceiling", "max_hold_age", "ceiling", 1.5 * hold_ttl),
         SloRule("overcommit-ceiling", "overcommit_proximity", "ceiling", 1.000001),
-    ]
-    if backlog_limit:
-        rules.append(SloRule("backlog-ceiling", "backlog_depth", "ceiling", float(backlog_limit)))
-    return tuple(rules)
+    )
 
 
 def load_rules(path: str | Path) -> tuple[SloRule, ...]:
@@ -383,7 +360,7 @@ def evaluate_artifact(
                     latency=float(fields["latency"]),
                 )
             elif name == "gateway.batch":
-                for metric in ("backlog_depth", "max_hold_age", "overcommit_proximity"):
+                for metric in _SAMPLED:
                     if metric in fields:
                         watchdog.sample(metric, t, float(fields[metric]))
                 watchdog.evaluate(t)

@@ -10,7 +10,7 @@ left behind: ``?explain=1`` rebuilds them by replaying the journal.  A
 journal keeps no entry object: a file-backed one leaves its lines in the
 file, their only copy, and one without a file holds them as text.
 
-Both tests run ``benchmarks/footprint.py`` — the ``serve_light`` shape,
+The tests run ``benchmarks/footprint.py`` — the ``serve_light`` shape,
 a ``ServeApp`` as the stack benchmark's server configures it answering
 batch POSTs of 16 through ``dispatch`` — on a short stream; the script
 prints the same measurement at full size, by type and in bytes.
@@ -31,6 +31,9 @@ PER_DECISION = 0.2
 #: What a run leaves whatever its length (the event loop's and the test
 #: runner's leftovers, the measurement's own counter).
 SLACK = 64
+#: Bytes per decision the shipped SLO rules may retain beyond none at all
+#: (tracemalloc's spread between two runs; one kept float is 24 bytes).
+SLO_BYTES = 4.0
 
 
 def load_tool():
@@ -67,6 +70,17 @@ def test_a_decision_leaves_its_state_and_no_telemetry_record(tmp_path):
         assert left[name] == 0, name
     for name in ("_Submitted", "_Admission", "_Served", "_Flushed"):
         assert left[name] == 0, name
+
+
+def test_the_shipped_slo_rules_keep_no_state_per_decision(tmp_path):
+    """``grid-serve``'s defaults (1 shard, the default SLO rules) retain no
+    more per decision than the same app without rules: a rule keeps
+    counts, and a latency inside its ceiling is only counted."""
+    tool = load_tool()
+    bodies = tool.light_stream(1, 101 * tool.WAVE)
+    shipped = tool.retained_per_decision(bodies, tmp_path, tool.SHIPPED)
+    without = tool.retained_per_decision(bodies, tmp_path, tool.SHIPPED_NO_SLO)
+    assert shipped <= without + SLO_BYTES, (shipped, without)
 
 
 @pytest.mark.parametrize("on_file", [True, False], ids=["file", "memory"])

@@ -5,7 +5,9 @@ events, the live gateway integration, the offline artifact replay and
 the ``grid-obs slo`` subcommand.
 """
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,16 @@ from repro.obs.slo import SloRuleError
 
 def platform(n=4, cap=1000.0):
     return Platform.uniform(n, n, cap)
+
+
+def load_bench_chaos():
+    """``benchmarks/bench_chaos.py``, whose scaled-down chaos matrix the
+    live-versus-offline check runs."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_chaos.py"
+    spec = importlib.util.spec_from_file_location("bench_chaos", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestRules:
@@ -65,10 +77,12 @@ class TestRules:
             SloWatchdog([rule, rule])
 
     def test_default_rules_scale_to_gateway_knobs(self):
-        rules = {r.name: r for r in default_slo_rules(hold_ttl=100.0, backlog_limit=8)}
+        rules = {r.name: r for r in default_slo_rules(hold_ttl=100.0, rpc_deadline=90.0)}
         assert rules["hold-age-ceiling"].threshold == pytest.approx(150.0)
-        assert rules["backlog-ceiling"].threshold == pytest.approx(8.0)
-        assert "backlog-ceiling" not in {r.name for r in default_slo_rules()}
+        assert rules["admission-p99-ceiling"].threshold == pytest.approx(720.0)
+        assert default_slo_rules()[1].threshold == pytest.approx(480.0)
+        # The gateway never parks beyond its backlog limit: no rule bounds it.
+        assert "backlog_depth" not in {r.metric for r in default_slo_rules()}
 
 
 class TestWatchdog:
@@ -172,7 +186,8 @@ class TestGatewayIntegration:
         gw = Gateway(platform(), num_shards=2, batch_size=2, hold_ttl=120.0, slo=dog)
         assert not gw.telemetry.enabled
         self.drive(gw)
-        assert dog._admissions, "decisions must reach the watchdog under NullTelemetry"
+        counted = [judge.n for judge in dog._judges if judge.rule.metric == "accept_rate"]
+        assert counted == [10], "decisions must reach the watchdog under NullTelemetry"
 
     def test_partitioned_gateway_breaches_accept_rate(self):
         dog = SloWatchdog([SloRule("floor", "accept_rate", "floor", 0.5)])
@@ -271,6 +286,41 @@ class TestRulesFileAndCli:
         with pytest.raises(SloRuleError):
             load_rules(path)
 
+    @pytest.mark.parametrize("field", ["threshold", "window"])
+    def test_a_nan_rule_is_refused(self, tmp_path, field):
+        """A NaN compares false against everything, so the rule could
+        never breach: an accept rate of 0 against a 0.5 floor raised nothing."""
+        rule = {"name": "floor", "metric": "accept_rate", "bound": "floor", "threshold": 0.5}
+        with pytest.raises(SloRuleError, match=field):
+            SloRule.from_dict({**rule, field: float("nan")})
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps([{**rule, field: float("nan")}]))  # JSON's NaN literal
+        with pytest.raises(SloRuleError):
+            load_rules(path)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            3,
+            ["floor", "accept_rate", "floor", 0.5],
+            {"name": "f", "metric": "accept_rate", "bound": "floor", "threshold": "abc"},
+            {"name": "f", "metric": "accept_rate", "bound": "floor", "threshold": 0.5,
+             "window": [1]},
+        ],
+        ids=["number", "list", "threshold-abc", "window-list"],
+    )
+    def test_cli_refuses_a_malformed_rule_in_one_line(self, tmp_path, capsys, entry):
+        """A malformed rules file is a usage error (exit 2, one line), not a
+        traceback nor the breach status 1."""
+        with pytest.raises(SloRuleError):
+            SloRule.from_dict(entry)
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps({"rules": [entry]}))
+        art = self._artifact_file(tmp_path)
+        assert main(["slo", str(art), "--rules", str(rules)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def _artifact_file(self, tmp_path, *, chaos=None):
         telemetry = Telemetry()
         gw = Gateway(platform(), num_shards=2, batch_size=2, chaos=chaos, telemetry=telemetry)
@@ -302,3 +352,34 @@ class TestRulesFileAndCli:
         assert main(["slo", str(art), "--json"]) == 0
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["ok"] is True and verdict["captures"]
+
+
+class TestLiveMatchesOffline:
+    """The live watchdog judges the decisions ``grid-obs slo`` replays: a
+    first decision's ``gateway.submit`` event, not a backlog re-admission
+    attempt (which no artifact records)."""
+
+    #: Tight bounds over every fed metric, whole-run and over 30 s, so the
+    #: chaos scenarios cross them (and a re-admission's latency would
+    #: raise a p99 breach of its own).
+    TIGHT = [
+        SloRule(f"{metric}-{span}", metric, bound, threshold, window)
+        for metric, bound, threshold in (
+            ("accept_rate", "floor", 0.9),
+            ("p99_admission_latency", "ceiling", 20.0),
+            ("max_hold_age", "ceiling", 10.0),
+            ("backlog_depth", "ceiling", 0.5),
+        )
+        for span, window in (("run", float("inf")), ("30s", 30.0))
+    ]
+
+    def test_every_chaos_cell_gets_its_live_verdict_offline(self):
+        bench = load_bench_chaos()
+        report = bench.chaos_matrix(slo_rules=self.TIGHT)
+        assert len(report.cells) == 10
+        artifact = json.loads(report.telemetry.to_json())
+        assert bench.offline_mismatches(report, artifact) == []
+        breached = {b["rule"] for cell in report.cells for b in cell["slo"]["breaches"]}
+        assert {"p99_admission_latency-30s", "backlog_depth-run"} <= breached
+        assert any(cell["readmitted"] for cell in report.cells)
+

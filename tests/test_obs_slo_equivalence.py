@@ -1,12 +1,12 @@
-"""The SLO watchdog's running aggregates against a full rescan.
+"""The SLO watchdog's per-rule counts against a full rescan.
 
-:class:`~repro.obs.slo.SloWatchdog` keeps running counts, extrema and a
-two-heap p99 for whole-run rules, and only the rows inside the widest
-finite window for windowed ones.  :class:`ScanWatchdog` below is the
-earlier implementation — every row kept (unless every rule is windowed),
-every evaluation a rescan — kept here as the reference: over seeded
-streams of admissions, samples and evaluations it must report the same
-breaches (values included) and the same ``active`` set at every step.
+:class:`~repro.obs.slo.SloWatchdog` gives every rule its own judge: counts,
+the inputs past the rule's threshold (sorted) and, for a windowed rule, the
+rows still inside its window.  :class:`ScanWatchdog` below is the earliest
+implementation — every row kept (unless every rule is windowed), every
+evaluation a rescan — kept here as the reference: over seeded streams of
+admissions, samples and evaluations it must report the same breaches
+(values included) and the same ``active`` set at every step.
 """
 
 import math
@@ -136,25 +136,30 @@ def test_running_aggregates_match_the_full_scan(whole_run_share):
 
 
 def test_whole_run_p99_is_the_sorted_rank_at_every_length():
+    """Against a ceiling below every latency each one is past the
+    threshold, so the judge must hold the exact rank at every length."""
     rng = random.Random(3)
-    rule = SloRule("p99", "p99_admission_latency", "ceiling", math.inf)
-    fast = SloWatchdog([rule])
+    fast = SloWatchdog([SloRule("p99", "p99_admission_latency", "ceiling", -1.0)])
+    (judge,) = fast._judges
     values = []
     for _ in range(1500):
         value = float(rng.randint(0, 50))
         values.append(value)
         fast.admission(0.0, accepted=True, latency=value)
         index = max(min(len(values) - 1, math.ceil(0.99 * len(values)) - 1), 0)
-        assert fast._value_of(rule, 0.0) == sorted(values)[index]
+        assert judge.value(0.0) == sorted(values)[index]
 
 
 def test_default_rules_keep_no_rows():
+    """The shipped rules have no window, and a latency inside the p99
+    ceiling is only counted."""
     from repro.obs.slo import default_slo_rules
 
-    dog = SloWatchdog(default_slo_rules(backlog_limit=4))
+    dog = SloWatchdog(default_slo_rules())
     for i in range(100):
         dog.admission(float(i), accepted=True, latency=1.0)
-        dog.sample("backlog_depth", float(i), 1.0)
+        dog.sample("max_hold_age", float(i), 1.0)
         dog.evaluate(float(i))
-    assert dog._recent_admissions == [] and dog._recent_samples == {}
-    assert dog._admissions == 100
+    assert all(judge.rows is None and judge.past == [] for judge in dog._judges)
+    counted = {judge.rule.metric: judge.n for judge in dog._judges}
+    assert counted["accept_rate"] == counted["p99_admission_latency"] == 100
