@@ -35,13 +35,21 @@ of the client's stays behind), and prints:
   asks the kernel the same questions by printing the same numbers;
 - the wall seconds ``ServeApp.explain`` takes, after the whole stream,
   for rid 5 and for the newest rid: the story is rebuilt by replaying
-  the journal, so this is what ``?explain=1`` costs.
+  the journal, so this is what ``?explain=1`` costs;
+- what a restart costs after :data:`RESTARTS` light decisions served with
+  ``grid-serve``'s defaults and a file journal, then drained (the drain
+  writes the checkpoint): the checkpoint line's bytes per decision, and
+  the wall seconds of ``Journal.load`` and of ``Gateway.resume`` on that
+  file (medians of :data:`ROUNDS`), the successor's restore.  The size is
+  deterministic, so it is gated: the script exits 1 when it passes
+  :data:`CHECKPOINT_BYTES` per decision.
 
 Run from the repository root::
 
     PYTHONPATH=src python benchmarks/footprint.py
 
-CI writes the report to ``benchmarks/results/FOOTPRINT_serve.txt``.
+CI writes the report to ``benchmarks/results/FOOTPRINT_serve.txt``, and
+fails when the checkpoint size gate does.
 """
 
 from __future__ import annotations
@@ -67,6 +75,8 @@ from inputs import hot_stream, light_stream  # noqa: E402
 from run import REFERENCE_NS  # noqa: E402
 
 from repro.core.ledger import Port  # noqa: E402
+from repro.gateway import Gateway, Journal  # noqa: E402
+from repro.gateway.journal import CHECKPOINT_PREFIX  # noqa: E402
 from repro.core.platform import Platform  # noqa: E402
 from repro.core.profile import Segment  # noqa: E402
 from repro.obs import NullTelemetry, Telemetry  # noqa: E402
@@ -88,6 +98,11 @@ BENCH: dict[str, Any] = {"num_shards": 4, "batch_size": 8, "slo_rules": ()}
 #: defaults (1 shard, the default SLO rules), and the same without rules.
 SHIPPED: dict[str, Any] = {}
 SHIPPED_NO_SLO: dict[str, Any] = {"slo_rules": ()}
+#: Light decisions served before each timed restart: a ``serve_light``
+#: run's worth, and a long-running service's.
+RESTARTS = (DECISIONS, 100_000)
+#: The most bytes per decision a checkpoint may take.
+CHECKPOINT_BYTES = 150.0
 
 
 def tracked() -> Counter[str]:
@@ -262,6 +277,30 @@ def explain_seconds(bodies: list[dict], workdir: Path) -> tuple[int, float, floa
     return newest, seconds[0], seconds[1]
 
 
+def restart_cost(bodies: list[dict], workdir: Path) -> tuple[int, int, float, float]:
+    """Serve ``bodies`` on an app with ``grid-serve``'s defaults and a file
+    journal under ``workdir``, and drain it (which checkpoints); returns the
+    decisions, the checkpoint line's bytes, and the median wall seconds of
+    ``Journal.load`` and of ``Gateway.resume`` over that file."""
+    path = workdir / "restart.journal.jsonl"
+    app = make_app(path, settings=SHIPPED)
+    serve(app, bodies)
+    asyncio.run(app.drain())
+    data = path.read_bytes()
+    line = data[data.rfind(b"\n", 0, len(data) - 1) + 1 :]
+    assert line.startswith(CHECKPOINT_PREFIX.encode()), "the drain's checkpoint ends the journal"
+    loads, resumes = [], []
+    for _ in range(ROUNDS):
+        start = time.perf_counter()
+        journal = Journal.load(path)
+        loaded = time.perf_counter()
+        Gateway.resume(journal)
+        loads.append(loaded - start)
+        resumes.append(time.perf_counter() - loaded)
+    path.unlink()
+    return app.gateway.stats.submits, len(line), statistics.median(loads), statistics.median(resumes)
+
+
 def main() -> int:
     bodies = light_stream(SEED, DECISIONS)
     with tempfile.TemporaryDirectory() as workdir:
@@ -279,6 +318,7 @@ def main() -> int:
             hot, Path(workdir)
         )
         newest, first_s, newest_s = explain_seconds(bodies, Path(workdir))
+        restarts = [restart_cost(light_stream(SEED, n), Path(workdir)) for n in RESTARTS]
     retained = sum(stat.size_diff for stat in sites)
     print(f"serve_light footprint: {decided} decisions after a warm-up wave, seed {SEED}, "
           f"Python {sys.version.split()[0]}")
@@ -305,6 +345,11 @@ def main() -> int:
           f"{proofs} of {bookings}")
     print(f"explain seconds after {DECISIONS} decisions (replayed from the header): "
           f"rid 5 {first_s:.3f}, newest rid {newest} {newest_s:.3f}")
+    for served, size, load_s, resume_s in restarts:
+        print(f"restart after {served} decisions (grid-serve defaults, file journal, drained): "
+              f"checkpoint {size / served:.1f} bytes per decision ({size / 2**20:.2f} MiB), "
+              f"Journal.load {load_s:.3f} s, Gateway.resume {resume_s:.3f} s "
+              f"(medians of {ROUNDS})")
     print("largest allocation sites (bytes per decision):")
     for stat in sorted(sites, key=lambda s: -s.size_diff)[:TOP]:
         frame = stat.traceback[0]
@@ -312,6 +357,11 @@ def main() -> int:
         if where.is_relative_to(ROOT):
             where = where.relative_to(ROOT)
         print(f"  {stat.size_diff / decided:8.1f}  {where}:{frame.lineno}")
+    over = [served for served, size, _, _ in restarts if size / served > CHECKPOINT_BYTES]
+    if over:
+        print(f"FAIL: the checkpoint takes more than {CHECKPOINT_BYTES:g} bytes per decision "
+              f"after {', '.join(map(str, over))} decisions")
+        return 1
     return 0
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from operator import eq
+from operator import eq, lt
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -234,7 +234,7 @@ def check_runs(points: list[float], values: list[float]) -> None:
         raise ValueError(
             f"{len(points)} breakpoints need {len(points) + 1} run values, got {len(values)}"
         )
-    if not all(a < b for a, b in zip(points, points[1:])):
+    if not all(map(lt, points, points[1:])):
         raise ValueError("breakpoints must strictly ascend")
     if any(map(eq, values, values[1:])):  # what add's merge scan relies on
         raise ValueError("neighbouring runs must differ: equal ones are one run")

@@ -30,6 +30,7 @@ capacity stay independently inspectable; every query (``fits``,
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 from collections.abc import Sequence
@@ -37,6 +38,7 @@ from typing import Any
 
 from .capacity import CAPACITY_SLACK, CapacityProfile, fits_under, make_profile
 from .errors import CapacityError, ConfigurationError
+from .packed import pack, unpack
 from .platform import Platform
 from .profile import Segment
 
@@ -214,23 +216,39 @@ class Port:
         return self.usage.global_max() - self.capacity
 
     def dump_state(self) -> list[Any]:
-        """``[usage runs, reduction runs or None]``, JSON-able
-        (:meth:`CapacityProfile.runs <repro.core.capacity.CapacityProfile.runs>`):
-        what :meth:`load_state` rebuilds exactly."""
+        """``[usage runs, reduction runs or None]``, JSON-able: each
+        profile's :meth:`CapacityProfile.runs
+        <repro.core.capacity.CapacityProfile.runs>` as two packed float
+        columns (:func:`~repro.core.packed.pack`), what :meth:`load_state`
+        rebuilds exactly."""
         reductions = self.reductions
-        return [self.usage.runs(), None if reductions is None else reductions.runs()]
+        return [_pack_runs(self.usage), None if reductions is None else _pack_runs(reductions)]
 
     def load_state(self, state: Sequence[Any]) -> None:
         """Replace usage and reductions by a :meth:`dump_state` (the capacity
-        stays the platform's)."""
+        stays the platform's); also reads the runs as plain lists, as
+        checkpoints wrote them before they were packed."""
         usage, reductions = state
-        self.usage.load_runs(*usage)
+        self.usage.load_runs(*_unpack_runs(usage))
         self.peak = self.usage.global_max()
         if reductions is None:
             self.reductions = None
         else:
             self.reductions = make_profile()
-            self.reductions.load_runs(*reductions)
+            self.reductions.load_runs(*_unpack_runs(reductions))
+
+
+def _pack_runs(profile: CapacityProfile) -> list[str]:
+    return [pack(array("d", runs)) for runs in profile.runs()]
+
+
+def _unpack_runs(runs: Sequence[Any]) -> Sequence[Any]:
+    """Packed runs' two columns (the kernel's ``load_runs`` checks them);
+    lists as they are."""
+    points, values = runs
+    if isinstance(points, str):
+        return unpack("d", points), unpack("d", values)
+    return runs
 
 
 def _refuse_negative(segments: Sequence[Segment]) -> None:

@@ -1339,7 +1339,7 @@ class Gateway:
             "next_rid": self._next_rid,
             "next_seq": self._next_seq,
             "stats": self.stats.as_dict(),
-            "tickets": self.tickets.rows(),
+            "tickets": self.tickets.dump_state(),
             "backlog": list(self._backlog),
             "degradations": [d.to_dict() for d in self._degradations],
             "brokers": [broker.dump_state() for broker in self.brokers],
@@ -1358,7 +1358,12 @@ class Gateway:
         self._next_rid = state["next_rid"]
         self._next_seq = state["next_seq"]
         self.stats = GatewayStats(**state["stats"])
-        self.tickets = TicketTable.from_rows(state["tickets"])
+        tickets = state["tickets"]
+        self.tickets = (
+            TicketTable.from_rows(tickets)  # a checkpoint written before tickets were columns
+            if isinstance(tickets, list)
+            else TicketTable.from_state(tickets)
+        )
         self._backlog = list(state["backlog"])
         self._degradations = [Degradation(**d) for d in state["degradations"]]
         for broker, dumped in zip(self.brokers, state["brokers"]):

@@ -29,11 +29,12 @@ does not grow with its length and every read re-reads it; without a
 in a list, for the life of the journal.
 
 Reading a journal back costs what a restart needs, not the history:
-:meth:`Journal.load` decodes only the header, and counts the other lines
-and finds the last that starts a checkpoint without decoding them;
-:meth:`Journal.last_checkpoint` decodes that checkpoint and every line
-after it, on each call.  Without a checkpoint the full replay a restart
-runs reads the rest.  ``len()``, :meth:`Journal.has_checkpoint` and
+:meth:`Journal.load` decodes only the header, counts the other lines in
+the file's bytes and finds the last that starts a checkpoint from the
+end, without splitting the file into lines;
+:meth:`Journal.last_checkpoint` seeks to that line and decodes it and
+every line after it, on each call.  Without a checkpoint the full replay
+a restart runs reads the rest.  ``len()``, :meth:`Journal.has_checkpoint` and
 :meth:`Journal.append` never decode.
 
 Serialisation is JSON lines: the header object on the first line, one
@@ -66,10 +67,12 @@ last checkpoint, every full read wherever it lies.
 
 from __future__ import annotations
 
+import io
 import json
 import re
-from contextlib import AbstractContextManager, contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from typing import IO, Any
@@ -134,7 +137,8 @@ class Journal:
         )
         #: Entries written to the sink.
         self._length = 0
-        #: The position of the last ``checkpoint`` among the entries, if any.
+        #: Where the last ``checkpoint`` line starts, if there is one: its
+        #: index in the held lines, or its byte offset in the file.
         self._checkpoint: int | None = None
         #: The append handle on ``path``, open from the first append to
         #: :meth:`close`.
@@ -146,30 +150,54 @@ class Journal:
         #: and supplies the newline, so that it starts on a line of its own.
         self._repair: int | None = None
 
-    def _read(self, start: int = 0) -> Iterator[JournalEntry]:
-        """The entries from the ``start``-th on, decoded one line at a time
-        (the ones before are counted, not decoded), a torn last line skipped
+    def _read(self, checkpoint: bool = False) -> Iterator[JournalEntry]:
+        """Every entry or, with ``checkpoint``, the last checkpoint and the
+        entries after it (the lines before it are neither decoded nor, in a
+        file, read), decoded one line at a time, a torn last line skipped
         as :meth:`load` skipped it."""
         self._write()
+        at = self._checkpoint if checkpoint else None
         held = self._lines
-        source: AbstractContextManager[Iterable[str]] = (
-            self.path.open() if held is None else nullcontext(held)  # type: ignore[union-attr]
-        )
-        with source as lines:
-            seen = -1  # lines that are not blank, after the header (line 0)
-            for number, line in enumerate(lines, start=1):
-                if line.isspace():
-                    continue
-                seen += 1
-                if seen <= start:
-                    continue
-                if not line.endswith("\n") and _torn(line):
-                    return
-                try:
-                    entry = JournalEntry.from_dict(json.loads(line))
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ConfigurationError(f"journal {self.path}, line {number}: {exc}") from exc
-                yield entry
+        if held is not None:
+            first = 1 if at is None else at
+            yield from self._decode(enumerate(islice(held, first, None), first + 1))
+            return
+        raw = self.path.open("rb")  # type: ignore[union-attr]
+        if at is not None:
+            raw.seek(at)
+        with io.TextIOWrapper(raw) as lines:
+            numbered = enumerate(lines, 1)
+            if at is None:  # skip the header, and any blank line before it
+                for _, line in numbered:
+                    if not line.isspace():
+                        break
+            yield from self._decode(numbered, at)
+
+    def _decode(
+        self, numbered: Iterable[tuple[int, str]], offset: int | None = None
+    ) -> Iterator[JournalEntry]:
+        """The entries of numbered lines (blank ones skipped), a torn last
+        one dropped; an undecodable one raises ``ConfigurationError``
+        naming its line (numbered from byte ``offset`` of the file, if
+        given)."""
+        for number, line in numbered:
+            if line.isspace():
+                continue
+            if not line.endswith("\n") and _torn(line):
+                return
+            try:
+                entry = JournalEntry.from_dict(json.loads(line))
+            except (ValueError, KeyError, TypeError) as exc:
+                if offset:
+                    number += self._line_at(offset)
+                raise ConfigurationError(f"journal {self.path}, line {number}: {exc}") from exc
+            yield entry
+
+    def _line_at(self, offset: int) -> int:
+        """How many lines of the file end before byte ``offset`` (counted
+        only to name a line that does not decode)."""
+        with self.path.open("rb") as raw:  # type: ignore[union-attr]
+            return raw.read(offset).count(b"\n")
 
     def lines(self) -> list[str]:
         """The entries' lines written so far, as a list later appends leave
@@ -177,7 +205,7 @@ class Journal:
         self._write()
         if self._lines is not None:
             return self._lines[1:]
-        text = _complete(self.path.read_text())  # type: ignore[union-attr]
+        text = _complete(self.path.read_bytes()).decode()  # type: ignore[union-attr]
         return [line for line in text.splitlines(keepends=True) if not line.isspace()][1:]
 
     def has_checkpoint(self) -> bool:
@@ -187,10 +215,11 @@ class Journal:
     def last_checkpoint(self) -> tuple[JournalEntry, list[JournalEntry]] | None:
         """The last ``checkpoint`` entry and the entries after it (what
         ``Gateway.resume`` applies), or ``None`` when there is none.
-        Decodes them on each call, and none of the lines before them."""
+        Decodes them on each call; a file is read from where that
+        checkpoint starts."""
         if self._checkpoint is None:
             return None
-        checkpoint, *tail = self._read(self._checkpoint)
+        checkpoint, *tail = self._read(checkpoint=True)
         return checkpoint, tail
 
     # ------------------------------------------------------------------
@@ -202,6 +231,9 @@ class Journal:
         self._repair = None
         if self._lines is None:
             self.path.write_text(text)  # type: ignore[union-attr]
+            if self._checkpoint is not None:  # its line moved
+                data = text.encode()
+                self._checkpoint = _last_checkpoint(data, data.index(b"\n") + 1)
         else:
             self._lines = text.splitlines(keepends=True)
 
@@ -218,10 +250,13 @@ class Journal:
             self._group.append(line)
             return
         self._write()
-        position = len(self)
         self._emit([line])
         if op == "checkpoint":  # only once it is in: a failed write keeps the last
-            self._checkpoint = position
+            self._checkpoint = (
+                len(self._lines) - 1
+                if self._lines is not None
+                else self.path.stat().st_size - len(line.encode())  # type: ignore[union-attr]
+            )
 
     def _submit_line(self, now: float, args: dict[str, Any]) -> str | None:
         """The line :func:`_encode` writes for a ``submit`` entry, from a template;
@@ -313,35 +348,36 @@ class Journal:
     def from_jsonl(cls, text: str) -> Journal:
         """Inverse of :meth:`to_jsonl` (minus a torn final line, if any): the
         lines held in memory, each decoded once here (undecodable text raises)."""
-        journal = cls._open(text)
-        for line in journal._lines[1:]:  # type: ignore[index]
-            JournalEntry.from_dict(json.loads(line))
+        complete = _complete(text.encode())
+        start, header = _header(complete)
+        journal = cls(header=header)
+        held = journal._lines
+        for line in complete[start:].decode().splitlines(keepends=True):
+            if not line.isspace():
+                JournalEntry.from_dict(json.loads(line))
+                if line.startswith(CHECKPOINT_PREFIX):
+                    journal._checkpoint = len(held)  # type: ignore[arg-type]
+                held.append(line)  # type: ignore[union-attr]
+        journal._length = len(held) - 1  # type: ignore[arg-type]
         return journal
 
     @classmethod
     def load(cls, path: str | Path) -> Journal:
         """Open a journal written by live appends (or :meth:`to_jsonl`) to
         go on appending to it.  Decodes only the header: the other lines
-        are counted, and the last that starts a checkpoint is remembered."""
-        return cls._open(Path(path).read_text(), path)
-
-    @classmethod
-    def _open(cls, text: str, path: str | Path | None = None) -> Journal:
-        """A journal of ``text``'s lines, held in memory or, with a
-        ``path``, left in that file (the text read from it).  Decodes only
-        the header."""
-        complete = _complete(text)
-        lines = complete.splitlines(keepends=True)
-        first, header = _header(lines)
+        are counted, and the last that starts a checkpoint is found from
+        the end, in the file's bytes, without splitting it into lines."""
+        data = Path(path).read_bytes()
+        complete = _complete(data)
+        start, header = _header(complete)
         journal = cls(header=header, path=path)
-        body = [line for line in lines[first + 1 :] if not line.isspace()]
-        journal._length = len(body)
-        starts = [k for k, line in enumerate(body) if line.startswith(CHECKPOINT_PREFIX)]
-        journal._checkpoint = starts[-1] if starts else None
-        if journal._lines is not None:
-            journal._lines += body
-        elif not text.endswith("\n"):
-            journal._repair = len(complete.rstrip("\n").encode())
+        # The lines after the header: one per newline, one more for a last
+        # line without its newline, none for a blank one.
+        lines = complete.count(b"\n", start) + (len(complete) > start and not complete.endswith(b"\n"))
+        journal._length = lines - len(_BLANK.findall(complete, start - 1))
+        journal._checkpoint = _last_checkpoint(complete, start)
+        if not data.endswith(b"\n"):
+            journal._repair = len(complete.rstrip(b"\n"))
         return journal
 
 
@@ -377,34 +413,50 @@ def naming(rids: Iterable[int]) -> Callable[[str], bool]:
     return lambda line: not line.startswith(CHECKPOINT_PREFIX) and named(line) is not None
 
 
-def _header(lines: list[str]) -> tuple[int, dict[str, Any]]:
-    """The index of the first line that is not blank, and that line as a
-    ``/2`` journal header."""
-    first = next((k for k, line in enumerate(lines) if line.strip()), None)
-    if first is None:
-        raise ConfigurationError("empty journal")
-    header = json.loads(lines[first])
+def _header(data: bytes) -> tuple[int, dict[str, Any]]:
+    """The first line of ``data`` that is not blank, as a ``/2`` journal
+    header, and the offset just past it."""
+    start = 0
+    while True:
+        end = data.find(b"\n", start) + 1 or len(data)
+        if data[start:end].strip():
+            break
+        if end == len(data):
+            raise ConfigurationError("empty journal")
+        start = end
+    header = json.loads(data[start:end])
     if header.get("format") != JOURNAL_FORMAT:
         raise ConfigurationError(
             f"not a {JOURNAL_FORMAT} journal (header format: {header.get('format')!r}); "
             "journals of another format version cannot be replayed"
         )
-    return first, header
+    return end, header
 
 
-def _torn(line: str) -> bool:
+def _last_checkpoint(data: bytes, start: int) -> int | None:
+    """The offset of the last line at or after ``start`` (where a line
+    begins) that starts a checkpoint, if there is one."""
+    at = data.rfind(b"\n" + CHECKPOINT_PREFIX.encode(), start - 1)
+    return at + 1 if at >= 0 else None
+
+
+#: A blank line, after the newline that ends the line before it.
+_BLANK = re.compile(rb"\n[ \t\r\f\v]*(?=\n)")
+
+
+def _torn(line: str | bytes) -> bool:
     """Does an unterminated last line fail to decode (a write cut short)?"""
     try:
         json.loads(line)
-    except json.JSONDecodeError:
+    except ValueError:
         return True
     return False
 
 
-def _complete(text: str) -> str:
-    """``text`` without a torn last line: one that neither ends in a
+def _complete(data: bytes) -> bytes:
+    """``data`` without a torn last line: one that neither ends in a
     newline nor decodes (a final line that lacks only its newline stays)."""
-    if text.endswith("\n"):
-        return text
-    head, newline, tail = text.rpartition("\n")
-    return head + newline if _torn(tail) else text
+    if data.endswith(b"\n"):
+        return data
+    head, newline, tail = data.rpartition(b"\n")
+    return head + newline if _torn(tail) else data

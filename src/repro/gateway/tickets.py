@@ -15,9 +15,16 @@ Writes come from the lifecycle, one setter per event: :meth:`TicketTable.add`
 (the edge), :meth:`~TicketTable.decide` (an admission),
 :meth:`~TicketTable.burn` (a refused re-admission attempt),
 :meth:`~TicketTable.grant` (a reshaped tail) and
-:meth:`~TicketTable.from_rows` (a checkpoint).  The stamp columns
+:meth:`~TicketTable.from_state` (a checkpoint).  The stamp columns
 ``ended_at`` / ``ended_by`` are written only here (a fresh row) and by
 :func:`repro.gateway.lifecycle.terminate` (gridlint GL004).
+
+A checkpoint holds the table as its columns (:meth:`TicketTable.dump_state`):
+each array cut to its rows and packed as ``base64(zlib(little-endian
+bytes))`` (:mod:`repro.core.packed`), so a restart rebuilds a column with
+one ``frombytes``.  :meth:`TicketTable.from_rows` reads only the
+``repro-journal/2`` checkpoints written before that, which list one JSON
+row per ticket (flat, or nested as the oldest hold them).
 """
 
 from __future__ import annotations
@@ -26,10 +33,12 @@ import enum
 from array import array
 from math import isnan, nan
 from operator import index
+from collections.abc import Mapping
 from typing import Any
 
 from ..core.allocation import Allocation
 from ..core.booking import RejectReason
+from ..core.packed import pack, unpack
 from ..core.profile import RateProfile
 from ..core.request import Request
 
@@ -358,8 +367,9 @@ class TicketTable:
         """``rid``'s row as one flat JSON-able list: rid, seq, client; the
         request's fields; the grant's rate, window and shape (all ``None``
         when there is none); the three stamps, origin, reject reason, edge
-        refusal, retry hint, wanted shape and decided flag.
-        :meth:`from_rows` inverts it exactly."""
+        refusal, retry hint, wanted shape and decided flag: a ticket as
+        checkpoints listed it before they held columns, which
+        :meth:`from_rows` still reads."""
         i = rid - self.base
         bw = self.bw[i]
         wanted, granted = self.shapes.get(rid, (None, None))
@@ -385,15 +395,64 @@ class TicketTable:
             status != PENDING,
         ]  # fmt: skip
 
-    def rows(self) -> list[list[Any]]:
-        """Every ticket's :meth:`row`, in rid order (burned rids have none)."""
-        return [self.row(rid) for rid in self.rids(PENDING, DECIDED, REFUSED)]
+    # ------------------------------------------------------------------
+    # Checkpoint columns
+    # ------------------------------------------------------------------
+    def dump_state(self) -> dict[str, Any]:
+        """The table as a checkpoint holds it, JSON-able: ``rows``, the
+        ``clients`` by code, every column cut to ``rows`` and packed
+        (:func:`~repro.core.packed.pack`), and the ``shapes`` by rid.
+        :meth:`from_state` restores it exactly.
+
+        Burned rows are written as :meth:`from_rows` restores them (a
+        burned rid has no checkpoint row): default-filled, without a
+        shape, and none after the last ticket.  Their numbers are kept
+        for the life of the process only."""
+        rows = self._rows
+        status = self.status[:rows].tobytes()
+        rows = len(status.rstrip(bytes([BURNED])))
+        columns = {name: getattr(self, name).obj[:rows] for name in _COLUMNS}
+        burned = status.find(BURNED, 0, rows)
+        while burned >= 0:
+            for name, (_, default) in _COLUMNS.items():
+                columns[name][burned] = default
+            columns["status"][burned] = BURNED
+            burned = status.find(BURNED, burned + 1, rows)
+        return {
+            "rows": rows,
+            "clients": list(self.clients),
+            "columns": {name: pack(column) for name, column in columns.items()},
+            "shapes": {
+                str(rid): [None if shape is None else shape.to_list() for shape in pair]
+                for rid, pair in sorted(self.shapes.items())
+                if rid - self.base < rows and self.status[rid - self.base] != BURNED
+            },
+        }
+
+    @classmethod
+    def from_state(cls, state: Mapping[str, Any]) -> TicketTable:
+        """The table :meth:`dump_state` wrote: one ``frombytes`` per column
+        (``ConfigurationError`` when a column is not ``rows`` long)."""
+        table = cls()
+        rows = state["rows"]
+        packed = state["columns"]
+        for name, (typecode, _) in _COLUMNS.items():
+            setattr(table, name, memoryview(unpack(typecode, packed[name], rows)))
+        table._rows = table._capacity = rows
+        table.clients = list(state["clients"])
+        table._client_codes = {client: code for code, client in enumerate(table.clients)}
+        table.shapes = {
+            int(rid): (RateProfile.maybe_from(wanted), RateProfile.maybe_from(granted))
+            for rid, (wanted, granted) in state["shapes"].items()
+        }
+        return table
 
     @classmethod
     def from_rows(cls, rows: list[list[Any]]) -> TicketTable:
-        """The table :meth:`rows` was read from; also reads the rows of
-        checkpoints written before they were flat (request and allocation
-        nested, 14 fields)."""
+        """The table of a checkpoint written before tickets were columns:
+        one :meth:`row` per ticket (burned rids have none), flat, or with
+        the request and the allocation nested (14 fields) as still older
+        ones hold them."""
         table = cls()
         for row in rows:
             if len(row) == 14:
@@ -562,5 +621,5 @@ class Ticket:
         return self.allocation if self.table.live(self.rid, now) else None
 
     def row(self) -> list[Any]:
-        """This ticket's checkpoint row (:meth:`TicketTable.row`)."""
+        """This ticket's flat row (:meth:`TicketTable.row`)."""
         return self.table.row(self.rid)

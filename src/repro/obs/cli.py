@@ -33,7 +33,7 @@ from .artifact import RunTelemetry
 from .causal import explain_request
 from .metrics import MetricsRegistry
 from .schema import SchemaError, validate_artifact, validate_chrome_trace
-from .slo import default_slo_rules, evaluate_artifact, load_rules
+from .slo import SloRuleError, default_slo_rules, evaluate_artifact, load_rules
 from .summary import summarize
 
 __all__ = ["main", "build_parser"]
@@ -225,6 +225,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout = open(os.devnull, "w")  # noqa: SIM115 - lives until exit
         return 0
     except FileNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except SloRuleError as exc:  # names the rules file, not the artifact
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (json.JSONDecodeError, KeyError, ReproError) as exc:

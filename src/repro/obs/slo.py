@@ -325,13 +325,17 @@ def default_slo_rules(
 
 
 def load_rules(path: str | Path) -> tuple[SloRule, ...]:
-    """Load a rules file: JSON ``{"rules": [...]}`` or a bare list."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if isinstance(raw, dict):
-        raw = raw.get("rules")
-    if not isinstance(raw, list):
-        raise SloRuleError(f"{path}: expected a list of rules or {{'rules': [...]}}")
-    return tuple(SloRule.from_dict(item) for item in raw)
+    """Load a rules file: JSON ``{"rules": [...]}`` or a bare list.  Text
+    that is not one raises :class:`SloRuleError` naming the file."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        if isinstance(raw, dict):
+            raw = raw.get("rules")
+        if not isinstance(raw, list):
+            raise SloRuleError("expected a list of rules or {'rules': [...]}")
+        return tuple(SloRule.from_dict(item) for item in raw)
+    except ValueError as exc:  # bad JSON or a bad rule (SloRuleError is one)
+        raise SloRuleError(f"rules file {path}: {exc}") from exc
 
 
 def evaluate_artifact(

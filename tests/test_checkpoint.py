@@ -29,10 +29,12 @@ from repro.core.capacity import make_profile
 from repro.core.capacity.vector import VectorProfile
 from repro.core.errors import ConfigurationError, ReproError
 from repro.core.ledger import Port
+from repro.core.packed import pack, unpack
 from repro.core.platform import Platform
 from repro.core.profile import RateProfile
 from repro.gateway import ChaosPolicy, EdgeLimit, Gateway, Journal, JournalEntry, lifecycle
 from repro.gateway.invariants import check_gateway
+from repro.gateway.tickets import TicketTable
 from repro.obs import RunTelemetry, Telemetry
 from repro.obs.causal import explain_request
 from repro.obs.cli import main as grid_obs
@@ -408,9 +410,11 @@ class TestCheckGateway:
 
         def nudge(entry):
             ports = entry["state"]["brokers"][0]["ports"]
-            _, _, ((_, values), _) = max(ports, key=lambda p: len(p[2][0][0]))
+            _, _, (usage, _) = max(ports, key=lambda p: len(unpack("d", p[2][0][0])))
+            values = unpack("d", usage[1])
             k = next(i for i, v in enumerate(values) if v > 0.0)
             values[k] = math.nextafter(values[k], math.inf)  # one ulp
+            usage[1] = pack(values)
 
         report = check_gateway(gateway, journal=with_last_entry(journal, nudge))
         assert report.violations == ["checkpoint restore diverges from the replay on: brokers"]
@@ -642,6 +646,23 @@ class TestLazyLoad:
             story = explain_request(artifact, rid, journal=Journal.load(path))
             assert story == explain_request(artifact, rid, journal=self.eager(path))
 
+    @pytest.mark.parametrize("where", ["checkpoint", "tail"])
+    def test_a_corrupt_line_from_the_checkpoint_on_is_named_by_resume(
+        self, written, tmp_path, where
+    ):
+        """``last_checkpoint`` reads the file from the checkpoint's offset,
+        and still names a line that does not decode by its number in the file."""
+        gateway, path, _ = written
+        text = path.read_text().splitlines()
+        at = max(n for n, line in enumerate(text) if '"op": "checkpoint"' in line)
+        k = 1 + (at if where == "checkpoint" else at + 2)
+        text[k - 1] = text[k - 1][:-7]
+        path.write_text("\n".join(text) + "\n")
+        journal = Journal.load(path)
+        assert journal.has_checkpoint() and len(journal) == len(text) - 1
+        with pytest.raises(ConfigurationError, match=f"line {k}:"):
+            Gateway.resume(journal)
+
     def test_a_corrupt_line_before_the_checkpoint_raises_at_the_first_full_read(
         self, written, tmp_path, capsys
     ):
@@ -672,7 +693,7 @@ def test_a_checkpoint_of_nested_ticket_rows_still_restores(tmp_path):
     """A checkpoint written while ticket rows nested the request and the
     allocation as lists (committed: 30 tickets of a malleable, edge-limited
     2-shard gateway) restores to what a full replay rebuilds, and the
-    restored gateway writes flat rows."""
+    restored gateway writes packed columns, which hold every ticket."""
     path = tmp_path / "wal.jsonl"
     shutil.copy(DATA / "checkpoint_nested_rows.jsonl", path)
     state = json.loads(path.read_text().splitlines()[-1])["state"]
@@ -685,9 +706,41 @@ def test_a_checkpoint_of_nested_ticket_rows_still_restores(tmp_path):
     resumed, replayed = Gateway.resume(journal), Gateway.replay(journal)
     assert resumed.dump_state() == replayed.dump_state()
     assert resumed.snapshot() == replayed.snapshot()
-    flat = resumed.dump_state()["tickets"]
-    assert [len(row) for row in flat] == [22] * len(rows)
-    assert not any(isinstance(value, list) for row in flat for value in row[:9])
+    tickets = resumed.dump_state()["tickets"]
+    assert tickets["rows"] == rows[-1][0] + 1
+    assert all(isinstance(packed, str) for packed in tickets["columns"].values())
+    table = TicketTable.from_state(tickets)
+    assert [len(table.row(row[0])) for row in rows] == [22] * len(rows)
+
+
+def test_a_checkpoint_of_flat_ticket_rows_still_restores(tmp_path):
+    """A checkpoint written while tickets were flat 22-field rows and port
+    runs plain lists (committed: a malleable, edge-limited 2-shard
+    gateway with a backlog, checkpointed mid-journal by the build before
+    checkpoints held columns) restores, with its tail, to what a full
+    replay rebuilds."""
+    path = tmp_path / "wal.jsonl"
+    shutil.copy(DATA / "checkpoint_flat_rows.jsonl", path)
+    entries = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+    at = next(k for k, entry in enumerate(entries) if entry["op"] == "checkpoint")
+    state = entries[at]["state"]
+    rows = state["tickets"]
+    assert at < len(entries) - 1 and {len(row) for row in rows} == {22}
+    assert sum(row[12] is not None for row in rows) == 3  # granted shapes, a reshape's among them
+    assert sum(row[20] is not None for row in rows) == 1  # a wanted shape
+    assert [sum(row[k] is not None for row in rows) for k in (13, 14, 15)] == [1, 1, 1]
+    assert [row[19] for row in rows if row[18]] == [300.0, math.inf]  # edge refusals' hints
+    assert {2, 3} <= set(range(state["next_rid"])) - {row[0] for row in rows}  # burned
+    assert {row[2] for row in rows} == {"a", "b", "c", "d", "default", "été"}
+    ports = [port for broker in state["brokers"] for port in broker["ports"]]
+    assert sum(runs[1] is not None for _, _, runs in ports) == 1  # a degraded port
+    assert all(isinstance(runs[0][0], list) for _, _, runs in ports)
+    journal = Journal.load(path)
+    resumed, replayed = Gateway.resume(journal), Gateway.replay(journal)
+    assert resumed.dump_state() == replayed.dump_state()
+    assert resumed.snapshot() == replayed.snapshot()
+    report = check_gateway(resumed, journal=journal)
+    assert report.ok, report.violations
 
 
 class TestStateOut:

@@ -125,3 +125,13 @@ def test_the_hot_streams_search_counts_repeat_exactly(tmp_path):
     assert 0 < searches <= decided and probes >= searches and candidates >= searches
     assert 0 < bookings == proofs
     assert tool.search_counts(bodies, tmp_path / "second") == first
+
+
+def test_a_checkpoint_stays_under_its_size_bound(tmp_path):
+    """The checkpoint a drain writes holds the ticket table and the port
+    runs as packed columns: within ``footprint.CHECKPOINT_BYTES`` per
+    decision (a JSON row per ticket took about 350)."""
+    tool = load_tool()
+    served, size, _, _ = tool.restart_cost(tool.light_stream(1, 64 * tool.WAVE), tmp_path)
+    assert served == 64 * tool.WAVE
+    assert size / served <= tool.CHECKPOINT_BYTES

@@ -139,6 +139,21 @@ class TestSerialisation:
         journal.close()
         assert len(Journal.load(journal.path)) == 51
 
+    def test_a_header_rewrite_keeps_finding_the_checkpoint(self, tmp_path):
+        """A header set late rewrites the lines: the last checkpoint's line
+        moves in the file, and ``last_checkpoint`` still reads it."""
+        journal = Journal(path=tmp_path / "moved.jsonl")
+        journal.set_header({"kind": "gateway"})
+        journal.append("cancel", 0.0, rid=0)
+        journal.append("checkpoint", 1.0, state={"k": 1})
+        journal.append("cancel", 2.0, rid=1)
+        for reader in (journal, Journal.load(journal.path)):
+            reader.set_header({"kind": "gateway", "a much longer header": True})
+            checkpoint, tail = reader.last_checkpoint()
+            assert checkpoint.args["state"] == {"k": 1}
+            assert [entry.args["rid"] for entry in tail] == [1]
+            reader.close()
+
     def test_header_rewrite_and_load_keep_appending(self, tmp_path):
         path = tmp_path / "rewrite.jsonl"
         journal = Journal(path=path)

@@ -159,3 +159,19 @@ class TestValidate:
         garbage = tmp_path / "garbage.json"
         garbage.write_text("{not json")
         assert main(["validate", str(garbage)]) == 2
+
+
+class TestSloRulesFile:
+    """A malformed ``--rules`` file is reported as the rules file's fault
+    (exit 2, one line naming it), not as an unreadable artifact."""
+
+    @pytest.mark.parametrize(
+        "text", [json.dumps({"rules": [3]}), '{"rules": [{"name": '], ids=["entry", "json"]
+    )
+    def test_a_malformed_rules_file_is_named(self, artifact_path, tmp_path, capsys, text):
+        rules = tmp_path / "rules.json"
+        rules.write_text(text)
+        assert main(["slo", str(artifact_path), "--rules", str(rules)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: rules file {rules}: ") and err.count("\n") == 1
+        assert "telemetry document" not in err

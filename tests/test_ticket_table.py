@@ -6,8 +6,9 @@ through every shape a row can take: an edge refusal with a finite and
 with an infinite retry hint, a cancel, an abort and a displacement, a
 reshaped malleable tail, an explicit profile, and a re-admission whose
 origin is rid 0 after two refused attempts burned rids 2 and 3.  Its
-``dump_state`` must load (``_load_state``) and dump again byte for byte,
-from flat rows and from the nested 14-field rows older checkpoints hold.
+``dump_state`` (packed columns) must load (``_load_state``) and dump
+again byte for byte, and so must the flat rows and the nested 14-field
+rows that checkpoints held before they held columns.
 """
 
 import json
@@ -17,7 +18,8 @@ import pytest
 
 from repro.core.platform import Platform
 from repro.gateway import EdgeLimit, Gateway, Journal, TicketTable
-from repro.gateway.tickets import BURNED
+from repro.core.packed import unpack
+from repro.gateway.tickets import BURNED, DECIDED, PENDING, REFUSED
 
 
 def drive():
@@ -76,11 +78,17 @@ def read_through(ticket):
     ]  # fmt: skip
 
 
-def restored(gateway, rows):
+def rows(table):
+    """Every ticket's flat row, in rid order (burned rids have none): what
+    checkpoints held before they held the table's columns."""
+    return [table.row(rid) for rid in table.rids(PENDING, DECIDED, REFUSED)]
+
+
+def restored(gateway, tickets):
     """A fresh gateway of ``gateway``'s configuration, loaded from its
-    state with ``rows`` as the ticket rows."""
+    state with ``tickets`` as its tickets (packed columns or legacy rows)."""
     state = json.loads(json.dumps(gateway.dump_state()))
-    state["tickets"] = rows
+    state["tickets"] = tickets
     fresh = Gateway.restored(gateway.header())
     fresh._load_state(state)
     return fresh
@@ -140,15 +148,23 @@ def test_a_checkpoint_round_trips_byte_identical(driven):
     assert again.snapshot() == gw.snapshot()
 
 
+def test_flat_legacy_rows_load_to_the_same_columns(driven):
+    gw, _ = driven
+    flat = rows(gw.tickets)
+    assert {len(row) for row in flat} == {22}
+    again = restored(gw, flat)
+    assert json.dumps(again.dump_state()) == json.dumps(gw.dump_state())
+
+
 def test_nested_legacy_rows_load_as_their_flat_rows(driven):
     gw, _ = driven
-    flat = gw.dump_state()["tickets"]
+    flat = rows(gw.tickets)
     legacy = [nested(row) for row in flat]
     assert {len(row) for row in legacy} == {14}
     again = restored(gw, legacy)
     assert json.dumps(again.dump_state()) == json.dumps(gw.dump_state())
     # and the table alone, without a gateway around it
-    assert TicketTable.from_rows(json.loads(json.dumps(legacy))).rows() == flat
+    assert rows(TicketTable.from_rows(json.loads(json.dumps(legacy)))) == flat
 
 
 def test_the_rids_refused_attempts_burned_stay_gaps(driven):
@@ -161,7 +177,9 @@ def test_the_rids_refused_attempts_burned_stay_gaps(driven):
                 plane.get(rid)
             with pytest.raises(KeyError):
                 plane.cancel(rid, now=plane.now)
-        assert [row[0] for row in plane.dump_state()["tickets"]][:3] == [0, 1, 4]
+        assert [row[0] for row in rows(plane.tickets)][:3] == [0, 1, 4]
+        status = plane.dump_state()["tickets"]["columns"]["status"]
+        assert list(unpack("b", status))[:5] == [DECIDED, DECIDED, BURNED, BURNED, DECIDED]
     assert again.accept_rate() == gw.accept_rate()
     # The restored table keeps numbering where the checkpoint left off.
     nxt = gw.snapshot()["next_rid"]
