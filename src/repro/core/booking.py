@@ -27,16 +27,16 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from collections.abc import Callable
+from functools import partial
 from typing import Protocol, runtime_checkable
 
 from ..obs.telemetry import get_telemetry
 from .allocation import Allocation
 from .ledger import Port, PortLedger
 from .profile import RateProfile
-from .request import Request
+from .request import Request, deadline_rate
 
 __all__ = [
-    "BoundRule",
     "FitProbe",
     "LedgerView",
     "RateRule",
@@ -151,22 +151,6 @@ class RateRule(Protocol):
     monotone: bool
 
     def __call__(self, sigma: float) -> float | None: ...
-
-
-class BoundRule:
-    """``assign(request, ·)`` as a :class:`RateRule` (``policy.bind(request)``)."""
-
-    __slots__ = ("assign", "request", "monotone")
-
-    def __init__(
-        self, assign: Callable[[Request, float], float | None], request: Request, monotone: bool
-    ) -> None:
-        self.assign = assign
-        self.request = request
-        self.monotone = monotone
-
-    def __call__(self, sigma: float) -> float | None:
-        return self.assign(self.request, sigma)
 
 
 def _first_fit(
@@ -300,7 +284,8 @@ def earliest_fit(
     the per-side headroom the request bounced off.
     """
     if rate_for is None:
-        rate_for = BoundRule(Request.deadline_rate, request, monotone=True)
+        rate_for = partial(deadline_rate, request.volume, request.t_end, request.max_rate)
+        rate_for.monotone = True  # type: ignore[attr-defined]
     earliest = request.t_start if not_before is None else max(request.t_start, not_before)
     allocation, visited, bounced = _first_fit(
         ledger, request, rate_for, earliest, request.t_end + deadline_tolerance(request.t_end)

@@ -36,7 +36,7 @@ from itertools import chain
 from collections.abc import Sequence
 from typing import Any
 
-from .capacity import CAPACITY_SLACK, CapacityProfile, fits_under, make_profile
+from .capacity import CAPACITY_SLACK, CapacityProfile, make_profile
 from .errors import CapacityError, ConfigurationError
 from .packed import pack, unpack
 from .platform import Platform
@@ -83,16 +83,16 @@ class Port:
     state as ``Port``\\ s and the book-ahead searches query them directly.
     """
 
-    __slots__ = ("capacity", "usage", "reductions", "peak", "proof", "proved_at")
+    __slots__ = ("capacity", "usage", "reductions", "peak", "peaked_at", "proof", "proved_at")
 
     def __init__(self, capacity: float) -> None:
         self.capacity = capacity
         #: Committed bandwidth over time.
         self.usage: CapacityProfile = make_profile()
-        #: ``usage.global_max()`` as the last write of :attr:`usage` left
-        #: it, so the gateway's overcommit probe reads it without asking
-        #: the profile again.
+        #: ``usage.global_max()`` as :meth:`add` left it, and ``usage.writes``
+        #: then: the headroom test and the overcommit probe read it.
         self.peak = 0.0
+        self.peaked_at = 0
         #: Lost capacity over time; created by the first :meth:`degrade` —
         #: most simulations never degrade a port and must not pay for the
         #: possibility.
@@ -167,10 +167,15 @@ class Port:
 
     def fits_headroom(self, t0: float, t1: float, bw: float) -> bool:
         """The headroom fast path's test, which proves ``[t0, t1)``: an
-        undegraded port whose all-time peak (never below 0) leaves ``bw``."""
-        usage = self.usage
-        if self.reductions is None and fits_under(max(0.0, usage.global_max()), bw, self.capacity):
-            self.proof, self.proved_at = (t0, t1, bw), usage.writes
+        undegraded port whose all-time peak (never below 0) leaves ``bw``
+        (:func:`~repro.core.capacity.fits_under`, inlined)."""
+        if self.reductions is not None:
+            return False
+        writes = self.usage.writes
+        peak = self.peak if self.peaked_at == writes else self.usage.global_max()
+        capacity = self.capacity
+        if (peak if peak > 0.0 else 0.0) + bw <= capacity + capacity * CAPACITY_SLACK:
+            self.proof, self.proved_at = (t0, t1, bw), writes
             return True
         return False
 
@@ -191,20 +196,25 @@ class Port:
 
         A negative rate raises :class:`CapacityError` before any step lands.
         """
-        _refuse_negative(segments)
+        for _, _, rate in segments:
+            if rate < 0:
+                raise CapacityError(f"negative rate {rate}")
         usage = self.usage
         for t0, t1, rate in segments:
             usage.add(t0, t1, sign * rate)
-        self.peak = usage.global_max()
+        self.peak, self.peaked_at = usage.global_max(), usage.writes
 
     def book(self, segments: Sequence[Segment]) -> bool:
         """:meth:`add` the steps iff they :meth:`fit <fits>` (a :meth:`proven`
-        step is not probed again); whether it did."""
-        _refuse_negative(segments)
-        if not self.fits(segments):
-            return False
-        self.add(segments)
-        return True
+        step is not probed again); whether it did.  A negative rate raises
+        :class:`CapacityError` and books nothing, fitting or not."""
+        if self.fits(segments):
+            self.add(segments)  # checks the rates before any step lands
+            return True
+        for _, _, rate in segments:
+            if rate < 0:
+                raise CapacityError(f"negative rate {rate}")
+        return False
 
     def max_overcommit(self) -> float:
         """Worst ``usage - capacity`` over all time."""
@@ -230,7 +240,7 @@ class Port:
         checkpoints wrote them before they were packed."""
         usage, reductions = state
         self.usage.load_runs(*_unpack_runs(usage))
-        self.peak = self.usage.global_max()
+        self.peak, self.peaked_at = self.usage.global_max(), self.usage.writes
         if reductions is None:
             self.reductions = None
         else:
@@ -249,12 +259,6 @@ def _unpack_runs(runs: Sequence[Any]) -> Sequence[Any]:
     if isinstance(points, str):
         return unpack("d", points), unpack("d", values)
     return runs
-
-
-def _refuse_negative(segments: Sequence[Segment]) -> None:
-    for _, _, rate in segments:
-        if rate < 0:
-            raise CapacityError(f"negative rate {rate}")
 
 
 class PortLedger:

@@ -70,7 +70,8 @@ class Platform:
     :meth:`bout`, :meth:`bottleneck`); :attr:`ingress_capacity` and
     :attr:`egress_capacity` are read-only float64 arrays for the offline
     analyses, built on first access, so a process that only admits never
-    imports numpy.
+    imports numpy.  ``num_ingress`` (``M``) and ``num_egress`` (``N``) are
+    plain ints, set once: every submission's port check reads them.
     """
 
     _ingress: tuple[float, ...]
@@ -81,8 +82,11 @@ class Platform:
         ingress_capacity: Iterable[float],
         egress_capacity: Iterable[float],
     ) -> None:
-        object.__setattr__(self, "_ingress", _capacities(ingress_capacity))
-        object.__setattr__(self, "_egress", _capacities(egress_capacity))
+        ingress, egress = _capacities(ingress_capacity), _capacities(egress_capacity)
+        object.__setattr__(self, "_ingress", ingress)
+        object.__setattr__(self, "_egress", egress)
+        object.__setattr__(self, "num_ingress", len(ingress))
+        object.__setattr__(self, "num_egress", len(egress))
 
     @cached_property
     def ingress_capacity(self) -> np.ndarray:
@@ -95,16 +99,6 @@ class Platform:
         return _frozen_array(self._egress)
 
     # ------------------------------------------------------------------
-    @property
-    def num_ingress(self) -> int:
-        """Number of ingress points ``M``."""
-        return len(self._ingress)
-
-    @property
-    def num_egress(self) -> int:
-        """Number of egress points ``N``."""
-        return len(self._egress)
-
     @property
     def total_capacity(self) -> float:
         """``sum B_in + sum B_out`` (both sides of the network)."""

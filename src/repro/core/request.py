@@ -28,7 +28,7 @@ from .errors import InvalidRequestError
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["Request", "RequestSet", "RATE_TOLERANCE", "check_request"]
+__all__ = ["Request", "RequestSet", "RATE_TOLERANCE", "check_request", "deadline_rate"]
 
 #: Relative tolerance used when comparing rates (e.g. rigid classification).
 RATE_TOLERANCE: float = 1e-9
@@ -54,6 +54,17 @@ def check_request(rid: int, volume: float, t_start: float, t_end: float, max_rat
     # Note: ingress and egress indices address *different* port sets, so
     # equal indices are legal (e.g. the single ingress-egress pair case of
     # §3).  Same-site exclusion is a workload (PairSelector) concern.
+
+
+def deadline_rate(volume: float, t_end: float, max_rate: float, start: float) -> float | None:
+    """:meth:`Request.deadline_rate` of a request's numbers, from ``start``."""
+    remaining = t_end - start
+    needed = volume / remaining if remaining > 0 else float("inf")
+    # RATE_TOLERANCE-scale slack: a request started exactly on time must
+    # remain admissible despite float rounding in the division.
+    if needed > max_rate * (1 + RATE_TOLERANCE):
+        return None
+    return min(needed, max_rate)
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,19 +133,15 @@ class Request:
     def deadline_rate(self, start: float | None = None) -> float | None:
         """The MinRate rule: the rate that just meets the deadline from
         ``start`` (default ``t_s``), capped at ``MaxRate``; ``None`` when the
-        deadline is out of reach even at ``MaxRate``.
+        deadline is out of reach even at ``MaxRate`` (:func:`deadline_rate`).
 
         Non-decreasing in ``start`` bit for bit — IEEE ``−``, ``÷`` and
         ``min`` round monotonically — and ``None`` from the first start that
         has no rate on: what a ``monotone`` bandwidth policy builds on
         (:class:`repro.schedulers.policies.BandwidthPolicy`).
         """
-        needed = self.min_rate if start is None else self.rate_for_deadline(start)
-        # RATE_TOLERANCE-scale slack: a request started exactly on time must
-        # remain admissible despite float rounding in rate_for_deadline.
-        if needed > self.max_rate * (1 + RATE_TOLERANCE):
-            return None
-        return min(needed, self.max_rate)
+        start = self.t_start if start is None else start
+        return deadline_rate(self.volume, self.t_end, self.max_rate, start)
 
     # ------------------------------------------------------------------
     # Construction helpers

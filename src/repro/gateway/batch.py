@@ -26,13 +26,13 @@ from operator import itemgetter
 
 from ..core.errors import ConfigurationError
 from ..core.profile import RateProfile
-from ..core.request import Request
 
 __all__ = ["AdmissionOrdering", "Batcher", "Pending"]
 
-#: An undecided submission: its submission order (``seq``), its request
-#: and the stepwise shape its client asked for (``None``: constant rate).
-Pending = tuple[int, Request, RateProfile | None]
+#: An undecided submission: its submission order (``seq``), its request's
+#: fields ``rid, ingress, egress, volume, t_start, t_end, max_rate`` and the
+#: stepwise shape its client asked for (``None``: constant rate).
+Pending = tuple[int, int, int, int, float, float, float, float, "RateProfile | None"]
 
 
 class AdmissionOrdering(enum.Enum):
@@ -71,14 +71,10 @@ class Batcher:
     def __len__(self) -> int:
         return len(self._pending)
 
-    @property
-    def full(self) -> bool:
-        """Has the batch reached ``batch_size``?"""
-        return len(self._pending) >= self.batch_size
-
-    def enqueue(self, pending: Pending) -> None:
-        """Add one submission to the open batch."""
+    def enqueue(self, pending: Pending) -> int:
+        """Add one submission to the open batch; how many it now holds."""
         self._pending.append(pending)
+        return len(self._pending)
 
     def drain(self, now: float) -> list[Pending]:
         """Close the batch: empty the buffer, return it in admission order."""
@@ -90,8 +86,6 @@ class Batcher:
         if self.ordering is AdmissionOrdering.FIFO:
             return sorted(batch, key=itemgetter(0))
         if self.ordering is AdmissionOrdering.MIN_LAXITY:
-            return sorted(
-                batch,
-                key=lambda p: ((p[1].t_end - now) - p[1].min_duration, p[0]),
-            )
-        return sorted(batch, key=lambda p: (-p[1].volume, p[0]))
+            # (t_end − now) − vol/MaxRate: the request's min_duration.
+            return sorted(batch, key=lambda p: ((p[6] - now) - p[4] / p[7], p[0]))
+        return sorted(batch, key=lambda p: (-p[4], p[0]))

@@ -132,6 +132,7 @@ class ShardBroker:
         return ConfigurationError(f"shard {self.shard_id} does not own {side} port {port}")
 
     def _require_up(self) -> None:
+        """Refuse a call while crashed (the booking verbs ask once it is)."""
         if self.crashed:
             raise BrokerUnavailable(f"shard broker {self.shard_id} is down")
 
@@ -188,7 +189,8 @@ class ShardBroker:
         idempotent: a duplicated delivery finds the key recorded and
         books nothing twice.
         """
-        self._require_up()
+        if self.crashed:
+            self._require_up()
         if key is not None and key in self._booked:
             return
         port_in = self.port("ingress", ingress)
@@ -205,7 +207,8 @@ class ShardBroker:
         """One half of a direct cross-shard booking: :meth:`prepare`'s
         capacity check, then committed at once with no hold.  ``False``
         (slice untouched) when the port cannot carry it."""
-        self._require_up()
+        if self.crashed:
+            self._require_up()
         return self.port(side, port).book(segments)
 
     def release(self, side: str, port: int, segments: tuple[Segment, ...]) -> None:

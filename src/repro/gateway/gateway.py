@@ -40,13 +40,13 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
-from ..core.allocation import Allocation, ScheduleResult
+from ..core.allocation import ScheduleResult
 from ..core.booking import RejectReason
-from ..core.errors import ConfigurationError, ReproError
+from ..core.errors import ConfigurationError, InvalidRequestError, ReproError
 from ..core.ledger import Degradation
 from ..core.platform import Platform
 from ..core.profile import RateProfile
-from ..core.request import Request, RequestSet
+from ..core.request import RATE_TOLERANCE, RequestSet, check_request
 from ..obs.causal import CausalObserver, TraceContext, hop_spans
 from ..obs.metrics import BoundCounter, Sample
 from ..obs.slo import SloWatchdog
@@ -54,18 +54,24 @@ from ..obs.telemetry import NullTelemetry, Telemetry, get_telemetry, use_telemet
 from ..obs.tracer import Hop, Span
 from ..schedulers.policies import BandwidthPolicy, MinRatePolicy, policy_from_name
 from . import lifecycle
-from .batch import AdmissionOrdering, Batcher
+from .batch import AdmissionOrdering, Batcher, Pending
 from .edge import EdgeLimit, EdgeLimiter
 from .journal import Journal, JournalEntry
 from .rpc import ChaosPolicy
 from .sharding import ShardMap
 from .broker import ShardBroker
-from .tickets import DECIDED, REFUSED, ReservationState, Ticket, TicketTable
+from .tickets import DECIDED, REFUSED, Grant, ReservationState, Ticket, TicketTable
 from .twophase import (
     BackoffSchedule, PlacementHop, TwoPhaseCoordinator, TwoPhaseOutcome, direct_hops,
 )  # fmt: skip
 
-__all__ = ["Gateway", "GatewayStats"]
+__all__ = ["Gateway", "GatewayStats", "Submission"]
+
+#: A submission :func:`~repro.gateway.lifecycle.check_submission` passed:
+#: ``(ingress, egress, volume, deadline, max_rate, client, wanted)``.
+Submission = tuple[int, int, float, float, float, str, "RateProfile | None"]
+#: ``check_request``'s MinRate slack, as a wave's window re-test applies it.
+_SLACK = 1 - RATE_TOLERANCE
 
 
 @dataclass
@@ -237,7 +243,8 @@ class _Admission:
     renders its ``gateway.submit`` event.
 
     Flat and decision-time only (:meth:`Gateway._admit` fills the
-    outcome's scalars and the granted ``allocation`` the search built):
+    outcome's scalars, the ``grant`` and the bookings a direct placement
+    made):
     the ticket's request, client and reject reason never change; its
     allocation may (reshape), so the record keeps its own.
     A direct placement (:func:`~repro.gateway.twophase.direct_hops`) keeps
@@ -248,9 +255,9 @@ class _Admission:
 
     __slots__ = (
         "now", "ticket", "ctx", "readmits", "shards", "booked", "hops",
-        "allocation", "fastpath", "candidates", "latency",
+        "grant", "fastpath", "candidates", "latency",
     )  # fmt: skip
-    allocation: Allocation | None
+    grant: Grant | None
     fastpath: bool
     candidates: int
     latency: float
@@ -284,7 +291,7 @@ class _Admission:
         ctx = self.ctx or TraceContext.root(rid)
         hops = self.hops or direct_hops(self.shards, self.ticket.request, self.booked)
         spans = hop_spans(hops, now, ctx)
-        accepted = self.allocation is not None
+        accepted = self.grant is not None
         decided = "accepted" if accepted else "rejected"
         if self.readmits is not None:
             fields: dict[str, Any] = {"rid": rid, "origin": self.readmits}
@@ -298,7 +305,7 @@ class _Admission:
 
     def event(self) -> tuple[float, str, dict[str, Any]]:
         """The ``gateway.submit`` event of a first admission."""
-        rid, request, alloc = self.ticket.rid, self.ticket.request, self.allocation
+        rid, request, grant = self.ticket.rid, self.ticket.request, self.grant
         local = self.shards.is_local(request.ingress, request.egress)
         fields: dict[str, Any] = {
             "rid": rid,
@@ -306,15 +313,15 @@ class _Admission:
             "egress": request.egress,
             "volume": request.volume,
             "deadline": request.t_end,
-            "outcome": "accepted" if alloc is not None else "rejected",
+            "outcome": "accepted" if grant is not None else "rejected",
             "path": "local" if local else "cross-shard",
             "fastpath": self.fastpath,
             "candidates": self.candidates,
             "latency": self.latency,
         }
         fields.update((self.ctx or TraceContext.root(rid)).fields())
-        if alloc is not None:
-            fields.update(sigma=alloc.sigma, tau=alloc.tau, bw=alloc.bw)
+        if grant is not None:
+            fields.update(sigma=grant[0], tau=grant[1], bw=grant[2])
         else:
             fields["reason"] = _reason(self.ticket.reject_reason)
         return self.now, "gateway.submit", fields
@@ -349,6 +356,10 @@ class _Flushed(NamedTuple):
 
 #: The health readings a flush samples, in the order they are reported.
 _HEALTH = ("backlog_depth", "max_hold_age", "overcommit_proximity")
+
+
+#: The rejections a backlog parks: a shard was down or unreachable.
+_PARKED = (RejectReason.BROKER_UNAVAILABLE, RejectReason.SHARD_UNREACHABLE)
 
 
 def _reason(reason: RejectReason | None) -> str:
@@ -570,8 +581,9 @@ class Gateway:
     def telemetry(self, handle: Telemetry) -> None:
         self._telemetry = handle  # the observer reads it per record
 
-    def _advance(self, now: float) -> None:
-        """Move the clock forward, flushing the previous instant's batch.
+    def _advance(self, now: float) -> Telemetry:
+        """Move the clock forward, flushing the previous instant's batch;
+        returns the telemetry handle, read once for the caller's whole call.
 
         Every verb that changes :attr:`stats` comes through here before it
         counts, so this is where the collector follows the handle."""
@@ -582,22 +594,18 @@ class Gateway:
             raise ConfigurationError(f"time went backwards: {now} < {self._clock}")
         moved = now > self._clock
         if moved and len(self.batcher):
-            self._flush(self._clock)
+            self._flush(self._clock, tel)
         self._clock = now
         self.stats.holds_expired += self.coordinator.expire_holds(now)
         if moved and self._backlog:
-            self._readmit(now)
+            self._readmit(now, tel)
+        return tel
 
     def _settle(self, now: float) -> None:
         """Advance to ``now`` and decide the open batch (lifecycle verbs
         act on decided reservations only)."""
-        self._advance(now)
-        self._flush(self._clock)
-
-    def _take_rid(self) -> int:
-        rid = self._next_rid
-        self._next_rid += 1
-        return rid
+        tel = self._advance(now)
+        self._flush(self._clock, tel)
 
     def _record(self, op: str, now: float, **args: Any) -> None:
         if self.journal is not None:
@@ -631,13 +639,6 @@ class Gateway:
         hop to mint)."""
         return self._ctx_of(rid) if self.telemetry.traced else None
 
-    def _instruments(self, tel: Telemetry) -> _Instruments:
-        """The hot metric samples, bound to ``tel`` (rebound if it changed)."""
-        bound = self._bound
-        if bound is None or bound.telemetry is not tel:
-            bound = self._bound = _Instruments(tel)
-        return bound
-
     # ------------------------------------------------------------------
     # Submission path
     # ------------------------------------------------------------------
@@ -667,64 +668,13 @@ class Gateway:
         # A malformed submission (InvalidRequestError, KeyError) is not a
         # rejection: it raises here, before the clock moves, the open batch
         # flushes or a rid is taken — nothing is journaled for it.
-        request, wanted = lifecycle.new_request(
-            self.platform,
-            self._next_rid,
-            self._require_known,
-            ingress=ingress,
-            egress=egress,
-            volume=volume,
-            deadline=deadline,
-            now=now,
-            max_rate=max_rate,
-            origin=origin,
-            profile=profile,
+        max_rate, wanted = lifecycle.check_submission(
+            self.platform, self._next_rid, ingress, egress, volume, deadline, now, max_rate, profile
         )
-        self._advance(now)
-        if request.rid != self._next_rid:
-            # Settling re-admitted backlog entries, which took rids.
-            request = request.with_rid(self._next_rid)
-        rid = self._take_rid()
-        seq = self._next_seq
-        self._next_seq += 1
-        tickets = self.tickets
-        tickets.add(request, seq, client, origin, wanted)
-        ticket = Ticket(tickets, rid)
-        self._record(
-            "submit", now, rid=rid, client=client, ingress=ingress, egress=egress,
-            volume=volume, deadline=deadline, max_rate=request.max_rate, origin=origin,
-            # Only a stepwise submit has the key: constant-rate lines keep their bytes.
-            **({} if wanted is None else {"profile": wanted.to_list()}),
-        )  # fmt: skip
-        self.stats.submits += 1
-        tel = self.telemetry
-        ctx: TraceContext | None = None
-        if tel.traced and origin is not None:
-            # A rebooking joins the original request's trace so one
-            # `grid-obs explain` shows the whole lineage.
-            ctx = self._trace_roots[rid] = self._ctx_of(origin).child(f"rebook:{rid}")
-        if self.edge is not None and not self.edge.admit(client, volume, now):
-            tickets.refuse(rid, self.edge.retry_after(client, volume, now))
-            self.stats.edge_refused += 1
-            if tel.traced:
-                tel.tracer.store(_Submitted(now, ticket, ctx, None))
-            if tel.enabled:
-                tel.metrics.counter(
-                    "gateway_edge_refusals_total",
-                    "Submissions refused by the per-client edge token bucket.",
-                ).inc(client=client)
-                tel.emit(
-                    "gateway.edge_refusal", now, rid=rid, client=client, volume=volume
-                )
-            return ticket
-        if not len(self.batcher):
-            self._batch_opened = now
-        self.batcher.enqueue((seq, request, wanted))
-        if tel.traced:
-            tel.tracer.store(_Submitted(now, ticket, ctx, len(self.batcher)))
-        if self.batcher.full:
-            self._flush(now)
-        return ticket
+        if origin is not None:
+            self._require_known(origin)
+        fields = ingress, egress, volume, deadline, max_rate, client, origin, wanted
+        return Ticket(self.tickets, self._enqueue(now, self._advance(now), *fields))
 
     def submit_many(
         self,
@@ -757,24 +707,101 @@ class Gateway:
                 self.drain(now)
         return results
 
+    def submit_checked(self, entries: list[Submission], *, now: float) -> list[int | ReproError]:
+        """:meth:`submit_many` of :data:`Submission` entries checked at their
+        arrival (the serve frontier's wave), answered with rids, no ticket
+        views.  Only the window is tested again, at ``now``: one that closed
+        since fails its entry alone, as a malformed entry does there."""
+        results: list[int | ReproError] = []
+        tel: Telemetry | None = None
+        with self.journal.group() if self.journal is not None else nullcontext():
+            for ingress, egress, volume, deadline, max_rate, client, wanted in entries:
+                try:
+                    if not (deadline > now and max_rate >= volume / (deadline - now) * _SLACK):
+                        check_request(self._next_rid, volume, now, deadline, max_rate)  # raises
+                except InvalidRequestError as exc:
+                    results.append(exc)
+                    continue
+                if tel is None:  # the first entry that stands moves the clock
+                    tel = self._advance(now)
+                fields = ingress, egress, volume, deadline, max_rate, client, None, wanted
+                results.append(self._enqueue(now, tel, *fields))
+            if len(self.batcher):
+                self.drain(now)
+        return results
+
+    def _enqueue(
+        self, now: float, tel: Telemetry, ingress: int, egress: int, volume: float,
+        deadline: float, max_rate: float, client: str, origin: int | None,
+        wanted: RateProfile | None,
+    ) -> int:  # fmt: skip
+        """One checked submission at ``now`` (the clock advanced to it):
+        take its rid, write its row, journal it, then refuse it at the edge
+        or batch it.  Both entry points' one path; returns the rid."""
+        rid = self._next_rid
+        self._next_rid = rid + 1
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        tickets = self.tickets
+        fields = ingress, egress, volume, now, deadline, max_rate
+        tickets.add(rid, seq, client, origin, *fields, wanted)
+        if self.journal is not None:
+            self.journal.append(
+                "submit", now, rid=rid, client=client, ingress=ingress, egress=egress,
+                volume=volume, deadline=deadline, max_rate=max_rate, origin=origin,
+                # Only a stepwise submit has the key: constant-rate lines keep their bytes.
+                **({} if wanted is None else {"profile": wanted.to_list()}),
+            )  # fmt: skip
+        self.stats.submits += 1
+        ctx: TraceContext | None = None
+        if tel.traced and origin is not None:
+            # A rebooking joins the original request's trace so one
+            # `grid-obs explain` shows the whole lineage.
+            ctx = self._trace_roots[rid] = self._ctx_of(origin).child(f"rebook:{rid}")
+        if self.edge is not None and not self.edge.admit(client, volume, now):
+            tickets.refuse(rid, self.edge.retry_after(client, volume, now))
+            self.stats.edge_refused += 1
+            if tel.traced:
+                tel.tracer.store(_Submitted(now, Ticket(tickets, rid), ctx, None))
+            if tel.enabled:
+                tel.metrics.counter(
+                    "gateway_edge_refusals_total",
+                    "Submissions refused by the per-client edge token bucket.",
+                ).inc(client=client)
+                tel.emit("gateway.edge_refusal", now, rid=rid, client=client, volume=volume)
+            return rid
+        batcher = self.batcher
+        pending = batcher.enqueue((seq, rid, *fields, wanted))
+        if pending == 1:
+            self._batch_opened = now
+        if tel.traced:
+            tel.tracer.store(_Submitted(now, Ticket(tickets, rid), ctx, pending))
+        if pending >= batcher.batch_size:
+            self._flush(now, tel)
+        return rid
+
     def drain(self, now: float | None = None) -> None:
         """Force the open batch to decide now (journaled — order matters)."""
         at = self._clock if now is None else now
-        self._advance(at)
+        tel = self._advance(at)
         self._record("drain", at)
-        self._flush(at)
+        self._flush(at, tel)
 
-    def _flush(self, now: float) -> None:
+    def _flush(self, now: float, tel: Telemetry) -> None:
         """Decide every pending admission of the open batch, in batch order."""
         batch = self.batcher.drain(now)
         if not batch:
             return
-        tel = self.telemetry
-        for _, request, wanted in batch:
-            self._decide(request, wanted, now, tel)
+        bound = None
+        if tel.enabled:  # the hot metric samples, rebound if the handle changed
+            bound = self._bound
+            if bound is None or bound.telemetry is not tel:
+                bound = self._bound = _Instruments(tel)
+        for pending in batch:
+            self._decide(pending, now, tel, bound)
         self.stats.batches += 1
-        if tel.enabled:
-            self._instruments(tel).occupancy.observe(float(len(batch)))
+        if bound is not None:
+            bound.occupancy.observe(float(len(batch)))
         if tel.traced or self.slo is not None:
             health = self._health(now)
             if tel.traced:
@@ -789,17 +816,11 @@ class Gateway:
         self._publish_chaos()
 
     def _admit(
-        self,
-        request: Request,
-        wanted: RateProfile | None,
-        now: float,
-        tel: Telemetry,
-        trace: _Admission | None,
+        self, pending: Pending, now: float, tel: Telemetry, trace: _Admission | None,
         waiting_since: float,
-    ) -> tuple[TwoPhaseOutcome, float]:
-        """Run one admission of ``request`` (whose row is pending; its
-        client asked for the shape ``wanted``) through the coordinator and
-        decide its row.
+    ) -> tuple[TwoPhaseOutcome, float]:  # fmt: skip
+        """Run one admission of ``pending`` (whose row is pending) through
+        the coordinator and decide its row.
 
         The only code that turns a ``coordinator.reserve`` outcome into
         state: first admissions (:meth:`_decide`) and backlog
@@ -812,16 +833,14 @@ class Gateway:
         transaction burned.  A traced attempt's ``trace`` collects the
         placement's hops, is filled with the outcome and is stored.
         """
+        _, rid, ingress, egress, volume, t_start, t_end, max_rate, wanted = pending
         self._observer.open = trace
         outcome = self.coordinator.reserve(
-            request,
-            self.policy.bind(request),
-            now,
-            profile=wanted,
-            malleable=self.malleable,
-        )
+            rid, ingress, egress, volume, t_start, t_end, max_rate, self.policy, now,
+            profile=wanted, malleable=self.malleable,
+        )  # fmt: skip
         self._observer.open = None
-        self.tickets.decide(request.rid, outcome.allocation, outcome.probe.reason)
+        self.tickets.decide(rid, outcome.grant, outcome.probe.reason)
         stats = self.stats
         stats.prepare_retries += outcome.retries
         stats.retry_delay_total += outcome.retry_delay
@@ -833,79 +852,67 @@ class Gateway:
             stats.twophase_aborts += 1
         latency = (now - waiting_since) + outcome.retry_delay + outcome.chaos_wait
         if trace is not None:
-            trace.allocation, trace.fastpath = outcome.allocation, outcome.fastpath
-            trace.candidates, trace.latency = outcome.probe.candidates, latency
+            trace.grant, trace.booked = outcome.grant, outcome.booked
+            trace.fastpath, trace.candidates = outcome.fastpath, outcome.probe.candidates
+            trace.latency = latency
             tel.tracer.store(trace)
-        if outcome.allocation is not None and (tel.traced or self.slo is not None):
-            self._note_port_peaks(request.ingress, request.egress)
+        if outcome.grant is not None and (tel.traced or self.slo is not None):
+            self._note_port_peaks(ingress, egress)
         return outcome, latency
 
     def _decide(
-        self, request: Request, wanted: RateProfile | None, now: float, tel: Telemetry
+        self, pending: Pending, now: float, tel: Telemetry, bound: _Instruments | None
     ) -> None:
-        """Decide one batched submission; publish the outcome."""
-        rid = request.rid
+        """Decide one batched submission; publish the outcome (``bound``:
+        the hot metric samples, when ``tel`` is enabled)."""
+        rid = pending[1]
         trace: _Admission | None = None
         if tel.traced:
             ticket = Ticket(self.tickets, rid)
             trace = _Admission(now, ticket, self._trace_roots.get(rid), self.shard_map)
         # Queueing counts from the instant the request's window opened.
-        outcome, latency = self._admit(request, wanted, now, tel, trace, request.t_start)
+        outcome, latency = self._admit(pending, now, tel, trace, pending[5])
+        stats = self.stats
         if outcome.local:
-            self.stats.local += 1
+            stats.local += 1
         else:
-            self.stats.cross_shard += 1
+            stats.cross_shard += 1
         if outcome.fastpath:
-            self.stats.fastpath_hits += 1
-        if outcome.allocation is not None:
-            self.stats.accepted += 1
+            stats.fastpath_hits += 1
+        accepted = outcome.grant is not None
+        if accepted:
+            stats.accepted += 1
         else:
             reason = outcome.probe.reason
-            self.stats.rejected += 1
+            stats.rejected += 1
             if reason is RejectReason.SHARD_UNREACHABLE:
-                self.stats.shard_unreachable += 1
-            self._maybe_backlog(rid, reason)
+                stats.shard_unreachable += 1
+            # Park an infrastructure rejection for re-admission: a capacity
+            # or window reject is final, and a row with an origin is not
+            # parked again (its original rid is the backlog's entry).
+            if (
+                reason in _PARKED
+                and len(self._backlog) < self.backlog_limit
+                and self.tickets.origin[rid - self.tickets.base] < 0
+            ):
+                self._backlog.append(rid)
+                stats.backlogged += 1
         # The watchdog judges what /metrics counts: first decisions only.
         if self.slo is not None:
-            self.slo.admission(now, accepted=outcome.allocation is not None, latency=latency)
-        if tel.enabled:
-            self._observe_decision(tel, outcome, latency, trace)
+            self.slo.admission(now, accepted=accepted, latency=latency)
+        if bound is not None:
+            bound.latency.observe(latency)
+            if not accepted:
+                bound.rejects(_reason(outcome.probe.reason)).inc()
+            if trace is not None:
+                tel.store(trace)
         if self.on_decision is not None:
             self.on_decision(Ticket(self.tickets, rid), now)
-
-    def _maybe_backlog(self, rid: int, reason: RejectReason | None) -> None:
-        """Park a broker-down/unreachable rejection for later re-admission.
-
-        Only *infrastructure* rejections qualify — a capacity or window
-        reject is final.  Re-admissions themselves (``origin`` set) are
-        not parked again: their backlog entry is the original rid.
-        """
-        if self.backlog_limit <= 0 or self.tickets.origin[rid - self.tickets.base] >= 0:
-            return
-        if reason not in (
-            RejectReason.BROKER_UNAVAILABLE,
-            RejectReason.SHARD_UNREACHABLE,
-        ):
-            return
-        if len(self._backlog) >= self.backlog_limit:
-            return
-        self._backlog.append(rid)
-        self.stats.backlogged += 1
-
-    def _observe_decision(
-        self, tel: Telemetry, outcome: TwoPhaseOutcome, latency: float, trace: _Admission | None
-    ) -> None:
-        bound = self._instruments(tel)
-        bound.latency.observe(latency)
-        if outcome.allocation is None:
-            bound.rejects(_reason(outcome.probe.reason)).inc()
-        if trace is not None:
-            tel.store(trace)
 
     # ------------------------------------------------------------------
     # Degraded-mode re-admission (the backlog)
     # ------------------------------------------------------------------
-    def _readmit(self, now: float) -> None:
+    def _readmit(self, now: float, tel: Telemetry) -> None:
         """Retry backlogged rejections whose shards answer again.
 
         Each entry is retried as a fresh, window-clipped request
@@ -919,7 +926,6 @@ class Gateway:
         """
         keep: list[int] = []
         admitted: list[tuple[int, int]] = []
-        tel = self.telemetry
         tickets = self.tickets
         for rid in self._backlog:
             parked = Ticket(tickets, rid)
@@ -939,8 +945,11 @@ class Gateway:
             # a stale record (a compensated commit replays as "committed"
             # and books nothing).  Failed attempts therefore leave rid
             # gaps; replay burns them identically.
-            fresh = self._take_rid()
-            tickets.add(candidate, parked.seq, parked.client, rid, None)
+            fresh = self._next_rid
+            self._next_rid += 1
+            c = candidate
+            fields = (c.ingress, c.egress, c.volume, c.t_start, c.t_end, c.max_rate)
+            tickets.add(fresh, parked.seq, parked.client, rid, *fields, None)
             trace: _Admission | None = None
             if tel.traced:
                 # Re-admissions stay on the original request's trace: the
@@ -948,8 +957,9 @@ class Gateway:
                 ctx = self._trace_roots[fresh] = self._ctx_of(rid).child(f"readmit:{fresh}")
                 trace = _Admission(now, Ticket(tickets, fresh), ctx, self.shard_map, readmits=rid)
             # The client has been waiting since the *original* window opened.
-            outcome, _ = self._admit(candidate, None, now, tel, trace, original.t_start)
-            if outcome.allocation is None:
+            pending = (parked.seq, fresh, *fields, None)
+            outcome, _ = self._admit(pending, now, tel, trace, original.t_start)
+            if outcome.grant is None:
                 tickets.burn(fresh)  # the refused attempt leaves no ticket
                 keep.append(rid)
                 continue
@@ -1200,7 +1210,7 @@ class Gateway:
         if tel.enabled:
             tel.emit("gateway.restart", now, shard=shard)
         if self._backlog:
-            self._readmit(now)
+            self._readmit(now, tel)
 
     def _broker(self, shard: int) -> ShardBroker:
         if not (0 <= shard < len(self.brokers)):

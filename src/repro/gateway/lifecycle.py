@@ -8,7 +8,9 @@ is written here, against the gateway's
 one protocol (docs/FAULTS.md, "When an entry is appended"):
 
 1. **validate** against state that settling cannot change — a bad call
-   raises here, leaving ``snapshot()`` and the journal as they were;
+   raises here, leaving ``snapshot()`` and the journal as they were (a
+   submission: :func:`check_submission`, which returns its scalars, for
+   ``Gateway.submit`` and the serve edge alike: no ``Request`` is built);
 2. **settle** — advance the clock and flush the open batch;
 3. **journal** the operation, then **apply** it — nothing visible in
    ``snapshot()`` changes without an entry written in the same call.
@@ -16,7 +18,7 @@ one protocol (docs/FAULTS.md, "When an entry is appended"):
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from typing import TYPE_CHECKING, Any
 
 from ..core.allocation import Allocation
@@ -26,7 +28,7 @@ from ..core.errors import ConfigurationError, InternalInvariantError, InvalidReq
 from ..core.ledger import Degradation
 from ..core.platform import Platform
 from ..core.profile import RateProfile, Segment
-from ..core.request import Request
+from ..core.request import RATE_TOLERANCE, Request, check_request
 from .tickets import DECIDED, ENDED_BY, ReservationState, Ticket, TicketTable
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
@@ -35,10 +37,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
 
 __all__ = [
     "JOURNAL_OPS",
+    "check_submission",
     "displace_overflow",
     "displacement_victim",
     "new_degradation",
-    "new_request",
     "readmission_candidate",
     "replay_ops",
     "reservation_rows",
@@ -46,41 +48,38 @@ __all__ = [
     "terminate",
 ]
 
-def new_request(
-    platform: Platform,
-    rid: int,
-    require: Callable[[int], object],
-    *,
-    ingress: int,
-    egress: int,
-    volume: float,
-    deadline: float,
-    now: float,
-    max_rate: float | None,
-    origin: int | None,
-    profile: RateProfile | list[Any] | None,
-) -> tuple[Request, RateProfile | None]:
-    """Validate one submission: its request and wanted shape.
+def check_submission(
+    platform: Platform, rid: int, ingress: int, egress: int, volume: float, deadline: float,
+    at: float, max_rate: float | None, profile: RateProfile | list[Any] | None,
+) -> tuple[float, RateProfile | None]:  # fmt: skip
+    """Validate one submission arriving at ``at``: its ``max_rate`` (the
+    pair's bottleneck capacity when ``None``) and its wanted shape.
 
-    Raises — before any rid is consumed — ``InvalidRequestError`` for a
-    malformed submission (unknown port, non-positive volume, empty or
-    unreachable window, a profile that does not deliver ``volume``);
-    ``require(origin)`` raises ``KeyError`` for a rid the plane does not
-    know.  ``max_rate`` defaults to the pair's bottleneck capacity.
+    The one validator of both entry points: :meth:`Gateway.submit
+    <repro.gateway.gateway.Gateway.submit>` asks it at the submission
+    instant, the serve edge at the client's arrival instant (the gateway
+    re-tests only the window, at the wave's).  Raises — before any rid is
+    consumed — ``InvalidRequestError`` for a malformed submission (unknown
+    port, non-positive volume, empty or unreachable window, a profile that
+    does not deliver ``volume``; ``rid`` is the one its message names).
     """
     if not (0 <= ingress < platform.num_ingress and 0 <= egress < platform.num_egress):
         raise InvalidRequestError(f"unknown port in pair ({ingress}, {egress})")
     if max_rate is None:
         max_rate = platform.bottleneck(ingress, egress)
-    if origin is not None:
-        require(origin)
-    wanted = RateProfile.maybe_from(profile)
+    wanted = None if profile is None else RateProfile.maybe_from(profile)
     if wanted is not None and not wanted.conserves(volume):
         raise InvalidRequestError(
             f"profile delivers {wanted.volume} MB but the submission asks for {volume} MB"
         )
-    # Positional: a keyword call costs the frozen __init__ about twice as much.
-    return Request(rid, ingress, egress, volume, now, deadline, max_rate), wanted
+    if not (
+        volume > 0
+        and deadline > at
+        and max_rate > 0
+        and max_rate >= volume / (deadline - at) * (1 - RATE_TOLERANCE)
+    ):
+        check_request(rid, volume, at, deadline, max_rate)  # raises, naming the failed test
+    return max_rate, wanted
 
 
 def new_degradation(
@@ -237,15 +236,8 @@ def readmission_candidate(original: Request, rid: int, now: float) -> Request | 
     if now + original.min_duration > original.t_end + deadline_tolerance(original.t_end):
         return None
     try:
-        return Request(
-            rid=rid,
-            ingress=original.ingress,
-            egress=original.egress,
-            volume=original.volume,
-            t_start=max(now, original.t_start),
-            t_end=original.t_end,
-            max_rate=original.max_rate,
-        )
+        o = original
+        return Request(rid, o.ingress, o.egress, o.volume, max(now, o.t_start), o.t_end, o.max_rate)
     except InvalidRequestError:
         return None
 

@@ -42,7 +42,11 @@ from ..core.packed import pack, unpack
 from ..core.profile import RateProfile
 from ..core.request import Request
 
-__all__ = ["ReservationState", "Ticket", "TicketTable"]
+__all__ = ["Grant", "ReservationState", "Ticket", "TicketTable"]
+
+#: What an admission granted, as the columns hold it: ``(σ, τ, bw, shape)``
+#: (``shape`` ``None``: the constant rate ``bw``).
+Grant = tuple[float, float, float, "RateProfile | None"]
 
 
 class ReservationState(enum.Enum):
@@ -223,16 +227,12 @@ class TicketTable:
     # Setters (the lifecycle's writes)
     # ------------------------------------------------------------------
     def add(
-        self,
-        request: Request,
-        seq: int,
-        client: str,
-        origin: int | None,
+        self, rid: int, seq: int, client: str, origin: int | None, ingress: int, egress: int,
+        volume: float, t_start: float, t_end: float, max_rate: float,
         wanted: RateProfile | None,
-    ) -> None:
+    ) -> None:  # fmt: skip
         """The row of a submission (or a re-admission attempt): its
-        request, pending.  ``request.rid`` is at or past every row held."""
-        rid = request.rid
+        request's fields, pending.  ``rid`` is at or past every row held."""
         i = rid - self.base
         if i == self._rows < self._capacity:
             self._rows = i + 1
@@ -243,12 +243,12 @@ class TicketTable:
             self.client[i] = self._client_codes[client]
         except KeyError:
             self.client[i] = self._code(client)
-        self.ingress[i] = request.ingress
-        self.egress[i] = request.egress
-        self.volume[i] = request.volume
-        self.t_start[i] = request.t_start
-        self.t_end[i] = request.t_end
-        self.max_rate[i] = request.max_rate
+        self.ingress[i] = ingress
+        self.egress[i] = egress
+        self.volume[i] = volume
+        self.t_start[i] = t_start
+        self.t_end[i] = t_end
+        self.max_rate[i] = max_rate
         if origin is not None:
             self.origin[i] = origin
         if wanted is not None:
@@ -260,16 +260,14 @@ class TicketTable:
         self.retry_after[i] = retry_after
         self.status[i] = REFUSED
 
-    def decide(self, rid: int, allocation: Allocation | None, reason: RejectReason | None) -> None:
+    def decide(self, rid: int, grant: Grant | None, reason: RejectReason | None) -> None:
         """``rid``'s admission: its grant (``None``: rejected) and reason."""
         i = rid - self.base
-        if allocation is not None:
+        if grant is not None:
             # grant(), inlined: this is every admission's write.
-            self.bw[i] = allocation.bw
-            self.sigma[i] = allocation.sigma
-            self.tau[i] = allocation.tau
-            if allocation.profile is not None:
-                self._shape(rid, self.wanted(rid), allocation.profile)
+            self.sigma[i], self.tau[i], self.bw[i], shape = grant
+            if shape is not None:
+                self._shape(rid, self.wanted(rid), shape)
         if reason is not None:
             self.reason[i] = _REASON_CODE[reason]
         self.status[i] = DECIDED

@@ -53,7 +53,6 @@ from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, Any, TypeVar
 
-from ..core.allocation import Allocation
 from ..core.booking import FitProbe, RejectReason, admission_search, deadline_tolerance
 # Unused: the frozen benchmarks/stack/tracer.py (CORE_TARGETS) resolves this
 # name on this module until ROADMAP 1(b) re-baselines.
@@ -68,6 +67,8 @@ from .sharding import ShardMap
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..obs.causal import CausalObserver
+    from ..schedulers.policies import BandwidthPolicy
+    from .tickets import Grant
 
 __all__ = ["BackoffSchedule", "TwoPhaseCoordinator", "TwoPhaseOutcome", "direct_hops"]
 
@@ -139,9 +140,11 @@ class TwoPhaseOutcome:
     #: Ambiguous deliveries (every ack lost) the termination probe found
     #: had actually landed on the broker's durable log (chaos only).
     recovered: int = 0
+    #: Bookings a direct placement made (its hops, :func:`direct_hops`).
+    booked: int = 0
 
     def __init__(self, probe: FitProbe, *, local: bool, fastpath: bool = False) -> None:
-        self.allocation: Allocation | None = None  # the placed one; None on rejection
+        self.grant: Grant | None = None  # the placed (σ, τ, bw, shape); None on rejection
         self.probe = probe  # the search's diagnostics (a fast-path hit's: one candidate)
         self.local = local  # both ports on one shard: booked atomically, no protocol
         self.fastpath = fastpath  # answered from the ports' cached all-time peaks
@@ -226,55 +229,59 @@ class TwoPhaseCoordinator:
         return self._ingress_ports[ingress], self._egress_ports[egress]
 
     def reserve(
-        self,
-        request: Request,
-        rate_for: Callable[[float], float | None],
-        now: float,
-        *,
-        profile: RateProfile | None = None,
-        malleable: bool = False,
-    ) -> TwoPhaseOutcome:
-        """Admit one request: search, then place it consistently.
+        self, rid: int, ingress: int, egress: int, volume: float, t_start: float, t_end: float,
+        max_rate: float, policy: BandwidthPolicy, now: float, *,
+        profile: RateProfile | None = None, malleable: bool = False,
+    ) -> TwoPhaseOutcome:  # fmt: skip
+        """Admit one request, given as its fields: search, then place it
+        consistently; ``policy`` assigns its rate.
 
-        Returns a :class:`TwoPhaseOutcome`; ``outcome.allocation`` is
-        ``None`` on rejection with ``outcome.probe.reason`` set.  Each
-        booking call names its hop (``book``, ``prepare:<side>``,
-        ``commit:<side>`` ...) so that, when the admission is traced, its
-        deliveries and faults land on the right hop of its timeline.
+        Returns a :class:`TwoPhaseOutcome`; ``outcome.grant`` is ``None``
+        on rejection with ``outcome.probe.reason`` set.  Each booking call
+        names its hop (``book``, ``prepare:<side>``, ``commit:<side>`` ...)
+        so that, when the admission is traced, its deliveries and faults
+        land on the right hop of its timeline.
 
-        ``profile`` and ``malleable`` select the search as on the service
-        (:func:`~repro.core.booking.admission_search`).
+        A :class:`~repro.core.request.Request` is built only when the full
+        search runs; ``profile`` and ``malleable`` select it as on the
+        service (:func:`~repro.core.booking.admission_search`).
         """
-        ingress_broker = self._ingress_brokers[request.ingress]
-        egress_broker = self._egress_brokers[request.egress]
+        ingress_broker = self._ingress_brokers[ingress]
+        egress_broker = self._egress_brokers[egress]
         local = ingress_broker is egress_broker
-        allocation = None
+        grant = None
         if profile is None:
-            if request.t_end - request.min_duration < request.t_start:  # no shaping either
+            if t_end - volume / max_rate < t_start:  # no shaping either
                 return TwoPhaseOutcome(FitProbe(reason=RejectReason.WINDOW_INFEASIBLE), local=local)
-            allocation = self._fastpath(request, rate_for)
-        if allocation is not None:
+            grant = self._fastpath(rid, ingress, egress, volume, t_start, t_end, max_rate, policy)
+        if grant is not None:
             outcome = TwoPhaseOutcome(FitProbe(candidates=1), local=local, fastpath=True)
+            segments: tuple[Segment, ...] = (grant[:3],)
         else:
+            request = Request(rid, ingress, egress, volume, t_start, t_end, max_rate)
             allocation, probe = admission_search(
-                self, request, rate_for, profile=profile, malleable=malleable
+                self, request, policy.bind(request), profile=profile, malleable=malleable
             )
             outcome = TwoPhaseOutcome(probe, local=local)
             if allocation is None:
                 return outcome
+            a = allocation
+            grant, segments = (a.sigma, a.tau, a.bw, a.profile), a.segments()
         if self.chaos is None and not (ingress_broker.crashed or egress_broker.crashed):
-            self._place_direct(ingress_broker, egress_broker, allocation, outcome)
+            self._place_direct(
+                ingress_broker, egress_broker, rid, ingress, egress, segments, grant, outcome
+            )
         elif local:
-            channel = self.channel_for("ingress", request.ingress)
-            self._place_local(channel, allocation, outcome, now)
+            self._place_local(rid, ingress, egress, segments, grant, outcome, now)
         else:
-            self._place_two_phase(allocation, now, outcome)
+            self._place_two_phase(rid, ingress, egress, segments, grant, now, outcome)
         return outcome
 
     # ------------------------------------------------------------------
     def _fastpath(
-        self, request: Request, rate_for: Callable[[float], float | None]
-    ) -> Allocation | None:
+        self, rid: int, ingress: int, egress: int, volume: float, t_start: float, t_end: float,
+        max_rate: float, policy: BandwidthPolicy,
+    ) -> Grant | None:  # fmt: skip
         """Answer from the ports' cached all-time peaks when conclusive
         (``None`` when only the full search can tell).
 
@@ -285,107 +292,83 @@ class TwoPhaseCoordinator:
         what the full search would return.  The test proves the step on
         both ports (:meth:`~repro.core.ledger.Port.fits_headroom`).
         """
-        port_in, port_out = self._ingress_ports[request.ingress], self._egress_ports[request.egress]
+        port_in, port_out = self._ingress_ports[ingress], self._egress_ports[egress]
         if port_in.reductions is not None or port_out.reductions is not None:
             return None
-        earliest = request.t_start
-        bw = rate_for(earliest)
+        bw = policy.rate(rid, ingress, egress, volume, t_start, t_end, max_rate, t_start)
         if bw is None or bw <= 0:
             return None
-        tau = earliest + request.volume / bw
-        if tau > request.t_end + deadline_tolerance(request.t_end):
+        tau = t_start + volume / bw
+        if tau > t_end + deadline_tolerance(t_end):
             return None
-        if not (
-            port_in.fits_headroom(earliest, tau, bw) and port_out.fits_headroom(earliest, tau, bw)
-        ):
-            return None
-        return Allocation.for_request(request, bw, sigma=earliest)
+        if port_in.fits_headroom(t_start, tau, bw) and port_out.fits_headroom(t_start, tau, bw):
+            return t_start, tau, bw, None
+        return None
 
     # ------------------------------------------------------------------
     def _place_direct(
-        self,
-        ingress_broker: ShardBroker,
-        egress_broker: ShardBroker,
-        allocation: Allocation,
-        outcome: TwoPhaseOutcome,
-    ) -> None:
+        self, ingress_broker: ShardBroker, egress_broker: ShardBroker, rid: int, ingress: int,
+        egress: int, segments: tuple[Segment, ...], grant: Grant, outcome: TwoPhaseOutcome,
+    ) -> None:  # fmt: skip
         """Book with no protocol (nothing can land between the halves): one
         ``book_pair`` for a shard-local pair, else one capacity-checked
         ``book_side`` per owning broker, a refusal rejecting as a refused
-        prepare does.  The observer counts the bookings; what they look like
+        prepare does.  The outcome counts the bookings; what they look like
         on a timeline is :func:`direct_hops`."""
-        a = allocation
-        segments = a.segments()
-        observer = self.observer
         if ingress_broker is egress_broker:
-            ingress_broker.book_pair(a.ingress, a.egress, segments, key=a.rid)
-            if observer is not None:
-                observer.booked()
-            outcome.allocation = a
+            ingress_broker.book_pair(ingress, egress, segments, key=rid)
+            outcome.booked = 1
+            outcome.grant = grant
             return
-        if not ingress_broker.book_side("ingress", a.ingress, segments):
+        if not ingress_broker.book_side("ingress", ingress, segments):
             outcome.aborted = True
             outcome.probe.reason = RejectReason.INGRESS_FULL
             return
-        if observer is not None:
-            observer.booked()
-        if not egress_broker.book_side("egress", a.egress, segments):
-            ingress_broker.release("ingress", a.ingress, segments)
+        outcome.booked = 1
+        if not egress_broker.book_side("egress", egress, segments):
+            ingress_broker.release("ingress", ingress, segments)
             outcome.aborted = True
             outcome.probe.reason = RejectReason.EGRESS_FULL
             return
-        if observer is not None:
-            observer.booked()
-        outcome.allocation = a
+        outcome.booked = 2
+        outcome.grant = grant
 
     def _place_local(
-        self,
-        channel: Channel,
-        allocation: Allocation,
-        outcome: TwoPhaseOutcome,
-        now: float,
-    ) -> None:
+        self, rid: int, ingress: int, egress: int, segments: tuple[Segment, ...], grant: Grant,
+        outcome: TwoPhaseOutcome, now: float,
+    ) -> None:  # fmt: skip
         """Shard-local placement: one atomic pair booking, no protocol."""
+        channel = self.channel_for("ingress", ingress)
         try:
             self._with_retry(
-                lambda: channel.book_pair(
-                    allocation.ingress,
-                    allocation.egress,
-                    allocation.segments(),
-                    rid=allocation.rid,
-                    now=now,
-                    hop="book",
-                ),
+                lambda: channel.book_pair(ingress, egress, segments, rid=rid, now=now, hop="book"),
                 outcome,
             )
         except BrokerUnavailable:
             outcome.probe.reason = RejectReason.BROKER_UNAVAILABLE
             return
         except ShardUnreachable:
-            if channel.booking_landed(allocation.rid, hop="book"):
+            if channel.booking_landed(rid, hop="book"):
                 # Termination probe: the booking executed and only its
                 # acknowledgements were lost.  Accepting is the only
                 # correct answer — rejecting would strand the booked
                 # capacity with no reservation to explain it.
                 outcome.recovered += 1
-                outcome.allocation = allocation
+                outcome.grant = grant
                 return
             outcome.probe.reason = RejectReason.SHARD_UNREACHABLE
             return
-        outcome.allocation = allocation
+        outcome.grant = grant
 
     def _place_two_phase(
-        self,
-        allocation: Allocation,
-        now: float,
-        outcome: TwoPhaseOutcome,
-    ) -> None:
+        self, rid: int, ingress: int, egress: int, segments: tuple[Segment, ...], grant: Grant,
+        now: float, outcome: TwoPhaseOutcome,
+    ) -> None:  # fmt: skip
         """Cross-shard placement: prepare both holds, then commit both."""
         expires = now + self.hold_ttl
-        segments = allocation.segments()
         plan = (
-            ("ingress", allocation.ingress, RejectReason.INGRESS_FULL),
-            ("egress", allocation.egress, RejectReason.EGRESS_FULL),
+            ("ingress", ingress, RejectReason.INGRESS_FULL),
+            ("egress", egress, RejectReason.EGRESS_FULL),
         )
         placed: list[tuple[Channel, Hold]] = []
         for side, port, full_reason in plan:
@@ -393,7 +376,7 @@ class TwoPhaseCoordinator:
             try:
                 hold = self._with_retry(
                     lambda c=channel, s=side, p=port: c.prepare(
-                        s, p, segments, rid=allocation.rid, expires=expires, now=now,
+                        s, p, segments, rid=rid, expires=expires, now=now,
                         hop=f"prepare:{s}",
                     ),
                     outcome,
@@ -445,7 +428,7 @@ class TwoPhaseCoordinator:
                 )
                 return
             committed.append((channel, hold))
-        outcome.allocation = allocation
+        outcome.grant = grant
 
     def _abort(
         self,

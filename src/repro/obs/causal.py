@@ -110,13 +110,6 @@ class CausalObserver:
         if record is not None:
             record.hop((cat, what, shard, segment, detail))
 
-    def booked(self) -> None:
-        """One more booking of the :attr:`open` admission's direct
-        placement, whose hops its record derives on read (or nothing)."""
-        record = self.open
-        if record is not None:
-            record.booked += 1
-
     def note(
         self, name: str, now: float, ctx: TraceContext | None, detail: dict[str, Any]
     ) -> None:

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from functools import partial
 from typing import ClassVar
 
-from ..core.booking import BoundRule, RateRule
+from ..core.booking import RateRule
 from ..core.errors import ConfigurationError
-from ..core.request import Request
+from ..core.request import Request, deadline_rate
 
 __all__ = [
     "BandwidthPolicy",
@@ -53,7 +54,9 @@ class BandwidthPolicy(abc.ABC):
     promise can refuse or misplace a request.  Saying nothing (the default,
     ``False``) is always exact and only slower.  The promise belongs to the
     class that writes ``assign``: a subclass that overrides ``assign``
-    without declaring ``monotone`` in its own body is reset to ``False``.
+    without declaring ``monotone`` (or :meth:`rate`, ``assign`` of the
+    request's fields) in its own body is reset to ``False`` (and to a
+    ``rate`` that builds the :class:`Request` per call).
     """
 
     #: Identifier used in result metadata and figure legends.
@@ -63,18 +66,34 @@ class BandwidthPolicy(abc.ABC):
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        if "assign" in cls.__dict__ and "monotone" not in cls.__dict__:
-            cls.monotone = False
+        if "assign" in cls.__dict__:
+            if "monotone" not in cls.__dict__:
+                cls.monotone = False
+            if "rate" not in cls.__dict__:
+                cls.rate = BandwidthPolicy.rate  # type: ignore[method-assign]
 
     @abc.abstractmethod
     def assign(self, request: Request, start: float | None = None) -> float | None:
         """Rate to grant when ``request`` starts at ``start`` (default
         ``t_s``); ``None`` when the deadline is no longer reachable."""
 
+    def rate(
+        self, rid: int, ingress: int, egress: int, volume: float,
+        t_start: float, t_end: float, max_rate: float, start: float,
+    ) -> float | None:  # fmt: skip
+        """:meth:`assign` of the request with these fields, from ``start``."""
+        return self.assign(Request(rid, ingress, egress, volume, t_start, t_end, max_rate), start)
+
     def bind(self, request: Request) -> RateRule:
-        """``sigma -> assign(request, sigma)``, carrying :attr:`monotone`: the
+        """``sigma -> rate(*fields, sigma)``, carrying :attr:`monotone`: the
         rule every book-ahead search is handed."""
-        return BoundRule(self.assign, request, self.monotone)
+        rule = partial(self.rate, *_fields(request))
+        rule.monotone = self.monotone  # type: ignore[attr-defined]
+        return rule  # type: ignore[return-value]
+
+
+def _fields(r: Request) -> tuple[int, int, int, float, float, float, float]:
+    return r.rid, r.ingress, r.egress, r.volume, r.t_start, r.t_end, r.max_rate
 
 
 @dataclass(frozen=True)
@@ -88,6 +107,12 @@ class MinRatePolicy(BandwidthPolicy):
 
     def assign(self, request: Request, start: float | None = None) -> float | None:
         return request.deadline_rate(start)
+
+    def rate(
+        self, rid: int, ingress: int, egress: int, volume: float,
+        t_start: float, t_end: float, max_rate: float, start: float,
+    ) -> float | None:  # fmt: skip
+        return deadline_rate(volume, t_end, max_rate, start)
 
 
 @dataclass(frozen=True)
@@ -114,10 +139,16 @@ class FractionOfMaxPolicy(BandwidthPolicy):
         object.__setattr__(self, "name", f"f={spelled}")
 
     def assign(self, request: Request, start: float | None = None) -> float | None:
-        floor = request.deadline_rate(start)
+        return self.rate(*_fields(request), request.t_start if start is None else start)
+
+    def rate(
+        self, rid: int, ingress: int, egress: int, volume: float,
+        t_start: float, t_end: float, max_rate: float, start: float,
+    ) -> float | None:  # fmt: skip
+        floor = deadline_rate(volume, t_end, max_rate, start)
         if floor is None:
             return None
-        return min(max(self.f * request.max_rate, floor), request.max_rate)
+        return min(max(self.f * max_rate, floor), max_rate)
 
 
 def FullRatePolicy() -> FractionOfMaxPolicy:

@@ -15,8 +15,11 @@ from typing import Any
 
 from .....core.errors import InvalidRequestError
 from .....core.profile import RateProfile
-from .....core.request import check_request
-from .....gateway.tickets import DECIDED, PENDING, REASONS, ReservationState, Ticket
+from .....gateway.gateway import Submission
+from .....gateway.lifecycle import check_submission
+from .....gateway.tickets import (
+    DECIDED, ENDINGS, PENDING, REASONS, ReservationState, TicketTable,
+)  # fmt: skip
 from ....deps import RequestContext
 from ....http import HttpError, HttpRequest, HttpResponse
 
@@ -29,14 +32,17 @@ MAX_BATCH_SUBMISSIONS = 512
 MAX_PROFILE_SEGMENTS = 256
 
 
-def parse_submission(body: Any, ctx: RequestContext) -> tuple[dict[str, Any], float]:
-    """One submission dict → gateway ``submit`` keywords + observed ``at``.
+def parse_submission(body: Any, ctx: RequestContext) -> tuple[Submission, float]:
+    """One submission dict → its :data:`~repro.gateway.gateway.Submission`
+    scalars, checked once (:func:`~repro.gateway.lifecycle.check_submission`)
+    at the observed ``at``, + that ``at``.
 
     Raises :class:`HttpError` 400 on anything the gateway would refuse as
     *malformed* (as opposed to *rejected*): missing fields, wrong types,
     non-finite numbers (``json.loads`` accepts the ``NaN`` / ``Infinity``
-    literals), non-positive volume, a deadline before the arrival instant,
-    a profile of more than :data:`MAX_PROFILE_SEGMENTS` segments.
+    literals), an unknown port, non-positive volume, a deadline before the
+    arrival instant, a profile of more than :data:`MAX_PROFILE_SEGMENTS`
+    segments.
     """
     if not isinstance(body, dict):
         raise HttpError(400, "submission must be a JSON object")
@@ -67,36 +73,28 @@ def parse_submission(body: Any, ctx: RequestContext) -> tuple[dict[str, Any], fl
         raise HttpError(400, f"unknown ingress port {ingress}")
     if not (0 <= egress < platform.num_egress):
         raise HttpError(400, f"unknown egress port {egress}")
-    probe_rate = max_rate if max_rate is not None else platform.bottleneck(ingress, egress)
     try:
         # Structural validation without burning a rid: the gateway would
-        # raise InvalidRequestError *after* the wave closed, poisoning
-        # innocent wave-mates; the check front-loads it onto this caller.
-        check_request(0, volume, at, deadline, probe_rate)
+        # raise InvalidRequestError *inside* the wave; the check
+        # front-loads it onto this caller.
+        max_rate, _ = check_submission(
+            platform, 0, ingress, egress, volume, deadline, at, max_rate, None
+        )
     except InvalidRequestError as exc:
         raise HttpError(400, f"invalid submission: {exc}") from exc
-    fields: dict[str, Any] = {
-        "ingress": ingress,
-        "egress": egress,
-        "volume": volume,
-        "deadline": deadline,
-        "client": ctx.client,
-    }
-    if max_rate is not None:
-        fields["max_rate"] = max_rate
-    profile = body.get("profile")
-    if profile is not None:
+    wanted = body.get("profile")
+    if wanted is not None:
         # A stepwise (malleable) rate shape: [[t0, t1, rate], ...] in
         # absolute seconds, delivering exactly ``volume`` MB.  Malformed
         # shapes and volume mismatches are the caller's 400, front-loaded
         # here for the same wave-mate-protection reason as the request
         # check above.
-        if isinstance(profile, list) and len(profile) > MAX_PROFILE_SEGMENTS:
+        if isinstance(wanted, list) and len(wanted) > MAX_PROFILE_SEGMENTS:
             raise HttpError(
-                400, f"profile of {len(profile)} segments exceeds {MAX_PROFILE_SEGMENTS}"
+                400, f"profile of {len(wanted)} segments exceeds {MAX_PROFILE_SEGMENTS}"
             )
         try:
-            wanted = RateProfile.maybe_from(profile)
+            wanted = RateProfile.maybe_from(wanted)
         except (TypeError, ValueError) as exc:
             raise HttpError(400, f"invalid profile: {exc}") from exc
         if wanted is None or not wanted:
@@ -106,14 +104,23 @@ def parse_submission(body: Any, ctx: RequestContext) -> tuple[dict[str, Any], fl
                 400,
                 f"profile delivers {wanted.volume} MB but the submission asks for {volume} MB",
             )
-        fields["profile"] = wanted
-    return fields, at
+    return (ingress, egress, volume, deadline, max_rate, ctx.client, wanted), at
 
 
-def decision_payload(ticket: Ticket, now: float) -> dict[str, Any]:
+#: The strings a decision payload reports, read once: states (an early
+#: ending's by its code) and reject reasons (by code).
+_CONFIRMED, _ACTIVE, _COMPLETED, _REJECTED = (
+    ReservationState.CONFIRMED.value, ReservationState.ACTIVE.value,
+    ReservationState.COMPLETED.value, ReservationState.REJECTED.value,
+)  # fmt: skip
+_ENDED = tuple(None if state is None else state.value for state in ENDINGS)
+_REASONS = tuple(reason.value for reason in REASONS)
+
+
+def decision_payload(tickets: TicketTable, rid: int, now: float) -> dict[str, Any]:
     """The JSON decision a submitter gets back (single and batch), read off
-    the ticket's row of columns (no request or allocation is built)."""
-    tickets, rid = ticket.table, ticket.rid
+    ``rid``'s row of ``tickets`` (no ticket view, request or allocation is
+    built)."""
     i = rid - tickets.base
     status = tickets.status[i]
     if status != DECIDED:
@@ -127,13 +134,19 @@ def decision_payload(ticket: Ticket, now: float) -> dict[str, Any]:
         }
     bw = tickets.bw[i]
     if math.isnan(bw):
-        rejected = ReservationState.REJECTED.value
-        payload: dict[str, Any] = {"rid": rid, "outcome": "rejected", "state": rejected}
+        payload: dict[str, Any] = {"rid": rid, "outcome": "rejected", "state": _REJECTED}
     else:
-        payload = {"rid": rid, "outcome": "accepted", "state": tickets.state(rid, now).value}
+        sigma, tau, ended = tickets.sigma[i], tickets.tau[i], tickets.ended_by[i]
+        state = (
+            _ENDED[ended] if ended
+            else _CONFIRMED if now < sigma
+            else _ACTIVE if now < tau
+            else _COMPLETED
+        )  # fmt: skip
+        payload = {"rid": rid, "outcome": "accepted", "state": state}
         allocation = payload["allocation"] = {
-            "sigma": tickets.sigma[i],
-            "tau": tickets.tau[i],
+            "sigma": sigma,
+            "tau": tau,
             "bw": bw,
             "ingress": tickets.ingress[i],
             "egress": tickets.egress[i],
@@ -145,23 +158,23 @@ def decision_payload(ticket: Ticket, now: float) -> dict[str, Any]:
             allocation["profile"] = shapes[rid][1].to_list()
     reason = tickets.reason[i]
     if reason >= 0:
-        payload["reason"] = REASONS[reason].value
+        payload["reason"] = _REASONS[reason]
     return payload
 
 
 async def handle_submit(ctx: RequestContext, request: HttpRequest) -> HttpResponse:
     """``POST /v1/reservations`` — one submission, decided when its wave flushes."""
-    fields, at = parse_submission(request.json(), ctx)
+    entry, at = parse_submission(request.json(), ctx)
     try:
-        ticket = await ctx.app.frontier.submit(fields, at=at)
+        ticket = await ctx.app.frontier.submit(entry, at=at)
     except InvalidRequestError as exc:
-        # The parse-time probe validates against the *observed* arrival
+        # The parse-time check validates against the *observed* arrival
         # instant, but the wave flushes later — a knife-edge window can
         # become infeasible in between.  Still the caller's 400, not a
         # service fault.
         raise HttpError(400, f"invalid submission: {exc}") from exc
-    payload = decision_payload(ticket, ctx.app.clock.now())
-    ctx.app.note_decision(ticket, payload["outcome"])
+    payload = decision_payload(ticket.table, ticket.rid, ctx.app.clock.now())
+    ctx.app.note_decision(ticket.rid, payload["outcome"])
     if ticket.edge_refused:
         response = HttpResponse(status=429, payload=payload)
         retry = payload.get("retry_after")
@@ -192,7 +205,7 @@ async def handle_submit_batch(ctx: RequestContext, request: HttpRequest) -> Http
     # Per-entry parsing: one stale or malformed entry must not 400 the
     # whole batch (a closed-loop client fleet can outrun its own plan's
     # windows; only the stale entries should pay).
-    parsed: list[tuple[dict[str, Any], float] | None] = []
+    parsed: list[tuple[Submission, float] | None] = []
     parse_errors: dict[int, str] = {}
     for index, entry in enumerate(submissions):
         try:
@@ -202,7 +215,7 @@ async def handle_submit_batch(ctx: RequestContext, request: HttpRequest) -> Http
             parse_errors[index] = exc.message
     live = [pair for pair in parsed if pair is not None]
     results = await ctx.app.frontier.submit_wave(live) if live else []
-    now = ctx.app.clock.now()
+    tickets, now, note = ctx.app.gateway.tickets, ctx.app.clock.now(), ctx.app.note_decision
     decisions: list[dict[str, Any]] = []
     cursor = iter(results)
     for index, pair in enumerate(parsed):
@@ -217,8 +230,8 @@ async def handle_submit_batch(ctx: RequestContext, request: HttpRequest) -> Http
             continue
         if isinstance(result, BaseException):
             raise result
-        payload = decision_payload(result, now)
-        ctx.app.note_decision(result, payload["outcome"])
+        payload = decision_payload(tickets, result, now)
+        note(result, payload["outcome"])
         decisions.append(payload)
     return HttpResponse(status=200, payload={"decisions": decisions})
 
@@ -239,7 +252,7 @@ async def handle_status(ctx: RequestContext, request: HttpRequest) -> HttpRespon
     except KeyError:
         return HttpResponse.error(404, f"unknown reservation {rid}")
     now = ctx.app.clock.now()
-    payload = decision_payload(ticket, now)
+    payload = decision_payload(ticket.table, rid, now)
     payload.update(
         client=ticket.client,
         request={

@@ -347,8 +347,8 @@ class ServeApp:
     # ------------------------------------------------------------------
     # Decision-side accounting (submit endpoints)
     # ------------------------------------------------------------------
-    def note_decision(self, ticket: Ticket, outcome: str) -> None:
-        """Record the HTTP-edge hop on the request's causal timeline;
+    def note_decision(self, rid: int, outcome: str) -> None:
+        """Record the HTTP-edge hop on request ``rid``'s causal timeline;
         ``outcome`` is what the submitter was answered (``accepted``,
         ``rejected`` or ``edge-refused``).
 
@@ -362,7 +362,7 @@ class ServeApp:
         if not telemetry.enabled:
             return
         if telemetry.traced:
-            telemetry.store(_Served(self.clock.now(), ticket, outcome))
+            telemetry.store(_Served(self.clock.now(), Ticket(self.gateway.tickets, rid), outcome))
         self._decisions[outcome] += 1
 
     def _collect(self) -> dict[Sample, float]:

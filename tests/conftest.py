@@ -7,6 +7,7 @@ from hypothesis import settings
 from repro.core import Request
 from repro.core.capacity import BreakpointProfile
 from repro.core.capacity.vector import VectorProfile
+from repro.gateway.lifecycle import check_submission
 
 #: ``--hypothesis-profile=deep``: the Hypothesis tests that do not pin their
 #: own ``max_examples`` run twenty times as many examples (CI runs the search
@@ -90,3 +91,13 @@ class CountedRule:
     def __call__(self, sigma):
         self.starts.append(sigma)
         return self.rule(sigma)
+
+
+def checked(platform, at, *, ingress, egress, volume, deadline, client, max_rate=None, profile=None):
+    """``Gateway.submit`` keywords (minus ``now``) as the serve edge hands a
+    submission on: the scalars :func:`check_submission` passed at ``at``
+    (``AdmissionFrontier.submit`` / ``submit_wave`` entries)."""
+    max_rate, wanted = check_submission(
+        platform, 0, ingress, egress, volume, deadline, at, max_rate, profile
+    )
+    return ingress, egress, volume, deadline, max_rate, client, wanted

@@ -503,9 +503,9 @@ class TestDegradedModeAdmission:
         outcomes = []
         reserve = gw.coordinator.reserve
 
-        def counted(request, *args, **kwargs):
-            outcome = reserve(request, *args, **kwargs)
-            outcomes.append((request.rid, outcome))
+        def counted(rid, *args, **kwargs):
+            outcome = reserve(rid, *args, **kwargs)
+            outcomes.append((rid, outcome))
             return outcome
 
         gw.coordinator.reserve = counted

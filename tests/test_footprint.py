@@ -2,9 +2,11 @@
 
 A service that never stops must not grow with its history beyond the
 state it serves: per decision that is one row of the gateway's ticket
-table — numbers in columns, no object the collector has to walk; the
-``Ticket`` view, the ``Request`` and the ``Allocation`` a decision builds
-die with it.  Its default telemetry keeps metrics only, so no telemetry
+table — numbers in columns, no object the collector has to walk.  A
+served decision carries its submission as scalars from the edge to the
+columns and builds no ``Ticket`` view, ``Request`` or ``Allocation``
+(only a full search builds the last two, and they die with it).  Its
+default telemetry keeps metrics only, so no telemetry
 record (``_Submitted``, ``_Admission``, ``_Served``, ``_Flushed``) is
 left behind: ``?explain=1`` rebuilds them by replaying the journal.  A
 journal keeps no entry object: a file-backed one leaves its lines in the

@@ -161,11 +161,9 @@ class TestBatcher:
         return gw
 
     def pending(self, seq, rid, volume, t_end):
-        req = Request(
-            rid=rid, ingress=0, egress=0, volume=volume,
-            t_start=0.0, t_end=t_end, max_rate=1000.0,
-        )
-        return (seq, req, None)
+        # seq, then the request's fields (rid, ingress, egress, volume,
+        # t_start, t_end, max_rate), then the wanted shape.
+        return (seq, rid, 0, 0, volume, 0.0, t_end, 1000.0, None)
 
     def test_fifo_preserves_submission_order(self):
         b = Batcher(3, AdmissionOrdering.FIFO)
@@ -173,7 +171,7 @@ class TestBatcher:
                  self.pending(1, 1, 20.0, 100.0)]
         for p in items:
             b.enqueue(p)
-        assert [seq for seq, _, _ in b.drain(0.0)] == [0, 1, 2]
+        assert [p[0] for p in b.drain(0.0)] == [0, 1, 2]
 
     def test_min_laxity_orders_tightest_first(self):
         b = Batcher(3, AdmissionOrdering.MIN_LAXITY)
@@ -182,14 +180,14 @@ class TestBatcher:
                   self.pending(1, 1, 900.0, 10.0),    # laxity 9.1
                   self.pending(2, 2, 100.0, 50.0)]:   # laxity 49.9
             b.enqueue(p)
-        assert [seq for seq, _, _ in b.drain(0.0)] == [1, 2, 0]
+        assert [p[0] for p in b.drain(0.0)] == [1, 2, 0]
 
     def test_max_value_orders_biggest_first(self):
         b = Batcher(3, AdmissionOrdering.MAX_VALUE)
         for p in [self.pending(0, 0, 10.0, 100.0), self.pending(1, 1, 99.0, 100.0),
                   self.pending(2, 2, 50.0, 100.0)]:
             b.enqueue(p)
-        assert [seq for seq, _, _ in b.drain(0.0)] == [1, 2, 0]
+        assert [p[0] for p in b.drain(0.0)] == [1, 2, 0]
 
     def test_ordering_from_name(self):
         assert AdmissionOrdering.from_name("min-laxity") is AdmissionOrdering.MIN_LAXITY

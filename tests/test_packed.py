@@ -29,7 +29,6 @@ from repro.core.booking import RejectReason
 from repro.core.errors import ConfigurationError
 from repro.core.packed import pack, unpack
 from repro.core.profile import RateProfile
-from repro.core.request import Request
 from repro.gateway.tickets import (
     _COLUMNS,
     BURNED,
@@ -162,10 +161,9 @@ def drive(table, ops, rids):
         if kind in ("add", "skip"):
             rid = (rids[-1] + 1 if rids else 0) + (a // 4 if kind == "skip" else 0)
             wanted = RateProfile.maybe_from(SHAPES[b])
-            request = Request(rid, a % 7, b, 1.0 + c, c, c + 60.0, 1000.0)
             origin = rids[a % len(rids)] if rids and a % 3 == 0 else None
-            table.add(request, seq=len(rids), client=CLIENTS[a % len(CLIENTS)],
-                      origin=origin, wanted=wanted)  # fmt: skip
+            table.add(rid, len(rids), CLIENTS[a % len(CLIENTS)], origin,
+                      a % 7, b, 1.0 + c, c, c + 60.0, 1000.0, wanted)  # fmt: skip
             rids.append(rid)
             continue
         if not rids:
@@ -178,7 +176,7 @@ def drive(table, ops, rids):
             table.refuse(rid, float("inf") if b == 2 else c)
         elif kind == "accept":
             shape = RateProfile.maybe_from(SHAPES[b])
-            table.decide(rid, Allocation(rid, 0, 1, 2.0 + c, c, c + 10.0, shape), None)
+            table.decide(rid, (c, c + 10.0, 2.0 + c, shape), None)
         elif kind == "reject":
             table.decide(rid, None, list(RejectReason)[a % len(RejectReason)])
         elif kind == "grant":
@@ -186,9 +184,8 @@ def drive(table, ops, rids):
             table.grant(rid, Allocation(rid, 0, 1, 1.0 + c, c, c + 20.0, shape))
         elif kind == "burn":  # a refused re-admission attempt of ``rid``
             attempt = rids[-1] + 1
-            request = Request(attempt, 1, 2, 3.0 + c, c, c + 30.0, 1000.0)
             client = table.clients[table.client[i]]
-            table.add(request, seq=len(rids), client=client, origin=rid, wanted=None)
+            table.add(attempt, len(rids), client, rid, 1, 2, 3.0 + c, c, c + 30.0, 1000.0, None)
             table.burn(attempt)
             rids.append(attempt)
         elif kind == "end":
@@ -268,7 +265,7 @@ def test_sentinels_survive_as_their_bits():
     """NaN in the float columns, -1 in ``origin`` and ``reason``, 0 in
     ``ended_by``: what a fresh row holds is what a restored one holds."""
     table = TicketTable()
-    table.add(Request(0, 1, 2, 5.0, 0.0, 10.0, 100.0), seq=0, client="été", origin=None, wanted=None)
+    table.add(0, 0, "été", None, 1, 2, 5.0, 0.0, 10.0, 100.0, None)
     again = TicketTable.from_state(json.loads(json.dumps(table.dump_state())))
     for name, (typecode, default) in _COLUMNS.items():
         if name in ("bw", "sigma", "tau", "ended_at", "retry_after"):

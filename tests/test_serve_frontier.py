@@ -18,6 +18,8 @@ from repro.obs.telemetry import NullTelemetry, Telemetry
 from repro.serve.clock import LogicalClock
 from repro.serve.frontier import AdmissionFrontier
 
+from .conftest import checked
+
 
 class CountingClock(LogicalClock):
     """A logical clock that counts how often a wave asked it the time."""
@@ -29,9 +31,12 @@ class CountingClock(LogicalClock):
         return super().now()
 
 
+PLATFORM = Platform.uniform(4, 4, 100.0)
+
+
 def make_frontier(*, telemetry=None, **kwargs) -> AdmissionFrontier:
     gateway = Gateway(
-        Platform.uniform(4, 4, 100.0),
+        PLATFORM,
         num_shards=2,
         batch_size=4,
         telemetry=telemetry if telemetry is not None else NullTelemetry(),
@@ -39,10 +44,12 @@ def make_frontier(*, telemetry=None, **kwargs) -> AdmissionFrontier:
     return AdmissionFrontier(gateway, CountingClock(), **kwargs)
 
 
-def fields(i: int) -> dict:
-    return dict(
-        ingress=i % 4, egress=(i + 1) % 4, volume=10.0, deadline=200.0, client="anonymous"
-    )
+def fields(i: int, deadline: float = 200.0, at: float = 0.0) -> tuple:
+    """Submission ``i`` as the serve edge parks it, checked at ``at``."""
+    return checked(
+        PLATFORM, at, ingress=i % 4, egress=(i + 1) % 4, volume=10.0, deadline=deadline,
+        client="anonymous",
+    )  # fmt: skip
 
 
 def park(frontier: AdmissionFrontier, indices) -> list[asyncio.Task]:
@@ -133,7 +140,8 @@ def test_submit_wave_takes_parked_singles_along_and_leaves_no_empty_wave():
         batch = await frontier.submit_wave([(fields(i), float(i)) for i in range(2, 5)])
         assert (frontier.waves, frontier.coalesced) == (1, 5)
         tickets = await asyncio.gather(*singles)
-        assert [t.rid for t in tickets + batch] == sorted(t.rid for t in tickets + batch)
+        rids = [*(t.rid for t in tickets), *batch]  # a wave is answered with rids
+        assert rids == sorted(rids)
         await turns(3)
         assert frontier.waves == 1  # the singles' flush handle was a no-op
 
@@ -223,13 +231,13 @@ def test_one_future_per_single_caller_none_for_a_wave_and_a_stale_entry_fails_al
         await turns(1)
         assert len(created) == 2
         # max_wave=4: entries 0-1 go with the singles, the rest flush at 7.0
-        stale = dict(fields(9), deadline=5.0)  # fine at its ``at``, dead at 7.0
+        stale = fields(9, deadline=5.0, at=4.0)  # fine at its ``at``, dead at 7.0
         entries = [*((fields(i), float(i)) for i in (2, 3)), (stale, 4.0), (fields(7), 7.0)]
         results = await frontier.submit_wave(entries)
         assert len(created) == 2
         assert isinstance(results[2], InvalidRequestError)
-        tickets = [*results[:2], results[3]]
-        assert all(t.decided for t in tickets)
+        rids = [*results[:2], results[3]]
+        assert all(frontier.gateway.get(rid).decided for rid in rids)
         # max_wave cut the call across two waves; both answered it.
         assert (frontier.waves, frontier.coalesced) == (2, 6)
         assert all(t.decided for t in await asyncio.gather(*singles))

@@ -30,6 +30,8 @@ from repro.serve import ServeApp, ServeConfig
 from repro.serve.clock import LogicalClock
 from repro.serve.http import HttpRequest
 
+from .conftest import checked
+
 REPO = Path(__file__).parent.parent
 
 PLATFORM = Platform.uniform(4, 4, 100.0)
@@ -82,7 +84,7 @@ async def drained_run(seed: int, journal_path):
     # Phase 2: park submissions on the frontier and drain *before* any
     # flush — the in-flight wave must be decided by the drain itself.
     parked = [
-        asyncio.ensure_future(app.frontier.submit(fields, at=at))
+        asyncio.ensure_future(app.frontier.submit(checked(PLATFORM, at, **fields), at=at))
         for fields, at in wave_fields(plan, 32, 8)
     ]
     # One yield: every submit has parked and scheduled the wave's flush
