@@ -1,9 +1,13 @@
 """Lazy package re-exports (PEP 562).
 
-``repro`` and ``repro.schedulers`` re-export names from submodules that
-pull in numpy and the offline heuristics.  A process that only serves
-admissions must not pay for those imports at start-up, so each of the two
-packages imports an exported name's defining submodule on first access.
+Three packages re-export names from submodules that a process which only
+admits does not run: ``repro`` (numpy, the workload generators and the
+offline heuristics), ``repro.schedulers`` (the heuristics besides the
+book-ahead search) and ``repro.control`` (the fault drills, the signalling
+simulation and the event engine under them).  Neither a serving process
+nor a library one that books ahead, verifies and replays should pay for
+those imports at start-up, so each of the three packages imports an
+exported name's defining submodule on first access.
 """
 
 from __future__ import annotations

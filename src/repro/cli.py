@@ -15,7 +15,7 @@ import argparse
 import sys
 from collections.abc import Sequence
 
-from .core import verify_schedule
+from .core import ReproError, verify_schedule
 from .experiments import FIGURES
 from .metrics import evaluate
 from .schedulers import RIGID_SCHEDULERS, available_schedulers, make_scheduler
@@ -220,8 +220,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code: 2, with the message
+    on stderr, when the library refuses the options (a :class:`ReproError`)."""
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ReproError as exc:
+        print(f"grid-bandwidth: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

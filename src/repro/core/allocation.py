@@ -309,10 +309,7 @@ def verify_schedule(
     for degradation in degradations:
         ledger.degrade(degradation)
     overcommit = ledger.max_overcommit()
-    max_cap = max(
-        float(platform.ingress_capacity.max()), float(platform.egress_capacity.max())
-    )
-    if overcommit > rtol * max_cap:
+    if overcommit > rtol * platform.max_capacity:
         raise ScheduleViolation(
             f"capacity violated: worst overshoot {overcommit} MB/s across ports"
         )

@@ -66,12 +66,14 @@ class Platform:
         The ``N`` egress capacities ``B_out(e)`` in MB/s.
 
     Every capacity must be finite and positive.  They are kept as tuples of
-    floats, which is all the admission path reads (:meth:`bin`,
-    :meth:`bout`, :meth:`bottleneck`); :attr:`ingress_capacity` and
+    floats, which is all the admission path and
+    :func:`~.allocation.verify_schedule` read (:meth:`bin`, :meth:`bout`,
+    :meth:`bottleneck`, :attr:`max_capacity`); :attr:`ingress_capacity` and
     :attr:`egress_capacity` are read-only float64 arrays for the offline
-    analyses, built on first access, so a process that only admits never
-    imports numpy.  ``num_ingress`` (``M``) and ``num_egress`` (``N``) are
-    plain ints, set once: every submission's port check reads them.
+    analyses, built on first access, so a process that only admits and
+    verifies never imports numpy.  ``num_ingress`` (``M``) and
+    ``num_egress`` (``N``) are plain ints, set once: every submission's
+    port check reads them.
     """
 
     _ingress: tuple[float, ...]
@@ -112,6 +114,12 @@ class Platform:
         total grantable throughput is half of the summed port capacities.
         """
         return 0.5 * self.total_capacity
+
+    @property
+    def max_capacity(self) -> float:
+        """The largest port capacity on either side, read off the float
+        tuples (no array is built)."""
+        return max(max(self._ingress), max(self._egress))
 
     def bin(self, i: int) -> float:
         """Capacity ``B_in(i)`` of ingress point ``i``."""

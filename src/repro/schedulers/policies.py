@@ -114,6 +114,16 @@ class MinRatePolicy(BandwidthPolicy):
     ) -> float | None:  # fmt: skip
         return deadline_rate(volume, t_end, max_rate, start)
 
+    def bind(self, request: Request) -> RateRule:
+        """``partial(deadline_rate, volume, t_end, max_rate)``: one frame per
+        start, while :meth:`rate` is this class's (a subclass that writes
+        ``assign`` has it reset, and is bound through :meth:`rate`)."""
+        if type(self).rate is not MinRatePolicy.rate:
+            return super().bind(request)
+        rule = partial(deadline_rate, request.volume, request.t_end, request.max_rate)
+        rule.monotone = self.monotone  # type: ignore[attr-defined]
+        return rule  # type: ignore[return-value]
+
 
 @dataclass(frozen=True)
 class FractionOfMaxPolicy(BandwidthPolicy):

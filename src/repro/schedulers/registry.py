@@ -3,76 +3,146 @@
 The CLI, benchmarks and experiment configs refer to schedulers by short
 names such as ``"cumulated-slots"`` or ``"window"``; this registry maps the
 names onto configured instances.
+
+Each factory imports its scheduler's module when it is called, so
+listing the names imports nothing and ``make_scheduler("bookahead")``
+loads the book-ahead search alone, not numpy or the offline heuristics.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..core.errors import ConfigurationError
-from .base import Scheduler
-from .costs import ArrivalCost, CumulatedCost, MinBwCost, MinVolCost
-from .flexible import GreedyFlexible, WindowFlexible
-from .localsearch import LocalSearchScheduler
-from .policies import FractionOfMaxPolicy, MinRatePolicy
-from .advance import EarliestStartFlexible, GuaranteedProfile
-from .retry import RetryGreedyFlexible
-from .rigid import FCFSRigid, SlotsScheduler
+
+if TYPE_CHECKING:
+    from .base import Scheduler
+    from .policies import BandwidthPolicy
 
 __all__ = ["RIGID_SCHEDULERS", "make_scheduler", "available_schedulers"]
 
 
-def _make_policy(policy: str | float | None):
-    """``"min-bw"``/``None`` → MinRatePolicy, a number ``f`` → f × MaxRate."""
-    if policy is None or policy == "min-bw":
+def _policy(kw: dict[str, Any]) -> BandwidthPolicy:
+    """The ``policy`` option: ``None`` → MinRatePolicy, a number ``f`` →
+    f × MaxRate, a string → :func:`~.policies.policy_from_name`
+    (``"min-bw"``, ``"f=0.8"``)."""
+    from .policies import FractionOfMaxPolicy, MinRatePolicy, policy_from_name
+
+    policy = kw.pop("policy", None)
+    if policy is None:
         return MinRatePolicy()
-    if isinstance(policy, (int, float)):
+    if isinstance(policy, str):
+        return policy_from_name(policy)
+    if isinstance(policy, (int, float)) and not isinstance(policy, bool):
         return FractionOfMaxPolicy(float(policy))
-    if isinstance(policy, str) and policy.startswith("f="):
-        return FractionOfMaxPolicy(float(policy[2:]))
     raise ConfigurationError(f"unknown bandwidth policy {policy!r}")
 
 
 # Each factory consumes options from the mutable dict it receives, so
 # make_scheduler can flag leftovers (typos) afterwards.
-_FACTORIES: dict[str, Callable[[dict[str, Any]], Scheduler]] = {
-    "fcfs-rigid": lambda kw: FCFSRigid(),
-    "fifo-slots": lambda kw: SlotsScheduler(ArrivalCost()),
-    "cumulated-slots": lambda kw: SlotsScheduler(
+def _fcfs_rigid(kw: dict[str, Any]) -> Scheduler:
+    from .rigid import FCFSRigid
+
+    return FCFSRigid()
+
+
+def _fifo_slots(kw: dict[str, Any]) -> Scheduler:
+    from .costs import ArrivalCost
+    from .rigid import SlotsScheduler
+
+    return SlotsScheduler(ArrivalCost())
+
+
+def _cumulated_slots(kw: dict[str, Any]) -> Scheduler:
+    from .costs import CumulatedCost
+    from .rigid import SlotsScheduler
+
+    return SlotsScheduler(
         CumulatedCost(
             use_priority=kw.pop("use_priority", True),
             use_bmin=kw.pop("use_bmin", True),
         )
-    ),
-    "minbw-slots": lambda kw: SlotsScheduler(MinBwCost()),
-    "minvol-slots": lambda kw: SlotsScheduler(MinVolCost()),
-    "greedy": lambda kw: GreedyFlexible(
-        policy=_make_policy(kw.pop("policy", None)),
-        enforce_deadline=kw.pop("enforce_deadline", True),
-    ),
-    "window": lambda kw: WindowFlexible(
+    )
+
+
+def _minbw_slots(kw: dict[str, Any]) -> Scheduler:
+    from .costs import MinBwCost
+    from .rigid import SlotsScheduler
+
+    return SlotsScheduler(MinBwCost())
+
+
+def _minvol_slots(kw: dict[str, Any]) -> Scheduler:
+    from .costs import MinVolCost
+    from .rigid import SlotsScheduler
+
+    return SlotsScheduler(MinVolCost())
+
+
+def _greedy(kw: dict[str, Any]) -> Scheduler:
+    from .flexible import GreedyFlexible
+
+    return GreedyFlexible(
+        policy=_policy(kw), enforce_deadline=kw.pop("enforce_deadline", True)
+    )
+
+
+def _window(kw: dict[str, Any]) -> Scheduler:
+    from .flexible import WindowFlexible
+
+    return WindowFlexible(
         t_step=kw.pop("t_step", 400.0),
-        policy=_make_policy(kw.pop("policy", None)),
+        policy=_policy(kw),
         enforce_deadline=kw.pop("enforce_deadline", True),
-    ),
-    "bookahead": lambda kw: EarliestStartFlexible(
-        policy=_make_policy(kw.pop("policy", None)),
-    ),
-    "guaranteed-profile": lambda kw: GuaranteedProfile(
-        policy=_make_policy(kw.pop("policy", None)),
-    ),
-    "localsearch": lambda kw: LocalSearchScheduler(
+    )
+
+
+def _bookahead(kw: dict[str, Any]) -> Scheduler:
+    from .advance import EarliestStartFlexible
+
+    return EarliestStartFlexible(policy=_policy(kw))
+
+
+def _guaranteed_profile(kw: dict[str, Any]) -> Scheduler:
+    from .advance import GuaranteedProfile
+
+    return GuaranteedProfile(policy=_policy(kw))
+
+
+def _localsearch(kw: dict[str, Any]) -> Scheduler:
+    from .localsearch import LocalSearchScheduler
+
+    return LocalSearchScheduler(
         iterations=kw.pop("iterations", 400),
         restarts=kw.pop("restarts", 3),
         seed=kw.pop("seed", 0),
-    ),
-    "retry-greedy": lambda kw: RetryGreedyFlexible(
-        policy=_make_policy(kw.pop("policy", None)),
+    )
+
+
+def _retry_greedy(kw: dict[str, Any]) -> Scheduler:
+    from .retry import RetryGreedyFlexible
+
+    return RetryGreedyFlexible(
+        policy=_policy(kw),
         backoff=kw.pop("backoff", 60.0),
         multiplier=kw.pop("multiplier", 2.0),
         max_attempts=kw.pop("max_attempts", 8),
-    ),
+    )
+
+
+_FACTORIES: dict[str, Callable[[dict[str, Any]], Scheduler]] = {
+    "fcfs-rigid": _fcfs_rigid,
+    "fifo-slots": _fifo_slots,
+    "cumulated-slots": _cumulated_slots,
+    "minbw-slots": _minbw_slots,
+    "minvol-slots": _minvol_slots,
+    "greedy": _greedy,
+    "window": _window,
+    "bookahead": _bookahead,
+    "guaranteed-profile": _guaranteed_profile,
+    "localsearch": _localsearch,
+    "retry-greedy": _retry_greedy,
 }
 
 
@@ -92,7 +162,8 @@ def available_schedulers() -> list[str]:
 def make_scheduler(name: str, **options: Any) -> Scheduler:
     """Construct the scheduler registered under ``name``.
 
-    Unconsumed keyword options raise, catching typos in experiment configs.
+    Unconsumed keyword options raise, catching typos in experiment configs,
+    and so does a ``policy`` that names no bandwidth policy.
     """
     try:
         factory = _FACTORIES[name]

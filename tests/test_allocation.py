@@ -150,3 +150,20 @@ class TestVerifySchedule:
             result.accept(Allocation.for_request(r, 60.0))  # 180 > 100 capacity
         with pytest.raises(ScheduleViolation, match="capacity"):
             verify_schedule(platform, requests, result)
+
+    def test_overshoot_is_judged_against_the_largest_port_without_numpy_arrays(self):
+        # 10 MB/s over a 100 MB/s egress: within rtol x 1e6 (the largest
+        # port, an ingress), beyond rtol x 100.
+        platform = Platform([100.0, 1e6], [100.0, 100.0])
+        requests = RequestSet(
+            [Request(i, i, 0, volume=550.0, t_start=0.0, t_end=10.0, max_rate=55.0) for i in range(2)]
+        )
+        result = ScheduleResult()
+        for r in requests:
+            result.accept(Allocation.for_request(r, 55.0))
+        verify_schedule(platform, requests, result, rtol=1e-4)
+        with pytest.raises(ScheduleViolation, match="capacity"):
+            verify_schedule(platform, requests, result, rtol=5e-6)
+        # The check reads the capacity tuples: the cached arrays stay unbuilt.
+        assert "ingress_capacity" not in vars(platform)
+        assert "egress_capacity" not in vars(platform)

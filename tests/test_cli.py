@@ -80,6 +80,21 @@ class TestCommands:
         code = main(["schedule", "--scheduler", "greedy", "--policy", "0.8", "--requests", "80"])
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "policy, message",
+        [
+            ("f=abc", "malformed policy name 'f=abc'"),
+            ("2", "tuning factor f must be in (0, 1], got 2.0"),
+            ("fastest", "unknown policy name 'fastest'"),
+        ],
+    )
+    def test_a_refused_policy_is_one_line_and_exit_2(self, capsys, policy, message):
+        code = main(["schedule", "--scheduler", "greedy", "--policy", policy, "--requests", "20"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"grid-bandwidth: {message}\n"
+        assert captured.out == ""
+
     def test_gantt(self, capsys):
         code = main(["gantt", "--requests", "8", "--rows", "8"])
         assert code == 0

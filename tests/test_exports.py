@@ -1,7 +1,8 @@
 """Every name a module lists in ``__all__`` resolves on that module, the
 control and gateway packages import in either order, the lazy packages
-re-export the defining modules' objects, and a serving process imports
-neither numpy nor the offline packages."""
+re-export the defining modules' objects, a serving process imports
+neither numpy nor the offline packages, and a library process that books
+ahead, verifies and replays imports none of them either."""
 
 import ast
 import importlib
@@ -117,6 +118,87 @@ def test_a_serving_process_never_imports_numpy_or_the_offline_packages():
     assert sorted(OFFLINE & loaded) == []
 
 
+# ----------------------------------------------------------------------
+# What a library process that books ahead, verifies and replays imports:
+# the stack benchmark's ``direct_core`` phases, end to end.
+# ----------------------------------------------------------------------
+LIBRARY_LIFE = r"""
+import json, sys, tempfile
+from pathlib import Path
+
+from repro.control.journal import Journal
+from repro.control.service import ReservationService
+from repro.core.allocation import verify_schedule
+from repro.core.platform import Platform
+from repro.core.problem import ProblemInstance
+from repro.core.request import Request, RequestSet
+from repro.gateway import Gateway
+from repro.gateway.invariants import check_gateway
+from repro.schedulers import make_scheduler
+
+platform = Platform.uniform(4, 4, 1000.0)
+stream = [
+    {"ingress": k % 4, "egress": (k + 1) % 4, "volume": 400_000.0, "deadline": 900.0 + k, "at": float(k)}
+    for k in range(24)
+]
+requests = RequestSet(
+    Request(rid, b["ingress"], b["egress"], b["volume"], b["at"], b["deadline"], 1000.0)
+    for rid, b in enumerate(stream)
+)
+result = make_scheduler("bookahead").schedule(ProblemInstance(platform, requests))
+verify_schedule(platform, requests, result)
+assert 0 < result.num_accepted < len(stream)
+
+service = ReservationService(platform)
+for b in stream:
+    service.submit(
+        ingress=b["ingress"], egress=b["egress"], volume=b["volume"],
+        deadline=b["deadline"], now=b["at"],
+    )
+
+workdir = Path(tempfile.mkdtemp())
+for shards in (1, 4):
+    path = workdir / f"wal_s{shards}.jsonl"
+    gateway = Gateway(platform, num_shards=shards, batch_size=8, journal=Journal(path=path))
+    for i in range(0, len(stream), 8):
+        wave = stream[i : i + 8]
+        fields = ("ingress", "egress", "volume", "deadline")
+        gateway.submit_many([{k: b[k] for k in fields} for b in wave], now=wave[-1]["at"])
+    audit = check_gateway(gateway, expect_quiesced=True)
+    assert audit.ok, audit.violations
+    assert gateway.stats.accepted == service.stats.accepted
+rebuilt = Gateway.replay(Journal.load(path))
+assert rebuilt.snapshot() == gateway.snapshot()
+print(json.dumps(sorted(sys.modules)))
+"""
+
+#: Modules a library process that only books ahead, verifies and replays
+#: never runs: the serving process's list, less the book-ahead search and
+#: the registry, plus the other heuristics' helpers and the drills.
+LIBRARY_OFFLINE = {
+    "numpy",
+    *(f"repro.schedulers.{m}" for m in ("flexible", "localsearch", "rigid", "retry", "costs")),
+    "repro.workload",
+    "repro.metrics",
+    "repro.experiments",
+    "repro.exact",
+    "repro.fairness",
+    *(f"repro.control.{m}" for m in ("faults", "plane", "router", "messages", "striped")),
+    "repro.sim",
+}
+
+
+def test_a_library_process_loads_only_what_it_runs():
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run(
+        [sys.executable, "-c", LIBRARY_LIFE], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout.splitlines()[-1]))
+    assert {"repro.schedulers.advance", "repro.control.service"} <= loaded
+    assert sorted(LIBRARY_OFFLINE & loaded) == []
+
+
 def _type_checking_imports(module):
     """``(relative module, name)`` for every import under the package's
     ``if TYPE_CHECKING:`` block — what mypy sees it export."""
@@ -132,7 +214,7 @@ def _type_checking_imports(module):
     ]
 
 
-@pytest.mark.parametrize("package", ["repro", "repro.schedulers"])
+@pytest.mark.parametrize("package", ["repro", "repro.schedulers", "repro.control"])
 def test_lazy_reexports_are_the_defining_modules_objects(package):
     """The lazy packages export what their ``TYPE_CHECKING`` imports
     declare, and each name resolves to the very object of the module the

@@ -118,6 +118,14 @@ class TestArraysAndTuples:
         with pytest.raises(ConfigurationError, match="one-dimensional"):
             Platform([[1.0]], [1.0])
 
+    def test_max_capacity_reads_the_tuples(self):
+        p = Platform([10.0, 20.5], [30.0, 5.0])
+        assert p.max_capacity == 30.0
+        assert "ingress_capacity" not in vars(p) and "egress_capacity" not in vars(p)
+        q = Platform.grid5000()
+        assert q.max_capacity == float(max(q.ingress_capacity.max(), q.egress_capacity.max()))
+        assert Platform([7.0], [2.0]).max_capacity == 7.0
+
     def test_equality_and_hash_ignore_the_cached_arrays(self):
         a, b = Platform.grid5000(), Platform.grid5000()
         a.ingress_capacity  # noqa: B018 - builds a's arrays only

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core import Platform, PortLedger, Request
 from repro.core.booking import FitProbe, deadline_tolerance, earliest_fit
+from repro.core.request import deadline_rate
 from repro.schedulers.policies import (
     BandwidthPolicy,
     FractionOfMaxPolicy,
@@ -129,6 +130,33 @@ def test_an_undeclared_policy_is_searched_start_by_start(policy, evaluations):
     assert allocation is not None and allocation.sigma == 500.0
     # 42 starts up to 500: the undeclared policies visit them all.
     assert probe.candidates == rule.calls == evaluations
+
+
+class Unsworn(MinRatePolicy):
+    """Keeps the MinRate rule but withdraws the promise."""
+
+    monotone = False
+
+
+class Rerated(MinRatePolicy):
+    """Writes ``rate`` alone: its rule is what it binds."""
+
+    def rate(self, rid, ingress, egress, volume, t_start, t_end, max_rate, start):
+        return max_rate
+
+
+def test_min_rate_binds_the_rule_itself_while_its_rate_is_the_rule():
+    request = Request(0, 0, 0, 500.0, 0.0, 100.0, 50.0)
+    rule = MinRatePolicy().bind(request)
+    # One frame per start: the search calls deadline_rate directly.
+    assert rule.func is deadline_rate and rule.monotone
+    assert Unsworn().bind(request).func is deadline_rate and not Unsworn().bind(request).monotone
+    for policy in (Halved(), HalvedAndSworn()):
+        bound = policy.bind(request)
+        assert bound.func != deadline_rate and bound.monotone == type(policy).monotone
+        assert bound(10.0) == policy.assign(request, 10.0) == 25.0
+    assert Rerated().bind(request)(10.0) == 50.0
+    assert rule(10.0) == MinRatePolicy().assign(request, 10.0) == 500.0 / 90.0
 
 
 # ----------------------------------------------------------------------
