@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     schedule = sub.add_parser("schedule", help="run one scheduler on a paper workload")
     schedule.add_argument("--scheduler", choices=available_schedulers(), default="window")
-    schedule.add_argument("--policy", type=str, default=None, help="'min-bw' or an f value")
+    schedule.add_argument("--policy", type=str, default=None, help="'min-bw', 'f=0.8' or an f value")
     schedule.add_argument("--t-step", type=float, default=400.0)
     schedule.add_argument("--gap", type=float, default=2.0, help="mean inter-arrival (flexible)")
     schedule.add_argument("--load", type=float, default=4.0, help="target load (rigid)")
@@ -120,12 +120,8 @@ def _cmd_claims(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    options = {}
-    if args.scheduler in {"greedy", "window"} and args.policy is not None:
-        try:
-            options["policy"] = float(args.policy)
-        except ValueError:
-            options["policy"] = args.policy
+    # A rigid scheduler refuses --policy as an unused option.
+    options = {} if args.policy is None else {"policy": args.policy}
     if args.scheduler == "window":
         options["t_step"] = args.t_step
     scheduler = make_scheduler(args.scheduler, **options)

@@ -41,14 +41,10 @@ class ControlPlane:
         Bandwidth assignment policy (as for the centralized heuristics).
     latency:
         One-way message latency between overlay routers, seconds.
-    enforce_deadline:
-        Floor the granted rate so the transfer still meets ``t_f`` despite
-        starting ``2 × latency`` late; reject when impossible.
     """
 
     policy: BandwidthPolicy = field(default_factory=MinRatePolicy)
     latency: float = 0.0
-    enforce_deadline: bool = True
 
     def __post_init__(self) -> None:
         if self.latency < 0:
@@ -73,9 +69,10 @@ class ControlPlane:
 
         def on_arrival(event) -> None:
             request: Request = event.payload
+            # The rate is asked from the estimated start, so the transfer still
+            # meets t_f despite starting 2 × latency late (or is rejected).
             sigma_est = sim.now + 2 * self.latency
-            start = sigma_est if self.enforce_deadline else None
-            bw = self.policy.assign(request, start)
+            bw = self.policy.rate(request.volume, request.t_end, request.max_rate, sigma_est)
             agent = ingress_agents[request.ingress]
             if bw is None:
                 result.reject(request.rid, "deadline")

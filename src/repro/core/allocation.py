@@ -242,7 +242,8 @@ def verify_schedule(
     3. rate bounds: ``MinRate(σ) ≤ bw ≤ MaxRate`` — where ``MinRate(σ)`` is
        the deadline-implied rate for the *assigned* start;
     4. window bounds: ``σ ≥ t_s`` and ``τ ≤ t_f`` (skipped when
-       ``enforce_window=False``, for deliberately deadline-relaxed modes);
+       ``enforce_window=False``, for a rebooked schedule, whose windows
+       open at the rebook time);
     5. capacity (Eq. 1): on every port, at every instant, committed
        bandwidth stays within capacity — the *effective* capacity when
        ``degradations`` (outages / partial failures) are supplied.

@@ -274,7 +274,7 @@ def earliest_fit(
     ``rate_for(sigma)`` maps a candidate start to the rate to try there
     (``policy.bind(request)``, a :class:`RateRule`; any callable will do),
     returning ``None`` when no admissible rate exists from that start.  The
-    default is the MinRate rule, :meth:`Request.deadline_rate`.
+    default is the MinRate rule, :func:`~repro.core.request.deadline_rate`.
     ``not_before`` further constrains the search (e.g. "no earlier than the
     service clock").  The ledger is not modified; use :func:`book_earliest`
     to also commit the result.

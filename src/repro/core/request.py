@@ -57,7 +57,15 @@ def check_request(rid: int, volume: float, t_start: float, t_end: float, max_rat
 
 
 def deadline_rate(volume: float, t_end: float, max_rate: float, start: float) -> float | None:
-    """:meth:`Request.deadline_rate` of a request's numbers, from ``start``."""
+    """The MinRate rule: the rate that just meets the deadline ``t_end`` from
+    ``start``, capped at ``max_rate``; ``None`` when the deadline is out of
+    reach even at ``max_rate``.
+
+    Non-decreasing in ``start`` bit for bit — IEEE ``−``, ``÷`` and ``min``
+    round monotonically — and ``None`` from the first start that has no rate
+    on: what a ``monotone`` bandwidth policy builds on
+    (:class:`repro.schedulers.policies.BandwidthPolicy`).
+    """
     remaining = t_end - start
     needed = volume / remaining if remaining > 0 else float("inf")
     # RATE_TOLERANCE-scale slack: a request started exactly on time must
@@ -129,19 +137,6 @@ class Request:
         if remaining <= 0:
             return float("inf")
         return self.volume / remaining
-
-    def deadline_rate(self, start: float | None = None) -> float | None:
-        """The MinRate rule: the rate that just meets the deadline from
-        ``start`` (default ``t_s``), capped at ``MaxRate``; ``None`` when the
-        deadline is out of reach even at ``MaxRate`` (:func:`deadline_rate`).
-
-        Non-decreasing in ``start`` bit for bit — IEEE ``−``, ``÷`` and
-        ``min`` round monotonically — and ``None`` from the first start that
-        has no rate on: what a ``monotone`` bandwidth policy builds on
-        (:class:`repro.schedulers.policies.BandwidthPolicy`).
-        """
-        start = self.t_start if start is None else start
-        return deadline_rate(self.volume, self.t_end, self.max_rate, start)
 
     # ------------------------------------------------------------------
     # Construction helpers

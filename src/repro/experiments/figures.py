@@ -30,6 +30,7 @@ from ..schedulers import (
     fifo_slots,
     minbw_slots,
     minvol_slots,
+    policy_from_name,
 )
 from ..schedulers.costs import CumulatedCost
 from ..workload import paper_flexible_workload, paper_rigid_workload
@@ -52,10 +53,6 @@ __all__ = [
 ]
 
 DEFAULT_SEEDS: tuple[int, ...] = (0, 1, 2)
-
-
-def _policy(name: str | float):
-    return MinRatePolicy() if name == "min-bw" else FractionOfMaxPolicy(float(name))
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +174,8 @@ def _policy_sweep(
             def run(seed: int) -> dict[str, float]:
                 prob = paper_flexible_workload(gap, n_requests, seed=seed)
                 out = {}
-                for policy, label in zip(policies, labels):
-                    out[label] = make_scheduler(_policy(policy)).schedule(prob).accept_rate
+                for label in labels:
+                    out[label] = make_scheduler(policy_from_name(label)).schedule(prob).accept_rate
                 return out
 
             agg = replicate(run, seeds)

@@ -253,7 +253,7 @@ class TwoPhaseCoordinator:
         if profile is None:
             if t_end - volume / max_rate < t_start:  # no shaping either
                 return TwoPhaseOutcome(FitProbe(reason=RejectReason.WINDOW_INFEASIBLE), local=local)
-            grant = self._fastpath(rid, ingress, egress, volume, t_start, t_end, max_rate, policy)
+            grant = self._fastpath(ingress, egress, volume, t_start, t_end, max_rate, policy)
         if grant is not None:
             outcome = TwoPhaseOutcome(FitProbe(candidates=1), local=local, fastpath=True)
             segments: tuple[Segment, ...] = (grant[:3],)
@@ -279,7 +279,7 @@ class TwoPhaseCoordinator:
 
     # ------------------------------------------------------------------
     def _fastpath(
-        self, rid: int, ingress: int, egress: int, volume: float, t_start: float, t_end: float,
+        self, ingress: int, egress: int, volume: float, t_start: float, t_end: float,
         max_rate: float, policy: BandwidthPolicy,
     ) -> Grant | None:  # fmt: skip
         """Answer from the ports' cached all-time peaks when conclusive
@@ -295,7 +295,7 @@ class TwoPhaseCoordinator:
         port_in, port_out = self._ingress_ports[ingress], self._egress_ports[egress]
         if port_in.reductions is not None or port_out.reductions is not None:
             return None
-        bw = policy.rate(rid, ingress, egress, volume, t_start, t_end, max_rate, t_start)
+        bw = policy.rate(volume, t_end, max_rate, t_start)
         if bw is None or bw <= 0:
             return None
         tau = t_start + volume / bw

@@ -17,12 +17,10 @@ time is exact — no full timeline is needed.
   where ``r_min`` is clearly meant; we implement the intent.)
 
 Deadline handling: starting a request later than ``t_s`` shrinks its window,
-raising the rate needed to still finish by ``t_f``.  With
-``enforce_deadline=True`` (default) the granted rate is floored at that
+raising the rate needed to still finish by ``t_f``.  The policy is asked for
+the rate from the actual start, so the granted rate is floored at that
 deadline rate and the request is rejected when even ``MaxRate`` cannot meet
-it; with ``False`` the policy rate is granted as-is and the deadline may
-slip (the paper's Algorithm 3 as literally written) — schedules produced in
-that mode must be verified with ``enforce_window=False``.
+it.
 """
 
 from __future__ import annotations
@@ -92,23 +90,18 @@ class GreedyFlexible(Scheduler):
     """Algorithm 2: first-come-first-serve online admission."""
 
     policy: BandwidthPolicy = field(default_factory=MinRatePolicy)
-    enforce_deadline: bool = True
 
     def __post_init__(self) -> None:
         self.name = f"greedy[{self.policy.name}]"
 
-    def _rate_for(self, request: Request, sigma: float) -> float | None:
-        start = sigma if self.enforce_deadline else None
-        return self.policy.assign(request, start)
-
     def schedule(self, problem: ProblemInstance) -> ScheduleResult:
-        result = self._new_result(policy=self.policy.name, enforce_deadline=self.enforce_deadline)
+        result = self._new_result(policy=self.policy.name)
         platform = problem.platform
         occupancy = _PortOccupancy(platform.num_ingress, platform.num_egress)
         for request in problem.requests.sorted_by_arrival():
             sigma = request.t_start
             occupancy.release_until(sigma)
-            bw = self._rate_for(request, sigma)
+            bw = self.policy.rate(request.volume, request.t_end, request.max_rate, sigma)
             if bw is None:
                 result.reject(request.rid, "deadline")
             elif occupancy.fits(request, bw, platform):
@@ -132,29 +125,18 @@ class WindowFlexible(Scheduler):
         over, at the price of a longer response time (§5.2).
     policy:
         Bandwidth assignment policy for accepted requests.
-    enforce_deadline:
-        See the module docstring.
     """
 
     t_step: float = 400.0
     policy: BandwidthPolicy = field(default_factory=MinRatePolicy)
-    enforce_deadline: bool = True
 
     def __post_init__(self) -> None:
         if self.t_step <= 0:
             raise ConfigurationError(f"t_step must be positive, got {self.t_step}")
         self.name = f"window[{self.t_step:g}s,{self.policy.name}]"
 
-    def _rate_for(self, request: Request, sigma: float) -> float | None:
-        start = sigma if self.enforce_deadline else None
-        return self.policy.assign(request, start)
-
     def schedule(self, problem: ProblemInstance) -> ScheduleResult:
-        result = self._new_result(
-            t_step=self.t_step,
-            policy=self.policy.name,
-            enforce_deadline=self.enforce_deadline,
-        )
+        result = self._new_result(t_step=self.t_step, policy=self.policy.name)
         platform = problem.platform
         occupancy = _PortOccupancy(platform.num_ingress, platform.num_egress)
         arrivals = list(problem.requests.sorted_by_arrival())
@@ -181,7 +163,7 @@ class WindowFlexible(Scheduler):
             # cost-ordered packing rounds.
             pool: list[tuple[Request, float]] = []
             for request in candidates:
-                bw = self._rate_for(request, decision_time)
+                bw = self.policy.rate(request.volume, request.t_end, request.max_rate, decision_time)
                 if bw is None:
                     result.reject(request.rid, "deadline")
                 else:

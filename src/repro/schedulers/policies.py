@@ -11,9 +11,10 @@ When a flexible request is accepted, the scheduler must pick ``bw(r)`` in
   grid-computing motivation of §2.3) at the price of a possibly lower
   accept rate.
 
-A policy returns the rate to grant for a request started at ``start``, or
-``None`` when no admissible rate exists (the deadline can no longer be met
-within ``MaxRate``).
+A policy is one function of four numbers, a request's ``vol``, ``t_f`` and
+``MaxRate`` and its start ``σ``: the rate to grant, or ``None`` when no
+admissible rate exists (the deadline can no longer be met within
+``MaxRate``).
 """
 
 from __future__ import annotations
@@ -37,14 +38,14 @@ __all__ = [
 
 
 class BandwidthPolicy(abc.ABC):
-    """Maps an accepted request (and its actual start time) to a rate.
+    """Maps a request's numbers and its actual start time to a rate.
 
     **The ``monotone`` contract.**  A policy that sets ``monotone = True``
     promises, for any fixed request and any two starts ``s <= s'``:
 
-    (a) the granted rate never decreases — ``assign(r, s) <= assign(r, s')``
+    (a) the granted rate never decreases — ``rate(..., s) <= rate(..., s')``
         bit for bit — and once it is ``None`` it stays ``None``;
-    (b) the finish ``s + vol / assign(r, s)`` never decreases by more than
+    (b) the finish ``s + vol / rate(..., s)`` never decreases by more than
         :func:`~repro.core.booking.deadline_tolerance` ``(t_end)`` (exact in
         the reals; the slack is for float rounding).
 
@@ -53,47 +54,32 @@ class BandwidthPolicy(abc.ABC):
     unvisited (``docs/CAPACITY.md``, "How the search skips"), so a false
     promise can refuse or misplace a request.  Saying nothing (the default,
     ``False``) is always exact and only slower.  The promise belongs to the
-    class that writes ``assign``: a subclass that overrides ``assign``
-    without declaring ``monotone`` (or :meth:`rate`, ``assign`` of the
-    request's fields) in its own body is reset to ``False`` (and to a
-    ``rate`` that builds the :class:`Request` per call).
+    class that writes ``rate``: a subclass that overrides ``rate`` without
+    declaring ``monotone`` in its own body is reset to ``False``.
     """
 
     #: Identifier used in result metadata and figure legends.
     name: str = "policy"
-    #: See the class docstring; declare it next to ``assign``.
+    #: See the class docstring; declare it next to ``rate``.
     monotone: ClassVar[bool] = False
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        if "assign" in cls.__dict__:
-            if "monotone" not in cls.__dict__:
-                cls.monotone = False
-            if "rate" not in cls.__dict__:
-                cls.rate = BandwidthPolicy.rate  # type: ignore[method-assign]
+        if "rate" in cls.__dict__ and "monotone" not in cls.__dict__:
+            cls.monotone = False
 
     @abc.abstractmethod
-    def assign(self, request: Request, start: float | None = None) -> float | None:
-        """Rate to grant when ``request`` starts at ``start`` (default
-        ``t_s``); ``None`` when the deadline is no longer reachable."""
-
-    def rate(
-        self, rid: int, ingress: int, egress: int, volume: float,
-        t_start: float, t_end: float, max_rate: float, start: float,
-    ) -> float | None:  # fmt: skip
-        """:meth:`assign` of the request with these fields, from ``start``."""
-        return self.assign(Request(rid, ingress, egress, volume, t_start, t_end, max_rate), start)
+    def rate(self, volume: float, t_end: float, max_rate: float, start: float) -> float | None:
+        """Rate to grant a request of ``volume`` due by ``t_end`` from a host
+        of ``max_rate`` when it starts at ``start``; ``None`` when the
+        deadline is no longer reachable."""
 
     def bind(self, request: Request) -> RateRule:
-        """``sigma -> rate(*fields, sigma)``, carrying :attr:`monotone`: the
-        rule every book-ahead search is handed."""
-        rule = partial(self.rate, *_fields(request))
+        """``sigma -> rate(volume, t_end, max_rate, sigma)``, carrying
+        :attr:`monotone`: the rule every book-ahead search is handed."""
+        rule = partial(self.rate, request.volume, request.t_end, request.max_rate)
         rule.monotone = self.monotone  # type: ignore[attr-defined]
         return rule  # type: ignore[return-value]
-
-
-def _fields(r: Request) -> tuple[int, int, int, float, float, float, float]:
-    return r.rid, r.ingress, r.egress, r.volume, r.t_start, r.t_end, r.max_rate
 
 
 @dataclass(frozen=True)
@@ -101,28 +87,12 @@ class MinRatePolicy(BandwidthPolicy):
     """Grant the minimum admissible rate (the paper's MIN BW policy)."""
 
     name: str = "min-bw"
-    # (a) is Request.deadline_rate's; (b): the finish is t_end until MaxRate
-    # caps the rate, then sigma + vol / MaxRate.
+    # (a) is deadline_rate's; (b): the finish is t_end until MaxRate caps the
+    # rate, then sigma + vol / MaxRate.
     monotone: ClassVar[bool] = True
 
-    def assign(self, request: Request, start: float | None = None) -> float | None:
-        return request.deadline_rate(start)
-
-    def rate(
-        self, rid: int, ingress: int, egress: int, volume: float,
-        t_start: float, t_end: float, max_rate: float, start: float,
-    ) -> float | None:  # fmt: skip
-        return deadline_rate(volume, t_end, max_rate, start)
-
-    def bind(self, request: Request) -> RateRule:
-        """``partial(deadline_rate, volume, t_end, max_rate)``: one frame per
-        start, while :meth:`rate` is this class's (a subclass that writes
-        ``assign`` has it reset, and is bound through :meth:`rate`)."""
-        if type(self).rate is not MinRatePolicy.rate:
-            return super().bind(request)
-        rule = partial(deadline_rate, request.volume, request.t_end, request.max_rate)
-        rule.monotone = self.monotone  # type: ignore[attr-defined]
-        return rule  # type: ignore[return-value]
+    # The MinRate rule itself, so a bound rule calls it with one frame per start.
+    rate = staticmethod(deadline_rate)
 
 
 @dataclass(frozen=True)
@@ -148,13 +118,7 @@ class FractionOfMaxPolicy(BandwidthPolicy):
         spelled = short if float(short) == self.f else repr(self.f)
         object.__setattr__(self, "name", f"f={spelled}")
 
-    def assign(self, request: Request, start: float | None = None) -> float | None:
-        return self.rate(*_fields(request), request.t_start if start is None else start)
-
-    def rate(
-        self, rid: int, ingress: int, egress: int, volume: float,
-        t_start: float, t_end: float, max_rate: float, start: float,
-    ) -> float | None:  # fmt: skip
+    def rate(self, volume: float, t_end: float, max_rate: float, start: float) -> float | None:
         floor = deadline_rate(volume, t_end, max_rate, start)
         if floor is None:
             return None
@@ -167,16 +131,19 @@ def FullRatePolicy() -> FractionOfMaxPolicy:
 
 
 def policy_from_name(name: str) -> BandwidthPolicy:
-    """Reconstruct a policy from its ``name`` attribute.
+    """Reconstruct a policy from its ``name`` attribute, or from a bare f.
 
-    The inverse of the naming scheme above (``"min-bw"``, ``"f=0.8"``);
-    used by the journal replay path to rebuild a service from its header.
+    The inverse of the naming scheme above (``"min-bw"``, ``"f=0.8"``), and
+    ``"0.8"`` for ``f=0.8``: the one parser of a policy option, used by the
+    journal replay path to rebuild a service from its header, by
+    :func:`~repro.schedulers.make_scheduler` and by the CLI.
     """
     if name == MinRatePolicy.name:
         return MinRatePolicy()
-    if name.startswith("f="):
-        try:
-            return FractionOfMaxPolicy(float(name[2:]))
-        except ValueError as exc:
-            raise ConfigurationError(f"malformed policy name {name!r}") from exc
-    raise ConfigurationError(f"unknown policy name {name!r}")
+    prefixed = name.startswith("f=")
+    try:
+        f = float(name[2:] if prefixed else name)
+    except ValueError:
+        kind = "malformed" if prefixed else "unknown"
+        raise ConfigurationError(f"{kind} policy name {name!r}") from None
+    return FractionOfMaxPolicy(f)

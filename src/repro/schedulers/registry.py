@@ -24,19 +24,17 @@ __all__ = ["RIGID_SCHEDULERS", "make_scheduler", "available_schedulers"]
 
 
 def _policy(kw: dict[str, Any]) -> BandwidthPolicy:
-    """The ``policy`` option: ``None`` → MinRatePolicy, a number ``f`` →
-    f × MaxRate, a string → :func:`~.policies.policy_from_name`
-    (``"min-bw"``, ``"f=0.8"``)."""
-    from .policies import FractionOfMaxPolicy, MinRatePolicy, policy_from_name
+    """The ``policy`` option, read by :func:`~.policies.policy_from_name`:
+    ``"min-bw"`` (also for ``None``), ``"f=0.8"``, or f as a number or a
+    numeral."""
+    from .policies import policy_from_name
 
     policy = kw.pop("policy", None)
     if policy is None:
-        return MinRatePolicy()
-    if isinstance(policy, str):
-        return policy_from_name(policy)
-    if isinstance(policy, (int, float)) and not isinstance(policy, bool):
-        return FractionOfMaxPolicy(float(policy))
-    raise ConfigurationError(f"unknown bandwidth policy {policy!r}")
+        policy = "min-bw"
+    elif isinstance(policy, bool) or not isinstance(policy, (str, int, float)):
+        raise ConfigurationError(f"unknown bandwidth policy {policy!r}")
+    return policy_from_name(str(policy))
 
 
 # Each factory consumes options from the mutable dict it receives, so
@@ -83,19 +81,13 @@ def _minvol_slots(kw: dict[str, Any]) -> Scheduler:
 def _greedy(kw: dict[str, Any]) -> Scheduler:
     from .flexible import GreedyFlexible
 
-    return GreedyFlexible(
-        policy=_policy(kw), enforce_deadline=kw.pop("enforce_deadline", True)
-    )
+    return GreedyFlexible(policy=_policy(kw))
 
 
 def _window(kw: dict[str, Any]) -> Scheduler:
     from .flexible import WindowFlexible
 
-    return WindowFlexible(
-        t_step=kw.pop("t_step", 400.0),
-        policy=_policy(kw),
-        enforce_deadline=kw.pop("enforce_deadline", True),
-    )
+    return WindowFlexible(t_step=kw.pop("t_step", 400.0), policy=_policy(kw))
 
 
 def _bookahead(kw: dict[str, Any]) -> Scheduler:

@@ -75,7 +75,7 @@ class RetryGreedyFlexible(Scheduler):
         while queue:
             now, _, attempt, request = heapq.heappop(queue)
             occupancy.release_until(now)
-            bw = self.policy.assign(request, now)
+            bw = self.policy.rate(request.volume, request.t_end, request.max_rate, now)
             if bw is not None and occupancy.fits(request, bw, platform):
                 result.accept(occupancy.admit(request, bw, now))
                 continue

@@ -175,7 +175,7 @@ def _zigzag(request):
     """
 
     def rate_for(sigma):
-        floor = MinRatePolicy().assign(request, sigma)
+        floor = MinRatePolicy().rate(request.volume, request.t_end, request.max_rate, sigma)
         phase = (math.sin(sigma * 12.9898) + 1.0) / 2.0
         if floor is None or phase < 0.08:
             return None

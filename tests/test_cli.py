@@ -95,6 +95,27 @@ class TestCommands:
         assert captured.err == f"grid-bandwidth: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("name", ["bookahead", "guaranteed-profile", "retry-greedy"])
+    def test_every_flexible_scheduler_runs_the_policy_given(self, name, capsys):
+        code = main(["schedule", "--scheduler", name, "--policy", "0.5", "--requests", "20"])
+        assert code == 0
+        scheduler = capsys.readouterr().out.splitlines()[0]
+        assert scheduler.startswith(f"scheduler:            {name}[f=0.5")
+
+    @pytest.mark.parametrize(
+        "name, policy, message",
+        [
+            ("bookahead", "f=abc", "malformed policy name 'f=abc'"),
+            ("fcfs-rigid", "0.5", "scheduler 'fcfs-rigid': unused options ['policy']"),
+        ],
+    )
+    def test_a_policy_no_scheduler_uses_is_refused(self, capsys, name, policy, message):
+        code = main(["schedule", "--scheduler", name, "--policy", policy, "--requests", "20"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"grid-bandwidth: {message}\n"
+        assert captured.out == ""
+
     def test_gantt(self, capsys):
         code = main(["gantt", "--requests", "8", "--rows", "8"])
         assert code == 0

@@ -66,7 +66,7 @@ def test_shipped_policies_keep_the_monotone_promise(data, policy, request):
     last_rate, latest_finish = 0.0, -math.inf
     for sigma in data.draw(ascending_starts(request)):
         rate = rule(sigma)
-        assert rate == policy.assign(request, sigma)
+        assert rate == policy.rate(request.volume, request.t_end, request.max_rate, sigma)
         if rate is None:
             last_rate = math.inf  # final: any later rate fails the next comparison
             continue
@@ -80,32 +80,32 @@ def test_shipped_policies_keep_the_monotone_promise(data, policy, request):
 # Who has made the promise
 # ----------------------------------------------------------------------
 class Halved(MinRatePolicy):
-    """Overrides ``assign`` and says nothing: the parent's promise is not inherited."""
+    """Overrides ``rate`` and says nothing: the parent's promise is not inherited."""
 
-    def assign(self, request, start=None):
-        rate = super().assign(request, start)
-        return None if rate is None else max(rate, request.max_rate / 2)
+    def rate(self, volume, t_end, max_rate, start):
+        rate = super().rate(volume, t_end, max_rate, start)
+        return None if rate is None else max(rate, max_rate / 2)
 
 
 class HalvedAndSworn(Halved):
-    """Overrides ``assign`` and declares beside it."""
+    """Overrides ``rate`` and declares beside it."""
 
     monotone = True
 
-    def assign(self, request, start=None):
-        return super().assign(request, start)
+    def rate(self, volume, t_end, max_rate, start):
+        return super().rate(volume, t_end, max_rate, start)
 
 
 class Renamed(FractionOfMaxPolicy):
-    """Leaves ``assign`` alone: still the parent's rule, still its promise."""
+    """Leaves ``rate`` alone: still the parent's rule, still its promise."""
 
 
 class Silent(BandwidthPolicy):
-    def assign(self, request, start=None):
-        return request.max_rate
+    def rate(self, volume, t_end, max_rate, start):
+        return max_rate
 
 
-def test_the_promise_belongs_to_the_class_that_writes_assign():
+def test_the_promise_belongs_to_the_class_that_writes_rate():
     assert not BandwidthPolicy.monotone
     assert not Silent.monotone
     assert not Halved.monotone
@@ -139,9 +139,9 @@ class Unsworn(MinRatePolicy):
 
 
 class Rerated(MinRatePolicy):
-    """Writes ``rate`` alone: its rule is what it binds."""
+    """Writes a ``rate`` of its own: its rule is what it binds."""
 
-    def rate(self, rid, ingress, egress, volume, t_start, t_end, max_rate, start):
+    def rate(self, volume, t_end, max_rate, start):
         return max_rate
 
 
@@ -149,14 +149,15 @@ def test_min_rate_binds_the_rule_itself_while_its_rate_is_the_rule():
     request = Request(0, 0, 0, 500.0, 0.0, 100.0, 50.0)
     rule = MinRatePolicy().bind(request)
     # One frame per start: the search calls deadline_rate directly.
+    assert MinRatePolicy.rate is deadline_rate
     assert rule.func is deadline_rate and rule.monotone
     assert Unsworn().bind(request).func is deadline_rate and not Unsworn().bind(request).monotone
     for policy in (Halved(), HalvedAndSworn()):
         bound = policy.bind(request)
         assert bound.func != deadline_rate and bound.monotone == type(policy).monotone
-        assert bound(10.0) == policy.assign(request, 10.0) == 25.0
-    assert Rerated().bind(request)(10.0) == 50.0
-    assert rule(10.0) == MinRatePolicy().assign(request, 10.0) == 500.0 / 90.0
+        assert bound(10.0) == policy.rate(500.0, 100.0, 50.0, 10.0) == 25.0
+    assert Rerated().bind(request)(10.0) == 50.0 and not Rerated.monotone
+    assert rule(10.0) == MinRatePolicy().rate(500.0, 100.0, 50.0, 10.0) == 500.0 / 90.0
 
 
 # ----------------------------------------------------------------------
@@ -165,9 +166,11 @@ def test_min_rate_binds_the_rule_itself_while_its_rate_is_the_rule():
 @settings(max_examples=500, deadline=None)
 @given(f=fractions)
 def test_policy_names_round_trip(f):
+    assert policy_from_name("0.5") == FractionOfMaxPolicy(0.5)
     policy = FractionOfMaxPolicy(f)
     assert policy_from_name(policy.name) == policy
     assert policy_from_name(policy.name).f == f
+    assert policy_from_name(policy.name[2:]) == policy  # a bare f reads the same
 
 
 def test_policy_names_keep_their_short_spelling():
@@ -176,3 +179,4 @@ def test_policy_names_keep_their_short_spelling():
     assert FractionOfMaxPolicy(0.5).name == "f=0.5"
     assert FullRatePolicy().name == "f=1"
     assert FractionOfMaxPolicy(1 / 3).name == "f=0.3333333333333333"
+

@@ -41,7 +41,9 @@ class TestMakeScheduler:
     def test_policy_spellings(self):
         assert make_scheduler("greedy", policy="min-bw").policy.name == "min-bw"
         assert make_scheduler("greedy", policy="f=0.8").policy.f == 0.8
+        assert make_scheduler("greedy", policy="0.8").policy.f == 0.8
         assert make_scheduler("greedy", policy=1.0).policy.f == 1.0
+        assert make_scheduler("greedy", policy=None).policy.name == "min-bw"
 
     def test_bad_policy(self):
         with pytest.raises(ConfigurationError):
@@ -53,7 +55,7 @@ class TestMakeScheduler:
         [
             ("f=abc", "malformed policy name 'f=abc'"),
             ("f=", "malformed policy name"),
-            ("0.5", "unknown policy name '0.5'"),
+            ("1.5", r"must be in \(0, 1\]"),
             (True, "unknown bandwidth policy True"),
             (False, "unknown bandwidth policy False"),
             (2.0, r"must be in \(0, 1\]"),

@@ -31,37 +31,32 @@ def problem(requests, capacity=100.0, m=2, n=2):
 
 
 class TestPolicies:
+    # rate(volume, t_end, max_rate, start): a request of 100 MB due at 10 s
+    # (or 100 s) from a 50 MB/s host, opening at 0.
     def test_min_rate_policy_on_time(self):
-        r = flex(0, 0, 1, volume=100.0, t0=0.0, window=10.0, max_rate=50.0)
-        assert MinRatePolicy().assign(r) == pytest.approx(10.0)
+        assert MinRatePolicy().rate(100.0, 10.0, 50.0, 0.0) == pytest.approx(10.0)
 
     def test_min_rate_policy_late_start(self):
-        r = flex(0, 0, 1, volume=100.0, t0=0.0, window=10.0, max_rate=50.0)
-        assert MinRatePolicy().assign(r, start=5.0) == pytest.approx(20.0)
+        assert MinRatePolicy().rate(100.0, 10.0, 50.0, 5.0) == pytest.approx(20.0)
 
     def test_min_rate_policy_deadline_unreachable(self):
-        r = flex(0, 0, 1, volume=100.0, t0=0.0, window=10.0, max_rate=50.0)
-        assert MinRatePolicy().assign(r, start=8.5) is None  # needs 66.7 > 50
+        assert MinRatePolicy().rate(100.0, 10.0, 50.0, 8.5) is None  # needs 66.7 > 50
 
     def test_fraction_policy_grants_f_times_max(self):
-        r = flex(0, 0, 1, volume=100.0, t0=0.0, window=100.0, max_rate=50.0)
-        assert FractionOfMaxPolicy(0.8).assign(r) == pytest.approx(40.0)
+        assert FractionOfMaxPolicy(0.8).rate(100.0, 100.0, 50.0, 0.0) == pytest.approx(40.0)
 
     def test_fraction_policy_floors_at_min_rate(self):
-        r = flex(0, 0, 1, volume=100.0, t0=0.0, window=10.0, max_rate=50.0)
         # f*max = 5 < MinRate 10 -> grant MinRate
-        assert FractionOfMaxPolicy(0.1).assign(r) == pytest.approx(10.0)
+        assert FractionOfMaxPolicy(0.1).rate(100.0, 10.0, 50.0, 0.0) == pytest.approx(10.0)
 
     def test_fraction_policy_deadline_floor_late(self):
-        r = flex(0, 0, 1, volume=100.0, t0=0.0, window=10.0, max_rate=50.0)
         # start 6: deadline rate 25 > f*max 10 -> grant 25
-        assert FractionOfMaxPolicy(0.2).assign(r, start=6.0) == pytest.approx(25.0)
+        assert FractionOfMaxPolicy(0.2).rate(100.0, 10.0, 50.0, 6.0) == pytest.approx(25.0)
 
     def test_full_rate_policy(self):
-        r = flex(0, 0, 1, volume=100.0, t0=0.0, window=100.0, max_rate=50.0)
         policy = FullRatePolicy()
         assert policy.f == 1.0
-        assert policy.assign(r) == pytest.approx(50.0)
+        assert policy.rate(100.0, 100.0, 50.0, 0.0) == pytest.approx(50.0)
 
     def test_fraction_policy_validates_f(self):
         with pytest.raises(ConfigurationError):
@@ -165,13 +160,6 @@ class TestWindowFlexible:
         reqs = [flex(0, 0, 1, 1000.0, 0.0, 12.0, 100.0)]
         result = WindowFlexible(t_step=400.0).schedule(problem(reqs))
         assert 0 in result.rejected
-
-    def test_deadline_relaxed_mode(self):
-        reqs = [flex(0, 0, 1, 1000.0, 0.0, 12.0, 100.0)]
-        scheduler = WindowFlexible(t_step=400.0, enforce_deadline=False)
-        result = scheduler.schedule(problem(reqs))
-        assert 0 in result.accepted
-        verify_schedule(problem(reqs).platform, RequestSet(reqs), result, enforce_window=False)
 
     def test_schedules_verify(self):
         prob = paper_flexible_workload(0.5, 400, seed=13)

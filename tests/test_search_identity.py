@@ -38,8 +38,8 @@ class Unpromised(BandwidthPolicy):
         self.inner = inner
         self.name = inner.name
 
-    def assign(self, request, start=None):
-        return self.inner.assign(request, start)
+    def rate(self, volume, t_end, max_rate, start):
+        return self.inner.rate(volume, t_end, max_rate, start)
 
 
 @pytest.fixture
