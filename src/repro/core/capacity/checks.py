@@ -7,11 +7,15 @@ bit-for-bit the historical expressions, so routing a call site through
 them never flips a decision:
 
 - :func:`fits_under` — the ledger/broker form
-  ``usage + bw <= capacity + capacity * CAPACITY_SLACK``;
-- :func:`slack_capacity` — the slot/occupancy-packing form
-  ``capacity * (1 + CAPACITY_SLACK)`` used as a per-interval budget;
+  ``usage + bw <= capacity + capacity * CAPACITY_SLACK``, which every
+  ledger-backed scheduler and the gateway decide by;
+- :func:`slack_capacity` — the slot-packing form
+  ``capacity * (1 + CAPACITY_SLACK)`` used as a per-interval budget, now
+  only by the ``*-slots`` family (:class:`~repro.schedulers.rigid.SlotsScheduler`);
 - :data:`UTILISATION_LIMIT` — the dimensionless threshold
-  ``1 + CAPACITY_SLACK`` for utilisation-cost packing (Algorithm 3).
+  ``1 + CAPACITY_SLACK`` for utilisation-cost packing, used only by WINDOW
+  (Algorithm 3, :class:`~repro.schedulers.flexible.WindowFlexible`), which
+  then commits to its ledger unchecked.
 
 The two forms differ by at most one ulp; they are kept distinct precisely
 so that moving a call site into the kernel is decision-invariant.

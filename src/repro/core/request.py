@@ -126,18 +126,6 @@ class Request:
         """Shortest possible transfer time, ``vol / MaxRate``."""
         return self.volume / self.max_rate
 
-    def rate_for_deadline(self, start: float) -> float:
-        """Minimum feasible rate when the transfer starts at ``start``.
-
-        Starting later than ``t_start`` shrinks the remaining window, so the
-        rate needed to still meet the deadline grows.  Returns ``inf`` when
-        the deadline can no longer be met at any rate.
-        """
-        remaining = self.t_end - start
-        if remaining <= 0:
-            return float("inf")
-        return self.volume / remaining
-
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------

@@ -391,12 +391,7 @@ def ablation_window(
                 for rid, alloc in result.accepted.items()
             ]
             # Requests whose deadline passed before their decision epoch.
-            kills = 0
-            t_begin = min(r.t_start for r in prob.requests)
-            for request in prob.requests:
-                epoch = t_begin + (int((request.t_start - t_begin) // t_step) + 1) * t_step
-                if request.rate_for_deadline(epoch) > request.max_rate:
-                    kills += 1
+            kills = result.rejection_breakdown().get("deadline", 0)
             return {
                 "accept_rate": result.accept_rate,
                 "mean_wait": sum(waits) / len(waits) if waits else 0.0,

@@ -1,13 +1,20 @@
 """Online heuristics for short-lived **flexible** requests (paper §5).
 
 Both heuristics are *online*: decisions use only requests whose arrival time
-has passed, plus the instantaneous port occupancy ``ali``/``ale``.  Because
-every granted transfer starts at its decision instant and port occupancy can
-only drop between decisions, an instantaneous capacity check at the decision
-time is exact — no full timeline is needed.
+has passed, plus the port occupancy ``ali``/``ale`` at the decision instant.
+Each keeps a :class:`~repro.core.ledger.PortLedger` and books every granted
+transfer over ``[σ, τ)`` on it, as every other scheduler does.  Decisions
+are taken in time order and every transfer starts at its decision instant,
+so every earlier booking starts at or before the current one: a port's
+usage at the decision instant is its peak from then on (in floats too, since
+a float sum of a subset of the bookings never exceeds the sum of the whole
+set).  The ledger's timeline test over ``[σ, τ)`` therefore decides as the
+paper's instantaneous ``ali + bw ≤ B_in`` test does.
 
 - :class:`GreedyFlexible` (Algorithm 2): decide each request the moment it
-  arrives; accept iff the policy rate fits on both ports *now*.
+  arrives; accept iff the policy rate fits on both ports *now*.  It is the
+  client-retry loop of :class:`~repro.schedulers.retry.RetryGreedyFlexible`
+  with one attempt.
 - :class:`WindowFlexible` (Algorithm 3): batch arrivals into fixed-length
   decision intervals of length ``t_step``.  At each interval end, candidates
   are admitted in rounds: the candidate whose post-acceptance port
@@ -27,62 +34,64 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..core.allocation import Allocation, ScheduleResult
-from ..core.capacity import UTILISATION_LIMIT, slack_capacity
+from ..core.capacity import UTILISATION_LIMIT
 from ..core.errors import ConfigurationError
+from ..core.ledger import PortLedger
 from ..core.problem import ProblemInstance
-from ..core.request import Request
+from ..core.request import Request, deadline_rate
 from .base import Scheduler
 from .policies import BandwidthPolicy, MinRatePolicy
+
+if TYPE_CHECKING:
+    from ..gateway.twophase import BackoffSchedule
 
 __all__ = ["GreedyFlexible", "WindowFlexible"]
 
 
-class _PortOccupancy:
-    """Instantaneous ``ali``/``ale`` bookkeeping with a departure heap."""
+def book_on_arrival(
+    problem: ProblemInstance,
+    policy: BandwidthPolicy,
+    result: ScheduleResult,
+    backoff: BackoffSchedule | None = None,
+) -> int:
+    """Decide every request of ``problem`` into ``result`` the moment it
+    (re)arrives; the number of retries scheduled.
 
-    def __init__(self, num_ingress: int, num_egress: int) -> None:
-        self.ali = np.zeros(num_ingress)
-        self.ale = np.zeros(num_egress)
-        self._departures: list[tuple[float, int, int, int, float]] = []
-
-    def release_until(self, t: float) -> None:
-        """Reclaim bandwidth of transfers finished at or before ``t``.
-
-        Eq. 1 constrains ``σ(r) ≤ t < τ(r)``: at ``t = τ`` the transfer no
-        longer occupies its ports, so departures at exactly ``t`` free up.
-        """
-        while self._departures and self._departures[0][0] <= t:
-            _, _, ingress, egress, bw = heapq.heappop(self._departures)
-            self.ali[ingress] -= bw
-            self.ale[egress] -= bw
-
-    def fits(self, request: Request, bw: float, platform) -> bool:
-        cap_in = platform.bin(request.ingress)
-        cap_out = platform.bout(request.egress)
-        return (
-            self.ali[request.ingress] + bw <= slack_capacity(cap_in)
-            and self.ale[request.egress] + bw <= slack_capacity(cap_out)
-        )
-
-    def admit(self, request: Request, bw: float, sigma: float) -> Allocation:
-        alloc = Allocation.for_request(request, bw, sigma)
-        self.ali[request.ingress] += bw
-        self.ale[request.egress] += bw
-        heapq.heappush(
-            self._departures,
-            (alloc.tau, request.rid, request.ingress, request.egress, bw),
-        )
-        return alloc
-
-    def cost(self, request: Request, bw: float, platform) -> float:
-        """Algorithm 3's cost: worst post-acceptance port utilisation."""
-        util_in = (self.ali[request.ingress] + bw) / platform.bin(request.ingress)
-        util_out = (self.ale[request.egress] + bw) / platform.bout(request.egress)
-        return max(util_in, util_out)
+    Without ``backoff`` each request has one attempt (GREEDY).  With it, a
+    request that does not fit retries ``backoff.delay(attempt)`` seconds
+    later while attempts remain and its deadline is still reachable at
+    ``MaxRate`` then.  A rejection is ``"capacity"`` once the attempts are
+    spent and ``"deadline"`` when no rate is left.
+    """
+    ledger = PortLedger(problem.platform)
+    fits, allocate, rate = ledger.fits, ledger.allocate, policy.rate
+    # (time, seq, attempt, request); sorted, the arrivals are already a heap.
+    queue = [(r.t_start, seq, 1, r) for seq, r in enumerate(problem.requests.sorted_by_arrival())]
+    arrivals, retries = len(queue), 0
+    while queue:
+        now, _, attempt, request = heapq.heappop(queue)
+        bw = rate(request.volume, request.t_end, request.max_rate, now)
+        if bw is None:
+            result.reject(request.rid, "deadline")
+            continue
+        ingress, egress = request.ingress, request.egress
+        tau = now + request.volume / bw  # as Allocation.for_request derives it
+        if fits(ingress, egress, now, tau, bw):
+            allocate(ingress, egress, now, tau, bw)
+            result.accept(Allocation(request.rid, ingress, egress, bw, now, tau))
+        elif backoff is None or attempt == backoff.max_attempts:
+            result.reject(request.rid, "capacity")
+        else:
+            retry_at = now + backoff.delay(attempt)
+            if deadline_rate(request.volume, request.t_end, request.max_rate, retry_at) is None:
+                result.reject(request.rid, "deadline")
+            else:
+                heapq.heappush(queue, (retry_at, arrivals + retries, attempt + 1, request))
+                retries += 1
+    return retries
 
 
 @dataclass
@@ -96,18 +105,7 @@ class GreedyFlexible(Scheduler):
 
     def schedule(self, problem: ProblemInstance) -> ScheduleResult:
         result = self._new_result(policy=self.policy.name)
-        platform = problem.platform
-        occupancy = _PortOccupancy(platform.num_ingress, platform.num_egress)
-        for request in problem.requests.sorted_by_arrival():
-            sigma = request.t_start
-            occupancy.release_until(sigma)
-            bw = self.policy.rate(request.volume, request.t_end, request.max_rate, sigma)
-            if bw is None:
-                result.reject(request.rid, "deadline")
-            elif occupancy.fits(request, bw, platform):
-                result.accept(occupancy.admit(request, bw, sigma))
-            else:
-                result.reject(request.rid, "capacity")
+        book_on_arrival(problem, self.policy, result)
         self._observe_schedule(problem, result)
         return result
 
@@ -138,7 +136,7 @@ class WindowFlexible(Scheduler):
     def schedule(self, problem: ProblemInstance) -> ScheduleResult:
         result = self._new_result(t_step=self.t_step, policy=self.policy.name)
         platform = problem.platform
-        occupancy = _PortOccupancy(platform.num_ingress, platform.num_egress)
+        ledger = PortLedger(platform)
         arrivals = list(problem.requests.sorted_by_arrival())
         if not arrivals:
             return result
@@ -156,8 +154,6 @@ class WindowFlexible(Scheduler):
             if not candidates:
                 continue
 
-            occupancy.release_until(decision_time)
-
             # Candidates whose policy rate no longer exists (deadline passed
             # beyond MaxRate) are rejected outright; the rest enter the
             # cost-ordered packing rounds.
@@ -171,35 +167,52 @@ class WindowFlexible(Scheduler):
             if not pool:
                 continue
 
-            # Vectorised packing rounds: recomputing every candidate's cost
-            # per accept is the hot loop of the whole scheduler (it was
-            # O(|pool|²) in Python); one numpy pass per accepted request
-            # keeps the exact (cost, rid) selection order.
-            ing = np.fromiter((r.ingress for r, _ in pool), dtype=np.int64, count=len(pool))
-            egr = np.fromiter((r.egress for r, _ in pool), dtype=np.int64, count=len(pool))
-            bws = np.fromiter((bw for _, bw in pool), dtype=np.float64, count=len(pool))
-            rids = np.fromiter((r.rid for r, _ in pool), dtype=np.int64, count=len(pool))
-            cap_in = platform.ingress_capacity[ing]
-            cap_out = platform.egress_capacity[egr]
-            alive = np.ones(len(pool), dtype=bool)
+            # ali / ale: each candidate port's usage at the decision instant,
+            # read once, then raised by every accept of the interval.
+            ali = {
+                r.ingress: ledger.ingress_timeline(r.ingress).usage_at(decision_time)
+                for r, _ in pool
+            }
+            ale = {
+                r.egress: ledger.egress_timeline(r.egress).usage_at(decision_time)
+                for r, _ in pool
+            }
+            caps = [(platform.bin(r.ingress), platform.bout(r.egress)) for r, _ in pool]
 
-            while np.any(alive):
-                costs = np.maximum(
-                    (occupancy.ali[ing] + bws) / cap_in,
-                    (occupancy.ale[egr] + bws) / cap_out,
+            def cost(k: int) -> float:
+                request, bw = pool[k]
+                cap_in, cap_out = caps[k]
+                return max(
+                    (ali[request.ingress] + bw) / cap_in, (ale[request.egress] + bw) / cap_out
                 )
-                costs[~alive] = np.inf
-                cheapest = costs.min()
-                if cheapest > UTILISATION_LIMIT:
+
+            # Within an interval usage only grows, so a cost only rises: a
+            # popped entry whose recomputed cost is unchanged is the exact
+            # (cost, rid) minimum over the pool, without a rescan per accept.
+            heap = [(cost(k), r.rid, k) for k, (r, _) in enumerate(pool)]
+            heapq.heapify(heap)
+            while heap:
+                stale, rid, k = heap[0]
+                fresh = cost(k)
+                if fresh != stale:
+                    heapq.heapreplace(heap, (fresh, rid, k))
+                    continue
+                if fresh > UTILISATION_LIMIT:
                     # The cheapest candidate would overflow a port: nothing
                     # else fits either; reject all remaining candidates.
-                    for k in np.flatnonzero(alive):
-                        result.reject(pool[k][0].rid, "capacity")
+                    for left in sorted(k for _, _, k in heap):
+                        result.reject(pool[left][0].rid, "capacity")
                     break
-                ties = np.flatnonzero(costs == cheapest)
-                best = int(ties[np.argmin(rids[ties])])
-                request, bw = pool[best]
-                alive[best] = False
-                result.accept(occupancy.admit(request, bw, decision_time))
+                heapq.heappop(heap)
+                request, bw = pool[k]
+                alloc = Allocation.for_request(request, bw, decision_time)
+                # Algorithm 3's own test (cost <= UTILISATION_LIMIT) decided;
+                # the kernel's form of it may differ by one ulp.
+                ledger.allocate(
+                    request.ingress, request.egress, decision_time, alloc.tau, bw, check=False
+                )
+                ali[request.ingress] += bw
+                ale[request.egress] += bw
+                result.accept(alloc)
         self._observe_schedule(problem, result)
         return result

@@ -2,10 +2,11 @@
 try later".
 
 The paper's customer model lets a rejected user resubmit while its window
-still has room.  :class:`RetryGreedyFlexible` wraps the GREEDY admission
-rule with an exponential-backoff retry queue: a rejected request retries
-until its deadline can no longer be met at ``MaxRate`` (or a retry budget
-runs out), at which point it is finally rejected.
+still has room.  :class:`RetryGreedyFlexible` runs GREEDY's admission loop
+(:func:`~repro.schedulers.flexible.book_on_arrival`) with an
+exponential-backoff retry queue: a rejected request retries until its
+deadline can no longer be met at ``MaxRate`` (rejected as ``"deadline"``)
+or its retry budget runs out (rejected as ``"capacity"``).
 
 Because a retry starts later, the deadline-implied rate floor grows at
 each attempt: retrying users are admitted at progressively *higher* rates
@@ -14,15 +15,13 @@ each attempt: retrying users are admitted at progressively *higher* rates
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field
 
 from ..core.problem import ProblemInstance
 from ..core.allocation import ScheduleResult
 from ..gateway.twophase import BackoffSchedule
 from .base import Scheduler
-from .flexible import _PortOccupancy
+from .flexible import book_on_arrival
 from .policies import BandwidthPolicy, MinRatePolicy
 
 __all__ = ["BackoffSchedule", "RetryGreedyFlexible"]
@@ -63,34 +62,5 @@ class RetryGreedyFlexible(Scheduler):
             backoff=self.backoff,
             max_attempts=self.max_attempts,
         )
-        platform = problem.platform
-        occupancy = _PortOccupancy(platform.num_ingress, platform.num_egress)
-
-        counter = itertools.count()
-        queue: list[tuple[float, int, int, object]] = []  # (time, seq, attempt, request)
-        for request in problem.requests.sorted_by_arrival():
-            heapq.heappush(queue, (request.t_start, next(counter), 1, request))
-
-        retries_used = 0
-        while queue:
-            now, _, attempt, request = heapq.heappop(queue)
-            occupancy.release_until(now)
-            bw = self.policy.rate(request.volume, request.t_end, request.max_rate, now)
-            if bw is not None and occupancy.fits(request, bw, platform):
-                result.accept(occupancy.admit(request, bw, now))
-                continue
-            # Schedule a retry if the deadline would still be reachable then.
-            retry_at = now + self._schedule.delay(attempt)
-            if (
-                attempt < self.max_attempts
-                and request.rate_for_deadline(retry_at) <= request.max_rate * (1 + 1e-12)
-            ):
-                retries_used += 1
-                heapq.heappush(queue, (retry_at, next(counter), attempt + 1, request))
-            else:
-                # Retry budget exhausted (capacity never opened up in time),
-                # or no feasible retry instant remains before the deadline.
-                reason = "capacity" if attempt >= self.max_attempts else "deadline"
-                result.reject(request.rid, reason)
-        result.meta["retries"] = retries_used
+        result.meta["retries"] = book_on_arrival(problem, self.policy, result, self._schedule)
         return result

@@ -1,8 +1,9 @@
 """Every name a module lists in ``__all__`` resolves on that module, the
 control and gateway packages import in either order, the lazy packages
 re-export the defining modules' objects, a serving process imports
-neither numpy nor the offline packages, and a library process that books
-ahead, verifies and replays imports none of them either."""
+neither numpy nor the offline packages, a library process that books
+ahead, verifies and replays imports none of them either, and the paper's
+online heuristics (GREEDY, WINDOW, retry-GREEDY) schedule without numpy."""
 
 import ast
 import importlib
@@ -197,6 +198,41 @@ def test_a_library_process_loads_only_what_it_runs():
     loaded = set(json.loads(done.stdout.splitlines()[-1]))
     assert {"repro.schedulers.advance", "repro.control.service"} <= loaded
     assert sorted(LIBRARY_OFFLINE & loaded) == []
+
+
+# ----------------------------------------------------------------------
+# The paper's online heuristics decide on the ledger, without numpy.
+# ----------------------------------------------------------------------
+ONLINE_LIFE = r"""
+import json, sys
+
+from repro.core.platform import Platform
+from repro.core.problem import ProblemInstance
+from repro.core.request import Request, RequestSet
+from repro.schedulers import make_scheduler
+
+platform = Platform.uniform(2, 2, 100.0)
+requests = RequestSet(
+    Request(rid, rid % 2, (rid + 1) % 2, 6_000.0, 10.0 * rid, 10.0 * rid + 120.0, 100.0)
+    for rid in range(12)
+)
+problem = ProblemInstance(platform, requests)
+for name, options in (("greedy", {}), ("window", {"t_step": 20.0}), ("retry-greedy", {})):
+    result = make_scheduler(name, policy="0.5", **options).schedule(problem)
+    assert 0 < result.num_accepted < len(requests), name
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_the_online_heuristics_load_no_numpy():
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run(
+        [sys.executable, "-c", ONLINE_LIFE], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout.splitlines()[-1]))
+    assert {"repro.schedulers.flexible", "repro.schedulers.retry"} <= loaded
+    assert "numpy" not in loaded
 
 
 def _type_checking_imports(module):

@@ -1,12 +1,13 @@
 """Tests for the Request / RequestSet data model."""
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.core import InvalidRequestError, Request, RequestSet
-from repro.core.request import check_request
+from repro.core.request import check_request, deadline_rate
 
 
 def make_request(**kw):
@@ -100,12 +101,15 @@ class TestRequestDerived:
         r = make_request(max_rate=100.0)
         assert r.min_duration == pytest.approx(10.0)
 
-    def test_rate_for_deadline(self):
-        r = make_request()  # vol 1000, window [0, 100]
-        assert r.rate_for_deadline(0.0) == pytest.approx(10.0)
-        assert r.rate_for_deadline(50.0) == pytest.approx(20.0)
-        assert r.rate_for_deadline(100.0) == float("inf")
-        assert r.rate_for_deadline(150.0) == float("inf")
+    def test_deadline_rate(self):
+        r = make_request()  # vol 1000, window [0, 100], MaxRate 50
+        rate = partial(deadline_rate, r.volume, r.t_end, r.max_rate)
+        assert rate(0.0) == pytest.approx(10.0)
+        assert rate(50.0) == pytest.approx(20.0)
+        assert rate(80.0) == pytest.approx(50.0)
+        assert rate(90.0) is None  # 100 MB/s would be needed
+        assert rate(100.0) is None
+        assert rate(150.0) is None
 
     def test_with_rid(self):
         r = make_request()

@@ -148,7 +148,8 @@ def served_wave(app: ServeApp, bodies: list[dict]) -> list[dict]:
     ]
 
 
-def run_both(seed: int, variant: str, workdir: Path) -> None:
+def run_both(seed: int, variant: str, workdir: Path):
+    """Run one stream both ways and hold them equal; the twin's stats."""
     settings_ = VARIANTS[variant]
     extra = CHAOS if variant == "chaos" else {}
     served_path, twin_path = workdir / "served.jsonl", workdir / "twin.jsonl"
@@ -176,13 +177,12 @@ def run_both(seed: int, variant: str, workdir: Path) -> None:
         bodies = entries(rng, t, settings_.get("malleable", False))
         assert served_wave(app, bodies) == library_wave(twin, bodies, t), f"wave {wave}"
     assert app.gateway.snapshot() == twin.snapshot()
-    if variant == "chaos":
-        assert twin.stats.readmitted > 0 and twin.stats.edge_refused > 0
     app.journal.close()
     twin.journal.close()
     served = served_path.read_bytes()
     assert served.count(b"\n") > 24
     assert served == twin_path.read_bytes()
+    return twin.stats
 
 
 @settings(max_examples=8, deadline=None)
@@ -193,7 +193,14 @@ def test_a_served_wave_decides_as_library_submits_do(seed, variant):
 
 
 def test_every_variant_at_a_fixed_seed(tmp_path):
-    """Each variant once, whatever Hypothesis draws."""
+    """Each variant once, whatever Hypothesis draws.
+
+    At this seed the chaos stream re-admits parked rejections and the edge
+    refuses some entries, so the chaos variant's equalities are not vacuous
+    (not every drawn seed reaches both: 57 and 109 do not).
+    """
     for variant in VARIANTS:
         (tmp_path / variant).mkdir()
-        run_both(11, variant, tmp_path / variant)
+        stats = run_both(11, variant, tmp_path / variant)
+        if variant == "chaos":
+            assert stats.readmitted > 0 and stats.edge_refused > 0
